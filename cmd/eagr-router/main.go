@@ -688,5 +688,5 @@ func main() {
 	}
 	rt := newRouter(bases)
 	log.Printf("routing %d shards on %s", len(bases), *listen)
-	log.Fatal(http.ListenAndServe(*listen, rt))
+	log.Fatal(server.NewHTTPServer(*listen, rt).ListenAndServe())
 }

@@ -157,7 +157,7 @@ func main() {
 		serverOpts = append(serverOpts, server.WithManualExpiry())
 	}
 	api := server.New(sess, serverOpts...)
-	srv := &http.Server{Addr: *listen, Handler: api}
+	srv := server.NewHTTPServer(*listen, api)
 	// End open /watch SSE streams when Shutdown begins, so draining does
 	// not wait out the grace period on long-lived watchers. The session
 	// Ingestor closes only AFTER Shutdown returns: in-flight /ingest

@@ -115,9 +115,14 @@ type Aggregate interface {
 // behaves exactly like Finalize but reuses buf's backing array for
 // Result.List when its capacity suffices, so steady-state reads through
 // Engine.ReadInto allocate nothing. buf may be nil (Finalize is equivalent
-// to FinalizeInto(nil)). Like every PAO method it is not safe for
-// concurrent use; the engine calls it under the owning node's lock or on
-// arena-private PAOs.
+// to FinalizeInto(nil)).
+//
+// FinalizeInto requires exclusive access to the PAO, exactly like a
+// mutation: an implementation may update state it keeps to make the next
+// finalize cheap (topkPAO refills and re-arms its materialized answer
+// head). Two concurrent FinalizeInto calls on one PAO, or one concurrent
+// with AddValue/Merge, are a data race. The engine calls it under the
+// owning node's mutex or on arena-private PAOs.
 type IntoFinalizer interface {
 	FinalizeInto(buf []int64) Result
 }

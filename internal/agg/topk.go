@@ -1,6 +1,6 @@
 package agg
 
-import "slices"
+import "math"
 
 // TopK is the built-in TOP-K aggregate of the paper: the k most frequent
 // values among the inputs (a generalization of mode, not of max — §5.1,
@@ -25,24 +25,87 @@ func (t TopK) NewPAO() PAO {
 	if k <= 0 {
 		k = 1
 	}
-	return &topkPAO{k: k}
+	return &topkPAO{k: k, lim: headLimit(k)}
 }
 
-// topkPAO maintains exact frequencies of the values it has aggregated.
-// Reset clears the frequency map in place and Finalize sorts through a
-// retained scratch slice, so a pooled topkPAO reaches a steady state where
-// neither maintenance nor finalization allocates (FinalizeInto also reuses
-// the caller's result buffer).
+// headLimit is the most entries a head for k answers may hold: 2k, saturating
+// because k comes unchecked from a query spec.
+func headLimit(k int) int {
+	if k > math.MaxInt/2 {
+		return math.MaxInt
+	}
+	return 2 * k
+}
+
+// topkPAO maintains exact frequencies of the values it has aggregated, plus
+// a materialized head of the answer so that a PAO which is finalized often
+// (a push reader with subscribers or frequent reads) does not rescan and
+// re-rank its whole map for every answer.
+//
+// While armed, head is exactly the best len(head) positive-count entries of
+// freq in answer order (count descending, value ascending): every entry
+// outside it ranks after its last element, the floor. AddValue/RemoveValue
+// keep that true in O(log k) plus one memmove; anything that changes many
+// counts at once (Merge, Unmerge, Reset, ImportWire) disarms, and the next
+// FinalizeInto refills the head with one pass over the map. Reset clears
+// the map in place and the head keeps its backing array, so a pooled
+// topkPAO reaches a steady state where neither maintenance nor
+// finalization allocates (FinalizeInto also reuses the caller's buffer).
 type topkPAO struct {
 	k     int
 	freq  map[int64]int64
 	total int64
-	// scratch is the reusable sort buffer of FinalizeInto.
-	scratch []valCount
+	// head holds at most lim = 2k entries: k answer a finalize, the other k
+	// are slack for entries popped because their rank became unknown. It
+	// grows by append, so its array is sized by the positive entries it has
+	// held and never by k, which a query spec may set to anything.
+	head  []valCount
+	lim   int
+	armed bool
+	// pos is the number of positive-count entries of freq, kept only while
+	// armed (refill counts it): a head of pos entries is exhaustive.
+	pos int
+	// steps counts armed AddValue/RemoveValue calls since the last
+	// finalize; see step.
+	steps int
 }
 
-// valCount pairs a value with its frequency for the finalize sort.
+// valCount pairs a value with its frequency; head is sorted by before.
 type valCount struct{ v, c int64 }
+
+// before reports whether a precedes b in answer order: most frequent first,
+// ties toward the smaller value.
+func before(a, b valCount) bool {
+	return a.c > b.c || (a.c == b.c && a.v < b.v)
+}
+
+// rank returns how many entries of the sorted h precede e, which is e's
+// index when h holds it.
+func rank(h []valCount, e valCount) int {
+	lo, hi := 0, len(h)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if before(h[m], e) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// insert places e in the sorted h, dropping h's last entry to make room
+// when h already holds lim entries.
+func insert(h []valCount, e valCount, lim int) []valCount {
+	if len(h) < lim {
+		h = append(h, e)
+	}
+	n := len(h) - 1
+	i := rank(h[:n], e)
+	copy(h[i+1:], h[i:n])
+	h[i] = e
+	return h
+}
 
 func (p *topkPAO) init() {
 	if p.freq == nil {
@@ -50,7 +113,13 @@ func (p *topkPAO) init() {
 	}
 }
 
+// AddValue on an unarmed PAO (every writer and partial node, and any reader
+// written more often than it is finalized) is a single map increment.
 func (p *topkPAO) AddValue(v int64) {
+	if p.armed {
+		p.addArmed(v)
+		return
+	}
 	p.init()
 	p.freq[v]++
 	p.total++
@@ -61,12 +130,85 @@ func (p *topkPAO) AddValue(v int64) {
 // before the positive contribution arrives.
 func (p *topkPAO) RemoveValue(v int64) {
 	p.init()
-	if p.freq[v] == 1 {
+	old := p.freq[v]
+	if old == 1 {
 		delete(p.freq, v)
 	} else {
-		p.freq[v]--
+		p.freq[v] = old - 1
 	}
 	p.total--
+	if p.armed {
+		p.sink(valCount{v, old})
+	}
+}
+
+// step charges one unit of head upkeep and reports whether the head is
+// still armed. Upkeep is rented, a refill is bought: once the calls since
+// the last finalize outnumber the map entries a refill would visit, the
+// head is dropped, so a PAO that is written often and finalized rarely pays
+// at most about one refill's worth of upkeep per finalize.
+func (p *topkPAO) step() bool {
+	p.steps++
+	if p.steps > len(p.freq) {
+		p.armed = false
+	}
+	return p.armed
+}
+
+// addArmed is AddValue with the head kept exact.
+func (p *topkPAO) addArmed(v int64) {
+	c := p.freq[v] + 1
+	p.freq[v] = c
+	p.total++
+	if !p.step() || c <= 0 {
+		return
+	}
+	if c == 1 {
+		p.pos++
+	}
+	h, e := p.head, valCount{v, c}
+	n := len(h)
+	if old := (valCount{v, c - 1}); c > 1 && n > 0 && !before(h[n-1], old) {
+		// At or above the floor, so materialized: move it up.
+		i := rank(h, old)
+		j := rank(h[:i], e)
+		copy(h[j+1:i+1], h[j:i])
+		h[j] = e
+		return
+	}
+	// An outsider. It joins when it now beats the floor, or when it is the
+	// only positive entry outside a head with room (the head stays
+	// exhaustive); otherwise its rank among the other outsiders is unknown
+	// and the answer is unchanged.
+	if (n > 0 && before(e, h[n-1])) || (n < p.lim && n+1 == p.pos) {
+		p.head = insert(h, e, p.lim)
+	}
+}
+
+// sink keeps the head exact after old's count was decremented.
+func (p *topkPAO) sink(old valCount) {
+	h := p.head
+	n := len(h)
+	if !p.step() || old.c <= 0 {
+		return
+	}
+	if old.c == 1 {
+		p.pos--
+	}
+	if n == 0 || before(h[n-1], old) {
+		return // below the floor and not rising: the answer is unchanged
+	}
+	i := rank(h, old)
+	e := valCount{old.v, old.c - 1}
+	j := i + rank(h[i+1:], e)
+	copy(h[i:j], h[i+1:j+1])
+	if e.c == 0 || (j == n-1 && n != p.pos) {
+		// Gone, or sunk to the last slot of a head that is not exhaustive:
+		// an outsider may now outrank it, so it cannot stay materialized.
+		p.head = h[:n-1]
+		return
+	}
+	h[j] = e
 }
 
 func (p *topkPAO) Merge(other PAO) {
@@ -75,6 +217,7 @@ func (p *topkPAO) Merge(other PAO) {
 		return
 	}
 	p.init()
+	p.armed = false
 	for v, c := range o.freq {
 		p.freq[v] += c
 	}
@@ -87,6 +230,7 @@ func (p *topkPAO) Unmerge(other PAO) {
 		return
 	}
 	p.init()
+	p.armed = false
 	for v, c := range o.freq {
 		n := p.freq[v] - c
 		if n == 0 {
@@ -105,63 +249,62 @@ func (p *topkPAO) Replace(old, new PAO) { replaceViaUnmerge(p, old, new) }
 func (p *topkPAO) Finalize() Result { return p.FinalizeInto(nil) }
 
 // FinalizeInto implements IntoFinalizer: like Finalize, but the answer list
-// is appended into buf[:0] so callers that retain a result buffer read
-// without allocating.
+// is written into buf[:0] so callers that retain a result buffer read
+// without allocating. It copies the head when the head can answer (k
+// entries, or every positive entry of the map) and refills it first when it
+// cannot.
 func (p *topkPAO) FinalizeInto(buf []int64) Result {
-	empty := func() Result {
-		if buf == nil {
-			return Result{List: []int64{}, Valid: false}
+	if p.total > 0 && len(p.freq) > 0 {
+		if !p.armed || (len(p.head) < p.k && len(p.head) != p.pos) {
+			p.refill()
 		}
-		return Result{List: buf[:0], Valid: false}
-	}
-	if p.total <= 0 || len(p.freq) == 0 {
-		return empty()
-	}
-	all := p.scratch[:0]
-	for v, c := range p.freq {
-		if c > 0 {
-			all = append(all, valCount{v, c})
-		}
-	}
-	p.scratch = all
-	if len(all) == 0 {
-		return empty()
-	}
-	slices.SortFunc(all, func(a, b valCount) int {
-		switch {
-		case a.c != b.c:
-			if a.c > b.c {
-				return -1
+		p.steps = 0
+		if n := min(p.k, len(p.head)); n > 0 {
+			out := buf[:0]
+			if cap(out) < n {
+				out = make([]int64, 0, n)
 			}
-			return 1
-		case a.v < b.v:
-			return -1
-		case a.v > b.v:
-			return 1
-		default:
-			return 0
+			for _, e := range p.head[:n] {
+				out = append(out, e.v)
+			}
+			return Result{List: out, Valid: true}
 		}
-	})
-	n := p.k
-	if n > len(all) {
-		n = len(all)
 	}
-	out := buf[:0]
-	for i := 0; i < n; i++ {
-		out = append(out, all[i].v)
+	if buf == nil {
+		return Result{List: []int64{}, Valid: false}
 	}
-	return Result{List: out, Valid: true}
+	return Result{List: buf[:0], Valid: false}
 }
 
-// Reset clears the frequencies in place, retaining map buckets and the sort
-// scratch so a pooled PAO is reusable without allocation.
+// refill rebuilds the head from the map by bounded insertion: an entry that
+// does not beat the floor of a full head is skipped with one comparison.
+func (p *topkPAO) refill() {
+	h, pos := p.head[:0], 0
+	for v, c := range p.freq {
+		if c <= 0 {
+			continue
+		}
+		pos++
+		if e := (valCount{v, c}); len(h) < p.lim || before(e, h[len(h)-1]) {
+			h = insert(h, e, p.lim)
+		}
+	}
+	p.head, p.pos = h, pos
+	p.armed = true
+}
+
+// Reset clears the frequencies in place, retaining map buckets and the head
+// array so a pooled PAO is reusable without allocation.
 func (p *topkPAO) Reset() {
 	clear(p.freq)
 	p.total = 0
+	p.armed = false
 }
 
+// Clone copies the frequencies, not the head: the copy refills on its first
+// finalize.
 func (p *topkPAO) Clone() PAO {
-	c := &topkPAO{k: p.k, total: p.total}
+	c := &topkPAO{k: p.k, lim: p.lim, total: p.total}
 	if p.freq != nil {
 		c.freq = make(map[int64]int64, len(p.freq))
 		for v, n := range p.freq {
@@ -190,8 +333,11 @@ func (Distinct) Props() Properties {
 // NewPAO implements Aggregate.
 func (Distinct) NewPAO() PAO { return &distinctPAO{} }
 
+// distinctPAO tracks multiplicities and, beside them, how many are positive,
+// so Finalize is a field read instead of a walk over the map.
 type distinctPAO struct {
 	freq map[int64]int64
+	pos  int64
 }
 
 func (p *distinctPAO) init() {
@@ -200,19 +346,32 @@ func (p *distinctPAO) init() {
 	}
 }
 
+// set stores v's count (dropping the entry at zero when drop is set) and
+// keeps pos in step with the sign change.
+func (p *distinctPAO) set(v, old, n int64, drop bool) {
+	if n == 0 && drop {
+		delete(p.freq, v)
+	} else {
+		p.freq[v] = n
+	}
+	if old <= 0 && n > 0 {
+		p.pos++
+	} else if old > 0 && n <= 0 {
+		p.pos--
+	}
+}
+
 func (p *distinctPAO) AddValue(v int64) {
 	p.init()
-	p.freq[v]++
+	old := p.freq[v]
+	p.set(v, old, old+1, false)
 }
 
 // RemoveValue tolerates transiently negative counts (see topkPAO).
 func (p *distinctPAO) RemoveValue(v int64) {
 	p.init()
-	if p.freq[v] == 1 {
-		delete(p.freq, v)
-	} else {
-		p.freq[v]--
-	}
+	old := p.freq[v]
+	p.set(v, old, old-1, true)
 }
 
 func (p *distinctPAO) Merge(other PAO) {
@@ -222,7 +381,8 @@ func (p *distinctPAO) Merge(other PAO) {
 	}
 	p.init()
 	for v, c := range o.freq {
-		p.freq[v] += c
+		old := p.freq[v]
+		p.set(v, old, old+c, false)
 	}
 }
 
@@ -233,32 +393,23 @@ func (p *distinctPAO) Unmerge(other PAO) {
 	}
 	p.init()
 	for v, c := range o.freq {
-		n := p.freq[v] - c
-		if n == 0 {
-			delete(p.freq, v)
-		} else {
-			p.freq[v] = n
-		}
+		old := p.freq[v]
+		p.set(v, old, old-c, true)
 	}
 }
 
 func (p *distinctPAO) Replace(old, new PAO) { replaceViaUnmerge(p, old, new) }
 
-func (p *distinctPAO) Finalize() Result {
-	n := int64(0)
-	for _, c := range p.freq {
-		if c > 0 {
-			n++
-		}
-	}
-	return Result{Scalar: n, Valid: true}
-}
+func (p *distinctPAO) Finalize() Result { return Result{Scalar: p.pos, Valid: true} }
 
 // Reset clears the frequencies in place (buckets retained for pooled reuse).
-func (p *distinctPAO) Reset() { clear(p.freq) }
+func (p *distinctPAO) Reset() {
+	clear(p.freq)
+	p.pos = 0
+}
 
 func (p *distinctPAO) Clone() PAO {
-	c := &distinctPAO{}
+	c := &distinctPAO{pos: p.pos}
 	if p.freq != nil {
 		c.freq = make(map[int64]int64, len(p.freq))
 		for v, n := range p.freq {

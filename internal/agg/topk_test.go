@@ -1,0 +1,317 @@
+package agg
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+)
+
+// naiveTopK is the reference finalize: sort every positive entry of the
+// model by (count desc, value asc).
+func naiveTopK(model map[int64]int64) []valCount {
+	var all []valCount
+	for v, c := range model {
+		if c > 0 {
+			all = append(all, valCount{v, c})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return before(all[i], all[j]) })
+	return all
+}
+
+// runTopKOps interprets data as a program over one topk PAO, one distinct
+// PAO and a side PAO of each (the Merge/Unmerge operand), mirrors every
+// step on plain count maps, and checks the materialized state against the
+// maps: after every step an armed head must be a prefix of the naive order,
+// and at every finalize step (and at the end) both answers must equal the
+// naive ones. data[0] picks k in 1..5 and data[1] the value domain in
+// 1..40, so heads are sometimes exhaustive and sometimes at capacity; the
+// rest is (opcode, argument) pairs.
+func runTopKOps(t testing.TB, data []byte) {
+	if len(data) < 2 {
+		return
+	}
+	k := 1 + int(data[0])%5
+	domain := 1 + int64(data[1])%40
+	tk := TopK{K: k}
+	p, side := tk.NewPAO().(*topkPAO), tk.NewPAO().(*topkPAO)
+	d, dside := Distinct{}.NewPAO().(*distinctPAO), Distinct{}.NewPAO().(*distinctPAO)
+	model, sideModel := map[int64]int64{}, map[int64]int64{}
+	var total, sideTotal int64
+	buf := make([]int64, 0, k)
+
+	checkHead := func(step int) {
+		if !p.armed {
+			return
+		}
+		want := naiveTopK(model)
+		if len(p.head) > 2*k || len(p.head) > len(want) || p.pos != len(want) {
+			t.Fatalf("step %d: armed head has %d entries, pos=%d, k=%d, %d positive", step, len(p.head), p.pos, k, len(want))
+		}
+		for i, e := range p.head {
+			if e != want[i] {
+				t.Fatalf("step %d: armed head %v is not a prefix of %v", step, p.head, want)
+			}
+		}
+	}
+	finalize := func(step int) {
+		positive := naiveTopK(model)
+		want := positive
+		if total <= 0 {
+			want = nil
+		}
+		res := p.FinalizeInto(buf)
+		if res.Valid != (len(want) > 0) || len(res.List) != min(k, len(want)) {
+			t.Fatalf("step %d: topk = %v, want prefix %d of %v (total %d)", step, res, k, want, total)
+		}
+		for i, v := range res.List {
+			if v != want[i].v {
+				t.Fatalf("step %d: topk = %v, want prefix %d of %v", step, res, k, want)
+			}
+		}
+		if got := d.Finalize(); !got.Valid || got.Scalar != int64(len(positive)) {
+			t.Fatalf("step %d: distinct = %v, want %d", step, got, len(positive))
+		}
+	}
+
+	ops := data[2:]
+	for i := 0; i+1 < len(ops); i += 2 {
+		v := 1 + int64(ops[i+1])%domain
+		switch ops[i] % 20 {
+		case 0, 1, 2, 3, 4, 5:
+			p.AddValue(v)
+			d.AddValue(v)
+			model[v]++
+			total++
+		case 6, 7, 8, 9: // also removes values never added: counts go to zero and below
+			p.RemoveValue(v)
+			d.RemoveValue(v)
+			model[v]--
+			total--
+		case 10, 11:
+			side.AddValue(v)
+			dside.AddValue(v)
+			sideModel[v]++
+			sideTotal++
+		case 12:
+			p.Merge(side)
+			d.Merge(dside)
+			for sv, c := range sideModel {
+				model[sv] += c
+			}
+			total += sideTotal
+		case 13:
+			p.Unmerge(side)
+			d.Unmerge(dside)
+			for sv, c := range sideModel {
+				model[sv] -= c
+			}
+			total -= sideTotal
+		case 14:
+			if ops[i+1]%4 == 0 {
+				p.Reset()
+				d.Reset()
+				clear(model)
+				total = 0
+			} else {
+				side.Reset()
+				dside.Reset()
+				clear(sideModel)
+				sideTotal = 0
+			}
+		case 15:
+			if err := p.ImportWire(p.ExportWire()); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.ImportWire(d.ExportWire()); err != nil {
+				t.Fatal(err)
+			}
+		case 16:
+			p, d = p.Clone().(*topkPAO), d.Clone().(*distinctPAO)
+		default:
+			finalize(i / 2)
+		}
+		checkHead(i / 2)
+	}
+	finalize(len(ops) / 2)
+	checkHead(len(ops) / 2)
+}
+
+// TestTopKHeadDifferential runs seeded random programs through runTopKOps,
+// covering every k and a spread of domains from one value to forty.
+func TestTopKHeadDifferential(t *testing.T) {
+	domains := []byte{0, 1, 2, 4, 7, 12, 19, 39}
+	for seed := 0; seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		data := make([]byte, 2+2*(100+rng.Intn(500)))
+		rng.Read(data)
+		data[0], data[1] = byte(seed%5), domains[(seed/5)%len(domains)]
+		runTopKOps(t, data)
+	}
+}
+
+func FuzzTopKOps(f *testing.F) {
+	f.Add([]byte{2, 39, 0, 1, 0, 2, 0, 2, 19, 0, 6, 2, 19, 0})
+	f.Add([]byte{0, 0, 6, 0, 0, 0, 19, 0, 0, 0, 19, 0})
+	f.Add([]byte{4, 7, 10, 1, 10, 2, 12, 0, 19, 0, 13, 0, 15, 0, 16, 0, 14, 0})
+	f.Fuzz(func(t *testing.T, data []byte) { runTopKOps(t, data) })
+}
+
+// TestTopKSkiRentalDisarm checks the maintain-vs-recompute rule: a PAO that
+// is written more often than a refill would cost stops maintaining its head
+// until the next finalize, and one that is finalized often keeps it.
+func TestTopKSkiRentalDisarm(t *testing.T) {
+	p := TopK{K: 3}.NewPAO().(*topkPAO)
+	for v := int64(0); v < 30; v++ {
+		p.AddValue(v)
+	}
+	if p.armed {
+		t.Fatal("a PAO that was never finalized must not be armed")
+	}
+	p.Finalize()
+	if !p.armed {
+		t.Fatal("finalize must arm the head")
+	}
+	for i := 0; i < 15; i++ {
+		p.AddValue(int64(i % 30))
+		p.RemoveValue(int64(i % 30))
+	}
+	if !p.armed {
+		t.Fatalf("disarmed after %d steps over %d entries", p.steps, len(p.freq))
+	}
+	p.AddValue(0)
+	if p.armed {
+		t.Fatalf("still armed after %d steps over %d entries", p.steps, len(p.freq))
+	}
+	if res := p.Finalize(); !p.armed || res.List[0] != 0 {
+		t.Fatalf("finalize after disarm: armed=%v result=%v", p.armed, res)
+	}
+}
+
+// TestTopKHugeK checks that k, which arrives unchecked from a query spec,
+// sizes nothing: the head grows with the positive entries it holds, so an
+// absurd k costs what a small one does and answers with every value.
+func TestTopKHugeK(t *testing.T) {
+	for _, k := range []int{1 << 40, math.MaxInt/2 + 1, math.MaxInt} {
+		p := TopK{K: k}.NewPAO().(*topkPAO)
+		for v := int64(1); v <= 5; v++ {
+			for i := int64(0); i < v; i++ {
+				p.AddValue(v)
+			}
+		}
+		if res := p.Finalize(); !slices.Equal(res.List, []int64{5, 4, 3, 2, 1}) {
+			t.Fatalf("k=%d: cold finalize = %v", k, res)
+		}
+		// armed: a new value joins the exhaustive head, an old one leaves it
+		p.AddValue(9)
+		p.RemoveValue(1)
+		if res := p.Finalize(); !p.armed || !slices.Equal(res.List, []int64{5, 4, 3, 2, 9}) {
+			t.Fatalf("k=%d: armed=%v finalize = %v", k, p.armed, res)
+		}
+		if cap(p.head) > 16 {
+			t.Fatalf("k=%d: head of %d entries has capacity %d", k, len(p.head), cap(p.head))
+		}
+		c := p.Clone().(*topkPAO)
+		if res := c.Finalize(); !slices.Equal(res.List, []int64{5, 4, 3, 2, 9}) {
+			t.Fatalf("k=%d: clone finalize = %v", k, res)
+		}
+	}
+}
+
+// TestTopKExhaustiveHeadIgnoresNonPositiveEntries: zero and negative
+// counts stay in the map (an out-of-order remove leaves one), but a head
+// that holds every positive entry still answers without a refill and keeps
+// taking new values by append.
+func TestTopKExhaustiveHeadIgnoresNonPositiveEntries(t *testing.T) {
+	p := TopK{K: 4}.NewPAO().(*topkPAO)
+	p.RemoveValue(7) // -1
+	p.RemoveValue(8) // -1, then 0 below
+	p.AddValue(8)
+	p.AddValue(1)
+	p.AddValue(1)
+	p.AddValue(2)
+	p.Finalize()
+	for i, want := range [][]int64{{1, 2, 3}, {1, 2, 3, 7}} {
+		switch i {
+		case 0:
+			p.AddValue(3)
+		case 1:
+			p.AddValue(7) // -1 -> 0: still not positive
+			p.AddValue(7)
+		}
+		if len(p.head) != len(want) || p.pos != len(want) || !p.armed {
+			t.Fatalf("round %d: head %v pos %d armed %v, want %d entries without a refill", i, p.head, p.pos, p.armed, len(want))
+		}
+		if res := p.Finalize(); !slices.Equal(res.List, want) {
+			t.Fatalf("round %d: finalize = %v, want %v", i, res, want)
+		}
+	}
+}
+
+// TestTopKArmedPathsDoNotAllocate pins the steady state of a push reader:
+// finalizing an armed PAO into a retained buffer, and writing to an armed
+// PAO between finalizes, allocate nothing.
+func TestTopKArmedPathsDoNotAllocate(t *testing.T) {
+	p := TopK{K: 10}.NewPAO().(*topkPAO)
+	for i := int64(0); i < 200; i++ {
+		p.AddValue(i % 64)
+	}
+	buf := make([]int64, 0, 10)
+	p.FinalizeInto(buf)
+	if allocs := testing.AllocsPerRun(200, func() { p.FinalizeInto(buf) }); allocs != 0 || !p.armed {
+		t.Fatalf("armed FinalizeInto: %v allocs/op, armed=%v", allocs, p.armed)
+	}
+	i := int64(0)
+	allocs := testing.AllocsPerRun(2000, func() {
+		// a window slide: one value in, an older one out, then the read
+		p.AddValue(i % 64)
+		p.RemoveValue((i + 7) % 64)
+		if !p.armed {
+			t.Fatal("head disarmed between finalizes")
+		}
+		p.FinalizeInto(buf)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("armed AddValue/RemoveValue/FinalizeInto: %v allocs/op", allocs)
+	}
+}
+
+// BenchmarkTopKFinalize measures one finalize of a 64-value topk(10) PAO
+// into a retained buffer: cold pays the refill (a pull read's arena PAO, or
+// a push reader whose head was disarmed), armed copies the head after one
+// window slide.
+func BenchmarkTopKFinalize(b *testing.B) {
+	build := func() *topkPAO {
+		p := TopK{K: 10}.NewPAO().(*topkPAO)
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 400; i++ {
+			p.AddValue(1 + rng.Int63n(64))
+		}
+		return p
+	}
+	buf := make([]int64, 0, 10)
+	b.Run("cold", func(b *testing.B) {
+		p := build()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p.armed = false
+			benchSink = p.FinalizeInto(buf)
+		}
+	})
+	b.Run("armed", func(b *testing.B) {
+		p := build()
+		p.FinalizeInto(buf)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			v := int64(1 + i%64)
+			p.AddValue(v)
+			p.RemoveValue(v)
+			benchSink = p.FinalizeInto(buf)
+		}
+	})
+}
+
+var benchSink Result

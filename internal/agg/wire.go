@@ -190,6 +190,7 @@ func (p *topkPAO) ImportWire(w WirePAO) error {
 	}
 	p.freq = m
 	p.total = w.N
+	p.armed = false
 	return nil
 }
 
@@ -204,6 +205,12 @@ func (p *distinctPAO) ImportWire(w WirePAO) error {
 		return err
 	}
 	p.freq = m
+	p.pos = 0
+	for _, c := range m {
+		if c > 0 {
+			p.pos++
+		}
+	}
 	return nil
 }
 

@@ -226,6 +226,20 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// ReadHeaderTimeout is how long a client of eagr-serve or eagr-router may
+// take to send its request headers.
+const ReadHeaderTimeout = 10 * time.Second
+
+// NewHTTPServer returns the http.Server both binaries listen with. It
+// bounds only the header read, so a client that opens a connection and
+// trickles (or never finishes) its headers cannot hold a goroutine forever.
+// ReadTimeout, WriteTimeout and IdleTimeout stay unset on purpose: they
+// would cut /watch SSE streams, long synchronous /ingest bodies and
+// keep-alive connections that are legitimately quiet.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: ReadHeaderTimeout}
+}
+
 // CloseWatchers ends every open /watch stream (idempotent). Wire it to
 // http.Server.RegisterOnShutdown so a graceful Shutdown can drain
 // long-lived SSE connections instead of waiting out its context.

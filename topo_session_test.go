@@ -364,6 +364,9 @@ func TestTopoContentPathZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if raceEnabled {
+		return // race instrumentation allocates; skip the exact count
+	}
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := sess.WriteBatch(events); err != nil {
 			t.Fatal(err)
