@@ -2,6 +2,7 @@ package eagr
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -22,24 +23,11 @@ type batchOracle struct {
 func newBatchOracle(t *testing.T, nodes int, specs []QuerySpec, opts Options) *batchOracle {
 	t.Helper()
 	mk := func() (*Session, []*Query) {
-		g := NewGraph(nodes)
-		for i := 0; i < nodes; i++ {
-			_ = g.AddEdge(NodeID((i+1)%nodes), NodeID(i))
-			_ = g.AddEdge(NodeID((i+3)%nodes), NodeID(i))
-		}
-		sess, err := Open(g, opts)
+		sess, err := Open(doubleRing(nodes), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var qs []*Query
-		for _, spec := range specs {
-			q, err := sess.Register(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			qs = append(qs, q)
-		}
-		return sess, qs
+		return sess, registerAll(t, sess, specs)
 	}
 	bo := &batchOracle{t: t, nodes: nodes}
 	bo.batch, bo.bQs = mk()
@@ -48,20 +36,23 @@ func newBatchOracle(t *testing.T, nodes int, specs []QuerySpec, opts Options) *b
 }
 
 // applySequential replays one event through the oracle session's
-// one-at-a-time mutators, ignoring the same per-event errors ApplyBatch
-// skips over.
-func (bo *batchOracle) applySequential(ev Event) {
+// one-at-a-time mutators.
+func (bo *batchOracle) applySequential(ev Event) { applyByMutator(bo.oracle, ev) }
+
+// applyByMutator applies one event through the session's single-event
+// mutators, ignoring the same per-event errors ApplyBatch skips over.
+func applyByMutator(s *Session, ev Event) {
 	switch ev.Kind {
 	case graph.ContentWrite:
-		_ = bo.oracle.Write(ev.Node, ev.Value, ev.TS)
+		_ = s.Write(ev.Node, ev.Value, ev.TS)
 	case graph.EdgeAdd:
-		_ = bo.oracle.AddEdge(ev.Node, ev.Peer)
+		_ = s.AddEdge(ev.Node, ev.Peer)
 	case graph.EdgeRemove:
-		_ = bo.oracle.RemoveEdge(ev.Node, ev.Peer)
+		_ = s.RemoveEdge(ev.Node, ev.Peer)
 	case graph.NodeAdd:
-		_, _ = bo.oracle.AddNode()
+		_, _ = s.AddNode()
 	case graph.NodeRemove:
-		_ = bo.oracle.RemoveNode(ev.Node)
+		_ = s.RemoveNode(ev.Node)
 	}
 }
 
@@ -129,24 +120,206 @@ func mixedStream(rng *rand.Rand, nodes, n int, structEvery int) []Event {
 	return events
 }
 
-// TestApplyBatchMatchesSequentialOracle is the tentpole's correctness
-// anchor: a random mixed content/structural stream ingested through
-// ApplyBatch (structural runs coalesced into one repair per query) must
-// leave every query in exactly the state the one-event-at-a-time mutators
-// produce. The maintainable IOB overlay keeps window state across repairs
-// on both sides, so equality is exact.
-func TestApplyBatchMatchesSequentialOracle(t *testing.T) {
-	specs := []QuerySpec{
-		{Aggregate: "sum", WindowTuples: 3},
-		{Aggregate: "count"},
-		{Aggregate: "max", WindowTuples: 2},
+// entryPoint is one public way of getting a stream into a session. Every
+// one of them is a view of Session.apply, so each must leave the session in
+// the state a brute-force recompute of the same stream predicts.
+type entryPoint struct {
+	name  string
+	drive func(t *testing.T, s *Session, events []Event)
+}
+
+func entryPoints() []entryPoint {
+	eps := []entryPoint{
+		{"mutators", func(_ *testing.T, s *Session, events []Event) {
+			for _, ev := range events {
+				applyByMutator(s, ev)
+			}
+		}},
+		// WriteBatch takes each chunk's leading content run — with a decoy
+		// NodeRemove of a node being written spliced in, which WriteBatch
+		// must skip (and a durable session must not log) — and ApplyBatch
+		// takes the rest of the chunk.
+		{"WriteBatch", func(_ *testing.T, s *Session, events []Event) {
+			for off := 0; off < len(events); off += 64 {
+				chunk := events[off:min(off+64, len(events))]
+				k := 0
+				for k < len(chunk) && chunk[k].Kind == graph.ContentWrite {
+					k++
+				}
+				if k > 0 {
+					prefix := append([]Event{chunk[0], NewNodeRemove(chunk[0].Node, chunk[0].TS)}, chunk[1:k]...)
+					_ = s.WriteBatch(prefix)
+				}
+				_ = s.ApplyBatch(chunk[k:])
+			}
+		}},
+		{"ApplyBatchNodes", func(t *testing.T, s *Session, events []Event) {
+			for off := 0; off < len(events); off += 7 {
+				chunk := events[off:min(off+7, len(events))]
+				adds := 0
+				for _, ev := range chunk {
+					if ev.Kind == graph.NodeAdd {
+						adds++
+					}
+				}
+				if added, _ := s.ApplyBatchNodes(chunk); len(added) != adds {
+					t.Fatalf("ApplyBatchNodes returned %d ids for %d NodeAdd events", len(added), adds)
+				}
+			}
+		}},
 	}
 	for _, chunk := range []int{1, 7, 64, 1 << 30} {
-		rng := rand.New(rand.NewSource(int64(chunk)))
-		bo := newBatchOracle(t, 48, specs, Options{Algorithm: "iob"})
-		events := mixedStream(rng, 48, 1500, 6)
-		bo.run(events, chunk)
-		bo.compare("iob")
+		eps = append(eps, entryPoint{fmt.Sprintf("ApplyBatch/chunk=%d", chunk), func(_ *testing.T, s *Session, events []Event) {
+			for off := 0; off < len(events); off += chunk {
+				_ = s.ApplyBatch(events[off:min(off+chunk, len(events))])
+			}
+		}})
+	}
+	for _, workers := range []int{1, 3} {
+		eps = append(eps, entryPoint{fmt.Sprintf("Ingestor/workers=%d", workers), func(t *testing.T, s *Session, events []Event) {
+			ing, err := s.Ingest(IngestOptions{BatchSize: 32, QueueDepth: 4, FlushInterval: -1, ApplyWorkers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := ing.SendEvents(events); err != nil || n != len(events) {
+				t.Fatalf("SendEvents = %d, %v", n, err)
+			}
+			_ = ing.Close() // surfaces the stream's deliberately-invalid events
+		}})
+	}
+	return eps
+}
+
+// entryPointSpecs are tuple-window queries only: their answer depends on
+// the stream alone, not on when a watermark expired what.
+var entryPointSpecs = []QuerySpec{
+	{Aggregate: "sum", WindowTuples: 3},
+	{Aggregate: "count"},
+	{Aggregate: "max", WindowTuples: 2},
+}
+
+// doubleRing is the graph the batch oracles start from: node i hears from
+// i+1 and i+3.
+func doubleRing(nodes int) *Graph {
+	g := NewGraph(nodes)
+	for i := 0; i < nodes; i++ {
+		_ = g.AddEdge(NodeID((i+1)%nodes), NodeID(i))
+		_ = g.AddEdge(NodeID((i+3)%nodes), NodeID(i))
+	}
+	return g
+}
+
+// entryPointStream is the seeded mixed stream, with timestamps from 1 (an
+// Ingestor would wall-clock stamp a zero).
+func entryPointStream(seed int64, nodes int) []Event {
+	events := mixedStream(rand.New(rand.NewSource(seed)), nodes, 1500, 6)
+	for i := range events {
+		events[i].TS++
+	}
+	return events
+}
+
+// bruteModel is the reference the entry points are checked against: its own
+// copy of the graph, mutated by the stream's structural events (invalid
+// ones skipped, as every entry point skips them), plus each live node's raw
+// content stream. A read is recomputed from scratch.
+type bruteModel struct {
+	g    *Graph
+	vals map[NodeID][]int64
+}
+
+func newBruteModel(g *Graph, events []Event) *bruteModel {
+	m := &bruteModel{g: g, vals: map[NodeID][]int64{}}
+	for _, ev := range events {
+		switch ev.Kind {
+		case graph.ContentWrite:
+			if g.Alive(ev.Node) {
+				m.vals[ev.Node] = append(m.vals[ev.Node], ev.Value)
+			}
+		case graph.EdgeAdd:
+			_ = g.AddEdge(ev.Node, ev.Peer)
+		case graph.EdgeRemove:
+			_ = g.RemoveEdge(ev.Node, ev.Peer)
+		case graph.NodeAdd:
+			g.AddNode()
+		case graph.NodeRemove:
+			if g.RemoveNode(ev.Node) == nil {
+				delete(m.vals, ev.Node) // a reused id starts a fresh stream
+			}
+		}
+	}
+	return m
+}
+
+// read recomputes spec at v: the aggregate over the last WindowTuples
+// values of each in-neighbor.
+func (m *bruteModel) read(spec QuerySpec, v NodeID) Result {
+	c := max(spec.WindowTuples, 1)
+	var sum, n, top int64
+	for _, u := range m.g.In(v) {
+		vals := m.vals[u]
+		for _, x := range vals[max(0, len(vals)-c):] {
+			if n == 0 || x > top {
+				top = x
+			}
+			sum += x
+			n++
+		}
+	}
+	switch spec.Aggregate {
+	case "count":
+		return Result{Scalar: n, Valid: true}
+	case "max":
+		return Result{Scalar: top, Valid: n > 0}
+	default:
+		return Result{Scalar: sum, Valid: n > 0}
+	}
+}
+
+// check reads every query at every node id the model ever allocated: live
+// nodes must equal the recompute, dead ones must report ErrUnknownNode.
+func (m *bruteModel) check(t *testing.T, label string, qs []*Query) {
+	t.Helper()
+	for _, q := range qs {
+		for v := NodeID(0); int(v) < m.g.MaxID(); v++ {
+			got, err := q.Read(v)
+			if !m.g.Alive(v) {
+				if !errors.Is(err, ErrUnknownNode) {
+					t.Fatalf("%s: %s at dead node %d: got %+v, %v; want ErrUnknownNode", label, q.Spec().Aggregate, v, got, err)
+				}
+				continue
+			}
+			want := m.read(q.Spec(), v)
+			if err != nil || got.Valid != want.Valid || (want.Valid && got.Scalar != want.Scalar) {
+				t.Fatalf("%s: %s at node %d: got %+v, %v; brute force %+v", label, q.Spec().Aggregate, v, got, err, want)
+			}
+		}
+	}
+}
+
+// TestApplyBatchMatchesSequentialOracle is the write spine's correctness
+// anchor: one seeded mixed content/structural stream driven through EVERY
+// public entry point — the single-event mutators, WriteBatch, ApplyBatch in
+// several chunkings (structural runs coalesced into one repair per query),
+// ApplyBatchNodes, and an Ingestor on the sequential worker and on the
+// apply pool — must leave every query reading exactly what a brute-force
+// recompute over the final graph and content predicts. The maintainable IOB
+// overlay keeps window state across repairs, so equality is exact.
+func TestApplyBatchMatchesSequentialOracle(t *testing.T) {
+	const nodes = 48
+	for _, ep := range entryPoints() {
+		t.Run(ep.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				sess, err := Open(doubleRing(nodes), Options{Algorithm: "iob"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				qs := registerAll(t, sess, entryPointSpecs)
+				events := entryPointStream(seed, nodes)
+				ep.drive(t, sess, events)
+				newBruteModel(doubleRing(nodes), events).check(t, fmt.Sprintf("seed %d", seed), qs)
+			}
+		})
 	}
 }
 
@@ -232,5 +405,31 @@ func TestApplyBatchNodesSurfacesIDs(t *testing.T) {
 	}
 	if !res.Valid || res.Scalar != 11 {
 		t.Fatalf("read through streamed-in node = %+v, want 11", res)
+	}
+}
+
+// TestSessionWritePathAllocs pins the fold's hot-path cost: on a
+// non-durable session neither the single-event view (whose one-element
+// batch must stay on the stack) nor a content-only 256-event batch may
+// allocate on their way through Session.apply.
+func TestSessionWritePathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	sess, err := Open(ring(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerAll(t, sess, []QuerySpec{{Aggregate: "sum"}, {Aggregate: "sum", WindowTuples: 4}})
+	batch := make([]Event, 256)
+	for i := range batch {
+		batch[i] = NewWrite(NodeID(i%64), int64(i), int64(i+1))
+	}
+	_ = sess.ApplyBatch(batch) // warm the engines' pooled scratch
+	if n := testing.AllocsPerRun(200, func() { _ = sess.Write(3, 7, 1) }); n != 0 {
+		t.Errorf("Session.Write allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { _ = sess.ApplyBatch(batch) }); n != 0 {
+		t.Errorf("content-only Session.ApplyBatch(256) allocates %v times per call, want 0", n)
 	}
 }

@@ -161,18 +161,15 @@ func benchOps(b *testing.B, alg, mode string, a agg.Aggregate) {
 	benchfix.RunMixed(b, eng, events)
 }
 
-// benchWriteBatch drives the sharded parallel ingest path in chunks.
-func benchWriteBatch(b *testing.B, workers int) {
+// BenchmarkOpWriteBatch1 drives the engine's batch ingest path (serial,
+// notification-coalescing) in chunks.
+func BenchmarkOpWriteBatch1(b *testing.B) {
 	eng, events, err := benchfix.MicroEngine("baseline", "push", agg.Sum{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchfix.RunWriteBatch(b, eng, benchfix.Writes(events), workers)
+	benchfix.RunWriteBatch(b, eng, benchfix.Writes(events))
 }
-
-func BenchmarkOpWriteBatch1(b *testing.B) { benchWriteBatch(b, 1) }
-func BenchmarkOpWriteBatch4(b *testing.B) { benchWriteBatch(b, 4) }
-func BenchmarkOpWriteBatch8(b *testing.B) { benchWriteBatch(b, 8) }
 
 // benchPullRead measures non-scalar on-demand reads (the pooled PAO arena
 // path) on an all-pull overlay, via ReadInto with a retained result.
@@ -236,7 +233,7 @@ func BenchmarkOpSubscribeFanoutBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchfix.RunWriteBatch(b, eng, writes, 1)
+	benchfix.RunWriteBatch(b, eng, writes)
 }
 
 // benchAutotuneShift measures a mixed Zipf stream whose hot set has

@@ -534,7 +534,7 @@ func runEngineBench(path string, cpus []int) error {
 			return err
 		}
 		r := toResult(testing.Benchmark(func(b *testing.B) {
-			benchfix.RunWriteBatch(b, eng, writes, 1)
+			benchfix.RunWriteBatch(b, eng, writes)
 		}))
 		cur["OpSubscribeFanoutBatch"] = r
 		fmt.Printf("  %-26s %10.1f ns/op %12.0f ops/s %3d allocs/op\n",
@@ -686,23 +686,18 @@ func runEngineBench(path string, cpus []int) error {
 		fmt.Printf("  %-26s %10.1f ns/op %12.0f ops/s %3d allocs/op\n",
 			m.name, r.NsPerOp, r.OpsPerSec, r.AllocsPerOp)
 	}
-	workers := []int{1}
-	if p := runtime.GOMAXPROCS(0); p > 1 {
-		workers = append(workers, p)
-	}
-	for _, w := range workers {
+	{
 		eng, events, err := benchfix.MicroEngine("baseline", "push", agg.Sum{})
 		if err != nil {
 			return err
 		}
 		writes := benchfix.Writes(events)
-		name := fmt.Sprintf("OpWriteBatch%d", w)
 		r := toResult(testing.Benchmark(func(b *testing.B) {
-			benchfix.RunWriteBatch(b, eng, writes, w)
+			benchfix.RunWriteBatch(b, eng, writes)
 		}))
-		cur[name] = r
+		cur["OpWriteBatch1"] = r
 		fmt.Printf("  %-16s %10.1f ns/op %12.0f ops/s %3d allocs/op\n",
-			name, r.NsPerOp, r.OpsPerSec, r.AllocsPerOp)
+			"OpWriteBatch1", r.NsPerOp, r.OpsPerSec, r.AllocsPerOp)
 	}
 	host, _ := os.Hostname()
 	out := engineBenchFile{

@@ -131,7 +131,7 @@ func newRouter(shards []string) *router {
 	rt.mux.HandleFunc("POST /queries", rt.handleRegister)
 	rt.mux.HandleFunc("GET /queries", rt.handleList)
 	rt.mux.HandleFunc("DELETE /queries/{id}", rt.handleRetire)
-	rt.mux.HandleFunc("GET /queries/{id}/read", rt.handleRead)
+	rt.mux.HandleFunc("GET /queries/{id}/read", rt.handleQueryRead)
 	rt.mux.HandleFunc("POST /edge", rt.fanoutJSON("/edge"))
 	rt.mux.HandleFunc("DELETE /edge", rt.fanoutQuery("/edge"))
 	rt.mux.HandleFunc("POST /node", rt.fanoutJSON("/node"))
@@ -377,11 +377,11 @@ func (rt *router) handleRetire(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleRead is the cross-shard read: fetch every shard's un-finalized
+// handleQueryRead is the cross-shard read: fetch every shard's un-finalized
 // PAO for the node, merge, finalize once. Shards are structural replicas,
 // so they agree on whether the node exists; the first shard's 404/410
 // verdict is relayed as the fleet's.
-func (rt *router) handleRead(w http.ResponseWriter, r *http.Request) {
+func (rt *router) handleQueryRead(w http.ResponseWriter, r *http.Request) {
 	rq := rt.queryFor(w, r)
 	if rq == nil {
 		return

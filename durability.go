@@ -179,12 +179,11 @@ func (d *durableState) noteTS(events []Event) {
 	}
 }
 
-// logged appends events to the WAL and, only if the append succeeded (so
-// acknowledged implies durable under FsyncPerBatch), applies them. The
-// read lock spans both, keeping checkpoints consistent.
-func (d *durableState) logged(events []Event, apply func() error) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+// logged appends events to the WAL; the caller applies them only if the
+// append succeeded (so acknowledged implies durable under FsyncPerBatch).
+// The caller holds d.mu for reading across both, keeping checkpoints
+// consistent.
+func (d *durableState) logged(events []Event) error {
 	if d.closed {
 		return ErrDurabilityClosed
 	}
@@ -192,12 +191,13 @@ func (d *durableState) logged(events []Event, apply func() error) error {
 		return fmt.Errorf("eagr: wal append: %w", err)
 	}
 	d.noteTS(events)
-	return apply()
+	return nil
 }
 
-// contentOnly filters a WriteBatch batch down to the events WriteBatch
-// actually applies, so the logged record replays with identical effect
-// through ApplyBatch. The all-writes common case returns events unchanged.
+// contentOnly filters a WriteBatch batch down to its content writes — the
+// skip-structural rule, applied BEFORE the shared apply path so what is
+// logged, applied and later replayed is one and the same batch. The
+// all-writes common case returns events unchanged (no allocation).
 func contentOnly(events []Event) []Event {
 	for i, ev := range events {
 		if ev.Kind != graph.ContentWrite {
@@ -416,7 +416,7 @@ func OpenDurable(g *Graph, dopts DurabilityOptions, opts ...Options) (*Session, 
 				case wal.RecBatch:
 					// Per-event apply errors (duplicate edge, dead node)
 					// replayed the original's skips; the end state matches.
-					_ = s.multi.ApplyBatch(r.Events)
+					_, _ = s.apply(r.Events) // d.replaying: applies without re-logging
 					rec.ReplayedBatches++
 					rec.ReplayedEvents += len(r.Events)
 					d.noteTS(r.Events)

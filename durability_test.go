@@ -185,6 +185,43 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	}
 }
 
+// TestDurableEntryPointsRecover is TestApplyBatchMatchesSequentialOracle's
+// durable twin: the same seeded stream through each public entry point of
+// a durable session must read as brute force predicts — and must STILL
+// read so after SimulateCrash + OpenDurable. Replay goes through the same
+// apply function, so this is what proves the one durability fork logs
+// exactly what each view applies (including WriteBatch's skipped decoy,
+// which must not reach the WAL).
+func TestDurableEntryPointsRecover(t *testing.T) {
+	const nodes = 48
+	opts := Options{Algorithm: "iob"}
+	for _, ep := range entryPoints() {
+		t.Run(ep.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _, err := OpenDurable(doubleRing(nodes), DurabilityOptions{Dir: dir, Fsync: FsyncOff}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs := registerAll(t, s, entryPointSpecs)
+			events := entryPointStream(5, nodes)
+			ep.drive(t, s, events)
+			model := newBruteModel(doubleRing(nodes), events)
+			model.check(t, "live", qs)
+			_ = s.SimulateCrash()
+
+			s2, rec, err := OpenDurable(nil, DurabilityOptions{Dir: dir, Fsync: FsyncOff}, opts)
+			if err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+			defer s2.CloseDurability()
+			if rec.ReplayedEvents == 0 {
+				t.Fatal("recovery replayed nothing; the stream never reached the WAL")
+			}
+			model.check(t, "recovered", s2.Queries())
+		})
+	}
+}
+
 // buildOracle replays the acknowledged stream into a fresh non-durable
 // session with the standard query set.
 func buildOracle(t *testing.T, g *Graph, acked [][]Event) *Session {
@@ -408,9 +445,12 @@ func TestDurableIngestorResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ing, err := s.Ingest(IngestOptions{Clock: LogicalClock(), BatchSize: 8, MaxTimestampJump: 1 << 20})
+	ing, err := s.Ingest(IngestOptions{Clock: LogicalClock(), BatchSize: 8, MaxTimestampJump: 1 << 20, ApplyWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if w := ing.Stats().ApplyWorkers; w != 1 {
+		t.Fatalf("durable Ingestor reports %d effective apply workers, want 1 (asked for 4)", w)
 	}
 	for i := 0; i < 100; i++ {
 		if err := ing.Send(NodeID(i%6), int64(i)); err != nil {

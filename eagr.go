@@ -41,10 +41,12 @@
 //	ing.SendEvent(eagr.NewEdgeAdd(u, v, 0))    // structural, same stream
 //	ing.Flush()                                // synchronize when needed
 //
-// Batches auto-flush by size and interval; consecutive content writes take
-// the sharded parallel path while consecutive structural events coalesce
-// into one overlay repair per query (Session.ApplyBatch is the same
-// unified path for caller-assembled batches). The Ingestor's low watermark
+// Batches auto-flush by size and interval; consecutive content writes
+// apply with one coalesced notification per touched reader (in parallel
+// across the Ingestor's node-partitioned apply pool on multi-core hosts)
+// while consecutive structural events coalesce into one overlay repair per
+// query (Session.ApplyBatch is the same unified path for caller-assembled
+// batches, applied on the caller's goroutine). The Ingestor's low watermark
 // — max observed timestamp minus the configured lateness — expires
 // time-based windows automatically, so time-windowed queries advance with
 // the stream instead of with hand-threaded ExpireAll calls.
@@ -648,11 +650,9 @@ func specOrDefault(s, d string) string {
 // timestamp (used by time-based windows), fanning it out to every
 // registered query.
 func (s *Session) Write(v NodeID, value int64, ts int64) error {
-	if d := s.dur; d != nil && !d.replaying {
-		ev := [1]Event{NewWrite(v, value, ts)}
-		return d.logged(ev[:], func() error { return s.multi.Write(v, value, ts) })
-	}
-	return s.multi.Write(v, value, ts)
+	ev := [1]Event{NewWrite(v, value, ts)}
+	_, err := s.apply(ev[:])
+	return err
 }
 
 // Event is a single element of the combined data stream (§2.1): one
@@ -688,13 +688,36 @@ func NewNodeRemove(v NodeID, ts int64) Event {
 	return graph.Event{Kind: graph.NodeRemove, Node: v, TS: ts}
 }
 
+// apply is the one path every event mutation takes from the public API to
+// the engines: Write, WriteBatch, ApplyBatch, ApplyBatchNodes, the four
+// structural mutators and the Ingestor's apply stage are all views of it.
+// It owns the only durability fork for events — on a durable session the
+// batch is WAL-appended and then applied under one hold of the durability
+// read lock (so a checkpoint never observes a half-applied batch),
+// otherwise it goes straight to the shared apply loop. It returns the node
+// ids the batch's NodeAdd events allocated.
+func (s *Session) apply(events []Event) ([]NodeID, error) {
+	if d := s.dur; d != nil && !d.replaying {
+		d.mu.RLock()
+		defer d.mu.RUnlock()
+		if err := d.logged(events); err != nil {
+			return nil, err
+		}
+	}
+	added, err := s.multi.ApplyBatchNodes(events)
+	return added, mapNodeErr(err)
+}
+
 // ApplyBatch ingests a mixed batch of content and structural events in
 // stream order — the paper's single interleaved data stream. Runs of
-// consecutive content writes take each query engine's sharded parallel
-// fast path (per-node order preserved, distinct nodes in parallel); runs
-// of consecutive structural events mutate the graph event by event but
-// coalesce into ONE overlay repair and engine republish per query, so a
-// burst of churn costs one repair rather than one per event.
+// consecutive content writes apply serially on the calling goroutine with
+// subscription fan-out coalesced per run (each touched reader is notified
+// once); runs of consecutive structural events mutate the graph event by
+// event but coalesce into ONE overlay repair and engine republish per
+// query, so a burst of churn costs one repair rather than one per event.
+// ApplyBatch never spawns goroutines: multi-core content ingest is the
+// Ingestor's apply pool (IngestOptions.ApplyWorkers), or concurrent
+// callers — every mutator is safe to call from many goroutines.
 //
 // Events that cannot apply (adding an existing edge, removing a dead node)
 // are skipped with their errors joined into the returned error; the rest
@@ -702,10 +725,8 @@ func NewNodeRemove(v NodeID, ts int64) Event {
 // sequential mutators and collecting errors. The final results are
 // identical to applying the batch one event at a time.
 func (s *Session) ApplyBatch(events []Event) error {
-	if d := s.dur; d != nil && !d.replaying {
-		return d.logged(events, func() error { return mapNodeErr(s.multi.ApplyBatch(events)) })
-	}
-	return mapNodeErr(s.multi.ApplyBatch(events))
+	_, err := s.apply(events)
+	return err
 }
 
 // ApplyBatchNodes is ApplyBatch additionally returning the node ids its
@@ -716,32 +737,18 @@ func (s *Session) ApplyBatch(events []Event) error {
 // per-event ids; streams that create nodes and immediately address them
 // should allocate through ApplyBatchNodes or AddNode first.)
 func (s *Session) ApplyBatchNodes(events []Event) ([]NodeID, error) {
-	if d := s.dur; d != nil && !d.replaying {
-		var added []NodeID
-		err := d.logged(events, func() error {
-			var aerr error
-			added, aerr = s.multi.ApplyBatchNodes(events)
-			return mapNodeErr(aerr)
-		})
-		return added, err
-	}
-	added, err := s.multi.ApplyBatchNodes(events)
-	return added, mapNodeErr(err)
+	return s.apply(events)
 }
 
-// WriteBatch is the content-only wrapper of ApplyBatch: it ingests a batch
-// of content writes through each query engine's sharded parallel write
-// pool, skipping any non-write events instead of applying them. Updates to
-// the same node keep their batch order; distinct nodes ingest in parallel
-// across GOMAXPROCS workers.
+// WriteBatch is the content-only view of ApplyBatch: non-write events are
+// skipped instead of applied (and, on a durable session, never logged, so
+// the record replays with identical effect). Updates keep their batch
+// order and apply serially on the calling goroutine; for multi-core
+// content ingest use an Ingestor, or call WriteBatch from several
+// goroutines with disjoint node sets.
 func (s *Session) WriteBatch(events []Event) error {
-	if d := s.dur; d != nil && !d.replaying {
-		// Log only the writes WriteBatch applies, so the record replays
-		// identically through ApplyBatch (which would APPLY structural
-		// events rather than skip them).
-		return d.logged(contentOnly(events), func() error { return s.multi.WriteBatch(events) })
-	}
-	return s.multi.WriteBatch(events)
+	_, err := s.apply(contentOnly(events))
+	return err
 }
 
 // ExpireAll advances every query's time-based windows to ts, propagating
@@ -770,46 +777,31 @@ func (s *Session) ExpireAll(ts int64) {
 // under the default neighborhood) and incrementally repairs every query's
 // overlay.
 func (s *Session) AddEdge(u, v NodeID) error {
-	if d := s.dur; d != nil && !d.replaying {
-		ev := [1]Event{NewEdgeAdd(u, v, 0)}
-		return d.logged(ev[:], func() error { return mapNodeErr(s.multi.AddEdge(u, v)) })
-	}
-	return mapNodeErr(s.multi.AddEdge(u, v))
+	_, err := s.apply([]Event{NewEdgeAdd(u, v, 0)})
+	return err
 }
 
 // RemoveEdge applies a structural edge deletion.
 func (s *Session) RemoveEdge(u, v NodeID) error {
-	if d := s.dur; d != nil && !d.replaying {
-		ev := [1]Event{NewEdgeRemove(u, v, 0)}
-		return d.logged(ev[:], func() error { return mapNodeErr(s.multi.RemoveEdge(u, v)) })
-	}
-	return mapNodeErr(s.multi.RemoveEdge(u, v))
+	_, err := s.apply([]Event{NewEdgeRemove(u, v, 0)})
+	return err
 }
 
 // AddNode adds a fresh node to the data graph and every query's overlay.
+// (On a durable session replay allocates the same id: the checkpointed
+// graph carries its free list, and NodeAdd events apply in log order.)
 func (s *Session) AddNode() (NodeID, error) {
-	if d := s.dur; d != nil && !d.replaying {
-		// Replay allocates the same id: the checkpointed graph carries its
-		// free list, and NodeAdd events apply in log order.
-		var id NodeID
-		ev := [1]Event{NewNodeAdd(0)}
-		err := d.logged(ev[:], func() error {
-			var aerr error
-			id, aerr = s.multi.AddNode()
-			return aerr
-		})
-		return id, err
+	added, err := s.apply([]Event{NewNodeAdd(0)})
+	if len(added) == 0 {
+		return 0, err
 	}
-	return s.multi.AddNode()
+	return added[0], err
 }
 
 // RemoveNode deletes a node and its edges everywhere.
 func (s *Session) RemoveNode(v NodeID) error {
-	if d := s.dur; d != nil && !d.replaying {
-		ev := [1]Event{NewNodeRemove(v, 0)}
-		return d.logged(ev[:], func() error { return mapNodeErr(s.multi.RemoveNode(v)) })
-	}
-	return mapNodeErr(s.multi.RemoveNode(v))
+	_, err := s.apply([]Event{NewNodeRemove(v, 0)})
+	return err
 }
 
 // mapNodeErr converts the graph package's not-found errors into the

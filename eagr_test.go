@@ -154,14 +154,16 @@ func TestDynamicEdgesThroughFacade(t *testing.T) {
 
 func TestCustomAggregateThroughFacade(t *testing.T) {
 	RegisterAggregate("first42", func(int) Aggregate { return firstAgg{} })
-	// Exercised through the deprecated single-query shim on purpose: the
-	// legacy surface must keep working end to end.
-	sys, err := OpenQuery(ring(4), QuerySpec{Aggregate: "first42"}, Options{Algorithm: "baseline"})
+	sess, err := Open(ring(4), Options{Algorithm: "baseline"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = sys.Write(1, 9, 0)
-	got, err := sys.Read(0)
+	q, err := sess.Register(QuerySpec{Aggregate: "first42"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = sess.Write(1, 9, 0)
+	got, err := q.Read(0)
 	if err != nil {
 		t.Fatal(err)
 	}

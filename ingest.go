@@ -109,7 +109,8 @@ type IngestOptions struct {
 	// after's apply. 0 means GOMAXPROCS; 1 forces the sequential single
 	// worker. Durable sessions always use the sequential worker: the WAL
 	// append and the apply must stay under one lock so checkpoints never
-	// observe a half-applied batch.
+	// observe a half-applied batch (IngestorStats.ApplyWorkers reports the
+	// count actually in effect).
 	ApplyWorkers int
 }
 
@@ -140,14 +141,15 @@ func (o IngestOptions) withDefaults() IngestOptions {
 // batching, backpressured front-end to ApplyBatch that also makes time
 // first-class. Events accumulate into batches (flushed by size, by
 // interval, or explicitly) and a background apply stage applies them in
-// send order — content runs through the sharded parallel write path,
+// send order — content runs serially with coalesced notifications,
 // structural runs through the coalesced repair path. With ApplyWorkers >
 // 1 (the default on multi-core hosts, for non-durable sessions) the apply
 // stage is PIPELINED: successive batches' content runs overlap across a
-// node-partitioned worker pool while structural events fence, so ingest
-// throughput scales with cores instead of being bounded by one apply
-// goroutine; per-node apply order, watermark monotonicity and Flush/Close
-// barriers are identical to the sequential worker (see runPipelined).
+// node-partitioned worker pool while structural events fence — the one
+// place in the system where content writes go parallel — so ingest is not
+// bounded by one apply goroutine; per-node apply order, watermark
+// monotonicity and Flush/Close barriers are identical to the sequential
+// worker (see runPipelined).
 //
 // The Ingestor tracks a low watermark over applied timestamps: the maximum
 // timestamp seen minus the configured Lateness. Every time the watermark
@@ -209,6 +211,12 @@ type ingestJob struct {
 // of concurrent Ingestors (their batches interleave at the queue).
 func (s *Session) Ingest(opts IngestOptions) (*Ingestor, error) {
 	o := opts.withDefaults()
+	if s.dur != nil {
+		// Durable sessions keep the sequential worker — their WAL append
+		// and apply share one critical section (see Session.apply), which
+		// an asynchronous apply would break. Stats reports the downgrade.
+		o.ApplyWorkers = 1
+	}
 	ing := &Ingestor{
 		sess:     s,
 		opts:     o,
@@ -237,12 +245,9 @@ func (s *Session) Ingest(opts IngestOptions) (*Ingestor, error) {
 			ing.watermark.Store(wm)
 		}
 	}
-	if w := o.ApplyWorkers; w > 1 && s.dur == nil {
+	if w := o.ApplyWorkers; w > 1 {
 		// Pipelined apply: content runs fan out across a persistent
-		// worker pool and successive batches overlap. Durable sessions
-		// keep the sequential worker — their WAL append and apply share
-		// one critical section (see durableState.logged), which an
-		// asynchronous apply would break.
+		// worker pool and successive batches overlap.
 		go ing.runPipelined(w)
 	} else {
 		go ing.run()
@@ -438,8 +443,8 @@ func (ing *Ingestor) Close() error {
 	return errors.Join(errs...)
 }
 
-// run is the apply worker: one goroutine draining the batch queue in
-// order, advancing the watermark after each applied batch.
+// run is the sequential apply worker: one goroutine draining the batch
+// queue in order.
 func (ing *Ingestor) run() {
 	defer close(ing.done)
 	for job := range ing.queue {
@@ -447,18 +452,28 @@ func (ing *Ingestor) run() {
 		var err error
 		if len(job.events) > 0 {
 			err = ing.sess.ApplyBatch(job.events)
-			ing.applied.Add(int64(len(job.events)))
-			ing.batches.Add(1)
-			ing.advanceWatermark(job.events)
 		}
-		if job.events != nil {
-			ing.putBuf(job.events) // empty Flush buffers recycle too
-		}
-		if job.done != nil {
-			job.done <- err
-		} else if err != nil {
-			ing.recordError(err)
-		}
+		ing.finish(job, err)
+	}
+}
+
+// finish completes one applied batch, in queue order: count it, advance
+// the watermark, recycle its buffer, and hand the apply error to the
+// waiting Flush/Close (or keep it for the next one). Only one goroutine
+// calls it — the sequential worker, or the pipelined completer.
+func (ing *Ingestor) finish(job ingestJob, err error) {
+	if len(job.events) > 0 {
+		ing.applied.Add(int64(len(job.events)))
+		ing.batches.Add(1)
+		ing.advanceWatermark(job.events)
+	}
+	if job.events != nil {
+		ing.putBuf(job.events) // empty Flush buffers recycle too
+	}
+	if job.done != nil {
+		job.done <- err
+	} else if err != nil {
+		ing.recordError(err)
 	}
 }
 
@@ -472,7 +487,7 @@ func (ing *Ingestor) run() {
 //	queue ──▶ dispatcher: split batch into runs
 //	            content run    → partition by node across W workers
 //	            structural run → FENCE (drain all workers), apply inline
-//	          workers: apply partition serially per engine (order kept)
+//	          workers: Session.WriteBatch(partition) — serial, order kept
 //	          completer: per batch IN ORDER — wait its chunks, advance
 //	                     watermark, signal Flush/Close, recycle buffers
 //
@@ -520,7 +535,9 @@ func (ing *Ingestor) runPipelined(workers int) {
 					c.barrier.Done()
 					continue
 				}
-				ing.applyContentChunk(c.events)
+				// The same content apply every caller uses: serial per
+				// engine, subscription fan-out coalesced per chunk.
+				_ = ing.sess.WriteBatch(c.events)
 				ing.putChunk(c.events)
 				c.job.wg.Done()
 			}
@@ -533,21 +550,7 @@ func (ing *Ingestor) runPipelined(workers int) {
 		defer cwg.Done()
 		for pj := range jobs {
 			pj.wg.Wait()
-			job := pj.job
-			err := errors.Join(pj.errs...)
-			if len(job.events) > 0 {
-				ing.applied.Add(int64(len(job.events)))
-				ing.batches.Add(1)
-				ing.advanceWatermark(job.events)
-			}
-			if job.events != nil {
-				ing.putBuf(job.events)
-			}
-			if job.done != nil {
-				job.done <- err
-			} else if err != nil {
-				ing.recordError(err)
-			}
+			ing.finish(pj.job, errors.Join(pj.errs...))
 		}
 	}()
 	fence := func() {
@@ -618,16 +621,6 @@ func (ing *Ingestor) dispatchContent(pj *pjob, run []Event, chans []chan pchunk,
 		parts[p] = nil
 		pj.wg.Add(1)
 		chans[p] <- pchunk{events: part, job: pj}
-	}
-}
-
-// applyContentChunk applies one partition serially against every attached
-// system's engine. One in-pool worker per partition: the engine's own
-// batch fan-out is disabled (workers=1) so parallelism comes from the
-// partitioning, with subscription fan-out still coalesced per chunk.
-func (ing *Ingestor) applyContentChunk(events []Event) {
-	for _, sys := range ing.sess.multi.Systems() {
-		_ = sys.Engine().WriteBatchWorkers(events, 1)
 	}
 }
 
@@ -756,6 +749,11 @@ type IngestorStats struct {
 	// until the first event applies.
 	Watermark      int64
 	WatermarkValid bool
+	// ApplyWorkers is the EFFECTIVE size of the apply stage: the resolved
+	// IngestOptions.ApplyWorkers, except that a durable session always
+	// reports 1 (its batches apply on the sequential worker whatever was
+	// asked for).
+	ApplyWorkers int
 }
 
 // Stats returns current ingestion statistics. It never takes the send
@@ -772,5 +770,6 @@ func (ing *Ingestor) Stats() IngestorStats {
 		Buffered:       int(ing.buffered.Load()),
 		Watermark:      wm,
 		WatermarkValid: ok,
+		ApplyWorkers:   ing.opts.ApplyWorkers,
 	}
 }

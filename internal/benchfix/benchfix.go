@@ -476,9 +476,9 @@ func RunResync(b *testing.B, eng *exec.Engine) {
 	}
 }
 
-// RunWriteBatch drives the sharded parallel ingest path in chunks of up to
-// 4096 writes, reporting per-write cost.
-func RunWriteBatch(b *testing.B, eng *exec.Engine, writes []graph.Event, workers int) {
+// RunWriteBatch drives the batch ingest path in chunks of up to 4096
+// writes, reporting per-write cost.
+func RunWriteBatch(b *testing.B, eng *exec.Engine, writes []graph.Event) {
 	if len(writes) == 0 {
 		b.Fatal("benchfix: no writes in fixture")
 	}
@@ -495,7 +495,7 @@ func RunWriteBatch(b *testing.B, eng *exec.Engine, writes []graph.Event, workers
 			n = rem
 		}
 		off := done % span
-		if err := eng.WriteBatchWorkers(writes[off:off+n], workers); err != nil {
+		if err := eng.WriteBatch(writes[off : off+n]); err != nil {
 			b.Fatal(err)
 		}
 		done += n

@@ -433,9 +433,10 @@ func (s *System) Write(v graph.NodeID, value int64, ts int64) error {
 	return s.engine().Write(v, value, ts)
 }
 
-// WriteBatch ingests a batch of content writes through the engine's
-// sharded parallel write pool (per-writer ordering is preserved;
-// non-write events are skipped).
+// WriteBatch ingests a batch of content writes serially, in batch order,
+// with subscription fan-out coalesced to once per touched reader; non-write
+// events are skipped. Multi-core content ingest is concurrent callers (the
+// eagr Ingestor's apply pool), not this method.
 func (s *System) WriteBatch(events []graph.Event) error {
 	return s.engine().WriteBatch(events)
 }

@@ -352,7 +352,7 @@ func (m *MultiSystem) Write(v graph.NodeID, value int64, ts int64) error {
 }
 
 // WriteBatch ingests a batch of content writes into every attached query
-// group through each engine's sharded parallel write pool.
+// group, serially per engine on the calling goroutine.
 func (m *MultiSystem) WriteBatch(events []graph.Event) error {
 	for _, sys := range *m.systems.Load() {
 		if err := sys.WriteBatch(events); err != nil {
@@ -479,10 +479,10 @@ func (m *MultiSystem) AddNode() (graph.NodeID, error) {
 // ApplyBatch ingests a mixed batch of content and structural events in
 // stream order — the paper's single interleaved data stream (§2.1: S_G
 // plus the S_v). Consecutive content writes form a run that goes through
-// each engine's sharded parallel WriteBatch path; consecutive structural
-// events coalesce into ONE graph-mutation pass plus ONE overlay repair and
-// engine republish per attached system, instead of a serialized repair per
-// event. Read events are skipped.
+// each engine's serial, notification-coalescing WriteBatch; consecutive
+// structural events coalesce into ONE graph-mutation pass plus ONE overlay
+// repair and engine republish per attached system, instead of a serialized
+// repair per event. Read events are skipped.
 //
 // Events that cannot apply (adding an existing edge, removing a dead node)
 // are skipped and their errors joined into the returned error; the rest of

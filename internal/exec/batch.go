@@ -1,109 +1,46 @@
 package exec
 
 import (
-	"runtime"
-	"sync"
-	"time"
-
-	"repro/internal/agg"
 	"repro/internal/graph"
 	"repro/internal/overlay"
 )
 
-// minParallelBatch is the batch size below which WriteBatch runs serially:
-// under it, goroutine fan-out costs more than it saves.
-const minParallelBatch = 64
-
-// WriteBatch ingests a batch of content writes through a sharded worker
-// pool sized to GOMAXPROCS. Writers are partitioned across workers by their
-// overlay slot, so each writer's updates are applied in batch order (the
-// paper's per-node micro-task queues) while distinct writers proceed in
-// parallel. Non-write events in the batch are skipped. Safe for concurrent
-// use with Write, Read, other WriteBatch calls, and — like every ingest
-// path — with an in-flight Grow or online ResyncPushState: each write
-// applies to the snapshot current at its writer-lock acquisition (a batch
-// straddling a cutover may span two generations) and its deltas are
-// epoch-logged across the resync, so none is lost or double-applied.
+// WriteBatch ingests a batch of content writes serially on the calling
+// goroutine, in batch order; non-write events are skipped. With live
+// subscriptions, fan-out is coalesced per batch: writes only RECORD the
+// push readers they touch, and after the whole batch applied each touched
+// reader is finalized and delivered exactly once — N writes into one ego
+// network cost one notification, not N.
+//
+// The engine spawns nothing: multi-core ingest comes from concurrent
+// callers (the Ingestor's node-partitioned worker pool, the Runner's write
+// pool), each applying its own batch. Safe for concurrent use with Write,
+// Read, other WriteBatch calls, and — like every ingest path — with an
+// in-flight Grow or online ResyncPushState: each write applies to the
+// snapshot current at its writer-lock acquisition (a batch straddling a
+// cutover may span two generations) and its deltas are epoch-logged across
+// the resync, so none is lost or double-applied.
 func (e *Engine) WriteBatch(events []graph.Event) error {
-	return e.WriteBatchWorkers(events, runtime.GOMAXPROCS(0))
-}
-
-// WriteBatchWorkers is WriteBatch with an explicit worker count.
-func (e *Engine) WriteBatchWorkers(events []graph.Event, workers int) error {
-	return e.writeBatchOn(e.state.Load(), events, workers)
-}
-
-func (e *Engine) writeBatchOn(st *engineState, events []graph.Event, workers int) error {
-	if workers > len(events) {
-		workers = len(events)
+	st := e.state.Load()
+	var tc *touchCollector
+	if e.notify.Load() != nil {
+		tc = e.getTouch()
 	}
-	// With live subscriptions, fan-out is coalesced per batch: writes only
-	// RECORD the push readers they touch, and after the whole batch applied
-	// each touched reader is finalized and delivered exactly once — N
-	// writes into one ego network cost one notification, not N.
-	coalesce := e.notify.Load() != nil
-	if workers <= 1 || len(events) < minParallelBatch {
-		var tc *touchCollector
-		if coalesce {
-			tc = e.getTouch()
-		}
-		for _, ev := range events {
-			if ev.Kind != graph.ContentWrite {
-				continue
-			}
-			_ = e.writeOn(st, ev.Node, ev.Value, ev.TS, tc)
-		}
-		if tc != nil {
-			e.flushTouches(tc)
-			e.putTouch(tc)
-		}
-		return nil
-	}
-	// Partition once — one shard lookup per event — into per-worker queues;
-	// the stable split keeps each writer's updates in batch order.
-	parts := make([][]graph.Event, workers)
-	per := len(events)/workers + 1
 	for _, ev := range events {
 		if ev.Kind != graph.ContentWrite {
 			continue
 		}
-		p := int(shardOf(st, ev.Node)) % workers
-		if parts[p] == nil {
-			parts[p] = make([]graph.Event, 0, per)
-		}
-		parts[p] = append(parts[p], ev)
+		_ = e.writeOn(st, ev.Node, ev.Value, ev.TS, tc)
 	}
-	var tcs []*touchCollector
-	var wg sync.WaitGroup
-	for _, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		var tc *touchCollector
-		if coalesce {
-			tc = e.getTouch()
-			tcs = append(tcs, tc)
-		}
-		wg.Add(1)
-		go func(part []graph.Event, tc *touchCollector) {
-			defer wg.Done()
-			for _, ev := range part {
-				_ = e.writeOn(st, ev.Node, ev.Value, ev.TS, tc)
-			}
-		}(part, tc)
-	}
-	wg.Wait()
-	if len(tcs) > 0 {
-		e.flushTouches(tcs...)
-		for _, tc := range tcs {
-			e.putTouch(tc)
-		}
+	if tc != nil {
+		e.flushTouches(tc)
+		e.putTouch(tc)
 	}
 	return nil
 }
 
-// touchCollector accumulates the distinct push readers one batch shard's
-// writes reach, with the latest write timestamp seen per reader. mark is an
+// touchCollector accumulates the distinct push readers one batch's writes
+// reach, with the latest write timestamp seen per reader. mark is an
 // epoch-stamped dense array over overlay slots (no clearing between
 // batches: a slot is "recorded" iff mark[slot] == stamp), so collection is
 // allocation-free in steady state.
@@ -158,48 +95,20 @@ func (e *Engine) getTouch() *touchCollector {
 
 func (e *Engine) putTouch(tc *touchCollector) { e.touchPool.Put(tc) }
 
-// flushTouches delivers the coalesced batch notifications: each reader
-// recorded by any shard's collector is finalized and handed to its
-// subscribers exactly once, with the latest timestamp any shard saw for it.
-// Cross-shard deduplication reuses the first collector's mark array under a
-// fresh stamp.
-func (e *Engine) flushTouches(tcs ...*touchCollector) {
+// flushTouches delivers a batch's coalesced notifications: each reader the
+// collector recorded (already deduplicated by its mark array) is finalized
+// and handed to its subscribers exactly once, with the latest write
+// timestamp the batch saw for it.
+func (e *Engine) flushTouches(tc *touchCollector) {
 	nt := e.notify.Load()
 	if nt == nil {
 		return
 	}
 	st := e.state.Load()
 	top := st.plan.top
-	ded := tcs[0]
-	ded.stamp++
-	if ded.stamp == 0 {
-		clear(ded.mark)
-		ded.stamp = 1
-	}
-	// Merge pass: union the shards' touch sets into ded with max-ts, THEN
-	// deliver, so no reader is notified before a later shard's newer
-	// timestamp has been folded in.
-	merged := ded.refs[:0] // ded's own refs are re-deduplicated too
-	for _, tc := range tcs {
-		for _, ref := range tc.refs {
-			i := int(ref)
-			ts := tc.ts[i]
-			if i >= len(ded.mark) {
-				ded.growTo(i + 1)
-			}
-			if ded.mark[i] != ded.stamp {
-				ded.mark[i] = ded.stamp
-				ded.ts[i] = ts
-				merged = append(merged, ref)
-			} else if ts > ded.ts[i] {
-				ded.ts[i] = ts
-			}
-		}
-	}
-	ded.refs = merged
 	lastTag := int32(-1)
 	var byTag []*Subscription
-	for _, ref := range merged {
+	for _, ref := range tc.refs {
 		// The reader may have vanished or changed annotation across a
 		// mid-batch snapshot swap; deliverReader re-checks PAO presence
 		// against the current snapshot.
@@ -210,88 +119,6 @@ func (e *Engine) flushTouches(tcs ...*touchCollector) {
 			lastTag = tag
 			byTag = nt.byTag[tag]
 		}
-		e.deliverReader(nt, st, byTag, ref, top.ReaderGID(ref), ded.ts[int(ref)])
+		e.deliverReader(nt, st, byTag, ref, top.ReaderGID(ref), tc.ts[int(ref)])
 	}
-}
-
-// shardOf maps a data-graph node to its sharding key: the writer slot when
-// one exists (so a writer is always owned by one worker), the node id
-// otherwise.
-func shardOf(st *engineState, v graph.NodeID) uint32 {
-	if w := st.plan.writer(v); w != overlay.NoNode {
-		return uint32(w)
-	}
-	return uint32(v)
-}
-
-// WriterShard exposes the sharding key used by WriteBatch so external
-// routers (e.g. the Runner's write pool) can partition events consistently.
-// Safe for concurrent use; the key is stable for a given node across
-// snapshot generations as long as the overlay keeps the writer slot.
-func (e *Engine) WriterShard(v graph.NodeID) uint32 {
-	return shardOf(e.state.Load(), v)
-}
-
-// PlayBatched replays an event stream in micro-batches of batchSize: each
-// batch's writes are ingested through the sharded WriteBatch pool, then its
-// reads execute in parallel across the same number of workers. This is the
-// quasi-continuous batched execution mode the parallelism experiments
-// (Figure 13d) measure; unlike Runner it has no queues, so throughput
-// reflects the engine's parallel ingest capacity directly. Each micro-batch
-// pins the then-current snapshot, so PlayBatched may run concurrently with
-// an online ResyncPushState.
-func PlayBatched(eng *Engine, events []graph.Event, workers, batchSize int) Stats {
-	if workers < 1 {
-		workers = 1
-	}
-	if batchSize < 1 {
-		batchSize = 1024
-	}
-	w0, r0 := eng.Counts()
-	writesBuf := make([]graph.Event, 0, batchSize)
-	readsBuf := make([]graph.Event, 0, batchSize)
-	start := time.Now()
-	for off := 0; off < len(events); off += batchSize {
-		end := off + batchSize
-		if end > len(events) {
-			end = len(events)
-		}
-		writesBuf, readsBuf = writesBuf[:0], readsBuf[:0]
-		for _, ev := range events[off:end] {
-			if ev.Kind == graph.Read {
-				readsBuf = append(readsBuf, ev)
-			} else if ev.Kind == graph.ContentWrite {
-				writesBuf = append(writesBuf, ev)
-			}
-		}
-		_ = eng.WriteBatchWorkers(writesBuf, workers)
-		if len(readsBuf) > 0 {
-			if workers == 1 || len(readsBuf) < minParallelBatch {
-				var res agg.Result
-				for _, ev := range readsBuf {
-					_ = eng.ReadInto(ev.Node, &res)
-				}
-			} else {
-				var wg sync.WaitGroup
-				for p := 0; p < workers; p++ {
-					wg.Add(1)
-					go func(p int) {
-						defer wg.Done()
-						var res agg.Result
-						for i := p; i < len(readsBuf); i += workers {
-							_ = eng.ReadInto(readsBuf[i].Node, &res)
-						}
-					}(p)
-				}
-				wg.Wait()
-			}
-		}
-	}
-	dur := time.Since(start)
-	w1, r1 := eng.Counts()
-	stats := Stats{Duration: dur, Writes: w1 - w0, Reads: r1 - r0}
-	if dur > 0 {
-		stats.Throughput = float64(stats.Writes+stats.Reads) / dur.Seconds()
-	}
-	return stats
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/agg"
@@ -41,7 +42,7 @@ func TestWriteBatchCoalescedFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One batch: every writer writes twice (serial path: small batch).
+	// One batch: every writer writes twice.
 	var batch []graph.Event
 	for pass := 0; pass < 2; pass++ {
 		for i := 1; i <= n; i++ {
@@ -76,18 +77,29 @@ drain:
 		t.Fatalf("dropped = %d, want 0", sub.Dropped())
 	}
 
-	// The parallel path must coalesce across shards too: a big batch over
-	// the same star still means one reader, one update.
-	batch = batch[:0]
-	for i := 0; i < 4096; i++ {
-		w := graph.NodeID(1 + i%n)
-		batch = append(batch, graph.Event{
-			Kind: graph.ContentWrite, Node: w, Value: int64(i), TS: int64(i),
-		})
+	// Concurrent callers are how batches go parallel: four goroutines each
+	// apply one big batch over their own slice of the star's writers. Each
+	// batch still notifies the one touched reader exactly once.
+	const callers = 4
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			var part []graph.Event
+			for i := 0; i < 4096; i++ {
+				if w := graph.NodeID(1 + i%n); int(w)%callers == c {
+					part = append(part, graph.Event{
+						Kind: graph.ContentWrite, Node: w, Value: int64(i), TS: int64(i),
+					})
+				}
+			}
+			if err := eng.WriteBatch(part); err != nil {
+				t.Error(err)
+			}
+		}(c)
 	}
-	if err := eng.WriteBatchWorkers(batch, 4); err != nil {
-		t.Fatal(err)
-	}
+	wg.Wait()
 	count := 0
 drain2:
 	for {
@@ -98,8 +110,8 @@ drain2:
 			break drain2
 		}
 	}
-	if count != 1 {
-		t.Fatalf("parallel coalesced batch delivered %d updates, want 1", count)
+	if count != callers {
+		t.Fatalf("%d concurrent coalesced batches delivered %d updates, want one per batch", callers, count)
 	}
 	eng.Unsubscribe(sub)
 }

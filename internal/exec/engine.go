@@ -50,14 +50,16 @@
 // the Grow/Resync call that flattens it; rebuilds are serialized among
 // themselves by an internal mutex.
 //
-// # Batched parallel ingestion
+// # Batched ingestion
 //
-// WriteBatch ingests a batch of content writes with a sharded worker pool:
-// writers are partitioned across workers by writer slot, so each writer's
-// updates stay ordered (the paper's per-node micro-task queues) while
-// distinct writers proceed in parallel. See also Runner (separate read and
-// write pools over a live event stream) and PlayBatched (micro-batched
-// replay used by the parallelism experiments).
+// WriteBatch applies a batch of content writes serially on the caller's
+// goroutine and coalesces subscription fan-out to one notification per
+// touched reader per batch. The engine itself never spawns goroutines for
+// writes: parallel ingest is the caller's business, and every entry point
+// is safe for concurrent callers. The two callers that do go parallel both
+// partition by data-graph node so each writer's updates stay ordered (the
+// paper's per-node micro-task queues): Runner (separate persistent read and
+// write pools over a live event stream) and the eagr Ingestor's apply pool.
 package exec
 
 import (

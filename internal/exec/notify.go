@@ -338,7 +338,7 @@ func (e *Engine) Subscribers() int {
 // matter how many subscriptions cover it.
 //
 // Finalize and deliver happen under the reader's node mutex: concurrent
-// writes touching the same reader (parallel WriteBatch shards) therefore
+// writes touching the same reader (concurrent Write/WriteBatch callers) therefore
 // deliver in a consistent per-reader order, and the last update a
 // subscriber sees always reflects the reader's settled value once writes
 // quiesce. The lock is per touched reader and only taken when a

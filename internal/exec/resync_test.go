@@ -88,7 +88,7 @@ func TestOnlineResyncUnderStorm(t *testing.T) {
 				go func(seed int64) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(seed))
-					batch := make([]graph.Event, 0, minParallelBatch)
+					batch := make([]graph.Event, 0, 64)
 					for i := 0; i < 400; i++ {
 						v := graph.NodeID(rng.Intn(7))
 						switch rng.Intn(3) {
@@ -103,13 +103,13 @@ func TestOnlineResyncUnderStorm(t *testing.T) {
 							tc.check(t, v, got)
 						case 2:
 							batch = batch[:0]
-							for j := 0; j < minParallelBatch; j++ {
+							for j := 0; j < cap(batch); j++ {
 								batch = append(batch, graph.Event{
 									Kind: graph.ContentWrite, Node: graph.NodeID(rng.Intn(7)),
 									Value: tc.write(rng), TS: int64(i),
 								})
 							}
-							_ = e.WriteBatchWorkers(batch, 2)
+							_ = e.WriteBatch(batch)
 						}
 					}
 				}(int64(gr))

@@ -18,10 +18,10 @@ import (
 // paper.
 //
 // The write pool is sharded: each worker owns a private queue and events
-// are routed by writer slot (Engine.WriterShard), so a given writer's
-// updates are applied in submission order — the paper's per-node
-// micro-task queues — while distinct writers ingest in parallel without
-// contending on a shared channel.
+// are routed by data-graph node id (writer slots are 1:1 with nodes), so a
+// given writer's updates are applied in submission order — the paper's
+// per-node micro-task queues — while distinct writers ingest in parallel
+// without contending on a shared channel.
 type Runner struct {
 	eng *Engine
 
@@ -107,14 +107,14 @@ func (r *Runner) Start() {
 
 // Submit routes an event to the appropriate pool, blocking when the queue
 // is full (back-pressure). Writes are routed to the worker owning the
-// event's writer shard so per-writer ordering is preserved. Submit may be
+// event's node so per-writer ordering is preserved. Submit may be
 // called from multiple goroutines between Start and Stop, but per-writer
 // ordering is only meaningful per submitting goroutine.
 func (r *Runner) Submit(ev graph.Event) {
 	if ev.Kind == graph.Read {
 		r.readCh <- ev
 	} else {
-		r.writeChs[int(r.eng.WriterShard(ev.Node))%len(r.writeChs)] <- ev
+		r.writeChs[uint64(ev.Node)%uint64(len(r.writeChs))] <- ev
 	}
 }
 

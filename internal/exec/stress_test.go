@@ -50,7 +50,7 @@ func TestConcurrentStress(t *testing.T) {
 								Value: 1, TS: int64(i),
 							})
 						}
-						_ = e.WriteBatchWorkers(batch, 2)
+						_ = e.WriteBatch(batch)
 					case 3:
 						e.ExpireAll(0) // expires nothing (huge window) but walks the path
 					}

@@ -17,9 +17,10 @@ import (
 // online epoch-tagged resync delivers: adaptive re-optimization must not
 // hiccup sustained ingestion. A read-popularity shift mid-trace (as in Fig
 // 13a) forces the adaptor to flip decisions; here every chunk's rebalance +
-// ResyncPushState runs CONCURRENTLY with the next chunk's WriteBatch ingest
-// and reads, and the table compares per-chunk throughput against an
-// identical engine that never rebalances. With the stop-the-world resync
+// ResyncPushState runs CONCURRENTLY with the next chunk's ingest and reads
+// (one write and one read worker through the Runner), and the table
+// compares per-chunk throughput against an identical engine that never
+// rebalances. With the stop-the-world resync
 // this experiment was unrunnable as written (a resync under write traffic
 // could lose deltas); with the online protocol the adaptive column tracks
 // the static one within noise while still applying decision flips.
@@ -59,7 +60,7 @@ func adaptivity(cfg Config) []Table {
 		Notes:  "expected: adaptive throughput stays within noise of static even while resyncs run mid-ingest (no stop-the-world), and flips concentrate right after the shift",
 	}
 	playChunk := func(e *exec.Engine, events []graph.Event) float64 {
-		return exec.PlayBatched(e, events, 2, 256).Throughput
+		return exec.NewRunner(e, 1, 1).Play(events).Throughput
 	}
 	for c := 0; c < nChunks; c++ {
 		slice := tr.Events[c*chunk : (c+1)*chunk]

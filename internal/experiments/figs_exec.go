@@ -78,20 +78,6 @@ func throughputOf(ov *overlay.Overlay, a agg.Aggregate, events []graph.Event, wo
 	return r.Play(events)
 }
 
-// throughputBatched measures the micro-batched parallel ingest path: writes
-// go through the engine's sharded WriteBatch pool, reads fan out across the
-// same worker count (Figure 13d's scaling axis).
-func throughputBatched(ov *overlay.Overlay, a agg.Aggregate, events []graph.Event, workers int) exec.Stats {
-	eng, err := exec.New(ov, a, agg.NewTupleWindow(1))
-	if err != nil {
-		panic(err)
-	}
-	if workers <= 1 {
-		return exec.PlaySerial(eng, events, 64)
-	}
-	return exec.PlayBatched(eng, events, workers, 1024)
-}
-
 var execAggregates = []agg.Aggregate{agg.Sum{}, agg.Max{}, agg.TopK{K: 3}}
 
 // legalAlgs returns the overlay algorithms legal for the aggregate.
@@ -276,7 +262,7 @@ func fig13d(cfg Config) []Table {
 	a := agg.TopK{K: 3}
 	m := dataflow.ModelFor(a)
 	t := Table{
-		Title:  fmt.Sprintf("Fig 13d: TOP-K throughput (ops/s) vs worker threads, batched WriteBatch ingest — %s, w:r 1:1", d.Name),
+		Title:  fmt.Sprintf("Fig 13d: TOP-K throughput (ops/s) vs worker threads (read + write pools) — %s, w:r 1:1", d.Name),
 		Header: []string{"threads", "vnma-dataflow", "all-push", "all-pull"},
 		Notes:  "expected (paper, 24 cores): steady scaling to ~24 threads then plateau; on this host scaling plateaus at the core count",
 	}
@@ -290,7 +276,7 @@ func fig13d(cfg Config) []Table {
 			default:
 				ov = decideApproach(construct.Baseline(ag), mode, wl, m, 1)
 			}
-			st := throughputBatched(ov, a, events, threads)
+			st := throughputOf(ov, a, events, threads)
 			row = append(row, f0(st.Throughput))
 		}
 		t.Rows = append(t.Rows, row)

@@ -20,8 +20,6 @@
 // plus the shared graph/stream surface:
 //
 //	POST   /ingest       NDJSON event stream (see below)  streaming mixed ingest
-//	POST   /write        {"node":1,"value":42,"ts":7}     ingest a write (fans out to all queries)
-//	POST   /write-batch  [{"node":1,"value":42,"ts":7},…] parallel batched ingest
 //	POST   /edge         {"from":1,"to":2}                structural add
 //	DELETE /edge?from=1&to=2                              structural delete
 //	POST   /node         {}                               add a node
@@ -51,8 +49,8 @@
 // clients that must address a new node immediately should POST /node for
 // the id first). The
 // stream feeds the server's session Ingestor: events batch up, content
-// runs take the sharded parallel write path, structural runs coalesce into
-// one overlay repair per query, and the Ingestor's low watermark expires
+// runs fan out across its node-partitioned apply pool, structural runs
+// coalesce into one overlay repair per query, and the Ingestor's low watermark expires
 // time-based windows automatically. The response reports the accepted
 // event count and the current watermark; GET /stats surfaces the
 // watermark and queue depth continuously.
@@ -86,8 +84,9 @@
 // the stream covers every node of the query. Buffers are bounded and
 // drop-oldest, so a slow watcher never blocks ingestion.
 //
-// The deprecated single-query route GET /read?node= still works: it reads
-// through the oldest registered query.
+// JSON request bodies (POST /queries, /expire, /edge) are capped at
+// maxJSONBody and refused with 413 beyond it; /ingest streams, bounded per
+// line.
 package server
 
 import (
@@ -124,6 +123,10 @@ const (
 // maxIngestLine bounds one NDJSON event line on /ingest (the scanner
 // buffers a line before decoding it).
 const maxIngestLine = 1 << 20
+
+// maxJSONBody bounds the single-document JSON request bodies (POST
+// /queries, /expire, /edge), which are decoded whole.
+const maxJSONBody = 1 << 20
 
 // Server wraps a multi-query session with HTTP handlers. A Server that
 // ever serves POST /ingest owns a background Ingestor; call Close (e.g.
@@ -209,9 +212,6 @@ func New(sess *eagr.Session, opts ...Option) *Server {
 	s.mux.HandleFunc("GET /queries/{id}/watch", s.handleWatch)
 	s.mux.HandleFunc("GET /queries/{id}/stats", s.handleQueryStats)
 	s.mux.HandleFunc("GET /queries/{id}/covered", s.handleQueryCovered)
-	s.mux.HandleFunc("/write", s.handleWrite)
-	s.mux.HandleFunc("/write-batch", s.handleWriteBatch)
-	s.mux.HandleFunc("/read", s.handleRead)
 	s.mux.HandleFunc("/edge", s.handleEdge)
 	s.mux.HandleFunc("/node", s.handleNode)
 	s.mux.HandleFunc("/rebalance", s.handleRebalance)
@@ -299,12 +299,6 @@ func (s *Server) ingestor() (*eagr.Ingestor, error) {
 	return ing, nil
 }
 
-type writeReq struct {
-	Node  graph.NodeID `json:"node"`
-	Value int64        `json:"value"`
-	TS    int64        `json:"ts"`
-}
-
 type readResp struct {
 	Node   graph.NodeID `json:"node"`
 	Valid  bool         `json:"valid"`
@@ -371,10 +365,26 @@ func queryToRespWith(q *eagr.Query, st eagr.Stats) queryResp {
 	}
 }
 
+// decodeBody decodes a JSON request body of at most maxJSONBody bytes into
+// v; false means the error response (413 over the cap, 400 otherwise) was
+// sent.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", maxJSONBody)
+	} else {
+		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	}
+	return false
+}
+
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req querySpecReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.WindowTuples > maxWindowTuples {
@@ -524,8 +534,7 @@ func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		TS int64 `json:"ts"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	s.sess.ExpireAll(req.TS)
@@ -642,46 +651,6 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-}
-
-func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req writeReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
-		return
-	}
-	if err := s.sess.Write(req.Node, req.Value, req.TS); err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	s.writes.Add(1)
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleWriteBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var reqs []writeReq
-	if err := json.NewDecoder(r.Body).Decode(&reqs); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
-		return
-	}
-	events := make([]graph.Event, len(reqs))
-	for i, req := range reqs {
-		events[i] = graph.Event{Kind: graph.ContentWrite, Node: req.Node, Value: req.Value, TS: req.TS}
-	}
-	if err := s.sess.WriteBatch(events); err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	s.writes.Add(int64(len(events)))
-	writeJSON(w, map[string]int{"accepted": len(events)})
 }
 
 // ingestEvent is the NDJSON wire form of one stream event. Edge events
@@ -987,38 +956,11 @@ func statusForIngest(err error) int {
 	}
 }
 
-// handleRead is the deprecated single-query read: it answers through the
-// oldest registered query. Prefer GET /queries/{id}/read.
-func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	node, err := nodeParam(r, "node")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	queries := s.sess.Queries()
-	if len(queries) == 0 {
-		httpError(w, http.StatusNotFound, "no queries registered")
-		return
-	}
-	res, err := queries[0].Read(node)
-	if err != nil {
-		httpError(w, statusFor(err), "%v", err)
-		return
-	}
-	s.reads.Add(1)
-	writeJSON(w, readResp{Node: node, Valid: res.Valid, Scalar: res.Scalar, List: res.List})
-}
-
 func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var req edgeReq
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if err := s.sess.AddEdge(req.From, req.To); err != nil {
@@ -1118,6 +1060,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"rejected":   ist.Rejected,
 		"queueDepth": ist.QueueDepth,
 		"buffered":   ist.Buffered,
+		// The EFFECTIVE apply-stage size: 1 on a durable session whatever
+		// was configured (0 until the first /ingest creates the Ingestor).
+		"applyWorkers": ist.ApplyWorkers,
 	}
 	if ist.WatermarkValid {
 		ingest["watermark"] = ist.Watermark

@@ -86,16 +86,37 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 	return v
 }
 
+// ingest streams the given events (one NDJSON line each) through POST
+// /ingest and returns the decoded summary. The default synchronous mode
+// means every accepted event has applied when it returns.
+func ingest(t *testing.T, base string, events ...map[string]any) map[string]any {
+	t.Helper()
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for _, ev := range events {
+		if err := enc.Encode(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := http.Post(base+"/ingest", "application/x-ndjson", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status = %d", resp.StatusCode)
+	}
+	return decode[map[string]any](t, resp)
+}
+
+// firstRead is the read route of the query testSession registers.
+const firstRead = "/queries/1/read"
+
 func TestWriteThenRead(t *testing.T) {
 	ts := testServer(t)
 	for node, val := range map[int]int64{1: 10, 2: 32} {
-		resp := post(t, ts.URL+"/write", map[string]any{"node": node, "value": val, "ts": 1})
-		if resp.StatusCode != http.StatusNoContent {
-			t.Fatalf("write status = %d", resp.StatusCode)
-		}
-		resp.Body.Close()
+		ingest(t, ts.URL, map[string]any{"node": node, "value": val, "ts": 1})
 	}
-	resp, err := http.Get(ts.URL + "/read?node=0")
+	resp, err := http.Get(ts.URL + firstRead + "?node=0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +151,7 @@ func TestQueryLifecycleAPI(t *testing.T) {
 	}
 
 	// Per-query reads see per-query results.
-	post(t, ts.URL+"/write", map[string]any{"node": 1, "value": 7, "ts": 1}).Body.Close()
+	ingest(t, ts.URL, map[string]any{"node": 1, "value": 7, "ts": 1})
 	got := decode[map[string]any](t, mustGet(t, fmt.Sprintf("%s/queries/%d/read?node=0", ts.URL, id)))
 	if got["scalar"].(float64) != 7 {
 		t.Fatalf("query read = %v, want 7", got)
@@ -147,7 +168,7 @@ func TestQueryLifecycleAPI(t *testing.T) {
 	if resp := del(t, fmt.Sprintf("%s/queries/%d", ts.URL, id)); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("double retire status = %d", resp.StatusCode)
 	}
-	got = decode[map[string]any](t, mustGet(t, ts.URL+"/read?node=0"))
+	got = decode[map[string]any](t, mustGet(t, ts.URL+firstRead+"?node=0"))
 	if got["scalar"].(float64) != 7 {
 		t.Fatalf("read after retire = %v, want 7", got)
 	}
@@ -211,7 +232,7 @@ func TestWatchSSE(t *testing.T) {
 			}
 		}
 	}()
-	post(t, ts.URL+"/write", map[string]any{"node": 1, "value": 9, "ts": 3}).Body.Close()
+	ingest(t, ts.URL, map[string]any{"node": 1, "value": 9, "ts": 3})
 	select {
 	case frame := <-frames:
 		var u map[string]any
@@ -274,18 +295,14 @@ func TestRegisterInheritsSessionDefaults(t *testing.T) {
 
 func TestWriteBatchThenRead(t *testing.T) {
 	ts := testServer(t)
-	resp := post(t, ts.URL+"/write-batch", []map[string]any{
-		{"node": 1, "value": 10, "ts": 1},
-		{"node": 2, "value": 32, "ts": 2},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("write-batch status = %d", resp.StatusCode)
-	}
-	out := decode[map[string]int](t, resp)
-	if out["accepted"] != 2 {
+	out := ingest(t, ts.URL,
+		map[string]any{"node": 1, "value": 10, "ts": 1},
+		map[string]any{"node": 2, "value": 32, "ts": 2},
+	)
+	if out["accepted"].(float64) != 2 {
 		t.Fatalf("accepted = %v, want 2", out)
 	}
-	got := decode[map[string]any](t, mustGet(t, ts.URL+"/read?node=0"))
+	got := decode[map[string]any](t, mustGet(t, ts.URL+firstRead+"?node=0"))
 	if got["scalar"].(float64) != 42 {
 		t.Fatalf("read after batch = %v, want 42", got)
 	}
@@ -293,17 +310,17 @@ func TestWriteBatchThenRead(t *testing.T) {
 
 func TestReadErrors(t *testing.T) {
 	ts := testServer(t)
-	resp, _ := http.Get(ts.URL + "/read")
+	resp, _ := http.Get(ts.URL + firstRead)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing node: status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	resp, _ = http.Get(ts.URL + "/read?node=banana")
+	resp, _ = http.Get(ts.URL + firstRead + "?node=banana")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad node: status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	resp, _ = http.Get(ts.URL + "/read?node=99")
+	resp, _ = http.Get(ts.URL + firstRead + "?node=99")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown node: status = %d", resp.StatusCode)
 	}
@@ -313,14 +330,13 @@ func TestReadErrors(t *testing.T) {
 func TestStructuralEdgeAPI(t *testing.T) {
 	ts := testServer(t)
 	// Write on 3, then give reader 0 the new input 3.
-	resp := post(t, ts.URL+"/write", map[string]any{"node": 3, "value": 5, "ts": 1})
-	resp.Body.Close()
-	resp = post(t, ts.URL+"/edge", map[string]any{"from": 3, "to": 0})
+	ingest(t, ts.URL, map[string]any{"node": 3, "value": 5, "ts": 1})
+	resp := post(t, ts.URL+"/edge", map[string]any{"from": 3, "to": 0})
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("edge add status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	got := decode[map[string]any](t, mustGet(t, ts.URL+"/read?node=0"))
+	got := decode[map[string]any](t, mustGet(t, ts.URL+firstRead+"?node=0"))
 	if got["scalar"].(float64) != 5 {
 		t.Fatalf("read after edge add = %v, want 5", got)
 	}
@@ -334,7 +350,7 @@ func TestStructuralEdgeAPI(t *testing.T) {
 	if dresp := del(t, ts.URL+"/edge?from=3&to=0"); dresp.StatusCode != http.StatusNoContent {
 		t.Fatalf("edge delete status = %d", dresp.StatusCode)
 	}
-	got = decode[map[string]any](t, mustGet(t, ts.URL+"/read?node=0"))
+	got = decode[map[string]any](t, mustGet(t, ts.URL+firstRead+"?node=0"))
 	if got["valid"].(bool) {
 		t.Fatalf("read after delete = %v, want invalid (no written inputs)", got)
 	}
@@ -384,9 +400,6 @@ func TestMethodChecks(t *testing.T) {
 	cases := []struct {
 		method, path string
 	}{
-		{http.MethodGet, "/write"},
-		{http.MethodGet, "/write-batch"},
-		{http.MethodPost, "/read"},
 		{http.MethodGet, "/rebalance"},
 		{http.MethodPost, "/stats"},
 		{http.MethodPut, "/edge"},
@@ -408,7 +421,7 @@ func TestMethodChecks(t *testing.T) {
 
 func TestBadJSON(t *testing.T) {
 	ts := testServer(t)
-	for _, path := range []string{"/write", "/queries"} {
+	for _, path := range []string{"/edge", "/expire", "/queries"} {
 		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader([]byte("{")))
 		if err != nil {
 			t.Fatal(err)
@@ -417,6 +430,37 @@ func TestBadJSON(t *testing.T) {
 			t.Fatalf("%s bad JSON status = %d", path, resp.StatusCode)
 		}
 		resp.Body.Close()
+	}
+}
+
+// TestJSONBodyLimit: the routes that decode a whole JSON document refuse a
+// body over maxJSONBody with 413 instead of buffering it, and still accept
+// a normal one.
+func TestJSONBodyLimit(t *testing.T) {
+	ts := testServer(t)
+	pad := strings.Repeat("x", maxJSONBody)
+	for _, c := range []struct {
+		path, normal string
+		want         int
+	}{
+		{"/queries", `{"aggregate":"count"`, http.StatusCreated},
+		{"/expire", `{"ts":1`, http.StatusOK},
+		{"/edge", `{"from":3,"to":0`, http.StatusNoContent},
+	} {
+		// Unknown fields are ignored, so the padding rides in one.
+		for body, want := range map[string]int{
+			c.normal + `}`:                     c.want,
+			c.normal + `,"pad":"` + pad + `"}`: http.StatusRequestEntityTooLarge,
+		} {
+			resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Errorf("POST %s with a %d-byte body: status = %d, want %d", c.path, len(body), resp.StatusCode, want)
+			}
+		}
 	}
 }
 
@@ -504,7 +548,7 @@ func TestIngestEndpoint(t *testing.T) {
 		t.Fatalf("watermark = %v, want exactly 7 (stream time, not wall clock)", got["watermark"])
 	}
 	// The edge add applied mid-stream, so node 3's write reached node 0.
-	read, err := http.Get(ts.URL + "/read?node=0")
+	read, err := http.Get(ts.URL + firstRead + "?node=0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +592,7 @@ func TestIngestEndpointErrors(t *testing.T) {
 	if got["accepted"].(float64) != 1 {
 		t.Fatalf("accepted = %v, want the line before the failure", got["accepted"])
 	}
-	read, err := http.Get(ts.URL + "/read?node=0")
+	read, err := http.Get(ts.URL + firstRead + "?node=0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -723,6 +767,12 @@ func TestDurableIngestSurvivesCrash(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sync ingest status = %d", resp.StatusCode)
 	}
+	// The durable session's downgrade to the sequential apply worker is
+	// visible, not silent.
+	ing := decode[map[string]any](t, mustGet(t, ts.URL+"/stats"))["ingest"].(map[string]any)
+	if ing["applyWorkers"].(float64) != 1 {
+		t.Fatalf("durable ingest block = %v, want applyWorkers 1", ing)
+	}
 	ts.Close()
 	_ = sess.SimulateCrash()
 
@@ -811,7 +861,7 @@ func TestIngestorSlabMatchesPerLine(t *testing.T) {
 			t.Fatalf("status = %d", resp.StatusCode)
 		}
 		got := decode[map[string]any](t, resp)
-		read, err := http.Get(ts.URL + "/read?node=0")
+		read, err := http.Get(ts.URL + firstRead + "?node=0")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,13 +53,10 @@ func TestStatusMapping(t *testing.T) {
 // it carries the un-finalized (sum, count) pair a router would merge.
 func TestQueryPAOEndpoint(t *testing.T) {
 	ts := testServer(t)
-	for i, req := range []writeReq{{Node: 1, Value: 10, TS: 1}, {Node: 2, Value: 32, TS: 2}} {
-		resp := post(t, ts.URL+"/write", req)
-		if resp.StatusCode != http.StatusNoContent {
-			t.Fatalf("write %d status = %d", i, resp.StatusCode)
-		}
-		resp.Body.Close()
-	}
+	ingest(t, ts.URL,
+		map[string]any{"node": 1, "value": 10, "ts": 1},
+		map[string]any{"node": 2, "value": 32, "ts": 2},
+	)
 	listResp, err := http.Get(ts.URL + "/queries")
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,11 @@ import (
 func TestSessionSharesPartialAggregators(t *testing.T) {
 	// Acceptance criterion: two same-aggregate queries on one session own
 	// fewer partial aggregators than two independent single-query systems.
-	solo, err := OpenQuery(ring(32), QuerySpec{Aggregate: "sum"}, Options{Algorithm: "vnma"})
+	soloSess, err := Open(ring(32), Options{Algorithm: "vnma"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := soloSess.Register(QuerySpec{Aggregate: "sum"})
 	if err != nil {
 		t.Fatal(err)
 	}
