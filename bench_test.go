@@ -150,8 +150,7 @@ func BenchmarkHeadline_Throughput(b *testing.B) {
 }
 
 // --- Micro-benchmarks: the primitive operations behind the figures ---
-// The fixture and measurement loops live in internal/benchfix, shared with
-// `eagr-bench -engine-bench` so BENCH_engine.json tracks these exact runs.
+// The fixtures and measurement loops live in internal/benchfix.
 
 func benchOps(b *testing.B, alg, mode string, a agg.Aggregate) {
 	eng, events, err := benchfix.MicroEngine(alg, mode, a)

@@ -8,68 +8,28 @@
 //	eagr-bench -experiment fig14a            # one experiment, full size
 //	eagr-bench -experiment all -quick        # everything, laptop-quick
 //	eagr-bench -list                         # show available experiments
-//	eagr-bench -engine-bench                 # engine micros -> BENCH_engine.json
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/experiments"
 )
 
-// parseCPUList parses the -cpu flag: a comma-separated list of positive
-// GOMAXPROCS values for the parallel-ingest sweep.
-func parseCPUList(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("invalid -cpu entry %q", f)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-cpu list is empty")
-	}
-	return out, nil
-}
-
 func main() {
 	var (
-		name   = flag.String("experiment", "", "experiment to run (figNN, headline, or 'all')")
-		list   = flag.Bool("list", false, "list available experiments")
-		scale  = flag.Int("scale", 1, "dataset scale multiplier")
-		evts   = flag.Int("events", 0, "events per throughput measurement (0 = default)")
-		iters  = flag.Int("iterations", 0, "overlay construction iterations (0 = default)")
-		seed   = flag.Int64("seed", 1, "random seed")
-		quick  = flag.Bool("quick", false, "shrink datasets for a fast pass")
-		engB   = flag.Bool("engine-bench", false, "run the engine micro-benchmarks and write BENCH_engine.json")
-		engOut = flag.String("engine-bench-out", "BENCH_engine.json", "output path for -engine-bench")
-		cpus   = flag.String("cpu", "1,2,4", "comma-separated GOMAXPROCS values for the -engine-bench parallel-ingest sweep")
+		name  = flag.String("experiment", "", "experiment to run (figNN, headline, or 'all')")
+		list  = flag.Bool("list", false, "list available experiments")
+		scale = flag.Int("scale", 1, "dataset scale multiplier")
+		evts  = flag.Int("events", 0, "events per throughput measurement (0 = default)")
+		iters = flag.Int("iterations", 0, "overlay construction iterations (0 = default)")
+		seed  = flag.Int64("seed", 1, "random seed")
+		quick = flag.Bool("quick", false, "shrink datasets for a fast pass")
 	)
 	flag.Parse()
-
-	if *engB {
-		cpuList, err := parseCPUList(*cpus)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "engine-bench: %v\n", err)
-			os.Exit(2)
-		}
-		if err := runEngineBench(*engOut, cpuList); err != nil {
-			fmt.Fprintf(os.Stderr, "engine-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list || *name == "" {
 		fmt.Println("available experiments:")

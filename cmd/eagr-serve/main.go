@@ -3,7 +3,7 @@
 // API: clients register standing queries at runtime (POST /queries), read
 // them (GET /queries/{id}/read), and stream continuous results over SSE
 // (GET /queries/{id}/watch). An initial query is registered from the flags
-// so the legacy single-query routes keep working out of the box.
+// as query 1, so a fresh server answers reads before any POST /queries.
 //
 // Usage:
 //

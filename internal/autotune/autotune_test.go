@@ -270,6 +270,7 @@ func TestAutotuneControllerStress(t *testing.T) {
 	}()
 	go func() { // structural churn: toggle edges absent from the base graph
 		defer wg.Done()
+		toggle := make([]graph.Event, 1)
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -281,10 +282,12 @@ func TestAutotuneControllerStress(t *testing.T) {
 			if u == v || g.HasEdge(u, v) {
 				continue
 			}
-			if err := m.AddEdge(u, v); err != nil {
+			toggle[0] = graph.Event{Kind: graph.EdgeAdd, Node: u, Peer: v}
+			if _, err := m.ApplyBatchNodes(toggle); err != nil {
 				continue
 			}
-			if err := m.RemoveEdge(u, v); err != nil {
+			toggle[0].Kind = graph.EdgeRemove
+			if _, err := m.ApplyBatchNodes(toggle); err != nil {
 				t.Error(err)
 				return
 			}

@@ -1,8 +1,7 @@
-// Package benchfix is the single source of truth for the engine
-// micro-benchmark fixture and measurement loops, shared by the repo's
-// BenchmarkOp* benchmarks and by `eagr-bench -engine-bench` (which records
-// the same numbers into BENCH_engine.json). Keeping one copy guarantees the
-// recorded perf trajectory measures exactly the workload the benchmarks do.
+// Package benchfix holds the engine micro-benchmark fixtures and
+// measurement loops behind the repo's BenchmarkOp* benchmarks — the one
+// definition of each micro-op. They are a dev loop that says where to look;
+// performance evidence comes from the repository benchmark in bench/.
 package benchfix
 
 import (
@@ -242,7 +241,7 @@ func MixedBatchFixture() (*core.MultiSystem, []graph.Event, error) {
 	return m, events, nil
 }
 
-// RunApplyBatch drives MultiSystem.ApplyBatch over a mixed stream in
+// RunApplyBatch drives MultiSystem.ApplyBatchNodes over a mixed stream in
 // chunks of up to 1024 events, reporting per-event cost. Per-event skip
 // errors (an edge toggle cut in half by b.N's last partial chunk and
 // re-applied on the next pass) are expected and ignored.
@@ -265,7 +264,7 @@ func RunApplyBatch(b *testing.B, m *core.MultiSystem, events []graph.Event) {
 		if off+n > len(events) {
 			off = 0
 		}
-		_ = m.ApplyBatch(events[off : off+n])
+		_, _ = m.ApplyBatchNodes(events[off : off+n])
 		off += n
 		done += n
 	}
@@ -280,8 +279,8 @@ func RunMultiWrites(b *testing.B, m *core.MultiSystem, writes []graph.Event) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := writes[i%len(writes)]
-		if err := m.Write(ev.Node, ev.Value, ev.TS); err != nil {
+		j := i % len(writes)
+		if err := m.WriteBatch(writes[j : j+1]); err != nil {
 			b.Fatal(err)
 		}
 	}

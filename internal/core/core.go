@@ -672,7 +672,7 @@ func (s *System) viewBase(vw *view) graph.NodeID {
 // a MultiSystem hosting several overlays over ONE shared graph mutates the
 // graph exactly once per event and fans the repair out to every system.
 // They are the ONLY structural repair path: a single structural operation
-// (System.AddGraphEdge, MultiSystem.RemoveNode, …) is a batch of one, and a
+// (System.AddGraphEdge, a one-event MultiSystem.ApplyBatchNodes, …) is a batch of one, and a
 // mixed-stream structural run of N events ends in exactly one
 // applyRepairBatch — one decision repair and one engine republish (Grow +
 // online resync) instead of N, with a reader touched by several events

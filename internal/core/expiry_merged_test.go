@@ -71,10 +71,10 @@ func TestMergedFamilyExpiryMatchesScan(t *testing.T) {
 		ts += int64(rng.Intn(3))
 		v := graph.NodeID(rng.Intn(nodes))
 		val := int64(rng.Intn(100))
-		if err := heapM.Write(v, val, ts); err != nil {
+		if err := writeOne(heapM, v, val, ts); err != nil {
 			t.Fatal(err)
 		}
-		if err := scanM.Write(v, val, ts); err != nil {
+		if err := writeOne(scanM, v, val, ts); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -329,7 +329,7 @@ func TestMergedAttachRetireDuringWriteBatch(t *testing.T) {
 		last[v] = int64(v) * 3
 	}
 	for v, val := range last {
-		if err := m.Write(v, val, 1_000_000); err != nil {
+		if err := writeOne(m, v, val, 1_000_000); err != nil {
 			t.Fatal(err)
 		}
 	}

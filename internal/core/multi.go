@@ -340,17 +340,6 @@ func (m *MultiSystem) FamilyOverflows() int64 { return m.overflows.Load() }
 // group.
 func (m *MultiSystem) Systems() []*System { return *m.systems.Load() }
 
-// Write ingests a content update into every attached query group. It never
-// takes the structural mutex: the fan-out list is an atomic snapshot.
-func (m *MultiSystem) Write(v graph.NodeID, value int64, ts int64) error {
-	for _, sys := range *m.systems.Load() {
-		if err := sys.Write(v, value, ts); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteBatch ingests a batch of content writes into every attached query
 // group, serially per engine on the calling goroutine.
 func (m *MultiSystem) WriteBatch(events []graph.Event) error {
@@ -447,56 +436,22 @@ func (m *MultiSystem) Rebalance() (int, error) {
 	return total, nil
 }
 
-// AddEdge applies a structural edge addition u→v to the shared graph once
-// and incrementally repairs every group's overlay (a structural run of
-// one, so single-event and batched mutation share one code path). Repair
-// is best-effort across groups: one group's failure does not leave the
-// remaining groups unrepaired (the graph has already moved); all failures
-// are joined.
-func (m *MultiSystem) AddEdge(u, v graph.NodeID) error {
-	_, errs := m.applyStructuralRun([]graph.Event{{Kind: graph.EdgeAdd, Node: u, Peer: v}})
-	return errors.Join(errs...)
-}
-
-// RemoveEdge applies a structural edge deletion: each group's affected
-// reader sets are computed against the pre-removal graph, the graph mutates
-// once, then every overlay is repaired.
-func (m *MultiSystem) RemoveEdge(u, v graph.NodeID) error {
-	_, errs := m.applyStructuralRun([]graph.Event{{Kind: graph.EdgeRemove, Node: u, Peer: v}})
-	return errors.Join(errs...)
-}
-
-// AddNode adds a fresh node to the shared graph and registers it with
-// every group's overlay.
-func (m *MultiSystem) AddNode() (graph.NodeID, error) {
-	added, errs := m.applyStructuralRun([]graph.Event{{Kind: graph.NodeAdd}})
-	if len(added) == 0 {
-		return 0, errors.Join(errs...)
-	}
-	return added[0], errors.Join(errs...)
-}
-
-// ApplyBatch ingests a mixed batch of content and structural events in
-// stream order — the paper's single interleaved data stream (§2.1: S_G
-// plus the S_v). Consecutive content writes form a run that goes through
-// each engine's serial, notification-coalescing WriteBatch; consecutive
-// structural events coalesce into ONE graph-mutation pass plus ONE overlay
-// repair and engine republish per attached system, instead of a serialized
-// repair per event. Read events are skipped.
+// ApplyBatchNodes ingests a mixed batch of content and structural events
+// in stream order — the paper's single interleaved data stream (§2.1: S_G
+// plus the S_v) — and returns the node ids its NodeAdd events allocated, in
+// event order (deleted ids are reused, so a caller that needs to address a
+// streamed-in node cannot derive its id from the graph size). Consecutive
+// content writes form a run that goes through each engine's serial,
+// notification-coalescing WriteBatch; consecutive structural events
+// coalesce into ONE graph-mutation pass plus ONE overlay repair and engine
+// republish per attached system, instead of a serialized repair per event.
+// Read events are skipped.
 //
 // Events that cannot apply (adding an existing edge, removing a dead node)
 // are skipped and their errors joined into the returned error; the rest of
-// the batch still applies, exactly as a caller looping the sequential
-// mutators and collecting errors would end up.
-func (m *MultiSystem) ApplyBatch(events []graph.Event) error {
-	_, err := m.ApplyBatchNodes(events)
-	return err
-}
-
-// ApplyBatchNodes is ApplyBatch additionally returning the node ids its
-// NodeAdd events allocated, in event order — deleted ids are reused, so a
-// caller that needs to address a streamed-in node cannot derive its id
-// from the graph size.
+// the batch still applies. Repair is best-effort across groups: one
+// group's failure does not leave the remaining groups unrepaired (the
+// graph has already moved).
 func (m *MultiSystem) ApplyBatchNodes(events []graph.Event) ([]graph.NodeID, error) {
 	var added []graph.NodeID
 	var errs []error
@@ -607,11 +562,4 @@ func (m *MultiSystem) applyStructuralRun(run []graph.Event) ([]graph.NodeID, []e
 		}
 	}
 	return added, errs
-}
-
-// RemoveNode deletes a node and its incident edges from the shared graph
-// and repairs every group's overlay.
-func (m *MultiSystem) RemoveNode(v graph.NodeID) error {
-	_, errs := m.applyStructuralRun([]graph.Event{{Kind: graph.NodeRemove, Node: v}})
-	return errors.Join(errs...)
 }

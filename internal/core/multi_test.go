@@ -18,6 +18,18 @@ func multiRing(n int) *graph.Graph {
 	return g
 }
 
+// applyOne drives one event through ApplyBatchNodes, the entry point
+// production drives (Session.apply), and returns the node ids it allocated.
+func applyOne(m *MultiSystem, ev graph.Event) ([]graph.NodeID, error) {
+	return m.ApplyBatchNodes([]graph.Event{ev})
+}
+
+// writeOne is applyOne for a content write.
+func writeOne(m *MultiSystem, v graph.NodeID, value, ts int64) error {
+	_, err := applyOne(m, graph.Event{Kind: graph.ContentWrite, Node: v, Value: value, TS: ts})
+	return err
+}
+
 func TestMultiAttachShares(t *testing.T) {
 	m := NewMulti(multiRing(10))
 	q := Query{Aggregate: agg.Sum{}}
@@ -81,7 +93,7 @@ func TestMultiWriteFansOut(t *testing.T) {
 	sum, _ := m.Attach("sum", Query{Aggregate: agg.Sum{}}, Options{})
 	max, _ := m.Attach("max", Query{Aggregate: agg.Max{}}, Options{})
 	for i := 0; i < 8; i++ {
-		if err := m.Write(graph.NodeID(i), int64(10*i), int64(i)); err != nil {
+		if err := writeOne(m, graph.NodeID(i), int64(10*i), int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,9 +117,9 @@ func TestMultiStructuralFanOut(t *testing.T) {
 	sum, _ := m.Attach("sum", Query{Aggregate: agg.Sum{}}, Options{Algorithm: construct.AlgIOB})
 	cnt, _ := m.Attach("count", Query{Aggregate: agg.Count{}}, Options{Algorithm: construct.AlgIOB})
 	for i := 0; i < 8; i++ {
-		_ = m.Write(graph.NodeID(i), 1, int64(i))
+		_ = writeOne(m, graph.NodeID(i), 1, int64(i))
 	}
-	if err := m.AddEdge(4, 0); err != nil {
+	if _, err := applyOne(m, graph.Event{Kind: graph.EdgeAdd, Node: 4, Peer: 0}); err != nil {
 		t.Fatal(err)
 	}
 	s, _ := sum.System().Read(0)
@@ -115,7 +127,7 @@ func TestMultiStructuralFanOut(t *testing.T) {
 	if s.Scalar != 3 || c.Scalar != 3 {
 		t.Fatalf("after AddEdge: sum=%v count=%v, want 3/3", s, c)
 	}
-	if err := m.RemoveEdge(4, 0); err != nil {
+	if _, err := applyOne(m, graph.Event{Kind: graph.EdgeRemove, Node: 4, Peer: 0}); err != nil {
 		t.Fatal(err)
 	}
 	s, _ = sum.System().Read(0)
@@ -124,19 +136,20 @@ func TestMultiStructuralFanOut(t *testing.T) {
 		t.Fatalf("after RemoveEdge: sum=%v count=%v, want 2/2", s, c)
 	}
 	// Node add + remove propagate to both overlays; the graph mutates once.
-	v, err := m.AddNode()
-	if err != nil {
+	added, err := applyOne(m, graph.Event{Kind: graph.NodeAdd})
+	if err != nil || len(added) != 1 {
+		t.Fatalf("NodeAdd: added=%v err=%v", added, err)
+	}
+	v := added[0]
+	if _, err := applyOne(m, graph.Event{Kind: graph.EdgeAdd, Node: v, Peer: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddEdge(v, 0); err != nil {
-		t.Fatal(err)
-	}
-	_ = m.Write(v, 5, 100)
+	_ = writeOne(m, v, 5, 100)
 	s, _ = sum.System().Read(0)
 	if s.Scalar != 7 {
 		t.Fatalf("after new node write: sum=%v, want 7", s)
 	}
-	if err := m.RemoveNode(v); err != nil {
+	if _, err := applyOne(m, graph.Event{Kind: graph.NodeRemove, Node: v}); err != nil {
 		t.Fatal(err)
 	}
 	s, _ = sum.System().Read(0)

@@ -738,9 +738,9 @@ func scanErrMessage(line int, err error) string {
 // response.
 //
 // The body is read in large chunks (the scanner buffers up to
-// maxIngestLine per line and returns zero-copy slices) and, on servers
-// without a MaxTimestampJump guard, decoded into a pooled event slab
-// handed to the Ingestor as whole batches — see ingestSlabbed.
+// maxIngestLine per line and returns zero-copy slices) and decoded into a
+// pooled event slab handed to the Ingestor as whole batches — see
+// ingestSlabbed, the one decode loop.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	ing, err := s.ingestor()
 	if err != nil {
@@ -754,73 +754,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 64<<10), maxIngestLine)
-	if s.maxTSJump > 0 {
-		s.ingestPerLine(ing, w, sc, sync)
-		return
-	}
 	s.ingestSlabbed(ing, w, sc, sync)
 }
 
-// ingestPerLine sends one event per SendEvent call. It is kept for
-// servers with a MaxTimestampJump guard, where stream time must advance
-// strictly per ACCEPTED event: a jump-rejected event aborts the request
-// without having moved the stamp reference for anything after it.
-func (s *Server) ingestPerLine(ing *eagr.Ingestor, w http.ResponseWriter, sc *bufio.Scanner, sync bool) {
-	accepted := 0
-	line := 0
-	for sc.Scan() {
-		line++
-		// sc.Bytes + Unmarshal: no per-line copies on the streaming hot
-		// path (Unmarshal does not retain its input).
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		ev, err := ParseIngestLine(raw)
-		if err != nil {
-			s.finishIngest(ing, w, sync, accepted, fmt.Sprintf("line %d: %v", line, err), http.StatusBadRequest)
-			return
-		}
-		if err := ing.SendEvent(ev); err != nil {
-			s.finishIngest(ing, w, sync, accepted, fmt.Sprintf("line %d: %v", line, err), statusForIngest(err))
-			return
-		}
-		if ev.TS != 0 {
-			// Advance stream time (monotone max, ACCEPTED events only) so
-			// ts-less events that follow are stamped in the client's own
-			// time domain.
-			for {
-				cur := s.ingTS.Load()
-				if ev.TS <= cur || s.ingTS.CompareAndSwap(cur, ev.TS) {
-					break
-				}
-			}
-		}
-		accepted++
-		if ev.Kind == graph.ContentWrite {
-			// Count at accept time, so writes a failing request already
-			// streamed in (and which DO apply) are not lost from the
-			// counter — and structural/read events are not inflated into it.
-			s.writes.Add(1)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		s.finishIngest(ing, w, sync, accepted, scanErrMessage(line, err), http.StatusBadRequest)
-		return
-	}
-	s.finishIngest(ing, w, sync, accepted, "", http.StatusOK)
-}
-
-// ingestSlabbed is the batch-parse fast path (no MaxTimestampJump):
-// lines decode into a pooled slab handed to the Ingestor via SendEvents —
-// one mutex acquisition per ingestSlabSize events instead of per line.
-// Timestampless events are stamped with stream time AT PARSE, which is
-// the value the Ingestor's per-line clock stamp would have produced:
-// stream time advances only on explicitly-stamped events, and the parse
-// loop folds those in as it passes them. Without a jump guard the only
-// send failure is a closing Ingestor, which aborts the request — so
-// advancing stream time at parse (rather than at accept) is observable
-// only on a request that was going to fail with 503 anyway.
+// ingestSlabbed decodes the body into a pooled slab handed to the Ingestor
+// via SendEvents — one mutex acquisition per ingestSlabSize events instead
+// of per line.
+//
+// Stream time advances on ACCEPTED events only. Timestampless events are
+// stamped at parse from a request-local running stream time (seeded from
+// s.ingTS at the start of each slab, raised by the explicit timestamps the
+// loop passes), and s.ingTS itself moves only after SendEvents returns, by
+// the timestamps of the events it accepted. A send that stops mid-slab —
+// the MaxTimestampJump guard rejecting a far-future line — therefore leaves
+// s.ingTS, the stamp reference of every later request, untouched by the
+// rejected line and by everything after it.
 func (s *Server) ingestSlabbed(ing *eagr.Ingestor, w http.ResponseWriter, sc *bufio.Scanner, sync bool) {
 	slab := slabPool.Get().(*ingestSlab)
 	defer func() {
@@ -829,32 +777,50 @@ func (s *Server) ingestSlabbed(ing *eagr.Ingestor, w http.ResponseWriter, sc *bu
 	}()
 	accepted := 0
 	line := 0
+	now := s.ingTS.Load()
 	// flush hands the slab over whole; on a send failure it reports the
-	// exact failing line (events before it were accepted and will apply,
-	// matching the per-line path's partial-accept behavior).
+	// exact failing line (events before it were accepted and will apply).
 	flush := func() (failMsg string, failCode int) {
 		if len(slab.evs) == 0 {
 			return "", 0
 		}
 		n, err := ing.SendEvents(slab.evs)
 		writes := 0
+		// A stamped event carries the seed or an explicit timestamp earlier
+		// in the slab, so the max over evs[:n] is the max accepted explicit
+		// timestamp (or no advance at all). s.ingTS starts at 0 and only
+		// rises, so 0 is the neutral start.
+		var maxTS int64
 		for _, ev := range slab.evs[:n] {
 			if ev.Kind == graph.ContentWrite {
+				// Count at accept time, so writes a failing request already
+				// streamed in (and which DO apply) are not lost from the
+				// counter — and structural/read events are not inflated into it.
 				writes++
 			}
+			maxTS = max(maxTS, ev.TS)
 		}
 		if writes > 0 {
 			s.writes.Add(int64(writes))
+		}
+		for {
+			cur := s.ingTS.Load()
+			if maxTS <= cur || s.ingTS.CompareAndSwap(cur, maxTS) {
+				break
+			}
 		}
 		accepted += n
 		if err != nil {
 			return fmt.Sprintf("line %d: %v", slab.lines[n], err), statusForIngest(err)
 		}
 		slab.reset()
+		now = s.ingTS.Load()
 		return "", 0
 	}
 	for sc.Scan() {
 		line++
+		// sc.Bytes + Unmarshal: no per-line copies on the streaming hot
+		// path (Unmarshal does not retain its input).
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
 			continue
@@ -869,16 +835,11 @@ func (s *Server) ingestSlabbed(ing *eagr.Ingestor, w http.ResponseWriter, sc *bu
 			return
 		}
 		if ev.TS == 0 {
-			// A zero stream time stays zero — the Ingestor clock stamp is
-			// the identical load.
-			ev.TS = s.ingTS.Load()
+			// A zero stream time stays zero and the Ingestor's clock (the
+			// same s.ingTS) stamps it.
+			ev.TS = now
 		} else {
-			for {
-				cur := s.ingTS.Load()
-				if ev.TS <= cur || s.ingTS.CompareAndSwap(cur, ev.TS) {
-					break
-				}
-			}
+			now = max(now, ev.TS)
 		}
 		slab.evs = append(slab.evs, ev)
 		slab.lines = append(slab.lines, line)

@@ -837,44 +837,94 @@ func TestIngestLineLength(t *testing.T) {
 	}
 }
 
-// TestIngestorSlabMatchesPerLine checks the two /ingest decode paths agree:
-// the same NDJSON body produces identical accepted counts and reads whether
-// it flows through the slab fast path (default) or the per-line path (jump
-// guard configured, large enough to never reject here).
-func TestIngestorSlabMatchesPerLine(t *testing.T) {
+// TestIngestJumpGuardMidSlab pins "stream time advances on ACCEPTED events
+// only" for the one /ingest decode loop: a > 2-slab body (content, ts-less
+// and structural lines mixed) whose line 700 — mid second slab — carries a
+// far-future ts answers 422 with exactly the 699 lines before it accepted
+// and applied, and a following ts-less write is stamped at the last
+// ACCEPTED ts: nothing at or after the rejected line moved stream time.
+func TestIngestJumpGuardMidSlab(t *testing.T) {
+	sess, _ := testSession(t)
+	// A time-windowed query tells a write stamped at stream time (in
+	// window) from one stamped 0 (expired at the watermark).
+	windowed, err := sess.Register(eagr.QuerySpec{Aggregate: "sum", WindowTime: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(sess, WithMaxTimestampJump(1000))
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	const bad = 700
 	var body strings.Builder
-	for i := 0; i < 1200; i++ { // > 2 slabs
-		fmt.Fprintf(&body, `{"node":%d,"value":%d,"ts":%d}`+"\n", i%8, i, i+1)
-		if i%7 == 0 {
-			fmt.Fprintf(&body, `{"kind":"edge-add","from":%d,"to":%d,"ts":%d}`+"\n", 8+i%4, i%8, i+1)
+	last := map[int]int{} // node -> latest accepted value
+	edge := false         // 4 -> 0 present among the accepted lines
+	for i := 1; i <= 1200; i++ {
+		switch {
+		case i == bad:
+			fmt.Fprintf(&body, `{"node":1,"value":%d,"ts":9000000000000000000}`+"\n", i)
+		case i%50 == 0: // toggle edge 4 -> 0
+			kind := "edge-add"
+			if edge {
+				kind = "edge-remove"
+			}
+			fmt.Fprintf(&body, `{"kind":%q,"from":4,"to":0,"ts":%d}`+"\n", kind, i)
+			if i < bad {
+				edge = !edge
+			}
+		case i%5 == 0: // ts-less: stamped from the request-local stream time
+			fmt.Fprintf(&body, `{"node":4,"value":%d}`+"\n", i)
+			if i < bad {
+				last[4] = i
+			}
+		default:
+			fmt.Fprintf(&body, `{"node":%d,"value":%d,"ts":%d}`+"\n", 1+i%2, i, i)
+			if i < bad {
+				last[1+i%2] = i
+			}
 		}
 	}
-	run := func(t *testing.T, srv *Server) (float64, float64) {
-		ts := httptest.NewServer(srv)
-		defer ts.Close()
-		defer srv.Close()
-		resp, err := http.Post(ts.URL+"/ingest", "application/x-ndjson", strings.NewReader(body.String()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d", resp.StatusCode)
-		}
-		got := decode[map[string]any](t, resp)
-		read, err := http.Get(ts.URL + firstRead + "?node=0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := decode[map[string]any](t, read)
-		return got["accepted"].(float64), res["scalar"].(float64)
+	resp, err := http.Post(ts.URL+"/ingest", "application/x-ndjson", strings.NewReader(body.String()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	sessA, _ := testSession(t)
-	accA, sumA := run(t, New(sessA))
-	sessB, _ := testSession(t)
-	accB, sumB := run(t, New(sessB, WithMaxTimestampJump(1<<40)))
-	if accA != accB || sumA != sumB {
-		t.Fatalf("slab path (accepted=%v sum=%v) != per-line path (accepted=%v sum=%v)",
-			accA, sumA, accB, sumB)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("far-future ts mid-slab: status = %d, want 422", resp.StatusCode)
+	}
+	got := decode[map[string]any](t, resp)
+	if got["accepted"].(float64) != bad-1 {
+		t.Fatalf("accepted = %v, want the %d lines before the rejected one", got["accepted"], bad-1)
+	}
+	if msg, _ := got["error"].(string); !strings.Contains(msg, fmt.Sprintf("line %d:", bad)) {
+		t.Fatalf("error = %q, want it to name line %d", msg, bad)
+	}
+	if wm, ok := got["watermark"].(float64); !ok || wm != bad-1 {
+		t.Fatalf("watermark = %v, want %d (the last accepted explicit ts)", got["watermark"], bad-1)
+	}
+	want := last[1] + last[2]
+	if edge {
+		want += last[4]
+	}
+	sum := decode[map[string]any](t, mustGet(t, ts.URL+firstRead+"?node=0"))
+	if sum["scalar"].(float64) != float64(want) {
+		t.Fatalf("read after partial accept = %v, want %d (exactly lines 1..%d applied)", sum["scalar"], want, bad-1)
+	}
+
+	// Node 2 aggregates node 3 alone, which the body never wrote.
+	got = ingest(t, ts.URL, map[string]any{"node": 3, "value": 77})
+	if got["accepted"].(float64) != 1 {
+		t.Fatalf("ts-less write after the rejection: %v", got)
+	}
+	if wm, ok := got["watermark"].(float64); !ok || wm != bad-1 {
+		t.Fatalf("watermark after a ts-less write = %v, want %d unchanged", got["watermark"], bad-1)
+	}
+	// Nudge the watermark so expiry runs: a write stamped 0 would go now.
+	ingest(t, ts.URL, map[string]any{"node": 1, "value": 1, "ts": bad + 1})
+	res := decode[map[string]any](t, mustGet(t, fmt.Sprintf("%s/queries/%d/read?node=2", ts.URL, windowed.ID())))
+	if res["valid"] != true || res["scalar"].(float64) != 77 {
+		t.Fatalf("windowed read = %v, want valid 77: the ts-less write must be stamped %d, inside the window", res, bad-1)
 	}
 }
 
