@@ -2,30 +2,27 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	eagr "repro"
+	"repro/internal/shard/shardtest"
 	"repro/internal/workload"
 )
 
-// TestRouterE2E is the out-of-process mirror of internal/shard's oracle
-// property test: it builds the real eagr-serve and eagr-router binaries,
-// runs a two-shard fleet over HTTP, drives a random mixed stream (content,
-// edge churn, node churn) through the router, and requires every merged
-// read to match a never-sharded in-process Session that saw the same
-// stream. Gated behind EAGR_E2E=1 — it compiles binaries and binds ports.
+// TestRouterE2E is the real-binary smoke of the sharding oracle: it builds
+// eagr-serve and eagr-router, runs a two-shard fleet over HTTP and drives
+// it with the same harness (shardtest.Run) as TestRouterMatchesOracle and
+// internal/shard's TestShardedMatchesOracle. Gated behind EAGR_E2E=1 — it
+// compiles binaries and binds ports.
 func TestRouterE2E(t *testing.T) {
 	if os.Getenv("EAGR_E2E") != "1" {
 		t.Skip("set EAGR_E2E=1 to run the two-shard router end-to-end test")
@@ -40,9 +37,8 @@ func TestRouterE2E(t *testing.T) {
 		}
 	}
 
-	// Both shards and the oracle share one graph seed; the shards register
-	// the same flag-derived initial query ({sum, 3 tuples}) the oracle
-	// registers first, keeping overlay compilation aligned on all sides.
+	// Both shards and the oracle share one graph seed. The shards also hold
+	// a flag-derived initial query ({sum, 3 tuples}).
 	const (
 		nodes, degree = 48, 4
 		graphSeed     = 7
@@ -74,163 +70,21 @@ func TestRouterE2E(t *testing.T) {
 	routerURL := "http://" + routerAddr
 	waitReady(t, routerURL)
 
-	oracle, err := eagr.Open(workload.SocialGraph(nodes, degree, graphSeed), eagr.Options{Iterations: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := oracle.Register(eagr.QuerySpec{Aggregate: "sum", WindowTuples: 3}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Runtime registrations through the router: a 2-hop member that merges
-	// into the initial query's overlay family, plus independent time- and
-	// tuple-window families. All exact under sharding.
+	// Runtime registrations through the router: the flag-derived query's
+	// spec again, a 2-hop member that merges into its overlay family,
+	// independent time- and tuple-window families — all exact under
+	// sharding — and two topology-valued queries, which the router answers
+	// from one replica instead of merging PAOs.
 	specs := []eagr.QuerySpec{
+		{Aggregate: "sum", WindowTuples: 3},
 		{Aggregate: "sum", WindowTuples: 3, Hops: 2},
 		{Aggregate: "count", WindowTime: 40},
 		{Aggregate: "max", WindowTuples: 4},
 		{Aggregate: "distinct", WindowTime: 50},
-		// Topology-valued: the router proxies one replica's exact value
-		// instead of merging PAOs.
 		{Aggregate: "density"},
 		{Aggregate: "triangles"},
 	}
-	var oqs []*eagr.Query
-	var routerIDs []int
-	for _, spec := range specs {
-		oq, err := oracle.Register(spec)
-		if err != nil {
-			t.Fatalf("oracle %+v: %v", spec, err)
-		}
-		oqs = append(oqs, oq)
-		body, _ := json.Marshal(map[string]any{
-			"aggregate":    spec.Aggregate,
-			"windowTuples": spec.WindowTuples,
-			"windowTime":   spec.WindowTime,
-			"hops":         spec.Hops,
-		})
-		resp, err := http.Post(routerURL+"/queries", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var reg struct {
-			ID int `json:"id"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&reg)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusCreated {
-			t.Fatalf("router register %+v: status %d (%v)", spec, resp.StatusCode, err)
-		}
-		routerIDs = append(routerIDs, reg.ID)
-	}
-
-	// The same generator as the in-process oracle test: mostly content,
-	// with edge and node churn. Structural events replicate to both shards
-	// and the oracle, so the three graphs (and their free-list node-id
-	// allocators) stay identical.
-	rng := rand.New(rand.NewSource(11))
-	alive := oracle.Graph().Nodes()
-	ts := int64(1)
-	for batch := 0; batch < 12; batch++ {
-		n := 30 + rng.Intn(31)
-		events := make([]eagr.Event, 0, n)
-		for i := 0; i < n; i++ {
-			ts += int64(rng.Intn(3))
-			pick := func() eagr.NodeID { return alive[rng.Intn(len(alive))] }
-			switch p := rng.Float64(); {
-			case p < 0.65 || len(alive) < 8:
-				events = append(events, eagr.NewWrite(pick(), int64(rng.Intn(15)-4), ts))
-			case p < 0.75:
-				events = append(events, eagr.NewEdgeAdd(pick(), pick(), ts))
-			case p < 0.85:
-				events = append(events, eagr.NewEdgeRemove(pick(), pick(), ts))
-			case p < 0.93:
-				events = append(events, eagr.NewNodeAdd(ts))
-			default:
-				victim := rng.Intn(len(alive))
-				events = append(events, eagr.NewNodeRemove(alive[victim], ts))
-				alive = slices.Delete(alive, victim, victim+1)
-			}
-		}
-
-		var ndjson bytes.Buffer
-		for _, ev := range events {
-			line, _ := json.Marshal(map[string]any{
-				"kind": ev.Kind.String(), "node": ev.Node, "peer": ev.Peer,
-				"value": ev.Value, "ts": ev.TS,
-			})
-			ndjson.Write(line)
-			ndjson.WriteByte('\n')
-		}
-		resp, err := http.Post(routerURL+"/ingest", "application/x-ndjson", &ndjson)
-		if err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
-		}
-		var ack struct {
-			Accepted  int    `json:"accepted"`
-			Watermark *int64 `json:"watermark"`
-			Error     string `json:"error"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&ack)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK || ack.Error != "" {
-			t.Fatalf("batch %d: ingest status %d, ack %+v (%v)", batch, resp.StatusCode, ack, err)
-		}
-		if ack.Accepted != len(events) {
-			t.Fatalf("batch %d: accepted %d of %d events", batch, ack.Accepted, len(events))
-		}
-
-		// Mirror on the oracle: same events, then expiry at the router's
-		// fleet-minimum watermark. Apply errors (duplicate edges, missed
-		// removes) are the same ones the shards skipped — not fatal.
-		added, _ := oracle.ApplyBatchNodes(events)
-		alive = append(alive, added...)
-		if ack.Watermark != nil {
-			oracle.ExpireAll(*ack.Watermark)
-		}
-
-		if batch%4 == 3 {
-			compareAll(t, batch, routerURL, oracle, oqs, routerIDs)
-		}
-	}
-}
-
-// compareAll reads every router-registered query at every node id ever
-// allocated, over HTTP, against the oracle — values and error presence.
-func compareAll(t *testing.T, batch int, routerURL string, oracle *eagr.Session, oqs []*eagr.Query, ids []int) {
-	t.Helper()
-	maxID := oracle.Graph().MaxID()
-	for qi, oq := range oqs {
-		for v := 0; v < maxID; v++ {
-			want, werr := oq.Read(eagr.NodeID(v))
-			resp, err := http.Get(fmt.Sprintf("%s/queries/%d/read?node=%d", routerURL, ids[qi], v))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got struct {
-				Valid  bool    `json:"valid"`
-				Scalar int64   `json:"scalar"`
-				List   []int64 `json:"list"`
-			}
-			decErr := json.NewDecoder(resp.Body).Decode(&got)
-			resp.Body.Close()
-			if (werr != nil) != (resp.StatusCode != http.StatusOK) {
-				t.Fatalf("batch %d, query %+v, node %d: oracle err %v, router status %d",
-					batch, oq.Spec(), v, werr, resp.StatusCode)
-			}
-			if werr != nil {
-				continue
-			}
-			if decErr != nil {
-				t.Fatalf("batch %d, query %+v, node %d: decode: %v", batch, oq.Spec(), v, decErr)
-			}
-			res := eagr.Result{Valid: got.Valid, Scalar: got.Scalar, List: got.List}
-			if !want.Eq(res) {
-				t.Fatalf("batch %d, query %+v, node %d: oracle %+v, router %+v",
-					batch, oq.Spec(), v, want, res)
-			}
-		}
-	}
+	shardtest.Run(t, workload.SocialGraph(nodes, degree, graphSeed), httpSystem{t, routerURL}, specs, 11, 12, nil)
 }
 
 // freeAddr grabs an OS-assigned 127.0.0.1 port and releases it for the

@@ -85,7 +85,7 @@
 // drop-oldest, so a slow watcher never blocks ingestion.
 //
 // JSON request bodies (POST /queries, /expire, /edge) are capped at
-// maxJSONBody and refused with 413 beyond it; /ingest streams, bounded per
+// MaxJSONBody and refused with 413 beyond it; /ingest streams, bounded per
 // line.
 package server
 
@@ -120,13 +120,13 @@ const (
 	maxQueries      = 1024
 )
 
-// maxIngestLine bounds one NDJSON event line on /ingest (the scanner
+// MaxIngestLine bounds one NDJSON event line on /ingest (the scanner
 // buffers a line before decoding it).
-const maxIngestLine = 1 << 20
+const MaxIngestLine = 1 << 20
 
-// maxJSONBody bounds the single-document JSON request bodies (POST
+// MaxJSONBody bounds the single-document JSON request bodies (POST
 // /queries, /expire, /edge), which are decoded whole.
-const maxJSONBody = 1 << 20
+const MaxJSONBody = 1 << 20
 
 // Server wraps a multi-query session with HTTP handlers. A Server that
 // ever serves POST /ingest owns a background Ingestor; call Close (e.g.
@@ -312,9 +312,10 @@ type edgeReq struct {
 	To   graph.NodeID `json:"to"`
 }
 
-// querySpecReq mirrors eagr.QuerySpec plus the subset of Options that makes
-// sense over the wire.
-type querySpecReq struct {
+// QuerySpecReq is the body of POST /queries: eagr.QuerySpec plus the subset
+// of Options that makes sense over the wire. The router decodes it and the
+// HTTP shard client (internal/shard) encodes it.
+type QuerySpecReq struct {
 	Aggregate    string `json:"aggregate"`
 	WindowTuples int    `json:"windowTuples"`
 	WindowTime   int64  `json:"windowTime"`
@@ -322,6 +323,12 @@ type querySpecReq struct {
 	Continuous   bool   `json:"continuous"`
 	Algorithm    string `json:"algorithm"`
 	Mode         string `json:"mode"`
+}
+
+// Spec is the eagr.QuerySpec part of the request.
+func (q QuerySpecReq) Spec() eagr.QuerySpec {
+	return eagr.QuerySpec{Aggregate: q.Aggregate, WindowTuples: q.WindowTuples,
+		WindowTime: q.WindowTime, Hops: q.Hops, Continuous: q.Continuous}
 }
 
 type queryResp struct {
@@ -365,17 +372,17 @@ func queryToRespWith(q *eagr.Query, st eagr.Stats) queryResp {
 	}
 }
 
-// decodeBody decodes a JSON request body of at most maxJSONBody bytes into
+// DecodeBody decodes a JSON request body of at most MaxJSONBody bytes into
 // v; false means the error response (413 over the cap, 400 otherwise) was
-// sent.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(v)
+// sent. Exported, like NodeParam, for the router's JSON routes.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxJSONBody)).Decode(v)
 	if err == nil {
 		return true
 	}
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", maxJSONBody)
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", MaxJSONBody)
 	} else {
 		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
 	}
@@ -383,8 +390,8 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req querySpecReq
-	if !decodeBody(w, r, &req) {
+	var req QuerySpecReq
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if req.WindowTuples > maxWindowTuples {
@@ -413,13 +420,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if req.Mode != "" {
 		opts.Mode = req.Mode
 	}
-	q, err := s.sess.Register(eagr.QuerySpec{
-		Aggregate:    req.Aggregate,
-		WindowTuples: req.WindowTuples,
-		WindowTime:   req.WindowTime,
-		Hops:         req.Hops,
-		Continuous:   req.Continuous,
-	}, opts)
+	q, err := s.sess.Register(req.Spec(), opts)
 	if err != nil {
 		httpError(w, statusFor(err), "%v", err)
 		return
@@ -479,7 +480,7 @@ func (s *Server) handleQueryRead(w http.ResponseWriter, r *http.Request) {
 	if q == nil {
 		return
 	}
-	node, err := nodeParam(r, "node")
+	node, err := NodeParam(r, "node")
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -508,7 +509,7 @@ func (s *Server) handleQueryPAO(w http.ResponseWriter, r *http.Request) {
 	if q == nil {
 		return
 	}
-	node, err := nodeParam(r, "node")
+	node, err := NodeParam(r, "node")
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -534,7 +535,7 @@ func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		TS int64 `json:"ts"`
 	}
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	s.sess.ExpireAll(req.TS)
@@ -575,7 +576,7 @@ func (s *Server) handleQueryCovered(w http.ResponseWriter, r *http.Request) {
 	if q == nil {
 		return
 	}
-	node, err := nodeParam(r, "node")
+	node, err := NodeParam(r, "node")
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -605,7 +606,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var nodes []graph.NodeID
 	if raw := r.URL.Query().Get("node"); raw != "" {
-		node, err := nodeParam(r, "node")
+		node, err := NodeParam(r, "node")
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -722,7 +723,7 @@ func (sl *ingestSlab) reset() {
 // line is the last line successfully scanned.
 func scanErrMessage(line int, err error) string {
 	if errors.Is(err, bufio.ErrTooLong) {
-		return fmt.Sprintf("line %d: event line exceeds the %d-byte limit", line+1, maxIngestLine)
+		return fmt.Sprintf("line %d: event line exceeds the %d-byte limit", line+1, MaxIngestLine)
 	}
 	return fmt.Sprintf("read body: %v", err)
 }
@@ -738,7 +739,7 @@ func scanErrMessage(line int, err error) string {
 // response.
 //
 // The body is read in large chunks (the scanner buffers up to
-// maxIngestLine per line and returns zero-copy slices) and decoded into a
+// MaxIngestLine per line and returns zero-copy slices) and decoded into a
 // pooled event slab handed to the Ingestor as whole batches — see
 // ingestSlabbed, the one decode loop.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -753,7 +754,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		sync = false
 	}
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64<<10), maxIngestLine)
+	sc.Buffer(make([]byte, 64<<10), MaxIngestLine)
 	s.ingestSlabbed(ing, w, sc, sync)
 }
 
@@ -921,7 +922,7 @@ func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var req edgeReq
-		if !decodeBody(w, r, &req) {
+		if !DecodeBody(w, r, &req) {
 			return
 		}
 		if err := s.sess.AddEdge(req.From, req.To); err != nil {
@@ -930,8 +931,8 @@ func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 		}
 		w.WriteHeader(http.StatusNoContent)
 	case http.MethodDelete:
-		from, err1 := nodeParam(r, "from")
-		to, err2 := nodeParam(r, "to")
+		from, err1 := NodeParam(r, "from")
+		to, err2 := NodeParam(r, "to")
 		if err1 != nil || err2 != nil {
 			httpError(w, http.StatusBadRequest, "from and to required")
 			return
@@ -956,7 +957,7 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, map[string]graph.NodeID{"node": v})
 	case http.MethodDelete:
-		v, err := nodeParam(r, "node")
+		v, err := NodeParam(r, "node")
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -1118,7 +1119,8 @@ func statusFor(err error) int {
 	}
 }
 
-func nodeParam(r *http.Request, name string) (graph.NodeID, error) {
+// NodeParam parses a required node-id query parameter.
+func NodeParam(r *http.Request, name string) (graph.NodeID, error) {
 	raw := r.URL.Query().Get(name)
 	if raw == "" {
 		return 0, fmt.Errorf("missing %q parameter", name)

@@ -434,11 +434,11 @@ func TestBadJSON(t *testing.T) {
 }
 
 // TestJSONBodyLimit: the routes that decode a whole JSON document refuse a
-// body over maxJSONBody with 413 instead of buffering it, and still accept
+// body over MaxJSONBody with 413 instead of buffering it, and still accept
 // a normal one.
 func TestJSONBodyLimit(t *testing.T) {
 	ts := testServer(t)
-	pad := strings.Repeat("x", maxJSONBody)
+	pad := strings.Repeat("x", MaxJSONBody)
 	for _, c := range []struct {
 		path, normal string
 		want         int
@@ -795,7 +795,7 @@ func TestDurableIngestSurvivesCrash(t *testing.T) {
 
 // TestIngestLineLength checks the NDJSON line-length contract: event lines
 // well past bufio.Scanner's default 64KB token cap are accepted up to
-// maxIngestLine, and a line beyond the cap fails with a typed 400 that
+// MaxIngestLine, and a line beyond the cap fails with a typed 400 that
 // names the limit (not bufio's opaque "token too long") while the lines
 // before it still apply.
 func TestIngestLineLength(t *testing.T) {
@@ -817,7 +817,7 @@ func TestIngestLineLength(t *testing.T) {
 	// Over the cap: the line before it applies, the response is a 400
 	// naming the limit and the failing line.
 	over := `{"kind":"write","node":2,"value":9,"ts":2,"pad":"` +
-		strings.Repeat("y", maxIngestLine) + `"}`
+		strings.Repeat("y", MaxIngestLine) + `"}`
 	body := `{"kind":"write","node":3,"value":4,"ts":3}` + "\n" + over + "\n"
 	resp, err = http.Post(ts.URL+"/ingest", "application/x-ndjson", strings.NewReader(body))
 	if err != nil {
@@ -832,7 +832,7 @@ func TestIngestLineLength(t *testing.T) {
 	}
 	msg, _ := got["error"].(string)
 	if !strings.Contains(msg, "line 2") || !strings.Contains(msg, "exceeds") ||
-		!strings.Contains(msg, strconv.Itoa(maxIngestLine)) {
+		!strings.Contains(msg, strconv.Itoa(MaxIngestLine)) {
 		t.Fatalf("over-cap error = %q, want line number and byte limit", msg)
 	}
 }

@@ -38,21 +38,19 @@ func benchCluster(b *testing.B) (*Cluster, *Query, []eagr.Event) {
 	return cluster, q, writes
 }
 
-// BenchmarkOpShardedIngest measures the coordinator's per-event routing
-// cost on a content stream: hash the owner, stamp time, hand off to that
-// shard's Ingestor.
+// BenchmarkOpShardedIngest measures the coordinator's per-event cost on a
+// content stream, in the 256-event batches a client posts: stamp time, hash
+// the owner, hand each shard its slice, wait for both, expire.
 func BenchmarkOpShardedIngest(b *testing.B) {
 	cluster, _, writes := benchCluster(b)
+	const batch = 256
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := writes[i%len(writes)]
-		if err := cluster.Send(eagr.NewWrite(ev.Node, ev.Value, int64(i+1))); err != nil {
+	for i := 0; i < b.N; i += batch {
+		off := i % (len(writes) - batch)
+		if err := cluster.SendBatch(writes[off : off+min(batch, b.N-i)]); err != nil {
 			b.Fatal(err)
 		}
-	}
-	if err := cluster.Flush(); err != nil {
-		b.Fatal(err)
 	}
 	b.StopTimer()
 }
@@ -61,12 +59,7 @@ func BenchmarkOpShardedIngest(b *testing.B) {
 // wire PAO snapshot per shard, merged and finalized at the coordinator.
 func BenchmarkOpShardedRead(b *testing.B) {
 	cluster, q, writes := benchCluster(b)
-	for i, ev := range writes[:1<<14] {
-		if err := cluster.Send(eagr.NewWrite(ev.Node, ev.Value, int64(i+1))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := cluster.Flush(); err != nil {
+	if err := cluster.SendBatch(writes[:1<<14]); err != nil {
 		b.Fatal(err)
 	}
 	maxID := cluster.Shard(0).Graph().MaxID()

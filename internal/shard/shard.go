@@ -1,6 +1,6 @@
 // Package shard is EAGr's first scale-out layer: a coordinator that
-// partitions one logical session across N shard Sessions and answers
-// reads by merging per-shard partial aggregates.
+// partitions one logical session across N shards and answers reads by
+// merging per-shard partial aggregates.
 //
 // # Partitioning
 //
@@ -20,11 +20,13 @@
 //
 // # Time
 //
-// Each shard runs its own Ingestor with automatic expiry disabled; its
-// watermark advances independently as its batches apply. The cluster's
-// watermark is the minimum over shards that have one, and the coordinator
-// broadcasts ExpireAll at that minimum (on Flush), so every shard — and
-// therefore every merged answer — trims time windows at the same horizon.
+// Shards never expire windows on their own: each sees only a slice of the
+// content stream, so its watermark may run ahead of the slowest substream.
+// The coordinator stamps timestamp-less events before routing, so every
+// shard lives in one time domain; after every Apply it takes the minimum
+// over the watermarks of the shards that have one and broadcasts Expire at
+// that minimum, so every shard — and therefore every merged answer — trims
+// time windows at the same horizon.
 //
 // # Reads
 //
@@ -37,12 +39,26 @@
 // Topology-valued queries (density, triangles, …) read without merging:
 // they depend only on structure, which is replicated, so any single shard's
 // value is already the exact cluster-wide answer.
+//
+// # One coordinator, two kinds of shard
+//
+// Every rule above is written once, in Coordinator, against the Shard
+// interface. A Cluster (Open) runs it over Sessions in this process;
+// cmd/eagr-router runs it over eagr-serve processes (HTTPShard). What the
+// -race oracle tests prove about one is therefore true of the other.
+//
+// The replication invariant can break: a fan-out that carries structure may
+// apply on some shards and fail on others. The coordinator cannot undo the
+// half that applied, so it records the first such failure (Divergence) and
+// from then on every read fails with ErrDiverged instead of merging
+// replicas that no longer agree.
 package shard
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	eagr "repro"
 	"repro/internal/agg"
@@ -63,115 +79,278 @@ func Owner(v graph.NodeID, shards int) int {
 	return int(z % uint64(shards))
 }
 
-// Options configure a Cluster.
-type Options struct {
-	// Shards is the number of shard Sessions (default 2).
-	Shards int
-	// Session is the compile configuration every shard opens with.
-	Session eagr.Options
-	// Ingest tunes the per-shard Ingestors. DisableAutoExpire is forced on
-	// (expiry is coordinator-driven); Clock stamps timestamp-less events at
-	// the coordinator, before routing, so every shard lives in one time
-	// domain (nil means wall clock, as for a plain Ingestor).
-	Ingest eagr.IngestOptions
+// Shard is one member of the fleet as the coordinator drives it. It hides
+// whether the member is a Session in this process or a server across HTTP,
+// and lets a test substitute one that fails.
+//
+// An error wrapping ErrUnavailable means the shard could not be reached or
+// broke while answering, so nothing is known about what it did. Any other
+// error is the shard's verdict (unknown node, retired query, rejected
+// spec), which every replica shares.
+type Shard interface {
+	// Register compiles the standing query on this shard.
+	Register(spec eagr.QuerySpec, opts ...eagr.Options) (Member, error)
+	// Apply hands over the shard's slice of one fan-out, in stream order,
+	// and returns once it has been applied, with the shard's watermark (nil
+	// until an event has applied). Events that cannot apply (an existing
+	// edge added, a dead node removed) are skipped, identically on every
+	// replica and on a never-sharded session; that is not a failure. Apply
+	// is attempted once: a second attempt after a lost acknowledgement
+	// would apply the events twice.
+	Apply(events []eagr.Event) (watermark *int64, err error)
+	// Mutate applies one structural event outside the stream and returns
+	// its verdict and, for a node-add, the allocated id. Attempted once.
+	Mutate(ev eagr.Event) (graph.NodeID, error)
+	// Expire advances the shard's time-based windows to ts. Expiry only
+	// ratchets forward, so implementations may retry it.
+	Expire(ts int64) error
 }
 
-// Cluster hosts N shard Sessions behind one Session-shaped facade: register
-// queries, stream events, read merged answers. All methods are safe for
-// concurrent use; concurrent sends are serialized by the coordinator so
-// every shard observes the same structural order.
-type Cluster struct {
-	opts   Options
-	shards []*eagr.Session
-	ings   []*eagr.Ingestor
+// Member is one shard's copy of a registered query; an *eagr.Query is one.
+// Reads may be retried by the implementation, Close may not.
+type Member interface {
+	ID() int
+	// Read returns the finalized value (topology-valued queries).
+	Read(v graph.NodeID) (eagr.Result, error)
+	// ReadWire returns the un-finalized partial aggregate, a merge input.
+	ReadWire(v graph.NodeID) (agg.WirePAO, error)
+	Close() error
+}
+
+// ErrUnavailable marks a Shard failure that is not a verdict; see Shard.
+var ErrUnavailable = errors.New("shard: unavailable")
+
+// ErrDiverged matches (errors.Is) the error of every read once the
+// replicas are known to disagree; the error itself is the *Divergence.
+var ErrDiverged = errors.New("shard: replicas diverged")
+
+// Divergence records the fan-out that broke the replication invariant.
+type Divergence struct {
+	Shard int    // the lowest-indexed shard that disagreed
+	Op    string // "apply", or the structural event kind of a Mutate
+	Err   error
+}
+
+func (d *Divergence) Error() string {
+	return fmt.Sprintf("%v: %s on shard %d: %v", ErrDiverged, d.Op, d.Shard, d.Err)
+}
+
+// Is makes errors.Is(err, ErrDiverged) hold.
+func (d *Divergence) Is(target error) bool { return target == ErrDiverged }
+
+// Coordinator makes the fleet's decisions: content to its owner, structure
+// to everyone in one order, one time domain, expiry at the minimum
+// watermark, queries on all shards or none, partial aggregates merged once.
+// All methods are safe for concurrent use.
+type Coordinator struct {
+	shards []Shard
 	clock  eagr.Clock
 
-	// mu serializes routing: structural events must interleave identically
+	// mu serializes fan-outs: structural events must interleave identically
 	// on every shard or the replicas (and their node-id allocators) drift.
-	mu sync.Mutex
+	// Two fan-outs never overlap; only the shards within one run in
+	// parallel. It also guards wms.
+	mu  sync.Mutex
+	wms []*int64 // each shard's last acknowledged watermark
+
+	streamTS atomic.Int64
+	diverged atomic.Pointer[Divergence]
 
 	qmu     sync.Mutex
 	queries map[int]*Query
 	nextID  int
 }
 
-// Open starts a cluster over g: each shard gets its own deep copy of the
-// graph and its own Ingestor. The original graph is not retained.
-func Open(g *graph.Graph, opts Options) (*Cluster, error) {
-	n := opts.Shards
-	if n <= 0 {
-		n = 2
-	}
-	io := opts.Ingest
-	io.DisableAutoExpire = true
-	clock := io.Clock
-	if clock == nil {
-		clock = eagr.WallClock()
-	}
-	c := &Cluster{opts: opts, clock: clock, queries: make(map[int]*Query)}
-	for i := 0; i < n; i++ {
-		sess, err := eagr.Open(g.Clone(), opts.Session)
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		ing, err := sess.Ingest(io)
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		c.shards = append(c.shards, sess)
-		c.ings = append(c.ings, ing)
-	}
-	return c, nil
+// NewCoordinator coordinates the given shards (at least one), which must
+// hold the same graph and expire windows only when told to. clock stamps
+// events that carry no timestamp; nil stamps them with stream time (see
+// StreamTime), for streams whose time domain only their producers know.
+func NewCoordinator(shards []Shard, clock eagr.Clock) *Coordinator {
+	return &Coordinator{shards: shards, clock: clock, wms: make([]*int64, len(shards)), queries: map[int]*Query{}}
 }
 
-// Shards returns the shard count.
-func (c *Cluster) Shards() int { return len(c.shards) }
+// StreamTime is the largest explicit timestamp among the events of Applys
+// that every shard involved acknowledged. A rejected or half-failed Apply
+// leaves it alone, so one bad far-future timestamp in a refused request
+// cannot pull every later timestamp-less event into the future.
+func (c *Coordinator) StreamTime() int64 { return c.streamTS.Load() }
 
-// Shard exposes shard i's Session (diagnostics and tests).
-func (c *Cluster) Shard(i int) *eagr.Session { return c.shards[i] }
+// Diverged returns the recorded Divergence, or nil while the replicas are
+// not known to disagree.
+func (c *Coordinator) Diverged() *Divergence { return c.diverged.Load() }
 
-// Register registers the query on every shard and returns the merged-read
-// handle. Compile options follow the Session semantics (Options passed to
-// Open are the default; per-call opts override).
-func (c *Cluster) Register(spec eagr.QuerySpec, opts ...eagr.Options) (*Query, error) {
-	name := spec.Aggregate
-	if name == "" {
-		name = "sum"
+// fanout runs fn for every shard concurrently and waits for all of them, so
+// a fan-out costs the slowest shard rather than the sum. The caller holds
+// c.mu, which is what keeps every shard's view of the stream in one order.
+func (c *Coordinator) fanout(fn func(i int, s Shard) error) []error {
+	errs := make([]error, len(c.shards))
+	var wg sync.WaitGroup
+	for i, s := range c.shards[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i+1] = fn(i+1, s)
+		}()
 	}
-	a, aerr := agg.Parse(name)
-	isTopo := false
-	if aerr != nil {
-		if !topo.IsTopo(name) {
-			return nil, fmt.Errorf("%w: %w", eagr.ErrIncompatibleQuery, aerr)
-		}
-		// Topology-valued aggregate: structure is replicated to every
-		// shard, so each shard maintains the identical exact value — reads
-		// need no merge. The per-shard Register validates the spec.
-		a, isTopo = nil, true
-	}
-	qs := make([]*eagr.Query, 0, len(c.shards))
-	for i, sess := range c.shards {
-		q, err := sess.Register(spec, opts...)
+	errs[0] = fn(0, c.shards[0])
+	wg.Wait()
+	return errs
+}
+
+// settle is the outcome of one fan-out: nil when every shard succeeded,
+// else the lowest-indexed failure, so attribution is deterministic. When
+// the fan-out replicated structure and only some shards failed, the
+// replicas now differ; the first such failure sticks as the Divergence.
+func (c *Coordinator) settle(op string, replicated bool, errs []error) error {
+	first, failed := -1, 0
+	for i, err := range errs {
 		if err != nil {
-			for _, prev := range qs {
-				_ = prev.Close()
+			if failed++; first < 0 {
+				first = i
 			}
-			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		qs = append(qs, q)
+	}
+	if first < 0 {
+		return nil
+	}
+	if replicated && failed < len(errs) {
+		c.diverged.CompareAndSwap(nil, &Divergence{Shard: first, Op: op, Err: errs[first]})
+	}
+	return fmt.Errorf("shard %d: %s: %w", first, op, errs[first])
+}
+
+// Apply routes one batch — content to its owner's shard, structural events
+// to every shard — under one hold of the routing lock, so the batch lands
+// as a contiguous run in every shard's order. It returns once every shard
+// has applied its slice and expired to the fleet watermark, which it
+// reports: the minimum over the shards that have one, nil while none has.
+// An error means some shard failed; the others may have applied theirs.
+func (c *Coordinator) Apply(events []eagr.Event) (*int64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	parts := make([][]eagr.Event, len(c.shards))
+	now, replicated := c.streamTS.Load(), false
+	for _, ev := range events {
+		// Stamp here, not on the shards: each sees a slice of the stream,
+		// so its own notion of "now" lags and replicas would disagree on
+		// the timestamp of a fanned-out structural event.
+		switch {
+		case ev.TS != 0:
+			now = max(now, ev.TS)
+		case c.clock != nil:
+			ev.TS = c.clock.Now()
+		default:
+			ev.TS = now
+		}
+		if !ev.IsStructural() {
+			i := Owner(ev.Node, len(parts))
+			parts[i] = append(parts[i], ev)
+			continue
+		}
+		replicated = true
+		for i := range parts {
+			parts[i] = append(parts[i], ev)
+		}
+	}
+	errs := c.fanout(func(i int, s Shard) error {
+		if len(parts[i]) == 0 {
+			return nil
+		}
+		wm, err := s.Apply(parts[i])
+		if wm != nil {
+			c.wms[i] = wm
+		}
+		return err
+	})
+	if err := c.settle("apply", replicated, errs); err != nil {
+		return nil, err
+	}
+	c.streamTS.Store(now)
+	var min *int64
+	for _, wm := range c.wms {
+		if wm != nil && (min == nil || *wm < *min) {
+			min = wm
+		}
+	}
+	if min == nil {
+		return nil, nil
+	}
+	return min, c.expire(*min)
+}
+
+// Mutate applies one structural event on every shard and returns their
+// common verdict (for a node-add, the id they all allocated). Shards that
+// disagree — on whether it applied, or on the id — have diverged.
+func (c *Coordinator) Mutate(ev eagr.Event) (graph.NodeID, error) {
+	if !ev.IsStructural() {
+		return 0, fmt.Errorf("shard: %s is not a structural event", ev.Kind)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ids := make([]graph.NodeID, len(c.shards))
+	errs := c.fanout(func(i int, s Shard) (err error) {
+		ids[i], err = s.Mutate(ev)
+		return err
+	})
+	for i, id := range ids {
+		if errs[i] == nil && errs[0] == nil && id != ids[0] {
+			errs[i] = fmt.Errorf("allocated node %d where shard 0 allocated %d", id, ids[0])
+		}
+	}
+	return ids[0], c.settle(ev.Kind.String(), true, errs)
+}
+
+// Expire advances every shard's time-based windows to ts.
+func (c *Coordinator) Expire(ts int64) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.expire(ts)
+}
+
+func (c *Coordinator) expire(ts int64) error {
+	return c.settle("expire", false, c.fanout(func(_ int, s Shard) error { return s.Expire(ts) }))
+}
+
+// Register registers the query on every shard, or on none: when a shard
+// refuses, the copies already registered are retired, because shard query
+// sets must stay identical or reads would merge mismatched views. Compile
+// options follow the Session semantics (a per-call value overrides the
+// shard's default).
+func (c *Coordinator) Register(spec eagr.QuerySpec, opts ...eagr.Options) (*Query, error) {
+	q := &Query{c: c, name: spec.Aggregate}
+	if q.name == "" {
+		q.name = "sum"
+	}
+	var err error
+	// A topology-valued aggregate has no PAO: agg stays nil, reads skip the
+	// merge, and the per-shard Register validates the spec.
+	if q.agg, err = agg.Parse(q.name); err != nil && !topo.IsTopo(q.name) {
+		return nil, fmt.Errorf("%w: %w", eagr.ErrIncompatibleQuery, err)
+	}
+	for i, s := range c.shards {
+		m, err := s.Register(spec, opts...)
+		if err != nil {
+			return nil, errors.Join(fmt.Errorf("shard %d: %w", i, err), q.retire())
+		}
+		q.members = append(q.members, m)
 	}
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
+	q.id = c.nextID
 	c.nextID++
-	q := &Query{c: c, id: c.nextID, spec: spec, agg: a, topo: isTopo, qs: qs}
 	c.queries[q.id] = q
 	return q, nil
 }
 
+// Query returns the open handle with the given id, or nil.
+func (c *Coordinator) Query(id int) *Query {
+	c.qmu.Lock()
+	defer c.qmu.Unlock()
+	return c.queries[id]
+}
+
 // Queries returns the open merged-read handles (unordered).
-func (c *Cluster) Queries() []*Query {
+func (c *Coordinator) Queries() []*Query {
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
 	out := make([]*Query, 0, len(c.queries))
@@ -181,157 +360,89 @@ func (c *Cluster) Queries() []*Query {
 	return out
 }
 
-// Send routes one event: content to its owner's shard, structural to every
-// shard. Timestamp-less events are stamped here, before routing, so all
-// shards share one time domain.
-func (c *Cluster) Send(ev eagr.Event) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.send(ev)
-}
-
-// SendBatch routes a batch under one routing lock, so the batch lands as a
-// contiguous run in every shard's structural order.
-func (c *Cluster) SendBatch(events []eagr.Event) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var errs []error
-	for _, ev := range events {
-		if err := c.send(ev); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-func (c *Cluster) send(ev eagr.Event) error {
-	if ev.TS == 0 {
-		ev.TS = c.clock.Now()
-	}
-	if !ev.IsStructural() {
-		return c.ings[Owner(ev.Node, len(c.ings))].SendEvent(ev)
-	}
-	var errs []error
-	for _, ing := range c.ings {
-		if err := ing.SendEvent(ev); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// Flush drains every shard's Ingestor (a synchronization barrier: on return
-// all previously sent events are applied or reported failed) and then
-// advances expiry to the cluster watermark. Apply errors from all shards
-// are joined.
-func (c *Cluster) Flush() error {
-	var errs []error
-	for i, ing := range c.ings {
-		if err := ing.Flush(); err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
-		}
-	}
-	if wm, ok := c.Watermark(); ok {
-		c.ExpireAll(wm)
-	}
-	return errors.Join(errs...)
-}
-
-// Watermark is the minimum watermark over shards that have one — the
-// horizon every shard has safely passed. Shards that have not applied any
-// events yet have no opinion and are skipped; ok is false until at least
-// one shard reports.
-func (c *Cluster) Watermark() (int64, bool) {
-	var min int64
-	any := false
-	for _, ing := range c.ings {
-		wm, ok := ing.Watermark()
-		if !ok {
-			continue
-		}
-		if !any || wm < min {
-			min = wm
-		}
-		any = true
-	}
-	return min, any
-}
-
-// ExpireAll advances every shard's time-based windows to ts.
-func (c *Cluster) ExpireAll(ts int64) {
-	for _, sess := range c.shards {
-		sess.ExpireAll(ts)
-	}
-}
-
-// Stats reports per-shard ingestion counters, indexed by shard.
-func (c *Cluster) Stats() []eagr.IngestorStats {
-	out := make([]eagr.IngestorStats, len(c.ings))
-	for i, ing := range c.ings {
-		out[i] = ing.Stats()
-	}
-	return out
-}
-
-// Close shuts down the shard Ingestors, flushing buffered events first.
-func (c *Cluster) Close() error {
-	var errs []error
-	for i, ing := range c.ings {
-		if err := ing.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
 // Query is a standing query registered on every shard, answered by merging
 // the shards' wire snapshots.
 type Query struct {
-	c    *Cluster
-	id   int
-	spec eagr.QuerySpec
-	agg  eagr.Aggregate // nil for topology-valued queries
-	topo bool
-	qs   []*eagr.Query
+	c       *Coordinator
+	id      int
+	name    string         // spec.Aggregate, defaulted
+	agg     eagr.Aggregate // nil for topology-valued queries
+	members []Member
 }
 
-// ID returns the cluster-local query id.
+// ID returns the coordinator-local query id.
 func (q *Query) ID() int { return q.id }
 
-// Spec returns the registered QuerySpec.
-func (q *Query) Spec() eagr.QuerySpec { return q.spec }
+// Aggregate returns the aggregate's name ("sum" when the spec named none).
+func (q *Query) Aggregate() string { return q.name }
 
-// ShardQuery exposes shard i's member query (diagnostics and tests).
-func (q *Query) ShardQuery(i int) *eagr.Query { return q.qs[i] }
+// Topo reports a topology-valued query, read from one shard unmerged.
+func (q *Query) Topo() bool { return q.agg == nil }
+
+// ShardIDs returns the query's id on each shard, by shard index: shards
+// assign their own ids, the coordinator owns the mapping.
+func (q *Query) ShardIDs() []int {
+	ids := make([]int, len(q.members))
+	for i, m := range q.members {
+		ids[i] = m.ID()
+	}
+	return ids
+}
+
+// ShardQuery exposes shard i's member query on an in-process Cluster
+// (diagnostics and tests); nil when the shard is not a local Session.
+func (q *Query) ShardQuery(i int) *eagr.Query {
+	sq, _ := q.members[i].(*eagr.Query)
+	return sq
+}
 
 // Read scatter-gathers the standing query at v: one wire snapshot per
 // shard, merged and finalized through the single-process aggregate path.
-// Topology-valued queries skip the merge entirely — structural replication
-// keeps every shard's topo value exact, so any one shard answers.
+// Topology-valued queries skip the merge — structural replication keeps
+// every shard's value exact — and fall through to the next replica only
+// when a shard is unavailable; a verdict is every replica's.
 func (q *Query) Read(v graph.NodeID) (eagr.Result, error) {
-	if q.topo {
-		return q.qs[0].Read(v)
+	if d := q.c.diverged.Load(); d != nil {
+		return eagr.Result{}, d
 	}
-	ws := make([]agg.WirePAO, len(q.qs))
-	for i, sq := range q.qs {
-		w, err := sq.ReadWire(v)
-		if err != nil {
-			return eagr.Result{}, err
+	if q.agg == nil {
+		var err error
+		for i, m := range q.members {
+			var res eagr.Result
+			if res, err = m.Read(v); err == nil {
+				return res, nil
+			}
+			if err = fmt.Errorf("shard %d: %w", i, err); !errors.Is(err, ErrUnavailable) {
+				break
+			}
 		}
-		ws[i] = w
+		return eagr.Result{}, err
+	}
+	ws := make([]agg.WirePAO, len(q.members))
+	for i, m := range q.members {
+		var err error
+		if ws[i], err = m.ReadWire(v); err != nil {
+			return eagr.Result{}, fmt.Errorf("shard %d: %w", i, err)
+		}
 	}
 	return agg.MergeWires(q.agg, ws)
 }
 
-// Close retires the query on every shard.
+// Close retires the query: the coordinator forgets it first, so it is never
+// listed or read half-retired, then every shard is asked to retire its copy
+// and the failures are joined.
 func (q *Query) Close() error {
 	q.c.qmu.Lock()
 	delete(q.c.queries, q.id)
 	q.c.qmu.Unlock()
+	return q.retire()
+}
+
+func (q *Query) retire() error {
 	var errs []error
-	for _, sq := range q.qs {
-		if err := sq.Close(); err != nil {
-			errs = append(errs, err)
+	for i, m := range q.members {
+		if err := m.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
 		}
 	}
 	return errors.Join(errs...)

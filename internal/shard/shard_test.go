@@ -1,13 +1,14 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 	"testing"
 
 	eagr "repro"
 	"repro/internal/graph"
+	"repro/internal/shard/shardtest"
 	"repro/internal/workload"
 )
 
@@ -34,157 +35,78 @@ func TestOwnerIsStableAndBalanced(t *testing.T) {
 	}
 }
 
-// oracleSpecs is every query family the property test drives: each built-in
-// aggregate except topk~ (its bounded candidate list is admission-order
-// dependent, so sharded answers legitimately differ — see package doc),
-// tuple and time windows, a 2-hop member that merges into the first spec's
-// overlay family.
-var oracleSpecs = []eagr.QuerySpec{
-	{Aggregate: "sum", WindowTuples: 3},
-	{Aggregate: "sum", WindowTuples: 3, Hops: 2},
-	{Aggregate: "count", WindowTime: 40},
-	{Aggregate: "avg", WindowTuples: 2},
-	{Aggregate: "max", WindowTuples: 4},
-	{Aggregate: "min", WindowTime: 60},
-	{Aggregate: "stddev", WindowTuples: 4},
-	{Aggregate: "topk(3)", WindowTuples: 5},
-	{Aggregate: "distinct", WindowTime: 50},
-	{Aggregate: "distinct~", WindowTime: 30},
-	// Topology-valued aggregates: structural replication must make these
-	// exact on every shard individually (checked in compareAll), not just
-	// on the designated read shard.
-	{Aggregate: "density"},
-	{Aggregate: "triangles"},
-	{Aggregate: "wedges"},
-	{Aggregate: "ego-betweenness"},
-	{Aggregate: "ego-betweenness", WindowTime: 45},
+// coSystem is a Coordinator as the oracle harness drives it; Apply is the
+// Coordinator's own.
+type coSystem struct {
+	*Coordinator
+	qs []*Query
+}
+
+func (s *coSystem) Register(spec eagr.QuerySpec) (func(eagr.NodeID) (eagr.Result, error), error) {
+	q, err := s.Coordinator.Register(spec)
+	if err != nil {
+		return nil, err
+	}
+	s.qs = append(s.qs, q)
+	return q.Read, nil
 }
 
 // TestShardedMatchesOracle is the correctness spine of the scale-out layer:
-// 2- and 3-shard clusters fed random mixed batches (content, edge churn,
-// node churn, watermark-driven expiry) must answer every query at every
-// node exactly like a never-sharded single Session that saw the same
-// stream.
+// 2- and 3-shard fleets fed random mixed batches (content, edge churn, node
+// churn, watermark-driven expiry) must answer every query at every node
+// exactly like a never-sharded single Session that saw the same stream. One
+// harness, one Coordinator, both kinds of Shard: Sessions in this process
+// and shard servers across HTTP.
 func TestShardedMatchesOracle(t *testing.T) {
-	for _, shards := range []int{2, 3} {
-		for seed := int64(1); seed <= 5; seed++ {
-			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
-				t.Parallel()
-				runShardedOracle(t, shards, seed)
-			})
+	for _, transport := range []string{"local", "http"} {
+		for _, shards := range []int{2, 3} {
+			for seed := int64(1); seed <= 5; seed++ {
+				t.Run(fmt.Sprintf("%s/shards=%d/seed=%d", transport, shards, seed), func(t *testing.T) {
+					t.Parallel()
+					runShardedOracle(t, transport, shards, seed)
+				})
+			}
 		}
 	}
 }
 
-func runShardedOracle(t *testing.T, shards int, seed int64) {
-	g := workload.SocialGraph(48, 4, seed)
-	oracle, err := eagr.Open(g.Clone(), eagr.Options{Iterations: 6})
-	if err != nil {
-		t.Fatal(err)
+func runShardedOracle(t *testing.T, transport string, shards int, seed int64) {
+	g := func() *graph.Graph { return workload.SocialGraph(48, 4, seed) }
+	opts := eagr.Options{Iterations: 6}
+	if transport == "http" {
+		members := make([]Shard, shards)
+		for i, srv := range shardtest.HTTPShards(t, shards, g, opts, nil) {
+			members[i] = NewHTTPShard(srv.URL)
+		}
+		shardtest.Run(t, g(), &coSystem{Coordinator: NewCoordinator(members, nil)}, shardtest.Specs, seed, 24, nil)
+		return
 	}
-	cluster, err := Open(g, Options{Shards: shards, Session: eagr.Options{Iterations: 6}})
+	cluster, err := Open(g(), Options{Shards: shards, Session: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-
-	var oqs []*eagr.Query
-	var cqs []*Query
-	for _, spec := range oracleSpecs {
-		oq, err := oracle.Register(spec)
-		if err != nil {
-			t.Fatalf("oracle %+v: %v", spec, err)
-		}
-		cq, err := cluster.Register(spec)
-		if err != nil {
-			t.Fatalf("cluster %+v: %v", spec, err)
-		}
-		oqs = append(oqs, oq)
-		cqs = append(cqs, cq)
-	}
-
-	rng := rand.New(rand.NewSource(seed * 1013))
-	alive := oracle.Graph().Nodes()
-	ts := int64(1)
-	for batch := 0; batch < 24; batch++ {
-		n := 30 + rng.Intn(41)
-		events := make([]eagr.Event, 0, n)
-		for i := 0; i < n; i++ {
-			ts += int64(rng.Intn(3))
-			pick := func() eagr.NodeID { return alive[rng.Intn(len(alive))] }
-			switch p := rng.Float64(); {
-			case p < 0.65 || len(alive) < 8:
-				events = append(events, eagr.NewWrite(pick(), int64(rng.Intn(15)-4), ts))
-			case p < 0.75:
-				// May duplicate an existing edge; both sides skip it.
-				events = append(events, eagr.NewEdgeAdd(pick(), pick(), ts))
-			case p < 0.85:
-				// May miss; both sides skip it.
-				events = append(events, eagr.NewEdgeRemove(pick(), pick(), ts))
-			case p < 0.93:
-				events = append(events, eagr.NewNodeAdd(ts))
-			default:
-				// Drop the victim from the generator's alive view right
-				// away so no later event in this run addresses it.
-				victim := rng.Intn(len(alive))
-				events = append(events, eagr.NewNodeRemove(alive[victim], ts))
-				alive = slices.Delete(alive, victim, victim+1)
+	sys := &coSystem{Coordinator: cluster.Coordinator}
+	var oracle *eagr.Session
+	shardtest.Run(t, g(), sys, shardtest.Specs, seed, 24, func(o *eagr.Session, oqs []*eagr.Query) {
+		oracle = o
+		// Topology-valued: every shard individually must hold the exact
+		// value, since structure (the only input) is fully replicated.
+		for qi, cq := range sys.qs {
+			for v := 0; cq.Topo() && v < o.Graph().MaxID(); v++ {
+				want, werr := oqs[qi].Read(eagr.NodeID(v))
+				for si := range shards {
+					got, gerr := cq.ShardQuery(si).Read(eagr.NodeID(v))
+					if (werr != nil) != (gerr != nil) || werr == nil && !want.Eq(got) {
+						t.Fatalf("query %+v, node %d, shard %d: oracle %+v (%v), shard %+v (%v)",
+							oqs[qi].Spec(), v, si, want, werr, got, gerr)
+					}
+				}
 			}
 		}
-		if err := cluster.SendBatch(events); err != nil {
-			t.Fatalf("batch %d: send: %v", batch, err)
-		}
-		// Flush errors carry per-event skip errors (duplicate edges etc.);
-		// the oracle's ApplyBatch joins the same ones, so neither is fatal.
-		_ = cluster.Flush()
-		added, _ := oracle.ApplyBatchNodes(events)
-		alive = append(alive, added...)
-		if wm, ok := cluster.Watermark(); ok {
-			oracle.ExpireAll(wm)
-		}
-		if batch%6 == 5 || batch == 23 {
-			compareAll(t, batch, oracle, oqs, cqs)
-		}
-	}
-	for i := range cluster.shards {
+	})
+	for i := range shards {
 		assertSameGraph(t, oracle.Graph(), cluster.Shard(i).Graph(), i)
-	}
-}
-
-// compareAll reads every query at every node id ever allocated on both
-// sides; errors (reads on removed nodes) must agree too.
-func compareAll(t *testing.T, batch int, oracle *eagr.Session, oqs []*eagr.Query, cqs []*Query) {
-	t.Helper()
-	maxID := oracle.Graph().MaxID()
-	for qi := range oqs {
-		for v := 0; v < maxID; v++ {
-			want, werr := oqs[qi].Read(eagr.NodeID(v))
-			got, gerr := cqs[qi].Read(eagr.NodeID(v))
-			if (werr != nil) != (gerr != nil) {
-				t.Fatalf("batch %d, query %+v, node %d: oracle err %v, cluster err %v",
-					batch, oqs[qi].Spec(), v, werr, gerr)
-			}
-			if werr == nil && !want.Eq(got) {
-				t.Fatalf("batch %d, query %+v, node %d: oracle %+v, cluster %+v",
-					batch, oqs[qi].Spec(), v, want, got)
-			}
-			if !cqs[qi].topo {
-				continue
-			}
-			// Topology-valued: every shard individually must hold the exact
-			// value, since structure (the only input) is fully replicated.
-			for si := range cqs[qi].qs {
-				sgot, sgerr := cqs[qi].ShardQuery(si).Read(eagr.NodeID(v))
-				if (werr != nil) != (sgerr != nil) {
-					t.Fatalf("batch %d, query %+v, node %d, shard %d: oracle err %v, shard err %v",
-						batch, oqs[qi].Spec(), v, si, werr, sgerr)
-				}
-				if werr == nil && !want.Eq(sgot) {
-					t.Fatalf("batch %d, query %+v, node %d, shard %d: oracle %+v, shard %+v",
-						batch, oqs[qi].Spec(), v, si, want, sgot)
-				}
-			}
-		}
 	}
 }
 
@@ -216,62 +138,50 @@ func assertSameGraph(t *testing.T, want, got *graph.Graph, shard int) {
 	}
 }
 
+// ownedBy returns a node of a 32-node graph that each of n shards owns.
+func ownedBy(n int) []eagr.NodeID {
+	owned := make([]eagr.NodeID, n)
+	for v := 31; v >= 0; v-- {
+		owned[Owner(graph.NodeID(v), n)] = graph.NodeID(v)
+	}
+	return owned
+}
+
 // TestClusterWatermarkIsMin pins the coordinator time contract: the
 // cluster watermark is the minimum over shards that have applied events,
 // and absent until at least one shard has.
 func TestClusterWatermarkIsMin(t *testing.T) {
-	g := workload.SocialGraph(32, 3, 1)
-	cluster, err := Open(g, Options{Shards: 2})
+	cluster, err := Open(workload.SocialGraph(32, 3, 1), Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	if _, ok := cluster.Watermark(); ok {
-		t.Fatal("watermark reported before any event applied")
+	if wm, err := cluster.Apply(nil); err != nil || wm != nil {
+		t.Fatalf("watermark before any event applied = (%v, %v)", wm, err)
 	}
-	// Find one node owned by each shard so both watermarks advance, to
+	// One node owned by each shard, so both watermarks advance, to
 	// different maxima.
-	var owned [2]eagr.NodeID
-	var found [2]bool
-	for v := 0; v < 32 && !(found[0] && found[1]); v++ {
-		s := Owner(graph.NodeID(v), 2)
-		if !found[s] {
-			owned[s], found[s] = graph.NodeID(v), true
-		}
+	owned := ownedBy(2)
+	wm, err := cluster.Apply([]eagr.Event{eagr.NewWrite(owned[0], 1, 100)})
+	if err != nil || wm == nil || *wm != 100 {
+		t.Fatalf("one-shard watermark = (%v, %v), want 100", wm, err)
 	}
-	if err := cluster.Send(eagr.NewWrite(owned[0], 1, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	wm, ok := cluster.Watermark()
-	if !ok || wm != 100 {
-		t.Fatalf("one-shard watermark = (%d,%v), want (100,true)", wm, ok)
-	}
-	if err := cluster.Send(eagr.NewWrite(owned[1], 1, 40)); err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	wm, ok = cluster.Watermark()
-	if !ok || wm != 40 {
-		t.Fatalf("two-shard watermark = (%d,%v), want min (40,true)", wm, ok)
+	wm, err = cluster.Apply([]eagr.Event{eagr.NewWrite(owned[1], 1, 40)})
+	if err != nil || wm == nil || *wm != 40 {
+		t.Fatalf("two-shard watermark = (%v, %v), want min 40", wm, err)
 	}
 }
 
 // TestClusterRoutesContentToOwner checks the partitioner is actually used:
 // a content write lands only on its owner's shard.
 func TestClusterRoutesContentToOwner(t *testing.T) {
-	g := workload.SocialGraph(32, 3, 1)
-	cluster, err := Open(g, Options{Shards: 3})
+	cluster, err := Open(workload.SocialGraph(32, 3, 1), Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
 	v := eagr.NodeID(5)
-	if err := cluster.Send(eagr.NewWrite(v, 7, 10)); err != nil {
+	if err := cluster.SendBatch([]eagr.Event{eagr.NewWrite(v, 7, 10)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cluster.Flush(); err != nil {
@@ -285,5 +195,180 @@ func TestClusterRoutesContentToOwner(t *testing.T) {
 		if st.Applied != want {
 			t.Fatalf("shard %d applied %d events, want %d", i, st.Applied, want)
 		}
+	}
+}
+
+var errInjected = errors.New("injected shard failure")
+
+// faulty is a Shard that fails the operations it is told to.
+type faulty struct {
+	Shard
+	register, apply, mutate, retire bool
+}
+
+func (f *faulty) Apply(events []eagr.Event) (*int64, error) {
+	if f.apply {
+		return nil, errInjected
+	}
+	return f.Shard.Apply(events)
+}
+
+func (f *faulty) Mutate(ev eagr.Event) (graph.NodeID, error) {
+	if f.mutate {
+		return 0, errInjected
+	}
+	return f.Shard.Mutate(ev)
+}
+
+func (f *faulty) Register(spec eagr.QuerySpec, opts ...eagr.Options) (Member, error) {
+	if f.register {
+		return nil, errInjected
+	}
+	m, err := f.Shard.Register(spec, opts...)
+	return faultyMember{m, f}, err
+}
+
+type faultyMember struct {
+	Member
+	f *faulty
+}
+
+func (m faultyMember) Close() error {
+	if m.f.retire {
+		return errInjected
+	}
+	return m.Member.Close()
+}
+
+// faultyFleet is a 3-shard coordinator, stamping with stream time, whose
+// shard 1 is faulty.
+func faultyFleet(t *testing.T) (*Coordinator, *faulty, *Cluster) {
+	t.Helper()
+	cluster, err := Open(workload.SocialGraph(32, 3, 1), Options{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cluster.Close() })
+	f := &faulty{Shard: cluster.local[1]}
+	return NewCoordinator([]Shard{cluster.local[0], f, cluster.local[2]}, nil), f, cluster
+}
+
+// TestRetireAttemptsEveryShard: a retire that fails on shard 1 of 3 still
+// forgets the query, retires it on shards 0 and 2, and names shard 1.
+func TestRetireAttemptsEveryShard(t *testing.T) {
+	co, f, cluster := faultyFleet(t)
+	q, err := co.Register(eagr.QuerySpec{Aggregate: "sum"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.retire = true
+	err = q.Close()
+	if !errors.Is(err, errInjected) || err.Error() != "shard 1: "+errInjected.Error() {
+		t.Fatalf("Close = %v, want shard 1's failure alone", err)
+	}
+	if co.Query(q.ID()) != nil || len(co.Queries()) != 0 {
+		t.Fatal("query still listed after a failed retire")
+	}
+	for i, want := range []int{0, 1, 0} {
+		if got := len(cluster.Shard(i).Queries()); got != want {
+			t.Fatalf("shard %d holds %d queries after retire, want %d", i, got, want)
+		}
+	}
+}
+
+// TestRegisterIsAllOrNone: a registration shard 1 refuses leaves no copy
+// behind on shard 0, which had already accepted it.
+func TestRegisterIsAllOrNone(t *testing.T) {
+	co, f, cluster := faultyFleet(t)
+	f.register = true
+	if _, err := co.Register(eagr.QuerySpec{Aggregate: "sum"}); !errors.Is(err, errInjected) {
+		t.Fatalf("Register = %v, want shard 1's failure", err)
+	}
+	for i := range 3 {
+		if got := len(cluster.Shard(i).Queries()); got != 0 {
+			t.Fatalf("shard %d holds %d queries after a refused register", i, got)
+		}
+	}
+	if len(co.Queries()) != 0 {
+		t.Fatal("refused query listed")
+	}
+}
+
+// TestDivergedFleetFailsReads: a structural fan-out that applies on some
+// shards and fails on another leaves replicas that disagree; from then on
+// reads fail with ErrDiverged instead of merging them. A fan-out that fails
+// everywhere, or carries only content, diverges nothing.
+func TestDivergedFleetFailsReads(t *testing.T) {
+	for _, via := range []string{"apply", "mutate"} {
+		t.Run(via, func(t *testing.T) {
+			co, f, _ := faultyFleet(t)
+			q, err := co.Register(eagr.QuerySpec{Aggregate: "sum"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			owned := ownedBy(3)
+			f.apply, f.mutate = true, true
+			if _, err := co.Apply([]eagr.Event{eagr.NewWrite(owned[1], 1, 5)}); !errors.Is(err, errInjected) {
+				t.Fatalf("content apply on the failing shard = %v", err)
+			}
+			if d := co.Diverged(); d != nil {
+				t.Fatalf("content-only failure recorded a divergence: %v", d)
+			}
+			if _, err := q.Read(owned[0]); err != nil {
+				t.Fatalf("read before divergence: %v", err)
+			}
+			if via == "apply" {
+				_, err = co.Apply([]eagr.Event{eagr.NewWrite(owned[0], 1, 6), eagr.NewNodeAdd(6)})
+			} else {
+				_, err = co.Mutate(eagr.NewNodeAdd(0))
+			}
+			if !errors.Is(err, errInjected) {
+				t.Fatalf("structural %s with shard 1 failing = %v", via, err)
+			}
+			d := co.Diverged()
+			if d == nil || d.Shard != 1 || !errors.Is(d.Err, errInjected) {
+				t.Fatalf("Diverged() = %+v, want shard 1's injected failure", d)
+			}
+			if _, err := q.Read(owned[0]); !errors.Is(err, ErrDiverged) {
+				t.Fatalf("read on a diverged fleet = %v, want ErrDiverged", err)
+			}
+		})
+	}
+}
+
+// TestStreamTimeIgnoresFailedApply: stream time is what timestamp-less
+// events are stamped with, so a far-future timestamp in an Apply a shard
+// refused must not move it.
+func TestStreamTimeIgnoresFailedApply(t *testing.T) {
+	co, f, cluster := faultyFleet(t)
+	q, err := co.Register(eagr.QuerySpec{Aggregate: "sum", WindowTime: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A writer shard 0 owns, and a reader whose ego network holds it.
+	g := cluster.Shard(0).Graph()
+	var writer, reader eagr.NodeID
+	for _, v := range g.Nodes() {
+		if Owner(v, 3) == 0 && len(g.Out(v)) > 0 {
+			writer, reader = v, g.Out(v)[0]
+		}
+	}
+	if _, err := co.Apply([]eagr.Event{eagr.NewWrite(writer, 1, 100)}); err != nil {
+		t.Fatal(err)
+	}
+	f.apply = true
+	if _, err := co.Apply([]eagr.Event{eagr.NewWrite(ownedBy(3)[1], 1, 9e18)}); !errors.Is(err, errInjected) {
+		t.Fatalf("apply on the failing shard = %v", err)
+	}
+	if got := co.StreamTime(); got != 100 {
+		t.Fatalf("stream time after a refused apply = %d, want 100", got)
+	}
+	f.apply = false
+	wm, err := co.Apply([]eagr.Event{{Kind: graph.ContentWrite, Node: writer, Value: 7}})
+	if err != nil || wm == nil || *wm != 100 {
+		t.Fatalf("ts-less write: watermark (%v, %v), want 100: it was stamped into the future", wm, err)
+	}
+	if res, err := q.Read(reader); err != nil || !res.Valid || res.Scalar != 8 {
+		t.Fatalf("windowed read = (%+v, %v), want both writes in the window (8)", res, err)
 	}
 }
