@@ -175,18 +175,16 @@ func entryPoints() []entryPoint {
 			}
 		}})
 	}
-	for _, workers := range []int{1, 3} {
-		eps = append(eps, entryPoint{fmt.Sprintf("Ingestor/workers=%d", workers), func(t *testing.T, s *Session, events []Event) {
-			ing, err := s.Ingest(IngestOptions{BatchSize: 32, QueueDepth: 4, FlushInterval: -1, ApplyWorkers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n, err := ing.SendEvents(events); err != nil || n != len(events) {
-				t.Fatalf("SendEvents = %d, %v", n, err)
-			}
-			_ = ing.Close() // surfaces the stream's deliberately-invalid events
-		}})
-	}
+	eps = append(eps, entryPoint{"Ingestor", func(t *testing.T, s *Session, events []Event) {
+		ing, err := s.Ingest(IngestOptions{BatchSize: 32, QueueDepth: 4, FlushInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := ing.SendEvents(events); err != nil || n != len(events) {
+			t.Fatalf("SendEvents = %d, %v", n, err)
+		}
+		_ = ing.Close() // surfaces the stream's deliberately-invalid events
+	}})
 	return eps
 }
 
@@ -301,10 +299,10 @@ func (m *bruteModel) check(t *testing.T, label string, qs []*Query) {
 // anchor: one seeded mixed content/structural stream driven through EVERY
 // public entry point — the single-event mutators, WriteBatch, ApplyBatch in
 // several chunkings (structural runs coalesced into one repair per query),
-// ApplyBatchNodes, and an Ingestor on the sequential worker and on the
-// apply pool — must leave every query reading exactly what a brute-force
-// recompute over the final graph and content predicts. The maintainable IOB
-// overlay keeps window state across repairs, so equality is exact.
+// ApplyBatchNodes, and an Ingestor — must leave every query reading
+// exactly what a brute-force recompute over the final graph and content
+// predicts. The maintainable IOB overlay keeps window state across repairs,
+// so equality is exact.
 func TestApplyBatchMatchesSequentialOracle(t *testing.T) {
 	const nodes = 48
 	for _, ep := range entryPoints() {

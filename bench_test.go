@@ -11,8 +11,8 @@ package eagr
 
 import (
 	"math/rand"
-	"runtime"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/agg"
@@ -373,9 +373,9 @@ func ingestorFixture(b *testing.B) (*Session, []Event) {
 }
 
 // BenchmarkOpIngestorThroughput measures the streaming handle end to end:
-// per-event cost of Send through the Ingestor's buffer, bounded queue and
-// background ApplyBatch worker (batch size 1024, watermark-driven expiry
-// on), including the final drain.
+// per-event cost of Send through the Ingestor's buffer and the ApplyBatch
+// the batch-filling send runs itself (batch size 1024, watermark-driven
+// expiry on), including the final Close.
 func BenchmarkOpIngestorThroughput(b *testing.B) {
 	sess, writes := ingestorFixture(b)
 	ing, err := sess.Ingest(IngestOptions{
@@ -401,12 +401,11 @@ func BenchmarkOpIngestorThroughput(b *testing.B) {
 	b.StopTimer()
 }
 
-// BenchmarkOpIngestorThroughputParallel measures the pipelined ingest
-// path: slabs of events through SendEvents into the sharded apply worker
-// pool (ApplyWorkers defaults to GOMAXPROCS, so `go test -cpu=1,2,4`
-// charts the scaling curve; at one proc the Ingestor degenerates to the
-// sequential worker, which is the same-semantics baseline the parallel
-// path must never fall behind).
+// BenchmarkOpIngestorThroughputParallel measures concurrent senders on
+// one Ingestor: every RunParallel goroutine hands 512-event slabs to
+// SendEvents, and whichever of them holds the apply token applies the
+// others' batches (`go test -cpu=1,2,4` charts what contention on the send
+// mutex and the token costs against the single-sender benchmark above).
 func BenchmarkOpIngestorThroughputParallel(b *testing.B) {
 	sess, writes := ingestorFixture(b)
 	ing, err := sess.Ingest(IngestOptions{
@@ -414,30 +413,30 @@ func BenchmarkOpIngestorThroughputParallel(b *testing.B) {
 		QueueDepth:    8,
 		FlushInterval: -1,
 		Clock:         LogicalClock(),
-		ApplyWorkers:  runtime.GOMAXPROCS(0),
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	const slab = 512
-	buf := make([]Event, 0, slab)
+	var next atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := writes[i%len(writes)]
-		buf = append(buf, NewWrite(ev.Node, ev.Value, int64(i+1)))
-		if len(buf) == slab {
+	b.RunParallel(func(pb *testing.PB) {
+		buf := make([]Event, 0, slab)
+		send := func() {
 			if _, err := ing.SendEvents(buf); err != nil {
-				b.Fatal(err)
+				b.Error(err)
 			}
 			buf = buf[:0]
 		}
-	}
-	if len(buf) > 0 {
-		if _, err := ing.SendEvents(buf); err != nil {
-			b.Fatal(err)
+		for pb.Next() {
+			ev := writes[int(next.Add(1))%len(writes)]
+			if buf = append(buf, NewWrite(ev.Node, ev.Value, 0)); len(buf) == slab {
+				send()
+			}
 		}
-	}
+		send()
+	})
 	if err := ing.Close(); err != nil {
 		b.Fatal(err)
 	}

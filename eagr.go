@@ -42,11 +42,11 @@
 //	ing.Flush()                                // synchronize when needed
 //
 // Batches auto-flush by size and interval; consecutive content writes
-// apply with one coalesced notification per touched reader (in parallel
-// across the Ingestor's node-partitioned apply pool on multi-core hosts)
-// while consecutive structural events coalesce into one overlay repair per
-// query (Session.ApplyBatch is the same unified path for caller-assembled
-// batches, applied on the caller's goroutine). The Ingestor's low watermark
+// apply with one coalesced notification per touched reader per batch, on
+// the goroutine whose send filled the batch (no apply goroutine to hand
+// off to), while consecutive structural events coalesce into one overlay
+// repair per query (Session.ApplyBatch is the same unified path for
+// caller-assembled batches). The Ingestor's low watermark
 // — max observed timestamp minus the configured lateness — expires
 // time-based windows automatically, so time-windowed queries advance with
 // the stream instead of with hand-threaded ExpireAll calls.
@@ -715,9 +715,10 @@ func (s *Session) apply(events []Event) ([]NodeID, error) {
 // once); runs of consecutive structural events mutate the graph event by
 // event but coalesce into ONE overlay repair and engine republish per
 // query, so a burst of churn costs one repair rather than one per event.
-// ApplyBatch never spawns goroutines: multi-core content ingest is the
-// Ingestor's apply pool (IngestOptions.ApplyWorkers), or concurrent
-// callers — every mutator is safe to call from many goroutines.
+// ApplyBatch never spawns goroutines and neither does the Ingestor, whose
+// apply stage is this method called on whichever sender's goroutine hands
+// a batch over: multi-core content ingest is concurrent callers — every
+// mutator is safe to call from many goroutines.
 //
 // Events that cannot apply (adding an existing edge, removing a dead node)
 // are skipped with their errors joined into the returned error; the rest

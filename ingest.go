@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,16 +65,17 @@ const (
 // IngestOptions tune an Ingestor; the zero value picks sensible defaults.
 type IngestOptions struct {
 	// BatchSize is the number of buffered events that triggers an
-	// automatic flush into the apply queue (default 256).
+	// automatic hand-over of the batch to the apply stage (default 256).
 	BatchSize int
-	// FlushInterval bounds how long a buffered event waits before a
-	// background flush hands it to the apply queue even when the batch is
-	// not full (default 50ms; negative disables interval flushing, so
-	// only BatchSize and explicit Flush/Close hand batches over).
+	// FlushInterval bounds how long a buffered event waits before the
+	// interval ticker hands it over even when the batch is not full
+	// (default 50ms; negative disables interval flushing, so only
+	// BatchSize and explicit Flush/Close hand batches over).
 	FlushInterval time.Duration
-	// QueueDepth bounds the number of flushed batches awaiting
-	// application (default 8). A full queue invokes the Backpressure
-	// policy.
+	// QueueDepth bounds the number of handed-over batches waiting behind
+	// the goroutine that is currently applying (default 8). A batch only
+	// ever queues while ANOTHER goroutine holds the apply token; a full
+	// queue invokes the Backpressure policy.
 	QueueDepth int
 	// Backpressure selects blocking (default) or fail-fast sends when the
 	// queue is full.
@@ -100,17 +100,12 @@ type IngestOptions struct {
 	// DisableAutoExpire turns off watermark-driven window expiry; the
 	// caller owns ExpireAll again.
 	DisableAutoExpire bool
-	// ApplyWorkers sizes the pipelined apply pool: dequeued batches are
-	// split into content runs partitioned across this many persistent
-	// workers by data-graph node (per-node — and therefore per-writer —
-	// order is preserved; writer slots are 1:1 with nodes in every
-	// compiled overlay), with structural runs acting as barriers, so one
-	// batch's apply overlaps the next batch's buffering AND the batch
-	// after's apply. 0 means GOMAXPROCS; 1 forces the sequential single
-	// worker. Durable sessions always use the sequential worker: the WAL
-	// append and the apply must stay under one lock so checkpoints never
-	// observe a half-applied batch (IngestorStats.ApplyWorkers reports the
-	// count actually in effect).
+	// ApplyWorkers is ignored.
+	//
+	// Deprecated: it sized a pool of apply goroutines that measured slower
+	// than applying on the handing-over goroutine (DESIGN.md §5, "Where
+	// parallelism lives"); batches now apply one at a time whatever is set
+	// here, and IngestorStats.ApplyWorkers is always 1.
 	ApplyWorkers int
 }
 
@@ -131,25 +126,27 @@ func (o IngestOptions) withDefaults() IngestOptions {
 	if o.Lateness < 0 {
 		o.Lateness = 0
 	}
-	if o.ApplyWorkers <= 0 {
-		o.ApplyWorkers = runtime.GOMAXPROCS(0)
-	}
 	return o
 }
 
 // Ingestor is a Session's streaming ingestion handle: a buffered,
 // batching, backpressured front-end to ApplyBatch that also makes time
-// first-class. Events accumulate into batches (flushed by size, by
-// interval, or explicitly) and a background apply stage applies them in
-// send order — content runs serially with coalesced notifications,
-// structural runs through the coalesced repair path. With ApplyWorkers >
-// 1 (the default on multi-core hosts, for non-durable sessions) the apply
-// stage is PIPELINED: successive batches' content runs overlap across a
-// node-partitioned worker pool while structural events fence — the one
-// place in the system where content writes go parallel — so ingest is not
-// bounded by one apply goroutine; per-node apply order, watermark
-// monotonicity and Flush/Close barriers are identical to the sequential
-// worker (see runPipelined).
+// first-class. Events accumulate into batches (handed over by size, by
+// interval, or explicitly) and the apply stage applies them in send order
+// through Session.ApplyBatch — content runs serially with coalesced
+// notifications (one Update per touched reader per run, so one per batch
+// of pure content), structural runs through the coalesced repair path.
+//
+// The apply stage is a token, not a goroutine (flat combining): whichever
+// goroutine hands a batch over while nobody is applying — the Send that
+// fills a batch, Flush, the interval tick, Close — takes the token and
+// applies the pending batches on its own goroutine until none is left. A
+// goroutine that finds the token taken queues its batch behind the applier
+// (bounded by QueueDepth, see Backpressure) and returns; a Flush in that
+// position waits for its batch to come out the other end. An
+// acknowledged batch from a lone producer therefore costs its ApplyBatch
+// and nothing else — no goroutine hand-off, no cross-core traffic on the
+// engine's state — and durable and in-memory sessions run the same loop.
 //
 // The Ingestor tracks a low watermark over applied timestamps: the maximum
 // timestamp seen minus the configured Lateness. Every time the watermark
@@ -159,14 +156,16 @@ func (o IngestOptions) withDefaults() IngestOptions {
 //
 // All methods are safe for concurrent use. Events from one goroutine are
 // applied in the order it sent them; ordering between goroutines follows
-// their interleaving at Send.
+// their interleaving at Send (a SendEvents slab may be interleaved with
+// other senders' events at the points where it applies a batch itself).
 type Ingestor struct {
 	sess  *Session
 	opts  IngestOptions
 	clock Clock
 
-	// mu guards buf, maxSent and closed; it is held across a blocking
-	// enqueue so batches enter the queue in send order.
+	// mu guards buf, maxSent and closed. It is held across a hand-over
+	// that waits for queue space, so batches enter the queue in send
+	// order, and never across an apply.
 	mu     sync.Mutex
 	buf    []Event
 	closed bool
@@ -174,14 +173,18 @@ type Ingestor struct {
 	// the first event), the reference point for MaxTimestampJump.
 	maxSent int64
 
-	queue    chan ingestJob
-	done     chan struct{} // closed when the worker exits
+	// qmu guards the apply stage (lock order: mu, then qmu): a FIFO ring
+	// of handed-over batches and the apply token. A non-empty queue
+	// implies the token is held.
+	qmu         sync.Mutex
+	space       sync.Cond // signalled per dequeued batch
+	queue       []ingestJob
+	qhead, qlen int
+	applying    bool
+
 	stopTick chan struct{}
 
 	bufPool sync.Pool
-	// chunkPool recycles the pipelined path's per-worker content
-	// partitions (see runPipelined).
-	chunkPool sync.Pool
 
 	maxTS     atomic.Int64 // max applied timestamp; MinInt64 until one applies
 	watermark atomic.Int64
@@ -189,42 +192,35 @@ type Ingestor struct {
 	applied   atomic.Int64
 	batches   atomic.Int64
 	rejected  atomic.Int64
-	depth     atomic.Int64
 	// buffered mirrors len(buf) so Stats never takes ing.mu — a sender
-	// blocked in a backpressured enqueue holds the mutex, and stats must
-	// stay readable exactly then (that's when operators look).
+	// blocked on a full queue holds it, and stats must stay readable
+	// exactly then (that's when operators look).
 	buffered atomic.Int64
 
 	errMu   sync.Mutex
 	pending []error
 }
 
-// ingestJob is one queued batch; done, when non-nil, receives the apply
-// error (a Flush/Close synchronization point).
+// ingestJob is one handed-over batch; done, when non-nil, receives the
+// apply error (a Flush/Close synchronization point).
 type ingestJob struct {
 	events []Event
 	done   chan error
 }
 
 // Ingest returns a streaming ingestion handle on the session. Close it to
-// flush and release the background worker; a Session may host any number
-// of concurrent Ingestors (their batches interleave at the queue).
+// flush and stop the interval ticker; a Session may host any number of
+// concurrent Ingestors (their batches interleave at ApplyBatch).
 func (s *Session) Ingest(opts IngestOptions) (*Ingestor, error) {
 	o := opts.withDefaults()
-	if s.dur != nil {
-		// Durable sessions keep the sequential worker — their WAL append
-		// and apply share one critical section (see Session.apply), which
-		// an asynchronous apply would break. Stats reports the downgrade.
-		o.ApplyWorkers = 1
-	}
 	ing := &Ingestor{
 		sess:     s,
 		opts:     o,
 		clock:    o.Clock,
-		queue:    make(chan ingestJob, o.QueueDepth),
-		done:     make(chan struct{}),
+		queue:    make([]ingestJob, o.QueueDepth),
 		stopTick: make(chan struct{}),
 	}
+	ing.space.L = &ing.qmu
 	ing.bufPool.New = func() any {
 		s := make([]Event, 0, o.BatchSize)
 		return &s
@@ -244,13 +240,6 @@ func (s *Session) Ingest(opts IngestOptions) (*Ingestor, error) {
 		if wm := d.lastExpire.Load(); wm != math.MinInt64 {
 			ing.watermark.Store(wm)
 		}
-	}
-	if w := o.ApplyWorkers; w > 1 {
-		// Pipelined apply: content runs fan out across a persistent
-		// worker pool and successive batches overlap.
-		go ing.runPipelined(w)
-	} else {
-		go ing.run()
 	}
 	if o.FlushInterval > 0 {
 		go ing.tick()
@@ -273,7 +262,9 @@ func (ing *Ingestor) Send(v NodeID, value int64) error {
 // SendEvent ingests one event of the combined stream — content or
 // structural (see NewWrite, NewEdgeAdd, NewNodeRemove, …). A zero
 // timestamp is stamped by the Ingestor's Clock. The event is buffered;
-// it applies when the batch flushes (by size, interval, Flush, or Close).
+// it applies when the batch is handed over (by size, interval, Flush, or
+// Close) — on this goroutine, before SendEvent returns, when this event
+// fills the batch and nobody else is applying.
 //
 // NodeAdd events allocate their node id at apply time, which an
 // asynchronous stream cannot return; a producer that must address the
@@ -282,28 +273,33 @@ func (ing *Ingestor) Send(v NodeID, value int64) error {
 // the returned id.
 func (ing *Ingestor) SendEvent(ev Event) error {
 	ing.mu.Lock()
-	defer ing.mu.Unlock()
-	if ing.closed {
-		return ErrIngestorClosed
+	drain, err := ing.sendLocked(ev)
+	ing.mu.Unlock()
+	if drain {
+		ing.drain()
 	}
-	return ing.sendLocked(ev)
+	return err
 }
 
-// SendEvents ingests a slice of events in order under ONE mutex
-// acquisition — the batch-parse fast path (the HTTP /ingest handler decodes
-// a request body into event slabs and hands them over whole). It returns
-// the number of events accepted: on error, events before that index were
-// accepted and will apply, the event AT that index was rejected, and no
-// later event was examined — exactly the state a SendEvent loop stopping
-// at the first failure would leave. The caller keeps ownership of evs.
+// SendEvents ingests a slice of events in order — the batch-parse fast
+// path (the HTTP /ingest handler decodes a request body into event slabs
+// and hands them over whole). The mutex is taken once and released only
+// around the applies this call performs itself. It returns the number of
+// events accepted: on error, events before that index were accepted and
+// will apply, the event AT that index was rejected, and no later event was
+// examined — exactly the state a SendEvent loop stopping at the first
+// failure would leave. The caller keeps ownership of evs.
 func (ing *Ingestor) SendEvents(evs []Event) (int, error) {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
-	if ing.closed {
-		return 0, ErrIngestorClosed
-	}
 	for i, ev := range evs {
-		if err := ing.sendLocked(ev); err != nil {
+		drain, err := ing.sendLocked(ev)
+		if drain {
+			ing.mu.Unlock()
+			ing.drain()
+			ing.mu.Lock()
+		}
+		if err != nil {
 			return i, err
 		}
 	}
@@ -312,8 +308,12 @@ func (ing *Ingestor) SendEvents(evs []Event) (int, error) {
 
 // sendLocked is the accept path shared by SendEvent and SendEvents:
 // stamping, the MaxTimestampJump guard, buffering and size-triggered
-// flushes, all under ing.mu.
-func (ing *Ingestor) sendLocked(ev Event) error {
+// hand-overs, all under ing.mu. drain reports that a hand-over took the
+// apply token: the caller must release ing.mu and call ing.drain.
+func (ing *Ingestor) sendLocked(ev Event) (drain bool, err error) {
+	if ing.closed {
+		return false, ErrIngestorClosed
+	}
 	if ev.TS == 0 {
 		// Stamp under the mutex: buffer order and timestamp order agree,
 		// so an Ingestor-clocked stream is in-order at the watermark even
@@ -324,18 +324,18 @@ func (ing *Ingestor) sendLocked(ev Event) error {
 		uint64(ev.TS-ing.maxSent) > uint64(jump) {
 		// The unsigned difference is exact even when it exceeds MaxInt64.
 		ing.rejected.Add(1)
-		return fmt.Errorf("%w: ts %d is %d ahead of %d (max jump %d)",
+		return false, fmt.Errorf("%w: ts %d is %d ahead of %d (max jump %d)",
 			ErrTimestampJump, ev.TS, uint64(ev.TS-ing.maxSent), ing.maxSent, jump)
 	}
+	block := ing.opts.Backpressure == BackpressureBlock
 	if len(ing.buf) >= ing.opts.BatchSize {
-		// A previous size-triggered flush could not enqueue (fail-fast
-		// policy, full queue): the buffer must drain before more events
+		// A previous size-triggered hand-over was refused (fail-fast
+		// policy only, full queue): the buffer must go before more events
 		// are accepted, or batches would grow unboundedly.
-		if err := ing.enqueueLocked(ingestJob{events: ing.buf}); err != nil {
+		if drain, err = ing.handOver(nil, block); err != nil {
 			ing.rejected.Add(1)
-			return err
+			return false, err
 		}
-		ing.buf = ing.getBuf()
 	}
 	ing.buf = append(ing.buf, ev)
 	ing.sent.Add(1)
@@ -347,129 +347,79 @@ func (ing *Ingestor) sendLocked(ev Event) error {
 	if len(ing.buf) >= ing.opts.BatchSize {
 		// The send that fills the batch hands it over, so an
 		// exactly-BatchSize tail never sits waiting for a further send
-		// (FlushInterval may be disabled). Blocking policy blocks here;
-		// fail-fast leaves a full buffer for the pre-append path above to
-		// reject against (the event itself was accepted).
-		if err := ing.enqueueLocked(ingestJob{events: ing.buf}); err == nil {
-			ing.buf = ing.getBuf()
-		}
+		// (FlushInterval may be disabled). Blocking policy waits for space
+		// here; fail-fast leaves a full buffer for the pre-append path
+		// above to reject against (the event itself was accepted).
+		d, _ := ing.handOver(nil, block)
+		drain = drain || d
 	}
 	ing.buffered.Store(int64(len(ing.buf)))
-	return nil
+	return drain, nil
 }
 
-// enqueueLocked hands a batch to the worker under ing.mu (so batches keep
-// send order), honoring the backpressure policy. The depth gauge is
-// raised BEFORE the send (and lowered on a fail-fast reject), so a
-// concurrent Stats never observes the worker's decrement first and reads
-// a negative depth.
-func (ing *Ingestor) enqueueLocked(job ingestJob) error {
-	ing.depth.Add(1)
-	if ing.opts.Backpressure == BackpressureError && job.done == nil {
-		select {
-		case ing.queue <- job:
-		default:
-			ing.depth.Add(-1)
-			return ErrBackpressure
+// handOver queues the buffered events as one batch behind the apply stage
+// and starts a fresh buffer, under ing.mu so batches keep send order. A
+// full queue means another goroutine holds the apply token and is
+// QueueDepth batches behind: wait selects blocking until it dequeues one
+// (the block policy, and every Flush/Close, which must hand their batch
+// over regardless of policy) or failing with ErrBackpressure, the buffer
+// left in place. drain reports that the token was free and is now the
+// caller's: it must release ing.mu and call ing.drain.
+func (ing *Ingestor) handOver(done chan error, wait bool) (drain bool, err error) {
+	ing.qmu.Lock()
+	for ing.qlen == len(ing.queue) {
+		if !wait {
+			ing.qmu.Unlock()
+			return false, ErrBackpressure
 		}
-	} else {
-		// Block policy — and every explicit Flush/Close sync point, which
-		// must hand its batch over regardless of policy.
-		ing.queue <- job
+		ing.space.Wait()
 	}
-	return nil
-}
-
-// Flush hands the current buffer to the worker, waits until everything
-// enqueued so far (this buffer included) has applied, and returns any
-// apply errors accumulated since the last Flush/Close. On an Ingestor
-// shared by several senders the drained errors are the ingestor's, not
-// the caller's: they may belong to batches carrying other senders'
-// events (batches mix whatever was buffered when they flushed).
-func (ing *Ingestor) Flush() error {
-	ing.mu.Lock()
-	if ing.closed {
-		ing.mu.Unlock()
-		return ErrIngestorClosed
-	}
-	buf := ing.buf
+	ing.queue[(ing.qhead+ing.qlen)%len(ing.queue)] = ingestJob{events: ing.buf, done: done}
+	ing.qlen++
+	drain = !ing.applying
+	ing.applying = true
+	ing.qmu.Unlock()
 	ing.buf = ing.getBuf()
 	ing.buffered.Store(0)
-	done := make(chan error, 1)
-	_ = ing.enqueueLocked(ingestJob{events: buf, done: done})
-	ing.mu.Unlock()
-	err := <-done
-	return errors.Join(append(ing.drainErrors(), err)...)
+	return drain, nil
 }
 
-// Close flushes the remaining buffer, waits for the worker to drain, and
-// releases it. Further sends fail with ErrIngestorClosed, as does a second
-// Close. The session and its queries stay open.
-func (ing *Ingestor) Close() error {
-	ing.mu.Lock()
-	if ing.closed {
-		ing.mu.Unlock()
-		return ErrIngestorClosed
-	}
-	ing.closed = true
-	var final chan error
-	if len(ing.buf) > 0 {
-		// The done channel forces enqueueLocked's blocking branch, so the
-		// final batch is handed over even under the fail-fast policy with
-		// a full queue — Close flushes, it never drops.
-		final = make(chan error, 1)
-		_ = ing.enqueueLocked(ingestJob{events: ing.buf, done: final})
-		ing.buf = nil
-	}
-	ing.buffered.Store(0)
-	close(ing.queue)
-	ing.mu.Unlock()
-	close(ing.stopTick)
-	<-ing.done
-	// Everything this Ingestor appended is applied now; force the tail to
-	// stable storage so a close-then-kill loses nothing even under the
-	// interval/off fsync policies.
-	if err := ing.sess.SyncWAL(); err != nil {
-		ing.recordError(err)
-	}
-	errs := ing.drainErrors()
-	if final != nil {
-		// The worker drained every job before exiting, so the final
-		// batch's apply error (if any) is already buffered here.
-		if err := <-final; err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// run is the sequential apply worker: one goroutine draining the batch
-// queue in order.
-func (ing *Ingestor) run() {
-	defer close(ing.done)
-	for job := range ing.queue {
-		ing.depth.Add(-1)
+// drain is the apply stage, run by the goroutine that took the token in
+// handOver, with ing.mu released: it applies queued batches in FIFO order
+// — its own and any that other goroutines hand over meanwhile — until the
+// queue is empty, then gives the token back. Emptiness is tested and the
+// token dropped under one hold of qmu, so a batch is never left queued
+// with nobody to apply it.
+func (ing *Ingestor) drain() {
+	ing.qmu.Lock()
+	for ing.qlen > 0 {
+		job := ing.queue[ing.qhead]
+		ing.qhead = (ing.qhead + 1) % len(ing.queue)
+		ing.qlen--
+		ing.space.Signal() // at most one waiter: they wait holding ing.mu
+		ing.qmu.Unlock()
 		var err error
 		if len(job.events) > 0 {
 			err = ing.sess.ApplyBatch(job.events)
 		}
 		ing.finish(job, err)
+		ing.qmu.Lock()
 	}
+	ing.applying = false
+	ing.qmu.Unlock()
 }
 
 // finish completes one applied batch, in queue order: count it, advance
 // the watermark, recycle its buffer, and hand the apply error to the
-// waiting Flush/Close (or keep it for the next one). Only one goroutine
-// calls it — the sequential worker, or the pipelined completer.
+// waiting Flush/Close (or keep it for the next one). Only the token
+// holder calls it.
 func (ing *Ingestor) finish(job ingestJob, err error) {
 	if len(job.events) > 0 {
 		ing.applied.Add(int64(len(job.events)))
 		ing.batches.Add(1)
 		ing.advanceWatermark(job.events)
 	}
-	if job.events != nil {
-		ing.putBuf(job.events) // empty Flush buffers recycle too
-	}
+	ing.putBuf(job.events) // empty Flush buffers recycle too
 	if job.done != nil {
 		job.done <- err
 	} else if err != nil {
@@ -477,168 +427,56 @@ func (ing *Ingestor) finish(job ingestJob, err error) {
 	}
 }
 
-// --- Pipelined apply (ApplyWorkers > 1, non-durable sessions) ---
-//
-// The sequential worker above applies one batch at a time: batch N+1 waits
-// in the queue while batch N runs through ApplyBatch. The pipelined path
-// keeps the queue/buffer stages untouched but splits the apply stage into
-// a dispatcher, a pool of persistent content workers, and a completer:
-//
-//	queue ──▶ dispatcher: split batch into runs
-//	            content run    → partition by node across W workers
-//	            structural run → FENCE (drain all workers), apply inline
-//	          workers: Session.WriteBatch(partition) — serial, order kept
-//	          completer: per batch IN ORDER — wait its chunks, advance
-//	                     watermark, signal Flush/Close, recycle buffers
-//
-// Stream semantics are preserved exactly: events on one node always hash
-// to the same worker and worker channels are FIFO, so per-node (and, as
-// writer slots are 1:1 with nodes, per-writer) order holds across
-// overlapping batches; structural fences drain every in-flight content
-// chunk before the graph mutates, reproducing ApplyBatch's run barriers;
-// and the completer advances the watermark in batch order, so expiry
-// timing is monotone just as under the sequential worker.
+// Flush hands the current buffer to the apply stage, waits until
+// everything handed over so far (this buffer included) has applied, and
+// returns any apply errors accumulated since the last Flush/Close. On an
+// Ingestor shared by several senders the drained errors are the
+// ingestor's, not the caller's: they may belong to batches carrying other
+// senders' events (batches mix whatever was buffered when they flushed).
+func (ing *Ingestor) Flush() error { return ing.barrier(false) }
 
-// pjob is one dequeued batch in flight through the pipeline: wg counts its
-// undone content chunks; errs collects structural apply errors (content
-// writes cannot fail — unknown nodes are absorbed, exactly as in
-// ApplyBatch). errs is written only by the dispatcher and read by the
-// completer after receiving pj on the jobs channel.
-type pjob struct {
-	job  ingestJob
-	wg   sync.WaitGroup
-	errs []error
-}
+// Close flushes the remaining buffer, waits until every batch has applied,
+// and stops the interval ticker. Further sends fail with
+// ErrIngestorClosed, as does a second Close. The session and its queries
+// stay open.
+func (ing *Ingestor) Close() error { return ing.barrier(true) }
 
-// pchunk is one worker's message: a content partition of some batch, or a
-// barrier the worker acknowledges once every earlier chunk on its channel
-// has applied.
-type pchunk struct {
-	events  []Event
-	job     *pjob
-	barrier *sync.WaitGroup
-}
-
-// runPipelined is the pipelined apply stage: dispatcher loop, worker pool
-// and completer replacing the single run() goroutine.
-func (ing *Ingestor) runPipelined(workers int) {
-	defer close(ing.done)
-	chans := make([]chan pchunk, workers)
-	var wpool sync.WaitGroup
-	for i := range chans {
-		chans[i] = make(chan pchunk, cap(ing.queue)+1)
-		wpool.Add(1)
-		go func(ch chan pchunk) {
-			defer wpool.Done()
-			for c := range ch {
-				if c.barrier != nil {
-					c.barrier.Done()
-					continue
-				}
-				// The same content apply every caller uses: serial per
-				// engine, subscription fan-out coalesced per chunk.
-				_ = ing.sess.WriteBatch(c.events)
-				ing.putChunk(c.events)
-				c.job.wg.Done()
-			}
-		}(chans[i])
+// barrier is Flush and Close: it hands the current buffer over whatever
+// the backpressure policy and waits for it to apply — on this goroutine if
+// the token was free, behind the current applier otherwise; the queue is
+// FIFO, so everything handed over earlier has applied by then. Close marks
+// the Ingestor closed under the same hold of ing.mu, so the batch it waits
+// for is the last one.
+func (ing *Ingestor) barrier(closing bool) error {
+	ing.mu.Lock()
+	if ing.closed {
+		ing.mu.Unlock()
+		return ErrIngestorClosed
 	}
-	jobs := make(chan *pjob, cap(ing.queue)+2)
-	var cwg sync.WaitGroup
-	cwg.Add(1)
-	go func() {
-		defer cwg.Done()
-		for pj := range jobs {
-			pj.wg.Wait()
-			ing.finish(pj.job, errors.Join(pj.errs...))
+	ing.closed = closing
+	done := make(chan error, 1)
+	drain, _ := ing.handOver(done, true)
+	ing.mu.Unlock()
+	if drain {
+		ing.drain()
+	}
+	err := <-done
+	if closing {
+		close(ing.stopTick)
+		// Everything this Ingestor appended is applied now; force the tail
+		// to stable storage so a close-then-kill loses nothing even under
+		// the interval/off fsync policies.
+		if serr := ing.sess.SyncWAL(); serr != nil {
+			ing.recordError(serr)
 		}
-	}()
-	fence := func() {
-		// Worker channels are FIFO: once every worker acknowledges the
-		// barrier, every content chunk dispatched before it has applied.
-		var b sync.WaitGroup
-		b.Add(workers)
-		for _, ch := range chans {
-			ch <- pchunk{barrier: &b}
-		}
-		b.Wait()
 	}
-	parts := make([][]Event, workers)
-	for job := range ing.queue {
-		ing.depth.Add(-1)
-		pj := &pjob{job: job}
-		events := job.events
-		for i := 0; i < len(events); {
-			j := i
-			if events[i].IsStructural() {
-				for j < len(events) && events[j].IsStructural() {
-					j++
-				}
-				// Structural events are fences: drain every in-flight
-				// content chunk — earlier batches' and this batch's — then
-				// mutate the graph inline, exactly where the event sits in
-				// the stream.
-				fence()
-				if err := ing.sess.ApplyBatch(events[i:j]); err != nil {
-					pj.errs = append(pj.errs, err)
-				}
-			} else {
-				for j < len(events) && !events[j].IsStructural() {
-					j++
-				}
-				ing.dispatchContent(pj, events[i:j], chans, parts)
-			}
-			i = j
-		}
-		jobs <- pj
-	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	wpool.Wait()
-	close(jobs)
-	cwg.Wait()
-}
-
-// dispatchContent splits a content run into per-worker partitions by node
-// id and hands each non-empty partition to its worker. Copying into pooled
-// chunk buffers (rather than subslicing the batch) lets the batch buffer
-// recycle as soon as the completer is done with its timestamps, while
-// chunks are still in flight.
-func (ing *Ingestor) dispatchContent(pj *pjob, run []Event, chans []chan pchunk, parts [][]Event) {
-	workers := len(parts)
-	for _, ev := range run {
-		p := int(uint64(ev.Node) % uint64(workers))
-		if parts[p] == nil {
-			parts[p] = ing.getChunk()
-		}
-		parts[p] = append(parts[p], ev)
-	}
-	for p, part := range parts {
-		if part == nil {
-			continue
-		}
-		parts[p] = nil
-		pj.wg.Add(1)
-		chans[p] <- pchunk{events: part, job: pj}
-	}
-}
-
-func (ing *Ingestor) getChunk() []Event {
-	if p, ok := ing.chunkPool.Get().(*[]Event); ok {
-		return (*p)[:0]
-	}
-	return make([]Event, 0, 256)
-}
-
-func (ing *Ingestor) putChunk(c []Event) {
-	c = c[:0]
-	ing.chunkPool.Put(&c)
+	return errors.Join(append(ing.drainErrors(), err)...)
 }
 
 // tick is the interval flusher: a partial buffer never waits longer than
-// FlushInterval for the next size-triggered flush. A full queue skips the
-// tick (the next send or tick retries) so the flusher never stalls.
+// FlushInterval for the next size-triggered hand-over. It is the one
+// goroutine an Ingestor owns. A full queue skips the tick (the next send
+// or tick retries) so the flusher never stalls.
 func (ing *Ingestor) tick() {
 	t := time.NewTicker(ing.opts.FlushInterval)
 	defer t.Stop()
@@ -648,26 +486,22 @@ func (ing *Ingestor) tick() {
 			return
 		case <-t.C:
 			ing.mu.Lock()
+			drain := false
 			if !ing.closed && len(ing.buf) > 0 {
-				ing.depth.Add(1) // raised before the send; see enqueueLocked
-				select {
-				case ing.queue <- ingestJob{events: ing.buf}:
-					ing.buf = ing.getBuf()
-					ing.buffered.Store(0)
-				default:
-					ing.depth.Add(-1)
-				}
+				drain, _ = ing.handOver(nil, false)
 			}
 			ing.mu.Unlock()
+			if drain {
+				ing.drain()
+			}
 		}
 	}
 }
 
 // advanceWatermark folds a batch's timestamps into the max-observed
 // timestamp and, when the bounded-lateness watermark advanced, expires
-// time-based windows up to it. Only one goroutine calls it — the
-// sequential apply worker, or the pipelined completer (which processes
-// batches in queue order) — so the advance is monotone.
+// time-based windows up to it. Only the token holder calls it (through
+// finish), batch by batch in queue order, so the advance is monotone.
 func (ing *Ingestor) advanceWatermark(events []Event) {
 	maxTS := ing.maxTS.Load()
 	for _, ev := range events {
@@ -741,18 +575,16 @@ type IngestorStats struct {
 	// Rejected counts sends refused with a typed error — ErrBackpressure
 	// (full queue under the fail-fast policy) or ErrTimestampJump.
 	Rejected int64
-	// QueueDepth is the number of flushed batches awaiting application;
-	// Buffered the events not yet flushed into a batch.
+	// QueueDepth is the number of handed-over batches waiting behind the
+	// one being applied; Buffered the events not yet handed over.
 	QueueDepth int
 	Buffered   int
 	// Watermark is the current low watermark; WatermarkValid is false
 	// until the first event applies.
 	Watermark      int64
 	WatermarkValid bool
-	// ApplyWorkers is the EFFECTIVE size of the apply stage: the resolved
-	// IngestOptions.ApplyWorkers, except that a durable session always
-	// reports 1 (its batches apply on the sequential worker whatever was
-	// asked for).
+	// ApplyWorkers is always 1: batches apply one at a time, on whichever
+	// goroutine holds the apply token.
 	ApplyWorkers int
 }
 
@@ -761,15 +593,18 @@ type IngestorStats struct {
 // backpressure — exactly when an operator wants to look.
 func (ing *Ingestor) Stats() IngestorStats {
 	wm, ok := ing.Watermark()
+	ing.qmu.Lock()
+	depth := ing.qlen
+	ing.qmu.Unlock()
 	return IngestorStats{
 		Sent:           ing.sent.Load(),
 		Applied:        ing.applied.Load(),
 		Batches:        ing.batches.Load(),
 		Rejected:       ing.rejected.Load(),
-		QueueDepth:     int(ing.depth.Load()),
+		QueueDepth:     depth,
 		Buffered:       int(ing.buffered.Load()),
 		Watermark:      wm,
 		WatermarkValid: ok,
-		ApplyWorkers:   ing.opts.ApplyWorkers,
+		ApplyWorkers:   1,
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,10 +151,12 @@ func TestIngestorExpiryDrivesContinuousSubscription(t *testing.T) {
 	}
 }
 
-// TestIngestorBackpressureTyped exercises the fail-fast policy: with a
-// depth-1 queue, batch size 1 and slow (structural) batches, a burst of
-// sends must surface ErrBackpressure, and everything accepted must still
-// apply.
+// TestIngestorBackpressureTyped exercises the fail-fast policy with a
+// depth-1 queue and batch size 1. ErrBackpressure means "the queue is full
+// while ANOTHER goroutine is applying": a lone sender applies each batch it
+// fills before its Send returns and must never see it; a second sender
+// running into the first one's slow (structural) batches must; and
+// everything accepted must still apply.
 func TestIngestorBackpressureTyped(t *testing.T) {
 	const nodes = 400
 	sess, err := Open(workload.SocialGraph(nodes, 6, 1), Options{Algorithm: "iob"})
@@ -173,32 +176,69 @@ func TestIngestorBackpressureTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawBackpressure := false
-	accepted := 0
-	for i := 0; i < 5000 && !sawBackpressure; i++ {
-		u := NodeID(i % nodes)
-		v := NodeID((i*7 + 1) % nodes)
-		var err error
-		if sess.Graph().HasEdge(u, v) {
-			err = ing.SendEvent(NewEdgeRemove(u, v, 0))
-		} else {
-			err = ing.SendEvent(NewEdgeAdd(u, v, 0))
+	var accepted atomic.Int64
+	// toggle adds (even i) then removes (odd i) one edge per pair of calls:
+	// every call is a one-event structural batch, and no call has to look
+	// at the graph a concurrent applier may be mutating.
+	toggle := func(i int) error {
+		u, v := NodeID(i/2%nodes), NodeID((i/2*7+1)%nodes)
+		ev := NewEdgeAdd(u, v, 0)
+		if i%2 == 1 {
+			ev = NewEdgeRemove(u, v, 0)
 		}
-		switch {
+		err := ing.SendEvent(ev)
+		if err == nil {
+			accepted.Add(1)
+		}
+		return err
+	}
+	for i := 0; i < 500; i++ {
+		if err := toggle(i); err != nil {
+			t.Fatalf("lone sender, send %d: %v", i, err)
+		}
+	}
+	if st := ing.Stats(); st.Applied != 500 || st.Rejected != 0 || st.QueueDepth != 0 {
+		t.Fatalf("lone sender: stats %+v, want 500 applied on the sender's goroutine, none rejected or queued", st)
+	}
+
+	// A second sender: one goroutine keeps toggling edges (slow batches it
+	// mostly applies itself), this one bursts cheap writes into it.
+	stop := make(chan struct{})
+	var slow sync.WaitGroup
+	slow.Add(1)
+	go func() {
+		defer slow.Done()
+		for i := 500; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := toggle(i); err != nil && !errors.Is(err, ErrBackpressure) {
+				t.Errorf("structural sender: %v", err)
+				return
+			}
+		}
+	}()
+	sawBackpressure := false
+	for i := 0; i < 2_000_000 && !sawBackpressure; i++ {
+		switch err := ing.Send(NodeID(i%nodes), 1); {
 		case err == nil:
-			accepted++
+			accepted.Add(1)
 		case errors.Is(err, ErrBackpressure):
 			sawBackpressure = true
 		default:
 			t.Fatalf("unexpected send error: %v", err)
 		}
 	}
+	close(stop)
+	slow.Wait()
 	if !sawBackpressure {
-		t.Fatal("never observed ErrBackpressure with a depth-1 queue")
+		t.Fatal("never observed ErrBackpressure with a depth-1 queue and a concurrent slow sender")
 	}
 	_ = ing.Flush() // structural toggles may legitimately error; drain them
-	if st := ing.Stats(); st.Applied != int64(accepted) || st.Rejected == 0 {
-		t.Fatalf("stats = %+v, want applied == accepted (%d) and rejected > 0", st, accepted)
+	if st := ing.Stats(); st.Applied != accepted.Load() || st.Rejected == 0 {
+		t.Fatalf("stats = %+v, want applied == accepted (%d) and rejected > 0", st, accepted.Load())
 	}
 	if err := ing.Close(); err != nil && !errors.Is(err, ErrIngestorClosed) {
 		t.Fatal(err)

@@ -1,7 +1,5 @@
 package agg
 
-import "container/heap"
-
 // Max is the built-in MAX aggregate. It is duplicate-insensitive, so
 // overlays with multiple writer→reader paths (VNM_D) are legal. Incremental
 // maintenance uses a lazy-deletion priority queue over contributions, giving
@@ -34,25 +32,43 @@ func (Min) NewPAO() PAO { return &extremumPAO{max: false} }
 // extremum as one multiset element; Unmerge removes it. Raw values at writer
 // nodes are elements themselves. This supports windows and incremental
 // Replace in O(log k) amortized.
+//
+// Every value with positive multiplicity has at least one heap entry; the
+// heap may also hold stale entries (removed values, duplicates of a value
+// that left and came back), popped when they surface in top and swept by a
+// rebuild once they outnumber the live values two to one — so a PAO that
+// is written but never finalized stays O(distinct values), not O(writes).
 type extremumPAO struct {
 	max    bool
 	counts map[int64]int64 // multiset: value -> multiplicity
-	heap   int64Heap       // lazy: may contain stale values
+	heap   []int64         // binary heap, best value first; lazy, see above
 	size   int64           // total multiplicity
 }
 
 func (p *extremumPAO) init() {
 	if p.counts == nil {
 		p.counts = make(map[int64]int64)
-		p.heap = int64Heap{max: p.max}
 	}
 }
 
 func (p *extremumPAO) addElem(v int64) {
 	p.init()
-	p.counts[v]++
+	c := p.counts[v] + 1
 	p.size++
-	heap.Push(&p.heap, v)
+	if c == 0 {
+		delete(p.counts, v) // the addition a transient early removal was waiting for
+		return
+	}
+	p.counts[v] = c
+	if c != 1 {
+		return // already positive, so already in the heap
+	}
+	if len(p.heap) > 2*len(p.counts)+16 {
+		p.rebuild()
+		return
+	}
+	p.heap = append(p.heap, v)
+	p.up(len(p.heap) - 1)
 }
 
 // removeElem tolerates a removal arriving before its matching addition
@@ -67,7 +83,7 @@ func (p *extremumPAO) removeElem(v int64) {
 		p.counts[v] = c
 	}
 	p.size--
-	// Heap entries are cleaned lazily in top().
+	// Heap entries are cleaned lazily in top() and rebuild().
 }
 
 // top returns the current extremum, discarding stale heap entries.
@@ -75,14 +91,71 @@ func (p *extremumPAO) top() (int64, bool) {
 	if p.size <= 0 {
 		return 0, false
 	}
-	for p.heap.Len() > 0 {
-		v := p.heap.vals[0]
+	for len(p.heap) > 0 {
+		v := p.heap[0]
 		if p.counts[v] > 0 {
 			return v, true
 		}
-		heap.Pop(&p.heap)
+		n := len(p.heap) - 1
+		p.heap[0] = p.heap[n]
+		p.heap = p.heap[:n]
+		p.down(0)
 	}
 	return 0, false
+}
+
+// rebuild replaces the heap by one entry per value of positive
+// multiplicity (heapified bottom-up, O(len(counts))). After it the heap is
+// no longer than counts, so the next rebuild is at least len(counts)+16
+// pushes away: amortized O(1) per addElem.
+func (p *extremumPAO) rebuild() {
+	p.heap = p.heap[:0]
+	for v, c := range p.counts {
+		if c > 0 {
+			p.heap = append(p.heap, v)
+		}
+	}
+	for i := len(p.heap)/2 - 1; i >= 0; i-- {
+		p.down(i)
+	}
+}
+
+// before reports whether a sits above b in the heap.
+func (p *extremumPAO) before(a, b int64) bool {
+	if p.max {
+		return a > b
+	}
+	return a < b
+}
+
+func (p *extremumPAO) up(i int) {
+	h := p.heap
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !p.before(h[i], h[parent]) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func (p *extremumPAO) down(i int) {
+	h := p.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && p.before(h[r], h[c]) {
+			c = r
+		}
+		if !p.before(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 func (p *extremumPAO) AddValue(v int64)    { p.addElem(v) }
@@ -115,7 +188,7 @@ func (p *extremumPAO) Finalize() Result {
 // retained), so a pooled PAO is reusable without allocation.
 func (p *extremumPAO) Reset() {
 	clear(p.counts)
-	p.heap.vals = p.heap.vals[:0]
+	p.heap = p.heap[:0]
 	p.size = 0
 }
 
@@ -126,34 +199,7 @@ func (p *extremumPAO) Clone() PAO {
 		for k, v := range p.counts {
 			c.counts[k] = v
 		}
-		c.heap = int64Heap{max: p.max, vals: append([]int64(nil), p.heap.vals...)}
+		c.heap = append([]int64(nil), p.heap...)
 	}
 	return c
-}
-
-// int64Heap is a binary heap over int64 used with lazy deletion; max selects
-// max-heap vs min-heap ordering.
-type int64Heap struct {
-	vals []int64
-	max  bool
-}
-
-func (h int64Heap) Len() int { return len(h.vals) }
-
-func (h int64Heap) Less(i, j int) bool {
-	if h.max {
-		return h.vals[i] > h.vals[j]
-	}
-	return h.vals[i] < h.vals[j]
-}
-
-func (h int64Heap) Swap(i, j int) { h.vals[i], h.vals[j] = h.vals[j], h.vals[i] }
-
-func (h *int64Heap) Push(x any) { h.vals = append(h.vals, x.(int64)) }
-
-func (h *int64Heap) Pop() any {
-	n := len(h.vals)
-	v := h.vals[n-1]
-	h.vals = h.vals[:n-1]
-	return v
 }

@@ -106,10 +106,15 @@ func (w *TupleWindow) Snapshot(dst []WindowEntry) []WindowEntry {
 // Clone implements Window.
 func (w *TupleWindow) Clone() Window { return NewTupleWindow(w.C) }
 
-// TimeWindow keeps values written within the last T time units.
+// TimeWindow keeps values written within the last T time units, in a
+// circular buffer: the n live values start at buf[head] and wrap around
+// len(buf), so a slide costs the values it expires, not the values it
+// keeps, and no expired prefix is retained.
 type TimeWindow struct {
 	T    int64
-	vals []timedVal
+	buf  []timedVal // len(buf) == cap(buf): every slot is addressable
+	head int        // index of the oldest value
+	n    int
 }
 
 type timedVal struct {
@@ -125,11 +130,37 @@ func NewTimeWindow(t int64) *TimeWindow {
 	return &TimeWindow{T: t}
 }
 
+// slot returns the buffer index of the i-th oldest value, 0 <= i <= n
+// (i == n is the next free slot of a ring that is not full).
+func (w *TimeWindow) slot(i int) int {
+	if i += w.head; i >= len(w.buf) {
+		i -= len(w.buf)
+	}
+	return i
+}
+
 // Add implements Window.
 func (w *TimeWindow) Add(pao PAO, v int64, ts int64) {
 	w.Expire(pao, ts)
-	w.vals = append(w.vals, timedVal{v, ts})
+	if w.n == len(w.buf) {
+		w.grow()
+	}
+	w.buf[w.slot(w.n)] = timedVal{v, ts}
+	w.n++
 	pao.AddValue(v)
+}
+
+// grow moves a full ring into a larger one, oldest value at index 0. The
+// new capacity is whatever append picks for one element past the old one,
+// so a window's footprint follows the same growth curve a plain slice's
+// would.
+func (w *TimeWindow) grow() {
+	old := w.buf
+	w.buf = append(old, timedVal{})
+	w.buf = w.buf[:cap(w.buf)]
+	k := copy(w.buf, old[w.head:])
+	copy(w.buf[k:], old[:w.head])
+	w.head = 0
 }
 
 // Expire implements Window: removes values older than ts - T.
@@ -140,46 +171,47 @@ func (w *TimeWindow) Expire(pao PAO, ts int64) {
 		// the earliest representable time, so nothing is old enough.
 		return
 	}
-	i := 0
-	for i < len(w.vals) && w.vals[i].ts <= cut {
-		pao.RemoveValue(w.vals[i].v)
-		i++
-	}
-	if i > 0 {
-		w.vals = append(w.vals[:0], w.vals[i:]...)
+	for w.n > 0 && w.buf[w.head].ts <= cut {
+		pao.RemoveValue(w.buf[w.head].v)
+		if w.head++; w.head == len(w.buf) {
+			w.head = 0
+		}
+		w.n--
 	}
 }
 
 // NextExpiry implements Window: the oldest value falls out at its ts + T
 // (Expire(ts) removes values with ts' <= ts-T, so the first removal happens
-// exactly at vals[0].ts + T). The sum saturates at MaxInt64 — a value
-// written near the end of time never reports a wrapped-around deadline.
+// exactly at its ts + T). The sum saturates at MaxInt64 — a value written
+// near the end of time never reports a wrapped-around deadline.
 func (w *TimeWindow) NextExpiry() (int64, bool) {
-	if len(w.vals) == 0 {
+	if w.n == 0 {
 		return 0, false
 	}
-	d := w.vals[0].ts + w.T
-	if d < w.vals[0].ts {
+	oldest := w.buf[w.head].ts
+	d := oldest + w.T
+	if d < oldest {
 		d = math.MaxInt64
 	}
 	return d, true
 }
 
 // Len implements Window.
-func (w *TimeWindow) Len() int { return len(w.vals) }
+func (w *TimeWindow) Len() int { return w.n }
 
 // Values implements Window.
 func (w *TimeWindow) Values() []int64 {
-	out := make([]int64, len(w.vals))
-	for i, tv := range w.vals {
-		out[i] = tv.v
+	out := make([]int64, w.n)
+	for i := range out {
+		out[i] = w.buf[w.slot(i)].v
 	}
 	return out
 }
 
 // Snapshot implements Window.
 func (w *TimeWindow) Snapshot(dst []WindowEntry) []WindowEntry {
-	for _, tv := range w.vals {
+	for i := 0; i < w.n; i++ {
+		tv := w.buf[w.slot(i)]
 		dst = append(dst, WindowEntry{V: tv.v, TS: tv.ts})
 	}
 	return dst

@@ -169,12 +169,8 @@ func (p *extremumPAO) ImportWire(w WirePAO) error {
 		return err
 	}
 	p.counts = m
-	p.heap = int64Heap{max: p.max}
 	p.size = w.N
-	for v := range m {
-		p.heap.vals = append(p.heap.vals, v)
-	}
-	sortHeap(&p.heap)
+	p.rebuild()
 	return nil
 }
 
@@ -269,15 +265,4 @@ func (p *cbfPAO) ImportWire(w WirePAO) error {
 		p.counters[i] = int32(c)
 	}
 	return nil
-}
-
-// sortHeap establishes the heap invariant over freshly imported values.
-// Sorting (ascending for min, descending for max) is a valid heap order
-// and keeps imports deterministic.
-func sortHeap(h *int64Heap) {
-	if h.max {
-		sort.Slice(h.vals, func(i, j int) bool { return h.vals[i] > h.vals[j] })
-	} else {
-		sort.Slice(h.vals, func(i, j int) bool { return h.vals[i] < h.vals[j] })
-	}
 }

@@ -435,8 +435,8 @@ func (s *System) Write(v graph.NodeID, value int64, ts int64) error {
 
 // WriteBatch ingests a batch of content writes serially, in batch order,
 // with subscription fan-out coalesced to once per touched reader; non-write
-// events are skipped. Multi-core content ingest is concurrent callers (the
-// eagr Ingestor's apply pool), not this method.
+// events are skipped. Multi-core content ingest is concurrent callers, not
+// this method.
 func (s *System) WriteBatch(events []graph.Event) error {
 	return s.engine().WriteBatch(events)
 }

@@ -56,10 +56,11 @@
 // goroutine and coalesces subscription fan-out to one notification per
 // touched reader per batch. The engine itself never spawns goroutines for
 // writes: parallel ingest is the caller's business, and every entry point
-// is safe for concurrent callers. The two callers that do go parallel both
-// partition by data-graph node so each writer's updates stay ordered (the
-// paper's per-node micro-task queues): Runner (separate persistent read and
-// write pools over a live event stream) and the eagr Ingestor's apply pool.
+// is safe for concurrent callers. The one caller that does go parallel,
+// Runner (separate persistent read and write pools over a live event
+// stream — the paper's §5 thread-pool model), partitions by data-graph
+// node so each writer's updates stay ordered (the paper's per-node
+// micro-task queues).
 package exec
 
 import (

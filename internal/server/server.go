@@ -48,8 +48,8 @@
 // node-add events allocate ids the streaming response cannot return, so
 // clients that must address a new node immediately should POST /node for
 // the id first). The
-// stream feeds the server's session Ingestor: events batch up, content
-// runs fan out across its node-partitioned apply pool, structural runs
+// stream feeds the server's session Ingestor: events batch up, each batch
+// applies on the request goroutine that filled it, structural runs
 // coalesce into one overlay repair per query, and the Ingestor's low watermark expires
 // time-based windows automatically. The response reports the accepted
 // event count and the current watermark; GET /stats surfaces the
@@ -1022,8 +1022,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"rejected":   ist.Rejected,
 		"queueDepth": ist.QueueDepth,
 		"buffered":   ist.Buffered,
-		// The EFFECTIVE apply-stage size: 1 on a durable session whatever
-		// was configured (0 until the first /ingest creates the Ingestor).
+		// Always 1 (0 until the first /ingest creates the Ingestor):
+		// batches apply one at a time on the handing-over goroutine.
 		"applyWorkers": ist.ApplyWorkers,
 	}
 	if ist.WatermarkValid {
