@@ -375,17 +375,10 @@ func OpenDurable(g *Graph, dopts DurabilityOptions, opts ...Options) (*Session, 
 		// inject every writer's window suffix through the normal write path
 		// — windows, partial aggregates and scalars rebuild exactly.
 		for _, blob := range ckpt.Queries {
-			id, spec, o, derr := decodeQueryRecord(blob)
-			if derr != nil {
+			if rerr := s.recoverQuery(blob); rerr != nil {
 				log.Close()
-				return nil, nil, derr
+				return nil, nil, rerr
 			}
-			q, rerr := s.register(spec, o, id)
-			if rerr != nil {
-				log.Close()
-				return nil, nil, fmt.Errorf("eagr: recover query %d: %w", id, rerr)
-			}
-			q.durable = true
 			rec.RecoveredQueries++
 		}
 		s.mu.Lock()
@@ -421,15 +414,9 @@ func OpenDurable(g *Graph, dopts DurabilityOptions, opts ...Options) (*Session, 
 					rec.ReplayedEvents += len(r.Events)
 					d.noteTS(r.Events)
 				case wal.RecRegister:
-					id, spec, o, derr := decodeQueryRecord(r.Blob)
-					if derr != nil {
-						return derr
+					if rerr := s.recoverQuery(r.Blob); rerr != nil {
+						return rerr
 					}
-					q, rerr := s.register(spec, o, id)
-					if rerr != nil {
-						return fmt.Errorf("eagr: recover query %d: %w", id, rerr)
-					}
-					q.durable = true
 					rec.RecoveredQueries++
 				case wal.RecRetire:
 					if q := s.Query(int(r.QueryID)); q != nil {
@@ -467,6 +454,22 @@ func OpenDurable(g *Graph, dopts DurabilityOptions, opts ...Options) (*Session, 
 	}
 	recOut := rec
 	return s, &recOut, nil
+}
+
+// recoverQuery re-registers one logged registration (a checkpoint entry or a
+// WAL RecRegister blob) under its original id, through the same registration
+// path a live Register takes.
+func (s *Session) recoverQuery(blob []byte) error {
+	id, spec, o, err := decodeQueryRecord(blob)
+	if err != nil {
+		return err
+	}
+	q, err := s.register(spec, o, id)
+	if err != nil {
+		return fmt.Errorf("eagr: recover query %d: %w", id, err)
+	}
+	q.durable = true
+	return nil
 }
 
 // checkpointLoop writes periodic background checkpoints.

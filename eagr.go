@@ -67,14 +67,11 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/agg"
 	"repro/internal/autotune"
-	"repro/internal/construct"
 	"repro/internal/core"
-	"repro/internal/dataflow"
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/topo"
@@ -281,9 +278,10 @@ type Session struct {
 	tuner   *autotune.Controller
 	tunerMu sync.Mutex
 
-	// topoEng hosts the session's topology-valued views (internal/topo),
-	// created lazily on the first topo Register and attached to the graph's
-	// structural-mutation path as a listener. Content writes never touch it
+	// topoEng hosts the session's topology-valued views (internal/topo). It
+	// exists, attached to the graph's structural-mutation path as a
+	// listener, exactly while a topology query is live (see
+	// newStructureView / dropIdleTopoEngine). Content writes never touch it
 	// — the listener hook fires on structural events and watermark advances
 	// only — so sessions without topo queries (and content-only batches in
 	// sessions with them) pay nothing.
@@ -404,52 +402,15 @@ func (s *Session) Register(spec QuerySpec, opts ...Options) (*Query, error) {
 	return q, nil
 }
 
-// register compiles and attaches a query. forcedID > 0 restores a
-// recovered query under its original id; 0 allocates the next one.
+// register is the one registration path (Register, recovery replay):
+// validate → acquire a standing view → allocate the id, build the handle and
+// index it. forcedID > 0 restores a recovered query under its original id;
+// 0 allocates the next one.
 func (s *Session) register(spec QuerySpec, o Options, forcedID int) (*Query, error) {
 	if spec.WindowTuples > 0 && spec.WindowTime > 0 {
 		return nil, ErrConflictingWindow
 	}
-	name := specOrDefault(spec.Aggregate, "sum")
-	a, err := agg.Parse(name)
-	if err != nil {
-		// Not a numeric aggregate: topology-valued aggregates (density,
-		// triangles, ego-betweenness, ...) register through internal/topo.
-		// The numeric registry wins on a name collision, preserving the
-		// behavior of custom aggregates registered before topo existed.
-		if ts, terr := topo.Parse(name); terr == nil {
-			return s.registerTopo(ts, spec, o, forcedID)
-		}
-		return nil, fmt.Errorf("eagr: %w: %w", ErrIncompatibleQuery, err)
-	}
-	q := core.Query{Aggregate: a, Continuous: spec.Continuous}
-	switch {
-	case spec.WindowTuples > 0:
-		q.Window = agg.NewTupleWindow(spec.WindowTuples)
-	case spec.WindowTime > 0:
-		q.Window = agg.NewTimeWindow(spec.WindowTime)
-	}
-	if spec.Hops > 1 {
-		q.Neighborhood = graph.KHopIn{K: spec.Hops}
-	}
-	if o.Neighborhood != nil {
-		q.Neighborhood = o.Neighborhood
-	}
-	co := core.Options{
-		Algorithm:   o.Algorithm,
-		Mode:        core.Mode(specOrDefault(o.Mode, string(core.ModeDataflow))),
-		SplitNodes:  o.SplitNodes,
-		MaxReadCost: o.MaxReadCost,
-		Construct:   construct.Config{Iterations: o.Iterations},
-	}
-	if o.ReadFreq != nil || o.WriteFreq != nil {
-		wl := dataflow.NewWorkload(s.g.MaxID())
-		copy(wl.Read, o.ReadFreq)
-		copy(wl.Write, o.WriteFreq)
-		co.Workload = wl
-	}
-	full, fam := compatKey(spec, o)
-	att, err := s.multi.AttachMerged(full, fam, q, co)
+	view, fullKey, err := s.acquireView(spec, o)
 	if err != nil {
 		return nil, err
 	}
@@ -467,25 +428,32 @@ func (s *Session) register(spec QuerySpec, o Options, forcedID int) (*Query, err
 		id:      id,
 		spec:    spec,
 		opts:    o,
-		fullKey: full,
-		att:     att,
-		tag:     att.ViewTag(),
+		fullKey: fullKey,
+		view:    view,
 		subs:    map[*exec.Subscription]struct{}{},
 	}
-	h.sysRef = att.System()
-	h.sys.Store(h.sysRef)
-	s.queries[h.id] = h
+	s.queries[id] = h
 	return h, nil
 }
 
-// registerTopo attaches a topology-valued query (internal/topo): an
-// aggregate over the STRUCTURE of each node's 1-hop undirected ego network,
-// fed by the graph's edge churn through the structural-listener hook
-// instead of a compiled content overlay. Queries with equal (aggregate,
-// window) configurations share one refcounted engine view — the topo form
-// of compile-key sharing. QuerySpec.WindowTime selects the recompute
-// cadence for recompute-class aggregates (ego-betweenness); incremental
-// aggregates are always exact and take no window.
+// acquireView resolves the aggregate name to a query kind — the only place
+// that knows there is more than one — and returns that kind's standing view
+// with its sharing key. The numeric registry wins on a name collision,
+// preserving the behavior of custom aggregates registered before
+// topology-valued aggregates (density, triangles, ego-betweenness, ...)
+// existed.
+func (s *Session) acquireView(spec QuerySpec, o Options) (standingView, string, error) {
+	name := specOrDefault(spec.Aggregate, "sum")
+	a, err := agg.Parse(name)
+	if err == nil {
+		return s.newOverlayView(a, spec, o)
+	}
+	if ts, terr := topo.Parse(name); terr == nil {
+		return s.newStructureView(ts, spec, o)
+	}
+	return nil, "", fmt.Errorf("eagr: %w: %w", ErrIncompatibleQuery, err)
+}
+
 // TopoScale is the fixed-point scale for fractional topology values:
 // a Result.Scalar of TopoScale reads as 1.0 (density of a perfect clique,
 // one unit of ego-betweenness).
@@ -495,62 +463,6 @@ const TopoScale = topo.Scale
 // topology-valued aggregates ("density", "ego-betweenness", …), the
 // structural counterpart of the numeric agg registry.
 func TopoAggregates() []string { return topo.Names() }
-
-func (s *Session) registerTopo(ts topo.Spec, spec QuerySpec, o Options, forcedID int) (*Query, error) {
-	ta, err := topo.New(ts)
-	if err != nil {
-		return nil, fmt.Errorf("eagr: %w: %w", ErrIncompatibleQuery, err)
-	}
-	if spec.WindowTuples > 0 {
-		return nil, fmt.Errorf("eagr: %w: topology aggregate %q consumes edge churn, not content tuples — it takes no tuple window", ErrIncompatibleQuery, ts.Name)
-	}
-	if spec.Hops > 1 || o.Neighborhood != nil {
-		return nil, fmt.Errorf("eagr: %w: topology aggregate %q is defined on the 1-hop undirected ego network; custom neighborhoods and hop depths do not apply", ErrIncompatibleQuery, ts.Name)
-	}
-	if spec.WindowTime > 0 && ta.Incremental() {
-		return nil, fmt.Errorf("eagr: %w: topology aggregate %q is maintained incrementally (always exact); a recompute window only applies to scheduled aggregates like ego-betweenness", ErrIncompatibleQuery, ts.Name)
-	}
-	view, err := s.topoEngine().Acquire(ts, spec.WindowTime)
-	if err != nil {
-		return nil, fmt.Errorf("eagr: %w: %w", ErrIncompatibleQuery, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := forcedID
-	if id <= 0 {
-		s.nextID++
-		id = s.nextID
-	} else if id > s.nextID {
-		s.nextID = id
-	}
-	h := &Query{
-		sess:     s,
-		id:       id,
-		spec:     spec,
-		opts:     o,
-		fullKey:  ts.Key(spec.WindowTime),
-		topoView: view,
-		subs:     map[*exec.Subscription]struct{}{},
-	}
-	s.queries[h.id] = h
-	return h, nil
-}
-
-// topoEngine returns the session's topology engine, creating it on first
-// use. Construction runs under the structural mutation lock (the listener
-// attach hook), so the engine's bootstrap snapshot of the graph and the
-// event stream it observes afterwards are gap- and overlap-free.
-func (s *Session) topoEngine() *topo.Engine {
-	s.topoMu.Lock()
-	defer s.topoMu.Unlock()
-	if s.topoEng == nil {
-		s.multi.AttachStructuralListener(func(g *graph.Graph) core.StructuralListener {
-			s.topoEng = topo.NewEngine(g)
-			return s.topoEng
-		})
-	}
-	return s.topoEng
-}
 
 // compatKey canonicalizes a query's compile configuration into two sharing
 // keys. full is the complete configuration: equal full keys share one
@@ -967,385 +879,3 @@ func (s *Session) Stats() SessionStats {
 	}
 	return st
 }
-
-// Query is the handle of one registered standing query: it carries the
-// query's read surface (Read, ReadInto, Stats), its continuous-delivery
-// surface (Subscribe), and its lifecycle (Close). Handles are safe for
-// concurrent use.
-type Query struct {
-	sess *Session
-	id   int
-	spec QuerySpec
-	// opts is the resolved compile configuration and fullKey its sharing
-	// identity, retained so durable sessions can checkpoint the
-	// registration; durable marks queries whose registration is in the
-	// WAL (see Query.Durable).
-	opts    Options
-	fullKey string
-	durable bool
-	// tag is the query's member view within its (possibly merged) compiled
-	// system: reads, subscriptions and coverage checks address exactly
-	// this query's readers even when several queries share one overlay.
-	tag int32
-
-	// sys caches the compiled system; nil after Close, which is how the
-	// read hot path detects retirement without taking a lock. sysRef is
-	// the same pointer, never cleared: subscription teardown needs it
-	// when a cancel races Close (the cancel may unsubscribe after Close
-	// stored nil into sys, and the channel must still be closed).
-	sys    atomic.Pointer[core.System]
-	sysRef *core.System
-
-	// topoView is non-nil for topology-valued queries (internal/topo):
-	// reads and subscriptions go through the shared engine view and
-	// att/sys stay nil. topoClosed is their lock-free retirement flag,
-	// playing the role nil-sys plays for overlay queries.
-	topoView   *topo.View
-	topoClosed atomic.Bool
-
-	mu      sync.Mutex
-	att     *core.Attachment
-	closed  bool
-	subs    map[*exec.Subscription]struct{}
-	retired int64 // dropped-update counts inherited from canceled subscriptions
-}
-
-// ID returns the session-unique query identifier (stable for the lifetime
-// of the handle; used by the HTTP API's /queries/{id} routes).
-func (q *Query) ID() int { return q.id }
-
-// Spec returns the QuerySpec the query was registered with.
-func (q *Query) Spec() QuerySpec { return q.spec }
-
-// system returns the compiled system or ErrQueryClosed.
-func (q *Query) system() (*core.System, error) {
-	sys := q.sys.Load()
-	if sys == nil {
-		return nil, ErrQueryClosed
-	}
-	return sys, nil
-}
-
-// Read returns the current value of the standing query at v.
-func (q *Query) Read(v NodeID) (Result, error) {
-	if vw := q.topoView; vw != nil {
-		if q.topoClosed.Load() {
-			return Result{}, ErrQueryClosed
-		}
-		return vw.Read(v)
-	}
-	sys, err := q.system()
-	if err != nil {
-		return Result{}, err
-	}
-	return sys.ReadView(q.tag, v)
-}
-
-// ReadWire evaluates the standing query at v but stops before Finalize,
-// returning the partial aggregate as a wire snapshot. A coordinator merges
-// one snapshot per shard with agg.MergeWires to answer a cross-shard read;
-// single-process callers should use Read.
-func (q *Query) ReadWire(v NodeID) (WirePAO, error) {
-	if q.topoView != nil {
-		// Topology values don't decompose into per-shard partials: with
-		// structure replicated to every shard (the sharding invariant),
-		// any single shard's Read already IS the exact answer.
-		return WirePAO{}, fmt.Errorf("eagr: %w: topology-valued queries have no wire PAO; read the exact value from any shard", ErrIncompatibleQuery)
-	}
-	sys, err := q.system()
-	if err != nil {
-		return WirePAO{}, err
-	}
-	return sys.ReadViewWire(q.tag, v)
-}
-
-// Covered reports whether the standing query's result at v is
-// push-maintained (pre-computed on every covering write) — exactly the
-// nodes a Subscribe observes. Continuous queries compile all-push, so every
-// node of theirs is covered; on a quasi-continuous query coverage reflects
-// the optimizer's push/pull decisions and may change across Rebalance.
-// Unknown nodes and closed queries report false.
-func (q *Query) Covered(v NodeID) bool {
-	if vw := q.topoView; vw != nil {
-		return !q.topoClosed.Load() && vw.Covered(v)
-	}
-	sys := q.sys.Load()
-	if sys == nil {
-		return false
-	}
-	return sys.ViewCovered(q.tag, v)
-}
-
-// ReadInto evaluates the standing query at v into a caller-provided result.
-// List-valued answers (TOP-K) reuse res.List's backing array when capacity
-// allows, so a hot read loop that retains res allocates nothing; *res is
-// overwritten on every call.
-func (q *Query) ReadInto(v NodeID, res *Result) error {
-	if vw := q.topoView; vw != nil {
-		if q.topoClosed.Load() {
-			return ErrQueryClosed
-		}
-		r, err := vw.Read(v)
-		if err != nil {
-			return err
-		}
-		*res = r
-		return nil
-	}
-	sys, err := q.system()
-	if err != nil {
-		return err
-	}
-	return sys.ReadViewInto(q.tag, v, res)
-}
-
-// Subscribe registers a continuous listener on the query with a bounded
-// buffer (buffer < 1 defaults to 16). With no nodes it covers every node
-// of the query; otherwise only the standing queries at the given nodes.
-//
-// Updates {Node, Result, TS} are delivered from the engine's push path
-// whenever a write (or window expiry) reaches a subscribed reader's ego
-// network. Delivery never blocks ingestion: when the consumer falls behind
-// the buffer, the oldest pending update is dropped and counted (see
-// Stats.DroppedUpdates). The returned cancel is idempotent and closes the
-// channel; Close cancels all of a query's subscriptions.
-//
-// Note that only push-maintained results notify. Continuous queries
-// (QuerySpec.Continuous) compile all-push, so their coverage is complete;
-// on a quasi-continuous query a subscription observes exactly the readers
-// the optimizer chose to pre-compute.
-func (q *Query) Subscribe(buffer int, nodes ...NodeID) (<-chan Update, func(), error) {
-	var sub *exec.Subscription
-	if vw := q.topoView; vw != nil {
-		// Topology-valued queries deliver structural updates through the
-		// same bounded drop-oldest channel: incremental aggregates on every
-		// edge-churn event that moves an observed ego's value, recompute
-		// aggregates at each scheduled watermark tick.
-		if q.topoClosed.Load() {
-			return nil, nil, ErrQueryClosed
-		}
-		s, err := vw.Subscribe(buffer, nodes...)
-		if err != nil {
-			return nil, nil, err
-		}
-		sub = s
-	} else {
-		sys, err := q.system()
-		if err != nil {
-			return nil, nil, err
-		}
-		s, err := sys.SubscribeView(q.tag, buffer, nodes...)
-		if err != nil {
-			return nil, nil, err
-		}
-		sub = s
-	}
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		q.unsubscribe(sub)
-		return nil, nil, ErrQueryClosed
-	}
-	q.subs[sub] = struct{}{}
-	q.mu.Unlock()
-	cancel := func() { q.cancelSub(sub) }
-	return sub.Updates(), cancel, nil
-}
-
-// cancelSub tears one subscription down, folding its drop count into the
-// query's retired total.
-func (q *Query) cancelSub(sub *exec.Subscription) {
-	q.mu.Lock()
-	if _, live := q.subs[sub]; !live {
-		q.mu.Unlock()
-		return
-	}
-	delete(q.subs, sub)
-	q.mu.Unlock()
-	dropped := q.unsubscribe(sub)
-	q.mu.Lock()
-	q.retired += dropped
-	q.mu.Unlock()
-}
-
-// unsubscribe detaches sub via the query's system — sysRef survives Close,
-// and System.Unsubscribe targets the current engine even across
-// recompiles — and returns the final drop count. Topology-valued queries
-// detach through their engine view instead (topoView also survives Close).
-func (q *Query) unsubscribe(sub *exec.Subscription) int64 {
-	if vw := q.topoView; vw != nil {
-		vw.Unsubscribe(sub)
-	} else {
-		q.sysRef.Unsubscribe(sub)
-	}
-	return sub.Dropped()
-}
-
-// dropped returns the query's total dropped-update count (live + retired
-// subscriptions).
-func (q *Query) dropped() int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	total := q.retired
-	for sub := range q.subs {
-		total += sub.Dropped()
-	}
-	return total
-}
-
-// Close retires the query: its subscriptions are canceled, its handle
-// stops serving reads (ErrQueryClosed), and its reference on the shared
-// compiled overlay is released — the overlay itself is torn down only when
-// the last query sharing it closes. On a durable session the retirement is
-// logged, so the query stays gone after recovery. Closing an
-// already-closed query returns ErrQueryClosed.
-func (q *Query) Close() error {
-	d := q.sess.dur
-	if d == nil || d.replaying || !q.durable {
-		return q.closeInner()
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	q.mu.Lock()
-	alreadyClosed := q.closed
-	q.mu.Unlock()
-	var werr error
-	if !alreadyClosed && !d.closed {
-		if _, err := d.log.AppendRetire(uint64(q.id)); err != nil {
-			// The WAL is poisoned; still retire the in-memory query. The
-			// next recovery resurrects it — annoying, never incorrect.
-			werr = fmt.Errorf("eagr: durable retire: %w", err)
-		}
-	}
-	if err := q.closeInner(); err != nil {
-		return err
-	}
-	return werr
-}
-
-// closeInner retires the query without touching the durability layer.
-func (q *Query) closeInner() error {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return ErrQueryClosed
-	}
-	q.closed = true
-	subs := q.subs
-	q.subs = map[*exec.Subscription]struct{}{}
-	q.mu.Unlock()
-
-	var dropped int64
-	for sub := range subs {
-		dropped += q.unsubscribe(sub)
-	}
-	q.mu.Lock()
-	q.retired += dropped
-	q.mu.Unlock()
-	q.sys.Store(nil)
-	s := q.sess
-	s.mu.Lock()
-	delete(s.queries, q.id)
-	s.mu.Unlock()
-	if vw := q.topoView; vw != nil {
-		q.topoClosed.Store(true)
-		vw.Release()
-		return nil
-	}
-	return s.multi.Detach(q.att)
-}
-
-// Stats summarizes a query's compiled overlay and runtime counters.
-type Stats struct {
-	Writers, Readers, Partials int
-	Edges, NegativeEdges       int
-	SharingIndex               float64
-	AvgDepth                   float64
-	Algorithm                  string
-	Mode                       string
-	Maintainable               bool
-	// Shared is the number of identically-configured queries (including
-	// this one) sharing this query's compiled member for free.
-	Shared int
-	// Family is the number of distinct member queries (including this one)
-	// merged into the compiled overlay these stats describe: Family > 1
-	// means this query reads a per-query view of a MERGED overlay whose
-	// partial aggregators are shared across members with different
-	// neighborhoods or reader sets.
-	Family int
-	// OwnReaders is the number of reader nodes this query's view owns in
-	// the (possibly shared) overlay; Readers counts all members' readers.
-	OwnReaders int
-	// Subscribers is the number of live subscriptions on the overlay's
-	// engine; DroppedUpdates counts this query's discarded deliveries.
-	Subscribers    int
-	DroppedUpdates int64
-}
-
-// Stats returns current overlay and configuration statistics; the zero
-// Stats after Close.
-func (q *Query) Stats() Stats {
-	if vw := q.topoView; vw != nil {
-		if q.topoClosed.Load() {
-			return Stats{}
-		}
-		alg := "windowed-recompute"
-		if vw.Incremental() {
-			alg = "incremental"
-		}
-		return Stats{
-			Algorithm:      alg,
-			Mode:           "topo",
-			Maintainable:   true,
-			Shared:         vw.Refs(),
-			Family:         1,
-			Subscribers:    vw.Subscribers(),
-			DroppedUpdates: q.dropped(),
-		}
-	}
-	sys := q.sys.Load()
-	if sys == nil {
-		return Stats{}
-	}
-	st := sys.Stats()
-	return Stats{
-		Writers:        st.Overlay.Writers,
-		Readers:        st.Overlay.Readers,
-		Partials:       st.Overlay.Partials,
-		Edges:          st.Overlay.Edges,
-		NegativeEdges:  st.Overlay.NegEdges,
-		SharingIndex:   st.Overlay.SharingIndex,
-		AvgDepth:       st.Overlay.AvgDepth,
-		Algorithm:      st.Algorithm,
-		Mode:           string(st.Mode),
-		Maintainable:   st.Maintainable,
-		Shared:         q.att.Shared(),
-		Family:         q.att.FamilySize(),
-		OwnReaders:     st.Overlay.QueryReaders[q.tag],
-		Subscribers:    sys.Subscribers(),
-		DroppedUpdates: q.dropped(),
-	}
-}
-
-// Sharing returns the query's sharing counters without walking the overlay
-// for full statistics: how many identical registrations share its compiled
-// member (shared), how many member queries its merge family hosts — itself
-// included — on the shared overlay (family), and how many reader nodes its
-// own view owns there (ownReaders). Zeros after Close.
-func (q *Query) Sharing() (shared, family, ownReaders int) {
-	if vw := q.topoView; vw != nil {
-		if q.topoClosed.Load() {
-			return 0, 0, 0
-		}
-		return vw.Refs(), 1, 0
-	}
-	sys := q.sys.Load()
-	if sys == nil {
-		return 0, 0, 0
-	}
-	return q.att.Shared(), q.att.FamilySize(), sys.ViewReaders(q.tag)
-}
-
-// Internal exposes the query's underlying core system for advanced use
-// (runners, benchmarks, custom cost models), or nil after Close.
-func (q *Query) Internal() *core.System { return q.sys.Load() }

@@ -462,18 +462,6 @@ func (s *System) ReadView(tag int32, v graph.NodeID) (agg.Result, error) {
 	return s.engine().ReadTagged(tag, v)
 }
 
-// ReadViewWire evaluates member tag's standing query at v and returns the
-// un-finalized partial aggregate as a wire snapshot (see
-// exec.Engine.ReadTaggedWire) — the per-shard half of a cross-shard read.
-func (s *System) ReadViewWire(tag int32, v graph.NodeID) (agg.WirePAO, error) {
-	return s.engine().ReadTaggedWire(tag, v)
-}
-
-// ReadViewInto is ReadView with a caller-provided result (see ReadInto).
-func (s *System) ReadViewInto(tag int32, v graph.NodeID, res *agg.Result) error {
-	return s.engine().ReadTaggedInto(tag, v, res)
-}
-
 // ViewCovered reports whether member tag's result at v is push-maintained —
 // i.e. whether a subscription on v observes updates (see exec.Engine.Covered).
 func (s *System) ViewCovered(tag int32, v graph.NodeID) bool {
@@ -1087,13 +1075,6 @@ func (s *System) RetireMember(tag int32) error {
 	}
 	s.afterMaintenance()
 	return nil
-}
-
-// ViewReaders counts the reader nodes member tag's view owns, from the
-// engine's immutable plan snapshot — O(1) (precomputed at Flatten), no
-// lock, safe concurrently with structural repairs.
-func (s *System) ViewReaders(tag int32) int {
-	return s.engine().Topology().TagReaders[tag]
 }
 
 // LiveViews reports the number of live member queries sharing this system's

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/agg"
+	"repro/internal/exec"
 	"repro/internal/graph"
 )
 
@@ -90,6 +91,10 @@ type familyMember struct {
 type Attachment struct {
 	m  *MultiSystem
 	fm *familyMember
+	// sys and tag are fm.fam.sys and fm.tag, fixed for the attachment's
+	// lifetime and kept flat here because every read goes through them.
+	sys *System
+	tag int32
 	// detached is atomic so System() stays lock-free for readers racing a
 	// Detach (they observe either the live system or nil, never a torn
 	// state).
@@ -194,7 +199,7 @@ func (m *MultiSystem) AttachMerged(key, familyKey string, q Query, opts Options)
 	}
 	if fm, ok := m.members[key]; ok {
 		fm.refs++
-		return &Attachment{m: m, fm: fm}, nil
+		return m.attachment(fm), nil
 	}
 	if familyKey != "" {
 		if fam, ok := m.families[familyKey]; ok {
@@ -207,7 +212,7 @@ func (m *MultiSystem) AttachMerged(key, familyKey string, q Query, opts Options)
 				fm := &familyMember{fam: fam, fullKey: key, tag: tag, refs: 1}
 				fam.live++
 				m.members[key] = fm
-				return &Attachment{m: m, fm: fm}, nil
+				return m.attachment(fm), nil
 			case errors.Is(err, errMergeFull):
 				// Family at capacity: open a fresh one below. The full
 				// family stays reachable through its members; count the
@@ -229,7 +234,12 @@ func (m *MultiSystem) AttachMerged(key, familyKey string, q Query, opts Options)
 	fm := &familyMember{fam: fam, fullKey: key, tag: 0, refs: 1}
 	m.members[key] = fm
 	m.publishLocked()
-	return &Attachment{m: m, fm: fm}, nil
+	return m.attachment(fm), nil
+}
+
+// attachment wraps one more reference on fm; callers hold m.mu.
+func (m *MultiSystem) attachment(fm *familyMember) *Attachment {
+	return &Attachment{m: m, fm: fm, sys: fm.fam.sys, tag: fm.tag}
 }
 
 // Detach releases the attachment's reference. The last detach of a member
@@ -281,12 +291,65 @@ func (a *Attachment) System() *System {
 	if a.detached.Load() {
 		return nil
 	}
-	return a.fm.fam.sys
+	return a.sys
 }
 
 // ViewTag returns the attachment's member view tag within its (possibly
 // merged) system: the tag to pass to System.ReadView / SubscribeView.
-func (a *Attachment) ViewTag() int32 { return a.fm.tag }
+func (a *Attachment) ViewTag() int32 { return a.tag }
+
+// The methods below are the attachment's own standing-query surface: each
+// addresses exactly this member's view of the (possibly merged) system. None
+// consults the detached flag — system and tag are immutable and the tag
+// resolves through the engine's immutable plan snapshot, so a call racing
+// (or following) Detach answers from the retired view or errors, and
+// Unsubscribe still reaches the engine that holds the subscription. Callers
+// that must refuse retired queries gate on their own flag (eagr.Query does).
+
+// Read evaluates this member's standing query at v.
+func (a *Attachment) Read(v graph.NodeID) (agg.Result, error) {
+	return a.sys.engine().ReadTagged(a.tag, v)
+}
+
+// ReadInto is Read with a caller-provided result: list-valued aggregates
+// (TOP-K) reuse res.List's backing array, so a caller that retains res
+// across calls reads without allocating.
+func (a *Attachment) ReadInto(v graph.NodeID, res *agg.Result) error {
+	return a.sys.engine().ReadTaggedInto(a.tag, v, res)
+}
+
+// ReadWire evaluates this member's standing query at v and returns the
+// un-finalized partial aggregate as a wire snapshot (see
+// exec.Engine.ReadTaggedWire) — the per-shard half of a cross-shard read.
+func (a *Attachment) ReadWire(v graph.NodeID) (agg.WirePAO, error) {
+	return a.sys.engine().ReadTaggedWire(a.tag, v)
+}
+
+// Covered reports whether this member's result at v is push-maintained —
+// i.e. whether a subscription on v observes updates.
+func (a *Attachment) Covered(v graph.NodeID) bool {
+	return a.sys.ViewCovered(a.tag, v)
+}
+
+// Subscribe registers a continuous listener on this member's reader view
+// (see System.SubscribeView).
+func (a *Attachment) Subscribe(buffer int, nodes ...graph.NodeID) (*exec.Subscription, error) {
+	return a.sys.SubscribeView(a.tag, buffer, nodes...)
+}
+
+// Unsubscribe removes sub from the system's current engine (recompiles
+// move live subscriptions onto the rebuilt engine) and closes its channel.
+func (a *Attachment) Unsubscribe(sub *exec.Subscription) { a.sys.Unsubscribe(sub) }
+
+// OwnReaders counts the reader nodes this member's view owns, from the
+// engine's immutable plan snapshot — O(1) (precomputed at Flatten), no
+// lock, safe concurrently with structural repairs.
+func (a *Attachment) OwnReaders() int {
+	return a.sys.engine().Topology().TagReaders[a.tag]
+}
+
+// Detach is MultiSystem.Detach on the attachment's own system.
+func (a *Attachment) Detach() error { return a.m.Detach(a) }
 
 // Shared reports how many attachments currently share this attachment's
 // exact member (identical configurations).

@@ -155,14 +155,3 @@ func (a *Adaptor) Pressure() int {
 	})
 	return pending
 }
-
-// Decisions returns a snapshot of the current decisions (for tests).
-func (a *Adaptor) Decisions() map[overlay.NodeRef]overlay.Decision {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[overlay.NodeRef]overlay.Decision)
-	a.ov.ForEachNode(func(ref overlay.NodeRef, n *overlay.Node) {
-		out[ref] = n.Dec
-	})
-	return out
-}

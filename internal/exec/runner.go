@@ -227,12 +227,3 @@ func PlaySerial(eng *Engine, events []graph.Event, latencySample int) Stats {
 	}
 	return st
 }
-
-// ResultOf is a convenience helper for examples: read v and panic on error.
-func ResultOf(eng *Engine, v graph.NodeID) agg.Result {
-	res, err := eng.Read(v)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}

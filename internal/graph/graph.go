@@ -7,7 +7,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // NodeID identifies a node in the data graph. IDs are dense and start at 0.
@@ -229,19 +228,6 @@ func (g *Graph) Clone() *Graph {
 		c.in[v] = append([]NodeID(nil), g.in[v]...)
 	}
 	return c
-}
-
-// SortAdjacency sorts every adjacency list in ascending order. Useful for
-// deterministic iteration and binary-search membership tests in callers.
-func (g *Graph) SortAdjacency() {
-	for v := range g.out {
-		sortIDs(g.out[v])
-		sortIDs(g.in[v])
-	}
-}
-
-func sortIDs(s []NodeID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
 
 func containsID(s []NodeID, v NodeID) bool {

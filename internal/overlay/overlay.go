@@ -129,10 +129,6 @@ func New(agEdges int) *Overlay {
 // after construction, before the overlay is flattened or serialized.
 func (o *Overlay) SetReaderStride(stride int32) { o.readerStride = stride }
 
-// ReaderStride returns the merged-overlay reader stride (0 for single-query
-// overlays).
-func (o *Overlay) ReaderStride() int32 { return o.readerStride }
-
 // TagOf returns the query tag of a reader node: GID/stride for merged
 // overlays, 0 otherwise (writers and partials are shared by all queries and
 // always report 0).

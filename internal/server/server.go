@@ -102,7 +102,6 @@ import (
 	"time"
 
 	eagr "repro"
-	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -433,15 +432,24 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleListQueries(w http.ResponseWriter, r *http.Request) {
 	list := s.sess.Queries()
 	out := make([]queryResp, 0, len(list))
-	// Queries sharing one compiled overlay report identical overlay
-	// stats; compute them once per underlying system.
-	cache := map[*core.System]eagr.Stats{}
+	// Queries sharing one compiled state report identical overlay stats;
+	// compute them once per state. An overlay system hosts one aggregate and
+	// window, so adding them to the key changes nothing there, and it is what
+	// tells topology views apart: those compile no system (Internal is a
+	// typed nil for all of them) and share exactly per (aggregate, window).
+	type stateKey struct {
+		sys        any
+		aggregate  string
+		windowTime int64
+	}
+	cache := map[stateKey]eagr.Stats{}
 	for _, q := range list {
-		sys := q.Internal()
-		st, ok := cache[sys]
+		spec := q.Spec()
+		key := stateKey{q.Internal(), spec.Aggregate, spec.WindowTime}
+		st, ok := cache[key]
 		if !ok {
 			st = q.Stats()
-			cache[sys] = st
+			cache[key] = st
 		}
 		out = append(out, queryToRespWith(q, st))
 	}

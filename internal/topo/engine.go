@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/agg"
@@ -122,12 +121,6 @@ func (v *View) Refs() int {
 	return v.refs
 }
 
-// Spec returns the view's parsed aggregate spec.
-func (v *View) Spec() Spec { return v.spec }
-
-// Window returns the recompute cadence (0 for incremental or on-the-fly).
-func (v *View) Window() int64 { return v.window }
-
 // Incremental reports the view's maintenance class.
 func (v *View) Incremental() bool { return v.agg.Incremental() }
 
@@ -136,13 +129,6 @@ func (v *View) Ticks() int64 {
 	v.eng.mu.RLock()
 	defer v.eng.mu.RUnlock()
 	return v.ticks
-}
-
-// Dirty reports the egos awaiting the next scheduled recompute.
-func (v *View) Dirty() int {
-	v.eng.mu.RLock()
-	defer v.eng.mu.RUnlock()
-	return len(v.dirty)
 }
 
 // Subscribers reports the number of live subscriptions on the view.
@@ -365,23 +351,6 @@ func (vw *View) deliver(a graph.NodeID, res agg.Result, ts int64) {
 		}
 		s.Deliver(u)
 	}
-}
-
-// Bootstrap re-mirrors g from scratch, resetting every recompute snapshot.
-// Used when a durable session swaps in a recovered graph underneath an
-// already-constructed engine.
-func (e *Engine) Bootstrap(g *graph.Graph) {
-	e.mu.Lock()
-	e.mirror.Bootstrap(g)
-	for _, vw := range e.views {
-		if vw.vals != nil {
-			vw.vals = map[graph.NodeID]int64{}
-			vw.dirty = map[graph.NodeID]struct{}{}
-			vw.armed = false
-			vw.lastTick = math.MinInt64
-		}
-	}
-	e.mu.Unlock()
 }
 
 // Views reports the number of live compiled views (for stats).

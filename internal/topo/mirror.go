@@ -78,16 +78,6 @@ func (m *Mirror) Connected(u, w graph.NodeID) bool {
 	return m.adj[u][w] > 0
 }
 
-// Neighbors calls f for every undirected neighbor of v (arbitrary order).
-func (m *Mirror) Neighbors(v graph.NodeID, f func(graph.NodeID)) {
-	if int(v) >= len(m.adj) {
-		return
-	}
-	for u := range m.adj[v] {
-		f(u)
-	}
-}
-
 // NodeAdded starts tracking v (idempotent: replayed adds keep state).
 func (m *Mirror) NodeAdded(v graph.NodeID) {
 	m.grow(v)

@@ -216,9 +216,10 @@ func checkOracle(t *testing.T, e *Engine, ref *refTopo, seed int64, step int) {
 	}
 }
 
-// TestBootstrapMatchesIncremental checks that a cold Bootstrap of a churned
-// graph lands on exactly the state the incremental path maintained — the
-// durability-recovery invariant (topo state is a pure function of topology).
+// TestBootstrapMatchesIncremental checks that a cold engine built over a
+// churned graph lands on exactly the state the incremental path maintained —
+// the invariant both durability recovery and the session's drop-and-rebuild
+// of an idle engine rest on (topo state is a pure function of topology).
 func TestBootstrapMatchesIncremental(t *testing.T) {
 	const n = 30
 	rng := rand.New(rand.NewSource(99))
@@ -235,8 +236,7 @@ func TestBootstrapMatchesIncremental(t *testing.T) {
 			e.EdgeRemoved(u, w, int64(step))
 		}
 	}
-	cold := NewMirror(n)
-	cold.Bootstrap(g)
+	cold := NewEngine(g).mirror
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	for v := graph.NodeID(0); int(v) < n; v++ {
