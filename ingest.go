@@ -390,35 +390,53 @@ func (ing *Ingestor) handOver(done chan error, wait bool) (drain bool, err error
 // queue is empty, then gives the token back. Emptiness is tested and the
 // token dropped under one hold of qmu, so a batch is never left queued
 // with nobody to apply it.
+//
+// A panic out of the session (a user-defined aggregate, say) must not take
+// the token with it: every later hand-over would queue behind an applier
+// that no longer exists, and Flush would block for good. The deferred
+// function therefore fails the batch that was being applied, applies what
+// is queued behind it — still as the token holder — and only then lets the
+// panic go on unwinding into the caller.
 func (ing *Ingestor) drain() {
+	var job ingestJob
+	inApply := false
+	defer func() {
+		if inApply {
+			ing.settle(job, errApplyPanicked)
+			ing.drain()
+		}
+	}()
 	ing.qmu.Lock()
 	for ing.qlen > 0 {
-		job := ing.queue[ing.qhead]
+		job = ing.queue[ing.qhead]
 		ing.qhead = (ing.qhead + 1) % len(ing.queue)
 		ing.qlen--
 		ing.space.Signal() // at most one waiter: they wait holding ing.mu
 		ing.qmu.Unlock()
+		inApply = true
 		var err error
 		if len(job.events) > 0 {
 			err = ing.sess.ApplyBatch(job.events)
+			ing.applied.Add(int64(len(job.events)))
+			ing.batches.Add(1)
+			ing.advanceWatermark(job.events)
 		}
-		ing.finish(job, err)
+		inApply = false
+		ing.settle(job, err)
 		ing.qmu.Lock()
 	}
 	ing.applying = false
 	ing.qmu.Unlock()
 }
 
-// finish completes one applied batch, in queue order: count it, advance
-// the watermark, recycle its buffer, and hand the apply error to the
-// waiting Flush/Close (or keep it for the next one). Only the token
-// holder calls it.
-func (ing *Ingestor) finish(job ingestJob, err error) {
-	if len(job.events) > 0 {
-		ing.applied.Add(int64(len(job.events)))
-		ing.batches.Add(1)
-		ing.advanceWatermark(job.events)
-	}
+// errApplyPanicked is what the waiter of a batch gets when applying it
+// panicked; how much of the batch applied is unknown.
+var errApplyPanicked = errors.New("eagr: ingest: applying the batch panicked")
+
+// settle ends one batch, applied or not, in queue order: recycle its
+// buffer and hand the apply error to the waiting Flush/Close (or keep it
+// for the next one). Only the token holder calls it.
+func (ing *Ingestor) settle(job ingestJob, err error) {
 	ing.putBuf(job.events) // empty Flush buffers recycle too
 	if job.done != nil {
 		job.done <- err
@@ -500,8 +518,8 @@ func (ing *Ingestor) tick() {
 
 // advanceWatermark folds a batch's timestamps into the max-observed
 // timestamp and, when the bounded-lateness watermark advanced, expires
-// time-based windows up to it. Only the token holder calls it (through
-// finish), batch by batch in queue order, so the advance is monotone.
+// time-based windows up to it. Only the token holder calls it (from
+// drain), batch by batch in queue order, so the advance is monotone.
 func (ing *Ingestor) advanceWatermark(events []Event) {
 	maxTS := ing.maxTS.Load()
 	for _, ev := range events {

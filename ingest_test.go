@@ -493,3 +493,95 @@ func TestIngestorWatermarkUnderflowSaturates(t *testing.T) {
 	}
 	_ = ing.Close()
 }
+
+// poisonAgg counts values like COUNT, except that its PAO panics on the
+// first poisonValue it is given: a user-defined aggregate with a bug.
+type poisonAgg struct{ armed *atomic.Bool }
+
+const poisonValue = -13
+
+func (poisonAgg) Name() string      { return "poison" }
+func (poisonAgg) Props() Properties { return Properties{Subtractable: true} }
+func (a poisonAgg) NewPAO() PAO     { return &poisonPAO{armed: a.armed} }
+
+type poisonPAO struct {
+	armed *atomic.Bool
+	n     int64
+}
+
+func (p *poisonPAO) AddValue(v int64) {
+	if v == poisonValue && p.armed.CompareAndSwap(true, false) {
+		panic("poisonAgg: poisoned value")
+	}
+	p.n++
+}
+func (p *poisonPAO) RemoveValue(int64)    { p.n-- }
+func (p *poisonPAO) Merge(o PAO)          { p.n += o.(*poisonPAO).n }
+func (p *poisonPAO) Unmerge(o PAO)        { p.n -= o.(*poisonPAO).n }
+func (p *poisonPAO) Replace(old, new PAO) { p.Unmerge(old); p.Merge(new) }
+func (p *poisonPAO) Finalize() Result     { return Result{Scalar: p.n, Valid: p.n > 0} }
+func (p *poisonPAO) Reset()               { p.n = 0 }
+func (p *poisonPAO) Clone() PAO           { c := *p; return &c }
+
+// TestIngestorSurvivesApplyPanic: a panic out of Session.ApplyBatch on the
+// goroutine holding the apply token reaches that goroutine's caller, but
+// the token comes back: a Flush from another goroutine reports the failed
+// batch instead of queueing behind an applier that no longer exists, and
+// the next batch applies. (The engine leaves the poisoned writer's node
+// locked, so the test stays away from node 0 afterwards.)
+func TestIngestorSurvivesApplyPanic(t *testing.T) {
+	armed := &atomic.Bool{}
+	armed.Store(true)
+	RegisterAggregate("poison", func(int) Aggregate { return poisonAgg{armed} })
+	sess, err := Open(ring(8), Options{Algorithm: "baseline"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := sess.Register(QuerySpec{Aggregate: "poison"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing, err := sess.Ingest(IngestOptions{BatchSize: 2, FlushInterval: -1, Clock: LogicalClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the apply panic did not reach the sender that held the token")
+			}
+		}()
+		_ = ing.Send(0, poisonValue)
+		_ = ing.Send(0, 1) // fills the batch: this goroutine applies it
+	}()
+
+	flushed := make(chan error, 1)
+	go func() { flushed <- ing.Flush() }()
+	select {
+	case err := <-flushed:
+		if !errors.Is(err, errApplyPanicked) {
+			t.Fatalf("Flush after the panic = %v, want errApplyPanicked", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Flush blocked: the apply token was lost with the panic")
+	}
+
+	for i := 0; i < 2; i++ {
+		if err := ing.Send(4, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ing.Flush(); err != nil {
+		t.Fatalf("Flush of the following batch: %v", err)
+	}
+	if got, err := q.Read(5); err != nil || !got.Valid || got.Scalar != 1 {
+		t.Fatalf("read(5) = %v, %v; want 1 (node 4's latest write)", got, err)
+	}
+	if st := ing.Stats(); st.Applied != 2 {
+		t.Fatalf("applied = %d, want the 2 events of the batch after the panic", st.Applied)
+	}
+	if err := ing.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

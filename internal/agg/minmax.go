@@ -1,5 +1,7 @@
 package agg
 
+import "slices"
+
 // Max is the built-in MAX aggregate. It is duplicate-insensitive, so
 // overlays with multiple writer→reader paths (VNM_D) are legal. Incremental
 // maintenance uses a lazy-deletion priority queue over contributions, giving
@@ -40,30 +42,19 @@ func (Min) NewPAO() PAO { return &extremumPAO{max: false} }
 // is written but never finalized stays O(distinct values), not O(writes).
 type extremumPAO struct {
 	max    bool
-	counts map[int64]int64 // multiset: value -> multiplicity
-	heap   []int64         // binary heap, best value first; lazy, see above
-	size   int64           // total multiplicity
-}
-
-func (p *extremumPAO) init() {
-	if p.counts == nil {
-		p.counts = make(map[int64]int64)
-	}
+	counts multiset // value -> multiplicity
+	heap   []int64  // binary heap, best value first; lazy, see above
+	size   int64    // total multiplicity
 }
 
 func (p *extremumPAO) addElem(v int64) {
-	p.init()
-	c := p.counts[v] + 1
 	p.size++
-	if c == 0 {
-		delete(p.counts, v) // the addition a transient early removal was waiting for
+	if p.counts.add(v, 1) != 1 {
+		// Already positive, so already in the heap — or still settling a
+		// transient early removal.
 		return
 	}
-	p.counts[v] = c
-	if c != 1 {
-		return // already positive, so already in the heap
-	}
-	if len(p.heap) > 2*len(p.counts)+16 {
+	if len(p.heap) > 2*p.counts.len()+16 {
 		p.rebuild()
 		return
 	}
@@ -76,12 +67,7 @@ func (p *extremumPAO) addElem(v int64) {
 // replay may apply an expiry to downstream state before the addition it
 // cancels. The multiset converges once both sides have been applied.
 func (p *extremumPAO) removeElem(v int64) {
-	p.init()
-	if c := p.counts[v] - 1; c == 0 {
-		delete(p.counts, v)
-	} else {
-		p.counts[v] = c
-	}
+	p.counts.add(v, -1)
 	p.size--
 	// Heap entries are cleaned lazily in top() and rebuild().
 }
@@ -93,7 +79,7 @@ func (p *extremumPAO) top() (int64, bool) {
 	}
 	for len(p.heap) > 0 {
 		v := p.heap[0]
-		if p.counts[v] > 0 {
+		if p.counts.get(v) > 0 {
 			return v, true
 		}
 		n := len(p.heap) - 1
@@ -110,9 +96,9 @@ func (p *extremumPAO) top() (int64, bool) {
 // pushes away: amortized O(1) per addElem.
 func (p *extremumPAO) rebuild() {
 	p.heap = p.heap[:0]
-	for v, c := range p.counts {
-		if c > 0 {
-			p.heap = append(p.heap, v)
+	for _, s := range p.counts.slots {
+		if s.c > 0 {
+			p.heap = append(p.heap, s.v)
 		}
 	}
 	for i := len(p.heap)/2 - 1; i >= 0; i-- {
@@ -184,22 +170,14 @@ func (p *extremumPAO) Finalize() Result {
 	return Result{Scalar: v, Valid: ok}
 }
 
-// Reset clears the multiset in place (map buckets and heap backing array
-// retained), so a pooled PAO is reusable without allocation.
+// Reset clears the multiset in place (slot and heap arrays retained), so a
+// pooled PAO is reusable without allocation.
 func (p *extremumPAO) Reset() {
-	clear(p.counts)
+	p.counts.clear()
 	p.heap = p.heap[:0]
 	p.size = 0
 }
 
 func (p *extremumPAO) Clone() PAO {
-	c := &extremumPAO{max: p.max, size: p.size}
-	if p.counts != nil {
-		c.counts = make(map[int64]int64, len(p.counts))
-		for k, v := range p.counts {
-			c.counts[k] = v
-		}
-		c.heap = append([]int64(nil), p.heap...)
-	}
-	return c
+	return &extremumPAO{max: p.max, size: p.size, counts: p.counts.clone(), heap: slices.Clone(p.heap)}
 }

@@ -69,8 +69,8 @@ func TestExtremumNegativeTransient(t *testing.T) {
 	if got := p.Finalize(); got.Scalar != 90 {
 		t.Fatalf("Finalize = %+v, want 90", got)
 	}
-	if len(p.counts) != 3 {
-		t.Fatalf("counts = %v, want the zero entry deleted", p.counts)
+	if p.counts.len() != 3 {
+		t.Fatalf("counts = %v, want the zero entry deleted", p.counts.slots)
 	}
 }
 

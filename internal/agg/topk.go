@@ -4,9 +4,9 @@ import "math"
 
 // TopK is the built-in TOP-K aggregate of the paper: the k most frequent
 // values among the inputs (a generalization of mode, not of max — §5.1,
-// footnote 4). It is holistic: the partial state is a frequency map that may
-// grow with the number of distinct values. It is subtractable (frequency
-// maps subtract), so negative edges are legal.
+// footnote 4). It is holistic: the partial state is a frequency multiset that
+// may grow with the number of distinct values. It is subtractable (frequency
+// multisets subtract), so negative edges are legal.
 type TopK struct {
 	K int
 }
@@ -40,31 +40,29 @@ func headLimit(k int) int {
 // topkPAO maintains exact frequencies of the values it has aggregated, plus
 // a materialized head of the answer so that a PAO which is finalized often
 // (a push reader with subscribers or frequent reads) does not rescan and
-// re-rank its whole map for every answer.
+// re-rank its whole multiset for every answer.
 //
 // While armed, head is exactly the best len(head) positive-count entries of
 // freq in answer order (count descending, value ascending): every entry
 // outside it ranks after its last element, the floor. AddValue/RemoveValue
 // keep that true in O(log k) plus one memmove; anything that changes many
 // counts at once (Merge, Unmerge, Reset, ImportWire) disarms, and the next
-// FinalizeInto refills the head with one pass over the map. Reset clears
-// the map in place and the head keeps its backing array, so a pooled
+// FinalizeInto refills the head with one pass over the table. Reset clears
+// the table in place and the head keeps its backing array, so a pooled
 // topkPAO reaches a steady state where neither maintenance nor
 // finalization allocates (FinalizeInto also reuses the caller's buffer).
 type topkPAO struct {
 	k     int
-	freq  map[int64]int64
+	freq  multiset
 	total int64
 	// head holds at most lim = 2k entries: k answer a finalize, the other k
 	// are slack for entries popped because their rank became unknown. It
 	// grows by append, so its array is sized by the positive entries it has
-	// held and never by k, which a query spec may set to anything.
+	// held and never by k, which a query spec may set to anything. A head
+	// of freq.pos entries — every positive one — is exhaustive.
 	head  []valCount
 	lim   int
 	armed bool
-	// pos is the number of positive-count entries of freq, kept only while
-	// armed (refill counts it): a head of pos entries is exhaustive.
-	pos int
 	// steps counts armed AddValue/RemoveValue calls since the last
 	// finalize; see step.
 	steps int
@@ -107,21 +105,14 @@ func insert(h []valCount, e valCount, lim int) []valCount {
 	return h
 }
 
-func (p *topkPAO) init() {
-	if p.freq == nil {
-		p.freq = make(map[int64]int64)
-	}
-}
-
 // AddValue on an unarmed PAO (every writer and partial node, and any reader
-// written more often than it is finalized) is a single map increment.
+// written more often than it is finalized) is a single table increment.
 func (p *topkPAO) AddValue(v int64) {
 	if p.armed {
 		p.addArmed(v)
 		return
 	}
-	p.init()
-	p.freq[v]++
+	p.freq.add(v, 1)
 	p.total++
 }
 
@@ -129,27 +120,21 @@ func (p *topkPAO) AddValue(v int64) {
 // cancelled through a negative overlay edge, the subtraction may be applied
 // before the positive contribution arrives.
 func (p *topkPAO) RemoveValue(v int64) {
-	p.init()
-	old := p.freq[v]
-	if old == 1 {
-		delete(p.freq, v)
-	} else {
-		p.freq[v] = old - 1
-	}
+	now := p.freq.add(v, -1)
 	p.total--
 	if p.armed {
-		p.sink(valCount{v, old})
+		p.sink(valCount{v, now + 1})
 	}
 }
 
 // step charges one unit of head upkeep and reports whether the head is
 // still armed. Upkeep is rented, a refill is bought: once the calls since
-// the last finalize outnumber the map entries a refill would visit, the
+// the last finalize outnumber the entries a refill would visit, the
 // head is dropped, so a PAO that is written often and finalized rarely pays
 // at most about one refill's worth of upkeep per finalize.
 func (p *topkPAO) step() bool {
 	p.steps++
-	if p.steps > len(p.freq) {
+	if p.steps > p.freq.len() {
 		p.armed = false
 	}
 	return p.armed
@@ -157,14 +142,10 @@ func (p *topkPAO) step() bool {
 
 // addArmed is AddValue with the head kept exact.
 func (p *topkPAO) addArmed(v int64) {
-	c := p.freq[v] + 1
-	p.freq[v] = c
+	c := p.freq.add(v, 1)
 	p.total++
 	if !p.step() || c <= 0 {
 		return
-	}
-	if c == 1 {
-		p.pos++
 	}
 	h, e := p.head, valCount{v, c}
 	n := len(h)
@@ -180,7 +161,7 @@ func (p *topkPAO) addArmed(v int64) {
 	// only positive entry outside a head with room (the head stays
 	// exhaustive); otherwise its rank among the other outsiders is unknown
 	// and the answer is unchanged.
-	if (n > 0 && before(e, h[n-1])) || (n < p.lim && n+1 == p.pos) {
+	if (n > 0 && before(e, h[n-1])) || (n < p.lim && n+1 == p.freq.pos) {
 		p.head = insert(h, e, p.lim)
 	}
 }
@@ -192,9 +173,6 @@ func (p *topkPAO) sink(old valCount) {
 	if !p.step() || old.c <= 0 {
 		return
 	}
-	if old.c == 1 {
-		p.pos--
-	}
 	if n == 0 || before(h[n-1], old) {
 		return // below the floor and not rising: the answer is unchanged
 	}
@@ -202,7 +180,7 @@ func (p *topkPAO) sink(old valCount) {
 	e := valCount{old.v, old.c - 1}
 	j := i + rank(h[i+1:], e)
 	copy(h[i:j], h[i+1:j+1])
-	if e.c == 0 || (j == n-1 && n != p.pos) {
+	if e.c == 0 || (j == n-1 && n != p.freq.pos) {
 		// Gone, or sunk to the last slot of a head that is not exhaustive:
 		// an outsider may now outrank it, so it cannot stay materialized.
 		p.head = h[:n-1]
@@ -211,35 +189,19 @@ func (p *topkPAO) sink(old valCount) {
 	h[j] = e
 }
 
-func (p *topkPAO) Merge(other PAO) {
-	o := other.(*topkPAO)
-	if o.freq == nil {
-		return
-	}
-	p.init()
-	p.armed = false
-	for v, c := range o.freq {
-		p.freq[v] += c
-	}
-	p.total += o.total
-}
+func (p *topkPAO) Merge(other PAO) { p.fold(other.(*topkPAO), 1) }
 
-func (p *topkPAO) Unmerge(other PAO) {
-	o := other.(*topkPAO)
-	if o.freq == nil {
+func (p *topkPAO) Unmerge(other PAO) { p.fold(other.(*topkPAO), -1) }
+
+// fold adds sign times o's frequencies. An empty o changes nothing, so the
+// head stays armed.
+func (p *topkPAO) fold(o *topkPAO, sign int64) {
+	if o.freq.len() == 0 {
 		return
 	}
-	p.init()
 	p.armed = false
-	for v, c := range o.freq {
-		n := p.freq[v] - c
-		if n == 0 {
-			delete(p.freq, v)
-		} else {
-			p.freq[v] = n
-		}
-	}
-	p.total -= o.total
+	p.freq.merge(&o.freq, sign)
+	p.total += sign * o.total
 }
 
 func (p *topkPAO) Replace(old, new PAO) { replaceViaUnmerge(p, old, new) }
@@ -251,11 +213,11 @@ func (p *topkPAO) Finalize() Result { return p.FinalizeInto(nil) }
 // FinalizeInto implements IntoFinalizer: like Finalize, but the answer list
 // is written into buf[:0] so callers that retain a result buffer read
 // without allocating. It copies the head when the head can answer (k
-// entries, or every positive entry of the map) and refills it first when it
-// cannot.
+// entries, or every positive entry of the table) and refills it first when
+// it cannot.
 func (p *topkPAO) FinalizeInto(buf []int64) Result {
-	if p.total > 0 && len(p.freq) > 0 {
-		if !p.armed || (len(p.head) < p.k && len(p.head) != p.pos) {
+	if p.total > 0 && p.freq.len() > 0 {
+		if !p.armed || (len(p.head) < p.k && len(p.head) != p.freq.pos) {
 			p.refill()
 		}
 		p.steps = 0
@@ -276,27 +238,26 @@ func (p *topkPAO) FinalizeInto(buf []int64) Result {
 	return Result{List: buf[:0], Valid: false}
 }
 
-// refill rebuilds the head from the map by bounded insertion: an entry that
-// does not beat the floor of a full head is skipped with one comparison.
+// refill rebuilds the head from the table by bounded insertion: an entry
+// that does not beat the floor of a full head is skipped with one comparison.
 func (p *topkPAO) refill() {
-	h, pos := p.head[:0], 0
-	for v, c := range p.freq {
-		if c <= 0 {
+	h := p.head[:0]
+	for _, s := range p.freq.slots {
+		if s.c <= 0 {
 			continue
 		}
-		pos++
-		if e := (valCount{v, c}); len(h) < p.lim || before(e, h[len(h)-1]) {
+		if e := (valCount{s.v, s.c}); len(h) < p.lim || before(e, h[len(h)-1]) {
 			h = insert(h, e, p.lim)
 		}
 	}
-	p.head, p.pos = h, pos
+	p.head = h
 	p.armed = true
 }
 
-// Reset clears the frequencies in place, retaining map buckets and the head
-// array so a pooled PAO is reusable without allocation.
+// Reset clears the frequencies in place, retaining the slot and head arrays
+// so a pooled PAO is reusable without allocation.
 func (p *topkPAO) Reset() {
-	clear(p.freq)
+	p.freq.clear()
 	p.total = 0
 	p.armed = false
 }
@@ -304,14 +265,7 @@ func (p *topkPAO) Reset() {
 // Clone copies the frequencies, not the head: the copy refills on its first
 // finalize.
 func (p *topkPAO) Clone() PAO {
-	c := &topkPAO{k: p.k, lim: p.lim, total: p.total}
-	if p.freq != nil {
-		c.freq = make(map[int64]int64, len(p.freq))
-		for v, n := range p.freq {
-			c.freq[v] = n
-		}
-	}
-	return c
+	return &topkPAO{k: p.k, lim: p.lim, total: p.total, freq: p.freq.clone()}
 }
 
 // Distinct is the built-in DISTINCT (UNIQUE) aggregate: the number of
@@ -333,88 +287,28 @@ func (Distinct) Props() Properties {
 // NewPAO implements Aggregate.
 func (Distinct) NewPAO() PAO { return &distinctPAO{} }
 
-// distinctPAO tracks multiplicities and, beside them, how many are positive,
-// so Finalize is a field read instead of a walk over the map.
+// distinctPAO is the multiset itself: the answer is its count of positive
+// entries, which the kernel keeps, so Finalize is a field read.
 type distinctPAO struct {
-	freq map[int64]int64
-	pos  int64
+	freq multiset
 }
 
-func (p *distinctPAO) init() {
-	if p.freq == nil {
-		p.freq = make(map[int64]int64)
-	}
-}
-
-// set stores v's count (dropping the entry at zero when drop is set) and
-// keeps pos in step with the sign change.
-func (p *distinctPAO) set(v, old, n int64, drop bool) {
-	if n == 0 && drop {
-		delete(p.freq, v)
-	} else {
-		p.freq[v] = n
-	}
-	if old <= 0 && n > 0 {
-		p.pos++
-	} else if old > 0 && n <= 0 {
-		p.pos--
-	}
-}
-
-func (p *distinctPAO) AddValue(v int64) {
-	p.init()
-	old := p.freq[v]
-	p.set(v, old, old+1, false)
-}
+func (p *distinctPAO) AddValue(v int64) { p.freq.add(v, 1) }
 
 // RemoveValue tolerates transiently negative counts (see topkPAO).
-func (p *distinctPAO) RemoveValue(v int64) {
-	p.init()
-	old := p.freq[v]
-	p.set(v, old, old-1, true)
-}
+func (p *distinctPAO) RemoveValue(v int64) { p.freq.add(v, -1) }
 
-func (p *distinctPAO) Merge(other PAO) {
-	o := other.(*distinctPAO)
-	if o.freq == nil {
-		return
-	}
-	p.init()
-	for v, c := range o.freq {
-		old := p.freq[v]
-		p.set(v, old, old+c, false)
-	}
-}
+func (p *distinctPAO) Merge(other PAO) { p.freq.merge(&other.(*distinctPAO).freq, 1) }
 
-func (p *distinctPAO) Unmerge(other PAO) {
-	o := other.(*distinctPAO)
-	if o.freq == nil {
-		return
-	}
-	p.init()
-	for v, c := range o.freq {
-		old := p.freq[v]
-		p.set(v, old, old-c, true)
-	}
-}
+func (p *distinctPAO) Unmerge(other PAO) { p.freq.merge(&other.(*distinctPAO).freq, -1) }
 
 func (p *distinctPAO) Replace(old, new PAO) { replaceViaUnmerge(p, old, new) }
 
-func (p *distinctPAO) Finalize() Result { return Result{Scalar: p.pos, Valid: true} }
-
-// Reset clears the frequencies in place (buckets retained for pooled reuse).
-func (p *distinctPAO) Reset() {
-	clear(p.freq)
-	p.pos = 0
+func (p *distinctPAO) Finalize() Result {
+	return Result{Scalar: int64(p.freq.pos), Valid: true}
 }
 
-func (p *distinctPAO) Clone() PAO {
-	c := &distinctPAO{pos: p.pos}
-	if p.freq != nil {
-		c.freq = make(map[int64]int64, len(p.freq))
-		for v, n := range p.freq {
-			c.freq[v] = n
-		}
-	}
-	return c
-}
+// Reset clears the frequencies in place (slots retained for pooled reuse).
+func (p *distinctPAO) Reset() { p.freq.clear() }
+
+func (p *distinctPAO) Clone() PAO { return &distinctPAO{freq: p.freq.clone()} }

@@ -47,8 +47,8 @@ func runTopKOps(t testing.TB, data []byte) {
 			return
 		}
 		want := naiveTopK(model)
-		if len(p.head) > 2*k || len(p.head) > len(want) || p.pos != len(want) {
-			t.Fatalf("step %d: armed head has %d entries, pos=%d, k=%d, %d positive", step, len(p.head), p.pos, k, len(want))
+		if len(p.head) > 2*k || len(p.head) > len(want) || p.freq.pos != len(want) {
+			t.Fatalf("step %d: armed head has %d entries, pos=%d, k=%d, %d positive", step, len(p.head), p.freq.pos, k, len(want))
 		}
 		for i, e := range p.head {
 			if e != want[i] {
@@ -179,11 +179,11 @@ func TestTopKSkiRentalDisarm(t *testing.T) {
 		p.RemoveValue(int64(i % 30))
 	}
 	if !p.armed {
-		t.Fatalf("disarmed after %d steps over %d entries", p.steps, len(p.freq))
+		t.Fatalf("disarmed after %d steps over %d entries", p.steps, p.freq.len())
 	}
 	p.AddValue(0)
 	if p.armed {
-		t.Fatalf("still armed after %d steps over %d entries", p.steps, len(p.freq))
+		t.Fatalf("still armed after %d steps over %d entries", p.steps, p.freq.len())
 	}
 	if res := p.Finalize(); !p.armed || res.List[0] != 0 {
 		t.Fatalf("finalize after disarm: armed=%v result=%v", p.armed, res)
@@ -241,8 +241,8 @@ func TestTopKExhaustiveHeadIgnoresNonPositiveEntries(t *testing.T) {
 			p.AddValue(7) // -1 -> 0: still not positive
 			p.AddValue(7)
 		}
-		if len(p.head) != len(want) || p.pos != len(want) || !p.armed {
-			t.Fatalf("round %d: head %v pos %d armed %v, want %d entries without a refill", i, p.head, p.pos, p.armed, len(want))
+		if len(p.head) != len(want) || p.freq.pos != len(want) || !p.armed {
+			t.Fatalf("round %d: head %v pos %d armed %v, want %d entries without a refill", i, p.head, p.freq.pos, p.armed, len(want))
 		}
 		if res := p.Finalize(); !slices.Equal(res.List, want) {
 			t.Fatalf("round %d: finalize = %v, want %v", i, res, want)

@@ -23,14 +23,14 @@ import (
 // sum/count/avg/stddev carry their algebraic tuples; max/min carry the
 // contribution multiset (the coordinator-side Merge contributes each
 // shard's extremum, and max-of-maxes is max); topk/distinct carry exact
-// frequency maps; distinct~'s counting Bloom filter is linear, so adding
+// frequency multisets; distinct~'s counting Bloom filter is linear, so adding
 // counters cell-wise is the same sketch the single process would have
 // built. topk~ round-trips its sketch cells exactly too, but its bounded
 // candidate list is admission-order dependent, so a sharded topk~ answer
 // may legitimately differ from a never-sharded one.
 
 // WirePAO is the flat snapshot of one PAO's state. Field use varies by
-// aggregate (sum/count/avg use Sum+N, stddev adds SumSq, map-shaped PAOs
+// aggregate (sum/count/avg use Sum+N, stddev adds SumSq, multiset PAOs
 // use the parallel Values/Freqs arrays, sketches use Cells); unused fields
 // stay zero and are omitted from JSON.
 type WirePAO struct {
@@ -48,7 +48,10 @@ type WireExporter interface {
 }
 
 // WireImporter is implemented by PAOs that can replace their state from a
-// snapshot produced by the same aggregate's ExportWire.
+// snapshot produced by the same aggregate's ExportWire. A snapshot no
+// ExportWire produces — value and frequency lists of different lengths, a
+// value listed twice with a frequency — is rejected with an error and
+// leaves the PAO empty.
 type WireImporter interface {
 	ImportWire(WirePAO) error
 }
@@ -95,38 +98,6 @@ func MergeWires(a Aggregate, ws []WirePAO) (Result, error) {
 	return acc.Finalize(), nil
 }
 
-// pairsFromMap flattens a frequency map into sorted parallel arrays so the
-// same state always serializes to the same bytes.
-func pairsFromMap(m map[int64]int64) (vals, freqs []int64) {
-	if len(m) == 0 {
-		return nil, nil
-	}
-	vals = make([]int64, 0, len(m))
-	for v := range m {
-		vals = append(vals, v)
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	freqs = make([]int64, len(vals))
-	for i, v := range vals {
-		freqs[i] = m[v]
-	}
-	return vals, freqs
-}
-
-// mapFromPairs is the inverse of pairsFromMap.
-func mapFromPairs(vals, freqs []int64) (map[int64]int64, error) {
-	if len(vals) != len(freqs) {
-		return nil, fmt.Errorf("agg: wire pairs mismatch: %d values, %d freqs", len(vals), len(freqs))
-	}
-	m := make(map[int64]int64, len(vals))
-	for i, v := range vals {
-		if freqs[i] != 0 {
-			m[v] = freqs[i]
-		}
-	}
-	return m, nil
-}
-
 func (p *sumPAO) ExportWire() WirePAO { return WirePAO{Sum: p.sum, N: p.n} }
 
 func (p *sumPAO) ImportWire(w WirePAO) error {
@@ -159,55 +130,41 @@ func (p *stddevPAO) ImportWire(w WirePAO) error {
 // (which may exceed the sum of surviving counts while a resync is settling
 // negative entries, so it travels explicitly).
 func (p *extremumPAO) ExportWire() WirePAO {
-	vals, freqs := pairsFromMap(p.counts)
+	vals, freqs := p.counts.pairs()
 	return WirePAO{Values: vals, Freqs: freqs, N: p.size}
 }
 
 func (p *extremumPAO) ImportWire(w WirePAO) error {
-	m, err := mapFromPairs(w.Values, w.Freqs)
-	if err != nil {
+	p.Reset()
+	if err := p.counts.setPairs(w.Values, w.Freqs); err != nil {
 		return err
 	}
-	p.counts = m
 	p.size = w.N
 	p.rebuild()
 	return nil
 }
 
 func (p *topkPAO) ExportWire() WirePAO {
-	vals, freqs := pairsFromMap(p.freq)
+	vals, freqs := p.freq.pairs()
 	return WirePAO{Values: vals, Freqs: freqs, N: p.total}
 }
 
 func (p *topkPAO) ImportWire(w WirePAO) error {
-	m, err := mapFromPairs(w.Values, w.Freqs)
-	if err != nil {
+	p.Reset()
+	if err := p.freq.setPairs(w.Values, w.Freqs); err != nil {
 		return err
 	}
-	p.freq = m
 	p.total = w.N
-	p.armed = false
 	return nil
 }
 
 func (p *distinctPAO) ExportWire() WirePAO {
-	vals, freqs := pairsFromMap(p.freq)
+	vals, freqs := p.freq.pairs()
 	return WirePAO{Values: vals, Freqs: freqs}
 }
 
 func (p *distinctPAO) ImportWire(w WirePAO) error {
-	m, err := mapFromPairs(w.Values, w.Freqs)
-	if err != nil {
-		return err
-	}
-	p.freq = m
-	p.pos = 0
-	for _, c := range m {
-		if c > 0 {
-			p.pos++
-		}
-	}
-	return nil
+	return p.freq.setPairs(w.Values, w.Freqs)
 }
 
 // ExportWire carries the sketch cells plus the candidate list (as Values).

@@ -51,9 +51,18 @@ type touchCollector struct {
 	refs  []overlay.NodeRef
 }
 
-// collect records the push readers a write on writer slot wref touches.
-func (tc *touchCollector) collect(st *engineState, wref overlay.NodeRef, ts int64) {
+// collect records the push readers a write on writer slot wref touches,
+// leaving out those nt has no listener for: most of a hub's readers when
+// only a few egos are watched.
+func (tc *touchCollector) collect(nt *notifyTable, st *engineState, wref overlay.NodeRef, ts int64) {
+	lastTag, tagWide := int32(-1), false
 	for _, t := range st.plan.pushReaders[wref] {
+		if t.tag != lastTag {
+			lastTag, tagWide = t.tag, len(nt.byTag[t.tag]) > 0
+		}
+		if !tagWide && nt.at(t.ref) == nil {
+			continue
+		}
 		i := int(t.ref)
 		if i >= len(tc.mark) {
 			tc.growTo(st.plan.top.N)

@@ -300,7 +300,7 @@ func (e *Engine) putScratch(ws *writeScratch) {
 
 // readScratch is the pooled PAO arena of one non-scalar pull read: every
 // PAO the pull evaluation materializes comes from here, is Reset in place
-// on reuse (built-in PAOs retain their map buckets and slices across
+// on reuse (built-in PAOs retain their slot tables and slices across
 // Reset), and returns to the arena when the read finishes — so the
 // steady-state pull-read path for MAX/TOP-K/DISTINCT performs zero heap
 // allocations. An arena is private to one read; the pool hands it to one
@@ -404,7 +404,7 @@ func (e *Engine) writeOn(st *engineState, v graph.NodeID, value int64, ts int64,
 		e.propagateScalar(st, wref, dSum, dCnt)
 		if nt := e.notify.Load(); nt != nil {
 			if tc != nil {
-				tc.collect(st, wref, ts)
+				tc.collect(nt, st, wref, ts)
 			} else {
 				e.notifyFanout(nt, st, wref, ts)
 			}
@@ -420,7 +420,7 @@ func (e *Engine) writeOn(st *engineState, v graph.NodeID, value int64, ts int64,
 		e.propagate(st, wref, ws.add[:1], removed)
 		if nt := e.notify.Load(); nt != nil {
 			if tc != nil {
-				tc.collect(st, wref, ts)
+				tc.collect(nt, st, wref, ts)
 			} else {
 				e.notifyFanout(nt, st, wref, ts)
 			}

@@ -3,6 +3,8 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -31,14 +33,15 @@ type Update struct {
 type Subscription struct {
 	// tag is the query view the subscription observes (0 on single-query
 	// engines); nodes holds the subscribed data-graph nodes (nil = every
-	// reader of the tag's view); refs the corresponding reader slots in
-	// the engine that currently hosts the subscription. refs is re-derived
-	// from (tag, nodes) when a subscription moves to a rebuilt engine
-	// (AdoptSubscriptions), since recompilation may renumber overlay
-	// slots; tag and nodes are stable across rebuilds and re-strides.
+	// reader of the tag's view); refs the corresponding reader slots,
+	// sorted and distinct, in the engine that currently hosts the
+	// subscription. refs is re-derived from (tag, nodes) when a
+	// subscription moves to a rebuilt engine (AdoptSubscriptions), since
+	// recompilation may renumber overlay slots; tag and nodes are stable
+	// across rebuilds and re-strides.
 	tag   int32
 	nodes []graph.NodeID
-	refs  map[overlay.NodeRef]bool
+	refs  []overlay.NodeRef
 
 	mu      sync.Mutex
 	ch      chan Update
@@ -134,9 +137,30 @@ type notifyTable struct {
 	// byTag lists, per query tag, the subscriptions covering every reader
 	// of that tag's view (the whole engine on single-query engines, where
 	// every reader carries tag 0); byRef those restricted to specific
-	// reader slots.
+	// reader slots. byRef is indexed by overlay slot and as long as the
+	// highest subscribed slot requires (use at, which bounds-checks), so
+	// the fan-out skips a reader nobody listens to with one array test.
 	byTag map[int32][]*Subscription
-	byRef map[overlay.NodeRef][]*Subscription
+	byRef [][]*Subscription
+}
+
+// at returns the subscriptions restricted to reader slot ref.
+func (nt *notifyTable) at(ref overlay.NodeRef) []*Subscription {
+	if uint(ref) < uint(len(nt.byRef)) {
+		return nt.byRef[ref]
+	}
+	return nil
+}
+
+// without returns subs minus sub (nil when nothing is left).
+func without(subs []*Subscription, sub *Subscription) []*Subscription {
+	var kept []*Subscription
+	for _, s := range subs {
+		if s != sub {
+			kept = append(kept, s)
+		}
+	}
+	return kept
 }
 
 // Subscribe registers a continuous-query listener with a bounded buffer
@@ -167,14 +191,12 @@ func (e *Engine) SubscribeTagged(tag int32, buffer int, nodes ...graph.NodeID) (
 	if len(nodes) > 0 {
 		st := e.state.Load()
 		sub.nodes = append([]graph.NodeID(nil), nodes...)
-		sub.refs = make(map[overlay.NodeRef]bool, len(nodes))
 		for _, v := range nodes {
-			rref := st.plan.readerTagged(tag, v)
-			if rref == overlay.NoNode {
+			if st.plan.readerTagged(tag, v) == overlay.NoNode {
 				return nil, fmt.Errorf("exec: subscribe node %d: %w", v, ErrUnknownNode)
 			}
-			sub.refs[rref] = true
 		}
+		sub.resolve(st.plan)
 	}
 	e.subMu.Lock()
 	defer e.subMu.Unlock()
@@ -182,26 +204,39 @@ func (e *Engine) SubscribeTagged(tag int32, buffer int, nodes ...graph.NodeID) (
 	return sub, nil
 }
 
+// resolve derives a node-restricted subscription's reader slots from its
+// (tag, nodes) against pl; nodes without a reader there are left out.
+func (s *Subscription) resolve(pl *plan) {
+	s.refs = s.refs[:0]
+	for _, v := range s.nodes {
+		if rref := pl.readerTagged(s.tag, v); rref != overlay.NoNode {
+			s.refs = append(s.refs, rref)
+		}
+	}
+	slices.Sort(s.refs)
+	s.refs = slices.Compact(s.refs)
+}
+
 // installLocked adds sub to a fresh copy of the notify table; callers hold
-// e.subMu.
+// e.subMu. The copy shares the per-key lists it does not touch: a
+// published table is immutable, and the touched lists are re-allocated by
+// the full slice expression.
 func (e *Engine) installLocked(sub *Subscription) {
-	next := &notifyTable{
-		byTag: map[int32][]*Subscription{},
-		byRef: map[overlay.NodeRef][]*Subscription{},
-	}
+	next := &notifyTable{byTag: map[int32][]*Subscription{}}
 	if prev := e.notify.Load(); prev != nil {
-		for tag, subs := range prev.byTag {
-			next.byTag[tag] = append([]*Subscription(nil), subs...)
-		}
-		for ref, subs := range prev.byRef {
-			next.byRef[ref] = append([]*Subscription(nil), subs...)
-		}
+		maps.Copy(next.byTag, prev.byTag)
+		next.byRef = prev.byRef
 	}
-	if sub.refs == nil {
-		next.byTag[sub.tag] = append(next.byTag[sub.tag], sub)
-	} else {
-		for ref := range sub.refs {
-			next.byRef[ref] = append(next.byRef[ref], sub)
+	if sub.nodes == nil {
+		subs := next.byTag[sub.tag]
+		next.byTag[sub.tag] = append(subs[:len(subs):len(subs)], sub)
+	} else if len(sub.refs) > 0 {
+		byRef := make([][]*Subscription, max(len(next.byRef), int(sub.refs[len(sub.refs)-1])+1))
+		copy(byRef, next.byRef)
+		next.byRef = byRef
+		for _, ref := range sub.refs {
+			subs := next.byRef[ref]
+			next.byRef[ref] = append(subs[:len(subs):len(subs)], sub)
 		}
 	}
 	e.notify.Store(next)
@@ -252,15 +287,7 @@ func (e *Engine) AdoptSubscriptions(old *Engine) {
 		if closed {
 			continue
 		}
-		if sub.nodes != nil {
-			refs := make(map[overlay.NodeRef]bool, len(sub.nodes))
-			for _, v := range sub.nodes {
-				if rref := st.plan.readerTagged(sub.tag, v); rref != overlay.NoNode {
-					refs[rref] = true
-				}
-			}
-			sub.refs = refs
-		}
+		sub.resolve(st.plan)
 		e.installLocked(sub)
 	}
 }
@@ -277,34 +304,25 @@ func (e *Engine) Unsubscribe(sub *Subscription) {
 	if prev != nil {
 		next := &notifyTable{
 			byTag: map[int32][]*Subscription{},
-			byRef: map[overlay.NodeRef][]*Subscription{},
+			byRef: make([][]*Subscription, len(prev.byRef)),
 		}
+		live := false
 		for tag, subs := range prev.byTag {
-			var kept []*Subscription
-			for _, s := range subs {
-				if s != sub {
-					kept = append(kept, s)
-				}
-			}
-			if kept != nil {
+			if kept := without(subs, sub); kept != nil {
 				next.byTag[tag] = kept
+				live = true
 			}
 		}
 		for ref, subs := range prev.byRef {
-			var kept []*Subscription
-			for _, s := range subs {
-				if s != sub {
-					kept = append(kept, s)
-				}
-			}
-			if kept != nil {
-				next.byRef[ref] = kept
+			if subs != nil {
+				next.byRef[ref] = without(subs, sub)
+				live = live || next.byRef[ref] != nil
 			}
 		}
-		if len(next.byTag) == 0 && len(next.byRef) == 0 {
-			e.notify.Store(nil)
-		} else {
+		if live {
 			e.notify.Store(next)
+		} else {
+			e.notify.Store(nil)
 		}
 	}
 	e.subMu.Unlock()
@@ -364,7 +382,7 @@ func (e *Engine) notifyFanout(nt *notifyTable, st *engineState, wref overlay.Nod
 // its slot — under the reader's node mutex (see the notifyFanout comment
 // for the ordering contract). It is a no-op when nothing covers the reader.
 func (e *Engine) deliverReader(nt *notifyTable, st *engineState, byTag []*Subscription, ref overlay.NodeRef, gid graph.NodeID, ts int64) {
-	byRef := nt.byRef[ref]
+	byRef := nt.at(ref)
 	if len(byTag) == 0 && len(byRef) == 0 {
 		return
 	}

@@ -234,3 +234,80 @@ func TestSubscribeConcurrentWithWrites(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestSlotIndexedSubscriptions covers the dense subscriber lookup: a node
+// listed twice is one listener, a batch records only readers somebody
+// listens to (by slot or tag-wide), and the table goes away with the last
+// subscription.
+func TestSlotIndexedSubscriptions(t *testing.T) {
+	eng := notifyEngine(t, agg.Sum{})
+	both, err := eng.Subscribe(8, 0, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	only4, err := eng.Subscribe(8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := func(nodes ...graph.NodeID) {
+		t.Helper()
+		var evs []graph.Event
+		for i, v := range nodes {
+			evs = append(evs, graph.Event{Kind: graph.ContentWrite, Node: v, Value: 1, TS: int64(i + 1)})
+		}
+		if err := eng.WriteBatch(evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pending := func(s *Subscription) (nodes []graph.NodeID) {
+		for {
+			select {
+			case u, open := <-s.Updates():
+				if !open {
+					return nodes
+				}
+				nodes = append(nodes, u.Node)
+			default:
+				return nodes
+			}
+		}
+	}
+	batch(2, 2, 1) // 2 reaches readers 0 and 4, 1 reaches 0
+	if got := pending(both); len(got) != 2 {
+		t.Fatalf("subscriber of {0,4,0} got updates for %v, want one each for 0 and 4", got)
+	}
+	if got := pending(only4); len(got) != 1 || got[0] != 4 {
+		t.Fatalf("subscriber of {4} got updates for %v, want [4]", got)
+	}
+
+	recorded := func(v graph.NodeID) int {
+		st := eng.state.Load()
+		tc := eng.getTouch()
+		defer eng.putTouch(tc)
+		tc.collect(eng.notify.Load(), st, st.plan.writer(v), 1)
+		return len(tc.refs)
+	}
+	eng.Unsubscribe(both)
+	if n := recorded(2); n != 1 {
+		t.Fatalf("a write on 2 recorded %d readers with only reader 4 listened to, want 1", n)
+	}
+	if n := recorded(1); n != 0 {
+		t.Fatalf("a write on 1 recorded %d readers though nobody listens to reader 0, want 0", n)
+	}
+	wide, err := eng.Subscribe(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := recorded(2); n != 2 {
+		t.Fatalf("a write on 2 recorded %d readers under a tag-wide subscription, want 2", n)
+	}
+	eng.Unsubscribe(wide)
+	eng.Unsubscribe(only4)
+	if eng.notify.Load() != nil || eng.Subscribers() != 0 {
+		t.Fatal("the notify table must be dropped with the last subscription")
+	}
+	batch(2)
+	if got := pending(only4); len(got) != 0 {
+		t.Fatalf("closed subscription received %v", got)
+	}
+}

@@ -100,20 +100,10 @@ func compilePlan(ov *overlay.Overlay) *plan {
 }
 
 // writer returns the writer slot for data-graph node v, or NoNode.
-func (p *plan) writer(v int32) overlay.NodeRef {
-	if ref, ok := p.top.WriterOf[v]; ok {
-		return ref
-	}
-	return overlay.NoNode
-}
+func (p *plan) writer(v graph.NodeID) overlay.NodeRef { return p.top.Writer(v) }
 
 // reader returns the reader slot for data-graph node v, or NoNode.
-func (p *plan) reader(v int32) overlay.NodeRef {
-	if ref, ok := p.top.ReaderOf[v]; ok {
-		return ref
-	}
-	return overlay.NoNode
-}
+func (p *plan) reader(v graph.NodeID) overlay.NodeRef { return p.top.Reader(v) }
 
 // readerTagged returns query tag's reader slot for data-graph node v, or
 // NoNode. On single-query plans (stride 0) only tag 0 resolves. v must be

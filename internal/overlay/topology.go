@@ -35,12 +35,13 @@ type Topology struct {
 	In    []int32
 	// Writers lists live writer refs.
 	Writers []NodeRef
-	// WriterOf / ReaderOf map data-graph nodes to their overlay slots.
-	// They are copies: lookups are safe while the overlay mutates. In a
-	// merged multi-query overlay (Stride > 0) ReaderOf is keyed by the
-	// encoded reader GID tag*Stride + node.
-	WriterOf map[graph.NodeID]NodeRef
-	ReaderOf map[graph.NodeID]NodeRef
+	// WriterOf / ReaderOf map data-graph nodes to their overlay slots:
+	// dense arrays indexed by node id, NoNode where the node has no slot,
+	// sized to the largest id that has one (use Writer / Reader, which
+	// bounds-check). In a merged multi-query overlay (Stride > 0) ReaderOf
+	// is indexed by the encoded reader GID tag*Stride + node.
+	WriterOf []NodeRef
+	ReaderOf []NodeRef
 	// Stride is the merged-overlay reader-GID stride (0 for single-query
 	// overlays); see Overlay.SetReaderStride.
 	Stride int32
@@ -48,6 +49,37 @@ type Topology struct {
 	// overlays have everything under tag 0), precomputed so per-view stats
 	// never walk the reader map.
 	TagReaders map[int32]int
+}
+
+// Writer returns the writer slot of data-graph node v, or NoNode.
+func (t *Topology) Writer(v graph.NodeID) NodeRef { return slotOf(t.WriterOf, v) }
+
+// Reader returns the reader slot of (encoded) reader GID v, or NoNode.
+func (t *Topology) Reader(v graph.NodeID) NodeRef { return slotOf(t.ReaderOf, v) }
+
+func slotOf(dense []NodeRef, v graph.NodeID) NodeRef {
+	if uint(v) < uint(len(dense)) {
+		return dense[v]
+	}
+	return NoNode
+}
+
+// denseSlots lays a node → slot map out as an array indexed by node id.
+func denseSlots(m map[graph.NodeID]NodeRef) []NodeRef {
+	size := 0
+	for v := range m {
+		size = max(size, int(v)+1)
+	}
+	dense := make([]NodeRef, size)
+	for i := range dense {
+		dense[i] = NoNode
+	}
+	for v, ref := range m {
+		if v >= 0 {
+			dense[v] = ref
+		}
+	}
+	return dense
 }
 
 // ReaderTag decodes the query tag of a reader slot (0 when Stride is 0).
@@ -90,8 +122,8 @@ func (o *Overlay) Flatten() *Topology {
 		GID:        make([]graph.NodeID, n),
 		OutOff:     make([]int32, n+1),
 		InOff:      make([]int32, n+1),
-		WriterOf:   make(map[graph.NodeID]NodeRef, len(o.writerOf)),
-		ReaderOf:   make(map[graph.NodeID]NodeRef, len(o.readerOf)),
+		WriterOf:   denseSlots(o.writerOf),
+		ReaderOf:   denseSlots(o.readerOf),
 		Stride:     o.readerStride,
 		TagReaders: make(map[int32]int),
 	}
@@ -126,12 +158,6 @@ func (o *Overlay) Flatten() *Topology {
 	}
 	t.OutOff[n] = int32(len(t.Out))
 	t.InOff[n] = int32(len(t.In))
-	for k, v := range o.writerOf {
-		t.WriterOf[k] = v
-	}
-	for k, v := range o.readerOf {
-		t.ReaderOf[k] = v
-	}
 	return t
 }
 
