@@ -167,7 +167,7 @@ func BenchmarkOpWriteBatch1(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchfix.RunWriteBatch(b, eng, benchfix.Writes(events))
+	benchfix.RunWriteBatch(b, eng, benchfix.Writes(events), 4096)
 }
 
 // benchPullRead measures non-scalar on-demand reads (the pooled PAO arena
@@ -232,7 +232,20 @@ func BenchmarkOpSubscribeFanoutBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchfix.RunWriteBatch(b, eng, writes)
+	benchfix.RunWriteBatch(b, eng, writes, 4096)
+}
+
+// BenchmarkOpWriteBatchHotWriter measures the writer-major batch path
+// where it matters: Ingestor-sized batches (256) of Zipf(1) writes into an
+// all-push TOP-K with a four-tuple window, so most of what a hot writer
+// admits in a batch it also evicts in that batch, and one closure walk per
+// distinct writer replaces one per event.
+func BenchmarkOpWriteBatchHotWriter(b *testing.B) {
+	eng, writes, err := benchfix.HotWriterEngine()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchfix.RunWriteBatch(b, eng, writes, 256)
 }
 
 // benchAutotuneShift measures a mixed Zipf stream whose hot set has

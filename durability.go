@@ -147,6 +147,10 @@ type durableState struct {
 	lastCkptWM  atomic.Int64
 	errMu       sync.Mutex
 	lastCkptErr error
+	// expireErrs counts expiries applied in memory whose WAL record could
+	// not be appended; lastExpireErr (under errMu) is the latest cause.
+	expireErrs    atomic.Int64
+	lastExpireErr error
 
 	recovery Recovery
 
@@ -675,6 +679,13 @@ type DurabilityStats struct {
 	LastCheckpointLSN       uint64
 	LastCheckpointWatermark int64
 	LastCheckpointError     string
+	// WALExpireErrors counts watermark advances that expired in memory
+	// although their WAL record could not be appended (time must not
+	// stall on a failing disk): after a crash, recovery would rebuild
+	// windows still holding what those advances expired.
+	// LastExpireError is the most recent cause.
+	WALExpireErrors int64
+	LastExpireError string
 	// Recovery is the summary of this session's OpenDurable.
 	Recovery Recovery
 }
@@ -699,11 +710,15 @@ func (s *Session) DurabilityStats() DurabilityStats {
 		Checkpoints:             d.ckpts.Load(),
 		LastCheckpointLSN:       d.lastCkptLSN.Load(),
 		LastCheckpointWatermark: d.lastCkptWM.Load(),
+		WALExpireErrors:         d.expireErrs.Load(),
 		Recovery:                d.recovery,
 	}
 	d.errMu.Lock()
 	if d.lastCkptErr != nil {
 		st.LastCheckpointError = d.lastCkptErr.Error()
+	}
+	if d.lastExpireErr != nil {
+		st.LastExpireError = d.lastExpireErr.Error()
 	}
 	d.errMu.Unlock()
 	return st

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -622,5 +623,58 @@ func TestDurableBackgroundCheckpoint(t *testing.T) {
 	}
 	if err := s.CloseDurability(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExpireAllCountsUnloggedExpiry: a watermark advance whose WAL record
+// cannot be appended is still applied in memory (time must not stall on a
+// failing disk), but it is no longer silent — DurabilityStats counts it and
+// keeps the cause, because a recovery from that log would not repeat it.
+func TestExpireAllCountsUnloggedExpiry(t *testing.T) {
+	// run opens a fresh durable session on a filesystem that dies at
+	// write crashAt (0 = never), loads one value into a time-windowed
+	// query and returns the session, the query and the writes so far.
+	run := func(crashAt int64) (*Session, *Query, int64) {
+		t.Helper()
+		osfs, err := wal.NewOsFS(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ffs := wal.NewFaultFS(osfs, wal.FaultConfig{CrashAtWrite: crashAt})
+		g := NewGraph(2)
+		s, _, err := OpenDurable(g, DurabilityOptions{fs: ffs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddEdge(1, 0); err != nil {
+			t.Fatal(err)
+		}
+		q, err := s.Register(QuerySpec{Aggregate: "sum", WindowTime: 10, Continuous: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Write(1, 5, 1); err != nil {
+			t.Fatal(err)
+		}
+		return s, q, ffs.Writes()
+	}
+	dry, _, writes := run(0)
+	_ = dry.SimulateCrash()
+
+	s, q, _ := run(writes + 1) // the next write — the expire record — fails
+	defer s.SimulateCrash()
+	if st := s.DurabilityStats(); st.WALExpireErrors != 0 || st.LastExpireError != "" {
+		t.Fatalf("before the fault: %+v", st)
+	}
+	if res, err := q.Read(0); err != nil || res.Scalar != 5 {
+		t.Fatalf("read before expiry = %v, %v; want 5", res, err)
+	}
+	s.ExpireAll(100)
+	if res, err := q.Read(0); err != nil || (res.Valid && res.Scalar != 0) {
+		t.Fatalf("read after the unlogged expiry = %v, %v; the window must have expired in memory", res, err)
+	}
+	st := s.DurabilityStats()
+	if st.WALExpireErrors != 1 || !strings.Contains(st.LastExpireError, wal.ErrInjected.Error()) {
+		t.Fatalf("WALExpireErrors = %d, LastExpireError = %q; want 1 and the injected fault", st.WALExpireErrors, st.LastExpireError)
 	}
 }

@@ -668,6 +668,12 @@ func (s *Session) WriteBatch(events []Event) error {
 // expirations (and subscriber notifications) through the push regions.
 // Sessions ingesting through an Ingestor don't call this: the Ingestor's
 // watermark drives expiry automatically.
+//
+// On a durable session the advance is logged first, but unlike an event
+// batch it is applied even when the log append fails — stream time must
+// not stall on a failing disk. Such an advance is counted in
+// DurabilityStats (WALExpireErrors, LastExpireError): a recovery from that
+// log would not repeat it.
 func (s *Session) ExpireAll(ts int64) {
 	if d := s.dur; d != nil && !d.replaying {
 		// Expiry is LOGGED, not recomputed at recovery: replay reproduces
@@ -677,6 +683,11 @@ func (s *Session) ExpireAll(ts int64) {
 		if !d.closed {
 			if _, err := d.log.AppendExpire(ts); err == nil {
 				casMax(&d.lastExpire, ts)
+			} else {
+				d.expireErrs.Add(1)
+				d.errMu.Lock()
+				d.lastExpireErr = err
+				d.errMu.Unlock()
 			}
 		}
 		s.multi.ExpireAll(ts)

@@ -25,6 +25,10 @@ import (
 // construct.Alg*), decision mode ("push", "pull" or dataflow-optimal for
 // anything else), and a 1:1 Zipf event stream of 1<<16 events.
 func MicroEngine(alg, mode string, a agg.Aggregate) (*exec.Engine, []graph.Event, error) {
+	return microEngine(alg, mode, a, agg.NewTupleWindow(1))
+}
+
+func microEngine(alg, mode string, a agg.Aggregate, window agg.Window) (*exec.Engine, []graph.Event, error) {
 	g := workload.SocialGraph(2000, 8, 1)
 	ag := bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes)
 	var ov *overlay.Overlay
@@ -52,11 +56,28 @@ func MicroEngine(alg, mode string, a agg.Aggregate) (*exec.Engine, []graph.Event
 			return nil, nil, err
 		}
 	}
-	eng, err := exec.New(ov, a, agg.NewTupleWindow(1))
+	eng, err := exec.New(ov, a, window)
 	if err != nil {
 		return nil, nil, err
 	}
 	return eng, workload.Events(wl, 1<<16, 2), nil
+}
+
+// HotWriterEngine builds the fixture behind OpWriteBatchHotWriter: what a
+// Continuous TOP-K query compiles to — all-push over the standard social
+// graph, a four-tuple window — fed the fixture's Zipf(1) writes, where a
+// 256-event batch holds about half as many distinct writers and the
+// hottest one writes dozens of times. One all-readers subscription with no
+// consumer keeps the notification half of the batch path in the picture.
+func HotWriterEngine() (*exec.Engine, []graph.Event, error) {
+	eng, events, err := microEngine("baseline", "push", agg.TopK{K: 10}, agg.NewTupleWindow(4))
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := eng.Subscribe(1024); err != nil {
+		return nil, nil, err
+	}
+	return eng, Writes(events), nil
 }
 
 // Writes filters the content writes out of an event stream.
@@ -475,13 +496,12 @@ func RunResync(b *testing.B, eng *exec.Engine) {
 	}
 }
 
-// RunWriteBatch drives the batch ingest path in chunks of up to 4096
+// RunWriteBatch drives the batch ingest path in chunks of up to chunk
 // writes, reporting per-write cost.
-func RunWriteBatch(b *testing.B, eng *exec.Engine, writes []graph.Event) {
+func RunWriteBatch(b *testing.B, eng *exec.Engine, writes []graph.Event, chunk int) {
 	if len(writes) == 0 {
 		b.Fatal("benchfix: no writes in fixture")
 	}
-	chunk := 4096
 	if chunk > len(writes) {
 		chunk = len(writes)
 	}

@@ -1,46 +1,195 @@
 package exec
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/overlay"
 )
 
 // WriteBatch ingests a batch of content writes serially on the calling
-// goroutine, in batch order; non-write events are skipped. With live
-// subscriptions, fan-out is coalesced per batch: writes only RECORD the
-// push readers they touch, and after the whole batch applied each touched
-// reader is finalized and delivered exactly once — N writes into one ego
-// network cost one notification, not N.
+// goroutine, writer-major, in two passes; non-write events are skipped.
+//
+// Pass 1 visits the events in batch order and does, per event and under the
+// writer's mutex, exactly what a single Write does there (applyAtWriter:
+// window slide, expiry index, the writer's own cell or PAO, the delta-log
+// record), folding the resulting delta into that writer's accumulator
+// entry. Pass 2 visits each DISTINCT writer once: values the batch both
+// admitted to and evicted from the writer's window cancel (nobody could
+// have observed them downstream), and the net delta walks the compiled
+// closure once (pushRegion), counted as the m logical writes it stands for.
+// A hot writer's thirty writes cost one closure walk, not thirty. With live
+// subscriptions the touched readers are collected along the way and each is
+// finalized and delivered exactly once after the whole batch applied.
+//
+// Between the passes a concurrent reader may see a writer's own cell ahead
+// of its push region by up to this batch (a single Write has the same gap,
+// one write wide); everything is exact when WriteBatch returns.
 //
 // The engine spawns nothing: multi-core ingest comes from concurrent
-// callers (the Ingestor's node-partitioned worker pool, the Runner's write
-// pool), each applying its own batch. Safe for concurrent use with Write,
-// Read, other WriteBatch calls, and — like every ingest path — with an
-// in-flight Grow or online ResyncPushState: each write applies to the
-// snapshot current at its writer-lock acquisition (a batch straddling a
-// cutover may span two generations) and its deltas are epoch-logged across
-// the resync, so none is lost or double-applied.
+// callers (concurrent Ingestor senders, the Runner's write pool), each
+// applying its own batch with its own accumulator. Safe for concurrent use
+// with Write, Read, ExpireAll, other WriteBatch calls, and — like every
+// ingest path — with an in-flight Grow or online ResyncPushState: each
+// write applies to, and is epoch-logged under, the snapshot current at its
+// writer-lock acquisition, and an accumulator entry is bound to that
+// snapshot. A write that finds its writer's entry bound to an older one
+// first flushes the entry through the old snapshot's closure — which is
+// where every one of those writes would have propagated on its own — so
+// none is lost or double-applied across a cutover.
 func (e *Engine) WriteBatch(events []graph.Event) error {
 	st := e.state.Load()
-	var tc *touchCollector
-	if e.notify.Load() != nil {
-		tc = e.getTouch()
-	}
-	for _, ev := range events {
+	acc := e.getAccum()
+	tc := e.getTouch()
+	var n int64
+	for i := range events {
+		ev := &events[i]
 		if ev.Kind != graph.ContentWrite {
 			continue
 		}
-		_ = e.writeOn(st, ev.Node, ev.Value, ev.TS, tc)
+		n++
+		wref := st.plan.writer(ev.Node)
+		if wref == overlay.NoNode {
+			continue // feeds no reader: absorbed
+		}
+		cur, dSum, dCnt := e.applyAtWriter(st, wref, ev.Value, ev.TS, &acc.rec)
+		if len(cur.plan.closure[wref]) == 0 {
+			continue // nothing downstream (and so no reader to tell)
+		}
+		ent := acc.entry(wref, cur.plan.top.N)
+		if ent.st != cur {
+			if ent.m > 0 {
+				e.flushEntry(ent, tc)
+			}
+			ent.st = cur
+		}
+		if ent.m == 0 || ev.TS > ent.ts {
+			ent.ts = ev.TS
+		}
+		ent.m++
+		if e.scalar != nil {
+			ent.dSum += dSum
+			ent.dCnt += dCnt
+		} else {
+			ent.add = append(ent.add, ev.Value)
+			ent.rem = append(ent.rem, acc.rec.removed...)
+		}
 	}
-	if tc != nil {
-		e.flushTouches(tc)
-		e.putTouch(tc)
+	e.writes.Add(n)
+	for i := range acc.entries[:acc.n] {
+		e.flushEntry(&acc.entries[i], tc)
 	}
+	e.putAccum(acc)
+	e.flushTouches(tc)
+	e.putTouch(tc)
 	return nil
 }
 
+// flushEntry pushes one writer's folded delta through the closure of the
+// snapshot it was logged under and leaves the entry empty and unbound.
+func (e *Engine) flushEntry(ent *accEntry, tc *touchCollector) {
+	ent.add, ent.rem = cancelCommon(ent.add, ent.rem)
+	e.pushRegion(ent.st, ent.wref, &ent.writerDelta, tc)
+	ent.writerDelta = writerDelta{add: ent.add[:0], rem: ent.rem[:0]}
+	ent.st = nil
+}
+
+// cancelCommon removes from add and rem, in place, the values they have in
+// common as multisets: a value a window admitted and evicted inside one
+// batch. Both slices come back sorted, which is fine for their consumers —
+// PAO maintenance is order-free (resync.go, "delta commutativity").
+func cancelCommon(add, rem []int64) ([]int64, []int64) {
+	if len(add) == 0 || len(rem) == 0 {
+		return add, rem
+	}
+	slices.Sort(add)
+	slices.Sort(rem)
+	i, j, a, r := 0, 0, 0, 0
+	for i < len(add) && j < len(rem) {
+		switch {
+		case add[i] < rem[j]:
+			add[a] = add[i]
+			a, i = a+1, i+1
+		case add[i] > rem[j]:
+			rem[r] = rem[j]
+			r, j = r+1, j+1
+		default:
+			i, j = i+1, j+1
+		}
+	}
+	a += copy(add[a:], add[i:])
+	r += copy(rem[r:], rem[j:])
+	return add[:a], rem[:r]
+}
+
+// writeAccum is the pooled per-batch accumulator behind WriteBatch: one
+// entry per distinct writer, found through a stamp-indexed dense array over
+// overlay slots (a slot has an entry iff slots[slot].stamp == stamp; no
+// clearing between batches), so folding an event is an array test and the
+// steady state allocates nothing. rec is the batch's window-expiry
+// recorder.
+type writeAccum struct {
+	stamp   uint32
+	slots   []accSlot
+	entries []accEntry // entries[:n] are this batch's, in first-write order
+	n       int
+	rec     expiryRecorder
+}
+
+type accSlot struct {
+	stamp uint32
+	idx   int32
+}
+
+// accEntry is one writer's folded delta, bound to the snapshot st its
+// writes were applied to and logged under. The add / rem backing arrays
+// stay with the entry across batches.
+type accEntry struct {
+	wref overlay.NodeRef
+	st   *engineState
+	writerDelta
+}
+
+// entry returns writer slot wref's entry for this batch, claiming the next
+// free one (empty, unbound) on the writer's first write; n is the slot
+// count to size the dense array to when wref lies past it (the overlay can
+// grow mid-batch). The pointer is valid until the next call.
+func (a *writeAccum) entry(wref overlay.NodeRef, n int) *accEntry {
+	if int(wref) >= len(a.slots) {
+		a.slots = append(a.slots, make([]accSlot, n-len(a.slots))...)
+	}
+	s := &a.slots[wref]
+	if s.stamp != a.stamp {
+		if a.n == len(a.entries) {
+			a.entries = append(a.entries, accEntry{})
+		}
+		*s = accSlot{stamp: a.stamp, idx: int32(a.n)}
+		a.entries[a.n].wref = wref
+		a.n++
+	}
+	return &a.entries[s.idx]
+}
+
+func (e *Engine) getAccum() *writeAccum {
+	a := e.accPool.Get().(*writeAccum)
+	a.stamp++
+	if a.stamp == 0 {
+		// Wrapped: zeroed slots would look freshly stamped.
+		clear(a.slots)
+		a.stamp = 1
+	}
+	a.n = 0
+	return a
+}
+
+func (e *Engine) putAccum(a *writeAccum) {
+	a.rec.target = nil
+	e.accPool.Put(a)
+}
+
 // touchCollector accumulates the distinct push readers one batch's writes
-// reach, with the latest write timestamp seen per reader. mark is an
+// (or one watermark advance's expiries) reach, with the latest timestamp
+// seen per reader. mark is an
 // epoch-stamped dense array over overlay slots (no clearing between
 // batches: a slot is "recorded" iff mark[slot] == stamp), so collection is
 // allocation-free in steady state.
@@ -104,13 +253,13 @@ func (e *Engine) getTouch() *touchCollector {
 
 func (e *Engine) putTouch(tc *touchCollector) { e.touchPool.Put(tc) }
 
-// flushTouches delivers a batch's coalesced notifications: each reader the
-// collector recorded (already deduplicated by its mark array) is finalized
-// and handed to its subscribers exactly once, with the latest write
-// timestamp the batch saw for it.
+// flushTouches delivers the coalesced notifications of one batch or one
+// watermark advance: each reader the collector recorded (already
+// deduplicated by its mark array) is finalized and handed to its
+// subscribers exactly once, with the latest timestamp seen for it.
 func (e *Engine) flushTouches(tc *touchCollector) {
 	nt := e.notify.Load()
-	if nt == nil {
+	if nt == nil || len(tc.refs) == 0 {
 		return
 	}
 	st := e.state.Load()
@@ -118,10 +267,12 @@ func (e *Engine) flushTouches(tc *touchCollector) {
 	lastTag := int32(-1)
 	var byTag []*Subscription
 	for _, ref := range tc.refs {
-		// The reader may have vanished or changed annotation across a
-		// mid-batch snapshot swap; deliverReader re-checks PAO presence
-		// against the current snapshot.
-		if int(ref) >= top.N || top.Dead[ref] || top.Kind[ref] != overlay.ReaderNode {
+		// A snapshot swap between collect and here may have removed the
+		// reader or flipped it to pull. A pull reader's slot is not
+		// maintained (no PAO; in scalar mode a fresh zero cell after a
+		// resync), so there is no settled value to push: skip it.
+		if int(ref) >= top.N || top.Dead[ref] || top.Kind[ref] != overlay.ReaderNode ||
+			top.Dec[ref] != overlay.Push {
 			continue
 		}
 		if tag := top.ReaderTag(ref); tag != lastTag {

@@ -53,8 +53,11 @@
 // # Batched ingestion
 //
 // WriteBatch applies a batch of content writes serially on the caller's
-// goroutine and coalesces subscription fan-out to one notification per
-// touched reader per batch. The engine itself never spawns goroutines for
+// goroutine, writer-major: every event slides its writer's window in batch
+// order, then each DISTINCT writer's net delta walks its push closure once
+// and each touched reader is notified once (batch.go). ExpireAll coalesces
+// the same way, one notification per touched reader per watermark
+// advance. The engine itself never spawns goroutines for
 // writes: parallel ingest is the caller's business, and every entry point
 // is safe for concurrent callers. The one caller that does go parallel,
 // Runner (separate persistent read and write pools over a live event
@@ -116,10 +119,13 @@ type Engine struct {
 
 	// scratch pools per-write buffers (expiry recorder, delta slice);
 	// readPool pools per-read PAO arenas for non-scalar pull evaluation;
-	// touchPool pools the per-batch reader-touch collectors that coalesce
-	// subscription fan-out to once per reader per WriteBatch.
+	// accPool pools the per-batch writer accumulators that coalesce push
+	// propagation to once per distinct writer per WriteBatch; touchPool
+	// pools the reader-touch collectors that coalesce subscription fan-out
+	// to once per reader per WriteBatch or ExpireAll (batch.go).
 	scratch   sync.Pool
 	readPool  sync.Pool
+	accPool   sync.Pool
 	touchPool sync.Pool
 }
 
@@ -186,6 +192,7 @@ func New(ov *overlay.Overlay, a agg.Aggregate, window agg.Window) (*Engine, erro
 	}
 	e.scratch.New = func() any { return &writeScratch{} }
 	e.readPool.New = func() any { return &readScratch{} }
+	e.accPool.New = func() any { return &writeAccum{} }
 	e.touchPool.New = func() any { return &touchCollector{} }
 	e.state.Store(e.buildState(nil, window))
 	return e, nil
@@ -341,39 +348,65 @@ func finalizePAO(p agg.PAO, buf []int64) agg.Result {
 }
 
 // Write ingests a content update on data-graph node v (a "write on v") and
-// synchronously propagates it through the push region of the overlay.
+// synchronously propagates it through the push region of the overlay: the
+// apply-at-the-writer step and the push-region tail back to back, which is
+// also what a WriteBatch of one event degenerates to (batch.go).
 func (e *Engine) Write(v graph.NodeID, value int64, ts int64) error {
-	return e.writeOn(e.state.Load(), v, value, ts, nil)
-}
-
-// writeOn executes one write. st is the caller's pinned snapshot (used for
-// the writer lookup); the state actually mutated is re-resolved under the
-// writer's mutex, which is the write-side fence of the online resync: after
-// a cutover, the first lock acquisition per writer observes the new
-// snapshot, so deltas tagged with pre-cutover epochs can only be appended
-// before the resync's post-cutover drain locks that writer (resync.go).
-//
-// tc, when non-nil, defers subscriber notification: instead of fanning out
-// immediately, the touched push readers are recorded in the collector so a
-// batch can notify each reader at most once after all its writes applied
-// (batch.go). A nil tc keeps the single-write behavior: fan out per write.
-func (e *Engine) writeOn(st *engineState, v graph.NodeID, value int64, ts int64, tc *touchCollector) error {
+	st := e.state.Load()
+	e.writes.Add(1)
 	wref := st.plan.writer(v)
 	if wref == overlay.NoNode {
 		// The node feeds no reader (like g_w in Figure 1(c)): the write
 		// is absorbed without any propagation work.
-		e.writes.Add(1)
 		return nil
 	}
 	ws := e.getScratch()
-	ns := st.nodes[wref]
+	d := writerDelta{m: 1, ts: ts}
+	st, d.dSum, d.dCnt = e.applyAtWriter(st, wref, value, ts, &ws.rec)
+	if e.scalar == nil {
+		ws.add[0] = value
+		d.add, d.rem = ws.add[:1], ws.rec.removed
+	}
+	e.pushRegion(st, wref, &d, nil)
+	e.putScratch(ws)
+	return nil
+}
+
+// writerDelta is what one or more logical writes (or one expiry) on a
+// single writer changed in that writer's window, in the form its push
+// region consumes: (dSum, dCnt) in scalar mode, raw value lists in PAO
+// mode. m is the number of logical writes folded in — every pushObs along
+// the closure advances by m, so the §4 frequency inputs count writes, not
+// closure walks — and ts the latest of their timestamps.
+type writerDelta struct {
+	m          int64
+	ts         int64
+	dSum, dCnt int64
+	add, rem   []int64
+}
+
+// applyAtWriter is the first half of a write: everything that happens at
+// the writer itself, under its mutex — window slide, expiry-index
+// registration, the writer's own cell or PAO, and the epoch-tagged delta-log
+// record. pinned is the caller's snapshot (it resolved wref); the state
+// actually mutated is re-resolved under the mutex and returned, which is
+// the write-side fence of the online resync: after a cutover, the first
+// lock acquisition per writer observes the new snapshot, so deltas tagged
+// with pre-cutover epochs can only be appended before the resync's
+// post-cutover drain locks that writer (resync.go). The delta's push region
+// must be walked on the returned snapshot.
+//
+// In scalar mode the window's net effect comes back as (dSum, dCnt); in PAO
+// mode the evicted values are left in rec.removed (the added one is value).
+func (e *Engine) applyAtWriter(pinned *engineState, wref overlay.NodeRef, value, ts int64, rec *expiryRecorder) (st *engineState, dSum, dCnt int64) {
+	ns := pinned.nodes[wref]
 	ns.mu.Lock()
 	// Sync cells are shared and node slots only grow, so wref and ns stay
 	// valid in any newer snapshot observed here.
 	st = e.state.Load()
-	ws.rec.target = st.paos[wref]
-	ws.rec.removed = ws.rec.removed[:0]
-	st.windows[wref].Add(&ws.rec, value, ts)
+	rec.target = st.paos[wref]
+	rec.removed = rec.removed[:0]
+	st.windows[wref].Add(rec, value, ts)
 	if !ns.inExpiryHeap {
 		// First value of a time window (or the first since the heap popped
 		// this writer empty): index its deadline so ExpireAll finds it
@@ -385,80 +418,80 @@ func (e *Engine) writeOn(st *engineState, v graph.NodeID, value int64, ts int64,
 			e.expiry.push(d, wref)
 		}
 	}
-	removed := ws.rec.removed
 	if e.scalar != nil {
-		var remSum int64
-		for _, r := range removed {
-			remSum += r
+		dSum, dCnt = value, 1-int64(len(rec.removed))
+		for _, r := range rec.removed {
+			dSum -= r
 		}
-		dSum, dCnt := value-remSum, 1-int64(len(removed))
 		cell := st.scalars[wref]
 		cell.sum.Add(dSum)
 		cell.cnt.Add(dCnt)
 		if lg := e.log.Load(); lg != nil {
 			lg.record(wref, deltaRec{epoch: st.epoch, dSum: dSum, dCnt: dCnt})
 		}
-		ns.mu.Unlock()
-		ns.pushObs.Add(1)
-		e.writes.Add(1)
-		e.propagateScalar(st, wref, dSum, dCnt)
-		if nt := e.notify.Load(); nt != nil {
-			if tc != nil {
-				tc.collect(nt, st, wref, ts)
-			} else {
-				e.notifyFanout(nt, st, wref, ts)
-			}
-		}
+	} else if lg := e.log.Load(); lg != nil {
+		lg.record(wref, paoDelta(st.epoch, value, true, rec.removed))
+	}
+	ns.mu.Unlock()
+	ns.pushObs.Add(1)
+	return st, dSum, dCnt
+}
+
+// pushRegion is the second half of a write: walk writer wref's compiled
+// closure in st once with the delta, then tell subscribers. tc, when
+// non-nil, defers notification: the touched push readers are recorded in
+// the collector so the caller can deliver each reader once after
+// everything it is applying settled (batch.go). A nil tc is the single
+// Write: fan out now.
+func (e *Engine) pushRegion(st *engineState, wref overlay.NodeRef, d *writerDelta, tc *touchCollector) {
+	if e.scalar != nil {
+		e.propagateScalar(st, wref, d.dSum, d.dCnt, d.m)
 	} else {
-		if lg := e.log.Load(); lg != nil {
-			lg.record(wref, paoDelta(st.epoch, value, true, removed))
-		}
-		ns.mu.Unlock()
-		ns.pushObs.Add(1)
-		e.writes.Add(1)
-		ws.add[0] = value
-		e.propagate(st, wref, ws.add[:1], removed)
-		if nt := e.notify.Load(); nt != nil {
-			if tc != nil {
-				tc.collect(nt, st, wref, ts)
-			} else {
-				e.notifyFanout(nt, st, wref, ts)
-			}
+		e.propagate(st, wref, d.add, d.rem, d.m)
+	}
+	if nt := e.notify.Load(); nt != nil {
+		if tc != nil {
+			tc.collect(nt, st, wref, d.ts)
+		} else {
+			e.notifyFanout(nt, st, wref, d.ts)
 		}
 	}
-	e.putScratch(ws)
-	return nil
 }
 
 // propagate applies a raw-value delta along the writer's compiled push
-// closure (mutex + PAO mode). Each closure entry corresponds to one edge
-// traversal of the original breadth-first walk, so duplicate paths (legal
-// only for duplicate-insensitive aggregates) contribute consistent
-// multiplicities on both add and remove.
-func (e *Engine) propagate(st *engineState, wref overlay.NodeRef, add, remove []int64) {
+// closure (mutex + PAO mode), counting it as m pushes at every node. Each
+// closure entry corresponds to one edge traversal of the original
+// breadth-first walk, so duplicate paths (legal only for
+// duplicate-insensitive aggregates) contribute consistent multiplicities
+// on both add and remove. A delta that cancelled to nothing still counts.
+func (e *Engine) propagate(st *engineState, wref overlay.NodeRef, add, remove []int64, m int64) {
+	empty := len(add)+len(remove) == 0
 	for _, pe := range st.plan.closure[wref] {
 		ref, neg := overlay.UnpackRef(pe)
-		a, r := add, remove
-		if neg {
-			a, r = remove, add
-		}
 		ns := st.nodes[ref]
-		ns.mu.Lock()
-		pao := st.paos[ref]
-		for _, v := range a {
-			pao.AddValue(v)
+		if !empty {
+			a, r := add, remove
+			if neg {
+				a, r = remove, add
+			}
+			ns.mu.Lock()
+			pao := st.paos[ref]
+			for _, v := range a {
+				pao.AddValue(v)
+			}
+			for _, v := range r {
+				pao.RemoveValue(v)
+			}
+			ns.mu.Unlock()
 		}
-		for _, v := range r {
-			pao.RemoveValue(v)
-		}
-		ns.mu.Unlock()
-		ns.pushObs.Add(1)
+		ns.pushObs.Add(m)
 	}
 }
 
 // propagateScalar applies a (sum, count) delta along the compiled closure
-// with plain atomic adds — no locks, no allocation.
-func (e *Engine) propagateScalar(st *engineState, wref overlay.NodeRef, dSum, dCnt int64) {
+// with plain atomic adds — no locks, no allocation — counting it as m
+// pushes at every node.
+func (e *Engine) propagateScalar(st *engineState, wref overlay.NodeRef, dSum, dCnt, m int64) {
 	for _, pe := range st.plan.closure[wref] {
 		ref, neg := overlay.UnpackRef(pe)
 		cell := st.scalars[ref]
@@ -469,7 +502,7 @@ func (e *Engine) propagateScalar(st *engineState, wref overlay.NodeRef, dSum, dC
 			cell.sum.Add(dSum)
 			cell.cnt.Add(dCnt)
 		}
-		st.nodes[ref].pushObs.Add(1)
+		st.nodes[ref].pushObs.Add(m)
 	}
 }
 
@@ -672,11 +705,13 @@ func (e *Engine) computePull(st *engineState, ref overlay.NodeRef, rs *readScrat
 // through the push region. Tuple windows are unaffected. It consults the
 // per-writer next-expiry index and touches ONLY writers whose oldest
 // in-window value has fallen due — O(expired writers) per watermark
-// advance, and a single heap peek when nothing expires. Safe for
-// concurrent use with all other engine methods; expiry deltas are logged
-// like writes while an online resync is in flight. Concurrent ExpireAll
-// calls pop disjoint writer sets; a write racing the advance is expired by
-// the next advance, exactly as under the full walk.
+// advance, and a single heap peek when nothing expires. Subscribers get one
+// Update per touched reader per advance, finalized after every due writer
+// expired and stamped with ts, however many of the reader's writers
+// expired. Safe for concurrent use with all other engine methods; expiry
+// deltas are logged like writes while an online resync is in flight.
+// Concurrent ExpireAll calls pop disjoint writer sets; a write racing the
+// advance is expired by the next advance, exactly as under the full walk.
 func (e *Engine) ExpireAll(ts int64) {
 	if !e.expiry.due(ts) {
 		return
@@ -684,14 +719,18 @@ func (e *Engine) ExpireAll(ts int64) {
 	scratch := e.expiry.getScratch()
 	*scratch = e.expiry.popDue(ts, *scratch)
 	st := e.state.Load()
+	ws, tc := e.getScratch(), e.getTouch()
 	for _, wref := range *scratch {
 		if int(wref) >= len(st.nodes) {
 			// Registered under a newer snapshot than the one loaded above;
 			// slots only grow, so a fresh load contains it.
 			st = e.state.Load()
 		}
-		e.expireWriter(st, wref, ts, true)
+		e.expireWriter(st, wref, ts, true, &ws.rec, tc)
 	}
+	e.flushTouches(tc)
+	e.putTouch(tc)
+	e.putScratch(ws)
 	e.expiry.putScratch(scratch)
 }
 
@@ -699,71 +738,70 @@ func (e *Engine) ExpireAll(ts int64) {
 // full walk over every writer, bypassing the next-expiry index (heap
 // membership is left untouched — stale entries are re-checked harmlessly
 // when popped). It is retained for differential testing of the indexed
-// path and produces identical window, PAO, scalar and notification effects
-// for any ts.
+// path: for any ts it leaves identical windows, PAOs and scalar cells and
+// delivers the same one Update per touched reader (readers may come in a
+// different order: first touch in writer-slot order here, in deadline order
+// there).
 func (e *Engine) ExpireAllScan(ts int64) {
 	pinned := e.state.Load()
+	ws, tc := e.getScratch(), e.getTouch()
 	for _, wref := range pinned.plan.top.Writers {
-		e.expireWriter(pinned, wref, ts, false)
+		e.expireWriter(pinned, wref, ts, false, &ws.rec, tc)
 	}
+	e.flushTouches(tc)
+	e.putTouch(tc)
+	e.putScratch(ws)
 }
 
 // expireWriter advances one writer's window to ts: the exact per-writer
-// body both ExpireAll paths share. fromHeap marks a call that consumed the
-// writer's index entry (heap-driven path) and therefore owns its
-// re-registration: under the writer's mutex, after the expiry, the window
-// either reports a fresh deadline — pushed back with inExpiryHeap kept
-// true — or is deadline-free and the flag clears so the next write
+// body both ExpireAll paths share — the expiry twin of applyAtWriter, then
+// the same pushRegion tail a write takes, with the touched readers left in
+// tc for the caller's one flush per advance. fromHeap marks a call that
+// consumed the writer's index entry (heap-driven path) and therefore owns
+// its re-registration: under the writer's mutex, after the expiry, the
+// window either reports a fresh deadline — pushed back with inExpiryHeap
+// kept true — or is deadline-free and the flag clears so the next write
 // re-registers. The scan path leaves membership alone: any live entry is
 // still in the heap and must not be duplicated.
-func (e *Engine) expireWriter(pinned *engineState, wref overlay.NodeRef, ts int64, fromHeap bool) {
-	ws := e.getScratch()
+func (e *Engine) expireWriter(pinned *engineState, wref overlay.NodeRef, ts int64, fromHeap bool, rec *expiryRecorder, tc *touchCollector) {
 	ns := pinned.nodes[wref]
 	ns.mu.Lock()
 	// Re-resolve under the writer's mutex — the resync fence, exactly
-	// as in writeOn.
+	// as in applyAtWriter.
 	st := e.state.Load()
-	ws.rec.target = st.paos[wref]
-	ws.rec.removed = ws.rec.removed[:0]
-	st.windows[wref].Expire(&ws.rec, ts)
-	removed := ws.rec.removed
-	var remSum int64
-	if e.scalar != nil && len(removed) > 0 {
-		for _, r := range removed {
-			remSum += r
+	rec.target = st.paos[wref]
+	rec.removed = rec.removed[:0]
+	st.windows[wref].Expire(rec, ts)
+	d := writerDelta{m: 1, ts: ts, rem: rec.removed}
+	if len(d.rem) > 0 {
+		if e.scalar != nil {
+			for _, r := range d.rem {
+				d.dSum -= r
+			}
+			d.dCnt = -int64(len(d.rem))
+			cell := st.scalars[wref]
+			cell.sum.Add(d.dSum)
+			cell.cnt.Add(d.dCnt)
 		}
-		cell := st.scalars[wref]
-		cell.sum.Add(-remSum)
-		cell.cnt.Add(-int64(len(removed)))
-	}
-	if len(removed) > 0 {
 		if lg := e.log.Load(); lg != nil {
 			if e.scalar != nil {
-				lg.record(wref, deltaRec{epoch: st.epoch, dSum: -remSum, dCnt: -int64(len(removed))})
+				lg.record(wref, deltaRec{epoch: st.epoch, dSum: d.dSum, dCnt: d.dCnt})
 			} else {
-				lg.record(wref, paoDelta(st.epoch, 0, false, removed))
+				lg.record(wref, paoDelta(st.epoch, 0, false, d.rem))
 			}
 		}
 	}
 	if fromHeap {
-		if d, ok := st.windows[wref].NextExpiry(); ok {
-			e.expiry.push(d, wref)
+		if dl, ok := st.windows[wref].NextExpiry(); ok {
+			e.expiry.push(dl, wref)
 		} else {
 			ns.inExpiryHeap = false
 		}
 	}
 	ns.mu.Unlock()
-	if len(removed) > 0 {
-		if e.scalar != nil {
-			e.propagateScalar(st, wref, -remSum, -int64(len(removed)))
-		} else {
-			e.propagate(st, wref, nil, removed)
-		}
-		if nt := e.notify.Load(); nt != nil {
-			e.notifyFanout(nt, st, wref, ts)
-		}
+	if len(d.rem) > 0 {
+		e.pushRegion(st, wref, &d, tc)
 	}
-	e.putScratch(ws)
 }
 
 // ExpiryIndexSize reports the number of writers currently registered in the
@@ -805,7 +843,7 @@ func (e *Engine) ExportWindows(visit func(node graph.NodeID, entries []agg.Windo
 	for _, wref := range st.plan.top.Writers {
 		ns := st.nodes[wref]
 		ns.mu.Lock()
-		// Re-resolve under the writer's mutex, like writeOn: slots only
+		// Re-resolve under the writer's mutex, like applyAtWriter: slots only
 		// grow, so wref stays valid in any newer snapshot observed here.
 		cur := e.state.Load()
 		buf = buf[:0]

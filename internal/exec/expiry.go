@@ -21,7 +21,7 @@ import (
 // that writer's ns.mu; the heap's own mutex nests strictly INSIDE ns.mu
 // (push while holding ns.mu) or is taken alone (popDue), so there is no
 // lock-order cycle. At most one heap entry exists per writer: a writer is
-// pushed only on a false→true flag transition (writeOn) or by the
+// pushed only on a false→true flag transition (applyAtWriter) or by the
 // ExpireAll that popped its previous entry (expireWriter re-registration).
 //
 // Writer slots never change meaning — node slots only grow across Grow and

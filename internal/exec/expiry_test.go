@@ -3,9 +3,11 @@ package exec
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/agg"
+	"repro/internal/bipartite"
 	"repro/internal/construct"
 	"repro/internal/graph"
 )
@@ -52,6 +54,24 @@ func TestExpireHeapMatchesScanProperty(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		heap, scan := expiryPair(t, 25)
+		heapSub, err := heap.Subscribe(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scanSub, err := scan.Subscribe(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// compareDeliveries drains what one advance (or one write)
+		// delivered on both sides: the same readers, each at most once,
+		// with the same value and timestamp — in whatever order.
+		compareDeliveries := func(label string) {
+			t.Helper()
+			got, want := drainByNode(t, label+" (heap)", heapSub), drainByNode(t, label+" (scan)", scanSub)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: heap delivered %v, scan %v", label, got, want)
+			}
+		}
 		ts := int64(0)
 		for step := 0; step < 2000; step++ {
 			switch rng.Intn(10) {
@@ -60,12 +80,15 @@ func TestExpireHeapMatchesScanProperty(t *testing.T) {
 				heap.ExpireAll(wm)
 				scan.ExpireAllScan(wm)
 				compareEngines(t, "advance", heap, scan)
+				compareDeliveries("advance")
 			case 1: // repeated advance at the same watermark (idempotence)
 				heap.ExpireAll(ts)
 				scan.ExpireAllScan(ts)
+				compareDeliveries("re-advance, first")
 				heap.ExpireAll(ts)
 				scan.ExpireAllScan(ts)
 				compareEngines(t, "re-advance", heap, scan)
+				compareDeliveries("re-advance, second")
 			case 2: // time jump so a burst of writers expires at once
 				ts += int64(rng.Intn(60))
 			default:
@@ -78,13 +101,101 @@ func TestExpireHeapMatchesScanProperty(t *testing.T) {
 				if err := scan.Write(v, val, ts); err != nil {
 					t.Fatal(err)
 				}
+				compareDeliveries("write")
 			}
 		}
 		heap.ExpireAll(ts)
 		scan.ExpireAllScan(ts)
 		compareEngines(t, "final", heap, scan)
+		compareDeliveries("final")
 		if n := heap.ExpiryIndexSize(); n > 7 {
 			t.Fatalf("heap holds %d entries for 7 writers; duplicate registrations", n)
+		}
+	}
+}
+
+// drainByNode empties sub's buffer into a per-reader map, failing if one
+// drain holds two updates for the same reader (the once-per-advance
+// contract) or if the subscription dropped anything.
+func drainByNode(t *testing.T, label string, sub *Subscription) map[graph.NodeID]Update {
+	t.Helper()
+	out := map[graph.NodeID]Update{}
+	for {
+		select {
+		case u := <-sub.Updates():
+			if prev, dup := out[u.Node]; dup {
+				t.Fatalf("%s: reader %d delivered twice: %+v then %+v", label, u.Node, prev, u)
+			}
+			out[u.Node] = u
+		default:
+			if sub.Dropped() != 0 {
+				t.Fatalf("%s: %d updates dropped", label, sub.Dropped())
+			}
+			return out
+		}
+	}
+}
+
+// TestExpireAllOneUpdatePerReaderPerAdvance: an ego whose network holds
+// eight writers that all expire on the same watermark advance is finalized
+// and delivered once for that advance — stamped with the watermark and
+// equal to a Read taken after it — not once per expiring writer.
+func TestExpireAllOneUpdatePerReaderPerAdvance(t *testing.T) {
+	for _, spec := range []string{"sum", "topk(3)"} {
+		for _, scan := range []bool{false, true} {
+			a, err := agg.Parse(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := graph.NewWithNodes(9)
+			for i := 1; i <= 8; i++ {
+				if err := g.AddEdge(graph.NodeID(i), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ov := construct.Baseline(bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes))
+			decide(t, ov, "push")
+			eng, err := New(ov, a, agg.NewTimeWindow(10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub, err := eng.Subscribe(64, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var batch []graph.Event
+			for round := int64(0); round < 3; round++ { // three values per writer, ts 0..2
+				for i := 1; i <= 8; i++ {
+					batch = append(batch, graph.Event{Kind: graph.ContentWrite, Node: graph.NodeID(i), Value: int64(i) + round, TS: round})
+				}
+			}
+			if err := eng.WriteBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			drainByNode(t, "load", sub)
+			// Each advance expires one value from every one of the eight
+			// writers; the last leaves the windows empty.
+			for _, wm := range []int64{10, 11, 12} {
+				if scan {
+					eng.ExpireAllScan(wm)
+				} else {
+					eng.ExpireAll(wm)
+				}
+				got := drainByNode(t, "advance", sub)
+				want, err := eng.Read(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if u, ok := got[0]; len(got) != 1 || !ok || u.TS != wm || !u.Result.Eq(want) {
+					t.Fatalf("%s scan=%v advance to %d: delivered %v, want exactly one update {0 %v %d}", spec, scan, wm, got, want, wm)
+				}
+			}
+			// Nothing left to expire: no delivery.
+			eng.ExpireAll(100)
+			if got := drainByNode(t, "idle advance", sub); len(got) != 0 {
+				t.Fatalf("%s: idle advance delivered %v", spec, got)
+			}
+			eng.Unsubscribe(sub)
 		}
 	}
 }

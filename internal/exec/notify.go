@@ -380,7 +380,9 @@ func (e *Engine) notifyFanout(nt *notifyTable, st *engineState, wref overlay.Nod
 // every subscription covering it — byTag, the query-wide listeners of the
 // reader's tag (resolved by the caller), plus the node-restricted ones on
 // its slot — under the reader's node mutex (see the notifyFanout comment
-// for the ordering contract). It is a no-op when nothing covers the reader.
+// for the ordering contract). ref must be push-annotated in st: both
+// callers take it from st's own plan or re-check the annotation against it
+// (flushTouches). It is a no-op when nothing covers the reader.
 func (e *Engine) deliverReader(nt *notifyTable, st *engineState, byTag []*Subscription, ref overlay.NodeRef, gid graph.NodeID, ts int64) {
 	byRef := nt.at(ref)
 	if len(byTag) == 0 && len(byRef) == 0 {
@@ -393,14 +395,7 @@ func (e *Engine) deliverReader(nt *notifyTable, st *engineState, byTag []*Subscr
 		cell := st.scalars[ref]
 		res = e.scalar.FinalizeScalar(cell.sum.Load(), cell.cnt.Load())
 	} else {
-		pao := st.paos[ref]
-		if pao == nil {
-			// The reader lost its push annotation across a snapshot swap
-			// that happened mid-batch; there is no settled value to push.
-			ns.mu.Unlock()
-			return
-		}
-		res = finalizePAO(pao, nil)
+		res = finalizePAO(st.paos[ref], nil)
 	}
 	u := Update{Node: gid, Result: res, TS: ts}
 	for _, s := range byTag {

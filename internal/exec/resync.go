@@ -28,7 +28,7 @@ package exec
 // appends, window reads and the cut are all serialized by the writer's
 // mutex. Second, the mutex doubles as the cutover fence: the write path
 // re-resolves the current snapshot under the writer's mutex (engine.go
-// writeOn), and the cutover store happens-before the drain's lock of each
+// applyAtWriter), and the cutover store happens-before the drain's lock of each
 // writer, which happens-before any later lock acquisition — so once the
 // drain has locked a writer, every subsequent write on it observes the new
 // snapshot and applies (and epoch-tags) its delta there directly; an
@@ -261,10 +261,10 @@ func (e *Engine) ResyncPushState() error {
 			cell.sum.Store(sum)
 			cell.cnt.Store(int64(len(vals)))
 			if len(vals) > 0 {
-				e.propagateScalar(st, wref, sum, int64(len(vals)))
+				e.propagateScalar(st, wref, sum, int64(len(vals)), 1)
 			}
 		} else if len(vals) > 0 {
-			e.propagate(st, wref, vals, nil)
+			e.propagate(st, wref, vals, nil, 1)
 		}
 	}
 	// Catch-up replay, then the atomic cutover.
@@ -273,7 +273,7 @@ func (e *Engine) ResyncPushState() error {
 	// Final drain. replayLog locks every writer's mutex at least once
 	// after the cutover store above, which fences the write path: any
 	// write locking a writer after the drain visited it is guaranteed to
-	// observe the new snapshot (writeOn re-resolves under the mutex) and
+	// observe the new snapshot (applyAtWriter re-resolves under the mutex) and
 	// applies its delta there directly. Old-epoch tail deltas are all in
 	// the log by then and get replayed here exactly once.
 	e.replayLog(st, lg)
@@ -312,7 +312,7 @@ func (e *Engine) replayLog(st *engineState, lg *deltaLog) {
 				cell := st.scalars[wref]
 				cell.sum.Add(rec.dSum)
 				cell.cnt.Add(rec.dCnt)
-				e.propagateScalar(st, wref, rec.dSum, rec.dCnt)
+				e.propagateScalar(st, wref, rec.dSum, rec.dCnt, 1)
 			} else {
 				// The writer's own PAO is shared with the old snapshot and
 				// was updated by the original write; only the downstream
@@ -322,7 +322,7 @@ func (e *Engine) replayLog(st *engineState, lg *deltaLog) {
 					addBuf[0] = rec.add
 					add = addBuf[:1]
 				}
-				e.propagate(st, wref, add, rec.rem)
+				e.propagate(st, wref, add, rec.rem, 1)
 			}
 		}
 	}

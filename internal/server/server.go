@@ -1092,6 +1092,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"walAppends":        dst.WALAppends,
 			"walSyncs":          dst.WALSyncs,
 			"walFreePool":       dst.WALFreePool,
+			"walExpireErrors":   dst.WALExpireErrors,
 			"checkpoints":       dst.Checkpoints,
 			"lastCheckpointLSN": dst.LastCheckpointLSN,
 			"replayedBatches":   dst.Recovery.ReplayedBatches,
@@ -1100,6 +1101,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		if dst.LastCheckpointError != "" {
 			durability["lastCheckpointError"] = dst.LastCheckpointError
+		}
+		if dst.LastExpireError != "" {
+			durability["lastExpireError"] = dst.LastExpireError
 		}
 		if dst.Recovery.WatermarkValid {
 			durability["recoveredWatermark"] = dst.Recovery.Watermark

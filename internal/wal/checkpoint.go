@@ -70,8 +70,8 @@ type Checkpoint struct {
 
 func ckptName(seq uint64) string { return fmt.Sprintf("ckpt-%08d.ckpt", seq) }
 
-// WriteCheckpoint atomically persists c under sequence number seq.
-func WriteCheckpoint(fs FS, seq uint64, c *Checkpoint) error {
+// encodeCheckpoint serializes c: the body followed by its CRC.
+func encodeCheckpoint(c *Checkpoint) []byte {
 	var buf bytes.Buffer
 	w32 := func(v uint32) { _ = binary.Write(&buf, binary.LittleEndian, v) }
 	w64 := func(v uint64) { _ = binary.Write(&buf, binary.LittleEndian, v) }
@@ -103,15 +103,19 @@ func WriteCheckpoint(fs FS, seq uint64, c *Checkpoint) error {
 			}
 		}
 	}
-	crc := crc32.Checksum(buf.Bytes(), crcTable)
-	w32(crc)
+	w32(crc32.Checksum(buf.Bytes(), crcTable))
+	return buf.Bytes()
+}
 
+// WriteCheckpoint atomically persists c under sequence number seq.
+func WriteCheckpoint(fs FS, seq uint64, c *Checkpoint) error {
+	data := encodeCheckpoint(c)
 	tmp := ckptName(seq) + ".tmp"
 	f, err := fs.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("wal: checkpoint: %w", err)
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: checkpoint write: %w", err)
 	}
@@ -189,36 +193,68 @@ func readCheckpoint(fs FS, name string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	c, err := decodeCheckpoint(data)
+	if err != nil {
+		return nil, fmt.Errorf("wal: checkpoint %s: %w", name, err)
+	}
+	return c, nil
+}
+
+// decodeCheckpoint is the inverse of encodeCheckpoint. The bytes come from
+// disk, so nothing in them is trusted beyond the CRC: every count is
+// checked against what is left of the file before anything is sized from
+// it, a count that overruns is an error (never a shorter image), and so
+// are bytes left over after the last group — a decoded checkpoint always
+// re-encodes to exactly the bytes it came from.
+func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if len(data) < 48+4 {
-		return nil, fmt.Errorf("wal: checkpoint %s too short", name)
+		return nil, fmt.Errorf("too short (%d bytes)", len(data))
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("wal: checkpoint %s failed CRC", name)
+		return nil, fmt.Errorf("failed CRC")
 	}
 	br := bytes.NewReader(body)
-	var u32 func() uint32
-	var u64 func() uint64
 	var rerr error
-	u32 = func() uint32 {
+	u32 := func() uint32 {
 		var v uint32
 		if err := binary.Read(br, binary.LittleEndian, &v); err != nil && rerr == nil {
 			rerr = err
 		}
 		return v
 	}
-	u64 = func() uint64 {
+	u64 := func() uint64 {
 		var v uint64
 		if err := binary.Read(br, binary.LittleEndian, &v); err != nil && rerr == nil {
 			rerr = err
 		}
 		return v
 	}
+	// count reads an element count and rejects one whose elements, at
+	// their minimum encoded size, cannot fit in the bytes that remain.
+	count := func(what string, minSize int64) uint32 {
+		n := u32()
+		if rerr == nil && int64(n)*minSize > int64(br.Len()) {
+			rerr = fmt.Errorf("%s count %d overruns the %d bytes left", what, n, br.Len())
+		}
+		return n
+	}
+	readBlob := func() []byte {
+		n := count("blob byte", 1)
+		if rerr != nil {
+			return nil
+		}
+		b := make([]byte, n)
+		if _, err := io.ReadFull(br, b); err != nil {
+			rerr = err
+		}
+		return b
+	}
 	if u32() != ckptMagic {
-		return nil, fmt.Errorf("wal: checkpoint %s bad magic", name)
+		return nil, fmt.Errorf("bad magic")
 	}
 	if v := u32(); v != ckptVersion {
-		return nil, fmt.Errorf("wal: checkpoint %s unsupported version %d", name, v)
+		return nil, fmt.Errorf("unsupported version %d", v)
 	}
 	c := &Checkpoint{}
 	c.LSN = u64()
@@ -226,52 +262,34 @@ func readCheckpoint(fs FS, name string) (*Checkpoint, error) {
 	c.Watermark = int64(u64())
 	c.MaxTS = int64(u64())
 	c.NextQueryID = u64()
-	readBlob := func() []byte {
-		n := u32()
-		if rerr != nil || int64(n) > int64(br.Len()) {
-			if rerr == nil {
-				rerr = fmt.Errorf("wal: checkpoint %s blob overruns", name)
-			}
-			return nil
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil && rerr == nil {
-			rerr = err
-		}
-		return b
-	}
 	c.Graph = readBlob()
-	nq := u32()
-	if rerr == nil && int64(nq) <= int64(br.Len()) {
-		for i := uint32(0); i < nq && rerr == nil; i++ {
-			c.Queries = append(c.Queries, readBlob())
-		}
+	nq := count("query", 4)
+	for i := uint32(0); i < nq && rerr == nil; i++ {
+		c.Queries = append(c.Queries, readBlob())
 	}
-	ng := u32()
-	if rerr == nil && int64(ng) <= int64(br.Len()) {
-		for gi := uint32(0); gi < ng && rerr == nil; gi++ {
-			gw := GroupWindows{Key: string(readBlob())}
-			nw := u32()
-			if rerr != nil || int64(nw) > int64(br.Len()) {
+	ng := count("window group", 8)
+	for gi := uint32(0); gi < ng && rerr == nil; gi++ {
+		gw := GroupWindows{Key: string(readBlob())}
+		nw := count("writer window", 8)
+		for i := uint32(0); i < nw && rerr == nil; i++ {
+			ww := WriterWindow{Node: graph.NodeID(int32(u32()))}
+			ne := count("window entry", 16)
+			if rerr != nil {
 				break
 			}
-			for i := uint32(0); i < nw && rerr == nil; i++ {
-				ww := WriterWindow{Node: graph.NodeID(int32(u32()))}
-				ne := u32()
-				if rerr != nil || int64(ne)*16 > int64(br.Len()) {
-					break
-				}
-				ww.Entries = make([]agg.WindowEntry, ne)
-				for j := range ww.Entries {
-					ww.Entries[j] = agg.WindowEntry{V: int64(u64()), TS: int64(u64())}
-				}
-				gw.Windows = append(gw.Windows, ww)
+			ww.Entries = make([]agg.WindowEntry, ne)
+			for j := range ww.Entries {
+				ww.Entries[j] = agg.WindowEntry{V: int64(u64()), TS: int64(u64())}
 			}
-			c.Windows = append(c.Windows, gw)
+			gw.Windows = append(gw.Windows, ww)
 		}
+		c.Windows = append(c.Windows, gw)
+	}
+	if rerr == nil && br.Len() != 0 {
+		rerr = fmt.Errorf("%d bytes after the last window group", br.Len())
 	}
 	if rerr != nil {
-		return nil, fmt.Errorf("wal: checkpoint %s: %w", name, rerr)
+		return nil, rerr
 	}
 	return c, nil
 }

@@ -1,12 +1,16 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
+	"repro/internal/agg"
 	"repro/internal/graph"
 )
 
@@ -120,6 +124,98 @@ func FuzzWALScan(f *testing.F) {
 		}
 		if !deliveredAll && rescanned != scanned {
 			t.Fatalf("rescan delivered %d records, first scan %d", rescanned, scanned)
+		}
+	})
+}
+
+// sampleCheckpoint is a checkpoint with every section populated.
+func sampleCheckpoint() *Checkpoint {
+	return &Checkpoint{
+		LSN: 10, NextOrd: 42, Watermark: 99, MaxTS: 120, NextQueryID: 3,
+		Graph:   []byte("graph-bytes"),
+		Queries: [][]byte{[]byte(`{"aggregate":"sum"}`), []byte(`{"aggregate":"topk(3)","windowTuples":4}`)},
+		Windows: []GroupWindows{
+			{Key: "sum|t10", Windows: []WriterWindow{
+				{Node: 1, Entries: []agg.WindowEntry{{V: 7, TS: 5}, {V: -2, TS: 6}}},
+				{Node: 4, Entries: []agg.WindowEntry{{V: 1, TS: 9}}},
+			}},
+			{Key: "topk|c4", Windows: []WriterWindow{{Node: 2}}},
+		},
+	}
+}
+
+// withCRC appends body's checksum, the way the writer seals a file.
+func withCRC(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(slices.Clone(body), crc32.Checksum(body, crcTable))
+}
+
+// TestCheckpointDecodeRejectsTruncatedImages pins the decoder's two
+// all-or-nothing rules on CRC-valid files: a count that overruns the file
+// is an error (it used to end the section early and return the shorter
+// image with a nil error), and so are bytes after the last group.
+func TestCheckpointDecodeRejectsTruncatedImages(t *testing.T) {
+	file := encodeCheckpoint(sampleCheckpoint())
+	body := file[:len(file)-4]
+	if c, err := decodeCheckpoint(file); err != nil || !bytes.Equal(encodeCheckpoint(c), file) {
+		t.Fatalf("well-formed checkpoint: %+v, %v", c, err)
+	}
+	// Offsets of the four counts in sampleCheckpoint's encoding.
+	nq := 48 + 4 + len("graph-bytes")
+	ng := nq + 4 + 4 + len(`{"aggregate":"sum"}`) + 4 + len(`{"aggregate":"topk(3)","windowTuples":4}`)
+	nw := ng + 4 + 4 + len("sum|t10")
+	ne := nw + 4 + 4
+	for name, off := range map[string]int{"queries": nq, "groups": ng, "writer windows": nw, "entries": ne} {
+		bad := slices.Clone(body)
+		binary.LittleEndian.PutUint32(bad[off:], 1<<30)
+		if c, err := decodeCheckpoint(withCRC(bad)); err == nil {
+			t.Errorf("overrunning %s count decoded to %+v with a nil error", name, c)
+		}
+	}
+	if c, err := decodeCheckpoint(withCRC(append(slices.Clone(body), 0, 0, 0, 0))); err == nil {
+		t.Errorf("trailing bytes decoded to %+v with a nil error", c)
+	}
+	// Through the file system: a damaged newest checkpoint falls back to
+	// the previous one instead of loading as a shorter image.
+	dir := t.TempDir()
+	fs, err := NewOsFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCheckpoint(fs, 1, sampleCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	bad := slices.Clone(body)
+	binary.LittleEndian.PutUint32(bad[nq:], 1<<30)
+	if err := os.WriteFile(filepath.Join(dir, ckptName(2)), withCRC(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, seq, err := LoadLatestCheckpoint(fs); err != nil || seq != 1 {
+		t.Fatalf("LoadLatestCheckpoint = seq %d, %v; want the fallback to seq 1", seq, err)
+	}
+}
+
+// FuzzCheckpointDecode throws arbitrary bytes at the checkpoint decoder as
+// a file body, sealing each input with a correct CRC so it gets past the
+// checksum and into the parser. Whatever the bytes, decoding must not
+// panic or size an allocation from an unchecked count; and it either
+// fails, or yields an image whose re-encoding is the input byte for byte —
+// no input decodes "successfully" into less than it contains.
+func FuzzCheckpointDecode(f *testing.F) {
+	for _, c := range []*Checkpoint{{}, {LSN: 30, Watermark: math.MinInt64, MaxTS: math.MinInt64}, sampleCheckpoint()} {
+		file := encodeCheckpoint(c) // the bytes WriteCheckpoint puts on disk
+		body := file[:len(file)-4]
+		f.Add(body)
+		f.Add(body[:len(body)-5])                     // cut inside the last section
+		f.Add(append(slices.Clone(body), 1, 2, 3, 4)) // trailing bytes
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		file := withCRC(body)
+		c, err := decodeCheckpoint(file)
+		if err != nil {
+			return
+		}
+		if again := encodeCheckpoint(c); !bytes.Equal(again, file) {
+			t.Fatalf("decoded image re-encodes to %d bytes, input was %d:\n in  %x\n out %x", len(again), len(file), file, again)
 		}
 	})
 }
