@@ -456,20 +456,16 @@ func BenchmarkOpIngestorThroughputParallel(b *testing.B) {
 	b.StopTimer()
 }
 
-// benchExpireSparse measures a watermark advance over 2000 live
+// BenchmarkOpExpireSparse measures a watermark advance over 2000 live
 // time-window writers where only ~one writer expires per tick: the
-// heap-indexed ExpireAll (O(expired)) against the full-walk
-// ExpireAllScan reference (O(writers)).
-func benchExpireSparse(b *testing.B, scan bool) {
+// heap-indexed ExpireAll costs O(expired), not O(writers).
+func BenchmarkOpExpireSparse(b *testing.B) {
 	eng, err := benchfix.ExpiryEngine(1000)
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchfix.RunExpireSparse(b, eng, scan)
+	benchfix.RunExpireSparse(b, eng)
 }
-
-func BenchmarkOpExpireSparse(b *testing.B)     { benchExpireSparse(b, false) }
-func BenchmarkOpExpireSparseScan(b *testing.B) { benchExpireSparse(b, true) }
 
 func BenchmarkOpSumDataflow(b *testing.B) { benchOps(b, construct.AlgVNMA, "dataflow", agg.Sum{}) }
 func BenchmarkOpSumAllPush(b *testing.B)  { benchOps(b, "baseline", "push", agg.Sum{}) }

@@ -459,11 +459,6 @@ func (s *Session) acquireView(spec QuerySpec, o Options) (standingView, string, 
 // one unit of ego-betweenness).
 const TopoScale = topo.Scale
 
-// TopoAggregates returns the sorted canonical names of the registered
-// topology-valued aggregates ("density", "ego-betweenness", …), the
-// structural counterpart of the numeric agg registry.
-func TopoAggregates() []string { return topo.Names() }
-
 // compatKey canonicalizes a query's compile configuration into two sharing
 // keys. full is the complete configuration: equal full keys share one
 // compiled member outright (the Nth identical registration is free). family

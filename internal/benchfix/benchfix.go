@@ -338,14 +338,12 @@ func RunWrites(b *testing.B, eng *exec.Engine, writes []graph.Event) {
 	}
 }
 
-// ExpiryEngine builds the sparse-expiry fixture behind the OpExpireSparse
-// pair: the standard 2000-node social graph, all-push SUM over a
-// TimeWindow of width T, with every writer seeded once so all 2000
-// writers hold live window state. RunExpireSparse then writes one node
-// and advances the watermark by one tick per op, so on average ONE
-// writer expires per op — the heap-indexed ExpireAll pays O(expired)
-// while the full-walk reference (ExpireAllScan) pays O(writers) for the
-// identical state change.
+// ExpiryEngine builds the sparse-expiry fixture behind OpExpireSparse: the
+// standard 2000-node social graph, all-push SUM over a TimeWindow of width
+// T, with every writer seeded once so all 2000 writers hold live window
+// state. RunExpireSparse then writes one node and advances the watermark by
+// one tick per op, so on average ONE writer expires per op — the
+// heap-indexed ExpireAll pays O(expired), not O(writers).
 func ExpiryEngine(T int64) (*exec.Engine, error) {
 	g := workload.SocialGraph(2000, 8, 1)
 	ag := bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes)
@@ -365,10 +363,8 @@ func ExpiryEngine(T int64) (*exec.Engine, error) {
 
 // RunExpireSparse is the sparse-expiry measurement loop: one write plus
 // one watermark advance per op, timestamps continuing past ExpiryEngine's
-// seed. scan=false drives the heap-indexed ExpireAll; scan=true drives
-// the pre-index full walk (ExpireAllScan), kept as the differential
-// oracle and the perf baseline the index is measured against.
-func RunExpireSparse(b *testing.B, eng *exec.Engine, scan bool) {
+// seed.
+func RunExpireSparse(b *testing.B, eng *exec.Engine) {
 	const nodes = 2000
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -377,11 +373,7 @@ func RunExpireSparse(b *testing.B, eng *exec.Engine, scan bool) {
 		if err := eng.Write(graph.NodeID(i%nodes), 1, ts); err != nil {
 			b.Fatal(err)
 		}
-		if scan {
-			eng.ExpireAllScan(ts)
-		} else {
-			eng.ExpireAll(ts)
-		}
+		eng.ExpireAll(ts)
 	}
 }
 

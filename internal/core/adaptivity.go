@@ -101,7 +101,7 @@ func (s *System) SampleObservations() Sample {
 // drainObservationsLocked moves the engine's observation window into the
 // adaptor and the cumulative telemetry. Callers hold s.mu.
 func (s *System) drainObservationsLocked() (pushes, pulls map[overlay.NodeRef]float64) {
-	pushes, pulls = s.engine().Observations()
+	pushes, pulls = s.eng.Observations()
 	var p, l float64
 	for _, c := range pushes {
 		p += c
@@ -134,7 +134,7 @@ func (s *System) applyRebalanceLocked() (int, error) {
 	s.lastFlips.Store(int64(flips))
 	s.lastRebalanceNano.Store(time.Now().UnixNano())
 	if flips > 0 {
-		if err := s.engine().ResyncPushState(); err != nil {
+		if err := s.eng.ResyncPushState(); err != nil {
 			return flips, err
 		}
 	}
@@ -211,7 +211,7 @@ func (s *System) RetargetViews(demote, promote []int32) (int, error) {
 	if len(promote) > 0 {
 		dataflow.RepairDecisions(s.ov)
 	}
-	return changed, s.engine().ResyncPushState()
+	return changed, s.eng.ResyncPushState()
 }
 
 // EstimateCosts evaluates the §4.3 objective for workload wl under the

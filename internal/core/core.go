@@ -152,18 +152,20 @@ type System struct {
 	views  []view
 	stride graph.NodeID // reader-GID stride; 0 until the system goes merged
 
-	ag      *bipartite.AG
-	ov      *overlay.Overlay
-	eng     atomic.Pointer[exec.Engine]
+	ov *overlay.Overlay
+	// eng is the system's one engine, created by compileViews and never
+	// replaced: every later overlay change reaches it as a snapshot
+	// transition (Grow + ResyncPushState after a repair, Rebuild after a
+	// recompile), so it is read without synchronization.
+	eng     *exec.Engine
 	adaptor *dataflow.Adaptor
 	maint   *construct.Maintainer
 	cost    dataflow.CostModel
 	wl      *dataflow.Workload
 
-	// rebuildSkip, set under mu around a repair-batch recompile, holds the
-	// node ids the current structural run removed: decideAndStart's window
-	// carry-over must not replay their old content onto reused ids.
-	rebuildSkip map[graph.NodeID]bool
+	// recompiles counts overlay recompiles (recompileLocked): the slow path
+	// structural changes take when the overlay cannot be repaired in place.
+	recompiles atomic.Int64
 
 	// Adaptivity telemetry: monotonic totals of drained push/pull
 	// observations and the outcome of the most recent rebalance. Atomics so
@@ -173,11 +175,6 @@ type System struct {
 	lastFlips         atomic.Int64
 	lastRebalanceNano atomic.Int64
 }
-
-// engine returns the current execution engine. Full recompiles swap it
-// atomically, so ingest and reads racing a structural rebuild observe
-// either the old or the new engine, never a torn pointer.
-func (s *System) engine() *exec.Engine { return s.eng.Load() }
 
 // Compile builds the overlay for the query, makes dataflow decisions, and
 // returns a ready-to-run system. The data graph is retained (not copied);
@@ -258,12 +255,18 @@ func compileViews(g *graph.Graph, q Query, opts Options, views []view, stride gr
 	if s.cost == nil {
 		s.cost = dataflow.ModelFor(q.Aggregate)
 	}
-	if err := s.buildOverlay(); err != nil {
+	ov, err := s.buildOverlay()
+	if err != nil {
 		return nil, err
 	}
-	if err := s.decideAndStart(); err != nil {
+	f, err := s.decide(ov)
+	if err != nil {
 		return nil, err
 	}
+	if s.eng, err = exec.New(ov, s.q.Aggregate, s.q.Window); err != nil {
+		return nil, err
+	}
+	s.adopt(ov, f)
 	return s, nil
 }
 
@@ -305,11 +308,13 @@ func checkLegality(alg string, props agg.Properties) error {
 	return nil
 }
 
-// buildOverlay constructs AG and the overlay. Merged systems (stride > 0)
-// build the UNION bipartite graph of every live view, so construction mines
-// bicliques — and therefore places shared partial aggregation nodes —
-// across member queries wherever their neighborhoods overlap.
-func (s *System) buildOverlay() error {
+// buildOverlay constructs an overlay for the live views over the current
+// graph. Merged systems (stride > 0) build the UNION bipartite graph of every
+// live view, so construction mines bicliques — and therefore places shared
+// partial aggregation nodes — across member queries wherever their
+// neighborhoods overlap.
+func (s *System) buildOverlay() (*overlay.Overlay, error) {
+	var ag *bipartite.AG
 	if s.stride > 0 {
 		members := make([]bipartite.Member, 0, len(s.views))
 		for i := range s.views {
@@ -322,23 +327,24 @@ func (s *System) buildOverlay() error {
 				Tag:          s.views[i].tag,
 			})
 		}
-		s.ag = bipartite.BuildUnion(s.g, members, s.stride)
+		ag = bipartite.BuildUnion(s.g, members, s.stride)
 	} else {
-		s.ag = bipartite.Build(s.g, s.q.Neighborhood, s.q.Predicate)
+		ag = bipartite.Build(s.g, s.q.Neighborhood, s.q.Predicate)
 	}
+	var ov *overlay.Overlay
 	if s.opts.Algorithm == Baseline {
-		s.ov = construct.Baseline(s.ag)
+		ov = construct.Baseline(ag)
 	} else {
-		res, err := construct.Build(s.opts.Algorithm, s.ag, s.opts.Construct)
+		res, err := construct.Build(s.opts.Algorithm, ag, s.opts.Construct)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		s.ov = res.Overlay
+		ov = res.Overlay
 	}
 	if s.stride > 0 {
-		s.ov.SetReaderStride(int32(s.stride))
+		ov.SetReaderStride(int32(s.stride))
 	}
-	return nil
+	return ov, nil
 }
 
 // windowSizeHint estimates the per-writer window size for costing (§4.2).
@@ -350,87 +356,63 @@ func (s *System) windowSizeHint() int {
 	return n
 }
 
-// decideAndStart makes dataflow decisions and (re)creates the engine.
-func (s *System) decideAndStart() error {
+// decide annotates ov with dataflow decisions for the system's workload and
+// returns the frequencies they were computed from.
+func (s *System) decide(ov *overlay.Overlay) (*dataflow.Freqs, error) {
 	wl := s.stridedWorkload(s.workloadOrUniform())
 	s.wl = wl
-	f, err := dataflow.ComputeFreqs(s.ov, wl, s.windowSizeHint())
+	f, err := dataflow.ComputeFreqs(ov, wl, s.windowSizeHint())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	switch s.opts.Mode {
 	case ModeAllPush:
-		dataflow.DecideAll(s.ov, overlay.Push)
+		dataflow.DecideAll(ov, overlay.Push)
 	case ModeAllPull:
-		dataflow.DecideAll(s.ov, overlay.Pull)
+		dataflow.DecideAll(ov, overlay.Pull)
 	case ModeGreedy:
-		if err := dataflow.DecideGreedy(s.ov, f, s.cost); err != nil {
-			return err
+		if err := dataflow.DecideGreedy(ov, f, s.cost); err != nil {
+			return nil, err
 		}
 	default:
 		if s.opts.MaxReadCost > 0 {
-			if _, err := dataflow.DecideLatencyBound(s.ov, f, s.cost, s.opts.MaxReadCost); err != nil {
-				return err
+			if _, err := dataflow.DecideLatencyBound(ov, f, s.cost, s.opts.MaxReadCost); err != nil {
+				return nil, err
 			}
-		} else if _, err := dataflow.Decide(s.ov, f, s.cost); err != nil {
-			return err
+		} else if _, err := dataflow.Decide(ov, f, s.cost); err != nil {
+			return nil, err
 		}
 	}
 	if s.opts.SplitNodes && s.opts.Mode == ModeDataflow {
-		if _, err := dataflow.SplitNodes(s.ov, f, s.cost); err != nil {
-			return err
+		if _, err := dataflow.SplitNodes(ov, f, s.cost); err != nil {
+			return nil, err
 		}
 		// Splitting adds nodes; recompute frequencies and decisions.
-		f, err = dataflow.ComputeFreqs(s.ov, wl, s.windowSizeHint())
+		f, err = dataflow.ComputeFreqs(ov, wl, s.windowSizeHint())
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if _, err := dataflow.Decide(s.ov, f, s.cost); err != nil {
-			return err
+		if _, err := dataflow.Decide(ov, f, s.cost); err != nil {
+			return nil, err
 		}
 	}
-	prevEng := s.eng.Load()
-	eng, err := exec.New(s.ov, s.q.Aggregate, s.q.Window)
-	if err != nil {
-		return err
-	}
-	// A full recompile (non-maintainable overlays, member attach/retire on
-	// them, re-strides) replaces the engine; live subscriptions move over
-	// so continuous consumers keep receiving updates across the rebuild,
-	// re-resolving their (tag, node) coverage against the new plan.
-	eng.AdoptSubscriptions(prevEng)
-	// Carry content across the rebuild: replay the previous engine's
-	// per-writer window suffixes through the new engine's write path
-	// (exactly how checkpoint recovery rebuilds state), so a recompile is
-	// invisible to readers. Replayed before the swap, so no read ever
-	// observes half-empty windows. s.rebuildSkip holds node ids removed by
-	// the structural run that forced this rebuild — their windows must not
-	// resurrect onto freshly re-added nodes reusing the same id.
-	if prevEng != nil {
-		prevEng.ExportWindows(func(node graph.NodeID, entries []agg.WindowEntry) {
-			if s.rebuildSkip[node] {
-				return
-			}
-			for _, en := range entries {
-				// Writers absent from the rebuilt overlay (nodes the run
-				// removed without reuse) reject the write; that loss is
-				// exactly what node removal means.
-				_ = eng.Write(node, en.V, en.TS)
-			}
-		})
-	}
-	s.eng.Store(eng)
-	s.adaptor = dataflow.NewAdaptor(s.ov, f, s.cost)
+	return f, nil
+}
+
+// adopt makes ov — decided, and already what the engine executes — the
+// system's overlay.
+func (s *System) adopt(ov *overlay.Overlay, f *dataflow.Freqs) {
+	s.ov = ov
+	s.adaptor = dataflow.NewAdaptor(ov, f, s.cost)
 	// Incremental maintenance requires single-path, negative-edge-free
 	// overlays; when unavailable, structural updates fall back to
 	// recompilation.
-	s.maint, _ = construct.NewMaintainer(s.ov)
-	return nil
+	s.maint, _ = construct.NewMaintainer(ov)
 }
 
 // Write ingests a content update (a write on v).
 func (s *System) Write(v graph.NodeID, value int64, ts int64) error {
-	return s.engine().Write(v, value, ts)
+	return s.eng.Write(v, value, ts)
 }
 
 // WriteBatch ingests a batch of content writes serially, in batch order,
@@ -438,20 +420,20 @@ func (s *System) Write(v graph.NodeID, value int64, ts int64) error {
 // events are skipped. Multi-core content ingest is concurrent callers, not
 // this method.
 func (s *System) WriteBatch(events []graph.Event) error {
-	return s.engine().WriteBatch(events)
+	return s.eng.WriteBatch(events)
 }
 
 // Read evaluates the standing query at v (the first member's view on a
 // merged system).
 func (s *System) Read(v graph.NodeID) (agg.Result, error) {
-	return s.engine().Read(v)
+	return s.eng.Read(v)
 }
 
 // ReadInto evaluates the standing query at v into a caller-provided result,
 // reusing res.List's backing array for list-valued aggregates (TOP-K) so a
 // caller that retains res across calls reads without allocating.
 func (s *System) ReadInto(v graph.NodeID, res *agg.Result) error {
-	return s.engine().ReadInto(v, res)
+	return s.eng.ReadInto(v, res)
 }
 
 // ReadView evaluates member tag's standing query at v — each member of a
@@ -459,23 +441,22 @@ func (s *System) ReadInto(v graph.NodeID, res *agg.Result) error {
 // against member attach/retire: the tag resolves through the engine's
 // immutable plan snapshot.
 func (s *System) ReadView(tag int32, v graph.NodeID) (agg.Result, error) {
-	return s.engine().ReadTagged(tag, v)
+	return s.eng.ReadTagged(tag, v)
 }
 
 // ViewCovered reports whether member tag's result at v is push-maintained —
 // i.e. whether a subscription on v observes updates (see exec.Engine.Covered).
 func (s *System) ViewCovered(tag int32, v graph.NodeID) bool {
-	return s.engine().CoveredTagged(tag, v)
+	return s.eng.CoveredTagged(tag, v)
 }
 
 // Engine exposes the underlying execution engine (for runners/benchmarks).
-func (s *System) Engine() *exec.Engine { return s.engine() }
+func (s *System) Engine() *exec.Engine { return s.eng }
 
 // Subscribe registers a continuous listener on the system's engine (see
-// exec.Engine.Subscribe). It serializes with recompiles under the system
-// mutex, so a subscription can never land on an engine that a concurrent
-// structural rebuild has already drained — it is either installed before
-// the swap (and adopted by the new engine) or installed on the new engine.
+// exec.Engine.Subscribe). Like reads it does not wait for overlay repairs or
+// recompiles: a subscription installed while one runs is re-resolved against
+// the recompiled plan by the engine itself.
 func (s *System) Subscribe(buffer int, nodes ...graph.NodeID) (*exec.Subscription, error) {
 	return s.SubscribeView(0, buffer, nodes...)
 }
@@ -483,55 +464,31 @@ func (s *System) Subscribe(buffer int, nodes ...graph.NodeID) (*exec.Subscriptio
 // SubscribeView is Subscribe for member tag's reader view of a merged
 // family: with no nodes it covers every reader the member owns (never a
 // sibling member's), otherwise only the member's standing queries at the
-// given nodes. It serializes with recompiles like Subscribe.
+// given nodes.
 func (s *System) SubscribeView(tag int32, buffer int, nodes ...graph.NodeID) (*exec.Subscription, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engine().SubscribeTagged(tag, buffer, nodes...)
+	return s.eng.SubscribeTagged(tag, buffer, nodes...)
 }
 
-// Unsubscribe removes a subscription from the system's current engine
-// (recompiles move live subscriptions onto the rebuilt engine); like
-// Subscribe it serializes with rebuilds under the system mutex.
-func (s *System) Unsubscribe(sub *exec.Subscription) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.engine().Unsubscribe(sub)
-}
+// Unsubscribe removes a subscription and closes its channel.
+func (s *System) Unsubscribe(sub *exec.Subscription) { s.eng.Unsubscribe(sub) }
 
-// Subscribers reports the engine's live subscription count, serialized
-// with rebuilds like Subscribe/Unsubscribe.
-func (s *System) Subscribers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engine().Subscribers()
-}
+// Subscribers reports the engine's live subscription count.
+func (s *System) Subscribers() int { return s.eng.Subscribers() }
 
 // ExpireAll advances time-based windows to ts at every writer, propagating
-// expirations (and subscriber notifications) through the push region. Like
-// Subscribe it serializes with engine rebuilds under the system mutex, so
-// an expiry never lands on an engine a concurrent recompile discarded.
-func (s *System) ExpireAll(ts int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.engine().ExpireAll(ts)
-}
+// expirations (and subscriber notifications) through the push region. A
+// watermark advance does not queue behind an overlay repair: it waits only
+// for the install step of a recompile (exec.Engine.Rebuild).
+func (s *System) ExpireAll(ts int64) { s.eng.ExpireAll(ts) }
 
 // ExportWindows snapshots every writer's in-window (value, timestamp)
-// entries (see exec.Engine.ExportWindows), serialized with engine rebuilds
-// under the system mutex so a checkpoint never walks an engine a concurrent
-// recompile discarded.
+// entries (see exec.Engine.ExportWindows).
 func (s *System) ExportWindows(visit func(node graph.NodeID, entries []agg.WindowEntry)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.engine().ExportWindows(visit)
+	s.eng.ExportWindows(visit)
 }
 
 // Overlay exposes the compiled overlay (for inspection).
 func (s *System) Overlay() *overlay.Overlay { return s.ov }
-
-// AG exposes the bipartite writer/reader graph.
-func (s *System) AG() *bipartite.AG { return s.ag }
 
 // Rebalance feeds the engine's observed push/pull counts to the adaptive
 // scheme and applies any frontier decision flips (§4.8), resynchronizing
@@ -566,9 +523,8 @@ func (s *System) Reoptimize(wl *dataflow.Workload) error {
 		return err
 	}
 	s.adaptor = dataflow.NewAdaptor(s.ov, f, s.cost)
-	eng := s.engine()
-	eng.Grow(s.q.Window)
-	return eng.ResyncPushState()
+	s.eng.Grow(s.q.Window)
+	return s.eng.ResyncPushState()
 }
 
 func (s *System) workloadOrUniform() *dataflow.Workload {
@@ -679,7 +635,7 @@ type repairBatch struct {
 	touched   bool
 	// removed records every node id this run deleted, whether or not the
 	// id was later reused by an add: if the run degrades to a recompile,
-	// the engine rebuild's window carry-over must skip them.
+	// the engine rebuild must not carry their windows onto the reused ids.
 	removed map[graph.NodeID]bool
 	// err collects maintainer failures that degraded the batch to a
 	// recompile; applyRepairBatch surfaces them even when the recompile
@@ -837,15 +793,13 @@ func (s *System) applyRepairBatch(b *repairBatch) error {
 	// Any recompile below (forced by the batch, or the fallback when an
 	// incremental repair fails partway) carries window content over, minus
 	// the nodes this run removed.
-	s.rebuildSkip = b.removed
-	defer func() { s.rebuildSkip = nil }()
 	if b.recompile {
 		// b.err carries any maintainer failure that forced this recompile;
 		// surface it even when the rebuild succeeds.
 		if s.stride > 0 && graph.NodeID(s.g.MaxID()) > s.stride {
-			return errors.Join(b.err, s.restrideLocked())
+			return errors.Join(b.err, s.restrideLocked(b.removed))
 		}
-		return errors.Join(b.err, s.recompileLocked())
+		return errors.Join(b.err, s.recompileLocked(b.removed))
 	}
 	for i := range s.views {
 		if i >= len(b.affected) || !s.views[i].live || len(b.affected[i]) == 0 {
@@ -861,7 +815,7 @@ func (s *System) applyRepairBatch(b *repairBatch) error {
 			// consistent overlay from the final graph. Surface the repair
 			// error even when the recompile succeeds, so the caller knows
 			// the fast path degraded.
-			return errors.Join(err, s.recompileLocked())
+			return errors.Join(err, s.recompileLocked(b.removed))
 		}
 	}
 	s.afterMaintenance()
@@ -949,31 +903,31 @@ func (s *System) afterMaintenance() {
 	if f, err := dataflow.ComputeFreqs(s.ov, s.wl, s.windowSizeHint()); err == nil {
 		s.adaptor = dataflow.NewAdaptor(s.ov, f, s.cost)
 	}
-	eng := s.engine()
-	eng.Grow(s.q.Window)
-	_ = eng.ResyncPushState()
+	s.eng.Grow(s.q.Window)
+	_ = s.eng.ResyncPushState()
 }
 
 // restrideLocked rebuilds a merged system whose data graph outgrew its
 // reader stride. Member tags survive (subscriptions and handles address
 // views by tag plus real node id, never by encoded GID) and window
-// contents are carried over, so the rebuild is invisible to readers.
-func (s *System) restrideLocked() error {
+// contents are carried over (minus skip, see recompileLocked), so the rebuild
+// is invisible to readers.
+func (s *System) restrideLocked(skip map[graph.NodeID]bool) error {
 	stride := strideFor(s.g)
 	if len(s.views) > viewCapacity(stride) {
 		return fmt.Errorf("core: graph growth to %d nodes leaves no room for %d merged views: %w",
 			s.g.MaxID(), len(s.views), ErrIncompatibleMerge)
 	}
 	s.stride = stride
-	return s.recompileLocked()
+	return s.recompileLocked(skip)
 }
 
 // AddMember extends the merged overlay with one more member query ONLINE:
 // on a maintainable overlay the new member's readers are inserted one by
 // one through the incremental builder — covered by the existing shared
-// partial aggregates where profitable — while ingest keeps flowing on the
-// unchanged engine (state republishes via Grow + online resync). Overlays
-// without incremental maintenance recompile the union from scratch; live
+// partial aggregates where profitable — while ingest keeps flowing (state
+// republishes via Grow + online resync). Overlays without incremental
+// maintenance recompile the union from scratch; window contents and live
 // subscriptions survive either way. Returns the new member's view tag.
 //
 // A single-query System converts to a merged one on its first AddMember;
@@ -991,12 +945,12 @@ func (s *System) AddMember(spec MemberSpec) (int32, error) {
 	if s.stride == 0 {
 		s.stride = strideFor(s.g)
 		s.ov.SetReaderStride(int32(s.stride))
-		// The maintainable path below skips decideAndStart, so the
+		// The maintainable path below skips decide, so the
 		// workload must pick up the stride here or every subsequent
 		// freq computation sees tag>=1 readers as never read.
 		s.wl = s.stridedWorkload(s.wl)
 	} else if graph.NodeID(s.g.MaxID()) > s.stride {
-		if err := s.restrideLocked(); err != nil {
+		if err := s.restrideLocked(nil); err != nil {
 			return 0, err
 		}
 	}
@@ -1007,7 +961,7 @@ func (s *System) AddMember(spec MemberSpec) (int32, error) {
 	vw := view{nbr: nbr, pred: spec.Predicate, tag: tag, live: true}
 	s.views = append(s.views, vw)
 	if s.maint == nil {
-		if err := s.recompileLocked(); err != nil {
+		if err := s.recompileLocked(nil); err != nil {
 			s.views[tag].live = false
 			return 0, fmt.Errorf("core: merged recompile: %w: %w", ErrIncompatibleMerge, err)
 		}
@@ -1030,7 +984,7 @@ func (s *System) AddMember(spec MemberSpec) (int32, error) {
 		// discards the partially-extended overlay wholesale (no point
 		// sweeping its readers out one by one first).
 		s.views[tag].live = false
-		if err := s.recompileLocked(); err != nil {
+		if err := s.recompileLocked(nil); err != nil {
 			return 0, fmt.Errorf("core: merge rollback recompile: %w: %w", ErrIncompatibleMerge, err)
 		}
 		return 0, fmt.Errorf("core: merge extension: %w: %w", ErrIncompatibleMerge, insertErr)
@@ -1057,7 +1011,7 @@ func (s *System) RetireMember(tag int32) error {
 	}
 	s.views[tag].live = false
 	if s.maint == nil {
-		if err := s.recompileLocked(); err != nil {
+		if err := s.recompileLocked(nil); err != nil {
 			return fmt.Errorf("core: retire recompile: %w: %w", ErrIncompatibleMerge, err)
 		}
 		return nil
@@ -1096,18 +1050,32 @@ func (s *System) liveViewsLocked() int {
 	return live
 }
 
-// recompileLocked rebuilds the overlay and engine from scratch (used when
-// incremental maintenance is not applicable, e.g. negative-edge overlays).
-// Window contents survive: decideAndStart replays the previous engine's
-// window suffixes through the new engine, so a recompile answers reads
-// exactly like an incrementally repaired overlay would — which is what
+// recompileLocked rebuilds the overlay from scratch (used when incremental
+// maintenance is not applicable, e.g. negative-edge overlays) and moves the
+// engine onto it. Only the engine's install step holds writes back; overlay
+// construction and the dataflow decisions run with ingest flowing. Window
+// contents survive — exec.Engine.Rebuild carries each writer's window to its
+// new slot, except for the ids in skip, which the structural run that forced
+// the recompile deleted and may since have reused — so a recompile answers
+// reads exactly like an incrementally repaired overlay would, which is what
 // lets shard replicas with independently compiled overlays stay
-// content-equivalent under structural churn.
-func (s *System) recompileLocked() error {
-	if err := s.buildOverlay(); err != nil {
+// content-equivalent under structural churn. On error the system keeps its
+// previous overlay.
+func (s *System) recompileLocked(skip map[graph.NodeID]bool) error {
+	ov, err := s.buildOverlay()
+	if err != nil {
 		return err
 	}
-	return s.decideAndStart()
+	f, err := s.decide(ov)
+	if err != nil {
+		return err
+	}
+	if err := s.eng.Rebuild(ov, s.q.Window, skip); err != nil {
+		return err
+	}
+	s.adopt(ov, f)
+	s.recompiles.Add(1)
+	return nil
 }
 
 // Stats summarizes the compiled system.
@@ -1122,6 +1090,10 @@ type Stats struct {
 	// merge family size; 1 for single-query systems). Per-member reader
 	// counts are in Overlay.QueryReaders, keyed by view tag.
 	Views int
+	// Recompiles counts the structural changes (edge and node churn, member
+	// attach and retire, re-strides) that rebuilt the whole overlay because
+	// it could not be repaired in place.
+	Recompiles int64
 }
 
 // Stats returns the system's current summary. It serializes with
@@ -1136,5 +1108,6 @@ func (s *System) Stats() Stats {
 		Algorithm:    s.opts.Algorithm,
 		Mode:         s.opts.Mode,
 		Views:        s.liveViewsLocked(),
+		Recompiles:   s.recompiles.Load(),
 	}
 }

@@ -41,7 +41,9 @@ var ErrDetached = errors.New("query detached")
 // Concurrency: Attach/Detach and the structural mutators serialize on the
 // MultiSystem mutex. Write/WriteBatch/Rebalance run against an atomically
 // swapped snapshot of the attached systems, so ingest keeps flowing while
-// queries come and go.
+// queries come and go; each system keeps one engine for life, so a write
+// fanned out while a system recompiles lands on the engine that recompile
+// republishes (exec.Engine.Rebuild), never on a discarded one.
 type MultiSystem struct {
 	mu sync.Mutex
 
@@ -303,26 +305,26 @@ func (a *Attachment) ViewTag() int32 { return a.tag }
 // consults the detached flag — system and tag are immutable and the tag
 // resolves through the engine's immutable plan snapshot, so a call racing
 // (or following) Detach answers from the retired view or errors, and
-// Unsubscribe still reaches the engine that holds the subscription. Callers
-// that must refuse retired queries gate on their own flag (eagr.Query does).
+// Unsubscribe still reaches the system's one engine. Callers that must refuse
+// retired queries gate on their own flag (eagr.Query does).
 
 // Read evaluates this member's standing query at v.
 func (a *Attachment) Read(v graph.NodeID) (agg.Result, error) {
-	return a.sys.engine().ReadTagged(a.tag, v)
+	return a.sys.eng.ReadTagged(a.tag, v)
 }
 
 // ReadInto is Read with a caller-provided result: list-valued aggregates
 // (TOP-K) reuse res.List's backing array, so a caller that retains res
 // across calls reads without allocating.
 func (a *Attachment) ReadInto(v graph.NodeID, res *agg.Result) error {
-	return a.sys.engine().ReadTaggedInto(a.tag, v, res)
+	return a.sys.eng.ReadTaggedInto(a.tag, v, res)
 }
 
 // ReadWire evaluates this member's standing query at v and returns the
 // un-finalized partial aggregate as a wire snapshot (see
 // exec.Engine.ReadTaggedWire) — the per-shard half of a cross-shard read.
 func (a *Attachment) ReadWire(v graph.NodeID) (agg.WirePAO, error) {
-	return a.sys.engine().ReadTaggedWire(a.tag, v)
+	return a.sys.eng.ReadTaggedWire(a.tag, v)
 }
 
 // Covered reports whether this member's result at v is push-maintained —
@@ -337,15 +339,14 @@ func (a *Attachment) Subscribe(buffer int, nodes ...graph.NodeID) (*exec.Subscri
 	return a.sys.SubscribeView(a.tag, buffer, nodes...)
 }
 
-// Unsubscribe removes sub from the system's current engine (recompiles
-// move live subscriptions onto the rebuilt engine) and closes its channel.
+// Unsubscribe removes sub from the system's engine and closes its channel.
 func (a *Attachment) Unsubscribe(sub *exec.Subscription) { a.sys.Unsubscribe(sub) }
 
 // OwnReaders counts the reader nodes this member's view owns, from the
 // engine's immutable plan snapshot — O(1) (precomputed at Flatten), no
 // lock, safe concurrently with structural repairs.
 func (a *Attachment) OwnReaders() int {
-	return a.sys.engine().Topology().TagReaders[a.tag]
+	return a.sys.eng.Topology().TagReaders[a.tag]
 }
 
 // Detach is MultiSystem.Detach on the attachment's own system.

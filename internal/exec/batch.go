@@ -27,17 +27,21 @@ import (
 // one write wide); everything is exact when WriteBatch returns.
 //
 // The engine spawns nothing: multi-core ingest comes from concurrent
-// callers (concurrent Ingestor senders, the Runner's write pool), each
-// applying its own batch with its own accumulator. Safe for concurrent use
-// with Write, Read, ExpireAll, other WriteBatch calls, and — like every
-// ingest path — with an in-flight Grow or online ResyncPushState: each
-// write applies to, and is epoch-logged under, the snapshot current at its
-// writer-lock acquisition, and an accumulator entry is bound to that
-// snapshot. A write that finds its writer's entry bound to an older one
-// first flushes the entry through the old snapshot's closure — which is
-// where every one of those writes would have propagated on its own — so
-// none is lost or double-applied across a cutover.
+// callers (concurrent Ingestor senders), each applying its own batch with
+// its own accumulator. Safe for concurrent use with Write, Read, ExpireAll,
+// other WriteBatch calls, and — like every ingest path — with an in-flight
+// Grow or online ResyncPushState: each write applies to, and is epoch-logged
+// under, the snapshot current at its writer-lock acquisition, and an
+// accumulator entry is bound to that snapshot. A write that finds its
+// writer's entry bound to an older one first flushes the entry through the
+// old snapshot's closure — which is where every one of those writes would
+// have propagated on its own — so none is lost or double-applied across a
+// cutover. A Rebuild, which renumbers the slots the accumulator and the
+// touch collector are indexed by, installs between batches: the whole call
+// is one shared section of the engine's gate.
 func (e *Engine) WriteBatch(events []graph.Event) error {
+	e.gate.RLock()
+	defer e.gate.RUnlock()
 	st := e.state.Load()
 	acc := e.getAccum()
 	tc := e.getTouch()

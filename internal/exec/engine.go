@@ -6,8 +6,8 @@
 //
 // # Compiled plans
 //
-// At New (and again at Grow / ResyncPushState), the engine flattens the
-// overlay into an immutable compiled plan: a CSR-style topology snapshot
+// At New (and again at Grow / ResyncPushState / Rebuild), the engine flattens
+// the overlay into an immutable compiled plan: a CSR-style topology snapshot
 // (contiguous []int32 edge arrays with sign bits, see overlay.Topology)
 // plus, for every writer, the precomputed push-region application list —
 // the exact multiset of (node, sign) visits a breadth-first propagation
@@ -33,22 +33,32 @@
 //
 // # Engine state snapshots and epochs
 //
-// All mutable engine state lives in an atomically swapped snapshot tagged
-// with a monotonically increasing epoch (per-node sync cells — locks and
-// observation counters — are shared between snapshots so they keep their
-// identity). Grow and ResyncPushState build a new snapshot and publish it
-// with a single atomic store, which makes overlay growth and decision
-// resynchronization race-detector clean against in-flight reads and
-// writes: operations that began on an older snapshot finish on it, and
-// every snapshot a reader can observe is internally consistent.
+// An Engine lives as long as the query it executes. All mutable engine state
+// lives in an atomically swapped snapshot tagged with a monotonically
+// increasing epoch, and three transitions — serialized among themselves by an
+// internal mutex — build a new snapshot and publish it with a single atomic
+// store. Operations that began on an older snapshot finish on it, and every
+// snapshot a reader can observe is internally consistent.
 //
-// ResyncPushState is fully online (no write quiescence): while it rebuilds
-// push-side value state against a frozen per-writer cut, concurrent writes
-// append epoch-tagged deltas to a log which the resync replays into the new
-// snapshot before and after the atomic cutover (see resync.go for the
-// protocol). The overlay itself must still not be mutated concurrently with
-// the Grow/Resync call that flattens it; rebuilds are serialized among
-// themselves by an internal mutex.
+//   - Grow: the same overlay grew (incremental maintenance, node
+//     splitting). Slots keep their numbers; per-node cells — locks,
+//     observation counters, windows, value state — are shared with the
+//     previous snapshot, so nothing in flight notices.
+//   - ResyncPushState: same slots, fresh push-side value state, fully online
+//     (no write quiescence): while it rebuilds against a frozen per-writer
+//     cut, concurrent writes append epoch-tagged deltas to a log which the
+//     resync replays into the new snapshot before and after the atomic
+//     cutover (see resync.go for the protocol).
+//   - Rebuild: a different overlay altogether (a recompile), whose slots are
+//     numbered afresh. Each surviving writer's cell moves to its new slot by
+//     data-graph id, push state is rebuilt from the windows, subscriptions
+//     are re-resolved and the expiry index re-seeded. Everything slot-indexed
+//     that a write, batch or watermark advance holds in flight would go stale
+//     across the renumbering, so those take a shared gate for their duration
+//     and the install step alone takes it exclusively; reads are never gated.
+//
+// The overlay itself must not be mutated concurrently with the call that
+// flattens it.
 //
 // # Batched ingestion
 //
@@ -59,11 +69,7 @@
 // the same way, one notification per touched reader per watermark
 // advance. The engine itself never spawns goroutines for
 // writes: parallel ingest is the caller's business, and every entry point
-// is safe for concurrent callers. The one caller that does go parallel,
-// Runner (separate persistent read and write pools over a live event
-// stream — the paper's §5 thread-pool model), partitions by data-graph
-// node so each writer's updates stay ordered (the paper's per-node
-// micro-task queues).
+// is safe for concurrent callers.
 package exec
 
 import (
@@ -82,11 +88,12 @@ import (
 // region; reads merge push-side PAOs and compute pull subtrees on demand.
 //
 // All public methods are safe for concurrent use, with one structural
-// caveat: the overlay underlying the engine must not be mutated
-// concurrently with a Grow or ResyncPushState call (which flatten it).
-// Write/WriteBatch/Read/ExpireAll traffic may flow freely during both.
+// caveat: the overlay handed to New or Rebuild must not be mutated
+// concurrently with a Grow, ResyncPushState or Rebuild call (which flatten
+// it). Write/WriteBatch/Read/ExpireAll traffic may flow freely during all
+// three; a Rebuild holds writes and expiries back for its install step only.
 type Engine struct {
-	ov     *overlay.Overlay
+	ov     *overlay.Overlay // replaced by Rebuild, under rebuildMu
 	agg    agg.Aggregate
 	scalar agg.ScalarAggregate // non-nil enables the atomic fast path
 	window agg.Window          // prototype cloned per writer
@@ -97,9 +104,15 @@ type Engine struct {
 	// online ResyncPushState is capturing (resync.go). Writers check it
 	// under their node's mutex.
 	log atomic.Pointer[deltaLog]
-	// rebuildMu serializes snapshot rebuilds (Grow, ResyncPushState)
-	// against each other. It is never taken on the read/write hot paths.
+	// rebuildMu serializes snapshot transitions (Grow, ResyncPushState,
+	// Rebuild) against each other. It is never taken on the read/write hot
+	// paths.
 	rebuildMu sync.Mutex
+	// gate is held shared by everything that keeps slot-indexed state in
+	// flight — Write, WriteBatch, ExpireAll, ExportWindows — and exclusively
+	// by Rebuild's install step, the one transition that renumbers slots.
+	// Inside a shared section slots only ever grow.
+	gate sync.RWMutex
 
 	// notify is the immutable subscriber table (notify.go); nil whenever no
 	// subscription is attached, so the write hot path pays one atomic load
@@ -194,14 +207,24 @@ func New(ov *overlay.Overlay, a agg.Aggregate, window agg.Window) (*Engine, erro
 	e.readPool.New = func() any { return &readScratch{} }
 	e.accPool.New = func() any { return &writeAccum{} }
 	e.touchPool.New = func() any { return &touchCollector{} }
-	e.state.Store(e.buildState(nil, window))
+	e.state.Store(e.buildState(compilePlan(ov), nil, nil, window))
 	return e, nil
 }
 
-// buildState compiles a fresh snapshot from the current overlay, carrying
-// over per-node state from prev and initializing any new slots with window.
-func (e *Engine) buildState(prev *engineState, window agg.Window) *engineState {
-	pl := compilePlan(e.ov)
+// sameSlot is buildState's inheritance under Grow and ResyncPushState: the
+// overlay only grew, so slot i carries on as slot i.
+func (st *engineState) sameSlot(i int) overlay.NodeRef {
+	if i < len(st.nodes) {
+		return overlay.NodeRef(i)
+	}
+	return overlay.NoNode
+}
+
+// buildState assembles a snapshot for the compiled plan pl. Slot i shares
+// the cell — lock, counters, window, value state — of prev's slot inherit(i),
+// or starts fresh (writers with a clone of window) where that is NoNode or
+// prev is nil.
+func (e *Engine) buildState(pl *plan, prev *engineState, inherit func(i int) overlay.NodeRef, window agg.Window) *engineState {
 	n := pl.top.N
 	st := &engineState{
 		plan:    pl,
@@ -216,12 +239,16 @@ func (e *Engine) buildState(prev *engineState, window agg.Window) *engineState {
 		st.epoch = prev.epoch + 1
 	}
 	for i := 0; i < n; i++ {
-		if prev != nil && i < len(prev.nodes) {
-			st.nodes[i] = prev.nodes[i]
-			st.paos[i] = prev.paos[i]
-			st.windows[i] = prev.windows[i]
+		from := overlay.NoNode
+		if prev != nil {
+			from = inherit(i)
+		}
+		if from != overlay.NoNode {
+			st.nodes[i] = prev.nodes[from]
+			st.paos[i] = prev.paos[from]
+			st.windows[i] = prev.windows[from]
 			if e.scalar != nil {
-				st.scalars[i] = prev.scalars[i]
+				st.scalars[i] = prev.scalars[from]
 			}
 		} else {
 			st.nodes[i] = &nodeState{}
@@ -248,9 +275,6 @@ func (e *Engine) buildState(prev *engineState, window agg.Window) *engineState {
 	}
 	return st
 }
-
-// Overlay returns the engine's overlay.
-func (e *Engine) Overlay() *overlay.Overlay { return e.ov }
 
 // Topology returns the current compiled-plan topology snapshot (immutable;
 // safe to read concurrently with every engine operation).
@@ -352,6 +376,8 @@ func finalizePAO(p agg.PAO, buf []int64) agg.Result {
 // apply-at-the-writer step and the push-region tail back to back, which is
 // also what a WriteBatch of one event degenerates to (batch.go).
 func (e *Engine) Write(v graph.NodeID, value int64, ts int64) error {
+	e.gate.RLock()
+	defer e.gate.RUnlock()
 	st := e.state.Load()
 	e.writes.Add(1)
 	wref := st.plan.writer(v)
@@ -401,8 +427,9 @@ type writerDelta struct {
 func (e *Engine) applyAtWriter(pinned *engineState, wref overlay.NodeRef, value, ts int64, rec *expiryRecorder) (st *engineState, dSum, dCnt int64) {
 	ns := pinned.nodes[wref]
 	ns.mu.Lock()
-	// Sync cells are shared and node slots only grow, so wref and ns stay
-	// valid in any newer snapshot observed here.
+	// Sync cells are shared and, inside the caller's gate section, node
+	// slots only grow, so wref and ns stay valid in any newer snapshot
+	// observed here.
 	st = e.state.Load()
 	rec.target = st.paos[wref]
 	rec.removed = rec.removed[:0]
@@ -713,6 +740,8 @@ func (e *Engine) computePull(st *engineState, ref overlay.NodeRef, rs *readScrat
 // Concurrent ExpireAll calls pop disjoint writer sets; a write racing the
 // advance is expired by the next advance, exactly as under the full walk.
 func (e *Engine) ExpireAll(ts int64) {
+	e.gate.RLock()
+	defer e.gate.RUnlock()
 	if !e.expiry.due(ts) {
 		return
 	}
@@ -734,35 +763,17 @@ func (e *Engine) ExpireAll(ts int64) {
 	e.expiry.putScratch(scratch)
 }
 
-// ExpireAllScan is the reference O(writers) implementation of ExpireAll: a
-// full walk over every writer, bypassing the next-expiry index (heap
-// membership is left untouched — stale entries are re-checked harmlessly
-// when popped). It is retained for differential testing of the indexed
-// path: for any ts it leaves identical windows, PAOs and scalar cells and
-// delivers the same one Update per touched reader (readers may come in a
-// different order: first touch in writer-slot order here, in deadline order
-// there).
-func (e *Engine) ExpireAllScan(ts int64) {
-	pinned := e.state.Load()
-	ws, tc := e.getScratch(), e.getTouch()
-	for _, wref := range pinned.plan.top.Writers {
-		e.expireWriter(pinned, wref, ts, false, &ws.rec, tc)
-	}
-	e.flushTouches(tc)
-	e.putTouch(tc)
-	e.putScratch(ws)
-}
-
-// expireWriter advances one writer's window to ts: the exact per-writer
-// body both ExpireAll paths share — the expiry twin of applyAtWriter, then
+// expireWriter advances one writer's window to ts: the per-writer body of
+// ExpireAll — the expiry twin of applyAtWriter, then
 // the same pushRegion tail a write takes, with the touched readers left in
 // tc for the caller's one flush per advance. fromHeap marks a call that
 // consumed the writer's index entry (heap-driven path) and therefore owns
 // its re-registration: under the writer's mutex, after the expiry, the
 // window either reports a fresh deadline — pushed back with inExpiryHeap
 // kept true — or is deadline-free and the flag clears so the next write
-// re-registers. The scan path leaves membership alone: any live entry is
-// still in the heap and must not be duplicated.
+// re-registers. The full-walk reference the tests compare against
+// (export_test.go) leaves membership alone: any live entry is still in the
+// heap and must not be duplicated.
 func (e *Engine) expireWriter(pinned *engineState, wref overlay.NodeRef, ts int64, fromHeap bool, rec *expiryRecorder, tc *touchCollector) {
 	ns := pinned.nodes[wref]
 	ns.mu.Lock()
@@ -815,8 +826,8 @@ func (e *Engine) ExpiryIndexSize() int { return e.expiry.size() }
 // counters and value state are preserved: per-node cells are shared between
 // snapshots, so in-flight reads and writes on the previous snapshot stay
 // well-defined (race-detector clean). The overlay itself must not be
-// mutated concurrently with this call; Grow serializes with other Grow and
-// ResyncPushState calls. Callers should follow with ResyncPushState, as
+// mutated concurrently with this call; Grow serializes with the other
+// snapshot transitions. Callers should follow with ResyncPushState, as
 // restructuring may have changed what any partial node aggregates.
 func (e *Engine) Grow(window agg.Window) {
 	if window == nil {
@@ -824,7 +835,8 @@ func (e *Engine) Grow(window agg.Window) {
 	}
 	e.rebuildMu.Lock()
 	defer e.rebuildMu.Unlock()
-	e.state.Store(e.buildState(e.state.Load(), window))
+	old := e.state.Load()
+	e.state.Store(e.buildState(compilePlan(e.ov), old, old.sameSlot, window))
 }
 
 // ExportWindows snapshots every live writer's in-window (value, timestamp)
@@ -838,18 +850,16 @@ func (e *Engine) Grow(window agg.Window) {
 // writer's insertion sequence, replaying the exported entries through the
 // normal write path rebuilds windows, PAOs and scalar cells exactly.
 func (e *Engine) ExportWindows(visit func(node graph.NodeID, entries []agg.WindowEntry)) {
+	e.gate.RLock()
+	defer e.gate.RUnlock()
 	st := e.state.Load()
 	var buf []agg.WindowEntry
 	for _, wref := range st.plan.top.Writers {
 		ns := st.nodes[wref]
 		ns.mu.Lock()
-		// Re-resolve under the writer's mutex, like applyAtWriter: slots only
-		// grow, so wref stays valid in any newer snapshot observed here.
-		cur := e.state.Load()
-		buf = buf[:0]
-		if int(wref) < len(cur.windows) && cur.windows[wref] != nil {
-			buf = cur.windows[wref].Snapshot(buf)
-		}
+		// A writer's window object is shared by every snapshot of this gate
+		// section, so st's is the current one.
+		buf = st.windows[wref].Snapshot(buf[:0])
 		ns.mu.Unlock()
 		if len(buf) > 0 {
 			visit(st.plan.top.GID[wref], buf)
@@ -865,7 +875,8 @@ func (e *Engine) Counts() (writes, reads int64) {
 // Observations drains the per-node push/pull counters accumulated since the
 // last call, for feeding the adaptive scheme. Safe for concurrent use; the
 // counters live in cells shared by all snapshot generations, so no
-// observation is lost across Grow or ResyncPushState.
+// observation is lost across Grow or ResyncPushState (a Rebuild starts the
+// non-writer slots of its new overlay from zero).
 func (e *Engine) Observations() (pushes, pulls map[overlay.NodeRef]float64) {
 	st := e.state.Load()
 	pushes = make(map[overlay.NodeRef]float64)

@@ -286,60 +286,6 @@ func TestConcurrentWritesAndReads(t *testing.T) {
 	}
 }
 
-func TestRunnerPlay(t *testing.T) {
-	ag := paperAG()
-	ov := construct.Baseline(ag)
-	decide(t, ov, "optimal")
-	e, err := New(ov, agg.Sum{}, agg.NewTupleWindow(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	var events []graph.Event
-	for i := 0; i < 2000; i++ {
-		v := graph.NodeID(rng.Intn(7))
-		if rng.Intn(2) == 0 {
-			events = append(events, graph.Event{Kind: graph.ContentWrite, Node: v, Value: 1, TS: int64(i)})
-		} else {
-			events = append(events, graph.Event{Kind: graph.Read, Node: v})
-		}
-	}
-	r := NewRunner(e, 2, 2)
-	r.LatencySample = 4
-	st := r.Play(events)
-	if st.Writes+st.Reads != 2000 {
-		t.Fatalf("processed %d+%d events, want 2000", st.Writes, st.Reads)
-	}
-	if st.Errors != 0 {
-		t.Fatalf("errors = %d", st.Errors)
-	}
-	if st.Throughput <= 0 {
-		t.Fatal("throughput not measured")
-	}
-	if st.AvgLatency <= 0 || st.WorstLatency < st.P95Latency {
-		t.Fatalf("latency stats inconsistent: %+v", st)
-	}
-}
-
-func TestPlaySerialMatchesRunner(t *testing.T) {
-	ag := paperAG()
-	ov := construct.Baseline(ag)
-	decide(t, ov, "push")
-	e, err := New(ov, agg.Count{}, agg.NewTupleWindow(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := []graph.Event{
-		{Kind: graph.ContentWrite, Node: 0, Value: 1},
-		{Kind: graph.ContentWrite, Node: 1, Value: 1},
-		{Kind: graph.Read, Node: 4},
-	}
-	st := PlaySerial(e, events, 1)
-	if st.Writes != 2 || st.Reads != 1 {
-		t.Fatalf("serial stats = %+v", st)
-	}
-}
-
 func TestResyncAfterDecisionFlip(t *testing.T) {
 	ag := paperAG()
 	ov := construct.Baseline(ag)

@@ -24,11 +24,11 @@ import (
 // pushed only on a false→true flag transition (applyAtWriter) or by the
 // ExpireAll that popped its previous entry (expireWriter re-registration).
 //
-// Writer slots never change meaning — node slots only grow across Grow and
-// ResyncPushState, and per-slot nodeState cells are shared between
-// snapshots — so entries survive engine-state rebuilds. A full engine
-// RECOMPILE (a fresh Engine) starts with an empty heap and repopulates it
-// as the window carry-over replays through the normal write path.
+// Writer slots never change meaning across Grow and ResyncPushState — node
+// slots only grow, and per-slot nodeState cells are shared between
+// snapshots — so entries survive those. Rebuild, which renumbers slots,
+// empties the heap and re-seeds it from the carried windows' deadlines while
+// it holds the engine's gate exclusively.
 type expiryHeap struct {
 	mu      sync.Mutex
 	entries []expiryEntry
@@ -90,6 +90,14 @@ func (h *expiryHeap) popDue(ts int64, dst []overlay.NodeRef) []overlay.NodeRef {
 	}
 	h.mu.Unlock()
 	return dst
+}
+
+// reset empties the index (Rebuild, about to re-seed it for renumbered
+// slots).
+func (h *expiryHeap) reset() {
+	h.mu.Lock()
+	h.entries = h.entries[:0]
+	h.mu.Unlock()
 }
 
 // due reports whether any entry's deadline has been reached — the cheap

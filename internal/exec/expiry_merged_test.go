@@ -1,4 +1,4 @@
-package core
+package exec_test
 
 import (
 	"math/rand"
@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/construct"
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -14,14 +15,21 @@ import (
 // 2-hop) compiled into ONE merged overlay share one engine and therefore
 // one expiry heap. A random stream of writes and watermark advances
 // through the heap-indexed ExpireAll must leave every view in exactly the
-// state a twin system reaches through the full-walk ExpireAllScan.
+// state a twin system reaches through the full-walk ExpireAllScan. (It
+// lives here, not in core, because the scan reference is test-only API of
+// this package.)
 func TestMergedFamilyExpiryMatchesScan(t *testing.T) {
 	const nodes = 10
-	opts := Options{Algorithm: construct.AlgVNMA}
-	mk := func() (*MultiSystem, *Attachment, *Attachment) {
-		m := NewMulti(multiRing(nodes))
-		q1 := Query{Aggregate: agg.Sum{}, Window: agg.NewTimeWindow(20)}
-		q2 := Query{Aggregate: agg.Sum{}, Window: agg.NewTimeWindow(20),
+	opts := core.Options{Algorithm: construct.AlgVNMA}
+	mk := func() (*core.MultiSystem, *core.Attachment, *core.Attachment) {
+		ring := graph.NewWithNodes(nodes)
+		for i := 0; i < nodes; i++ {
+			_ = ring.AddEdge(graph.NodeID((i+1)%nodes), graph.NodeID(i))
+			_ = ring.AddEdge(graph.NodeID((i+nodes-1)%nodes), graph.NodeID(i))
+		}
+		m := core.NewMulti(ring)
+		q1 := core.Query{Aggregate: agg.Sum{}, Window: agg.NewTimeWindow(20)}
+		q2 := core.Query{Aggregate: agg.Sum{}, Window: agg.NewTimeWindow(20),
 			Neighborhood: graph.KHopIn{K: 2}}
 		a1, err := m.AttachMerged("k1", "fam", q1, opts)
 		if err != nil {
@@ -41,7 +49,7 @@ func TestMergedFamilyExpiryMatchesScan(t *testing.T) {
 
 	compare := func(label string) {
 		t.Helper()
-		for _, pair := range [][2]*Attachment{{h1, s1}, {h2, s2}} {
+		for _, pair := range [][2]*core.Attachment{{h1, s1}, {h2, s2}} {
 			for v := graph.NodeID(0); v < nodes; v++ {
 				got, err1 := pair[0].System().ReadView(pair[0].ViewTag(), v)
 				want, err2 := pair[1].System().ReadView(pair[1].ViewTag(), v)
@@ -71,11 +79,11 @@ func TestMergedFamilyExpiryMatchesScan(t *testing.T) {
 		ts += int64(rng.Intn(3))
 		v := graph.NodeID(rng.Intn(nodes))
 		val := int64(rng.Intn(100))
-		if err := writeOne(heapM, v, val, ts); err != nil {
-			t.Fatal(err)
-		}
-		if err := writeOne(scanM, v, val, ts); err != nil {
-			t.Fatal(err)
+		ev := []graph.Event{{Kind: graph.ContentWrite, Node: v, Value: val, TS: ts}}
+		for _, m := range []*core.MultiSystem{heapM, scanM} {
+			if err := m.WriteBatch(ev); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	heapM.ExpireAll(ts)

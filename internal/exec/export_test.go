@@ -1,0 +1,21 @@
+package exec
+
+// ExpireAllScan is the reference O(writers) implementation of ExpireAll the
+// differential tests compare the indexed path against: a full walk over
+// every writer, bypassing the next-expiry index (heap membership is left
+// untouched — stale entries are re-checked harmlessly when popped). For any
+// ts it leaves identical windows, PAOs and scalar cells and delivers the same
+// one Update per touched reader (readers may come in a different order:
+// first touch in writer-slot order here, in deadline order there).
+func (e *Engine) ExpireAllScan(ts int64) {
+	e.gate.RLock()
+	defer e.gate.RUnlock()
+	pinned := e.state.Load()
+	ws, tc := e.getScratch(), e.getTouch()
+	for _, wref := range pinned.plan.top.Writers {
+		e.expireWriter(pinned, wref, ts, false, &ws.rec, tc)
+	}
+	e.flushTouches(tc)
+	e.putTouch(tc)
+	e.putScratch(ws)
+}

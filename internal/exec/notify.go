@@ -34,11 +34,10 @@ type Subscription struct {
 	// tag is the query view the subscription observes (0 on single-query
 	// engines); nodes holds the subscribed data-graph nodes (nil = every
 	// reader of the tag's view); refs the corresponding reader slots,
-	// sorted and distinct, in the engine that currently hosts the
-	// subscription. refs is re-derived from (tag, nodes) when a
-	// subscription moves to a rebuilt engine (AdoptSubscriptions), since
-	// recompilation may renumber overlay slots; tag and nodes are stable
-	// across rebuilds and re-strides.
+	// sorted and distinct, in the engine's current plan. refs is re-derived
+	// from (tag, nodes) by Engine.Rebuild, since a recompiled overlay
+	// numbers its slots afresh; tag and nodes are stable across rebuilds
+	// and re-strides. Guarded by Engine.subMu.
 	tag   int32
 	nodes []graph.NodeID
 	refs  []overlay.NodeRef
@@ -152,6 +151,30 @@ func (nt *notifyTable) at(ref overlay.NodeRef) []*Subscription {
 	return nil
 }
 
+// subs returns the table's distinct subscriptions; nt may be nil.
+func (nt *notifyTable) subs() []*Subscription {
+	if nt == nil {
+		return nil
+	}
+	seen := map[*Subscription]bool{}
+	var out []*Subscription
+	add := func(list []*Subscription) {
+		for _, s := range list {
+			if !seen[s] {
+				seen[s] = true
+				out = append(out, s)
+			}
+		}
+	}
+	for _, list := range nt.byTag {
+		add(list)
+	}
+	for _, list := range nt.byRef {
+		add(list)
+	}
+	return out
+}
+
 // without returns subs minus sub (nil when nothing is left).
 func without(subs []*Subscription, sub *Subscription) []*Subscription {
 	var kept []*Subscription
@@ -188,19 +211,21 @@ func (e *Engine) SubscribeTagged(tag int32, buffer int, nodes ...graph.NodeID) (
 		buffer = 16
 	}
 	sub := &Subscription{tag: tag, ch: make(chan Update, buffer)}
+	// The plan is loaded under subMu, which a Rebuild holds from re-resolving
+	// the installed subscriptions until it publishes its renumbered plan.
+	e.subMu.Lock()
+	defer e.subMu.Unlock()
 	if len(nodes) > 0 {
-		st := e.state.Load()
+		pl := e.state.Load().plan
 		sub.nodes = append([]graph.NodeID(nil), nodes...)
 		for _, v := range nodes {
-			if st.plan.readerTagged(tag, v) == overlay.NoNode {
+			if pl.readerTagged(tag, v) == overlay.NoNode {
 				return nil, fmt.Errorf("exec: subscribe node %d: %w", v, ErrUnknownNode)
 			}
 		}
-		sub.resolve(st.plan)
+		sub.resolve(pl)
 	}
-	e.subMu.Lock()
-	defer e.subMu.Unlock()
-	e.installLocked(sub)
+	e.notify.Store(e.notify.Load().with(sub))
 	return sub, nil
 }
 
@@ -217,15 +242,15 @@ func (s *Subscription) resolve(pl *plan) {
 	s.refs = slices.Compact(s.refs)
 }
 
-// installLocked adds sub to a fresh copy of the notify table; callers hold
-// e.subMu. The copy shares the per-key lists it does not touch: a
-// published table is immutable, and the touched lists are re-allocated by
-// the full slice expression.
-func (e *Engine) installLocked(sub *Subscription) {
+// with returns a copy of the table (nt may be nil) with sub added. The copy
+// shares the per-key lists it does not touch: a published table is
+// immutable, and the touched lists are re-allocated by the full slice
+// expression.
+func (nt *notifyTable) with(sub *Subscription) *notifyTable {
 	next := &notifyTable{byTag: map[int32][]*Subscription{}}
-	if prev := e.notify.Load(); prev != nil {
-		maps.Copy(next.byTag, prev.byTag)
-		next.byRef = prev.byRef
+	if nt != nil {
+		maps.Copy(next.byTag, nt.byTag)
+		next.byRef = nt.byRef
 	}
 	if sub.nodes == nil {
 		subs := next.byTag[sub.tag]
@@ -239,57 +264,7 @@ func (e *Engine) installLocked(sub *Subscription) {
 			next.byRef[ref] = append(subs[:len(subs):len(subs)], sub)
 		}
 	}
-	e.notify.Store(next)
-}
-
-// AdoptSubscriptions moves every live subscription from old onto e,
-// re-resolving node-restricted subscriptions against e's current plan
-// (a rebuilt overlay may renumber reader slots; nodes that no longer have
-// a reader are dropped from the subscription's coverage). It is the
-// companion of a full engine rebuild: the compiling layer swaps in a new
-// engine and adopts the old one's listeners so channels keep delivering.
-func (e *Engine) AdoptSubscriptions(old *Engine) {
-	if old == nil || old == e {
-		return
-	}
-	old.subMu.Lock()
-	prev := old.notify.Load()
-	old.notify.Store(nil)
-	old.subMu.Unlock()
-	if prev == nil {
-		return
-	}
-	seen := map[*Subscription]bool{}
-	var subs []*Subscription
-	for _, list := range prev.byTag {
-		for _, s := range list {
-			if !seen[s] {
-				seen[s] = true
-				subs = append(subs, s)
-			}
-		}
-	}
-	for _, list := range prev.byRef {
-		for _, s := range list {
-			if !seen[s] {
-				seen[s] = true
-				subs = append(subs, s)
-			}
-		}
-	}
-	st := e.state.Load()
-	e.subMu.Lock()
-	defer e.subMu.Unlock()
-	for _, sub := range subs {
-		sub.mu.Lock()
-		closed := sub.closed
-		sub.mu.Unlock()
-		if closed {
-			continue
-		}
-		sub.resolve(st.plan)
-		e.installLocked(sub)
-	}
+	return next
 }
 
 // Unsubscribe removes the subscription and closes its channel. Idempotent;
@@ -330,24 +305,7 @@ func (e *Engine) Unsubscribe(sub *Subscription) {
 }
 
 // Subscribers reports the number of live subscriptions (for stats).
-func (e *Engine) Subscribers() int {
-	nt := e.notify.Load()
-	if nt == nil {
-		return 0
-	}
-	seen := map[*Subscription]bool{}
-	for _, subs := range nt.byTag {
-		for _, s := range subs {
-			seen[s] = true
-		}
-	}
-	for _, subs := range nt.byRef {
-		for _, s := range subs {
-			seen[s] = true
-		}
-	}
-	return len(seen)
-}
+func (e *Engine) Subscribers() int { return len(e.notify.Load().subs()) }
 
 // notifyFanout pushes refreshed results to subscribers after a write on
 // writer slot wref propagated through its push region. It runs only when at

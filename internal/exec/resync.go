@@ -41,8 +41,11 @@ package exec
 // only the bounded staleness the queueing model already admits.
 
 import (
+	"fmt"
 	"sync"
 
+	"repro/internal/agg"
+	"repro/internal/graph"
 	"repro/internal/overlay"
 )
 
@@ -199,8 +202,8 @@ func (lg *deltaLog) pending(w overlay.NodeRef) int {
 // ExpireAll may run concurrently throughout — concurrent deltas are
 // captured in an epoch-tagged log and replayed across the atomic cutover,
 // so no write is lost and readers never see a half-rebuilt aggregate. Only
-// structural overlay mutations must not run concurrently; concurrent
-// Grow/ResyncPushState calls serialize among themselves.
+// structural overlay mutations must not run concurrently; the snapshot
+// transitions serialize among themselves.
 func (e *Engine) ResyncPushState() error {
 	e.rebuildMu.Lock()
 	defer e.rebuildMu.Unlock()
@@ -208,30 +211,9 @@ func (e *Engine) ResyncPushState() error {
 		return err
 	}
 	old := e.state.Load()
-	st := e.buildState(old, e.window)
+	st := e.buildState(compilePlan(e.ov), old, old.sameSlot, e.window)
 	top := st.plan.top
-	// Fresh value state for the rebuild. In scalar mode every slot gets a
-	// new cell (writers included: their base is re-derived from the
-	// window); in PAO mode writer PAOs stay shared — they are maintained
-	// together with the window under the writer's mutex and are already
-	// exact — while non-writer push nodes get empty PAOs to replay into
-	// and pull nodes carry none.
-	if e.scalar != nil {
-		for i := 0; i < top.N; i++ {
-			st.scalars[i] = &scalarCell{}
-		}
-	} else {
-		for i := 0; i < top.N; i++ {
-			if top.Dead[i] || top.Kind[i] == overlay.WriterNode {
-				continue
-			}
-			if top.Dec[i] == overlay.Push {
-				st.paos[i] = e.agg.NewPAO()
-			} else {
-				st.paos[i] = nil
-			}
-		}
-	}
+	e.freshPushState(st)
 	// Install the delta log: from here on, every applied delta is
 	// recorded under its writer's mutex, tagged with its snapshot epoch.
 	nSlots := top.N
@@ -252,20 +234,7 @@ func (e *Engine) ResyncPushState() error {
 		vals := st.windows[wref].Values()
 		lg.dropAll(wref)
 		ns.mu.Unlock()
-		if e.scalar != nil {
-			var sum int64
-			for _, v := range vals {
-				sum += v
-			}
-			cell := st.scalars[wref]
-			cell.sum.Store(sum)
-			cell.cnt.Store(int64(len(vals)))
-			if len(vals) > 0 {
-				e.propagateScalar(st, wref, sum, int64(len(vals)), 1)
-			}
-		} else if len(vals) > 0 {
-			e.propagate(st, wref, vals, nil, 1)
-		}
+		e.seedFromWindow(st, wref, vals)
 	}
 	// Catch-up replay, then the atomic cutover.
 	e.replayLog(st, lg)
@@ -278,6 +247,116 @@ func (e *Engine) ResyncPushState() error {
 	// the log by then and get replayed here exactly once.
 	e.replayLog(st, lg)
 	e.log.Store(nil)
+	return nil
+}
+
+// freshPushState gives st value state no other snapshot references, for the
+// rebuild to fill. In scalar mode every slot gets a new cell (writers
+// included: their base is re-derived from the window); in PAO mode writer
+// PAOs stay shared — they are maintained together with the window under the
+// writer's mutex and are already exact — while non-writer push nodes get
+// empty PAOs and pull nodes carry none.
+func (e *Engine) freshPushState(st *engineState) {
+	top := st.plan.top
+	for i := 0; i < top.N; i++ {
+		switch {
+		case e.scalar != nil:
+			st.scalars[i] = &scalarCell{}
+		case top.Dead[i] || top.Kind[i] == overlay.WriterNode:
+		case top.Dec[i] == overlay.Push:
+			st.paos[i] = e.agg.NewPAO()
+		default:
+			st.paos[i] = nil
+		}
+	}
+}
+
+// seedFromWindow rebuilds writer wref's contribution to st's fresh push
+// state from vals, its window's contents: the writer's own scalar cell, then
+// one walk of its closure.
+func (e *Engine) seedFromWindow(st *engineState, wref overlay.NodeRef, vals []int64) {
+	if e.scalar != nil {
+		var sum int64
+		for _, v := range vals {
+			sum += v
+		}
+		cell := st.scalars[wref]
+		cell.sum.Store(sum)
+		cell.cnt.Store(int64(len(vals)))
+		if len(vals) > 0 {
+			e.propagateScalar(st, wref, sum, int64(len(vals)), 1)
+		}
+	} else if len(vals) > 0 {
+		e.propagate(st, wref, vals, nil, 1)
+	}
+}
+
+// Rebuild moves the engine onto ov, a different overlay for the same query
+// (a recompile: the previous overlay could not be repaired in place, or its
+// reader ids were re-strided), whose decisions are already made. It is the
+// third snapshot transition, and the only one that renumbers slots:
+//
+//   - every writer of ov that the previous overlay also had keeps its cell —
+//     mutex, window object and, in PAO mode, writer PAO — found by data-graph
+//     id; writers in skip (ids the caller deleted, possibly since reused)
+//     and new writers start empty, with a clone of window;
+//   - push state is rebuilt from the windows, as in ResyncPushState;
+//   - live subscriptions are re-resolved against the new plan (a node that
+//     lost its reader drops out of its subscription's coverage);
+//   - the expiry index is re-seeded from the windows' deadlines.
+//
+// Compiling the plan, laying out the snapshot and re-resolving the
+// subscriptions happen with traffic flowing. The install — seed, re-seed,
+// publish — holds the gate exclusively: no Write, WriteBatch or ExpireAll is in flight, so no delta
+// log is needed, every write is either inside a carried window or applied to
+// the new snapshot, and nothing slot-indexed straddles the renumbering.
+// Reads are not held back; one that began on the previous snapshot finishes
+// on it. ov must not be mutated during the call. On error nothing changed.
+func (e *Engine) Rebuild(ov *overlay.Overlay, window agg.Window, skip map[graph.NodeID]bool) error {
+	if window == nil {
+		window = agg.NewTupleWindow(1)
+	}
+	if err := ov.CheckDecisions(); err != nil {
+		return fmt.Errorf("exec: %w", err)
+	}
+	e.rebuildMu.Lock()
+	defer e.rebuildMu.Unlock()
+	old := e.state.Load()
+	pl := compilePlan(ov)
+	top := pl.top
+	st := e.buildState(pl, old, func(i int) overlay.NodeRef {
+		if top.Dead[i] || top.Kind[i] != overlay.WriterNode || skip[top.GID[i]] {
+			return overlay.NoNode
+		}
+		return old.plan.writer(top.GID[i])
+	}, window)
+	e.freshPushState(st)
+	// Subscribe resolves against the snapshot it loads under subMu, held
+	// from here to the publish: it either ran before this point and is
+	// re-resolved here, or sees st. The table itself is built before the
+	// gate closes; only its store has to wait for in-flight fan-outs.
+	e.subMu.Lock()
+	defer e.subMu.Unlock()
+	var nt *notifyTable
+	for _, sub := range e.notify.Load().subs() {
+		sub.resolve(pl)
+		nt = nt.with(sub)
+	}
+
+	e.gate.Lock()
+	defer e.gate.Unlock()
+	e.expiry.reset()
+	for _, wref := range top.Writers {
+		win, ns := st.windows[wref], st.nodes[wref]
+		e.seedFromWindow(st, wref, win.Values())
+		deadline, ok := win.NextExpiry()
+		if ns.inExpiryHeap = ok; ok {
+			e.expiry.push(deadline, wref)
+		}
+	}
+	e.notify.Store(nt)
+	e.ov = ov
+	e.state.Store(st)
 	return nil
 }
 

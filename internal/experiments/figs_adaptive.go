@@ -10,6 +10,7 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/exec"
 	"repro/internal/graph"
+	"repro/internal/overlay"
 	"repro/internal/workload"
 )
 
@@ -18,9 +19,9 @@ import (
 // hiccup sustained ingestion. A read-popularity shift mid-trace (as in Fig
 // 13a) forces the adaptor to flip decisions; here every chunk's rebalance +
 // ResyncPushState runs CONCURRENTLY with the next chunk's ingest and reads
-// (one write and one read worker through the Runner), and the table
-// compares per-chunk throughput against an identical engine that never
-// rebalances. With the stop-the-world resync
+// (a serial replay on its own goroutine), and the table compares per-chunk
+// throughput against an identical engine that never rebalances. With the
+// stop-the-world resync
 // this experiment was unrunnable as written (a resync under write traffic
 // could lose deltas); with the online protocol the adaptive column tracks
 // the static one within noise while still applying decision flips.
@@ -38,21 +39,21 @@ func adaptivity(cfg Config) []Table {
 	tr := workload.SyntheticTrace(d.Graph.MaxID(), chunk*nChunks, 0.25, 0.1, 0.8, cfg.Seed, costOf)
 	a := agg.TopK{K: 3}
 	m := dataflow.ModelFor(a)
-	mk := func() *exec.Engine {
+	mk := func() (*exec.Engine, *overlay.Overlay) {
 		ov := decideApproach(base, "dataflow", tr.Before, m, 1)
 		e, err := exec.New(ov, a, agg.NewTupleWindow(1))
 		if err != nil {
 			panic(err)
 		}
-		return e
+		return e, ov
 	}
-	static := mk()
-	adaptive := mk()
-	f, err := dataflow.ComputeFreqs(adaptive.Overlay(), tr.Before, 1)
+	static, _ := mk()
+	adaptive, adaptiveOv := mk()
+	f, err := dataflow.ComputeFreqs(adaptiveOv, tr.Before, 1)
 	if err != nil {
 		panic(err)
 	}
-	adaptor := dataflow.NewAdaptor(adaptive.Overlay(), f, m)
+	adaptor := dataflow.NewAdaptor(adaptiveOv, f, m)
 	t := Table{
 		Title: fmt.Sprintf("Adaptivity: per-chunk throughput (ops/s) with a concurrent online rebalance+resync each chunk; read popularity shifts at chunk %d — %s, TOP-K",
 			nChunks/2+1, d.Name),
@@ -60,7 +61,7 @@ func adaptivity(cfg Config) []Table {
 		Notes:  "expected: adaptive throughput stays within noise of static even while resyncs run mid-ingest (no stop-the-world), and flips concentrate right after the shift",
 	}
 	playChunk := func(e *exec.Engine, events []graph.Event) float64 {
-		return exec.NewRunner(e, 1, 1).Play(events).Throughput
+		return playSerial(e, events, 0).Throughput
 	}
 	for c := 0; c < nChunks; c++ {
 		slice := tr.Events[c*chunk : (c+1)*chunk]

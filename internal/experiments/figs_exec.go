@@ -64,18 +64,18 @@ func decideApproach(ov *overlay.Overlay, mode string, wl *dataflow.Workload, m d
 	return c
 }
 
-// throughputOf runs the event stream against a fresh engine and returns
-// operations per second.
-func throughputOf(ov *overlay.Overlay, a agg.Aggregate, events []graph.Event, workers int) exec.Stats {
+// throughputOf runs the event stream against a fresh engine — serially for
+// one worker, otherwise split evenly between concurrent WriteBatch and
+// ReadInto callers — and returns operations per second.
+func throughputOf(ov *overlay.Overlay, a agg.Aggregate, events []graph.Event, workers int) runStats {
 	eng, err := exec.New(ov, a, agg.NewTupleWindow(1))
 	if err != nil {
 		panic(err)
 	}
 	if workers <= 1 {
-		return exec.PlaySerial(eng, events, 64)
+		return playSerial(eng, events, 0)
 	}
-	r := exec.NewRunner(eng, (workers+1)/2, (workers+1)/2)
-	return r.Play(events)
+	return playConcurrent(eng, events, (workers+1)/2, (workers+1)/2)
 }
 
 var execAggregates = []agg.Aggregate{agg.Sum{}, agg.Max{}, agg.TopK{K: 3}}
@@ -239,7 +239,7 @@ func fig13c(cfg Config) []Table {
 		if err != nil {
 			panic(err)
 		}
-		st := exec.PlaySerial(eng, events, 8)
+		st := playSerial(eng, events, 8)
 		t.Rows = append(t.Rows, []string{
 			c.name,
 			f1(float64(st.AvgLatency.Nanoseconds()) / 1000),
@@ -262,7 +262,7 @@ func fig13d(cfg Config) []Table {
 	a := agg.TopK{K: 3}
 	m := dataflow.ModelFor(a)
 	t := Table{
-		Title:  fmt.Sprintf("Fig 13d: TOP-K throughput (ops/s) vs worker threads (read + write pools) — %s, w:r 1:1", d.Name),
+		Title:  fmt.Sprintf("Fig 13d: TOP-K throughput (ops/s) vs worker threads (concurrent WriteBatch + ReadInto callers) — %s, w:r 1:1", d.Name),
 		Header: []string{"threads", "vnma-dataflow", "all-push", "all-pull"},
 		Notes:  "expected (paper, 24 cores): steady scaling to ~24 threads then plateau; on this host scaling plateaus at the core count",
 	}

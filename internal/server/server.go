@@ -561,6 +561,7 @@ func (s *Server) handleQueryStats(w http.ResponseWriter, r *http.Request) {
 		"algorithm":      st.Algorithm,
 		"mode":           st.Mode,
 		"maintainable":   st.Maintainable,
+		"recompiles":     st.Recompiles,
 		"writers":        st.Writers,
 		"readers":        st.Readers,
 		"ownReaders":     st.OwnReaders,

@@ -111,6 +111,7 @@ func (v *overlayView) stats() Stats {
 		Algorithm:     st.Algorithm,
 		Mode:          string(st.Mode),
 		Maintainable:  st.Maintainable,
+		Recompiles:    st.Recompiles,
 		Shared:        v.Shared(),
 		Family:        v.FamilySize(),
 		OwnReaders:    st.Overlay.QueryReaders[v.ViewTag()],
@@ -437,6 +438,10 @@ type Stats struct {
 	Algorithm                  string
 	Mode                       string
 	Maintainable               bool
+	// Recompiles counts the structural changes (edge and node churn, family
+	// members joining and leaving) that rebuilt the whole overlay because it
+	// is not Maintainable in place — the slow path; 0 on a maintainable one.
+	Recompiles int64
 	// Shared is the number of identically-configured queries (including
 	// this one) sharing this query's compiled member for free.
 	Shared int

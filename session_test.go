@@ -282,9 +282,9 @@ func TestQuerySubscribeThroughFacade(t *testing.T) {
 }
 
 // TestSubscriptionSurvivesRecompile pins the regression where a structural
-// change on a NON-maintainable overlay (full recompile, fresh engine)
+// change on a NON-maintainable overlay (full recompile, renumbered slots)
 // orphaned live subscriptions: the channel must keep delivering after the
-// engine swap, and cancel must detach from the rebuilt engine.
+// engine's Rebuild, and cancel must still detach.
 func TestSubscriptionSurvivesRecompile(t *testing.T) {
 	// vnmn + sum on this graph usually yields negative edges -> no
 	// incremental maintainer -> AddEdge falls back to recompile. Overlay
@@ -335,7 +335,7 @@ search:
 	if err := sess.Write(u, 5, 1); err != nil {
 		t.Fatal(err)
 	}
-	// The write must keep producing updates through the rebuilt engine.
+	// The write must keep producing updates through the rebuilt plan.
 	// On a vnmn overlay some closure readers receive the write along
 	// canceling +/- paths (net-zero result), so drain until a reader with
 	// a real contribution reports in.
@@ -347,7 +347,7 @@ search:
 				goto delivered
 			}
 		case <-deadline:
-			t.Fatal("subscription went silent after the engine rebuild")
+			t.Fatal("subscription went silent after the recompile")
 		}
 	}
 delivered:
