@@ -540,3 +540,42 @@ func BenchmarkStructuralEdgeAdd(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSessionSetup is what the repository benchmark reports as setup_s:
+// Open on a generated graph plus the workload's Registers (bench/w_feed.go,
+// bench/w_notify.go), minus the graph generation.
+func BenchmarkSessionSetup(b *testing.B) {
+	for _, w := range []struct {
+		name  string
+		gen   func() *graph.Graph
+		specs []QuerySpec
+	}{
+		{"feed", func() *graph.Graph { return workload.WebGraph(600, 50, 12, 1) }, []QuerySpec{
+			{Aggregate: "sum", WindowTime: 20000},
+			{Aggregate: "max", WindowTuples: 4},
+			{Aggregate: "topk(10)", WindowTuples: 4},
+		}},
+		{"notify", func() *graph.Graph { return workload.SocialGraph(1000, 10, 1) }, []QuerySpec{
+			{Aggregate: "sum", WindowTime: 20000, Continuous: true},
+			{Aggregate: "topk(10)", WindowTuples: 4, Continuous: true},
+		}},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g := w.gen()
+				b.StartTimer()
+				sess, err := Open(g, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, spec := range w.specs {
+					if _, err := sess.Register(spec); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

@@ -1,0 +1,150 @@
+package construct
+
+import (
+	"fmt"
+	"hash/fnv"
+	"sort"
+	"testing"
+
+	"repro/internal/bipartite"
+	"repro/internal/graph"
+	"repro/internal/overlay"
+	"repro/internal/workload"
+)
+
+// overlaySignature condenses an overlay into "nodes edges hash": the hash
+// covers every node's (kind, gid) in ref order and the sorted
+// (from, to, sign) edge list, so two overlays with one signature are the
+// same graph with the same node numbering.
+func overlaySignature(ov *overlay.Overlay) string {
+	type edge struct {
+		from, to overlay.NodeRef
+		neg      bool
+	}
+	h := fnv.New64a()
+	var edges []edge
+	ov.ForEachNode(func(ref overlay.NodeRef, n *overlay.Node) {
+		fmt.Fprintf(h, "n%d:%d:%d;", ref, n.Kind, n.GID)
+		for _, e := range n.In {
+			edges = append(edges, edge{e.Peer, ref, e.Negative})
+		}
+	})
+	sort.Slice(edges, func(i, j int) bool {
+		a, b := edges[i], edges[j]
+		if a.from != b.from {
+			return a.from < b.from
+		}
+		if a.to != b.to {
+			return a.to < b.to
+		}
+		return !a.neg && b.neg
+	})
+	for _, e := range edges {
+		fmt.Fprintf(h, "e%d:%d:%t;", e.from, e.to, e.neg)
+	}
+	return fmt.Sprintf("%d nodes %d edges %016x", ov.NumNodes(), ov.NumEdges(), h.Sum64())
+}
+
+// benchGraphs are the data graphs of the repository benchmark (bench/gen.go:
+// graphSeed = 1; feed_mixed runs on the web graph, notify_open and
+// durable_ingest on the social graph).
+var benchGraphs = []struct {
+	name string
+	gen  func() *graph.Graph
+}{
+	{"web", func() *graph.Graph { return workload.WebGraph(600, 50, 12, 1) }},
+	{"social", func() *graph.Graph { return workload.SocialGraph(1000, 10, 1) }},
+}
+
+// goldenSignatures were captured from the map-based kernel at commit ed7f7ce
+// (the parent of the flat-kernel rewrite), which produced them on every one
+// of 20 runs. A change here means construction no longer produces the same
+// overlay — never update these to make a kernel change pass.
+var goldenSignatures = map[string]string{
+	"web/vnm":     "1433 nodes 5309 edges c48b295c4f67cf7a",
+	"web/vnma":    "1329 nodes 5834 edges b83f4e731da9bb12",
+	"web/vnmn":    "1259 nodes 3718 edges 11205e2911dcb1b8", // SI 0.5105
+	"web/vnmd":    "1326 nodes 5907 edges 34031a9c7dce4f89",
+	"social/vnm":  "2020 nodes 9898 edges dfe3c9da97e75061",
+	"social/vnma": "2004 nodes 9922 edges 1690a1804b7418d2",
+	"social/vnmn": "2005 nodes 9899 edges 3c8a3202a501afc5",
+	"social/vnmd": "2003 nodes 9921 edges fbeb2dd335bf9dfe",
+}
+
+func TestOverlayGolden(t *testing.T) {
+	for _, bg := range benchGraphs {
+		ag := bipartite.Build(bg.gen(), graph.InNeighbors{}, nil)
+		for _, alg := range []string{AlgVNM, AlgVNMA, AlgVNMN, AlgVNMD} {
+			name := bg.name + "/" + alg
+			res, err := Build(alg, ag, Config{})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got := overlaySignature(res.Overlay)
+			if want, ok := goldenSignatures[name]; !ok {
+				t.Errorf("%s: no golden signature; got %q (SI %.4f)", name, got, res.Overlay.SharingIndex())
+			} else if got != want {
+				t.Errorf("%s: overlay signature %q, want %q", name, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkConstruct is one Build of a benchmark graph's overlay under the
+// two algorithms `auto` picks (VNM_N for subtractable aggregates, VNM_D for
+// duplicate-insensitive ones); the graph and AG are built outside the timer.
+func BenchmarkConstruct(b *testing.B) {
+	for _, bg := range benchGraphs {
+		ag := bipartite.Build(bg.gen(), graph.InNeighbors{}, nil)
+		for _, alg := range []string{AlgVNMN, AlgVNMD} {
+			b.Run(bg.name+"/"+alg, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Build(alg, ag, Config{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestBuildDeterministic: construction is a pure function of its input. The
+// same AG built 20 times under every algorithm yields one overlay. The
+// k1=5 case is the one the map-based kernel visibly failed (Fig. 11(b)'s
+// web-eu column flipped between two sharing indexes from run to run): the
+// more paths a reader joins, the more often a tie between sibling paths
+// decides which.
+func TestBuildDeterministic(t *testing.T) {
+	runs := 20
+	if testing.Short() {
+		runs = 5
+	}
+	ag := bipartite.Build(workload.WebGraph(1500, 50, 12, 5), graph.InNeighbors{}, nil)
+	for _, c := range []struct {
+		name, alg string
+		cfg       Config
+	}{
+		{"vnm", AlgVNM, Config{Iterations: 4}},
+		{"vnma", AlgVNMA, Config{Iterations: 4}},
+		{"vnmn", AlgVNMN, Config{Iterations: 4}},
+		{"vnmn/k1=5", AlgVNMN, Config{Iterations: 4, NegK1: 5}},
+		{"vnmd", AlgVNMD, Config{Iterations: 4}},
+		{"iob", AlgIOB, Config{Iterations: 1}},
+	} {
+		var first string
+		for i := 0; i < runs; i++ {
+			res, err := Build(c.alg, ag, c.cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			sig := overlaySignature(res.Overlay)
+			if i == 0 {
+				first = sig
+			} else if sig != first {
+				t.Errorf("%s: run %d built %q, run 0 built %q", c.name, i, sig, first)
+				break
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package construct
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -15,11 +16,12 @@ import (
 // current (partially compressed) bipartite graph. Consumers are readers
 // (indices 0..R-1) and virtual nodes (indices >= R) created by mining;
 // items are writers (their data-graph ids) and virtual nodes (ids >=
-// itemBase).
+// itemBase). Item ids are dense — writers below itemBase, the k-th virtual
+// node at itemBase+k — so everything keyed by item is a plain array.
 type vnmState struct {
 	ag       *bipartite.AG
 	cfg      Config
-	itemBase int32 // first virtual item id
+	itemBase fptree.Item // first virtual item id: one past the largest writer id
 
 	lists [][]fptree.Item // consumer -> current positive input list
 	neg   [][]fptree.Item // consumer -> final negative-edge sources
@@ -27,30 +29,50 @@ type vnmState struct {
 
 	history []float64
 	benefit map[int]int // reader-set size -> total benefit (current iter)
+
+	// The mining kernel and this iteration's item order. rank is total over
+	// the items that exist: 0..seen-1 for those computeRank saw in a list,
+	// seen+id for the rest (including the virtual nodes created since).
+	tree *fptree.Tree
+	rank []int32
+	seen int32
+
+	// Scratch, reused across iterations and bicliques.
+	count    []uint64 // computeRank: occurrences per item, then sort keys
+	shingles []uint64 // shingleOrder: the consumers × Shingles matrix
+	onPath   []uint32 // applyBiclique: onPath[it] == epoch marks a path item
+	epoch    uint32
 }
 
 func newVNMState(ag *bipartite.AG, cfg Config) *vnmState {
 	s := &vnmState{
-		ag:       ag,
-		cfg:      cfg,
-		itemBase: int32(ag.MaxID()),
-		lists:    make([][]fptree.Item, len(ag.Readers)),
-		neg:      make([][]fptree.Item, len(ag.Readers)),
-		mined:    make([][]fptree.Item, len(ag.Readers)),
-		benefit:  make(map[int]int),
+		ag:      ag,
+		cfg:     cfg,
+		lists:   make([][]fptree.Item, len(ag.Readers)),
+		neg:     make([][]fptree.Item, len(ag.Readers)),
+		mined:   make([][]fptree.Item, len(ag.Readers)),
+		benefit: make(map[int]int),
+		tree:    fptree.New(fptree.Options{K1: cfg.NegK1, K2: cfg.NegK2}),
 	}
+	// One backing array for every reader's list: a list only ever shrinks
+	// (applyBiclique trades at least two items for one).
+	arena := make([]fptree.Item, 0, ag.NumEdges())
 	for i, r := range ag.Readers {
-		in := make([]fptree.Item, len(r.Inputs))
-		for j, w := range r.Inputs {
-			in[j] = fptree.Item(w)
+		start := len(arena)
+		for _, w := range r.Inputs {
+			arena = append(arena, fptree.Item(w))
+			s.itemBase = max(s.itemBase, fptree.Item(w)+1)
 		}
-		s.lists[i] = in
+		s.lists[i] = arena[start:len(arena):len(arena)]
 	}
 	return s
 }
 
 // numReaders returns the count of original readers among consumers.
 func (s *vnmState) numReaders() int { return len(s.ag.Readers) }
+
+// numItems returns the size of the item id space: writers and virtual nodes.
+func (s *vnmState) numItems() int { return int(s.itemBase) + len(s.lists) - s.numReaders() }
 
 // isVirtualItem reports whether an item denotes a virtual node.
 func (s *vnmState) isVirtualItem(it fptree.Item) bool { return it >= s.itemBase }
@@ -63,6 +85,16 @@ func (s *vnmState) consumerOfItem(it fptree.Item) int {
 // itemOfConsumer maps a virtual consumer index to its item id.
 func (s *vnmState) itemOfConsumer(ci int) fptree.Item {
 	return s.itemBase + fptree.Item(ci-s.numReaders())
+}
+
+// shingleID is the id an item hashes under in the shingle ordering: virtual
+// nodes are numbered from ag.MaxID(), past every reader id of a merged AG,
+// which is where the id space of items began before it was made dense.
+func (s *vnmState) shingleID(it fptree.Item) graph.NodeID {
+	if s.isVirtualItem(it) {
+		return graph.NodeID(s.ag.MaxID()) + graph.NodeID(it-s.itemBase)
+	}
+	return graph.NodeID(it)
 }
 
 // overlayEdges counts the edges the final overlay would have now.
@@ -82,60 +114,60 @@ func (s *vnmState) sharingIndex() float64 {
 	return 1 - float64(s.overlayEdges())/float64(s.ag.NumEdges())
 }
 
-// rankFunc computes the global item order for this iteration: descending
-// occurrence count across all current input lists, so that frequent shared
-// writers sort toward the root and readers with common popular inputs share
-// tree prefixes. (The paper's §3.2.1 text says "increasing order", but its
-// own Figure 3 sorts the degree-6 writer d first; descending order is also
-// the standard FP-Tree convention, and ascending order finds essentially no
-// bicliques on heavy-tailed graphs.)
-func (s *vnmState) rankFunc() func(fptree.Item) int {
-	count := make(map[fptree.Item]int)
+// computeRank fixes the global item order for this iteration: descending
+// occurrence count across all current input lists (ties by id), so that
+// frequent shared writers sort toward the root and readers with common
+// popular inputs share tree prefixes. (The paper's §3.2.1 text says
+// "increasing order", but its own Figure 3 sorts the degree-6 writer d
+// first; descending order is also the standard FP-Tree convention, and
+// ascending order finds essentially no bicliques on heavy-tailed graphs.)
+// Items in no list (e.g. mined-only) order after everything, by id.
+func (s *vnmState) computeRank() {
+	n := s.numItems()
+	count := append(s.count[:0], make([]uint64, n)...)
 	for _, l := range s.lists {
 		for _, it := range l {
 			count[it]++
 		}
 	}
-	items := make([]fptree.Item, 0, len(count))
-	for it := range count {
-		items = append(items, it)
-	}
-	sort.Slice(items, func(i, j int) bool {
-		ci, cj := count[items[i]], count[items[j]]
-		if ci != cj {
-			if s.cfg.AscendingRank {
-				return ci < cj
-			}
-			return ci > cj
+	// Compact the seen items into sort keys (count, id), the count
+	// complemented for the descending order. The keys overwrite count from
+	// the front, never ahead of the entry being read.
+	keys := count[:0]
+	for it, c := range count {
+		if c == 0 {
+			continue
 		}
-		return items[i] < items[j]
-	})
-	rank := make(map[fptree.Item]int, len(items))
-	for i, it := range items {
-		rank[it] = i
-	}
-	n := len(rank)
-	return func(it fptree.Item) int {
-		if r, ok := rank[it]; ok {
-			return r
+		if !s.cfg.AscendingRank {
+			c = uint64(^uint32(c))
 		}
-		// Unseen items (e.g. mined-only) order after everything, by id.
-		return n + int(it)
+		keys = append(keys, c<<32|uint64(it))
+	}
+	slices.Sort(keys)
+	s.count = count
+	s.seen = int32(len(keys))
+	s.rank = slices.Grow(s.rank[:0], n)[:n]
+	for it := range s.rank {
+		s.rank[it] = s.seen + int32(it)
+	}
+	for i, k := range keys {
+		s.rank[uint32(k)] = int32(i)
 	}
 }
 
-// consumerAG wraps the current consumer lists as a bipartite.AG so the
-// shingle package can order them. Only Readers/Inputs are needed.
-func (s *vnmState) consumerAG() *bipartite.AG {
-	lists := make(map[graph.NodeID][]graph.NodeID, len(s.lists))
+// shingleOrder returns the consumers sorted by the min-hash shingles of
+// their current input lists (ties by consumer index).
+func (s *vnmState) shingleOrder() []int {
+	m := s.cfg.Shingles
+	s.shingles = slices.Grow(s.shingles[:0], len(s.lists)*m)[:len(s.lists)*m]
 	for ci, l := range s.lists {
-		in := make([]graph.NodeID, len(l))
-		for j, it := range l {
-			in[j] = graph.NodeID(it)
+		row := s.shingles[ci*m : (ci+1)*m]
+		shingle.Empty(row)
+		for _, it := range l {
+			shingle.Fold(row, s.shingleID(it))
 		}
-		lists[graph.NodeID(ci)] = in
 	}
-	return bipartite.FromInputLists(lists)
+	return shingle.OrderRows(s.shingles, m)
 }
 
 // runIteration performs one VNM iteration: shingle-order the consumers,
@@ -144,40 +176,30 @@ func (s *vnmState) consumerAG() *bipartite.AG {
 // reconstruct the FP-Tree"). It returns the total number of bicliques
 // applied.
 func (s *vnmState) runIteration(chunkSize int) int {
-	cag := s.consumerAG()
-	order := shingle.Order(cag, s.cfg.Shingles)
-	// consumerAG's readers are sorted by consumer index; map back.
-	idxToConsumer := make([]int, len(cag.Readers))
-	for i, r := range cag.Readers {
-		idxToConsumer[i] = int(r.Node)
-	}
 	overlap := 0
 	if s.cfg.OverlapPct > 0 {
 		overlap = chunkSize * s.cfg.OverlapPct / 100
 	}
-	groups := shingle.Chunk(order, chunkSize, overlap)
+	groups := shingle.Chunk(s.shingleOrder(), chunkSize, overlap)
 	// The item rank is computed once per iteration; applying bicliques
 	// perturbs the degree counts slightly, but a mildly stale order does
 	// not affect correctness and avoids an O(E) rescan per mined biclique.
-	rank := s.rankFunc()
+	s.computeRank()
 	applied := 0
-	for _, grp := range groups {
-		consumers := make([]int, len(grp))
-		for i, gi := range grp {
-			consumers[i] = idxToConsumer[gi]
-		}
-		applied += s.mineGroup(consumers, rank)
+	for _, consumers := range groups {
+		applied += s.mineGroup(consumers)
 	}
 	return applied
 }
 
 // mineGroup repeatedly builds an FP-tree over the group's consumers and
 // applies the best biclique until no positive-saving biclique remains.
-func (s *vnmState) mineGroup(consumers []int, rank func(fptree.Item) int) int {
+func (s *vnmState) mineGroup(consumers []int) int {
 	applied := 0
 	for round := 0; round < s.cfg.MaxMinesPerGroup; round++ {
-		tree := fptree.New(rank, fptree.Options{K1: s.cfg.NegK1, K2: s.cfg.NegK2})
-		for _, ci := range consumers {
+		// The tree numbers its readers by position in the group.
+		s.tree.Reset(s.rank, len(consumers))
+		for i, ci := range consumers {
 			if len(s.lists[ci]) < 2 {
 				continue
 			}
@@ -185,11 +207,14 @@ func (s *vnmState) mineGroup(consumers []int, rank func(fptree.Item) int) int {
 			if s.cfg.AllowReuse {
 				mined = s.mined[ci]
 			}
-			tree.Insert(ci, s.lists[ci], mined)
+			s.tree.Insert(i, s.lists[ci], mined)
 		}
-		bic, ok := tree.MineBest()
+		bic, ok := s.tree.MineBest()
 		if !ok {
 			return applied
+		}
+		for i := range bic.Readers {
+			bic.Readers[i].Reader = consumers[bic.Readers[i].Reader]
 		}
 		if !s.applyBiclique(bic) {
 			return applied
@@ -231,29 +256,29 @@ func (s *vnmState) applyBiclique(b fptree.Biclique) bool {
 	}
 
 	// Create the virtual node: it is both a consumer (aggregating the
-	// path items) and an item (feeding the supporters).
+	// path items) and an item (feeding the supporters), unseen by this
+	// iteration's rank.
 	ci := len(s.lists)
-	s.lists = append(s.lists, append([]fptree.Item(nil), b.Items...))
+	s.lists = append(s.lists, slices.Clone(b.Items))
 	s.neg = append(s.neg, nil)
 	s.mined = append(s.mined, nil)
 	z := s.itemOfConsumer(ci)
+	s.rank = append(s.rank, s.seen+z)
 
-	itemSet := make(map[fptree.Item]bool, L)
+	if len(s.onPath) < len(s.rank) {
+		s.onPath = append(s.onPath, make([]uint32, max(len(s.rank), 2*len(s.onPath))-len(s.onPath))...)
+	}
+	s.epoch++
 	for _, it := range b.Items {
-		itemSet[it] = true
+		s.onPath[it] = s.epoch
 	}
 	for _, sup := range b.Readers {
-		skip := make(map[fptree.Item]bool, len(sup.Neg)+len(sup.Mined))
-		for _, it := range sup.Neg {
-			skip[it] = true
-		}
-		for _, it := range sup.Mined {
-			skip[it] = true
-		}
-		// Remove the positive path items from the supporter's list.
+		// Trade the supporter's path items for the virtual node. Every
+		// path item in its list is a positive one: sup.Neg are the path
+		// items it lacks, sup.Mined those an earlier biclique took away.
 		l := s.lists[sup.Reader][:0]
 		for _, it := range s.lists[sup.Reader] {
-			if itemSet[it] && !skip[it] {
+			if s.onPath[it] == s.epoch {
 				if s.cfg.AllowReuse {
 					s.mined[sup.Reader] = append(s.mined[sup.Reader], it)
 				}

@@ -117,9 +117,13 @@ type Engine struct {
 	// notify is the immutable subscriber table (notify.go); nil whenever no
 	// subscription is attached, so the write hot path pays one atomic load
 	// and a branch — and allocates nothing — in the unsubscribed case.
-	// subMu serializes table swaps (Subscribe/Unsubscribe).
+	// subs is the list of live subscriptions the table is derived from —
+	// including a node-restricted one whose nodes currently have no reader,
+	// which the table has no entry for. subMu guards subs and serializes
+	// table swaps (Subscribe/Unsubscribe/Rebuild).
 	notify atomic.Pointer[notifyTable]
 	subMu  sync.Mutex
+	subs   []*Subscription
 
 	// expiry is the per-writer next-expiry index: ExpireAll pops only the
 	// writers whose time-window deadline the watermark has passed, so a

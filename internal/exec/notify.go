@@ -128,10 +128,11 @@ func (s *Subscription) Deliver(u Update) { s.deliver(u) }
 // instead, which also removes them from the fan-out table.
 func (s *Subscription) Retire() { s.close() }
 
-// notifyTable is the engine's immutable subscriber snapshot, swapped
-// copy-on-write under Engine.subMu. The write hot path loads it with one
-// atomic pointer read; it is nil whenever no subscription exists, so
-// unsubscribed engines pay a single predictable branch per write.
+// notifyTable is the engine's immutable subscriber snapshot, derived from
+// Engine.subs and swapped copy-on-write under Engine.subMu. The write hot
+// path loads it with one atomic pointer read; it is nil whenever no
+// subscription exists, so unsubscribed engines pay a single predictable
+// branch per write.
 type notifyTable struct {
 	// byTag lists, per query tag, the subscriptions covering every reader
 	// of that tag's view (the whole engine on single-query engines, where
@@ -149,30 +150,6 @@ func (nt *notifyTable) at(ref overlay.NodeRef) []*Subscription {
 		return nt.byRef[ref]
 	}
 	return nil
-}
-
-// subs returns the table's distinct subscriptions; nt may be nil.
-func (nt *notifyTable) subs() []*Subscription {
-	if nt == nil {
-		return nil
-	}
-	seen := map[*Subscription]bool{}
-	var out []*Subscription
-	add := func(list []*Subscription) {
-		for _, s := range list {
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-			}
-		}
-	}
-	for _, list := range nt.byTag {
-		add(list)
-	}
-	for _, list := range nt.byRef {
-		add(list)
-	}
-	return out
 }
 
 // without returns subs minus sub (nil when nothing is left).
@@ -225,6 +202,7 @@ func (e *Engine) SubscribeTagged(tag int32, buffer int, nodes ...graph.NodeID) (
 		}
 		sub.resolve(pl)
 	}
+	e.subs = append(e.subs, sub)
 	e.notify.Store(e.notify.Load().with(sub))
 	return sub, nil
 }
@@ -275,6 +253,7 @@ func (e *Engine) Unsubscribe(sub *Subscription) {
 		return
 	}
 	e.subMu.Lock()
+	e.subs = without(e.subs, sub)
 	prev := e.notify.Load()
 	if prev != nil {
 		next := &notifyTable{
@@ -305,7 +284,11 @@ func (e *Engine) Unsubscribe(sub *Subscription) {
 }
 
 // Subscribers reports the number of live subscriptions (for stats).
-func (e *Engine) Subscribers() int { return len(e.notify.Load().subs()) }
+func (e *Engine) Subscribers() int {
+	e.subMu.Lock()
+	defer e.subMu.Unlock()
+	return len(e.subs)
+}
 
 // notifyFanout pushes refreshed results to subscribers after a write on
 // writer slot wref propagated through its push region. It runs only when at

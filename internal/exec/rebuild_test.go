@@ -110,3 +110,48 @@ func TestRebuildCarriesCellsByGraphID(t *testing.T) {
 		})
 	}
 }
+
+// TestRebuildReattachesSubscriptionAfterReaderLoss: a subscription restricted
+// to node v outlives a recompile in which v has no reader (its last in-edge
+// was removed) and delivers again once a later recompile brings the reader
+// back. The notify table has no entry for it in between, so the engine must
+// remember it elsewhere.
+func TestRebuildReattachesSubscriptionAfterReaderLoss(t *testing.T) {
+	const v = graph.NodeID(9)
+	with := map[graph.NodeID][]graph.NodeID{8: {0, 1}, v: {1}}
+	without := map[graph.NodeID][]graph.NodeID{8: {0, 1}}
+	overlayOf := func(lists map[graph.NodeID][]graph.NodeID) *overlay.Overlay {
+		ov := construct.Baseline(bipartite.FromInputLists(lists))
+		dataflow.DecideAll(ov, overlay.Push)
+		return ov
+	}
+	e, err := New(overlayOf(with), agg.Sum{}, agg.NewTupleWindow(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := e.Subscribe(8, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step, lists := range []map[graph.NodeID][]graph.NodeID{without, with} {
+		if err := e.Rebuild(overlayOf(lists), agg.NewTupleWindow(4), nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Subscribers(); got != 1 {
+			t.Fatalf("after rebuild %d: %d subscribers, want 1", step, got)
+		}
+		if err := e.Write(1, int64(10+step), int64(step)); err != nil {
+			t.Fatal(err)
+		}
+		if want := step; len(sub.Updates()) != want {
+			t.Fatalf("after rebuild %d and a write to 1: %d updates pending, want %d", step, len(sub.Updates()), want)
+		}
+	}
+	if u := <-sub.Updates(); u.Node != v || u.Result.Scalar != 21 {
+		t.Fatalf("update %+v, want node %d with both writes (21)", u, v)
+	}
+	e.Unsubscribe(sub)
+	if got := e.Subscribers(); got != 0 {
+		t.Fatalf("%d subscribers after Unsubscribe, want 0", got)
+	}
+}

@@ -302,7 +302,8 @@ func (e *Engine) seedFromWindow(st *engineState, wref overlay.NodeRef, vals []in
 //     and new writers start empty, with a clone of window;
 //   - push state is rebuilt from the windows, as in ResyncPushState;
 //   - live subscriptions are re-resolved against the new plan (a node that
-//     lost its reader drops out of its subscription's coverage);
+//     lost its reader drops out of its subscription's coverage until a
+//     later Rebuild brings the reader back);
 //   - the expiry index is re-seeded from the windows' deadlines.
 //
 // Compiling the plan, laying out the snapshot and re-resolving the
@@ -338,7 +339,7 @@ func (e *Engine) Rebuild(ov *overlay.Overlay, window agg.Window, skip map[graph.
 	e.subMu.Lock()
 	defer e.subMu.Unlock()
 	var nt *notifyTable
-	for _, sub := range e.notify.Load().subs() {
+	for _, sub := range e.subs {
 		sub.resolve(pl)
 		nt = nt.with(sub)
 	}

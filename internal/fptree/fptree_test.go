@@ -16,7 +16,25 @@ const (
 	bw Item = 5
 )
 
-func figRank(it Item) int { return int(it) }
+// figRank ranks the six Figure 3 items in id order.
+var figRank = []int32{0, 1, 2, 3, 4, 5}
+
+// newFigTree returns an empty tree over the Figure 3 items for readers 0..3.
+func newFigTree(opts Options) *Tree {
+	tr := New(opts)
+	tr.Reset(figRank, 4)
+	return tr
+}
+
+// childWith returns n's child carrying item it, or 0.
+func (t *Tree) childWith(n int32, it Item) int32 {
+	for c := t.nodes[n].child; c != 0; c = t.nodes[c].sibling {
+		if t.nodes[c].item == it {
+			return c
+		}
+	}
+	return 0
+}
 
 var figReaders = map[int][]Item{
 	0: {dw, cw, ew, fw}, // ar
@@ -26,7 +44,7 @@ var figReaders = map[int][]Item{
 }
 
 func TestPlainInsertMatchesFigure3a(t *testing.T) {
-	tr := New(figRank, Options{})
+	tr := newFigTree(Options{})
 	for _, r := range []int{0, 1, 2} {
 		tr.Insert(r, figReaders[r], nil)
 	}
@@ -36,24 +54,24 @@ func TestPlainInsertMatchesFigure3a(t *testing.T) {
 		t.Fatalf("tree size = %d, want 8", tr.Size())
 	}
 	// d's support = {ar,br,er}; c's = {ar,er}.
-	d := tr.root.children[dw]
-	if d == nil || len(d.pos) != 3 {
-		t.Fatalf("support(d) wrong: %+v", d)
+	d := tr.childWith(0, dw)
+	if d == 0 || tr.nodes[d].support != 3 || !tr.has(d, setPos, 0) || !tr.has(d, setPos, 1) || !tr.has(d, setPos, 2) {
+		t.Fatalf("support(d) wrong: %+v", tr.nodes[d])
 	}
-	c := d.children[cw]
-	if c == nil || len(c.pos) != 2 {
-		t.Fatalf("support(c) wrong: %+v", c)
+	c := tr.childWith(d, cw)
+	if c == 0 || tr.nodes[c].support != 2 {
+		t.Fatalf("support(c) wrong: %+v", tr.nodes[c])
 	}
-	if _, ok := c.pos[0]; !ok {
+	if !tr.has(c, setPos, 0) {
 		t.Fatal("ar missing from support(c)")
 	}
-	if _, ok := c.pos[2]; !ok {
+	if !tr.has(c, setPos, 2) {
 		t.Fatal("er missing from support(c)")
 	}
 }
 
 func TestPlainMineFindsBiclique(t *testing.T) {
-	tr := New(figRank, Options{})
+	tr := newFigTree(Options{})
 	for r := 0; r <= 3; r++ {
 		tr.Insert(r, figReaders[r], nil)
 	}
@@ -85,7 +103,7 @@ func TestPlainMineFindsBiclique(t *testing.T) {
 }
 
 func TestPlainMineNoPositiveBenefit(t *testing.T) {
-	tr := New(figRank, Options{})
+	tr := newFigTree(Options{})
 	tr.Insert(0, []Item{dw, cw}, nil)
 	tr.Insert(1, []Item{ew, fw}, nil)
 	// Best possible: 2x1 paths, benefit <= 0.
@@ -98,8 +116,8 @@ func TestPlainMineNoPositiveBenefit(t *testing.T) {
 // along the main chain, exposing a 3x3 quasi-biclique — the Figure 3(b)
 // scenario where the basic version only finds 2x2.
 func TestNegativeInsertFindsLargerBiclique(t *testing.T) {
-	basic := New(figRank, Options{})
-	negtr := New(figRank, Options{K1: 2, K2: 1})
+	basic := newFigTree(Options{})
+	negtr := newFigTree(Options{K1: 2, K2: 1})
 	for _, r := range []int{0, 1, 2} { // ar, br, er only (as in Figure 3)
 		basic.Insert(r, figReaders[r], nil)
 		negtr.Insert(r, figReaders[r], nil)
@@ -133,7 +151,7 @@ func TestNegativeInsertFindsLargerBiclique(t *testing.T) {
 }
 
 func TestNegativeRespectsK2(t *testing.T) {
-	tr := New(figRank, Options{K1: 1, K2: 1})
+	tr := newFigTree(Options{K1: 1, K2: 1})
 	tr.Insert(0, []Item{dw, cw, ew, fw}, nil)
 	// Reader 1 shares only d: adding along the full chain needs 3
 	// negatives, above k2=1, so it must not be tagged at f.
@@ -152,7 +170,7 @@ func TestNegativeRespectsK2(t *testing.T) {
 func TestMinedReuseSupport(t *testing.T) {
 	// Reader 0's edges to d,c were consumed by an earlier biclique
 	// (VNM_D): it is inserted with positives {e,f} and mined {d,c}.
-	tr := New(figRank, Options{})
+	tr := newFigTree(Options{})
 	tr.Insert(0, []Item{ew, fw}, []Item{dw, cw})
 	tr.Insert(1, []Item{dw, cw, ew, fw}, nil)
 	tr.Insert(2, []Item{dw, cw, ew, fw}, nil)
@@ -198,7 +216,7 @@ func TestNumEdgesSavedWithNegatives(t *testing.T) {
 }
 
 func TestInsertUnsortedItems(t *testing.T) {
-	tr := New(figRank, Options{})
+	tr := newFigTree(Options{})
 	tr.Insert(0, []Item{fw, dw, ew, cw}, nil) // shuffled
 	tr.Insert(1, []Item{cw, dw, fw, ew}, nil)
 	b, ok := tr.MineBest()
@@ -210,14 +228,14 @@ func TestInsertUnsortedItems(t *testing.T) {
 	}
 	// Items must come out in rank order.
 	for i := 1; i < len(b.Items); i++ {
-		if figRank(b.Items[i-1]) >= figRank(b.Items[i]) {
+		if figRank[b.Items[i-1]] >= figRank[b.Items[i]] {
 			t.Fatalf("items not in rank order: %v", b.Items)
 		}
 	}
 }
 
 func TestEmptyTreeMinesNothing(t *testing.T) {
-	tr := New(figRank, Options{})
+	tr := newFigTree(Options{})
 	if _, ok := tr.MineBest(); ok {
 		t.Fatal("empty tree mined a biclique")
 	}
@@ -228,7 +246,7 @@ func TestEmptyTreeMinesNothing(t *testing.T) {
 }
 
 func TestNegativeInsertEmptyTreeFallsBack(t *testing.T) {
-	tr := New(figRank, Options{K1: 2, K2: 2})
+	tr := newFigTree(Options{K1: 2, K2: 2})
 	tr.Insert(0, []Item{dw, cw}, nil)
 	if tr.Size() != 2 {
 		t.Fatalf("fallback plain insert size = %d, want 2", tr.Size())

@@ -1,6 +1,6 @@
 package fptree
 
-import "sort"
+import "math/bits"
 
 // Support describes one reader's participation in a mined biclique.
 type Support struct {
@@ -15,7 +15,8 @@ type Support struct {
 }
 
 // Biclique is a mined quasi-biclique: the path items (writer side) and the
-// supporting readers with their per-reader negative/mined annotations.
+// supporting readers, in ascending reader order, with their per-reader
+// negative/mined annotations.
 type Biclique struct {
 	Items   []Item
 	Readers []Support
@@ -40,100 +41,103 @@ func (b Biclique) NumEdgesSaved() int {
 }
 
 // MineBest returns the root-to-node path with the maximum benefit
-// (paper §3.2.1). ok is false when no path has positive benefit.
+// (paper §3.2.1). ok is false when no path has positive benefit. The
+// biclique's slices are the tree's own: they may be edited in place and are
+// overwritten by the next MineBest or Reset.
 func (t *Tree) MineBest() (Biclique, bool) {
-	var bestNode *node
-	bestBenefit := 0
-	for _, n := range t.nodes {
-		support := len(n.pos) + len(n.neg) + len(n.mined)
-		if support < 2 || n.depth < 2 {
+	if cap(t.union) < t.words {
+		t.union = make([]uint64, t.words)
+	}
+	union := t.union[:t.words]
+	bestNode, bestBenefit := int32(0), 0
+	for i := 1; i < len(t.nodes); i++ {
+		n := &t.nodes[i]
+		depth, support := int(n.depth), int(n.support)
+		if support < 2 || depth < 2 {
 			continue
 		}
-		// Readers that reach n passed through every ancestor, landing
-		// in exactly one of each ancestor's support sets. Count the
-		// negative and mined contributions along the path for the
-		// readers in n's support.
-		negs, mineds := 0, 0
-		for y := n; y != t.root; y = y.parent {
-			if y == n {
-				negs += len(n.neg)
-				mineds += len(n.mined)
-				continue
-			}
-			negs += countMembers(y.neg, n)
-			mineds += countMembers(y.mined, n)
+		// Without negative and mined support the benefit is this bound.
+		b := depth*support - depth - support
+		if b <= bestBenefit {
+			continue
 		}
-		b := n.depth*support - n.depth - support - negs - mineds
+		if t.anyNegMined {
+			// Readers that reach n passed through every ancestor, landing
+			// in exactly one of each ancestor's support sets. Count the
+			// negative and mined contributions along the path for the
+			// readers in n's support.
+			t.supportOf(int32(i), union)
+			for y := int32(i); y != 0; y = t.nodes[y].parent {
+				b -= popcountAnd(t.set(y, setNeg), union) + popcountAnd(t.set(y, setMined), union)
+			}
+		}
 		if b > bestBenefit {
 			bestBenefit = b
-			bestNode = n
+			bestNode = int32(i)
 		}
 	}
-	if bestNode == nil {
+	if bestNode == 0 {
 		return Biclique{}, false
 	}
 	return t.extract(bestNode, bestBenefit), true
 }
 
-// countMembers counts how many readers in n's combined support appear in
-// the given ancestor support set.
-func countMembers(ancestorSet map[int]struct{}, n *node) int {
-	c := 0
-	for r := range n.pos {
-		if _, ok := ancestorSet[r]; ok {
-			c++
-		}
+// supportOf writes node n's combined support into union.
+func (t *Tree) supportOf(n int32, union []uint64) {
+	pos, neg, mined := t.set(n, setPos), t.set(n, setNeg), t.set(n, setMined)
+	for w := range union {
+		union[w] = pos[w] | neg[w] | mined[w]
 	}
-	for r := range n.neg {
-		if _, ok := ancestorSet[r]; ok {
-			c++
-		}
-	}
-	for r := range n.mined {
-		if _, ok := ancestorSet[r]; ok {
-			c++
-		}
-	}
-	return c
 }
 
 // extract materializes the biclique for the path ending at n.
-func (t *Tree) extract(n *node, benefit int) Biclique {
-	var path []*node
-	for y := n; y != t.root; y = y.parent {
-		path = append(path, y)
+func (t *Tree) extract(n int32, benefit int) Biclique {
+	depth := int(t.nodes[n].depth)
+	path := append(t.path[:0], make([]int32, depth)...)
+	items := append(t.outItems[:0], make([]Item, depth)...)
+	for y := n; y != 0; y = t.nodes[y].parent { // leaf..root, stored root..leaf
+		d := t.nodes[y].depth - 1
+		path[d], items[d] = y, t.nodes[y].item
 	}
-	// path is leaf..root; reverse to root..leaf.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
+	t.path, t.outItems = path, items
+
+	// Support = readers present at the path's last node. Their Neg and
+	// Mined items are carved out of one buffer, sized up front so that the
+	// carved slices stay put.
+	union := t.union[:t.words]
+	t.supportOf(n, union)
+	readers := t.outReaders[:0]
+	notes := t.outNotes[:0]
+	if need := depth * int(t.nodes[n].support); cap(notes) < need {
+		notes = make([]Item, 0, need)
 	}
-	items := make([]Item, len(path))
-	for i, y := range path {
-		items[i] = y.item
-	}
-	// Support = readers present at the path's last node.
-	readers := make([]int, 0, len(n.pos)+len(n.neg)+len(n.mined))
-	for r := range n.pos {
-		readers = append(readers, r)
-	}
-	for r := range n.neg {
-		readers = append(readers, r)
-	}
-	for r := range n.mined {
-		readers = append(readers, r)
-	}
-	sort.Ints(readers)
-	sup := make([]Support, 0, len(readers))
-	for _, r := range readers {
-		s := Support{Reader: r}
-		for _, y := range path {
-			if _, ok := y.neg[r]; ok {
-				s.Neg = append(s.Neg, y.item)
-			} else if _, ok := y.mined[r]; ok {
-				s.Mined = append(s.Mined, y.item)
+	for w, word := range union {
+		for ; word != 0; word &= word - 1 {
+			r := w<<6 | bits.TrailingZeros64(word)
+			s := Support{Reader: r}
+			if t.anyNegMined {
+				s.Neg, notes = t.pathItemsIn(setNeg, r, notes)
+				s.Mined, notes = t.pathItemsIn(setMined, r, notes)
 			}
+			readers = append(readers, s)
 		}
-		sup = append(sup, s)
 	}
-	return Biclique{Items: items, Readers: sup, Benefit: benefit}
+	t.outReaders, t.outNotes = readers, notes
+	return Biclique{Items: items, Readers: readers, Benefit: benefit}
+}
+
+// pathItemsIn appends to notes the items of t.path whose support set which
+// holds reader r, and returns them (nil when there are none) with the grown
+// buffer.
+func (t *Tree) pathItemsIn(which, r int, notes []Item) ([]Item, []Item) {
+	start := len(notes)
+	for _, y := range t.path {
+		if t.has(y, which, r) {
+			notes = append(notes, t.nodes[y].item)
+		}
+	}
+	if len(notes) == start {
+		return nil, notes
+	}
+	return notes[start:len(notes):len(notes)], notes
 }

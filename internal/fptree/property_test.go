@@ -27,13 +27,24 @@ func randomLists(seed int64, nr, nw uint8) map[int][]Item {
 	return lists
 }
 
+// idRankTree returns an empty tree that ranks randomLists' items by id.
+func idRankTree(opts Options, lists map[int][]Item) *Tree {
+	rank := make([]int32, 2+15)
+	for i := range rank {
+		rank[i] = int32(i)
+	}
+	tr := New(opts)
+	tr.Reset(rank, len(lists))
+	return tr
+}
+
 // Property (soundness, plain trees): every mined biclique's supporters
 // actually contain all path items in their input lists, and the declared
 // benefit matches the paper's formula.
 func TestQuickPlainMiningSound(t *testing.T) {
 	f := func(seed int64, nr, nw uint8) bool {
 		lists := randomLists(seed, nr, nw)
-		tr := New(func(it Item) int { return int(it) }, Options{})
+		tr := idRankTree(Options{}, lists)
 		for r, l := range lists {
 			tr.Insert(r, l, nil)
 		}
@@ -72,7 +83,7 @@ func TestQuickNegativeMiningSound(t *testing.T) {
 	const k2 = 2
 	f := func(seed int64, nr, nw uint8) bool {
 		lists := randomLists(seed, nr, nw)
-		tr := New(func(it Item) int { return int(it) }, Options{K1: 2, K2: k2})
+		tr := idRankTree(Options{K1: 2, K2: k2}, lists)
 		for r, l := range lists {
 			tr.Insert(r, l, nil)
 		}
@@ -112,7 +123,7 @@ func TestQuickNegativeMiningSound(t *testing.T) {
 func TestQuickTreeSizeBound(t *testing.T) {
 	f := func(seed int64, nr, nw uint8) bool {
 		lists := randomLists(seed, nr, nw)
-		tr := New(func(it Item) int { return int(it) }, Options{})
+		tr := idRankTree(Options{}, lists)
 		total := 0
 		for r, l := range lists {
 			tr.Insert(r, l, nil)

@@ -8,7 +8,7 @@
 package shingle
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/bipartite"
 	"repro/internal/graph"
@@ -23,48 +23,73 @@ func hash64(x uint64, seed uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Shingles computes m min-hash shingles for the input list. An empty input
-// list yields all-max shingles so that empty readers sort together at the
-// end.
-func Shingles(inputs []graph.NodeID, m int) []uint64 {
-	sh := make([]uint64, m)
+// Empty sets sh to the shingles of the empty input list: all-max, so that
+// empty readers sort together at the end.
+func Empty(sh []uint64) {
 	for i := range sh {
 		sh[i] = ^uint64(0)
 	}
-	for _, w := range inputs {
-		for i := 0; i < m; i++ {
-			h := hash64(uint64(uint32(w)), uint64(i)*0x2545f4914f6cdd1d+1)
-			if h < sh[i] {
-				sh[i] = h
-			}
+}
+
+// Fold lowers the shingle vector sh by one more input w.
+func Fold(sh []uint64, w graph.NodeID) {
+	for i := range sh {
+		if h := hash64(uint64(uint32(w)), uint64(i)*0x2545f4914f6cdd1d+1); h < sh[i] {
+			sh[i] = h
 		}
+	}
+}
+
+// Shingles computes m min-hash shingles for the input list.
+func Shingles(inputs []graph.NodeID, m int) []uint64 {
+	sh := make([]uint64, m)
+	Empty(sh)
+	for _, w := range inputs {
+		Fold(sh, w)
 	}
 	return sh
 }
 
 // Order returns the indices of ag.Readers sorted lexicographically by their
 // m-shingle vectors (ties broken by reader node id for determinism). This is
-// both the VNM grouping order and the IOB insertion order.
+// both the VNM grouping order of the first iteration and the IOB insertion
+// order.
 func Order(ag *bipartite.AG, m int) []int {
 	if m <= 0 {
 		m = 2
 	}
-	sh := make([][]uint64, len(ag.Readers))
+	sh := make([]uint64, len(ag.Readers)*m)
 	for i, r := range ag.Readers {
-		sh[i] = Shingles(r.Inputs, m)
+		row := sh[i*m : (i+1)*m]
+		Empty(row)
+		for _, w := range r.Inputs {
+			Fold(row, w)
+		}
 	}
-	idx := make([]int, len(ag.Readers))
+	return orderRows(sh, m, func(a, b int) bool { return ag.Readers[a].Node < ag.Readers[b].Node })
+}
+
+// OrderRows returns the row indices of the n×m shingle matrix sh (row i is
+// sh[i*m:(i+1)*m]) sorted lexicographically, ties broken by row index.
+func OrderRows(sh []uint64, m int) []int {
+	return orderRows(sh, m, func(a, b int) bool { return a < b })
+}
+
+// orderRows sorts row indices by shingle vector, then by tie, which must be
+// a strict total order so that the result does not depend on the sort.
+func orderRows(sh []uint64, m int, tie func(a, b int) bool) []int {
+	idx := make([]int, len(sh)/m)
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		sa, sb := sh[idx[a]], sh[idx[b]]
-		for k := 0; k < m; k++ {
-			if sa[k] != sb[k] {
-				return sa[k] < sb[k]
-			}
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := slices.Compare(sh[a*m:(a+1)*m], sh[b*m:(b+1)*m]); c != 0 {
+			return c
 		}
-		return ag.Readers[idx[a]].Node < ag.Readers[idx[b]].Node
+		if tie(a, b) {
+			return -1
+		}
+		return 1
 	})
 	return idx
 }
