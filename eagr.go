@@ -486,7 +486,7 @@ func compatKey(spec QuerySpec, o Options) (full, family string) {
 	}
 	nbr := fmt.Sprintf("in-%dhop", hops)
 	if o.Neighborhood != nil {
-		key, ok := neighborhoodKey(o.Neighborhood)
+		key, ok := graph.NeighborhoodKey(o.Neighborhood)
 		if !ok {
 			return "", ""
 		}
@@ -512,38 +512,6 @@ func compatKey(spec QuerySpec, o Options) (full, family string) {
 		spec.Continuous, o.Algorithm, mode,
 		it, o.SplitNodes, o.MaxReadCost)
 	return family + "|nbr=" + nbr, family
-}
-
-// neighborhoodKey canonicalizes a neighborhood's sharing identity. K is
-// always spelled out (Name() collapses every K>2 to "in-khop", which would
-// wrongly share different depths); a Filtered neighborhood's identity is
-// its tag plus its base's identity (the keep function is opaque), and
-// untagged filters or custom implementations have none (ok=false: never
-// share).
-func neighborhoodKey(nb Neighborhood) (string, bool) {
-	switch n := nb.(type) {
-	case graph.InNeighbors:
-		return "in-1hop", true
-	case graph.OutNeighbors:
-		return "out-1hop", true
-	case graph.KHopIn:
-		k := n.K
-		if k < 1 {
-			k = 1
-		}
-		return fmt.Sprintf("in-%dhop", k), true
-	case graph.Filtered:
-		if n.Tag == "" {
-			return "", false
-		}
-		base, ok := neighborhoodKey(n.Base)
-		if !ok {
-			return "", false
-		}
-		return "filtered:" + base + ":" + n.Tag, true
-	default:
-		return "", false
-	}
 }
 
 func specOrDefault(s, d string) string {
@@ -786,10 +754,17 @@ type SessionStats struct {
 	// joining the shared one — nonzero means cross-query sharing is
 	// degrading under query volume.
 	FamilyOverflows int64
-	Writers         int
-	Readers         int
-	Partials        int
-	Edges           int
+	// OverlaysMined counts the overlay constructions the session has run (at
+	// registration and on every recompile); OverlaysCloned the ones it did
+	// not have to, because a query of the same shape — neighborhood,
+	// construction algorithm and knobs, whatever the aggregate — had its
+	// overlay mined on the same graph structure and that was copied.
+	OverlaysMined  int64
+	OverlaysCloned int64
+	Writers        int
+	Readers        int
+	Partials       int
+	Edges          int
 	// DroppedUpdates counts subscription deliveries discarded because
 	// consumers fell behind, summed over all live queries.
 	DroppedUpdates int64
@@ -839,7 +814,12 @@ type AutotuneStats struct {
 
 // Stats returns current session-wide statistics.
 func (s *Session) Stats() SessionStats {
-	st := SessionStats{Groups: s.multi.NumGroups(), FamilyOverflows: s.multi.FamilyOverflows()}
+	st := SessionStats{
+		Groups:          s.multi.NumGroups(),
+		FamilyOverflows: s.multi.FamilyOverflows(),
+		OverlaysMined:   s.multi.OverlaysMined(),
+		OverlaysCloned:  s.multi.OverlaysCloned(),
+	}
 	st.MergedFamilies, st.MergedQueries = s.multi.NumMergedFamilies()
 	for _, sys := range s.multi.Systems() {
 		ov := sys.Stats().Overlay

@@ -330,3 +330,75 @@ func TestAutotuneControllerStress(t *testing.T) {
 		t.Fatal("background loop never ticked")
 	}
 }
+
+// TestAutotuneNeverUncoversContinuousQuery: a continuous query promises its
+// subscribers an update on every covering write, which holds only while its
+// readers stay push. Under write-heavy traffic with hardly a read, the
+// weight of every reader says "pull" — and the twin compiled as an ordinary
+// dataflow query is duly demoted — but no number of Rebalance calls and
+// controller ticks may move a reader of the all-push system.
+func TestAutotuneNeverUncoversContinuousQuery(t *testing.T) {
+	g := workload.SocialGraph(300, 8, 7)
+	m := core.NewMulti(g)
+	q := core.Query{Aggregate: agg.Sum{}, Window: agg.NewTupleWindow(1)}
+	cont := q
+	cont.Continuous = true
+	contAtt, err := m.Attach("continuous", cont, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Compiled read-heavy, so the twin starts as covered as the continuous
+	// query and only the observed traffic can change that.
+	twinAtt, err := m.Attach("twin", q, core.Options{Workload: dataflow.Uniform(g.MaxID(), 100, 0.01)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered := func(a *core.Attachment) int {
+		n := 0
+		for v := graph.NodeID(0); int(v) < g.MaxID(); v++ {
+			if a.Covered(v) {
+				n++
+			}
+		}
+		return n
+	}
+	all := covered(contAtt)
+	if all != contAtt.OwnReaders() || covered(twinAtt) != all {
+		t.Fatalf("fixture: covered %d continuous / %d twin of %d readers", all, covered(twinAtt), contAtt.OwnReaders())
+	}
+	sub, err := contAtt.Subscribe(1 << 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer contAtt.Unsubscribe(sub)
+
+	ctl := New(m, Config{MinActivity: 1})
+	writes := workload.Events(workload.ZipfWorkload(g.MaxID(), 1.0, 1e6, 1e9, 3), 1<<14, 5)
+	for round := 0; round < 6; round++ {
+		if err := m.WriteBatch(writes); err != nil {
+			t.Fatal(err)
+		}
+		for v := graph.NodeID(0); v < 8; v++ { // a read here and there
+			_, _ = contAtt.Read(v)
+			_, _ = twinAtt.Read(v)
+		}
+		if round%2 == 0 {
+			if _, err := m.Rebalance(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctl.TickNow()
+		if got := covered(contAtt); got != all {
+			t.Fatalf("round %d: continuous query covers %d of %d readers", round, got, all)
+		}
+	}
+	if got := covered(twinAtt); got > all/2 {
+		t.Fatalf("fixture: the dataflow twin still covers %d of %d readers — the traffic never asked for a demotion", got, all)
+	}
+	if ast := contAtt.System().AdaptivityStats(); ast.LastFlips != 0 || ast.PushObserved == 0 {
+		t.Fatalf("continuous system: %+v, want observations drained and no flip", ast)
+	}
+	if len(sub.Updates()) == 0 {
+		t.Fatal("the continuous query's subscriber saw no update")
+	}
+}

@@ -1,6 +1,7 @@
 package construct
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -34,10 +35,24 @@ func newIOBBuilder(agEdges int) *iobBuilder {
 	}
 }
 
+var errNegativeEdges = errors.New("construct: incremental maintenance does not support negative edges")
+
 // fromOverlay builds indexes for an existing overlay, enabling incremental
 // maintenance (§3.3) on overlays produced by any construction algorithm.
-// Overlays with negative edges are not supported by the maintainer.
+// Overlays with negative edges are not supported by the maintainer; the
+// in-edges are scanned for one before anything is allocated, so learning
+// that a VNM_N overlay has no maintainer costs a walk, not an index.
 func fromOverlay(ov *overlay.Overlay) (*iobBuilder, error) {
+	for ref := overlay.NodeRef(0); int(ref) < ov.Len(); ref++ {
+		if !ov.Alive(ref) {
+			continue
+		}
+		for _, e := range ov.Node(ref).In {
+			if e.Negative {
+				return nil, errNegativeEdges
+			}
+		}
+	}
 	b := &iobBuilder{
 		ov:   ov,
 		iset: make(map[overlay.NodeRef]map[graph.NodeID]struct{}),
@@ -54,9 +69,6 @@ func fromOverlay(ov *overlay.Overlay) (*iobBuilder, error) {
 			set[n.GID] = struct{}{}
 		} else {
 			for _, e := range n.In {
-				if e.Negative {
-					return nil, fmt.Errorf("construct: incremental maintenance does not support negative edges")
-				}
 				for w := range b.iset[e.Peer] {
 					if _, dup := set[w]; dup {
 						return nil, fmt.Errorf("construct: incremental maintenance requires single-path overlays (writer %d reaches node %d twice)", w, ref)

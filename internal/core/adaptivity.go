@@ -100,6 +100,13 @@ func (s *System) SampleObservations() Sample {
 
 // drainObservationsLocked moves the engine's observation window into the
 // adaptor and the cumulative telemetry. Callers hold s.mu.
+//
+// A system compiled all-push keeps the telemetry and feeds the adaptor
+// nothing, which is what keeps the §4.8 scheme off it: an adaptor without
+// observations has no pressure and flips no node. All-push is every
+// Continuous query, whose subscribers are covered only while their readers
+// stay push, and the only way a frontier flip can move an all-push plan is
+// toward pull.
 func (s *System) drainObservationsLocked() (pushes, pulls map[overlay.NodeRef]float64) {
 	pushes, pulls = s.eng.Observations()
 	var p, l float64
@@ -111,7 +118,9 @@ func (s *System) drainObservationsLocked() (pushes, pulls map[overlay.NodeRef]fl
 	}
 	s.obsPush.Add(int64(p))
 	s.obsPull.Add(int64(l))
-	s.adaptor.ObserveBatch(pushes, pulls)
+	if s.opts.Mode != ModeAllPush {
+		s.adaptor.ObserveBatch(pushes, pulls)
+	}
 	return pushes, pulls
 }
 

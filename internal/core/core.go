@@ -153,6 +153,16 @@ type System struct {
 	stride graph.NodeID // reader-GID stride; 0 until the system goes merged
 
 	ov *overlay.Overlay
+	// multi is the MultiSystem hosting this system (nil for a standalone
+	// Compile) and shape what construction mines for it; both are fixed at
+	// compile. minedAt is the graph version ov was built at and pristine
+	// whether ov is still exactly what construction produced there: together
+	// they make the live overlay the shape's cache entry for same-shape
+	// siblings (cloneSibling). Both guarded by mu.
+	multi    *MultiSystem
+	shape    shape
+	minedAt  uint64
+	pristine bool
 	// eng is the system's one engine, created by compileViews and never
 	// replaced: every later overlay change reaches it as a snapshot
 	// transition (Grow + ResyncPushState after a repair, Rebuild after a
@@ -176,11 +186,22 @@ type System struct {
 	lastRebalanceNano atomic.Int64
 }
 
+// shape identifies what overlay construction produces on a given graph: the
+// neighbourhood (by graph.NeighborhoodKey, all nodes queried), the algorithm
+// after auto-selection and the construction knobs. The aggregate appears
+// only through the algorithm its properties select, which is why sum and
+// topk(10) are one shape. The zero shape means "none": a predicate, a
+// neighbourhood without a stable identity or a merged reader set.
+type shape struct {
+	nbr, alg string
+	cfg      construct.Config
+}
+
 // Compile builds the overlay for the query, makes dataflow decisions, and
 // returns a ready-to-run system. The data graph is retained (not copied);
 // structural changes must go through the System's mutation methods.
 func Compile(g *graph.Graph, q Query, opts Options) (*System, error) {
-	return compileViews(g, q, opts, nil, 0)
+	return compileViews(nil, g, q, opts, nil, 0)
 }
 
 // CompileMerged compiles several member queries sharing base's aggregate,
@@ -206,12 +227,14 @@ func CompileMerged(g *graph.Graph, base Query, members []MemberSpec, opts Option
 		}
 		views[i] = view{nbr: nbr, pred: m.Predicate, tag: int32(i), live: true}
 	}
-	return compileViews(g, base, opts, views, stride)
+	return compileViews(nil, g, base, opts, views, stride)
 }
 
 // compileViews is the shared compile path. views nil means single-query
 // (one view derived from q, stride 0); otherwise the merged construction.
-func compileViews(g *graph.Graph, q Query, opts Options, views []view, stride graph.NodeID) (*System, error) {
+// multi, when non-nil, is the MultiSystem attaching the query (its mutex
+// held): a same-shape sibling there may supply the overlay.
+func compileViews(multi *MultiSystem, g *graph.Graph, q Query, opts Options, views []view, stride graph.NodeID) (*System, error) {
 	if q.Aggregate == nil {
 		return nil, fmt.Errorf("core: query needs an aggregate: %w", ErrIncompatible)
 	}
@@ -250,7 +273,10 @@ func compileViews(g *graph.Graph, q Query, opts Options, views []view, stride gr
 	if views == nil {
 		views = []view{{nbr: q.Neighborhood, pred: q.Predicate, tag: 0, live: true}}
 	}
-	s := &System{g: g, q: q, opts: opts, views: views, stride: stride}
+	s := &System{g: g, q: q, opts: opts, views: views, stride: stride, multi: multi}
+	if key, ok := graph.NeighborhoodKey(q.Neighborhood); ok && q.Predicate == nil && stride == 0 {
+		s.shape = shape{nbr: key, alg: opts.Algorithm, cfg: opts.Construct}
+	}
 	s.cost = opts.CostModel
 	if s.cost == nil {
 		s.cost = dataflow.ModelFor(q.Aggregate)
@@ -314,6 +340,12 @@ func checkLegality(alg string, props agg.Properties) error {
 // partial aggregation nodes — across member queries wherever their
 // neighborhoods overlap.
 func (s *System) buildOverlay() (*overlay.Overlay, error) {
+	if ov := s.cloneSibling(); ov != nil {
+		return ov, nil
+	}
+	if s.multi != nil {
+		s.multi.mined.Add(1)
+	}
 	var ag *bipartite.AG
 	if s.stride > 0 {
 		members := make([]bipartite.Member, 0, len(s.views))
@@ -345,6 +377,39 @@ func (s *System) buildOverlay() (*overlay.Overlay, error) {
 		ov.SetReaderStride(int32(s.stride))
 	}
 	return ov, nil
+}
+
+// cloneSibling returns a copy of the overlay a same-shape system of the same
+// MultiSystem mined at the graph's current structural version, or nil when
+// there is none and the caller must mine. The overlay is a function of the
+// shape and the graph alone, and decide overwrites every decision, so the
+// copy is what buildOverlay would have produced, bit for bit. Nothing is
+// retained for this: the sibling's live overlay is the cache entry, valid
+// until the graph moves (minedAt) or anything restructures it (pristine —
+// cleared by afterMaintenance and by a compile that splits nodes; a system
+// that took a member has a stride and no shape to match). Callers hold the
+// MultiSystem mutex — every path that reaches buildOverlay on an attached
+// system does — so no two systems ever wait on each other's mu here.
+func (s *System) cloneSibling() *overlay.Overlay {
+	if s.multi == nil || s.shape == (shape{}) || s.stride > 0 {
+		return nil
+	}
+	for _, sib := range *s.multi.systems.Load() {
+		if sib == s || sib.shape != s.shape {
+			continue
+		}
+		sib.mu.Lock()
+		var ov *overlay.Overlay
+		if sib.pristine && sib.stride == 0 && sib.minedAt == s.g.Version() {
+			ov = sib.ov.Clone()
+		}
+		sib.mu.Unlock()
+		if ov != nil {
+			s.multi.cloned.Add(1)
+			return ov
+		}
+	}
+	return nil
 }
 
 // windowSizeHint estimates the per-writer window size for costing (§4.2).
@@ -383,7 +448,7 @@ func (s *System) decide(ov *overlay.Overlay) (*dataflow.Freqs, error) {
 			return nil, err
 		}
 	}
-	if s.opts.SplitNodes && s.opts.Mode == ModeDataflow {
+	if s.splitsNodes() {
 		if _, err := dataflow.SplitNodes(ov, f, s.cost); err != nil {
 			return nil, err
 		}
@@ -399,10 +464,17 @@ func (s *System) decide(ov *overlay.Overlay) (*dataflow.Freqs, error) {
 	return f, nil
 }
 
-// adopt makes ov — decided, and already what the engine executes — the
-// system's overlay.
+// splitsNodes reports whether decide restructures the overlay it annotates
+// (§4.7 partial pre-computation).
+func (s *System) splitsNodes() bool {
+	return s.opts.SplitNodes && s.opts.Mode == ModeDataflow
+}
+
+// adopt makes ov — built at the graph's current version, decided, and
+// already what the engine executes — the system's overlay.
 func (s *System) adopt(ov *overlay.Overlay, f *dataflow.Freqs) {
 	s.ov = ov
+	s.minedAt, s.pristine = s.g.Version(), !s.splitsNodes()
 	s.adaptor = dataflow.NewAdaptor(ov, f, s.cost)
 	// Incremental maintenance requires single-path, negative-edge-free
 	// overlays; when unavailable, structural updates fall back to
@@ -891,6 +963,7 @@ func (s *System) repairViewLocked(vw *view, affected []graph.NodeID) error {
 // whose Subscribe coverage must stay complete) re-force every node to push,
 // since maintenance creates new readers pull-annotated.
 func (s *System) afterMaintenance() {
+	s.pristine = false
 	if s.opts.Mode == ModeAllPush {
 		dataflow.DecideAll(s.ov, overlay.Push)
 	} else {

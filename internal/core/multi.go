@@ -67,6 +67,10 @@ type MultiSystem struct {
 	// member capacity and had to open a fresh overlay instead of joining
 	// the shared one (the 64-member tag-space cap).
 	overflows atomic.Int64
+	// mined counts the overlay constructions run for attached systems
+	// (registrations and recompiles), cloned the ones a same-shape sibling's
+	// overlay made unnecessary (System.cloneSibling).
+	mined, cloned atomic.Int64
 }
 
 // family is one compiled System together with its member bookkeeping.
@@ -225,7 +229,7 @@ func (m *MultiSystem) AttachMerged(key, familyKey string, q Query, opts Options)
 			}
 		}
 	}
-	sys, err := Compile(m.g, q, opts)
+	sys, err := compileViews(m, m.g, q, opts, nil, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -399,6 +403,13 @@ func (m *MultiSystem) NumMergedFamilies() (families, queries int) {
 // of joining the shared one. A nonzero value means sharing is degrading:
 // identical-semantics queries are splitting across overlays.
 func (m *MultiSystem) FamilyOverflows() int64 { return m.overflows.Load() }
+
+// OverlaysMined reports how many overlay constructions the attached systems
+// have run, at registration and on every recompile; OverlaysCloned how many
+// more were answered by copying a same-shape sibling's overlay mined at the
+// same graph version (sum and topk(10) on one graph: one mine, one clone).
+func (m *MultiSystem) OverlaysMined() int64  { return m.mined.Load() }
+func (m *MultiSystem) OverlaysCloned() int64 { return m.cloned.Load() }
 
 // Systems returns a snapshot of the attached compiled systems, one per
 // group.

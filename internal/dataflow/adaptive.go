@@ -8,10 +8,11 @@ import (
 
 // Adaptor implements the adaptive scheme of §4.8: it monitors observed
 // push/pull activity at the push/pull frontier — pull nodes whose inputs
-// are all push, and push nodes whose consumers are all pull — and flips a
-// frontier node's decision when its observed traffic contradicts the
-// estimate it was decided under. Only frontier nodes can flip unilaterally
-// without violating the decision-consistency constraint.
+// are all push, and push nodes whose consumers are all pull (push readers
+// included) — and flips a frontier node's decision when its observed
+// traffic contradicts the estimate it was decided under. Only frontier
+// nodes can flip unilaterally without violating the decision-consistency
+// constraint.
 type Adaptor struct {
 	mu sync.Mutex
 	ov *overlay.Overlay
@@ -20,8 +21,8 @@ type Adaptor struct {
 	pushes []float64 // updates arriving at the node's inputs
 	pulls  []float64 // reads traversing the node
 	deg    []int
-	// MinSamples gates rebalancing: a node is reconsidered only after
-	// this much combined activity (the monitoring window).
+	// MinSamples gates rebalancing: a node is reconsidered only when the
+	// window a Rebalance closes holds this much combined activity.
 	MinSamples float64
 }
 
@@ -78,7 +79,8 @@ func (a *Adaptor) ObserveBatch(pushes, pulls map[overlay.NodeRef]float64) {
 }
 
 // frontier reports whether ref may flip unilaterally: a pull node all of
-// whose inputs are push, or a push node all of whose consumers are pull.
+// whose inputs are push, or a push node all of whose consumers are pull — a
+// push reader, having no consumers, always is.
 func (a *Adaptor) frontier(ref overlay.NodeRef) bool {
 	n := a.ov.Node(ref)
 	if n.Kind == overlay.WriterNode {
@@ -97,43 +99,76 @@ func (a *Adaptor) frontier(ref overlay.NodeRef) bool {
 			return false
 		}
 	}
-	return len(n.Out) > 0
+	return true
 }
 
-// Rebalance reconsiders every frontier node with enough observed activity:
-// using the observed frequencies as the estimates, it flips the decision
-// when the observed weight w(v) = PULL_obs − PUSH_obs contradicts it.
-// Counters of reconsidered nodes reset. It returns the number of flips.
+// arrivals is the number of updates that reached frontier node ref this
+// window, or would have had it been push. The engine counts a push only
+// inside a writer's push closure, so a pull node's own counter stays at
+// zero whatever its inputs' write rate; its inputs are all push, and every
+// update counted at one of them is an update a push ref would have taken.
+func (a *Adaptor) arrivals(ref overlay.NodeRef, n *overlay.Node) float64 {
+	if n.Dec == overlay.Push {
+		return a.pushes[ref]
+	}
+	sum := 0.0
+	for _, e := range n.In {
+		sum += a.pushes[e.Peer]
+	}
+	return sum
+}
+
+// contradicted reports whether frontier node ref has a full observation
+// window whose weight w(v) = PULL_obs − PUSH_obs says its decision is the
+// wrong one, with the arrivals that weight was computed from.
+func (a *Adaptor) contradicted(ref overlay.NodeRef, n *overlay.Node) (bool, float64) {
+	if !a.frontier(ref) {
+		return false, 0
+	}
+	arrived := a.arrivals(ref, n)
+	if arrived+a.pulls[ref] < a.MinSamples {
+		return false, 0
+	}
+	w := a.pulls[ref]*a.m.PullCost(a.deg[ref]) - arrived*a.m.PushCost(a.deg[ref])
+	return (n.Dec == overlay.Pull && w > 0) || (n.Dec == overlay.Push && w < 0), arrived
+}
+
+// Rebalance closes the observation window: using the observed frequencies
+// as the estimates, it flips every frontier node whose window is full and
+// contradicts its decision, then clears the counters of every node — a pull
+// node's arrivals are read off its inputs, so all counters must cover the
+// same span. A flip hands what it observed to the neighbours it makes
+// frontier (its arrivals downstream, its reads upstream), so one that
+// follows later in the same pass is judged on complete counts. It returns
+// the number of flips.
 func (a *Adaptor) Rebalance() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	flips := 0
 	a.ov.ForEachNode(func(ref overlay.NodeRef, n *overlay.Node) {
-		if !a.frontier(ref) {
+		flip, arrived := a.contradicted(ref, n)
+		if !flip {
 			return
 		}
-		obs := a.pushes[ref] + a.pulls[ref]
-		if obs < a.MinSamples {
-			return
-		}
-		w := a.pulls[ref]*a.m.PullCost(a.deg[ref]) - a.pushes[ref]*a.m.PushCost(a.deg[ref])
-		switch {
-		case n.Dec == overlay.Pull && w > 0:
+		flips++
+		if n.Dec == overlay.Pull {
 			n.Dec = overlay.Push
-			flips++
-		case n.Dec == overlay.Push && w < 0:
-			n.Dec = overlay.Pull
-			flips++
+			a.pushes[ref] = arrived
+			return
 		}
-		a.pushes[ref] = 0
-		a.pulls[ref] = 0
+		n.Dec = overlay.Pull
+		for _, e := range n.In {
+			a.pulls[e.Peer] += a.pulls[ref]
+		}
 	})
+	clear(a.pushes)
+	clear(a.pulls)
 	return flips
 }
 
 // Pressure counts the frontier nodes whose observed activity has filled the
-// monitoring window AND contradicts their current decision — exactly the
-// flips the next Rebalance would apply. Counters are not consumed, so a
+// monitoring window AND contradicts their current decision — the flips the
+// next Rebalance would start from. Counters are not consumed, so a
 // background controller can poll Pressure cheaply and only pay for a
 // Rebalance (and the push-state resync it forces) when there is something
 // to flip.
@@ -142,14 +177,7 @@ func (a *Adaptor) Pressure() int {
 	defer a.mu.Unlock()
 	pending := 0
 	a.ov.ForEachNode(func(ref overlay.NodeRef, n *overlay.Node) {
-		if !a.frontier(ref) {
-			return
-		}
-		if a.pushes[ref]+a.pulls[ref] < a.MinSamples {
-			return
-		}
-		w := a.pulls[ref]*a.m.PullCost(a.deg[ref]) - a.pushes[ref]*a.m.PushCost(a.deg[ref])
-		if (n.Dec == overlay.Pull && w > 0) || (n.Dec == overlay.Push && w < 0) {
+		if flip, _ := a.contradicted(ref, n); flip {
 			pending++
 		}
 	})

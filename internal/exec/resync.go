@@ -273,7 +273,10 @@ func (e *Engine) freshPushState(st *engineState) {
 
 // seedFromWindow rebuilds writer wref's contribution to st's fresh push
 // state from vals, its window's contents: the writer's own scalar cell, then
-// one walk of its closure.
+// one walk of its closure — counted as zero writes, which is what it is: a
+// walk that bumped pushObs would hand every node downstream of a writer one
+// phantom arrival per resync, and the adaptor that caused the resync would
+// read them as the next window's traffic.
 func (e *Engine) seedFromWindow(st *engineState, wref overlay.NodeRef, vals []int64) {
 	if e.scalar != nil {
 		var sum int64
@@ -284,10 +287,10 @@ func (e *Engine) seedFromWindow(st *engineState, wref overlay.NodeRef, vals []in
 		cell.sum.Store(sum)
 		cell.cnt.Store(int64(len(vals)))
 		if len(vals) > 0 {
-			e.propagateScalar(st, wref, sum, int64(len(vals)), 1)
+			e.propagateScalar(st, wref, sum, int64(len(vals)), 0)
 		}
 	} else if len(vals) > 0 {
-		e.propagate(st, wref, vals, nil, 1)
+		e.propagate(st, wref, vals, nil, 0)
 	}
 }
 

@@ -39,6 +39,8 @@ type Graph struct {
 	nEdges  int
 	nAlive  int
 	deleted []NodeID // free list of deleted ids available for reuse
+	// version counts successful structural mutations (see Version).
+	version uint64
 }
 
 // New returns an empty graph with capacity hints for n nodes.
@@ -65,6 +67,14 @@ func (g *Graph) NumNodes() int { return g.nAlive }
 // NumEdges returns the number of directed edges.
 func (g *Graph) NumEdges() int { return g.nEdges }
 
+// Version is the graph's structural version: it advances by exactly one on
+// every successful AddNode, RemoveNode, AddEdge and RemoveEdge and on
+// nothing else (a failed mutator and a content write leave it alone), so two
+// equal readings bracket a span in which everything derived from the
+// structure — a bipartite graph, a mined overlay — is still current. Counts
+// cannot say that: an add and a remove leave NumEdges where it was.
+func (g *Graph) Version() uint64 { return g.version }
+
 // MaxID returns one past the largest node id ever allocated. Slices indexed
 // by NodeID should be sized MaxID().
 func (g *Graph) MaxID() int { return len(g.out) }
@@ -76,6 +86,7 @@ func (g *Graph) Alive(v NodeID) bool {
 
 // AddNode allocates a new node and returns its id. Deleted ids are reused.
 func (g *Graph) AddNode() NodeID {
+	g.version++
 	if n := len(g.deleted); n > 0 {
 		id := g.deleted[n-1]
 		g.deleted = g.deleted[:n-1]
@@ -109,6 +120,7 @@ func (g *Graph) RemoveNode(v NodeID) error {
 	g.alive[v] = false
 	g.nAlive--
 	g.deleted = append(g.deleted, v)
+	g.version++
 	return nil
 }
 
@@ -126,6 +138,7 @@ func (g *Graph) AddEdge(u, v NodeID) error {
 	g.out[u] = append(g.out[u], v)
 	g.in[v] = append(g.in[v], u)
 	g.nEdges++
+	g.version++
 	return nil
 }
 
@@ -140,6 +153,7 @@ func (g *Graph) RemoveEdge(u, v NodeID) error {
 	g.out[u] = removeOne(g.out[u], v)
 	g.in[v] = removeOne(g.in[v], u)
 	g.nEdges--
+	g.version++
 	return nil
 }
 
@@ -222,6 +236,7 @@ func (g *Graph) Clone() *Graph {
 		nEdges:  g.nEdges,
 		nAlive:  g.nAlive,
 		deleted: append([]NodeID(nil), g.deleted...),
+		version: g.version,
 	}
 	for v := range g.out {
 		c.out[v] = append([]NodeID(nil), g.out[v]...)

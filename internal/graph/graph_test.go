@@ -429,3 +429,49 @@ func mustAdd(t *testing.T, g *Graph, u, v NodeID) {
 		t.Fatal(err)
 	}
 }
+
+// TestVersionCountsSuccessfulStructuralMutations: +1 per successful
+// AddNode/RemoveNode/AddEdge/RemoveEdge, nothing for a failed one — the
+// contract a cache of anything derived from the structure invalidates on.
+func TestVersionCountsSuccessfulStructuralMutations(t *testing.T) {
+	g := New(4)
+	want := uint64(0)
+	step := func(what string, succeeded bool) {
+		t.Helper()
+		if succeeded {
+			want++
+		}
+		if g.Version() != want {
+			t.Fatalf("after %s: version %d, want %d", what, g.Version(), want)
+		}
+	}
+	step("New", false)
+	a, b, c := g.AddNode(), g.AddNode(), g.AddNode()
+	want += 3
+	step("three AddNode", false)
+	step("AddEdge", g.AddEdge(a, b) == nil)
+	step("duplicate AddEdge", g.AddEdge(a, b) == nil)
+	step("AddEdge to a missing node", g.AddEdge(a, 99) == nil)
+	step("RemoveEdge of a missing edge", g.RemoveEdge(b, a) == nil)
+	step("RemoveEdge", g.RemoveEdge(a, b) == nil)
+	// An add and a remove leave the edge count where it was, not the version.
+	step("AddEdge", g.AddEdge(b, c) == nil)
+	if g.NumEdges() != 1 {
+		t.Fatalf("edges = %d, want 1", g.NumEdges())
+	}
+	step("RemoveNode", g.RemoveNode(c) == nil) // its incident edge goes with it: still one mutation
+	step("RemoveNode of a dead node", g.RemoveNode(c) == nil)
+	step("RemoveEdge on a dead node", g.RemoveEdge(b, c) == nil)
+	step("AddNode reusing an id", g.AddNode() == c)
+	if err := g.AddUndirectedEdge(a, b); err != nil {
+		t.Fatal(err)
+	}
+	want += 2 // two directed edges, two mutations
+	step("AddUndirectedEdge", false)
+	if cl := g.Clone(); cl.Version() != g.Version() {
+		t.Fatalf("clone version %d, want %d", cl.Version(), g.Version())
+	}
+	// Reads do not move it.
+	_, _, _ = g.In(a), g.Nodes(), g.HasEdge(a, b)
+	step("reads", false)
+}

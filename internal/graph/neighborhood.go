@@ -1,5 +1,7 @@
 package graph
 
+import "fmt"
+
 // Neighborhood is the neighborhood selection function N() of the paper
 // (§2.1): given the data graph and a node v, it returns the set of nodes
 // whose content streams form the input list for v's ego-centric aggregate.
@@ -109,6 +111,35 @@ func (f Filtered) Name() string {
 		return f.Tag
 	}
 	return "filtered(" + f.Base.Name() + ")"
+}
+
+// NeighborhoodKey canonicalizes a neighborhood's sharing identity: two
+// neighborhoods with the same key select the same N(v) on every graph. K is
+// always spelled out (Name() collapses every K>2 to "in-khop", which would
+// wrongly share different depths); a Filtered neighborhood's identity is
+// its tag plus its base's identity (the keep function is opaque), and
+// untagged filters or custom implementations have none (ok=false: never
+// share).
+func NeighborhoodKey(nb Neighborhood) (string, bool) {
+	switch n := nb.(type) {
+	case InNeighbors:
+		return "in-1hop", true
+	case OutNeighbors:
+		return "out-1hop", true
+	case KHopIn:
+		return fmt.Sprintf("in-%dhop", max(n.K, 0)), true // K <= 0 selects nothing
+	case Filtered:
+		if n.Tag == "" {
+			return "", false
+		}
+		base, ok := NeighborhoodKey(n.Base)
+		if !ok {
+			return "", false
+		}
+		return "filtered:" + base + ":" + n.Tag, true
+	default:
+		return "", false
+	}
 }
 
 // Predicate selects the subset of nodes for which the query must be

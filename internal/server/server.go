@@ -1051,6 +1051,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"mergedFamilies":  st.MergedFamilies,
 		"mergedQueries":   st.MergedQueries,
 		"familyOverflows": st.FamilyOverflows,
+		"overlaysMined":   st.OverlaysMined,
+		"overlaysCloned":  st.OverlaysCloned,
 		"writers":         st.Writers,
 		"readers":         st.Readers,
 		"partials":        st.Partials,

@@ -574,6 +574,12 @@ func TestIngestEndpoint(t *testing.T) {
 	if _, ok := st["familyOverflows"]; !ok {
 		t.Fatalf("stats missing familyOverflows: %v", st)
 	}
+	if mined, ok := st["overlaysMined"].(float64); !ok || mined < 1 {
+		t.Fatalf("stats overlaysMined = %v, want the registered query's mine counted", st["overlaysMined"])
+	}
+	if _, ok := st["overlaysCloned"].(float64); !ok {
+		t.Fatalf("stats missing overlaysCloned: %v", st)
+	}
 }
 
 // TestIngestEndpointErrors checks malformed lines fail with 400 (events

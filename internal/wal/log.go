@@ -137,6 +137,10 @@ type Log struct {
 	ord      uint64
 	syncs    int64
 	appended int64
+	// rec is the one buffer every record is encoded in, reused across
+	// appends (File.Write, an io.Writer, may not keep it): header, type and
+	// LSN, then the body the Append* caller wrote in place (bodyBuf).
+	rec []byte
 }
 
 // Open scans the directory, truncates any torn tail, and returns a log
@@ -411,7 +415,7 @@ func (l *Log) AppendBatch(events []graph.Event) (lsn, firstOrd uint64, err error
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	firstOrd = l.ord
-	body := make([]byte, 12+len(events)*eventLen)
+	body := l.bodyBuf(12 + len(events)*eventLen)
 	binary.LittleEndian.PutUint64(body[0:8], firstOrd)
 	binary.LittleEndian.PutUint32(body[8:12], uint32(len(events)))
 	off := 12
@@ -423,7 +427,7 @@ func (l *Log) AppendBatch(events []graph.Event) (lsn, firstOrd uint64, err error
 		binary.LittleEndian.PutUint64(body[off+17:], uint64(ev.TS))
 		off += eventLen
 	}
-	lsn, err = l.appendLocked(RecBatch, body)
+	lsn, err = l.appendLocked(RecBatch)
 	if err == nil {
 		l.ord += uint64(len(events))
 	}
@@ -433,48 +437,59 @@ func (l *Log) AppendBatch(events []graph.Event) (lsn, firstOrd uint64, err error
 // AppendRegister appends a query-registration record; blob is an opaque
 // session-layer encoding of the query's spec.
 func (l *Log) AppendRegister(queryID uint64, blob []byte) (uint64, error) {
-	body := make([]byte, 8+len(blob))
-	binary.LittleEndian.PutUint64(body[0:8], queryID)
-	copy(body[8:], blob)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendLocked(RecRegister, body)
+	body := l.bodyBuf(8 + len(blob))
+	binary.LittleEndian.PutUint64(body[0:8], queryID)
+	copy(body[8:], blob)
+	return l.appendLocked(RecRegister)
 }
 
 // AppendRetire appends a query-retirement record.
 func (l *Log) AppendRetire(queryID uint64) (uint64, error) {
-	var body [8]byte
-	binary.LittleEndian.PutUint64(body[:], queryID)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendLocked(RecRetire, body[:])
+	binary.LittleEndian.PutUint64(l.bodyBuf(8), queryID)
+	return l.appendLocked(RecRetire)
 }
 
 // AppendExpire appends a window-expiry record.
 func (l *Log) AppendExpire(ts int64) (uint64, error) {
-	var body [8]byte
-	binary.LittleEndian.PutUint64(body[:], uint64(ts))
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendLocked(RecExpire, body[:])
+	binary.LittleEndian.PutUint64(l.bodyBuf(8), uint64(ts))
+	return l.appendLocked(RecExpire)
 }
 
-func (l *Log) appendLocked(typ uint8, body []byte) (uint64, error) {
+// bodyBuf sizes the record buffer for a body of n bytes, with the record
+// header and the payload's type and LSN reserved in front, and returns the
+// body's slice of it for the caller to encode into. Callers hold l.mu and
+// follow with appendLocked.
+func (l *Log) bodyBuf(n int) []byte {
+	size := recHdrLen + minPayload + n
+	if cap(l.rec) < size {
+		l.rec = make([]byte, size)
+	}
+	l.rec = l.rec[:size]
+	return l.rec[recHdrLen+minPayload:]
+}
+
+// appendLocked frames the body bodyBuf handed out as a record of type typ —
+// length, CRC over the payload in place, type, next LSN — and appends it
+// with one Write.
+func (l *Log) appendLocked(typ uint8) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
 	if l.broken != nil {
 		return 0, l.broken
 	}
-	payload := make([]byte, minPayload+len(body))
+	rec, payload := l.rec, l.rec[recHdrLen:]
 	payload[0] = typ
 	lsn := l.nextLSN
 	binary.LittleEndian.PutUint64(payload[1:9], lsn)
-	copy(payload[minPayload:], body)
-	rec := make([]byte, recHdrLen+len(payload))
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, crcTable))
-	copy(rec[recHdrLen:], payload)
 
 	if l.cur == nil || l.curSeg().bytes+int64(len(rec)) > l.opts.SegmentBytes && l.curSeg().firstLSN != 0 {
 		if err := l.rollLocked(); err != nil {

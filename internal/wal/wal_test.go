@@ -503,3 +503,32 @@ func TestFaultFSCleanCut(t *testing.T) {
 		t.Fatalf("recovered %d, want %d", len(recs), appended)
 	}
 }
+
+// TestAppendBatchSteadyStateAllocs pins the one-buffer record path: once the
+// log's record buffer has grown to the batch size, an append encodes header,
+// LSN and events in place, checksums in place and writes once — nothing is
+// allocated per batch.
+func TestAppendBatchSteadyStateAllocs(t *testing.T) {
+	fs, err := NewOsFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No roll and no fsync inside the measured appends.
+	l := openTestLog(t, fs, Options{SegmentBytes: 1 << 30, Policy: SyncNone})
+	defer l.Close()
+	evs := testEvents(256, 1)
+	if _, _, err := l.AppendBatch(evs); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := l.AppendBatch(evs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state AppendBatch allocates %.0f times per batch, want 0", allocs)
+	}
+	if got := collect(t, l, 0); len(got) != 102 || len(got[101].Events) != len(evs) || got[101].Events[255] != evs[255] {
+		t.Fatalf("scan after %d reused-buffer appends: %d records", 102, len(got))
+	}
+}
