@@ -92,4 +92,16 @@ func TestAdaptivityStatsWithoutAutotune(t *testing.T) {
 	if st.Adaptivity.LastRebalanceNano == 0 {
 		t.Fatalf("LastRebalanceNano not stamped: %+v", st.Adaptivity)
 	}
+	// Every structural run ends in one engine install, and the stats say so.
+	before := st.Adaptivity.Installs
+	toggle := sess.AddEdge
+	if g.HasEdge(0, 299) {
+		toggle = sess.RemoveEdge
+	}
+	if err := toggle(0, 299); err != nil {
+		t.Fatal(err)
+	}
+	if got := sess.Stats().Adaptivity.Installs; got != before+1 {
+		t.Fatalf("Installs = %d after one structural change, was %d", got, before)
+	}
 }

@@ -264,15 +264,15 @@ func benchAutotuneShift(b *testing.B, tuned bool) {
 func BenchmarkOpAutotuneShiftingZipf(b *testing.B)    { benchAutotuneShift(b, true) }
 func BenchmarkOpAutotuneShiftingZipfOff(b *testing.B) { benchAutotuneShift(b, false) }
 
-// benchResyncCutover measures the online ResyncPushState cutover — the
-// no-quiescence primitive behind autotune's re-plan path — as a function
-// of overlay size.
+// benchResyncCutover measures the engine's one snapshot transition — a
+// Rebuild on the installed overlay, what a rebalance that flipped or a
+// structural repair costs — as a function of overlay size.
 func benchResyncCutover(b *testing.B, nodes int) {
-	eng, err := benchfix.ResyncEngine(nodes)
+	eng, ov, err := benchfix.ResyncEngine(nodes)
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchfix.RunResync(b, eng)
+	benchfix.RunResync(b, eng, ov)
 }
 
 func BenchmarkOpResyncCutover2k(b *testing.B)  { benchResyncCutover(b, 2000) }

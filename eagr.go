@@ -215,9 +215,9 @@ type Options struct {
 // observations into a decayed workload estimate and re-optimizes running
 // overlays online — incremental frontier flips, cold-view demotion in
 // merged families, and full re-plan cutovers when the observed-workload
-// cost of the current decisions degrades past a threshold. All actions ride
-// the online resync: ingestion and reads never pause. Zero fields take
-// documented defaults.
+// cost of the current decisions degrades past a threshold. Through all of
+// them reads never pause; writes wait for the engine's install step only.
+// Zero fields take documented defaults.
 type AutotuneOptions struct {
 	// Interval is the controller's sampling period (default 2s).
 	Interval time.Duration
@@ -363,7 +363,8 @@ func (s *Session) StopAutotune() {
 // query sets, sharing partial aggregation work wherever their
 // neighborhoods overlap, while this handle reads exactly its own query's
 // view. Registering into an existing family extends the merged overlay
-// online (ingest keeps flowing). Incompatible queries compile their own
+// online (reads never pause; writes wait for the install step only).
+// Incompatible queries compile their own
 // overlay over the same graph.
 func (s *Session) Register(spec QuerySpec, opts ...Options) (*Query, error) {
 	o := s.defaults
@@ -702,9 +703,9 @@ func mapNodeErr(err error) error {
 
 // Rebalance applies the adaptive dataflow scheme (§4.8) to every query
 // using the activity observed since the last call, returning the total
-// number of decision flips. Rebalancing is fully online: concurrent
-// Write/WriteBatch/Read traffic keeps flowing while flipped decisions are
-// resynchronized.
+// number of decision flips. Concurrent traffic keeps flowing: reads never
+// pause; writes wait only for the install step of an overlay whose
+// decisions flipped (Stats().Adaptivity.LastInstallHoldMicros).
 func (s *Session) Rebalance() (int, error) { return s.multi.Rebalance() }
 
 // Graph returns the session's shared data graph. Mutate it only through
@@ -794,6 +795,13 @@ type AdaptivityStats struct {
 	Rebalances        int64
 	LastFlips         int
 	LastRebalanceNano int64
+	// Installs counts the engine snapshots installed across all overlays
+	// (one per rebalance that flipped, structural run, member attach or
+	// retire, re-optimization or recompile); LastInstallHoldMicros is the
+	// longest any overlay's most recent install held its writes and
+	// watermark advances back. Reads are never held.
+	Installs              int64
+	LastInstallHoldMicros int64
 }
 
 // AutotuneStats is the public snapshot of the background adaptivity
@@ -832,9 +840,9 @@ func (s *Session) Stats() SessionStats {
 		st.Adaptivity.PullObserved += ad.PullObserved
 		st.Adaptivity.Rebalances += ad.Rebalances
 		st.Adaptivity.LastFlips += ad.LastFlips
-		if ad.LastRebalanceNano > st.Adaptivity.LastRebalanceNano {
-			st.Adaptivity.LastRebalanceNano = ad.LastRebalanceNano
-		}
+		st.Adaptivity.LastRebalanceNano = max(st.Adaptivity.LastRebalanceNano, ad.LastRebalanceNano)
+		st.Adaptivity.Installs += ad.Installs
+		st.Adaptivity.LastInstallHoldMicros = max(st.Adaptivity.LastInstallHoldMicros, ad.LastInstallHoldMicros)
 	}
 	s.tunerMu.Lock()
 	if t := s.tuner; t != nil {

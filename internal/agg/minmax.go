@@ -63,9 +63,10 @@ func (p *extremumPAO) addElem(v int64) {
 }
 
 // removeElem tolerates a removal arriving before its matching addition
-// (multiplicity transiently negative): during an online resync, delta
-// replay may apply an expiry to downstream state before the addition it
-// cancels. The multiset converges once both sides have been applied.
+// (multiplicity transiently negative): two concurrent writes on one writer
+// walk its push closure outside the writer's mutex, so the eviction of a
+// value may reach downstream state before the addition it cancels. The
+// multiset converges once both sides have been applied.
 func (p *extremumPAO) removeElem(v int64) {
 	p.counts.add(v, -1)
 	p.size--

@@ -48,7 +48,7 @@ func TestExtremumHeapBounded(t *testing.T) {
 	}
 }
 
-// TestExtremumNegativeTransient replays the resync ordering the multiset
+// TestExtremumNegativeTransient replays the reordering the multiset
 // tolerates — a removal arriving before its addition — and checks that the
 // heap invariant (every positive value has an entry) survives it and a
 // rebuild in between.

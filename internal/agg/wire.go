@@ -127,8 +127,8 @@ func (p *stddevPAO) ImportWire(w WirePAO) error {
 }
 
 // ExportWire carries the contribution multiset; N is the total multiplicity
-// (which may exceed the sum of surviving counts while a resync is settling
-// negative entries, so it travels explicitly).
+// (which may exceed the sum of surviving counts while concurrent writes are
+// settling negative entries, so it travels explicitly).
 func (p *extremumPAO) ExportWire() WirePAO {
 	vals, freqs := p.counts.pairs()
 	return WirePAO{Values: vals, Freqs: freqs, N: p.size}

@@ -1,14 +1,15 @@
 // Package autotune closes the paper's adaptivity loop (§6; ROADMAP item 1):
 // a background controller samples the engines' live push/pull observation
 // counters into a decayed estimate of the workload actually being served,
-// detects drift, and re-optimizes the running systems online — without ever
-// pausing ingestion.
+// detects drift, and re-optimizes the running systems online — reads never
+// pause; writes wait for the engine's install step only.
 //
 // Three signals, three escalating responses:
 //
 //   - Frontier-flip pressure (Adaptor.Pressure): observation windows that
 //     contradict a frontier node's decision. Response: ApplyFlips — the
-//     incremental §4.8 rebalance plus an online push-state resync.
+//     incremental §4.8 rebalance plus an engine install of the flipped
+//     decisions.
 //   - Cold member views: a merged family's view taking push fan-out on
 //     every write while its share of the observed reads is far below its
 //     peers'. Response: RetargetViews demotes it to pull; a view that heats
@@ -17,12 +18,13 @@
 //   - Plan degradation: the §4.3 cost of the CURRENT decisions under the
 //     observed workload vs a fresh dataflow plan for that workload
 //     (EstimateCosts). When the ratio crosses DegradationRatio, the
-//     response is a full Reoptimize + online resync cutover — rate-limited
+//     response is a full Reoptimize cutover — rate-limited
 //     by Cooldown, and self-quenching because the ratio collapses to ~1
 //     right after a cutover.
 //
-// All actions ride the PR 2 online resync: writes and reads keep flowing
-// through every flip, demotion and re-plan. When the controller is off,
+// Every action ends in one exec.Engine.Rebuild on the overlay it changed:
+// reads keep flowing through every flip, demotion and re-plan, and writes
+// wait for its install step only. When the controller is off,
 // nothing here runs — the engine's observation counters are always-on
 // either way, so the hot write path is identical with and without it.
 package autotune
@@ -264,7 +266,7 @@ func (c *Controller) tickSystem(sys *core.System, now time.Time) {
 
 	// Signal 1: frontier-flip pressure — the cheap incremental response,
 	// applied whenever the adaptor has a full contradicting window. The
-	// MinSamples window is the rate limit; pressure 0 skips the resync.
+	// MinSamples window is the rate limit; pressure 0 skips the install.
 	if smp.Pressure > 0 {
 		if n, err := sys.ApplyFlips(); err == nil && n > 0 {
 			c.flips.Add(int64(n))
@@ -370,7 +372,7 @@ func (c *Controller) retuneViews(sys *core.System, st *sysState) {
 
 // maybeReoptimize runs the degradation check and, when the current plan's
 // cost under the observed workload exceeds DegradationRatio times a fresh
-// plan's, cuts over to the fresh plan via Reoptimize + online resync.
+// plan's, cuts over to the fresh plan via Reoptimize.
 // Dataflow-mode systems only: Reoptimize runs the optimal decision
 // procedure, which would silently change the semantics of greedy/all-push/
 // all-pull systems.

@@ -446,43 +446,43 @@ func RunSystemMixed(b *testing.B, sys *core.System, events []graph.Event) {
 	}
 }
 
-// ResyncEngine builds the online-cutover fixture behind OpResyncCutover*:
-// a social graph of the given size compiled to the baseline overlay with
-// dataflow-optimal decisions, pre-loaded with one pass of writes so the
-// resync rebuilds real push state. The measured op — ResyncPushState — is
-// the no-quiescence cutover primitive the autotune controller's re-plan
-// path leans on; running it at two sizes charts cutover latency against
-// overlay size.
-func ResyncEngine(nodes int) (*exec.Engine, error) {
+// ResyncEngine builds the fixture behind OpResyncCutover*: a social graph of
+// the given size compiled to the baseline overlay with dataflow-optimal
+// decisions, pre-loaded with one pass of writes so an install seeds real
+// push state. The measured op — exec.Engine.Rebuild on the installed overlay
+// — is the whole snapshot transition the autotune controller's re-plan path
+// and every structural repair lean on; running it at three sizes charts its
+// latency against overlay size.
+func ResyncEngine(nodes int) (*exec.Engine, *overlay.Overlay, error) {
 	g := workload.SocialGraph(nodes, 8, 1)
 	ag := bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes)
 	ov := construct.Baseline(ag)
 	wl := workload.ZipfWorkload(g.MaxID(), 1.0, 1e6, 1, 1)
 	f, err := dataflow.ComputeFreqs(ov, wl, 1)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if _, err := dataflow.Decide(ov, f, dataflow.ModelFor(agg.Sum{})); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	eng, err := exec.New(ov, agg.Sum{}, agg.NewTupleWindow(1))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i, ev := range Writes(workload.Events(wl, 1<<14, 2)) {
 		if err := eng.Write(ev.Node, ev.Value, int64(i+1)); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return eng, nil
+	return eng, ov, nil
 }
 
-// RunResync measures repeated online ResyncPushState cutovers.
-func RunResync(b *testing.B, eng *exec.Engine) {
+// RunResync measures repeated installs of ov, the overlay eng already runs.
+func RunResync(b *testing.B, eng *exec.Engine, ov *overlay.Overlay) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := eng.ResyncPushState(); err != nil {
+		if err := eng.Rebuild(ov, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

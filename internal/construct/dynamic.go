@@ -19,9 +19,9 @@ import (
 // The maintainer mutates the overlay structure, so a single caller (the
 // core.System, under its structural mutex) must drive it; it is not safe
 // for concurrent use. Engine traffic, however, never reads the live
-// overlay: after a repair the caller republishes via exec.Engine.Grow +
-// ResyncPushState, and the resync replays concurrently ingested deltas, so
-// reads and writes keep flowing while structural repairs land.
+// overlay: after a repair the caller installs it with exec.Engine.Rebuild,
+// so reads never pause while structural repairs land and writes wait for
+// the install step only.
 type Maintainer struct {
 	b *iobBuilder
 	// DirectThreshold is the paper's "prespecified threshold": deltas at

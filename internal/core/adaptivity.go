@@ -30,16 +30,26 @@ type AdaptivityStats struct {
 	Rebalances        int64
 	LastFlips         int
 	LastRebalanceNano int64
+	// Installs counts the engine snapshots installed since the system
+	// started — one per rebalance that flipped, structural run, member
+	// attach or retire, re-optimization or recompile — and
+	// LastInstallHoldMicros is how long the most recent one held writes and
+	// watermark advances back (reads are never held).
+	Installs              int64
+	LastInstallHoldMicros int64
 }
 
 // AdaptivityStats returns the system's adaptivity telemetry. Lock-free.
 func (s *System) AdaptivityStats() AdaptivityStats {
+	installs, hold := s.eng.Installs()
 	return AdaptivityStats{
-		PushObserved:      s.obsPush.Load(),
-		PullObserved:      s.obsPull.Load(),
-		Rebalances:        s.rebalances.Load(),
-		LastFlips:         int(s.lastFlips.Load()),
-		LastRebalanceNano: s.lastRebalanceNano.Load(),
+		PushObserved:          s.obsPush.Load(),
+		PullObserved:          s.obsPull.Load(),
+		Rebalances:            s.rebalances.Load(),
+		LastFlips:             int(s.lastFlips.Load()),
+		LastRebalanceNano:     s.lastRebalanceNano.Load(),
+		Installs:              installs,
+		LastInstallHoldMicros: hold.Microseconds(),
 	}
 }
 
@@ -126,8 +136,8 @@ func (s *System) drainObservationsLocked() (pushes, pulls map[overlay.NodeRef]fl
 
 // ApplyFlips applies the frontier decision flips pending from observations
 // already fed to the adaptive scheme (via SampleObservations or Rebalance),
-// resynchronizing push-side state when any occurred. Unlike Rebalance it
-// does not drain a fresh observation window first.
+// installing the new decisions in the engine when any occurred. Unlike
+// Rebalance it does not drain a fresh observation window first.
 func (s *System) ApplyFlips() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -135,15 +145,15 @@ func (s *System) ApplyFlips() (int, error) {
 }
 
 // applyRebalanceLocked runs the adaptor's rebalance pass, records the
-// telemetry, and resyncs engine state when decisions flipped. Callers hold
-// s.mu.
+// telemetry, and installs the new decisions in the engine when any flipped.
+// Callers hold s.mu.
 func (s *System) applyRebalanceLocked() (int, error) {
 	flips := s.adaptor.Rebalance()
 	s.rebalances.Add(1)
 	s.lastFlips.Store(int64(flips))
 	s.lastRebalanceNano.Store(time.Now().UnixNano())
 	if flips > 0 {
-		if err := s.eng.ResyncPushState(); err != nil {
+		if err := s.eng.Rebuild(s.ov, s.q.Window, nil); err != nil {
 			return flips, err
 		}
 	}
@@ -184,8 +194,9 @@ func (s *System) ViewDecisions() map[int32]bool {
 }
 
 // RetargetViews force-demotes the readers of the demote views to pull and
-// promotes the readers of the promote views to push, resynchronizing engine
-// state online. Readers are overlay sinks, so demotion never violates the
+// promotes the readers of the promote views to push, and installs the
+// result in the engine (reads never pause; writes wait for the install step
+// only). Readers are overlay sinks, so demotion never violates the
 // decision-consistency constraint; promotion repairs it by pushing the
 // promoted readers' input subtrees (RepairDecisions). It returns the number
 // of reader decisions changed. Note that a structural repair on an all-push
@@ -220,7 +231,7 @@ func (s *System) RetargetViews(demote, promote []int32) (int, error) {
 	if len(promote) > 0 {
 		dataflow.RepairDecisions(s.ov)
 	}
-	return changed, s.eng.ResyncPushState()
+	return changed, s.eng.Rebuild(s.ov, s.q.Window, nil)
 }
 
 // EstimateCosts evaluates the §4.3 objective for workload wl under the

@@ -16,7 +16,7 @@ import (
 // TestMaintenanceChurnManySeeds interleaves writes, reads, and structural
 // edge churn across many random seeds, checking every read against a model
 // oracle. It is the regression net for the incremental maintenance (§3.3)
-// + decision-repair + engine-resync pipeline.
+// + decision-repair + engine-install pipeline.
 func TestMaintenanceChurnManySeeds(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -126,7 +126,7 @@ func nearBiclique(seed int64) *graph.Graph {
 // equal the brute-force sum over the final graph and each subscribed
 // reader's last Update must equal its final read. The auto-selected
 // algorithm (VNM_N for SUM) recompiles on every structural change; the iob
-// rows are the control that takes the Grow + resync path instead.
+// rows are the control that repairs the overlay in place instead.
 func TestRecompileUnderConcurrentWriteBatch(t *testing.T) {
 	churnOps := map[string]int{"edges": 24, "members": 8} // a member costs more
 	for _, alg := range []string{"", construct.AlgIOB} {

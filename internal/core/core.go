@@ -164,9 +164,9 @@ type System struct {
 	minedAt  uint64
 	pristine bool
 	// eng is the system's one engine, created by compileViews and never
-	// replaced: every later overlay change reaches it as a snapshot
-	// transition (Grow + ResyncPushState after a repair, Rebuild after a
-	// recompile), so it is read without synchronization.
+	// replaced: every later overlay change — repair, decision flip or
+	// recompile — reaches it as an exec.Engine.Rebuild, so it is read without
+	// synchronization.
 	eng     *exec.Engine
 	adaptor *dataflow.Adaptor
 	maint   *construct.Maintainer
@@ -563,14 +563,15 @@ func (s *System) ExportWindows(visit func(node graph.NodeID, entries []agg.Windo
 func (s *System) Overlay() *overlay.Overlay { return s.ov }
 
 // Rebalance feeds the engine's observed push/pull counts to the adaptive
-// scheme and applies any frontier decision flips (§4.8), resynchronizing
-// push-side state when flips occurred. It returns the number of flips.
+// scheme and applies any frontier decision flips (§4.8), installing the new
+// decisions in the engine when flips occurred. It returns the number of
+// flips.
 //
-// The resynchronization is fully online: Write/WriteBatch/Read traffic may
-// keep flowing while Rebalance runs — concurrent deltas are captured in the
-// engine's epoch-tagged log and replayed across the snapshot cutover, so
-// adaptive re-optimization never pauses ingestion. Rebalance serializes
-// only with other structural operations (mutations, Reoptimize).
+// Write/WriteBatch/Read traffic may keep flowing while Rebalance runs: reads
+// never pause; writes wait for the install step only (exec.Engine.Rebuild
+// seeds push state from the windows under its gate — AdaptivityStats reports
+// how long). Rebalance serializes only with other structural operations
+// (mutations, Reoptimize).
 func (s *System) Rebalance() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -579,7 +580,7 @@ func (s *System) Rebalance() (int, error) {
 }
 
 // Reoptimize recomputes dataflow decisions from a new expected workload
-// (keeping the overlay structure) and resynchronizes engine state.
+// (keeping the overlay structure) and installs them in the engine.
 func (s *System) Reoptimize(wl *dataflow.Workload) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -595,8 +596,7 @@ func (s *System) Reoptimize(wl *dataflow.Workload) error {
 		return err
 	}
 	s.adaptor = dataflow.NewAdaptor(s.ov, f, s.cost)
-	s.eng.Grow(s.q.Window)
-	return s.eng.ResyncPushState()
+	return s.eng.Rebuild(s.ov, s.q.Window, nil)
 }
 
 func (s *System) workloadOrUniform() *dataflow.Workload {
@@ -690,9 +690,8 @@ func (s *System) viewBase(vw *view) graph.NodeID {
 // They are the ONLY structural repair path: a single structural operation
 // (System.AddGraphEdge, a one-event MultiSystem.ApplyBatchNodes, …) is a batch of one, and a
 // mixed-stream structural run of N events ends in exactly one
-// applyRepairBatch — one decision repair and one engine republish (Grow +
-// online resync) instead of N, with a reader touched by several events
-// diffed once.
+// applyRepairBatch — one decision repair and one engine install instead of
+// N, with a reader touched by several events diffed once.
 //
 // The batch methods assume the caller serializes structural operations
 // (structMu or the MultiSystem mutex); each takes s.mu for its own overlay
@@ -851,11 +850,11 @@ func (s *System) batchNodeRemoved(b *repairBatch, v graph.NodeID) {
 }
 
 // applyRepairBatch finishes a structural run: every affected reader of
-// every view is diffed against the final graph once, then the engine is
-// resized and resynchronized once — or, when anything in the run demanded
-// it (non-maintainable overlay, stride overflow, maintainer failure), one
-// full recompile replaces the whole repair. A batch that saw no structural
-// event is a no-op.
+// every view is diffed against the final graph once, then the repaired
+// overlay is installed in the engine once — or, when anything in the run
+// demanded it (non-maintainable overlay, stride overflow, maintainer
+// failure), one full recompile replaces the whole repair. A batch that saw
+// no structural event is a no-op.
 func (s *System) applyRepairBatch(b *repairBatch) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -873,6 +872,7 @@ func (s *System) applyRepairBatch(b *repairBatch) error {
 		}
 		return errors.Join(b.err, s.recompileLocked(b.removed))
 	}
+	var err error
 	for i := range s.views {
 		if i >= len(b.affected) || !s.views[i].live || len(b.affected[i]) == 0 {
 			continue
@@ -882,15 +882,21 @@ func (s *System) applyRepairBatch(b *repairBatch) error {
 			list = append(list, r)
 		}
 		sort.Slice(list, func(a, b int) bool { return list[a] < list[b] })
-		if err := s.repairViewLocked(&s.views[i], list); err != nil {
-			// The incremental repair failed partway; a recompile restores a
-			// consistent overlay from the final graph. Surface the repair
-			// error even when the recompile succeeds, so the caller knows
-			// the fast path degraded.
-			return errors.Join(err, s.recompileLocked(b.removed))
+		if err = s.repairViewLocked(&s.views[i], list); err != nil {
+			break
 		}
 	}
-	s.afterMaintenance()
+	if err == nil {
+		err = s.afterMaintenance()
+	}
+	if err != nil {
+		// The incremental repair failed partway, or the repaired overlay
+		// could not be installed and the engine is still on its previous
+		// plan; a recompile restores a consistent overlay from the final
+		// graph. Surface the error even when the recompile succeeds, so the
+		// caller knows the fast path degraded.
+		return errors.Join(err, s.recompileLocked(b.removed))
+	}
 	return nil
 }
 
@@ -956,13 +962,14 @@ func (s *System) repairViewLocked(vw *view, affected []graph.NodeID) error {
 	return nil
 }
 
-// afterMaintenance resizes and resynchronizes the engine after the overlay
-// changed shape. Restructuring may have inserted pull-annotated partials
-// beneath push nodes; the repair pass restores the decision invariant
-// before state is rebuilt. All-push systems (notably continuous queries,
+// afterMaintenance installs the overlay in the engine after it changed
+// shape. An error means the engine is still on its previous plan and the
+// caller must fall back to a recompile. Restructuring may have inserted
+// pull-annotated partials beneath push nodes; the repair pass restores the
+// decision invariant before state is rebuilt. All-push systems (notably continuous queries,
 // whose Subscribe coverage must stay complete) re-force every node to push,
 // since maintenance creates new readers pull-annotated.
-func (s *System) afterMaintenance() {
+func (s *System) afterMaintenance() error {
 	s.pristine = false
 	if s.opts.Mode == ModeAllPush {
 		dataflow.DecideAll(s.ov, overlay.Push)
@@ -973,11 +980,12 @@ func (s *System) afterMaintenance() {
 	// from; maintenance may have added nodes (partial splits, merged-family
 	// member insertion), so rebuild it or the next Rebalance would observe
 	// refs it has no slots for.
-	if f, err := dataflow.ComputeFreqs(s.ov, s.wl, s.windowSizeHint()); err == nil {
-		s.adaptor = dataflow.NewAdaptor(s.ov, f, s.cost)
+	f, err := dataflow.ComputeFreqs(s.ov, s.wl, s.windowSizeHint())
+	if err != nil {
+		return err
 	}
-	s.eng.Grow(s.q.Window)
-	_ = s.eng.ResyncPushState()
+	s.adaptor = dataflow.NewAdaptor(s.ov, f, s.cost)
+	return s.eng.Rebuild(s.ov, s.q.Window, nil)
 }
 
 // restrideLocked rebuilds a merged system whose data graph outgrew its
@@ -998,8 +1006,8 @@ func (s *System) restrideLocked(skip map[graph.NodeID]bool) error {
 // AddMember extends the merged overlay with one more member query ONLINE:
 // on a maintainable overlay the new member's readers are inserted one by
 // one through the incremental builder — covered by the existing shared
-// partial aggregates where profitable — while ingest keeps flowing (state
-// republishes via Grow + online resync). Overlays without incremental
+// partial aggregates where profitable — while reads keep flowing and writes
+// wait for the engine's install step only. Overlays without incremental
 // maintenance recompile the union from scratch; window contents and live
 // subscriptions survive either way. Returns the new member's view tag.
 //
@@ -1051,6 +1059,9 @@ func (s *System) AddMember(spec MemberSpec) (int32, error) {
 		}
 		insertErr = s.maint.AddReader(base+v, nbr.Select(s.g, v))
 	})
+	if insertErr == nil {
+		insertErr = s.afterMaintenance()
+	}
 	if insertErr != nil {
 		// Roll back by recompiling from the remaining live views: the
 		// half-inserted view is already marked dead, and the rebuild
@@ -1062,7 +1073,6 @@ func (s *System) AddMember(spec MemberSpec) (int32, error) {
 		}
 		return 0, fmt.Errorf("core: merge extension: %w: %w", ErrIncompatibleMerge, insertErr)
 	}
-	s.afterMaintenance()
 	return tag, nil
 }
 
@@ -1100,7 +1110,9 @@ func (s *System) RetireMember(tag int32) error {
 			return fmt.Errorf("core: retire member %d: %w: %w", tag, ErrIncompatibleMerge, err)
 		}
 	}
-	s.afterMaintenance()
+	if err := s.afterMaintenance(); err != nil {
+		return fmt.Errorf("core: retire member %d: %w: %w", tag, ErrIncompatibleMerge, errors.Join(err, s.recompileLocked(nil)))
+	}
 	return nil
 }
 

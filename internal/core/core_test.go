@@ -268,7 +268,7 @@ func TestRebalanceAdaptsToObservedWorkload(t *testing.T) {
 	if flips == 0 {
 		t.Fatal("expected adaptive flips under read-heavy observations")
 	}
-	// Results stay correct after the flip + resync.
+	// Results stay correct after the flip + install.
 	got, _ := s.Read(6)
 	if got.Scalar != 30 {
 		t.Fatalf("read(g) after rebalance = %v, want 30", got)

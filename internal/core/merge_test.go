@@ -469,7 +469,7 @@ func TestRebalanceAfterMemberGrowth(t *testing.T) {
 	if _, err := sys.Rebalance(); err != nil {
 		t.Fatal(err)
 	}
-	// Results must survive the rebalance + resync.
+	// Results must survive the rebalance + install.
 	o, err := Compile(multiRing(24), Query{Aggregate: agg.Sum{}, Neighborhood: graph.KHopIn{K: 2}},
 		Options{Algorithm: construct.AlgVNMA})
 	if err != nil {

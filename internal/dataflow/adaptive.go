@@ -170,7 +170,7 @@ func (a *Adaptor) Rebalance() int {
 // monitoring window AND contradicts their current decision — the flips the
 // next Rebalance would start from. Counters are not consumed, so a
 // background controller can poll Pressure cheaply and only pay for a
-// Rebalance (and the push-state resync it forces) when there is something
+// Rebalance (and the engine install it forces) when there is something
 // to flip.
 func (a *Adaptor) Pressure() int {
 	a.mu.Lock()

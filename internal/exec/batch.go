@@ -12,12 +12,12 @@ import (
 //
 // Pass 1 visits the events in batch order and does, per event and under the
 // writer's mutex, exactly what a single Write does there (applyAtWriter:
-// window slide, expiry index, the writer's own cell or PAO, the delta-log
-// record), folding the resulting delta into that writer's accumulator
-// entry. Pass 2 visits each DISTINCT writer once: values the batch both
-// admitted to and evicted from the writer's window cancel (nobody could
-// have observed them downstream), and the net delta walks the compiled
-// closure once (pushRegion), counted as the m logical writes it stands for.
+// window slide, expiry index, the writer's own cell or PAO), folding the
+// resulting delta into that writer's accumulator entry. Pass 2 visits each
+// DISTINCT writer once: values the batch both admitted to and evicted from
+// the writer's window cancel (nobody could have observed them downstream),
+// and the net delta walks the compiled closure once (pushRegion), counted as
+// the m logical writes it stands for.
 // A hot writer's thirty writes cost one closure walk, not thirty. With live
 // subscriptions the touched readers are collected along the way and each is
 // finalized and delivered exactly once after the whole batch applied.
@@ -29,22 +29,16 @@ import (
 // The engine spawns nothing: multi-core ingest comes from concurrent
 // callers (concurrent Ingestor senders), each applying its own batch with
 // its own accumulator. Safe for concurrent use with Write, Read, ExpireAll,
-// other WriteBatch calls, and — like every ingest path — with an in-flight
-// Grow or online ResyncPushState: each write applies to, and is epoch-logged
-// under, the snapshot current at its writer-lock acquisition, and an
-// accumulator entry is bound to that snapshot. A write that finds its
-// writer's entry bound to an older one first flushes the entry through the
-// old snapshot's closure — which is where every one of those writes would
-// have propagated on its own — so none is lost or double-applied across a
-// cutover. A Rebuild, which renumbers the slots the accumulator and the
-// touch collector are indexed by, installs between batches: the whole call
-// is one shared section of the engine's gate.
+// other WriteBatch calls and Rebuild: the whole call is one shared section of
+// the engine's gate, so every event of the batch applies to one snapshot, the
+// one the accumulator and the touch collector are indexed by, and a Rebuild
+// installs between batches.
 func (e *Engine) WriteBatch(events []graph.Event) error {
 	e.gate.RLock()
 	defer e.gate.RUnlock()
 	st := e.state.Load()
-	acc := e.getAccum()
-	tc := e.getTouch()
+	acc := e.getAccum(st.plan.top.N)
+	tc := e.getTouch(st.plan.top.N)
 	var n int64
 	for i := range events {
 		ev := &events[i]
@@ -56,17 +50,11 @@ func (e *Engine) WriteBatch(events []graph.Event) error {
 		if wref == overlay.NoNode {
 			continue // feeds no reader: absorbed
 		}
-		cur, dSum, dCnt := e.applyAtWriter(st, wref, ev.Value, ev.TS, &acc.rec)
-		if len(cur.plan.closure[wref]) == 0 {
+		dSum, dCnt := e.applyAtWriter(st, wref, ev.Value, ev.TS, &acc.rec)
+		if len(st.plan.closure[wref]) == 0 {
 			continue // nothing downstream (and so no reader to tell)
 		}
-		ent := acc.entry(wref, cur.plan.top.N)
-		if ent.st != cur {
-			if ent.m > 0 {
-				e.flushEntry(ent, tc)
-			}
-			ent.st = cur
-		}
+		ent := acc.entry(wref)
 		if ent.m == 0 || ev.TS > ent.ts {
 			ent.ts = ev.TS
 		}
@@ -81,27 +69,21 @@ func (e *Engine) WriteBatch(events []graph.Event) error {
 	}
 	e.writes.Add(n)
 	for i := range acc.entries[:acc.n] {
-		e.flushEntry(&acc.entries[i], tc)
+		ent := &acc.entries[i]
+		ent.add, ent.rem = cancelCommon(ent.add, ent.rem)
+		e.pushRegion(st, ent.wref, &ent.writerDelta, tc)
+		ent.writerDelta = writerDelta{add: ent.add[:0], rem: ent.rem[:0]}
 	}
 	e.putAccum(acc)
-	e.flushTouches(tc)
+	e.flushTouches(st, tc)
 	e.putTouch(tc)
 	return nil
-}
-
-// flushEntry pushes one writer's folded delta through the closure of the
-// snapshot it was logged under and leaves the entry empty and unbound.
-func (e *Engine) flushEntry(ent *accEntry, tc *touchCollector) {
-	ent.add, ent.rem = cancelCommon(ent.add, ent.rem)
-	e.pushRegion(ent.st, ent.wref, &ent.writerDelta, tc)
-	ent.writerDelta = writerDelta{add: ent.add[:0], rem: ent.rem[:0]}
-	ent.st = nil
 }
 
 // cancelCommon removes from add and rem, in place, the values they have in
 // common as multisets: a value a window admitted and evicted inside one
 // batch. Both slices come back sorted, which is fine for their consumers —
-// PAO maintenance is order-free (resync.go, "delta commutativity").
+// PAO maintenance is order-free.
 func cancelCommon(add, rem []int64) ([]int64, []int64) {
 	if len(add) == 0 || len(rem) == 0 {
 		return add, rem
@@ -145,23 +127,17 @@ type accSlot struct {
 	idx   int32
 }
 
-// accEntry is one writer's folded delta, bound to the snapshot st its
-// writes were applied to and logged under. The add / rem backing arrays
-// stay with the entry across batches.
+// accEntry is one writer's folded delta. The add / rem backing arrays stay
+// with the entry across batches.
 type accEntry struct {
 	wref overlay.NodeRef
-	st   *engineState
 	writerDelta
 }
 
 // entry returns writer slot wref's entry for this batch, claiming the next
-// free one (empty, unbound) on the writer's first write; n is the slot
-// count to size the dense array to when wref lies past it (the overlay can
-// grow mid-batch). The pointer is valid until the next call.
-func (a *writeAccum) entry(wref overlay.NodeRef, n int) *accEntry {
-	if int(wref) >= len(a.slots) {
-		a.slots = append(a.slots, make([]accSlot, n-len(a.slots))...)
-	}
+// free one (empty) on the writer's first write. The pointer is valid until
+// the next call.
+func (a *writeAccum) entry(wref overlay.NodeRef) *accEntry {
 	s := &a.slots[wref]
 	if s.stamp != a.stamp {
 		if a.n == len(a.entries) {
@@ -174,8 +150,13 @@ func (a *writeAccum) entry(wref overlay.NodeRef, n int) *accEntry {
 	return &a.entries[s.idx]
 }
 
-func (e *Engine) getAccum() *writeAccum {
+// getAccum returns a pooled accumulator for a batch against a snapshot of n
+// slots.
+func (e *Engine) getAccum(n int) *writeAccum {
 	a := e.accPool.Get().(*writeAccum)
+	if n > len(a.slots) {
+		a.slots = append(a.slots, make([]accSlot, n-len(a.slots))...)
+	}
 	a.stamp++
 	if a.stamp == 0 {
 		// Wrapped: zeroed slots would look freshly stamped.
@@ -217,9 +198,6 @@ func (tc *touchCollector) collect(nt *notifyTable, st *engineState, wref overlay
 			continue
 		}
 		i := int(t.ref)
-		if i >= len(tc.mark) {
-			tc.growTo(st.plan.top.N)
-		}
 		if tc.mark[i] != tc.stamp {
 			tc.mark[i] = tc.stamp
 			tc.refs = append(tc.refs, t.ref)
@@ -230,21 +208,14 @@ func (tc *touchCollector) collect(nt *notifyTable, st *engineState, wref overlay
 	}
 }
 
-// growTo resizes the dense arrays (the overlay can grow mid-batch).
-func (tc *touchCollector) growTo(n int) {
-	if n <= len(tc.mark) {
-		return
-	}
-	mark := make([]uint32, n)
-	copy(mark, tc.mark)
-	tc.mark = mark
-	ts := make([]int64, n)
-	copy(ts, tc.ts)
-	tc.ts = ts
-}
-
-func (e *Engine) getTouch() *touchCollector {
+// getTouch returns a pooled collector for a batch or advance against a
+// snapshot of n slots.
+func (e *Engine) getTouch(n int) *touchCollector {
 	tc := e.touchPool.Get().(*touchCollector)
+	if n > len(tc.mark) {
+		tc.mark = append(tc.mark, make([]uint32, n-len(tc.mark))...)
+		tc.ts = append(tc.ts, make([]int64, n-len(tc.ts))...)
+	}
 	tc.stamp++
 	if tc.stamp == 0 {
 		// Wrapped: zeroed mark entries would look freshly stamped.
@@ -260,25 +231,18 @@ func (e *Engine) putTouch(tc *touchCollector) { e.touchPool.Put(tc) }
 // flushTouches delivers the coalesced notifications of one batch or one
 // watermark advance: each reader the collector recorded (already
 // deduplicated by its mark array) is finalized and handed to its
-// subscribers exactly once, with the latest timestamp seen for it.
-func (e *Engine) flushTouches(tc *touchCollector) {
+// subscribers exactly once, with the latest timestamp seen for it. st is the
+// snapshot the readers were collected from, in the same gate section, so
+// each is still a push reader there.
+func (e *Engine) flushTouches(st *engineState, tc *touchCollector) {
 	nt := e.notify.Load()
 	if nt == nil || len(tc.refs) == 0 {
 		return
 	}
-	st := e.state.Load()
 	top := st.plan.top
 	lastTag := int32(-1)
 	var byTag []*Subscription
 	for _, ref := range tc.refs {
-		// A snapshot swap between collect and here may have removed the
-		// reader or flipped it to pull. A pull reader's slot is not
-		// maintained (no PAO; in scalar mode a fresh zero cell after a
-		// resync), so there is no settled value to push: skip it.
-		if int(ref) >= top.N || top.Dead[ref] || top.Kind[ref] != overlay.ReaderNode ||
-			top.Dec[ref] != overlay.Push {
-			continue
-		}
 		if tag := top.ReaderTag(ref); tag != lastTag {
 			lastTag = tag
 			byTag = nt.byTag[tag]

@@ -265,16 +265,16 @@ func TestCancelCommon(t *testing.T) {
 	}
 }
 
-// TestWriteBatchCoalescingUnderResync is the snapshot-binding rule's test
-// (run it under -race). Each trial races one Grow + ResyncPushState (two
-// readers flip between push and pull) against goroutines applying
-// hot-writer batches, so accumulator entries find themselves bound to a
-// snapshot that is no longer current and must flush through the old
-// closure; then it quiesces and compares every reader with a brute-force
-// fold of the writer windows. One resync per trial, because a resync
-// rebuilds push state from the windows and would heal what an earlier one
-// broke: a folded delta lost, applied to the wrong generation or applied
-// twice must still be there when the trial checks.
+// TestWriteBatchCoalescingUnderResync races batches against the snapshot
+// transition (run it under -race). Each trial races one Rebuild on the
+// installed overlay (two readers flip between push and pull) against
+// goroutines applying hot-writer batches, so a batch either applied wholly to
+// the previous snapshot — its writes are in the windows the install seeds
+// from — or wholly to the new one; then it quiesces and compares every
+// reader with a brute-force fold of the writer windows. One install per
+// trial, because an install rebuilds push state from the windows and would
+// heal what an earlier one broke: a folded delta lost or applied twice must
+// still be there when the trial checks.
 func TestWriteBatchCoalescingUnderResync(t *testing.T) {
 	trials := 300
 	if testing.Short() {
@@ -341,10 +341,7 @@ func TestWriteBatchCoalescingUnderResync(t *testing.T) {
 						}
 					}
 					start.Store(true)
-					if trial%3 == 0 {
-						e.Grow(nil)
-					}
-					if err := e.ResyncPushState(); err != nil {
+					if err := e.Rebuild(ov, agg.NewTupleWindow(4), nil); err != nil {
 						t.Fatal(err)
 					}
 					wg.Wait()
@@ -389,52 +386,6 @@ func checkAgainstWindows(t *testing.T, e *Engine, a agg.Aggregate, label string)
 		if !got.Eq(want.Finalize()) {
 			t.Fatalf("%s: read(%d) = %v, brute force over the windows says %v", label, v, got, want.Finalize())
 		}
-	}
-}
-
-// TestFlushSkipsReaderFlippedToPull: a scalar reader that a resync flips to
-// pull between collect and flush must not be delivered — its slot in the
-// new snapshot is a fresh zero cell nobody maintains, and finalizing it
-// would hand the subscriber SUM 0 while the query's answer is 7.
-func TestFlushSkipsReaderFlippedToPull(t *testing.T) {
-	ov := batchOverlay(t, "neg", allPush)
-	e, err := New(ov, agg.Sum{}, agg.NewTupleWindow(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := e.Subscribe(16, 104)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Unsubscribe(sub)
-	if err := e.Write(0, 7, 1); err != nil {
-		t.Fatal(err)
-	}
-	if u := <-sub.Updates(); u.Result.Scalar != 7 {
-		t.Fatalf("first update = %v, want 7", u.Result)
-	}
-	// A batch got as far as collecting reader 104 ...
-	st := e.state.Load()
-	tc := e.getTouch()
-	tc.collect(e.notify.Load(), st, st.plan.writer(0), 2)
-	if len(tc.refs) != 1 {
-		t.Fatalf("collected %d readers, want 1", len(tc.refs))
-	}
-	// ... when a rebalance flipped it to pull and resynced ...
-	ov.Node(ov.Reader(104)).Dec = overlay.Pull
-	if err := e.ResyncPushState(); err != nil {
-		t.Fatal(err)
-	}
-	// ... and then the batch flushed.
-	e.flushTouches(tc)
-	e.putTouch(tc)
-	select {
-	case u := <-sub.Updates():
-		t.Fatalf("delivered %+v from a reader that is no longer push-maintained", u)
-	default:
-	}
-	if got, _ := e.Read(104); got.Scalar != 7 {
-		t.Fatalf("read(104) = %v, want 7", got)
 	}
 }
 

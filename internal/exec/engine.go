@@ -6,8 +6,8 @@
 //
 // # Compiled plans
 //
-// At New (and again at Grow / ResyncPushState / Rebuild), the engine flattens
-// the overlay into an immutable compiled plan: a CSR-style topology snapshot
+// At New (and again at every Rebuild), the engine flattens the overlay into
+// an immutable compiled plan: a CSR-style topology snapshot
 // (contiguous []int32 edge arrays with sign bits, see overlay.Topology)
 // plus, for every writer, the precomputed push-region application list —
 // the exact multiset of (node, sign) visits a breadth-first propagation
@@ -31,31 +31,17 @@
 // caller-provided buffers (ReadInto), so steady-state reads of every
 // built-in aggregate are allocation-free too.
 //
-// # Engine state snapshots and epochs
+// # Engine state snapshots
 //
 // An Engine lives as long as the query it executes. All mutable engine state
-// lives in an atomically swapped snapshot tagged with a monotonically
-// increasing epoch, and three transitions — serialized among themselves by an
-// internal mutex — build a new snapshot and publish it with a single atomic
-// store. Operations that began on an older snapshot finish on it, and every
-// snapshot a reader can observe is internally consistent.
-//
-//   - Grow: the same overlay grew (incremental maintenance, node
-//     splitting). Slots keep their numbers; per-node cells — locks,
-//     observation counters, windows, value state — are shared with the
-//     previous snapshot, so nothing in flight notices.
-//   - ResyncPushState: same slots, fresh push-side value state, fully online
-//     (no write quiescence): while it rebuilds against a frozen per-writer
-//     cut, concurrent writes append epoch-tagged deltas to a log which the
-//     resync replays into the new snapshot before and after the atomic
-//     cutover (see resync.go for the protocol).
-//   - Rebuild: a different overlay altogether (a recompile), whose slots are
-//     numbered afresh. Each surviving writer's cell moves to its new slot by
-//     data-graph id, push state is rebuilt from the windows, subscriptions
-//     are re-resolved and the expiry index re-seeded. Everything slot-indexed
-//     that a write, batch or watermark advance holds in flight would go stale
-//     across the renumbering, so those take a shared gate for their duration
-//     and the install step alone takes it exclusively; reads are never gated.
+// lives in one atomically published snapshot, and exactly one transition
+// replaces it: Rebuild (rebuild.go), for an overlay that was repaired or
+// re-decided in place as much as for a recompiled one. A Rebuild prepares the
+// new snapshot with traffic flowing and installs it under a gate that Write,
+// WriteBatch and ExpireAll hold shared for their duration — inside one such
+// section the snapshot is fixed — so writes wait for the install step only.
+// Reads are never gated: one that began on an older snapshot finishes on it,
+// and every snapshot a reader can observe is internally consistent.
 //
 // The overlay itself must not be mutated concurrently with the call that
 // flattens it.
@@ -89,30 +75,26 @@ import (
 //
 // All public methods are safe for concurrent use, with one structural
 // caveat: the overlay handed to New or Rebuild must not be mutated
-// concurrently with a Grow, ResyncPushState or Rebuild call (which flatten
-// it). Write/WriteBatch/Read/ExpireAll traffic may flow freely during all
-// three; a Rebuild holds writes and expiries back for its install step only.
+// concurrently with the Rebuild call that flattens it. Write/WriteBatch/Read/
+// ExpireAll traffic may flow freely meanwhile; a Rebuild holds writes and
+// expiries back for its install step only, and reads never.
 type Engine struct {
 	ov     *overlay.Overlay // replaced by Rebuild, under rebuildMu
 	agg    agg.Aggregate
 	scalar agg.ScalarAggregate // non-nil enables the atomic fast path
-	window agg.Window          // prototype cloned per writer
 
 	// state is the current compiled-plan + per-node-state snapshot.
 	state atomic.Pointer[engineState]
-	// log, when non-nil, is the epoch-tagged delta log an in-progress
-	// online ResyncPushState is capturing (resync.go). Writers check it
-	// under their node's mutex.
-	log atomic.Pointer[deltaLog]
-	// rebuildMu serializes snapshot transitions (Grow, ResyncPushState,
-	// Rebuild) against each other. It is never taken on the read/write hot
-	// paths.
+	// rebuildMu serializes Rebuild calls. It is never taken on the
+	// read/write hot paths.
 	rebuildMu sync.Mutex
-	// gate is held shared by everything that keeps slot-indexed state in
-	// flight — Write, WriteBatch, ExpireAll, ExportWindows — and exclusively
-	// by Rebuild's install step, the one transition that renumbers slots.
-	// Inside a shared section slots only ever grow.
+	// gate is held shared by everything that applies to a snapshot — Write,
+	// WriteBatch, ExpireAll, ExportWindows — and exclusively by Rebuild's
+	// install step. Inside a shared section the snapshot does not change.
 	gate sync.RWMutex
+	// installs counts Rebuild's installs; lastHold is how long the most
+	// recent one held the gate exclusively, in nanoseconds.
+	installs, lastHold atomic.Int64
 
 	// notify is the immutable subscriber table (notify.go); nil whenever no
 	// subscription is attached, so the write hot path pays one atomic load
@@ -146,19 +128,13 @@ type Engine struct {
 	touchPool sync.Pool
 }
 
-// engineState is one generation of engine state, identified by epoch. The
-// slices are immutable after publication; nodes entries are shared across
-// generations so mutexes and counters keep their identity when the overlay
-// grows, while scalars/paos value state is shared on Grow but rebuilt fresh
-// by ResyncPushState (readers on an old snapshot keep seeing coherent
-// pre-resync values until the cutover).
+// engineState is one generation of engine state. The slices are immutable
+// after publication; nodes entries, windows and writer PAOs are shared with
+// the generation they were inherited from (Rebuild), while the push-side
+// value state — scalars, non-writer paos — is built fresh for every
+// generation, so a reader still on the previous one keeps seeing its coherent
+// values while the next is seeded.
 type engineState struct {
-	// epoch increases by one with every published snapshot. Delta-log
-	// entries record the epoch of the snapshot they were applied to, which
-	// is how the resync replay distinguishes pre-cutover deltas (to be
-	// replayed into the new snapshot) from post-cutover deltas (already
-	// applied directly to it).
-	epoch   uint64
 	plan    *plan
 	nodes   []*nodeState  // shared sync/observation cells, one per slot
 	scalars []*scalarCell // scalar-mode partial state; nil in PAO mode
@@ -177,17 +153,16 @@ type nodeState struct {
 	// inExpiryHeap marks a writer slot registered in the engine's
 	// next-expiry index (expiry.go). Read and written only under mu, so
 	// registration can't be lost to a write racing the ExpireAll that
-	// popped the slot's entry. Shared across snapshots with the rest of
-	// the cell, so Grow/Resync don't disturb membership.
+	// popped the slot's entry. Rebuild re-derives it for every live writer
+	// while it re-seeds the index.
 	inExpiryHeap bool
 }
 
 // scalarCell is one overlay node's partial aggregate in scalar mode: the
 // running sum of contributions and their count. A torn read across the pair
 // is possible mid-write; that is the bounded staleness the queueing model
-// already admits. Cells are shared between snapshots on Grow and rebuilt
-// fresh by ResyncPushState, so a resync never exposes half-rebuilt values
-// to readers of either generation.
+// already admits. Every snapshot has its own cells, so seeding the next one
+// never exposes half-rebuilt values to readers of the current one.
 type scalarCell struct {
 	sum atomic.Int64
 	cnt atomic.Int64
@@ -203,7 +178,7 @@ func New(ov *overlay.Overlay, a agg.Aggregate, window agg.Window) (*Engine, erro
 	if err := ov.CheckDecisions(); err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
 	}
-	e := &Engine{ov: ov, agg: a, window: window}
+	e := &Engine{ov: ov, agg: a}
 	if sa, ok := a.(agg.ScalarAggregate); ok {
 		e.scalar = sa
 	}
@@ -215,19 +190,12 @@ func New(ov *overlay.Overlay, a agg.Aggregate, window agg.Window) (*Engine, erro
 	return e, nil
 }
 
-// sameSlot is buildState's inheritance under Grow and ResyncPushState: the
-// overlay only grew, so slot i carries on as slot i.
-func (st *engineState) sameSlot(i int) overlay.NodeRef {
-	if i < len(st.nodes) {
-		return overlay.NodeRef(i)
-	}
-	return overlay.NoNode
-}
-
 // buildState assembles a snapshot for the compiled plan pl. Slot i shares
-// the cell — lock, counters, window, value state — of prev's slot inherit(i),
-// or starts fresh (writers with a clone of window) where that is NoNode or
-// prev is nil.
+// the cell of prev's slot inherit(i) — lock, counters and, for a writer,
+// window and PAO — or starts fresh (writers with a clone of window) where
+// that is NoNode or prev is nil. Push-side value state is always fresh: one
+// scalar cell per slot, or an empty PAO per non-writer push node, for the
+// caller to seed from the windows.
 func (e *Engine) buildState(pl *plan, prev *engineState, inherit func(i int) overlay.NodeRef, window agg.Window) *engineState {
 	n := pl.top.N
 	st := &engineState{
@@ -239,9 +207,6 @@ func (e *Engine) buildState(pl *plan, prev *engineState, inherit func(i int) ove
 	if e.scalar != nil {
 		st.scalars = make([]*scalarCell, n)
 	}
-	if prev != nil {
-		st.epoch = prev.epoch + 1
-	}
 	for i := 0; i < n; i++ {
 		from := overlay.NoNode
 		if prev != nil {
@@ -249,15 +214,10 @@ func (e *Engine) buildState(pl *plan, prev *engineState, inherit func(i int) ove
 		}
 		if from != overlay.NoNode {
 			st.nodes[i] = prev.nodes[from]
-			st.paos[i] = prev.paos[from]
-			st.windows[i] = prev.windows[from]
-			if e.scalar != nil {
-				st.scalars[i] = prev.scalars[from]
-			}
 		} else {
 			st.nodes[i] = &nodeState{}
 		}
-		if e.scalar != nil && st.scalars[i] == nil {
+		if e.scalar != nil {
 			st.scalars[i] = &scalarCell{}
 		}
 		if pl.top.Dead[i] {
@@ -265,16 +225,19 @@ func (e *Engine) buildState(pl *plan, prev *engineState, inherit func(i int) ove
 		}
 		switch {
 		case pl.top.Kind[i] == overlay.WriterNode:
+			if from != overlay.NoNode {
+				// The writer's PAO is maintained together with its window
+				// under the writer's mutex and is already exact.
+				st.windows[i], st.paos[i] = prev.windows[from], prev.paos[from]
+			}
 			if st.windows[i] == nil {
 				st.windows[i] = window.Clone()
 			}
 			if e.scalar == nil && st.paos[i] == nil {
 				st.paos[i] = e.agg.NewPAO()
 			}
-		case pl.top.Dec[i] == overlay.Push:
-			if e.scalar == nil && st.paos[i] == nil {
-				st.paos[i] = e.agg.NewPAO()
-			}
+		case pl.top.Dec[i] == overlay.Push && e.scalar == nil:
+			st.paos[i] = e.agg.NewPAO()
 		}
 	}
 	return st
@@ -392,7 +355,7 @@ func (e *Engine) Write(v graph.NodeID, value int64, ts int64) error {
 	}
 	ws := e.getScratch()
 	d := writerDelta{m: 1, ts: ts}
-	st, d.dSum, d.dCnt = e.applyAtWriter(st, wref, value, ts, &ws.rec)
+	d.dSum, d.dCnt = e.applyAtWriter(st, wref, value, ts, &ws.rec)
 	if e.scalar == nil {
 		ws.add[0] = value
 		d.add, d.rem = ws.add[:1], ws.rec.removed
@@ -417,24 +380,14 @@ type writerDelta struct {
 
 // applyAtWriter is the first half of a write: everything that happens at
 // the writer itself, under its mutex — window slide, expiry-index
-// registration, the writer's own cell or PAO, and the epoch-tagged delta-log
-// record. pinned is the caller's snapshot (it resolved wref); the state
-// actually mutated is re-resolved under the mutex and returned, which is
-// the write-side fence of the online resync: after a cutover, the first
-// lock acquisition per writer observes the new snapshot, so deltas tagged
-// with pre-cutover epochs can only be appended before the resync's
-// post-cutover drain locks that writer (resync.go). The delta's push region
-// must be walked on the returned snapshot.
+// registration and the writer's own cell or PAO. st is the snapshot of the
+// caller's gate section; the delta's push region is walked on it.
 //
 // In scalar mode the window's net effect comes back as (dSum, dCnt); in PAO
 // mode the evicted values are left in rec.removed (the added one is value).
-func (e *Engine) applyAtWriter(pinned *engineState, wref overlay.NodeRef, value, ts int64, rec *expiryRecorder) (st *engineState, dSum, dCnt int64) {
-	ns := pinned.nodes[wref]
+func (e *Engine) applyAtWriter(st *engineState, wref overlay.NodeRef, value, ts int64, rec *expiryRecorder) (dSum, dCnt int64) {
+	ns := st.nodes[wref]
 	ns.mu.Lock()
-	// Sync cells are shared and, inside the caller's gate section, node
-	// slots only grow, so wref and ns stay valid in any newer snapshot
-	// observed here.
-	st = e.state.Load()
 	rec.target = st.paos[wref]
 	rec.removed = rec.removed[:0]
 	st.windows[wref].Add(rec, value, ts)
@@ -457,15 +410,10 @@ func (e *Engine) applyAtWriter(pinned *engineState, wref overlay.NodeRef, value,
 		cell := st.scalars[wref]
 		cell.sum.Add(dSum)
 		cell.cnt.Add(dCnt)
-		if lg := e.log.Load(); lg != nil {
-			lg.record(wref, deltaRec{epoch: st.epoch, dSum: dSum, dCnt: dCnt})
-		}
-	} else if lg := e.log.Load(); lg != nil {
-		lg.record(wref, paoDelta(st.epoch, value, true, rec.removed))
 	}
 	ns.mu.Unlock()
 	ns.pushObs.Add(1)
-	return st, dSum, dCnt
+	return dSum, dCnt
 }
 
 // pushRegion is the second half of a write: walk writer wref's compiled
@@ -739,8 +687,7 @@ func (e *Engine) computePull(st *engineState, ref overlay.NodeRef, rs *readScrat
 // advance, and a single heap peek when nothing expires. Subscribers get one
 // Update per touched reader per advance, finalized after every due writer
 // expired and stamped with ts, however many of the reader's writers
-// expired. Safe for concurrent use with all other engine methods; expiry
-// deltas are logged like writes while an online resync is in flight.
+// expired. Safe for concurrent use with all other engine methods.
 // Concurrent ExpireAll calls pop disjoint writer sets; a write racing the
 // advance is expired by the next advance, exactly as under the full walk.
 func (e *Engine) ExpireAll(ts int64) {
@@ -752,16 +699,11 @@ func (e *Engine) ExpireAll(ts int64) {
 	scratch := e.expiry.getScratch()
 	*scratch = e.expiry.popDue(ts, *scratch)
 	st := e.state.Load()
-	ws, tc := e.getScratch(), e.getTouch()
+	ws, tc := e.getScratch(), e.getTouch(st.plan.top.N)
 	for _, wref := range *scratch {
-		if int(wref) >= len(st.nodes) {
-			// Registered under a newer snapshot than the one loaded above;
-			// slots only grow, so a fresh load contains it.
-			st = e.state.Load()
-		}
 		e.expireWriter(st, wref, ts, true, &ws.rec, tc)
 	}
-	e.flushTouches(tc)
+	e.flushTouches(st, tc)
 	e.putTouch(tc)
 	e.putScratch(ws)
 	e.expiry.putScratch(scratch)
@@ -778,33 +720,21 @@ func (e *Engine) ExpireAll(ts int64) {
 // re-registers. The full-walk reference the tests compare against
 // (export_test.go) leaves membership alone: any live entry is still in the
 // heap and must not be duplicated.
-func (e *Engine) expireWriter(pinned *engineState, wref overlay.NodeRef, ts int64, fromHeap bool, rec *expiryRecorder, tc *touchCollector) {
-	ns := pinned.nodes[wref]
+func (e *Engine) expireWriter(st *engineState, wref overlay.NodeRef, ts int64, fromHeap bool, rec *expiryRecorder, tc *touchCollector) {
+	ns := st.nodes[wref]
 	ns.mu.Lock()
-	// Re-resolve under the writer's mutex — the resync fence, exactly
-	// as in applyAtWriter.
-	st := e.state.Load()
 	rec.target = st.paos[wref]
 	rec.removed = rec.removed[:0]
 	st.windows[wref].Expire(rec, ts)
 	d := writerDelta{m: 1, ts: ts, rem: rec.removed}
-	if len(d.rem) > 0 {
-		if e.scalar != nil {
-			for _, r := range d.rem {
-				d.dSum -= r
-			}
-			d.dCnt = -int64(len(d.rem))
-			cell := st.scalars[wref]
-			cell.sum.Add(d.dSum)
-			cell.cnt.Add(d.dCnt)
+	if len(d.rem) > 0 && e.scalar != nil {
+		for _, r := range d.rem {
+			d.dSum -= r
 		}
-		if lg := e.log.Load(); lg != nil {
-			if e.scalar != nil {
-				lg.record(wref, deltaRec{epoch: st.epoch, dSum: d.dSum, dCnt: d.dCnt})
-			} else {
-				lg.record(wref, paoDelta(st.epoch, 0, false, d.rem))
-			}
-		}
+		d.dCnt = -int64(len(d.rem))
+		cell := st.scalars[wref]
+		cell.sum.Add(d.dSum)
+		cell.cnt.Add(d.dCnt)
 	}
 	if fromHeap {
 		if dl, ok := st.windows[wref].NextExpiry(); ok {
@@ -824,25 +754,6 @@ func (e *Engine) expireWriter(pinned *engineState, wref overlay.NodeRef, ts int6
 // deadline). Exposed for tests and diagnostics.
 func (e *Engine) ExpiryIndexSize() int { return e.expiry.size() }
 
-// Grow recompiles the plan and resizes per-node state after the overlay
-// changed (e.g. through incremental maintenance or node splitting),
-// initializing state for any new slots. Existing writer windows, locks,
-// counters and value state are preserved: per-node cells are shared between
-// snapshots, so in-flight reads and writes on the previous snapshot stay
-// well-defined (race-detector clean). The overlay itself must not be
-// mutated concurrently with this call; Grow serializes with the other
-// snapshot transitions. Callers should follow with ResyncPushState, as
-// restructuring may have changed what any partial node aggregates.
-func (e *Engine) Grow(window agg.Window) {
-	if window == nil {
-		window = agg.NewTupleWindow(1)
-	}
-	e.rebuildMu.Lock()
-	defer e.rebuildMu.Unlock()
-	old := e.state.Load()
-	e.state.Store(e.buildState(compilePlan(e.ov), old, old.sameSlot, window))
-}
-
 // ExportWindows snapshots every live writer's in-window (value, timestamp)
 // entries, oldest first, calling visit once per writer with a non-empty
 // window. The entries slice is reused between calls — visit must copy what
@@ -861,8 +772,6 @@ func (e *Engine) ExportWindows(visit func(node graph.NodeID, entries []agg.Windo
 	for _, wref := range st.plan.top.Writers {
 		ns := st.nodes[wref]
 		ns.mu.Lock()
-		// A writer's window object is shared by every snapshot of this gate
-		// section, so st's is the current one.
 		buf = st.windows[wref].Snapshot(buf[:0])
 		ns.mu.Unlock()
 		if len(buf) > 0 {
@@ -878,9 +787,9 @@ func (e *Engine) Counts() (writes, reads int64) {
 
 // Observations drains the per-node push/pull counters accumulated since the
 // last call, for feeding the adaptive scheme. Safe for concurrent use; the
-// counters live in cells shared by all snapshot generations, so no
-// observation is lost across Grow or ResyncPushState (a Rebuild starts the
-// non-writer slots of its new overlay from zero).
+// counters live in the cells a Rebuild carries over, so no observation is
+// lost across an install on the same overlay (a recompiled overlay's
+// non-writer slots start from zero).
 func (e *Engine) Observations() (pushes, pulls map[overlay.NodeRef]float64) {
 	st := e.state.Load()
 	pushes = make(map[overlay.NodeRef]float64)

@@ -303,9 +303,9 @@ func TestResyncAfterDecisionFlip(t *testing.T) {
 	if before.Scalar != 15 {
 		t.Fatalf("pre-flip read = %v, want 15", before)
 	}
-	// Flip everything to push (as an adaptive rebalance might) and resync.
+	// Flip everything to push (as an adaptive rebalance might) and install.
 	dataflow.DecideAll(ov, overlay.Push)
-	if err := e.ResyncPushState(); err != nil {
+	if err := e.Rebuild(ov, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := e.Read(6)

@@ -24,11 +24,9 @@ import (
 // pushed only on a false→true flag transition (applyAtWriter) or by the
 // ExpireAll that popped its previous entry (expireWriter re-registration).
 //
-// Writer slots never change meaning across Grow and ResyncPushState — node
-// slots only grow, and per-slot nodeState cells are shared between
-// snapshots — so entries survive those. Rebuild, which renumbers slots,
-// empties the heap and re-seeds it from the carried windows' deadlines while
-// it holds the engine's gate exclusively.
+// Entries are slot numbers of the current snapshot: Rebuild empties the heap
+// and re-seeds it from the carried windows' deadlines while it holds the
+// engine's gate exclusively.
 type expiryHeap struct {
 	mu      sync.Mutex
 	entries []expiryEntry
@@ -92,8 +90,7 @@ func (h *expiryHeap) popDue(ts int64, dst []overlay.NodeRef) []overlay.NodeRef {
 	return dst
 }
 
-// reset empties the index (Rebuild, about to re-seed it for renumbered
-// slots).
+// reset empties the index (Rebuild, about to re-seed it).
 func (h *expiryHeap) reset() {
 	h.mu.Lock()
 	h.entries = h.entries[:0]

@@ -10,12 +10,12 @@ package exec
 func (e *Engine) ExpireAllScan(ts int64) {
 	e.gate.RLock()
 	defer e.gate.RUnlock()
-	pinned := e.state.Load()
-	ws, tc := e.getScratch(), e.getTouch()
-	for _, wref := range pinned.plan.top.Writers {
-		e.expireWriter(pinned, wref, ts, false, &ws.rec, tc)
+	st := e.state.Load()
+	ws, tc := e.getScratch(), e.getTouch(st.plan.top.N)
+	for _, wref := range st.plan.top.Writers {
+		e.expireWriter(st, wref, ts, false, &ws.rec, tc)
 	}
-	e.flushTouches(tc)
+	e.flushTouches(st, tc)
 	e.putTouch(tc)
 	e.putScratch(ws)
 }

@@ -282,7 +282,7 @@ func TestSlotIndexedSubscriptions(t *testing.T) {
 
 	recorded := func(v graph.NodeID) int {
 		st := eng.state.Load()
-		tc := eng.getTouch()
+		tc := eng.getTouch(st.plan.top.N)
 		defer eng.putTouch(tc)
 		tc.collect(eng.notify.Load(), st, st.plan.writer(v), 1)
 		return len(tc.refs)

@@ -6,8 +6,8 @@ import (
 )
 
 // plan is the compiled, immutable form of the overlay the engine executes
-// against. It is built once per (topology, decisions) generation — at New,
-// Grow and ResyncPushState — and replaced wholesale when either changes, so
+// against. It is built once per (topology, decisions) generation — at New
+// and at every Rebuild — and replaced wholesale when either changes, so
 // the hot paths never consult the mutable overlay structure.
 //
 // Two representations coexist:

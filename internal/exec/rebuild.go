@@ -1,0 +1,129 @@
+package exec
+
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/agg"
+	"repro/internal/graph"
+	"repro/internal/overlay"
+)
+
+// Rebuild is the one way an engine's snapshot changes after New: ov — the
+// overlay already installed, repaired or re-decided in place, or a different
+// overlay for the same query (a recompile, a re-stride) — becomes what the
+// engine executes. Its decisions are already made.
+//
+// Prepared with traffic flowing: the plan is compiled, the snapshot laid out
+// and every live subscription re-resolved against the new plan (a node that
+// has no reader there drops out of its subscription's coverage until a later
+// Rebuild brings the reader back). Cells are inherited
+//
+//   - by slot when ov is the overlay already installed: the maintainer never
+//     reuses a slot — a removed node's slot is retired, a re-added id opens a
+//     new one — so slot i carries on as slot i with its mutex, observation
+//     counters, window and, in PAO mode, writer PAO, and skip is not
+//     consulted;
+//   - by data-graph id otherwise, writers only: a writer of ov that the
+//     previous overlay also had keeps its mutex, window and writer PAO at its
+//     new slot, except the ids in skip (nodes the caller deleted, possibly
+//     since reused), which start empty like any new writer, with a clone of
+//     window.
+//
+// Installed under the exclusive gate, so no Write, WriteBatch or ExpireAll is
+// in flight: push state — fresh cells no other snapshot references — is seeded
+// from the windows, the expiry index is re-seeded from their deadlines, and
+// the subscriber table, overlay and snapshot are published. Every write is
+// therefore either inside a carried window or applied to the new snapshot,
+// and nothing slot-indexed straddles the change. Reads are not held back: one
+// that began on the previous snapshot finishes on it, against value state the
+// install never touches. ov must not be mutated during the call. On error
+// nothing changed.
+func (e *Engine) Rebuild(ov *overlay.Overlay, window agg.Window, skip map[graph.NodeID]bool) error {
+	if window == nil {
+		window = agg.NewTupleWindow(1)
+	}
+	if err := ov.CheckDecisions(); err != nil {
+		return fmt.Errorf("exec: %w", err)
+	}
+	e.rebuildMu.Lock()
+	defer e.rebuildMu.Unlock()
+	old := e.state.Load()
+	pl := compilePlan(ov)
+	top := pl.top
+	inherit := func(i int) overlay.NodeRef {
+		if i < len(old.nodes) {
+			return overlay.NodeRef(i)
+		}
+		return overlay.NoNode
+	}
+	if ov != e.ov {
+		inherit = func(i int) overlay.NodeRef {
+			if top.Dead[i] || top.Kind[i] != overlay.WriterNode || skip[top.GID[i]] {
+				return overlay.NoNode
+			}
+			return old.plan.writer(top.GID[i])
+		}
+	}
+	st := e.buildState(pl, old, inherit, window)
+	// Subscribe resolves against the snapshot it loads under subMu, held
+	// from here to the publish: it either ran before this point and is
+	// re-resolved here, or sees st. The table itself is built before the
+	// gate closes; only its store has to wait for in-flight fan-outs.
+	e.subMu.Lock()
+	defer e.subMu.Unlock()
+	var nt *notifyTable
+	for _, sub := range e.subs {
+		sub.resolve(pl)
+		nt = nt.with(sub)
+	}
+
+	e.gate.Lock()
+	defer e.gate.Unlock()
+	held := time.Now()
+	e.expiry.reset()
+	for _, wref := range top.Writers {
+		win, ns := st.windows[wref], st.nodes[wref]
+		e.seedFromWindow(st, wref, win.Values())
+		deadline, ok := win.NextExpiry()
+		if ns.inExpiryHeap = ok; ok {
+			e.expiry.push(deadline, wref)
+		}
+	}
+	e.notify.Store(nt)
+	e.ov = ov
+	e.state.Store(st)
+	e.installs.Add(1)
+	e.lastHold.Store(int64(time.Since(held)))
+	return nil
+}
+
+// seedFromWindow rebuilds writer wref's contribution to st's fresh push
+// state from vals, its window's contents: the writer's own scalar cell, then
+// one walk of its closure — counted as zero writes, which is what it is: a
+// walk that bumped pushObs would hand every node downstream of a writer one
+// phantom arrival per install, and the adaptor that caused the install would
+// read them as the next window's traffic.
+func (e *Engine) seedFromWindow(st *engineState, wref overlay.NodeRef, vals []int64) {
+	if e.scalar != nil {
+		var sum int64
+		for _, v := range vals {
+			sum += v
+		}
+		cell := st.scalars[wref]
+		cell.sum.Store(sum)
+		cell.cnt.Store(int64(len(vals)))
+		if len(vals) > 0 {
+			e.propagateScalar(st, wref, sum, int64(len(vals)), 0)
+		}
+	} else if len(vals) > 0 {
+		e.propagate(st, wref, vals, nil, 0)
+	}
+}
+
+// Installs reports how many snapshots Rebuild has installed and how long the
+// most recent install held the gate exclusively — the time writes and
+// watermark advances waited for it.
+func (e *Engine) Installs() (n int64, lastHold time.Duration) {
+	return e.installs.Load(), time.Duration(e.lastHold.Load())
+}

@@ -12,15 +12,15 @@ import (
 	"repro/internal/overlay"
 )
 
-// TestOnlineResyncUnderStorm drives the online-resync protocol end to end:
-// while goroutines storm the engine with Write, WriteBatch and Read
-// traffic, the main goroutine repeatedly flips a reader's push/pull
-// decision and calls ResyncPushState — with zero write quiescence. Under
-// -race this checks the epoch-tagged delta log and cutover fence; the
-// reads assert the stale-bound invariant throughout (a result may lag, but
-// must never exceed what the window shape allows or expose half-rebuilt
-// state), and a final quiesced round asserts exact answers, proving no
-// delta was lost or double-applied across any cutover.
+// TestOnlineResyncUnderStorm drives the one snapshot transition end to end:
+// while goroutines storm the engine with Write, WriteBatch, ExpireAll and
+// Read traffic, the main goroutine repeatedly flips a reader's push/pull
+// decision and installs the result with Rebuild. Under -race this checks the
+// gate and the unfenced read path; the reads assert the stale-bound
+// invariant throughout (a result may lag, but must never exceed what the
+// window shape allows or expose half-seeded state), and a final quiesced
+// round asserts exact answers, proving no write was lost or double-applied
+// across any install.
 func TestOnlineResyncUnderStorm(t *testing.T) {
 	// indeg is each reader's input count in the paper's Figure 1 graph.
 	indeg := map[graph.NodeID]int64{0: 4, 1: 3, 2: 5, 3: 5, 4: 4, 5: 5, 6: 6}
@@ -118,22 +118,22 @@ func TestOnlineResyncUnderStorm(t *testing.T) {
 				wg.Wait()
 				done.Store(true)
 			}()
-			// The adaptive loop: flip the decision and resync online until
-			// the storm has fully drained, so every resync overlaps live
-			// ingest. No quiescence anywhere.
+			// The adaptive loop: flip the decision and install until the
+			// storm has fully drained, so every install overlaps live
+			// traffic.
 			for i := 0; i < 4 || !done.Load(); i++ {
 				if i%2 == 0 {
 					ov.Node(flip).Dec = overlay.Pull
 				} else {
 					ov.Node(flip).Dec = overlay.Push
 				}
-				if err := e.ResyncPushState(); err != nil {
+				if err := e.Rebuild(ov, agg.NewTupleWindow(1), nil); err != nil {
 					t.Fatal(err)
 				}
 			}
 			// Quiesce: one deterministic write per node overwrites every
-			// c=1 window; all reads must then be exact — every delta from
-			// the storm survived every cutover exactly once.
+			// c=1 window; all reads must then be exact — every write of
+			// the storm survived every install exactly once.
 			for v := graph.NodeID(0); v < 7; v++ {
 				if err := e.Write(v, tc.finalValue, 1<<40); err != nil {
 					t.Fatal(err)
@@ -149,38 +149,6 @@ func TestOnlineResyncUnderStorm(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestResyncReplayTail checks the post-cutover tail of the protocol in
-// isolation: writes land on the pre-cutover snapshot while the resync is
-// between its catch-up replay and the cutover, and must still be replayed
-// into the new snapshot by the post-fence drain.
-func TestResyncReplayTail(t *testing.T) {
-	ag := paperAG()
-	ov := construct.Baseline(ag)
-	decide(t, ov, "push")
-	e, err := New(ov, agg.Sum{}, agg.NewTupleWindow(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		for v := graph.NodeID(0); v < 7; v++ {
-			if err := e.Write(v, int64(10+i), int64(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.ResyncPushState(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Window (c=4) holds 10,11,12 per writer: reader 6 sums its 6 inputs.
-	got, err := e.Read(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(6 * (10 + 11 + 12)); got.Scalar != want {
-		t.Fatalf("read(6) = %v, want %d", got, want)
 	}
 }
 

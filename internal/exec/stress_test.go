@@ -87,8 +87,9 @@ func TestConcurrentStress(t *testing.T) {
 // TestGrowMidStream grows the overlay while reads and writes on the
 // existing nodes keep flowing. The engine publishes new state by atomic
 // snapshot swap, so traffic must stay race-free and correct throughout:
-// in-flight operations complete on the snapshot they started on, and
-// operations after Grow see the new writer immediately.
+// in-flight reads complete on the snapshot they started on, writes wait for
+// the install step only, and operations after the install see the new writer
+// immediately.
 func TestGrowMidStream(t *testing.T) {
 	ag := paperAG()
 	ov := construct.Baseline(ag)
@@ -123,8 +124,10 @@ func TestGrowMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	ov.Node(r).Dec = overlay.Push
-	e.Grow(nil)
-	// The new nodes are writable/readable right after Grow.
+	if err := e.Rebuild(ov, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	// The new nodes are writable/readable right after the install.
 	if err := e.Write(99, 7, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -152,32 +155,41 @@ func TestGrowMidStream(t *testing.T) {
 	}
 }
 
-// TestGrowPreservesWindows checks Grow keeps existing writer windows and
-// counters while initializing state for new slots (the old implementation
-// swapped the lock and counter arrays non-atomically).
+// TestGrowPreservesWindows checks what a Rebuild on the installed overlay
+// carries over by slot while initializing state for new slots: window
+// contents, expiry-index membership and the observation counters — which the
+// seed walk must not advance either.
 func TestGrowPreservesWindows(t *testing.T) {
 	ag := paperAG()
 	ov := construct.Baseline(ag)
 	decide(t, ov, "push")
-	e, err := New(ov, agg.Sum{}, agg.NewTupleWindow(2))
+	e, err := New(ov, agg.Sum{}, agg.NewTimeWindow(100))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = e.Write(2, 5, 0)
 	_ = e.Write(2, 6, 1)
-	pushesBefore, _ := func() (int, int) {
-		p, q := e.Observations()
-		return len(p), len(q)
-	}()
-	if pushesBefore == 0 {
-		t.Fatal("no observations before grow")
+	if _, err := e.Read(0); err != nil {
+		t.Fatal(err)
 	}
 	w := ov.AddWriter(50)
 	r := ov.AddReader(51)
 	if err := ov.AddEdge(w, r, false); err != nil {
 		t.Fatal(err)
 	}
-	e.Grow(nil)
+	if err := e.Rebuild(ov, agg.NewTimeWindow(100), nil); err != nil {
+		t.Fatal(err)
+	}
+	pushes, pulls := e.Observations()
+	if got := pushes[ov.Writer(2)]; got != 2 {
+		t.Fatalf("writer 2 shows %v pushes after the install, want its 2 writes", got)
+	}
+	if got := pushes[ov.Reader(0)]; got != 2 {
+		t.Fatalf("reader 0 shows %v pushes after the install, want 2 (the seed walk counts as none)", got)
+	}
+	if got := pulls[ov.Reader(0)]; got != 1 {
+		t.Fatalf("reader 0 shows %v pulls after the install, want its 1 read", got)
+	}
 	// Window contents for writer 2 survived: reader 0 (inputs {2,3,4,5})
 	// still sees 5+6 = 11.
 	got, err := e.Read(0)
@@ -186,5 +198,12 @@ func TestGrowPreservesWindows(t *testing.T) {
 	}
 	if got.Scalar != 11 {
 		t.Fatalf("read(0) after grow = %v, want 11", got)
+	}
+	if n := e.ExpiryIndexSize(); n != 1 {
+		t.Fatalf("expiry index holds %d writers after the install, want writer 2", n)
+	}
+	e.ExpireAll(101) // both values (ts 0 and 1) fall due
+	if got, _ := e.Read(0); got.Valid {
+		t.Fatalf("read(0) after expiry through the carried index = %v, want empty", got)
 	}
 }

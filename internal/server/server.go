@@ -1066,11 +1066,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		// Adaptivity state is always surfaced: POST /rebalance and the
 		// autotune controller both feed the same per-overlay telemetry.
 		"adaptivity": map[string]any{
-			"pushObserved":      st.Adaptivity.PushObserved,
-			"pullObserved":      st.Adaptivity.PullObserved,
-			"rebalances":        st.Adaptivity.Rebalances,
-			"lastFlips":         st.Adaptivity.LastFlips,
-			"lastRebalanceNano": st.Adaptivity.LastRebalanceNano,
+			"pushObserved":          st.Adaptivity.PushObserved,
+			"pullObserved":          st.Adaptivity.PullObserved,
+			"rebalances":            st.Adaptivity.Rebalances,
+			"lastFlips":             st.Adaptivity.LastFlips,
+			"lastRebalanceNano":     st.Adaptivity.LastRebalanceNano,
+			"installs":              st.Adaptivity.Installs,
+			"lastInstallHoldMicros": st.Adaptivity.LastInstallHoldMicros,
 		},
 	}
 	if at := st.Autotune; at.Enabled || at.Ticks > 0 {
