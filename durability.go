@@ -147,10 +147,6 @@ type durableState struct {
 	lastCkptWM  atomic.Int64
 	errMu       sync.Mutex
 	lastCkptErr error
-	// expireErrs counts expiries applied in memory whose WAL record could
-	// not be appended; lastExpireErr (under errMu) is the latest cause.
-	expireErrs    atomic.Int64
-	lastExpireErr error
 
 	recovery Recovery
 
@@ -169,33 +165,18 @@ func casMax(a *atomic.Int64, v int64) {
 	}
 }
 
-// noteTS folds a logged batch's timestamps into the durable max-timestamp
-// (zero timestamps are the "unstamped" sentinel and don't count).
-func (d *durableState) noteTS(events []Event) {
+// noteTime folds a logged (or replayed) batch into the durable time domain:
+// its timestamps into the max-timestamp (zero timestamps are the "unstamped"
+// sentinel and don't count), its advance into the last expiry.
+func (d *durableState) noteTime(events []Event, advanceTo int64) {
 	max := int64(math.MinInt64)
 	for _, ev := range events {
 		if ev.TS != 0 && ev.TS > max {
 			max = ev.TS
 		}
 	}
-	if max != math.MinInt64 {
-		casMax(&d.maxTS, max)
-	}
-}
-
-// logged appends events to the WAL; the caller applies them only if the
-// append succeeded (so acknowledged implies durable under FsyncPerBatch).
-// The caller holds d.mu for reading across both, keeping checkpoints
-// consistent.
-func (d *durableState) logged(events []Event) error {
-	if d.closed {
-		return ErrDurabilityClosed
-	}
-	if _, _, err := d.log.AppendBatch(events); err != nil {
-		return fmt.Errorf("eagr: wal append: %w", err)
-	}
-	d.noteTS(events)
-	return nil
+	casMax(&d.maxTS, max)
+	casMax(&d.lastExpire, advanceTo)
 }
 
 // contentOnly filters a WriteBatch batch down to its content writes — the
@@ -413,10 +394,9 @@ func OpenDurable(g *Graph, dopts DurabilityOptions, opts ...Options) (*Session, 
 				case wal.RecBatch:
 					// Per-event apply errors (duplicate edge, dead node)
 					// replayed the original's skips; the end state matches.
-					_, _ = s.apply(r.Events) // d.replaying: applies without re-logging
+					_, _ = s.apply(r.Events, graph.NoAdvance) // d.replaying: applies without re-logging
 					rec.ReplayedBatches++
 					rec.ReplayedEvents += len(r.Events)
-					d.noteTS(r.Events)
 				case wal.RecRegister:
 					if rerr := s.recoverQuery(r.Blob); rerr != nil {
 						return rerr
@@ -428,8 +408,7 @@ func OpenDurable(g *Graph, dopts DurabilityOptions, opts ...Options) (*Session, 
 						rec.RecoveredQueries--
 					}
 				case wal.RecExpire:
-					s.multi.ExpireAll(r.TS)
-					casMax(&d.lastExpire, r.TS)
+					_, _ = s.apply(nil, r.TS)
 				}
 				return nil
 			})
@@ -679,13 +658,6 @@ type DurabilityStats struct {
 	LastCheckpointLSN       uint64
 	LastCheckpointWatermark int64
 	LastCheckpointError     string
-	// WALExpireErrors counts watermark advances that expired in memory
-	// although their WAL record could not be appended (time must not
-	// stall on a failing disk): after a crash, recovery would rebuild
-	// windows still holding what those advances expired.
-	// LastExpireError is the most recent cause.
-	WALExpireErrors int64
-	LastExpireError string
 	// Recovery is the summary of this session's OpenDurable.
 	Recovery Recovery
 }
@@ -710,15 +682,11 @@ func (s *Session) DurabilityStats() DurabilityStats {
 		Checkpoints:             d.ckpts.Load(),
 		LastCheckpointLSN:       d.lastCkptLSN.Load(),
 		LastCheckpointWatermark: d.lastCkptWM.Load(),
-		WALExpireErrors:         d.expireErrs.Load(),
 		Recovery:                d.recovery,
 	}
 	d.errMu.Lock()
 	if d.lastCkptErr != nil {
 		st.LastCheckpointError = d.lastCkptErr.Error()
-	}
-	if d.lastExpireErr != nil {
-		st.LastExpireError = d.lastExpireErr.Error()
 	}
 	d.errMu.Unlock()
 	return st

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/wal"
 )
 
@@ -626,55 +626,137 @@ func TestDurableBackgroundCheckpoint(t *testing.T) {
 	}
 }
 
-// TestExpireAllCountsUnloggedExpiry: a watermark advance whose WAL record
-// cannot be appended is still applied in memory (time must not stall on a
-// failing disk), but it is no longer silent — DurabilityStats counts it and
-// keeps the cause, because a recovery from that log would not repeat it.
-func TestExpireAllCountsUnloggedExpiry(t *testing.T) {
-	// run opens a fresh durable session on a filesystem that dies at
-	// write crashAt (0 = never), loads one value into a time-windowed
-	// query and returns the session, the query and the writes so far.
-	run := func(crashAt int64) (*Session, *Query, int64) {
+// TestRefusedBatchDoesNotAdvanceTime: a batch closes its own time, so a batch
+// the WAL refuses — which is (correctly) not applied — moves no time either:
+// not the Ingestor's max timestamp, not its watermark, not a window. The
+// live process and a recovery from its log then agree. (When the advance was
+// a second call after the batch, the refused batch's timestamps still moved
+// the watermark 1 → 1000 and emptied the window, with nothing in the log.)
+// A batch that applied with per-event skips still closes time.
+func TestRefusedBatchDoesNotAdvanceTime(t *testing.T) {
+	// run opens a fresh durable session on a filesystem that dies at write
+	// crashAt (0 = never) and ingests one value at ts 1 into a time window.
+	run := func(crashAt int64) (wal.FS, *wal.FaultFS, *Session, *Query, *Ingestor) {
 		t.Helper()
 		osfs, err := wal.NewOsFS(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
 		ffs := wal.NewFaultFS(osfs, wal.FaultConfig{CrashAtWrite: crashAt})
-		g := NewGraph(2)
+		g := NewGraph(3)
+		_ = g.AddEdge(1, 0)
+		_ = g.AddEdge(2, 0)
 		s, _, err := OpenDurable(g, DurabilityOptions{fs: ffs})
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.AddEdge(1, 0); err != nil {
 			t.Fatal(err)
 		}
 		q, err := s.Register(QuerySpec{Aggregate: "sum", WindowTime: 10, Continuous: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Write(1, 5, 1); err != nil {
+		ing, err := s.Ingest(IngestOptions{FlushInterval: -1})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return s, q, ffs.Writes()
+		if err := ing.SendEvent(NewWrite(1, 5, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ing.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return osfs, ffs, s, q, ing
 	}
-	dry, _, writes := run(0)
-	_ = dry.SimulateCrash()
+	check := func(when string, q *Query, ing *Ingestor, wantWM, wantSum int64) {
+		t.Helper()
+		if wm, ok := ing.Watermark(); !ok || wm != wantWM || ing.maxTS.Load() != wantWM {
+			t.Fatalf("%s: watermark = %d (%v), maxTS = %d; want both %d", when, wm, ok, ing.maxTS.Load(), wantWM)
+		}
+		if res, err := q.Read(0); err != nil || res.Scalar != wantSum {
+			t.Fatalf("%s: read = %v, %v; want %d", when, res, err, wantSum)
+		}
+	}
+	_, dry, s0, _, _ := run(0)
+	writes := dry.Writes()
+	_ = s0.SimulateCrash()
 
-	s, q, _ := run(writes + 1) // the next write — the expire record — fails
+	osfs, _, s, q, ing := run(writes + 1) // the next batch's append fails
+	check("before the fault", q, ing, 1, 5)
+	if err := ing.SendEvent(NewWrite(2, 7, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.Flush(); !errors.Is(err, wal.ErrInjected) {
+		t.Fatalf("Flush of the refused batch = %v; want the injected fault", err)
+	}
+	check("after the refused batch", q, ing, 1, 5)
+	if err := s.ExpireAll(1000); !errors.Is(err, wal.ErrInjected) {
+		t.Fatalf("ExpireAll on the broken log = %v; want the injected fault", err)
+	}
+	check("after the refused advance", q, ing, 1, 5)
+	_ = s.SimulateCrash()
+	rs, _, err := OpenDurable(nil, DurabilityOptions{fs: osfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.SimulateCrash()
+	if res, err := rs.Query(q.ID()).Read(0); err != nil || res.Scalar != 5 {
+		t.Fatalf("recovered read = %v, %v; want 5, what the live process answered", res, err)
+	}
+
+	// Per-event skips are not a refusal: the duplicate edge is reported, the
+	// write beside it applies and the batch closes time at its timestamp.
+	_, _, s, q, ing = run(0)
 	defer s.SimulateCrash()
-	if st := s.DurabilityStats(); st.WALExpireErrors != 0 || st.LastExpireError != "" {
-		t.Fatalf("before the fault: %+v", st)
+	if _, err := ing.SendEvents([]Event{NewEdgeAdd(1, 0, 1000), NewWrite(2, 7, 1000)}); err != nil {
+		t.Fatal(err)
 	}
-	if res, err := q.Read(0); err != nil || res.Scalar != 5 {
-		t.Fatalf("read before expiry = %v, %v; want 5", res, err)
+	if err := ing.Flush(); !errors.Is(err, graph.ErrEdgeExists) {
+		t.Fatalf("Flush of the batch with a duplicate edge = %v; want ErrEdgeExists", err)
 	}
-	s.ExpireAll(100)
-	if res, err := q.Read(0); err != nil || (res.Valid && res.Scalar != 0) {
-		t.Fatalf("read after the unlogged expiry = %v, %v; the window must have expired in memory", res, err)
+	check("after the batch with a skip", q, ing, 1000, 7)
+}
+
+// TestDurableBatchIsOneWriteOneSync: an acknowledged Ingestor batch that
+// closes time reaches the log as ONE File.Write holding two records — the
+// events and the advance behind them — and, under FsyncPerBatch, one fsync.
+// (As two appends it was two of each.)
+func TestDurableBatchIsOneWriteOneSync(t *testing.T) {
+	osfs, err := wal.NewOsFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := s.DurabilityStats()
-	if st.WALExpireErrors != 1 || !strings.Contains(st.LastExpireError, wal.ErrInjected.Error()) {
-		t.Fatalf("WALExpireErrors = %d, LastExpireError = %q; want 1 and the injected fault", st.WALExpireErrors, st.LastExpireError)
+	ffs := wal.NewFaultFS(osfs, wal.FaultConfig{})
+	s, _, err := OpenDurable(ring(8), DurabilityOptions{fs: ffs, Fsync: FsyncPerBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.SimulateCrash()
+	q, err := s.Register(QuerySpec{Aggregate: "sum", WindowTime: 5, Continuous: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing, err := s.Ingest(IngestOptions{FlushInterval: -1, Clock: LogicalClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ing.Close()
+	for round := 0; round < 10; round++ {
+		writes, st := ffs.Writes(), s.DurabilityStats()
+		for v := 0; v < 8; v++ {
+			if err := ing.Send(NodeID(v), int64(round+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ing.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		now := s.DurabilityStats()
+		if w, sy, ap := ffs.Writes()-writes, now.WALSyncs-st.WALSyncs, now.WALAppends-st.WALAppends; w != 1 || sy != 1 || ap != 2 {
+			t.Fatalf("round %d: %d writes, %d fsyncs, %d records for one acknowledged batch; want 1, 1, 2", round, w, sy, ap)
+		}
+		// The advance rode the batch: only the batch's last 5 ticks are in
+		// the window of any writer, i.e. this round's value at most.
+		if res, err := q.Read(0); err != nil || res.Scalar > int64(2*(round+1)) {
+			t.Fatalf("round %d: read = %v, %v; earlier rounds' values must have expired", round, res, err)
+		}
 	}
 }

@@ -48,8 +48,9 @@
 // repair per query (Session.ApplyBatch is the same unified path for
 // caller-assembled batches). The Ingestor's low watermark
 // — max observed timestamp minus the configured lateness — expires
-// time-based windows automatically, so time-windowed queries advance with
-// the stream instead of with hand-threaded ExpireAll calls.
+// time-based windows automatically, each batch closing its own time in the
+// same transaction, so time-windowed queries advance with the stream
+// instead of with hand-threaded ExpireAll calls.
 //
 // Continuous queries push results to subscribers instead of waiting to be
 // read, including the expiry updates the watermark produces:
@@ -527,7 +528,7 @@ func specOrDefault(s, d string) string {
 // registered query.
 func (s *Session) Write(v NodeID, value int64, ts int64) error {
 	ev := [1]Event{NewWrite(v, value, ts)}
-	_, err := s.apply(ev[:])
+	_, err := s.apply(ev[:], graph.NoAdvance)
 	return err
 }
 
@@ -564,25 +565,45 @@ func NewNodeRemove(v NodeID, ts int64) Event {
 	return graph.Event{Kind: graph.NodeRemove, Node: v, TS: ts}
 }
 
-// apply is the one path every event mutation takes from the public API to
-// the engines: Write, WriteBatch, ApplyBatch, ApplyBatchNodes, the four
-// structural mutators and the Ingestor's apply stage are all views of it.
-// It owns the only durability fork for events — on a durable session the
-// batch is WAL-appended and then applied under one hold of the durability
-// read lock (so a checkpoint never observes a half-applied batch),
-// otherwise it goes straight to the shared apply loop. It returns the node
-// ids the batch's NodeAdd events allocated.
-func (s *Session) apply(events []Event) ([]NodeID, error) {
-	if d := s.dur; d != nil && !d.replaying {
-		d.mu.RLock()
-		defer d.mu.RUnlock()
-		if err := d.logged(events); err != nil {
-			return nil, err
+// apply is the one path every mutation of content, structure or time takes
+// from the public API to the engines: a batch of events and the watermark
+// the batch closes (graph.NoAdvance = it closes no time). Write, WriteBatch,
+// ApplyBatch, ApplyBatchNodes, the four structural mutators, ExpireAll (no
+// events), the Ingestor's apply stage and recovery's replay are all views of
+// it. It owns the only durability fork — on a durable session the batch and
+// its advance are WAL-appended together and then applied under one hold of
+// the durability read lock (so a checkpoint never observes a half-applied
+// batch, and acknowledged implies durable under FsyncPerBatch), otherwise
+// they go straight to the shared apply loop — and a batch the log refuses
+// (a refused error) applies nothing and moves no time. Expiry is LOGGED,
+// not recomputed at recovery: replay reproduces exactly the advances that
+// ran, independent of the lateness configured by whatever Ingestor exists
+// after restart. It returns the node ids the batch's NodeAdd events
+// allocated.
+func (s *Session) apply(events []Event, advanceTo int64) ([]NodeID, error) {
+	if d := s.dur; d != nil {
+		if !d.replaying {
+			d.mu.RLock()
+			defer d.mu.RUnlock()
+			if d.closed {
+				return nil, refused{ErrDurabilityClosed}
+			}
+			if _, _, err := d.log.Append(events, advanceTo); err != nil {
+				return nil, refused{fmt.Errorf("eagr: wal append: %w", err)}
+			}
 		}
+		d.noteTime(events, advanceTo)
 	}
-	added, err := s.multi.ApplyBatchNodes(events)
+	added, err := s.multi.Apply(events, advanceTo)
 	return added, mapNodeErr(err)
 }
+
+// refused wraps the error of a batch the write-ahead log would not take:
+// none of it applied. The Ingestor tells it from the joined per-event skips
+// of a batch that did apply — only the latter closes time.
+type refused struct{ error }
+
+func (r refused) Unwrap() error { return r.error }
 
 // ApplyBatch ingests a mixed batch of content and structural events in
 // stream order — the paper's single interleaved data stream. Runs of
@@ -602,7 +623,7 @@ func (s *Session) apply(events []Event) ([]NodeID, error) {
 // sequential mutators and collecting errors. The final results are
 // identical to applying the batch one event at a time.
 func (s *Session) ApplyBatch(events []Event) error {
-	_, err := s.apply(events)
+	_, err := s.apply(events, graph.NoAdvance)
 	return err
 }
 
@@ -614,7 +635,7 @@ func (s *Session) ApplyBatch(events []Event) error {
 // per-event ids; streams that create nodes and immediately address them
 // should allocate through ApplyBatchNodes or AddNode first.)
 func (s *Session) ApplyBatchNodes(events []Event) ([]NodeID, error) {
-	return s.apply(events)
+	return s.apply(events, graph.NoAdvance)
 }
 
 // WriteBatch is the content-only view of ApplyBatch: non-write events are
@@ -624,54 +645,37 @@ func (s *Session) ApplyBatchNodes(events []Event) ([]NodeID, error) {
 // content ingest use an Ingestor, or call WriteBatch from several
 // goroutines with disjoint node sets.
 func (s *Session) WriteBatch(events []Event) error {
-	_, err := s.apply(contentOnly(events))
+	_, err := s.apply(contentOnly(events), graph.NoAdvance)
 	return err
 }
 
 // ExpireAll advances every query's time-based windows to ts, propagating
-// expirations (and subscriber notifications) through the push regions.
-// Sessions ingesting through an Ingestor don't call this: the Ingestor's
-// watermark drives expiry automatically.
+// expirations (and subscriber notifications) through the push regions: a
+// batch of no events that closes time at ts, down the same path as every
+// other mutation. Sessions ingesting through an Ingestor don't call this —
+// each acknowledged batch carries its own watermark advance; it is for
+// callers that own time themselves (IngestOptions.DisableAutoExpire: a
+// sharded fleet advances every shard to the fleet-wide minimum watermark).
 //
-// On a durable session the advance is logged first, but unlike an event
-// batch it is applied even when the log append fails — stream time must
-// not stall on a failing disk. Such an advance is counted in
-// DurabilityStats (WALExpireErrors, LastExpireError): a recovery from that
-// log would not repeat it.
-func (s *Session) ExpireAll(ts int64) {
-	if d := s.dur; d != nil && !d.replaying {
-		// Expiry is LOGGED, not recomputed at recovery: replay reproduces
-		// exactly the expiries that ran, independent of the lateness
-		// configured by whatever Ingestor exists after restart.
-		d.mu.RLock()
-		if !d.closed {
-			if _, err := d.log.AppendExpire(ts); err == nil {
-				casMax(&d.lastExpire, ts)
-			} else {
-				d.expireErrs.Add(1)
-				d.errMu.Lock()
-				d.lastExpireErr = err
-				d.errMu.Unlock()
-			}
-		}
-		s.multi.ExpireAll(ts)
-		d.mu.RUnlock()
-		return
-	}
-	s.multi.ExpireAll(ts)
+// On a durable session the advance is logged first, like the events it
+// would otherwise ride with: an advance the log refuses is not applied, and
+// the error says so.
+func (s *Session) ExpireAll(ts int64) error {
+	_, err := s.apply(nil, ts)
+	return err
 }
 
 // AddEdge applies a structural edge addition u→v (v's ego network gains u
 // under the default neighborhood) and incrementally repairs every query's
 // overlay.
 func (s *Session) AddEdge(u, v NodeID) error {
-	_, err := s.apply([]Event{NewEdgeAdd(u, v, 0)})
+	_, err := s.apply([]Event{NewEdgeAdd(u, v, 0)}, graph.NoAdvance)
 	return err
 }
 
 // RemoveEdge applies a structural edge deletion.
 func (s *Session) RemoveEdge(u, v NodeID) error {
-	_, err := s.apply([]Event{NewEdgeRemove(u, v, 0)})
+	_, err := s.apply([]Event{NewEdgeRemove(u, v, 0)}, graph.NoAdvance)
 	return err
 }
 
@@ -679,7 +683,7 @@ func (s *Session) RemoveEdge(u, v NodeID) error {
 // (On a durable session replay allocates the same id: the checkpointed
 // graph carries its free list, and NodeAdd events apply in log order.)
 func (s *Session) AddNode() (NodeID, error) {
-	added, err := s.apply([]Event{NewNodeAdd(0)})
+	added, err := s.apply([]Event{NewNodeAdd(0)}, graph.NoAdvance)
 	if len(added) == 0 {
 		return 0, err
 	}
@@ -688,7 +692,7 @@ func (s *Session) AddNode() (NodeID, error) {
 
 // RemoveNode deletes a node and its edges everywhere.
 func (s *Session) RemoveNode(v NodeID) error {
-	_, err := s.apply([]Event{NewNodeRemove(v, 0)})
+	_, err := s.apply([]Event{NewNodeRemove(v, 0)}, graph.NoAdvance)
 	return err
 }
 

@@ -97,8 +97,8 @@ type IngestOptions struct {
 	// permanently — set this on streams fed by untrusted sources. Zero
 	// means unbounded.
 	MaxTimestampJump int64
-	// DisableAutoExpire turns off watermark-driven window expiry; the
-	// caller owns ExpireAll again.
+	// DisableAutoExpire turns off watermark-driven window expiry: batches
+	// stop carrying their advance and the caller owns ExpireAll again.
 	DisableAutoExpire bool
 	// ApplyWorkers is ignored.
 	//
@@ -133,9 +133,8 @@ func (o IngestOptions) withDefaults() IngestOptions {
 // batching, backpressured front-end to ApplyBatch that also makes time
 // first-class. Events accumulate into batches (handed over by size, by
 // interval, or explicitly) and the apply stage applies them in send order
-// through Session.ApplyBatch — content runs serially with coalesced
-// notifications (one Update per touched reader per run, so one per batch
-// of pure content), structural runs through the coalesced repair path.
+// down the session's one write path — content runs serially with coalesced
+// notifications, structural runs through the coalesced repair path.
 //
 // The apply stage is a token, not a goroutine (flat combining): whichever
 // goroutine hands a batch over while nobody is applying — the Send that
@@ -149,10 +148,14 @@ func (o IngestOptions) withDefaults() IngestOptions {
 // engine's state — and durable and in-memory sessions run the same loop.
 //
 // The Ingestor tracks a low watermark over applied timestamps: the maximum
-// timestamp seen minus the configured Lateness. Every time the watermark
-// advances, time-based windows are expired up to it automatically, so
-// time-windowed and Continuous queries deliver expiry updates without any
-// caller ExpireAll.
+// timestamp seen minus the configured Lateness. A batch that moves the
+// watermark closes that time itself: the advance is applied with the batch
+// as one transaction (on a durable session one WAL append, before either
+// takes effect), so time-windowed and Continuous queries deliver expiry
+// updates without any caller ExpireAll, and a subscriber gets exactly one
+// Update per touched reader per acknowledged batch of pure content —
+// written to, expired, or both — whose value is a read taken at the
+// acknowledgement. A batch the session refuses moves no time.
 //
 // All methods are safe for concurrent use. Events from one goroutine are
 // applied in the order it sent them; ordering between goroutines follows
@@ -416,10 +419,7 @@ func (ing *Ingestor) drain() {
 		inApply = true
 		var err error
 		if len(job.events) > 0 {
-			err = ing.sess.ApplyBatch(job.events)
-			ing.applied.Add(int64(len(job.events)))
-			ing.batches.Add(1)
-			ing.advanceWatermark(job.events)
+			err = ing.apply(job.events)
 		}
 		inApply = false
 		ing.settle(job, err)
@@ -516,21 +516,22 @@ func (ing *Ingestor) tick() {
 	}
 }
 
-// advanceWatermark folds a batch's timestamps into the max-observed
-// timestamp and, when the bounded-lateness watermark advanced, expires
-// time-based windows up to it. Only the token holder calls it (from
-// drain), batch by batch in queue order, so the advance is monotone.
-func (ing *Ingestor) advanceWatermark(events []Event) {
+// apply hands one batch to the session together with the time it closes:
+// the batch's timestamps fold into the max-observed timestamp and, when
+// that moves the bounded-lateness watermark, the advance rides the batch
+// down Session.apply — one WAL append, one engine section, one Update per
+// touched reader. The Ingestor's own clock moves only once the session took
+// the batch: a batch the log refused advances nothing here either, while
+// one that applied with per-event skips closes time like any other. Only
+// the token holder calls it (from drain), batch by batch in queue order, so
+// the advance is monotone.
+func (ing *Ingestor) apply(events []Event) error {
 	maxTS := ing.maxTS.Load()
 	for _, ev := range events {
 		if ev.TS > maxTS {
 			maxTS = ev.TS
 		}
 	}
-	if maxTS == math.MinInt64 {
-		return
-	}
-	ing.maxTS.Store(maxTS)
 	wm := maxTS - ing.opts.Lateness
 	if wm > maxTS {
 		// Saturate: a timestamp near MinInt64 must not wrap the watermark
@@ -538,13 +539,23 @@ func (ing *Ingestor) advanceWatermark(events []Event) {
 		// itself is the unset sentinel).
 		wm = math.MinInt64 + 1
 	}
-	if wm <= ing.watermark.Load() && ing.watermark.Load() != math.MinInt64 {
-		return
+	if maxTS == math.MinInt64 || wm <= ing.watermark.Load() {
+		wm = graph.NoAdvance
 	}
-	ing.watermark.Store(wm)
-	if !ing.opts.DisableAutoExpire {
-		ing.sess.ExpireAll(wm)
+	advanceTo := wm
+	if ing.opts.DisableAutoExpire {
+		advanceTo = graph.NoAdvance
 	}
+	_, err := ing.sess.apply(events, advanceTo)
+	ing.applied.Add(int64(len(events)))
+	ing.batches.Add(1)
+	if _, ok := err.(refused); !ok {
+		ing.maxTS.Store(maxTS)
+		if wm != graph.NoAdvance {
+			ing.watermark.Store(wm)
+		}
+	}
+	return err
 }
 
 // Watermark returns the Ingestor's current low watermark — the maximum

@@ -252,61 +252,103 @@ func TestConcurrentSendersRaceAutotuneAndSubscriptions(t *testing.T) {
 
 // TestIngestorOneUpdatePerReaderPerBatch pins the notification contract of
 // the single apply stage: however many of a reader's in-neighbors one
-// ingested batch writes, a subscriber on that reader gets exactly one
-// Update for the batch (the node-partitioned pool this replaced coalesced
-// per partition, so a reader fed from two partitions got two).
+// ingested batch writes — and whether or not the batch also advances the
+// watermark and expires what earlier batches wrote — a subscriber on that
+// reader gets exactly one Update for the batch, carrying the value a Read
+// after the acknowledgement returns and the latest timestamp that reached
+// the reader. (The node-partitioned pool this replaced coalesced per
+// partition, so a reader fed from two partitions got two; while the advance
+// was a second call behind the batch, a time-windowed reader got one Update
+// from the writes and another from the expiry.)
 func TestIngestorOneUpdatePerReaderPerBatch(t *testing.T) {
 	const nodes, hot = 32, 4
-	g := NewGraph(nodes)
-	for u := hot; u < nodes; u++ {
-		for r := 0; r < hot; r++ {
-			_ = g.AddEdge(NodeID(u), NodeID(r)) // every hot ego hears every other node
-		}
-	}
-	sess, err := Open(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := sess.Register(QuerySpec{Aggregate: "sum", Continuous: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	egos := []NodeID{0, 1, 2, 3}
-	ch, cancel, err := q.Subscribe(1024, egos...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-	ing, err := sess.Ingest(IngestOptions{FlushInterval: -1, Clock: LogicalClock()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ing.Close()
-	var batch []Event
-	for u := hot; u < nodes; u++ {
-		batch = append(batch, NewWrite(NodeID(u), int64(u), 0), NewWrite(NodeID(u), int64(2*u), 0))
-	}
-	for round := 0; round < 20; round++ {
-		if _, err := ing.SendEvents(batch); err != nil {
-			t.Fatal(err)
-		}
-		if err := ing.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		// Delivery is synchronous with the apply, so after Flush the
-		// batch's updates are all in the channel.
-		got := map[NodeID]int{}
-		for len(ch) > 0 {
-			got[(<-ch).Node]++
-		}
-		for _, r := range egos {
-			if got[r] != 1 {
-				t.Fatalf("round %d: ego %d got %d updates for one batch, want 1 (all: %v)", round, r, got[r], got)
+	newGraph := func() *Graph {
+		g := NewGraph(nodes)
+		for u := hot; u < nodes; u++ {
+			for r := 0; r < hot; r++ {
+				_ = g.AddEdge(NodeID(u), NodeID(r)) // every hot ego hears every other node
 			}
 		}
+		return g
 	}
-	if d := sess.Stats().DroppedUpdates; d != 0 {
-		t.Fatalf("%d updates dropped with a 1024-deep buffer", d)
+	// Two writes per node per batch, one logical-clock tick each: a batch
+	// spans 56 ticks, so a 40-tick time window loses the whole previous
+	// batch and the head of this one at every batch's own advance.
+	specs := []QuerySpec{
+		{Aggregate: "sum", Continuous: true},
+		{Aggregate: "sum", Continuous: true, WindowTuples: 3},
+		{Aggregate: "sum", Continuous: true, WindowTime: 40},
+		{Aggregate: "max", Continuous: true, WindowTime: 40},
+	}
+	for _, durable := range []bool{false, true} {
+		for _, spec := range specs {
+			name := fmt.Sprintf("%s/tuples=%d/time=%d/durable=%v", spec.Aggregate, spec.WindowTuples, spec.WindowTime, durable)
+			t.Run(name, func(t *testing.T) {
+				var sess *Session
+				var err error
+				if durable {
+					sess, _, err = OpenDurable(newGraph(), DurabilityOptions{Dir: t.TempDir(), Fsync: FsyncOff})
+				} else {
+					sess, err = Open(newGraph())
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sess.SimulateCrash() // a no-op on the in-memory session
+				q, err := sess.Register(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				egos := []NodeID{0, 1, 2, 3}
+				ch, cancel, err := q.Subscribe(1024, egos...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cancel()
+				ing, err := sess.Ingest(IngestOptions{FlushInterval: -1, Clock: LogicalClock()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ing.Close()
+				var batch []Event
+				for u := hot; u < nodes; u++ {
+					batch = append(batch, NewWrite(NodeID(u), int64(u), 0), NewWrite(NodeID(u), int64(2*u), 0))
+				}
+				for round := 0; round < 20; round++ {
+					if _, err := ing.SendEvents(batch); err != nil {
+						t.Fatal(err)
+					}
+					if err := ing.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					// The batch's last event reaches every ego and carries the
+					// batch's largest timestamp, which is the watermark it
+					// closed (Lateness 0).
+					wm, _ := ing.Watermark()
+					// Delivery is synchronous with the apply, so after Flush the
+					// batch's updates are all in the channel.
+					got := map[NodeID]int{}
+					for len(ch) > 0 {
+						u := <-ch
+						got[u.Node]++
+						if want, err := q.Read(u.Node); err != nil || !u.Result.Eq(want) {
+							t.Fatalf("round %d: ego %d update carries %v, a read after Flush returns %v (%v)", round, u.Node, u.Result, want, err)
+						}
+						if u.TS != wm {
+							t.Fatalf("round %d: ego %d update stamped %d, want %d", round, u.Node, u.TS, wm)
+						}
+					}
+					for _, r := range egos {
+						if got[r] != 1 {
+							t.Fatalf("round %d: ego %d got %d updates for one batch, want 1 (all: %v)", round, r, got[r], got)
+						}
+					}
+				}
+				if d := sess.Stats().DroppedUpdates; d != 0 {
+					t.Fatalf("%d updates dropped with a 1024-deep buffer", d)
+				}
+			})
+		}
 	}
 }
 

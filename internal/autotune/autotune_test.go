@@ -99,7 +99,7 @@ func TestAutotuneShiftTriggersExactlyOneReoptimize(t *testing.T) {
 	ctl.now = func() time.Time { return time.Unix(1000, 0) }
 	round := func() {
 		for i := 0; i < pairs; i++ {
-			if err := sys.Write(graph.NodeID(i), 1, 1); err != nil {
+			if err := sys.Engine().Write(graph.NodeID(i), 1, 1); err != nil {
 				t.Fatal(err)
 			}
 			for k := 0; k < 8; k++ {
@@ -249,7 +249,7 @@ func TestAutotuneControllerStress(t *testing.T) {
 			default:
 			}
 			off := i % (len(writes) - 512)
-			if err := m.WriteBatch(writes[off : off+512]); err != nil {
+			if _, err := m.Apply(writes[off:off+512], graph.NoAdvance); err != nil {
 				t.Error(err)
 				return
 			}
@@ -283,11 +283,11 @@ func TestAutotuneControllerStress(t *testing.T) {
 				continue
 			}
 			toggle[0] = graph.Event{Kind: graph.EdgeAdd, Node: u, Peer: v}
-			if _, err := m.ApplyBatchNodes(toggle); err != nil {
+			if _, err := m.Apply(toggle, graph.NoAdvance); err != nil {
 				continue
 			}
 			toggle[0].Kind = graph.EdgeRemove
-			if _, err := m.ApplyBatchNodes(toggle); err != nil {
+			if _, err := m.Apply(toggle, graph.NoAdvance); err != nil {
 				t.Error(err)
 				return
 			}
@@ -375,7 +375,7 @@ func TestAutotuneNeverUncoversContinuousQuery(t *testing.T) {
 	ctl := New(m, Config{MinActivity: 1})
 	writes := workload.Events(workload.ZipfWorkload(g.MaxID(), 1.0, 1e6, 1e9, 3), 1<<14, 5)
 	for round := 0; round < 6; round++ {
-		if err := m.WriteBatch(writes); err != nil {
+		if _, err := m.Apply(writes, graph.NoAdvance); err != nil {
 			t.Fatal(err)
 		}
 		for v := graph.NodeID(0); v < 8; v++ { // a read here and there

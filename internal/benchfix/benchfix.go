@@ -262,7 +262,7 @@ func MixedBatchFixture() (*core.MultiSystem, []graph.Event, error) {
 	return m, events, nil
 }
 
-// RunApplyBatch drives MultiSystem.ApplyBatchNodes over a mixed stream in
+// RunApplyBatch drives MultiSystem.Apply over a mixed stream in
 // chunks of up to 1024 events, reporting per-event cost. Per-event skip
 // errors (an edge toggle cut in half by b.N's last partial chunk and
 // re-applied on the next pass) are expected and ignored.
@@ -285,7 +285,7 @@ func RunApplyBatch(b *testing.B, m *core.MultiSystem, events []graph.Event) {
 		if off+n > len(events) {
 			off = 0
 		}
-		_, _ = m.ApplyBatchNodes(events[off : off+n])
+		_, _ = m.Apply(events[off:off+n], graph.NoAdvance)
 		off += n
 		done += n
 	}
@@ -301,7 +301,7 @@ func RunMultiWrites(b *testing.B, m *core.MultiSystem, writes []graph.Event) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % len(writes)
-		if err := m.WriteBatch(writes[j : j+1]); err != nil {
+		if _, err := m.Apply(writes[j:j+1], graph.NoAdvance); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -416,7 +416,7 @@ func AutotuneShiftFixture(tuned bool) (*core.System, []graph.Event, error) {
 		for _, ev := range events[:1<<13] {
 			if ev.Kind == graph.Read {
 				_, _ = sys.Read(ev.Node)
-			} else if err := sys.Write(ev.Node, ev.Value, ev.TS); err != nil {
+			} else if err := sys.Engine().Write(ev.Node, ev.Value, ev.TS); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -441,7 +441,7 @@ func RunSystemMixed(b *testing.B, sys *core.System, events []graph.Event) {
 		if ev.Kind == graph.Read {
 			_, _ = sys.Read(ev.Node)
 		} else {
-			_ = sys.Write(ev.Node, ev.Value, ev.TS)
+			_ = sys.Engine().Write(ev.Node, ev.Value, ev.TS)
 		}
 	}
 }

@@ -28,7 +28,7 @@ func zipfFixture(t *testing.T, a agg.Aggregate) (*System, func(window int)) {
 		for _, ev := range workload.Events(wl, 40000, int64(100+window)) {
 			var err error
 			if ev.Kind == graph.ContentWrite {
-				err = s.Write(ev.Node, ev.Value, ev.TS)
+				err = s.Engine().Write(ev.Node, ev.Value, ev.TS)
 			} else {
 				_, err = s.Read(ev.Node)
 			}

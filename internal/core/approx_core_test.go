@@ -39,10 +39,10 @@ func TestApproxTopKThroughOverlay(t *testing.T) {
 		default:
 			x = int64(10 + rng.Intn(40))
 		}
-		if err := exact.Write(v, x, int64(i)); err != nil {
+		if err := exact.Engine().Write(v, x, int64(i)); err != nil {
 			t.Fatal(err)
 		}
-		if err := approx.Write(v, x, int64(i)); err != nil {
+		if err := approx.Engine().Write(v, x, int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,8 +82,8 @@ func TestApproxDistinctThroughOverlay(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		v := graph.NodeID(rng.Intn(7))
 		x := int64(rng.Intn(300))
-		_ = sys.Write(v, x, int64(i))
-		_ = exact.Write(v, x, int64(i))
+		_ = sys.Engine().Write(v, x, int64(i))
+		_ = exact.Engine().Write(v, x, int64(i))
 	}
 	for v := graph.NodeID(0); v < 7; v++ {
 		got, err := sys.Read(v)

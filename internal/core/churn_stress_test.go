@@ -63,7 +63,7 @@ func TestMaintenanceChurnManySeeds(t *testing.T) {
 			case 2:
 				v := graph.NodeID(rng.Intn(15))
 				x := int64(rng.Intn(100))
-				if err := s.Write(v, x, int64(step)); err != nil {
+				if err := s.Engine().Write(v, x, int64(step)); err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
 				latest[v] = x
@@ -181,7 +181,7 @@ func TestRecompileUnderConcurrentWriteBatch(t *testing.T) {
 							batch[i] = graph.Event{Kind: graph.ContentWrite, Node: graph.NodeID(w), Value: v, TS: ts}
 							total[w] += v
 						}
-						if err := m.WriteBatch(batch); err != nil {
+						if _, err := m.Apply(batch, graph.NoAdvance); err != nil {
 							t.Error(err)
 							return
 						}
@@ -226,7 +226,7 @@ func TestRecompileUnderConcurrentWriteBatch(t *testing.T) {
 					settle[w] = graph.Event{Kind: graph.ContentWrite, Node: graph.NodeID(w), Value: 1, TS: 1 << 40}
 					total[w]++
 				}
-				if err := m.WriteBatch(settle); err != nil {
+				if _, err := m.Apply(settle, graph.NoAdvance); err != nil {
 					t.Fatal(err)
 				}
 				final := map[graph.NodeID]int64{}

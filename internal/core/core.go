@@ -482,19 +482,6 @@ func (s *System) adopt(ov *overlay.Overlay, f *dataflow.Freqs) {
 	s.maint, _ = construct.NewMaintainer(ov)
 }
 
-// Write ingests a content update (a write on v).
-func (s *System) Write(v graph.NodeID, value int64, ts int64) error {
-	return s.eng.Write(v, value, ts)
-}
-
-// WriteBatch ingests a batch of content writes serially, in batch order,
-// with subscription fan-out coalesced to once per touched reader; non-write
-// events are skipped. Multi-core content ingest is concurrent callers, not
-// this method.
-func (s *System) WriteBatch(events []graph.Event) error {
-	return s.eng.WriteBatch(events)
-}
-
 // Read evaluates the standing query at v (the first member's view on a
 // merged system).
 func (s *System) Read(v graph.NodeID) (agg.Result, error) {
@@ -547,12 +534,6 @@ func (s *System) Unsubscribe(sub *exec.Subscription) { s.eng.Unsubscribe(sub) }
 // Subscribers reports the engine's live subscription count.
 func (s *System) Subscribers() int { return s.eng.Subscribers() }
 
-// ExpireAll advances time-based windows to ts at every writer, propagating
-// expirations (and subscriber notifications) through the push region. A
-// watermark advance does not queue behind an overlay repair: it waits only
-// for the install step of a recompile (exec.Engine.Rebuild).
-func (s *System) ExpireAll(ts int64) { s.eng.ExpireAll(ts) }
-
 // ExportWindows snapshots every writer's in-window (value, timestamp)
 // entries (see exec.Engine.ExportWindows).
 func (s *System) ExportWindows(visit func(node graph.NodeID, entries []agg.WindowEntry)) {
@@ -567,7 +548,7 @@ func (s *System) Overlay() *overlay.Overlay { return s.ov }
 // decisions in the engine when flips occurred. It returns the number of
 // flips.
 //
-// Write/WriteBatch/Read traffic may keep flowing while Rebalance runs: reads
+// Write and read traffic may keep flowing while Rebalance runs: reads
 // never pause; writes wait for the install step only (exec.Engine.Rebuild
 // seeds push state from the windows under its gate — AdaptivityStats reports
 // how long). Rebalance serializes only with other structural operations
@@ -688,7 +669,7 @@ func (s *System) viewBase(vw *view) graph.NodeID {
 // a MultiSystem hosting several overlays over ONE shared graph mutates the
 // graph exactly once per event and fans the repair out to every system.
 // They are the ONLY structural repair path: a single structural operation
-// (System.AddGraphEdge, a one-event MultiSystem.ApplyBatchNodes, …) is a batch of one, and a
+// (System.AddGraphEdge, a one-event MultiSystem.Apply, …) is a batch of one, and a
 // mixed-stream structural run of N events ends in exactly one
 // applyRepairBatch — one decision repair and one engine install instead of
 // N, with a reader touched by several events diffed once.

@@ -36,7 +36,7 @@ func writeFigure1(t *testing.T, s *System) {
 	latest := map[graph.NodeID]int64{0: 4, 1: 7, 2: 9, 3: 3, 4: 1, 5: 6, 6: 5}
 	ts := int64(0)
 	for v, x := range latest {
-		if err := s.Write(v, x, ts); err != nil {
+		if err := s.Engine().Write(v, x, ts); err != nil {
 			t.Fatal(err)
 		}
 		ts++
@@ -205,7 +205,7 @@ func TestStructuralNodeLifecycle(t *testing.T) {
 	if err := s.AddGraphEdge(v, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Write(v, 100, 50); err != nil {
+	if err := s.Engine().Write(v, 100, 50); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := s.Read(0)
@@ -339,7 +339,7 @@ func TestStructuralChurnOracle(t *testing.T) {
 		case 2: // write
 			v := graph.NodeID(rng.Intn(15))
 			x := int64(rng.Intn(100))
-			if err := s.Write(v, x, int64(step)); err != nil {
+			if err := s.Engine().Write(v, x, int64(step)); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			latest[v] = x

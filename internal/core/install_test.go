@@ -60,7 +60,7 @@ func TestSubscriptionFollowsReusedNodeID(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Unsubscribe(sub)
-			if err := s.Write(fx.w, 7, 1); err != nil {
+			if err := s.Engine().Write(fx.w, 7, 1); err != nil {
 				t.Fatal(err)
 			}
 			if us := pendingUpdates(sub); len(us) != 1 || us[0].Node != fx.v || us[0].Result.Scalar != 7 {
@@ -71,7 +71,7 @@ func TestSubscriptionFollowsReusedNodeID(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The node has no reader now: its subscription hears nothing.
-			if err := s.Write(fx.w, 8, 2); err != nil {
+			if err := s.Engine().Write(fx.w, 8, 2); err != nil {
 				t.Fatal(err)
 			}
 			if us := pendingUpdates(sub); len(us) != 0 {
@@ -89,7 +89,7 @@ func TestSubscriptionFollowsReusedNodeID(t *testing.T) {
 				t.Fatal(err)
 			}
 			pendingUpdates(sub) // a recompile may have announced the rewired reader
-			if err := s.Write(fx.w, 42, 3); err != nil {
+			if err := s.Engine().Write(fx.w, 42, 3); err != nil {
 				t.Fatal(err)
 			}
 			us := pendingUpdates(sub)

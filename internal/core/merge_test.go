@@ -89,9 +89,9 @@ func (h *mergeHarness) applyOne(s *System, op mergeOp) {
 	var err error
 	switch op.kind {
 	case 'w':
-		err = s.Write(op.v, op.value, op.ts)
+		err = s.Engine().Write(op.v, op.value, op.ts)
 	case 'b':
-		err = s.WriteBatch(op.batch)
+		err = s.Engine().WriteBatch(op.batch)
 	case 'e':
 		err = s.AddGraphEdge(op.u, op.v)
 	case 'r':
@@ -286,7 +286,7 @@ func TestMergedAttachRetireDuringWriteBatch(t *testing.T) {
 					Value: int64(rng.Intn(50)), TS: int64(i),
 				})
 			}
-			if err := m.WriteBatch(batch); err != nil {
+			if _, err := m.Apply(batch, graph.NoAdvance); err != nil {
 				t.Error(err)
 				return
 			}
@@ -343,8 +343,8 @@ func TestMergedAttachRetireDuringWriteBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v, val := range last {
-		_ = o1.Write(v, val, 1_000_000)
-		_ = o2.Write(v, val, 1_000_000)
+		_ = o1.Engine().Write(v, val, 1_000_000)
+		_ = o2.Engine().Write(v, val, 1_000_000)
 	}
 	for v := graph.NodeID(0); v < 32; v++ {
 		got, err := sys.ReadView(a0.ViewTag(), v)
@@ -459,7 +459,7 @@ func TestRebalanceAfterMemberGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		if err := sys.Write(graph.NodeID(i%24), int64(i), int64(i)); err != nil {
+		if err := sys.Engine().Write(graph.NodeID(i%24), int64(i), int64(i)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := sys.ReadView(1, graph.NodeID(i%24)); err != nil {
@@ -476,7 +476,7 @@ func TestRebalanceAfterMemberGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		_ = o.Write(graph.NodeID(i%24), int64(i), int64(i))
+		_ = o.Engine().Write(graph.NodeID(i%24), int64(i), int64(i))
 	}
 	for v := graph.NodeID(0); v < 24; v++ {
 		got, err := sys.ReadView(1, v)
@@ -524,7 +524,7 @@ func TestRestrideOnNonMaintainableMerged(t *testing.T) {
 	// Views must still answer independently: write into the ring and check
 	// a 1-hop vs 2-hop disagreement survives the restride.
 	for i := 0; i < 12; i++ {
-		if err := sys.Write(graph.NodeID(i), 1, 1); err != nil {
+		if err := sys.Engine().Write(graph.NodeID(i), 1, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -39,7 +39,7 @@ var ErrDetached = errors.New("query detached")
 // exactly once and repair every overlay.
 //
 // Concurrency: Attach/Detach and the structural mutators serialize on the
-// MultiSystem mutex. Write/WriteBatch/Rebalance run against an atomically
+// MultiSystem mutex. Apply and Rebalance run against an atomically
 // swapped snapshot of the attached systems, so ingest keeps flowing while
 // queries come and go; each system keeps one engine for life, so a write
 // fanned out while a system recompiles lands on the engine that recompile
@@ -139,8 +139,8 @@ type StructuralListener interface {
 	// needing the incident edges keep their own mirror).
 	NodeAdded(v graph.NodeID, ts int64)
 	NodeRemoved(v graph.NodeID, ts int64)
-	// WatermarkAdvanced reports time moving to ts (ExpireAll), the clock
-	// for windowed-recompute consumers. Unlike the mutation callbacks it is
+	// WatermarkAdvanced reports time moving to ts (an Apply's advance), the
+	// clock for windowed-recompute consumers. Unlike the mutation callbacks it is
 	// NOT serialized under the structural lock; implementations synchronize
 	// themselves.
 	WatermarkAdvanced(ts int64)
@@ -415,28 +415,6 @@ func (m *MultiSystem) OverlaysCloned() int64 { return m.cloned.Load() }
 // group.
 func (m *MultiSystem) Systems() []*System { return *m.systems.Load() }
 
-// WriteBatch ingests a batch of content writes into every attached query
-// group, serially per engine on the calling goroutine.
-func (m *MultiSystem) WriteBatch(events []graph.Event) error {
-	for _, sys := range *m.systems.Load() {
-		if err := sys.WriteBatch(events); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ExpireAll advances time-based windows to ts in every attached group and
-// ticks the structural listeners' watermark clock.
-func (m *MultiSystem) ExpireAll(ts int64) {
-	for _, sys := range *m.systems.Load() {
-		sys.ExpireAll(ts)
-	}
-	for _, l := range *m.listeners.Load() {
-		l.WatermarkAdvanced(ts)
-	}
-}
-
 // GroupWindows is one compiled system's per-writer window snapshot, keyed
 // by the group's canonical identity: the lexicographically smallest member
 // full key. Recovery re-registers the same queries in the same order, so
@@ -494,7 +472,8 @@ func (m *MultiSystem) InjectGroupWindows(key string, events []graph.Event) error
 	if !ok {
 		return fmt.Errorf("core: no attached group %q to inject windows into", key)
 	}
-	return fm.fam.sys.WriteBatch(events)
+	fm.fam.sys.eng.Apply(events, graph.NoAdvance)
+	return nil
 }
 
 // Rebalance runs the adaptive dataflow scheme (§4.8) on every group and
@@ -511,43 +490,64 @@ func (m *MultiSystem) Rebalance() (int, error) {
 	return total, nil
 }
 
-// ApplyBatchNodes ingests a mixed batch of content and structural events
-// in stream order — the paper's single interleaved data stream (§2.1: S_G
-// plus the S_v) — and returns the node ids its NodeAdd events allocated, in
-// event order (deleted ids are reused, so a caller that needs to address a
-// streamed-in node cannot derive its id from the graph size). Consecutive
-// content writes form a run that goes through each engine's serial,
-// notification-coalescing WriteBatch; consecutive structural events
-// coalesce into ONE graph-mutation pass plus ONE overlay repair and engine
-// republish per attached system, instead of a serialized repair per event.
-// Read events are skipped.
+// Apply is the one write path of every attached system: it ingests a mixed
+// batch of content and structural events in stream order — the paper's
+// single interleaved data stream (§2.1: S_G plus the S_v) — and then closes
+// the time the batch closes, advancing every system's time-based windows to
+// advanceTo and ticking the structural listeners' watermark clock
+// (graph.NoAdvance closes no time; no events is a bare advance). It returns
+// the node ids the NodeAdd events allocated, in event order (deleted ids are
+// reused, so a caller that needs to address a streamed-in node cannot derive
+// its id from the graph size).
+//
+// Consecutive content writes form a run that goes through each engine's
+// serial, notification-coalescing Apply, and the advance rides the batch's
+// last run into the same engine section — one walk over the systems, one
+// Update per touched reader — unless the batch ends structurally, when it
+// follows on its own. Consecutive structural events coalesce into ONE
+// graph-mutation pass plus ONE overlay repair and engine republish per
+// attached system, instead of a serialized repair per event. Read events are
+// skipped.
 //
 // Events that cannot apply (adding an existing edge, removing a dead node)
 // are skipped and their errors joined into the returned error; the rest of
-// the batch still applies. Repair is best-effort across groups: one
-// group's failure does not leave the remaining groups unrepaired (the
-// graph has already moved).
-func (m *MultiSystem) ApplyBatchNodes(events []graph.Event) ([]graph.NodeID, error) {
+// the batch still applies, and so does the advance. Repair is best-effort
+// across groups: one group's failure does not leave the remaining groups
+// unrepaired (the graph has already moved).
+func (m *MultiSystem) Apply(events []graph.Event, advanceTo int64) ([]graph.NodeID, error) {
 	var added []graph.NodeID
 	var errs []error
-	for i := 0; i < len(events); {
+	// Each round applies one structural run, then one content run; the last
+	// content run, empty or not, carries the advance.
+	for i, last := 0, false; !last; {
 		j := i
-		if events[i].IsStructural() {
-			for j < len(events) && events[j].IsStructural() {
-				j++
-			}
+		for j < len(events) && events[j].IsStructural() {
+			j++
+		}
+		if j > i {
 			ids, runErrs := m.applyStructuralRun(events[i:j])
 			added = append(added, ids...)
 			errs = append(errs, runErrs...)
-		} else {
-			for j < len(events) && !events[j].IsStructural() {
-				j++
-			}
-			if err := m.WriteBatch(events[i:j]); err != nil {
-				errs = append(errs, err)
+		}
+		i = j
+		for j < len(events) && !events[j].IsStructural() {
+			j++
+		}
+		closes := graph.NoAdvance
+		if last = j == len(events); last {
+			closes = advanceTo
+		}
+		if j > i || closes != graph.NoAdvance {
+			for _, sys := range *m.systems.Load() {
+				sys.eng.Apply(events[i:j], closes)
 			}
 		}
 		i = j
+	}
+	if advanceTo != graph.NoAdvance {
+		for _, l := range *m.listeners.Load() {
+			l.WatermarkAdvanced(advanceTo)
+		}
 	}
 	return added, errors.Join(errs...)
 }

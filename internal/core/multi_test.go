@@ -21,7 +21,7 @@ func multiRing(n int) *graph.Graph {
 // applyOne drives one event through ApplyBatchNodes, the entry point
 // production drives (Session.apply), and returns the node ids it allocated.
 func applyOne(m *MultiSystem, ev graph.Event) ([]graph.NodeID, error) {
-	return m.ApplyBatchNodes([]graph.Event{ev})
+	return m.Apply([]graph.Event{ev}, graph.NoAdvance)
 }
 
 // writeOne is applyOne for a content write.
@@ -212,7 +212,7 @@ func TestMultiAttachDetachConcurrentWithWrites(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = m.WriteBatch(events)
+				_, _ = m.Apply(events, graph.NoAdvance)
 			}
 		}
 	}()

@@ -124,7 +124,7 @@ func TestShapeCacheKeyedByStructuralVersion(t *testing.T) {
 		}
 	}
 	edges := g.NumEdges()
-	if _, err := m.ApplyBatchNodes([]graph.Event{add, del}); err != nil {
+	if _, err := m.Apply([]graph.Event{add, del}, graph.NoAdvance); err != nil {
 		t.Fatal(err)
 	}
 	if g.NumEdges() != edges {
@@ -158,7 +158,7 @@ func TestShapeCacheNeverClonesTouchedSibling(t *testing.T) {
 		if !a1.System().Stats().Maintainable {
 			t.Fatal("fixture: VNM_A overlay must be maintainable")
 		}
-		if _, err := m.ApplyBatchNodes([]graph.Event{{Kind: graph.EdgeAdd, Node: 3, Peer: 250}}); err != nil {
+		if _, err := m.Apply([]graph.Event{{Kind: graph.EdgeAdd, Node: 3, Peer: 250}}, graph.NoAdvance); err != nil {
 			t.Fatal(err)
 		}
 		if a1.System().Stats().Recompiles != 0 {

@@ -7,33 +7,41 @@ import (
 	"repro/internal/overlay"
 )
 
-// WriteBatch ingests a batch of content writes serially on the calling
-// goroutine, writer-major, in two passes; non-write events are skipped.
+// Apply is the engine's one write body: it ingests a batch of content writes
+// and then closes the time the batch closes, serially on the calling
+// goroutine, as one shared section of the engine's gate — one snapshot, one
+// accumulator, one touch collector. Non-write events are skipped; advanceTo
+// == graph.NoAdvance closes no time. WriteBatch, Write and ExpireAll are
+// views of it.
 //
 // Pass 1 visits the events in batch order and does, per event and under the
-// writer's mutex, exactly what a single Write does there (applyAtWriter:
+// writer's mutex, everything that happens at the writer (applyAtWriter:
 // window slide, expiry index, the writer's own cell or PAO), folding the
 // resulting delta into that writer's accumulator entry. Pass 2 visits each
 // DISTINCT writer once: values the batch both admitted to and evicted from
 // the writer's window cancel (nobody could have observed them downstream),
 // and the net delta walks the compiled closure once (pushRegion), counted as
-// the m logical writes it stands for.
-// A hot writer's thirty writes cost one closure walk, not thirty. With live
-// subscriptions the touched readers are collected along the way and each is
-// finalized and delivered exactly once after the whole batch applied.
+// the m logical writes it stands for. A hot writer's thirty writes cost one
+// closure walk, not thirty. Then the advance: the next-expiry index yields
+// ONLY the writers whose oldest in-window value has fallen due by advanceTo
+// — O(expired writers), a single heap peek when nothing expires — and each
+// expires and walks its closure like a write (expireWriter); tuple windows
+// are unaffected.
+//
+// With live subscriptions every push reader the writes or the expiries
+// touched is collected along the way and finalized and delivered exactly
+// once at the end, stamped with the latest timestamp that reached it (the
+// advance's, for a reader an expiry touched): one Update per touched reader
+// per Apply, its value a read taken when Apply returns.
 //
 // Between the passes a concurrent reader may see a writer's own cell ahead
-// of its push region by up to this batch (a single Write has the same gap,
-// one write wide); everything is exact when WriteBatch returns.
-//
-// The engine spawns nothing: multi-core ingest comes from concurrent
-// callers (concurrent Ingestor senders), each applying its own batch with
-// its own accumulator. Safe for concurrent use with Write, Read, ExpireAll,
-// other WriteBatch calls and Rebuild: the whole call is one shared section of
-// the engine's gate, so every event of the batch applies to one snapshot, the
-// one the accumulator and the touch collector are indexed by, and a Rebuild
-// installs between batches.
-func (e *Engine) WriteBatch(events []graph.Event) error {
+// of its push region by up to this batch; everything is exact when Apply
+// returns. The engine spawns nothing: multi-core ingest comes from
+// concurrent callers, each applying its own batch with its own accumulator.
+// Safe for concurrent use with Read, other Apply calls and Rebuild — a
+// Rebuild installs between Applies. Concurrent advances pop disjoint writer
+// sets; a write racing an advance is expired by the next one.
+func (e *Engine) Apply(events []graph.Event, advanceTo int64) {
 	e.gate.RLock()
 	defer e.gate.RUnlock()
 	st := e.state.Load()
@@ -48,7 +56,9 @@ func (e *Engine) WriteBatch(events []graph.Event) error {
 		n++
 		wref := st.plan.writer(ev.Node)
 		if wref == overlay.NoNode {
-			continue // feeds no reader: absorbed
+			// The node feeds no reader (like g_w in Figure 1(c)): the write
+			// is absorbed without any propagation work.
+			continue
 		}
 		dSum, dCnt := e.applyAtWriter(st, wref, ev.Value, ev.TS, &acc.rec)
 		if len(st.plan.closure[wref]) == 0 {
@@ -74,11 +84,35 @@ func (e *Engine) WriteBatch(events []graph.Event) error {
 		e.pushRegion(st, ent.wref, &ent.writerDelta, tc)
 		ent.writerDelta = writerDelta{add: ent.add[:0], rem: ent.rem[:0]}
 	}
+	if advanceTo != graph.NoAdvance && e.expiry.due(advanceTo) {
+		due := e.expiry.getScratch()
+		*due = e.expiry.popDue(advanceTo, *due)
+		for _, wref := range *due {
+			e.expireWriter(st, wref, advanceTo, true, &acc.rec, tc)
+		}
+		e.expiry.putScratch(due)
+	}
 	e.putAccum(acc)
 	e.flushTouches(st, tc)
 	e.putTouch(tc)
+}
+
+// WriteBatch is Apply for a batch that closes no time.
+func (e *Engine) WriteBatch(events []graph.Event) error {
+	e.Apply(events, graph.NoAdvance)
 	return nil
 }
+
+// Write ingests one content update on data-graph node v (a "write on v"): a
+// WriteBatch of one.
+func (e *Engine) Write(v graph.NodeID, value int64, ts int64) error {
+	ev := [1]graph.Event{{Kind: graph.ContentWrite, Node: v, Value: value, TS: ts}}
+	e.Apply(ev[:], graph.NoAdvance)
+	return nil
+}
+
+// ExpireAll advances time-based windows to ts: an Apply of no events.
+func (e *Engine) ExpireAll(ts int64) { e.Apply(nil, ts) }
 
 // cancelCommon removes from add and rem, in place, the values they have in
 // common as multisets: a value a window admitted and evicted inside one
@@ -108,7 +142,7 @@ func cancelCommon(add, rem []int64) ([]int64, []int64) {
 	return add[:a], rem[:r]
 }
 
-// writeAccum is the pooled per-batch accumulator behind WriteBatch: one
+// writeAccum is the pooled per-batch accumulator behind Apply: one
 // entry per distinct writer, found through a stamp-indexed dense array over
 // overlay slots (a slot has an entry iff slots[slot].stamp == stamp; no
 // clearing between batches), so folding an event is an array test and the
@@ -172,9 +206,8 @@ func (e *Engine) putAccum(a *writeAccum) {
 	e.accPool.Put(a)
 }
 
-// touchCollector accumulates the distinct push readers one batch's writes
-// (or one watermark advance's expiries) reach, with the latest timestamp
-// seen per reader. mark is an
+// touchCollector accumulates the distinct push readers one Apply's writes
+// and expiries reach, with the latest timestamp seen per reader. mark is an
 // epoch-stamped dense array over overlay slots (no clearing between
 // batches: a slot is "recorded" iff mark[slot] == stamp), so collection is
 // allocation-free in steady state.
@@ -208,8 +241,8 @@ func (tc *touchCollector) collect(nt *notifyTable, st *engineState, wref overlay
 	}
 }
 
-// getTouch returns a pooled collector for a batch or advance against a
-// snapshot of n slots.
+// getTouch returns a pooled collector for an Apply against a snapshot of n
+// slots.
 func (e *Engine) getTouch(n int) *touchCollector {
 	tc := e.touchPool.Get().(*touchCollector)
 	if n > len(tc.mark) {
@@ -228,10 +261,10 @@ func (e *Engine) getTouch(n int) *touchCollector {
 
 func (e *Engine) putTouch(tc *touchCollector) { e.touchPool.Put(tc) }
 
-// flushTouches delivers the coalesced notifications of one batch or one
-// watermark advance: each reader the collector recorded (already
-// deduplicated by its mark array) is finalized and handed to its
-// subscribers exactly once, with the latest timestamp seen for it. st is the
+// flushTouches delivers the coalesced notifications of one Apply: each reader
+// the collector recorded (already deduplicated by its mark array) is
+// finalized and handed to its subscribers exactly once, with the latest
+// timestamp seen for it. st is the
 // snapshot the readers were collected from, in the same gate section, so
 // each is still a push reader there.
 func (e *Engine) flushTouches(st *engineState, tc *touchCollector) {

@@ -37,23 +37,27 @@
 // lives in one atomically published snapshot, and exactly one transition
 // replaces it: Rebuild (rebuild.go), for an overlay that was repaired or
 // re-decided in place as much as for a recompiled one. A Rebuild prepares the
-// new snapshot with traffic flowing and installs it under a gate that Write,
-// WriteBatch and ExpireAll hold shared for their duration — inside one such
-// section the snapshot is fixed — so writes wait for the install step only.
+// new snapshot with traffic flowing and installs it under a gate that Apply
+// holds shared for its duration — inside one such section the snapshot is
+// fixed — so writes wait for the install step only.
 // Reads are never gated: one that began on an older snapshot finishes on it,
 // and every snapshot a reader can observe is internally consistent.
 //
 // The overlay itself must not be mutated concurrently with the call that
 // flattens it.
 //
-// # Batched ingestion
+// # One write body
 //
-// WriteBatch applies a batch of content writes serially on the caller's
-// goroutine, writer-major: every event slides its writer's window in batch
-// order, then each DISTINCT writer's net delta walks its push closure once
-// and each touched reader is notified once (batch.go). ExpireAll coalesces
-// the same way, one notification per touched reader per watermark
-// advance. The engine itself never spawns goroutines for
+// Everything that mutates a window goes through Apply(events, advanceTo)
+// (batch.go): a batch of content writes and the watermark the batch closes,
+// applied serially on the caller's goroutine in one gate section,
+// writer-major — every event slides its writer's window in batch order, each
+// DISTINCT writer's net delta walks its push closure once, then the writers
+// the advance made due expire the same way — and each touched reader is
+// notified once, at the end. A window expiry is one more update on a
+// writer's stream, pushed through the same region as a write (paper §2.1,
+// §2.2.2). WriteBatch (no advance), Write (a batch of one) and ExpireAll (no
+// events) are one-line views. The engine itself never spawns goroutines for
 // writes: parallel ingest is the caller's business, and every entry point
 // is safe for concurrent callers.
 package exec
@@ -75,9 +79,9 @@ import (
 //
 // All public methods are safe for concurrent use, with one structural
 // caveat: the overlay handed to New or Rebuild must not be mutated
-// concurrently with the Rebuild call that flattens it. Write/WriteBatch/Read/
-// ExpireAll traffic may flow freely meanwhile; a Rebuild holds writes and
-// expiries back for its install step only, and reads never.
+// concurrently with the Rebuild call that flattens it. Apply and Read traffic
+// may flow freely meanwhile; a Rebuild holds writes and expiries back for its
+// install step only, and reads never.
 type Engine struct {
 	ov     *overlay.Overlay // replaced by Rebuild, under rebuildMu
 	agg    agg.Aggregate
@@ -88,9 +92,9 @@ type Engine struct {
 	// rebuildMu serializes Rebuild calls. It is never taken on the
 	// read/write hot paths.
 	rebuildMu sync.Mutex
-	// gate is held shared by everything that applies to a snapshot — Write,
-	// WriteBatch, ExpireAll, ExportWindows — and exclusively by Rebuild's
-	// install step. Inside a shared section the snapshot does not change.
+	// gate is held shared by everything that applies to a snapshot — Apply,
+	// ExportWindows — and exclusively by Rebuild's install step. Inside a
+	// shared section the snapshot does not change.
 	gate sync.RWMutex
 	// installs counts Rebuild's installs; lastHold is how long the most
 	// recent one held the gate exclusively, in nanoseconds.
@@ -107,22 +111,21 @@ type Engine struct {
 	subMu  sync.Mutex
 	subs   []*Subscription
 
-	// expiry is the per-writer next-expiry index: ExpireAll pops only the
-	// writers whose time-window deadline the watermark has passed, so a
-	// watermark advance is O(expired writers) instead of a full walk.
+	// expiry is the per-writer next-expiry index: an advance pops only the
+	// writers whose time-window deadline the watermark has passed, so it is
+	// O(expired writers) instead of a full walk.
 	// Writers with no time-based deadline (tuple windows) never enter it.
 	expiry expiryHeap
 
 	writes atomic.Int64
 	reads  atomic.Int64
 
-	// scratch pools per-write buffers (expiry recorder, delta slice);
 	// readPool pools per-read PAO arenas for non-scalar pull evaluation;
-	// accPool pools the per-batch writer accumulators that coalesce push
-	// propagation to once per distinct writer per WriteBatch; touchPool
-	// pools the reader-touch collectors that coalesce subscription fan-out
-	// to once per reader per WriteBatch or ExpireAll (batch.go).
-	scratch   sync.Pool
+	// accPool pools the per-batch writer accumulators (with the batch's
+	// window-expiry recorder) that coalesce push propagation to once per
+	// distinct writer per Apply; touchPool pools the reader-touch collectors
+	// that coalesce subscription fan-out to once per reader per Apply
+	// (batch.go).
 	readPool  sync.Pool
 	accPool   sync.Pool
 	touchPool sync.Pool
@@ -152,8 +155,8 @@ type nodeState struct {
 	pullObs atomic.Int64
 	// inExpiryHeap marks a writer slot registered in the engine's
 	// next-expiry index (expiry.go). Read and written only under mu, so
-	// registration can't be lost to a write racing the ExpireAll that
-	// popped the slot's entry. Rebuild re-derives it for every live writer
+	// registration can't be lost to a write racing the advance that popped
+	// the slot's entry. Rebuild re-derives it for every live writer
 	// while it re-seeds the index.
 	inExpiryHeap bool
 }
@@ -182,7 +185,6 @@ func New(ov *overlay.Overlay, a agg.Aggregate, window agg.Window) (*Engine, erro
 	if sa, ok := a.(agg.ScalarAggregate); ok {
 		e.scalar = sa
 	}
-	e.scratch.New = func() any { return &writeScratch{} }
 	e.readPool.New = func() any { return &readScratch{} }
 	e.accPool.New = func() any { return &writeAccum{} }
 	e.touchPool.New = func() any { return &touchCollector{} }
@@ -250,14 +252,6 @@ func (e *Engine) Topology() *overlay.Topology { return e.state.Load().plan.top }
 // Aggregate returns the engine's aggregate function.
 func (e *Engine) Aggregate() agg.Aggregate { return e.agg }
 
-// writeScratch is the pooled per-write working set: the window-expiry
-// recorder and a one-element slice for the added value, so the steady-state
-// write path allocates nothing.
-type writeScratch struct {
-	rec expiryRecorder
-	add [1]int64
-}
-
 // expiryRecorder is a window-facing PAO adapter: it captures the values a
 // window slide expires (so they can be propagated as removals) and forwards
 // Add/Remove to the writer's real PAO when one exists (mutex mode). Only
@@ -287,14 +281,6 @@ func (r *expiryRecorder) Replace(_, _ agg.PAO) {}
 func (r *expiryRecorder) Finalize() agg.Result { return agg.Result{} }
 func (r *expiryRecorder) Reset()               {}
 func (r *expiryRecorder) Clone() agg.PAO       { return nil }
-
-func (e *Engine) getScratch() *writeScratch { return e.scratch.Get().(*writeScratch) }
-
-func (e *Engine) putScratch(ws *writeScratch) {
-	ws.rec.target = nil
-	ws.rec.removed = ws.rec.removed[:0]
-	e.scratch.Put(ws)
-}
 
 // readScratch is the pooled PAO arena of one non-scalar pull read: every
 // PAO the pull evaluation materializes comes from here, is Reset in place
@@ -338,33 +324,6 @@ func finalizePAO(p agg.PAO, buf []int64) agg.Result {
 	return p.Finalize()
 }
 
-// Write ingests a content update on data-graph node v (a "write on v") and
-// synchronously propagates it through the push region of the overlay: the
-// apply-at-the-writer step and the push-region tail back to back, which is
-// also what a WriteBatch of one event degenerates to (batch.go).
-func (e *Engine) Write(v graph.NodeID, value int64, ts int64) error {
-	e.gate.RLock()
-	defer e.gate.RUnlock()
-	st := e.state.Load()
-	e.writes.Add(1)
-	wref := st.plan.writer(v)
-	if wref == overlay.NoNode {
-		// The node feeds no reader (like g_w in Figure 1(c)): the write
-		// is absorbed without any propagation work.
-		return nil
-	}
-	ws := e.getScratch()
-	d := writerDelta{m: 1, ts: ts}
-	d.dSum, d.dCnt = e.applyAtWriter(st, wref, value, ts, &ws.rec)
-	if e.scalar == nil {
-		ws.add[0] = value
-		d.add, d.rem = ws.add[:1], ws.rec.removed
-	}
-	e.pushRegion(st, wref, &d, nil)
-	e.putScratch(ws)
-	return nil
-}
-
 // writerDelta is what one or more logical writes (or one expiry) on a
 // single writer changed in that writer's window, in the form its push
 // region consumes: (dSum, dCnt) in scalar mode, raw value lists in PAO
@@ -378,10 +337,11 @@ type writerDelta struct {
 	add, rem   []int64
 }
 
-// applyAtWriter is the first half of a write: everything that happens at
-// the writer itself, under its mutex — window slide, expiry-index
-// registration and the writer's own cell or PAO. st is the snapshot of the
-// caller's gate section; the delta's push region is walked on it.
+// applyAtWriter is the first half of a write (Apply's pass 1): everything
+// that happens at the writer itself, under its mutex — window slide,
+// expiry-index registration and the writer's own cell or PAO. st is the
+// snapshot of the caller's gate section; the delta's push region is walked
+// on it.
 //
 // In scalar mode the window's net effect comes back as (dSum, dCnt); in PAO
 // mode the evicted values are left in rec.removed (the added one is value).
@@ -393,7 +353,7 @@ func (e *Engine) applyAtWriter(st *engineState, wref overlay.NodeRef, value, ts 
 	st.windows[wref].Add(rec, value, ts)
 	if !ns.inExpiryHeap {
 		// First value of a time window (or the first since the heap popped
-		// this writer empty): index its deadline so ExpireAll finds it
+		// this writer empty): index its deadline so an advance finds it
 		// without walking every writer. Tuple windows report no deadline
 		// and never register — the check is one interface call returning
 		// false on the count-window hot path.
@@ -416,12 +376,10 @@ func (e *Engine) applyAtWriter(st *engineState, wref overlay.NodeRef, value, ts 
 	return dSum, dCnt
 }
 
-// pushRegion is the second half of a write: walk writer wref's compiled
-// closure in st once with the delta, then tell subscribers. tc, when
-// non-nil, defers notification: the touched push readers are recorded in
-// the collector so the caller can deliver each reader once after
-// everything it is applying settled (batch.go). A nil tc is the single
-// Write: fan out now.
+// pushRegion is the second half of a write or an expiry: walk writer wref's
+// compiled closure in st once with the delta and record the touched push
+// readers in tc, so the caller delivers each reader once after everything
+// it is applying settled (flushTouches).
 func (e *Engine) pushRegion(st *engineState, wref overlay.NodeRef, d *writerDelta, tc *touchCollector) {
 	if e.scalar != nil {
 		e.propagateScalar(st, wref, d.dSum, d.dCnt, d.m)
@@ -429,11 +387,7 @@ func (e *Engine) pushRegion(st *engineState, wref overlay.NodeRef, d *writerDelt
 		e.propagate(st, wref, d.add, d.rem, d.m)
 	}
 	if nt := e.notify.Load(); nt != nil {
-		if tc != nil {
-			tc.collect(nt, st, wref, d.ts)
-		} else {
-			e.notifyFanout(nt, st, wref, d.ts)
-		}
+		tc.collect(nt, st, wref, d.ts)
 	}
 }
 
@@ -680,39 +634,10 @@ func (e *Engine) computePull(st *engineState, ref overlay.NodeRef, rs *readScrat
 	return out
 }
 
-// ExpireAll advances time-based windows to ts, propagating expirations
-// through the push region. Tuple windows are unaffected. It consults the
-// per-writer next-expiry index and touches ONLY writers whose oldest
-// in-window value has fallen due — O(expired writers) per watermark
-// advance, and a single heap peek when nothing expires. Subscribers get one
-// Update per touched reader per advance, finalized after every due writer
-// expired and stamped with ts, however many of the reader's writers
-// expired. Safe for concurrent use with all other engine methods.
-// Concurrent ExpireAll calls pop disjoint writer sets; a write racing the
-// advance is expired by the next advance, exactly as under the full walk.
-func (e *Engine) ExpireAll(ts int64) {
-	e.gate.RLock()
-	defer e.gate.RUnlock()
-	if !e.expiry.due(ts) {
-		return
-	}
-	scratch := e.expiry.getScratch()
-	*scratch = e.expiry.popDue(ts, *scratch)
-	st := e.state.Load()
-	ws, tc := e.getScratch(), e.getTouch(st.plan.top.N)
-	for _, wref := range *scratch {
-		e.expireWriter(st, wref, ts, true, &ws.rec, tc)
-	}
-	e.flushTouches(st, tc)
-	e.putTouch(tc)
-	e.putScratch(ws)
-	e.expiry.putScratch(scratch)
-}
-
 // expireWriter advances one writer's window to ts: the per-writer body of
-// ExpireAll — the expiry twin of applyAtWriter, then
-// the same pushRegion tail a write takes, with the touched readers left in
-// tc for the caller's one flush per advance. fromHeap marks a call that
+// Apply's advance — the expiry twin of applyAtWriter, then the same
+// pushRegion tail a write takes, with the touched readers left in tc for
+// the caller's one flush. fromHeap marks a call that
 // consumed the writer's index entry (heap-driven path) and therefore owns
 // its re-registration: under the writer's mutex, after the expiry, the
 // window either reports a fresh deadline — pushed back with inExpiryHeap

@@ -9,9 +9,9 @@ import (
 // expiryHeap is the engine's per-writer next-expiry index: a min-heap of
 // (deadline, writer slot) entries, one per registered writer, keyed by the
 // earliest timestamp at which that writer's time window drops a value
-// (agg.Window.NextExpiry). ExpireAll pops only the writers whose deadline
-// the watermark has passed, so a watermark advance costs O(expired
-// writers), not O(writers).
+// (agg.Window.NextExpiry). An advance (Apply) pops only the writers whose
+// deadline the watermark has passed, so it costs O(expired writers), not
+// O(writers).
 //
 // The index is LAZY: a heap deadline may be stale-early (the window's true
 // deadline moved later after an in-write expiry), never stale-late — a due
@@ -22,7 +22,7 @@ import (
 // (push while holding ns.mu) or is taken alone (popDue), so there is no
 // lock-order cycle. At most one heap entry exists per writer: a writer is
 // pushed only on a false→true flag transition (applyAtWriter) or by the
-// ExpireAll that popped its previous entry (expireWriter re-registration).
+// advance that popped its previous entry (expireWriter re-registration).
 //
 // Entries are slot numbers of the current snapshot: Rebuild empties the heap
 // and re-seeds it from the carried windows' deadlines while it holds the

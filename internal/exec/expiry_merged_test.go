@@ -69,7 +69,7 @@ func TestMergedFamilyExpiryMatchesScan(t *testing.T) {
 	for step := 0; step < 1200; step++ {
 		if rng.Intn(8) == 0 {
 			wm := ts - int64(rng.Intn(25))
-			heapM.ExpireAll(wm)
+			_, _ = heapM.Apply(nil, wm)
 			for _, sys := range scanM.Systems() {
 				sys.Engine().ExpireAllScan(wm)
 			}
@@ -81,12 +81,12 @@ func TestMergedFamilyExpiryMatchesScan(t *testing.T) {
 		val := int64(rng.Intn(100))
 		ev := []graph.Event{{Kind: graph.ContentWrite, Node: v, Value: val, TS: ts}}
 		for _, m := range []*core.MultiSystem{heapM, scanM} {
-			if err := m.WriteBatch(ev); err != nil {
+			if _, err := m.Apply(ev, graph.NoAdvance); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	heapM.ExpireAll(ts)
+	_, _ = heapM.Apply(nil, ts)
 	for _, sys := range scanM.Systems() {
 		sys.Engine().ExpireAllScan(ts)
 	}

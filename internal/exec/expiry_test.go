@@ -200,6 +200,54 @@ func TestExpireAllOneUpdatePerReaderPerAdvance(t *testing.T) {
 	}
 }
 
+// TestApplyClosesTimeWithTheBatch holds a batch applied together with the
+// watermark it closes to the same batch followed by a separate advance:
+// identical state, and per touched reader exactly one Update where the two
+// calls deliver up to two — the value a Read after the call returns, stamped
+// with the latest timestamp that reached the reader in either.
+func TestApplyClosesTimeWithTheBatch(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		one, two := expiryPair(t, 25)
+		oneSub, err := one.Subscribe(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twoSub, err := two.Subscribe(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := int64(0)
+		for step := 0; step < 400; step++ {
+			batch := make([]graph.Event, rng.Intn(12))
+			for i := range batch {
+				ts += int64(rng.Intn(4))
+				batch[i] = graph.Event{Kind: graph.ContentWrite, Node: graph.NodeID(rng.Intn(7)), Value: int64(rng.Intn(100)), TS: ts}
+			}
+			wm := ts - int64(rng.Intn(10))
+			if rng.Intn(8) == 0 {
+				ts += int64(rng.Intn(60)) // the next batch expires a burst of writers
+			}
+			one.Apply(batch, wm)
+			_ = two.WriteBatch(batch)
+			want := drainByNode(t, "batch", twoSub)
+			two.ExpireAll(wm)
+			for v, u := range drainByNode(t, "advance", twoSub) {
+				// The later call carries the settled value; the stamp is the
+				// latest timestamp that reached the reader in either.
+				if w, ok := want[v]; ok {
+					u.TS = max(u.TS, w.TS)
+				}
+				want[v] = u
+			}
+			compareEngines(t, "batch with its advance", one, two)
+			if got := drainByNode(t, "batch with its advance", oneSub); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: one Apply delivered %v; the batch and the advance as two calls settle on %v", seed, step, got, want)
+			}
+		}
+	}
+}
+
 // TestExpireHeapSaturatedWatermarks drives the index at the int64 edges:
 // writes near MinInt64 (where ts-T underflows and the expiry cut must
 // saturate instead of wrapping) and near MaxInt64 (where the next-expiry

@@ -11,11 +11,11 @@ func (e *Engine) ExpireAllScan(ts int64) {
 	e.gate.RLock()
 	defer e.gate.RUnlock()
 	st := e.state.Load()
-	ws, tc := e.getScratch(), e.getTouch(st.plan.top.N)
+	acc, tc := e.getAccum(st.plan.top.N), e.getTouch(st.plan.top.N)
 	for _, wref := range st.plan.top.Writers {
-		e.expireWriter(st, wref, ts, false, &ws.rec, tc)
+		e.expireWriter(st, wref, ts, false, &acc.rec, tc)
 	}
+	e.putAccum(acc)
 	e.flushTouches(st, tc)
 	e.putTouch(tc)
-	e.putScratch(ws)
 }

@@ -290,40 +290,21 @@ func (e *Engine) Subscribers() int {
 	return len(e.subs)
 }
 
-// notifyFanout pushes refreshed results to subscribers after a write on
-// writer slot wref propagated through its push region. It runs only when at
-// least one subscription exists (the caller checks the atomic table first),
-// and finalizes each touched reader's result at most once per write no
-// matter how many subscriptions cover it.
-//
-// Finalize and deliver happen under the reader's node mutex: concurrent
-// writes touching the same reader (concurrent Write/WriteBatch callers) therefore
-// deliver in a consistent per-reader order, and the last update a
-// subscriber sees always reflects the reader's settled value once writes
-// quiesce. The lock is per touched reader and only taken when a
-// subscription exists, so the unsubscribed path is unaffected.
-func (e *Engine) notifyFanout(nt *notifyTable, st *engineState, wref overlay.NodeRef, ts int64) {
-	// Hoist the per-tag subscriber lookup: consecutive touches almost
-	// always share a tag (single-query engines only ever have tag 0), so
-	// the hot path pays one map access per write, not one per reader.
-	lastTag := int32(-1)
-	var byTag []*Subscription
-	for _, t := range st.plan.pushReaders[wref] {
-		if t.tag != lastTag {
-			lastTag = t.tag
-			byTag = nt.byTag[t.tag]
-		}
-		e.deliverReader(nt, st, byTag, t.ref, t.gid, ts)
-	}
-}
-
 // deliverReader finalizes reader slot ref's settled value and hands it to
 // every subscription covering it — byTag, the query-wide listeners of the
 // reader's tag (resolved by the caller), plus the node-restricted ones on
-// its slot — under the reader's node mutex (see the notifyFanout comment
-// for the ordering contract). ref must be push-annotated in st: both
-// callers take it from st's own plan or re-check the annotation against it
-// (flushTouches). It is a no-op when nothing covers the reader.
+// its slot. It runs only when at least one subscription exists (the caller
+// checks the atomic table first) and finalizes the reader once no matter how
+// many subscriptions cover it; it is a no-op when nothing covers the reader.
+//
+// Finalize and deliver happen under the reader's node mutex: concurrent
+// Applies touching the same reader therefore deliver in a consistent
+// per-reader order, and the last update a subscriber sees always reflects
+// the reader's settled value once writes quiesce. The lock is per touched
+// reader and only taken when a subscription exists, so the unsubscribed
+// path is unaffected. ref must be push-annotated in st: flushTouches takes
+// it from the collector filled against st's own plan in the same gate
+// section.
 func (e *Engine) deliverReader(nt *notifyTable, st *engineState, byTag []*Subscription, ref overlay.NodeRef, gid graph.NodeID, ts int64) {
 	byRef := nt.at(ref)
 	if len(byTag) == 0 && len(byRef) == 0 {

@@ -185,6 +185,9 @@ func TestExpiryNotifies(t *testing.T) {
 // path with zero subscribers stays allocation-free: the notification hook
 // must cost one atomic load, not a heap object.
 func TestWriteNoSubscriberAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector; a Write now draws its accumulator and collector from pools, like every batch")
+	}
 	eng := notifyEngine(t, agg.Sum{})
 	_ = eng.Write(1, 1, 0) // warm pools
 	allocs := testing.AllocsPerRun(1000, func() {

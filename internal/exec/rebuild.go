@@ -30,8 +30,7 @@ import (
 //     since reused), which start empty like any new writer, with a clone of
 //     window.
 //
-// Installed under the exclusive gate, so no Write, WriteBatch or ExpireAll is
-// in flight: push state — fresh cells no other snapshot references — is seeded
+// Installed under the exclusive gate, so no Apply is in flight: push state — fresh cells no other snapshot references — is seeded
 // from the windows, the expiry index is re-seeded from their deadlines, and
 // the subscriber table, overlay and snapshot are published. Every write is
 // therefore either inside a carried window or applied to the new snapshot,

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // EventKind labels events in the structure and content data streams (§2.1).
 type EventKind uint8
@@ -74,6 +77,12 @@ type Event struct {
 	Value int64
 	TS    int64 // logical or wall-clock timestamp, caller-defined
 }
+
+// NoAdvance is the advanceTo of a batch that does not close time: every
+// layer of the write spine applies a batch of events together with the
+// watermark the batch advances time-based windows to, and this is the value
+// for "none" (the same sentinel an unset watermark or max timestamp uses).
+const NoAdvance int64 = math.MinInt64
 
 // IsStructural reports whether the event belongs to the structure stream
 // S_G (edge/node changes) rather than a content stream S_v or a read.

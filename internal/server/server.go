@@ -538,7 +538,8 @@ func (s *Server) handleQueryPAO(w http.ResponseWriter, r *http.Request) {
 // handleExpire advances every query's time-based windows to the given
 // timestamp — the manual-expiry companion of WithManualExpiry (see the
 // package doc). Harmless when auto-expiry is on too: expiry only ratchets
-// forward.
+// forward. An advance the durability layer refused was not applied and
+// answers with the error.
 func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		TS int64 `json:"ts"`
@@ -546,7 +547,10 @@ func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) {
 	if !DecodeBody(w, r, &req) {
 		return
 	}
-	s.sess.ExpireAll(req.TS)
+	if err := s.sess.ExpireAll(req.TS); err != nil {
+		httpError(w, statusFor(err), "%v", err)
+		return
+	}
 	writeJSON(w, map[string]int64{"ts": req.TS})
 }
 
@@ -1097,7 +1101,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"walAppends":        dst.WALAppends,
 			"walSyncs":          dst.WALSyncs,
 			"walFreePool":       dst.WALFreePool,
-			"walExpireErrors":   dst.WALExpireErrors,
 			"checkpoints":       dst.Checkpoints,
 			"lastCheckpointLSN": dst.LastCheckpointLSN,
 			"replayedBatches":   dst.Recovery.ReplayedBatches,
@@ -1106,9 +1109,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		if dst.LastCheckpointError != "" {
 			durability["lastCheckpointError"] = dst.LastCheckpointError
-		}
-		if dst.LastExpireError != "" {
-			durability["lastExpireError"] = dst.LastExpireError
 		}
 		if dst.Recovery.WatermarkValid {
 			durability["recoveredWatermark"] = dst.Recovery.Watermark

@@ -760,6 +760,25 @@ func TestStatsDurabilitySection(t *testing.T) {
 	}
 }
 
+// TestExpireReportsRefusedAdvance: POST /expire answers with the advance's
+// fate. On a session whose durability layer is gone the advance is refused
+// (it is WAL-first, like the events it otherwise rides with) and nothing
+// expires, so the route must not say 200.
+func TestExpireReportsRefusedAdvance(t *testing.T) {
+	ts, sess, _ := durableServer(t)
+	if resp := post(t, ts.URL+"/expire", map[string]int64{"ts": 5}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("expire on a healthy session: status %d", resp.StatusCode)
+	}
+	if err := sess.SimulateCrash(); err != nil {
+		t.Fatal(err)
+	}
+	resp := post(t, ts.URL+"/expire", map[string]int64{"ts": 10})
+	defer resp.Body.Close()
+	if resp.StatusCode/100 == 2 {
+		t.Fatalf("expire refused by the durability layer: status %d, want a non-2xx", resp.StatusCode)
+	}
+}
+
 func TestDurableIngestSurvivesCrash(t *testing.T) {
 	ts, sess, dir := durableServer(t)
 	// Sync ingest: the 200 means the events reached the WAL.

@@ -96,10 +96,7 @@ func (s localShard) Mutate(ev eagr.Event) (graph.NodeID, error) {
 	return added[0], err
 }
 
-func (s localShard) Expire(ts int64) error {
-	s.sess.ExpireAll(ts)
-	return nil
-}
+func (s localShard) Expire(ts int64) error { return s.sess.ExpireAll(ts) }
 
 // Shard exposes shard i's Session (diagnostics and tests).
 func (c *Cluster) Shard(i int) *eagr.Session { return c.local[i].sess }

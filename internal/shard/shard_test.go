@@ -372,3 +372,41 @@ func TestStreamTimeIgnoresFailedApply(t *testing.T) {
 		t.Fatalf("windowed read = (%+v, %v), want both writes in the window (8)", res, err)
 	}
 }
+
+// TestLocalShardRefusedApplyMovesNoWatermark: the watermark a shard hands
+// the coordinator is time its Session actually closed. A batch the shard's
+// durability layer refuses never applied, so it must not move the watermark
+// the fleet minimum is taken over — and the Expire seam reports the refusal
+// instead of a constant nil.
+func TestLocalShardRefusedApplyMovesNoWatermark(t *testing.T) {
+	sess, _, err := eagr.OpenDurable(eagr.NewGraph(4), eagr.DurabilityOptions{Dir: t.TempDir(), Fsync: eagr.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Register(eagr.QuerySpec{Aggregate: "sum", WindowTime: 10}); err != nil {
+		t.Fatal(err)
+	}
+	ing, err := sess.Ingest(eagr.IngestOptions{FlushInterval: -1, DisableAutoExpire: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ing.Close()
+	s := localShard{sess, ing}
+	if wm, err := s.Apply([]eagr.Event{eagr.NewWrite(1, 5, 1)}); err != nil || wm == nil || *wm != 1 {
+		t.Fatalf("first apply: watermark (%v, %v), want 1", wm, err)
+	}
+	if err := s.Expire(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.SimulateCrash(); err != nil { // from here the log refuses everything
+		t.Fatal(err)
+	}
+	if wm, _ := s.Apply([]eagr.Event{eagr.NewWrite(2, 7, 1000)}); wm == nil {
+		t.Fatal("no watermark after a refused apply, want it still at 1")
+	} else if *wm != 1 {
+		t.Fatalf("watermark after a refused apply = %d, want it still at 1", *wm)
+	}
+	if err := s.Expire(1000); !errors.Is(err, eagr.ErrDurabilityClosed) {
+		t.Fatalf("Expire on the closed durability layer = %v, want ErrDurabilityClosed", err)
+	}
+}

@@ -13,8 +13,8 @@ import (
 // implements the core structural-listener hook: the graph-mutation path
 // calls the *Added/*Removed methods after each successful structural
 // mutation (never on content writes, so content-only batches pay zero topo
-// cost), and ExpireAll calls WatermarkAdvanced — the clock that schedules
-// recompute-class views.
+// cost), and an advance of time (a batch's or a standalone ExpireAll's)
+// calls WatermarkAdvanced — the clock that schedules recompute-class views.
 //
 // One Engine serves all topo queries of a session; views are deduped by
 // compile key (aggregate spec + window cadence) with refcounts, the same

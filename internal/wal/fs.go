@@ -5,6 +5,12 @@
 // the low watermark, and torn-tail-tolerant recovery scans. The filesystem
 // is reached through the FS interface so tests can inject faults — failed
 // writes, short writes, and "crash here" cut-offs at a chosen write.
+//
+// The record format has one version and has not changed since the log was
+// introduced: a batch that closes time is appended as the same RecBatch and
+// RecExpire records a separate batch and expiry always were, only in one
+// Write (Log.Append), so logs written before and after that change scan,
+// truncate and replay identically.
 package wal
 
 import (

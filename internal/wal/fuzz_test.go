@@ -36,7 +36,7 @@ func segBytes(f *testing.F) []byte {
 	if _, err := l.AppendRegister(1, []byte(`{"aggregate":"sum"}`)); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := l.AppendExpire(9); err != nil {
+	if _, _, err := l.Append(nil, 9); err != nil {
 		f.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

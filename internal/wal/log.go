@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -19,9 +20,12 @@ import (
 //	u32 payloadLen | u32 crc32c(payload) | payload
 //	payload := u8 type | u64 lsn | body
 //
-// Every record is written with ONE File.Write call, so a crash tears at
-// most the final record; the recovery scan validates length, CRC and LSN
-// continuity and truncates the file at the first bad byte. Segments are
+// Every append is written with ONE File.Write call — one record, or a
+// batch's RecBatch with the RecExpire of the time it closes right behind it —
+// so a crash tears at most the final record; the recovery scan validates
+// length, CRC and LSN continuity and truncates the file at the first bad
+// byte, which between the two records of a pair is exactly the crash between
+// two separate appends older logs could hold. Segments are
 // fixed-size-ish files named wal-<seq>.seg; segments made obsolete by a
 // checkpoint are recycled through a walfree-<seq>.seg pool (the same
 // free-list idea as the exec delta log's segment recycling, at file
@@ -131,15 +135,16 @@ type Log struct {
 	broken    error // a failed write poisons the log (crash semantics)
 	closed    bool
 	truncated bool // a torn tail was dropped during Open
-	// ord is the global event-stream ordinal allocator: AppendBatch stamps
+	// ord is the global event-stream ordinal allocator: Append stamps
 	// each batch with the ordinal of its first event, which is how a
 	// recovery (and its test oracle) identifies the exact persisted prefix.
 	ord      uint64
 	syncs    int64
 	appended int64
-	// rec is the one buffer every record is encoded in, reused across
-	// appends (File.Write, an io.Writer, may not keep it): header, type and
-	// LSN, then the body the Append* caller wrote in place (bodyBuf).
+	// rec is the one buffer every append is encoded in, reused across
+	// appends (File.Write, an io.Writer, may not keep it) and empty between
+	// them: one framed record after another (frame), sealed and written
+	// together (commitLocked).
 	rec []byte
 }
 
@@ -317,8 +322,8 @@ func (l *Log) recycle(seg *segment) {
 // Truncated reports whether Open dropped a torn tail.
 func (l *Log) Truncated() bool { return l.truncated }
 
-// NextOrd returns the global event-stream ordinal the next AppendBatch
-// will stamp. After Open it is one past the largest ordinal the scan saw
+// NextOrd returns the global event-stream ordinal the next Append will
+// stamp. After Open it is one past the largest ordinal the scan saw
 // (0 when the log holds no batch records); the session layer raises it to
 // the checkpoint's ordinal with SetNextOrd.
 func (l *Log) NextOrd() uint64 {
@@ -407,31 +412,46 @@ func (l *Log) rollLocked() error {
 	return nil
 }
 
-// AppendBatch appends one event batch, returning its LSN and the global
-// ordinal of its first event (ordinals are allocated in append order, so
-// the batch covers [firstOrd, firstOrd+len(events))). The record is
-// durable per the sync policy when AppendBatch returns nil.
-func (l *Log) AppendBatch(events []graph.Event) (lsn, firstOrd uint64, err error) {
+// Append appends what one applied batch is in the log: events as a RecBatch
+// and, when the batch closes time (advanceTo != graph.NoAdvance), a RecExpire
+// for advanceTo behind it — both framed in one buffer, so the pair costs one
+// Write and one policy sync, and a crash tears it no earlier than a crash
+// between two separate appends would. Either half may be absent: no events
+// frames no RecBatch. It returns the last LSN written and the global ordinal
+// of the first event (ordinals are allocated in append order, so the batch
+// covers [firstOrd, firstOrd+len(events))). The records are durable per the
+// sync policy when Append returns nil.
+func (l *Log) Append(events []graph.Event, advanceTo int64) (lsn, firstOrd uint64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	firstOrd = l.ord
-	body := l.bodyBuf(12 + len(events)*eventLen)
-	binary.LittleEndian.PutUint64(body[0:8], firstOrd)
-	binary.LittleEndian.PutUint32(body[8:12], uint32(len(events)))
-	off := 12
-	for _, ev := range events {
-		body[off] = byte(ev.Kind)
-		binary.LittleEndian.PutUint32(body[off+1:], uint32(ev.Node))
-		binary.LittleEndian.PutUint32(body[off+5:], uint32(ev.Peer))
-		binary.LittleEndian.PutUint64(body[off+9:], uint64(ev.Value))
-		binary.LittleEndian.PutUint64(body[off+17:], uint64(ev.TS))
-		off += eventLen
+	if len(events) > 0 {
+		body := l.frame(RecBatch, 12+len(events)*eventLen)
+		binary.LittleEndian.PutUint64(body[0:8], firstOrd)
+		binary.LittleEndian.PutUint32(body[8:12], uint32(len(events)))
+		off := 12
+		for _, ev := range events {
+			body[off] = byte(ev.Kind)
+			binary.LittleEndian.PutUint32(body[off+1:], uint32(ev.Node))
+			binary.LittleEndian.PutUint32(body[off+5:], uint32(ev.Peer))
+			binary.LittleEndian.PutUint64(body[off+9:], uint64(ev.Value))
+			binary.LittleEndian.PutUint64(body[off+17:], uint64(ev.TS))
+			off += eventLen
+		}
 	}
-	lsn, err = l.appendLocked(RecBatch)
+	if advanceTo != graph.NoAdvance {
+		binary.LittleEndian.PutUint64(l.frame(RecExpire, 8), uint64(advanceTo))
+	}
+	lsn, err = l.commitLocked()
 	if err == nil {
 		l.ord += uint64(len(events))
 	}
 	return lsn, firstOrd, err
+}
+
+// AppendBatch is Append for a batch that does not close time.
+func (l *Log) AppendBatch(events []graph.Event) (lsn, firstOrd uint64, err error) {
+	return l.Append(events, graph.NoAdvance)
 }
 
 // AppendRegister appends a query-registration record; blob is an opaque
@@ -439,57 +459,57 @@ func (l *Log) AppendBatch(events []graph.Event) (lsn, firstOrd uint64, err error
 func (l *Log) AppendRegister(queryID uint64, blob []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	body := l.bodyBuf(8 + len(blob))
+	body := l.frame(RecRegister, 8+len(blob))
 	binary.LittleEndian.PutUint64(body[0:8], queryID)
 	copy(body[8:], blob)
-	return l.appendLocked(RecRegister)
+	return l.commitLocked()
 }
 
 // AppendRetire appends a query-retirement record.
 func (l *Log) AppendRetire(queryID uint64) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	binary.LittleEndian.PutUint64(l.bodyBuf(8), queryID)
-	return l.appendLocked(RecRetire)
+	binary.LittleEndian.PutUint64(l.frame(RecRetire, 8), queryID)
+	return l.commitLocked()
 }
 
-// AppendExpire appends a window-expiry record.
-func (l *Log) AppendExpire(ts int64) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	binary.LittleEndian.PutUint64(l.bodyBuf(8), uint64(ts))
-	return l.appendLocked(RecExpire)
+// frame adds one record of type typ with an n-byte body to the record buffer
+// — length and type filled in, LSN and CRC left for commitLocked — and
+// returns the body for the caller to encode into before it frames another
+// (the buffer may move when it grows). Callers hold l.mu and follow their
+// last frame with commitLocked, which leaves the buffer empty again.
+func (l *Log) frame(typ uint8, n int) []byte {
+	start, size := len(l.rec), recHdrLen+minPayload+n
+	l.rec = slices.Grow(l.rec, size)[:start+size]
+	rec := l.rec[start:]
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(minPayload+n))
+	rec[recHdrLen] = typ
+	return rec[recHdrLen+minPayload:]
 }
 
-// bodyBuf sizes the record buffer for a body of n bytes, with the record
-// header and the payload's type and LSN reserved in front, and returns the
-// body's slice of it for the caller to encode into. Callers hold l.mu and
-// follow with appendLocked.
-func (l *Log) bodyBuf(n int) []byte {
-	size := recHdrLen + minPayload + n
-	if cap(l.rec) < size {
-		l.rec = make([]byte, size)
-	}
-	l.rec = l.rec[:size]
-	return l.rec[recHdrLen+minPayload:]
-}
-
-// appendLocked frames the body bodyBuf handed out as a record of type typ —
-// length, CRC over the payload in place, type, next LSN — and appends it
-// with one Write.
-func (l *Log) appendLocked(typ uint8) (uint64, error) {
+// commitLocked seals the framed records — next LSNs, CRC over each payload
+// in place — and appends them with one Write and one sync per the policy. It
+// returns the last LSN written (the log's last LSN when nothing was framed).
+func (l *Log) commitLocked() (uint64, error) {
+	defer func() { l.rec = l.rec[:0] }()
 	if l.closed {
 		return 0, ErrClosed
 	}
 	if l.broken != nil {
 		return 0, l.broken
 	}
-	rec, payload := l.rec, l.rec[recHdrLen:]
-	payload[0] = typ
-	lsn := l.nextLSN
-	binary.LittleEndian.PutUint64(payload[1:9], lsn)
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, crcTable))
+	rec := l.rec
+	if len(rec) == 0 {
+		return l.nextLSN - 1, nil
+	}
+	first, last := l.nextLSN, l.nextLSN-1
+	for off := 0; off < len(rec); {
+		payload := rec[off+recHdrLen:][:binary.LittleEndian.Uint32(rec[off:])]
+		last++
+		binary.LittleEndian.PutUint64(payload[1:9], last)
+		binary.LittleEndian.PutUint32(rec[off+4:], crc32.Checksum(payload, crcTable))
+		off += recHdrLen + len(payload)
+	}
 
 	if l.cur == nil || l.curSeg().bytes+int64(len(rec)) > l.opts.SegmentBytes && l.curSeg().firstLSN != 0 {
 		if err := l.rollLocked(); err != nil {
@@ -498,20 +518,20 @@ func (l *Log) appendLocked(typ uint8) (uint64, error) {
 		}
 	}
 	if _, err := l.cur.Write(rec); err != nil {
-		// The record may be partially on disk; nothing later may be
-		// appended after it (garbage would interleave), so the log dies
+		// The records may be partially on disk; nothing later may be
+		// appended after them (garbage would interleave), so the log dies
 		// here — exactly a crash.
 		l.broken = fmt.Errorf("wal: append: %w", err)
 		return 0, l.broken
 	}
 	seg := l.curSeg()
 	if seg.firstLSN == 0 {
-		seg.firstLSN = lsn
+		seg.firstLSN = first
 	}
-	seg.lastLSN = lsn
+	seg.lastLSN = last
 	seg.bytes += int64(len(rec))
-	l.nextLSN++
-	l.appended++
+	l.nextLSN = last + 1
+	l.appended += int64(last - first + 1)
 	switch l.opts.Policy {
 	case SyncAlways:
 		if err := l.cur.Sync(); err != nil {
@@ -529,7 +549,7 @@ func (l *Log) appendLocked(typ uint8) (uint64, error) {
 			l.lastSync = now
 		}
 	}
-	return lsn, nil
+	return last, nil
 }
 
 func (l *Log) curSeg() *segment { return l.segs[len(l.segs)-1] }

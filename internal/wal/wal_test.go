@@ -63,7 +63,7 @@ func TestAppendScanRoundTrip(t *testing.T) {
 	if _, err := l.AppendRegister(7, []byte(`{"spec":"x"}`)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendExpire(12345); err != nil {
+	if _, _, err := l.Append(nil, 12345); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.AppendRetire(7); err != nil {
@@ -501,6 +501,65 @@ func TestFaultFSCleanCut(t *testing.T) {
 	defer l2.Close()
 	if recs := collect(t, l2, 1); len(recs) != appended {
 		t.Fatalf("recovered %d, want %d", len(recs), appended)
+	}
+}
+
+// TestAppendClosesTimeInOneWrite: a batch and the advance that closes its
+// time are two ordinary records — consecutive LSNs, decoded as ever — framed
+// into ONE File.Write; either half alone is one record; and a tail torn
+// inside the second record leaves the first to replay, exactly what a crash
+// between two separate appends left.
+func TestAppendClosesTimeInOneWrite(t *testing.T) {
+	dir := t.TempDir()
+	inner, err := NewOsFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs := NewFaultFS(inner, FaultConfig{}) // counts writes, never faults
+	l := openTestLog(t, ffs, Options{Policy: SyncNone})
+	appendAt := func(events []graph.Event, advanceTo int64, wantLSN uint64, wantWrites int64) {
+		t.Helper()
+		before := ffs.Writes()
+		if l.LastLSN() == 0 {
+			before++ // the first append also writes the segment header
+		}
+		lsn, _, err := l.Append(events, advanceTo)
+		if err != nil || lsn != wantLSN || ffs.Writes()-before != wantWrites {
+			t.Fatalf("Append(%d events, %d) = lsn %d, %v in %d writes; want lsn %d in %d",
+				len(events), advanceTo, lsn, err, ffs.Writes()-before, wantLSN, wantWrites)
+		}
+	}
+	appendAt(testEvents(3, 10), 12, 2, 1)
+	appendAt(nil, 20, 3, 1)
+	appendAt(testEvents(2, 30), graph.NoAdvance, 4, 1)
+	appendAt(nil, graph.NoAdvance, 4, 0) // nothing to say: nothing written
+	appendAt(testEvents(1, 40), 41, 6, 1)
+	if st := l.LogStats(); st.Appended != 6 || l.NextOrd() != 6 {
+		t.Fatalf("%d records, next ordinal %d; want 6 and 6", st.Appended, l.NextOrd())
+	}
+	l.Close()
+
+	// Tear the tail inside the last record, the final pair's advance.
+	seg := filepath.Join(dir, "wal-00000001.seg")
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg, fi.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+	l2 := openTestLog(t, inner, Options{})
+	defer l2.Close()
+	var got []string
+	for _, r := range collect(t, l2, 1) {
+		got = append(got, fmt.Sprintf("%d:%d:%d:%d", r.LSN, r.Type, len(r.Events), r.TS))
+	}
+	want := []string{"1:1:3:0", "2:4:0:12", "3:4:0:20", "4:1:2:0", "5:1:1:0"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recovered lsn:type:events:ts %v, want %v", got, want)
+	}
+	if !l2.Truncated() || l2.NextOrd() != 6 {
+		t.Fatalf("truncated = %v, NextOrd = %d; want the torn advance dropped and the batch before it kept", l2.Truncated(), l2.NextOrd())
 	}
 }
 
