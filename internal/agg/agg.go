@@ -127,6 +127,39 @@ type IntoFinalizer interface {
 	FinalizeInto(buf []int64) Result
 }
 
+// OnceFinalizer is implemented by PAOs that finalize more cheaply when
+// nothing will finalize them again before a Reset or a bulk change — the
+// arena PAO of a pull read. FinalizeOnce returns exactly what
+// FinalizeInto(buf) would, but keeps no state for a next finalize (topkPAO
+// selects k entries instead of its 2k-entry upkeep head and leaves the head
+// unarmed); a FinalizeInto after it is still exact. It needs the same
+// exclusive access as FinalizeInto.
+type OnceFinalizer interface {
+	FinalizeOnce(buf []int64) Result
+}
+
+// SelectAggregate is implemented by selection aggregates — MAX and MIN —
+// whose answer over a union of inputs is the best of the inputs' own
+// answers. The engine evaluates a pull node of one by folding its inputs'
+// Best values with Better instead of merging PAOs: a selection over a union
+// is exact whatever the grouping and idempotent under duplicate paths, but
+// it has no inverse, so an overlay with a negative edge is refused for it.
+// Its PAOs implement SelectPAO.
+type SelectAggregate interface {
+	Aggregate
+	// Better reports whether a is a strictly better answer than b.
+	Better(a, b int64) bool
+}
+
+// SelectPAO is the PAO of a SelectAggregate. Best returns the current answer
+// — what Finalize would put in Result.Scalar — and ok=false over an empty
+// input set. Like a mutation it needs exclusive access: an implementation
+// may discard stale state on the way.
+type SelectPAO interface {
+	PAO
+	Best() (v int64, ok bool)
+}
+
 // ScalarAggregate is implemented by invertible scalar aggregates whose
 // entire PAO state is the pair (sum, n) — the running sum of in-window
 // values and the number of contributions. The execution engine maintains

@@ -5,7 +5,10 @@ import "slices"
 // Max is the built-in MAX aggregate. It is duplicate-insensitive, so
 // overlays with multiple writer→reader paths (VNM_D) are legal. Incremental
 // maintenance uses a lazy-deletion priority queue over contributions, giving
-// H(k) ∝ log k and L(k) ∝ k as modeled in §4.2 of the paper.
+// H(k) ∝ log k as modeled in §4.2 of the paper. As a SelectAggregate its
+// pull over k inputs reads each input's best once and keeps the better —
+// no PAO, multiset or heap is built — so L(k) is still ∝ k, with a smaller
+// constant than a merge.
 type Max struct{}
 
 // Name implements Aggregate.
@@ -17,7 +20,11 @@ func (Max) Props() Properties { return Properties{DuplicateInsensitive: true} }
 // NewPAO implements Aggregate.
 func (Max) NewPAO() PAO { return &extremumPAO{max: true} }
 
-// Min is the built-in MIN aggregate (duplicate-insensitive, like MAX).
+// Better implements SelectAggregate.
+func (Max) Better(a, b int64) bool { return a > b }
+
+// Min is the built-in MIN aggregate (duplicate-insensitive and a
+// SelectAggregate, like MAX).
 type Min struct{}
 
 // Name implements Aggregate.
@@ -29,6 +36,9 @@ func (Min) Props() Properties { return Properties{DuplicateInsensitive: true} }
 // NewPAO implements Aggregate.
 func (Min) NewPAO() PAO { return &extremumPAO{max: false} }
 
+// Better implements SelectAggregate.
+func (Min) Better(a, b int64) bool { return a < b }
+
 // extremumPAO maintains a multiset of contributions with a lazy-deletion
 // heap. Each Merge of an upstream PAO contributes that PAO's current
 // extremum as one multiset element; Unmerge removes it. Raw values at writer
@@ -37,7 +47,7 @@ func (Min) NewPAO() PAO { return &extremumPAO{max: false} }
 //
 // Every value with positive multiplicity has at least one heap entry; the
 // heap may also hold stale entries (removed values, duplicates of a value
-// that left and came back), popped when they surface in top and swept by a
+// that left and came back), popped when they surface in Best and swept by a
 // rebuild once they outnumber the live values two to one — so a PAO that
 // is written but never finalized stays O(distinct values), not O(writes).
 type extremumPAO struct {
@@ -70,11 +80,12 @@ func (p *extremumPAO) addElem(v int64) {
 func (p *extremumPAO) removeElem(v int64) {
 	p.counts.add(v, -1)
 	p.size--
-	// Heap entries are cleaned lazily in top() and rebuild().
+	// Heap entries are cleaned lazily in Best() and rebuild().
 }
 
-// top returns the current extremum, discarding stale heap entries.
-func (p *extremumPAO) top() (int64, bool) {
+// Best implements SelectPAO: the current extremum, discarding stale heap
+// entries on the way.
+func (p *extremumPAO) Best() (int64, bool) {
 	if p.size <= 0 {
 		return 0, false
 	}
@@ -150,14 +161,14 @@ func (p *extremumPAO) RemoveValue(v int64) { p.removeElem(v) }
 
 func (p *extremumPAO) Merge(other PAO) {
 	o := other.(*extremumPAO)
-	if v, ok := o.top(); ok {
+	if v, ok := o.Best(); ok {
 		p.addElem(v)
 	}
 }
 
 func (p *extremumPAO) Unmerge(other PAO) {
 	o := other.(*extremumPAO)
-	if v, ok := o.top(); ok {
+	if v, ok := o.Best(); ok {
 		p.removeElem(v)
 	}
 }
@@ -167,7 +178,7 @@ func (p *extremumPAO) Unmerge(other PAO) {
 func (p *extremumPAO) Replace(old, new PAO) { replaceViaUnmerge(p, old, new) }
 
 func (p *extremumPAO) Finalize() Result {
-	v, ok := p.top()
+	v, ok := p.Best()
 	return Result{Scalar: v, Valid: ok}
 }
 

@@ -238,6 +238,19 @@ func (p *topkPAO) FinalizeInto(buf []int64) Result {
 	return Result{List: buf[:0], Valid: false}
 }
 
+// FinalizeOnce implements OnceFinalizer: FinalizeInto with the head limited
+// to k for the one refill — min(k, positive entries) selected, not the 2k an
+// armed head keeps as upkeep slack — and left unarmed, since nothing will
+// finalize this PAO again. FinalizeInto itself, the push readers' path, is
+// untouched.
+func (p *topkPAO) FinalizeOnce(buf []int64) Result {
+	lim := p.lim
+	p.lim, p.armed = p.k, false
+	res := p.FinalizeInto(buf)
+	p.lim, p.armed = lim, false
+	return res
+}
+
 // refill rebuilds the head from the table by bounded insertion: an entry
 // that does not beat the floor of a full head is skipped with one comparison.
 func (p *topkPAO) refill() {

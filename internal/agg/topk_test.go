@@ -279,10 +279,71 @@ func TestTopKArmedPathsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestTopKFinalizeOnceMatchesFinalizeInto is the one-shot finalize's
+// property test: on random tables — negative counts from removals that
+// overtook their additions, tied counts, Merge-built and armed ones — and
+// for k from 1 to beyond the table size (topk(4000000000000000000)
+// included), FinalizeOnce answers exactly what FinalizeInto does on a copy,
+// with and without a buffer, sizes nothing from k, leaves the head unarmed,
+// and a FinalizeInto after it is still exact.
+func TestTopKFinalizeOnceMatchesFinalizeInto(t *testing.T) {
+	huge, err := Parse("topk(4000000000000000000)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		domain := 1 + rng.Int63n(30)
+		side := TopK{K: 1}.NewPAO().(*topkPAO)
+		for i := rng.Intn(40); i > 0; i-- {
+			side.AddValue(rng.Int63n(domain))
+		}
+		table := func(tk Aggregate) *topkPAO {
+			p := tk.NewPAO().(*topkPAO)
+			r := rand.New(rand.NewSource(seed))
+			for i := r.Intn(120); i > 0; i-- {
+				if v := r.Int63n(domain); r.Intn(4) == 0 {
+					p.RemoveValue(v)
+				} else {
+					p.AddValue(v)
+				}
+				if r.Intn(40) == 0 {
+					p.FinalizeInto(nil) // armed for the updates that follow
+				}
+			}
+			if seed%3 == 0 {
+				p.Merge(side)
+			}
+			return p
+		}
+		positive := table(TopK{K: 1}).freq.pos
+		for _, tk := range []Aggregate{TopK{K: 1}, TopK{K: 3}, TopK{K: max(1, positive)}, TopK{K: positive + 5}, huge} {
+			for _, buf := range [][]int64{nil, make([]int64, 0, 2)} {
+				p, q := table(tk), table(tk)
+				got := p.FinalizeOnce(buf)
+				want := q.FinalizeInto(nil)
+				if got.Valid != want.Valid || !slices.Equal(got.List, want.List) || (buf == nil && got.List == nil) {
+					t.Fatalf("seed %d %s k=%d: FinalizeOnce = %+v, FinalizeInto = %+v", seed, tk.Name(), p.k, got, want)
+				}
+				if p.armed {
+					t.Fatalf("seed %d k=%d: FinalizeOnce left the head armed", seed, p.k)
+				}
+				if len(p.head) > min(p.k, p.freq.pos) || cap(p.head) > 2*p.freq.len()+8 {
+					t.Fatalf("seed %d k=%d: head of %d entries, capacity %d, over %d positive of %d entries",
+						seed, p.k, len(p.head), cap(p.head), p.freq.pos, p.freq.len())
+				}
+				if again := p.FinalizeInto(nil); !again.Eq(want) {
+					t.Fatalf("seed %d k=%d: FinalizeInto after FinalizeOnce = %+v, want %+v", seed, p.k, again, want)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkTopKFinalize measures one finalize of a 64-value topk(10) PAO
-// into a retained buffer: cold pays the refill (a pull read's arena PAO, or
-// a push reader whose head was disarmed), armed copies the head after one
-// window slide.
+// into a retained buffer: cold pays the refill (a push reader whose head was
+// disarmed), once the one-shot selection of a pull read's arena PAO, armed
+// copies the head after one window slide.
 func BenchmarkTopKFinalize(b *testing.B) {
 	build := func() *topkPAO {
 		p := TopK{K: 10}.NewPAO().(*topkPAO)
@@ -299,6 +360,13 @@ func BenchmarkTopKFinalize(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p.armed = false
 			benchSink = p.FinalizeInto(buf)
+		}
+	})
+	b.Run("once", func(b *testing.B) {
+		p := build()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink = p.FinalizeOnce(buf)
 		}
 	})
 	b.Run("armed", func(b *testing.B) {

@@ -26,10 +26,12 @@
 // pair of atomic counters (sum, n), writes apply atomic adds along the
 // compiled closure, and reads (push or pull) assemble results from atomic
 // loads without allocating. Non-scalar aggregates (MAX, TOP-K, DISTINCT)
-// keep the per-node mutex + PAO path, still driven by the compiled plan;
-// their pull reads draw working PAOs from a pooled arena and finalize into
-// caller-provided buffers (ReadInto), so steady-state reads of every
-// built-in aggregate are allocation-free too.
+// keep the per-node mutex + PAO path, still driven by the compiled plan.
+// A pull read has one kernel per aggregate class, chosen in New: the scalar
+// walk; for selections (MAX, MIN — agg.SelectAggregate) a fold of the
+// inputs' bests that builds no PAO; for the rest a merge into PAOs drawn
+// from a pooled arena, finalized once into the caller's buffer (ReadInto).
+// Steady-state reads of every built-in aggregate are allocation-free.
 //
 // # Engine state snapshots
 //
@@ -86,6 +88,7 @@ type Engine struct {
 	ov     *overlay.Overlay // replaced by Rebuild, under rebuildMu
 	agg    agg.Aggregate
 	scalar agg.ScalarAggregate // non-nil enables the atomic fast path
+	sel    agg.SelectAggregate // non-nil: pull reads fold their inputs' bests
 
 	// state is the current compiled-plan + per-node-state snapshot.
 	state atomic.Pointer[engineState]
@@ -184,12 +187,38 @@ func New(ov *overlay.Overlay, a agg.Aggregate, window agg.Window) (*Engine, erro
 	e := &Engine{ov: ov, agg: a}
 	if sa, ok := a.(agg.ScalarAggregate); ok {
 		e.scalar = sa
+	} else if sa, ok := a.(agg.SelectAggregate); ok {
+		if _, ok := a.NewPAO().(agg.SelectPAO); !ok {
+			return nil, fmt.Errorf("exec: selection aggregate %s: PAO has no Best", a.Name())
+		}
+		e.sel = sa
+	}
+	pl := compilePlan(ov)
+	if err := e.checkPlan(pl); err != nil {
+		return nil, err
 	}
 	e.readPool.New = func() any { return &readScratch{} }
 	e.accPool.New = func() any { return &writeAccum{} }
 	e.touchPool.New = func() any { return &touchCollector{} }
-	e.state.Store(e.buildState(compilePlan(ov), nil, nil, window))
+	e.state.Store(e.buildState(pl, nil, nil, window))
 	return e, nil
+}
+
+// checkPlan refuses a plan the engine's pull kernel cannot answer: a
+// selection has no inverse, so a negative edge under a SelectAggregate
+// would subtract one input's best from a union. No production path builds
+// one — only VNM_N makes negative edges, and core refuses it for aggregates
+// that are not subtractable.
+func (e *Engine) checkPlan(pl *plan) error {
+	if e.sel == nil {
+		return nil
+	}
+	for _, pe := range pl.top.In {
+		if _, neg := overlay.UnpackRef(pe); neg {
+			return fmt.Errorf("exec: %s cannot run over an overlay with negative edges", e.agg.Name())
+		}
+	}
+	return nil
 }
 
 // buildState assembles a snapshot for the compiled plan pl. Slot i shares
@@ -508,6 +537,14 @@ func (e *Engine) ReadTaggedWire(tag int32, v graph.NodeID) (agg.WirePAO, error) 
 		sum, n := e.pullScalar(st, rref)
 		return agg.WirePAO{Sum: sum, N: n}, nil
 	}
+	if e.sel != nil {
+		// The fold's answer as one contribution: merged with other shards'
+		// wires it selects exactly what the inputs' PAOs would.
+		if v, ok := e.pullSelect(st, rref); ok {
+			return agg.WirePAO{Values: []int64{v}, Freqs: []int64{1}, N: 1}, nil
+		}
+		return agg.WirePAO{}, nil
+	}
 	rs := e.getReadScratch()
 	w, ok := agg.Export(e.computePull(st, rref, rs))
 	e.putReadScratch(rs)
@@ -556,14 +593,33 @@ func (e *Engine) readOn(st *engineState, rref overlay.NodeRef, v graph.NodeID, b
 		ns.pullObs.Add(1)
 		return res, nil
 	}
+	return e.readPull(st, rref, buf), nil
+}
+
+// readPull evaluates pull reader rref with the engine's kernel for its
+// aggregate class, chosen once in New: the scalar walk for SUM/COUNT/AVG,
+// the selection fold for MAX/MIN, and for everything else (TOP-K, DISTINCT,
+// user PAOs) a merge into the read's pooled arena, finalized once. It is
+// kept out of readOn so the push branch there compiles as it did before.
+func (e *Engine) readPull(st *engineState, rref overlay.NodeRef, buf []int64) agg.Result {
 	if e.scalar != nil {
 		sum, n := e.pullScalar(st, rref)
-		return e.scalar.FinalizeScalar(sum, n), nil
+		return e.scalar.FinalizeScalar(sum, n)
+	}
+	if e.sel != nil {
+		v, ok := e.pullSelect(st, rref)
+		return agg.Result{Scalar: v, Valid: ok}
 	}
 	rs := e.getReadScratch()
-	res := finalizePAO(e.computePull(st, rref, rs), buf)
+	p := e.computePull(st, rref, rs)
+	var res agg.Result
+	if f, ok := p.(agg.OnceFinalizer); ok {
+		res = f.FinalizeOnce(buf)
+	} else {
+		res = finalizePAO(p, buf)
+	}
 	e.putReadScratch(rs)
-	return res, nil
+	return res
 }
 
 // pullScalar evaluates a pull node on demand in scalar mode: walk the
@@ -593,10 +649,41 @@ func (e *Engine) pullScalar(st *engineState, ref overlay.NodeRef) (sum, n int64)
 	return sum, n
 }
 
-// computePull evaluates a pull node on demand in mutex mode: merge
-// push-side inputs' PAOs, recurse into pull-side inputs (§2.2.2: "it issues
-// read requests on all its upstream overlay nodes, merges all the PAOs it
-// receives"). Working PAOs come from the read's arena, never the heap.
+// pullSelect evaluates a pull node on demand for a SelectAggregate: walk the
+// compiled in-edge CSR like pullScalar, taking each push-side input's best
+// under its mutex and recursing into pull-side inputs, and keep the better.
+// A selection over a union is the selection over its parts' selections, and
+// an input reached over two paths is offered twice to an idempotent choice,
+// so this is exactly the answer a merge of the inputs' PAOs would finalize
+// to — without building one. checkPlan guarantees no edge is negative.
+func (e *Engine) pullSelect(st *engineState, ref overlay.NodeRef) (best int64, ok bool) {
+	st.nodes[ref].pullObs.Add(1)
+	top := st.plan.top
+	for _, pe := range top.InEdges(ref) {
+		src, _ := overlay.UnpackRef(pe)
+		var v int64
+		var has bool
+		if top.Dec[src] == overlay.Push {
+			ns := st.nodes[src]
+			ns.mu.Lock()
+			v, has = st.paos[src].(agg.SelectPAO).Best()
+			ns.mu.Unlock()
+			ns.pullObs.Add(1)
+		} else {
+			v, has = e.pullSelect(st, src)
+		}
+		if has && (!ok || e.sel.Better(v, best)) {
+			best, ok = v, true
+		}
+	}
+	return best, ok
+}
+
+// computePull evaluates a pull node on demand in mutex mode for aggregates
+// that have neither a scalar nor a selection kernel: merge push-side inputs'
+// PAOs, recurse into pull-side inputs (§2.2.2: "it issues read requests on
+// all its upstream overlay nodes, merges all the PAOs it receives"). Working
+// PAOs come from the read's arena, never the heap.
 func (e *Engine) computePull(st *engineState, ref overlay.NodeRef, rs *readScratch) agg.PAO {
 	st.nodes[ref].pullObs.Add(1)
 	out := rs.next(e.agg)

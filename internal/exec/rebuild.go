@@ -49,6 +49,9 @@ func (e *Engine) Rebuild(ov *overlay.Overlay, window agg.Window, skip map[graph.
 	defer e.rebuildMu.Unlock()
 	old := e.state.Load()
 	pl := compilePlan(ov)
+	if err := e.checkPlan(pl); err != nil {
+		return err
+	}
 	top := pl.top
 	inherit := func(i int) overlay.NodeRef {
 		if i < len(old.nodes) {

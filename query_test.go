@@ -22,6 +22,28 @@ type handleRow struct {
 	// wire reports whether ReadWire has an answer for this kind; kinds
 	// without a partial-aggregate form answer ErrIncompatibleQuery.
 	wire bool
+	// pullEgo, when non-zero, is a node whose reader the row's dataflow
+	// decisions leave pull-annotated, so the allocation check covers an
+	// on-demand read too (ego 0 itself is always covered).
+	pullEgo NodeID
+}
+
+// pullRow is a dataflow row for aggregate spec: ego 0 is read far more often
+// than it is written, so it is pushed and subscribable, while ego 2 (fed by
+// node 1) is never read and stays pull.
+func pullRow(spec string) handleRow {
+	return handleRow{
+		name: spec + " dataflow",
+		register: func(t *testing.T, sess *Session) *Query {
+			return mustRegister(t, sess, QuerySpec{Aggregate: spec}, Options{
+				ReadFreq:  []float64{100, 0, 0, 0, 0, 0},
+				WriteFreq: []float64{1, 1, 1, 1, 1, 1},
+			})
+		},
+		poke:    pokeWrite,
+		wire:    true,
+		pullEgo: 2,
+	}
 }
 
 // contractGraph: ego 0 hears 1 and 2 (1→0, 2→0), 1 and 2 are linked, and
@@ -38,9 +60,9 @@ func contractGraph(t *testing.T) *Graph {
 	return g
 }
 
-func mustRegister(t *testing.T, sess *Session, spec QuerySpec) *Query {
+func mustRegister(t *testing.T, sess *Session, spec QuerySpec, opts ...Options) *Query {
 	t.Helper()
-	q, err := sess.Register(spec)
+	q, err := sess.Register(spec, opts...)
 	if err != nil {
 		t.Fatalf("Register(%+v): %v", spec, err)
 	}
@@ -97,6 +119,8 @@ var handleRows = []handleRow{
 		poke: pokeWrite,
 		wire: true,
 	},
+	pullRow("max"),
+	pullRow("topk(3)"),
 	{
 		name: "density",
 		register: func(t *testing.T, sess *Session) *Query {
@@ -162,13 +186,23 @@ func TestQueryHandleContract(t *testing.T) {
 			if _, err := q.Read(99); !errors.Is(err, ErrUnknownNode) {
 				t.Fatalf("Read(unknown) err = %v, want ErrUnknownNode", err)
 			}
-			if !raceEnabled { // race instrumentation allocates
+			egos := []NodeID{0}
+			if row.pullEgo != 0 {
+				if q.Covered(row.pullEgo) {
+					t.Fatalf("ego %d must read through a pull node", row.pullEgo)
+				}
+				egos = append(egos, row.pullEgo)
+			}
+			for _, v := range egos {
+				if raceEnabled { // race instrumentation allocates
+					break
+				}
 				if allocs := testing.AllocsPerRun(200, func() {
-					if err := q.ReadInto(0, &res); err != nil {
+					if err := q.ReadInto(v, &res); err != nil {
 						t.Fatal(err)
 					}
 				}); allocs > 0 {
-					t.Fatalf("ReadInto with a retained result allocates %.1f allocs/op, want 0", allocs)
+					t.Fatalf("ReadInto(%d) with a retained result allocates %.1f allocs/op, want 0", v, allocs)
 				}
 			}
 
