@@ -5,10 +5,11 @@ import "slices"
 // Max is the built-in MAX aggregate. It is duplicate-insensitive, so
 // overlays with multiple writer→reader paths (VNM_D) are legal. Incremental
 // maintenance uses a lazy-deletion priority queue over contributions, giving
-// H(k) ∝ log k as modeled in §4.2 of the paper. As a SelectAggregate its
-// pull over k inputs reads each input's best once and keeps the better —
-// no PAO, multiset or heap is built — so L(k) is still ∝ k, with a smaller
-// constant than a merge.
+// H(k) ∝ log k as modeled in §4.2 of the paper (a PAO that never held more
+// than six distinct contributions caches its best instead: O(1)). As a
+// SelectAggregate its pull over k inputs reads each input's best once and
+// keeps the better — no PAO, multiset or heap is built — so L(k) is still
+// ∝ k, with a smaller constant than a merge.
 type Max struct{}
 
 // Name implements Aggregate.
@@ -39,27 +40,57 @@ func (Min) NewPAO() PAO { return &extremumPAO{max: false} }
 // Better implements SelectAggregate.
 func (Min) Better(a, b int64) bool { return a < b }
 
-// extremumPAO maintains a multiset of contributions with a lazy-deletion
-// heap. Each Merge of an upstream PAO contributes that PAO's current
-// extremum as one multiset element; Unmerge removes it. Raw values at writer
-// nodes are elements themselves. This supports windows and incremental
-// Replace in O(log k) amortized.
+// extremumPAO maintains a multiset of contributions. Each Merge of an
+// upstream PAO contributes that PAO's current extremum as one multiset
+// element; Unmerge removes it. Raw values at writer nodes are elements
+// themselves. This supports windows and incremental Replace in O(log k)
+// amortized.
 //
-// Every value with positive multiplicity has at least one heap entry; the
-// heap may also hold stale entries (removed values, duplicates of a value
-// that left and came back), popped when they surface in Best and swept by a
-// rebuild once they outnumber the live values two to one — so a PAO that
-// is written but never finalized stays O(distinct values), not O(writes).
+// How the best is found depends on the size of the counts table, never on a
+// setting:
+//
+//   - small (at most smallSlots slots, so at most six values — every writer
+//     of a window of a few tuples, and a partial over a few of them): no
+//     heap. best is cached and kept exact on every change, so Best is a
+//     load; only removing the current best rescans the table.
+//   - large (the table outgrew smallSlots): a lazy-deletion heap. Every value
+//     with positive multiplicity has at least one heap entry; the heap may
+//     also hold stale entries (removed values, duplicates of a value that left
+//     and came back), popped when they surface in Best and swept by a rebuild
+//     once they outnumber the live values two to one — so a PAO that is
+//     written but never finalized stays O(distinct values), not O(writes).
+//
+// The table only grows (Reset clears it in place), so a PAO switches from
+// small to large at most once, on the step that resizes it past smallSlots —
+// an add, an early removal's negative entry, or ImportWire.
 type extremumPAO struct {
 	max    bool
 	counts multiset // value -> multiplicity
-	heap   []int64  // binary heap, best value first; lazy, see above
+	heap   []int64  // large mode: binary heap, best value first; lazy, see above
+	best   int64    // small mode: the best positive value, when counts.pos > 0
 	size   int64    // total multiplicity
 }
 
+// smallSlots is the largest counts table an extremumPAO keeps without a heap.
+const smallSlots = 8
+
+func (p *extremumPAO) small() bool { return len(p.counts.slots) <= smallSlots }
+
 func (p *extremumPAO) addElem(v int64) {
 	p.size++
-	if p.counts.add(v, 1) != 1 {
+	wasSmall := p.small()
+	c := p.counts.add(v, 1)
+	if p.small() {
+		if c == 1 && (p.counts.pos == 1 || p.before(v, p.best)) {
+			p.best = v
+		}
+		return
+	}
+	if wasSmall {
+		p.rebuild() // the table just outgrew small mode: heap from here on
+		return
+	}
+	if c != 1 {
 		// Already positive, so already in the heap — or still settling a
 		// transient early removal.
 		return
@@ -78,16 +109,28 @@ func (p *extremumPAO) addElem(v int64) {
 // value may reach downstream state before the addition it cancels. The
 // multiset converges once both sides have been applied.
 func (p *extremumPAO) removeElem(v int64) {
-	p.counts.add(v, -1)
+	wasSmall := p.small()
+	c := p.counts.add(v, -1)
 	p.size--
-	// Heap entries are cleaned lazily in Best() and rebuild().
+	if small := p.small(); small != wasSmall || small && c == 0 && v == p.best {
+		// An early removal's negative entry outgrew small mode (heap from
+		// here on), or the best left.
+		p.rebuild()
+	}
+	// Large mode cleans heap entries lazily in Best() and rebuild().
 }
 
-// Best implements SelectPAO: the current extremum, discarding stale heap
-// entries on the way.
+// Best implements SelectPAO: the current extremum — a load in small mode; in
+// large mode stale heap entries are discarded on the way.
 func (p *extremumPAO) Best() (int64, bool) {
 	if p.size <= 0 {
 		return 0, false
+	}
+	if p.small() {
+		if p.counts.pos == 0 {
+			return 0, false
+		}
+		return p.best, true
 	}
 	for len(p.heap) > 0 {
 		v := p.heap[0]
@@ -102,12 +145,23 @@ func (p *extremumPAO) Best() (int64, bool) {
 	return 0, false
 }
 
-// rebuild replaces the heap by one entry per value of positive
-// multiplicity (heapified bottom-up, O(len(counts))). After it the heap is
-// no longer than counts, so the next rebuild is at least len(counts)+16
-// pushes away: amortized O(1) per addElem.
+// rebuild re-derives the read structure from counts: in small mode it
+// rescans the table for the best; in large mode it replaces the heap by one
+// entry per value of positive multiplicity (heapified bottom-up,
+// O(len(counts))). After a large rebuild the heap is no longer than counts,
+// so the next one is at least len(counts)+16 pushes away: amortized O(1) per
+// addElem.
 func (p *extremumPAO) rebuild() {
 	p.heap = p.heap[:0]
+	if p.small() {
+		found := false
+		for _, s := range p.counts.slots {
+			if s.c > 0 && (!found || p.before(s.v, p.best)) {
+				p.best, found = s.v, true
+			}
+		}
+		return
+	}
 	for _, s := range p.counts.slots {
 		if s.c > 0 {
 			p.heap = append(p.heap, s.v)
@@ -118,7 +172,8 @@ func (p *extremumPAO) rebuild() {
 	}
 }
 
-// before reports whether a sits above b in the heap.
+// before reports whether a is a better extremum than b (sits above it in the
+// heap).
 func (p *extremumPAO) before(a, b int64) bool {
 	if p.max {
 		return a > b
@@ -182,8 +237,8 @@ func (p *extremumPAO) Finalize() Result {
 	return Result{Scalar: v, Valid: ok}
 }
 
-// Reset clears the multiset in place (slot and heap arrays retained), so a
-// pooled PAO is reusable without allocation.
+// Reset clears the multiset in place (slot and heap arrays retained, so the
+// mode too), so a pooled PAO is reusable without allocation.
 func (p *extremumPAO) Reset() {
 	p.counts.clear()
 	p.heap = p.heap[:0]
@@ -191,5 +246,5 @@ func (p *extremumPAO) Reset() {
 }
 
 func (p *extremumPAO) Clone() PAO {
-	return &extremumPAO{max: p.max, size: p.size, counts: p.counts.clone(), heap: slices.Clone(p.heap)}
+	return &extremumPAO{max: p.max, size: p.size, best: p.best, counts: p.counts.clone(), heap: slices.Clone(p.heap)}
 }

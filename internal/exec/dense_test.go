@@ -88,14 +88,16 @@ func TestPlanDenseLookup(t *testing.T) {
 }
 
 // TestHolisticSteadyStateAllocs: with the flat multiset under them, MAX,
-// TOP-K and DISTINCT allocate nothing in steady state — neither a write
-// through the push region nor an on-demand pull read into a retained
-// result (pooled PAO arena, tables cleared in place).
+// MIN, TOP-K and DISTINCT allocate nothing in steady state — neither a write
+// through the push region nor a read into a retained result, push (MAX/MIN:
+// the published best) or pull (MAX/MIN: the fold over published bests;
+// TOP-K/DISTINCT: pooled PAO arena, tables cleared in place). SUM's atomic
+// cells are the control.
 func TestHolisticSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	for _, a := range []agg.Aggregate{agg.Max{}, agg.TopK{K: 3}, agg.Distinct{}} {
+	for _, a := range []agg.Aggregate{agg.Sum{}, agg.Max{}, agg.Min{}, agg.TopK{K: 3}, agg.Distinct{}} {
 		for _, mode := range []string{"push", "pull"} {
 			ov := construct.Baseline(paperAG())
 			decide(t, ov, mode)

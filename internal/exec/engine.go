@@ -27,11 +27,16 @@
 // compiled closure, and reads (push or pull) assemble results from atomic
 // loads without allocating. Non-scalar aggregates (MAX, TOP-K, DISTINCT)
 // keep the per-node mutex + PAO path, still driven by the compiled plan.
+// For selections (MAX, MIN — agg.SelectAggregate) every push node a read
+// loads publishes its best into a seqlocked per-snapshot cell, under the
+// mutex its writer already holds, so reads of them take no lock either.
 // A pull read has one kernel per aggregate class, chosen in New: the scalar
-// walk; for selections (MAX, MIN — agg.SelectAggregate) a fold of the
-// inputs' bests that builds no PAO; for the rest a merge into PAOs drawn
-// from a pooled arena, finalized once into the caller's buffer (ReadInto).
-// Steady-state reads of every built-in aggregate are allocation-free.
+// walk; for selections a fold of the inputs' published bests that builds no
+// PAO; for the rest a merge into PAOs drawn from a pooled arena, finalized
+// once into the caller's buffer (ReadInto). Steady-state reads of every
+// built-in aggregate are allocation-free. No read counts per input: a read
+// counts once at its reader and a push walk once at its writer, and
+// Observations expands both through the plan when it drains them.
 //
 // # Engine state snapshots
 //
@@ -66,6 +71,7 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -146,15 +152,29 @@ type engineState struct {
 	scalars []*scalarCell // scalar-mode partial state; nil in PAO mode
 	paos    []agg.PAO     // PAO-mode partial state; nil entries in scalar mode
 	windows []agg.Window  // writer nodes only
+	// best holds, for a SelectAggregate, the published best of every push
+	// node a read loads (plan.readable); nil for other aggregates.
+	best []bestCell
 }
 
 // nodeState carries one overlay node's synchronization and observation
 // counters. It is allocated once per node slot and shared by every snapshot
 // that contains the slot, so a goroutine operating on an older snapshot
 // still contends on the same mutex and publishes to the same counters.
+//
+// The hot paths count at the edges of the overlay only: a write bumps its
+// writer's pushObs, a push walk adds the writes it stands for to its writer's
+// walkObs, and a read counts once at its reader (countRead). fold expands the
+// walk and read counts through a plan into the pushObs / pullObs of every
+// node a per-visit count would have bumped, so the drained per-node
+// observations are what they were when every visit counted itself.
 type nodeState struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// readObs counts reads in PAO mode other than selections, beside the
+	// mutex a push read of them takes (countRead).
+	readObs atomic.Int64
 	pushObs atomic.Int64
+	walkObs atomic.Int64
 	pullObs atomic.Int64
 	// inExpiryHeap marks a writer slot registered in the engine's
 	// next-expiry index (expiry.go). Read and written only under mu, so
@@ -168,10 +188,61 @@ type nodeState struct {
 // running sum of contributions and their count. A torn read across the pair
 // is possible mid-write; that is the bounded staleness the queueing model
 // already admits. Every snapshot has its own cells, so seeding the next one
-// never exposes half-rebuilt values to readers of the current one.
+// never exposes half-rebuilt values to readers of the current one. reads
+// counts the reads of the slot (countRead).
 type scalarCell struct {
-	sum atomic.Int64
-	cnt atomic.Int64
+	sum   atomic.Int64
+	cnt   atomic.Int64
+	reads atomic.Int64
+}
+
+// bestCell is a selection push node's published answer, the (value, valid)
+// pair a read loads without the node's mutex. Stores come only from the
+// holder of that mutex, after the PAO mutation they publish; seq is odd while
+// one is in progress, so a load that saw it odd, or saw it change, retries
+// instead of pairing one store's value with another's validity. reads counts
+// the reads of the slot, push or pull (countRead).
+type bestCell struct {
+	seq   atomic.Uint32
+	valid atomic.Bool
+	val   atomic.Int64
+	reads atomic.Int64
+}
+
+// store publishes (v, ok); v is stored as 0 when ok is false. A store that
+// would not change the cell is skipped.
+func (c *bestCell) store(v int64, ok bool) {
+	if !ok {
+		v = 0
+	}
+	if c.val.Load() == v && c.valid.Load() == ok {
+		return
+	}
+	c.seq.Add(1)
+	c.val.Store(v)
+	c.valid.Store(ok)
+	c.seq.Add(1)
+}
+
+// load returns the last published (v, ok).
+func (c *bestCell) load() (int64, bool) {
+	for {
+		s := c.seq.Load()
+		v, ok := c.val.Load(), c.valid.Load()
+		if s&1 == 0 && c.seq.Load() == s {
+			return v, ok
+		}
+		runtime.Gosched() // a store is in progress
+	}
+}
+
+// publish stores push node ref's current best into its cell when a read can
+// load it (a no-op for other aggregates and other nodes). The caller holds
+// ref's mutex and has finished mutating its PAO.
+func (st *engineState) publish(ref overlay.NodeRef) {
+	if st.best != nil && st.plan.readable[ref] {
+		st.best[ref].store(st.paos[ref].(agg.SelectPAO).Best())
+	}
 }
 
 // New compiles an engine for the overlay. window is cloned per writer; nil
@@ -226,7 +297,8 @@ func (e *Engine) checkPlan(pl *plan) error {
 // window and PAO — or starts fresh (writers with a clone of window) where
 // that is NoNode or prev is nil. Push-side value state is always fresh: one
 // scalar cell per slot, or an empty PAO per non-writer push node, for the
-// caller to seed from the windows.
+// caller to seed from the windows — and for a selection an empty best cell per
+// slot, which the seed publishes into.
 func (e *Engine) buildState(pl *plan, prev *engineState, inherit func(i int) overlay.NodeRef, window agg.Window) *engineState {
 	n := pl.top.N
 	st := &engineState{
@@ -237,6 +309,9 @@ func (e *Engine) buildState(pl *plan, prev *engineState, inherit func(i int) ove
 	}
 	if e.scalar != nil {
 		st.scalars = make([]*scalarCell, n)
+	}
+	if e.sel != nil {
+		st.best = make([]bestCell, n)
 	}
 	for i := 0; i < n; i++ {
 		from := overlay.NoNode
@@ -356,9 +431,10 @@ func finalizePAO(p agg.PAO, buf []int64) agg.Result {
 // writerDelta is what one or more logical writes (or one expiry) on a
 // single writer changed in that writer's window, in the form its push
 // region consumes: (dSum, dCnt) in scalar mode, raw value lists in PAO
-// mode. m is the number of logical writes folded in — every pushObs along
-// the closure advances by m, so the §4 frequency inputs count writes, not
-// closure walks — and ts the latest of their timestamps.
+// mode. m is the number of logical writes folded in — the walk adds m to the
+// writer's walkObs, which the drain expands to m at every closure entry, so
+// the §4 frequency inputs count writes, not closure walks — and ts the latest
+// of their timestamps.
 type writerDelta struct {
 	m          int64
 	ts         int64
@@ -368,7 +444,8 @@ type writerDelta struct {
 
 // applyAtWriter is the first half of a write (Apply's pass 1): everything
 // that happens at the writer itself, under its mutex — window slide,
-// expiry-index registration and the writer's own cell or PAO. st is the
+// expiry-index registration and the writer's own cell or PAO (published
+// when a read loads it). st is the
 // snapshot of the caller's gate section; the delta's push region is walked
 // on it.
 //
@@ -399,6 +476,8 @@ func (e *Engine) applyAtWriter(st *engineState, wref overlay.NodeRef, value, ts 
 		cell := st.scalars[wref]
 		cell.sum.Add(dSum)
 		cell.cnt.Add(dCnt)
+	} else {
+		st.publish(wref)
 	}
 	ns.mu.Unlock()
 	ns.pushObs.Add(1)
@@ -406,54 +485,55 @@ func (e *Engine) applyAtWriter(st *engineState, wref overlay.NodeRef, value, ts 
 }
 
 // pushRegion is the second half of a write or an expiry: walk writer wref's
-// compiled closure in st once with the delta and record the touched push
-// readers in tc, so the caller delivers each reader once after everything
-// it is applying settled (flushTouches).
+// compiled closure in st once with the delta, count the walk as the d.m
+// writes it stands for at the writer, and record the touched push readers in
+// tc, so the caller delivers each reader once after everything it is
+// applying settled (flushTouches).
 func (e *Engine) pushRegion(st *engineState, wref overlay.NodeRef, d *writerDelta, tc *touchCollector) {
 	if e.scalar != nil {
-		e.propagateScalar(st, wref, d.dSum, d.dCnt, d.m)
+		e.propagateScalar(st, wref, d.dSum, d.dCnt)
 	} else {
-		e.propagate(st, wref, d.add, d.rem, d.m)
+		e.propagate(st, wref, d.add, d.rem)
 	}
+	st.nodes[wref].walkObs.Add(d.m)
 	if nt := e.notify.Load(); nt != nil {
 		tc.collect(nt, st, wref, d.ts)
 	}
 }
 
 // propagate applies a raw-value delta along the writer's compiled push
-// closure (mutex + PAO mode), counting it as m pushes at every node. Each
-// closure entry corresponds to one edge traversal of the original
+// closure (mutex + PAO mode), publishing each changed node a read loads.
+// Each closure entry corresponds to one edge traversal of the original
 // breadth-first walk, so duplicate paths (legal only for
 // duplicate-insensitive aggregates) contribute consistent multiplicities
-// on both add and remove. A delta that cancelled to nothing still counts.
-func (e *Engine) propagate(st *engineState, wref overlay.NodeRef, add, remove []int64, m int64) {
-	empty := len(add)+len(remove) == 0
+// on both add and remove.
+func (e *Engine) propagate(st *engineState, wref overlay.NodeRef, add, remove []int64) {
+	if len(add)+len(remove) == 0 {
+		return
+	}
 	for _, pe := range st.plan.closure[wref] {
 		ref, neg := overlay.UnpackRef(pe)
-		ns := st.nodes[ref]
-		if !empty {
-			a, r := add, remove
-			if neg {
-				a, r = remove, add
-			}
-			ns.mu.Lock()
-			pao := st.paos[ref]
-			for _, v := range a {
-				pao.AddValue(v)
-			}
-			for _, v := range r {
-				pao.RemoveValue(v)
-			}
-			ns.mu.Unlock()
+		a, r := add, remove
+		if neg {
+			a, r = remove, add
 		}
-		ns.pushObs.Add(m)
+		ns := st.nodes[ref]
+		ns.mu.Lock()
+		pao := st.paos[ref]
+		for _, v := range a {
+			pao.AddValue(v)
+		}
+		for _, v := range r {
+			pao.RemoveValue(v)
+		}
+		st.publish(ref)
+		ns.mu.Unlock()
 	}
 }
 
 // propagateScalar applies a (sum, count) delta along the compiled closure
-// with plain atomic adds — no locks, no allocation — counting it as m
-// pushes at every node.
-func (e *Engine) propagateScalar(st *engineState, wref overlay.NodeRef, dSum, dCnt, m int64) {
+// with plain atomic adds — no locks, no allocation.
+func (e *Engine) propagateScalar(st *engineState, wref overlay.NodeRef, dSum, dCnt int64) {
 	for _, pe := range st.plan.closure[wref] {
 		ref, neg := overlay.UnpackRef(pe)
 		cell := st.scalars[ref]
@@ -464,7 +544,6 @@ func (e *Engine) propagateScalar(st *engineState, wref overlay.NodeRef, dSum, dC
 			cell.sum.Add(dSum)
 			cell.cnt.Add(dCnt)
 		}
-		st.nodes[ref].pushObs.Add(m)
 	}
 }
 
@@ -517,14 +596,13 @@ func (e *Engine) ReadTaggedWire(tag int32, v graph.NodeID) (agg.WirePAO, error) 
 		return agg.WirePAO{}, fmt.Errorf("exec: read node %d: %w", v, ErrUnknownNode)
 	}
 	e.reads.Add(1)
-	top := st.plan.top
-	if top.Dec[rref] == overlay.Push {
-		ns := st.nodes[rref]
-		defer ns.pullObs.Add(1)
+	st.countRead(rref)
+	if st.plan.top.Dec[rref] == overlay.Push {
 		if e.scalar != nil {
 			cell := st.scalars[rref]
 			return agg.WirePAO{Sum: cell.sum.Load(), N: cell.cnt.Load()}, nil
 		}
+		ns := st.nodes[rref]
 		ns.mu.Lock()
 		w, ok := agg.Export(st.paos[rref])
 		ns.mu.Unlock()
@@ -572,28 +650,56 @@ func (e *Engine) CoveredTagged(tag int32, v graph.NodeID) bool {
 
 // readOn executes one read against a fixed snapshot; rref is the resolved
 // reader slot (NoNode reports ErrUnknownNode for v) and buf, when non-nil,
-// is offered to the finalizer as the result-list backing array.
+// is offered to the finalizer as the result-list backing array. The read
+// counts once, at its reader; the drain expands the count over the nodes a
+// pull reader's kernel visits (fold).
 func (e *Engine) readOn(st *engineState, rref overlay.NodeRef, v graph.NodeID, buf []int64) (agg.Result, error) {
 	if rref == overlay.NoNode {
 		return agg.Result{}, fmt.Errorf("exec: read node %d: %w", v, ErrUnknownNode)
 	}
 	e.reads.Add(1)
+	st.countRead(rref)
 	top := st.plan.top
 	if top.Dec[rref] == overlay.Push {
-		ns := st.nodes[rref]
-		var res agg.Result
 		if e.scalar != nil {
 			cell := st.scalars[rref]
-			res = e.scalar.FinalizeScalar(cell.sum.Load(), cell.cnt.Load())
-		} else {
-			ns.mu.Lock()
-			res = finalizePAO(st.paos[rref], buf)
-			ns.mu.Unlock()
+			return e.scalar.FinalizeScalar(cell.sum.Load(), cell.cnt.Load()), nil
 		}
-		ns.pullObs.Add(1)
-		return res, nil
+		return e.readPushPAO(st, rref, buf), nil
 	}
 	return e.readPull(st, rref, buf), nil
+}
+
+// countRead counts one read at reader slot ref, in the cell the read touches
+// anyway: its scalar cell or best cell — per snapshot, next to the value a
+// push read loads — or, for other aggregates, its node cell, beside the mutex
+// a push read takes. No write touches a scalar reader's node cell, and a
+// selection read loads only its best cell, so a counter in the node cell
+// would be a cache line those reads fetch only to count.
+func (st *engineState) countRead(ref overlay.NodeRef) {
+	switch {
+	case st.scalars != nil:
+		st.scalars[ref].reads.Add(1)
+	case st.best != nil:
+		st.best[ref].reads.Add(1)
+	default:
+		st.nodes[ref].readObs.Add(1)
+	}
+}
+
+// readPushPAO reads push reader rref in PAO mode: a selection loads its
+// published best with no lock, anything else finalizes the reader's PAO
+// under its mutex.
+func (e *Engine) readPushPAO(st *engineState, rref overlay.NodeRef, buf []int64) agg.Result {
+	if e.sel != nil {
+		v, ok := st.best[rref].load()
+		return agg.Result{Scalar: v, Valid: ok}
+	}
+	ns := st.nodes[rref]
+	ns.mu.Lock()
+	res := finalizePAO(st.paos[rref], buf)
+	ns.mu.Unlock()
+	return res
 }
 
 // readPull evaluates pull reader rref with the engine's kernel for its
@@ -624,9 +730,8 @@ func (e *Engine) readPull(st *engineState, rref overlay.NodeRef, buf []int64) ag
 
 // pullScalar evaluates a pull node on demand in scalar mode: walk the
 // compiled in-edge CSR, reading push-side atomic pairs and recursing into
-// pull-side inputs. No allocation, no locks.
+// pull-side inputs. Plain loads only: no allocation, no locks, no counters.
 func (e *Engine) pullScalar(st *engineState, ref overlay.NodeRef) (sum, n int64) {
-	st.nodes[ref].pullObs.Add(1)
 	top := st.plan.top
 	for _, pe := range top.InEdges(ref) {
 		src, neg := overlay.UnpackRef(pe)
@@ -634,7 +739,6 @@ func (e *Engine) pullScalar(st *engineState, ref overlay.NodeRef) (sum, n int64)
 		if top.Dec[src] == overlay.Push {
 			cell := st.scalars[src]
 			s, c = cell.sum.Load(), cell.cnt.Load()
-			st.nodes[src].pullObs.Add(1)
 		} else {
 			s, c = e.pullScalar(st, src)
 		}
@@ -650,25 +754,22 @@ func (e *Engine) pullScalar(st *engineState, ref overlay.NodeRef) (sum, n int64)
 }
 
 // pullSelect evaluates a pull node on demand for a SelectAggregate: walk the
-// compiled in-edge CSR like pullScalar, taking each push-side input's best
-// under its mutex and recursing into pull-side inputs, and keep the better.
-// A selection over a union is the selection over its parts' selections, and
-// an input reached over two paths is offered twice to an idempotent choice,
-// so this is exactly the answer a merge of the inputs' PAOs would finalize
-// to — without building one. checkPlan guarantees no edge is negative.
+// compiled in-edge CSR like pullScalar, loading each push-side input's
+// published best (no mutex, no PAO) and recursing into pull-side inputs, and
+// keep the better. A selection over a union is the selection over its parts'
+// selections, and an input reached over two paths is offered twice to an
+// idempotent choice, so this is exactly the answer a merge of the inputs'
+// PAOs would finalize to — without building one. checkPlan guarantees no
+// edge is negative; compilePlan marks every push input of a pull node
+// readable, so its cell is published.
 func (e *Engine) pullSelect(st *engineState, ref overlay.NodeRef) (best int64, ok bool) {
-	st.nodes[ref].pullObs.Add(1)
 	top := st.plan.top
 	for _, pe := range top.InEdges(ref) {
 		src, _ := overlay.UnpackRef(pe)
 		var v int64
 		var has bool
 		if top.Dec[src] == overlay.Push {
-			ns := st.nodes[src]
-			ns.mu.Lock()
-			v, has = st.paos[src].(agg.SelectPAO).Best()
-			ns.mu.Unlock()
-			ns.pullObs.Add(1)
+			v, has = st.best[src].load()
 		} else {
 			v, has = e.pullSelect(st, src)
 		}
@@ -685,7 +786,6 @@ func (e *Engine) pullSelect(st *engineState, ref overlay.NodeRef) (best int64, o
 // all its upstream overlay nodes, merges all the PAOs it receives"). Working
 // PAOs come from the read's arena, never the heap.
 func (e *Engine) computePull(st *engineState, ref overlay.NodeRef, rs *readScratch) agg.PAO {
-	st.nodes[ref].pullObs.Add(1)
 	out := rs.next(e.agg)
 	top := st.plan.top
 	if top.Kind[ref] == overlay.WriterNode {
@@ -708,7 +808,6 @@ func (e *Engine) computePull(st *engineState, ref overlay.NodeRef, rs *readScrat
 				out.Merge(st.paos[src])
 			}
 			ns.mu.Unlock()
-			ns.pullObs.Add(1)
 			continue
 		}
 		child := e.computePull(st, src, rs)
@@ -747,6 +846,8 @@ func (e *Engine) expireWriter(st *engineState, wref overlay.NodeRef, ts int64, f
 		cell := st.scalars[wref]
 		cell.sum.Add(d.dSum)
 		cell.cnt.Add(d.dCnt)
+	} else if len(d.rem) > 0 {
+		st.publish(wref)
 	}
 	if fromHeap {
 		if dl, ok := st.windows[wref].NextExpiry(); ok {
@@ -798,12 +899,22 @@ func (e *Engine) Counts() (writes, reads int64) {
 }
 
 // Observations drains the per-node push/pull counters accumulated since the
-// last call, for feeding the adaptive scheme. Safe for concurrent use; the
-// counters live in the cells a Rebuild carries over, so no observation is
-// lost across an install on the same overlay (a recompiled overlay's
-// non-writer slots start from zero).
+// last call, for feeding the adaptive scheme: per node, the writes and push
+// walks that reached it and the reads whose evaluation visited it. Safe for
+// concurrent use. The counts are expanded through the current plan under the
+// shared gate (fold), and a Rebuild folds the outgoing snapshot's under its
+// exclusive hold, so every walk and read is expanded by the plan it ran on —
+// except a read that loaded the outgoing snapshot and counts after that
+// fold: it is dropped with the snapshot's cells under SUM/COUNT/AVG and
+// MAX/MIN, and otherwise expanded by the next plan (or dropped with its
+// reader's cell by a recompile). Folded counts live in the cells a Rebuild
+// carries over, so no other observation is lost across an install on the
+// same overlay (a recompiled overlay's non-writer slots start from zero).
 func (e *Engine) Observations() (pushes, pulls map[overlay.NodeRef]float64) {
+	e.gate.RLock()
+	defer e.gate.RUnlock()
 	st := e.state.Load()
+	st.fold()
 	pushes = make(map[overlay.NodeRef]float64)
 	pulls = make(map[overlay.NodeRef]float64)
 	for i, ns := range st.nodes {
@@ -815,4 +926,50 @@ func (e *Engine) Observations() (pushes, pulls map[overlay.NodeRef]float64) {
 		}
 	}
 	return pushes, pulls
+}
+
+// fold moves the walk and read counts on st's cells into the per-node
+// pushObs / pullObs, expanded through st's plan: a writer's walks add to
+// every entry of its closure (with its multiplicity), and a reader's reads
+// to the reader and, for a pull reader, to every node its kernel visits —
+// each pull node on the way and each push input it loads, once per visit.
+// Callers hold the gate, so st stays the installed snapshot throughout: a
+// walk counting concurrently (under a shared hold) lands in this fold or the
+// next one, and under Rebuild's exclusive hold none can.
+func (st *engineState) fold() {
+	pl := st.plan
+	for _, w := range pl.top.Writers {
+		if m := st.nodes[w].walkObs.Swap(0); m != 0 {
+			for _, pe := range pl.closure[w] {
+				ref, _ := overlay.UnpackRef(pe)
+				st.nodes[ref].pushObs.Add(m)
+			}
+		}
+	}
+	for i, ns := range st.nodes {
+		c := ns.readObs.Swap(0)
+		if st.scalars != nil {
+			c += st.scalars[i].reads.Swap(0)
+		}
+		if st.best != nil {
+			c += st.best[i].reads.Swap(0)
+		}
+		if c != 0 {
+			st.expandRead(overlay.NodeRef(i), c)
+		}
+	}
+}
+
+// expandRead adds c reads at ref and, when ref is pull, at every node its
+// pull kernel visits.
+func (st *engineState) expandRead(ref overlay.NodeRef, c int64) {
+	st.nodes[ref].pullObs.Add(c)
+	top := st.plan.top
+	if top.Dec[ref] == overlay.Push {
+		return
+	}
+	for _, pe := range top.InEdges(ref) {
+		src, _ := overlay.UnpackRef(pe)
+		st.expandRead(src, c)
+	}
 }

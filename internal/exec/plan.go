@@ -36,6 +36,10 @@ type plan struct {
 	// list; it is empty for writers whose push region contains no reader, and
 	// nil for non-writer slots.
 	pushReaders [][]readerTouch
+	// readable marks the live push nodes a read loads directly: push readers,
+	// and push nodes with a pull consumer (a pull kernel's inputs). Under a
+	// SelectAggregate exactly these publish their best (engineState.best).
+	readable []bool
 }
 
 // readerTouch is one (overlay slot, data-graph node, query tag) triple on a
@@ -56,6 +60,18 @@ func compilePlan(ov *overlay.Overlay) *plan {
 		top:         top,
 		closure:     make([][]int32, top.N),
 		pushReaders: make([][]readerTouch, top.N),
+		readable:    make([]bool, top.N),
+	}
+	for i := range top.N {
+		if top.Dead[i] || top.Dec[i] != overlay.Push {
+			continue
+		}
+		p.readable[i] = top.Kind[i] == overlay.ReaderNode
+		for _, pe := range top.OutEdges(overlay.NodeRef(i)) {
+			if dst, _ := overlay.UnpackRef(pe); top.Dec[dst] != overlay.Push {
+				p.readable[i] = true
+			}
+		}
 	}
 	// stack is reused across writers; entries are packed (ref, inverted).
 	var stack []int32

@@ -177,12 +177,12 @@ func TestPullKernelMatchesArena(t *testing.T) {
 					x := int64(rng.Intn(8))
 					tw.both(func(e *Engine) {
 						st := e.state.Load()
-						e.propagate(st, st.plan.writer(w), nil, []int64{x}, 0)
+						e.propagate(st, st.plan.writer(w), nil, []int64{x})
 					})
 					tw.compare(t, fmt.Sprintf("seed %d: writer %d's removal of %d ahead of its addition", seed, w, x))
 					tw.both(func(e *Engine) {
 						st := e.state.Load()
-						e.propagate(st, st.plan.writer(w), []int64{x}, nil, 0)
+						e.propagate(st, st.plan.writer(w), []int64{x}, nil)
 					})
 					tw.compare(t, fmt.Sprintf("seed %d: writer %d's addition of %d landed", seed, w, x))
 

@@ -25,19 +25,21 @@ import (
 //     counters, window and, in PAO mode, writer PAO, and skip is not
 //     consulted;
 //   - by data-graph id otherwise, writers only: a writer of ov that the
-//     previous overlay also had keeps its mutex, window and writer PAO at its
-//     new slot, except the ids in skip (nodes the caller deleted, possibly
-//     since reused), which start empty like any new writer, with a clone of
-//     window.
+//     previous overlay also had keeps its mutex, observation counters, window
+//     and writer PAO at its new slot, except the ids in skip (nodes the caller
+//     deleted, possibly since reused), which start empty like any new writer,
+//     with a clone of window.
 //
-// Installed under the exclusive gate, so no Apply is in flight: push state — fresh cells no other snapshot references — is seeded
-// from the windows, the expiry index is re-seeded from their deadlines, and
-// the subscriber table, overlay and snapshot are published. Every write is
-// therefore either inside a carried window or applied to the new snapshot,
-// and nothing slot-indexed straddles the change. Reads are not held back: one
-// that began on the previous snapshot finishes on it, against value state the
-// install never touches. ov must not be mutated during the call. On error
-// nothing changed.
+// Installed under the exclusive gate, so no Apply is in flight: the previous
+// snapshot's walk and read counts are folded through its own plan (fold), so
+// the new plan never expands them; push state — fresh cells no other snapshot
+// references — is seeded from the windows, the expiry index is re-seeded
+// from their deadlines, and the subscriber table, overlay and snapshot are
+// published. Every write is therefore either inside a carried window or
+// applied to the new snapshot, and nothing slot-indexed straddles the change.
+// Reads are not held back: one that began on the previous snapshot finishes
+// on it, against value state the install never touches. ov must not be
+// mutated during the call. On error nothing changed.
 func (e *Engine) Rebuild(ov *overlay.Overlay, window agg.Window, skip map[graph.NodeID]bool) error {
 	if window == nil {
 		window = agg.NewTupleWindow(1)
@@ -84,6 +86,7 @@ func (e *Engine) Rebuild(ov *overlay.Overlay, window agg.Window, skip map[graph.
 	defer e.gate.Unlock()
 	held := time.Now()
 	e.expiry.reset()
+	old.fold()
 	for _, wref := range top.Writers {
 		win, ns := st.windows[wref], st.nodes[wref]
 		e.seedFromWindow(st, wref, win.Values())
@@ -101,11 +104,12 @@ func (e *Engine) Rebuild(ov *overlay.Overlay, window agg.Window, skip map[graph.
 }
 
 // seedFromWindow rebuilds writer wref's contribution to st's fresh push
-// state from vals, its window's contents: the writer's own scalar cell, then
-// one walk of its closure — counted as zero writes, which is what it is: a
-// walk that bumped pushObs would hand every node downstream of a writer one
-// phantom arrival per install, and the adaptor that caused the install would
-// read them as the next window's traffic.
+// state from vals, its window's contents: the writer's own scalar cell or
+// published best, then one walk of its closure. The walk calls the
+// propagation kernels directly, not pushRegion, so it counts nothing: a
+// seed is not traffic, and one phantom arrival per install at every node
+// downstream of a writer would read to the adaptor that caused the install
+// as the next window's traffic.
 func (e *Engine) seedFromWindow(st *engineState, wref overlay.NodeRef, vals []int64) {
 	if e.scalar != nil {
 		var sum int64
@@ -116,11 +120,17 @@ func (e *Engine) seedFromWindow(st *engineState, wref overlay.NodeRef, vals []in
 		cell.sum.Store(sum)
 		cell.cnt.Store(int64(len(vals)))
 		if len(vals) > 0 {
-			e.propagateScalar(st, wref, sum, int64(len(vals)), 0)
+			e.propagateScalar(st, wref, sum, int64(len(vals)))
 		}
-	} else if len(vals) > 0 {
-		e.propagate(st, wref, vals, nil, 0)
+		return
 	}
+	if st.best != nil {
+		ns := st.nodes[wref]
+		ns.mu.Lock()
+		st.publish(wref)
+		ns.mu.Unlock()
+	}
+	e.propagate(st, wref, vals, nil)
 }
 
 // Installs reports how many snapshots Rebuild has installed and how long the
