@@ -183,6 +183,31 @@ func benchPullRead(b *testing.B, a agg.Aggregate) {
 func BenchmarkOpMaxPullRead(b *testing.B)  { benchPullRead(b, agg.Max{}) }
 func BenchmarkOpTopKPullRead(b *testing.B) { benchPullRead(b, agg.TopK{K: 3}) }
 
+// BenchmarkOpTopKPullAfterHub measures a write plus a three-input TOP-K pull
+// read, without and after one read of a hub of benchfix.HubWriters inputs
+// on the same engine: the pooled arena the hub read grew must not make the
+// small reads after it pay for its table.
+func BenchmarkOpTopKPullAfterHub(b *testing.B) {
+	for _, hub := range []bool{false, true} {
+		name := "fresh"
+		if hub {
+			name = "after-hub"
+		}
+		b.Run(name, func(b *testing.B) {
+			eng, err := benchfix.HubPullEngine()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if hub {
+				if _, err := eng.Read(0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			benchfix.RunWriteReads(b, eng)
+		})
+	}
+}
+
 // benchMultiWrites measures the multi-query write fan-out: one Write
 // feeding n registered all-push SUM queries (shared = one compiled
 // overlay for all n; distinct = n independent engines).

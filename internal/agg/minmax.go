@@ -60,9 +60,10 @@ func (Min) Better(a, b int64) bool { return a < b }
 //     once they outnumber the live values two to one — so a PAO that is
 //     written but never finalized stays O(distinct values), not O(writes).
 //
-// The table only grows (Reset clears it in place), so a PAO switches from
-// small to large at most once, on the step that resizes it past smallSlots —
-// an add, an early removal's negative entry, or ImportWire.
+// Between Resets the table only grows, so a PAO switches from small to large
+// at most once per use, on the step that resizes it past smallSlots — an add,
+// an early removal's negative entry, or ImportWire. A Reset may shrink an
+// oversized table (multiset.clear) back into small mode, empty.
 type extremumPAO struct {
 	max    bool
 	counts multiset // value -> multiplicity

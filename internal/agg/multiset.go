@@ -2,6 +2,7 @@ package agg
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand/v2"
 	"slices"
@@ -33,6 +34,11 @@ type multiset struct {
 	n     int
 	pos   int
 	shift uint8 // 64 - log2(len(slots)): home slots come from the hash's top bits
+	// idle counts the consecutive clears that found the table far larger
+	// than its use needed, and need is the most entries those uses and the
+	// current one held or reserved room for (see clear).
+	idle uint8
+	need uint32
 }
 
 // entry is one slot: value v with multiplicity c, empty when c is zero.
@@ -164,16 +170,21 @@ func (m *multiset) resize(size int) {
 	}
 }
 
-// reserve makes room for n entries without a further resize.
-func (m *multiset) reserve(n int) {
-	if n <= m.limit() {
-		return
-	}
-	size := max(len(m.slots), minSlots)
+// tableFor is the smallest table that holds n entries.
+func tableFor(n int) int {
+	size := minSlots
 	for size-size/4 < n {
 		size *= 2
 	}
-	m.resize(size)
+	return size
+}
+
+// reserve makes room for n entries without a further resize.
+func (m *multiset) reserve(n int) {
+	m.need = max(m.need, uint32(min(n, math.MaxUint32)))
+	if n > m.limit() {
+		m.resize(tableFor(n))
+	}
 }
 
 // merge adds sign (+1 or -1) times every count of o to m. Room for the
@@ -193,8 +204,33 @@ func (m *multiset) merge(o *multiset, sign int64) {
 	}
 }
 
-// clear empties the multiset in place, keeping the slot array.
+// Shrinking on clear: a table of more than shrinkFloor slots that
+// shrinkAfter clears in a row found over shrinkRatio times the size its use
+// needed is replaced by one sized for the largest of those uses.
+const (
+	shrinkFloor = 64
+	shrinkRatio = 8
+	shrinkAfter = 32
+)
+
+// clear empties the multiset in place, keeping the slot array unless it has
+// stayed far larger than its recent uses needed. A pooled PAO — a pull
+// read's arena — is cleared before every use, and both the clear and a
+// TOP-K refill cost the capacity, so one read of a hub would otherwise leave
+// every later small read paying for the hub's table. A table that some use
+// among every shrinkAfter still fills is kept, so a steady state allocates
+// nothing.
 func (m *multiset) clear() {
+	need := max(m.n, int(m.need))
+	if len(m.slots) <= max(shrinkFloor, shrinkRatio*tableFor(need)) {
+		m.idle, m.need = 0, 0
+	} else if m.idle++; m.idle < shrinkAfter {
+		m.need = uint32(need)
+	} else {
+		size := tableFor(need)
+		*m = multiset{slots: make([]entry, size), shift: uint8(64 - bits.TrailingZeros(uint(size)))}
+		return
+	}
 	if m.n != 0 {
 		clear(m.slots)
 		m.n, m.pos = 0, 0

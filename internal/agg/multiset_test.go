@@ -170,6 +170,56 @@ func TestMultisetDeleteWrapsEnd(t *testing.T) {
 	}
 }
 
+// TestPooledTableShrinks drives a TOP-K PAO the way a pull read's arena
+// does — Reset, Merge the inputs, FinalizeOnce — after one hub-sized use:
+// the hub's table is given back by the Reset that ends the shrinkAfter-th
+// small use, not before, and answers stay exact throughout. A table that one
+// use in every shrinkAfter still fills is kept, and the cycle allocates
+// nothing.
+func TestPooledTableShrinks(t *testing.T) {
+	hub, small := TopK{K: 3}.NewPAO(), TopK{K: 3}.NewPAO()
+	for v := int64(0); v < 5000; v++ {
+		hub.AddValue(v)
+	}
+	for _, v := range []int64{7, 7, 9, 11, 11, 11} {
+		small.AddValue(v)
+	}
+	p := TopK{K: 3}.NewPAO().(*topkPAO)
+	var res Result
+	use := func(in PAO) Result {
+		p.Reset()
+		p.Merge(in)
+		res = p.FinalizeOnce(res.List)
+		return res
+	}
+	use(hub)
+	big := len(p.freq.slots)
+	want := Result{List: []int64{11, 7, 9}, Valid: true}
+	for i := 1; i <= shrinkAfter+1; i++ {
+		if got := use(small); !got.Eq(want) {
+			t.Fatalf("use %d after the hub: %v, want %v", i, got, want)
+		}
+		if i <= shrinkAfter && len(p.freq.slots) != big {
+			t.Fatalf("use %d after the hub: table of %d slots, want the hub's %d kept", i, len(p.freq.slots), big)
+		}
+	}
+	if got := len(p.freq.slots); got != tableFor(3) {
+		t.Fatalf("after %d small uses the table has %d slots, want %d", shrinkAfter+1, got, tableFor(3))
+	}
+
+	use(hub)
+	cycle := func() {
+		for i := 1; i < shrinkAfter; i++ {
+			use(small)
+		}
+		use(hub)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(5, cycle); n != 0 || len(p.freq.slots) != big {
+		t.Fatalf("a hub use every %d: %.1f allocs per cycle, table of %d slots, want 0 and the hub's %d", shrinkAfter, n, len(p.freq.slots), big)
+	}
+}
+
 // probeLengths returns the longest and the mean displacement of m's entries
 // from their home slots.
 func probeLengths(m *multiset) (worst int, mean float64) {

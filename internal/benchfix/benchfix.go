@@ -114,10 +114,66 @@ func PullReadEngine(a agg.Aggregate) (*exec.Engine, []graph.Event, error) {
 	return eng, reads, nil
 }
 
+// HubWriters is the in-degree of HubPullEngine's hub reader.
+const HubWriters = 3000
+
+// HubPullEngine builds the fixture behind OpTopKPullAfterHub: an all-pull
+// TOP-K(3) engine over a hand-built overlay where reader 0, the hub, reads
+// writers 0..HubWriters-1 and reader 1 reads writers 0, 1 and 2. Every
+// writer's four-tuple window is full of values no other writer holds, so a
+// hub read merges 4·HubWriters distinct values and a read of reader 1
+// twelve.
+func HubPullEngine() (*exec.Engine, error) {
+	ov := overlay.New(0)
+	hub, small := ov.AddReader(0), ov.AddReader(1)
+	for w := graph.NodeID(0); w < HubWriters; w++ {
+		ref := ov.AddWriter(w)
+		if err := ov.AddEdge(ref, hub, false); err != nil {
+			return nil, err
+		}
+		if w < 3 {
+			if err := ov.AddEdge(ref, small, false); err != nil {
+				return nil, err
+			}
+		}
+	}
+	eng, err := exec.New(ov, agg.TopK{K: 3}, agg.NewTupleWindow(4))
+	if err != nil {
+		return nil, err
+	}
+	for w := graph.NodeID(0); w < HubWriters; w++ {
+		for j := int64(0); j < 4; j++ {
+			if err := eng.Write(w, int64(w)*4+j, j); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return eng, nil
+}
+
+// RunWriteReads is the measurement loop behind OpTopKPullAfterHub: each
+// iteration writes one of reader 1's writers — so the read cannot be
+// answered from the engine's pull memo — and reads reader 1 through ReadInto
+// with a retained result.
+func RunWriteReads(b *testing.B, eng *exec.Engine) {
+	var res agg.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.Write(graph.NodeID(i%3), int64(i%7), int64(i)); err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.ReadInto(1, &res); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // RunReads is the pull-read measurement loop behind the OpPullRead*
 // benchmarks: it drives ReadInto with one retained result buffer, the way
 // a hot reader loop would, so the reported allocs/op isolate the engine's
-// pull evaluation (PAO arena) rather than result marshalling.
+// pull evaluation rather than result marshalling. Nothing is written
+// meanwhile, so after the first pass a TOP-K read is a pull-memo hit.
 func RunReads(b *testing.B, eng *exec.Engine, reads []graph.Event) {
 	if len(reads) == 0 {
 		b.Fatal("benchfix: no reads in fixture")

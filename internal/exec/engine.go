@@ -33,7 +33,8 @@
 // A pull read has one kernel per aggregate class, chosen in New: the scalar
 // walk; for selections a fold of the inputs' published bests that builds no
 // PAO; for the rest a merge into PAOs drawn from a pooled arena, finalized
-// once into the caller's buffer (ReadInto). Steady-state reads of every
+// once into the caller's buffer (ReadInto), and kept in the reader's memo
+// cell until one of the merged inputs changes. Steady-state reads of every
 // built-in aggregate are allocation-free. No read counts per input: a read
 // counts once at its reader and a push walk once at its writer, and
 // Observations expands both through the plan when it drains them.
@@ -128,6 +129,9 @@ type Engine struct {
 
 	writes atomic.Int64
 	reads  atomic.Int64
+	// memoHits and memoMisses carry the pull memo counts of the snapshots
+	// Rebuild replaced (PullMemoStats).
+	memoHits, memoMisses atomic.Int64
 
 	// readPool pools per-read PAO arenas for non-scalar pull evaluation;
 	// accPool pools the per-batch writer accumulators (with the batch's
@@ -155,6 +159,12 @@ type engineState struct {
 	// best holds, for a SelectAggregate, the published best of every push
 	// node a read loads (plan.readable); nil for other aggregates.
 	best []bestCell
+	// memo holds a cell per pull reader slot (nil elsewhere) and ver a
+	// version per push node a pull kernel loads (plan.feedsPull), in an
+	// engine whose pull kernel merges PAOs and whose plan has a pull reader;
+	// both are nil otherwise. See readPull.
+	memo []*memoCell
+	ver  []atomic.Uint64
 }
 
 // nodeState carries one overlay node's synchronization and observation
@@ -236,13 +246,77 @@ func (c *bestCell) load() (int64, bool) {
 	}
 }
 
-// publish stores push node ref's current best into its cell when a read can
-// load it (a no-op for other aggregates and other nodes). The caller holds
-// ref's mutex and has finished mutating its PAO.
+// publish announces a mutation of push node ref to the reads that do not
+// take its mutex: under a SelectAggregate it stores ref's current best into
+// its cell when a read can load it; in an engine with pull memos it bumps
+// ref's version when a pull kernel loads it. Other aggregates and nodes are
+// a no-op. The caller holds ref's mutex and has finished mutating its PAO.
 func (st *engineState) publish(ref overlay.NodeRef) {
 	if st.best != nil && st.plan.readable[ref] {
 		st.best[ref].store(st.paos[ref].(agg.SelectPAO).Best())
+	} else if st.ver != nil && st.plan.feedsPull(ref) {
+		st.ver[ref].Add(1)
 	}
+}
+
+// memoCell is a pull reader's last computed answer, kept for as long as
+// none of the push inputs its kernel loads has changed: stamp is the sum of
+// their versions the answer was computed at (ok is false until one is
+// stored). The answer is kept in scalar, valid and list, the last in
+// storage the cell owns; listed records whether the answer had a list at
+// all — an empty list and none read differently. hits and misses count the lookups that found the
+// stamp current or not. Every field is guarded by mu.
+type memoCell struct {
+	mu                sync.Mutex
+	ok, valid, listed bool
+	stamp             uint64
+	scalar            int64
+	list              []int64
+	hits, misses      int64
+}
+
+// lookup returns the stored answer when it was computed at stamp, its list
+// copied into buf[:0] (grown when too small) as a finalizer would write it.
+func (c *memoCell) lookup(stamp uint64, buf []int64) (agg.Result, bool) {
+	c.mu.Lock()
+	if !c.ok || c.stamp != stamp {
+		c.misses++
+		c.mu.Unlock()
+		return agg.Result{}, false
+	}
+	c.hits++
+	res := agg.Result{Scalar: c.scalar, Valid: c.valid}
+	if c.listed {
+		if res.List = append(buf[:0], c.list...); res.List == nil {
+			res.List = []int64{}
+		}
+	}
+	c.mu.Unlock()
+	return res, true
+}
+
+// store keeps res as the answer computed at stamp, unless another read holds
+// the cell: a store never waits.
+func (c *memoCell) store(stamp uint64, res agg.Result) {
+	if !c.mu.TryLock() {
+		return
+	}
+	c.ok, c.stamp = true, stamp
+	c.scalar, c.valid, c.listed = res.Scalar, res.Valid, res.List != nil
+	c.list = append(c.list[:0], res.List...)
+	c.mu.Unlock()
+}
+
+// memoCounts sums the memo cells' hit and miss counts.
+func (st *engineState) memoCounts() (hits, misses int64) {
+	for _, c := range st.memo {
+		if c != nil {
+			c.mu.Lock()
+			hits, misses = hits+c.hits, misses+c.misses
+			c.mu.Unlock()
+		}
+	}
+	return hits, misses
 }
 
 // New compiles an engine for the overlay. window is cloned per writer; nil
@@ -298,7 +372,8 @@ func (e *Engine) checkPlan(pl *plan) error {
 // that is NoNode or prev is nil. Push-side value state is always fresh: one
 // scalar cell per slot, or an empty PAO per non-writer push node, for the
 // caller to seed from the windows — and for a selection an empty best cell per
-// slot, which the seed publishes into.
+// slot, which the seed publishes into. So are the pull memos: an empty cell
+// per pull reader, and versions from zero.
 func (e *Engine) buildState(pl *plan, prev *engineState, inherit func(i int) overlay.NodeRef, window agg.Window) *engineState {
 	n := pl.top.N
 	st := &engineState{
@@ -344,6 +419,17 @@ func (e *Engine) buildState(pl *plan, prev *engineState, inherit func(i int) ove
 			}
 		case pl.top.Dec[i] == overlay.Push && e.scalar == nil:
 			st.paos[i] = e.agg.NewPAO()
+		}
+	}
+	if e.scalar == nil && e.sel == nil {
+		for i := 0; i < n; i++ {
+			if pl.top.Kind[i] != overlay.ReaderNode || pl.top.Dec[i] == overlay.Push {
+				continue
+			}
+			if st.memo == nil {
+				st.memo, st.ver = make([]*memoCell, n), make([]atomic.Uint64, n)
+			}
+			st.memo[i] = &memoCell{}
 		}
 	}
 	return st
@@ -707,6 +793,15 @@ func (e *Engine) readPushPAO(st *engineState, rref overlay.NodeRef, buf []int64)
 // the selection fold for MAX/MIN, and for everything else (TOP-K, DISTINCT,
 // user PAOs) a merge into the read's pooled arena, finalized once. It is
 // kept out of readOn so the push branch there compiles as it did before.
+//
+// The merge kernel's answer is memoized in the reader's cell. Every push
+// node a pull kernel loads bumps its version after each mutation, under the
+// mutex a merge of it takes (publish), so the sum of the versions of the
+// inputs a read loads — monotone — moves whenever one of them changes. A
+// read whose sum matches the cell's stamp copies the stored answer. Any
+// other computes and stores the answer only when a second sum, taken after
+// the merge, matches the first: then no input changed between the two, and
+// every PAO the merge locked was at the version the stamp counts.
 func (e *Engine) readPull(st *engineState, rref overlay.NodeRef, buf []int64) agg.Result {
 	if e.scalar != nil {
 		sum, n := e.pullScalar(st, rref)
@@ -716,6 +811,36 @@ func (e *Engine) readPull(st *engineState, rref overlay.NodeRef, buf []int64) ag
 		v, ok := e.pullSelect(st, rref)
 		return agg.Result{Scalar: v, Valid: ok}
 	}
+	c := st.memo[rref]
+	stamp := st.inputVersion(rref)
+	if res, ok := c.lookup(stamp, buf); ok {
+		return res
+	}
+	res := e.pullAnswer(st, rref, buf)
+	if st.inputVersion(rref) == stamp {
+		c.store(stamp, res)
+	}
+	return res
+}
+
+// inputVersion sums the versions of the push inputs pull node ref's kernel
+// loads: computePull's in-edge walk, with loads only.
+func (st *engineState) inputVersion(ref overlay.NodeRef) (sum uint64) {
+	top := st.plan.top
+	for _, pe := range top.InEdges(ref) {
+		src, _ := overlay.UnpackRef(pe)
+		if top.Dec[src] == overlay.Push {
+			sum += st.ver[src].Load()
+		} else {
+			sum += st.inputVersion(src)
+		}
+	}
+	return sum
+}
+
+// pullAnswer computes pull reader rref's answer: its inputs merged into the
+// read's pooled arena, finalized once.
+func (e *Engine) pullAnswer(st *engineState, rref overlay.NodeRef, buf []int64) agg.Result {
 	rs := e.getReadScratch()
 	p := e.computePull(st, rref, rs)
 	var res agg.Result
@@ -896,6 +1021,17 @@ func (e *Engine) ExportWindows(visit func(node graph.NodeID, entries []agg.Windo
 // Counts returns the number of writes and reads processed.
 func (e *Engine) Counts() (writes, reads int64) {
 	return e.writes.Load(), e.reads.Load()
+}
+
+// PullMemoStats reports, over the engine's life, how many pull reads were
+// answered from their reader's memo (hits) and how many computed (misses).
+// Only engines whose pull reads merge PAOs keep memos; others report zeros.
+// A lookup on a snapshot that a Rebuild has already replaced is not counted.
+func (e *Engine) PullMemoStats() (hits, misses int64) {
+	e.gate.RLock()
+	defer e.gate.RUnlock()
+	hits, misses = e.state.Load().memoCounts()
+	return hits + e.memoHits.Load(), misses + e.memoMisses.Load()
 }
 
 // Observations drains the per-node push/pull counters accumulated since the

@@ -45,6 +45,22 @@ func (e *Engine) ReadArena(v graph.NodeID, buf []int64) (agg.Result, error) {
 	return finalizePAO(e.computePull(st, rref, rs), buf), nil
 }
 
+// ReadRecompute is Read with the pull memo bypassed: a pull reader of an
+// engine that keeps memos gets the answer the merge kernel computes now,
+// neither looked up in its cell nor stored there — the reference
+// TestPullMemoMatchesRecompute holds memo reads to. It counts reads and
+// observations exactly as Read does; every other read is Read's.
+func (e *Engine) ReadRecompute(v graph.NodeID, buf []int64) (agg.Result, error) {
+	st := e.state.Load()
+	rref := st.plan.reader(v)
+	if rref == overlay.NoNode || st.memo == nil || st.plan.top.Dec[rref] == overlay.Push {
+		return e.readOn(st, rref, v, buf)
+	}
+	e.reads.Add(1)
+	st.countRead(rref)
+	return e.pullAnswer(st, rref, buf), nil
+}
+
 // ReadWireArena is ReadArena's wire form: the arena PAO's full export, the
 // reference for ReadTaggedWire on single-query engines.
 func (e *Engine) ReadWireArena(v graph.NodeID) (agg.WirePAO, error) {

@@ -42,6 +42,13 @@ type plan struct {
 	readable []bool
 }
 
+// feedsPull reports whether ref is a live push node with a pull consumer —
+// an input a pull kernel loads: a readable node other than a reader. In an
+// engine with pull memos exactly these keep a version (engineState.ver).
+func (p *plan) feedsPull(ref overlay.NodeRef) bool {
+	return p.readable[ref] && p.top.Kind[ref] != overlay.ReaderNode
+}
+
 // readerTouch is one (overlay slot, data-graph node, query tag) triple on a
 // writer's notification list. gid is the decoded data-graph node (merged
 // overlays encode tag*stride+node in the reader's raw GID) and tag the

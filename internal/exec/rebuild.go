@@ -32,8 +32,9 @@ import (
 //
 // Installed under the exclusive gate, so no Apply is in flight: the previous
 // snapshot's walk and read counts are folded through its own plan (fold), so
-// the new plan never expands them; push state — fresh cells no other snapshot
-// references — is seeded from the windows, the expiry index is re-seeded
+// the new plan never expands them, and its pull memo counts into the
+// engine's; push state — fresh cells no other snapshot references, pull memos
+// empty — is seeded from the windows, the expiry index is re-seeded
 // from their deadlines, and the subscriber table, overlay and snapshot are
 // published. Every write is therefore either inside a carried window or
 // applied to the new snapshot, and nothing slot-indexed straddles the change.
@@ -87,6 +88,9 @@ func (e *Engine) Rebuild(ov *overlay.Overlay, window agg.Window, skip map[graph.
 	held := time.Now()
 	e.expiry.reset()
 	old.fold()
+	hits, misses := old.memoCounts()
+	e.memoHits.Add(hits)
+	e.memoMisses.Add(misses)
 	for _, wref := range top.Writers {
 		win, ns := st.windows[wref], st.nodes[wref]
 		e.seedFromWindow(st, wref, win.Values())

@@ -100,22 +100,25 @@ func (v *overlayView) stats() Stats {
 		return Stats{}
 	}
 	st := sys.Stats()
+	hits, misses := sys.Engine().PullMemoStats()
 	return Stats{
-		Writers:       st.Overlay.Writers,
-		Readers:       st.Overlay.Readers,
-		Partials:      st.Overlay.Partials,
-		Edges:         st.Overlay.Edges,
-		NegativeEdges: st.Overlay.NegEdges,
-		SharingIndex:  st.Overlay.SharingIndex,
-		AvgDepth:      st.Overlay.AvgDepth,
-		Algorithm:     st.Algorithm,
-		Mode:          string(st.Mode),
-		Maintainable:  st.Maintainable,
-		Recompiles:    st.Recompiles,
-		Shared:        v.Shared(),
-		Family:        v.FamilySize(),
-		OwnReaders:    st.Overlay.QueryReaders[v.ViewTag()],
-		Subscribers:   sys.Subscribers(),
+		Writers:        st.Overlay.Writers,
+		Readers:        st.Overlay.Readers,
+		Partials:       st.Overlay.Partials,
+		Edges:          st.Overlay.Edges,
+		NegativeEdges:  st.Overlay.NegEdges,
+		SharingIndex:   st.Overlay.SharingIndex,
+		AvgDepth:       st.Overlay.AvgDepth,
+		Algorithm:      st.Algorithm,
+		Mode:           string(st.Mode),
+		Maintainable:   st.Maintainable,
+		Recompiles:     st.Recompiles,
+		Shared:         v.Shared(),
+		Family:         v.FamilySize(),
+		OwnReaders:     st.Overlay.QueryReaders[v.ViewTag()],
+		Subscribers:    sys.Subscribers(),
+		PullMemoHits:   hits,
+		PullMemoMisses: misses,
 	}
 }
 
@@ -458,6 +461,11 @@ type Stats struct {
 	// engine; DroppedUpdates counts this query's discarded deliveries.
 	Subscribers    int
 	DroppedUpdates int64
+	// PullMemoHits and PullMemoMisses count the pull reads on the overlay's
+	// engine that were answered from their reader's memo, and those that
+	// computed the answer. Only TOP-K, DISTINCT and user aggregates memoize;
+	// for the others both stay 0.
+	PullMemoHits, PullMemoMisses int64
 }
 
 // Stats returns current overlay and configuration statistics; the zero
