@@ -61,7 +61,7 @@ func main() {
 		tsJump   = flag.Int64("ingest-max-ts-jump", 0, "reject /ingest events whose timestamp runs further than this ahead of the stream (0 = unbounded; guards the watermark against corrupt far-future timestamps)")
 		manualEx = flag.Bool("ingest-manual-expire", false, "do not expire time-based windows on the local ingest watermark; only POST /expire advances them (for shard servers behind eagr-router, which owns the fleet-wide minimum watermark)")
 
-		autotune         = flag.Bool("autotune", false, "run the self-driving adaptivity controller: background sampling of observed push/pull rates, frontier flips, cold-view demotion, and full re-plan cutovers (see /stats \"autotune\")")
+		autotune         = flag.Bool("autotune", false, "run the self-driving adaptivity controller: background sampling of observed per-reader push/pull rates, frontier flips, and full re-plan cutovers (see /stats \"autotune\")")
 		autotuneInterval = flag.Duration("autotune-interval", 2*time.Second, "controller sampling period with -autotune")
 		autotuneRatio    = flag.Float64("autotune-ratio", 1.15, "observed-cost/fresh-plan-cost ratio that triggers a full re-plan cutover with -autotune")
 		autotuneCooldown = flag.Duration("autotune-cooldown", 30*time.Second, "minimum time between re-plan cutovers per overlay with -autotune")

@@ -516,9 +516,6 @@ func TestDurableIngestorResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := ing.Stats().ApplyWorkers; w != 1 {
-		t.Fatalf("durable Ingestor reports %d apply workers, want 1 (the deprecated option asked for 4)", w)
-	}
 	for i := 0; i < 100; i++ {
 		if err := ing.Send(NodeID(i%6), int64(i)); err != nil {
 			t.Fatal(err)

@@ -213,12 +213,12 @@ type Options struct {
 
 // AutotuneOptions configure the background adaptivity controller: a
 // per-session goroutine that samples the engines' live push/pull
-// observations into a decayed workload estimate and re-optimizes running
-// overlays online — incremental frontier flips, cold-view demotion in
-// merged families, and full re-plan cutovers when the observed-workload
-// cost of the current decisions degrades past a threshold. Through all of
-// them reads never pause; writes wait for the engine's install step only.
-// Zero fields take documented defaults.
+// observations into a decayed, per-reader workload estimate and
+// re-optimizes running overlays online — incremental frontier flips, and
+// full re-plan cutovers when the observed-workload cost of the current
+// decisions degrades past a threshold. Neither ever moves a reader of an
+// all-push (Continuous) query. Through both, reads never pause; writes wait
+// for the engine's install step only. Zero fields take documented defaults.
 type AutotuneOptions struct {
 	// Interval is the controller's sampling period (default 2s).
 	Interval time.Duration
@@ -226,13 +226,8 @@ type AutotuneOptions struct {
 	// (default 0.5; higher remembers longer).
 	Decay float64
 	// MinActivity is the decayed observation count required before the
-	// controller retargets views or re-plans (default 256).
+	// controller re-plans (default 256).
 	MinActivity float64
-	// ColdFactor/HotFactor bound the view hysteresis band as fractions of
-	// the mean per-view read rate (defaults 0.1 and 0.5): a push view
-	// colder than ColdFactor×mean demotes to pull, a demoted view hotter
-	// than HotFactor×mean promotes back.
-	ColdFactor, HotFactor float64
 	// DegradationRatio triggers a full re-plan cutover when the current
 	// decisions cost more than this multiple of a fresh plan under the
 	// observed workload (default 1.15).
@@ -330,8 +325,6 @@ func (s *Session) EnableAutotune(a AutotuneOptions) {
 			Interval:         a.Interval,
 			Decay:            a.Decay,
 			MinActivity:      a.MinActivity,
-			ColdFactor:       a.ColdFactor,
-			HotFactor:        a.HotFactor,
 			DegradationRatio: a.DegradationRatio,
 			Cooldown:         a.Cooldown,
 		})
@@ -814,9 +807,8 @@ type AutotuneStats struct {
 	// Enabled reports whether the controller's loop is currently running.
 	Enabled bool
 	// Ticks counts controller passes; Flips the frontier decision flips it
-	// applied; ViewDemotions/ViewPromotions the merged-family member views
-	// it retargeted; Reoptimizes the full re-plan cutovers.
-	Ticks, Flips, ViewDemotions, ViewPromotions, Reoptimizes int64
+	// applied; Reoptimizes the full re-plan cutovers.
+	Ticks, Flips, Reoptimizes int64
 	// LastTrigger describes the most recent action ("" if none yet).
 	LastTrigger string
 	// EstimatedCost/PlanCost are the latest degradation check: the cost of
@@ -852,15 +844,13 @@ func (s *Session) Stats() SessionStats {
 	if t := s.tuner; t != nil {
 		ts := t.Stats()
 		st.Autotune = AutotuneStats{
-			Enabled:        ts.Running,
-			Ticks:          ts.Ticks,
-			Flips:          ts.Flips,
-			ViewDemotions:  ts.ViewDemotions,
-			ViewPromotions: ts.ViewPromotions,
-			Reoptimizes:    ts.Reoptimizes,
-			LastTrigger:    ts.LastTrigger,
-			EstimatedCost:  ts.EstimatedCost,
-			PlanCost:       ts.PlanCost,
+			Enabled:       ts.Running,
+			Ticks:         ts.Ticks,
+			Flips:         ts.Flips,
+			Reoptimizes:   ts.Reoptimizes,
+			LastTrigger:   ts.LastTrigger,
+			EstimatedCost: ts.EstimatedCost,
+			PlanCost:      ts.PlanCost,
 		}
 	}
 	s.tunerMu.Unlock()

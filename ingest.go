@@ -105,7 +105,7 @@ type IngestOptions struct {
 	// Deprecated: it sized a pool of apply goroutines that measured slower
 	// than applying on the handing-over goroutine (DESIGN.md §5, "Where
 	// parallelism lives"); batches now apply one at a time whatever is set
-	// here, and IngestorStats.ApplyWorkers is always 1.
+	// here.
 	ApplyWorkers int
 }
 
@@ -612,9 +612,6 @@ type IngestorStats struct {
 	// until the first event applies.
 	Watermark      int64
 	WatermarkValid bool
-	// ApplyWorkers is always 1: batches apply one at a time, on whichever
-	// goroutine holds the apply token.
-	ApplyWorkers int
 }
 
 // Stats returns current ingestion statistics. It never takes the send
@@ -634,6 +631,5 @@ func (ing *Ingestor) Stats() IngestorStats {
 		Buffered:       int(ing.buffered.Load()),
 		Watermark:      wm,
 		WatermarkValid: ok,
-		ApplyWorkers:   1,
 	}
 }

@@ -4,17 +4,15 @@
 // detects drift, and re-optimizes the running systems online — reads never
 // pause; writes wait for the engine's install step only.
 //
-// Three signals, three escalating responses:
+// Reads are sampled per reader (a merged family's views at one data-graph
+// node keep their own read rates), so a cold member view costs what its own
+// readers cost and the cost model alone decides whether it stays push. Two
+// signals, two escalating responses:
 //
 //   - Frontier-flip pressure (Adaptor.Pressure): observation windows that
 //     contradict a frontier node's decision. Response: ApplyFlips — the
 //     incremental §4.8 rebalance plus an engine install of the flipped
 //     decisions.
-//   - Cold member views: a merged family's view taking push fan-out on
-//     every write while its share of the observed reads is far below its
-//     peers'. Response: RetargetViews demotes it to pull; a view that heats
-//     back up past a higher threshold is promoted again (the two thresholds
-//     are the hysteresis band).
 //   - Plan degradation: the §4.3 cost of the CURRENT decisions under the
 //     observed workload vs a fresh dataflow plan for that workload
 //     (EstimateCosts). When the ratio crosses DegradationRatio, the
@@ -23,7 +21,7 @@
 //     right after a cutover.
 //
 // Every action ends in one exec.Engine.Rebuild on the overlay it changed:
-// reads keep flowing through every flip, demotion and re-plan, and writes
+// reads keep flowing through every flip and re-plan, and writes
 // wait for its install step only. When the controller is off,
 // nothing here runs — the engine's observation counters are always-on
 // either way, so the hot write path is identical with and without it.
@@ -31,6 +29,7 @@ package autotune
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,15 +48,10 @@ type Config struct {
 	// the previous estimate is multiplied by Decay before the fresh window
 	// is added (exponential sliding window; default 0.5). Must be in [0,1).
 	Decay float64
-	// MinActivity gates acting on a system: no view retargeting or
+	// MinActivity gates the degradation check on a system: no
 	// reoptimization until the decayed estimate holds at least this much
 	// observed activity (default 256 observations).
 	MinActivity float64
-	// ColdFactor and HotFactor bound the view hysteresis band as fractions
-	// of the mean per-view read rate: a push view whose decayed read rate
-	// drops below ColdFactor×mean is demoted to pull; a demoted view rising
-	// above HotFactor×mean is promoted back (defaults 0.1 and 0.5).
-	ColdFactor, HotFactor float64
 	// DegradationRatio triggers a full Reoptimize when the observed-workload
 	// cost of the current decisions exceeds this multiple of a fresh plan's
 	// cost (default 1.15).
@@ -73,8 +67,6 @@ func DefaultConfig() Config {
 		Interval:         2 * time.Second,
 		Decay:            0.5,
 		MinActivity:      256,
-		ColdFactor:       0.1,
-		HotFactor:        0.5,
 		DegradationRatio: 1.15,
 		Cooldown:         30 * time.Second,
 	}
@@ -90,15 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinActivity <= 0 {
 		c.MinActivity = d.MinActivity
-	}
-	if c.ColdFactor <= 0 {
-		c.ColdFactor = d.ColdFactor
-	}
-	if c.HotFactor <= 0 {
-		c.HotFactor = d.HotFactor
-	}
-	if c.HotFactor < c.ColdFactor {
-		c.HotFactor = c.ColdFactor
 	}
 	if c.DegradationRatio <= 1 {
 		c.DegradationRatio = d.DegradationRatio
@@ -116,9 +99,8 @@ type Stats struct {
 	// Ticks counts completed controller passes (background or TickNow).
 	Ticks int64
 	// Flips counts frontier decision flips the controller applied;
-	// ViewDemotions/ViewPromotions count member views it retargeted;
 	// Reoptimizes counts full re-plan cutovers.
-	Flips, ViewDemotions, ViewPromotions, Reoptimizes int64
+	Flips, Reoptimizes int64
 	// LastTrigger describes the most recent action taken ("" if none yet).
 	LastTrigger string
 	// EstimatedCost and PlanCost are the most recent degradation check: the
@@ -136,7 +118,7 @@ type Controller struct {
 	m   *core.MultiSystem
 	now func() time.Time // test seam for the Cooldown clock
 
-	ticks, flips, demotions, promotions, reoptimizes atomic.Int64
+	ticks, flips, reoptimizes atomic.Int64
 
 	mu          sync.Mutex // guards state, lastTrigger, costs, lifecycle
 	state       map[*core.System]*sysState
@@ -151,10 +133,8 @@ type Controller struct {
 // sysState is the controller's decayed per-system workload estimate.
 type sysState struct {
 	write    map[graph.NodeID]float64 // writer node -> decayed write rate
-	read     map[graph.NodeID]float64 // reader base node -> decayed read rate
-	viewRead map[int32]float64        // view tag -> decayed read rate
+	read     map[graph.NodeID]float64 // reader GID -> decayed read rate
 	activity float64                  // decayed total observation count
-	demoted  map[int32]bool           // views this controller demoted
 	lastOpt  time.Time                // last Reoptimize cutover
 }
 
@@ -213,7 +193,7 @@ func (c *Controller) run(stop, done chan struct{}) {
 
 // TickNow runs one controller pass synchronously: sample every system's
 // observation window, fold it into the decayed estimates, and act on
-// whatever the three drift signals justify. Safe to call concurrently with
+// whatever the two drift signals justify. Safe to call concurrently with
 // the background loop and with ingestion.
 func (c *Controller) TickNow() {
 	c.ticks.Add(1)
@@ -249,10 +229,8 @@ func (c *Controller) stateFor(sys *core.System) *sysState {
 	st, ok := c.state[sys]
 	if !ok {
 		st = &sysState{
-			write:    map[graph.NodeID]float64{},
-			read:     map[graph.NodeID]float64{},
-			viewRead: map[int32]float64{},
-			demoted:  map[int32]bool{},
+			write: map[graph.NodeID]float64{},
+			read:  map[graph.NodeID]float64{},
 		}
 		c.state[sys] = st
 	}
@@ -277,7 +255,6 @@ func (c *Controller) tickSystem(sys *core.System, now time.Time) {
 	if st.activity < c.cfg.MinActivity {
 		return
 	}
-	c.retuneViews(sys, st)
 	c.maybeReoptimize(sys, st, now)
 }
 
@@ -285,16 +262,12 @@ func (c *Controller) tickSystem(sys *core.System, now time.Time) {
 func fold(st *sysState, smp core.Sample, decay float64) {
 	decayMap(st.write, decay)
 	decayMap(st.read, decay)
-	decayMapTag(st.viewRead, decay)
 	st.activity *= decay
 	for v, ct := range smp.WriterWrites {
 		st.write[v] += ct
 	}
 	for v, ct := range smp.ReaderReads {
 		st.read[v] += ct
-	}
-	for t, ct := range smp.ViewReads {
-		st.viewRead[t] += ct
 	}
 	st.activity += smp.Activity
 }
@@ -308,66 +281,6 @@ func decayMap(m map[graph.NodeID]float64, decay float64) {
 		}
 		m[k] = v
 	}
-}
-
-func decayMapTag(m map[int32]float64, decay float64) {
-	for k, v := range m {
-		v *= decay
-		if v < 1e-6 {
-			delete(m, k)
-			continue
-		}
-		m[k] = v
-	}
-}
-
-// retuneViews demotes cold member views of a merged family to pull and
-// promotes previously demoted views that heated back up. Systems with
-// active subscriptions are left alone: subscription delivery rides the push
-// path, and a demotion would silently stop it.
-func (c *Controller) retuneViews(sys *core.System, st *sysState) {
-	if sys.LiveViews() < 2 || sys.Subscribers() > 0 {
-		return
-	}
-	dec := sys.ViewDecisions()
-	total := 0.0
-	for tag := range dec {
-		total += st.viewRead[tag]
-	}
-	mean := total / float64(len(dec))
-	if mean <= 0 {
-		return
-	}
-	var demote, promote []int32
-	for tag, isPush := range dec {
-		r := st.viewRead[tag]
-		switch {
-		case isPush && !st.demoted[tag] && r < c.cfg.ColdFactor*mean:
-			demote = append(demote, tag)
-		case st.demoted[tag] && r > c.cfg.HotFactor*mean:
-			promote = append(promote, tag)
-		case isPush && st.demoted[tag]:
-			// Something else re-pushed the view (a structural repair on an
-			// all-push system re-forces push everywhere): it is no longer
-			// ours to promote. It stays eligible for demotion next pass.
-			delete(st.demoted, tag)
-		}
-	}
-	if len(demote) == 0 && len(promote) == 0 {
-		return
-	}
-	if _, err := sys.RetargetViews(demote, promote); err != nil {
-		return
-	}
-	for _, t := range demote {
-		st.demoted[t] = true
-	}
-	for _, t := range promote {
-		delete(st.demoted, t)
-	}
-	c.demotions.Add(int64(len(demote)))
-	c.promotions.Add(int64(len(promote)))
-	c.setTrigger(fmt.Sprintf("views: demoted %d cold, promoted %d hot", len(demote), len(promote)))
 }
 
 // maybeReoptimize runs the degradation check and, when the current plan's
@@ -403,8 +316,9 @@ func (c *Controller) maybeReoptimize(sys *core.System, st *sysState, now time.Ti
 }
 
 // estimatedWorkload materializes the decayed estimate as a
-// dataflow.Workload over the current id space. Nodes never observed carry
-// frequency 0 — under the observed workload they genuinely are idle.
+// dataflow.Workload over the current id space, reads keyed by reader GID.
+// Nodes and readers never observed carry frequency 0 — under the observed
+// workload they genuinely are idle.
 func (c *Controller) estimatedWorkload(st *sysState) *dataflow.Workload {
 	wl := dataflow.NewWorkload(c.m.Graph().MaxID())
 	for v, f := range st.write {
@@ -412,11 +326,9 @@ func (c *Controller) estimatedWorkload(st *sysState) *dataflow.Workload {
 			wl.Write[v] = f
 		}
 	}
-	for v, f := range st.read {
-		if int(v) < len(wl.Read) {
-			wl.Read[v] = f
-		}
-	}
+	// A copy: Reoptimize keeps the workload for later recompiles while the
+	// next tick folds into st.read.
+	wl.ReaderReads = maps.Clone(st.read)
 	return wl
 }
 
@@ -431,14 +343,12 @@ func (c *Controller) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Running:        c.running,
-		Ticks:          c.ticks.Load(),
-		Flips:          c.flips.Load(),
-		ViewDemotions:  c.demotions.Load(),
-		ViewPromotions: c.promotions.Load(),
-		Reoptimizes:    c.reoptimizes.Load(),
-		LastTrigger:    c.lastTrigger,
-		EstimatedCost:  c.lastCost,
-		PlanCost:       c.lastPlan,
+		Running:       c.running,
+		Ticks:         c.ticks.Load(),
+		Flips:         c.flips.Load(),
+		Reoptimizes:   c.reoptimizes.Load(),
+		LastTrigger:   c.lastTrigger,
+		EstimatedCost: c.lastCost,
+		PlanCost:      c.lastPlan,
 	}
 }

@@ -138,73 +138,107 @@ func TestAutotuneShiftTriggersExactlyOneReoptimize(t *testing.T) {
 	}
 }
 
-// TestAutotuneColdViewDemotionPromotion checks the member-view hysteresis
-// band on a merged all-push family of two overlapping views: reading only
-// view A demotes cold view B to pull; view B heating past the promotion
-// bar brings it back. Reads are spread across nodes (6 per reader, under
-// the adaptor window) so only the view signal can act.
-func TestAutotuneColdViewDemotionPromotion(t *testing.T) {
-	g := workload.SocialGraph(200, 6, 1)
-	m := core.NewMulti(g)
+// viewPair attaches two overlapping views of one merge family over the
+// SocialGraph(200, 6, 1) fixture: view A reads nodes < 100 and view B nodes
+// < 150, both sum over a one-tuple window built by VNM_A.
+func viewPair(t *testing.T, continuous bool, mode core.Mode) (m *core.MultiSystem, a, b *core.Attachment) {
+	t.Helper()
+	m = core.NewMulti(workload.SocialGraph(200, 6, 1))
 	attach := func(i, hi int) *core.Attachment {
 		pred := func(_ *graph.Graph, v graph.NodeID) bool { return int(v) < hi }
 		att, err := m.AttachMerged(fmt.Sprintf("view-q%d", i), "fam",
-			core.Query{Aggregate: agg.Sum{}, Window: agg.NewTupleWindow(1), Predicate: pred},
-			core.Options{Algorithm: construct.AlgVNMA, Mode: core.ModeAllPush,
-				Construct: construct.Config{Iterations: 3}})
+			core.Query{Aggregate: agg.Sum{}, Window: agg.NewTupleWindow(1), Predicate: pred, Continuous: continuous},
+			core.Options{Algorithm: construct.AlgVNMA, Mode: mode, Construct: construct.Config{Iterations: 3}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return att
 	}
-	a0, a1 := attach(0, 100), attach(1, 150)
-	sys := a0.System()
-	if a1.System() != sys {
+	a, b = attach(0, 100), attach(1, 150)
+	if a.System() != b.System() {
 		t.Fatal("family members did not merge into one system")
 	}
-	tag0, tag1 := a0.ViewTag(), a1.ViewTag()
-	if !sys.ViewCovered(tag1, 50) {
-		t.Fatal("all-push family member starts uncovered")
-	}
-	ctl := New(m, Config{MinActivity: 1})
+	return m, a, b
+}
 
-	readView := func(tag int32, hi int) {
-		for r := 0; r < 6; r++ {
-			for v := 0; v < hi; v++ {
-				if _, err := sys.ReadView(tag, graph.NodeID(v)); err != nil {
-					t.Fatal(err)
-				}
+// readView reads every node below hi through att, reps times.
+func readView(t *testing.T, att *core.Attachment, hi, reps int) {
+	t.Helper()
+	for r := 0; r < reps; r++ {
+		for v := graph.NodeID(0); int(v) < hi; v++ {
+			if _, err := att.Read(v); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	readView(tag0, 100)
-	ctl.TickNow()
-	st := ctl.Stats()
-	if st.ViewDemotions < 1 {
-		t.Fatalf("cold view was not demoted: %+v", st)
-	}
-	if sys.ViewCovered(tag1, 50) {
-		t.Fatal("demoted view still push-covered")
-	}
-	if !sys.ViewCovered(tag0, 50) {
-		t.Fatal("hot view lost its push coverage")
-	}
+}
 
-	readView(tag1, 150)
-	ctl.TickNow()
-	st = ctl.Stats()
-	if st.ViewPromotions < 1 {
-		t.Fatalf("reheated view was not promoted: %+v", st)
+// coveredWithInputs counts att's push-covered readers below hi that have an
+// input; a reader without one is push for free under any workload.
+func coveredWithInputs(att *core.Attachment, g *graph.Graph, hi int) int {
+	n := 0
+	for v := graph.NodeID(0); int(v) < hi; v++ {
+		if len(g.In(v)) > 0 && att.Covered(v) {
+			n++
+		}
 	}
-	if !sys.ViewCovered(tag1, 50) {
-		t.Fatal("promoted view still uncovered")
+	return n
+}
+
+// TestAutotuneColdViewPricedPerReader: reads are sampled per reader, so in
+// a dataflow-mode merged family of two overlapping views the cost model
+// alone prices each view. With writes everywhere and only view A read, A's
+// readers go push while B's — at the same data-graph nodes — stay pull;
+// reading B instead brings its coverage back. No per-view rule is involved:
+// every change is a frontier flip or a re-plan.
+func TestAutotuneColdViewPricedPerReader(t *testing.T) {
+	m, a, b := viewPair(t, false, core.ModeDataflow)
+	g := m.Graph()
+	var writes []graph.Event
+	for v := 0; v < g.MaxID(); v++ {
+		writes = append(writes, graph.Event{Kind: graph.ContentWrite, Node: graph.NodeID(v), Value: int64(v), TS: 1})
+	}
+	ctl := New(m, Config{MinActivity: 1, Cooldown: -1})
+	// phase writes every node and reads one view hot for three ticks, and
+	// returns how many decisions the controller changed meanwhile.
+	phase := func(read *core.Attachment, hi int) int64 {
+		before := ctl.Stats()
+		for round := 0; round < 3; round++ {
+			for k := 0; k < 4; k++ {
+				if _, err := m.Apply(writes, graph.NoAdvance); err != nil {
+					t.Fatal(err)
+				}
+			}
+			readView(t, read, hi, 80)
+			ctl.TickNow()
+		}
+		after := ctl.Stats()
+		return after.Flips + after.Reoptimizes - before.Flips - before.Reoptimizes
+	}
+	a0 := coveredWithInputs(a, g, 100)
+	changed := phase(a, 100)
+	a1, b1 := coveredWithInputs(a, g, 100), coveredWithInputs(b, g, 150)
+	t.Logf("A hot: A %d -> %d/100 covered, B %d/150, %d decisions changed", a0, a1, b1, changed)
+	if changed == 0 || a1 <= a0 {
+		t.Fatalf("the hot view gained no coverage (A %d -> %d, %d decisions changed)", a0, a1, changed)
+	}
+	if b1 != 0 {
+		t.Fatalf("the cold view at the hot view's nodes is push at %d readers: its reads were folded onto A's", b1)
+	}
+	changed = phase(b, 150)
+	b2 := coveredWithInputs(b, g, 150)
+	t.Logf("B hot: B %d -> %d/150 covered, %d decisions changed", b1, b2, changed)
+	if changed == 0 || b2 == 0 {
+		t.Fatalf("the reheated view regained no coverage (B %d, %d decisions changed)", b2, changed)
 	}
 }
 
 // TestAutotuneControllerStress races the background controller loop (1ms
-// interval: sampling, flips, view retuning and reoptimize cutovers)
-// against concurrent batched writes, reads, structural edge churn, and
-// merged-family attach/detach. Run under -race in CI.
+// interval: sampling, flips and reoptimize cutovers) against concurrent
+// batched writes, reads, structural edge churn, and merged-family
+// attach/detach. The merged family compiles in dataflow mode, so the
+// controller changes its decisions while members come and go. Run under
+// -race in CI.
 func TestAutotuneControllerStress(t *testing.T) {
 	g := workload.SocialGraph(400, 6, 1)
 	m := core.NewMulti(g)
@@ -219,8 +253,7 @@ func TestAutotuneControllerStress(t *testing.T) {
 		pred := func(_ *graph.Graph, v graph.NodeID) bool { return int(v) >= lo && int(v) < lo+250 }
 		if _, err := m.AttachMerged(fmt.Sprintf("stress-view%d", i), "stress-fam",
 			core.Query{Aggregate: agg.Sum{}, Window: agg.NewTupleWindow(1), Predicate: pred},
-			core.Options{Algorithm: construct.AlgVNMA, Mode: core.ModeAllPush,
-				Construct: construct.Config{Iterations: 3}}); err != nil {
+			core.Options{Algorithm: construct.AlgVNMA, Construct: construct.Config{Iterations: 3}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -304,8 +337,7 @@ func TestAutotuneControllerStress(t *testing.T) {
 			pred := func(_ *graph.Graph, v graph.NodeID) bool { return int(v) < 120 }
 			att, err := m.AttachMerged(fmt.Sprintf("stress-churn%d", i), "stress-fam",
 				core.Query{Aggregate: agg.Sum{}, Window: agg.NewTupleWindow(1), Predicate: pred},
-				core.Options{Algorithm: construct.AlgVNMA, Mode: core.ModeAllPush,
-					Construct: construct.Config{Iterations: 3}})
+				core.Options{Algorithm: construct.AlgVNMA, Construct: construct.Config{Iterations: 3}})
 			if err != nil {
 				t.Error(err)
 				return
@@ -333,11 +365,27 @@ func TestAutotuneControllerStress(t *testing.T) {
 
 // TestAutotuneNeverUncoversContinuousQuery: a continuous query promises its
 // subscribers an update on every covering write, which holds only while its
-// readers stay push. Under write-heavy traffic with hardly a read, the
+// readers stay push — so no controller signal may move a reader of an
+// all-push system, whatever the traffic says and whether or not anyone is
+// subscribed yet.
+func TestAutotuneNeverUncoversContinuousQuery(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"beside a dataflow twin", neverUncoversBesideTwin},
+		{"merged family, subscriber after the ticks", neverUncoversMergedFamily},
+		{"all-push merged family under edge churn", allPushInstallsOncePerStructuralBatch},
+	} {
+		t.Run(row.name, row.run)
+	}
+}
+
+// neverUncoversBesideTwin: under write-heavy traffic with hardly a read, the
 // weight of every reader says "pull" — and the twin compiled as an ordinary
 // dataflow query is duly demoted — but no number of Rebalance calls and
 // controller ticks may move a reader of the all-push system.
-func TestAutotuneNeverUncoversContinuousQuery(t *testing.T) {
+func neverUncoversBesideTwin(t *testing.T) {
 	g := workload.SocialGraph(300, 8, 7)
 	m := core.NewMulti(g)
 	q := core.Query{Aggregate: agg.Sum{}, Window: agg.NewTupleWindow(1)}
@@ -400,5 +448,73 @@ func TestAutotuneNeverUncoversContinuousQuery(t *testing.T) {
 	}
 	if len(sub.Updates()) == 0 {
 		t.Fatal("the continuous query's subscriber saw no update")
+	}
+}
+
+// neverUncoversMergedFamily: two continuous queries merged into one family,
+// only view A read, nobody subscribed while the controller ticks. Coverage
+// must not move, so a subscriber attached afterwards to view B sees every
+// write into its ego.
+func neverUncoversMergedFamily(t *testing.T) {
+	m, a, b := viewPair(t, true, "")
+	g := m.Graph()
+	a0, b0 := coveredWithInputs(a, g, 100), coveredWithInputs(b, g, 150)
+	ctl := New(m, Config{MinActivity: 1})
+	for tick := 0; tick < 3; tick++ {
+		readView(t, a, 100, 6)
+		ctl.TickNow()
+	}
+	if a1, b1 := coveredWithInputs(a, g, 100), coveredWithInputs(b, g, 150); a1 != a0 || b1 != b0 {
+		t.Fatalf("covered readers moved with no subscriber: A %d -> %d, B %d -> %d", a0, a1, b0, b1)
+	}
+	const ego = graph.NodeID(50)
+	in := g.In(ego)
+	if len(in) == 0 {
+		t.Fatalf("fixture: node %d has no in-neighbour to write", ego)
+	}
+	sub, err := b.Subscribe(64, ego)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Unsubscribe(sub)
+	const writes = 6
+	for i := 1; i <= writes; i++ {
+		ev := []graph.Event{{Kind: graph.ContentWrite, Node: in[0], Value: int64(10 * i), TS: int64(i)}}
+		if _, err := m.Apply(ev, graph.NoAdvance); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(sub.Updates()); got != writes {
+		t.Fatalf("subscriber on view B at %d got %d updates for %d writes into its ego", ego, got, writes)
+	}
+}
+
+// allPushInstallsOncePerStructuralBatch: an all-push merged family with one
+// view read and an edge toggled before every tick. Each structural batch
+// installs the repaired overlay once; a controller that moved a reader of
+// the family would add installs of its own.
+func allPushInstallsOncePerStructuralBatch(t *testing.T) {
+	m, a, _ := viewPair(t, false, core.ModeAllPush)
+	g, sys := m.Graph(), a.System()
+	u, w := graph.NodeID(3), graph.NodeID(60)
+	if g.HasEdge(u, w) {
+		t.Fatalf("fixture: edge %d->%d already present", u, w)
+	}
+	ctl := New(m, Config{MinActivity: 1})
+	before := sys.AdaptivityStats().Installs
+	const batches = 20
+	for i := 0; i < batches; i++ {
+		readView(t, a, 100, 6)
+		kind := graph.EdgeAdd
+		if i%2 == 1 {
+			kind = graph.EdgeRemove
+		}
+		if _, err := m.Apply([]graph.Event{{Kind: kind, Node: u, Peer: w}}, graph.NoAdvance); err != nil {
+			t.Fatal(err)
+		}
+		ctl.TickNow()
+	}
+	if got := sys.AdaptivityStats().Installs - before; got != batches {
+		t.Fatalf("%d engine installs for %d structural batches (stats %+v)", got, batches, ctl.Stats())
 	}
 }

@@ -10,11 +10,10 @@ import (
 
 // This file is the adaptivity surface a background controller (package
 // autotune) drives: draining the engine's live push/pull observations into
-// graph-level workload samples, applying pending frontier flips, force-
-// demoting/promoting member views, and costing the current decisions
-// against a fresh plan for the observed workload. Everything here is also
-// usable on demand (Rebalance, the /rebalance endpoint) — the controller
-// merely calls it on a clock.
+// graph-level workload samples, applying pending frontier flips, and
+// costing the current decisions against a fresh plan for the observed
+// workload. Everything here is also usable on demand (Rebalance, the
+// /rebalance endpoint) — the controller merely calls it on a clock.
 
 // AdaptivityStats is the externally visible adaptivity state of one system:
 // monotonic totals of the push/pull observations drained from the engine
@@ -54,13 +53,13 @@ func (s *System) AdaptivityStats() AdaptivityStats {
 }
 
 // Sample is one drained window of engine observations translated into
-// graph-level terms: per-writer-node write counts, per-reader-node read
-// counts (merged views fold onto their base data-graph node), per-view-tag
-// read counts, and the adaptor's current frontier-flip pressure.
+// graph-level terms: per-writer-node write counts, per-reader read counts
+// keyed by reader GID (tag*stride + node on a merged overlay, so merged
+// views at one node keep their own counts), and the adaptor's current
+// frontier-flip pressure.
 type Sample struct {
 	WriterWrites map[graph.NodeID]float64
 	ReaderReads  map[graph.NodeID]float64
-	ViewReads    map[int32]float64
 	// Pressure is the number of frontier nodes whose filled observation
 	// window contradicts their decision — what ApplyFlips would flip now.
 	Pressure int
@@ -80,7 +79,6 @@ func (s *System) SampleObservations() Sample {
 	smp := Sample{
 		WriterWrites: make(map[graph.NodeID]float64),
 		ReaderReads:  make(map[graph.NodeID]float64),
-		ViewReads:    make(map[int32]float64),
 	}
 	for ref, c := range pushes {
 		smp.Activity += c
@@ -99,9 +97,8 @@ func (s *System) SampleObservations() Sample {
 		// Every read bumps its reader's pull counter exactly once whether
 		// the reader is push- or pull-annotated (interior pulls land on
 		// partials/writers, skipped here), so reader pulls ARE read rates.
-		if s.ov.Node(ref).Kind == overlay.ReaderNode {
-			smp.ReaderReads[s.ov.ReaderNodeOf(ref)] += c
-			smp.ViewReads[s.ov.TagOf(ref)] += c
+		if n := s.ov.Node(ref); n.Kind == overlay.ReaderNode {
+			smp.ReaderReads[n.GID] += c
 		}
 	}
 	smp.Pressure = s.adaptor.Pressure()
@@ -167,71 +164,6 @@ func (s *System) DecisionMode() Mode {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.opts.Mode
-}
-
-// ViewDecisions reports, per live member view tag, whether the view's
-// readers are currently push-maintained (true when any live reader of the
-// view is Push).
-func (s *System) ViewDecisions() map[int32]bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[int32]bool)
-	for i := range s.views {
-		if s.views[i].live {
-			out[s.views[i].tag] = false
-		}
-	}
-	s.ov.ForEachNode(func(ref overlay.NodeRef, n *overlay.Node) {
-		if n.Kind != overlay.ReaderNode || n.Dec != overlay.Push {
-			return
-		}
-		t := s.ov.TagOf(ref)
-		if _, ok := out[t]; ok {
-			out[t] = true
-		}
-	})
-	return out
-}
-
-// RetargetViews force-demotes the readers of the demote views to pull and
-// promotes the readers of the promote views to push, and installs the
-// result in the engine (reads never pause; writes wait for the install step
-// only). Readers are overlay sinks, so demotion never violates the
-// decision-consistency constraint; promotion repairs it by pushing the
-// promoted readers' input subtrees (RepairDecisions). It returns the number
-// of reader decisions changed. Note that a structural repair on an all-push
-// system re-forces push everywhere (afterMaintenance), undoing demotions —
-// the background controller simply re-applies them on its next pass.
-func (s *System) RetargetViews(demote, promote []int32) (int, error) {
-	if len(demote) == 0 && len(promote) == 0 {
-		return 0, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	want := make(map[int32]overlay.Decision, len(demote)+len(promote))
-	for _, t := range demote {
-		want[t] = overlay.Pull
-	}
-	for _, t := range promote {
-		want[t] = overlay.Push
-	}
-	changed := 0
-	s.ov.ForEachNode(func(ref overlay.NodeRef, n *overlay.Node) {
-		if n.Kind != overlay.ReaderNode {
-			return
-		}
-		if dec, ok := want[s.ov.TagOf(ref)]; ok && n.Dec != dec {
-			n.Dec = dec
-			changed++
-		}
-	})
-	if changed == 0 {
-		return 0, nil
-	}
-	if len(promote) > 0 {
-		dataflow.RepairDecisions(s.ov)
-	}
-	return changed, s.eng.Rebuild(s.ov, s.q.Window, nil)
 }
 
 // EstimateCosts evaluates the §4.3 objective for workload wl under the

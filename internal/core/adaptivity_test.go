@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/agg"
+	"repro/internal/construct"
 	"repro/internal/dataflow"
 	"repro/internal/graph"
 	"repro/internal/workload"
@@ -89,9 +90,7 @@ func neverRaisesObservedCost(t *testing.T, a agg.Aggregate) {
 		for v, c := range smp.WriterWrites {
 			wl.Write[v] = c
 		}
-		for v, c := range smp.ReaderReads {
-			wl.Read[v] = c
-		}
+		wl.ReaderReads = smp.ReaderReads
 		f, err := dataflow.ComputeFreqs(s.ov, wl, s.windowSizeHint())
 		if err != nil {
 			t.Fatal(err)
@@ -110,5 +109,58 @@ func neverRaisesObservedCost(t *testing.T, a agg.Aggregate) {
 		if window == 0 && (flips == 0 || after >= before) {
 			t.Fatalf("fixture: the first window's %d flips did not lower the cost (%.0f -> %.0f)", flips, before, after)
 		}
+	}
+}
+
+// TestSampleReadsPerReader: reads are sampled per reader GID, so two views
+// of a merged family read at different rates at one node stay two entries
+// (tag*stride + node) instead of folding onto the node.
+func TestSampleReadsPerReader(t *testing.T) {
+	g := workload.SocialGraph(100, 6, 1)
+	s, err := CompileMerged(g, Query{Aggregate: agg.Sum{}}, []MemberSpec{{}, {}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const v = graph.NodeID(7)
+	for tag, n := range []int{3, 5} {
+		for i := 0; i < n; i++ {
+			if _, err := s.ReadView(int32(tag), v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got := s.SampleObservations().ReaderReads
+	want := map[graph.NodeID]float64{v: 3, s.stride + v: 5}
+	if len(got) != len(want) || got[v] != want[v] || got[s.stride+v] != want[s.stride+v] {
+		t.Fatalf("ReaderReads = %v, want %v", got, want)
+	}
+}
+
+// TestRestrideDropsStaleReaderReads: per-reader reads kept by Reoptimize
+// are keyed by GIDs encoded under the stride of the time; once the graph
+// outgrows it and the family re-strides, those keys name other readers, so
+// the re-stride drops them instead of pricing the wrong readers hot.
+func TestRestrideDropsStaleReaderReads(t *testing.T) {
+	g := workload.SocialGraph(500, 6, 1) // stride 1024: ~520 node adds re-stride it
+	s, err := CompileMerged(g, Query{Aggregate: agg.Sum{}}, []MemberSpec{{}, {}}, Options{Algorithm: construct.AlgVNMA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stride := s.stride
+	wl := dataflow.NewWorkload(g.MaxID())
+	wl.ReaderReads = map[graph.NodeID]float64{stride + 5: 1000}
+	if err := s.Reoptimize(wl); err != nil {
+		t.Fatal(err)
+	}
+	if s.wl.ReaderReads[stride+5] != 1000 {
+		t.Fatalf("fixture: Reoptimize did not keep the per-reader reads: %v", s.wl.ReaderReads)
+	}
+	for s.stride == stride {
+		if _, err := s.AddGraphNode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.wl.ReaderReads != nil {
+		t.Fatalf("re-stride %d -> %d kept reads keyed under the old stride: %v", stride, s.stride, s.wl.ReaderReads)
 	}
 }

@@ -566,7 +566,9 @@ func (s *System) Reoptimize(wl *dataflow.Workload) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if wl != nil {
-		s.opts.Workload = wl
+		// Kept strided, so a later re-stride can tell its reader GIDs
+		// were encoded under another stride.
+		s.opts.Workload = s.stridedWorkload(wl)
 	}
 	s.wl = s.stridedWorkload(s.workloadOrUniform())
 	f, err := dataflow.ComputeFreqs(s.ov, s.wl, s.windowSizeHint())
@@ -592,12 +594,17 @@ func (s *System) workloadOrUniform() *dataflow.Workload {
 // nodes in frequency lookups. Copy-on-write: a caller-owned workload is
 // never mutated. EVERY path that feeds a workload into ComputeFreqs on a
 // merged system must go through this, or tag>=1 readers read frequency 0
-// and the decisions demote them to pull.
+// and the decisions demote them to pull. Per-reader reads keyed under
+// another non-zero stride name other readers now and are dropped; under
+// stride 0 they are tag-0 GIDs, which no stride changes.
 func (s *System) stridedWorkload(wl *dataflow.Workload) *dataflow.Workload {
 	if s.stride == 0 || wl == nil || wl.Stride == int(s.stride) {
 		return wl
 	}
 	strided := *wl
+	if wl.Stride > 0 {
+		strided.ReaderReads = nil
+	}
 	strided.Stride = int(s.stride)
 	return &strided
 }
@@ -605,56 +612,40 @@ func (s *System) stridedWorkload(wl *dataflow.Workload) *dataflow.Workload {
 // AddGraphEdge applies a structural edge addition (S_G event) to the data
 // graph and incrementally repairs the overlay.
 func (s *System) AddGraphEdge(u, v graph.NodeID) error {
-	s.structMu.Lock()
-	defer s.structMu.Unlock()
-	if err := s.g.AddEdge(u, v); err != nil {
-		return err
-	}
-	b := s.beginRepairBatch()
-	s.batchEdgeTouched(b, u, v)
-	return s.applyRepairBatch(b)
+	_, err := s.applyStructuralEvent(graph.Event{Kind: graph.EdgeAdd, Node: u, Peer: v})
+	return err
 }
 
 // RemoveGraphEdge applies a structural edge deletion.
 func (s *System) RemoveGraphEdge(u, v graph.NodeID) error {
-	s.structMu.Lock()
-	defer s.structMu.Unlock()
-	if !s.g.HasEdge(u, v) {
-		return s.g.RemoveEdge(u, v) // surface the typed graph error
-	}
-	b := s.beginRepairBatch()
-	s.batchEdgeTouched(b, u, v) // the affected walk needs the edge present
-	if err := s.g.RemoveEdge(u, v); err != nil {
-		return err
-	}
-	return s.applyRepairBatch(b)
+	_, err := s.applyStructuralEvent(graph.Event{Kind: graph.EdgeRemove, Node: u, Peer: v})
+	return err
 }
 
 // AddGraphNode adds a node to the data graph and registers it with the
 // overlay (initially with no edges).
 func (s *System) AddGraphNode() (graph.NodeID, error) {
-	s.structMu.Lock()
-	defer s.structMu.Unlock()
-	v := s.g.AddNode()
-	b := s.beginRepairBatch()
-	s.batchNodeAdded(b, v)
-	return v, s.applyRepairBatch(b)
+	return s.applyStructuralEvent(graph.Event{Kind: graph.NodeAdd})
 }
 
 // RemoveGraphNode deletes a node and its incident edges.
 func (s *System) RemoveGraphNode(v graph.NodeID) error {
+	_, err := s.applyStructuralEvent(graph.Event{Kind: graph.NodeRemove, Node: v})
+	return err
+}
+
+// applyStructuralEvent is a structural run of one event on a standalone
+// system: the same protocol a MultiSystem runs, serialized by structMu. It
+// returns the node id a NodeAdd allocated.
+func (s *System) applyStructuralEvent(ev graph.Event) (graph.NodeID, error) {
 	s.structMu.Lock()
 	defer s.structMu.Unlock()
-	if !s.g.Alive(v) {
-		return s.g.RemoveNode(v) // surface the typed graph error
+	added, errs := structuralRun(s.g, []*System{s}, nil, []graph.Event{ev})
+	var v graph.NodeID
+	if len(added) > 0 {
+		v = added[0]
 	}
-	b := s.beginRepairBatch()
-	s.batchNodeRemovalAffected(b, v)
-	if err := s.g.RemoveNode(v); err != nil {
-		return err
-	}
-	s.batchNodeRemoved(b, v)
-	return s.applyRepairBatch(b)
+	return v, errors.Join(errs...)
 }
 
 // viewBase returns the reader-GID offset of a member view.

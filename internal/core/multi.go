@@ -552,20 +552,26 @@ func (m *MultiSystem) Apply(events []graph.Event, advanceTo int64) ([]graph.Node
 	return added, errors.Join(errs...)
 }
 
-// applyStructuralRun applies one maximal run of structural events: the
-// graph mutates event by event (collecting, at each event's correct
-// moment, the readers it affects — pre-mutation for removals, post for
-// additions), and every system's overlay is repaired exactly once at the
-// end. It returns the node ids NodeAdd events allocated, in event order.
-// Correctness rests on the repair being a diff against the FINAL graph:
-// the affected union only needs to cover every reader whose neighborhood
-// the run changed, and the event that last toggles a neighborhood path
-// sees that path's state when it collects.
+// applyStructuralRun applies one maximal run of structural events to the
+// shared graph and every attached system, under the MultiSystem mutex.
 func (m *MultiSystem) applyStructuralRun(run []graph.Event) ([]graph.NodeID, []error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	systems := *m.systems.Load()
-	listeners := *m.listeners.Load()
+	return structuralRun(m.g, *m.systems.Load(), *m.listeners.Load(), run)
+}
+
+// structuralRun is the one structural protocol, for a MultiSystem's run and
+// a standalone System's single event alike: g mutates event by event
+// (collecting, at each event's correct moment, the readers it affects —
+// pre-mutation for removals, post for additions — and notifying listeners),
+// and every system's overlay is repaired exactly once at the end. It returns
+// the node ids NodeAdd events allocated, in event order, and the errors of
+// the events that could not apply and of the repairs. Correctness rests on
+// the repair being a diff against the FINAL graph: the affected union only
+// needs to cover every reader whose neighborhood the run changed, and the
+// event that last toggles a neighborhood path sees that path's state when
+// it collects. Callers serialize structural operations on g.
+func structuralRun(g *graph.Graph, systems []*System, listeners []StructuralListener, run []graph.Event) ([]graph.NodeID, []error) {
 	batches := make([]*repairBatch, len(systems))
 	for i, sys := range systems {
 		batches[i] = sys.beginRepairBatch()
@@ -575,7 +581,7 @@ func (m *MultiSystem) applyStructuralRun(run []graph.Event) ([]graph.NodeID, []e
 	for _, ev := range run {
 		switch ev.Kind {
 		case graph.EdgeAdd:
-			if err := m.g.AddEdge(ev.Node, ev.Peer); err != nil {
+			if err := g.AddEdge(ev.Node, ev.Peer); err != nil {
 				errs = append(errs, err)
 				continue
 			}
@@ -586,16 +592,16 @@ func (m *MultiSystem) applyStructuralRun(run []graph.Event) ([]graph.NodeID, []e
 				l.EdgeAdded(ev.Node, ev.Peer, ev.TS)
 			}
 		case graph.EdgeRemove:
-			if !m.g.HasEdge(ev.Node, ev.Peer) {
+			if !g.HasEdge(ev.Node, ev.Peer) {
 				// Let the graph produce the precise typed error (dead node
 				// vs missing edge); it mutates nothing on failure.
-				errs = append(errs, m.g.RemoveEdge(ev.Node, ev.Peer))
+				errs = append(errs, g.RemoveEdge(ev.Node, ev.Peer))
 				continue
 			}
 			for i, sys := range systems {
 				sys.batchEdgeTouched(batches[i], ev.Node, ev.Peer)
 			}
-			if err := m.g.RemoveEdge(ev.Node, ev.Peer); err != nil {
+			if err := g.RemoveEdge(ev.Node, ev.Peer); err != nil {
 				errs = append(errs, err)
 				continue
 			}
@@ -603,7 +609,7 @@ func (m *MultiSystem) applyStructuralRun(run []graph.Event) ([]graph.NodeID, []e
 				l.EdgeRemoved(ev.Node, ev.Peer, ev.TS)
 			}
 		case graph.NodeAdd:
-			v := m.g.AddNode()
+			v := g.AddNode()
 			added = append(added, v)
 			for i, sys := range systems {
 				sys.batchNodeAdded(batches[i], v)
@@ -612,14 +618,14 @@ func (m *MultiSystem) applyStructuralRun(run []graph.Event) ([]graph.NodeID, []e
 				l.NodeAdded(v, ev.TS)
 			}
 		case graph.NodeRemove:
-			if !m.g.Alive(ev.Node) {
-				errs = append(errs, m.g.RemoveNode(ev.Node)) // precise typed error
+			if !g.Alive(ev.Node) {
+				errs = append(errs, g.RemoveNode(ev.Node)) // precise typed error
 				continue
 			}
 			for i, sys := range systems {
 				sys.batchNodeRemovalAffected(batches[i], ev.Node)
 			}
-			if err := m.g.RemoveNode(ev.Node); err != nil {
+			if err := g.RemoveNode(ev.Node); err != nil {
 				errs = append(errs, err)
 				continue
 			}

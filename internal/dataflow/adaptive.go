@@ -38,28 +38,8 @@ func NewAdaptor(ov *overlay.Overlay, f *Freqs, m CostModel) *Adaptor {
 	}
 }
 
-// ObservePush records that an update reached node ref (out-of-range refs
-// are ignored; see ObserveBatch).
-func (a *Adaptor) ObservePush(ref overlay.NodeRef) {
-	a.mu.Lock()
-	if int(ref) < len(a.pushes) {
-		a.pushes[ref]++
-	}
-	a.mu.Unlock()
-}
-
-// ObservePull records that a read pulled node ref (out-of-range refs are
-// ignored; see ObserveBatch).
-func (a *Adaptor) ObservePull(ref overlay.NodeRef) {
-	a.mu.Lock()
-	if int(ref) < len(a.pulls) {
-		a.pulls[ref]++
-	}
-	a.mu.Unlock()
-}
-
-// ObserveBatch records bulk counts (used by the execution engine to avoid
-// per-event locking). Refs beyond the adaptor's node range are ignored:
+// ObserveBatch records a window of push and pull counts per overlay node
+// (the engine's drained observations). Refs beyond the adaptor's node range are ignored:
 // engine snapshots can briefly outgrow an adaptor while structural
 // maintenance is replacing it, and a dropped observation is harmless
 // whereas an out-of-range write would panic while holding the mutex.

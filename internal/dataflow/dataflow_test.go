@@ -431,12 +431,7 @@ func TestAdaptorFlipsFrontier(t *testing.T) {
 	a := NewAdaptor(ov, f, m)
 	a.MinSamples = 10
 	// Workload shifts: p now sees many pulls and few pushes.
-	for i := 0; i < 50; i++ {
-		a.ObservePull(p)
-	}
-	for i := 0; i < 2; i++ {
-		a.ObservePush(p)
-	}
+	a.ObserveBatch(map[overlay.NodeRef]float64{p: 2}, map[overlay.NodeRef]float64{p: 50})
 	flips := a.Rebalance()
 	if flips != 1 {
 		t.Fatalf("flips = %d, want 1", flips)
@@ -462,9 +457,7 @@ func TestAdaptorRespectsMinSamples(t *testing.T) {
 	}
 	a := NewAdaptor(ov, f, m)
 	a.MinSamples = 1000
-	for i := 0; i < 50; i++ {
-		a.ObservePull(p)
-	}
+	a.ObserveBatch(nil, map[overlay.NodeRef]float64{p: 50})
 	if flips := a.Rebalance(); flips != 0 {
 		t.Fatalf("flips = %d below MinSamples, want 0", flips)
 	}
@@ -485,9 +478,7 @@ func TestAdaptorOnlyFlipsFrontierNodes(t *testing.T) {
 	f, _ := ComputeFreqs(ov, wl, 1)
 	a := NewAdaptor(ov, f, ConstLinear{})
 	a.MinSamples = 1
-	for i := 0; i < 10; i++ {
-		a.ObservePull(p2)
-	}
+	a.ObserveBatch(nil, map[overlay.NodeRef]float64{p2: 10})
 	if flips := a.Rebalance(); flips != 0 {
 		t.Fatalf("p2 flipped despite pull input p1: %d flips", flips)
 	}

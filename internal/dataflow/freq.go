@@ -18,6 +18,11 @@ type Workload struct {
 	// nodes before the frequency lookup, so every query's reader view of a
 	// node shares that node's expected read rate.
 	Stride int
+	// ReaderReads, when non-nil, holds observed read rates by reader GID
+	// (tag*Stride + node on a merged overlay), so merged views at one node
+	// keep their own rates; a reader it holds is not looked up in Read.
+	// Sparse on purpose: a dense GID-indexed slice would be up to 64×Stride.
+	ReaderReads map[graph.NodeID]float64
 }
 
 // NewWorkload allocates a zero workload for maxID nodes.
@@ -39,8 +44,11 @@ func Uniform(maxID int, read, write float64) *Workload {
 	return w
 }
 
-// readOf returns r(v), tolerating out-of-range ids.
+// readOf returns r(v) for reader GID v, tolerating out-of-range ids.
 func (w *Workload) readOf(v graph.NodeID) float64 {
+	if r, ok := w.ReaderReads[v]; ok {
+		return r
+	}
 	if w.Stride > 0 {
 		v %= graph.NodeID(w.Stride)
 	}

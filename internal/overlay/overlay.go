@@ -140,16 +140,6 @@ func (o *Overlay) TagOf(ref NodeRef) int32 {
 	return int32(n.GID) / o.readerStride
 }
 
-// ReaderNodeOf returns the data-graph node a reader slot serves: GID%stride
-// for merged overlays, the plain GID otherwise.
-func (o *Overlay) ReaderNodeOf(ref NodeRef) graph.NodeID {
-	n := &o.nodes[ref]
-	if n.Kind != ReaderNode || o.readerStride <= 0 {
-		return n.GID
-	}
-	return n.GID % graph.NodeID(o.readerStride)
-}
-
 // AddWriter adds (or returns the existing) writer node for data-graph node v.
 func (o *Overlay) AddWriter(v graph.NodeID) NodeRef {
 	if ref, ok := o.writerOf[v]; ok {

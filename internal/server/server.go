@@ -1035,9 +1035,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"rejected":   ist.Rejected,
 		"queueDepth": ist.QueueDepth,
 		"buffered":   ist.Buffered,
-		// Always 1 (0 until the first /ingest creates the Ingestor):
-		// batches apply one at a time on the handing-over goroutine.
-		"applyWorkers": ist.ApplyWorkers,
 	}
 	if ist.WatermarkValid {
 		ingest["watermark"] = ist.Watermark
@@ -1081,15 +1078,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if at := st.Autotune; at.Enabled || at.Ticks > 0 {
 		resp["autotune"] = map[string]any{
-			"enabled":        at.Enabled,
-			"ticks":          at.Ticks,
-			"flips":          at.Flips,
-			"viewDemotions":  at.ViewDemotions,
-			"viewPromotions": at.ViewPromotions,
-			"reoptimizes":    at.Reoptimizes,
-			"lastTrigger":    at.LastTrigger,
-			"estimatedCost":  at.EstimatedCost,
-			"planCost":       at.PlanCost,
+			"enabled":       at.Enabled,
+			"ticks":         at.Ticks,
+			"flips":         at.Flips,
+			"reoptimizes":   at.Reoptimizes,
+			"lastTrigger":   at.LastTrigger,
+			"estimatedCost": at.EstimatedCost,
+			"planCost":      at.PlanCost,
 		}
 	}
 	if dst := s.sess.DurabilityStats(); dst.Enabled {

@@ -792,10 +792,9 @@ func TestDurableIngestSurvivesCrash(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sync ingest status = %d", resp.StatusCode)
 	}
-	// Durable or not, the apply stage is one batch at a time.
 	ing := decode[map[string]any](t, mustGet(t, ts.URL+"/stats"))["ingest"].(map[string]any)
-	if ing["applyWorkers"].(float64) != 1 {
-		t.Fatalf("durable ingest block = %v, want applyWorkers 1", ing)
+	if ing["applied"].(float64) != 2 {
+		t.Fatalf("durable ingest block = %v, want applied 2", ing)
 	}
 	ts.Close()
 	_ = sess.SimulateCrash()
