@@ -1,7 +1,8 @@
 // Command eagr-router fronts a fleet of eagr-serve shard servers with one
 // EAGr-shaped HTTP surface. It is the HTTP skin of internal/shard's
 // Coordinator over HTTPShards: this file decodes requests, maps errors to
-// statuses and reports /stats; where an event goes, what time it carries,
+// statuses and reports /stats, reading and writing the body types
+// internal/server declares; where an event goes, what time it carries,
 // when windows expire, how reads merge, what is retried and what happens
 // when replicas diverge are internal/shard's, and documented there.
 //
@@ -39,7 +40,6 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"sort"
@@ -99,10 +99,7 @@ func newRouter(bases []string) *router {
 	rt.mux.HandleFunc("DELETE /queries/{id}", rt.handleRetire)
 	rt.mux.HandleFunc("GET /queries/{id}/read", rt.handleQueryRead)
 	rt.mux.HandleFunc("POST /edge", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			From graph.NodeID `json:"from"`
-			To   graph.NodeID `json:"to"`
-		}
+		var req server.EdgeReq
 		if server.DecodeBody(w, r, &req) {
 			rt.mutate(w, eagr.NewEdgeAdd(req.From, req.To, 0))
 		}
@@ -111,7 +108,7 @@ func newRouter(bases []string) *router {
 		from, err1 := server.NodeParam(r, "from")
 		to, err2 := server.NodeParam(r, "to")
 		if err1 != nil || err2 != nil {
-			httpError(w, http.StatusBadRequest, "from and to required")
+			server.WriteError(w, http.StatusBadRequest, "from and to required")
 			return
 		}
 		rt.mutate(w, eagr.NewEdgeRemove(from, to, 0))
@@ -122,7 +119,7 @@ func newRouter(bases []string) *router {
 	rt.mux.HandleFunc("DELETE /node", func(w http.ResponseWriter, r *http.Request) {
 		v, err := server.NodeParam(r, "node")
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			server.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		rt.mutate(w, eagr.NewNodeRemove(v, 0))
@@ -133,17 +130,6 @@ func newRouter(bases []string) *router {
 }
 
 func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
 
 // fail answers a coordinator error. A diverged fleet is unavailable for
 // reads; a shard's client error (including 410 Gone) is the fleet's verdict
@@ -160,7 +146,7 @@ func fail(w http.ResponseWriter, err error) {
 	case errors.Is(err, eagr.ErrIncompatibleQuery):
 		code = http.StatusUnprocessableEntity
 	}
-	httpError(w, code, "%v", err)
+	server.WriteError(w, code, "%v", err)
 }
 
 func (rt *router) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -173,9 +159,7 @@ func (rt *router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	_ = json.NewEncoder(w).Encode(describe(q))
+	server.WriteJSON(w, http.StatusCreated, describe(q))
 }
 
 func (rt *router) handleList(w http.ResponseWriter, r *http.Request) {
@@ -185,19 +169,19 @@ func (rt *router) handleList(w http.ResponseWriter, r *http.Request) {
 	for i, q := range qs {
 		out[i] = describe(q)
 	}
-	writeJSON(w, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // queryFor resolves the {id} path value; nil means the response was sent.
 func (rt *router) queryFor(w http.ResponseWriter, r *http.Request) *shard.Query {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad query id %q", r.PathValue("id"))
+		server.WriteError(w, http.StatusBadRequest, "bad query id %q", r.PathValue("id"))
 		return nil
 	}
 	q := rt.co.Query(id)
 	if q == nil {
-		httpError(w, http.StatusNotFound, "no query %d", id)
+		server.WriteError(w, http.StatusNotFound, "no query %d", id)
 	}
 	return q
 }
@@ -210,7 +194,7 @@ func (rt *router) handleRetire(w http.ResponseWriter, r *http.Request) {
 	if err := q.Close(); err != nil {
 		// The query is gone from the router either way; name every shard
 		// that may still hold its copy.
-		httpError(w, http.StatusBadGateway, "%v", err)
+		server.WriteError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -223,7 +207,7 @@ func (rt *router) handleQueryRead(w http.ResponseWriter, r *http.Request) {
 	}
 	node, err := server.NodeParam(r, "node")
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	res, err := q.Read(node)
@@ -232,9 +216,7 @@ func (rt *router) handleQueryRead(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.reads.Add(1)
-	writeJSON(w, map[string]any{
-		"node": node, "valid": res.Valid, "scalar": res.Scalar, "list": res.List,
-	})
+	server.WriteJSON(w, http.StatusOK, server.NewReadResp(node, res))
 }
 
 // handleIngest parses one NDJSON stream whole and hands it to the
@@ -253,7 +235,7 @@ func (rt *router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		ev, err := server.ParseIngestLine(raw)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "line %d: %v", line, err)
+			server.WriteError(w, http.StatusBadRequest, "line %d: %v", line, err)
 			return
 		}
 		if ev.Kind == graph.ContentWrite {
@@ -263,10 +245,10 @@ func (rt *router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	var tooBig *http.MaxBytesError
 	if err := sc.Err(); errors.As(err, &tooBig) {
-		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", maxIngestBody)
+		server.WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", maxIngestBody)
 		return
 	} else if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
+		server.WriteError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
 	wm, err := rt.co.Apply(events)
@@ -275,11 +257,7 @@ func (rt *router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.writes.Add(content)
-	resp := map[string]any{"accepted": len(events)}
-	if wm != nil {
-		resp["watermark"] = *wm
-	}
-	writeJSON(w, resp)
+	server.WriteJSON(w, http.StatusOK, server.IngestAck{Accepted: len(events), Watermark: wm})
 }
 
 // mutate fans one structural event out and answers as a shard would: the
@@ -290,16 +268,14 @@ func (rt *router) mutate(w http.ResponseWriter, ev eagr.Event) {
 	case err != nil:
 		fail(w, err)
 	case ev.Kind == graph.NodeAdd:
-		writeJSON(w, map[string]graph.NodeID{"node": id})
+		server.WriteJSON(w, http.StatusOK, server.NodeResp{Node: id})
 	default:
 		w.WriteHeader(http.StatusNoContent)
 	}
 }
 
 func (rt *router) handleExpire(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		TS int64 `json:"ts"`
-	}
+	var req server.ExpireBody
 	if !server.DecodeBody(w, r, &req) {
 		return
 	}
@@ -307,7 +283,7 @@ func (rt *router) handleExpire(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	writeJSON(w, map[string]int64{"ts": req.TS})
+	server.WriteJSON(w, http.StatusOK, req)
 }
 
 // shardHealth is one shard's probe result in GET /stats: Healthy reports
@@ -317,6 +293,27 @@ type shardHealth struct {
 	Shard   int    `json:"shard"`
 	Healthy bool   `json:"healthy"`
 	Error   string `json:"error,omitempty"`
+}
+
+// routerStats is the body of the router's GET /stats.
+type routerStats struct {
+	Shards          int               `json:"shards"`
+	ContentRouted   int64             `json:"contentRouted"`
+	ReadsMerged     int64             `json:"readsMerged"`
+	Queries         int               `json:"queries"`
+	RetriedRequests int64             `json:"retriedRequests"`
+	StreamTimestamp int64             `json:"streamTimestamp"`
+	ShardHealth     []shardHealth     `json:"shardHealth"`
+	ShardStats      []json.RawMessage `json:"shardStats"`
+	// Diverged is the coordinator's recorded Divergence, once there is one.
+	Diverged *divergence `json:"diverged,omitempty"`
+}
+
+// divergence is shard.Divergence on the wire.
+type divergence struct {
+	Shard int    `json:"shard"`
+	Op    string `json:"op"`
+	Error string `json:"error"`
 }
 
 // handleStats reports the router's own counters, every shard's /healthz
@@ -331,7 +328,7 @@ func (rt *router) handleStats(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			defer wg.Done()
 			if err := s.Get("/stats", &stats[i]); err != nil {
-				stats[i], _ = json.Marshal(map[string]string{"error": err.Error()})
+				stats[i], _ = json.Marshal(server.ErrorResp{Error: err.Error()})
 			}
 			health[i] = shardHealth{Shard: i, Healthy: true}
 			if err := s.Get("/healthz", nil); err != nil {
@@ -344,20 +341,20 @@ func (rt *router) handleStats(w http.ResponseWriter, r *http.Request) {
 	for _, s := range rt.shards {
 		retried += s.Retried()
 	}
-	resp := map[string]any{
-		"shards":          len(rt.shards),
-		"contentRouted":   rt.writes.Load(),
-		"readsMerged":     rt.reads.Load(),
-		"queries":         len(rt.co.Queries()),
-		"retriedRequests": retried,
-		"streamTimestamp": rt.co.StreamTime(),
-		"shardHealth":     health,
-		"shardStats":      stats,
+	resp := routerStats{
+		Shards:          len(rt.shards),
+		ContentRouted:   rt.writes.Load(),
+		ReadsMerged:     rt.reads.Load(),
+		Queries:         len(rt.co.Queries()),
+		RetriedRequests: retried,
+		StreamTimestamp: rt.co.StreamTime(),
+		ShardHealth:     health,
+		ShardStats:      stats,
 	}
 	if d := rt.co.Diverged(); d != nil {
-		resp["diverged"] = map[string]any{"shard": d.Shard, "op": d.Op, "error": d.Err.Error()}
+		resp.Diverged = &divergence{Shard: d.Shard, Op: d.Op, Error: d.Err.Error()}
 	}
-	writeJSON(w, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func main() {

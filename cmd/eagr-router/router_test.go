@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -103,29 +104,21 @@ func (s httpSystem) Register(spec eagr.QuerySpec) (func(eagr.NodeID) (eagr.Resul
 			resp.Body.Close()
 			return eagr.Result{}, fmt.Errorf("read: status %d", resp.StatusCode)
 		}
-		return decodeInto[eagr.Result](s.t, resp), nil
+		return decodeInto[server.ReadResp](s.t, resp).Result(), nil
 	}, nil
 }
 
 func (s httpSystem) Apply(events []eagr.Event) (*int64, error) {
-	var body bytes.Buffer
+	var body []byte
 	for _, ev := range events {
-		line, _ := json.Marshal(map[string]any{
-			"kind": ev.Kind.String(), "node": ev.Node, "peer": ev.Peer, "value": ev.Value, "ts": ev.TS,
-		})
-		body.Write(line)
-		body.WriteByte('\n')
+		body = server.AppendIngestLine(body, ev)
 	}
-	resp, err := http.Post(s.url+"/ingest", "application/x-ndjson", &body)
+	resp, err := http.Post(s.url+"/ingest", "application/x-ndjson", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	status := resp.StatusCode
-	ack := decodeInto[struct {
-		Accepted  int    `json:"accepted"`
-		Watermark *int64 `json:"watermark"`
-		Error     string `json:"error"`
-	}](s.t, resp)
+	ack := decodeInto[server.IngestAck](s.t, resp)
 	if status != http.StatusOK || ack.Error != "" || ack.Accepted != len(events) {
 		return nil, fmt.Errorf("ingest: status %d, accepted %d of %d, error %q", status, ack.Accepted, len(events), ack.Error)
 	}
@@ -438,6 +431,47 @@ func TestRouterTopoReadFailsOver(t *testing.T) {
 	got := decodeInto[map[string]any](t, read)
 	if got["scalar"].(float64) != 1 {
 		t.Fatalf("wedges(1) after failover = %v, want 1", got)
+	}
+}
+
+// TestRouterReadBodyMatchesServer: the router answers a read with the same
+// bytes as one eagr-serve over the same graph and stream — a zero SUM and an
+// empty TOP-K included, whose scalar and list a shard leaves out.
+func TestRouterReadBodyMatchesServer(t *testing.T) {
+	routed, _ := newFleet(t, 2, nil)
+	single := shardtest.HTTPShards(t, 1, fleetGraph, eagr.Options{}, nil)[0].URL
+	aggs := []string{"sum", "topk(3)"}
+	ids := map[string][]int{}
+	for _, base := range []string{routed, single} {
+		for _, a := range aggs {
+			resp := postJSON(t, base+"/queries", map[string]any{"aggregate": a})
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("register %s on %s: status %d", a, base, resp.StatusCode)
+			}
+			ids[base] = append(ids[base], decodeInto[server.QueryResp](t, resp).ID)
+		}
+		// Node 0's zero reaches its out-neighbour's SUM as a valid 0; node 5
+		// has no edges, so both answers there are empty.
+		if status, ack := ingest(t, base, `{"node":0,"value":0,"ts":1}`); status != http.StatusOK {
+			t.Fatalf("ingest on %s = %d %v", base, status, ack)
+		}
+	}
+	body := func(base string, id, v int) string {
+		resp := mustGetOK(t, fmt.Sprintf("%s/queries/%d/read?node=%d", base, id, v))
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for i, a := range aggs {
+		for v := range 6 {
+			got, want := body(routed, ids[routed][i], v), body(single, ids[single][i], v)
+			if got != want {
+				t.Errorf("%s at node %d: router %s, server %s", a, v, got, want)
+			}
+		}
 	}
 }
 

@@ -96,29 +96,29 @@ type DurabilityOptions struct {
 type Recovery struct {
 	// CleanShutdown is true when a valid clean-shutdown marker matched the
 	// log: the checkpoint alone was loaded and no replay ran.
-	CleanShutdown bool
+	CleanShutdown bool `json:"cleanShutdown"`
 	// CheckpointSeq/CheckpointLSN identify the checkpoint loaded (zero when
 	// the directory was fresh, before the initial checkpoint).
-	CheckpointSeq uint64
-	CheckpointLSN uint64
+	CheckpointSeq uint64 `json:"checkpointSeq"`
+	CheckpointLSN uint64 `json:"checkpointLSN"`
 	// RecoveredQueries is the number of standing queries live after
 	// recovery (checkpoint queries plus replayed registrations minus
 	// replayed retirements).
-	RecoveredQueries int
+	RecoveredQueries int `json:"recoveredQueries"`
 	// ReplayedBatches/ReplayedEvents count the WAL tail replayed.
-	ReplayedBatches int
-	ReplayedEvents  int
+	ReplayedBatches int `json:"replayedBatches"`
+	ReplayedEvents  int `json:"replayedEvents"`
 	// TruncatedTail is true when the scan dropped a torn tail.
-	TruncatedTail bool
+	TruncatedTail bool `json:"truncatedTail"`
 	// NextOrdinal is the global event-stream ordinal after recovery: every
 	// event with ordinal < NextOrdinal is part of the recovered state.
-	NextOrdinal uint64
+	NextOrdinal uint64 `json:"nextOrdinal"`
 	// Watermark is the last expiry applied (replayed); WatermarkValid is
 	// false when no expiry ever ran.
-	Watermark      int64
-	WatermarkValid bool
+	Watermark      int64 `json:"recoveredWatermark"`
+	WatermarkValid bool  `json:"recoveredWatermarkValid"`
 	// Duration is the wall time recovery took.
-	Duration time.Duration
+	Duration time.Duration `json:"recoveryNanos"`
 }
 
 // durableState is the per-session durability layer. Its RWMutex is the
@@ -642,24 +642,25 @@ func (s *Session) SimulateCrash() error {
 
 // DurabilityStats is the observable state of the durability layer.
 type DurabilityStats struct {
-	Enabled bool
-	Dir     string
+	Enabled bool   `json:"enabled"`
+	Dir     string `json:"dir"`
 	// WAL shape: live segments and their bytes, the last LSN, appended
 	// record and fsync counts, and the recycled-segment pool size.
-	WALSegments int
-	WALBytes    int64
-	WALLastLSN  uint64
-	WALAppends  int64
-	WALSyncs    int64
-	WALFreePool int
+	WALSegments int    `json:"walSegments"`
+	WALBytes    int64  `json:"walBytes"`
+	WALLastLSN  uint64 `json:"walLastLSN"`
+	WALAppends  int64  `json:"walAppends"`
+	WALSyncs    int64  `json:"walSyncs"`
+	WALFreePool int    `json:"walFreePool"`
 	// Checkpoints written this run, the last one's LSN/watermark, and the
 	// last checkpoint error (empty when the last attempt succeeded).
-	Checkpoints             int64
-	LastCheckpointLSN       uint64
-	LastCheckpointWatermark int64
-	LastCheckpointError     string
-	// Recovery is the summary of this session's OpenDurable.
-	Recovery Recovery
+	Checkpoints             int64  `json:"checkpoints"`
+	LastCheckpointLSN       uint64 `json:"lastCheckpointLSN"`
+	LastCheckpointWatermark int64  `json:"lastCheckpointWatermark"`
+	LastCheckpointError     string `json:"lastCheckpointError,omitempty"`
+	// Recovery is the summary of this session's OpenDurable, embedded so
+	// its fields sit beside the WAL's in JSON.
+	Recovery
 }
 
 // DurabilityStats returns current durability counters; the zero value when

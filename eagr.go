@@ -738,44 +738,44 @@ func (s *Session) Query(id int) *Query {
 // compiled overlays they share (Groups < Queries means partial-aggregate
 // sharing is active), and the overlay totals across all groups.
 type SessionStats struct {
-	Queries int
+	Queries int `json:"queries"`
 	// Groups is the number of distinct compiled overlays; queries in one
 	// group share all partial aggregators.
-	Groups int
+	Groups int `json:"groups"`
 	// MergedFamilies counts the overlays hosting more than one member
 	// query (the merged multi-query overlays), and MergedQueries the
 	// member queries they host: sharing beyond exact configuration twins.
-	MergedFamilies int
-	MergedQueries  int
+	MergedFamilies int `json:"mergedFamilies"`
+	MergedQueries  int `json:"mergedQueries"`
 	// FamilyOverflows counts registrations that found their merge family at
 	// the 64-member tag-space cap and opened a fresh overlay instead of
 	// joining the shared one — nonzero means cross-query sharing is
 	// degrading under query volume.
-	FamilyOverflows int64
+	FamilyOverflows int64 `json:"familyOverflows"`
 	// OverlaysMined counts the overlay constructions the session has run (at
 	// registration and on every recompile); OverlaysCloned the ones it did
 	// not have to, because a query of the same shape — neighborhood,
 	// construction algorithm and knobs, whatever the aggregate — had its
 	// overlay mined on the same graph structure and that was copied.
-	OverlaysMined  int64
-	OverlaysCloned int64
-	Writers        int
-	Readers        int
-	Partials       int
-	Edges          int
+	OverlaysMined  int64 `json:"overlaysMined"`
+	OverlaysCloned int64 `json:"overlaysCloned"`
+	Writers        int   `json:"writers"`
+	Readers        int   `json:"readers"`
+	Partials       int   `json:"partials"`
+	Edges          int   `json:"edges"`
 	// DroppedUpdates counts subscription deliveries discarded because
 	// consumers fell behind, summed over all live queries.
-	DroppedUpdates int64
+	DroppedUpdates int64 `json:"droppedUpdates"`
 	// TopoViews is the number of live topology-valued views (internal/topo)
 	// the session's topo queries share; 0 when no topo query is registered.
-	TopoViews int
+	TopoViews int `json:"topoViews"`
 	// Adaptivity is the session's live adaptivity state — observation
 	// totals and last-rebalance outcome — populated whether or not the
 	// autotune controller is running (POST /rebalance feeds it too).
-	Adaptivity AdaptivityStats
+	Adaptivity AdaptivityStats `json:"adaptivity"`
 	// Autotune reports the self-driving adaptivity controller; zero with
-	// Enabled=false when it was never started.
-	Autotune AutotuneStats
+	// Enabled=false when it was never started, and then left out of JSON.
+	Autotune AutotuneStats `json:"autotune,omitzero"`
 }
 
 // AdaptivityStats aggregates the adaptivity telemetry of every compiled
@@ -784,36 +784,40 @@ type AdaptivityStats struct {
 	// PushObserved/PullObserved are total push/pull observations drained
 	// from the engines' per-node counters (by rebalances or the autotune
 	// controller) since the session opened.
-	PushObserved, PullObserved int64
+	PushObserved int64 `json:"pushObserved"`
+	PullObserved int64 `json:"pullObserved"`
 	// Rebalances counts rebalance passes across all overlays; LastFlips
 	// sums each overlay's most recent pass's flips, and LastRebalanceNano
 	// is the wall-clock time (UnixNano) of the newest pass anywhere (0 if
 	// none ran).
-	Rebalances        int64
-	LastFlips         int
-	LastRebalanceNano int64
+	Rebalances        int64 `json:"rebalances"`
+	LastFlips         int   `json:"lastFlips"`
+	LastRebalanceNano int64 `json:"lastRebalanceNano"`
 	// Installs counts the engine snapshots installed across all overlays
 	// (one per rebalance that flipped, structural run, member attach or
 	// retire, re-optimization or recompile); LastInstallHoldMicros is the
 	// longest any overlay's most recent install held its writes and
 	// watermark advances back. Reads are never held.
-	Installs              int64
-	LastInstallHoldMicros int64
+	Installs              int64 `json:"installs"`
+	LastInstallHoldMicros int64 `json:"lastInstallHoldMicros"`
 }
 
 // AutotuneStats is the public snapshot of the background adaptivity
 // controller's counters (see AutotuneOptions for the knobs behind them).
 type AutotuneStats struct {
 	// Enabled reports whether the controller's loop is currently running.
-	Enabled bool
+	Enabled bool `json:"enabled"`
 	// Ticks counts controller passes; Flips the frontier decision flips it
 	// applied; Reoptimizes the full re-plan cutovers.
-	Ticks, Flips, Reoptimizes int64
+	Ticks       int64 `json:"ticks"`
+	Flips       int64 `json:"flips"`
+	Reoptimizes int64 `json:"reoptimizes"`
 	// LastTrigger describes the most recent action ("" if none yet).
-	LastTrigger string
+	LastTrigger string `json:"lastTrigger"`
 	// EstimatedCost/PlanCost are the latest degradation check: the cost of
 	// the current decisions under the observed workload vs a fresh plan.
-	EstimatedCost, PlanCost float64
+	EstimatedCost float64 `json:"estimatedCost"`
+	PlanCost      float64 `json:"planCost"`
 }
 
 // Stats returns current session-wide statistics.

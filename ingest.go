@@ -600,18 +600,20 @@ type IngestorStats struct {
 	// drained — events the session skipped individually, like a duplicate
 	// edge-add or a Read, still count, with their errors reported through
 	// Flush/Close); Batches the applied batches.
-	Sent, Applied, Batches int64
+	Sent    int64 `json:"sent"`
+	Applied int64 `json:"applied"`
+	Batches int64 `json:"batches"`
 	// Rejected counts sends refused with a typed error — ErrBackpressure
 	// (full queue under the fail-fast policy) or ErrTimestampJump.
-	Rejected int64
+	Rejected int64 `json:"rejected"`
 	// QueueDepth is the number of handed-over batches waiting behind the
 	// one being applied; Buffered the events not yet handed over.
-	QueueDepth int
-	Buffered   int
+	QueueDepth int `json:"queueDepth"`
+	Buffered   int `json:"buffered"`
 	// Watermark is the current low watermark; WatermarkValid is false
 	// until the first event applies.
-	Watermark      int64
-	WatermarkValid bool
+	Watermark      int64 `json:"watermark"`
+	WatermarkValid bool  `json:"watermarkValid"`
 }
 
 // Stats returns current ingestion statistics. It never takes the send

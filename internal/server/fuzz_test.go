@@ -1,16 +1,17 @@
 package server
 
 import (
-	"encoding/json"
+	"bytes"
 	"testing"
 
 	"repro/internal/graph"
 )
 
 // FuzzIngestLine drives the NDJSON /ingest grammar: ParseIngestLine must
-// never panic, and every accepted line must survive a canonical re-encode
-// and reparse unchanged — the property eagr-router relies on when it
-// re-stamps timestamps and fans events out to shards.
+// never panic, and every accepted line must survive a re-encode through
+// AppendIngestLine and a reparse unchanged — the property eagr-router relies
+// on when it re-stamps timestamps and fans events out to shards, since
+// HTTPShard.Apply sends exactly what AppendIngestLine writes.
 func FuzzIngestLine(f *testing.F) {
 	for _, s := range []string{
 		`{"node":3,"value":7,"ts":9}`,
@@ -36,14 +37,11 @@ func FuzzIngestLine(f *testing.F) {
 		if _, kerr := graph.ParseEventKind(ev.Kind.String()); kerr != nil {
 			t.Fatalf("accepted line %q produced unknown kind %v", data, ev.Kind)
 		}
-		canon, merr := json.Marshal(map[string]any{
-			"kind": ev.Kind.String(), "node": ev.Node, "peer": ev.Peer,
-			"value": ev.Value, "ts": ev.TS,
-		})
-		if merr != nil {
-			t.Fatalf("re-encode %+v: %v", ev, merr)
+		canon := AppendIngestLine(nil, ev)
+		if bytes.Count(canon, []byte{'\n'}) != 1 || canon[len(canon)-1] != '\n' {
+			t.Fatalf("encoding of %+v is not one NDJSON line: %q", ev, canon)
 		}
-		back, err := ParseIngestLine(canon)
+		back, err := ParseIngestLine(bytes.TrimSpace(canon))
 		if err != nil {
 			t.Fatalf("canonical form %s rejected: %v", canon, err)
 		}

@@ -515,6 +515,12 @@ func TestCoveredEndpointAndFamilyStats(t *testing.T) {
 	if st["mergedFamilies"].(float64) < 1 || st["mergedQueries"].(float64) < 2 {
 		t.Fatalf("stats missing merged counters: %v", st)
 	}
+	qst := decode[map[string]any](t, mustGet(t, fmt.Sprintf("%s/queries/%d/stats", ts.URL, id2)))
+	for _, key := range []string{"id", "family", "ownReaders", "pullMemoHits", "pullMemoMisses"} {
+		if _, ok := qst[key].(float64); !ok {
+			t.Errorf("query stats %q = %v, want a number", key, qst[key])
+		}
+	}
 }
 
 // TestIngestEndpoint streams a mixed NDJSON batch — content writes plus a
@@ -752,6 +758,16 @@ func TestStatsDurabilitySection(t *testing.T) {
 	if dur["cleanShutdown"] != false || dur["checkpoints"].(float64) < 1 {
 		t.Fatalf("durability section = %v", dur)
 	}
+	// Every field of DurabilityStats and of its Recovery, flat in one object.
+	for _, key := range []string{"enabled", "dir", "walSegments", "walBytes", "walLastLSN",
+		"walAppends", "walSyncs", "walFreePool", "checkpoints", "lastCheckpointLSN",
+		"lastCheckpointWatermark", "checkpointSeq", "checkpointLSN", "recoveredQueries",
+		"replayedBatches", "replayedEvents", "truncatedTail", "nextOrdinal",
+		"recoveredWatermark", "recoveredWatermarkValid", "recoveryNanos"} {
+		if _, ok := dur[key]; !ok {
+			t.Errorf("durability section has no %q: %v", key, dur)
+		}
+	}
 	// The non-durable server must NOT grow the section.
 	ts2 := testServer(t)
 	stats2 := decode[map[string]any](t, mustGet(t, ts2.URL+"/stats"))
@@ -763,7 +779,7 @@ func TestStatsDurabilitySection(t *testing.T) {
 // TestExpireReportsRefusedAdvance: POST /expire answers with the advance's
 // fate. On a session whose durability layer is gone the advance is refused
 // (it is WAL-first, like the events it otherwise rides with) and nothing
-// expires, so the route must not say 200.
+// expires, so the route says 503, as for a closed Ingestor.
 func TestExpireReportsRefusedAdvance(t *testing.T) {
 	ts, sess, _ := durableServer(t)
 	if resp := post(t, ts.URL+"/expire", map[string]int64{"ts": 5}); resp.StatusCode != http.StatusOK {
@@ -774,8 +790,8 @@ func TestExpireReportsRefusedAdvance(t *testing.T) {
 	}
 	resp := post(t, ts.URL+"/expire", map[string]int64{"ts": 10})
 	defer resp.Body.Close()
-	if resp.StatusCode/100 == 2 {
-		t.Fatalf("expire refused by the durability layer: status %d, want a non-2xx", resp.StatusCode)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("expire refused by the durability layer: status %d, want 503", resp.StatusCode)
 	}
 }
 

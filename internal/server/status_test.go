@@ -12,37 +12,37 @@ import (
 	"repro/internal/graph"
 )
 
-// TestStatusMapping pins every typed façade/ingest error to its HTTP
-// status, including wrapped forms (handlers always wrap with context), so
-// a refactor cannot silently turn a 404 into a 500.
+// TestStatusMapping pins every typed façade/ingest/durability error to its
+// HTTP status, including wrapped forms (handlers always wrap with
+// context), so a refactor cannot silently turn a 404 into a 500.
 func TestStatusMapping(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		fn   func(error) int
 		err  error
 		want int
 	}{
-		{"unknown-node", statusFor, eagr.ErrUnknownNode, http.StatusNotFound},
-		{"node-not-found", statusFor, graph.ErrNodeNotFound, http.StatusNotFound},
-		{"edge-not-found", statusFor, graph.ErrEdgeNotFound, http.StatusNotFound},
-		{"edge-exists", statusFor, graph.ErrEdgeExists, http.StatusConflict},
-		{"node-exists", statusFor, graph.ErrNodeExists, http.StatusConflict},
-		{"query-closed", statusFor, eagr.ErrQueryClosed, http.StatusGone},
-		{"conflicting-window", statusFor, eagr.ErrConflictingWindow, http.StatusUnprocessableEntity},
-		{"incompatible-merge", statusFor, eagr.ErrIncompatibleMerge, http.StatusUnprocessableEntity},
-		{"incompatible-query", statusFor, eagr.ErrIncompatibleQuery, http.StatusUnprocessableEntity},
-		{"opaque", statusFor, errors.New("boom"), http.StatusInternalServerError},
-		{"ingest-backpressure", statusForIngest, eagr.ErrBackpressure, http.StatusTooManyRequests},
-		{"ingest-closed", statusForIngest, eagr.ErrIngestorClosed, http.StatusServiceUnavailable},
-		{"ingest-timestamp-jump", statusForIngest, eagr.ErrTimestampJump, http.StatusUnprocessableEntity},
-		{"ingest-opaque", statusForIngest, errors.New("boom"), http.StatusInternalServerError},
+		{"unknown-node", eagr.ErrUnknownNode, http.StatusNotFound},
+		{"node-not-found", graph.ErrNodeNotFound, http.StatusNotFound},
+		{"edge-not-found", graph.ErrEdgeNotFound, http.StatusNotFound},
+		{"edge-exists", graph.ErrEdgeExists, http.StatusConflict},
+		{"node-exists", graph.ErrNodeExists, http.StatusConflict},
+		{"query-closed", eagr.ErrQueryClosed, http.StatusGone},
+		{"conflicting-window", eagr.ErrConflictingWindow, http.StatusUnprocessableEntity},
+		{"incompatible-merge", eagr.ErrIncompatibleMerge, http.StatusUnprocessableEntity},
+		{"incompatible-query", eagr.ErrIncompatibleQuery, http.StatusUnprocessableEntity},
+		{"opaque", errors.New("boom"), http.StatusInternalServerError},
+		{"ingest-backpressure", eagr.ErrBackpressure, http.StatusTooManyRequests},
+		{"ingest-closed", eagr.ErrIngestorClosed, http.StatusServiceUnavailable},
+		{"ingest-timestamp-jump", eagr.ErrTimestampJump, http.StatusUnprocessableEntity},
+		{"ingest-opaque", errors.New("boom"), http.StatusInternalServerError},
+		{"durability-closed", eagr.ErrDurabilityClosed, http.StatusServiceUnavailable},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.fn(tc.err); got != tc.want {
+			if got := statusFor(tc.err); got != tc.want {
 				t.Fatalf("status(%v) = %d, want %d", tc.err, got, tc.want)
 			}
 			wrapped := fmt.Errorf("handler context: %w", tc.err)
-			if got := tc.fn(wrapped); got != tc.want {
+			if got := statusFor(wrapped); got != tc.want {
 				t.Fatalf("status(wrapped %v) = %d, want %d", tc.err, got, tc.want)
 			}
 		})
@@ -61,7 +61,7 @@ func TestQueryPAOEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	list := decode[[]queryResp](t, listResp)
+	list := decode[[]QueryResp](t, listResp)
 	if len(list) != 1 {
 		t.Fatalf("queries = %+v, want exactly one", list)
 	}
@@ -73,7 +73,7 @@ func TestQueryPAOEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pao status = %d", resp.StatusCode)
 	}
-	got := decode[paoResp](t, resp)
+	got := decode[PAOResp](t, resp)
 	if got.Aggregate != "sum" || got.Node != 0 {
 		t.Fatalf("pao header = %+v, want sum at node 0", got)
 	}

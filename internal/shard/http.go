@@ -132,9 +132,7 @@ func (s *HTTPShard) Register(spec eagr.QuerySpec, opts ...eagr.Options) (Member,
 		req.Algorithm, req.Mode = opts[0].Algorithm, opts[0].Mode
 	}
 	body, _ := json.Marshal(req) // a struct of strings and numbers cannot fail
-	var out struct {
-		ID int `json:"id"`
-	}
+	var out server.QueryResp
 	if err := s.call(false, http.MethodPost, "/queries", body, &out); err != nil {
 		return nil, err
 	}
@@ -146,20 +144,12 @@ func (s *HTTPShard) Register(spec eagr.QuerySpec, opts ...eagr.Options) (Member,
 // wire: every shard sees the same ts for a fanned-out structural event,
 // whatever its local stream maximum says.
 func (s *HTTPShard) Apply(events []eagr.Event) (*int64, error) {
-	var body bytes.Buffer
+	var body []byte
 	for _, ev := range events {
-		line, _ := json.Marshal(map[string]any{
-			"kind": ev.Kind.String(), "node": ev.Node, "peer": ev.Peer,
-			"value": ev.Value, "ts": ev.TS,
-		})
-		body.Write(line)
-		body.WriteByte('\n')
+		body = server.AppendIngestLine(body, ev)
 	}
-	var out struct {
-		Watermark *int64 `json:"watermark"`
-		Error     string `json:"error"`
-	}
-	err := s.call(false, http.MethodPost, "/ingest", body.Bytes(), &out)
+	var out server.IngestAck
+	err := s.call(false, http.MethodPost, "/ingest", body, &out)
 	if err == nil && out.Error != "" {
 		err = &HTTPError{Code: http.StatusOK, msg: s.base + "/ingest: " + out.Error}
 	}
@@ -167,13 +157,11 @@ func (s *HTTPShard) Apply(events []eagr.Event) (*int64, error) {
 }
 
 func (s *HTTPShard) Mutate(ev eagr.Event) (graph.NodeID, error) {
-	var out struct {
-		Node graph.NodeID `json:"node"`
-	}
+	var out server.NodeResp
 	var err error
 	switch ev.Kind {
 	case graph.EdgeAdd:
-		body, _ := json.Marshal(map[string]graph.NodeID{"from": ev.Node, "to": ev.Peer})
+		body, _ := json.Marshal(server.EdgeReq{From: ev.Node, To: ev.Peer})
 		err = s.call(false, http.MethodPost, "/edge", body, nil)
 	case graph.EdgeRemove:
 		err = s.call(false, http.MethodDelete, fmt.Sprintf("/edge?from=%d&to=%d", ev.Node, ev.Peer), nil, nil)
@@ -188,7 +176,8 @@ func (s *HTTPShard) Mutate(ev eagr.Event) (graph.NodeID, error) {
 }
 
 func (s *HTTPShard) Expire(ts int64) error {
-	return s.call(true, http.MethodPost, "/expire", []byte(`{"ts":`+strconv.FormatInt(ts, 10)+`}`), nil)
+	body, _ := json.Marshal(server.ExpireBody{TS: ts}) // one integer cannot fail
+	return s.call(true, http.MethodPost, "/expire", body, nil)
 }
 
 // httpMember is a query registered on an HTTPShard, under the shard's id.
@@ -204,15 +193,13 @@ func (m httpMember) get(what string, v graph.NodeID, out any) error {
 }
 
 func (m httpMember) Read(v graph.NodeID) (eagr.Result, error) {
-	var res eagr.Result // {"node","valid","scalar","list"}: names match
-	err := m.get("read", v, &res)
-	return res, err
+	var out server.ReadResp
+	err := m.get("read", v, &out)
+	return out.Result(), err
 }
 
 func (m httpMember) ReadWire(v graph.NodeID) (agg.WirePAO, error) {
-	var out struct {
-		PAO agg.WirePAO `json:"pao"`
-	}
+	var out server.PAOResp
 	err := m.get("pao", v, &out)
 	return out.PAO, err
 }

@@ -434,38 +434,42 @@ func (q *Query) closeInner() error {
 
 // Stats summarizes a query's compiled overlay and runtime counters.
 type Stats struct {
-	Writers, Readers, Partials int
-	Edges, NegativeEdges       int
-	SharingIndex               float64
-	AvgDepth                   float64
-	Algorithm                  string
-	Mode                       string
-	Maintainable               bool
+	Writers       int     `json:"writers"`
+	Readers       int     `json:"readers"`
+	Partials      int     `json:"partials"`
+	Edges         int     `json:"edges"`
+	NegativeEdges int     `json:"negativeEdges"`
+	SharingIndex  float64 `json:"sharingIndex"`
+	AvgDepth      float64 `json:"avgDepth"`
+	Algorithm     string  `json:"algorithm"`
+	Mode          string  `json:"mode"`
+	Maintainable  bool    `json:"maintainable"`
 	// Recompiles counts the structural changes (edge and node churn, family
 	// members joining and leaving) that rebuilt the whole overlay because it
 	// is not Maintainable in place — the slow path; 0 on a maintainable one.
-	Recompiles int64
+	Recompiles int64 `json:"recompiles"`
 	// Shared is the number of identically-configured queries (including
 	// this one) sharing this query's compiled member for free.
-	Shared int
+	Shared int `json:"shared"`
 	// Family is the number of distinct member queries (including this one)
 	// merged into the compiled overlay these stats describe: Family > 1
 	// means this query reads a per-query view of a MERGED overlay whose
 	// partial aggregators are shared across members with different
 	// neighborhoods or reader sets.
-	Family int
+	Family int `json:"family"`
 	// OwnReaders is the number of reader nodes this query's view owns in
 	// the (possibly shared) overlay; Readers counts all members' readers.
-	OwnReaders int
+	OwnReaders int `json:"ownReaders"`
 	// Subscribers is the number of live subscriptions on the overlay's
 	// engine; DroppedUpdates counts this query's discarded deliveries.
-	Subscribers    int
-	DroppedUpdates int64
+	Subscribers    int   `json:"subscribers"`
+	DroppedUpdates int64 `json:"droppedUpdates"`
 	// PullMemoHits and PullMemoMisses count the pull reads on the overlay's
 	// engine that were answered from their reader's memo, and those that
 	// computed the answer. Only TOP-K, DISTINCT and user aggregates memoize;
 	// for the others both stay 0.
-	PullMemoHits, PullMemoMisses int64
+	PullMemoHits   int64 `json:"pullMemoHits"`
+	PullMemoMisses int64 `json:"pullMemoMisses"`
 }
 
 // Stats returns current overlay and configuration statistics; the zero
