@@ -82,8 +82,9 @@ func (m *Maintainer) AddReaderInputs(r graph.NodeID, delta []graph.NodeID) error
 	if len(added) >= m.DirectThreshold {
 		return m.b.coverInputs(ref, added)
 	}
-	// Small delta: direct edges, counting toward the rebuild threshold.
-	for w := range added {
+	// Small delta: direct edges in id order, counting toward the rebuild
+	// threshold.
+	for _, w := range sortedWriters(added) {
 		if err := m.b.ov.AddEdge(m.b.addWriter(w), ref, false); err != nil {
 			return err
 		}

@@ -326,8 +326,9 @@ func (b *iobBuilder) coverInputs(dst overlay.NodeRef, a map[graph.NodeID]struct{
 	for len(remaining) > 0 {
 		v, common := b.bestCover(remaining, dst)
 		if v == overlay.NoNode {
-			// Cover the rest with direct writer edges.
-			for w := range remaining {
+			// Cover the rest with direct writer edges, in id order so equal
+			// inputs always give one in-list order.
+			for _, w := range sortedWriters(remaining) {
 				if err := b.ov.AddEdge(b.addWriter(w), dst, false); err != nil {
 					return err
 				}
@@ -443,7 +444,7 @@ func intersect(a, b map[graph.NodeID]struct{}) map[graph.NodeID]struct{} {
 	return out
 }
 
-// sortedWriters returns a set's members sorted, for deterministic tests.
+// sortedWriters returns a set's members in ascending id order.
 func sortedWriters(s map[graph.NodeID]struct{}) []graph.NodeID {
 	out := make([]graph.NodeID, 0, len(s))
 	for w := range s {
@@ -452,8 +453,6 @@ func sortedWriters(s map[graph.NodeID]struct{}) []graph.NodeID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-var _ = sortedWriters // used by tests and the maintainer
 
 // iobOrder exposes the shingle insertion order for tests.
 func iobOrder(ag *bipartite.AG, m int) []int { return shingle.Order(ag, m) }

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
+	"slices"
 	"testing"
 
 	"repro/internal/agg"
 	"repro/internal/construct"
 	"repro/internal/dataflow"
 	"repro/internal/graph"
+	"repro/internal/overlay"
 	"repro/internal/workload"
 )
 
@@ -14,10 +18,10 @@ import (
 // uniform 1:1 estimate and returns it with a replay function: window k of a
 // fixed Zipf workload (independently skewed reads and writes, so the
 // estimate is wrong at most nodes), 40k operations a window.
-func zipfFixture(t *testing.T, a agg.Aggregate) (*System, func(window int)) {
+func zipfFixture(t *testing.T, a agg.Aggregate, opts Options) (*System, func(window int)) {
 	t.Helper()
 	g := workload.WebGraph(600, 50, 12, 1)
-	s, err := Compile(g, Query{Aggregate: a}, Options{})
+	s, err := Compile(g, Query{Aggregate: a}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,15 +44,33 @@ func zipfFixture(t *testing.T, a agg.Aggregate) (*System, func(window int)) {
 	}
 }
 
-// TestRebalanceConverges: under a stationary workload the §4.8 scheme must
-// settle. It used to ratchet: a pull frontier node never saw a push counted
-// (the engine counts pushes inside push closures only), so 64 reads flipped
-// it to push whatever its inputs' write rate, a push reader could never flip
-// back, and each round's flips exposed the next layer to the same mistake.
-func TestRebalanceConverges(t *testing.T) {
-	s, replay := zipfFixture(t, agg.Sum{})
+// repairedIOBFixture is zipfFixture for sum under IOB, after 38 single-edge
+// additions each repaired in place — the overlay and the adaptor §4.8 then
+// runs on are the ones incremental maintenance (afterMaintenance) left.
+func repairedIOBFixture(t *testing.T) (*System, func(window int)) {
+	t.Helper()
+	s, replay := zipfFixture(t, agg.Sum{}, Options{Algorithm: construct.AlgIOB})
+	for i := 0; i < 40; i++ {
+		u, v := graph.NodeID(37*i%600), graph.NodeID((91*i+5)%600)
+		if u == v || s.g.HasEdge(u, v) {
+			continue
+		}
+		if err := s.AddGraphEdge(u, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.recompiles.Load(); n != 0 {
+		t.Fatalf("fixture: %d recompiles, the edge additions were meant to repair in place", n)
+	}
+	return s, replay
+}
+
+// rebalanceRounds replays the fixture's first len windows, each followed by
+// a Rebalance, and returns the flips per round.
+func rebalanceRounds(t *testing.T, s *System, replay func(int), rounds int) []int {
+	t.Helper()
 	var flips []int
-	for window := 0; window < 6; window++ {
+	for window := 0; window < rounds; window++ {
 		replay(window)
 		n, err := s.Rebalance()
 		if err != nil {
@@ -56,14 +78,82 @@ func TestRebalanceConverges(t *testing.T) {
 		}
 		flips = append(flips, n)
 	}
-	t.Logf("flips per round: %v", flips)
-	if flips[0] < 20 {
-		t.Fatalf("fixture: first round flipped %d nodes, the estimate was meant to be wrong", flips[0])
+	return flips
+}
+
+// TestRebalanceConverges: under a stationary workload the §4.8 scheme must
+// settle. It used to ratchet: a pull frontier node never saw a push counted
+// (the engine counts pushes inside push closures only), so 64 reads flipped
+// it to push whatever its inputs' write rate, a push reader could never flip
+// back, and each round's flips exposed the next layer to the same mistake.
+//
+// The flip sequences are goldens: the §4.8 decisions on a compiled overlay
+// (VNM_N, the adaptor built at adopt) and on an incrementally repaired one
+// (IOB, the adaptor rebuilt by afterMaintenance) are pinned exactly, so a
+// change to how the adaptor is built cannot move a decision unnoticed.
+func TestRebalanceConverges(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		fixture func(*testing.T) (*System, func(int))
+		want    []int
+	}{
+		{"compiled", func(t *testing.T) (*System, func(int)) { return zipfFixture(t, agg.Sum{}, Options{}) },
+			[]int{62, 8, 3, 1, 5, 6}},
+		{"repaired", repairedIOBFixture, []int{113, 26, 14, 7, 11, 15}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, replay := tc.fixture(t)
+			flips := rebalanceRounds(t, s, replay, 6)
+			t.Logf("flips per round: %v", flips)
+			for round := 3; round < len(flips); round++ {
+				if 100*flips[round] > 15*flips[0] {
+					t.Fatalf("round %d still flips %d nodes, more than 15%% of the first round's %d: %v",
+						round+1, flips[round], flips[0], flips)
+				}
+			}
+			if !slices.Equal(flips, tc.want) {
+				t.Fatalf("flips per round %v, want %v", flips, tc.want)
+			}
+		})
 	}
-	for round := 3; round < len(flips); round++ {
-		if 100*flips[round] > 15*flips[0] {
-			t.Fatalf("round %d still flips %d nodes, more than 15%% of the first round's %d: %v",
-				round+1, flips[round], flips[0], flips)
+}
+
+// decisionSignature condenses an overlay's structure and decisions into one
+// hash: every live node's kind, GID and decision in ref order, and its input
+// list in stored order — the order the engine folds inputs in.
+func decisionSignature(ov *overlay.Overlay) string {
+	h := fnv.New64a()
+	push := 0
+	ov.ForEachNode(func(ref overlay.NodeRef, n *overlay.Node) {
+		fmt.Fprintf(h, "n%d:%d:%d:%d<", ref, n.Kind, n.GID, n.Dec)
+		for _, e := range n.In {
+			fmt.Fprintf(h, "%d:%t,", e.Peer, e.Negative)
+		}
+		if n.Kind != overlay.WriterNode && n.Dec == overlay.Push {
+			push++
+		}
+	})
+	return fmt.Sprintf("%d nodes %d edges %d push non-writers %016x", ov.NumNodes(), ov.NumEdges(), push, h.Sum64())
+}
+
+// TestRepairDeterministic: equal structural streams must give equal
+// overlays and equal decisions. Incremental repair used to add direct
+// writer edges in map order, so one sequence of edge additions left the
+// same node and edge sets with different in-list orders, and §4.8 then
+// flipped a different set of nodes run to run.
+func TestRepairDeterministic(t *testing.T) {
+	var first string
+	for run := 0; run < 6; run++ {
+		s, replay := repairedIOBFixture(t)
+		repaired := decisionSignature(s.Overlay())
+		flips := rebalanceRounds(t, s, replay, 6)
+		sig := fmt.Sprintf("repaired %s; flips %v; rebalanced %s", repaired, flips, decisionSignature(s.Overlay()))
+		if run == 0 {
+			first = sig
+			continue
+		}
+		if sig != first {
+			t.Fatalf("run %d diverged from run 0:\n  %s\n  %s", run, sig, first)
 		}
 	}
 }
@@ -72,17 +162,28 @@ func TestRebalanceConverges(t *testing.T) {
 // writes per writer, reads per reader, propagated through the overlay — are
 // the §4.3 objective the window's flips are supposed to improve. Every
 // Rebalance must leave dataflow.TotalCost under them no higher than it
-// found it.
+// found it. The flips per window are pinned as goldens too.
 func TestRebalanceNeverRaisesObservedCost(t *testing.T) {
 	// SUM runs the scalar engine over VNM_N's negative edges, MAX the PAO
 	// engine over VNM_D's duplicate paths with a logarithmic push cost.
-	for _, a := range []agg.Aggregate{agg.Sum{}, agg.Max{}} {
-		t.Run(a.Name(), func(t *testing.T) { neverRaisesObservedCost(t, a) })
+	for _, tc := range []struct {
+		a    agg.Aggregate
+		want []int
+	}{
+		{agg.Sum{}, []int{62, 8, 3, 1, 5, 6, 5, 3}},
+		{agg.Max{}, []int{63, 12, 9, 7, 10, 9, 8, 9}},
+	} {
+		t.Run(tc.a.Name(), func(t *testing.T) {
+			if flips := neverRaisesObservedCost(t, tc.a); !slices.Equal(flips, tc.want) {
+				t.Fatalf("flips per window %v, want %v", flips, tc.want)
+			}
+		})
 	}
 }
 
-func neverRaisesObservedCost(t *testing.T, a agg.Aggregate) {
-	s, replay := zipfFixture(t, a)
+func neverRaisesObservedCost(t *testing.T, a agg.Aggregate) []int {
+	s, replay := zipfFixture(t, a, Options{})
+	var all []int
 	for window := 0; window < 8; window++ {
 		replay(window)
 		smp := s.SampleObservations()
@@ -109,7 +210,9 @@ func neverRaisesObservedCost(t *testing.T, a agg.Aggregate) {
 		if window == 0 && (flips == 0 || after >= before) {
 			t.Fatalf("fixture: the first window's %d flips did not lower the cost (%.0f -> %.0f)", flips, before, after)
 		}
+		all = append(all, flips)
 	}
+	return all
 }
 
 // TestSampleReadsPerReader: reads are sampled per reader GID, so two views
