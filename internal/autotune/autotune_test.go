@@ -56,7 +56,7 @@ func pairGraph(t *testing.T, n int) (*core.MultiSystem, *core.System) {
 func TestAutotuneFlipsHotPullReader(t *testing.T) {
 	m, sys := pairGraph(t, 1)
 	for i := 0; i < 256; i++ {
-		if _, err := sys.Read(1); err != nil {
+		if _, err := sys.Engine().Read(1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func TestAutotuneShiftTriggersExactlyOneReoptimize(t *testing.T) {
 				t.Fatal(err)
 			}
 			for k := 0; k < 8; k++ {
-				if _, err := sys.Read(graph.NodeID(i + pairs)); err != nil {
+				if _, err := sys.Engine().Read(graph.NodeID(i + pairs)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -297,7 +297,7 @@ func TestAutotuneControllerStress(t *testing.T) {
 			default:
 			}
 			for _, sys := range m.Systems() {
-				_, _ = sys.Read(graph.NodeID(i % 400))
+				_, _ = sys.Engine().Read(graph.NodeID(i % 400))
 			}
 		}
 	}()

@@ -399,7 +399,7 @@ func RunWrites(b *testing.B, eng *exec.Engine, writes []graph.Event) {
 // T, with every writer seeded once so all 2000 writers hold live window
 // state. RunExpireSparse then writes one node and advances the watermark by
 // one tick per op, so on average ONE writer expires per op — the
-// heap-indexed ExpireAll pays O(expired), not O(writers).
+// heap-indexed watermark advance pays O(expired), not O(writers).
 func ExpiryEngine(T int64) (*exec.Engine, error) {
 	g := workload.SocialGraph(2000, 8, 1)
 	ag := bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes)
@@ -429,7 +429,7 @@ func RunExpireSparse(b *testing.B, eng *exec.Engine) {
 		if err := eng.Write(graph.NodeID(i%nodes), 1, ts); err != nil {
 			b.Fatal(err)
 		}
-		eng.ExpireAll(ts)
+		eng.Apply(nil, ts)
 	}
 }
 
@@ -471,7 +471,7 @@ func AutotuneShiftFixture(tuned bool) (*core.System, []graph.Event, error) {
 	for pass := 0; pass < 8; pass++ {
 		for _, ev := range events[:1<<13] {
 			if ev.Kind == graph.Read {
-				_, _ = sys.Read(ev.Node)
+				_, _ = sys.Engine().Read(ev.Node)
 			} else if err := sys.Engine().Write(ev.Node, ev.Value, ev.TS); err != nil {
 				return nil, nil, err
 			}
@@ -495,7 +495,7 @@ func RunSystemMixed(b *testing.B, sys *core.System, events []graph.Event) {
 	for i := 0; i < b.N; i++ {
 		ev := events[i&(len(events)-1)]
 		if ev.Kind == graph.Read {
-			_, _ = sys.Read(ev.Node)
+			_, _ = sys.Engine().Read(ev.Node)
 		} else {
 			_ = sys.Engine().Write(ev.Node, ev.Value, ev.TS)
 		}
@@ -562,9 +562,7 @@ func RunWriteBatch(b *testing.B, eng *exec.Engine, writes []graph.Event, chunk i
 			n = rem
 		}
 		off := done % span
-		if err := eng.WriteBatch(writes[off : off+n]); err != nil {
-			b.Fatal(err)
-		}
+		eng.Apply(writes[off:off+n], graph.NoAdvance)
 		done += n
 	}
 }

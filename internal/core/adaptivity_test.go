@@ -35,7 +35,7 @@ func zipfFixture(t *testing.T, a agg.Aggregate, opts Options) (*System, func(win
 			if ev.Kind == graph.ContentWrite {
 				err = s.Engine().Write(ev.Node, ev.Value, ev.TS)
 			} else {
-				_, err = s.Read(ev.Node)
+				_, err = s.eng.Read(ev.Node)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -219,15 +219,11 @@ func neverRaisesObservedCost(t *testing.T, a agg.Aggregate) []int {
 // of a merged family read at different rates at one node stay two entries
 // (tag*stride + node) instead of folding onto the node.
 func TestSampleReadsPerReader(t *testing.T) {
-	g := workload.SocialGraph(100, 6, 1)
-	s, err := CompileMerged(g, Query{Aggregate: agg.Sum{}}, []MemberSpec{{}, {}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, atts := attachFamily(t, workload.SocialGraph(100, 6, 1), []MemberSpec{{}, {}}, Options{})
 	const v = graph.NodeID(7)
 	for tag, n := range []int{3, 5} {
 		for i := 0; i < n; i++ {
-			if _, err := s.ReadView(int32(tag), v); err != nil {
+			if _, err := atts[tag].Read(v); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -245,25 +241,23 @@ func TestSampleReadsPerReader(t *testing.T) {
 // the re-stride drops them instead of pricing the wrong readers hot.
 func TestRestrideDropsStaleReaderReads(t *testing.T) {
 	g := workload.SocialGraph(500, 6, 1) // stride 1024: ~520 node adds re-stride it
-	s, err := CompileMerged(g, Query{Aggregate: agg.Sum{}}, []MemberSpec{{}, {}}, Options{Algorithm: construct.AlgVNMA})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := attachFamily(t, g, []MemberSpec{{}, {}}, Options{Algorithm: construct.AlgVNMA})
+	priced := func() *dataflow.Workload { return s.stridedWorkload(s.workloadOrUniform()) }
 	stride := s.stride
 	wl := dataflow.NewWorkload(g.MaxID())
 	wl.ReaderReads = map[graph.NodeID]float64{stride + 5: 1000}
 	if err := s.Reoptimize(wl); err != nil {
 		t.Fatal(err)
 	}
-	if s.wl.ReaderReads[stride+5] != 1000 {
-		t.Fatalf("fixture: Reoptimize did not keep the per-reader reads: %v", s.wl.ReaderReads)
+	if priced().ReaderReads[stride+5] != 1000 {
+		t.Fatalf("fixture: Reoptimize did not keep the per-reader reads: %v", priced().ReaderReads)
 	}
 	for s.stride == stride {
 		if _, err := s.AddGraphNode(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s.wl.ReaderReads != nil {
-		t.Fatalf("re-stride %d -> %d kept reads keyed under the old stride: %v", stride, s.stride, s.wl.ReaderReads)
+	if priced().ReaderReads != nil {
+		t.Fatalf("re-stride %d -> %d kept reads keyed under the old stride: %v", stride, s.stride, priced().ReaderReads)
 	}
 }

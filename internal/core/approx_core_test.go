@@ -47,11 +47,11 @@ func TestApproxTopKThroughOverlay(t *testing.T) {
 		}
 	}
 	for v := graph.NodeID(0); v < 7; v++ {
-		want, err := exact.Read(v)
+		want, err := exact.eng.Read(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := approx.Read(v)
+		got, err := approx.eng.Read(v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,11 +86,11 @@ func TestApproxDistinctThroughOverlay(t *testing.T) {
 		_ = exact.Engine().Write(v, x, int64(i))
 	}
 	for v := graph.NodeID(0); v < 7; v++ {
-		got, err := sys.Read(v)
+		got, err := sys.eng.Read(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := exact.Read(v)
+		want, err := exact.eng.Read(v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestMaxReadCostOption(t *testing.T) {
 	})
 	// Correctness after forced promotion.
 	writeFigure1(t, bounded)
-	got, _ := bounded.Read(6)
+	got, _ := bounded.eng.Read(6)
 	if got.Scalar != 30 {
 		t.Fatalf("read(g) = %v, want 30", got)
 	}

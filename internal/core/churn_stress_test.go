@@ -69,7 +69,7 @@ func TestMaintenanceChurnManySeeds(t *testing.T) {
 				latest[v] = x
 			default:
 				v := graph.NodeID(rng.Intn(15))
-				got, err := s.Read(v)
+				got, err := s.eng.Read(v)
 				if err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}

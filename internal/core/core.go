@@ -70,8 +70,6 @@ type Options struct {
 	// Workload supplies expected read/write frequencies; nil assumes a
 	// uniform 1:1 workload.
 	Workload *dataflow.Workload
-	// CostModel overrides the aggregate's default H/L model.
-	CostModel dataflow.CostModel
 	// SplitNodes enables the partial pre-computation optimization (§4.7).
 	SplitNodes bool
 	// MaxReadCost, when positive, bounds every reader's estimated
@@ -127,19 +125,16 @@ type view struct {
 }
 
 // System is a compiled, executable EAGr instance hosting one or more
-// member queries over ONE shared overlay. A single-query System (Compile)
-// has one view with tag 0 and plain reader GIDs; a merged System
-// (CompileMerged, or a single System extended by AddMember) compiles the
-// UNION of its members' query sets into one overlay whose partial
+// member queries over ONE shared overlay. Every System belongs to exactly
+// one MultiSystem, whose mutex serializes its structural changes with the
+// data-graph mutation itself (the graph has no internal locking). A
+// single-query System has one view with tag 0 and plain reader GIDs; a
+// merged System (a family grown by MultiSystem.AttachMerged) holds the
+// UNION of its members' query sets in one overlay whose partial
 // aggregators are shared wherever neighborhoods overlap, with per-member
 // reader views addressed by tag (paper §3: cross-query sharing).
 type System struct {
-	// structMu serializes whole public structural operations, including the
-	// data-graph mutation itself (the graph has no internal locking). It is
-	// not used by MultiSystem, whose own mutex serializes structural changes
-	// across every system sharing the graph.
-	structMu sync.Mutex
-	mu       sync.Mutex // guards overlay repair, recompiles and rebalances
+	mu sync.Mutex // guards overlay repair, recompiles and rebalances
 
 	g    *graph.Graph
 	q    Query
@@ -153,9 +148,8 @@ type System struct {
 	stride graph.NodeID // reader-GID stride; 0 until the system goes merged
 
 	ov *overlay.Overlay
-	// multi is the MultiSystem hosting this system (nil for a standalone
-	// Compile) and shape what construction mines for it; both are fixed at
-	// compile. minedAt is the graph version ov was built at and pristine
+	// multi is the MultiSystem hosting this system and shape what
+	// construction mines for it; both are fixed at compile. minedAt is the graph version ov was built at and pristine
 	// whether ov is still exactly what construction produced there: together
 	// they make the live overlay the shape's cache entry for same-shape
 	// siblings (cloneSibling). Both guarded by mu.
@@ -171,7 +165,6 @@ type System struct {
 	adaptor *dataflow.Adaptor
 	maint   *construct.Maintainer
 	cost    dataflow.CostModel
-	wl      *dataflow.Workload
 
 	// recompiles counts overlay recompiles (recompileLocked): the slow path
 	// structural changes take when the overlay cannot be repaired in place.
@@ -198,43 +191,21 @@ type shape struct {
 }
 
 // Compile builds the overlay for the query, makes dataflow decisions, and
-// returns a ready-to-run system. The data graph is retained (not copied);
-// structural changes must go through the System's mutation methods.
+// returns a ready-to-run system: the one query of a fresh MultiSystem over
+// g. The data graph is retained (not copied); structural changes must go
+// through the System's (that is, its MultiSystem's) mutation methods.
 func Compile(g *graph.Graph, q Query, opts Options) (*System, error) {
-	return compileViews(nil, g, q, opts, nil, 0)
+	a, err := NewMulti(g).Attach("", q, opts)
+	if err != nil {
+		return nil, err
+	}
+	return a.sys, nil
 }
 
-// CompileMerged compiles several member queries sharing base's aggregate,
-// window and mode — but each with its own neighborhood and predicate — into
-// ONE merged overlay over the union of their query sets, the paper's
-// cross-query sharing construction. base's own Neighborhood/Predicate are
-// ignored; members[i] becomes the view with tag i, readable through
-// ReadView(i, v).
-func CompileMerged(g *graph.Graph, base Query, members []MemberSpec, opts Options) (*System, error) {
-	if len(members) == 0 {
-		return nil, fmt.Errorf("core: merged compile needs at least one member: %w", ErrIncompatibleMerge)
-	}
-	stride := strideFor(g)
-	if len(members) > viewCapacity(stride) {
-		return nil, fmt.Errorf("core: %d members exceed merge capacity %d: %w",
-			len(members), viewCapacity(stride), ErrIncompatibleMerge)
-	}
-	views := make([]view, len(members))
-	for i, m := range members {
-		nbr := m.Neighborhood
-		if nbr == nil {
-			nbr = graph.InNeighbors{}
-		}
-		views[i] = view{nbr: nbr, pred: m.Predicate, tag: int32(i), live: true}
-	}
-	return compileViews(nil, g, base, opts, views, stride)
-}
-
-// compileViews is the shared compile path. views nil means single-query
-// (one view derived from q, stride 0); otherwise the merged construction.
-// multi, when non-nil, is the MultiSystem attaching the query (its mutex
-// held): a same-shape sibling there may supply the overlay.
-func compileViews(multi *MultiSystem, g *graph.Graph, q Query, opts Options, views []view, stride graph.NodeID) (*System, error) {
+// compileSystem is the one compile path: it builds m's system for q, its
+// single view with tag 0. Callers hold m.mu, so a same-shape sibling in m may
+// supply the overlay.
+func compileSystem(m *MultiSystem, q Query, opts Options) (*System, error) {
 	if q.Aggregate == nil {
 		return nil, fmt.Errorf("core: query needs an aggregate: %w", ErrIncompatible)
 	}
@@ -270,29 +241,25 @@ func compileViews(multi *MultiSystem, g *graph.Graph, q Query, opts Options, vie
 		return nil, err
 	}
 
-	if views == nil {
-		views = []view{{nbr: q.Neighborhood, pred: q.Predicate, tag: 0, live: true}}
+	s := &System{
+		g: m.g, q: q, opts: opts, multi: m,
+		views: []view{{nbr: q.Neighborhood, pred: q.Predicate, tag: 0, live: true}},
+		cost:  dataflow.ModelFor(q.Aggregate),
 	}
-	s := &System{g: g, q: q, opts: opts, views: views, stride: stride, multi: multi}
-	if key, ok := graph.NeighborhoodKey(q.Neighborhood); ok && q.Predicate == nil && stride == 0 {
+	if key, ok := graph.NeighborhoodKey(q.Neighborhood); ok && q.Predicate == nil {
 		s.shape = shape{nbr: key, alg: opts.Algorithm, cfg: opts.Construct}
-	}
-	s.cost = opts.CostModel
-	if s.cost == nil {
-		s.cost = dataflow.ModelFor(q.Aggregate)
 	}
 	ov, err := s.buildOverlay()
 	if err != nil {
 		return nil, err
 	}
-	f, err := s.decide(ov)
-	if err != nil {
+	if err := s.decide(ov); err != nil {
 		return nil, err
 	}
 	if s.eng, err = exec.New(ov, s.q.Aggregate, s.q.Window); err != nil {
 		return nil, err
 	}
-	s.adopt(ov, f)
+	s.adopt(ov)
 	return s, nil
 }
 
@@ -343,9 +310,7 @@ func (s *System) buildOverlay() (*overlay.Overlay, error) {
 	if ov := s.cloneSibling(); ov != nil {
 		return ov, nil
 	}
-	if s.multi != nil {
-		s.multi.mined.Add(1)
-	}
+	s.multi.mined.Add(1)
 	var ag *bipartite.AG
 	if s.stride > 0 {
 		members := make([]bipartite.Member, 0, len(s.views))
@@ -388,10 +353,10 @@ func (s *System) buildOverlay() (*overlay.Overlay, error) {
 // until the graph moves (minedAt) or anything restructures it (pristine —
 // cleared by afterMaintenance and by a compile that splits nodes; a system
 // that took a member has a stride and no shape to match). Callers hold the
-// MultiSystem mutex — every path that reaches buildOverlay on an attached
-// system does — so no two systems ever wait on each other's mu here.
+// MultiSystem mutex — every path that reaches buildOverlay does — so no two
+// systems ever wait on each other's mu here.
 func (s *System) cloneSibling() *overlay.Overlay {
-	if s.multi == nil || s.shape == (shape{}) || s.stride > 0 {
+	if s.shape == (shape{}) || s.stride > 0 {
 		return nil
 	}
 	for _, sib := range *s.multi.systems.Load() {
@@ -421,14 +386,12 @@ func (s *System) windowSizeHint() int {
 	return n
 }
 
-// decide annotates ov with dataflow decisions for the system's workload and
-// returns the frequencies they were computed from.
-func (s *System) decide(ov *overlay.Overlay) (*dataflow.Freqs, error) {
+// decide annotates ov with dataflow decisions for the system's workload.
+func (s *System) decide(ov *overlay.Overlay) error {
 	wl := s.stridedWorkload(s.workloadOrUniform())
-	s.wl = wl
 	f, err := dataflow.ComputeFreqs(ov, wl, s.windowSizeHint())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	switch s.opts.Mode {
 	case ModeAllPush:
@@ -437,31 +400,31 @@ func (s *System) decide(ov *overlay.Overlay) (*dataflow.Freqs, error) {
 		dataflow.DecideAll(ov, overlay.Pull)
 	case ModeGreedy:
 		if err := dataflow.DecideGreedy(ov, f, s.cost); err != nil {
-			return nil, err
+			return err
 		}
 	default:
 		if s.opts.MaxReadCost > 0 {
 			if _, err := dataflow.DecideLatencyBound(ov, f, s.cost, s.opts.MaxReadCost); err != nil {
-				return nil, err
+				return err
 			}
 		} else if _, err := dataflow.Decide(ov, f, s.cost); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if s.splitsNodes() {
 		if _, err := dataflow.SplitNodes(ov, f, s.cost); err != nil {
-			return nil, err
+			return err
 		}
 		// Splitting adds nodes; recompute frequencies and decisions.
 		f, err = dataflow.ComputeFreqs(ov, wl, s.windowSizeHint())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if _, err := dataflow.Decide(ov, f, s.cost); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return f, nil
+	return nil
 }
 
 // splitsNodes reports whether decide restructures the overlay it annotates
@@ -472,73 +435,18 @@ func (s *System) splitsNodes() bool {
 
 // adopt makes ov — built at the graph's current version, decided, and
 // already what the engine executes — the system's overlay.
-func (s *System) adopt(ov *overlay.Overlay, f *dataflow.Freqs) {
+func (s *System) adopt(ov *overlay.Overlay) {
 	s.ov = ov
 	s.minedAt, s.pristine = s.g.Version(), !s.splitsNodes()
-	s.adaptor = dataflow.NewAdaptor(ov, f, s.cost)
+	s.adaptor = dataflow.NewAdaptor(ov, s.cost)
 	// Incremental maintenance requires single-path, negative-edge-free
 	// overlays; when unavailable, structural updates fall back to
 	// recompilation.
 	s.maint, _ = construct.NewMaintainer(ov)
 }
 
-// Read evaluates the standing query at v (the first member's view on a
-// merged system).
-func (s *System) Read(v graph.NodeID) (agg.Result, error) {
-	return s.eng.Read(v)
-}
-
-// ReadInto evaluates the standing query at v into a caller-provided result,
-// reusing res.List's backing array for list-valued aggregates (TOP-K) so a
-// caller that retains res across calls reads without allocating.
-func (s *System) ReadInto(v graph.NodeID, res *agg.Result) error {
-	return s.eng.ReadInto(v, res)
-}
-
-// ReadView evaluates member tag's standing query at v — each member of a
-// merged family reads exactly its own view of the shared overlay. Lock-free
-// against member attach/retire: the tag resolves through the engine's
-// immutable plan snapshot.
-func (s *System) ReadView(tag int32, v graph.NodeID) (agg.Result, error) {
-	return s.eng.ReadTagged(tag, v)
-}
-
-// ViewCovered reports whether member tag's result at v is push-maintained —
-// i.e. whether a subscription on v observes updates (see exec.Engine.Covered).
-func (s *System) ViewCovered(tag int32, v graph.NodeID) bool {
-	return s.eng.CoveredTagged(tag, v)
-}
-
 // Engine exposes the underlying execution engine (for runners/benchmarks).
 func (s *System) Engine() *exec.Engine { return s.eng }
-
-// Subscribe registers a continuous listener on the system's engine (see
-// exec.Engine.Subscribe). Like reads it does not wait for overlay repairs or
-// recompiles: a subscription installed while one runs is re-resolved against
-// the recompiled plan by the engine itself.
-func (s *System) Subscribe(buffer int, nodes ...graph.NodeID) (*exec.Subscription, error) {
-	return s.SubscribeView(0, buffer, nodes...)
-}
-
-// SubscribeView is Subscribe for member tag's reader view of a merged
-// family: with no nodes it covers every reader the member owns (never a
-// sibling member's), otherwise only the member's standing queries at the
-// given nodes.
-func (s *System) SubscribeView(tag int32, buffer int, nodes ...graph.NodeID) (*exec.Subscription, error) {
-	return s.eng.SubscribeTagged(tag, buffer, nodes...)
-}
-
-// Unsubscribe removes a subscription and closes its channel.
-func (s *System) Unsubscribe(sub *exec.Subscription) { s.eng.Unsubscribe(sub) }
-
-// Subscribers reports the engine's live subscription count.
-func (s *System) Subscribers() int { return s.eng.Subscribers() }
-
-// ExportWindows snapshots every writer's in-window (value, timestamp)
-// entries (see exec.Engine.ExportWindows).
-func (s *System) ExportWindows(visit func(node graph.NodeID, entries []agg.WindowEntry)) {
-	s.eng.ExportWindows(visit)
-}
 
 // Overlay exposes the compiled overlay (for inspection).
 func (s *System) Overlay() *overlay.Overlay { return s.ov }
@@ -570,15 +478,14 @@ func (s *System) Reoptimize(wl *dataflow.Workload) error {
 		// were encoded under another stride.
 		s.opts.Workload = s.stridedWorkload(wl)
 	}
-	s.wl = s.stridedWorkload(s.workloadOrUniform())
-	f, err := dataflow.ComputeFreqs(s.ov, s.wl, s.windowSizeHint())
+	f, err := dataflow.ComputeFreqs(s.ov, s.stridedWorkload(s.workloadOrUniform()), s.windowSizeHint())
 	if err != nil {
 		return err
 	}
 	if _, err := dataflow.Decide(s.ov, f, s.cost); err != nil {
 		return err
 	}
-	s.adaptor = dataflow.NewAdaptor(s.ov, f, s.cost)
+	s.adaptor = dataflow.NewAdaptor(s.ov, s.cost)
 	return s.eng.Rebuild(s.ov, s.q.Window, nil)
 }
 
@@ -610,42 +517,31 @@ func (s *System) stridedWorkload(wl *dataflow.Workload) *dataflow.Workload {
 }
 
 // AddGraphEdge applies a structural edge addition (S_G event) to the data
-// graph and incrementally repairs the overlay.
+// graph and incrementally repairs the overlay. Like the other structural
+// mutators below it is a one-event MultiSystem.Apply on the system's
+// MultiSystem, so every system sharing the graph is repaired too.
 func (s *System) AddGraphEdge(u, v graph.NodeID) error {
-	_, err := s.applyStructuralEvent(graph.Event{Kind: graph.EdgeAdd, Node: u, Peer: v})
+	_, err := s.multi.Apply([]graph.Event{{Kind: graph.EdgeAdd, Node: u, Peer: v}}, graph.NoAdvance)
 	return err
 }
 
 // RemoveGraphEdge applies a structural edge deletion.
 func (s *System) RemoveGraphEdge(u, v graph.NodeID) error {
-	_, err := s.applyStructuralEvent(graph.Event{Kind: graph.EdgeRemove, Node: u, Peer: v})
+	_, err := s.multi.Apply([]graph.Event{{Kind: graph.EdgeRemove, Node: u, Peer: v}}, graph.NoAdvance)
 	return err
 }
 
 // AddGraphNode adds a node to the data graph and registers it with the
 // overlay (initially with no edges).
 func (s *System) AddGraphNode() (graph.NodeID, error) {
-	return s.applyStructuralEvent(graph.Event{Kind: graph.NodeAdd})
+	added, err := s.multi.Apply([]graph.Event{{Kind: graph.NodeAdd}}, graph.NoAdvance)
+	return added[0], err
 }
 
 // RemoveGraphNode deletes a node and its incident edges.
 func (s *System) RemoveGraphNode(v graph.NodeID) error {
-	_, err := s.applyStructuralEvent(graph.Event{Kind: graph.NodeRemove, Node: v})
+	_, err := s.multi.Apply([]graph.Event{{Kind: graph.NodeRemove, Node: v}}, graph.NoAdvance)
 	return err
-}
-
-// applyStructuralEvent is a structural run of one event on a standalone
-// system: the same protocol a MultiSystem runs, serialized by structMu. It
-// returns the node id a NodeAdd allocated.
-func (s *System) applyStructuralEvent(ev graph.Event) (graph.NodeID, error) {
-	s.structMu.Lock()
-	defer s.structMu.Unlock()
-	added, errs := structuralRun(s.g, []*System{s}, nil, []graph.Event{ev})
-	var v graph.NodeID
-	if len(added) > 0 {
-		v = added[0]
-	}
-	return v, errors.Join(errs...)
 }
 
 // viewBase returns the reader-GID offset of a member view.
@@ -665,9 +561,9 @@ func (s *System) viewBase(vw *view) graph.NodeID {
 // applyRepairBatch — one decision repair and one engine install instead of
 // N, with a reader touched by several events diffed once.
 //
-// The batch methods assume the caller serializes structural operations
-// (structMu or the MultiSystem mutex); each takes s.mu for its own overlay
-// access.
+// The batch methods run under the MultiSystem mutex, which also covers
+// member attach and retire, so the views a batch was opened for are the
+// views it finishes with; each takes s.mu for its own overlay access.
 type repairBatch struct {
 	// affected is the per-view union of readers whose neighborhoods the
 	// run's edge/node events touched; repairViewLocked diffs each against
@@ -715,10 +611,7 @@ func (s *System) batchEdgeTouched(b *repairBatch, u, v graph.NodeID) {
 		return
 	}
 	for i := range s.views {
-		// Views appended after the batch opened (a direct AddMember racing
-		// a MultiSystem run) compiled against the current graph already;
-		// skip them instead of indexing past the batch's slices.
-		if i >= len(b.affected) || !s.views[i].live {
+		if !s.views[i].live {
 			continue
 		}
 		b.markAffectedLocked(i, construct.AffectedByEdge(s.g, s.views[i].nbr, u, v))
@@ -736,7 +629,7 @@ func (s *System) batchNodeRemovalAffected(b *repairBatch, v graph.NodeID) {
 		return
 	}
 	for i := range s.views {
-		if i >= len(b.affected) || !s.views[i].live {
+		if !s.views[i].live {
 			continue
 		}
 		nbr := s.views[i].nbr
@@ -846,7 +739,7 @@ func (s *System) applyRepairBatch(b *repairBatch) error {
 	}
 	var err error
 	for i := range s.views {
-		if i >= len(b.affected) || !s.views[i].live || len(b.affected[i]) == 0 {
+		if !s.views[i].live || len(b.affected[i]) == 0 {
 			continue
 		}
 		list := make([]graph.NodeID, 0, len(b.affected[i]))
@@ -936,27 +829,28 @@ func (s *System) repairViewLocked(vw *view, affected []graph.NodeID) error {
 
 // afterMaintenance installs the overlay in the engine after it changed
 // shape. An error means the engine is still on its previous plan and the
-// caller must fall back to a recompile. Restructuring may have inserted
-// pull-annotated partials beneath push nodes; the repair pass restores the
-// decision invariant before state is rebuilt. All-push systems (notably continuous queries,
-// whose Subscribe coverage must stay complete) re-force every node to push,
-// since maintenance creates new readers pull-annotated.
+// caller must fall back to a recompile. Either branch first sorts the
+// overlay, which is the check that maintenance left it acyclic.
+// Restructuring may have inserted pull-annotated partials beneath push
+// nodes; the repair pass restores the decision invariant before state is
+// rebuilt. All-push systems (notably continuous queries, whose Subscribe
+// coverage must stay complete) re-force every node to push, since
+// maintenance creates new readers pull-annotated.
 func (s *System) afterMaintenance() error {
 	s.pristine = false
 	if s.opts.Mode == ModeAllPush {
+		if _, err := s.ov.TopoOrder(); err != nil {
+			return err
+		}
 		dataflow.DecideAll(s.ov, overlay.Push)
-	} else {
-		dataflow.RepairDecisions(s.ov)
+	} else if _, err := dataflow.RepairDecisions(s.ov); err != nil {
+		return err
 	}
 	// The adaptor's per-node arrays are sized for the overlay it was built
 	// from; maintenance may have added nodes (partial splits, merged-family
 	// member insertion), so rebuild it or the next Rebalance would observe
 	// refs it has no slots for.
-	f, err := dataflow.ComputeFreqs(s.ov, s.wl, s.windowSizeHint())
-	if err != nil {
-		return err
-	}
-	s.adaptor = dataflow.NewAdaptor(s.ov, f, s.cost)
+	s.adaptor = dataflow.NewAdaptor(s.ov, s.cost)
 	return s.eng.Rebuild(s.ov, s.q.Window, nil)
 }
 
@@ -975,7 +869,7 @@ func (s *System) restrideLocked(skip map[graph.NodeID]bool) error {
 	return s.recompileLocked(skip)
 }
 
-// AddMember extends the merged overlay with one more member query ONLINE:
+// addMember extends the merged overlay with one more member query ONLINE:
 // on a maintainable overlay the new member's readers are inserted one by
 // one through the incremental builder — covered by the existing shared
 // partial aggregates where profitable — while reads keep flowing and writes
@@ -983,12 +877,11 @@ func (s *System) restrideLocked(skip map[graph.NodeID]bool) error {
 // maintenance recompile the union from scratch; window contents and live
 // subscriptions survive either way. Returns the new member's view tag.
 //
-// A single-query System converts to a merged one on its first AddMember;
+// A single-query System converts to a merged one on its first addMember;
 // its existing tag-0 readers already use plain node ids, which is exactly
-// tag 0 of the encoded scheme, so conversion adds no work.
-func (s *System) AddMember(spec MemberSpec) (int32, error) {
-	s.structMu.Lock()
-	defer s.structMu.Unlock()
+// tag 0 of the encoded scheme, so conversion adds no work. The caller holds
+// the MultiSystem mutex (MultiSystem.AttachMerged does).
+func (s *System) addMember(spec MemberSpec) (int32, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	nbr := spec.Neighborhood
@@ -998,10 +891,6 @@ func (s *System) AddMember(spec MemberSpec) (int32, error) {
 	if s.stride == 0 {
 		s.stride = strideFor(s.g)
 		s.ov.SetReaderStride(int32(s.stride))
-		// The maintainable path below skips decide, so the
-		// workload must pick up the stride here or every subsequent
-		// freq computation sees tag>=1 readers as never read.
-		s.wl = s.stridedWorkload(s.wl)
 	} else if graph.NodeID(s.g.MaxID()) > s.stride {
 		if err := s.restrideLocked(nil); err != nil {
 			return 0, err
@@ -1048,14 +937,13 @@ func (s *System) AddMember(spec MemberSpec) (int32, error) {
 	return tag, nil
 }
 
-// RetireMember removes member tag's reader view from the merged overlay —
+// retireMember removes member tag's reader view from the merged overlay —
 // online on maintainable overlays (its readers leave one by one and orphan
 // partials are garbage-collected), via recompile otherwise. The member's
 // tag is never reused. The last live member cannot be retired; tear the
-// System down instead.
-func (s *System) RetireMember(tag int32) error {
-	s.structMu.Lock()
-	defer s.structMu.Unlock()
+// System down instead. The caller holds the MultiSystem mutex
+// (MultiSystem.Detach does).
+func (s *System) retireMember(tag int32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if int(tag) >= len(s.views) || !s.views[tag].live {
@@ -1123,14 +1011,13 @@ func (s *System) recompileLocked(skip map[graph.NodeID]bool) error {
 	if err != nil {
 		return err
 	}
-	f, err := s.decide(ov)
-	if err != nil {
+	if err := s.decide(ov); err != nil {
 		return err
 	}
 	if err := s.eng.Rebuild(ov, s.q.Window, skip); err != nil {
 		return err
 	}
-	s.adopt(ov, f)
+	s.adopt(ov)
 	s.recompiles.Add(1)
 	return nil
 }

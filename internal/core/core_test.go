@@ -53,7 +53,7 @@ func TestCompileAndQueryPaperExample(t *testing.T) {
 		writeFigure1(t, s)
 		want := map[graph.NodeID]int64{0: 19, 1: 10, 4: 23, 6: 30}
 		for v, w := range want {
-			got, err := s.Read(v)
+			got, err := s.eng.Read(v)
 			if err != nil {
 				t.Fatalf("%q: %v", algo, err)
 			}
@@ -117,7 +117,7 @@ func TestModes(t *testing.T) {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		writeFigure1(t, s)
-		got, err := s.Read(6)
+		got, err := s.eng.Read(6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestSplitNodesOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeFigure1(t, s)
-	got, _ := s.Read(6)
+	got, _ := s.eng.Read(6)
 	if got.Scalar != 30 {
 		t.Fatalf("read(g) with splitting = %v, want 30", got)
 	}
@@ -159,7 +159,7 @@ func TestStructuralEdgeAddition(t *testing.T) {
 	if err := s.AddGraphEdge(2, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Read(1)
+	got, err := s.eng.Read(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestStructuralEdgeRemoval(t *testing.T) {
 	if err := s.RemoveGraphEdge(3, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Read(0)
+	got, err := s.eng.Read(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestStructuralNodeLifecycle(t *testing.T) {
 	if err := s.Engine().Write(v, 100, 50); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := s.Read(0)
+	got, _ := s.eng.Read(0)
 	if got.Scalar != 119 {
 		t.Fatalf("read(a) with new writer = %v, want 119", got)
 	}
@@ -216,7 +216,7 @@ func TestStructuralNodeLifecycle(t *testing.T) {
 	if err := s.RemoveGraphNode(v); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = s.Read(0)
+	got, _ = s.eng.Read(0)
 	if got.Scalar != 19 {
 		t.Fatalf("read(a) after node removal = %v, want 19", got)
 	}
@@ -236,7 +236,7 @@ func TestRecompileFallbackForNegativeEdgeOverlays(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeFigure1(t, s)
-	got, err := s.Read(1)
+	got, err := s.eng.Read(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestRebalanceAdaptsToObservedWorkload(t *testing.T) {
 	writeFigure1(t, s)
 	// Observed workload is read-heavy.
 	for i := 0; i < 2000; i++ {
-		if _, err := s.Read(6); err != nil {
+		if _, err := s.eng.Read(6); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,7 +269,7 @@ func TestRebalanceAdaptsToObservedWorkload(t *testing.T) {
 		t.Fatal("expected adaptive flips under read-heavy observations")
 	}
 	// Results stay correct after the flip + install.
-	got, _ := s.Read(6)
+	got, _ := s.eng.Read(6)
 	if got.Scalar != 30 {
 		t.Fatalf("read(g) after rebalance = %v, want 30", got)
 	}
@@ -286,7 +286,7 @@ func TestReoptimize(t *testing.T) {
 	if err := s.Reoptimize(wl); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := s.Read(6)
+	got, _ := s.eng.Read(6)
 	if got.Scalar != 30 {
 		t.Fatalf("read(g) after reoptimize = %v, want 30", got)
 	}
@@ -345,7 +345,7 @@ func TestStructuralChurnOracle(t *testing.T) {
 			latest[v] = x
 		default: // read + verify
 			v := graph.NodeID(rng.Intn(15))
-			got, err := s.Read(v)
+			got, err := s.eng.Read(v)
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}

@@ -55,11 +55,11 @@ func TestSubscriptionFollowsReusedNodeID(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sub, err := s.Subscribe(16, fx.v)
+			sub, err := s.Engine().Subscribe(16, fx.v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer s.Unsubscribe(sub)
+			defer s.Engine().Unsubscribe(sub)
 			if err := s.Engine().Write(fx.w, 7, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestSubscriptionFollowsReusedNodeID(t *testing.T) {
 			if len(us) != 1 || us[0].Node != v || us[0].Result.Scalar != 42 {
 				t.Fatalf("write after the id was reused delivered %+v, want one update {node %d, 42}", us, v)
 			}
-			if got, err := s.Read(v); err != nil || got.Scalar != 42 {
+			if got, err := s.eng.Read(v); err != nil || got.Scalar != 42 {
 				t.Fatalf("read(%d) = %v, %v; want 42", v, got, err)
 			}
 			if got := s.Stats().Recompiles > 0; got != fx.recompile {
@@ -112,33 +112,39 @@ func TestSubscriptionFollowsReusedNodeID(t *testing.T) {
 // reports it and falls back to a recompile, so reads stay exact. The parent
 // of this test's commit swallowed the error and kept serving the old plan.
 func TestFailedInstallSurfaces(t *testing.T) {
+	out := Query{Aggregate: agg.Sum{}, Neighborhood: graph.OutNeighbors{}}
+	var member *Attachment
 	ops := []struct {
 		name  string
-		setup func(t *testing.T, s *System)
-		op    func(s *System) error
+		setup func(t *testing.T, m *MultiSystem)
+		op    func(m *MultiSystem, s *System) error
 	}{
-		{"edge", nil, func(s *System) error { return s.AddGraphEdge(6, 1) }},
-		{"attach", nil, func(s *System) error {
-			_, err := s.AddMember(MemberSpec{Neighborhood: graph.OutNeighbors{}})
+		{"edge", nil, func(_ *MultiSystem, s *System) error { return s.AddGraphEdge(6, 1) }},
+		{"attach", nil, func(m *MultiSystem, _ *System) error {
+			_, err := m.AttachMerged("out", "family", out, Options{})
 			return err
 		}},
-		{"retire", func(t *testing.T, s *System) {
-			if _, err := s.AddMember(MemberSpec{Neighborhood: graph.OutNeighbors{}}); err != nil {
+		{"retire", func(t *testing.T, m *MultiSystem) {
+			var err error
+			if member, err = m.AttachMerged("out", "family", out, Options{}); err != nil {
 				t.Fatal(err)
 			}
-		}, func(s *System) error { return s.RetireMember(1) }},
+		}, func(m *MultiSystem, _ *System) error { return m.Detach(member) }},
 	}
 	for _, tc := range ops {
 		t.Run(tc.name, func(t *testing.T) {
 			g := paperGraph()
 			g.AddNode() // 7: a writer slot with no reader downstream
-			s, err := Compile(g, Query{Aggregate: agg.Sum{}}, Options{Algorithm: construct.AlgIOB, Mode: ModeAllPull})
+			m := NewMulti(g)
+			a, err := m.AttachMerged("in", "family", Query{Aggregate: agg.Sum{}},
+				Options{Algorithm: construct.AlgIOB, Mode: ModeAllPull})
 			if err != nil {
 				t.Fatal(err)
 			}
+			s := a.System()
 			writeFigure1(t, s)
 			if tc.setup != nil {
-				tc.setup(t, s)
+				tc.setup(t, m)
 			}
 			wref := s.ov.Writer(7)
 			if wref == overlay.NoNode {
@@ -149,7 +155,7 @@ func TestFailedInstallSurfaces(t *testing.T) {
 				t.Fatal("fixture: decisions still valid")
 			}
 
-			if err := tc.op(s); err == nil {
+			if err := tc.op(m, s); err == nil {
 				t.Fatal("the operation returned nil although the repaired overlay could not be installed")
 			}
 			if got := s.Stats().Recompiles; got != 1 {
@@ -164,7 +170,7 @@ func TestFailedInstallSurfaces(t *testing.T) {
 				for _, u := range g.In(v) {
 					want += latest[u]
 				}
-				if got, err := s.Read(v); err != nil || got.Scalar != want {
+				if got, err := s.eng.Read(v); err != nil || got.Scalar != want {
 					t.Fatalf("read(%d) after the fallback = %v, %v; brute force says %d", v, got, err, want)
 				}
 			}

@@ -24,6 +24,29 @@ func mergeSpecs() []MemberSpec {
 	}
 }
 
+// attachFamily registers one sum query per spec as members of one merge
+// family of a fresh MultiSystem over g — the way production grows a family:
+// the first member compiles, each later one extends the overlay — so member
+// i has view tag i. It returns the family's system and the attachments by
+// tag.
+func attachFamily(t *testing.T, g *graph.Graph, specs []MemberSpec, opts Options) (*System, []*Attachment) {
+	t.Helper()
+	m := NewMulti(g)
+	atts := make([]*Attachment, len(specs))
+	for i, spec := range specs {
+		a, err := m.AttachMerged(fmt.Sprintf("member-%d", i), "family",
+			Query{Aggregate: agg.Sum{}, Neighborhood: spec.Neighborhood, Predicate: spec.Predicate}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.ViewTag() != int32(i) || i > 0 && a.System() != atts[0].System() {
+			t.Fatalf("fixture: member %d joined as tag %d of another system", i, a.ViewTag())
+		}
+		atts[i] = a
+	}
+	return atts[0].System(), atts
+}
+
 // mergeOp is one entry of the recorded op log. Oracles attached mid-stream
 // replay the full log into a fresh graph, which reconstructs both the
 // deterministic graph state (node ids are allocated deterministically) and
@@ -43,6 +66,7 @@ type mergeHarness struct {
 	t       *testing.T
 	baseN   int
 	merged  *System
+	members map[int32]*Attachment
 	oracles map[int32]*System
 	specs   map[int32]MemberSpec
 	log     []mergeOp
@@ -52,16 +76,14 @@ func newMergeHarness(t *testing.T, baseN int, specs []MemberSpec) *mergeHarness 
 	h := &mergeHarness{
 		t:       t,
 		baseN:   baseN,
+		members: map[int32]*Attachment{},
 		oracles: map[int32]*System{},
 		specs:   map[int32]MemberSpec{},
 	}
-	merged, err := CompileMerged(multiRing(baseN), Query{Aggregate: agg.Sum{}}, specs,
-		Options{Algorithm: construct.AlgVNMA})
-	if err != nil {
-		t.Fatal(err)
-	}
+	merged, atts := attachFamily(t, multiRing(baseN), specs, Options{Algorithm: construct.AlgVNMA})
 	h.merged = merged
 	for i, spec := range specs {
+		h.members[int32(i)] = atts[i]
 		h.specs[int32(i)] = spec
 		h.oracles[int32(i)] = h.freshOracle(spec)
 	}
@@ -91,7 +113,7 @@ func (h *mergeHarness) applyOne(s *System, op mergeOp) {
 	case 'w':
 		err = s.Engine().Write(op.v, op.value, op.ts)
 	case 'b':
-		err = s.Engine().WriteBatch(op.batch)
+		s.Engine().Apply(op.batch, graph.NoAdvance)
 	case 'e':
 		err = s.AddGraphEdge(op.u, op.v)
 	case 'r':
@@ -118,10 +140,18 @@ func (h *mergeHarness) apply(op mergeOp) {
 // attach adds a member to the merged family online and compiles its oracle
 // from the full op history.
 func (h *mergeHarness) attach(spec MemberSpec) int32 {
-	tag, err := h.merged.AddMember(spec)
+	// Tags are never reused, so the next tag names a key no member has had.
+	a, err := h.merged.multi.AttachMerged(fmt.Sprintf("member-%d", len(h.merged.views)), "family",
+		Query{Aggregate: agg.Sum{}, Neighborhood: spec.Neighborhood, Predicate: spec.Predicate},
+		Options{Algorithm: construct.AlgVNMA})
 	if err != nil {
-		h.t.Fatalf("AddMember: %v", err)
+		h.t.Fatalf("AttachMerged: %v", err)
 	}
+	if a.System() != h.merged {
+		h.t.Fatal("member did not join the merged family")
+	}
+	tag := a.ViewTag()
+	h.members[tag] = a
 	h.specs[tag] = spec
 	h.oracles[tag] = h.freshOracle(spec)
 	return tag
@@ -129,9 +159,10 @@ func (h *mergeHarness) attach(spec MemberSpec) int32 {
 
 // retire removes a live member from the merged family and its oracle.
 func (h *mergeHarness) retire(tag int32) {
-	if err := h.merged.RetireMember(tag); err != nil {
-		h.t.Fatalf("RetireMember(%d): %v", tag, err)
+	if err := h.members[tag].Detach(); err != nil {
+		h.t.Fatalf("Detach(%d): %v", tag, err)
 	}
+	delete(h.members, tag)
 	delete(h.oracles, tag)
 	delete(h.specs, tag)
 }
@@ -142,8 +173,8 @@ func (h *mergeHarness) compare(when string) {
 	g := h.merged.g
 	for tag, o := range h.oracles {
 		g.ForEachNode(func(v graph.NodeID) {
-			got, gotErr := h.merged.ReadView(tag, v)
-			want, wantErr := o.Read(v)
+			got, gotErr := h.members[tag].Read(v)
+			want, wantErr := o.eng.Read(v)
 			if (gotErr == nil) != (wantErr == nil) {
 				h.t.Fatalf("%s: view %d node %d: err %v vs oracle %v", when, tag, v, gotErr, wantErr)
 			}
@@ -175,7 +206,7 @@ func TestMergedBasicLifecycle(t *testing.T) {
 	h.apply(mergeOp{kind: 'w', v: 0, value: 7, ts: 200})
 	h.compare("after structural churn")
 	h.retire(1)
-	if _, err := h.merged.ReadView(1, 0); err == nil {
+	if _, err := h.merged.eng.ReadTagged(1, 0); err == nil {
 		t.Fatal("retired view still readable")
 	}
 	h.compare("after retire")
@@ -301,7 +332,7 @@ func TestMergedAttachRetireDuringWriteBatch(t *testing.T) {
 		if a.System() != a0.System() {
 			t.Fatal("2-hop member did not join the merged family")
 		}
-		if _, err := a.System().ReadView(a.ViewTag(), 3); err != nil {
+		if _, err := a.Read(3); err != nil {
 			t.Fatalf("round %d: read through fresh member: %v", i, err)
 		}
 		if err := m.Detach(a); err != nil {
@@ -320,7 +351,6 @@ func TestMergedAttachRetireDuringWriteBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := a0.System()
 	last := map[graph.NodeID]int64{}
 	for v := graph.NodeID(0); v < 32; v++ {
 		// Recover each writer's settled value via the 1-hop view of a
@@ -347,19 +377,19 @@ func TestMergedAttachRetireDuringWriteBatch(t *testing.T) {
 		_ = o2.Engine().Write(v, val, 1_000_000)
 	}
 	for v := graph.NodeID(0); v < 32; v++ {
-		got, err := sys.ReadView(a0.ViewTag(), v)
+		got, err := a0.Read(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := o1.Read(v)
+		want, _ := o1.eng.Read(v)
 		if got.Scalar != want.Scalar {
 			t.Fatalf("1-hop view node %d: %d want %d", v, got.Scalar, want.Scalar)
 		}
-		got2, err := sys.ReadView(a2.ViewTag(), v)
+		got2, err := a2.Read(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want2, _ := o2.Read(v)
+		want2, _ := o2.eng.Read(v)
 		if got2.Scalar != want2.Scalar {
 			t.Fatalf("2-hop view node %d: %d want %d", v, got2.Scalar, want2.Scalar)
 		}
@@ -444,25 +474,18 @@ func TestMultiMergeFamilies(t *testing.T) {
 }
 
 // TestRebalanceAfterMemberGrowth is the regression test for the adaptor
-// panic found by end-to-end verification: AddMember (and structural
+// panic found by end-to-end verification: a member attach (and structural
 // maintenance generally) grows the overlay beyond the adaptor's node
 // range, and the next Rebalance's ObserveBatch must not index out of
 // bounds — it must operate on a refreshed adaptor.
 func TestRebalanceAfterMemberGrowth(t *testing.T) {
-	g := multiRing(24)
-	sys, err := Compile(g, Query{Aggregate: agg.Sum{}},
+	sys, atts := attachFamily(t, multiRing(24), []MemberSpec{{}, {Neighborhood: graph.KHopIn{K: 2}}},
 		Options{Algorithm: construct.AlgVNMA})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.AddMember(MemberSpec{Neighborhood: graph.KHopIn{K: 2}}); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 200; i++ {
 		if err := sys.Engine().Write(graph.NodeID(i%24), int64(i), int64(i)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.ReadView(1, graph.NodeID(i%24)); err != nil {
+		if _, err := atts[1].Read(graph.NodeID(i % 24)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -479,11 +502,11 @@ func TestRebalanceAfterMemberGrowth(t *testing.T) {
 		_ = o.Engine().Write(graph.NodeID(i%24), int64(i), int64(i))
 	}
 	for v := graph.NodeID(0); v < 24; v++ {
-		got, err := sys.ReadView(1, v)
+		got, err := atts[1].Read(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := o.Read(v)
+		want, _ := o.eng.Read(v)
 		if got.Scalar != want.Scalar {
 			t.Fatalf("post-rebalance view1 node %d: %d want %d", v, got.Scalar, want.Scalar)
 		}
@@ -497,13 +520,10 @@ func TestRebalanceAfterMemberGrowth(t *testing.T) {
 // encoded reader GIDs of different tags alias each other.
 func TestRestrideOnNonMaintainableMerged(t *testing.T) {
 	g := multiRing(12)
-	sys, err := CompileMerged(g, Query{Aggregate: agg.Sum{}}, []MemberSpec{
+	sys, atts := attachFamily(t, g, []MemberSpec{
 		{Neighborhood: graph.InNeighbors{}},
 		{Neighborhood: graph.KHopIn{K: 2}},
 	}, Options{Algorithm: construct.AlgVNMN})
-	if err != nil {
-		t.Fatal(err)
-	}
 	start := sys.stride
 	// Fill the id space up to (but not past) the stride, then force the
 	// recompile fallback for the overflowing addition — the bug is in the
@@ -528,11 +548,11 @@ func TestRestrideOnNonMaintainableMerged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r1, err := sys.ReadView(0, 0)
+	r1, err := atts[0].Read(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := sys.ReadView(1, 0)
+	r2, err := atts[1].Read(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,19 +565,16 @@ func TestRestrideOnNonMaintainableMerged(t *testing.T) {
 // report ErrUnknownNode, never alias into a sibling member's encoded GID
 // space (cross-query read leakage).
 func TestMergedViewOutOfRangeNode(t *testing.T) {
-	sys, err := CompileMerged(multiRing(12), Query{Aggregate: agg.Sum{}}, []MemberSpec{
+	sys, atts := attachFamily(t, multiRing(12), []MemberSpec{
 		{Neighborhood: graph.InNeighbors{}},
 		{Neighborhood: graph.KHopIn{K: 2}},
 	}, Options{Algorithm: construct.AlgVNMA})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, v := range []graph.NodeID{sys.stride, sys.stride + 2, -1} {
-		if _, err := sys.ReadView(0, v); err == nil {
-			t.Fatalf("ReadView(0, %d) resolved out-of-range node without error", v)
+		if _, err := atts[0].Read(v); err == nil {
+			t.Fatalf("Read(%d) on view 0 resolved out-of-range node without error", v)
 		}
-		if sys.ViewCovered(0, v) {
-			t.Fatalf("ViewCovered(0, %d) true for out-of-range node", v)
+		if atts[0].Covered(v) {
+			t.Fatalf("Covered(%d) on view 0 true for out-of-range node", v)
 		}
 	}
 }
@@ -567,13 +584,10 @@ func TestMergedViewOutOfRangeNode(t *testing.T) {
 // one of their readers is demoted to pull.
 func TestReoptimizeKeepsMergedCoverage(t *testing.T) {
 	const n = 16
-	sys, err := CompileMerged(multiRing(n), Query{Aggregate: agg.Sum{}}, []MemberSpec{
+	sys, atts := attachFamily(t, multiRing(n), []MemberSpec{
 		{Neighborhood: graph.InNeighbors{}},
 		{Neighborhood: graph.KHopIn{K: 2}},
 	}, Options{Algorithm: construct.AlgVNMA})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A drastically read-heavy workload: every reader should be worth
 	// push-covering, in BOTH member views.
 	if err := sys.Reoptimize(dataflow.Uniform(n, 1000, 1)); err != nil {
@@ -582,7 +596,7 @@ func TestReoptimizeKeepsMergedCoverage(t *testing.T) {
 	covered := [2]int{}
 	for tag := int32(0); tag < 2; tag++ {
 		for v := graph.NodeID(0); v < n; v++ {
-			if sys.ViewCovered(tag, v) {
+			if atts[tag].Covered(v) {
 				covered[tag]++
 			}
 		}

@@ -30,9 +30,9 @@ var ErrDetached = errors.New("query detached")
 //     merged overlay over the union of their query sets — the paper's
 //     cross-query sharing of partial aggregates — each reading through its
 //     own per-query view. Members join an existing family incrementally
-//     (System.AddMember extends the overlay online) and leave one by one
-//     (System.RetireMember); the family's overlay is torn down when the
-//     last member detaches.
+//     (the overlay is extended online) and leave one by one (their readers
+//     are retired online); the family's overlay is torn down when the last
+//     member detaches.
 //
 // Incompatible queries get their own system over the same graph. Content
 // writes fan out to every system; structural changes mutate the graph
@@ -209,7 +209,7 @@ func (m *MultiSystem) AttachMerged(key, familyKey string, q Query, opts Options)
 	}
 	if familyKey != "" {
 		if fam, ok := m.families[familyKey]; ok {
-			tag, err := fam.sys.AddMember(MemberSpec{
+			tag, err := fam.sys.addMember(MemberSpec{
 				Neighborhood: q.Neighborhood,
 				Predicate:    q.Predicate,
 			})
@@ -229,7 +229,7 @@ func (m *MultiSystem) AttachMerged(key, familyKey string, q Query, opts Options)
 			}
 		}
 	}
-	sys, err := compileViews(m, m.g, q, opts, nil, 0)
+	sys, err := compileSystem(m, q, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +275,7 @@ func (m *MultiSystem) Detach(a *Attachment) error {
 		m.publishLocked()
 		return nil
 	}
-	return fam.sys.RetireMember(fm.tag)
+	return fam.sys.retireMember(fm.tag)
 }
 
 // publishLocked rebuilds the fan-out snapshot; callers hold m.mu.
@@ -301,7 +301,8 @@ func (a *Attachment) System() *System {
 }
 
 // ViewTag returns the attachment's member view tag within its (possibly
-// merged) system: the tag to pass to System.ReadView / SubscribeView.
+// merged) system: the tag its reads and subscriptions address on the
+// system's engine (exec.Engine.ReadTagged / SubscribeTagged).
 func (a *Attachment) ViewTag() int32 { return a.tag }
 
 // The methods below are the attachment's own standing-query surface: each
@@ -334,17 +335,21 @@ func (a *Attachment) ReadWire(v graph.NodeID) (agg.WirePAO, error) {
 // Covered reports whether this member's result at v is push-maintained —
 // i.e. whether a subscription on v observes updates.
 func (a *Attachment) Covered(v graph.NodeID) bool {
-	return a.sys.ViewCovered(a.tag, v)
+	return a.sys.eng.CoveredTagged(a.tag, v)
 }
 
-// Subscribe registers a continuous listener on this member's reader view
-// (see System.SubscribeView).
+// Subscribe registers a continuous listener on this member's reader view:
+// with no nodes it covers every reader the member owns (never a sibling
+// member's), otherwise only the member's standing queries at the given
+// nodes. Like reads it does not wait for overlay repairs or recompiles: a
+// subscription installed while one runs is re-resolved against the new
+// plan by the engine itself (see exec.Engine.SubscribeTagged).
 func (a *Attachment) Subscribe(buffer int, nodes ...graph.NodeID) (*exec.Subscription, error) {
-	return a.sys.SubscribeView(a.tag, buffer, nodes...)
+	return a.sys.eng.SubscribeTagged(a.tag, buffer, nodes...)
 }
 
 // Unsubscribe removes sub from the system's engine and closes its channel.
-func (a *Attachment) Unsubscribe(sub *exec.Subscription) { a.sys.Unsubscribe(sub) }
+func (a *Attachment) Unsubscribe(sub *exec.Subscription) { a.sys.eng.Unsubscribe(sub) }
 
 // OwnReaders counts the reader nodes this member's view owns, from the
 // engine's immutable plan snapshot — O(1) (precomputed at Flatten), no
@@ -452,7 +457,7 @@ func (m *MultiSystem) ExportGroupWindows(keep func(fullKey string) bool) []Group
 	out := make([]GroupWindows, 0, len(keyOf))
 	for sys, key := range keyOf {
 		gw := GroupWindows{Key: key, Windows: map[graph.NodeID][]agg.WindowEntry{}}
-		sys.ExportWindows(func(node graph.NodeID, entries []agg.WindowEntry) {
+		sys.eng.ExportWindows(func(node graph.NodeID, entries []agg.WindowEntry) {
 			gw.Windows[node] = append([]agg.WindowEntry(nil), entries...)
 		})
 		if len(gw.Windows) > 0 {
@@ -552,26 +557,21 @@ func (m *MultiSystem) Apply(events []graph.Event, advanceTo int64) ([]graph.Node
 	return added, errors.Join(errs...)
 }
 
-// applyStructuralRun applies one maximal run of structural events to the
-// shared graph and every attached system, under the MultiSystem mutex.
-func (m *MultiSystem) applyStructuralRun(run []graph.Event) ([]graph.NodeID, []error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return structuralRun(m.g, *m.systems.Load(), *m.listeners.Load(), run)
-}
-
-// structuralRun is the one structural protocol, for a MultiSystem's run and
-// a standalone System's single event alike: g mutates event by event
-// (collecting, at each event's correct moment, the readers it affects —
-// pre-mutation for removals, post for additions — and notifying listeners),
-// and every system's overlay is repaired exactly once at the end. It returns
+// applyStructuralRun is the one structural protocol. Under the MultiSystem
+// mutex, the shared graph mutates event by event (collecting, at each
+// event's correct moment, the readers it affects — pre-mutation for
+// removals, post for additions — and notifying listeners), and every
+// attached system's overlay is repaired exactly once at the end. It returns
 // the node ids NodeAdd events allocated, in event order, and the errors of
 // the events that could not apply and of the repairs. Correctness rests on
 // the repair being a diff against the FINAL graph: the affected union only
 // needs to cover every reader whose neighborhood the run changed, and the
 // event that last toggles a neighborhood path sees that path's state when
-// it collects. Callers serialize structural operations on g.
-func structuralRun(g *graph.Graph, systems []*System, listeners []StructuralListener, run []graph.Event) ([]graph.NodeID, []error) {
+// it collects.
+func (m *MultiSystem) applyStructuralRun(run []graph.Event) ([]graph.NodeID, []error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	g, systems, listeners := m.g, *m.systems.Load(), *m.listeners.Load()
 	batches := make([]*repairBatch, len(systems))
 	for i, sys := range systems {
 		batches[i] = sys.beginRepairBatch()

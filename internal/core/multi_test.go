@@ -98,11 +98,11 @@ func TestMultiWriteFansOut(t *testing.T) {
 		}
 	}
 	// N(3) = {2, 4}: sum 60, max 40.
-	s, err := sum.System().Read(3)
+	s, err := sum.Read(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := max.System().Read(3)
+	x, err := max.Read(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,16 +122,16 @@ func TestMultiStructuralFanOut(t *testing.T) {
 	if _, err := applyOne(m, graph.Event{Kind: graph.EdgeAdd, Node: 4, Peer: 0}); err != nil {
 		t.Fatal(err)
 	}
-	s, _ := sum.System().Read(0)
-	c, _ := cnt.System().Read(0)
+	s, _ := sum.Read(0)
+	c, _ := cnt.Read(0)
 	if s.Scalar != 3 || c.Scalar != 3 {
 		t.Fatalf("after AddEdge: sum=%v count=%v, want 3/3", s, c)
 	}
 	if _, err := applyOne(m, graph.Event{Kind: graph.EdgeRemove, Node: 4, Peer: 0}); err != nil {
 		t.Fatal(err)
 	}
-	s, _ = sum.System().Read(0)
-	c, _ = cnt.System().Read(0)
+	s, _ = sum.Read(0)
+	c, _ = cnt.Read(0)
 	if s.Scalar != 2 || c.Scalar != 2 {
 		t.Fatalf("after RemoveEdge: sum=%v count=%v, want 2/2", s, c)
 	}
@@ -145,15 +145,15 @@ func TestMultiStructuralFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = writeOne(m, v, 5, 100)
-	s, _ = sum.System().Read(0)
+	s, _ = sum.Read(0)
 	if s.Scalar != 7 {
 		t.Fatalf("after new node write: sum=%v, want 7", s)
 	}
 	if _, err := applyOne(m, graph.Event{Kind: graph.NodeRemove, Node: v}); err != nil {
 		t.Fatal(err)
 	}
-	s, _ = sum.System().Read(0)
-	c, _ = cnt.System().Read(0)
+	s, _ = sum.Read(0)
+	c, _ = cnt.Read(0)
 	if s.Scalar != 2 || c.Scalar != 2 {
 		t.Fatalf("after RemoveNode: sum=%v count=%v, want 2/2", s, c)
 	}
@@ -221,7 +221,7 @@ func TestMultiAttachDetachConcurrentWithWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := a.System().Read(0); err != nil {
+		if _, err := a.Read(0); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Detach(a); err != nil {
@@ -230,7 +230,7 @@ func TestMultiAttachDetachConcurrentWithWrites(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if _, err := anchor.System().Read(0); err != nil {
+	if _, err := anchor.Read(0); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -20,20 +20,22 @@ type Adaptor struct {
 	// observed activity since the last Rebalance, per overlay node.
 	pushes []float64 // updates arriving at the node's inputs
 	pulls  []float64 // reads traversing the node
-	deg    []int
 	// MinSamples gates rebalancing: a node is reconsidered only when the
 	// window a Rebalance closes holds this much combined activity.
 	MinSamples float64
 }
 
-// NewAdaptor wraps an overlay whose decisions were already made.
-func NewAdaptor(ov *overlay.Overlay, f *Freqs, m CostModel) *Adaptor {
+// NewAdaptor wraps an overlay whose decisions were already made. It prices a
+// frontier node by the overlay's in-degree, which is what a frequency pass
+// would give it: a frontier node is never a writer, and a non-writer's
+// effective input count is len(In). The overlay's structure must not change
+// under the adaptor; build a new one after restructuring it.
+func NewAdaptor(ov *overlay.Overlay, m CostModel) *Adaptor {
 	return &Adaptor{
 		ov:         ov,
 		m:          m,
 		pushes:     make([]float64, ov.Len()),
 		pulls:      make([]float64, ov.Len()),
-		deg:        append([]int(nil), f.Deg...),
 		MinSamples: 64,
 	}
 }
@@ -109,7 +111,8 @@ func (a *Adaptor) contradicted(ref overlay.NodeRef, n *overlay.Node) (bool, floa
 	if arrived+a.pulls[ref] < a.MinSamples {
 		return false, 0
 	}
-	w := a.pulls[ref]*a.m.PullCost(a.deg[ref]) - arrived*a.m.PushCost(a.deg[ref])
+	deg := len(n.In)
+	w := a.pulls[ref]*a.m.PullCost(deg) - arrived*a.m.PushCost(deg)
 	return (n.Dec == overlay.Pull && w > 0) || (n.Dec == overlay.Push && w < 0), arrived
 }
 

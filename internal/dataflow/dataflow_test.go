@@ -428,7 +428,7 @@ func TestAdaptorFlipsFrontier(t *testing.T) {
 	if ov.Node(p).Dec != overlay.Pull {
 		t.Fatalf("setup: p should start pull")
 	}
-	a := NewAdaptor(ov, f, m)
+	a := NewAdaptor(ov, m)
 	a.MinSamples = 10
 	// Workload shifts: p now sees many pulls and few pushes.
 	a.ObserveBatch(map[overlay.NodeRef]float64{p: 2}, map[overlay.NodeRef]float64{p: 50})
@@ -455,7 +455,7 @@ func TestAdaptorRespectsMinSamples(t *testing.T) {
 	if _, err := Decide(ov, f, m); err != nil {
 		t.Fatal(err)
 	}
-	a := NewAdaptor(ov, f, m)
+	a := NewAdaptor(ov, m)
 	a.MinSamples = 1000
 	a.ObserveBatch(nil, map[overlay.NodeRef]float64{p: 50})
 	if flips := a.Rebalance(); flips != 0 {
@@ -474,9 +474,7 @@ func TestAdaptorOnlyFlipsFrontierNodes(t *testing.T) {
 	_ = ov.AddEdge(p1, p2, false)
 	_ = ov.AddEdge(p2, r, false)
 	DecideAll(ov, overlay.Pull)
-	wl := NewWorkload(2)
-	f, _ := ComputeFreqs(ov, wl, 1)
-	a := NewAdaptor(ov, f, ConstLinear{})
+	a := NewAdaptor(ov, ConstLinear{})
 	a.MinSamples = 1
 	a.ObserveBatch(nil, map[overlay.NodeRef]float64{p2: 10})
 	if flips := a.Rebalance(); flips != 0 {

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/maxflow"
@@ -206,11 +207,12 @@ func scaleWeight(w float64) int64 {
 // overlay was restructured (incremental maintenance or node splitting may
 // introduce fresh pull-annotated partial nodes beneath existing push
 // nodes). It extends the push region upward: every input of a push node
-// becomes push, transitively. Returns the number of nodes flipped.
-func RepairDecisions(ov *overlay.Overlay) int {
+// becomes push, transitively. Returns the number of nodes flipped, or the
+// error of an overlay with a cycle, whose decisions it leaves untouched.
+func RepairDecisions(ov *overlay.Overlay) (int, error) {
 	order, err := ov.TopoOrder()
 	if err != nil {
-		return 0
+		return 0, fmt.Errorf("dataflow: %w", err)
 	}
 	flips := 0
 	for i := len(order) - 1; i >= 0; i-- {
@@ -226,7 +228,7 @@ func RepairDecisions(ov *overlay.Overlay) int {
 			}
 		}
 	}
-	return flips
+	return flips, nil
 }
 
 // DecideAll assigns the same decision to every node — the all-push and

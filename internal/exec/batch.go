@@ -11,8 +11,7 @@ import (
 // and then closes the time the batch closes, serially on the calling
 // goroutine, as one shared section of the engine's gate — one snapshot, one
 // accumulator, one touch collector. Non-write events are skipped; advanceTo
-// == graph.NoAdvance closes no time. WriteBatch, Write and ExpireAll are
-// views of it.
+// == graph.NoAdvance closes no time. Write is a view of it.
 //
 // Pass 1 visits the events in batch order and does, per event and under the
 // writer's mutex, everything that happens at the writer (applyAtWriter:
@@ -97,22 +96,13 @@ func (e *Engine) Apply(events []graph.Event, advanceTo int64) {
 	e.putTouch(tc)
 }
 
-// WriteBatch is Apply for a batch that closes no time.
-func (e *Engine) WriteBatch(events []graph.Event) error {
-	e.Apply(events, graph.NoAdvance)
-	return nil
-}
-
-// Write ingests one content update on data-graph node v (a "write on v"): a
-// WriteBatch of one.
+// Write ingests one content update on data-graph node v (a "write on v"): an
+// Apply of one event that closes no time.
 func (e *Engine) Write(v graph.NodeID, value int64, ts int64) error {
 	ev := [1]graph.Event{{Kind: graph.ContentWrite, Node: v, Value: value, TS: ts}}
 	e.Apply(ev[:], graph.NoAdvance)
 	return nil
 }
-
-// ExpireAll advances time-based windows to ts: an Apply of no events.
-func (e *Engine) ExpireAll(ts int64) { e.Apply(nil, ts) }
 
 // cancelCommon removes from add and rem, in place, the values they have in
 // common as multisets: a value a window admitted and evicted inside one

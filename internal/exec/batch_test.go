@@ -217,17 +217,15 @@ func TestWriteBatchCoalescedMatchesPerEvent(t *testing.T) {
 						var ts int64
 						for b := 0; b < 3; b++ {
 							evs := hotBatch(rng, &ts)
-							if err := batched.WriteBatch(evs); err != nil {
-								t.Fatal(err)
-							}
+							batched.Apply(evs, graph.NoAdvance)
 							for _, ev := range evs {
 								if err := single.Write(ev.Node, ev.Value, ev.TS); err != nil {
 									t.Fatal(err)
 								}
 							}
 							if b == 1 {
-								batched.ExpireAll(ts - 10)
-								single.ExpireAll(ts - 10)
+								batched.Apply(nil, ts-10)
+								single.Apply(nil, ts-10)
 							}
 							label := fmt.Sprintf("seed %d batch %d", seed, b)
 							for v := graph.NodeID(100); v < 105; v++ {
@@ -340,10 +338,7 @@ func TestWriteBatchCoalescingUnderResync(t *testing.T) {
 									}
 									evs[i] = graph.Event{Kind: graph.ContentWrite, Node: v, Value: int64(rng.Intn(6)), TS: ts.Add(1)}
 								}
-								if err := e.WriteBatch(evs); err != nil {
-									t.Error(err)
-									return
-								}
+								e.Apply(evs, graph.NoAdvance)
 							}
 						}(g)
 					}
@@ -436,10 +431,10 @@ func TestWriteBatchSteadyStateAllocs(t *testing.T) {
 			var ts int64
 			evs := hotBatch(rand.New(rand.NewSource(1)), &ts)
 			for i := 0; i < 4; i++ {
-				_ = e.WriteBatch(evs)
+				e.Apply(evs, graph.NoAdvance)
 			}
-			if n := testing.AllocsPerRun(50, func() { _ = e.WriteBatch(evs) }); n != 0 {
-				t.Errorf("%s subscribed=%v: WriteBatch allocates %.1f objects per batch in steady state, want 0", spec, subscribed, n)
+			if n := testing.AllocsPerRun(50, func() { e.Apply(evs, graph.NoAdvance) }); n != 0 {
+				t.Errorf("%s subscribed=%v: Apply allocates %.1f objects per batch in steady state, want 0", spec, subscribed, n)
 			}
 		}
 	}

@@ -52,9 +52,7 @@ func TestWriteBatchCoalescedFanout(t *testing.T) {
 			})
 		}
 	}
-	if err := eng.WriteBatch(batch); err != nil {
-		t.Fatal(err)
-	}
+	eng.Apply(batch, graph.NoAdvance)
 	var updates []Update
 drain:
 	for {
@@ -94,9 +92,7 @@ drain:
 					})
 				}
 			}
-			if err := eng.WriteBatch(part); err != nil {
-				t.Error(err)
-			}
+			eng.Apply(part, graph.NoAdvance)
 		}(c)
 	}
 	wg.Wait()

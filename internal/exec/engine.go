@@ -64,10 +64,10 @@
 // the advance made due expire the same way — and each touched reader is
 // notified once, at the end. A window expiry is one more update on a
 // writer's stream, pushed through the same region as a write (paper §2.1,
-// §2.2.2). WriteBatch (no advance), Write (a batch of one) and ExpireAll (no
-// events) are one-line views. The engine itself never spawns goroutines for
-// writes: parallel ingest is the caller's business, and every entry point
-// is safe for concurrent callers.
+// §2.2.2). Write (a batch of one that closes no time) is its one-line view;
+// a bare watermark advance is an Apply of no events. The engine itself never
+// spawns goroutines for writes: parallel ingest is the caller's business,
+// and every entry point is safe for concurrent callers.
 package exec
 
 import (

@@ -228,7 +228,7 @@ func TestTimeWindowExpiryPropagates(t *testing.T) {
 	if got.Scalar != 12 {
 		t.Fatalf("sum = %v, want 12", got)
 	}
-	e.ExpireAll(10) // expires c's write (ts 0 <= 10-10), keeps d's (ts 1)
+	e.Apply(nil, 10) // expires c's write (ts 0 <= 10-10), keeps d's (ts 1)
 	got, _ = e.Read(0)
 	if got.Scalar != 7 {
 		t.Fatalf("sum after expiry = %v, want 7", got)

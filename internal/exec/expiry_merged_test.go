@@ -51,8 +51,8 @@ func TestMergedFamilyExpiryMatchesScan(t *testing.T) {
 		t.Helper()
 		for _, pair := range [][2]*core.Attachment{{h1, s1}, {h2, s2}} {
 			for v := graph.NodeID(0); v < nodes; v++ {
-				got, err1 := pair[0].System().ReadView(pair[0].ViewTag(), v)
-				want, err2 := pair[1].System().ReadView(pair[1].ViewTag(), v)
+				got, err1 := pair[0].Read(v)
+				want, err2 := pair[1].Read(v)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("%s: node %d: %v / %v", label, v, err1, err2)
 				}

@@ -77,15 +77,15 @@ func TestExpireHeapMatchesScanProperty(t *testing.T) {
 			switch rng.Intn(10) {
 			case 0: // watermark advance
 				wm := ts - int64(rng.Intn(30))
-				heap.ExpireAll(wm)
+				heap.Apply(nil, wm)
 				scan.ExpireAllScan(wm)
 				compareEngines(t, "advance", heap, scan)
 				compareDeliveries("advance")
 			case 1: // repeated advance at the same watermark (idempotence)
-				heap.ExpireAll(ts)
+				heap.Apply(nil, ts)
 				scan.ExpireAllScan(ts)
 				compareDeliveries("re-advance, first")
-				heap.ExpireAll(ts)
+				heap.Apply(nil, ts)
 				scan.ExpireAllScan(ts)
 				compareEngines(t, "re-advance", heap, scan)
 				compareDeliveries("re-advance, second")
@@ -104,7 +104,7 @@ func TestExpireHeapMatchesScanProperty(t *testing.T) {
 				compareDeliveries("write")
 			}
 		}
-		heap.ExpireAll(ts)
+		heap.Apply(nil, ts)
 		scan.ExpireAllScan(ts)
 		compareEngines(t, "final", heap, scan)
 		compareDeliveries("final")
@@ -169,9 +169,7 @@ func TestExpireAllOneUpdatePerReaderPerAdvance(t *testing.T) {
 					batch = append(batch, graph.Event{Kind: graph.ContentWrite, Node: graph.NodeID(i), Value: int64(i) + round, TS: round})
 				}
 			}
-			if err := eng.WriteBatch(batch); err != nil {
-				t.Fatal(err)
-			}
+			eng.Apply(batch, graph.NoAdvance)
 			drainByNode(t, "load", sub)
 			// Each advance expires one value from every one of the eight
 			// writers; the last leaves the windows empty.
@@ -179,7 +177,7 @@ func TestExpireAllOneUpdatePerReaderPerAdvance(t *testing.T) {
 				if scan {
 					eng.ExpireAllScan(wm)
 				} else {
-					eng.ExpireAll(wm)
+					eng.Apply(nil, wm)
 				}
 				got := drainByNode(t, "advance", sub)
 				want, err := eng.Read(0)
@@ -191,7 +189,7 @@ func TestExpireAllOneUpdatePerReaderPerAdvance(t *testing.T) {
 				}
 			}
 			// Nothing left to expire: no delivery.
-			eng.ExpireAll(100)
+			eng.Apply(nil, 100)
 			if got := drainByNode(t, "idle advance", sub); len(got) != 0 {
 				t.Fatalf("%s: idle advance delivered %v", spec, got)
 			}
@@ -229,9 +227,9 @@ func TestApplyClosesTimeWithTheBatch(t *testing.T) {
 				ts += int64(rng.Intn(60)) // the next batch expires a burst of writers
 			}
 			one.Apply(batch, wm)
-			_ = two.WriteBatch(batch)
+			two.Apply(batch, graph.NoAdvance)
 			want := drainByNode(t, "batch", twoSub)
-			two.ExpireAll(wm)
+			two.Apply(nil, wm)
 			for v, u := range drainByNode(t, "advance", twoSub) {
 				// The later call carries the settled value; the stamp is the
 				// latest timestamp that reached the reader in either.
@@ -268,15 +266,15 @@ func TestExpireHeapSaturatedWatermarks(t *testing.T) {
 		}
 	}
 	for _, wm := range []int64{math.MinInt64, lo, lo + T, 0, T, hi, math.MaxInt64} {
-		heap.ExpireAll(wm)
+		heap.Apply(nil, wm)
 		scan.ExpireAllScan(wm)
 		compareEngines(t, "saturated", heap, scan)
 	}
 	// A MaxInt64 advance must terminate even though every surviving
 	// deadline saturates to MaxInt64 (pop, re-check, re-register must not
 	// spin: re-registered deadlines only ever move forward).
-	heap.ExpireAll(math.MaxInt64)
-	heap.ExpireAll(math.MaxInt64)
+	heap.Apply(nil, math.MaxInt64)
+	heap.Apply(nil, math.MaxInt64)
 	compareEngines(t, "max-advance", heap, scan)
 }
 
@@ -296,7 +294,7 @@ func TestTupleWindowsNeverEnterExpiryHeap(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%50 == 0 {
-			e.ExpireAll(int64(i + 1))
+			e.Apply(nil, int64(i+1))
 		}
 	}
 	if n := e.ExpiryIndexSize(); n != 0 {
@@ -322,7 +320,7 @@ func TestExpiryIndexRepopulatesAcrossRecompile(t *testing.T) {
 	write(0, 7, 5)
 	write(1, 9, 6)
 	// Expire everything: both writers' windows empty, entries consumed.
-	heap.ExpireAll(100)
+	heap.Apply(nil, 100)
 	scan.ExpireAllScan(100)
 	if n := heap.ExpiryIndexSize(); n != 0 {
 		t.Fatalf("index size after draining = %d, want 0", n)
@@ -332,7 +330,7 @@ func TestExpiryIndexRepopulatesAcrossRecompile(t *testing.T) {
 	if n := heap.ExpiryIndexSize(); n != 1 {
 		t.Fatalf("index size after re-write = %d, want 1", n)
 	}
-	heap.ExpireAll(300)
+	heap.Apply(nil, 300)
 	scan.ExpireAllScan(300)
 	compareEngines(t, "re-register", heap, scan)
 }

@@ -189,7 +189,7 @@ func TestPullMemoMatchesRecompute(t *testing.T) {
 					mc.compare(t, e, fmt.Sprintf("seed %d after a recompile", seed))
 					batch("batch after the recompile")
 
-					e.ExpireAll(ts + 1000)
+					e.Apply(nil, ts+1000)
 					mc.compare(t, e, fmt.Sprintf("seed %d after the final advance", seed))
 					h, m := e.PullMemoStats()
 					if h+m != int64(mc.lookups) {

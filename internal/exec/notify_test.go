@@ -174,7 +174,7 @@ func TestExpiryNotifies(t *testing.T) {
 	defer eng.Unsubscribe(sub)
 	_ = eng.Write(1, 5, 0)
 	<-sub.Updates()
-	eng.ExpireAll(100)
+	eng.Apply(nil, 100)
 	u := <-sub.Updates()
 	if u.Result.Valid && u.Result.Scalar != 0 {
 		t.Fatalf("post-expiry update = %+v, want empty/zero sum", u.Result)
@@ -258,9 +258,7 @@ func TestSlotIndexedSubscriptions(t *testing.T) {
 		for i, v := range nodes {
 			evs = append(evs, graph.Event{Kind: graph.ContentWrite, Node: v, Value: 1, TS: int64(i + 1)})
 		}
-		if err := eng.WriteBatch(evs); err != nil {
-			t.Fatal(err)
-		}
+		eng.Apply(evs, graph.NoAdvance)
 	}
 	pending := func(s *Subscription) (nodes []graph.NodeID) {
 		for {

@@ -186,7 +186,7 @@ func TestPullKernelMatchesArena(t *testing.T) {
 					})
 					tw.compare(t, fmt.Sprintf("seed %d: writer %d's addition of %d landed", seed, w, x))
 
-					tw.both(func(e *Engine) { e.ExpireAll(ts + 1000) })
+					tw.both(func(e *Engine) { e.Apply(nil, ts+1000) })
 					tw.compare(t, fmt.Sprintf("seed %d after the final advance", seed))
 					if wname == "time40" {
 						for v := graph.NodeID(100); v < 105; v++ {

@@ -100,7 +100,7 @@ func TestRebuildCarriesCellsByGraphID(t *testing.T) {
 				t.Fatalf("subscriber on 6 last saw %+v, read is %+v", last, want)
 			}
 
-			e.ExpireAll(105) // drops every first-round value (ts 0..5)
+			e.Apply(nil, 105) // drops every first-round value (ts 0..5)
 			for v := range content {
 				if v < 5 {
 					content[v] = content[v][1:]

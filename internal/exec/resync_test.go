@@ -109,7 +109,7 @@ func TestOnlineResyncUnderStorm(t *testing.T) {
 									Value: tc.write(rng), TS: int64(i),
 								})
 							}
-							_ = e.WriteBatch(batch)
+							e.Apply(batch, graph.NoAdvance)
 						}
 					}
 				}(int64(gr))

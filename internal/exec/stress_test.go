@@ -50,9 +50,9 @@ func TestConcurrentStress(t *testing.T) {
 								Value: 1, TS: int64(i),
 							})
 						}
-						_ = e.WriteBatch(batch)
+						e.Apply(batch, graph.NoAdvance)
 					case 3:
-						e.ExpireAll(0) // expires nothing (huge window) but walks the path
+						e.Apply(nil, 0) // expires nothing (huge window) but walks the path
 					}
 				}
 			}(int64(gr))
@@ -60,7 +60,7 @@ func TestConcurrentStress(t *testing.T) {
 		wg.Wait()
 		// Quiesce deterministically: shrink every window to exactly one
 		// value per node via expiry, then overwrite.
-		e.ExpireAll(1 << 31)
+		e.Apply(nil, 1<<31)
 		for v := graph.NodeID(0); v < 7; v++ {
 			if err := e.Write(v, 1, 1<<31); err != nil {
 				t.Fatal(err)
@@ -202,7 +202,7 @@ func TestGrowPreservesWindows(t *testing.T) {
 	if n := e.ExpiryIndexSize(); n != 1 {
 		t.Fatalf("expiry index holds %d writers after the install, want writer 2", n)
 	}
-	e.ExpireAll(101) // both values (ts 0 and 1) fall due
+	e.Apply(nil, 101) // both values (ts 0 and 1) fall due
 	if got, _ := e.Read(0); got.Valid {
 		t.Fatalf("read(0) after expiry through the carried index = %v, want empty", got)
 	}

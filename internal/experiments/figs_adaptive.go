@@ -48,11 +48,7 @@ func adaptivity(cfg Config) []Table {
 	}
 	static, _ := mk()
 	adaptive, adaptiveOv := mk()
-	f, err := dataflow.ComputeFreqs(adaptiveOv, tr.Before, 1)
-	if err != nil {
-		panic(err)
-	}
-	adaptor := dataflow.NewAdaptor(adaptiveOv, f, m)
+	adaptor := dataflow.NewAdaptor(adaptiveOv, m)
 	t := Table{
 		Title: fmt.Sprintf("Adaptivity: per-chunk throughput (ops/s) with a concurrent rebalance+install each chunk; read popularity shifts at chunk %d — %s, TOP-K",
 			nChunks/2+1, d.Name),

@@ -65,8 +65,8 @@ func decideApproach(ov *overlay.Overlay, mode string, wl *dataflow.Workload, m d
 }
 
 // throughputOf runs the event stream against a fresh engine — serially for
-// one worker, otherwise split evenly between concurrent WriteBatch and
-// ReadInto callers — and returns operations per second.
+// one worker, otherwise split evenly between concurrent Apply and ReadInto
+// callers — and returns operations per second.
 func throughputOf(ov *overlay.Overlay, a agg.Aggregate, events []graph.Event, workers int) runStats {
 	eng, err := exec.New(ov, a, agg.NewTupleWindow(1))
 	if err != nil {
@@ -165,11 +165,7 @@ func fig13a(cfg Config) []Table {
 	for _, r := range runners {
 		r.eng = mkEngine(r.ov)
 		if r.name == "adaptive" {
-			f, err := dataflow.ComputeFreqs(r.ov, tr.Before, 1)
-			if err != nil {
-				panic(err)
-			}
-			r.adaptor = dataflow.NewAdaptor(r.ov, f, m)
+			r.adaptor = dataflow.NewAdaptor(r.ov, m)
 		}
 	}
 	nChunks := len(tr.Events) / chunk
@@ -262,7 +258,7 @@ func fig13d(cfg Config) []Table {
 	a := agg.TopK{K: 3}
 	m := dataflow.ModelFor(a)
 	t := Table{
-		Title:  fmt.Sprintf("Fig 13d: TOP-K throughput (ops/s) vs worker threads (concurrent WriteBatch + ReadInto callers) — %s, w:r 1:1", d.Name),
+		Title:  fmt.Sprintf("Fig 13d: TOP-K throughput (ops/s) vs worker threads (concurrent Apply + ReadInto callers) — %s, w:r 1:1", d.Name),
 		Header: []string{"threads", "vnma-dataflow", "all-push", "all-pull"},
 		Notes:  "expected (paper, 24 cores): steady scaling to ~24 threads then plateau; on this host scaling plateaus at the core count",
 	}

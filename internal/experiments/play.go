@@ -53,7 +53,7 @@ func playSerial(eng *exec.Engine, events []graph.Event, latencySample int) runSt
 }
 
 // playConcurrent replays events the way a multi-core host drives the engine:
-// writers goroutines each calling WriteBatch (64 events a call) and readers
+// writers goroutines each calling Apply (64 events a call) and readers
 // goroutines each calling ReadInto. Writes are dealt out by data-graph node,
 // so one writer's updates stay in stream order; reads round-robin. Dealing
 // happens before the clock starts.
@@ -78,7 +78,7 @@ func playConcurrent(eng *exec.Engine, events []graph.Event, writers, readers int
 			defer wg.Done()
 			for len(share) > 0 {
 				n := min(64, len(share))
-				_ = eng.WriteBatch(share[:n])
+				eng.Apply(share[:n], graph.NoAdvance)
 				share = share[n:]
 			}
 		}()

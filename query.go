@@ -116,7 +116,7 @@ func (v *overlayView) stats() Stats {
 		Shared:         v.Shared(),
 		Family:         v.FamilySize(),
 		OwnReaders:     st.Overlay.QueryReaders[v.ViewTag()],
-		Subscribers:    sys.Subscribers(),
+		Subscribers:    sys.Engine().Subscribers(),
 		PullMemoHits:   hits,
 		PullMemoMisses: misses,
 	}

@@ -146,7 +146,7 @@ func backingSubscribers(t *testing.T, q *Query) func() int {
 	t.Helper()
 	switch v := q.view.(type) {
 	case *overlayView:
-		return v.System().Subscribers
+		return v.System().Engine().Subscribers
 	case *structureView:
 		return v.View.Subscribers
 	}
