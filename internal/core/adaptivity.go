@@ -131,6 +131,23 @@ func (s *System) drainObservationsLocked() (pushes, pulls map[overlay.NodeRef]fl
 	return pushes, pulls
 }
 
+// Rebalance feeds the engine's observed push/pull counts to the adaptive
+// scheme and applies any frontier decision flips (§4.8), installing the new
+// decisions in the engine when flips occurred. It returns the number of
+// flips.
+//
+// Write and read traffic may keep flowing while Rebalance runs: reads
+// never pause; writes wait for the install step only (exec.Engine.Rebuild
+// seeds push state from the windows under its gate — AdaptivityStats reports
+// how long). Rebalance serializes only with other structural operations
+// (mutations, Reoptimize).
+func (s *System) Rebalance() (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.drainObservationsLocked()
+	return s.applyRebalanceLocked()
+}
+
 // ApplyFlips applies the frontier decision flips pending from observations
 // already fed to the adaptive scheme (via SampleObservations or Rebalance),
 // installing the new decisions in the engine when any occurred. Unlike

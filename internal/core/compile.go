@@ -1,0 +1,314 @@
+package core
+
+import (
+	"fmt"
+
+	"repro/internal/agg"
+	"repro/internal/bipartite"
+	"repro/internal/construct"
+	"repro/internal/dataflow"
+	"repro/internal/exec"
+	"repro/internal/graph"
+	"repro/internal/overlay"
+)
+
+// This file is the compile path: legality, overlay construction (or a
+// same-shape sibling's clone), dataflow decisions, and the recompile that
+// rebuilds all three when an overlay cannot be repaired in place.
+
+// compileSystem is the one compile path: it builds m's system for q, its
+// single view with tag 0. Callers hold m.mu, so a same-shape sibling in m may
+// supply the overlay.
+func compileSystem(m *MultiSystem, q Query, opts Options) (*System, error) {
+	if q.Aggregate == nil {
+		return nil, fmt.Errorf("core: query needs an aggregate: %w", ErrIncompatible)
+	}
+	if q.Neighborhood == nil {
+		q.Neighborhood = graph.InNeighbors{}
+	}
+	if q.Window == nil {
+		q.Window = agg.NewTupleWindow(1)
+	}
+	if opts.Mode == "" {
+		opts.Mode = ModeDataflow
+	}
+	switch opts.Mode {
+	case ModeDataflow, ModeGreedy, ModeAllPush, ModeAllPull:
+	default:
+		return nil, fmt.Errorf("core: unknown mode %q: %w", opts.Mode, ErrIncompatible)
+	}
+	if q.Continuous {
+		opts.Mode = ModeAllPush
+	}
+	props := q.Aggregate.Props()
+	if opts.Algorithm == "" {
+		switch {
+		case props.Subtractable:
+			opts.Algorithm = construct.AlgVNMN
+		case props.DuplicateInsensitive:
+			opts.Algorithm = construct.AlgVNMD
+		default:
+			opts.Algorithm = construct.AlgVNMA
+		}
+	}
+	if err := checkLegality(opts.Algorithm, props); err != nil {
+		return nil, err
+	}
+
+	s := &System{
+		g: m.g, q: q, opts: opts, multi: m,
+		views: []view{{nbr: q.Neighborhood, pred: q.Predicate, tag: 0, live: true}},
+		cost:  dataflow.ModelFor(q.Aggregate),
+	}
+	if key, ok := graph.NeighborhoodKey(q.Neighborhood); ok && q.Predicate == nil {
+		s.shape = shape{nbr: key, alg: opts.Algorithm, cfg: opts.Construct}
+	}
+	ov, err := s.buildOverlay()
+	if err != nil {
+		return nil, err
+	}
+	if err := s.decide(ov); err != nil {
+		return nil, err
+	}
+	if s.eng, err = exec.New(ov, s.q.Aggregate, s.q.Window); err != nil {
+		return nil, err
+	}
+	s.adopt(ov)
+	return s, nil
+}
+
+func checkLegality(alg string, props agg.Properties) error {
+	if !construct.KnownAlgorithm(alg) && alg != Baseline {
+		return fmt.Errorf("core: unknown algorithm %q: %w", alg, ErrIncompatible)
+	}
+	switch alg {
+	case construct.AlgVNMN:
+		if !props.Subtractable {
+			return fmt.Errorf("core: %s requires a subtractable aggregate (negative edges): %w", alg, ErrIncompatible)
+		}
+	case construct.AlgVNMD:
+		if !props.DuplicateInsensitive {
+			return fmt.Errorf("core: %s requires a duplicate-insensitive aggregate (duplicate paths): %w", alg, ErrIncompatible)
+		}
+	}
+	return nil
+}
+
+// buildOverlay constructs an overlay for the live views over the current
+// graph. Merged systems (stride > 0) build the UNION bipartite graph of every
+// live view, so construction mines bicliques — and therefore places shared
+// partial aggregation nodes — across member queries wherever their
+// neighborhoods overlap.
+func (s *System) buildOverlay() (*overlay.Overlay, error) {
+	if ov := s.cloneSibling(); ov != nil {
+		return ov, nil
+	}
+	s.multi.mined.Add(1)
+	var ag *bipartite.AG
+	if s.stride > 0 {
+		members := make([]bipartite.Member, 0, len(s.views))
+		for i := range s.views {
+			if !s.views[i].live {
+				continue
+			}
+			members = append(members, bipartite.Member{
+				Neighborhood: s.views[i].nbr,
+				Predicate:    s.views[i].pred,
+				Tag:          s.views[i].tag,
+			})
+		}
+		ag = bipartite.BuildUnion(s.g, members, s.stride)
+	} else {
+		ag = bipartite.Build(s.g, s.q.Neighborhood, s.q.Predicate)
+	}
+	var ov *overlay.Overlay
+	if s.opts.Algorithm == Baseline {
+		ov = construct.Baseline(ag)
+	} else {
+		res, err := construct.Build(s.opts.Algorithm, ag, s.opts.Construct)
+		if err != nil {
+			return nil, err
+		}
+		ov = res.Overlay
+	}
+	if s.stride > 0 {
+		ov.SetReaderStride(int32(s.stride))
+	}
+	return ov, nil
+}
+
+// cloneSibling returns a copy of the overlay a same-shape system of the same
+// MultiSystem mined at the graph's current structural version, or nil when
+// there is none and the caller must mine. The overlay is a function of the
+// shape and the graph alone, and decide overwrites every decision, so the
+// copy is what buildOverlay would have produced, bit for bit. Nothing is
+// retained for this: the sibling's live overlay is the cache entry, valid
+// until the graph moves (minedAt) or anything restructures it (pristine —
+// cleared by afterMaintenance and by a compile that splits nodes; a system
+// that took a member has a stride and no shape to match). Callers hold the
+// MultiSystem mutex — every path that reaches buildOverlay does — so no two
+// systems ever wait on each other's mu here.
+func (s *System) cloneSibling() *overlay.Overlay {
+	if s.shape == (shape{}) || s.stride > 0 {
+		return nil
+	}
+	for _, sib := range *s.multi.systems.Load() {
+		if sib == s || sib.shape != s.shape {
+			continue
+		}
+		sib.mu.Lock()
+		var ov *overlay.Overlay
+		if sib.pristine && sib.stride == 0 && sib.minedAt == s.g.Version() {
+			ov = sib.ov.Clone()
+		}
+		sib.mu.Unlock()
+		if ov != nil {
+			s.multi.cloned.Add(1)
+			return ov
+		}
+	}
+	return nil
+}
+
+// windowSizeHint estimates the per-writer window size for costing (§4.2).
+func (s *System) windowSizeHint() int {
+	n := int(agg.AvgWindowSize(s.q.Window, 1))
+	if n < 1 {
+		n = 1
+	}
+	return n
+}
+
+// decide annotates ov with dataflow decisions for the system's workload.
+func (s *System) decide(ov *overlay.Overlay) error {
+	wl := s.stridedWorkload(s.workloadOrUniform())
+	f, err := dataflow.ComputeFreqs(ov, wl, s.windowSizeHint())
+	if err != nil {
+		return err
+	}
+	switch s.opts.Mode {
+	case ModeAllPush:
+		dataflow.DecideAll(ov, overlay.Push)
+	case ModeAllPull:
+		dataflow.DecideAll(ov, overlay.Pull)
+	case ModeGreedy:
+		if err := dataflow.DecideGreedy(ov, f, s.cost); err != nil {
+			return err
+		}
+	default:
+		if s.opts.MaxReadCost > 0 {
+			if _, err := dataflow.DecideLatencyBound(ov, f, s.cost, s.opts.MaxReadCost); err != nil {
+				return err
+			}
+		} else if _, err := dataflow.Decide(ov, f, s.cost); err != nil {
+			return err
+		}
+	}
+	if s.splitsNodes() {
+		if _, err := dataflow.SplitNodes(ov, f, s.cost); err != nil {
+			return err
+		}
+		// Splitting adds nodes; recompute frequencies and decisions.
+		f, err = dataflow.ComputeFreqs(ov, wl, s.windowSizeHint())
+		if err != nil {
+			return err
+		}
+		if _, err := dataflow.Decide(ov, f, s.cost); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// splitsNodes reports whether decide restructures the overlay it annotates
+// (§4.7 partial pre-computation).
+func (s *System) splitsNodes() bool {
+	return s.opts.SplitNodes && s.opts.Mode == ModeDataflow
+}
+
+// adopt makes ov — built at the graph's current version, decided, and
+// already what the engine executes — the system's overlay.
+func (s *System) adopt(ov *overlay.Overlay) {
+	s.ov = ov
+	s.minedAt, s.pristine = s.g.Version(), !s.splitsNodes()
+	s.adaptor = dataflow.NewAdaptor(ov, s.cost)
+	// Incremental maintenance requires single-path, negative-edge-free
+	// overlays; when unavailable, structural updates fall back to
+	// recompilation.
+	s.maint, _ = construct.NewMaintainer(ov)
+}
+
+// Reoptimize recomputes dataflow decisions from a new expected workload
+// (keeping the overlay structure) and installs them in the engine.
+func (s *System) Reoptimize(wl *dataflow.Workload) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if wl != nil {
+		// Kept strided, so a later re-stride can tell its reader GIDs
+		// were encoded under another stride.
+		s.opts.Workload = s.stridedWorkload(wl)
+	}
+	f, err := dataflow.ComputeFreqs(s.ov, s.stridedWorkload(s.workloadOrUniform()), s.windowSizeHint())
+	if err != nil {
+		return err
+	}
+	if _, err := dataflow.Decide(s.ov, f, s.cost); err != nil {
+		return err
+	}
+	s.adaptor = dataflow.NewAdaptor(s.ov, s.cost)
+	return s.eng.Rebuild(s.ov, s.q.Window, nil)
+}
+
+func (s *System) workloadOrUniform() *dataflow.Workload {
+	if s.opts.Workload != nil {
+		return s.opts.Workload
+	}
+	return dataflow.Uniform(s.g.MaxID(), 1, 1)
+}
+
+// stridedWorkload applies the system's reader stride to a workload so
+// merged-overlay reader GIDs (tag*stride+node) decode back to data-graph
+// nodes in frequency lookups. Copy-on-write: a caller-owned workload is
+// never mutated. EVERY path that feeds a workload into ComputeFreqs on a
+// merged system must go through this, or tag>=1 readers read frequency 0
+// and the decisions demote them to pull. Per-reader reads keyed under
+// another non-zero stride name other readers now and are dropped; under
+// stride 0 they are tag-0 GIDs, which no stride changes.
+func (s *System) stridedWorkload(wl *dataflow.Workload) *dataflow.Workload {
+	if s.stride == 0 || wl == nil || wl.Stride == int(s.stride) {
+		return wl
+	}
+	strided := *wl
+	if wl.Stride > 0 {
+		strided.ReaderReads = nil
+	}
+	strided.Stride = int(s.stride)
+	return &strided
+}
+
+// recompileLocked rebuilds the overlay from scratch (used when incremental
+// maintenance is not applicable, e.g. negative-edge overlays) and moves the
+// engine onto it. Only the engine's install step holds writes back; overlay
+// construction and the dataflow decisions run with ingest flowing. Window
+// contents survive — exec.Engine.Rebuild carries each writer's window to its
+// new slot, except for the ids in skip, which the structural run that forced
+// the recompile deleted and may since have reused — so a recompile answers
+// reads exactly like an incrementally repaired overlay would, which is what
+// lets shard replicas with independently compiled overlays stay
+// content-equivalent under structural churn. On error the system keeps its
+// previous overlay.
+func (s *System) recompileLocked(skip map[graph.NodeID]bool) error {
+	ov, err := s.buildOverlay()
+	if err != nil {
+		return err
+	}
+	if err := s.decide(ov); err != nil {
+		return err
+	}
+	if err := s.eng.Rebuild(ov, s.q.Window, skip); err != nil {
+		return err
+	}
+	s.adopt(ov)
+	s.recompiles.Add(1)
+	return nil
+}

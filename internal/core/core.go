@@ -9,13 +9,10 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/agg"
-	"repro/internal/bipartite"
 	"repro/internal/construct"
 	"repro/internal/dataflow"
 	"repro/internal/exec"
@@ -93,36 +90,6 @@ var ErrIncompatible = errors.New("incompatible query")
 // ErrIncompatible so callers treating merge failures as compilation
 // failures keep working (errors.Is on either matches).
 var ErrIncompatibleMerge = fmt.Errorf("incompatible merge: %w", ErrIncompatible)
-
-// errMergeFull is the internal capacity signal: the family cannot take
-// another member (tag space exhausted for its stride). Callers fall back to
-// compiling a fresh system instead of surfacing an error.
-var errMergeFull = fmt.Errorf("merge family full: %w", ErrIncompatibleMerge)
-
-// maxFamilyViews bounds the member count of one merged overlay; beyond it a
-// fresh family is opened (per-write reader fan-out grows with every member,
-// so unbounded families would trade the sharing win back away).
-const maxFamilyViews = 64
-
-// MemberSpec describes one member query's reader population in a merged
-// family: the neighborhood and predicate that may differ between members,
-// while the aggregate, window, and mode are shared by the family's base
-// Query.
-type MemberSpec struct {
-	Neighborhood graph.Neighborhood
-	Predicate    graph.Predicate
-}
-
-// view is one member query's compiled reader view inside a System. tag
-// namespaces its readers in the shared overlay (reader GID = tag*stride +
-// node); retired views keep their slot (tags are never reused) so live
-// handles' tags stay stable.
-type view struct {
-	nbr  graph.Neighborhood
-	pred graph.Predicate
-	tag  int32
-	live bool
-}
 
 // System is a compiled, executable EAGr instance hosting one or more
 // member queries over ONE shared overlay. Every System belongs to exactly
@@ -202,825 +169,11 @@ func Compile(g *graph.Graph, q Query, opts Options) (*System, error) {
 	return a.sys, nil
 }
 
-// compileSystem is the one compile path: it builds m's system for q, its
-// single view with tag 0. Callers hold m.mu, so a same-shape sibling in m may
-// supply the overlay.
-func compileSystem(m *MultiSystem, q Query, opts Options) (*System, error) {
-	if q.Aggregate == nil {
-		return nil, fmt.Errorf("core: query needs an aggregate: %w", ErrIncompatible)
-	}
-	if q.Neighborhood == nil {
-		q.Neighborhood = graph.InNeighbors{}
-	}
-	if q.Window == nil {
-		q.Window = agg.NewTupleWindow(1)
-	}
-	if opts.Mode == "" {
-		opts.Mode = ModeDataflow
-	}
-	switch opts.Mode {
-	case ModeDataflow, ModeGreedy, ModeAllPush, ModeAllPull:
-	default:
-		return nil, fmt.Errorf("core: unknown mode %q: %w", opts.Mode, ErrIncompatible)
-	}
-	if q.Continuous {
-		opts.Mode = ModeAllPush
-	}
-	props := q.Aggregate.Props()
-	if opts.Algorithm == "" {
-		switch {
-		case props.Subtractable:
-			opts.Algorithm = construct.AlgVNMN
-		case props.DuplicateInsensitive:
-			opts.Algorithm = construct.AlgVNMD
-		default:
-			opts.Algorithm = construct.AlgVNMA
-		}
-	}
-	if err := checkLegality(opts.Algorithm, props); err != nil {
-		return nil, err
-	}
-
-	s := &System{
-		g: m.g, q: q, opts: opts, multi: m,
-		views: []view{{nbr: q.Neighborhood, pred: q.Predicate, tag: 0, live: true}},
-		cost:  dataflow.ModelFor(q.Aggregate),
-	}
-	if key, ok := graph.NeighborhoodKey(q.Neighborhood); ok && q.Predicate == nil {
-		s.shape = shape{nbr: key, alg: opts.Algorithm, cfg: opts.Construct}
-	}
-	ov, err := s.buildOverlay()
-	if err != nil {
-		return nil, err
-	}
-	if err := s.decide(ov); err != nil {
-		return nil, err
-	}
-	if s.eng, err = exec.New(ov, s.q.Aggregate, s.q.Window); err != nil {
-		return nil, err
-	}
-	s.adopt(ov)
-	return s, nil
-}
-
-// strideFor picks the reader-GID stride for a merged overlay over g: the
-// next power of two with at least 2x headroom over the current id space, so
-// moderate graph growth never forces a re-stride recompile.
-func strideFor(g *graph.Graph) graph.NodeID {
-	stride := graph.NodeID(1024)
-	for int(stride) < 2*(g.MaxID()+1) {
-		stride <<= 1
-	}
-	return stride
-}
-
-// viewCapacity bounds the member count for a stride: every encoded reader
-// GID (tag*stride + node) must stay a positive int32.
-func viewCapacity(stride graph.NodeID) int {
-	c := int(int64(math.MaxInt32)/int64(stride)) - 1
-	if c > maxFamilyViews {
-		c = maxFamilyViews
-	}
-	return c
-}
-
-func checkLegality(alg string, props agg.Properties) error {
-	if !construct.KnownAlgorithm(alg) && alg != Baseline {
-		return fmt.Errorf("core: unknown algorithm %q: %w", alg, ErrIncompatible)
-	}
-	switch alg {
-	case construct.AlgVNMN:
-		if !props.Subtractable {
-			return fmt.Errorf("core: %s requires a subtractable aggregate (negative edges): %w", alg, ErrIncompatible)
-		}
-	case construct.AlgVNMD:
-		if !props.DuplicateInsensitive {
-			return fmt.Errorf("core: %s requires a duplicate-insensitive aggregate (duplicate paths): %w", alg, ErrIncompatible)
-		}
-	}
-	return nil
-}
-
-// buildOverlay constructs an overlay for the live views over the current
-// graph. Merged systems (stride > 0) build the UNION bipartite graph of every
-// live view, so construction mines bicliques — and therefore places shared
-// partial aggregation nodes — across member queries wherever their
-// neighborhoods overlap.
-func (s *System) buildOverlay() (*overlay.Overlay, error) {
-	if ov := s.cloneSibling(); ov != nil {
-		return ov, nil
-	}
-	s.multi.mined.Add(1)
-	var ag *bipartite.AG
-	if s.stride > 0 {
-		members := make([]bipartite.Member, 0, len(s.views))
-		for i := range s.views {
-			if !s.views[i].live {
-				continue
-			}
-			members = append(members, bipartite.Member{
-				Neighborhood: s.views[i].nbr,
-				Predicate:    s.views[i].pred,
-				Tag:          s.views[i].tag,
-			})
-		}
-		ag = bipartite.BuildUnion(s.g, members, s.stride)
-	} else {
-		ag = bipartite.Build(s.g, s.q.Neighborhood, s.q.Predicate)
-	}
-	var ov *overlay.Overlay
-	if s.opts.Algorithm == Baseline {
-		ov = construct.Baseline(ag)
-	} else {
-		res, err := construct.Build(s.opts.Algorithm, ag, s.opts.Construct)
-		if err != nil {
-			return nil, err
-		}
-		ov = res.Overlay
-	}
-	if s.stride > 0 {
-		ov.SetReaderStride(int32(s.stride))
-	}
-	return ov, nil
-}
-
-// cloneSibling returns a copy of the overlay a same-shape system of the same
-// MultiSystem mined at the graph's current structural version, or nil when
-// there is none and the caller must mine. The overlay is a function of the
-// shape and the graph alone, and decide overwrites every decision, so the
-// copy is what buildOverlay would have produced, bit for bit. Nothing is
-// retained for this: the sibling's live overlay is the cache entry, valid
-// until the graph moves (minedAt) or anything restructures it (pristine —
-// cleared by afterMaintenance and by a compile that splits nodes; a system
-// that took a member has a stride and no shape to match). Callers hold the
-// MultiSystem mutex — every path that reaches buildOverlay does — so no two
-// systems ever wait on each other's mu here.
-func (s *System) cloneSibling() *overlay.Overlay {
-	if s.shape == (shape{}) || s.stride > 0 {
-		return nil
-	}
-	for _, sib := range *s.multi.systems.Load() {
-		if sib == s || sib.shape != s.shape {
-			continue
-		}
-		sib.mu.Lock()
-		var ov *overlay.Overlay
-		if sib.pristine && sib.stride == 0 && sib.minedAt == s.g.Version() {
-			ov = sib.ov.Clone()
-		}
-		sib.mu.Unlock()
-		if ov != nil {
-			s.multi.cloned.Add(1)
-			return ov
-		}
-	}
-	return nil
-}
-
-// windowSizeHint estimates the per-writer window size for costing (§4.2).
-func (s *System) windowSizeHint() int {
-	n := int(agg.AvgWindowSize(s.q.Window, 1))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// decide annotates ov with dataflow decisions for the system's workload.
-func (s *System) decide(ov *overlay.Overlay) error {
-	wl := s.stridedWorkload(s.workloadOrUniform())
-	f, err := dataflow.ComputeFreqs(ov, wl, s.windowSizeHint())
-	if err != nil {
-		return err
-	}
-	switch s.opts.Mode {
-	case ModeAllPush:
-		dataflow.DecideAll(ov, overlay.Push)
-	case ModeAllPull:
-		dataflow.DecideAll(ov, overlay.Pull)
-	case ModeGreedy:
-		if err := dataflow.DecideGreedy(ov, f, s.cost); err != nil {
-			return err
-		}
-	default:
-		if s.opts.MaxReadCost > 0 {
-			if _, err := dataflow.DecideLatencyBound(ov, f, s.cost, s.opts.MaxReadCost); err != nil {
-				return err
-			}
-		} else if _, err := dataflow.Decide(ov, f, s.cost); err != nil {
-			return err
-		}
-	}
-	if s.splitsNodes() {
-		if _, err := dataflow.SplitNodes(ov, f, s.cost); err != nil {
-			return err
-		}
-		// Splitting adds nodes; recompute frequencies and decisions.
-		f, err = dataflow.ComputeFreqs(ov, wl, s.windowSizeHint())
-		if err != nil {
-			return err
-		}
-		if _, err := dataflow.Decide(ov, f, s.cost); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// splitsNodes reports whether decide restructures the overlay it annotates
-// (§4.7 partial pre-computation).
-func (s *System) splitsNodes() bool {
-	return s.opts.SplitNodes && s.opts.Mode == ModeDataflow
-}
-
-// adopt makes ov — built at the graph's current version, decided, and
-// already what the engine executes — the system's overlay.
-func (s *System) adopt(ov *overlay.Overlay) {
-	s.ov = ov
-	s.minedAt, s.pristine = s.g.Version(), !s.splitsNodes()
-	s.adaptor = dataflow.NewAdaptor(ov, s.cost)
-	// Incremental maintenance requires single-path, negative-edge-free
-	// overlays; when unavailable, structural updates fall back to
-	// recompilation.
-	s.maint, _ = construct.NewMaintainer(ov)
-}
-
 // Engine exposes the underlying execution engine (for runners/benchmarks).
 func (s *System) Engine() *exec.Engine { return s.eng }
 
 // Overlay exposes the compiled overlay (for inspection).
 func (s *System) Overlay() *overlay.Overlay { return s.ov }
-
-// Rebalance feeds the engine's observed push/pull counts to the adaptive
-// scheme and applies any frontier decision flips (§4.8), installing the new
-// decisions in the engine when flips occurred. It returns the number of
-// flips.
-//
-// Write and read traffic may keep flowing while Rebalance runs: reads
-// never pause; writes wait for the install step only (exec.Engine.Rebuild
-// seeds push state from the windows under its gate — AdaptivityStats reports
-// how long). Rebalance serializes only with other structural operations
-// (mutations, Reoptimize).
-func (s *System) Rebalance() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.drainObservationsLocked()
-	return s.applyRebalanceLocked()
-}
-
-// Reoptimize recomputes dataflow decisions from a new expected workload
-// (keeping the overlay structure) and installs them in the engine.
-func (s *System) Reoptimize(wl *dataflow.Workload) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if wl != nil {
-		// Kept strided, so a later re-stride can tell its reader GIDs
-		// were encoded under another stride.
-		s.opts.Workload = s.stridedWorkload(wl)
-	}
-	f, err := dataflow.ComputeFreqs(s.ov, s.stridedWorkload(s.workloadOrUniform()), s.windowSizeHint())
-	if err != nil {
-		return err
-	}
-	if _, err := dataflow.Decide(s.ov, f, s.cost); err != nil {
-		return err
-	}
-	s.adaptor = dataflow.NewAdaptor(s.ov, s.cost)
-	return s.eng.Rebuild(s.ov, s.q.Window, nil)
-}
-
-func (s *System) workloadOrUniform() *dataflow.Workload {
-	if s.opts.Workload != nil {
-		return s.opts.Workload
-	}
-	return dataflow.Uniform(s.g.MaxID(), 1, 1)
-}
-
-// stridedWorkload applies the system's reader stride to a workload so
-// merged-overlay reader GIDs (tag*stride+node) decode back to data-graph
-// nodes in frequency lookups. Copy-on-write: a caller-owned workload is
-// never mutated. EVERY path that feeds a workload into ComputeFreqs on a
-// merged system must go through this, or tag>=1 readers read frequency 0
-// and the decisions demote them to pull. Per-reader reads keyed under
-// another non-zero stride name other readers now and are dropped; under
-// stride 0 they are tag-0 GIDs, which no stride changes.
-func (s *System) stridedWorkload(wl *dataflow.Workload) *dataflow.Workload {
-	if s.stride == 0 || wl == nil || wl.Stride == int(s.stride) {
-		return wl
-	}
-	strided := *wl
-	if wl.Stride > 0 {
-		strided.ReaderReads = nil
-	}
-	strided.Stride = int(s.stride)
-	return &strided
-}
-
-// AddGraphEdge applies a structural edge addition (S_G event) to the data
-// graph and incrementally repairs the overlay. Like the other structural
-// mutators below it is a one-event MultiSystem.Apply on the system's
-// MultiSystem, so every system sharing the graph is repaired too.
-func (s *System) AddGraphEdge(u, v graph.NodeID) error {
-	_, err := s.multi.Apply([]graph.Event{{Kind: graph.EdgeAdd, Node: u, Peer: v}}, graph.NoAdvance)
-	return err
-}
-
-// RemoveGraphEdge applies a structural edge deletion.
-func (s *System) RemoveGraphEdge(u, v graph.NodeID) error {
-	_, err := s.multi.Apply([]graph.Event{{Kind: graph.EdgeRemove, Node: u, Peer: v}}, graph.NoAdvance)
-	return err
-}
-
-// AddGraphNode adds a node to the data graph and registers it with the
-// overlay (initially with no edges).
-func (s *System) AddGraphNode() (graph.NodeID, error) {
-	added, err := s.multi.Apply([]graph.Event{{Kind: graph.NodeAdd}}, graph.NoAdvance)
-	return added[0], err
-}
-
-// RemoveGraphNode deletes a node and its incident edges.
-func (s *System) RemoveGraphNode(v graph.NodeID) error {
-	_, err := s.multi.Apply([]graph.Event{{Kind: graph.NodeRemove, Node: v}}, graph.NoAdvance)
-	return err
-}
-
-// viewBase returns the reader-GID offset of a member view.
-func (s *System) viewBase(vw *view) graph.NodeID {
-	return graph.NodeID(vw.tag) * s.stride
-}
-
-// repairBatch accumulates one coalesced structural run against this system:
-// the union of affected readers per member view, plus whether anything in
-// the run forces a full recompile. The batch methods are graph-mutation-free
-// — they consult or repair the overlay but never touch the data graph — so
-// a MultiSystem hosting several overlays over ONE shared graph mutates the
-// graph exactly once per event and fans the repair out to every system.
-// They are the ONLY structural repair path: a single structural operation
-// (System.AddGraphEdge, a one-event MultiSystem.Apply, …) is a batch of one, and a
-// mixed-stream structural run of N events ends in exactly one
-// applyRepairBatch — one decision repair and one engine install instead of
-// N, with a reader touched by several events diffed once.
-//
-// The batch methods run under the MultiSystem mutex, which also covers
-// member attach and retire, so the views a batch was opened for are the
-// views it finishes with; each takes s.mu for its own overlay access.
-type repairBatch struct {
-	// affected is the per-view union of readers whose neighborhoods the
-	// run's edge/node events touched; repairViewLocked diffs each against
-	// the final graph, so supersets and stale (since-removed) readers are
-	// harmless.
-	affected  []map[graph.NodeID]bool
-	recompile bool
-	touched   bool
-	// removed records every node id this run deleted, whether or not the
-	// id was later reused by an add: if the run degrades to a recompile,
-	// the engine rebuild must not carry their windows onto the reused ids.
-	removed map[graph.NodeID]bool
-	// err collects maintainer failures that degraded the batch to a
-	// recompile; applyRepairBatch surfaces them even when the recompile
-	// succeeds.
-	err error
-}
-
-// beginRepairBatch opens a structural batch sized to the current views.
-func (s *System) beginRepairBatch() *repairBatch {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return &repairBatch{affected: make([]map[graph.NodeID]bool, len(s.views))}
-}
-
-// markAffectedLocked folds readers into view i's affected set.
-func (b *repairBatch) markAffectedLocked(i int, readers []graph.NodeID) {
-	if b.affected[i] == nil {
-		b.affected[i] = make(map[graph.NodeID]bool, len(readers))
-	}
-	for _, r := range readers {
-		b.affected[i][r] = true
-	}
-}
-
-// batchEdgeTouched folds the readers an edge change u→v touches into the
-// batch, per member view. For removals call it BEFORE the graph mutation
-// (the affected walk needs the edge present); for additions, after.
-func (s *System) batchEdgeTouched(b *repairBatch, u, v graph.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b.touched = true
-	if b.recompile || s.maint == nil {
-		b.recompile = true
-		return
-	}
-	for i := range s.views {
-		if !s.views[i].live {
-			continue
-		}
-		b.markAffectedLocked(i, construct.AffectedByEdge(s.g, s.views[i].nbr, u, v))
-	}
-}
-
-// batchNodeRemovalAffected folds the pre-removal affected reader sets of
-// removing v into the batch; call it BEFORE the graph mutation.
-func (s *System) batchNodeRemovalAffected(b *repairBatch, v graph.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b.touched = true
-	if b.recompile || s.maint == nil {
-		b.recompile = true
-		return
-	}
-	for i := range s.views {
-		if !s.views[i].live {
-			continue
-		}
-		nbr := s.views[i].nbr
-		for _, u := range s.g.Out(v) {
-			b.markAffectedLocked(i, construct.AffectedByEdge(s.g, nbr, v, u))
-		}
-		for _, u := range s.g.In(v) {
-			b.markAffectedLocked(i, construct.AffectedByEdge(s.g, nbr, u, v))
-		}
-		delete(b.affected[i], v)
-	}
-}
-
-// batchNodeAdded registers a freshly added graph node with the overlay —
-// the maintainer half of nodeAdded, with the engine republish deferred to
-// applyRepairBatch. Maintainer failures degrade to the batch's single
-// recompile (which rebuilds the overlay from the final graph wholesale).
-func (s *System) batchNodeAdded(b *repairBatch, v graph.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b.touched = true
-	if b.recompile || s.maint == nil {
-		b.recompile = true
-		return
-	}
-	if s.stride > 0 && v >= s.stride {
-		// Id space outgrew the reader stride; the batch-final recompile
-		// picks a wider one (restride before rebuild, as nodeAdded does).
-		b.recompile = true
-		return
-	}
-	s.maint.AddWriter(v)
-	for i := range s.views {
-		vw := &s.views[i]
-		if !vw.live {
-			continue
-		}
-		if vw.pred != nil && !vw.pred(s.g, v) {
-			continue
-		}
-		if err := s.maint.AddReader(s.viewBase(vw)+v, nil); err != nil {
-			b.recompile = true
-			b.err = errors.Join(b.err, err)
-			return
-		}
-	}
-}
-
-// batchNodeRemoved sweeps a removed node's writer and per-view readers out
-// of the overlay — the maintainer half of nodeRemoved, with the affected
-// repair and engine republish deferred to applyRepairBatch. Call it AFTER
-// the graph mutation and after batchNodeRemovalAffected.
-func (s *System) batchNodeRemoved(b *repairBatch, v graph.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b.touched = true
-	if b.removed == nil {
-		b.removed = make(map[graph.NodeID]bool)
-	}
-	b.removed[v] = true
-	if b.recompile || s.maint == nil {
-		b.recompile = true
-		return
-	}
-	// RemoveNode drops the writer and the tag-0 reader (whose GID is the
-	// plain node id); higher tags' readers are swept explicitly.
-	if err := s.maint.RemoveNode(v); err != nil {
-		b.recompile = true
-		b.err = errors.Join(b.err, err)
-		return
-	}
-	for i := range s.views {
-		vw := &s.views[i]
-		if !vw.live || vw.tag == 0 {
-			continue
-		}
-		if err := s.maint.RemoveReader(s.viewBase(vw) + v); err != nil {
-			b.recompile = true
-			b.err = errors.Join(b.err, err)
-			return
-		}
-	}
-}
-
-// applyRepairBatch finishes a structural run: every affected reader of
-// every view is diffed against the final graph once, then the repaired
-// overlay is installed in the engine once — or, when anything in the run
-// demanded it (non-maintainable overlay, stride overflow, maintainer
-// failure), one full recompile replaces the whole repair. A batch that saw
-// no structural event is a no-op.
-func (s *System) applyRepairBatch(b *repairBatch) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !b.touched {
-		return nil
-	}
-	// Any recompile below (forced by the batch, or the fallback when an
-	// incremental repair fails partway) carries window content over, minus
-	// the nodes this run removed.
-	if b.recompile {
-		// b.err carries any maintainer failure that forced this recompile;
-		// surface it even when the rebuild succeeds.
-		if s.stride > 0 && graph.NodeID(s.g.MaxID()) > s.stride {
-			return errors.Join(b.err, s.restrideLocked(b.removed))
-		}
-		return errors.Join(b.err, s.recompileLocked(b.removed))
-	}
-	var err error
-	for i := range s.views {
-		if !s.views[i].live || len(b.affected[i]) == 0 {
-			continue
-		}
-		list := make([]graph.NodeID, 0, len(b.affected[i]))
-		for r := range b.affected[i] {
-			list = append(list, r)
-		}
-		sort.Slice(list, func(a, b int) bool { return list[a] < list[b] })
-		if err = s.repairViewLocked(&s.views[i], list); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		err = s.afterMaintenance()
-	}
-	if err != nil {
-		// The incremental repair failed partway, or the repaired overlay
-		// could not be installed and the engine is still on its previous
-		// plan; a recompile restores a consistent overlay from the final
-		// graph. Surface the error even when the recompile succeeds, so the
-		// caller knows the fast path degraded.
-		return errors.Join(err, s.recompileLocked(b.removed))
-	}
-	return nil
-}
-
-// repairViewLocked diffs each affected reader's neighborhood (under the
-// member view's own neighborhood function and predicate) against the
-// overlay and applies the deltas through the maintainer. The caller runs
-// afterMaintenance once all views are repaired.
-func (s *System) repairViewLocked(vw *view, affected []graph.NodeID) error {
-	base := s.viewBase(vw)
-	for _, r := range affected {
-		if !s.g.Alive(r) {
-			continue
-		}
-		rid := base + r
-		if vw.pred != nil && !vw.pred(s.g, r) {
-			// The predicate no longer admits r: its reader (if any) must
-			// go, or this view would diverge from a freshly compiled one.
-			if err := s.maint.RemoveReader(rid); err != nil {
-				return err
-			}
-			continue
-		}
-		want := vw.nbr.Select(s.g, r)
-		wantSet := make(map[graph.NodeID]bool, len(want))
-		for _, w := range want {
-			wantSet[w] = true
-		}
-		ref := s.ov.Reader(rid)
-		if ref == overlay.NoNode {
-			// Newly admitted (or never materialized) reader: insert it
-			// whole through the incremental builder, empty-input readers
-			// included — compile keeps those queryable too.
-			if err := s.maint.AddReader(rid, want); err != nil {
-				return err
-			}
-			continue
-		}
-		have := s.ov.InputSet(ref)
-		var adds, dels []graph.NodeID
-		for w := range wantSet {
-			if have[w] == 0 {
-				adds = append(adds, w)
-			}
-		}
-		for w := range have {
-			if !wantSet[w] {
-				dels = append(dels, w)
-			}
-		}
-		sort.Slice(adds, func(i, j int) bool { return adds[i] < adds[j] })
-		sort.Slice(dels, func(i, j int) bool { return dels[i] < dels[j] })
-		if len(dels) > 0 {
-			if err := s.maint.RemoveReaderInputs(rid, dels); err != nil {
-				return err
-			}
-		}
-		if len(adds) > 0 {
-			if err := s.maint.AddReaderInputs(rid, adds); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// afterMaintenance installs the overlay in the engine after it changed
-// shape. An error means the engine is still on its previous plan and the
-// caller must fall back to a recompile. Either branch first sorts the
-// overlay, which is the check that maintenance left it acyclic.
-// Restructuring may have inserted pull-annotated partials beneath push
-// nodes; the repair pass restores the decision invariant before state is
-// rebuilt. All-push systems (notably continuous queries, whose Subscribe
-// coverage must stay complete) re-force every node to push, since
-// maintenance creates new readers pull-annotated.
-func (s *System) afterMaintenance() error {
-	s.pristine = false
-	if s.opts.Mode == ModeAllPush {
-		if _, err := s.ov.TopoOrder(); err != nil {
-			return err
-		}
-		dataflow.DecideAll(s.ov, overlay.Push)
-	} else if _, err := dataflow.RepairDecisions(s.ov); err != nil {
-		return err
-	}
-	// The adaptor's per-node arrays are sized for the overlay it was built
-	// from; maintenance may have added nodes (partial splits, merged-family
-	// member insertion), so rebuild it or the next Rebalance would observe
-	// refs it has no slots for.
-	s.adaptor = dataflow.NewAdaptor(s.ov, s.cost)
-	return s.eng.Rebuild(s.ov, s.q.Window, nil)
-}
-
-// restrideLocked rebuilds a merged system whose data graph outgrew its
-// reader stride. Member tags survive (subscriptions and handles address
-// views by tag plus real node id, never by encoded GID) and window
-// contents are carried over (minus skip, see recompileLocked), so the rebuild
-// is invisible to readers.
-func (s *System) restrideLocked(skip map[graph.NodeID]bool) error {
-	stride := strideFor(s.g)
-	if len(s.views) > viewCapacity(stride) {
-		return fmt.Errorf("core: graph growth to %d nodes leaves no room for %d merged views: %w",
-			s.g.MaxID(), len(s.views), ErrIncompatibleMerge)
-	}
-	s.stride = stride
-	return s.recompileLocked(skip)
-}
-
-// addMember extends the merged overlay with one more member query ONLINE:
-// on a maintainable overlay the new member's readers are inserted one by
-// one through the incremental builder — covered by the existing shared
-// partial aggregates where profitable — while reads keep flowing and writes
-// wait for the engine's install step only. Overlays without incremental
-// maintenance recompile the union from scratch; window contents and live
-// subscriptions survive either way. Returns the new member's view tag.
-//
-// A single-query System converts to a merged one on its first addMember;
-// its existing tag-0 readers already use plain node ids, which is exactly
-// tag 0 of the encoded scheme, so conversion adds no work. The caller holds
-// the MultiSystem mutex (MultiSystem.AttachMerged does).
-func (s *System) addMember(spec MemberSpec) (int32, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	nbr := spec.Neighborhood
-	if nbr == nil {
-		nbr = graph.InNeighbors{}
-	}
-	if s.stride == 0 {
-		s.stride = strideFor(s.g)
-		s.ov.SetReaderStride(int32(s.stride))
-	} else if graph.NodeID(s.g.MaxID()) > s.stride {
-		if err := s.restrideLocked(nil); err != nil {
-			return 0, err
-		}
-	}
-	if len(s.views)+1 > viewCapacity(s.stride) {
-		return 0, errMergeFull
-	}
-	tag := int32(len(s.views))
-	vw := view{nbr: nbr, pred: spec.Predicate, tag: tag, live: true}
-	s.views = append(s.views, vw)
-	if s.maint == nil {
-		if err := s.recompileLocked(nil); err != nil {
-			s.views[tag].live = false
-			return 0, fmt.Errorf("core: merged recompile: %w: %w", ErrIncompatibleMerge, err)
-		}
-		return tag, nil
-	}
-	base := s.viewBase(&s.views[tag])
-	var insertErr error
-	s.g.ForEachNode(func(v graph.NodeID) {
-		if insertErr != nil {
-			return
-		}
-		if vw.pred != nil && !vw.pred(s.g, v) {
-			return
-		}
-		insertErr = s.maint.AddReader(base+v, nbr.Select(s.g, v))
-	})
-	if insertErr == nil {
-		insertErr = s.afterMaintenance()
-	}
-	if insertErr != nil {
-		// Roll back by recompiling from the remaining live views: the
-		// half-inserted view is already marked dead, and the rebuild
-		// discards the partially-extended overlay wholesale (no point
-		// sweeping its readers out one by one first).
-		s.views[tag].live = false
-		if err := s.recompileLocked(nil); err != nil {
-			return 0, fmt.Errorf("core: merge rollback recompile: %w: %w", ErrIncompatibleMerge, err)
-		}
-		return 0, fmt.Errorf("core: merge extension: %w: %w", ErrIncompatibleMerge, insertErr)
-	}
-	return tag, nil
-}
-
-// retireMember removes member tag's reader view from the merged overlay —
-// online on maintainable overlays (its readers leave one by one and orphan
-// partials are garbage-collected), via recompile otherwise. The member's
-// tag is never reused. The last live member cannot be retired; tear the
-// System down instead. The caller holds the MultiSystem mutex
-// (MultiSystem.Detach does).
-func (s *System) retireMember(tag int32) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if int(tag) >= len(s.views) || !s.views[tag].live {
-		return fmt.Errorf("core: retire member %d: %w", tag, ErrDetached)
-	}
-	if s.liveViewsLocked() == 1 {
-		return fmt.Errorf("core: cannot retire the last member: %w", ErrIncompatibleMerge)
-	}
-	s.views[tag].live = false
-	if s.maint == nil {
-		if err := s.recompileLocked(nil); err != nil {
-			return fmt.Errorf("core: retire recompile: %w: %w", ErrIncompatibleMerge, err)
-		}
-		return nil
-	}
-	var gids []graph.NodeID
-	s.ov.ForEachNode(func(ref overlay.NodeRef, n *overlay.Node) {
-		if n.Kind == overlay.ReaderNode && s.ov.TagOf(ref) == tag {
-			gids = append(gids, n.GID)
-		}
-	})
-	for _, gid := range gids {
-		if err := s.maint.RemoveReader(gid); err != nil {
-			return fmt.Errorf("core: retire member %d: %w: %w", tag, ErrIncompatibleMerge, err)
-		}
-	}
-	if err := s.afterMaintenance(); err != nil {
-		return fmt.Errorf("core: retire member %d: %w: %w", tag, ErrIncompatibleMerge, errors.Join(err, s.recompileLocked(nil)))
-	}
-	return nil
-}
-
-// LiveViews reports the number of live member queries sharing this system's
-// overlay (1 for a plain single-query system).
-func (s *System) LiveViews() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.liveViewsLocked()
-}
-
-// liveViewsLocked counts the live member views; callers hold s.mu.
-func (s *System) liveViewsLocked() int {
-	live := 0
-	for i := range s.views {
-		if s.views[i].live {
-			live++
-		}
-	}
-	return live
-}
-
-// recompileLocked rebuilds the overlay from scratch (used when incremental
-// maintenance is not applicable, e.g. negative-edge overlays) and moves the
-// engine onto it. Only the engine's install step holds writes back; overlay
-// construction and the dataflow decisions run with ingest flowing. Window
-// contents survive — exec.Engine.Rebuild carries each writer's window to its
-// new slot, except for the ids in skip, which the structural run that forced
-// the recompile deleted and may since have reused — so a recompile answers
-// reads exactly like an incrementally repaired overlay would, which is what
-// lets shard replicas with independently compiled overlays stay
-// content-equivalent under structural churn. On error the system keeps its
-// previous overlay.
-func (s *System) recompileLocked(skip map[graph.NodeID]bool) error {
-	ov, err := s.buildOverlay()
-	if err != nil {
-		return err
-	}
-	if err := s.decide(ov); err != nil {
-		return err
-	}
-	if err := s.eng.Rebuild(ov, s.q.Window, skip); err != nil {
-		return err
-	}
-	s.adopt(ov)
-	s.recompiles.Add(1)
-	return nil
-}
 
 // Stats summarizes the compiled system.
 type Stats struct {
