@@ -157,7 +157,7 @@ func pushState(t *testing.T, e *Engine) []agg.WirePAO {
 }
 
 // TestWriteBatchCoalescedMatchesPerEvent is the writer-major batch path's
-// differential anchor: an engine fed hot-writer batches through WriteBatch
+// differential anchor: an engine fed hot-writer batches through Apply
 // must end every batch in exactly the state of a twin fed the same events
 // one Write at a time — every read, every push node's partial state, the
 // write/read counts and, per node, the observation counters (which count
@@ -400,7 +400,7 @@ func checkAgainstWindows(t *testing.T, e *Engine, a agg.Aggregate, label string)
 
 // TestWriteBatchSteadyStateAllocs guards the batch path's allocation
 // contract: once the pooled accumulator and collector have seen the batch
-// shape, WriteBatch allocates nothing, with and without subscribers, in
+// shape, Apply allocates nothing, with and without subscribers, in
 // both state modes. (A subscribed TOP-K necessarily allocates the answer
 // list each delivered Update carries away, so the subscribed PAO-mode case
 // is MAX.)

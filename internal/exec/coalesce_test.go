@@ -112,8 +112,8 @@ drain2:
 	eng.Unsubscribe(sub)
 }
 
-// TestWriteStillNotifiesPerWrite guards the single-write path: Write (not
-// WriteBatch) keeps per-write delivery semantics.
+// TestWriteStillNotifiesPerWrite guards the single-write path: Write (not a
+// batch Apply) keeps per-write delivery semantics.
 func TestWriteStillNotifiesPerWrite(t *testing.T) {
 	eng := starEngine(t, 3)
 	sub, err := eng.Subscribe(64)

@@ -14,7 +14,7 @@ import (
 // index on a merged-family engine: two time-windowed views (1-hop and
 // 2-hop) compiled into ONE merged overlay share one engine and therefore
 // one expiry heap. A random stream of writes and watermark advances
-// through the heap-indexed ExpireAll must leave every view in exactly the
+// through the heap-indexed advance must leave every view in exactly the
 // state a twin system reaches through the full-walk ExpireAllScan. (It
 // lives here, not in core, because the scan reference is test-only API of
 // this package.)

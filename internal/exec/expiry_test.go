@@ -13,7 +13,7 @@ import (
 )
 
 // expiryPairs builds two identical time-windowed engines over the paper
-// graph — one to drive through the heap-indexed ExpireAll, one through
+// graph — one to drive through the heap-indexed advance, one through
 // the full-walk ExpireAllScan reference.
 func expiryPair(t *testing.T, T int64) (*Engine, *Engine) {
 	t.Helper()

@@ -6,8 +6,8 @@ import (
 	"repro/internal/overlay"
 )
 
-// ExpireAllScan is the reference O(writers) implementation of ExpireAll the
-// differential tests compare the indexed path against: a full walk over
+// ExpireAllScan is the reference O(writers) implementation of a bare
+// watermark advance (Apply(nil, ts)) the differential tests compare the indexed path against: a full walk over
 // every writer, bypassing the next-expiry index (heap membership is left
 // untouched — stale entries are re-checked harmlessly when popped). For any
 // ts it leaves identical windows, PAOs and scalar cells and delivers the same

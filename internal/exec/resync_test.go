@@ -13,8 +13,8 @@ import (
 )
 
 // TestOnlineResyncUnderStorm drives the one snapshot transition end to end:
-// while goroutines storm the engine with Write, WriteBatch, ExpireAll and
-// Read traffic, the main goroutine repeatedly flips a reader's push/pull
+// while goroutines storm the engine with Write, batch and bare-advance
+// Apply, and Read traffic, the main goroutine repeatedly flips a reader's push/pull
 // decision and installs the result with Rebuild. Under -race this checks the
 // gate and the unfenced read path; the reads assert the stale-bound
 // invariant throughout (a result may lag, but must never exceed what the

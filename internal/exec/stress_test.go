@@ -12,7 +12,7 @@ import (
 	"repro/internal/overlay"
 )
 
-// TestConcurrentStress interleaves Write, Read, WriteBatch and ExpireAll on
+// TestConcurrentStress interleaves Write, Read, batch and bare-advance Apply on
 // one shared engine from many goroutines. Run with -race it checks the
 // snapshot/atomic synchronization of the whole public surface; afterwards a
 // deterministic write round checks the engine still answers correctly.
