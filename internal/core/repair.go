@@ -49,8 +49,8 @@ func (s *System) RemoveGraphNode(v graph.NodeID) error {
 // a MultiSystem hosting several overlays over ONE shared graph mutates the
 // graph exactly once per event and fans the repair out to every system.
 // They are the ONLY structural repair path: a single structural operation
-// (System.AddGraphEdge, a one-event MultiSystem.Apply, …) is a batch of one, and a
-// mixed-stream structural run of N events ends in exactly one
+// (a one-event MultiSystem.Apply, which is what System.AddGraphEdge is) is a
+// batch of one, and a mixed-stream structural run of N events ends in exactly one
 // applyRepairBatch — one decision repair and one engine install instead of
 // N, with a reader touched by several events diffed once.
 //
