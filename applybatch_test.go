@@ -135,24 +135,6 @@ func entryPoints() []entryPoint {
 				applyByMutator(s, ev)
 			}
 		}},
-		// WriteBatch takes each chunk's leading content run — with a decoy
-		// NodeRemove of a node being written spliced in, which WriteBatch
-		// must skip (and a durable session must not log) — and ApplyBatch
-		// takes the rest of the chunk.
-		{"WriteBatch", func(_ *testing.T, s *Session, events []Event) {
-			for off := 0; off < len(events); off += 64 {
-				chunk := events[off:min(off+64, len(events))]
-				k := 0
-				for k < len(chunk) && chunk[k].Kind == graph.ContentWrite {
-					k++
-				}
-				if k > 0 {
-					prefix := append([]Event{chunk[0], NewNodeRemove(chunk[0].Node, chunk[0].TS)}, chunk[1:k]...)
-					_ = s.WriteBatch(prefix)
-				}
-				_ = s.ApplyBatch(chunk[k:])
-			}
-		}},
 		{"ApplyBatchNodes", func(t *testing.T, s *Session, events []Event) {
 			for off := 0; off < len(events); off += 7 {
 				chunk := events[off:min(off+7, len(events))]
@@ -297,7 +279,7 @@ func (m *bruteModel) check(t *testing.T, label string, qs []*Query) {
 
 // TestApplyBatchMatchesSequentialOracle is the write spine's correctness
 // anchor: one seeded mixed content/structural stream driven through EVERY
-// public entry point — the single-event mutators, WriteBatch, ApplyBatch in
+// public entry point — the single-event mutators, ApplyBatch in
 // several chunkings (structural runs coalesced into one repair per query),
 // ApplyBatchNodes, and an Ingestor — must leave every query reading
 // exactly what a brute-force recompute over the final graph and content

@@ -289,20 +289,20 @@ func benchAutotuneShift(b *testing.B, tuned bool) {
 func BenchmarkOpAutotuneShiftingZipf(b *testing.B)    { benchAutotuneShift(b, true) }
 func BenchmarkOpAutotuneShiftingZipfOff(b *testing.B) { benchAutotuneShift(b, false) }
 
-// benchResyncCutover measures the engine's one snapshot transition — a
+// benchRebuild measures the engine's one snapshot transition — a
 // Rebuild on the installed overlay, what a rebalance that flipped or a
 // structural repair costs — as a function of overlay size.
-func benchResyncCutover(b *testing.B, nodes int) {
-	eng, ov, err := benchfix.ResyncEngine(nodes)
+func benchRebuild(b *testing.B, nodes int) {
+	eng, ov, err := benchfix.RebuildEngine(nodes)
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchfix.RunResync(b, eng, ov)
+	benchfix.RunRebuild(b, eng, ov)
 }
 
-func BenchmarkOpResyncCutover2k(b *testing.B)  { benchResyncCutover(b, 2000) }
-func BenchmarkOpResyncCutover8k(b *testing.B)  { benchResyncCutover(b, 8000) }
-func BenchmarkOpResyncCutover32k(b *testing.B) { benchResyncCutover(b, 32000) }
+func BenchmarkOpRebuild2k(b *testing.B)  { benchRebuild(b, 2000) }
+func BenchmarkOpRebuild8k(b *testing.B)  { benchRebuild(b, 8000) }
+func BenchmarkOpRebuild32k(b *testing.B) { benchRebuild(b, 32000) }
 
 // topoBenchSession builds the topology-bench fixture: a session over the
 // standard 2000-node social graph with the given topo query registered,

@@ -179,39 +179,17 @@ func (d *durableState) noteTime(events []Event, advanceTo int64) {
 	casMax(&d.lastExpire, advanceTo)
 }
 
-// contentOnly filters a WriteBatch batch down to its content writes — the
-// skip-structural rule, applied BEFORE the shared apply path so what is
-// logged, applied and later replayed is one and the same batch. The
-// all-writes common case returns events unchanged (no allocation).
-func contentOnly(events []Event) []Event {
-	for i, ev := range events {
-		if ev.Kind != graph.ContentWrite {
-			out := make([]Event, 0, len(events)-1)
-			out = append(out, events[:i]...)
-			for _, ev := range events[i+1:] {
-				if ev.Kind == graph.ContentWrite {
-					out = append(out, ev)
-				}
-			}
-			return out
-		}
-	}
-	return events
-}
-
 // queryRecord is the serialized form of a durable query registration: the
 // plain-value spec plus the serializable compile options. Queries whose
 // options cannot be serialized (custom Neighborhood functions, explicit
 // per-node frequencies) register normally but are not durable — they
 // silently don't survive recovery; Query.Durable reports which.
 type queryRecord struct {
-	ID          int       `json:"id"`
-	Spec        QuerySpec `json:"spec"`
-	Algorithm   string    `json:"algorithm,omitempty"`
-	Mode        string    `json:"mode,omitempty"`
-	Iterations  int       `json:"iterations,omitempty"`
-	SplitNodes  bool      `json:"split_nodes,omitempty"`
-	MaxReadCost float64   `json:"max_read_cost,omitempty"`
+	ID         int       `json:"id"`
+	Spec       QuerySpec `json:"spec"`
+	Algorithm  string    `json:"algorithm,omitempty"`
+	Mode       string    `json:"mode,omitempty"`
+	Iterations int       `json:"iterations,omitempty"`
 }
 
 // encodeQueryRecord serializes a registration; ok is false when the
@@ -223,7 +201,6 @@ func encodeQueryRecord(id int, spec QuerySpec, o Options) ([]byte, bool) {
 	blob, err := json.Marshal(queryRecord{
 		ID: id, Spec: spec,
 		Algorithm: o.Algorithm, Mode: o.Mode, Iterations: o.Iterations,
-		SplitNodes: o.SplitNodes, MaxReadCost: o.MaxReadCost,
 	})
 	if err != nil {
 		return nil, false
@@ -231,14 +208,18 @@ func encodeQueryRecord(id int, spec QuerySpec, o Options) ([]byte, bool) {
 	return blob, true
 }
 
+// decodeQueryRecord refuses a field it does not know: a record naming an
+// option this build cannot honour would otherwise register a query that
+// compiles differently from the one that was logged.
 func decodeQueryRecord(blob []byte) (int, QuerySpec, Options, error) {
 	var qr queryRecord
-	if err := json.Unmarshal(blob, &qr); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&qr); err != nil {
 		return 0, QuerySpec{}, Options{}, fmt.Errorf("eagr: decode query record: %w", err)
 	}
 	return qr.ID, qr.Spec, Options{
 		Algorithm: qr.Algorithm, Mode: qr.Mode, Iterations: qr.Iterations,
-		SplitNodes: qr.SplitNodes, MaxReadCost: qr.MaxReadCost,
 	}, nil
 }
 

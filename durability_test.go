@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -191,8 +192,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 // a durable session must read as brute force predicts — and must STILL
 // read so after SimulateCrash + OpenDurable. Replay goes through the same
 // apply function, so this is what proves the one durability fork logs
-// exactly what each view applies (including WriteBatch's skipped decoy,
-// which must not reach the WAL).
+// exactly what each view applies.
 func TestDurableEntryPointsRecover(t *testing.T) {
 	const nodes = 48
 	opts := Options{Algorithm: "iob"}
@@ -755,5 +755,88 @@ func TestDurableBatchIsOneWriteOneSync(t *testing.T) {
 		if res, err := q.Read(0); err != nil || res.Scalar > int64(2*(round+1)) {
 			t.Fatalf("round %d: read = %v, %v; earlier rounds' values must have expired", round, res, err)
 		}
+	}
+}
+
+// TestCompatKeyGolden pins compatKey's output byte for byte. The full key is
+// persisted as every checkpoint's window-group key (wal.GroupWindows.Key) and
+// recovery injects windows only into a group it finds under that key, so a
+// key that moves strands every checkpointed window.
+func TestCompatKeyGolden(t *testing.T) {
+	cases := []struct {
+		spec         QuerySpec
+		opts         Options
+		full, family string
+	}{
+		{QuerySpec{Aggregate: "sum"}, Options{},
+			"agg=sum|wc=1|wt=0|cont=false|alg=|mode=dataflow|it=10|split=false|mrc=0|nbr=in-1hop",
+			"agg=sum|wc=1|wt=0|cont=false|alg=|mode=dataflow|it=10|split=false|mrc=0"},
+		{QuerySpec{Aggregate: "sum", Hops: 2}, Options{},
+			"agg=sum|wc=1|wt=0|cont=false|alg=|mode=dataflow|it=10|split=false|mrc=0|nbr=in-2hop",
+			"agg=sum|wc=1|wt=0|cont=false|alg=|mode=dataflow|it=10|split=false|mrc=0"},
+		{QuerySpec{Aggregate: "max", WindowTuples: 4}, Options{},
+			"agg=max|wc=4|wt=0|cont=false|alg=|mode=dataflow|it=10|split=false|mrc=0|nbr=in-1hop",
+			"agg=max|wc=4|wt=0|cont=false|alg=|mode=dataflow|it=10|split=false|mrc=0"},
+		{QuerySpec{Aggregate: "count", WindowTime: 40}, Options{},
+			"agg=count|wc=0|wt=40|cont=false|alg=|mode=dataflow|it=10|split=false|mrc=0|nbr=in-1hop",
+			"agg=count|wc=0|wt=40|cont=false|alg=|mode=dataflow|it=10|split=false|mrc=0"},
+		{QuerySpec{}, Options{},
+			"agg=sum|wc=1|wt=0|cont=false|alg=|mode=dataflow|it=10|split=false|mrc=0|nbr=in-1hop",
+			"agg=sum|wc=1|wt=0|cont=false|alg=|mode=dataflow|it=10|split=false|mrc=0"},
+		{QuerySpec{Aggregate: "topk(3)", Continuous: true}, Options{Mode: "all-pull"},
+			"agg=topk(3)|wc=1|wt=0|cont=true|alg=|mode=all-push|it=10|split=false|mrc=0|nbr=in-1hop",
+			"agg=topk(3)|wc=1|wt=0|cont=true|alg=|mode=all-push|it=10|split=false|mrc=0"},
+		{QuerySpec{Aggregate: "sum", WindowTuples: 2}, Options{Algorithm: "vnma", Mode: "greedy", Iterations: 6},
+			"agg=sum|wc=2|wt=0|cont=false|alg=vnma|mode=greedy|it=6|split=false|mrc=0|nbr=in-1hop",
+			"agg=sum|wc=2|wt=0|cont=false|alg=vnma|mode=greedy|it=6|split=false|mrc=0"},
+		{QuerySpec{Aggregate: "sum"}, Options{Neighborhood: KHop(2)},
+			"agg=sum|wc=1|wt=0|cont=false|alg=|mode=dataflow|it=10|split=false|mrc=0|nbr=in-2hop",
+			"agg=sum|wc=1|wt=0|cont=false|alg=|mode=dataflow|it=10|split=false|mrc=0"},
+	}
+	for i, c := range cases {
+		full, family := compatKey(c.spec, c.opts)
+		if full != c.full || family != c.family {
+			t.Errorf("case %d %+v %+v:\n got (%q, %q)\nwant (%q, %q)", i, c.spec, c.opts, full, family, c.full, c.family)
+		}
+	}
+}
+
+// TestRecoveryRefusesUnknownQueryField: a logged registration carrying a
+// field this build has no option for cannot be honoured, so recovery stops
+// at that record and names the field instead of registering a query that
+// compiles differently from the one that was logged.
+func TestRecoveryRefusesUnknownQueryField(t *testing.T) {
+	for _, field := range []string{`"split_nodes":true`, `"max_read_cost":0.5`} {
+		t.Run(field, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _, err := OpenDurable(ring(4), DurabilityOptions{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = s.SimulateCrash()
+			osfs, err := wal.NewOsFS(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log, err := wal.Open(osfs, wal.Options{Policy: wal.SyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := log.AppendRegister(1, []byte(`{"id":1,"spec":{"Aggregate":"sum"},`+field+`}`)); err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			name, _, _ := strings.Cut(field[1:], `"`)
+			s2, _, err := OpenDurable(nil, DurabilityOptions{Dir: dir})
+			if err == nil {
+				s2.CloseDurability()
+				t.Fatalf("recovered a record with %s; want an error naming the field", field)
+			}
+			if !strings.Contains(err.Error(), name) {
+				t.Fatalf("recovery error %q does not name %q", err, name)
+			}
+		})
 	}
 }

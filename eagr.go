@@ -190,8 +190,6 @@ type Options struct {
 	Mode string
 	// Iterations for overlay construction (default 10).
 	Iterations int
-	// SplitNodes enables partial pre-computation by node splitting.
-	SplitNodes bool
 	// ReadFreq/WriteFreq, when non-nil, give expected per-node read and
 	// write frequencies for the dataflow decisions. Queries with explicit
 	// frequencies never share compiled state.
@@ -199,10 +197,6 @@ type Options struct {
 	// Neighborhood overrides QuerySpec.Hops with a custom neighborhood
 	// function (e.g. a Filtered neighborhood).
 	Neighborhood Neighborhood
-	// MaxReadCost, when positive, bounds every reader's estimated
-	// on-demand read cost (in cost-model units); pull subtrees over the
-	// bound are pre-computed instead.
-	MaxReadCost float64
 	// Autotune, when non-nil, starts the session's self-driving adaptivity
 	// controller (see AutotuneOptions and WithAutotune). It is a
 	// session-level setting: only the Options value passed to Open (or
@@ -502,10 +496,12 @@ func compatKey(spec QuerySpec, o Options) (full, family string) {
 		// continuous queries would not share.
 		mode = string(core.ModeAllPush)
 	}
-	family = fmt.Sprintf("agg=%s|wc=%d|wt=%d|cont=%t|alg=%s|mode=%s|it=%d|split=%t|mrc=%g",
+	// The constant "|split=false|mrc=0" segment names two options that no
+	// longer exist; it stays because the full key is persisted as every
+	// checkpoint's window-group key.
+	family = fmt.Sprintf("agg=%s|wc=%d|wt=%d|cont=%t|alg=%s|mode=%s|it=%d|split=false|mrc=0",
 		specOrDefault(spec.Aggregate, "sum"), wc, spec.WindowTime,
-		spec.Continuous, o.Algorithm, mode,
-		it, o.SplitNodes, o.MaxReadCost)
+		spec.Continuous, o.Algorithm, mode, it)
 	return family + "|nbr=" + nbr, family
 }
 
@@ -527,7 +523,7 @@ func (s *Session) Write(v NodeID, value int64, ts int64) error {
 
 // Event is a single element of the combined data stream (§2.1): one
 // interleaved sequence of content writes and structural changes, ingested
-// with ApplyBatch, an Ingestor, or the content-only WriteBatch.
+// with ApplyBatch or an Ingestor.
 type Event = graph.Event
 
 // NewWrite builds a content-write event: node v appends value to its
@@ -560,8 +556,8 @@ func NewNodeRemove(v NodeID, ts int64) Event {
 
 // apply is the one path every mutation of content, structure or time takes
 // from the public API to the engines: a batch of events and the watermark
-// the batch closes (graph.NoAdvance = it closes no time). Write, WriteBatch,
-// ApplyBatch, ApplyBatchNodes, the four structural mutators, ExpireAll (no
+// the batch closes (graph.NoAdvance = it closes no time). Write, ApplyBatch,
+// ApplyBatchNodes, the four structural mutators, ExpireAll (no
 // events), the Ingestor's apply stage and recovery's replay are all views of
 // it. It owns the only durability fork — on a durable session the batch and
 // its advance are WAL-appended together and then applied under one hold of
@@ -629,17 +625,6 @@ func (s *Session) ApplyBatch(events []Event) error {
 // should allocate through ApplyBatchNodes or AddNode first.)
 func (s *Session) ApplyBatchNodes(events []Event) ([]NodeID, error) {
 	return s.apply(events, graph.NoAdvance)
-}
-
-// WriteBatch is the content-only view of ApplyBatch: non-write events are
-// skipped instead of applied (and, on a durable session, never logged, so
-// the record replays with identical effect). Updates keep their batch
-// order and apply serially on the calling goroutine; for multi-core
-// content ingest use an Ingestor, or call WriteBatch from several
-// goroutines with disjoint node sets.
-func (s *Session) WriteBatch(events []Event) error {
-	_, err := s.apply(contentOnly(events), graph.NoAdvance)
-	return err
 }
 
 // ExpireAll advances every query's time-based windows to ts, propagating

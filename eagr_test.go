@@ -185,14 +185,5 @@ func (p *firstPAO) AddValue(int64)    { p.n++ }
 func (p *firstPAO) RemoveValue(int64) { p.n-- }
 func (p *firstPAO) Merge(o PAO)       { p.n += o.(*firstPAO).n }
 func (p *firstPAO) Unmerge(o PAO)     { p.n -= o.(*firstPAO).n }
-func (p *firstPAO) Replace(old, new PAO) {
-	if old != nil {
-		p.Unmerge(old)
-	}
-	if new != nil {
-		p.Merge(new)
-	}
-}
-func (p *firstPAO) Finalize() Result { return Result{Scalar: 42, Valid: p.n > 0} }
-func (p *firstPAO) Reset()           { p.n = 0 }
-func (p *firstPAO) Clone() PAO       { c := *p; return &c }
+func (p *firstPAO) Finalize() Result  { return Result{Scalar: 42, Valid: p.n > 0} }
+func (p *firstPAO) Reset()            { p.n = 0 }

@@ -81,7 +81,7 @@ func TestWriteBatchThroughFacade(t *testing.T) {
 		NewWrite(3, 30, 2),
 		NewWrite(1, 10, 3), // overwrites 99
 	}
-	if err := sess.WriteBatch(batch); err != nil {
+	if err := sess.ApplyBatch(batch); err != nil {
 		t.Fatal(err)
 	}
 	got, err := q.Read(0)
@@ -99,30 +99,6 @@ func TestKHopHelper(t *testing.T) {
 	}
 	if KHop(2).Name() != "in-2hop" {
 		t.Fatal("KHop(2) should be 2-hop")
-	}
-}
-
-func TestMaxReadCostThroughFacade(t *testing.T) {
-	g := ring(12)
-	write := make([]float64, g.MaxID())
-	read := make([]float64, g.MaxID())
-	for i := range write {
-		write[i] = 1000 // write-heavy: unconstrained optimum is pull
-		read[i] = 0.001
-	}
-	sess, q := one(t, g, QuerySpec{Aggregate: "sum"},
-		Options{Algorithm: "vnma", WriteFreq: write, ReadFreq: read, MaxReadCost: 0.5})
-	for i := 0; i < 12; i++ {
-		if err := sess.Write(NodeID(i), 1, int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := q.Read(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Scalar != 2 {
-		t.Fatalf("bounded-latency read = %v, want 2", got)
 	}
 }
 

@@ -515,13 +515,11 @@ func (p *poisonPAO) AddValue(v int64) {
 	}
 	p.n++
 }
-func (p *poisonPAO) RemoveValue(int64)    { p.n-- }
-func (p *poisonPAO) Merge(o PAO)          { p.n += o.(*poisonPAO).n }
-func (p *poisonPAO) Unmerge(o PAO)        { p.n -= o.(*poisonPAO).n }
-func (p *poisonPAO) Replace(old, new PAO) { p.Unmerge(old); p.Merge(new) }
-func (p *poisonPAO) Finalize() Result     { return Result{Scalar: p.n, Valid: p.n > 0} }
-func (p *poisonPAO) Reset()               { p.n = 0 }
-func (p *poisonPAO) Clone() PAO           { c := *p; return &c }
+func (p *poisonPAO) RemoveValue(int64) { p.n-- }
+func (p *poisonPAO) Merge(o PAO)       { p.n += o.(*poisonPAO).n }
+func (p *poisonPAO) Unmerge(o PAO)     { p.n -= o.(*poisonPAO).n }
+func (p *poisonPAO) Finalize() Result  { return Result{Scalar: p.n, Valid: p.n > 0} }
+func (p *poisonPAO) Reset()            { p.n = 0 }
 
 // TestIngestorSurvivesApplyPanic: a panic out of Session.ApplyBatch on the
 // goroutine holding the apply token reaches that goroutine's caller, but

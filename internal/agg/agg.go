@@ -1,8 +1,15 @@
 // Package agg implements EAGr's aggregation framework (paper §2.2): partial
-// aggregate objects (PAOs), the user-defined aggregate API
-// (INITIALIZE/UPDATE/FINALIZE plus the MERGE capability the overlay needs),
-// the built-in aggregates SUM, COUNT, AVG, MIN, MAX, TOP-K and DISTINCT, and
-// per-writer sliding windows.
+// aggregate objects (PAOs), the user-defined aggregate API, the built-in
+// aggregates SUM, COUNT, AVG, MIN, MAX, TOP-K and DISTINCT, and per-writer
+// sliding windows.
+//
+// A PAO has the six methods the engine calls: AddValue, RemoveValue, Merge,
+// Unmerge, Finalize and Reset. The paper's INITIALIZE is Aggregate.NewPAO and
+// its FINALIZE is Finalize. Its UPDATE(PAO, PAO_old, PAO_new) is never called
+// as such: the engine pushes the raw delta of a change downstream, so an
+// update reaches every push PAO it affects as RemoveValue of the value that
+// left and AddValue of the value that arrived, and a pull evaluation builds
+// its answer by Merge and Unmerge of its inputs' PAOs.
 package agg
 
 import (
@@ -56,17 +63,12 @@ type Properties struct {
 	// (SUM, COUNT, AVG, TOP-K). Such aggregates admit negative edges
 	// (VNM_N).
 	Subtractable bool
-	// Holistic is true when the aggregate cannot be decomposed exactly
-	// into bounded-size partial states (TOP-K as a generalization of
-	// mode). Sharing still applies, but partial states may grow with the
-	// input (paper §2.1 "Scope of the Approach").
-	Holistic bool
 }
 
 // PAO is a partial aggregate object: the state maintained at an overlay node
 // (paper §2.2.2). A PAO aggregates some subset of the inputs; PAOs combine
-// by Merge, and are incrementally maintained by Replace when an upstream
-// PAO's value changes.
+// by Merge, and are incrementally maintained by the raw values an upstream
+// change adds and removes.
 //
 // PAOs are not safe for concurrent use; the execution engine synchronizes
 // access per overlay node.
@@ -84,17 +86,10 @@ type PAO interface {
 	// Subtractable or the implementation tracks contributions as a
 	// multiset (MIN/MAX).
 	Unmerge(other PAO)
-	// Replace updates this PAO given that one contribution changed from
-	// old to new — the UPDATE(PAO, PAO_old, PAO_new) call of the paper's
-	// user-defined aggregate API.
-	Replace(old, new PAO)
 	// Finalize computes the final answer from this PAO.
 	Finalize() Result
 	// Reset clears the PAO back to its initialized state.
 	Reset()
-	// Clone returns a deep copy (used to snapshot push-side state for
-	// consistent pulls).
-	Clone() PAO
 }
 
 // Aggregate is the aggregate function F of a query. Implementations provide
@@ -171,17 +166,6 @@ type ScalarAggregate interface {
 	// FinalizeScalar computes the final answer from the (sum, n) state,
 	// mirroring what the aggregate's PAO Finalize would return.
 	FinalizeScalar(sum, n int64) Result
-}
-
-// replaceViaUnmerge is the default UPDATE implementation shared by the
-// built-ins: remove the old contribution, add the new one.
-func replaceViaUnmerge(p PAO, old, new PAO) {
-	if old != nil {
-		p.Unmerge(old)
-	}
-	if new != nil {
-		p.Merge(new)
-	}
 }
 
 // sortInt64 sorts a slice ascending.

@@ -63,7 +63,7 @@ func (ApproxTopK) Name() string { return "topk~" }
 // Props implements Aggregate: linear sketches subtract exactly, so negative
 // edges are legal; the result itself is approximate.
 func (ApproxTopK) Props() Properties {
-	return Properties{Subtractable: true, Holistic: true}
+	return Properties{Subtractable: true}
 }
 
 // NewPAO implements Aggregate.
@@ -169,8 +169,6 @@ func (p *cmPAO) Unmerge(other PAO) {
 	}
 }
 
-func (p *cmPAO) Replace(old, new PAO) { replaceViaUnmerge(p, old, new) }
-
 // Finalize returns the k candidates with the highest estimated
 // frequencies, most frequent first (ties toward smaller values).
 func (p *cmPAO) Finalize() Result {
@@ -209,18 +207,6 @@ func (p *cmPAO) Reset() {
 	p.cand = nil
 }
 
-func (p *cmPAO) Clone() PAO {
-	c := &cmPAO{k: p.k, width: p.width, depth: p.depth, maxCand: p.maxCand}
-	if p.cells != nil {
-		c.cells = append([]int64(nil), p.cells...)
-		c.cand = make(map[int64]struct{}, len(p.cand))
-		for v := range p.cand {
-			c.cand[v] = struct{}{}
-		}
-	}
-	return c
-}
-
 // ApproxDistinct approximates the number of distinct values with a counting
 // Bloom filter of M counters and K hash rows, read out with the
 // linear-counting estimator n ≈ -(M/K)·ln(V) where V is the fraction of
@@ -250,7 +236,7 @@ func (ApproxDistinct) Name() string { return "distinct~" }
 // counts the counters, so multi-path (VNM_D) overlays are illegal —
 // unlike the exact Distinct, whose set semantics tolerate them.
 func (ApproxDistinct) Props() Properties {
-	return Properties{Subtractable: true, Holistic: true}
+	return Properties{Subtractable: true}
 }
 
 // NewPAO implements Aggregate.
@@ -306,8 +292,6 @@ func (p *cbfPAO) Unmerge(other PAO) {
 	p.items -= o.items
 }
 
-func (p *cbfPAO) Replace(old, new PAO) { replaceViaUnmerge(p, old, new) }
-
 // Finalize applies linear counting over the zero-counter fraction.
 func (p *cbfPAO) Finalize() Result {
 	if p.items <= 0 || p.counters == nil {
@@ -334,14 +318,6 @@ func (p *cbfPAO) Finalize() Result {
 func (p *cbfPAO) Reset() {
 	p.counters = nil
 	p.items = 0
-}
-
-func (p *cbfPAO) Clone() PAO {
-	c := &cbfPAO{m: p.m, k: p.k, items: p.items}
-	if p.counters != nil {
-		c.counters = append([]int32(nil), p.counters...)
-	}
-	return c
 }
 
 // ln is a minimal natural logarithm via the math package; isolated here so

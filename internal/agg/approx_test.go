@@ -242,17 +242,3 @@ func TestApproxAggregatesRegistered(t *testing.T) {
 		t.Fatal("topk~ parameter not applied")
 	}
 }
-
-func TestApproxClonesIndependent(t *testing.T) {
-	for _, a := range []Aggregate{ApproxTopK{K: 2}, ApproxDistinct{M: 256}, StdDev{}} {
-		p := a.NewPAO()
-		p.AddValue(1)
-		c := p.Clone()
-		for i := 0; i < 50; i++ {
-			c.AddValue(int64(100 + i))
-		}
-		if p.Finalize().Eq(c.Finalize()) {
-			t.Fatalf("%s: clone shares state", a.Name())
-		}
-	}
-}

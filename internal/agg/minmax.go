@@ -1,7 +1,5 @@
 package agg
 
-import "slices"
-
 // Max is the built-in MAX aggregate. It is duplicate-insensitive, so
 // overlays with multiple writer→reader paths (VNM_D) are legal. Incremental
 // maintenance uses a lazy-deletion priority queue over contributions, giving
@@ -43,7 +41,7 @@ func (Min) Better(a, b int64) bool { return a < b }
 // extremumPAO maintains a multiset of contributions. Each Merge of an
 // upstream PAO contributes that PAO's current extremum as one multiset
 // element; Unmerge removes it. Raw values at writer nodes are elements
-// themselves. This supports windows and incremental Replace in O(log k)
+// themselves. This supports windows and incremental updates in O(log k)
 // amortized.
 //
 // How the best is found depends on the size of the counts table, never on a
@@ -229,10 +227,6 @@ func (p *extremumPAO) Unmerge(other PAO) {
 	}
 }
 
-// Replace swaps an upstream contribution: old's extremum out, new's in.
-// Callers must pass old as a snapshot taken before the upstream changed.
-func (p *extremumPAO) Replace(old, new PAO) { replaceViaUnmerge(p, old, new) }
-
 func (p *extremumPAO) Finalize() Result {
 	v, ok := p.Best()
 	return Result{Scalar: v, Valid: ok}
@@ -244,8 +238,4 @@ func (p *extremumPAO) Reset() {
 	p.counts.clear()
 	p.heap = p.heap[:0]
 	p.size = 0
-}
-
-func (p *extremumPAO) Clone() PAO {
-	return &extremumPAO{max: p.max, size: p.size, best: p.best, counts: p.counts.clone(), heap: slices.Clone(p.heap)}
 }

@@ -237,14 +237,6 @@ func (m *multiset) clear() {
 	}
 }
 
-// clone returns an independent copy. The seed is per process, so a copied
-// slot array is a valid table as it stands.
-func (m *multiset) clone() multiset {
-	c := *m
-	c.slots = slices.Clone(m.slots)
-	return c
-}
-
 // pairs flattens the multiset into parallel arrays, values ascending, so
 // the same state always serializes to the same bytes.
 func (m *multiset) pairs() (vals, freqs []int64) {

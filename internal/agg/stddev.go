@@ -51,8 +51,6 @@ func (p *stddevPAO) Unmerge(other PAO) {
 	p.sumSq -= o.sumSq
 }
 
-func (p *stddevPAO) Replace(old, new PAO) { replaceViaUnmerge(p, old, new) }
-
 func (p *stddevPAO) Finalize() Result {
 	if p.n <= 0 {
 		return Result{}
@@ -66,5 +64,3 @@ func (p *stddevPAO) Finalize() Result {
 }
 
 func (p *stddevPAO) Reset() { *p = stddevPAO{} }
-
-func (p *stddevPAO) Clone() PAO { c := *p; return &c }

@@ -37,15 +37,11 @@ func (p *sumPAO) Unmerge(other PAO) {
 	p.n -= o.n
 }
 
-func (p *sumPAO) Replace(old, new PAO) { replaceViaUnmerge(p, old, new) }
-
 func (p *sumPAO) Finalize() Result {
 	return Result{Scalar: p.sum, Valid: p.n > 0}
 }
 
 func (p *sumPAO) Reset() { *p = sumPAO{} }
-
-func (p *sumPAO) Clone() PAO { c := *p; return &c }
 
 // Count is the built-in COUNT aggregate (counts raw values in the window).
 type Count struct{}
@@ -66,14 +62,12 @@ type countPAO struct {
 	n int64
 }
 
-func (p *countPAO) AddValue(int64)     { p.n++ }
-func (p *countPAO) RemoveValue(int64)  { p.n-- }
-func (p *countPAO) Merge(other PAO)    { p.n += other.(*countPAO).n }
-func (p *countPAO) Unmerge(other PAO)  { p.n -= other.(*countPAO).n }
-func (p *countPAO) Replace(old, n PAO) { replaceViaUnmerge(p, old, n) }
-func (p *countPAO) Finalize() Result   { return Result{Scalar: p.n, Valid: true} }
-func (p *countPAO) Reset()             { p.n = 0 }
-func (p *countPAO) Clone() PAO         { c := *p; return &c }
+func (p *countPAO) AddValue(int64)    { p.n++ }
+func (p *countPAO) RemoveValue(int64) { p.n-- }
+func (p *countPAO) Merge(other PAO)   { p.n += other.(*countPAO).n }
+func (p *countPAO) Unmerge(other PAO) { p.n -= other.(*countPAO).n }
+func (p *countPAO) Finalize() Result  { return Result{Scalar: p.n, Valid: true} }
+func (p *countPAO) Reset()            { p.n = 0 }
 
 // Avg is the built-in AVG aggregate, maintained as (sum, count) — the
 // canonical algebraic aggregate. Finalize returns the integer average.
@@ -116,8 +110,6 @@ func (p *avgPAO) Unmerge(other PAO) {
 	p.n -= o.n
 }
 
-func (p *avgPAO) Replace(old, new PAO) { replaceViaUnmerge(p, old, new) }
-
 func (p *avgPAO) Finalize() Result {
 	if p.n == 0 {
 		return Result{}
@@ -126,5 +118,3 @@ func (p *avgPAO) Finalize() Result {
 }
 
 func (p *avgPAO) Reset() { *p = avgPAO{} }
-
-func (p *avgPAO) Clone() PAO { c := *p; return &c }

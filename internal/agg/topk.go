@@ -16,7 +16,7 @@ func (t TopK) Name() string { return "topk" }
 
 // Props implements Aggregate.
 func (t TopK) Props() Properties {
-	return Properties{Subtractable: true, Holistic: true}
+	return Properties{Subtractable: true}
 }
 
 // NewPAO implements Aggregate.
@@ -204,8 +204,6 @@ func (p *topkPAO) fold(o *topkPAO, sign int64) {
 	p.total += sign * o.total
 }
 
-func (p *topkPAO) Replace(old, new PAO) { replaceViaUnmerge(p, old, new) }
-
 // Finalize returns the k most frequent values, most frequent first; ties
 // break toward the smaller value for determinism.
 func (p *topkPAO) Finalize() Result { return p.FinalizeInto(nil) }
@@ -275,12 +273,6 @@ func (p *topkPAO) Reset() {
 	p.armed = false
 }
 
-// Clone copies the frequencies, not the head: the copy refills on its first
-// finalize.
-func (p *topkPAO) Clone() PAO {
-	return &topkPAO{k: p.k, lim: p.lim, total: p.total, freq: p.freq.clone()}
-}
-
 // Distinct is the built-in DISTINCT (UNIQUE) aggregate: the number of
 // distinct values among the inputs. It is duplicate-insensitive under set
 // semantics; our exact implementation tracks multiplicities so windows can
@@ -294,7 +286,7 @@ func (Distinct) Name() string { return "distinct" }
 
 // Props implements Aggregate.
 func (Distinct) Props() Properties {
-	return Properties{DuplicateInsensitive: true, Holistic: true}
+	return Properties{DuplicateInsensitive: true}
 }
 
 // NewPAO implements Aggregate.
@@ -315,13 +307,9 @@ func (p *distinctPAO) Merge(other PAO) { p.freq.merge(&other.(*distinctPAO).freq
 
 func (p *distinctPAO) Unmerge(other PAO) { p.freq.merge(&other.(*distinctPAO).freq, -1) }
 
-func (p *distinctPAO) Replace(old, new PAO) { replaceViaUnmerge(p, old, new) }
-
 func (p *distinctPAO) Finalize() Result {
 	return Result{Scalar: int64(p.freq.pos), Valid: true}
 }
 
 // Reset clears the frequencies in place (slots retained for pooled reuse).
 func (p *distinctPAO) Reset() { p.freq.clear() }
-
-func (p *distinctPAO) Clone() PAO { return &distinctPAO{freq: p.freq.clone()} }

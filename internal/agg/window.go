@@ -15,9 +15,6 @@ type Window interface {
 	Expire(pao PAO, ts int64)
 	// Len returns the number of values currently in the window.
 	Len() int
-	// Values returns the in-window values, oldest first. The slice is
-	// freshly allocated.
-	Values() []int64
 	// Snapshot appends the in-window (value, timestamp) pairs to dst,
 	// oldest first, and returns the extended slice. Every built-in window
 	// retains a contiguous suffix of its writer's insertion sequence, which
@@ -84,15 +81,6 @@ func (w *TupleWindow) NextExpiry() (int64, bool) { return 0, false }
 
 // Len implements Window.
 func (w *TupleWindow) Len() int { return w.n }
-
-// Values implements Window.
-func (w *TupleWindow) Values() []int64 {
-	out := make([]int64, w.n)
-	for i := 0; i < w.n; i++ {
-		out[i] = w.ring[(w.head+i)%w.C]
-	}
-	return out
-}
 
 // Snapshot implements Window.
 func (w *TupleWindow) Snapshot(dst []WindowEntry) []WindowEntry {
@@ -198,15 +186,6 @@ func (w *TimeWindow) NextExpiry() (int64, bool) {
 
 // Len implements Window.
 func (w *TimeWindow) Len() int { return w.n }
-
-// Values implements Window.
-func (w *TimeWindow) Values() []int64 {
-	out := make([]int64, w.n)
-	for i := range out {
-		out[i] = w.buf[w.slot(i)].v
-	}
-	return out
-}
 
 // Snapshot implements Window.
 func (w *TimeWindow) Snapshot(dst []WindowEntry) []WindowEntry {

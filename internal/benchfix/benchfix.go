@@ -502,14 +502,14 @@ func RunSystemMixed(b *testing.B, sys *core.System, events []graph.Event) {
 	}
 }
 
-// ResyncEngine builds the fixture behind OpResyncCutover*: a social graph of
+// RebuildEngine builds the fixture behind OpRebuild*: a social graph of
 // the given size compiled to the baseline overlay with dataflow-optimal
 // decisions, pre-loaded with one pass of writes so an install seeds real
 // push state. The measured op — exec.Engine.Rebuild on the installed overlay
 // — is the whole snapshot transition the autotune controller's re-plan path
 // and every structural repair lean on; running it at three sizes charts its
 // latency against overlay size.
-func ResyncEngine(nodes int) (*exec.Engine, *overlay.Overlay, error) {
+func RebuildEngine(nodes int) (*exec.Engine, *overlay.Overlay, error) {
 	g := workload.SocialGraph(nodes, 8, 1)
 	ag := bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes)
 	ov := construct.Baseline(ag)
@@ -533,8 +533,8 @@ func ResyncEngine(nodes int) (*exec.Engine, *overlay.Overlay, error) {
 	return eng, ov, nil
 }
 
-// RunResync measures repeated installs of ov, the overlay eng already runs.
-func RunResync(b *testing.B, eng *exec.Engine, ov *overlay.Overlay) {
+// RunRebuild measures repeated installs of ov, the overlay eng already runs.
+func RunRebuild(b *testing.B, eng *exec.Engine, ov *overlay.Overlay) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

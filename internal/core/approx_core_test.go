@@ -7,9 +7,7 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/construct"
-	"repro/internal/dataflow"
 	"repro/internal/graph"
-	"repro/internal/overlay"
 )
 
 // TestApproxTopKThroughOverlay runs the approximate TOP-K end to end over a
@@ -102,42 +100,5 @@ func TestApproxDistinctThroughOverlay(t *testing.T) {
 			t.Fatalf("node %d: distinct~ = %d, exact = %d (rel err %.2f)",
 				v, got.Scalar, want.Scalar, rel)
 		}
-	}
-}
-
-// TestMaxReadCostOption verifies the latency-bounded compilation path.
-func TestMaxReadCostOption(t *testing.T) {
-	g := paperGraph()
-	// Write-heavy estimate: unconstrained optimum is pull-everywhere.
-	wl := dataflow.Uniform(g.MaxID(), 0.001, 1000)
-	unbounded, err := Compile(g, Query{Aggregate: agg.Sum{}},
-		Options{Algorithm: construct.AlgVNMA, Workload: wl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pulls := 0
-	unbounded.Overlay().ForEachNode(func(_ overlay.NodeRef, n *overlay.Node) {
-		if n.Kind == overlay.ReaderNode && n.Dec == overlay.Pull {
-			pulls++
-		}
-	})
-	if pulls == 0 {
-		t.Fatal("setup: expected pull readers under a write-heavy estimate")
-	}
-	bounded, err := Compile(paperGraph(), Query{Aggregate: agg.Sum{}},
-		Options{Algorithm: construct.AlgVNMA, Workload: wl, MaxReadCost: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounded.Overlay().ForEachNode(func(_ overlay.NodeRef, n *overlay.Node) {
-		if n.Kind == overlay.ReaderNode && n.Dec != overlay.Push {
-			t.Fatalf("reader %d still pull despite MaxReadCost", n.GID)
-		}
-	})
-	// Correctness after forced promotion.
-	writeFigure1(t, bounded)
-	got, _ := bounded.eng.Read(6)
-	if got.Scalar != 30 {
-		t.Fatalf("read(g) = %v, want 30", got)
 	}
 }

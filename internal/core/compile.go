@@ -144,10 +144,10 @@ func (s *System) buildOverlay() (*overlay.Overlay, error) {
 // copy is what buildOverlay would have produced, bit for bit. Nothing is
 // retained for this: the sibling's live overlay is the cache entry, valid
 // until the graph moves (minedAt) or anything restructures it (pristine —
-// cleared by afterMaintenance and by a compile that splits nodes; a system
-// that took a member has a stride and no shape to match). Callers hold the
-// MultiSystem mutex — every path that reaches buildOverlay does — so no two
-// systems ever wait on each other's mu here.
+// cleared by afterMaintenance; a system that took a member has a stride and
+// no shape to match). Callers hold the MultiSystem mutex — every path that
+// reaches buildOverlay does — so no two systems ever wait on each other's mu
+// here.
 func (s *System) cloneSibling() *overlay.Overlay {
 	if s.shape == (shape{}) || s.stride > 0 {
 		return nil
@@ -181,8 +181,7 @@ func (s *System) windowSizeHint() int {
 
 // decide annotates ov with dataflow decisions for the system's workload.
 func (s *System) decide(ov *overlay.Overlay) error {
-	wl := s.stridedWorkload(s.workloadOrUniform())
-	f, err := dataflow.ComputeFreqs(ov, wl, s.windowSizeHint())
+	f, err := dataflow.ComputeFreqs(ov, s.stridedWorkload(s.workloadOrUniform()), s.windowSizeHint())
 	if err != nil {
 		return err
 	}
@@ -196,23 +195,6 @@ func (s *System) decide(ov *overlay.Overlay) error {
 			return err
 		}
 	default:
-		if s.opts.MaxReadCost > 0 {
-			if _, err := dataflow.DecideLatencyBound(ov, f, s.cost, s.opts.MaxReadCost); err != nil {
-				return err
-			}
-		} else if _, err := dataflow.Decide(ov, f, s.cost); err != nil {
-			return err
-		}
-	}
-	if s.splitsNodes() {
-		if _, err := dataflow.SplitNodes(ov, f, s.cost); err != nil {
-			return err
-		}
-		// Splitting adds nodes; recompute frequencies and decisions.
-		f, err = dataflow.ComputeFreqs(ov, wl, s.windowSizeHint())
-		if err != nil {
-			return err
-		}
 		if _, err := dataflow.Decide(ov, f, s.cost); err != nil {
 			return err
 		}
@@ -220,17 +202,11 @@ func (s *System) decide(ov *overlay.Overlay) error {
 	return nil
 }
 
-// splitsNodes reports whether decide restructures the overlay it annotates
-// (§4.7 partial pre-computation).
-func (s *System) splitsNodes() bool {
-	return s.opts.SplitNodes && s.opts.Mode == ModeDataflow
-}
-
 // adopt makes ov — built at the graph's current version, decided, and
 // already what the engine executes — the system's overlay.
 func (s *System) adopt(ov *overlay.Overlay) {
 	s.ov = ov
-	s.minedAt, s.pristine = s.g.Version(), !s.splitsNodes()
+	s.minedAt, s.pristine = s.g.Version(), true
 	s.adaptor = dataflow.NewAdaptor(ov, s.cost)
 	// Incremental maintenance requires single-path, negative-edge-free
 	// overlays; when unavailable, structural updates fall back to

@@ -67,13 +67,6 @@ type Options struct {
 	// Workload supplies expected read/write frequencies; nil assumes a
 	// uniform 1:1 workload.
 	Workload *dataflow.Workload
-	// SplitNodes enables the partial pre-computation optimization (§4.7).
-	SplitNodes bool
-	// MaxReadCost, when positive, bounds every reader's estimated
-	// on-demand evaluation cost: pull subtrees exceeding it are promoted
-	// to push (latency-constrained optimization; flagged as future work
-	// in the paper's §4.3). Only applies to ModeDataflow.
-	MaxReadCost float64
 }
 
 // Baseline is the Algorithm value for the direct writer→reader overlay.

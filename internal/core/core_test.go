@@ -127,23 +127,6 @@ func TestModes(t *testing.T) {
 	}
 }
 
-func TestSplitNodesOption(t *testing.T) {
-	g := paperGraph()
-	wl := dataflow.Uniform(g.MaxID(), 1, 1)
-	// Make one writer hot so splitting is profitable somewhere.
-	wl.Write[0] = 500
-	s, err := Compile(g, Query{Aggregate: agg.Sum{}},
-		Options{Algorithm: Baseline, SplitNodes: true, Workload: wl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeFigure1(t, s)
-	got, _ := s.eng.Read(6)
-	if got.Scalar != 30 {
-		t.Fatalf("read(g) with splitting = %v, want 30", got)
-	}
-}
-
 func TestStructuralEdgeAddition(t *testing.T) {
 	g := paperGraph()
 	s, err := Compile(g, Query{Aggregate: agg.Sum{}},

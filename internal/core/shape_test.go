@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/construct"
-	"repro/internal/dataflow"
 	"repro/internal/graph"
 	"repro/internal/workload"
 )
@@ -142,7 +141,7 @@ func TestShapeCacheKeyedByStructuralVersion(t *testing.T) {
 }
 
 // TestShapeCacheNeverClonesTouchedSibling: an overlay that was repaired in
-// place (IOB), split (§4.7) or extended by a merge-family member is no
+// place (IOB) or extended by a merge-family member is no
 // longer what construction produces, and a same-shape registration mines.
 func TestShapeCacheNeverClonesTouchedSibling(t *testing.T) {
 	sum := Query{Aggregate: agg.Sum{}}
@@ -167,28 +166,6 @@ func TestShapeCacheNeverClonesTouchedSibling(t *testing.T) {
 		a2 := attach(t, m, "count", count, vnma)
 		assertMinedCloned(t, m, 2, 0, "registration beside a repaired sibling")
 		assertFreshMine(t, m, a2, count, vnma, "count")
-	})
-
-	t.Run("split", func(t *testing.T) {
-		m := NewMulti(shapeGraph())
-		// Reads outweigh writes except at a few hot writers, so hoisting a
-		// reader's cold inputs into a pushed partial pays somewhere.
-		wl := dataflow.Uniform(m.Graph().MaxID(), 5, 1)
-		for v := 0; v < len(wl.Write); v += 7 {
-			wl.Write[v] = 500
-		}
-		split := Options{SplitNodes: true, Workload: wl}
-		a1 := attach(t, m, "sum-split", sum, split)
-		a2 := attach(t, m, "count", count, Options{})
-		assertMinedCloned(t, m, 2, 0, "registration beside a split sibling")
-		assertFreshMine(t, m, a2, count, Options{}, "count")
-		if a1.System().Stats().Overlay.Partials == a2.System().Stats().Overlay.Partials {
-			t.Fatal("fixture: splitting added no node, a clone of the split overlay would have gone unnoticed")
-		}
-		// The other way round is a hit: the clone is split after the copy.
-		a3 := attach(t, m, "count-split", count, split)
-		assertMinedCloned(t, m, 2, 1, "split registration beside a pristine sibling")
-		assertFreshMine(t, m, a3, count, split, "count-split")
 	})
 
 	t.Run("member-extended", func(t *testing.T) {

@@ -8,7 +8,6 @@ package dataflow
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/agg"
 )
@@ -97,69 +96,6 @@ func ModelFor(a agg.Aggregate) CostModel {
 	default:
 		return ConstLinear{}
 	}
-}
-
-// Calibrate learns H() and L() empirically by invoking the aggregate for a
-// range of input counts (paper §4.2: "computed through a calibration
-// process"). It fits H(k) = a + b·log2(k) and L(k) = c·k by measuring
-// merge and finalize costs, and returns a calibrated model.
-func Calibrate(a agg.Aggregate, sizes []int, reps int) CostModel {
-	if len(sizes) == 0 {
-		sizes = []int{1, 4, 16, 64}
-	}
-	if reps <= 0 {
-		reps = 256
-	}
-	var pushPerOp, pullPerK float64
-	samples := 0
-	for _, k := range sizes {
-		if k < 1 {
-			continue
-		}
-		// Prepare k child PAOs.
-		children := make([]agg.PAO, k)
-		for i := range children {
-			children[i] = a.NewPAO()
-			children[i].AddValue(int64(i * 37))
-		}
-		parent := a.NewPAO()
-		for _, c := range children {
-			parent.Merge(c)
-		}
-		// Push: one Replace (incremental update) per rep.
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			old := children[r%k].Clone()
-			children[r%k].AddValue(int64(r))
-			parent.Replace(old, children[r%k])
-		}
-		pushDur := time.Since(start)
-		// Pull: merge all k children into a fresh PAO per rep.
-		start = time.Now()
-		for r := 0; r < reps; r++ {
-			p := a.NewPAO()
-			for _, c := range children {
-				p.Merge(c)
-			}
-			_ = p.Finalize()
-		}
-		pullDur := time.Since(start)
-		pushPerOp += float64(pushDur.Nanoseconds()) / float64(reps)
-		pullPerK += float64(pullDur.Nanoseconds()) / float64(reps) / float64(k)
-		samples++
-	}
-	if samples == 0 {
-		return ConstLinear{}
-	}
-	h := pushPerOp / float64(samples)
-	l := pullPerK / float64(samples)
-	if h <= 0 {
-		h = 1
-	}
-	if l <= 0 {
-		l = 1
-	}
-	return ConstLinear{H: h, L: l}
 }
 
 func orOne(x float64) float64 {

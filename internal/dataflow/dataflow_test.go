@@ -516,16 +516,6 @@ func TestModelFor(t *testing.T) {
 	}
 }
 
-func TestCalibrateProducesPositiveCosts(t *testing.T) {
-	m := Calibrate(agg.Sum{}, []int{1, 8}, 64)
-	if m.PushCost(4) <= 0 || m.PullCost(4) <= 0 {
-		t.Fatalf("calibrated costs non-positive: %v %v", m.PushCost(4), m.PullCost(4))
-	}
-	if m.PullCost(8) <= m.PullCost(1) {
-		t.Fatalf("calibrated pull cost not increasing in k")
-	}
-}
-
 func TestDecideAllBaselines(t *testing.T) {
 	ov, w, p, r := chainOverlay(t)
 	DecideAll(ov, overlay.Pull)

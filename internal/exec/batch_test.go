@@ -277,7 +277,7 @@ func TestCancelCommon(t *testing.T) {
 	}
 }
 
-// TestWriteBatchCoalescingUnderResync races batches against the snapshot
+// TestWriteBatchCoalescingUnderRebuild races batches against the snapshot
 // transition (run it under -race). Each trial races one Rebuild on the
 // installed overlay (two readers flip between push and pull) against
 // goroutines applying hot-writer batches, so a batch either applied wholly to
@@ -287,7 +287,7 @@ func TestCancelCommon(t *testing.T) {
 // trial, because an install rebuilds push state from the windows and would
 // heal what an earlier one broke: a folded delta lost or applied twice must
 // still be there when the trial checks.
-func TestWriteBatchCoalescingUnderResync(t *testing.T) {
+func TestWriteBatchCoalescingUnderRebuild(t *testing.T) {
 	trials := 300
 	if testing.Short() {
 		trials = 60
@@ -373,11 +373,11 @@ func checkAgainstWindows(t *testing.T, e *Engine, a agg.Aggregate, label string)
 		var fold func(ref overlay.NodeRef, neg bool)
 		fold = func(ref overlay.NodeRef, neg bool) {
 			if top.Kind[ref] == overlay.WriterNode {
-				for _, x := range st.windows[ref].Values() {
+				for _, en := range st.windows[ref].Snapshot(nil) {
 					if neg {
-						want.RemoveValue(x)
+						want.RemoveValue(en.V)
 					} else {
-						want.AddValue(x)
+						want.AddValue(en.V)
 					}
 				}
 				return

@@ -467,10 +467,8 @@ func (r *expiryRecorder) RemoveValue(v int64) {
 
 func (r *expiryRecorder) Merge(agg.PAO)        {}
 func (r *expiryRecorder) Unmerge(agg.PAO)      {}
-func (r *expiryRecorder) Replace(_, _ agg.PAO) {}
 func (r *expiryRecorder) Finalize() agg.Result { return agg.Result{} }
 func (r *expiryRecorder) Reset()               {}
-func (r *expiryRecorder) Clone() agg.PAO       { return nil }
 
 // readScratch is the pooled PAO arena of one non-scalar pull read: every
 // PAO the pull evaluation materializes comes from here, is Reset in place

@@ -286,7 +286,7 @@ func TestConcurrentWritesAndReads(t *testing.T) {
 	}
 }
 
-func TestResyncAfterDecisionFlip(t *testing.T) {
+func TestRebuildAfterDecisionFlip(t *testing.T) {
 	ag := paperAG()
 	ov := construct.Baseline(ag)
 	decide(t, ov, "pull")

@@ -303,9 +303,9 @@ func TestTupleWindowsNeverEnterExpiryHeap(t *testing.T) {
 }
 
 // TestExpiryIndexRepopulatesAcrossRecompile checks the index survives the
-// engine lifecycle the doc comment promises: entries live across Grow and
-// state rebuilds (shared nodeState cells), and a writer whose window
-// empties mid-stream re-registers on its next write.
+// engine lifecycle the doc comment promises: entries live across Rebuild
+// installs (shared nodeState cells), and a writer whose window empties
+// mid-stream re-registers on its next write.
 func TestExpiryIndexRepopulatesAcrossRecompile(t *testing.T) {
 	heap, scan := expiryPair(t, 10)
 	write := func(v graph.NodeID, val, ts int64) {

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -23,7 +22,7 @@ import (
 type evens struct{}
 
 func (evens) Name() string          { return "evens" }
-func (evens) Props() agg.Properties { return agg.Properties{Subtractable: true, Holistic: true} }
+func (evens) Props() agg.Properties { return agg.Properties{Subtractable: true} }
 func (evens) NewPAO() agg.PAO       { return &evensPAO{c: map[int64]int64{}} }
 
 type evensPAO struct{ c map[int64]int64 }
@@ -40,13 +39,11 @@ func (p *evensPAO) fold(o agg.PAO, sign int64) {
 	}
 }
 
-func (p *evensPAO) AddValue(v int64)         { p.add(v, 1) }
-func (p *evensPAO) RemoveValue(v int64)      { p.add(v, -1) }
-func (p *evensPAO) Merge(o agg.PAO)          { p.fold(o, 1) }
-func (p *evensPAO) Unmerge(o agg.PAO)        { p.fold(o, -1) }
-func (p *evensPAO) Replace(old, new agg.PAO) { p.Unmerge(old); p.Merge(new) }
-func (p *evensPAO) Reset()                   { clear(p.c) }
-func (p *evensPAO) Clone() agg.PAO           { return &evensPAO{c: maps.Clone(p.c)} }
+func (p *evensPAO) AddValue(v int64)    { p.add(v, 1) }
+func (p *evensPAO) RemoveValue(v int64) { p.add(v, -1) }
+func (p *evensPAO) Merge(o agg.PAO)     { p.fold(o, 1) }
+func (p *evensPAO) Unmerge(o agg.PAO)   { p.fold(o, -1) }
+func (p *evensPAO) Reset()              { clear(p.c) }
 
 func (p *evensPAO) Finalize() agg.Result {
 	var l []int64

@@ -91,9 +91,16 @@ func (e *Engine) Rebuild(ov *overlay.Overlay, window agg.Window, skip map[graph.
 	hits, misses := old.memoCounts()
 	e.memoHits.Add(hits)
 	e.memoMisses.Add(misses)
+	// One snapshot buffer and one value buffer serve every writer.
+	var snap []agg.WindowEntry
+	var vals []int64
 	for _, wref := range top.Writers {
 		win, ns := st.windows[wref], st.nodes[wref]
-		e.seedFromWindow(st, wref, win.Values())
+		snap, vals = win.Snapshot(snap[:0]), vals[:0]
+		for _, en := range snap {
+			vals = append(vals, en.V)
+		}
+		e.seedFromWindow(st, wref, vals)
 		deadline, ok := win.NextExpiry()
 		if ns.inExpiryHeap = ok; ok {
 			e.expiry.push(deadline, wref)

@@ -12,7 +12,7 @@ import (
 	"repro/internal/overlay"
 )
 
-// TestOnlineResyncUnderStorm drives the one snapshot transition end to end:
+// TestRebuildUnderStorm drives the one snapshot transition end to end:
 // while goroutines storm the engine with Write, batch and bare-advance
 // Apply, and Read traffic, the main goroutine repeatedly flips a reader's push/pull
 // decision and installs the result with Rebuild. Under -race this checks the
@@ -21,7 +21,7 @@ import (
 // window shape allows or expose half-seeded state), and a final quiesced
 // round asserts exact answers, proving no write was lost or double-applied
 // across any install.
-func TestOnlineResyncUnderStorm(t *testing.T) {
+func TestRebuildUnderStorm(t *testing.T) {
 	// indeg is each reader's input count in the paper's Figure 1 graph.
 	indeg := map[graph.NodeID]int64{0: 4, 1: 3, 2: 5, 3: 5, 4: 4, 5: 5, 6: 6}
 	cases := []struct {

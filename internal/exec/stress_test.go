@@ -84,13 +84,13 @@ func TestConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestGrowMidStream grows the overlay while reads and writes on the
+// TestRebuildMidStream grows the overlay while reads and writes on the
 // existing nodes keep flowing. The engine publishes new state by atomic
 // snapshot swap, so traffic must stay race-free and correct throughout:
 // in-flight reads complete on the snapshot they started on, writes wait for
 // the install step only, and operations after the install see the new writer
 // immediately.
-func TestGrowMidStream(t *testing.T) {
+func TestRebuildMidStream(t *testing.T) {
 	ag := paperAG()
 	ov := construct.Baseline(ag)
 	decide(t, ov, "push")
@@ -155,11 +155,11 @@ func TestGrowMidStream(t *testing.T) {
 	}
 }
 
-// TestGrowPreservesWindows checks what a Rebuild on the installed overlay
+// TestRebuildPreservesWindows checks what a Rebuild on the installed overlay
 // carries over by slot while initializing state for new slots: window
 // contents, expiry-index membership and the observation counters — which the
 // seed walk must not advance either.
-func TestGrowPreservesWindows(t *testing.T) {
+func TestRebuildPreservesWindows(t *testing.T) {
 	ag := paperAG()
 	ov := construct.Baseline(ag)
 	decide(t, ov, "push")

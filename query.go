@@ -74,11 +74,9 @@ func (s *Session) newOverlayView(a agg.Aggregate, spec QuerySpec, o Options) (st
 		q.Neighborhood = o.Neighborhood
 	}
 	co := core.Options{
-		Algorithm:   o.Algorithm,
-		Mode:        core.Mode(specOrDefault(o.Mode, string(core.ModeDataflow))),
-		SplitNodes:  o.SplitNodes,
-		MaxReadCost: o.MaxReadCost,
-		Construct:   construct.Config{Iterations: o.Iterations},
+		Algorithm: o.Algorithm,
+		Mode:      core.Mode(specOrDefault(o.Mode, string(core.ModeDataflow))),
+		Construct: construct.Config{Iterations: o.Iterations},
 	}
 	if o.ReadFreq != nil || o.WriteFreq != nil {
 		wl := dataflow.NewWorkload(s.g.MaxID())

@@ -427,7 +427,7 @@ func TestStatsConcurrentWithStructuralChanges(t *testing.T) {
 }
 
 // TestSessionConcurrentLifecycle is the acceptance -race test: Register,
-// Close and Subscribe churn concurrently with WriteBatch ingest.
+// Close and Subscribe churn concurrently with ApplyBatch ingest.
 func TestSessionConcurrentLifecycle(t *testing.T) {
 	sess, err := Open(ring(32))
 	if err != nil {
@@ -451,7 +451,7 @@ func TestSessionConcurrentLifecycle(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if err := sess.WriteBatch(events); err != nil {
+				if err := sess.ApplyBatch(events); err != nil {
 					t.Error(err)
 					return
 				}

@@ -9,7 +9,7 @@ import (
 )
 
 // TestContinuousTopKConcurrentMatchesBruteForce drives the materialized
-// top-k head from every side at once: parallel WriteBatch callers slide
+// top-k head from every side at once: parallel ApplyBatch callers slide
 // tuple windows under push readers while other goroutines read those
 // readers and a subscriber takes their notifications. Every finalize and
 // every window slide on a reader happens under that reader's node mutex;
@@ -104,7 +104,7 @@ func TestContinuousTopKConcurrentMatchesBruteForce(t *testing.T) {
 					batch[i] = NewWrite(NodeID(v), val, int64(b*batchLen+i+1))
 					windows[v] = append(windows[v], val)
 				}
-				if err := sess.WriteBatch(batch); err != nil {
+				if err := sess.ApplyBatch(batch); err != nil {
 					t.Error(err)
 					return
 				}

@@ -353,7 +353,7 @@ func TestTopoContentPathZeroAlloc(t *testing.T) {
 	}
 	// Warm the engine's write pools.
 	for i := 0; i < 4; i++ {
-		if err := sess.WriteBatch(events); err != nil {
+		if err := sess.ApplyBatch(events); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -361,12 +361,12 @@ func TestTopoContentPathZeroAlloc(t *testing.T) {
 		return // race instrumentation allocates; skip the exact count
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := sess.WriteBatch(events); err != nil {
+		if err := sess.ApplyBatch(events); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("content-only WriteBatch allocates %.1f allocs/op with a topo query registered, want 0", allocs)
+		t.Fatalf("content-only ApplyBatch allocates %.1f allocs/op with a topo query registered, want 0", allocs)
 	}
 }
 
