@@ -4,22 +4,20 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/autotune"
 	"repro/internal/workload"
 )
 
-// TestSessionAutotuneLifecycle exercises the facade wiring: WithAutotune
-// starts the background controller at Open, SessionStats reports it live,
-// StopAutotune halts it idempotently with counters surviving, and
-// EnableAutotune restarts it.
+// TestSessionAutotuneLifecycle exercises the facade wiring: enabling the
+// controller starts it, SessionStats reports it live, StopAutotune halts it
+// idempotently with counters surviving, and EnableAutotune restarts it.
 func TestSessionAutotuneLifecycle(t *testing.T) {
 	g := workload.SocialGraph(300, 6, 1)
-	sess, err := Open(g, WithAutotune(AutotuneOptions{
-		Interval:    time.Millisecond,
-		MinActivity: 1,
-	}))
+	sess, err := Open(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess.enableAutotune(autotune.Config{Interval: time.Millisecond, MinActivity: 1})
 	defer sess.StopAutotune()
 	if _, err := sess.Register(QuerySpec{Aggregate: "sum"}); err != nil {
 		t.Fatal(err)
@@ -51,7 +49,7 @@ func TestSessionAutotuneLifecycle(t *testing.T) {
 		t.Fatal("controller counters did not survive StopAutotune")
 	}
 
-	sess.EnableAutotune(AutotuneOptions{Interval: time.Millisecond})
+	sess.EnableAutotune()
 	if !sess.Stats().Autotune.Enabled {
 		t.Fatal("EnableAutotune did not restart the controller")
 	}

@@ -157,7 +157,7 @@ func TestServeCrashRecoveryE2E(t *testing.T) {
 		sendChunk(25)
 	}
 	t.Logf("pre-kill q1 node0: %v", getJSON(t, srv.base+"/queries/1/read?node=0"))
-	// Kill without warning: no shutdown checkpoint, no clean marker.
+	// Kill without warning: no shutdown checkpoint.
 	srv.kill(t)
 
 	// Restart on the same directory (fresh port: the killed process's
@@ -165,23 +165,26 @@ func TestServeCrashRecoveryE2E(t *testing.T) {
 	srv2 := startServer(t, dir, freeAddr(t))
 	defer srv2.kill(t)
 
-	// The recovered server must report all three queries and a WAL-replay
-	// (not clean-shutdown) recovery in /stats.
+	// The recovered server must report all three queries and its recovery
+	// summary in /stats. How much it replayed depends on where the last
+	// background checkpoint fell; the oracle below checks what it rebuilt.
 	stats := getJSON(t, srv2.base+"/stats")
 	durSec, ok := stats["durability"].(map[string]any)
 	if !ok {
 		t.Fatalf("no durability section after recovery: %v", stats)
 	}
-	if durSec["cleanShutdown"] != false {
-		t.Fatal("SIGKILL recovered as clean shutdown")
+	replayed, ok := durSec["replayedBatches"].(float64)
+	if !ok {
+		t.Fatalf("no replayedBatches in the durability section: %v", durSec)
 	}
+	t.Logf("recovery replayed %v batches", replayed)
 	queries := getJSONList(t, srv2.base+"/queries")
 	if len(queries) != 3 {
 		t.Fatalf("recovered %d queries, want 3", len(queries))
 	}
 
 	// Oracle: same deterministic graph, same queries, exactly the acked
-	// events, expiry at the final watermark (lateness 0 ⇒ max acked ts).
+	// events, expiry at the final watermark (the max acked ts).
 	g := workload.SocialGraph(e2eNodes, e2eDegree, e2eSeed)
 	oracle, err := eagr.Open(g, eagr.Options{Iterations: 6})
 	if err != nil {

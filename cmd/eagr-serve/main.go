@@ -21,8 +21,12 @@
 //
 // The server shuts down gracefully on SIGINT/SIGTERM, draining in-flight
 // requests (including open /watch streams) before exiting; with -data-dir
-// it then checkpoints and writes a clean-shutdown marker so the next
-// start skips WAL replay.
+// it then writes a final checkpoint covering the whole log, so the next
+// start replays nothing.
+//
+// With -autotune the session's adaptivity controller starts once the
+// session is open (after any recovery) with the library defaults: a 2s
+// sampling period, a 1.15 degradation ratio and a 30s re-plan cooldown.
 package main
 
 import (
@@ -61,10 +65,7 @@ func main() {
 		tsJump   = flag.Int64("ingest-max-ts-jump", 0, "reject /ingest events whose timestamp runs further than this ahead of the stream (0 = unbounded; guards the watermark against corrupt far-future timestamps)")
 		manualEx = flag.Bool("ingest-manual-expire", false, "do not expire time-based windows on the local ingest watermark; only POST /expire advances them (for shard servers behind eagr-router, which owns the fleet-wide minimum watermark)")
 
-		autotune         = flag.Bool("autotune", false, "run the self-driving adaptivity controller: background sampling of observed per-reader push/pull rates, frontier flips, and full re-plan cutovers (see /stats \"autotune\")")
-		autotuneInterval = flag.Duration("autotune-interval", 2*time.Second, "controller sampling period with -autotune")
-		autotuneRatio    = flag.Float64("autotune-ratio", 1.15, "observed-cost/fresh-plan-cost ratio that triggers a full re-plan cutover with -autotune")
-		autotuneCooldown = flag.Duration("autotune-cooldown", 30*time.Second, "minimum time between re-plan cutovers per overlay with -autotune")
+		autotune = flag.Bool("autotune", false, "run the self-driving adaptivity controller: background sampling of observed per-reader push/pull rates, frontier flips, and full re-plan cutovers (see /stats \"autotune\")")
 
 		dataDir    = flag.String("data-dir", "", "durability directory: WAL + checkpoints (empty = in-memory only)")
 		fsyncMode  = flag.String("fsync", "per-batch", "WAL fsync policy with -data-dir: per-batch | interval | off")
@@ -90,13 +91,6 @@ func main() {
 	}
 
 	opts := eagr.Options{Algorithm: *alg, Iterations: 6}
-	if *autotune {
-		opts.Autotune = &eagr.AutotuneOptions{
-			Interval:         *autotuneInterval,
-			DegradationRatio: *autotuneRatio,
-			Cooldown:         *autotuneCooldown,
-		}
-	}
 	var sess *eagr.Session
 	recoveredQueries := 0
 	if *dataDir != "" {
@@ -117,19 +111,17 @@ func main() {
 			log.Fatal(err)
 		}
 		recoveredQueries = rec.RecoveredQueries
-		if rec.CleanShutdown {
-			log.Printf("recovered %s: clean shutdown, %d queries, checkpoint lsn %d (no replay)",
-				*dataDir, rec.RecoveredQueries, rec.CheckpointLSN)
-		} else {
-			log.Printf("recovered %s: %d queries, %d batches / %d events replayed (truncated tail: %v) in %v",
-				*dataDir, rec.RecoveredQueries, rec.ReplayedBatches, rec.ReplayedEvents, rec.TruncatedTail, rec.Duration)
-		}
+		log.Printf("recovered %s: %d queries, checkpoint lsn %d, %d batches / %d events replayed (truncated tail: %v) in %v",
+			*dataDir, rec.RecoveredQueries, rec.CheckpointLSN, rec.ReplayedBatches, rec.ReplayedEvents, rec.TruncatedTail, rec.Duration)
 	} else {
 		var err error
 		sess, err = eagr.Open(g, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
+	}
+	if *autotune {
+		sess.EnableAutotune()
 	}
 	g = sess.Graph()
 	log.Printf("graph: %d nodes, %d edges", g.NumNodes(), g.NumEdges())
@@ -177,12 +169,12 @@ func main() {
 		// re-plan cutover races the durability close.
 		sess.StopAutotune()
 		if *dataDir != "" {
-			// Final checkpoint + clean-shutdown marker: the next start
-			// skips WAL replay entirely.
+			// The final checkpoint covers the whole log: the next start
+			// replays nothing.
 			if cerr := sess.CloseDurability(); cerr != nil {
 				log.Printf("close durability: %v", cerr)
 			} else {
-				log.Printf("checkpointed and marked clean shutdown")
+				log.Printf("checkpointed the whole log")
 			}
 		}
 		done <- err

@@ -74,7 +74,7 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 
 // DurabilityOptions configure OpenDurable; only Dir is required.
 type DurabilityOptions struct {
-	// Dir is the directory holding WAL segments, checkpoints and markers.
+	// Dir is the directory holding WAL segments and checkpoints.
 	// It is created if absent and must be owned exclusively by one session.
 	Dir string
 	// Fsync selects the WAL sync policy (default FsyncPerBatch).
@@ -85,8 +85,6 @@ type DurabilityOptions struct {
 	// disables them (Checkpoint can still be called explicitly, and
 	// CloseDurability always writes a final one).
 	CheckpointInterval time.Duration
-	// SegmentBytes is the WAL segment roll size (default 4 MiB).
-	SegmentBytes int64
 
 	// fs overrides the backing filesystem (fault-injection tests).
 	fs wal.FS
@@ -94,9 +92,6 @@ type DurabilityOptions struct {
 
 // Recovery summarizes what OpenDurable found and rebuilt.
 type Recovery struct {
-	// CleanShutdown is true when a valid clean-shutdown marker matched the
-	// log: the checkpoint alone was loaded and no replay ran.
-	CleanShutdown bool `json:"cleanShutdown"`
 	// CheckpointSeq/CheckpointLSN identify the checkpoint loaded (zero when
 	// the directory was fresh, before the initial checkpoint).
 	CheckpointSeq uint64 `json:"checkpointSeq"`
@@ -105,7 +100,8 @@ type Recovery struct {
 	// recovery (checkpoint queries plus replayed registrations minus
 	// replayed retirements).
 	RecoveredQueries int `json:"recoveredQueries"`
-	// ReplayedBatches/ReplayedEvents count the WAL tail replayed.
+	// ReplayedBatches/ReplayedEvents count the WAL tail replayed (both zero
+	// after a CloseDurability: its final checkpoint covers the whole log).
 	ReplayedBatches int `json:"replayedBatches"`
 	ReplayedEvents  int `json:"replayedEvents"`
 	// TruncatedTail is true when the scan dropped a torn tail.
@@ -139,9 +135,6 @@ type durableState struct {
 	replaying bool
 	ckptSeq   uint64
 
-	maxTS      atomic.Int64 // max logged event timestamp (MinInt64 = none)
-	lastExpire atomic.Int64 // max logged expiry (MinInt64 = none)
-
 	ckpts       atomic.Int64
 	lastCkptLSN atomic.Uint64
 	lastCkptWM  atomic.Int64
@@ -153,30 +146,6 @@ type durableState struct {
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
-}
-
-// casMax advances a to at least v.
-func casMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// noteTime folds a logged (or replayed) batch into the durable time domain:
-// its timestamps into the max-timestamp (zero timestamps are the "unstamped"
-// sentinel and don't count), its advance into the last expiry.
-func (d *durableState) noteTime(events []Event, advanceTo int64) {
-	max := int64(math.MinInt64)
-	for _, ev := range events {
-		if ev.TS != 0 && ev.TS > max {
-			max = ev.TS
-		}
-	}
-	casMax(&d.maxTS, max)
-	casMax(&d.lastExpire, advanceTo)
 }
 
 // queryRecord is the serialized form of a durable query registration: the
@@ -231,12 +200,12 @@ func decodeQueryRecord(blob []byte) (int, QuerySpec, Options, error) {
 // previous one if the newest is damaged), the WAL tail is replayed through
 // the normal apply path — re-registering queries, re-applying event
 // batches and expiries in original order — and any torn tail a crash left
-// is truncated, never fatal. The returned Recovery says which path ran and
-// how much was replayed.
+// is truncated, never fatal. The returned Recovery says how much was
+// replayed.
 //
-// The session must be shut down with CloseDurability to get the clean
-// restart fast path; an unclean stop (crash, SIGKILL, SimulateCrash) costs
-// a replay of the WAL tail on the next OpenDurable, nothing more.
+// After CloseDurability the final checkpoint covers the whole log and the
+// tail is empty; an unclean stop (crash, SIGKILL, SimulateCrash) costs a
+// replay of the WAL tail on the next OpenDurable, nothing more.
 func OpenDurable(g *Graph, dopts DurabilityOptions, opts ...Options) (*Session, *Recovery, error) {
 	start := time.Now()
 	fs := dopts.fs
@@ -262,16 +231,7 @@ func OpenDurable(g *Graph, dopts DurabilityOptions, opts ...Options) (*Session, 
 		return nil, nil, fmt.Errorf("eagr: invalid fsync policy %d", int(dopts.Fsync))
 	}
 
-	// The marker is consumed immediately: any crash before the NEXT clean
-	// shutdown must take the replay path.
-	cleanLSN, hasClean := wal.ReadClean(fs)
-	wal.RemoveClean(fs)
-
-	log, err := wal.Open(fs, wal.Options{
-		SegmentBytes: dopts.SegmentBytes,
-		Policy:       policy,
-		Interval:     dopts.FsyncInterval,
-	})
+	log, err := wal.Open(fs, wal.Options{Policy: policy, Interval: dopts.FsyncInterval})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -282,8 +242,6 @@ func OpenDurable(g *Graph, dopts DurabilityOptions, opts ...Options) (*Session, 
 	}
 
 	d := &durableState{fs: fs, opts: dopts, log: log}
-	d.maxTS.Store(math.MinInt64)
-	d.lastExpire.Store(math.MinInt64)
 	rec := Recovery{TruncatedTail: log.Truncated()}
 
 	var s *Session
@@ -331,12 +289,8 @@ func OpenDurable(g *Graph, dopts DurabilityOptions, opts ...Options) (*Session, 
 		rec.CheckpointSeq = ckptSeq
 		rec.CheckpointLSN = ckpt.LSN
 		log.SetNextOrd(ckpt.NextOrd)
-		if ckpt.MaxTS != math.MinInt64 {
-			d.maxTS.Store(ckpt.MaxTS)
-		}
-		if ckpt.Watermark != math.MinInt64 {
-			d.lastExpire.Store(ckpt.Watermark)
-		}
+		s.maxTS.Store(ckpt.MaxTS)
+		s.lastExpire.Store(ckpt.Watermark)
 		// Re-register the checkpointed queries in registration order, then
 		// inject every writer's window suffix through the normal write path
 		// — windows, partial aggregates and scalars rebuild exactly.
@@ -367,36 +321,32 @@ func OpenDurable(g *Graph, dopts DurabilityOptions, opts ...Options) (*Session, 
 				return nil, nil, fmt.Errorf("eagr: recover windows: %w", ierr)
 			}
 		}
-		if hasClean && cleanLSN == ckpt.LSN && log.LastLSN() == ckpt.LSN {
-			rec.CleanShutdown = true
-		} else {
-			serr := log.Scan(ckpt.LSN+1, func(r wal.Record) error {
-				switch r.Type {
-				case wal.RecBatch:
-					// Per-event apply errors (duplicate edge, dead node)
-					// replayed the original's skips; the end state matches.
-					_, _ = s.apply(r.Events, graph.NoAdvance) // d.replaying: applies without re-logging
-					rec.ReplayedBatches++
-					rec.ReplayedEvents += len(r.Events)
-				case wal.RecRegister:
-					if rerr := s.recoverQuery(r.Blob); rerr != nil {
-						return rerr
-					}
-					rec.RecoveredQueries++
-				case wal.RecRetire:
-					if q := s.Query(int(r.QueryID)); q != nil {
-						_ = q.closeInner()
-						rec.RecoveredQueries--
-					}
-				case wal.RecExpire:
-					_, _ = s.apply(nil, r.TS)
+		serr := log.Scan(ckpt.LSN+1, func(r wal.Record) error {
+			switch r.Type {
+			case wal.RecBatch:
+				// Per-event apply errors (duplicate edge, dead node)
+				// replayed the original's skips; the end state matches.
+				_, _ = s.apply(r.Events, graph.NoAdvance) // d.replaying: applies without re-logging
+				rec.ReplayedBatches++
+				rec.ReplayedEvents += len(r.Events)
+			case wal.RecRegister:
+				if rerr := s.recoverQuery(r.Blob); rerr != nil {
+					return rerr
 				}
-				return nil
-			})
-			if serr != nil {
-				log.Close()
-				return nil, nil, serr
+				rec.RecoveredQueries++
+			case wal.RecRetire:
+				if q := s.Query(int(r.QueryID)); q != nil {
+					_ = q.closeInner()
+					rec.RecoveredQueries--
+				}
+			case wal.RecExpire:
+				_, _ = s.apply(nil, r.TS)
 			}
+			return nil
+		})
+		if serr != nil {
+			log.Close()
+			return nil, nil, serr
 		}
 		d.replaying = false
 	}
@@ -404,7 +354,7 @@ func OpenDurable(g *Graph, dopts DurabilityOptions, opts ...Options) (*Session, 
 	rec.CheckpointSeq = d.ckptSeq
 	rec.CheckpointLSN = d.lastCkptLSN.Load()
 	rec.NextOrdinal = log.NextOrd()
-	if wm := d.lastExpire.Load(); wm != math.MinInt64 {
+	if wm := s.lastExpire.Load(); wm != math.MinInt64 {
 		rec.Watermark = wm
 		rec.WatermarkValid = true
 	}
@@ -505,8 +455,8 @@ func (s *Session) checkpointLocked(d *durableState) error {
 	c := &wal.Checkpoint{
 		LSN:       d.log.LastLSN(),
 		NextOrd:   d.log.NextOrd(),
-		Watermark: d.lastExpire.Load(),
-		MaxTS:     d.maxTS.Load(),
+		Watermark: s.lastExpire.Load(),
+		MaxTS:     s.maxTS.Load(),
 		Graph:     gbuf.Bytes(),
 	}
 	s.mu.Lock()
@@ -576,8 +526,8 @@ func (s *Session) SyncWAL() error {
 }
 
 // CloseDurability shuts the durability layer down cleanly: a final
-// checkpoint, the clean-shutdown marker (so the next OpenDurable skips
-// replay), and the WAL files closed. The session itself stays usable but
+// checkpoint (covering the whole log, so the next OpenDurable replays
+// nothing) and the WAL files closed. The session itself stays usable but
 // no longer persists anything; further logged mutations return
 // ErrDurabilityClosed. A second call returns ErrDurabilityClosed.
 func (s *Session) CloseDurability() error {
@@ -592,20 +542,15 @@ func (s *Session) CloseDurability() error {
 		return ErrDurabilityClosed
 	}
 	cerr := s.checkpointLocked(d)
-	var merr error
-	if cerr == nil {
-		merr = wal.WriteClean(d.fs, d.log.LastLSN())
-	}
 	lerr := d.log.Close()
 	d.closed = true
-	return errors.Join(cerr, merr, lerr)
+	return errors.Join(cerr, lerr)
 }
 
-// SimulateCrash abandons the durability layer WITHOUT a final checkpoint
-// or clean marker — the on-disk state is exactly what a kill at this
-// moment leaves (modulo OS page-cache loss, which only FaultFS models).
-// The next OpenDurable takes the full recovery path. For tests, benchmarks
-// and recovery drills.
+// SimulateCrash abandons the durability layer WITHOUT a final checkpoint —
+// the on-disk state is exactly what a kill at this moment leaves (modulo OS
+// page-cache loss, which only FaultFS models). The next OpenDurable replays
+// the WAL tail. For tests, benchmarks and recovery drills.
 func (s *Session) SimulateCrash() error {
 	d := s.dur
 	if d == nil {

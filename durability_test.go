@@ -1,9 +1,13 @@
 package eagr
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -102,7 +106,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("OpenDurable: %v", err)
 			}
-			if rec.CleanShutdown || rec.ReplayedEvents != 0 {
+			if rec.ReplayedBatches != 0 || rec.ReplayedEvents != 0 {
 				t.Fatalf("fresh dir recovery = %+v", rec)
 			}
 			registerAll(t, s, durTestSpecs)
@@ -165,8 +169,8 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				t.Fatalf("recovery: %v", err)
 			}
 			defer s2.CloseDurability()
-			if rec2.CleanShutdown {
-				t.Fatal("crash recovered as clean shutdown")
+			if rec2.ReplayedEvents == 0 {
+				t.Fatal("crash recovery replayed nothing")
 			}
 			if rec2.RecoveredQueries != len(durTestSpecs) {
 				t.Fatalf("recovered %d queries, want %d", rec2.RecoveredQueries, len(durTestSpecs))
@@ -238,27 +242,37 @@ func buildOracle(t *testing.T, g *Graph, acked [][]Event) *Session {
 	return oracle
 }
 
-// TestDurableCleanShutdownFastPath pins the graceful-restart fast path: a
-// CloseDurability'd directory reopens from the checkpoint + clean marker
-// with zero replay.
-func TestDurableCleanShutdownFastPath(t *testing.T) {
+// TestDurableCleanRestartReplaysNothing pins the graceful restart: a
+// CloseDurability'd directory reopens from its final checkpoint with zero
+// replay and the same answers. The checkpoint covers the whole log, so no
+// marker is needed; a clean-shutdown marker an older build left behind
+// (a CLEAN file naming the checkpoint's LSN) is ignored, including on a
+// later crash restart whose log has moved past it.
+func TestDurableCleanRestartReplaysNothing(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := OpenDurable(NewGraph(8), DurabilityOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	registerAll(t, s, durTestSpecs)
-	for u := 0; u < 7; u++ {
-		if err := s.AddEdge(NodeID(u), NodeID(u+1)); err != nil {
+	og := NewGraph(8)
+	oracle, _ := Open(og)
+	registerAll(t, oracle, durTestSpecs)
+	for _, sess := range []*Session{s, oracle} {
+		for u := 0; u < 7; u++ {
+			if err := sess.AddEdge(NodeID(u), NodeID(u+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 50; i++ {
+			if err := sess.Write(NodeID(i%8), int64(i), int64(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sess.ExpireAll(30); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 50; i++ {
-		if err := s.Write(NodeID(i%8), int64(i), int64(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.ExpireAll(30)
 	if err := s.CloseDurability(); err != nil {
 		t.Fatalf("CloseDurability: %v", err)
 	}
@@ -269,13 +283,19 @@ func TestDurableCleanShutdownFastPath(t *testing.T) {
 		t.Fatalf("write after CloseDurability = %v, want ErrDurabilityClosed", err)
 	}
 
+	// The marker format older builds wrote at a clean shutdown: magic,
+	// checkpoint LSN, CRC-32C of the first 12 bytes, little-endian.
+	var marker [16]byte
+	binary.LittleEndian.PutUint32(marker[0:4], 0x45414743)
+	binary.LittleEndian.PutUint64(marker[4:12], s.DurabilityStats().LastCheckpointLSN)
+	binary.LittleEndian.PutUint32(marker[12:16], crc32.Checksum(marker[:12], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(filepath.Join(dir, "CLEAN"), marker[:], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	s2, rec, err := OpenDurable(nil, DurabilityOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer s2.CloseDurability()
-	if !rec.CleanShutdown {
-		t.Fatalf("want clean-shutdown fast path, got %+v", rec)
 	}
 	if rec.ReplayedBatches != 0 || rec.ReplayedEvents != 0 {
 		t.Fatalf("clean restart replayed %d batches / %d events", rec.ReplayedBatches, rec.ReplayedEvents)
@@ -286,20 +306,28 @@ func TestDurableCleanShutdownFastPath(t *testing.T) {
 	if !rec.WatermarkValid || rec.Watermark != 30 {
 		t.Fatalf("watermark = %d/%v, want 30/true", rec.Watermark, rec.WatermarkValid)
 	}
-
-	// State must still match the oracle even with zero replay (it came
-	// entirely from the checkpoint image).
-	og := NewGraph(8)
-	oracle, _ := Open(og)
-	registerAll(t, oracle, durTestSpecs)
-	for u := 0; u < 7; u++ {
-		_ = oracle.AddEdge(NodeID(u), NodeID(u+1))
-	}
-	for i := 0; i < 50; i++ {
-		_ = oracle.Write(NodeID(i%8), int64(i), int64(i+1))
-	}
-	oracle.ExpireAll(30)
+	// State must still match the oracle with zero replay (it came entirely
+	// from the checkpoint image).
 	assertSameResults(t, "clean restart", s2, oracle)
+
+	// A crash after more writes replays them, marker or not.
+	for _, sess := range []*Session{s2, oracle} {
+		for i := 50; i < 60; i++ {
+			if err := sess.Write(NodeID(i%8), int64(i), int64(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	_ = s2.SimulateCrash()
+	s3, rec, err := OpenDurable(nil, DurabilityOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.CloseDurability()
+	if rec.ReplayedEvents != 10 {
+		t.Fatalf("crash restart replayed %d events, want the 10 written after the clean restart", rec.ReplayedEvents)
+	}
+	assertSameResults(t, "crash restart past a stale marker", s3, oracle)
 }
 
 // TestDurableExpireReplay pins that watermark-driven expiry is logged and
@@ -335,8 +363,8 @@ func TestDurableExpireReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.CloseDurability()
-	if rec.CleanShutdown {
-		t.Fatal("expected replay path")
+	if rec.ReplayedBatches == 0 {
+		t.Fatal("crash recovery replayed nothing")
 	}
 	q2 := s2.Query(q.ID())
 	if q2 == nil {
@@ -404,7 +432,7 @@ func TestDurableCheckpointWrappedWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.CloseDurability()
-	if !rec.CleanShutdown || rec.ReplayedEvents != 0 {
+	if rec.ReplayedBatches != 0 || rec.ReplayedEvents != 0 {
 		t.Fatalf("want recovery from the checkpoint image alone, got %+v", rec)
 	}
 	assertSameResults(t, "recovered from wrapped rings", s2, oracle)
@@ -524,9 +552,9 @@ func TestDurableIngestorResume(t *testing.T) {
 	if err := ing.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	preTS := s.dur.maxTS.Load()
+	preTS := s.maxTS.Load()
 	if preTS < 100 {
-		t.Fatalf("durable maxTS = %d, want >= 100", preTS)
+		t.Fatalf("session maxTS = %d, want >= 100", preTS)
 	}
 	if err := ing.Close(); err != nil {
 		t.Fatal(err)

@@ -46,11 +46,10 @@
 // the goroutine whose send filled the batch (no apply goroutine to hand
 // off to), while consecutive structural events coalesce into one overlay
 // repair per query (Session.ApplyBatch is the same unified path for
-// caller-assembled batches). The Ingestor's low watermark
-// — max observed timestamp minus the configured lateness — expires
-// time-based windows automatically, each batch closing its own time in the
-// same transaction, so time-windowed queries advance with the stream
-// instead of with hand-threaded ExpireAll calls.
+// caller-assembled batches). The Ingestor's low watermark — the maximum
+// applied timestamp — expires time-based windows automatically, each batch
+// closing its own time in the same transaction, so time-windowed queries
+// advance with the stream instead of with hand-threaded ExpireAll calls.
 //
 // Continuous queries push results to subscribers instead of waiting to be
 // read, including the expiry updates the watermark produces:
@@ -66,9 +65,10 @@ package eagr
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"repro/internal/agg"
 	"repro/internal/autotune"
@@ -197,48 +197,6 @@ type Options struct {
 	// Neighborhood overrides QuerySpec.Hops with a custom neighborhood
 	// function (e.g. a Filtered neighborhood).
 	Neighborhood Neighborhood
-	// Autotune, when non-nil, starts the session's self-driving adaptivity
-	// controller (see AutotuneOptions and WithAutotune). It is a
-	// session-level setting: only the Options value passed to Open (or
-	// OpenDurable) is consulted, never per-Register overrides, and it has
-	// no effect on query sharing keys.
-	Autotune *AutotuneOptions
-}
-
-// AutotuneOptions configure the background adaptivity controller: a
-// per-session goroutine that samples the engines' live push/pull
-// observations into a decayed, per-reader workload estimate and
-// re-optimizes running overlays online — incremental frontier flips, and
-// full re-plan cutovers when the observed-workload cost of the current
-// decisions degrades past a threshold. Neither ever moves a reader of an
-// all-push (Continuous) query. Through both, reads never pause; writes wait
-// for the engine's install step only. Zero fields take documented defaults.
-type AutotuneOptions struct {
-	// Interval is the controller's sampling period (default 2s).
-	Interval time.Duration
-	// Decay is the per-tick retention of the workload estimate in [0,1)
-	// (default 0.5; higher remembers longer).
-	Decay float64
-	// MinActivity is the decayed observation count required before the
-	// controller re-plans (default 256).
-	MinActivity float64
-	// DegradationRatio triggers a full re-plan cutover when the current
-	// decisions cost more than this multiple of a fresh plan under the
-	// observed workload (default 1.15).
-	DegradationRatio float64
-	// Cooldown is the minimum time between re-plan cutovers on one overlay
-	// (default 30s; negative disables the cooldown).
-	Cooldown time.Duration
-}
-
-// WithAutotune returns an Options value enabling the self-driving
-// adaptivity controller, for passing to Open:
-//
-//	sess, err := eagr.Open(g, eagr.WithAutotune(eagr.AutotuneOptions{}))
-//
-// To combine with other session defaults, set Options.Autotune directly.
-func WithAutotune(a AutotuneOptions) Options {
-	return Options{Autotune: &a}
 }
 
 // Update is one continuous-query delivery: the standing query at Node
@@ -261,12 +219,19 @@ type Session struct {
 	// OpenDurable; the mutators check it with one nil test, so the
 	// durability-off hot paths stay allocation-free.
 	dur *durableState
-	// tuner is the self-driving adaptivity controller, nil unless enabled
-	// (Options.Autotune or EnableAutotune). The write/read hot paths never
-	// touch it; it samples the engines' always-on observation counters from
-	// its own goroutine.
+	// tuner is the self-driving adaptivity controller, nil until
+	// EnableAutotune. The write/read hot paths never touch it; it samples
+	// the engines' always-on observation counters from its own goroutine.
 	tuner   *autotune.Controller
 	tunerMu sync.Mutex
+
+	// maxTS and lastExpire are the session's stream time: the largest
+	// non-zero timestamp any applied batch carried and the furthest any
+	// advance closed time (MinInt64 = none yet). apply folds every batch
+	// into them, durable or not; an Ingestor starts from them and a
+	// checkpoint persists them.
+	maxTS      atomic.Int64
+	lastExpire atomic.Int64
 
 	// topoEng hosts the session's topology-valued views (internal/topo). It
 	// exists, attached to the graph's structural-mutation path as a
@@ -301,27 +266,29 @@ func Open(g *Graph, opts ...Options) (*Session, error) {
 		multi:    core.NewMulti(g),
 		queries:  map[int]*Query{},
 	}
-	if o.Autotune != nil {
-		s.EnableAutotune(*o.Autotune)
-	}
+	s.maxTS.Store(math.MinInt64)
+	s.lastExpire.Store(math.MinInt64)
 	return s, nil
 }
 
-// EnableAutotune starts the session's background adaptivity controller (see
-// AutotuneOptions); it is what Open does when Options.Autotune is set. A
-// no-op if the controller is already running. The controller runs until
-// StopAutotune.
-func (s *Session) EnableAutotune(a AutotuneOptions) {
+// EnableAutotune starts the session's background adaptivity controller: a
+// goroutine that samples the engines' live push/pull observations into a
+// decayed, per-reader workload estimate every 2s and re-optimizes running
+// overlays online — incremental frontier flips, and full re-plan cutovers
+// when the observed-workload cost of the current decisions exceeds 1.15× a
+// fresh plan's (at most one per overlay per 30s). Neither ever moves a
+// reader of an all-push (Continuous) query; reads never pause, writes wait
+// for the engine's install step only. A no-op if the controller is already
+// running; it runs until StopAutotune.
+func (s *Session) EnableAutotune() { s.enableAutotune(autotune.DefaultConfig()) }
+
+// enableAutotune is EnableAutotune with the controller's configuration
+// spelled out; tests shorten its interval.
+func (s *Session) enableAutotune(cfg autotune.Config) {
 	s.tunerMu.Lock()
 	defer s.tunerMu.Unlock()
 	if s.tuner == nil {
-		s.tuner = autotune.New(s.multi, autotune.Config{
-			Interval:         a.Interval,
-			Decay:            a.Decay,
-			MinActivity:      a.MinActivity,
-			DegradationRatio: a.DegradationRatio,
-			Cooldown:         a.Cooldown,
-		})
+		s.tuner = autotune.New(s.multi, cfg)
 	}
 	s.tuner.Start()
 }
@@ -566,25 +533,47 @@ func NewNodeRemove(v NodeID, ts int64) Event {
 // they go straight to the shared apply loop — and a batch the log refuses
 // (a refused error) applies nothing and moves no time. Expiry is LOGGED,
 // not recomputed at recovery: replay reproduces exactly the advances that
-// ran, independent of the lateness configured by whatever Ingestor exists
-// after restart. It returns the node ids the batch's NodeAdd events
-// allocated.
+// ran, independent of whatever Ingestor exists after restart. Every batch
+// that is not refused folds into the session's stream time. It returns the
+// node ids the batch's NodeAdd events allocated.
 func (s *Session) apply(events []Event, advanceTo int64) ([]NodeID, error) {
-	if d := s.dur; d != nil {
-		if !d.replaying {
-			d.mu.RLock()
-			defer d.mu.RUnlock()
-			if d.closed {
-				return nil, refused{ErrDurabilityClosed}
-			}
-			if _, _, err := d.log.Append(events, advanceTo); err != nil {
-				return nil, refused{fmt.Errorf("eagr: wal append: %w", err)}
-			}
+	if d := s.dur; d != nil && !d.replaying {
+		d.mu.RLock()
+		defer d.mu.RUnlock()
+		if d.closed {
+			return nil, refused{ErrDurabilityClosed}
 		}
-		d.noteTime(events, advanceTo)
+		if _, _, err := d.log.Append(events, advanceTo); err != nil {
+			return nil, refused{fmt.Errorf("eagr: wal append: %w", err)}
+		}
 	}
+	s.noteTime(events, advanceTo)
 	added, err := s.multi.Apply(events, advanceTo)
 	return added, mapNodeErr(err)
+}
+
+// noteTime folds a batch into the session's stream time: its timestamps
+// into maxTS (zero timestamps are the "unstamped" sentinel and don't
+// count), its advance into lastExpire.
+func (s *Session) noteTime(events []Event, advanceTo int64) {
+	max := int64(math.MinInt64)
+	for _, ev := range events {
+		if ev.TS != 0 && ev.TS > max {
+			max = ev.TS
+		}
+	}
+	casMax(&s.maxTS, max)
+	casMax(&s.lastExpire, advanceTo)
+}
+
+// casMax advances a to at least v.
+func casMax(a *atomic.Int64, v int64) {
+	for {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
+			return
+		}
+	}
 }
 
 // refused wraps the error of a batch the write-ahead log would not take:
@@ -788,7 +777,7 @@ type AdaptivityStats struct {
 }
 
 // AutotuneStats is the public snapshot of the background adaptivity
-// controller's counters (see AutotuneOptions for the knobs behind them).
+// controller's counters (see EnableAutotune).
 type AutotuneStats struct {
 	// Enabled reports whether the controller's loop is currently running.
 	Enabled bool `json:"enabled"`

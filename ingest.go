@@ -13,11 +13,6 @@ import (
 
 // Typed errors of the streaming ingestion surface.
 var (
-	// ErrBackpressure reports a Send/SendEvent rejected because the
-	// Ingestor's bounded queue is full and the backpressure policy is
-	// BackpressureError. The event was NOT accepted; retry after the
-	// queue drains, or switch to BackpressureBlock.
-	ErrBackpressure = errors.New("eagr: ingestor queue full")
 	// ErrIngestorClosed reports an operation on a closed Ingestor.
 	ErrIngestorClosed = errors.New("eagr: ingestor closed")
 	// ErrTimestampJump reports an event rejected because its explicit
@@ -49,19 +44,6 @@ func LogicalClock() Clock {
 	return ClockFunc(func() int64 { return c.Add(1) })
 }
 
-// BackpressurePolicy selects what Send/SendEvent do when the Ingestor's
-// bounded batch queue is full.
-type BackpressurePolicy int
-
-const (
-	// BackpressureBlock (the default) blocks the sender until the queue
-	// drains — ingestion applies backpressure upstream.
-	BackpressureBlock BackpressurePolicy = iota
-	// BackpressureError fails fast with ErrBackpressure instead of
-	// blocking; the rejected event is not buffered.
-	BackpressureError
-)
-
 // IngestOptions tune an Ingestor; the zero value picks sensible defaults.
 type IngestOptions struct {
 	// BatchSize is the number of buffered events that triggers an
@@ -75,19 +57,12 @@ type IngestOptions struct {
 	// QueueDepth bounds the number of handed-over batches waiting behind
 	// the goroutine that is currently applying (default 8). A batch only
 	// ever queues while ANOTHER goroutine holds the apply token; a full
-	// queue invokes the Backpressure policy.
+	// queue blocks the sender until the applier dequeues a batch —
+	// ingestion applies backpressure upstream.
 	QueueDepth int
-	// Backpressure selects blocking (default) or fail-fast sends when the
-	// queue is full.
-	Backpressure BackpressurePolicy
 	// Clock stamps events sent without a timestamp; nil means WallClock
 	// (unix nanoseconds).
 	Clock Clock
-	// Lateness is the out-of-order tolerance of the watermark: the
-	// watermark trails the maximum applied timestamp by this much, so an
-	// event up to Lateness behind the newest one is never expired before
-	// it applies. Zero means timestamps are treated as in-order.
-	Lateness int64
 	// MaxTimestampJump, when positive, bounds how far an event's explicit
 	// timestamp may run AHEAD of the largest timestamp accepted so far;
 	// events further in the future are rejected with ErrTimestampJump
@@ -123,9 +98,6 @@ func (o IngestOptions) withDefaults() IngestOptions {
 	if o.Clock == nil {
 		o.Clock = WallClock()
 	}
-	if o.Lateness < 0 {
-		o.Lateness = 0
-	}
 	return o
 }
 
@@ -141,19 +113,19 @@ func (o IngestOptions) withDefaults() IngestOptions {
 // fills a batch, Flush, the interval tick, Close — takes the token and
 // applies the pending batches on its own goroutine until none is left. A
 // goroutine that finds the token taken queues its batch behind the applier
-// (bounded by QueueDepth, see Backpressure) and returns; a Flush in that
-// position waits for its batch to come out the other end. An
+// (bounded by QueueDepth; a full queue blocks the sender) and returns; a
+// Flush in that position waits for its batch to come out the other end. An
 // acknowledged batch from a lone producer therefore costs its ApplyBatch
 // and nothing else — no goroutine hand-off, no cross-core traffic on the
 // engine's state — and durable and in-memory sessions run the same loop.
 //
 // The Ingestor tracks a low watermark over applied timestamps: the maximum
-// timestamp seen minus the configured Lateness. A batch that moves the
-// watermark closes that time itself: the advance is applied with the batch
-// as one transaction (on a durable session one WAL append, before either
-// takes effect), so time-windowed and Continuous queries deliver expiry
-// updates without any caller ExpireAll, and a subscriber gets exactly one
-// Update per touched reader per acknowledged batch of pure content —
+// timestamp applied so far, starting from the session's. A batch that
+// moves the watermark closes that time itself: the advance is applied with
+// the batch as one transaction (on a durable session one WAL append, before
+// either takes effect), so time-windowed and Continuous queries deliver
+// expiry updates without any caller ExpireAll, and a subscriber gets exactly
+// one Update per touched reader per acknowledged batch of pure content —
 // written to, expired, or both — whose value is a read taken at the
 // acknowledgement. A batch the session refuses moves no time.
 //
@@ -229,21 +201,13 @@ func (s *Session) Ingest(opts IngestOptions) (*Ingestor, error) {
 		return &s
 	}
 	ing.buf = ing.getBuf()
-	ing.maxSent = math.MinInt64
-	ing.maxTS.Store(math.MinInt64)
-	ing.watermark.Store(math.MinInt64)
-	if d := s.dur; d != nil {
-		// A durable session seeds the recovered time domain, so the
-		// MaxTimestampJump reference survives restarts and the watermark
-		// never regresses below what was already expired.
-		if ts := d.maxTS.Load(); ts != math.MinInt64 {
-			ing.maxSent = ts
-			ing.maxTS.Store(ts)
-		}
-		if wm := d.lastExpire.Load(); wm != math.MinInt64 {
-			ing.watermark.Store(wm)
-		}
-	}
+	// The session's time domain seeds the Ingestor's: the MaxTimestampJump
+	// reference carries over from earlier Ingestors, direct writes and
+	// recovery alike, and the watermark never regresses below what was
+	// already expired.
+	ing.maxSent = s.maxTS.Load()
+	ing.maxTS.Store(ing.maxSent)
+	ing.watermark.Store(s.lastExpire.Load())
 	if o.FlushInterval > 0 {
 		go ing.tick()
 	}
@@ -320,7 +284,7 @@ func (ing *Ingestor) sendLocked(ev Event) (drain bool, err error) {
 	if ev.TS == 0 {
 		// Stamp under the mutex: buffer order and timestamp order agree,
 		// so an Ingestor-clocked stream is in-order at the watermark even
-		// with Lateness 0 and concurrent senders.
+		// with concurrent senders.
 		ev.TS = ing.clock.Now()
 	} else if jump := ing.opts.MaxTimestampJump; jump > 0 &&
 		ing.maxSent != math.MinInt64 && ev.TS > ing.maxSent &&
@@ -329,16 +293,6 @@ func (ing *Ingestor) sendLocked(ev Event) (drain bool, err error) {
 		ing.rejected.Add(1)
 		return false, fmt.Errorf("%w: ts %d is %d ahead of %d (max jump %d)",
 			ErrTimestampJump, ev.TS, uint64(ev.TS-ing.maxSent), ing.maxSent, jump)
-	}
-	block := ing.opts.Backpressure == BackpressureBlock
-	if len(ing.buf) >= ing.opts.BatchSize {
-		// A previous size-triggered hand-over was refused (fail-fast
-		// policy only, full queue): the buffer must go before more events
-		// are accepted, or batches would grow unboundedly.
-		if drain, err = ing.handOver(nil, block); err != nil {
-			ing.rejected.Add(1)
-			return false, err
-		}
 	}
 	ing.buf = append(ing.buf, ev)
 	ing.sent.Add(1)
@@ -350,11 +304,8 @@ func (ing *Ingestor) sendLocked(ev Event) (drain bool, err error) {
 	if len(ing.buf) >= ing.opts.BatchSize {
 		// The send that fills the batch hands it over, so an
 		// exactly-BatchSize tail never sits waiting for a further send
-		// (FlushInterval may be disabled). Blocking policy waits for space
-		// here; fail-fast leaves a full buffer for the pre-append path
-		// above to reject against (the event itself was accepted).
-		d, _ := ing.handOver(nil, block)
-		drain = drain || d
+		// (FlushInterval may be disabled).
+		drain = ing.handOver(nil, true)
 	}
 	ing.buffered.Store(int64(len(ing.buf)))
 	return drain, nil
@@ -364,16 +315,16 @@ func (ing *Ingestor) sendLocked(ev Event) (drain bool, err error) {
 // and starts a fresh buffer, under ing.mu so batches keep send order. A
 // full queue means another goroutine holds the apply token and is
 // QueueDepth batches behind: wait selects blocking until it dequeues one
-// (the block policy, and every Flush/Close, which must hand their batch
-// over regardless of policy) or failing with ErrBackpressure, the buffer
-// left in place. drain reports that the token was free and is now the
-// caller's: it must release ing.mu and call ing.drain.
-func (ing *Ingestor) handOver(done chan error, wait bool) (drain bool, err error) {
+// (every send and Flush/Close) or handing nothing over, the buffer left in
+// place (the interval tick, which must never stall). drain reports that the
+// token was free and is now the caller's: it must release ing.mu and call
+// ing.drain.
+func (ing *Ingestor) handOver(done chan error, wait bool) (drain bool) {
 	ing.qmu.Lock()
 	for ing.qlen == len(ing.queue) {
 		if !wait {
 			ing.qmu.Unlock()
-			return false, ErrBackpressure
+			return false
 		}
 		ing.space.Wait()
 	}
@@ -384,7 +335,7 @@ func (ing *Ingestor) handOver(done chan error, wait bool) (drain bool, err error
 	ing.qmu.Unlock()
 	ing.buf = ing.getBuf()
 	ing.buffered.Store(0)
-	return drain, nil
+	return drain
 }
 
 // drain is the apply stage, run by the goroutine that took the token in
@@ -459,10 +410,10 @@ func (ing *Ingestor) Flush() error { return ing.barrier(false) }
 // stay open.
 func (ing *Ingestor) Close() error { return ing.barrier(true) }
 
-// barrier is Flush and Close: it hands the current buffer over whatever
-// the backpressure policy and waits for it to apply — on this goroutine if
-// the token was free, behind the current applier otherwise; the queue is
-// FIFO, so everything handed over earlier has applied by then. Close marks
+// barrier is Flush and Close: it hands the current buffer over and waits
+// for it to apply — on this goroutine if the token was free, behind the
+// current applier otherwise; the queue is FIFO, so everything handed over
+// earlier has applied by then. Close marks
 // the Ingestor closed under the same hold of ing.mu, so the batch it waits
 // for is the last one.
 func (ing *Ingestor) barrier(closing bool) error {
@@ -473,7 +424,7 @@ func (ing *Ingestor) barrier(closing bool) error {
 	}
 	ing.closed = closing
 	done := make(chan error, 1)
-	drain, _ := ing.handOver(done, true)
+	drain := ing.handOver(done, true)
 	ing.mu.Unlock()
 	if drain {
 		ing.drain()
@@ -506,7 +457,7 @@ func (ing *Ingestor) tick() {
 			ing.mu.Lock()
 			drain := false
 			if !ing.closed && len(ing.buf) > 0 {
-				drain, _ = ing.handOver(nil, false)
+				drain = ing.handOver(nil, false)
 			}
 			ing.mu.Unlock()
 			if drain {
@@ -518,8 +469,8 @@ func (ing *Ingestor) tick() {
 
 // apply hands one batch to the session together with the time it closes:
 // the batch's timestamps fold into the max-observed timestamp and, when
-// that moves the bounded-lateness watermark, the advance rides the batch
-// down Session.apply — one WAL append, one engine section, one Update per
+// that runs past the watermark, the advance to it rides the batch down
+// Session.apply — one WAL append, one engine section, one Update per
 // touched reader. The Ingestor's own clock moves only once the session took
 // the batch: a batch the log refused advances nothing here either, while
 // one that applied with per-event skips closes time like any other. Only
@@ -532,15 +483,9 @@ func (ing *Ingestor) apply(events []Event) error {
 			maxTS = ev.TS
 		}
 	}
-	wm := maxTS - ing.opts.Lateness
-	if wm > maxTS {
-		// Saturate: a timestamp near MinInt64 must not wrap the watermark
-		// to a huge positive value and expire every window (MinInt64
-		// itself is the unset sentinel).
-		wm = math.MinInt64 + 1
-	}
-	if maxTS == math.MinInt64 || wm <= ing.watermark.Load() {
-		wm = graph.NoAdvance
+	wm := graph.NoAdvance
+	if maxTS > ing.watermark.Load() {
+		wm = maxTS
 	}
 	advanceTo := wm
 	if ing.opts.DisableAutoExpire {
@@ -559,9 +504,8 @@ func (ing *Ingestor) apply(events []Event) error {
 }
 
 // Watermark returns the Ingestor's current low watermark — the maximum
-// applied timestamp minus the configured Lateness — and whether any event
-// has been applied yet. Time-based windows have been expired up to it
-// (unless DisableAutoExpire).
+// applied timestamp — and whether it has one yet. Time-based windows have
+// been expired up to it (unless DisableAutoExpire).
 func (ing *Ingestor) Watermark() (int64, bool) {
 	wm := ing.watermark.Load()
 	return wm, wm != math.MinInt64
@@ -603,15 +547,14 @@ type IngestorStats struct {
 	Sent    int64 `json:"sent"`
 	Applied int64 `json:"applied"`
 	Batches int64 `json:"batches"`
-	// Rejected counts sends refused with a typed error — ErrBackpressure
-	// (full queue under the fail-fast policy) or ErrTimestampJump.
+	// Rejected counts sends refused with ErrTimestampJump.
 	Rejected int64 `json:"rejected"`
 	// QueueDepth is the number of handed-over batches waiting behind the
 	// one being applied; Buffered the events not yet handed over.
 	QueueDepth int `json:"queueDepth"`
 	Buffered   int `json:"buffered"`
 	// Watermark is the current low watermark; WatermarkValid is false
-	// until the first event applies.
+	// until an event applies or the session's earlier expiry seeds it.
 	Watermark      int64 `json:"watermark"`
 	WatermarkValid bool  `json:"watermarkValid"`
 }

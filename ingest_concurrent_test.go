@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/autotune"
 )
 
 // TestConcurrentSendersMatchBruteModel is the combining apply stage's
@@ -178,7 +180,7 @@ func TestConcurrentSendersRaceAutotuneAndSubscriptions(t *testing.T) {
 	}
 	sess, q := mk()
 	oracle, oq := mk()
-	sess.EnableAutotune(AutotuneOptions{Interval: time.Millisecond, MinActivity: 1})
+	sess.enableAutotune(autotune.Config{Interval: time.Millisecond, MinActivity: 1})
 	defer sess.StopAutotune()
 
 	ch, cancel, err := q.Subscribe(256, 0)
@@ -323,7 +325,7 @@ func TestIngestorOneUpdatePerReaderPerBatch(t *testing.T) {
 					}
 					// The batch's last event reaches every ego and carries the
 					// batch's largest timestamp, which is the watermark it
-					// closed (Lateness 0).
+					// closed.
 					wm, _ := ing.Watermark()
 					// Delivery is synchronous with the apply, so after Flush the
 					// batch's updates are all in the channel.

@@ -2,8 +2,9 @@ package eagr
 
 import (
 	"errors"
-	"math"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,7 +20,7 @@ import (
 // watermark.
 func TestIngestorWatermarkMatchesManualExpire(t *testing.T) {
 	const nodes = 24
-	const lateness = 3
+	const disorder = 3
 	mk := func() (*Session, *Query) {
 		sess, err := Open(ring(nodes))
 		if err != nil {
@@ -34,7 +35,7 @@ func TestIngestorWatermarkMatchesManualExpire(t *testing.T) {
 	auto, autoQ := mk()
 	manual, manualQ := mk()
 
-	ing, err := auto.Ingest(IngestOptions{BatchSize: 8, FlushInterval: -1, Lateness: lateness})
+	ing, err := auto.Ingest(IngestOptions{BatchSize: 8, FlushInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +44,8 @@ func TestIngestorWatermarkMatchesManualExpire(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		v := NodeID(rng.Intn(nodes))
 		val := int64(rng.Intn(50))
-		// Slightly out-of-order timestamps, within the lateness bound.
-		ts := int64(i+1) - int64(rng.Intn(lateness+1))
+		// Slightly out-of-order timestamps, never older than the window.
+		ts := int64(i+1) - int64(rng.Intn(disorder+1))
 		if ts < 1 {
 			ts = 1
 		}
@@ -65,8 +66,8 @@ func TestIngestorWatermarkMatchesManualExpire(t *testing.T) {
 	if !ok {
 		t.Fatal("watermark not advanced after flush")
 	}
-	if want := maxTS - lateness; wm != want {
-		t.Fatalf("watermark = %d, want maxTS-lateness = %d", wm, want)
+	if wm != maxTS {
+		t.Fatalf("watermark = %d, want maxTS = %d", wm, maxTS)
 	}
 	manual.ExpireAll(wm)
 	for v := 0; v < nodes; v++ {
@@ -151,13 +152,12 @@ func TestIngestorExpiryDrivesContinuousSubscription(t *testing.T) {
 	}
 }
 
-// TestIngestorBackpressureTyped exercises the fail-fast policy with a
-// depth-1 queue and batch size 1. ErrBackpressure means "the queue is full
-// while ANOTHER goroutine is applying": a lone sender applies each batch it
-// fills before its Send returns and must never see it; a second sender
-// running into the first one's slow (structural) batches must; and
-// everything accepted must still apply.
-func TestIngestorBackpressureTyped(t *testing.T) {
+// TestIngestorQueueBounded pins the bounded apply queue with a depth-1
+// queue and batch size 1. A lone sender applies each batch it fills before
+// its Send returns, so nothing ever queues; a second sender running into
+// the first one's slow (structural) batches blocks on the full queue rather
+// than growing it, and everything accepted still applies.
+func TestIngestorQueueBounded(t *testing.T) {
 	const nodes = 400
 	sess, err := Open(workload.SocialGraph(nodes, 6, 1), Options{Algorithm: "iob"})
 	if err != nil {
@@ -170,13 +170,11 @@ func TestIngestorBackpressureTyped(t *testing.T) {
 		BatchSize:     1,
 		QueueDepth:    1,
 		FlushInterval: -1,
-		Backpressure:  BackpressureError,
 		Clock:         LogicalClock(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var accepted atomic.Int64
 	// toggle adds (even i) then removes (odd i) one edge per pair of calls:
 	// every call is a one-event structural batch, and no call has to look
 	// at the graph a concurrent applier may be mutating.
@@ -186,11 +184,7 @@ func TestIngestorBackpressureTyped(t *testing.T) {
 		if i%2 == 1 {
 			ev = NewEdgeRemove(u, v, 0)
 		}
-		err := ing.SendEvent(ev)
-		if err == nil {
-			accepted.Add(1)
-		}
-		return err
+		return ing.SendEvent(ev)
 	}
 	for i := 0; i < 500; i++ {
 		if err := toggle(i); err != nil {
@@ -202,43 +196,59 @@ func TestIngestorBackpressureTyped(t *testing.T) {
 	}
 
 	// A second sender: one goroutine keeps toggling edges (slow batches it
-	// mostly applies itself), this one bursts cheap writes into it.
+	// mostly applies itself), this one bursts cheap writes into it, and an
+	// observer samples the queue — Stats never takes the send mutex, so it
+	// reads the depth exactly while a sender is blocked on a full queue.
 	stop := make(chan struct{})
-	var slow sync.WaitGroup
-	slow.Add(1)
+	var structural, maxDepth atomic.Int64
+	var bg sync.WaitGroup
+	bg.Add(2)
 	go func() {
-		defer slow.Done()
+		defer bg.Done()
 		for i := 500; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if err := toggle(i); err != nil && !errors.Is(err, ErrBackpressure) {
+			if err := toggle(i); err != nil {
 				t.Errorf("structural sender: %v", err)
 				return
 			}
+			structural.Add(1)
 		}
 	}()
-	sawBackpressure := false
-	for i := 0; i < 2_000_000 && !sawBackpressure; i++ {
-		switch err := ing.Send(NodeID(i%nodes), 1); {
-		case err == nil:
-			accepted.Add(1)
-		case errors.Is(err, ErrBackpressure):
-			sawBackpressure = true
-		default:
-			t.Fatalf("unexpected send error: %v", err)
+	go func() {
+		defer bg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if d := int64(ing.Stats().QueueDepth); d > maxDepth.Load() {
+				maxDepth.Store(d)
+			}
+			runtime.Gosched()
+		}
+	}()
+	for structural.Load() == 0 {
+		runtime.Gosched()
+	}
+	for i := 0; i < 1_000_000 && structural.Load() < 50; i++ {
+		if err := ing.Send(NodeID(i%nodes), 1); err != nil {
+			t.Fatalf("send %d: %v", i, err)
 		}
 	}
 	close(stop)
-	slow.Wait()
-	if !sawBackpressure {
-		t.Fatal("never observed ErrBackpressure with a depth-1 queue and a concurrent slow sender")
+	bg.Wait()
+	if d := maxDepth.Load(); d > 1 {
+		t.Fatalf("queue depth reached %d, QueueDepth is 1", d)
 	}
+	t.Logf("%d structural batches raced the writes; deepest queue seen %d", structural.Load(), maxDepth.Load())
 	_ = ing.Flush() // structural toggles may legitimately error; drain them
-	if st := ing.Stats(); st.Applied != accepted.Load() || st.Rejected == 0 {
-		t.Fatalf("stats = %+v, want applied == accepted (%d) and rejected > 0", st, accepted.Load())
+	if st := ing.Stats(); st.Applied != st.Sent || st.Rejected != 0 {
+		t.Fatalf("stats = %+v, want applied == sent and none rejected", st)
 	}
 	if err := ing.Close(); err != nil && !errors.Is(err, ErrIngestorClosed) {
 		t.Fatal(err)
@@ -413,8 +423,70 @@ func TestIngestorTimestampJumpGuard(t *testing.T) {
 	_ = ing.Close()
 }
 
+// TestSecondIngestorKeepsTimeDomain pins that stream time belongs to the
+// session, not to one Ingestor, on in-memory and durable sessions alike:
+// after Ingestor A streamed ts 1..100 and closed, Ingestor B's first event
+// at ts 10^12 is a MaxTimestampJump violation, B starts at A's watermark,
+// and the time windows A filled survive.
+func TestSecondIngestorKeepsTimeDomain(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			var sess *Session
+			var err error
+			if durable {
+				sess, _, err = OpenDurable(ring(8), DurabilityOptions{Dir: t.TempDir()})
+			} else {
+				sess, err = Open(ring(8))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.CloseDurability()
+			q, err := sess.Register(QuerySpec{Aggregate: "sum", WindowTime: 50})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := IngestOptions{BatchSize: 16, FlushInterval: -1, MaxTimestampJump: 1000}
+			a, err := sess.Ingest(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ts := int64(1); ts <= 100; ts++ {
+				if err := a.SendEvent(NewWrite(NodeID(ts%8), 1, ts)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before, err := q.Read(0)
+			if err != nil || !before.Valid {
+				t.Fatalf("read after A = %+v (%v), want a valid window", before, err)
+			}
+
+			b, err := sess.Ingest(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			if err := b.SendEvent(NewWrite(1, 1, 1_000_000_000_000)); !errors.Is(err, ErrTimestampJump) {
+				t.Fatalf("B's first event at ts 10^12 = %v, want ErrTimestampJump", err)
+			}
+			if err := b.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if wm, ok := b.Watermark(); !ok || wm != 100 {
+				t.Fatalf("B's watermark = %d (%v), want A's 100", wm, ok)
+			}
+			if after, err := q.Read(0); err != nil || after.Valid != before.Valid || after.Scalar != before.Scalar {
+				t.Fatalf("read after the rejected jump = %+v (%v), want %+v", after, err, before)
+			}
+		})
+	}
+}
+
 // TestIngestorCloseFlushesTail pins Close's flush guarantee: buffered
-// events apply before Close returns, under the fail-fast policy too.
+// events apply before Close returns.
 func TestIngestorCloseFlushesTail(t *testing.T) {
 	sess, err := Open(ring(8))
 	if err != nil {
@@ -428,7 +500,6 @@ func TestIngestorCloseFlushesTail(t *testing.T) {
 		BatchSize:     1 << 10,
 		FlushInterval: -1,
 		QueueDepth:    1,
-		Backpressure:  BackpressureError,
 		Clock:         LogicalClock(),
 	})
 	if err != nil {
@@ -448,50 +519,6 @@ func TestIngestorCloseFlushesTail(t *testing.T) {
 	if res, err := q.Read(0); err != nil || res.Scalar != 1 {
 		t.Fatalf("read after Close = %+v (%v), want count 1", res, err)
 	}
-}
-
-// TestIngestorWatermarkUnderflowSaturates pins the saturating watermark: a
-// timestamp near MinInt64 with a positive Lateness must not wrap the
-// watermark to a huge positive value and expire every window.
-func TestIngestorWatermarkUnderflowSaturates(t *testing.T) {
-	sess, err := Open(ring(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := sess.Register(QuerySpec{Aggregate: "sum", WindowTime: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ing, err := sess.Ingest(IngestOptions{BatchSize: 1, FlushInterval: -1, Lateness: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ing.SendEvent(NewWrite(1, 7, math.MinInt64+5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ing.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if wm, ok := ing.Watermark(); !ok || wm > math.MinInt64+5 {
-		t.Fatalf("watermark = %d (%v), want saturated near MinInt64", wm, ok)
-	}
-	// The saturated ExpireAll must not wipe the window (TimeWindow.Expire
-	// guards the ts-T underflow): the value just written survives.
-	if res, err := q.Read(0); err != nil || !res.Valid || res.Scalar != 7 {
-		t.Fatalf("read after saturated expiry = %+v (%v), want 7", res, err)
-	}
-	// A later real-domain write still lands and is readable: the ratchet
-	// was not poisoned.
-	if err := ing.SendEvent(NewWrite(1, 9, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ing.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if res, err := q.Read(0); err != nil || !res.Valid || res.Scalar != 9 {
-		t.Fatalf("read after recovery = %+v (%v), want 9", res, err)
-	}
-	_ = ing.Close()
 }
 
 // poisonAgg counts values like COUNT, except that its PAO panics on the

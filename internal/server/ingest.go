@@ -18,11 +18,10 @@ import (
 const MaxIngestLine = 1 << 20
 
 // ingestor returns the server's shared Ingestor, creating it on first use.
-// Block policy: a full apply queue holds the /ingest request body instead
-// of erroring, which is HTTP's natural backpressure. The clock follows the
-// stream (see ingTS): a ts-less event is stamped "now in stream time",
-// never with a server wall clock the client's timestamps may know nothing
-// about.
+// A full apply queue holds the /ingest request body instead of erroring,
+// which is HTTP's natural backpressure. The clock follows the stream (see
+// ingTS): a ts-less event is stamped "now in stream time", never with a
+// server wall clock the client's timestamps may know nothing about.
 func (s *Server) ingestor() (*eagr.Ingestor, error) {
 	if ing := s.ing.Load(); ing != nil {
 		return ing, nil
@@ -39,7 +38,6 @@ func (s *Server) ingestor() (*eagr.Ingestor, error) {
 		BatchSize:         512,
 		FlushInterval:     25 * time.Millisecond,
 		QueueDepth:        16,
-		Backpressure:      eagr.BackpressureBlock,
 		Clock:             eagr.ClockFunc(s.ingTS.Load),
 		MaxTimestampJump:  s.maxTSJump,
 		DisableAutoExpire: s.manualExpire,

@@ -530,8 +530,6 @@ func statusFor(err error) int {
 	case errors.Is(err, eagr.ErrConflictingWindow), errors.Is(err, eagr.ErrIncompatibleMerge),
 		errors.Is(err, eagr.ErrIncompatibleQuery), errors.Is(err, eagr.ErrTimestampJump):
 		return http.StatusUnprocessableEntity
-	case errors.Is(err, eagr.ErrBackpressure):
-		return http.StatusTooManyRequests
 	case errors.Is(err, eagr.ErrIngestorClosed), errors.Is(err, eagr.ErrDurabilityClosed):
 		return http.StatusServiceUnavailable
 	default:

@@ -755,7 +755,7 @@ func TestStatsDurabilitySection(t *testing.T) {
 	if !ok {
 		t.Fatalf("no durability section in /stats: %v", stats)
 	}
-	if dur["cleanShutdown"] != false || dur["checkpoints"].(float64) < 1 {
+	if dur["replayedBatches"] != float64(0) || dur["checkpoints"].(float64) < 1 {
 		t.Fatalf("durability section = %v", dur)
 	}
 	// Every field of DurabilityStats and of its Recovery, flat in one object.

@@ -31,7 +31,6 @@ func TestStatusMapping(t *testing.T) {
 		{"incompatible-merge", eagr.ErrIncompatibleMerge, http.StatusUnprocessableEntity},
 		{"incompatible-query", eagr.ErrIncompatibleQuery, http.StatusUnprocessableEntity},
 		{"opaque", errors.New("boom"), http.StatusInternalServerError},
-		{"ingest-backpressure", eagr.ErrBackpressure, http.StatusTooManyRequests},
 		{"ingest-closed", eagr.ErrIngestorClosed, http.StatusServiceUnavailable},
 		{"ingest-timestamp-jump", eagr.ErrTimestampJump, http.StatusUnprocessableEntity},
 		{"ingest-opaque", errors.New("boom"), http.StatusInternalServerError},

@@ -29,7 +29,6 @@ import (
 const (
 	ckptMagic   = 0x45414743 // "EAGC"
 	ckptVersion = 1
-	cleanName   = "CLEAN"
 	keepCkpts   = 2
 )
 
@@ -292,54 +291,4 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, rerr
 	}
 	return c, nil
-}
-
-// WriteClean persists the clean-shutdown marker: the final checkpoint's
-// LSN, CRC-protected. A restart that finds it (and a log ending at that
-// LSN) skips replay entirely.
-func WriteClean(fs FS, lsn uint64) error {
-	var buf [16]byte
-	binary.LittleEndian.PutUint32(buf[0:4], ckptMagic)
-	binary.LittleEndian.PutUint64(buf[4:12], lsn)
-	binary.LittleEndian.PutUint32(buf[12:16], crc32.Checksum(buf[:12], crcTable))
-	f, err := fs.Create(cleanName)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf[:]); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadClean returns the clean-shutdown LSN and whether a valid marker
-// exists.
-func ReadClean(fs FS) (uint64, bool) {
-	r, err := fs.Open(cleanName)
-	if err != nil {
-		return 0, false
-	}
-	defer r.Close()
-	data, err := io.ReadAll(r)
-	if err != nil || len(data) != 16 {
-		return 0, false
-	}
-	if binary.LittleEndian.Uint32(data[0:4]) != ckptMagic {
-		return 0, false
-	}
-	if crc32.Checksum(data[:12], crcTable) != binary.LittleEndian.Uint32(data[12:16]) {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint64(data[4:12]), true
-}
-
-// RemoveClean deletes the marker (done first thing at open: any crash
-// before the NEXT clean shutdown must replay). Best-effort.
-func RemoveClean(fs FS) {
-	_ = fs.Remove(cleanName)
 }

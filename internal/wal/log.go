@@ -43,7 +43,7 @@ const (
 	RecRetire uint8 = 3
 	// RecExpire carries a watermark-driven window expiry (ExpireAll ts).
 	// Logging expiry makes the replayed window state EXACTLY the applied
-	// state, independent of lateness configuration at recovery time.
+	// state, independent of whatever Ingestor runs after recovery.
 	RecExpire uint8 = 4
 )
 

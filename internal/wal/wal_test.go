@@ -400,27 +400,6 @@ func TestCheckpointIgnoresTmp(t *testing.T) {
 	}
 }
 
-func TestCleanMarker(t *testing.T) {
-	fs, err := NewOsFS(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ReadClean(fs); ok {
-		t.Fatal("marker present before write")
-	}
-	if err := WriteClean(fs, 42); err != nil {
-		t.Fatal(err)
-	}
-	lsn, ok := ReadClean(fs)
-	if !ok || lsn != 42 {
-		t.Fatalf("ReadClean = %d,%v", lsn, ok)
-	}
-	RemoveClean(fs)
-	if _, ok := ReadClean(fs); ok {
-		t.Fatal("marker survived removal")
-	}
-}
-
 func TestFaultFSCrashPoisonsLog(t *testing.T) {
 	dir := t.TempDir()
 	inner, err := NewOsFS(dir)
