@@ -27,35 +27,21 @@ import (
 var ErrDurabilityClosed = errors.New("eagr: durability closed")
 
 // FsyncPolicy selects when acknowledged events are forced to stable
-// storage.
-type FsyncPolicy int
+// storage: it is the WAL's sync policy.
+type FsyncPolicy = wal.SyncPolicy
 
 const (
 	// FsyncPerBatch (the default) fsyncs the WAL on every appended batch:
 	// an acknowledged event is never lost.
-	FsyncPerBatch FsyncPolicy = iota
+	FsyncPerBatch = wal.SyncAlways
 	// FsyncInterval fsyncs when DurabilityOptions.FsyncInterval has elapsed
 	// since the last sync: a crash loses at most the events acknowledged
 	// inside the window.
-	FsyncInterval
+	FsyncInterval = wal.SyncEvery
 	// FsyncOff never fsyncs on append; the OS flushes on its own schedule.
 	// Graceful shutdown still flushes everything.
-	FsyncOff
+	FsyncOff = wal.SyncNone
 )
-
-// String returns the flag spelling of the policy.
-func (p FsyncPolicy) String() string {
-	switch p {
-	case FsyncPerBatch:
-		return "per-batch"
-	case FsyncInterval:
-		return "interval"
-	case FsyncOff:
-		return "off"
-	default:
-		return fmt.Sprintf("FsyncPolicy(%d)", int(p))
-	}
-}
 
 // ParseFsyncPolicy parses the flag spellings: "per-batch" (or "batch",
 // "always"), "interval", "off" (or "none").
@@ -126,14 +112,10 @@ type durableState struct {
 	fs   wal.FS
 	opts DurabilityOptions
 
-	mu     sync.RWMutex
-	log    *wal.Log
-	closed bool
-	// replaying disables the logging hooks while OpenDurable rebuilds
-	// state by replay. Only the recovering goroutine runs then; the flag
-	// is reset before the session escapes, so no synchronization needed.
-	replaying bool
-	ckptSeq   uint64
+	mu      sync.RWMutex
+	log     *wal.Log
+	closed  bool
+	ckptSeq uint64
 
 	ckpts       atomic.Int64
 	lastCkptLSN atomic.Uint64
@@ -219,19 +201,7 @@ func OpenDurable(g *Graph, dopts DurabilityOptions, opts ...Options) (*Session, 
 		}
 		fs = osfs
 	}
-	var policy wal.SyncPolicy
-	switch dopts.Fsync {
-	case FsyncPerBatch:
-		policy = wal.SyncAlways
-	case FsyncInterval:
-		policy = wal.SyncEvery
-	case FsyncOff:
-		policy = wal.SyncNone
-	default:
-		return nil, nil, fmt.Errorf("eagr: invalid fsync policy %d", int(dopts.Fsync))
-	}
-
-	log, err := wal.Open(fs, wal.Options{Policy: policy, Interval: dopts.FsyncInterval})
+	log, err := wal.Open(fs, wal.Options{Policy: dopts.Fsync, Interval: dopts.FsyncInterval})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -281,8 +251,8 @@ func OpenDurable(g *Graph, dopts DurabilityOptions, opts ...Options) (*Session, 
 			log.Close()
 			return nil, nil, err
 		}
-		s.dur = d
-		d.replaying = true
+		// s.dur stays nil until the WAL tail has replayed, so recovery's
+		// registrations, applies and retirements log nothing.
 		d.ckptSeq = ckptSeq
 		d.lastCkptLSN.Store(ckpt.LSN)
 		d.lastCkptWM.Store(ckpt.Watermark)
@@ -326,7 +296,7 @@ func OpenDurable(g *Graph, dopts DurabilityOptions, opts ...Options) (*Session, 
 			case wal.RecBatch:
 				// Per-event apply errors (duplicate edge, dead node)
 				// replayed the original's skips; the end state matches.
-				_, _ = s.apply(r.Events, graph.NoAdvance) // d.replaying: applies without re-logging
+				_, _ = s.apply(r.Events, graph.NoAdvance)
 				rec.ReplayedBatches++
 				rec.ReplayedEvents += len(r.Events)
 			case wal.RecRegister:
@@ -348,7 +318,7 @@ func OpenDurable(g *Graph, dopts DurabilityOptions, opts ...Options) (*Session, 
 			log.Close()
 			return nil, nil, serr
 		}
-		d.replaying = false
+		s.dur = d
 	}
 
 	rec.CheckpointSeq = d.ckptSeq
@@ -570,14 +540,13 @@ func (s *Session) SimulateCrash() error {
 type DurabilityStats struct {
 	Enabled bool   `json:"enabled"`
 	Dir     string `json:"dir"`
-	// WAL shape: live segments and their bytes, the last LSN, appended
-	// record and fsync counts, and the recycled-segment pool size.
+	// WAL shape: live segments and their bytes, the last LSN, and
+	// appended record and fsync counts.
 	WALSegments int    `json:"walSegments"`
 	WALBytes    int64  `json:"walBytes"`
 	WALLastLSN  uint64 `json:"walLastLSN"`
 	WALAppends  int64  `json:"walAppends"`
 	WALSyncs    int64  `json:"walSyncs"`
-	WALFreePool int    `json:"walFreePool"`
 	// Checkpoints written this run, the last one's LSN/watermark, and the
 	// last checkpoint error (empty when the last attempt succeeded).
 	Checkpoints             int64  `json:"checkpoints"`
@@ -605,7 +574,6 @@ func (s *Session) DurabilityStats() DurabilityStats {
 		WALLastLSN:              ls.LastLSN,
 		WALAppends:              ls.Appended,
 		WALSyncs:                ls.Syncs,
-		WALFreePool:             ls.FreePool,
 		Checkpoints:             d.ckpts.Load(),
 		LastCheckpointLSN:       d.lastCkptLSN.Load(),
 		LastCheckpointWatermark: d.lastCkptWM.Load(),

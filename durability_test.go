@@ -868,3 +868,21 @@ func TestRecoveryRefusesUnknownQueryField(t *testing.T) {
 		})
 	}
 }
+
+// TestFsyncPolicySpellings: each policy's String parses back to it, and a
+// policy outside the three is refused before the directory is touched.
+func TestFsyncPolicySpellings(t *testing.T) {
+	for _, p := range []FsyncPolicy{FsyncPerBatch, FsyncInterval, FsyncOff} {
+		if got, err := ParseFsyncPolicy(p.String()); err != nil || got != p {
+			t.Errorf("ParseFsyncPolicy(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	dir := t.TempDir()
+	if s, _, err := OpenDurable(ring(4), DurabilityOptions{Dir: dir, Fsync: FsyncOff + 1}); err == nil {
+		s.CloseDurability()
+		t.Fatal("OpenDurable accepted an out-of-range fsync policy")
+	}
+	if names, _ := os.ReadDir(dir); len(names) != 0 {
+		t.Fatalf("refused open left %d files in the directory", len(names))
+	}
+}

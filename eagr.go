@@ -330,7 +330,7 @@ func (s *Session) Register(spec QuerySpec, opts ...Options) (*Query, error) {
 		o = opts[0]
 	}
 	d := s.dur
-	if d == nil || d.replaying {
+	if d == nil {
 		return s.register(spec, o, 0)
 	}
 	// Durable path: registration must order exactly against logged batches,
@@ -394,8 +394,8 @@ func (s *Session) register(spec QuerySpec, o Options, forcedID int) (*Query, err
 
 // acquireView resolves the aggregate name to a query kind — the only place
 // that knows there is more than one — and returns that kind's standing view
-// with its sharing key. The numeric registry wins on a name collision,
-// preserving the behavior of custom aggregates registered before
+// with its sharing key. The aggregate registry wins on a name collision
+// with the fixed topology table, preserving the behavior of custom aggregates registered before
 // topology-valued aggregates (density, triangles, ego-betweenness, ...)
 // existed.
 func (s *Session) acquireView(spec QuerySpec, o Options) (standingView, string, error) {
@@ -537,7 +537,7 @@ func NewNodeRemove(v NodeID, ts int64) Event {
 // that is not refused folds into the session's stream time. It returns the
 // node ids the batch's NodeAdd events allocated.
 func (s *Session) apply(events []Event, advanceTo int64) ([]NodeID, error) {
-	if d := s.dur; d != nil && !d.replaying {
+	if d := s.dur; d != nil {
 		d.mu.RLock()
 		defer d.mu.RUnlock()
 		if d.closed {

@@ -33,7 +33,7 @@ func main() {
 	}
 
 	// Registered exactly like a numeric aggregate — the name selects the
-	// topology registry. Spellings are canonicalized ("density" here).
+	// fixed topology table. Spellings are canonicalized ("density" here).
 	density, err := sess.Register(eagr.QuerySpec{Aggregate: "density"})
 	if err != nil {
 		log.Fatal(err)

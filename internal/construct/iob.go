@@ -453,8 +453,3 @@ func sortedWriters(s map[graph.NodeID]struct{}) []graph.NodeID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// iobOrder exposes the shingle insertion order for tests.
-func iobOrder(ag *bipartite.AG, m int) []int { return shingle.Order(ag, m) }
-
-var _ = iobOrder

@@ -117,7 +117,7 @@ type System struct {
 	shape    shape
 	minedAt  uint64
 	pristine bool
-	// eng is the system's one engine, created by compileViews and never
+	// eng is the system's one engine, created by compileSystem and never
 	// replaced: every later overlay change — repair, decision flip or
 	// recompile — reaches it as an exec.Engine.Rebuild, so it is read without
 	// synchronization.

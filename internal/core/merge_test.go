@@ -10,6 +10,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/construct"
 	"repro/internal/dataflow"
+	"repro/internal/exec"
 	"repro/internal/graph"
 )
 
@@ -563,7 +564,8 @@ func TestRestrideOnNonMaintainableMerged(t *testing.T) {
 
 // TestMergedViewOutOfRangeNode: a node id outside the stride's range must
 // report ErrUnknownNode, never alias into a sibling member's encoded GID
-// space (cross-query read leakage).
+// space (cross-query read leakage), through the attachment and through the
+// engine's untagged Read/ReadInto alike.
 func TestMergedViewOutOfRangeNode(t *testing.T) {
 	sys, atts := attachFamily(t, multiRing(12), []MemberSpec{
 		{Neighborhood: graph.InNeighbors{}},
@@ -575,6 +577,14 @@ func TestMergedViewOutOfRangeNode(t *testing.T) {
 		}
 		if atts[0].Covered(v) {
 			t.Fatalf("Covered(%d) on view 0 true for out-of-range node", v)
+		}
+		// The untagged engine reads resolve like ReadTagged(0, v).
+		if r, err := sys.Engine().Read(v); !errors.Is(err, exec.ErrUnknownNode) {
+			t.Fatalf("Engine().Read(%d) = %v, %v; want ErrUnknownNode", v, r, err)
+		}
+		var res agg.Result
+		if err := sys.Engine().ReadInto(v, &res); !errors.Is(err, exec.ErrUnknownNode) {
+			t.Fatalf("Engine().ReadInto(%d) = %v; want ErrUnknownNode", v, err)
 		}
 	}
 }

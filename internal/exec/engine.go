@@ -635,7 +635,7 @@ func (e *Engine) propagateScalar(st *engineState, wref overlay.NodeRef, dSum, dC
 // and returns the aggregate over N(v).
 func (e *Engine) Read(v graph.NodeID) (agg.Result, error) {
 	st := e.state.Load()
-	return e.readOn(st, st.plan.reader(v), v, nil)
+	return e.readOn(st, st.plan.readerTagged(0, v), v, nil)
 }
 
 // ReadInto is Read with a caller-provided result: list-valued answers
@@ -644,7 +644,7 @@ func (e *Engine) Read(v graph.NodeID) (agg.Result, error) {
 // *res holds the new answer; its previous contents are overwritten.
 func (e *Engine) ReadInto(v graph.NodeID, res *agg.Result) error {
 	st := e.state.Load()
-	r, err := e.readOn(st, st.plan.reader(v), v, res.List)
+	r, err := e.readOn(st, st.plan.readerTagged(0, v), v, res.List)
 	*res = r
 	return err
 }

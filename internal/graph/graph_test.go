@@ -275,26 +275,6 @@ func TestPredicates(t *testing.T) {
 	}
 }
 
-func TestStreamApplyAndCounts(t *testing.T) {
-	g := NewWithNodes(2)
-	s := &Stream{}
-	s.Append(Event{Kind: EdgeAdd, Node: 0, Peer: 1})
-	s.Append(Event{Kind: ContentWrite, Node: 0, Value: 7})
-	s.Append(Event{Kind: Read, Node: 1})
-	for _, e := range s.Events {
-		if err := s.Apply(g, e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !g.HasEdge(0, 1) {
-		t.Fatal("EdgeAdd not applied")
-	}
-	c := s.Counts()
-	if c[EdgeAdd] != 1 || c[ContentWrite] != 1 || c[Read] != 1 {
-		t.Fatalf("Counts = %v", c)
-	}
-}
-
 func TestEventKindString(t *testing.T) {
 	names := map[EventKind]string{
 		ContentWrite: "write",

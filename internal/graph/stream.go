@@ -94,42 +94,3 @@ func (e Event) IsStructural() bool {
 		return false
 	}
 }
-
-// Stream is an in-memory event sequence, used by the workload drivers to
-// play back traces against the execution engine.
-type Stream struct {
-	Events []Event
-}
-
-// Append adds an event to the stream.
-func (s *Stream) Append(e Event) { s.Events = append(s.Events, e) }
-
-// Len returns the number of events.
-func (s *Stream) Len() int { return len(s.Events) }
-
-// Counts returns the number of events of each kind.
-func (s *Stream) Counts() map[EventKind]int {
-	m := make(map[EventKind]int)
-	for _, e := range s.Events {
-		m[e.Kind]++
-	}
-	return m
-}
-
-// Apply applies a structural event to the graph. Content writes and reads
-// are ignored (they do not change the structure).
-func (s *Stream) Apply(g *Graph, e Event) error {
-	switch e.Kind {
-	case EdgeAdd:
-		return g.AddEdge(e.Node, e.Peer)
-	case EdgeRemove:
-		return g.RemoveEdge(e.Node, e.Peer)
-	case NodeAdd:
-		g.AddNode()
-		return nil
-	case NodeRemove:
-		return g.RemoveNode(e.Node)
-	default:
-		return nil
-	}
-}

@@ -760,7 +760,7 @@ func TestStatsDurabilitySection(t *testing.T) {
 	}
 	// Every field of DurabilityStats and of its Recovery, flat in one object.
 	for _, key := range []string{"enabled", "dir", "walSegments", "walBytes", "walLastLSN",
-		"walAppends", "walSyncs", "walFreePool", "checkpoints", "lastCheckpointLSN",
+		"walAppends", "walSyncs", "checkpoints", "lastCheckpointLSN",
 		"lastCheckpointWatermark", "checkpointSeq", "checkpointLSN", "recoveredQueries",
 		"replayedBatches", "replayedEvents", "truncatedTail", "nextOrdinal",
 		"recoveredWatermark", "recoveredWatermarkValid", "recoveryNanos"} {

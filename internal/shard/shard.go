@@ -324,8 +324,10 @@ func (c *Coordinator) Register(spec eagr.QuerySpec, opts ...eagr.Options) (*Quer
 	var err error
 	// A topology-valued aggregate has no PAO: agg stays nil, reads skip the
 	// merge, and the per-shard Register validates the spec.
-	if q.agg, err = agg.Parse(q.name); err != nil && !topo.IsTopo(q.name) {
-		return nil, fmt.Errorf("%w: %w", eagr.ErrIncompatibleQuery, err)
+	if q.agg, err = agg.Parse(q.name); err != nil {
+		if _, terr := topo.Parse(q.name); terr != nil {
+			return nil, fmt.Errorf("%w: %w", eagr.ErrIncompatibleQuery, err)
+		}
 	}
 	for i, s := range c.shards {
 		m, err := s.Register(spec, opts...)

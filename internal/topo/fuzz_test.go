@@ -5,6 +5,50 @@ import (
 	"testing"
 )
 
+// topoSpecSeeds are the fuzz seeds with their verdicts: the compile key
+// Key(0) of each accepted spelling, "" for a refused one. Topo keys are part
+// of the view-sharing identity, so a changed key would split or merge views
+// across a restart.
+var topoSpecSeeds = []struct{ spec, key string }{
+	{"", ""},
+	{"density", "topo|density|wt=0"},
+	{"Density", "topo|density|wt=0"},
+	{" density ", "topo|density|wt=0"},
+	{"triangles", "topo|triangles|wt=0"},
+	{"triangle", "topo|triangles|wt=0"},
+	{"tri", "topo|triangles|wt=0"},
+	{"wedges", "topo|wedges|wt=0"},
+	{"wedge", "topo|wedges|wt=0"},
+	{"ego-betweenness", "topo|ego-betweenness|wt=0"},
+	{"egobetweenness", "topo|ego-betweenness|wt=0"},
+	{"ego_betweenness", "topo|ego-betweenness|wt=0"},
+	{"betweenness", "topo|ego-betweenness|wt=0"},
+	{"EBC", "topo|ego-betweenness|wt=0"},
+	{"density(3)", ""},
+	{"sum", ""},
+	{"topk(5)", ""},
+	{"density(", ""},
+	{"density()", ""},
+	{"wedges(x)", ""},
+	{"tri(0)", "topo|triangles|wt=0"},
+}
+
+// TestParseTopoSpecSeeds pins each fuzz seed's accept/refuse verdict and
+// compile key.
+func TestParseTopoSpecSeeds(t *testing.T) {
+	for _, sd := range topoSpecSeeds {
+		spec, err := Parse(sd.spec)
+		switch {
+		case sd.key == "" && err == nil:
+			t.Errorf("Parse(%q) = %+v, want refused", sd.spec, spec)
+		case sd.key != "" && err != nil:
+			t.Errorf("Parse(%q): %v, want key %q", sd.spec, err, sd.key)
+		case sd.key != "" && spec.Key(0) != sd.key:
+			t.Errorf("Parse(%q).Key(0) = %q, want %q", sd.spec, spec.Key(0), sd.key)
+		}
+	}
+}
+
 // FuzzParseTopoSpec pins the topology-aggregate spec grammar as a closed
 // loop (mirroring FuzzParseEventKind for event kinds): every accepted
 // spelling canonicalizes through String to a form that parses back to the
@@ -12,13 +56,8 @@ import (
 // — the property Session.Register's view sharing and the router's spec
 // re-encoding both depend on.
 func FuzzParseTopoSpec(f *testing.F) {
-	for _, s := range []string{
-		"", "density", "Density", " density ", "triangles", "triangle",
-		"tri", "wedges", "wedge", "ego-betweenness", "egobetweenness",
-		"ego_betweenness", "betweenness", "EBC", "density(3)", "sum",
-		"topk(5)", "density(", "density()", "wedges(x)", "tri(0)",
-	} {
-		f.Add(s)
+	for _, sd := range topoSpecSeeds {
+		f.Add(sd.spec)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		spec, err := Parse(s)
@@ -49,9 +88,6 @@ func FuzzParseTopoSpec(f *testing.F) {
 		}
 		if !found {
 			t.Fatalf("Parse accepted %q as %q, which Names() does not list", s, spec.Name)
-		}
-		if IsTopo(s) != true {
-			t.Fatalf("IsTopo(%q) disagrees with Parse", s)
 		}
 	})
 }

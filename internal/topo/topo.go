@@ -31,7 +31,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/agg"
 	"repro/internal/graph"
@@ -60,14 +59,16 @@ type Aggregate interface {
 	Value(m *Mirror, v graph.NodeID) agg.Result
 }
 
-// Factory constructs an Aggregate from an optional integer parameter (none
-// of the built-ins take one, but the registry keeps the same shape as
-// internal/agg so future parameterized aggregates fit).
-type Factory func(param int) Aggregate
-
 var (
-	registryMu sync.RWMutex
-	registry   = map[string]Factory{}
+	// builtins is the fixed table of topology aggregates, keyed by
+	// canonical name. Aggregates are stateless, so one value serves every
+	// view; user-defined aggregates register with internal/agg instead.
+	builtins = map[string]Aggregate{
+		"density":         Density{},
+		"triangles":       Triangles{},
+		"wedges":          Wedges{},
+		"ego-betweenness": EgoBetweenness{},
+	}
 	// aliases maps accepted spec spellings onto canonical names, so the
 	// spec parser and the compile key agree on one identity per aggregate.
 	aliases = map[string]string{
@@ -81,69 +82,44 @@ var (
 	}
 )
 
-// Register installs a topology aggregate factory under its canonical name.
-// Built-ins are pre-registered; re-registering replaces the factory.
-func Register(name string, f Factory) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	registry[strings.ToLower(name)] = f
-}
-
-// Names returns the sorted list of registered canonical aggregate names
-// (sorted so /stats and error messages are deterministic, matching
-// agg.Names).
+// Names returns the sorted list of canonical aggregate names (sorted so
+// /stats and error messages are deterministic, matching agg.Names).
 func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
+	out := make([]string, 0, len(builtins))
+	for n := range builtins {
 		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Spec is a parsed topology-aggregate spec: the canonical name plus the
-// optional integer parameter. Window cadence is NOT part of the spec — it
-// arrives separately (QuerySpec.WindowTime) and joins the compile key.
+// Spec is a parsed topology-aggregate spec: the canonical name. Window
+// cadence is NOT part of the spec — it arrives separately
+// (QuerySpec.WindowTime) and joins the compile key.
 type Spec struct {
-	Name  string
-	Param int
+	Name string
 }
 
 // String renders the canonical spelling; Parse(s.String()) round-trips.
-func (s Spec) String() string {
-	if s.Param != 0 {
-		return fmt.Sprintf("%s(%d)", s.Name, s.Param)
-	}
-	return s.Name
-}
+func (s Spec) String() string { return s.Name }
 
 // Key canonicalizes a spec plus its window cadence into the compile-sharing
 // key: queries with equal keys share one engine view (and its recompute
 // snapshots) outright. The "topo|" prefix keeps the key space disjoint from
 // the numeric-aggregate family keys.
 func (s Spec) Key(window int64) string {
-	return fmt.Sprintf("topo|%s|wt=%d", s.String(), window)
-}
-
-// IsTopo reports whether spec names a registered topology aggregate (in any
-// accepted spelling), without constructing it.
-func IsTopo(spec string) bool {
-	_, err := Parse(spec)
-	return err == nil
+	return fmt.Sprintf("topo|%s|wt=%d", s.Name, window)
 }
 
 // Parse resolves a topology-aggregate spec of the form "name" or
-// "name(param)". Spellings are case-insensitive and aliases collapse to the
+// "name(0)". Spellings are case-insensitive and aliases collapse to the
 // canonical name ("triangle" == "triangles", "ebc" == "ego-betweenness"),
 // so equal-semantics specs map to one Spec — the parse→Key closed loop the
 // fuzz target pins. Unknown names are errors; so are malformed parameter
-// forms and parameters on aggregates that take none.
+// forms and nonzero parameters, which no aggregate takes.
 func Parse(spec string) (Spec, error) {
 	name := strings.ToLower(strings.TrimSpace(spec))
 	param := 0
-	hasParam := false
 	if i := strings.IndexByte(name, '('); i >= 0 {
 		if !strings.HasSuffix(name, ")") {
 			return Spec{}, fmt.Errorf("topo: malformed spec %q", spec)
@@ -152,36 +128,30 @@ func Parse(spec string) (Spec, error) {
 		if err != nil {
 			return Spec{}, fmt.Errorf("topo: bad parameter in %q: %v", spec, err)
 		}
-		param, hasParam = p, true
+		param = p
 		name = strings.TrimSpace(name[:i])
 	}
 	if canon, ok := aliases[name]; ok {
 		name = canon
 	}
-	registryMu.RLock()
-	_, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
+	if _, ok := builtins[name]; !ok {
 		return Spec{}, fmt.Errorf("topo: unknown aggregate %q (have %s)", name, strings.Join(Names(), ", "))
 	}
-	if hasParam && param != 0 {
-		// None of the registered aggregates are parameterized yet; reject
-		// rather than silently ignore, so "density(3)" can't shadow a
-		// future meaning.
+	if param != 0 {
+		// Reject rather than silently ignore, so "density(3)" can't shadow
+		// a future meaning.
 		return Spec{}, fmt.Errorf("topo: aggregate %q takes no parameter", name)
 	}
 	return Spec{Name: name}, nil
 }
 
-// New constructs the aggregate a parsed Spec names.
+// New returns the aggregate a parsed Spec names.
 func New(s Spec) (Aggregate, error) {
-	registryMu.RLock()
-	f, ok := registry[s.Name]
-	registryMu.RUnlock()
+	a, ok := builtins[s.Name]
 	if !ok {
 		return nil, fmt.Errorf("topo: unknown aggregate %q", s.Name)
 	}
-	return f(s.Param), nil
+	return a, nil
 }
 
 // Density is the ego-network density of v: the fraction of its neighbor
@@ -243,11 +213,4 @@ func (EgoBetweenness) Incremental() bool { return false }
 
 func (EgoBetweenness) Value(m *Mirror, v graph.NodeID) agg.Result {
 	return agg.Result{Scalar: m.egoBetweenness(v), Valid: true}
-}
-
-func init() {
-	Register("density", func(int) Aggregate { return Density{} })
-	Register("triangles", func(int) Aggregate { return Triangles{} })
-	Register("wedges", func(int) Aggregate { return Wedges{} })
-	Register("ego-betweenness", func(int) Aggregate { return EgoBetweenness{} })
 }

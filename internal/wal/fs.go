@@ -1,7 +1,7 @@
 // Package wal implements the durability substrate of a session: a
 // segment-file write-ahead log of the ingested event stream (CRC-framed
-// records, configurable fsync policy, free-list segment recycling mirroring
-// the exec delta log), atomic checkpoints (temp-file + rename) tagged with
+// records, configurable fsync policy, segments removed once a checkpoint
+// covers them), atomic checkpoints (temp-file + rename) tagged with
 // the low watermark, and torn-tail-tolerant recovery scans. The filesystem
 // is reached through the FS interface so tests can inject faults — failed
 // writes, short writes, and "crash here" cut-offs at a chosen write.

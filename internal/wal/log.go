@@ -27,9 +27,7 @@ import (
 // byte, which between the two records of a pair is exactly the crash between
 // two separate appends older logs could hold. Segments are
 // fixed-size-ish files named wal-<seq>.seg; segments made obsolete by a
-// checkpoint are recycled through a walfree-<seq>.seg pool (the same
-// free-list idea as the exec delta log's segment recycling, at file
-// granularity).
+// checkpoint are removed.
 
 // Record types.
 const (
@@ -76,6 +74,20 @@ const (
 	// schedule); Sync and Close still flush explicitly.
 	SyncNone
 )
+
+// String returns the flag spelling of the policy.
+func (p SyncPolicy) String() string {
+	switch p {
+	case SyncAlways:
+		return "per-batch"
+	case SyncEvery:
+		return "interval"
+	case SyncNone:
+		return "off"
+	default:
+		return fmt.Sprintf("SyncPolicy(%d)", int(p))
+	}
+}
 
 // Options tune a Log; the zero value syncs on every append and rolls
 // segments at 4 MiB.
@@ -130,7 +142,6 @@ type Log struct {
 	cur       File
 	nextSeq   uint64
 	nextLSN   uint64
-	free      []string // recycled segment file names
 	lastSync  time.Time
 	broken    error // a failed write poisons the log (crash semantics)
 	closed    bool
@@ -151,9 +162,12 @@ type Log struct {
 // Open scans the directory, truncates any torn tail, and returns a log
 // positioned to append after the last valid record. Segments damaged
 // mid-file are cut at the first invalid record and every later segment is
-// recycled — a crash corrupts only the tail, so everything after the first
+// removed — a crash corrupts only the tail, so everything after the first
 // bad byte is part of it.
 func Open(fs FS, opts Options) (*Log, error) {
+	if opts.Policy < SyncAlways || opts.Policy > SyncNone {
+		return nil, fmt.Errorf("wal: invalid sync policy %d", int(opts.Policy))
+	}
 	// nextLSN 0 means "baseline unknown": the first valid record scanned
 	// sets it (a pruned log legitimately starts past LSN 1). Continuity is
 	// enforced from there on.
@@ -173,15 +187,28 @@ func Open(fs FS, opts Options) (*Log, error) {
 			continue
 		}
 		if _, err := fmt.Sscanf(name, "walfree-%d.seg", &seq); err == nil && fmt.Sprintf("walfree-%08d.seg", seq) == name {
-			l.free = append(l.free, name)
+			// A dead segment an older build pooled for reuse. Open never
+			// reads one, so a failed removal only leaves it for next time.
+			_ = fs.Remove(name)
 		}
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
+	// drop removes a dead segment. One left behind would be scanned again
+	// at the next Open, as a hole in front of the segments appended since,
+	// and cut them off; so a failed removal fails Open.
+	drop := func(seg *segment) error {
+		if err := fs.Remove(seg.name); err != nil {
+			return fmt.Errorf("wal: remove dead segment: %w", err)
+		}
+		return nil
+	}
 	torn := false
 	for i, seg := range live {
 		if torn {
-			// Everything past the torn point is tail: recycle it.
-			l.recycle(seg)
+			// Everything past the torn point is tail: remove it.
+			if err := drop(seg); err != nil {
+				return nil, err
+			}
 			l.truncated = true
 			continue
 		}
@@ -193,15 +220,19 @@ func Open(fs FS, opts Options) (*Log, error) {
 			torn = true
 			l.truncated = true
 			if seg.firstLSN == 0 {
-				// Nothing valid in it at all — recycle rather than keep an
+				// Nothing valid in it at all — remove rather than keep an
 				// empty husk.
-				l.recycle(seg)
+				if err := drop(seg); err != nil {
+					return nil, err
+				}
 				continue
 			}
 		}
 		if seg.firstLSN == 0 && i < len(live)-1 {
 			// An empty non-final segment is a crash artifact; drop it.
-			l.recycle(seg)
+			if err := drop(seg); err != nil {
+				return nil, err
+			}
 			continue
 		}
 		l.segs = append(l.segs, seg)
@@ -311,14 +342,6 @@ func (l *Log) scanSegment(seg *segment, fn func(Record) error, fromLSN uint64) (
 	return true, nil
 }
 
-// recycle moves a segment file into the free pool.
-func (l *Log) recycle(seg *segment) {
-	freeName := fmt.Sprintf("walfree-%08d.seg", seg.seq)
-	if err := l.fs.Rename(seg.name, freeName); err == nil {
-		l.free = append(l.free, freeName)
-	}
-}
-
 // Truncated reports whether Open dropped a torn tail.
 func (l *Log) Truncated() bool { return l.truncated }
 
@@ -373,8 +396,7 @@ func (l *Log) Scan(fromLSN uint64, fn func(Record) error) error {
 	return nil
 }
 
-// roll opens a fresh append segment, reusing a free-pool file when one is
-// available. Callers hold l.mu.
+// rollLocked opens a fresh append segment. Callers hold l.mu.
 func (l *Log) rollLocked() error {
 	if l.cur != nil {
 		if err := l.cur.Sync(); err != nil {
@@ -386,15 +408,6 @@ func (l *Log) rollLocked() error {
 		l.cur = nil
 	}
 	name := fmt.Sprintf("wal-%08d.seg", l.nextSeq)
-	if n := len(l.free); n > 0 {
-		// Recycle: rename keeps the inode (and its allocated extents), the
-		// Create below truncates it for reuse.
-		freeName := l.free[n-1]
-		if err := l.fs.Rename(freeName, name); err != nil {
-			return err
-		}
-		l.free = l.free[:n-1]
-	}
 	f, err := l.fs.Create(name)
 	if err != nil {
 		return err
@@ -573,20 +586,21 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// Prune recycles every segment whose records are all <= uptoLSN (covered by
-// a checkpoint), keeping the current append segment.
+// Prune removes, oldest first, every segment whose records are all <=
+// uptoLSN (covered by a checkpoint), keeping the current append segment.
+// It stops at a segment it fails to remove, which stays in the log for the
+// next Prune: removing a later one would leave a hole in the LSN sequence.
 func (l *Log) Prune(uptoLSN uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	keep := l.segs[:0]
-	for i, seg := range l.segs {
-		if i < len(l.segs)-1 && seg.lastLSN != 0 && seg.lastLSN <= uptoLSN {
-			l.recycle(seg)
-			continue
+	n := 0
+	for n < len(l.segs)-1 && l.segs[n].lastLSN != 0 && l.segs[n].lastLSN <= uptoLSN {
+		if l.fs.Remove(l.segs[n].name) != nil {
+			break
 		}
-		keep = append(keep, seg)
+		n++
 	}
-	l.segs = keep
+	l.segs = l.segs[n:]
 }
 
 // Close flushes and closes the append segment. Further appends return
@@ -619,7 +633,6 @@ type Stats struct {
 	LastLSN   uint64
 	Appended  int64
 	Syncs     int64
-	FreePool  int
 	Truncated bool
 }
 
@@ -632,7 +645,6 @@ func (l *Log) LogStats() Stats {
 		LastLSN:   l.nextLSN - 1,
 		Appended:  l.appended,
 		Syncs:     l.syncs,
-		FreePool:  len(l.free),
 		Truncated: l.truncated,
 	}
 	for _, seg := range l.segs {

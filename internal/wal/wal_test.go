@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/agg"
@@ -115,7 +117,17 @@ func TestAppendScanRoundTrip(t *testing.T) {
 	l2.Close()
 }
 
-func TestSegmentRollAndRecycle(t *testing.T) {
+// listFiles returns the directory's file names.
+func listFiles(t *testing.T, fs FS) []string {
+	t.Helper()
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+func TestSegmentRollAndPrune(t *testing.T) {
 	fs, err := NewOsFS(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -131,21 +143,23 @@ func TestSegmentRollAndRecycle(t *testing.T) {
 	if st.Segments < 3 {
 		t.Fatalf("expected multiple segments, got %d", st.Segments)
 	}
-	// Prune everything below the last LSN: all but the live tail recycles.
+	// Prune everything below the last LSN: all but the live tail is
+	// removed from the directory.
 	l.Prune(st.LastLSN - 1)
 	st2 := l.LogStats()
-	if st2.FreePool == 0 {
-		t.Fatal("prune recycled nothing into the free pool")
+	if st2.Segments >= st.Segments {
+		t.Fatalf("prune kept %d of %d segments", st2.Segments, st.Segments)
 	}
-	// New appends reuse pool files instead of growing the name space.
-	before := st2.FreePool
+	if names := listFiles(t, fs); len(names) != st2.Segments {
+		t.Fatalf("after prune the directory holds %v, want %d segment files", names, st2.Segments)
+	}
 	for i := 0; i < 20; i++ {
 		if _, _, err := l.AppendBatch(testEvents(2, 1000+int64(i)*10)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st3 := l.LogStats(); st3.FreePool >= before+3 {
-		t.Fatalf("free pool grew from %d to %d; rolls should consume it", before, st3.FreePool)
+	if names, st3 := listFiles(t, fs), l.LogStats(); len(names) != st3.Segments {
+		t.Fatalf("after rolls the directory holds %v, want %d segment files", names, st3.Segments)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -315,9 +329,114 @@ func TestTornTailMidLogCorruptionDropsRest(t *testing.T) {
 	if last >= 12 {
 		t.Fatalf("mid-log corruption kept %d records through LSN %d", len(recs), last)
 	}
-	// Later segments were recycled, not left as garbage.
-	if st := l2.LogStats(); st.FreePool == 0 {
-		t.Fatal("dropped segments should land in the free pool")
+	// Later segments were removed, not left as garbage.
+	for _, name := range segNames[2:] {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("dropped segment %s still in the directory (stat: %v)", name, err)
+		}
+	}
+	if names := listFiles(t, fs2); len(names) != l2.LogStats().Segments {
+		t.Fatalf("directory holds %v, want %d segment files", names, l2.LogStats().Segments)
+	}
+}
+
+// TestOpenRemovesPooledSegment: older builds renamed dead segments to
+// walfree-<seq>.seg for reuse instead of removing them. Open removes such a
+// file and scans the live segments exactly as before.
+func TestOpenRemovesPooledSegment(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := NewOsFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := openTestLog(t, fs, Options{SegmentBytes: 256, Policy: SyncNone})
+	for i := 0; i < 12; i++ {
+		if _, _, err := l.AppendBatch(testEvents(2, int64(i)*10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l1 := openTestLog(t, fs, Options{SegmentBytes: 256})
+	want := collect(t, l1, 1)
+	l1.Close()
+	// A pooled file holds a dead segment's old bytes.
+	data, err := os.ReadFile(filepath.Join(dir, "wal-00000001.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled := filepath.Join(dir, "walfree-00000003.seg")
+	if err := os.WriteFile(pooled, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l2 := openTestLog(t, fs, Options{SegmentBytes: 256})
+	defer l2.Close()
+	if _, err := os.Stat(pooled); !os.IsNotExist(err) {
+		t.Fatalf("pooled segment survived Open (stat: %v)", err)
+	}
+	if got := collect(t, l2, 1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("scan after removal = %+v, want %+v", got, want)
+	}
+}
+
+// removeFailFS refuses to remove one file.
+type removeFailFS struct {
+	FS
+	fail string
+}
+
+func (f removeFailFS) Remove(name string) error {
+	if name == f.fail {
+		return errors.New("remove refused")
+	}
+	return f.FS.Remove(name)
+}
+
+// TestFailedRemoveLeavesNoHole: Prune stops at a segment it cannot remove,
+// so the directory never holds a gap in the LSN sequence; and Open fails
+// rather than leave a dead tail segment to be scanned again.
+func TestFailedRemoveLeavesNoHole(t *testing.T) {
+	dir := t.TempDir()
+	osfs, err := NewOsFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := openTestLog(t, removeFailFS{FS: osfs, fail: "wal-00000002.seg"}, Options{SegmentBytes: 256, Policy: SyncNone})
+	for i := 0; i < 40; i++ {
+		if _, _, err := l.AppendBatch(testEvents(2, int64(i)*10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := l.LogStats()
+	l.Prune(st.LastLSN - 1)
+	if got := l.LogStats().Segments; got != st.Segments-1 {
+		t.Fatalf("prune past a failed removal kept %d of %d segments, want %d", got, st.Segments, st.Segments-1)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2 := openTestLog(t, osfs, Options{SegmentBytes: 256})
+	recs := collect(t, l2, 1)
+	if l2.Truncated() || len(recs) == 0 || recs[len(recs)-1].LSN != st.LastLSN {
+		t.Fatalf("reopen after a failed prune: truncated=%v, %d records", l2.Truncated(), len(recs))
+	}
+	l2.Close()
+
+	// Tear segment 2: segment 3 on is dead tail, and its removal fails.
+	p := filepath.Join(dir, "wal-00000002.seg")
+	data, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-3] ^= 0xFF
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l3, err := Open(removeFailFS{FS: osfs, fail: "wal-00000003.seg"}, Options{SegmentBytes: 256}); err == nil {
+		l3.Close()
+		t.Fatal("Open kept a dead segment it could not remove")
 	}
 }
 

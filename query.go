@@ -385,7 +385,7 @@ func (q *Query) dropped() int64 {
 // recovery. Closing an already-closed query returns ErrQueryClosed.
 func (q *Query) Close() error {
 	d := q.sess.dur
-	if d == nil || d.replaying || !q.durable {
+	if d == nil || !q.durable {
 		return q.closeInner()
 	}
 	d.mu.Lock()
