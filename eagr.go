@@ -395,9 +395,9 @@ func (s *Session) register(spec QuerySpec, o Options, forcedID int) (*Query, err
 // acquireView resolves the aggregate name to a query kind — the only place
 // that knows there is more than one — and returns that kind's standing view
 // with its sharing key. The aggregate registry wins on a name collision
-// with the fixed topology table, preserving the behavior of custom aggregates registered before
-// topology-valued aggregates (density, triangles, ego-betweenness, ...)
-// existed.
+// with the fixed topology table, preserving the behavior of custom
+// aggregates registered before topology-valued aggregates (density,
+// triangles, ego-betweenness, ...) existed.
 func (s *Session) acquireView(spec QuerySpec, o Options) (standingView, string, error) {
 	name := specOrDefault(spec.Aggregate, "sum")
 	a, err := agg.Parse(name)
