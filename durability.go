@@ -296,7 +296,7 @@ func OpenDurable(g *Graph, dopts DurabilityOptions, opts ...Options) (*Session, 
 			case wal.RecBatch:
 				// Per-event apply errors (duplicate edge, dead node)
 				// replayed the original's skips; the end state matches.
-				_, _ = s.apply(r.Events, graph.NoAdvance)
+				_, _ = s.apply(r.Events, graph.NoAdvance, false)
 				rec.ReplayedBatches++
 				rec.ReplayedEvents += len(r.Events)
 			case wal.RecRegister:
@@ -310,7 +310,7 @@ func OpenDurable(g *Graph, dopts DurabilityOptions, opts ...Options) (*Session, 
 					rec.RecoveredQueries--
 				}
 			case wal.RecExpire:
-				_, _ = s.apply(nil, r.TS)
+				_, _ = s.apply(nil, r.TS, false)
 			}
 			return nil
 		})

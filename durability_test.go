@@ -653,7 +653,7 @@ func TestDurableBackgroundCheckpoint(t *testing.T) {
 
 // TestRefusedBatchDoesNotAdvanceTime: a batch closes its own time, so a batch
 // the WAL refuses — which is (correctly) not applied — moves no time either:
-// not the Ingestor's max timestamp, not its watermark, not a window. The
+// not the session's stream time, not the time it has closed, not a window. The
 // live process and a recovery from its log then agree. (When the advance was
 // a second call after the batch, the refused batch's timestamps still moved
 // the watermark 1 → 1000 and emptied the window, with nothing in the log.)
@@ -693,8 +693,8 @@ func TestRefusedBatchDoesNotAdvanceTime(t *testing.T) {
 	}
 	check := func(when string, q *Query, ing *Ingestor, wantWM, wantSum int64) {
 		t.Helper()
-		if wm, ok := ing.Watermark(); !ok || wm != wantWM || ing.maxTS.Load() != wantWM {
-			t.Fatalf("%s: watermark = %d (%v), maxTS = %d; want both %d", when, wm, ok, ing.maxTS.Load(), wantWM)
+		if wm, ok := ing.Watermark(); !ok || wm != wantWM || ing.sess.lastExpire.Load() != wantWM {
+			t.Fatalf("%s: watermark = %d (%v), closed time = %d; want both %d", when, wm, ok, ing.sess.lastExpire.Load(), wantWM)
 		}
 		if res, err := q.Read(0); err != nil || res.Scalar != wantSum {
 			t.Fatalf("%s: read = %v, %v; want %d", when, res, err, wantSum)

@@ -46,7 +46,7 @@
 // the goroutine whose send filled the batch (no apply goroutine to hand
 // off to), while consecutive structural events coalesce into one overlay
 // repair per query (Session.ApplyBatch is the same unified path for
-// caller-assembled batches). The Ingestor's low watermark — the maximum
+// caller-assembled batches). The low watermark — the session's maximum
 // applied timestamp — expires time-based windows automatically, each batch
 // closing its own time in the same transaction, so time-windowed queries
 // advance with the stream instead of with hand-threaded ExpireAll calls.
@@ -484,7 +484,7 @@ func specOrDefault(s, d string) string {
 // registered query.
 func (s *Session) Write(v NodeID, value int64, ts int64) error {
 	ev := [1]Event{NewWrite(v, value, ts)}
-	_, err := s.apply(ev[:], graph.NoAdvance)
+	_, err := s.apply(ev[:], graph.NoAdvance, false)
 	return err
 }
 
@@ -526,44 +526,47 @@ func NewNodeRemove(v NodeID, ts int64) Event {
 // the batch closes (graph.NoAdvance = it closes no time). Write, ApplyBatch,
 // ApplyBatchNodes, the four structural mutators, ExpireAll (no
 // events), the Ingestor's apply stage and recovery's replay are all views of
-// it. It owns the only durability fork — on a durable session the batch and
+// it. With ownTime set (the Ingestor's batches) the batch closes its own
+// time instead of advanceTo: the advance is the session's stream time with
+// the batch folded in, when that passes the furthest time already closed.
+// It owns the only durability fork — on a durable session the batch and
 // its advance are WAL-appended together and then applied under one hold of
 // the durability read lock (so a checkpoint never observes a half-applied
 // batch, and acknowledged implies durable under FsyncPerBatch), otherwise
 // they go straight to the shared apply loop — and a batch the log refuses
-// (a refused error) applies nothing and moves no time. Expiry is LOGGED,
-// not recomputed at recovery: replay reproduces exactly the advances that
-// ran, independent of whatever Ingestor exists after restart. Every batch
-// that is not refused folds into the session's stream time. It returns the
-// node ids the batch's NodeAdd events allocated.
-func (s *Session) apply(events []Event, advanceTo int64) ([]NodeID, error) {
+// applies nothing and moves no time. Expiry is LOGGED, not recomputed at
+// recovery: replay reproduces exactly the advances that ran, independent of
+// whatever Ingestor exists after restart. Every batch that is not refused
+// folds into the session's stream time: its timestamps into maxTS (zero
+// timestamps are the "unstamped" sentinel and don't count), its advance
+// into lastExpire. It returns the node ids the batch's NodeAdd events
+// allocated.
+func (s *Session) apply(events []Event, advanceTo int64, ownTime bool) ([]NodeID, error) {
+	batchMax := int64(math.MinInt64)
+	for _, ev := range events {
+		if ev.TS != 0 && ev.TS > batchMax {
+			batchMax = ev.TS
+		}
+	}
+	if ownTime {
+		if t := max(s.maxTS.Load(), batchMax); t > s.lastExpire.Load() {
+			advanceTo = t
+		}
+	}
 	if d := s.dur; d != nil {
 		d.mu.RLock()
 		defer d.mu.RUnlock()
 		if d.closed {
-			return nil, refused{ErrDurabilityClosed}
+			return nil, ErrDurabilityClosed
 		}
 		if _, _, err := d.log.Append(events, advanceTo); err != nil {
-			return nil, refused{fmt.Errorf("eagr: wal append: %w", err)}
+			return nil, fmt.Errorf("eagr: wal append: %w", err)
 		}
 	}
-	s.noteTime(events, advanceTo)
+	casMax(&s.maxTS, batchMax)
+	casMax(&s.lastExpire, advanceTo)
 	added, err := s.multi.Apply(events, advanceTo)
 	return added, mapNodeErr(err)
-}
-
-// noteTime folds a batch into the session's stream time: its timestamps
-// into maxTS (zero timestamps are the "unstamped" sentinel and don't
-// count), its advance into lastExpire.
-func (s *Session) noteTime(events []Event, advanceTo int64) {
-	max := int64(math.MinInt64)
-	for _, ev := range events {
-		if ev.TS != 0 && ev.TS > max {
-			max = ev.TS
-		}
-	}
-	casMax(&s.maxTS, max)
-	casMax(&s.lastExpire, advanceTo)
 }
 
 // casMax advances a to at least v.
@@ -575,13 +578,6 @@ func casMax(a *atomic.Int64, v int64) {
 		}
 	}
 }
-
-// refused wraps the error of a batch the write-ahead log would not take:
-// none of it applied. The Ingestor tells it from the joined per-event skips
-// of a batch that did apply — only the latter closes time.
-type refused struct{ error }
-
-func (r refused) Unwrap() error { return r.error }
 
 // ApplyBatch ingests a mixed batch of content and structural events in
 // stream order — the paper's single interleaved data stream. Runs of
@@ -601,7 +597,7 @@ func (r refused) Unwrap() error { return r.error }
 // sequential mutators and collecting errors. The final results are
 // identical to applying the batch one event at a time.
 func (s *Session) ApplyBatch(events []Event) error {
-	_, err := s.apply(events, graph.NoAdvance)
+	_, err := s.apply(events, graph.NoAdvance, false)
 	return err
 }
 
@@ -613,7 +609,7 @@ func (s *Session) ApplyBatch(events []Event) error {
 // per-event ids; streams that create nodes and immediately address them
 // should allocate through ApplyBatchNodes or AddNode first.)
 func (s *Session) ApplyBatchNodes(events []Event) ([]NodeID, error) {
-	return s.apply(events, graph.NoAdvance)
+	return s.apply(events, graph.NoAdvance, false)
 }
 
 // ExpireAll advances every query's time-based windows to ts, propagating
@@ -628,7 +624,7 @@ func (s *Session) ApplyBatchNodes(events []Event) ([]NodeID, error) {
 // would otherwise ride with: an advance the log refuses is not applied, and
 // the error says so.
 func (s *Session) ExpireAll(ts int64) error {
-	_, err := s.apply(nil, ts)
+	_, err := s.apply(nil, ts, false)
 	return err
 }
 
@@ -636,13 +632,13 @@ func (s *Session) ExpireAll(ts int64) error {
 // under the default neighborhood) and incrementally repairs every query's
 // overlay.
 func (s *Session) AddEdge(u, v NodeID) error {
-	_, err := s.apply([]Event{NewEdgeAdd(u, v, 0)}, graph.NoAdvance)
+	_, err := s.apply([]Event{NewEdgeAdd(u, v, 0)}, graph.NoAdvance, false)
 	return err
 }
 
 // RemoveEdge applies a structural edge deletion.
 func (s *Session) RemoveEdge(u, v NodeID) error {
-	_, err := s.apply([]Event{NewEdgeRemove(u, v, 0)}, graph.NoAdvance)
+	_, err := s.apply([]Event{NewEdgeRemove(u, v, 0)}, graph.NoAdvance, false)
 	return err
 }
 
@@ -650,7 +646,7 @@ func (s *Session) RemoveEdge(u, v NodeID) error {
 // (On a durable session replay allocates the same id: the checkpointed
 // graph carries its free list, and NodeAdd events apply in log order.)
 func (s *Session) AddNode() (NodeID, error) {
-	added, err := s.apply([]Event{NewNodeAdd(0)}, graph.NoAdvance)
+	added, err := s.apply([]Event{NewNodeAdd(0)}, graph.NoAdvance, false)
 	if len(added) == 0 {
 		return 0, err
 	}
@@ -659,7 +655,7 @@ func (s *Session) AddNode() (NodeID, error) {
 
 // RemoveNode deletes a node and its edges everywhere.
 func (s *Session) RemoveNode(v NodeID) error {
-	_, err := s.apply([]Event{NewNodeRemove(v, 0)}, graph.NoAdvance)
+	_, err := s.apply([]Event{NewNodeRemove(v, 0)}, graph.NoAdvance, false)
 	return err
 }
 
@@ -753,46 +749,14 @@ type SessionStats struct {
 }
 
 // AdaptivityStats aggregates the adaptivity telemetry of every compiled
-// overlay in the session.
-type AdaptivityStats struct {
-	// PushObserved/PullObserved are total push/pull observations drained
-	// from the engines' per-node counters (by rebalances or the autotune
-	// controller) since the session opened.
-	PushObserved int64 `json:"pushObserved"`
-	PullObserved int64 `json:"pullObserved"`
-	// Rebalances counts rebalance passes across all overlays; LastFlips
-	// sums each overlay's most recent pass's flips, and LastRebalanceNano
-	// is the wall-clock time (UnixNano) of the newest pass anywhere (0 if
-	// none ran).
-	Rebalances        int64 `json:"rebalances"`
-	LastFlips         int   `json:"lastFlips"`
-	LastRebalanceNano int64 `json:"lastRebalanceNano"`
-	// Installs counts the engine snapshots installed across all overlays
-	// (one per rebalance that flipped, structural run, member attach or
-	// retire, re-optimization or recompile); LastInstallHoldMicros is the
-	// longest any overlay's most recent install held its writes and
-	// watermark advances back. Reads are never held.
-	Installs              int64 `json:"installs"`
-	LastInstallHoldMicros int64 `json:"lastInstallHoldMicros"`
-}
+// overlay in the session: Session.Stats sums the overlays' counters and
+// LastFlips, and reports the newest LastRebalanceNano and the longest
+// LastInstallHoldMicros.
+type AdaptivityStats = core.AdaptivityStats
 
 // AutotuneStats is the public snapshot of the background adaptivity
 // controller's counters (see EnableAutotune).
-type AutotuneStats struct {
-	// Enabled reports whether the controller's loop is currently running.
-	Enabled bool `json:"enabled"`
-	// Ticks counts controller passes; Flips the frontier decision flips it
-	// applied; Reoptimizes the full re-plan cutovers.
-	Ticks       int64 `json:"ticks"`
-	Flips       int64 `json:"flips"`
-	Reoptimizes int64 `json:"reoptimizes"`
-	// LastTrigger describes the most recent action ("" if none yet).
-	LastTrigger string `json:"lastTrigger"`
-	// EstimatedCost/PlanCost are the latest degradation check: the cost of
-	// the current decisions under the observed workload vs a fresh plan.
-	EstimatedCost float64 `json:"estimatedCost"`
-	PlanCost      float64 `json:"planCost"`
-}
+type AutotuneStats = autotune.Stats
 
 // Stats returns current session-wide statistics.
 func (s *Session) Stats() SessionStats {
@@ -820,16 +784,7 @@ func (s *Session) Stats() SessionStats {
 	}
 	s.tunerMu.Lock()
 	if t := s.tuner; t != nil {
-		ts := t.Stats()
-		st.Autotune = AutotuneStats{
-			Enabled:       ts.Running,
-			Ticks:         ts.Ticks,
-			Flips:         ts.Flips,
-			Reoptimizes:   ts.Reoptimizes,
-			LastTrigger:   ts.LastTrigger,
-			EstimatedCost: ts.EstimatedCost,
-			PlanCost:      ts.PlanCost,
-		}
+		st.Autotune = t.Stats()
 	}
 	s.tunerMu.Unlock()
 	s.topoMu.Lock()

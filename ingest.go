@@ -44,6 +44,20 @@ func LogicalClock() Clock {
 	return ClockFunc(func() int64 { return c.Add(1) })
 }
 
+// StreamClock stamps an event with the largest timestamp its Ingestor has
+// accepted so far — the stream's own "now", in whatever unit the producer
+// sends (ticks, seconds, nanoseconds) — or 0 before any timestamp exists.
+// The Ingestor seeds that reference from the session's stream time, so the
+// stamps carry on across a second Ingestor and a durable restart. Outside
+// an Ingestor its Now is 0.
+func StreamClock() Clock { return streamClock{} }
+
+// streamClock marks IngestOptions.Clock as StreamClock: the Ingestor binds
+// it to its own accept-side reference (see streamNow).
+type streamClock struct{}
+
+func (streamClock) Now() int64 { return 0 }
+
 // IngestOptions tune an Ingestor; the zero value picks sensible defaults.
 type IngestOptions struct {
 	// BatchSize is the number of buffered events that triggers an
@@ -60,8 +74,9 @@ type IngestOptions struct {
 	// queue blocks the sender until the applier dequeues a batch —
 	// ingestion applies backpressure upstream.
 	QueueDepth int
-	// Clock stamps events sent without a timestamp; nil means WallClock
-	// (unix nanoseconds).
+	// Clock stamps events sent without a timestamp: WallClock (unix
+	// nanoseconds, the default when nil), LogicalClock (a counter), or
+	// StreamClock (the largest timestamp accepted so far).
 	Clock Clock
 	// MaxTimestampJump, when positive, bounds how far an event's explicit
 	// timestamp may run AHEAD of the largest timestamp accepted so far;
@@ -119,15 +134,17 @@ func (o IngestOptions) withDefaults() IngestOptions {
 // and nothing else — no goroutine hand-off, no cross-core traffic on the
 // engine's state — and durable and in-memory sessions run the same loop.
 //
-// The Ingestor tracks a low watermark over applied timestamps: the maximum
-// timestamp applied so far, starting from the session's. A batch that
-// moves the watermark closes that time itself: the advance is applied with
-// the batch as one transaction (on a durable session one WAL append, before
-// either takes effect), so time-windowed and Continuous queries deliver
-// expiry updates without any caller ExpireAll, and a subscriber gets exactly
-// one Update per touched reader per acknowledged batch of pure content —
-// written to, expired, or both — whose value is a read taken at the
-// acknowledgement. A batch the session refuses moves no time.
+// The Ingestor reports a low watermark over applied timestamps: the maximum
+// timestamp the session has applied so far, its stream time, which the
+// Ingestor's batches fold into and read from rather than keep a copy of. A
+// batch that moves the watermark closes that time itself: the advance is
+// applied with the batch as one transaction (on a durable session one WAL
+// append, before either takes effect), so time-windowed and Continuous
+// queries deliver expiry updates without any caller ExpireAll, and a
+// subscriber gets exactly one Update per touched reader per acknowledged
+// batch of pure content — written to, expired, or both — whose value is a
+// read taken at the acknowledgement. A batch the session refuses moves no
+// time.
 //
 // All methods are safe for concurrent use. Events from one goroutine are
 // applied in the order it sent them; ordering between goroutines follows
@@ -161,19 +178,21 @@ type Ingestor struct {
 
 	bufPool sync.Pool
 
-	maxTS     atomic.Int64 // max applied timestamp; MinInt64 until one applies
-	watermark atomic.Int64
-	sent      atomic.Int64
-	applied   atomic.Int64
-	batches   atomic.Int64
-	rejected  atomic.Int64
+	sent     atomic.Int64
+	applied  atomic.Int64
+	batches  atomic.Int64
+	rejected atomic.Int64
 	// buffered mirrors len(buf) so Stats never takes ing.mu — a sender
 	// blocked on a full queue holds it, and stats must stay readable
 	// exactly then (that's when operators look).
 	buffered atomic.Int64
 
-	errMu   sync.Mutex
-	pending []error
+	// errMu guards the apply errors kept for the next Flush/Close: pending
+	// (bounded), and errCount/lastErr, which count and name every one.
+	errMu    sync.Mutex
+	pending  []error
+	errCount int64
+	lastErr  string
 }
 
 // ingestJob is one handed-over batch; done, when non-nil, receives the
@@ -202,16 +221,25 @@ func (s *Session) Ingest(opts IngestOptions) (*Ingestor, error) {
 	}
 	ing.buf = ing.getBuf()
 	// The session's time domain seeds the Ingestor's: the MaxTimestampJump
-	// reference carries over from earlier Ingestors, direct writes and
-	// recovery alike, and the watermark never regresses below what was
-	// already expired.
+	// reference and StreamClock's stamp carry over from earlier Ingestors,
+	// direct writes and recovery alike.
 	ing.maxSent = s.maxTS.Load()
-	ing.maxTS.Store(ing.maxSent)
-	ing.watermark.Store(s.lastExpire.Load())
+	if _, ok := o.Clock.(streamClock); ok {
+		ing.clock = ClockFunc(ing.streamNow)
+	}
 	if o.FlushInterval > 0 {
 		go ing.tick()
 	}
 	return ing, nil
+}
+
+// streamNow is StreamClock bound to this Ingestor; sendLocked calls it
+// under ing.mu.
+func (ing *Ingestor) streamNow() int64 {
+	if ing.maxSent == math.MinInt64 {
+		return 0
+	}
+	return ing.maxSent
 }
 
 func (ing *Ingestor) getBuf() []Event { return (*(ing.bufPool.Get().(*[]Event)))[:0] }
@@ -467,55 +495,39 @@ func (ing *Ingestor) tick() {
 	}
 }
 
-// apply hands one batch to the session together with the time it closes:
-// the batch's timestamps fold into the max-observed timestamp and, when
-// that runs past the watermark, the advance to it rides the batch down
-// Session.apply — one WAL append, one engine section, one Update per
-// touched reader. The Ingestor's own clock moves only once the session took
-// the batch: a batch the log refused advances nothing here either, while
-// one that applied with per-event skips closes time like any other. Only
-// the token holder calls it (from drain), batch by batch in queue order, so
-// the advance is monotone.
+// apply hands one batch to the session, which closes the batch's own time
+// with it (unless DisableAutoExpire): when the batch's timestamps carry the
+// stream time past the furthest time already closed, the advance to it
+// rides the batch down Session.apply — one WAL append, one engine section,
+// one Update per touched reader. A batch the log refused advances nothing,
+// while one that applied with per-event skips closes time like any other.
+// Only the token holder calls it (from drain), batch by batch in queue
+// order.
 func (ing *Ingestor) apply(events []Event) error {
-	maxTS := ing.maxTS.Load()
-	for _, ev := range events {
-		if ev.TS > maxTS {
-			maxTS = ev.TS
-		}
-	}
-	wm := graph.NoAdvance
-	if maxTS > ing.watermark.Load() {
-		wm = maxTS
-	}
-	advanceTo := wm
-	if ing.opts.DisableAutoExpire {
-		advanceTo = graph.NoAdvance
-	}
-	_, err := ing.sess.apply(events, advanceTo)
+	_, err := ing.sess.apply(events, graph.NoAdvance, !ing.opts.DisableAutoExpire)
 	ing.applied.Add(int64(len(events)))
 	ing.batches.Add(1)
-	if _, ok := err.(refused); !ok {
-		ing.maxTS.Store(maxTS)
-		if wm != graph.NoAdvance {
-			ing.watermark.Store(wm)
-		}
-	}
 	return err
 }
 
-// Watermark returns the Ingestor's current low watermark — the maximum
-// applied timestamp — and whether it has one yet. Time-based windows have
-// been expired up to it (unless DisableAutoExpire).
+// Watermark returns the current low watermark — the largest timestamp the
+// session has applied — and whether there is one yet. Unless
+// DisableAutoExpire, the Ingestor's batches have expired time-based windows
+// up to it.
 func (ing *Ingestor) Watermark() (int64, bool) {
-	wm := ing.watermark.Load()
+	wm := ing.sess.maxTS.Load()
 	return wm, wm != math.MinInt64
 }
 
 // recordError keeps apply errors for the next Flush/Close, bounded so an
-// unattended Ingestor on a failing stream cannot grow without limit.
+// unattended Ingestor on a failing stream cannot grow without limit. It
+// counts every error and keeps the newest message whether or not the
+// buffer had room.
 func (ing *Ingestor) recordError(err error) {
 	ing.errMu.Lock()
 	defer ing.errMu.Unlock()
+	ing.errCount++
+	ing.lastErr = err.Error()
 	if len(ing.pending) < 16 {
 		ing.pending = append(ing.pending, err)
 	}
@@ -553,10 +565,17 @@ type IngestorStats struct {
 	// one being applied; Buffered the events not yet handed over.
 	QueueDepth int `json:"queueDepth"`
 	Buffered   int `json:"buffered"`
-	// Watermark is the current low watermark; WatermarkValid is false
-	// until an event applies or the session's earlier expiry seeds it.
+	// Watermark is the current low watermark (see Ingestor.Watermark);
+	// WatermarkValid is false until the session applies a timestamp.
 	Watermark      int64 `json:"watermark"`
 	WatermarkValid bool  `json:"watermarkValid"`
+	// ApplyErrorCount counts the batches whose apply error was kept for a
+	// later Flush/Close rather than handed to a waiting one — what a
+	// fire-and-forget producer never sees otherwise — and LastApplyError
+	// is the newest such error. Draining them (Flush, Close, ApplyErrors)
+	// resets neither.
+	ApplyErrorCount int64  `json:"applyErrorCount,omitempty"`
+	LastApplyError  string `json:"lastApplyError,omitempty"`
 }
 
 // Stats returns current ingestion statistics. It never takes the send
@@ -567,14 +586,19 @@ func (ing *Ingestor) Stats() IngestorStats {
 	ing.qmu.Lock()
 	depth := ing.qlen
 	ing.qmu.Unlock()
+	ing.errMu.Lock()
+	errCount, lastErr := ing.errCount, ing.lastErr
+	ing.errMu.Unlock()
 	return IngestorStats{
-		Sent:           ing.sent.Load(),
-		Applied:        ing.applied.Load(),
-		Batches:        ing.batches.Load(),
-		Rejected:       ing.rejected.Load(),
-		QueueDepth:     depth,
-		Buffered:       int(ing.buffered.Load()),
-		Watermark:      wm,
-		WatermarkValid: ok,
+		Sent:            ing.sent.Load(),
+		Applied:         ing.applied.Load(),
+		Batches:         ing.batches.Load(),
+		Rejected:        ing.rejected.Load(),
+		QueueDepth:      depth,
+		Buffered:        int(ing.buffered.Load()),
+		Watermark:       wm,
+		WatermarkValid:  ok,
+		ApplyErrorCount: errCount,
+		LastApplyError:  lastErr,
 	}
 }

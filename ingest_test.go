@@ -521,6 +521,42 @@ func TestIngestorCloseFlushesTail(t *testing.T) {
 	}
 }
 
+// TestIngestorCountsEveryApplyError: an Ingestor nobody flushes keeps at
+// most 16 apply errors for the next Flush/Close, but Stats counts every
+// batch whose error it kept and names the newest — a fire-and-forget
+// producer's only view of a failing stream.
+func TestIngestorCountsEveryApplyError(t *testing.T) {
+	g := NewGraph(2)
+	if err := g.AddEdge(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := Open(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing, err := sess.Ingest(IngestOptions{BatchSize: 1, FlushInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ing.Close()
+	for range 20 {
+		// Each send fills its batch and applies it here: a duplicate edge.
+		if err := ing.SendEvent(NewEdgeAdd(1, 0, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := ing.Stats()
+	if st.Batches != 20 || st.ApplyErrorCount != 20 || st.LastApplyError == "" {
+		t.Fatalf("stats after 20 failing batches = %+v, want 20 batches, 20 errors and the last one named", st)
+	}
+	if errs := ing.ApplyErrors(); len(errs) == 0 || len(errs) > 16 {
+		t.Fatalf("ApplyErrors returned %d errors, want 1..16", len(errs))
+	}
+	if st := ing.Stats(); st.ApplyErrorCount != 20 {
+		t.Fatalf("ApplyErrorCount after draining = %d, want it to stay 20", st.ApplyErrorCount)
+	}
+}
+
 // poisonAgg counts values like COUNT, except that its PAO panics on the
 // first poisonValue it is given: a user-defined aggregate with a bug.
 type poisonAgg struct{ armed *atomic.Bool }

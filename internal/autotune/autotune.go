@@ -94,19 +94,21 @@ func (c Config) withDefaults() Config {
 
 // Stats is a snapshot of the controller's counters.
 type Stats struct {
-	// Running reports whether the background loop is live.
-	Running bool
+	// Enabled reports whether the background loop is live.
+	Enabled bool `json:"enabled"`
 	// Ticks counts completed controller passes (background or TickNow).
-	Ticks int64
+	Ticks int64 `json:"ticks"`
 	// Flips counts frontier decision flips the controller applied;
 	// Reoptimizes counts full re-plan cutovers.
-	Flips, Reoptimizes int64
+	Flips       int64 `json:"flips"`
+	Reoptimizes int64 `json:"reoptimizes"`
 	// LastTrigger describes the most recent action taken ("" if none yet).
-	LastTrigger string
+	LastTrigger string `json:"lastTrigger"`
 	// EstimatedCost and PlanCost are the most recent degradation check: the
 	// §4.3 cost of the current decisions under the observed workload, and
 	// of a fresh plan for it. Zero until the first check runs.
-	EstimatedCost, PlanCost float64
+	EstimatedCost float64 `json:"estimatedCost"`
+	PlanCost      float64 `json:"planCost"`
 }
 
 // Controller is the background adaptivity loop over one MultiSystem. Create
@@ -343,7 +345,7 @@ func (c *Controller) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Running:       c.running,
+		Enabled:       c.running,
 		Ticks:         c.ticks.Load(),
 		Flips:         c.flips.Load(),
 		Reoptimizes:   c.reoptimizes.Load(),

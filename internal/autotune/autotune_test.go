@@ -355,7 +355,7 @@ func TestAutotuneControllerStress(t *testing.T) {
 	ctl.Stop()
 	ctl.Stop() // idempotent
 	st := ctl.Stats()
-	if st.Running {
+	if st.Enabled {
 		t.Fatal("controller still running after Stop")
 	}
 	if st.Ticks == 0 {

@@ -185,25 +185,6 @@ func (ag *AG) Writers() []graph.NodeID {
 	return ws
 }
 
-// SortOrder returns writers ordered by increasing AG out-degree, ties broken
-// by id — the canonical FP-Tree insertion order of §3.2.1. The returned map
-// gives each writer's rank.
-func (ag *AG) SortOrder() map[graph.NodeID]int {
-	ws := ag.Writers()
-	sort.SliceStable(ws, func(i, j int) bool {
-		di, dj := ag.WriterDegree[ws[i]], ag.WriterDegree[ws[j]]
-		if di != dj {
-			return di < dj
-		}
-		return ws[i] < ws[j]
-	})
-	rank := make(map[graph.NodeID]int, len(ws))
-	for i, w := range ws {
-		rank[w] = i
-	}
-	return rank
-}
-
 // Validate checks internal consistency (sorted, duplicate-free input lists
 // and correct degree counts); it is used by tests.
 func (ag *AG) Validate() error {

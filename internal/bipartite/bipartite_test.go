@@ -81,35 +81,6 @@ func TestBuildWithPredicate(t *testing.T) {
 	}
 }
 
-func TestSortOrderByDegree(t *testing.T) {
-	// Writer degrees in the paper example: d appears in 6 lists, c in 5,
-	// e in 5, f in 5, a in 5, b in 5... recompute: a in {c,d,e,f,g}=5,
-	// b in 5, c in {a,d,e,f,g}=5, d in {a,b,c,e,f,g}=6, e in
-	// {a,b,c,d,f,g}... e appears in a,b,c,d,f,g = 6? From the lists:
-	// e ∈ inputs of 0,1,2,3,5,6 → 6. Let the code be the oracle for
-	// counts; we assert the order is nondecreasing in degree.
-	ag := paperAG()
-	rank := ag.SortOrder()
-	type wr struct {
-		w graph.NodeID
-		r int
-	}
-	ws := make([]wr, 0, len(rank))
-	for w, r := range rank {
-		ws = append(ws, wr{w, r})
-	}
-	for _, a := range ws {
-		for _, b := range ws {
-			if a.r < b.r && ag.WriterDegree[a.w] > ag.WriterDegree[b.w] {
-				t.Fatalf("rank order violates degree order: %v vs %v", a, b)
-			}
-		}
-	}
-	if len(rank) != ag.NumWriters() {
-		t.Fatalf("rank size = %d, want %d", len(rank), ag.NumWriters())
-	}
-}
-
 func TestWritersSorted(t *testing.T) {
 	ag := paperAG()
 	ws := ag.Writers()

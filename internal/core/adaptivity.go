@@ -22,20 +22,21 @@ import (
 type AdaptivityStats struct {
 	// PushObserved/PullObserved are the total observation counts drained
 	// from the engine's per-node counters since the system started.
-	PushObserved, PullObserved int64
+	PushObserved int64 `json:"pushObserved"`
+	PullObserved int64 `json:"pullObserved"`
 	// Rebalances counts Rebalance/ApplyFlips passes; LastFlips is the flip
 	// count of the most recent pass and LastRebalanceNano its wall-clock
 	// time (UnixNano; 0 if no pass has run).
-	Rebalances        int64
-	LastFlips         int
-	LastRebalanceNano int64
+	Rebalances        int64 `json:"rebalances"`
+	LastFlips         int   `json:"lastFlips"`
+	LastRebalanceNano int64 `json:"lastRebalanceNano"`
 	// Installs counts the engine snapshots installed since the system
 	// started — one per rebalance that flipped, structural run, member
 	// attach or retire, re-optimization or recompile — and
 	// LastInstallHoldMicros is how long the most recent one held writes and
 	// watermark advances back (reads are never held).
-	Installs              int64
-	LastInstallHoldMicros int64
+	Installs              int64 `json:"installs"`
+	LastInstallHoldMicros int64 `json:"lastInstallHoldMicros"`
 }
 
 // AdaptivityStats returns the system's adaptivity telemetry. Lock-free.

@@ -25,8 +25,7 @@ var ErrEdgeExists = errors.New("graph: edge already exists")
 var ErrEdgeNotFound = errors.New("graph: edge not found")
 
 // Graph is a directed, dynamic graph. Undirected (e.g., friendship) edges are
-// represented as a pair of directed edges; the helpers AddUndirectedEdge /
-// RemoveUndirectedEdge maintain the pair atomically from the caller's view.
+// represented as a pair of directed edges.
 //
 // Graph is not safe for concurrent mutation; the EAGr execution engine treats
 // the structure as slowly changing (paper §2, "Scope of the Approach") and
@@ -155,27 +154,6 @@ func (g *Graph) RemoveEdge(u, v NodeID) error {
 	g.nEdges--
 	g.version++
 	return nil
-}
-
-// AddUndirectedEdge inserts both u->v and v->u.
-func (g *Graph) AddUndirectedEdge(u, v NodeID) error {
-	if err := g.AddEdge(u, v); err != nil {
-		return err
-	}
-	if err := g.AddEdge(v, u); err != nil {
-		// Roll back to keep the pair atomic.
-		_ = g.RemoveEdge(u, v)
-		return err
-	}
-	return nil
-}
-
-// RemoveUndirectedEdge deletes both u->v and v->u.
-func (g *Graph) RemoveUndirectedEdge(u, v NodeID) error {
-	if err := g.RemoveEdge(u, v); err != nil {
-		return err
-	}
-	return g.RemoveEdge(v, u)
 }
 
 // HasEdge reports whether u -> v is present.

@@ -119,35 +119,6 @@ func TestNodeIDReuse(t *testing.T) {
 	}
 }
 
-func TestUndirectedEdgePair(t *testing.T) {
-	g := NewWithNodes(2)
-	if err := g.AddUndirectedEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
-		t.Fatal("undirected edge missing a direction")
-	}
-	if err := g.RemoveUndirectedEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 0 {
-		t.Fatal("undirected removal left edges")
-	}
-}
-
-func TestUndirectedEdgeRollback(t *testing.T) {
-	g := NewWithNodes(2)
-	mustAdd(t, g, 1, 0)
-	// Adding the undirected pair fails on the second half (1->0 exists);
-	// the first half must be rolled back.
-	if err := g.AddUndirectedEdge(0, 1); err == nil {
-		t.Fatal("expected error")
-	}
-	if g.HasEdge(0, 1) {
-		t.Fatal("rollback failed: 0->1 still present")
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	g := NewWithNodes(3)
 	mustAdd(t, g, 0, 1)
@@ -443,11 +414,9 @@ func TestVersionCountsSuccessfulStructuralMutations(t *testing.T) {
 	step("RemoveNode of a dead node", g.RemoveNode(c) == nil)
 	step("RemoveEdge on a dead node", g.RemoveEdge(b, c) == nil)
 	step("AddNode reusing an id", g.AddNode() == c)
-	if err := g.AddUndirectedEdge(a, b); err != nil {
-		t.Fatal(err)
-	}
-	want += 2 // two directed edges, two mutations
-	step("AddUndirectedEdge", false)
+	// Both directions of a pair are two edges, two mutations.
+	step("AddEdge", g.AddEdge(a, b) == nil)
+	step("AddEdge reversed", g.AddEdge(b, a) == nil)
 	if cl := g.Clone(); cl.Version() != g.Version() {
 		t.Fatalf("clone version %d, want %d", cl.Version(), g.Version())
 	}

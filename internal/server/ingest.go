@@ -19,9 +19,11 @@ const MaxIngestLine = 1 << 20
 
 // ingestor returns the server's shared Ingestor, creating it on first use.
 // A full apply queue holds the /ingest request body instead of erroring,
-// which is HTTP's natural backpressure. The clock follows the stream (see
-// ingTS): a ts-less event is stamped "now in stream time", never with a
-// server wall clock the client's timestamps may know nothing about.
+// which is HTTP's natural backpressure. The clock is the stream's own
+// (eagr.StreamClock): a ts-less event is stamped with the largest timestamp
+// accepted so far, in the CLIENT's time domain (logical ticks or wall time,
+// whatever it sends), never with a server wall clock that would yank the
+// watermark — and with it every time-based window — into the wrong epoch.
 func (s *Server) ingestor() (*eagr.Ingestor, error) {
 	if ing := s.ing.Load(); ing != nil {
 		return ing, nil
@@ -38,7 +40,7 @@ func (s *Server) ingestor() (*eagr.Ingestor, error) {
 		BatchSize:         512,
 		FlushInterval:     25 * time.Millisecond,
 		QueueDepth:        16,
-		Clock:             eagr.ClockFunc(s.ingTS.Load),
+		Clock:             eagr.StreamClock(),
 		MaxTimestampJump:  s.maxTSJump,
 		DisableAutoExpire: s.manualExpire,
 	})
@@ -117,16 +119,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // ingestSlabbed decodes the body into a pooled slab handed to the Ingestor
 // via SendEvents — one mutex acquisition per ingestSlabSize events instead
-// of per line.
-//
-// Stream time advances on ACCEPTED events only. Timestampless events are
-// stamped at parse from a request-local running stream time (seeded from
-// s.ingTS at the start of each slab, raised by the explicit timestamps the
-// loop passes), and s.ingTS itself moves only after SendEvents returns, by
-// the timestamps of the events it accepted. A send that stops mid-slab —
-// the MaxTimestampJump guard rejecting a far-future line — therefore leaves
-// s.ingTS, the stamp reference of every later request, untouched by the
-// rejected line and by everything after it.
+// of per line. Timestampless events go over as they are: the Ingestor
+// stamps them at accept time, so a send that stops mid-slab — the
+// MaxTimestampJump guard rejecting a far-future line — leaves the stamp of
+// every later event untouched by the rejected line.
 func (s *Server) ingestSlabbed(ing *eagr.Ingestor, w http.ResponseWriter, sc *bufio.Scanner, sync bool) {
 	slab := slabPool.Get().(*ingestSlab)
 	defer func() {
@@ -135,7 +131,6 @@ func (s *Server) ingestSlabbed(ing *eagr.Ingestor, w http.ResponseWriter, sc *bu
 	}()
 	accepted := 0
 	line := 0
-	now := s.ingTS.Load()
 	// flush hands the slab over whole; on a send failure it reports the
 	// exact failing line (events before it were accepted and will apply).
 	flush := func() (failMsg string, failCode int) {
@@ -144,11 +139,6 @@ func (s *Server) ingestSlabbed(ing *eagr.Ingestor, w http.ResponseWriter, sc *bu
 		}
 		n, err := ing.SendEvents(slab.evs)
 		writes := 0
-		// A stamped event carries the seed or an explicit timestamp earlier
-		// in the slab, so the max over evs[:n] is the max accepted explicit
-		// timestamp (or no advance at all). s.ingTS starts at 0 and only
-		// rises, so 0 is the neutral start.
-		var maxTS int64
 		for _, ev := range slab.evs[:n] {
 			if ev.Kind == graph.ContentWrite {
 				// Count at accept time, so writes a failing request already
@@ -156,23 +146,15 @@ func (s *Server) ingestSlabbed(ing *eagr.Ingestor, w http.ResponseWriter, sc *bu
 				// counter — and structural/read events are not inflated into it.
 				writes++
 			}
-			maxTS = max(maxTS, ev.TS)
 		}
 		if writes > 0 {
 			s.writes.Add(int64(writes))
-		}
-		for {
-			cur := s.ingTS.Load()
-			if maxTS <= cur || s.ingTS.CompareAndSwap(cur, maxTS) {
-				break
-			}
 		}
 		accepted += n
 		if err != nil {
 			return fmt.Sprintf("line %d: %v", slab.lines[n], err), statusFor(err)
 		}
 		slab.reset()
-		now = s.ingTS.Load()
 		return "", 0
 	}
 	for sc.Scan() {
@@ -191,13 +173,6 @@ func (s *Server) ingestSlabbed(ing *eagr.Ingestor, w http.ResponseWriter, sc *bu
 			}
 			s.finishIngest(ing, w, sync, accepted, fmt.Sprintf("line %d: %v", line, err), http.StatusBadRequest)
 			return
-		}
-		if ev.TS == 0 {
-			// A zero stream time stays zero and the Ingestor's clock (the
-			// same s.ingTS) stamps it.
-			ev.TS = now
-		} else {
-			now = max(now, ev.TS)
 		}
 		slab.evs = append(slab.evs, ev)
 		slab.lines = append(slab.lines, line)

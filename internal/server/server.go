@@ -57,8 +57,8 @@
 // the id first). The
 // stream feeds the server's session Ingestor: events batch up, each batch
 // applies on the request goroutine that filled it, structural runs
-// coalesce into one overlay repair per query, and the Ingestor's low watermark expires
-// time-based windows automatically. The response reports the accepted
+// coalesce into one overlay repair per query, and each batch expires
+// time-based windows up to the session's stream time (the watermark). The response reports the accepted
 // event count and the current watermark; GET /stats surfaces the
 // watermark and queue depth continuously.
 //
@@ -147,19 +147,6 @@ type Server struct {
 	writes  atomic.Int64
 	reads   atomic.Int64
 	watches atomic.Int64
-	// Async-ingest diagnostics: fire-and-forget requests (/ingest?sync=
-	// false) return before their events apply, so per-event apply errors
-	// surface here (drained from the Ingestor at /stats time) instead of
-	// in a response.
-	ingErrCount atomic.Int64
-	ingErrMu    sync.Mutex
-	ingErrLast  string
-	// ingTS is the maximum client-supplied /ingest timestamp: ts-less
-	// events are stamped with it, so stamps live in the CLIENT's time
-	// domain (logical ticks or wall time, whatever it sends) instead of a
-	// server-chosen clock that would yank the watermark — and with it
-	// every time-based window — into the wrong epoch.
-	ingTS atomic.Int64
 
 	// watchDone, when closed by CloseWatchers, terminates every open
 	// /watch stream so http.Server.Shutdown can drain them.

@@ -664,8 +664,9 @@ func TestIngestMaxTimestampJump(t *testing.T) {
 }
 
 // durableServer builds a server over a durable session rooted at a temp
-// directory; it returns the directory so tests can reopen it.
-func durableServer(t *testing.T) (*httptest.Server, *eagr.Session, string) {
+// directory, with spec registered as query 1; it returns the directory so
+// tests can reopen it.
+func durableServer(t *testing.T, spec eagr.QuerySpec) (*httptest.Server, *eagr.Session, string) {
 	t.Helper()
 	dir := t.TempDir()
 	g := eagr.NewGraph(5)
@@ -678,7 +679,7 @@ func durableServer(t *testing.T) (*httptest.Server, *eagr.Session, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Register(eagr.QuerySpec{Aggregate: "sum"}); err != nil {
+	if _, err := sess.Register(spec); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(sess)
@@ -749,7 +750,7 @@ func TestIngestAsyncErrorsViaStats(t *testing.T) {
 }
 
 func TestStatsDurabilitySection(t *testing.T) {
-	ts, _, _ := durableServer(t)
+	ts, _, _ := durableServer(t, eagr.QuerySpec{Aggregate: "sum"})
 	stats := decode[map[string]any](t, mustGet(t, ts.URL+"/stats"))
 	dur, ok := stats["durability"].(map[string]any)
 	if !ok {
@@ -781,7 +782,7 @@ func TestStatsDurabilitySection(t *testing.T) {
 // (it is WAL-first, like the events it otherwise rides with) and nothing
 // expires, so the route says 503, as for a closed Ingestor.
 func TestExpireReportsRefusedAdvance(t *testing.T) {
-	ts, sess, _ := durableServer(t)
+	ts, sess, _ := durableServer(t, eagr.QuerySpec{Aggregate: "sum"})
 	if resp := post(t, ts.URL+"/expire", map[string]int64{"ts": 5}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("expire on a healthy session: status %d", resp.StatusCode)
 	}
@@ -796,7 +797,7 @@ func TestExpireReportsRefusedAdvance(t *testing.T) {
 }
 
 func TestDurableIngestSurvivesCrash(t *testing.T) {
-	ts, sess, dir := durableServer(t)
+	ts, sess, dir := durableServer(t, eagr.QuerySpec{Aggregate: "sum"})
 	// Sync ingest: the 200 means the events reached the WAL.
 	body := strings.NewReader(
 		`{"node":1,"value":5,"ts":1}` + "\n" + `{"node":2,"value":7,"ts":2}` + "\n")
@@ -829,6 +830,83 @@ func TestDurableIngestSurvivesCrash(t *testing.T) {
 	}
 	if r.Scalar != 12 {
 		t.Fatalf("recovered sum at node 0 = %d, want 12", r.Scalar)
+	}
+}
+
+// TestIngestStampsAtRecoveredStreamTime: after a durable restart, an
+// /ingest event without a timestamp is stamped with the recovered stream
+// time, not 0 — so it sits in the window beside the event before the
+// restart and the next advance does not expire it. Node 0 then reads 12,
+// as on a server that never restarted.
+func TestIngestStampsAtRecoveredStreamTime(t *testing.T) {
+	ts, sess, dir := durableServer(t, eagr.QuerySpec{Aggregate: "sum", WindowTime: 100})
+	ingest(t, ts.URL, map[string]any{"node": 1, "value": 5, "ts": 1000})
+	if err := sess.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+
+	sess2, _, err := eagr.OpenDurable(nil, eagr.DurabilityOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2 := New(sess2)
+	ts2 := httptest.NewServer(srv2)
+	t.Cleanup(func() {
+		ts2.Close()
+		srv2.Close()
+		_ = sess2.CloseDurability()
+	})
+	ingest(t, ts2.URL, map[string]any{"node": 2, "value": 7})
+	ingest(t, ts2.URL, map[string]any{"node": 3, "value": 1, "ts": 1001})
+	read := decode[map[string]any](t, mustGet(t, ts2.URL+firstRead+"?node=0"))
+	if read["scalar"] != float64(12) {
+		t.Fatalf("read after restart = %v, want scalar 12 (the ts-less write stamped at 1000)", read)
+	}
+}
+
+// TestIngestAsyncErrorCountPastBuffer: /stats counts every fire-and-forget
+// batch whose apply failed, not just the 16 the Ingestor buffers for the
+// next flush — and a sync request draining that buffer in between does not
+// hide them. Each request's one duplicate edge-add waits for the flush
+// ticker, so it is a batch of its own.
+func TestIngestAsyncErrorCountPastBuffer(t *testing.T) {
+	sess, _ := testSession(t)
+	srv := New(sess)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	const requests = 20
+	for i := range requests {
+		body := strings.NewReader(`{"kind":"edge-add","from":1,"to":0}` + "\n")
+		resp, err := http.Post(ts.URL+"/ingest?sync=false", "application/x-ndjson", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("async ingest %d: status %d, want 202", i, resp.StatusCode)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for st := srv.ing.Load().Stats(); st.Applied < int64(i+1); st = srv.ing.Load().Stats() {
+			if time.Now().After(deadline) {
+				t.Fatalf("request %d never applied: %+v", i, st)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	// An empty sync request is a barrier: the last batch has settled once it
+	// returns. Its flush hands the buffered errors back inline.
+	post(t, ts.URL+"/ingest", nil).Body.Close()
+	stats := decode[map[string]any](t, mustGet(t, ts.URL+"/stats"))
+	ing := stats["ingest"].(map[string]any)
+	batches, _ := ing["batches"].(float64)
+	if n, _ := ing["applyErrorCount"].(float64); batches <= 16 || n != batches {
+		t.Fatalf("ingest stats = %v, want applyErrorCount == batches > 16", ing)
+	}
+	if s, _ := ing["lastApplyError"].(string); !strings.Contains(s, "edge") {
+		t.Fatalf("lastApplyError = %q, want an edge error", s)
 	}
 }
 

@@ -131,23 +131,16 @@ type IngestAck struct {
 }
 
 // StatsResp is the body of GET /stats: the session's statistics plus the
-// server's own counters. Durability is present only on a durable session.
+// server's own counters. Ingest is the shared Ingestor's statistics, zero
+// before the first /ingest; Durability is present only on a durable
+// session.
 type StatsResp struct {
 	eagr.SessionStats
 	ServedWrites  int64                `json:"servedWrites"`
 	ServedReads   int64                `json:"servedReads"`
 	ServedWatches int64                `json:"servedWatches"`
-	Ingest        IngestStats          `json:"ingest"`
+	Ingest        eagr.IngestorStats   `json:"ingest"`
 	Durability    eagr.DurabilityStats `json:"durability,omitzero"`
-}
-
-// IngestStats is the /stats "ingest" section: the shared Ingestor's
-// statistics (zero before the first /ingest) plus the apply errors of
-// fire-and-forget requests, present once there is one.
-type IngestStats struct {
-	eagr.IngestorStats
-	ApplyErrorCount int64  `json:"applyErrorCount,omitempty"`
-	LastApplyError  string `json:"lastApplyError,omitempty"`
 }
 
 // ingestEvent is the NDJSON wire form of one stream event. Edge events
