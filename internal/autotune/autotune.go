@@ -37,6 +37,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/graph"
+	"repro/internal/overlay"
 )
 
 // Config tunes the controller. The zero value of any field selects its
@@ -134,10 +135,10 @@ type Controller struct {
 
 // sysState is the controller's decayed per-system workload estimate.
 type sysState struct {
-	write    map[graph.NodeID]float64 // writer node -> decayed write rate
-	read     map[graph.NodeID]float64 // reader GID -> decayed read rate
-	activity float64                  // decayed total observation count
-	lastOpt  time.Time                // last Reoptimize cutover
+	write    map[graph.NodeID]float64     // writer node -> decayed write rate
+	read     map[overlay.ReaderID]float64 // reader -> decayed read rate
+	activity float64                      // decayed total observation count
+	lastOpt  time.Time                    // last Reoptimize cutover
 }
 
 // New builds a controller over m. The configuration is fixed for the
@@ -232,7 +233,7 @@ func (c *Controller) stateFor(sys *core.System) *sysState {
 	if !ok {
 		st = &sysState{
 			write: map[graph.NodeID]float64{},
-			read:  map[graph.NodeID]float64{},
+			read:  map[overlay.ReaderID]float64{},
 		}
 		c.state[sys] = st
 	}
@@ -274,7 +275,7 @@ func fold(st *sysState, smp core.Sample, decay float64) {
 	st.activity += smp.Activity
 }
 
-func decayMap(m map[graph.NodeID]float64, decay float64) {
+func decayMap[K comparable](m map[K]float64, decay float64) {
 	for k, v := range m {
 		v *= decay
 		if v < 1e-6 {
@@ -318,7 +319,7 @@ func (c *Controller) maybeReoptimize(sys *core.System, st *sysState, now time.Ti
 }
 
 // estimatedWorkload materializes the decayed estimate as a
-// dataflow.Workload over the current id space, reads keyed by reader GID.
+// dataflow.Workload over the current id space, reads keyed by reader.
 // Nodes and readers never observed carry frequency 0 — under the observed
 // workload they genuinely are idle.
 func (c *Controller) estimatedWorkload(st *sysState) *dataflow.Workload {

@@ -233,6 +233,50 @@ func TestAutotuneColdViewPricedPerReader(t *testing.T) {
 	}
 }
 
+// TestAutotuneReadsFollowReaderAcrossGrowth: the controller's read
+// estimate is keyed by reader (tag, node), so reads sampled on one member
+// view before the graph grows still price that view's reader after it —
+// not another view's reader at a node the grown graph now has.
+func TestAutotuneReadsFollowReaderAcrossGrowth(t *testing.T) {
+	const base, hot, reads = 500, graph.NodeID(5), 1000
+	m := core.NewMulti(workload.SocialGraph(base, 6, 1))
+	var views [2]*core.Attachment
+	for i := range views {
+		att, err := m.AttachMerged(fmt.Sprintf("view-q%d", i), "fam",
+			core.Query{Aggregate: agg.Sum{}}, core.Options{Algorithm: construct.AlgVNMA})
+		if err != nil {
+			t.Fatal(err)
+		}
+		views[i] = att
+	}
+	sys := views[1].System()
+	for range reads {
+		if _, err := views[1].Read(hot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctl := New(m, Config{})
+	ctl.TickNow()
+	grow := make([]graph.Event, 600)
+	for i := range grow {
+		grow[i] = graph.Event{Kind: graph.NodeAdd}
+	}
+	if _, err := m.Apply(grow, graph.NoAdvance); err != nil {
+		t.Fatal(err)
+	}
+	ov := sys.Overlay()
+	f, err := dataflow.ComputeFreqs(ov, ctl.estimatedWorkload(ctl.stateFor(sys)), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Pull[ov.Reader(1, hot)]; got != reads {
+		t.Errorf("view 1 node %d priced at read rate %v, want %d", hot, got, reads)
+	}
+	if got := f.Pull[ov.Reader(0, 1029)]; got != 0 {
+		t.Errorf("view 0 node 1029 priced at read rate %v, want 0", got)
+	}
+}
+
 // TestAutotuneControllerStress races the background controller loop (1ms
 // interval: sampling, flips and reoptimize cutovers) against concurrent
 // batched writes, reads, structural edge churn, and merged-family

@@ -125,7 +125,7 @@ const HubWriters = 3000
 // twelve.
 func HubPullEngine() (*exec.Engine, error) {
 	ov := overlay.New(0)
-	hub, small := ov.AddReader(0), ov.AddReader(1)
+	hub, small := ov.AddReader(0, 0), ov.AddReader(0, 1)
 	for w := graph.NodeID(0); w < HubWriters; w++ {
 		ref := ov.AddWriter(w)
 		if err := ov.AddEdge(ref, hub, false); err != nil {

@@ -15,6 +15,7 @@ import (
 // Reader is one reader node of AG together with its input list N(v).
 type Reader struct {
 	Node   graph.NodeID   // the data-graph node this reader corresponds to
+	Tag    int32          // the query it answers for (0 outside merged builds)
 	Inputs []graph.NodeID // writers feeding this reader, sorted ascending
 }
 
@@ -37,32 +38,12 @@ type AG struct {
 // empty but they are still queryable); writers that feed no reader simply do
 // not appear in any input list (like node g_w in Figure 1(c)).
 func Build(g *graph.Graph, n graph.Neighborhood, pred graph.Predicate) *AG {
-	if pred == nil {
-		pred = graph.AllNodes
-	}
-	ag := &AG{
-		WriterDegree: make(map[graph.NodeID]int),
-		maxID:        g.MaxID(),
-	}
-	g.ForEachNode(func(v graph.NodeID) {
-		ag.AllNodes = append(ag.AllNodes, v)
-		if !pred(g, v) {
-			return
-		}
-		inputs := n.Select(g, v)
-		sort.Slice(inputs, func(i, j int) bool { return inputs[i] < inputs[j] })
-		ag.Readers = append(ag.Readers, Reader{Node: v, Inputs: inputs})
-		for _, w := range inputs {
-			ag.WriterDegree[w]++
-		}
-		ag.numEdges += len(inputs)
-	})
-	return ag
+	return BuildUnion(g, []Member{{Neighborhood: n, Predicate: pred}})
 }
 
 // Member describes one query's reader population for a merged multi-query
-// build: its neighborhood function, its predicate, and the query tag that
-// namespaces its reader ids.
+// build: its neighborhood function, its predicate, and the query tag its
+// readers carry.
 type Member struct {
 	Neighborhood graph.Neighborhood
 	Predicate    graph.Predicate
@@ -72,16 +53,13 @@ type Member struct {
 // BuildUnion constructs the UNION bipartite graph of several queries over
 // one data graph — the merged-overlay construction input (paper §3: sharing
 // partial aggregates ACROSS queries). Every member contributes one reader
-// per predicate-selected node, identified by the encoded id
-// tag*stride + node, with that member's own neighborhood as its input list;
-// writers keep their real data-graph ids and their degrees accumulate
+// per predicate-selected node, identified by (member tag, node), with that
+// member's own neighborhood as its input list; writers' degrees accumulate
 // across members, so FP-tree mining ranks writers by their union frequency
 // and bicliques are shared wherever members' neighborhoods overlap.
-//
-// stride must exceed every data-graph node id. The resulting AG is a plain
-// bipartite graph with unique reader ids; construction algorithms need no
-// merged-mode awareness.
-func BuildUnion(g *graph.Graph, members []Member, stride graph.NodeID) *AG {
+// Construction algorithms need no merged-mode awareness: they pass each
+// reader's tag through to the overlay.
+func BuildUnion(g *graph.Graph, members []Member) *AG {
 	ag := &AG{
 		WriterDegree: make(map[graph.NodeID]int),
 		maxID:        g.MaxID(),
@@ -98,50 +76,45 @@ func BuildUnion(g *graph.Graph, members []Member, stride graph.NodeID) *AG {
 		if pred == nil {
 			pred = graph.AllNodes
 		}
-		base := graph.NodeID(m.Tag) * stride
 		g.ForEachNode(func(v graph.NodeID) {
 			if !pred(g, v) {
 				return
 			}
 			inputs := nbr.Select(g, v)
 			sort.Slice(inputs, func(i, j int) bool { return inputs[i] < inputs[j] })
-			ag.Readers = append(ag.Readers, Reader{Node: base + v, Inputs: inputs})
+			ag.Readers = append(ag.Readers, Reader{Node: v, Tag: m.Tag, Inputs: inputs})
 			for _, w := range inputs {
 				ag.WriterDegree[w]++
 			}
 			ag.numEdges += len(inputs)
-			if int(base+v) >= ag.maxID {
-				ag.maxID = int(base+v) + 1
-			}
 		})
 	}
 	return ag
 }
 
 // FromInputLists builds an AG directly from explicit reader input lists,
-// useful in tests and for replaying the paper's running example. Input
+// useful in tests and for replaying the paper's running example. The i-th
+// map holds the readers of query tag i (one map for a single query). Input
 // lists are copied and sorted.
-func FromInputLists(lists map[graph.NodeID][]graph.NodeID) *AG {
+func FromInputLists(views ...map[graph.NodeID][]graph.NodeID) *AG {
 	ag := &AG{WriterDegree: make(map[graph.NodeID]int)}
-	nodes := make([]graph.NodeID, 0, len(lists))
-	for v := range lists {
-		nodes = append(nodes, v)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	for _, v := range nodes {
-		in := append([]graph.NodeID(nil), lists[v]...)
-		sort.Slice(in, func(i, j int) bool { return in[i] < in[j] })
-		ag.Readers = append(ag.Readers, Reader{Node: v, Inputs: in})
-		for _, w := range in {
-			ag.WriterDegree[w]++
-			if int(w) >= ag.maxID {
-				ag.maxID = int(w) + 1
+	for tag, lists := range views {
+		nodes := make([]graph.NodeID, 0, len(lists))
+		for v := range lists {
+			nodes = append(nodes, v)
+		}
+		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+		for _, v := range nodes {
+			in := append([]graph.NodeID(nil), lists[v]...)
+			sort.Slice(in, func(i, j int) bool { return in[i] < in[j] })
+			ag.Readers = append(ag.Readers, Reader{Node: v, Tag: int32(tag), Inputs: in})
+			for _, w := range in {
+				ag.WriterDegree[w]++
+				ag.maxID = max(ag.maxID, int(w)+1)
 			}
+			ag.maxID = max(ag.maxID, int(v)+1)
+			ag.numEdges += len(in)
 		}
-		if int(v) >= ag.maxID {
-			ag.maxID = int(v) + 1
-		}
-		ag.numEdges += len(in)
 	}
 	// All mentioned nodes (readers and writers) count as data-generating.
 	seen := map[graph.NodeID]bool{}

@@ -152,7 +152,7 @@ func Baseline(ag *bipartite.AG) *overlay.Overlay {
 		ov.AddWriter(w)
 	}
 	for _, r := range ag.Readers {
-		rr := ov.AddReader(r.Node)
+		rr := ov.AddReader(r.Tag, r.Node)
 		for _, w := range r.Inputs {
 			// Writers always exist: AddWriter is idempotent.
 			_ = ov.AddEdge(ov.AddWriter(w), rr, false)

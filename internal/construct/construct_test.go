@@ -246,7 +246,7 @@ func TestReadersWithEmptyInputs(t *testing.T) {
 	})
 	for _, alg := range []string{AlgVNMA, AlgIOB} {
 		res := buildAndValidate(t, alg, ag, Config{Iterations: 3}, false)
-		if res.Overlay.Reader(0) == overlay.NoNode {
+		if res.Overlay.Reader(0, 0) == overlay.NoNode {
 			t.Fatalf("%s: empty reader dropped", alg)
 		}
 	}
@@ -270,7 +270,7 @@ func maintainerFor(t *testing.T, ag *bipartite.AG) *Maintainer {
 // expectInputs verifies the overlay serves reader r exactly the given set.
 func expectInputs(t *testing.T, ov *overlay.Overlay, r graph.NodeID, want []graph.NodeID) {
 	t.Helper()
-	ref := ov.Reader(r)
+	ref := ov.Reader(0, r)
 	if ref == overlay.NoNode {
 		t.Fatalf("reader %d missing", r)
 	}
@@ -289,7 +289,7 @@ func TestMaintainerAddSmallDelta(t *testing.T) {
 	ag := paperAG()
 	m := maintainerFor(t, ag)
 	// Reader 1 (N={3,4,5}) gains writer 2.
-	if err := m.AddReaderInputs(1, []graph.NodeID{2}); err != nil {
+	if err := m.AddReaderInputs(0, 1, []graph.NodeID{2}); err != nil {
 		t.Fatal(err)
 	}
 	expectInputs(t, m.Overlay(), 1, []graph.NodeID{2, 3, 4, 5})
@@ -302,10 +302,10 @@ func TestMaintainerAddLargeDeltaUsesSharing(t *testing.T) {
 	// Reader 0 (N={2,3,4,5}) gains a brand-new block of writers also
 	// granted to reader 1, large enough to trip the cover path.
 	blk := []graph.NodeID{20, 21, 22, 23, 24}
-	if err := m.AddReaderInputs(0, blk); err != nil {
+	if err := m.AddReaderInputs(0, 0, blk); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddReaderInputs(1, blk); err != nil {
+	if err := m.AddReaderInputs(0, 1, blk); err != nil {
 		t.Fatal(err)
 	}
 	expectInputs(t, m.Overlay(), 0, []graph.NodeID{2, 3, 4, 5, 20, 21, 22, 23, 24})
@@ -320,7 +320,7 @@ func TestMaintainerRemoveInputs(t *testing.T) {
 	ag := paperAG()
 	m := maintainerFor(t, ag)
 	// Reader 6 (N = all six writers) loses writers 0 and 1.
-	if err := m.RemoveReaderInputs(6, []graph.NodeID{0, 1}); err != nil {
+	if err := m.RemoveReaderInputs(0, 6, []graph.NodeID{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	expectInputs(t, m.Overlay(), 6, []graph.NodeID{2, 3, 4, 5})
@@ -332,7 +332,7 @@ func TestMaintainerRemoveInputs(t *testing.T) {
 func TestMaintainerRemoveAllInputs(t *testing.T) {
 	ag := paperAG()
 	m := maintainerFor(t, ag)
-	if err := m.RemoveReaderInputs(1, []graph.NodeID{3, 4, 5}); err != nil {
+	if err := m.RemoveReaderInputs(0, 1, []graph.NodeID{3, 4, 5}); err != nil {
 		t.Fatal(err)
 	}
 	expectInputs(t, m.Overlay(), 1, nil)
@@ -359,7 +359,7 @@ func TestMaintainerRemoveNode(t *testing.T) {
 	// Every reader that aggregated 5 loses it.
 	expectInputs(t, m.Overlay(), 0, []graph.NodeID{2, 3, 4})
 	expectInputs(t, m.Overlay(), 1, []graph.NodeID{3, 4})
-	if m.Overlay().Reader(5) != overlay.NoNode {
+	if m.Overlay().Reader(0, 5) != overlay.NoNode {
 		t.Fatal("reader 5 still present")
 	}
 	if m.Overlay().Writer(5) != overlay.NoNode {
@@ -398,7 +398,7 @@ func TestMaintainerRandomStress(t *testing.T) {
 					delta = append(delta, w)
 				}
 			}
-			if err := m.AddReaderInputs(r, delta); err != nil {
+			if err := m.AddReaderInputs(0, r, delta); err != nil {
 				t.Fatalf("step %d add: %v", step, err)
 			}
 		} else {
@@ -418,7 +418,7 @@ func TestMaintainerRandomStress(t *testing.T) {
 					delta = append(delta, w)
 				}
 			}
-			if err := m.RemoveReaderInputs(r, delta); err != nil {
+			if err := m.RemoveReaderInputs(0, r, delta); err != nil {
 				t.Fatalf("step %d remove: %v", step, err)
 			}
 		}
@@ -435,7 +435,7 @@ func checkModel(t *testing.T, ov *overlay.Overlay, model map[graph.NodeID]map[gr
 		t.Fatalf("step %d: %v", step, err)
 	}
 	for r, want := range model {
-		ref := ov.Reader(r)
+		ref := ov.Reader(0, r)
 		if ref == overlay.NoNode {
 			t.Fatalf("step %d: reader %d missing", step, r)
 		}
@@ -466,7 +466,7 @@ func TestMaintainerRejectsNegativeEdges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r10, r11 := ov.AddReader(10), ov.AddReader(11)
+	r10, r11 := ov.AddReader(0, 10), ov.AddReader(0, 11)
 	_ = ov.AddEdge(p, r10, false)
 	_ = ov.AddEdge(p, r11, false)
 	_ = ov.AddEdge(wb, r11, true)

@@ -34,7 +34,7 @@ type Maintainer struct {
 	MaxSplitNodes int
 	// directCount tracks accumulated direct edges per reader; exceeding
 	// DirectThreshold triggers a rebuild.
-	directCount map[graph.NodeID]int
+	directCount map[overlay.ReaderID]int
 }
 
 // NewMaintainer wraps an existing overlay for incremental maintenance.
@@ -47,23 +47,23 @@ func NewMaintainer(ov *overlay.Overlay) (*Maintainer, error) {
 		b:               b,
 		DirectThreshold: 4,
 		MaxSplitNodes:   5,
-		directCount:     make(map[graph.NodeID]int),
+		directCount:     make(map[overlay.ReaderID]int),
 	}, nil
 }
 
 // Overlay returns the maintained overlay.
 func (m *Maintainer) Overlay() *overlay.Overlay { return m.b.ov }
 
-// AddReaderInputs records that reader r's input list gained the writers in
-// delta (Δ(I(r)) of §3.3) and updates the overlay. A reader unknown to the
-// overlay is created.
-func (m *Maintainer) AddReaderInputs(r graph.NodeID, delta []graph.NodeID) error {
+// AddReaderInputs records that query tag's reader of r had its input list
+// gain the writers in delta (Δ(I(r)) of §3.3) and updates the overlay. A
+// reader unknown to the overlay is created.
+func (m *Maintainer) AddReaderInputs(tag int32, r graph.NodeID, delta []graph.NodeID) error {
 	if len(delta) == 0 {
 		return nil
 	}
-	ref := m.b.ov.Reader(r)
+	ref := m.b.ov.Reader(tag, r)
 	if ref == overlay.NoNode {
-		return m.b.addReader(r, delta)
+		return m.b.addReader(tag, r, delta)
 	}
 	// Update the reader's I-set and reverse index.
 	set := m.b.iset[ref]
@@ -89,25 +89,26 @@ func (m *Maintainer) AddReaderInputs(r graph.NodeID, delta []graph.NodeID) error
 			return err
 		}
 	}
-	m.directCount[r] += len(added)
-	if m.directCount[r] > m.DirectThreshold {
-		m.directCount[r] = 0
+	id := overlay.ReaderID{Tag: tag, Node: r}
+	m.directCount[id] += len(added)
+	if m.directCount[id] > m.DirectThreshold {
+		m.directCount[id] = 0
 		return m.rebuildReader(ref)
 	}
 	return nil
 }
 
-// RemoveReaderInputs records that reader r's input list lost the writers in
-// delta. If only a few upstream aggregators are affected they are split in
-// place; otherwise the reader is rebuilt from its new input list (§3.3,
-// "Deletion of Edges").
-func (m *Maintainer) RemoveReaderInputs(r graph.NodeID, delta []graph.NodeID) error {
+// RemoveReaderInputs records that query tag's reader of r had its input
+// list lose the writers in delta. If only a few upstream aggregators are
+// affected they are split in place; otherwise the reader is rebuilt from its
+// new input list (§3.3, "Deletion of Edges").
+func (m *Maintainer) RemoveReaderInputs(tag int32, r graph.NodeID, delta []graph.NodeID) error {
 	if len(delta) == 0 {
 		return nil
 	}
-	ref := m.b.ov.Reader(r)
+	ref := m.b.ov.Reader(tag, r)
 	if ref == overlay.NoNode {
-		return fmt.Errorf("construct: reader %d not in overlay", r)
+		return fmt.Errorf("construct: reader %d/%d not in overlay", tag, r)
 	}
 	set := m.b.iset[ref]
 	d := make(map[graph.NodeID]struct{}, len(delta))
@@ -197,21 +198,21 @@ func (m *Maintainer) rebuildReader(ref overlay.NodeRef) error {
 	return m.b.coverInputs(ref, cover)
 }
 
-// AddNode handles addition of a data-graph node (§3.3): a writer node is
-// created, its out-edges are handed to the affected readers via
-// AddReaderInputs, and a reader node with the given input list is inserted
-// through the IOB algorithm.
+// AddNode handles addition of a data-graph node to a single-query overlay
+// (§3.3): a writer node is created, its out-edges are handed to the affected
+// readers via AddReaderInputs, and a reader node with the given input list
+// is inserted through the IOB algorithm.
 func (m *Maintainer) AddNode(v graph.NodeID, inputs []graph.NodeID, consumers []graph.NodeID) error {
 	m.b.addWriter(v)
 	for _, c := range consumers {
-		if err := m.AddReaderInputs(c, []graph.NodeID{v}); err != nil {
+		if err := m.AddReaderInputs(0, c, []graph.NodeID{v}); err != nil {
 			return err
 		}
 	}
-	if m.b.ov.Reader(v) != overlay.NoNode {
+	if m.b.ov.Reader(0, v) != overlay.NoNode {
 		return fmt.Errorf("construct: reader %d already exists", v)
 	}
-	return m.b.addReader(v, inputs)
+	return m.b.addReader(0, v, inputs)
 }
 
 // AddWriter registers a writer node for data-graph node v (idempotent). It
@@ -222,19 +223,18 @@ func (m *Maintainer) AddWriter(v graph.NodeID) {
 	m.b.addWriter(v)
 }
 
-// AddReader inserts a brand-new reader with the given input list through
-// the IOB algorithm, covering the inputs with existing partial aggregates
-// where profitable. r is the reader's overlay GID — in a merged multi-query
-// overlay the encoded tag*stride+node id — and must not already exist. An
-// empty input list still creates the (empty-aggregate) reader, unlike
-// AddReaderInputs. This is the online family-extension primitive: attaching
-// a query to an existing merged overlay adds its readers one by one without
-// recompiling the shared structure.
-func (m *Maintainer) AddReader(r graph.NodeID, inputs []graph.NodeID) error {
-	if m.b.ov.Reader(r) != overlay.NoNode {
-		return fmt.Errorf("construct: reader %d already exists", r)
+// AddReader inserts query tag's reader of r, which must not already exist,
+// with the given input list through the IOB algorithm, covering the inputs
+// with existing partial aggregates where profitable. An empty input list
+// still creates the (empty-aggregate) reader, unlike AddReaderInputs. This
+// is the online family-extension primitive: attaching a query to an
+// existing merged overlay adds its readers one by one without recompiling
+// the shared structure.
+func (m *Maintainer) AddReader(tag int32, r graph.NodeID, inputs []graph.NodeID) error {
+	if m.b.ov.Reader(tag, r) != overlay.NoNode {
+		return fmt.Errorf("construct: reader %d/%d already exists", tag, r)
 	}
-	if err := m.b.addReader(r, inputs); err != nil {
+	if err := m.b.addReader(tag, r, inputs); err != nil {
 		return err
 	}
 	// The union bipartite graph gained this reader's input list; keep the
@@ -243,30 +243,40 @@ func (m *Maintainer) AddReader(r graph.NodeID, inputs []graph.NodeID) error {
 	return nil
 }
 
-// RemoveReader removes reader r (by overlay GID) and garbage-collects any
+// RemoveReader removes query tag's reader of r and garbage-collects any
 // partial aggregates nobody else consumes, leaving the writer role of the
-// underlying data-graph node untouched. Missing readers are a no-op: query
-// retirement sweeps all of a member's possible reader ids. This is the
-// online family-retirement primitive.
-func (m *Maintainer) RemoveReader(r graph.NodeID) error {
-	rref := m.b.ov.Reader(r)
+// underlying data-graph node untouched. A missing reader is a no-op. This
+// is the online family-retirement primitive.
+func (m *Maintainer) RemoveReader(tag int32, r graph.NodeID) error {
+	rref := m.b.ov.Reader(tag, r)
 	if rref == overlay.NoNode {
 		return nil
 	}
 	inputs := len(m.b.iset[rref])
-	if err := m.b.ov.RemoveNode(rref); err != nil {
+	if err := m.removeReader(rref); err != nil {
 		return err
 	}
-	delete(m.b.iset, rref)
-	delete(m.directCount, r)
 	m.b.ov.GCOrphans()
 	m.b.ov.AddAGEdges(-inputs)
 	return nil
 }
 
-// RemoveNode removes both roles of a data-graph node from the overlay and
-// repairs the indexes (§3.3). Aggregates upstream of the removed writer
-// shrink accordingly.
+// removeReader deletes reader slot ref and its maintenance state. Its
+// reverse-index entries go stale; scans skip dead refs.
+func (m *Maintainer) removeReader(ref overlay.NodeRef) error {
+	n := m.b.ov.Node(ref)
+	id := overlay.ReaderID{Tag: n.Tag, Node: n.GID}
+	if err := m.b.ov.RemoveNode(ref); err != nil {
+		return err
+	}
+	delete(m.b.iset, ref)
+	delete(m.directCount, id)
+	return nil
+}
+
+// RemoveNode removes both roles of a data-graph node from the overlay — its
+// writer and every query tag's reader of it — and repairs the indexes
+// (§3.3). Aggregates upstream of the removed writer shrink accordingly.
 func (m *Maintainer) RemoveNode(v graph.NodeID) error {
 	if wref := m.b.ov.Writer(v); wref != overlay.NoNode {
 		// Every node that aggregated v loses it from its I-set.
@@ -281,13 +291,10 @@ func (m *Maintainer) RemoveNode(v graph.NodeID) error {
 		}
 		delete(m.b.iset, wref)
 	}
-	if rref := m.b.ov.Reader(v); rref != overlay.NoNode {
-		// The reader's reverse-index entries go stale; scans skip dead refs.
-		if err := m.b.ov.RemoveNode(rref); err != nil {
+	for _, rref := range m.b.ov.ReadersOf(v) {
+		if err := m.removeReader(rref); err != nil {
 			return err
 		}
-		delete(m.b.iset, rref)
-		delete(m.directCount, v)
 	}
 	m.b.ov.GCOrphans()
 	return nil

@@ -299,8 +299,8 @@ func (b *iobBuilder) split(v overlay.NodeRef, s map[graph.NodeID]struct{}) (over
 // addReader inserts reader r with input list inputs using the greedy
 // set-cover heuristic (§3.2.5), reusing and restructuring existing partial
 // aggregates.
-func (b *iobBuilder) addReader(rNode graph.NodeID, inputs []graph.NodeID) error {
-	r := b.ov.AddReader(rNode)
+func (b *iobBuilder) addReader(tag int32, rNode graph.NodeID, inputs []graph.NodeID) error {
+	r := b.ov.AddReader(tag, rNode)
 	rset := make(map[graph.NodeID]struct{}, len(inputs))
 	for _, w := range inputs {
 		rset[w] = struct{}{}
@@ -393,7 +393,7 @@ func buildIOB(ag *bipartite.AG, cfg Config) (*Result, error) {
 		for _, i := range order {
 			r := ag.Readers[i]
 			if iter > 0 {
-				ref := b.ov.Reader(r.Node)
+				ref := b.ov.Reader(r.Tag, r.Node)
 				if ref == overlay.NoNode {
 					return nil, fmt.Errorf("construct: reader %d lost", r.Node)
 				}
@@ -401,7 +401,7 @@ func buildIOB(ag *bipartite.AG, cfg Config) (*Result, error) {
 					return nil, err
 				}
 			}
-			if err := b.addReader(r.Node, r.Inputs); err != nil {
+			if err := b.addReader(r.Tag, r.Node, r.Inputs); err != nil {
 				return nil, err
 			}
 		}

@@ -94,7 +94,7 @@ func TestQuickReaderPreservation(t *testing.T) {
 			return false
 		}
 		for _, r := range ag.Readers {
-			if res.Overlay.Reader(r.Node) == overlay.NoNode {
+			if res.Overlay.Reader(r.Tag, r.Node) == overlay.NoNode {
 				return false
 			}
 		}

@@ -88,8 +88,8 @@ func (s *vnmState) itemOfConsumer(ci int) fptree.Item {
 }
 
 // shingleID is the id an item hashes under in the shingle ordering: virtual
-// nodes are numbered from ag.MaxID(), past every reader id of a merged AG,
-// which is where the id space of items began before it was made dense.
+// nodes are numbered from ag.MaxID(), past every reader's node id, which is
+// where the id space of items began before it was made dense.
 func (s *vnmState) shingleID(it fptree.Item) graph.NodeID {
 	if s.isVirtualItem(it) {
 		return graph.NodeID(s.ag.MaxID()) + graph.NodeID(it-s.itemBase)
@@ -336,7 +336,8 @@ func (s *vnmState) assemble() (*overlay.Overlay, error) {
 	refs := make([]overlay.NodeRef, len(s.lists))
 	for ci := range s.lists {
 		if ci < s.numReaders() {
-			refs[ci] = ov.AddReader(s.ag.Readers[ci].Node)
+			r := &s.ag.Readers[ci]
+			refs[ci] = ov.AddReader(r.Tag, r.Node)
 		} else {
 			refs[ci] = ov.AddPartial()
 		}

@@ -55,12 +55,11 @@ func (s *System) AdaptivityStats() AdaptivityStats {
 
 // Sample is one drained window of engine observations translated into
 // graph-level terms: per-writer-node write counts, per-reader read counts
-// keyed by reader GID (tag*stride + node on a merged overlay, so merged
-// views at one node keep their own counts), and the adaptor's current
-// frontier-flip pressure.
+// (merged views at one node keep their own counts), and the adaptor's
+// current frontier-flip pressure.
 type Sample struct {
 	WriterWrites map[graph.NodeID]float64
-	ReaderReads  map[graph.NodeID]float64
+	ReaderReads  map[overlay.ReaderID]float64
 	// Pressure is the number of frontier nodes whose filled observation
 	// window contradicts their decision — what ApplyFlips would flip now.
 	Pressure int
@@ -79,7 +78,7 @@ func (s *System) SampleObservations() Sample {
 	pushes, pulls := s.drainObservationsLocked()
 	smp := Sample{
 		WriterWrites: make(map[graph.NodeID]float64),
-		ReaderReads:  make(map[graph.NodeID]float64),
+		ReaderReads:  make(map[overlay.ReaderID]float64),
 	}
 	for ref, c := range pushes {
 		smp.Activity += c
@@ -99,7 +98,7 @@ func (s *System) SampleObservations() Sample {
 		// the reader is push- or pull-annotated (interior pulls land on
 		// partials/writers, skipped here), so reader pulls ARE read rates.
 		if n := s.ov.Node(ref); n.Kind == overlay.ReaderNode {
-			smp.ReaderReads[n.GID] += c
+			smp.ReaderReads[overlay.ReaderID{Tag: n.Tag, Node: n.GID}] += c
 		}
 	}
 	smp.Pressure = s.adaptor.Pressure()
@@ -193,7 +192,7 @@ func (s *System) DecisionMode() Mode {
 func (s *System) EstimateCosts(wl *dataflow.Workload) (current, fresh float64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, err := dataflow.ComputeFreqs(s.ov, s.stridedWorkload(wl), s.windowSizeHint())
+	f, err := dataflow.ComputeFreqs(s.ov, wl, s.windowSizeHint())
 	if err != nil {
 		return 0, 0, err
 	}

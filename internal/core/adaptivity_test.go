@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"slices"
 	"testing"
 
@@ -215,9 +216,9 @@ func neverRaisesObservedCost(t *testing.T, a agg.Aggregate) []int {
 	return all
 }
 
-// TestSampleReadsPerReader: reads are sampled per reader GID, so two views
-// of a merged family read at different rates at one node stay two entries
-// (tag*stride + node) instead of folding onto the node.
+// TestSampleReadsPerReader: reads are sampled per reader, so two views of
+// a merged family read at different rates at one node stay two entries
+// instead of folding onto the node.
 func TestSampleReadsPerReader(t *testing.T) {
 	s, atts := attachFamily(t, workload.SocialGraph(100, 6, 1), []MemberSpec{{}, {}}, Options{})
 	const v = graph.NodeID(7)
@@ -229,35 +230,8 @@ func TestSampleReadsPerReader(t *testing.T) {
 		}
 	}
 	got := s.SampleObservations().ReaderReads
-	want := map[graph.NodeID]float64{v: 3, s.stride + v: 5}
-	if len(got) != len(want) || got[v] != want[v] || got[s.stride+v] != want[s.stride+v] {
+	want := map[overlay.ReaderID]float64{{Tag: 0, Node: v}: 3, {Tag: 1, Node: v}: 5}
+	if !maps.Equal(got, want) {
 		t.Fatalf("ReaderReads = %v, want %v", got, want)
-	}
-}
-
-// TestRestrideDropsStaleReaderReads: per-reader reads kept by Reoptimize
-// are keyed by GIDs encoded under the stride of the time; once the graph
-// outgrows it and the family re-strides, those keys name other readers, so
-// the re-stride drops them instead of pricing the wrong readers hot.
-func TestRestrideDropsStaleReaderReads(t *testing.T) {
-	g := workload.SocialGraph(500, 6, 1) // stride 1024: ~520 node adds re-stride it
-	s, _ := attachFamily(t, g, []MemberSpec{{}, {}}, Options{Algorithm: construct.AlgVNMA})
-	priced := func() *dataflow.Workload { return s.stridedWorkload(s.workloadOrUniform()) }
-	stride := s.stride
-	wl := dataflow.NewWorkload(g.MaxID())
-	wl.ReaderReads = map[graph.NodeID]float64{stride + 5: 1000}
-	if err := s.Reoptimize(wl); err != nil {
-		t.Fatal(err)
-	}
-	if priced().ReaderReads[stride+5] != 1000 {
-		t.Fatalf("fixture: Reoptimize did not keep the per-reader reads: %v", priced().ReaderReads)
-	}
-	for s.stride == stride {
-		if _, err := s.AddGraphNode(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if priced().ReaderReads != nil {
-		t.Fatalf("re-stride %d -> %d kept reads keyed under the old stride: %v", stride, s.stride, priced().ReaderReads)
 	}
 }

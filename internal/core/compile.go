@@ -95,32 +95,27 @@ func checkLegality(alg string, props agg.Properties) error {
 }
 
 // buildOverlay constructs an overlay for the live views over the current
-// graph. Merged systems (stride > 0) build the UNION bipartite graph of every
-// live view, so construction mines bicliques — and therefore places shared
-// partial aggregation nodes — across member queries wherever their
-// neighborhoods overlap.
+// graph: the UNION bipartite graph of every live view, so on a merged system
+// construction mines bicliques — and therefore places shared partial
+// aggregation nodes — across member queries wherever their neighborhoods
+// overlap. A single-query system's one view is its query.
 func (s *System) buildOverlay() (*overlay.Overlay, error) {
 	if ov := s.cloneSibling(); ov != nil {
 		return ov, nil
 	}
 	s.multi.mined.Add(1)
-	var ag *bipartite.AG
-	if s.stride > 0 {
-		members := make([]bipartite.Member, 0, len(s.views))
-		for i := range s.views {
-			if !s.views[i].live {
-				continue
-			}
-			members = append(members, bipartite.Member{
-				Neighborhood: s.views[i].nbr,
-				Predicate:    s.views[i].pred,
-				Tag:          s.views[i].tag,
-			})
+	members := make([]bipartite.Member, 0, len(s.views))
+	for i := range s.views {
+		if !s.views[i].live {
+			continue
 		}
-		ag = bipartite.BuildUnion(s.g, members, s.stride)
-	} else {
-		ag = bipartite.Build(s.g, s.q.Neighborhood, s.q.Predicate)
+		members = append(members, bipartite.Member{
+			Neighborhood: s.views[i].nbr,
+			Predicate:    s.views[i].pred,
+			Tag:          s.views[i].tag,
+		})
 	}
+	ag := bipartite.BuildUnion(s.g, members)
 	var ov *overlay.Overlay
 	if s.opts.Algorithm == Baseline {
 		ov = construct.Baseline(ag)
@@ -130,9 +125,6 @@ func (s *System) buildOverlay() (*overlay.Overlay, error) {
 			return nil, err
 		}
 		ov = res.Overlay
-	}
-	if s.stride > 0 {
-		ov.SetReaderStride(int32(s.stride))
 	}
 	return ov, nil
 }
@@ -144,12 +136,12 @@ func (s *System) buildOverlay() (*overlay.Overlay, error) {
 // copy is what buildOverlay would have produced, bit for bit. Nothing is
 // retained for this: the sibling's live overlay is the cache entry, valid
 // until the graph moves (minedAt) or anything restructures it (pristine —
-// cleared by afterMaintenance; a system that took a member has a stride and
-// no shape to match). Callers hold the MultiSystem mutex — every path that
+// cleared by afterMaintenance; a system that took a member has no shape to
+// match). Callers hold the MultiSystem mutex — every path that
 // reaches buildOverlay does — so no two systems ever wait on each other's mu
 // here.
 func (s *System) cloneSibling() *overlay.Overlay {
-	if s.shape == (shape{}) || s.stride > 0 {
+	if s.shape == (shape{}) || len(s.views) > 1 {
 		return nil
 	}
 	for _, sib := range *s.multi.systems.Load() {
@@ -158,7 +150,7 @@ func (s *System) cloneSibling() *overlay.Overlay {
 		}
 		sib.mu.Lock()
 		var ov *overlay.Overlay
-		if sib.pristine && sib.stride == 0 && sib.minedAt == s.g.Version() {
+		if sib.pristine && len(sib.views) == 1 && sib.minedAt == s.g.Version() {
 			ov = sib.ov.Clone()
 		}
 		sib.mu.Unlock()
@@ -181,7 +173,7 @@ func (s *System) windowSizeHint() int {
 
 // decide annotates ov with dataflow decisions for the system's workload.
 func (s *System) decide(ov *overlay.Overlay) error {
-	f, err := dataflow.ComputeFreqs(ov, s.stridedWorkload(s.workloadOrUniform()), s.windowSizeHint())
+	f, err := dataflow.ComputeFreqs(ov, s.workloadOrUniform(), s.windowSizeHint())
 	if err != nil {
 		return err
 	}
@@ -220,11 +212,9 @@ func (s *System) Reoptimize(wl *dataflow.Workload) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if wl != nil {
-		// Kept strided, so a later re-stride can tell its reader GIDs
-		// were encoded under another stride.
-		s.opts.Workload = s.stridedWorkload(wl)
+		s.opts.Workload = wl
 	}
-	f, err := dataflow.ComputeFreqs(s.ov, s.stridedWorkload(s.workloadOrUniform()), s.windowSizeHint())
+	f, err := dataflow.ComputeFreqs(s.ov, s.workloadOrUniform(), s.windowSizeHint())
 	if err != nil {
 		return err
 	}
@@ -240,26 +230,6 @@ func (s *System) workloadOrUniform() *dataflow.Workload {
 		return s.opts.Workload
 	}
 	return dataflow.Uniform(s.g.MaxID(), 1, 1)
-}
-
-// stridedWorkload applies the system's reader stride to a workload so
-// merged-overlay reader GIDs (tag*stride+node) decode back to data-graph
-// nodes in frequency lookups. Copy-on-write: a caller-owned workload is
-// never mutated. EVERY path that feeds a workload into ComputeFreqs on a
-// merged system must go through this, or tag>=1 readers read frequency 0
-// and the decisions demote them to pull. Per-reader reads keyed under
-// another non-zero stride name other readers now and are dropped; under
-// stride 0 they are tag-0 GIDs, which no stride changes.
-func (s *System) stridedWorkload(wl *dataflow.Workload) *dataflow.Workload {
-	if s.stride == 0 || wl == nil || wl.Stride == int(s.stride) {
-		return wl
-	}
-	strided := *wl
-	if wl.Stride > 0 {
-		strided.ReaderReads = nil
-	}
-	strided.Stride = int(s.stride)
-	return &strided
 }
 
 // recompileLocked rebuilds the overlay from scratch (used when incremental

@@ -100,12 +100,12 @@ type System struct {
 	q    Query
 	opts Options
 
-	// views and stride are the merge-family state, mutated only under mu
-	// (and read by mutators under mu); the read/subscribe hot paths never
-	// touch them — they resolve tags through the engine's immutable plan
-	// snapshot, so member attach/retire never blocks or races reads.
-	views  []view
-	stride graph.NodeID // reader-GID stride; 0 until the system goes merged
+	// views is the merge-family state, mutated only under mu (and read by
+	// mutators under mu); the read/subscribe hot paths never touch it —
+	// they resolve tags through the engine's immutable plan snapshot, so
+	// member attach/retire never blocks or races reads. A system is merged
+	// once it has taken a member (more than one view, live or retired).
+	views []view
 
 	ov *overlay.Overlay
 	// multi is the MultiSystem hosting this system and shape what
@@ -178,11 +178,11 @@ type Stats struct {
 	Mode         Mode
 	// Views is the number of live member queries sharing the overlay (the
 	// merge family size; 1 for single-query systems). Per-member reader
-	// counts are in Overlay.QueryReaders, keyed by view tag.
+	// counts are Attachment.OwnReaders.
 	Views int
 	// Recompiles counts the structural changes (edge and node churn, member
-	// attach and retire, re-strides) that rebuilt the whole overlay because
-	// it could not be repaired in place.
+	// attach and retire) that rebuilt the whole overlay because it could
+	// not be repaired in place.
 	Recompiles int64
 }
 

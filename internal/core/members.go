@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/graph"
 	"repro/internal/overlay"
@@ -13,8 +12,8 @@ import (
 // one shared overlay, and their online attach and retire.
 
 // errMergeFull is the internal capacity signal: the family cannot take
-// another member (tag space exhausted for its stride). Callers fall back to
-// compiling a fresh system instead of surfacing an error.
+// another member (maxFamilyViews reached). Callers fall back to compiling a
+// fresh system instead of surfacing an error.
 var errMergeFull = fmt.Errorf("merge family full: %w", ErrIncompatibleMerge)
 
 // maxFamilyViews bounds the member count of one merged overlay; beyond it a
@@ -32,55 +31,14 @@ type MemberSpec struct {
 }
 
 // view is one member query's compiled reader view inside a System. tag
-// namespaces its readers in the shared overlay (reader GID = tag*stride +
-// node); retired views keep their slot (tags are never reused) so live
-// handles' tags stay stable.
+// names its readers in the shared overlay (a reader is identified by tag
+// and data-graph node); retired views keep their slot (tags are never
+// reused) so live handles' tags stay stable.
 type view struct {
 	nbr  graph.Neighborhood
 	pred graph.Predicate
 	tag  int32
 	live bool
-}
-
-// strideFor picks the reader-GID stride for a merged overlay over g: the
-// next power of two with at least 2x headroom over the current id space, so
-// moderate graph growth never forces a re-stride recompile.
-func strideFor(g *graph.Graph) graph.NodeID {
-	stride := graph.NodeID(1024)
-	for int(stride) < 2*(g.MaxID()+1) {
-		stride <<= 1
-	}
-	return stride
-}
-
-// viewCapacity bounds the member count for a stride: every encoded reader
-// GID (tag*stride + node) must stay a positive int32.
-func viewCapacity(stride graph.NodeID) int {
-	c := int(int64(math.MaxInt32)/int64(stride)) - 1
-	if c > maxFamilyViews {
-		c = maxFamilyViews
-	}
-	return c
-}
-
-// viewBase returns the reader-GID offset of a member view.
-func (s *System) viewBase(vw *view) graph.NodeID {
-	return graph.NodeID(vw.tag) * s.stride
-}
-
-// restrideLocked rebuilds a merged system whose data graph outgrew its
-// reader stride. Member tags survive (subscriptions and handles address
-// views by tag plus real node id, never by encoded GID) and window
-// contents are carried over (minus skip, see recompileLocked), so the rebuild
-// is invisible to readers.
-func (s *System) restrideLocked(skip map[graph.NodeID]bool) error {
-	stride := strideFor(s.g)
-	if len(s.views) > viewCapacity(stride) {
-		return fmt.Errorf("core: graph growth to %d nodes leaves no room for %d merged views: %w",
-			s.g.MaxID(), len(s.views), ErrIncompatibleMerge)
-	}
-	s.stride = stride
-	return s.recompileLocked(skip)
 }
 
 // addMember extends the merged overlay with one more member query ONLINE:
@@ -92,9 +50,8 @@ func (s *System) restrideLocked(skip map[graph.NodeID]bool) error {
 // subscriptions survive either way. Returns the new member's view tag.
 //
 // A single-query System converts to a merged one on its first addMember;
-// its existing tag-0 readers already use plain node ids, which is exactly
-// tag 0 of the encoded scheme, so conversion adds no work. The caller holds
-// the MultiSystem mutex (MultiSystem.AttachMerged does).
+// its existing readers are tag 0's, so conversion adds no work. The caller
+// holds the MultiSystem mutex (MultiSystem.AttachMerged does).
 func (s *System) addMember(spec MemberSpec) (int32, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -102,15 +59,7 @@ func (s *System) addMember(spec MemberSpec) (int32, error) {
 	if nbr == nil {
 		nbr = graph.InNeighbors{}
 	}
-	if s.stride == 0 {
-		s.stride = strideFor(s.g)
-		s.ov.SetReaderStride(int32(s.stride))
-	} else if graph.NodeID(s.g.MaxID()) > s.stride {
-		if err := s.restrideLocked(nil); err != nil {
-			return 0, err
-		}
-	}
-	if len(s.views)+1 > viewCapacity(s.stride) {
+	if len(s.views) >= maxFamilyViews {
 		return 0, errMergeFull
 	}
 	tag := int32(len(s.views))
@@ -123,7 +72,6 @@ func (s *System) addMember(spec MemberSpec) (int32, error) {
 		}
 		return tag, nil
 	}
-	base := s.viewBase(&s.views[tag])
 	var insertErr error
 	s.g.ForEachNode(func(v graph.NodeID) {
 		if insertErr != nil {
@@ -132,7 +80,7 @@ func (s *System) addMember(spec MemberSpec) (int32, error) {
 		if vw.pred != nil && !vw.pred(s.g, v) {
 			return
 		}
-		insertErr = s.maint.AddReader(base+v, nbr.Select(s.g, v))
+		insertErr = s.maint.AddReader(tag, v, nbr.Select(s.g, v))
 	})
 	if insertErr == nil {
 		insertErr = s.afterMaintenance()
@@ -173,14 +121,14 @@ func (s *System) retireMember(tag int32) error {
 		}
 		return nil
 	}
-	var gids []graph.NodeID
-	s.ov.ForEachNode(func(ref overlay.NodeRef, n *overlay.Node) {
-		if n.Kind == overlay.ReaderNode && s.ov.TagOf(ref) == tag {
-			gids = append(gids, n.GID)
+	var nodes []graph.NodeID
+	s.ov.ForEachNode(func(_ overlay.NodeRef, n *overlay.Node) {
+		if n.Kind == overlay.ReaderNode && n.Tag == tag {
+			nodes = append(nodes, n.GID)
 		}
 	})
-	for _, gid := range gids {
-		if err := s.maint.RemoveReader(gid); err != nil {
+	for _, v := range nodes {
+		if err := s.maint.RemoveReader(tag, v); err != nil {
 			return fmt.Errorf("core: retire member %d: %w: %w", tag, ErrIncompatibleMerge, err)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/exec"
 	"repro/internal/graph"
+	"repro/internal/workload"
 )
 
 // mergeSpecs is the member mix the merged-overlay tests exercise: same
@@ -56,7 +57,7 @@ type mergeOp struct {
 	kind       byte // 'w' write, 'e' add edge, 'r' remove edge, 'n' add node, 'd' remove node
 	u, v       graph.NodeID
 	value, ts  int64
-	batch      []graph.Event // kind 'b'
+	batch      []graph.Event // kind 'b' (content) and 's' (one structural run)
 	batchStart int
 }
 
@@ -65,7 +66,7 @@ type mergeOp struct {
 // operation to all of them.
 type mergeHarness struct {
 	t       *testing.T
-	baseN   int
+	base    func() *graph.Graph
 	merged  *System
 	members map[int32]*Attachment
 	oracles map[int32]*System
@@ -73,15 +74,17 @@ type mergeHarness struct {
 	log     []mergeOp
 }
 
-func newMergeHarness(t *testing.T, baseN int, specs []MemberSpec) *mergeHarness {
+// newMergeHarness builds the family and its oracles, each over its own
+// base() graph.
+func newMergeHarness(t *testing.T, base func() *graph.Graph, specs []MemberSpec) *mergeHarness {
 	h := &mergeHarness{
 		t:       t,
-		baseN:   baseN,
+		base:    base,
 		members: map[int32]*Attachment{},
 		oracles: map[int32]*System{},
 		specs:   map[int32]MemberSpec{},
 	}
-	merged, atts := attachFamily(t, multiRing(baseN), specs, Options{Algorithm: construct.AlgVNMA})
+	merged, atts := attachFamily(t, base(), specs, Options{Algorithm: construct.AlgVNMA})
 	h.merged = merged
 	for i, spec := range specs {
 		h.members[int32(i)] = atts[i]
@@ -94,7 +97,7 @@ func newMergeHarness(t *testing.T, baseN int, specs []MemberSpec) *mergeHarness 
 // freshOracle compiles a single-query system for spec over a replica graph
 // and replays the recorded op log into it.
 func (h *mergeHarness) freshOracle(spec MemberSpec) *System {
-	o, err := Compile(multiRing(h.baseN), Query{
+	o, err := Compile(h.base(), Query{
 		Aggregate:    agg.Sum{},
 		Neighborhood: spec.Neighborhood,
 		Predicate:    spec.Predicate,
@@ -115,6 +118,8 @@ func (h *mergeHarness) applyOne(s *System, op mergeOp) {
 		err = s.Engine().Write(op.v, op.value, op.ts)
 	case 'b':
 		s.Engine().Apply(op.batch, graph.NoAdvance)
+	case 's':
+		_, err = s.multi.Apply(op.batch, graph.NoAdvance)
 	case 'e':
 		err = s.AddGraphEdge(op.u, op.v)
 	case 'r':
@@ -193,7 +198,7 @@ func (h *mergeHarness) compare(when string) {
 // TestMergedBasicLifecycle walks the deterministic happy path: merged
 // compile, reads per view, online member attach, structural churn, retire.
 func TestMergedBasicLifecycle(t *testing.T) {
-	h := newMergeHarness(t, 12, mergeSpecs()[:2])
+	h := newMergeHarness(t, func() *graph.Graph { return multiRing(12) }, mergeSpecs()[:2])
 	for i := 0; i < 100; i++ {
 		h.apply(mergeOp{kind: 'w', v: graph.NodeID(i % 12), value: int64(i), ts: int64(i)})
 	}
@@ -225,7 +230,7 @@ func TestMergedMatchesOraclesUnderChurn(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			h := newMergeHarness(t, 16, mergeSpecs())
+			h := newMergeHarness(t, func() *graph.Graph { return multiRing(16) }, mergeSpecs())
 			extra := []MemberSpec{
 				{Neighborhood: graph.KHopIn{K: 3}},
 				{Neighborhood: graph.InNeighbors{}, Predicate: graph.MinInDegree(1)},
@@ -514,36 +519,53 @@ func TestRebalanceAfterMemberGrowth(t *testing.T) {
 	}
 }
 
-// TestRestrideOnNonMaintainableMerged is the regression test for the
-// stride-collision bug: on a merged system WITHOUT incremental maintenance
-// (maint == nil, e.g. negative-edge overlays), node additions that outgrow
-// the reader stride must re-stride before the recompile fallback, or
-// encoded reader GIDs of different tags alias each other.
-func TestRestrideOnNonMaintainableMerged(t *testing.T) {
+// TestMergedFamilyGrowsWithoutRecompile: a maintainable merged family
+// absorbs node additions in place, as a single-query system does — no graph
+// size forces a rebuild — and both views still match their oracles once the
+// new nodes carry edges and content.
+func TestMergedFamilyGrowsWithoutRecompile(t *testing.T) {
+	const base, added = 500, 600
+	h := newMergeHarness(t, func() *graph.Graph { return workload.SocialGraph(base, 6, 1) }, []MemberSpec{{}, {}})
+	grow := make([]graph.Event, added/12)
+	for i := range grow {
+		grow[i] = graph.Event{Kind: graph.NodeAdd}
+	}
+	for range 12 {
+		h.apply(mergeOp{kind: 's', batch: grow})
+	}
+	if n := h.merged.Stats().Recompiles; n != 0 {
+		t.Fatalf("%d node adds recompiled the family %d times, want 0", added, n)
+	}
+	for i := graph.NodeID(0); i < added; i += 10 {
+		v := base + i
+		h.apply(mergeOp{kind: 'e', u: i, v: v})
+		h.apply(mergeOp{kind: 'e', u: v, v: (7 * i) % base})
+	}
+	for i := range 3000 {
+		h.apply(mergeOp{kind: 'w', v: graph.NodeID(i % (base + added)), value: int64(i % 97), ts: int64(i)})
+	}
+	h.compare("after node adds")
+}
+
+// TestNodeAddsOnNonMaintainableMerged: on a merged system WITHOUT
+// incremental maintenance (maint == nil, e.g. negative-edge overlays), a
+// node addition takes the recompile fallback, and the rebuilt views still
+// answer independently.
+func TestNodeAddsOnNonMaintainableMerged(t *testing.T) {
 	g := multiRing(12)
 	sys, atts := attachFamily(t, g, []MemberSpec{
 		{Neighborhood: graph.InNeighbors{}},
 		{Neighborhood: graph.KHopIn{K: 2}},
 	}, Options{Algorithm: construct.AlgVNMN})
-	start := sys.stride
-	// Fill the id space up to (but not past) the stride, then force the
-	// recompile fallback for the overflowing addition — the bug is in the
-	// ordering of the stride check vs the maint==nil fallback, so the
-	// overflow itself must take the fallback path.
-	for graph.NodeID(g.MaxID()) < start {
-		if _, err := sys.AddGraphNode(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	sys.maint = nil
 	if _, err := sys.AddGraphNode(); err != nil {
 		t.Fatal(err)
 	}
-	if sys.stride <= start {
-		t.Fatalf("stride %d did not grow past %d although MaxID=%d", sys.stride, start, g.MaxID())
+	if n := sys.Stats().Recompiles; n != 1 {
+		t.Fatalf("recompiles = %d, want 1", n)
 	}
-	// Views must still answer independently: write into the ring and check
-	// a 1-hop vs 2-hop disagreement survives the restride.
+	// Write into the ring and check a 1-hop vs 2-hop disagreement survives
+	// the recompile.
 	for i := 0; i < 12; i++ {
 		if err := sys.Engine().Write(graph.NodeID(i), 1, 1); err != nil {
 			t.Fatal(err)
@@ -558,25 +580,28 @@ func TestRestrideOnNonMaintainableMerged(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r1.Scalar != 2 || r2.Scalar != 4 {
-		t.Fatalf("post-restride views = %d/%d, want 2/4", r1.Scalar, r2.Scalar)
+		t.Fatalf("post-recompile views = %d/%d, want 2/4", r1.Scalar, r2.Scalar)
 	}
 }
 
-// TestMergedViewOutOfRangeNode: a node id outside the stride's range must
-// report ErrUnknownNode, never alias into a sibling member's encoded GID
-// space (cross-query read leakage), through the attachment and through the
-// engine's untagged Read/ReadInto alike.
+// TestMergedViewOutOfRangeNode: a node id outside the graph must report
+// ErrUnknownNode on every member view, through the attachment and through
+// the engine's untagged Read/ReadInto alike.
 func TestMergedViewOutOfRangeNode(t *testing.T) {
-	sys, atts := attachFamily(t, multiRing(12), []MemberSpec{
+	g := multiRing(12)
+	sys, atts := attachFamily(t, g, []MemberSpec{
 		{Neighborhood: graph.InNeighbors{}},
 		{Neighborhood: graph.KHopIn{K: 2}},
 	}, Options{Algorithm: construct.AlgVNMA})
-	for _, v := range []graph.NodeID{sys.stride, sys.stride + 2, -1} {
-		if _, err := atts[0].Read(v); err == nil {
-			t.Fatalf("Read(%d) on view 0 resolved out-of-range node without error", v)
-		}
-		if atts[0].Covered(v) {
-			t.Fatalf("Covered(%d) on view 0 true for out-of-range node", v)
+	maxID := graph.NodeID(g.MaxID())
+	for _, v := range []graph.NodeID{maxID, maxID + 2, -1} {
+		for tag, att := range atts {
+			if _, err := att.Read(v); !errors.Is(err, exec.ErrUnknownNode) {
+				t.Fatalf("Read(%d) on view %d = %v, want ErrUnknownNode", v, tag, err)
+			}
+			if att.Covered(v) {
+				t.Fatalf("Covered(%d) on view %d true for out-of-range node", v, tag)
+			}
 		}
 		// The untagged engine reads resolve like ReadTagged(0, v).
 		if r, err := sys.Engine().Read(v); !errors.Is(err, exec.ErrUnknownNode) {
@@ -589,9 +614,9 @@ func TestMergedViewOutOfRangeNode(t *testing.T) {
 	}
 }
 
-// TestReoptimizeKeepsMergedCoverage: Reoptimize must decode merged reader
-// GIDs through the stride, or tag>=1 members read frequency 0 and every
-// one of their readers is demoted to pull.
+// TestReoptimizeKeepsMergedCoverage: Reoptimize must price every member's
+// readers by their node's read rate, or tag>=1 members read frequency 0 and
+// every one of their readers is demoted to pull.
 func TestReoptimizeKeepsMergedCoverage(t *testing.T) {
 	const n = 16
 	sys, atts := attachFamily(t, multiRing(n), []MemberSpec{

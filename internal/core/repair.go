@@ -148,12 +148,6 @@ func (s *System) batchNodeAdded(b *repairBatch, v graph.NodeID) {
 		b.recompile = true
 		return
 	}
-	if s.stride > 0 && v >= s.stride {
-		// Id space outgrew the reader stride; the batch-final recompile
-		// picks a wider one (restride before rebuild, as nodeAdded does).
-		b.recompile = true
-		return
-	}
 	s.maint.AddWriter(v)
 	for i := range s.views {
 		vw := &s.views[i]
@@ -163,7 +157,7 @@ func (s *System) batchNodeAdded(b *repairBatch, v graph.NodeID) {
 		if vw.pred != nil && !vw.pred(s.g, v) {
 			continue
 		}
-		if err := s.maint.AddReader(s.viewBase(vw)+v, nil); err != nil {
+		if err := s.maint.AddReader(vw.tag, v, nil); err != nil {
 			b.recompile = true
 			b.err = errors.Join(b.err, err)
 			return
@@ -187,31 +181,18 @@ func (s *System) batchNodeRemoved(b *repairBatch, v graph.NodeID) {
 		b.recompile = true
 		return
 	}
-	// RemoveNode drops the writer and the tag-0 reader (whose GID is the
-	// plain node id); higher tags' readers are swept explicitly.
+	// RemoveNode drops the writer and every view's reader of v.
 	if err := s.maint.RemoveNode(v); err != nil {
 		b.recompile = true
 		b.err = errors.Join(b.err, err)
-		return
-	}
-	for i := range s.views {
-		vw := &s.views[i]
-		if !vw.live || vw.tag == 0 {
-			continue
-		}
-		if err := s.maint.RemoveReader(s.viewBase(vw) + v); err != nil {
-			b.recompile = true
-			b.err = errors.Join(b.err, err)
-			return
-		}
 	}
 }
 
 // applyRepairBatch finishes a structural run: every affected reader of
 // every view is diffed against the final graph once, then the repaired
 // overlay is installed in the engine once — or, when anything in the run
-// demanded it (non-maintainable overlay, stride overflow, maintainer
-// failure), one full recompile replaces the whole repair. A batch that saw
+// demanded it (non-maintainable overlay, maintainer failure), one full
+// recompile replaces the whole repair. A batch that saw
 // no structural event is a no-op.
 func (s *System) applyRepairBatch(b *repairBatch) error {
 	s.mu.Lock()
@@ -225,9 +206,6 @@ func (s *System) applyRepairBatch(b *repairBatch) error {
 	if b.recompile {
 		// b.err carries any maintainer failure that forced this recompile;
 		// surface it even when the rebuild succeeds.
-		if s.stride > 0 && graph.NodeID(s.g.MaxID()) > s.stride {
-			return errors.Join(b.err, s.restrideLocked(b.removed))
-		}
 		return errors.Join(b.err, s.recompileLocked(b.removed))
 	}
 	var err error
@@ -263,16 +241,14 @@ func (s *System) applyRepairBatch(b *repairBatch) error {
 // overlay and applies the deltas through the maintainer. The caller runs
 // afterMaintenance once all views are repaired.
 func (s *System) repairViewLocked(vw *view, affected []graph.NodeID) error {
-	base := s.viewBase(vw)
 	for _, r := range affected {
 		if !s.g.Alive(r) {
 			continue
 		}
-		rid := base + r
 		if vw.pred != nil && !vw.pred(s.g, r) {
 			// The predicate no longer admits r: its reader (if any) must
 			// go, or this view would diverge from a freshly compiled one.
-			if err := s.maint.RemoveReader(rid); err != nil {
+			if err := s.maint.RemoveReader(vw.tag, r); err != nil {
 				return err
 			}
 			continue
@@ -282,12 +258,12 @@ func (s *System) repairViewLocked(vw *view, affected []graph.NodeID) error {
 		for _, w := range want {
 			wantSet[w] = true
 		}
-		ref := s.ov.Reader(rid)
+		ref := s.ov.Reader(vw.tag, r)
 		if ref == overlay.NoNode {
 			// Newly admitted (or never materialized) reader: insert it
 			// whole through the incremental builder, empty-input readers
 			// included — compile keeps those queryable too.
-			if err := s.maint.AddReader(rid, want); err != nil {
+			if err := s.maint.AddReader(vw.tag, r, want); err != nil {
 				return err
 			}
 			continue
@@ -307,12 +283,12 @@ func (s *System) repairViewLocked(vw *view, affected []graph.NodeID) error {
 		sort.Slice(adds, func(i, j int) bool { return adds[i] < adds[j] })
 		sort.Slice(dels, func(i, j int) bool { return dels[i] < dels[j] })
 		if len(dels) > 0 {
-			if err := s.maint.RemoveReaderInputs(rid, dels); err != nil {
+			if err := s.maint.RemoveReaderInputs(vw.tag, r, dels); err != nil {
 				return err
 			}
 		}
 		if len(adds) > 0 {
-			if err := s.maint.AddReaderInputs(rid, adds); err != nil {
+			if err := s.maint.AddReaderInputs(vw.tag, r, adds); err != nil {
 				return err
 			}
 		}

@@ -16,7 +16,7 @@ func chainOverlay(t *testing.T) (*overlay.Overlay, overlay.NodeRef, overlay.Node
 	ov := overlay.New(1)
 	w := ov.AddWriter(0)
 	p := ov.AddPartial()
-	r := ov.AddReader(1)
+	r := ov.AddReader(0, 1)
 	if err := ov.AddEdge(w, p, false); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestComputeFreqsFanInFanOut(t *testing.T) {
 	ov := overlay.New(4)
 	w1, w2 := ov.AddWriter(0), ov.AddWriter(1)
 	p := ov.AddPartial()
-	r1, r2 := ov.AddReader(2), ov.AddReader(3)
+	r1, r2 := ov.AddReader(0, 2), ov.AddReader(0, 3)
 	for _, w := range []overlay.NodeRef{w1, w2} {
 		if err := ov.AddEdge(w, p, false); err != nil {
 			t.Fatal(err)
@@ -128,7 +128,7 @@ func TestDecideResolvesConflict(t *testing.T) {
 	if err := ov.AddEdge(wMain, i3, false); err != nil {
 		t.Fatal(err)
 	}
-	s := ov.AddReader(100)
+	s := ov.AddReader(0, 100)
 	if err := ov.AddEdge(i3, s, false); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func randomOverlay(rng *rand.Rand) (*overlay.Overlay, []overlay.NodeRef) {
 		refs = append(refs, p)
 	}
 	for i := 0; i < nr; i++ {
-		r := ov.AddReader(graph.NodeID(32 + i))
+		r := ov.AddReader(0, graph.NodeID(32+i))
 		readers = append(readers, r)
 		refs = append(refs, r)
 	}
@@ -348,7 +348,7 @@ func TestSplitNodesHoistsColdInputs(t *testing.T) {
 	}
 	hot := ov.AddWriter(5)
 	wl.Write[5] = 100 // hot
-	r := ov.AddReader(6)
+	r := ov.AddReader(0, 6)
 	wl.Read[6] = 15
 	i1 := ov.AddPartial()
 	for _, w := range ws {
@@ -400,7 +400,7 @@ func TestSplitNodesNoSplitWhenUniform(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := ov.AddReader(5)
+	r := ov.AddReader(0, 5)
 	wl.Read[5] = 5
 	if err := ov.AddEdge(p, r, false); err != nil {
 		t.Fatal(err)
@@ -469,7 +469,7 @@ func TestAdaptorOnlyFlipsFrontierNodes(t *testing.T) {
 	ov := overlay.New(1)
 	w := ov.AddWriter(0)
 	p1, p2 := ov.AddPartial(), ov.AddPartial()
-	r := ov.AddReader(1)
+	r := ov.AddReader(0, 1)
 	_ = ov.AddEdge(w, p1, false)
 	_ = ov.AddEdge(p1, p2, false)
 	_ = ov.AddEdge(p2, r, false)
@@ -545,7 +545,7 @@ func TestPruneStatsComponents(t *testing.T) {
 	for c := 0; c < 2; c++ {
 		w := ov.AddWriter(graph.NodeID(c * 10))
 		p := ov.AddPartial()
-		r := ov.AddReader(graph.NodeID(c*10 + 1))
+		r := ov.AddReader(0, graph.NodeID(c*10+1))
 		_ = ov.AddEdge(w, p, false)
 		_ = ov.AddEdge(p, r, false)
 		wl.Write[c*10] = 10

@@ -13,16 +13,10 @@ import (
 type Workload struct {
 	Read  []float64 // indexed by graph.NodeID
 	Write []float64
-	// Stride, when positive, decodes merged-overlay reader GIDs
-	// (tag*Stride + node, see overlay.SetReaderStride) back to data-graph
-	// nodes before the frequency lookup, so every query's reader view of a
-	// node shares that node's expected read rate.
-	Stride int
-	// ReaderReads, when non-nil, holds observed read rates by reader GID
-	// (tag*Stride + node on a merged overlay), so merged views at one node
-	// keep their own rates; a reader it holds is not looked up in Read.
-	// Sparse on purpose: a dense GID-indexed slice would be up to 64×Stride.
-	ReaderReads map[graph.NodeID]float64
+	// ReaderReads, when non-nil, holds observed read rates by reader, so
+	// merged views at one node keep their own rates; a reader it holds is
+	// not looked up in Read.
+	ReaderReads map[overlay.ReaderID]float64
 }
 
 // NewWorkload allocates a zero workload for maxID nodes.
@@ -44,27 +38,18 @@ func Uniform(maxID int, read, write float64) *Workload {
 	return w
 }
 
-// readOf returns r(v) for reader GID v, tolerating out-of-range ids.
-func (w *Workload) readOf(v graph.NodeID) float64 {
-	if r, ok := w.ReaderReads[v]; ok {
+// readOf returns r(v) for reader id, tolerating out-of-range ids.
+func (w *Workload) readOf(id overlay.ReaderID) float64 {
+	if r, ok := w.ReaderReads[id]; ok {
 		return r
 	}
-	if w.Stride > 0 {
-		v %= graph.NodeID(w.Stride)
-	}
-	if int(v) < len(w.Read) {
-		return w.Read[v]
-	}
-	return 0
+	return rateOf(w.Read, id.Node)
 }
 
-// writeOf returns w(v).
-func (w *Workload) writeOf(v graph.NodeID) float64 {
-	if w.Stride > 0 {
-		v %= graph.NodeID(w.Stride)
-	}
-	if int(v) < len(w.Write) {
-		return w.Write[v]
+// rateOf returns rates[v], or 0 for a node outside rates.
+func rateOf(rates []float64, v graph.NodeID) float64 {
+	if uint(v) < uint(len(rates)) {
+		return rates[v]
 	}
 	return 0
 }
@@ -100,7 +85,7 @@ func ComputeFreqs(ov *overlay.Overlay, wl *Workload, windowSize int) (*Freqs, er
 	for _, ref := range order {
 		n := ov.Node(ref)
 		if n.Kind == overlay.WriterNode {
-			f.Push[ref] = wl.writeOf(n.GID)
+			f.Push[ref] = rateOf(wl.Write, n.GID)
 			f.Deg[ref] = windowSize
 			continue
 		}
@@ -116,7 +101,7 @@ func ComputeFreqs(ov *overlay.Overlay, wl *Workload, windowSize int) (*Freqs, er
 		ref := order[i]
 		n := ov.Node(ref)
 		if n.Kind == overlay.ReaderNode {
-			f.Pull[ref] = wl.readOf(n.GID)
+			f.Pull[ref] = wl.readOf(overlay.ReaderID{Tag: n.Tag, Node: n.GID})
 			continue
 		}
 		sum := 0.0

@@ -266,10 +266,10 @@ func (e *Engine) flushTouches(st *engineState, tc *touchCollector) {
 	lastTag := int32(-1)
 	var byTag []*Subscription
 	for _, ref := range tc.refs {
-		if tag := top.ReaderTag(ref); tag != lastTag {
+		if tag := top.Tag[ref]; tag != lastTag {
 			lastTag = tag
 			byTag = nt.byTag[tag]
 		}
-		e.deliverReader(nt, st, byTag, ref, top.ReaderGID(ref), tc.ts[int(ref)])
+		e.deliverReader(nt, st, byTag, ref, top.GID[ref], tc.ts[int(ref)])
 	}
 }

@@ -40,7 +40,7 @@ func batchOverlay(t *testing.T, shape string, dec func() overlay.Decision) *over
 	p, q := ov.AddPartial(), ov.AddPartial()
 	var r [5]overlay.NodeRef
 	for i := range r {
-		r[i] = ov.AddReader(graph.NodeID(100 + i))
+		r[i] = ov.AddReader(0, graph.NodeID(100+i))
 	}
 	switch shape {
 	case "neg":
@@ -309,7 +309,7 @@ func TestWriteBatchCoalescingUnderRebuild(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer e.Unsubscribe(sub)
-				flips := []overlay.NodeRef{ov.Reader(100), ov.Reader(103)}
+				flips := []overlay.NodeRef{ov.Reader(0, 100), ov.Reader(0, 103)}
 				// Each sender owns two writers and mostly writes one of
 				// them, so every batch folds dozens of writes per entry.
 				const senders = batchWriters / 2
@@ -387,7 +387,7 @@ func checkAgainstWindows(t *testing.T, e *Engine, a agg.Aggregate, label string)
 				fold(src, neg != n)
 			}
 		}
-		fold(top.Reader(v), false)
+		fold(top.Reader(0, v), false)
 		got, err := e.Read(v)
 		if err != nil {
 			t.Fatal(err)

@@ -13,8 +13,8 @@ import (
 
 // TestPlanDenseLookup checks the dense node → slot arrays against the
 // overlay's own maps and at their edges: ids past the end, negative ids,
-// ids with no slot inside the range, and — on a merged plan — nodes and
-// tags that would alias into a sibling tag's encoded GID range.
+// ids with no slot inside the range, and — on a merged plan — tags past the
+// last one and nodes that have a reader under another tag only.
 func TestPlanDenseLookup(t *testing.T) {
 	outside := []graph.NodeID{-1, math.MinInt32, 7, 1000, math.MaxInt32}
 
@@ -24,39 +24,31 @@ func TestPlanDenseLookup(t *testing.T) {
 		if got, want := p.writer(v), single.Writer(v); got != want {
 			t.Errorf("single: writer(%d) = %d, overlay says %d", v, got, want)
 		}
-		if got, want := p.reader(v), single.Reader(v); got != want || got == overlay.NoNode {
-			t.Errorf("single: reader(%d) = %d, overlay says %d", v, got, want)
+		if got, want := p.reader(0, v), single.Reader(0, v); got != want || got == overlay.NoNode {
+			t.Errorf("single: reader(0,%d) = %d, overlay says %d", v, got, want)
 		}
-		if got := p.readerTagged(0, v); got != single.Reader(v) {
-			t.Errorf("single: readerTagged(0,%d) = %d, want %d", v, got, single.Reader(v))
-		}
-		if got := p.readerTagged(1, v); got != overlay.NoNode {
-			t.Errorf("single: readerTagged(1,%d) = %d, only tag 0 resolves without a stride", v, got)
+		if got := p.reader(1, v); got != overlay.NoNode {
+			t.Errorf("single: reader(1,%d) = %d, only tag 0 has readers", v, got)
 		}
 	}
 	for _, v := range outside {
-		if w, r, rt := p.writer(v), p.reader(v), p.readerTagged(0, v); w != overlay.NoNode || r != overlay.NoNode || rt != overlay.NoNode {
-			t.Errorf("single: node %d resolves to writer %d / reader %d / tagged %d, want NoNode", v, w, r, rt)
+		if w, r := p.writer(v), p.reader(0, v); w != overlay.NoNode || r != overlay.NoNode {
+			t.Errorf("single: node %d resolves to writer %d / reader %d, want NoNode", v, w, r)
 		}
 	}
 
-	// Two views over six nodes with stride 8: tag 0 reads at 0, 1, 2 and tag
-	// 1 at 0 and 3 (encoded 8 and 11); node 6 writes nothing.
-	const stride = 8
-	merged := construct.Baseline(bipartite.FromInputLists(map[graph.NodeID][]graph.NodeID{
-		0: {1, 2}, 1: {0, 2, 3}, 2: {4, 5},
-		stride + 0: {1, 5}, stride + 3: {0, 1, 2},
-	}))
-	merged.SetReaderStride(stride)
+	// Two views over six nodes: tag 0 reads at 0, 1, 2 and tag 1 at 0 and
+	// 3; node 6 writes nothing.
+	merged := construct.Baseline(bipartite.FromInputLists(
+		map[graph.NodeID][]graph.NodeID{0: {1, 2}, 1: {0, 2, 3}, 2: {4, 5}},
+		map[graph.NodeID][]graph.NodeID{0: {1, 5}, 3: {0, 1, 2}},
+	))
 	p = compilePlan(merged)
 	for tag, nodes := range map[int32][]graph.NodeID{0: {0, 1, 2}, 1: {0, 3}} {
 		for _, v := range nodes {
-			want := merged.Reader(graph.NodeID(tag)*stride + v)
-			if got := p.readerTagged(tag, v); got != want || got == overlay.NoNode {
-				t.Errorf("merged: readerTagged(%d,%d) = %d, want %d", tag, v, got, want)
-			}
-			if got := p.reader(graph.NodeID(tag)*stride + v); got != want {
-				t.Errorf("merged: reader(%d) = %d, want %d", graph.NodeID(tag)*stride+v, got, want)
+			want := merged.Reader(tag, v)
+			if got := p.reader(tag, v); got != want || got == overlay.NoNode {
+				t.Errorf("merged: reader(%d,%d) = %d, want %d", tag, v, got, want)
 			}
 		}
 	}
@@ -64,15 +56,13 @@ func TestPlanDenseLookup(t *testing.T) {
 		tag int32
 		v   graph.NodeID
 	}{
-		{0, 3}, {0, 7}, // inside tag 0's range, no reader
-		{0, stride}, {0, stride + 3}, // would land on tag 1's readers
-		{1, -stride}, {1, -5}, // would land on tag 0's
-		{1, 1}, {1, 7}, // inside tag 1's range, no reader
-		{1, stride}, {2, 0}, {2, 3}, {-1, stride}, // past the last reader
+		{0, 3}, {0, 7}, // tag 0 has no reader there; tag 1 has one at 3
+		{1, 1}, {1, 2}, {1, 7}, // tag 1 has none; tag 0 has one at 1 and 2
+		{2, 0}, {2, 3}, {-1, 0}, {math.MaxInt32, 0}, {math.MinInt32, 3}, // no such tag
 		{0, -1}, {1, math.MaxInt32}, {1, math.MinInt32},
 	} {
-		if got := p.readerTagged(q.tag, q.v); got != overlay.NoNode {
-			t.Errorf("merged: readerTagged(%d,%d) = %d, want NoNode", q.tag, q.v, got)
+		if got := p.reader(q.tag, q.v); got != overlay.NoNode {
+			t.Errorf("merged: reader(%d,%d) = %d, want NoNode", q.tag, q.v, got)
 		}
 	}
 	for v := graph.NodeID(0); v < 6; v++ {

@@ -635,7 +635,7 @@ func (e *Engine) propagateScalar(st *engineState, wref overlay.NodeRef, dSum, dC
 // and returns the aggregate over N(v).
 func (e *Engine) Read(v graph.NodeID) (agg.Result, error) {
 	st := e.state.Load()
-	return e.readOn(st, st.plan.readerTagged(0, v), v, nil)
+	return e.readOn(st, st.plan.reader(0, v), v, nil)
 }
 
 // ReadInto is Read with a caller-provided result: list-valued answers
@@ -644,7 +644,7 @@ func (e *Engine) Read(v graph.NodeID) (agg.Result, error) {
 // *res holds the new answer; its previous contents are overwritten.
 func (e *Engine) ReadInto(v graph.NodeID, res *agg.Result) error {
 	st := e.state.Load()
-	r, err := e.readOn(st, st.plan.readerTagged(0, v), v, res.List)
+	r, err := e.readOn(st, st.plan.reader(0, v), v, res.List)
 	*res = r
 	return err
 }
@@ -654,13 +654,13 @@ func (e *Engine) ReadInto(v graph.NodeID, res *agg.Result) error {
 // tag 0 resolves; Read is ReadTagged(0, v).
 func (e *Engine) ReadTagged(tag int32, v graph.NodeID) (agg.Result, error) {
 	st := e.state.Load()
-	return e.readOn(st, st.plan.readerTagged(tag, v), v, nil)
+	return e.readOn(st, st.plan.reader(tag, v), v, nil)
 }
 
 // ReadTaggedInto is ReadTagged with a caller-provided result (see ReadInto).
 func (e *Engine) ReadTaggedInto(tag int32, v graph.NodeID, res *agg.Result) error {
 	st := e.state.Load()
-	r, err := e.readOn(st, st.plan.readerTagged(tag, v), v, res.List)
+	r, err := e.readOn(st, st.plan.reader(tag, v), v, res.List)
 	*res = r
 	return err
 }
@@ -675,7 +675,7 @@ func (e *Engine) ReadTaggedInto(tag int32, v graph.NodeID, res *agg.Result) erro
 // ordinary read takes.
 func (e *Engine) ReadTaggedWire(tag int32, v graph.NodeID) (agg.WirePAO, error) {
 	st := e.state.Load()
-	rref := st.plan.readerTagged(tag, v)
+	rref := st.plan.reader(tag, v)
 	if rref == overlay.NoNode {
 		return agg.WirePAO{}, fmt.Errorf("exec: read node %d: %w", v, ErrUnknownNode)
 	}
@@ -727,7 +727,7 @@ func (e *Engine) Covered(v graph.NodeID) bool {
 // CoveredTagged is Covered for query tag's reader view of a merged overlay.
 func (e *Engine) CoveredTagged(tag int32, v graph.NodeID) bool {
 	st := e.state.Load()
-	rref := st.plan.readerTagged(tag, v)
+	rref := st.plan.reader(tag, v)
 	return rref != overlay.NoNode && !st.plan.top.Dead[rref] &&
 		st.plan.top.Dec[rref] == overlay.Push
 }

@@ -377,7 +377,7 @@ func TestNegativeEdgeExecution(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r10, r11 := ov.AddReader(10), ov.AddReader(11)
+	r10, r11 := ov.AddReader(0, 10), ov.AddReader(0, 11)
 	_ = ov.AddEdge(p, r10, false)
 	_ = ov.AddEdge(p, r11, false)
 	_ = ov.AddEdge(wb, r11, true)

@@ -34,7 +34,7 @@ func (e *Engine) ExpireAllScan(ts int64) {
 // Read does; push readers, scalar engines and unknown nodes read as Read.
 func (e *Engine) ReadArena(v graph.NodeID, buf []int64) (agg.Result, error) {
 	st := e.state.Load()
-	rref := st.plan.reader(v)
+	rref := st.plan.reader(0, v)
 	if rref == overlay.NoNode || e.scalar != nil || st.plan.top.Dec[rref] == overlay.Push {
 		return e.readOn(st, rref, v, buf)
 	}
@@ -52,7 +52,7 @@ func (e *Engine) ReadArena(v graph.NodeID, buf []int64) (agg.Result, error) {
 // observations exactly as Read does; every other read is Read's.
 func (e *Engine) ReadRecompute(v graph.NodeID, buf []int64) (agg.Result, error) {
 	st := e.state.Load()
-	rref := st.plan.reader(v)
+	rref := st.plan.reader(0, v)
 	if rref == overlay.NoNode || st.memo == nil || st.plan.top.Dec[rref] == overlay.Push {
 		return e.readOn(st, rref, v, buf)
 	}
@@ -65,7 +65,7 @@ func (e *Engine) ReadRecompute(v graph.NodeID, buf []int64) (agg.Result, error) 
 // reference for ReadTaggedWire on single-query engines.
 func (e *Engine) ReadWireArena(v graph.NodeID) (agg.WirePAO, error) {
 	st := e.state.Load()
-	rref := st.plan.reader(v)
+	rref := st.plan.reader(0, v)
 	if rref == overlay.NoNode || e.scalar != nil || st.plan.top.Dec[rref] == overlay.Push {
 		return e.ReadTaggedWire(0, v)
 	}

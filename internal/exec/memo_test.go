@@ -88,7 +88,7 @@ func (mc *memoCheck) compare(t *testing.T, e *Engine, label string) {
 			t.Fatalf("%s: read-into(%d) = %#v through the memo, %#v recomputed, read says %#v", label, v, mc.res, mc.ref, want)
 		}
 		h1, m1 := e.PullMemoStats()
-		pull := top.Dec[top.Reader(v)] != overlay.Push
+		pull := top.Dec[top.Reader(0, v)] != overlay.Push
 		if pull {
 			mc.lookups += 2
 		}
@@ -217,7 +217,7 @@ func TestPullMemoUnderConcurrentApply(t *testing.T) {
 	build := func() *overlay.Overlay {
 		ov := batchOverlay(t, "dup", allPush)
 		for v := graph.NodeID(100); v < 105; v++ {
-			ov.Node(ov.Reader(v)).Dec = overlay.Pull
+			ov.Node(ov.Reader(0, v)).Dec = overlay.Pull
 		}
 		return ov
 	}
@@ -270,9 +270,9 @@ func TestPullMemoUnderConcurrentApply(t *testing.T) {
 		case 0:
 			next = build()
 		case 1:
-			ov.Node(ov.Reader(101)).Dec = overlay.Push
+			ov.Node(ov.Reader(0, 101)).Dec = overlay.Push
 		case 2:
-			ov.Node(ov.Reader(101)).Dec = overlay.Pull
+			ov.Node(ov.Reader(0, 101)).Dec = overlay.Pull
 		}
 		start.Store(true)
 		if err := e.Rebuild(next, agg.NewTupleWindow(4), nil); err != nil {

@@ -36,8 +36,8 @@ type Subscription struct {
 	// reader of the tag's view); refs the corresponding reader slots,
 	// sorted and distinct, in the engine's current plan. refs is re-derived
 	// from (tag, nodes) by Engine.Rebuild, since a recompiled overlay
-	// numbers its slots afresh; tag and nodes are stable across rebuilds
-	// and re-strides. Guarded by Engine.subMu.
+	// numbers its slots afresh; tag and nodes are stable across rebuilds.
+	// Guarded by Engine.subMu.
 	tag   int32
 	nodes []graph.NodeID
 	refs  []overlay.NodeRef
@@ -196,7 +196,7 @@ func (e *Engine) SubscribeTagged(tag int32, buffer int, nodes ...graph.NodeID) (
 		pl := e.state.Load().plan
 		sub.nodes = append([]graph.NodeID(nil), nodes...)
 		for _, v := range nodes {
-			if pl.readerTagged(tag, v) == overlay.NoNode {
+			if pl.reader(tag, v) == overlay.NoNode {
 				return nil, fmt.Errorf("exec: subscribe node %d: %w", v, ErrUnknownNode)
 			}
 		}
@@ -212,7 +212,7 @@ func (e *Engine) SubscribeTagged(tag int32, buffer int, nodes ...graph.NodeID) (
 func (s *Subscription) resolve(pl *plan) {
 	s.refs = s.refs[:0]
 	for _, v := range s.nodes {
-		if rref := pl.readerTagged(s.tag, v); rref != overlay.NoNode {
+		if rref := pl.reader(s.tag, v); rref != overlay.NoNode {
 			s.refs = append(s.refs, rref)
 		}
 	}

@@ -21,18 +21,16 @@ import (
 // so the VNM miners find sharing.
 const obsNodes = 24
 
-// obsStride is the reader-GID stride of the merged fixture (two query tags).
-const obsStride = 32
-
 // obsAG draws the fixture's aggregation graph. merged gives it a second
-// query tag whose readers sit at obsStride + v.
+// query tag.
 func obsAG(rng *rand.Rand, merged bool) *bipartite.AG {
-	lists := map[graph.NodeID][]graph.NodeID{}
-	tags := 1
+	views := make([]map[graph.NodeID][]graph.NodeID, 1)
 	if merged {
-		tags = 2
+		views = append(views, nil)
 	}
-	for tag := 0; tag < tags; tag++ {
+	for tag := range views {
+		lists := map[graph.NodeID][]graph.NodeID{}
+		views[tag] = lists
 		for v := graph.NodeID(0); v < obsNodes; v++ {
 			if rng.Intn(4) == 0 {
 				continue
@@ -49,10 +47,10 @@ func obsAG(rng *rand.Rand, merged bool) *bipartite.AG {
 					in = append(in, u)
 				}
 			}
-			lists[graph.NodeID(tag*obsStride)+v] = in
+			lists[v] = in
 		}
 	}
-	return bipartite.FromInputLists(lists)
+	return bipartite.FromInputLists(views...)
 }
 
 // obsOverlay mines ag with alg ("baseline" for the unshared overlay) and
@@ -61,7 +59,7 @@ func obsAG(rng *rand.Rand, merged bool) *bipartite.AG {
 // some readers also get a direct edge from a writer they already reach
 // through a partial. (The engine executes whatever the overlay says; this
 // test checks counts, not answers.)
-func obsOverlay(t *testing.T, rng *rand.Rand, alg string, ag *bipartite.AG, merged bool) *overlay.Overlay {
+func obsOverlay(t *testing.T, rng *rand.Rand, alg string, ag *bipartite.AG) *overlay.Overlay {
 	t.Helper()
 	ov := construct.Baseline(ag)
 	if alg != "baseline" {
@@ -88,9 +86,6 @@ func obsOverlay(t *testing.T, rng *rand.Rand, alg string, ag *bipartite.AG, merg
 		for _, d := range dups {
 			_ = ov.AddEdge(d.w, d.r, false) // refused when the edge exists: no new path then
 		}
-	}
-	if merged {
-		ov.SetReaderStride(obsStride)
 	}
 	return decideEach(t, ov, randomDecisions(rng))
 }
@@ -171,7 +166,7 @@ func TestObservationsMatchVisitCount(t *testing.T) {
 					for seed := int64(1); seed <= seeds; seed++ {
 						rng := rand.New(rand.NewSource(seed))
 						ag := obsAG(rng, sh.merged)
-						ov := obsOverlay(t, rng, sh.alg, ag, sh.merged)
+						ov := obsOverlay(t, rng, sh.alg, ag)
 						e, err := New(ov, a, window())
 						if err != nil {
 							t.Fatal(err)
@@ -220,7 +215,7 @@ func TestObservationsMatchVisitCount(t *testing.T) {
 									}
 									v := graph.NodeID(rng.Intn(obsNodes + 1)) // obsNodes: no reader
 									st := e.state.Load()
-									rref := st.plan.readerTagged(tag, v)
+									rref := st.plan.reader(tag, v)
 									vc.read(st, rref)
 									if rref != overlay.NoNode && st.plan.top.Dec[rref] == overlay.Pull {
 										pulled++
@@ -268,7 +263,7 @@ func TestObservationsMatchVisitCount(t *testing.T) {
 								if rng.Intn(2) == 0 {
 									alg = "baseline"
 								}
-								ov = obsOverlay(t, rng, alg, ag, sh.merged)
+								ov = obsOverlay(t, rng, alg, ag)
 								if err := e.Rebuild(ov, window(), nil); err != nil {
 									t.Fatal(err)
 								}
@@ -325,7 +320,7 @@ func TestSelectCellNeverTorn(t *testing.T) {
 				top := e.Topology()
 				var push, pull int
 				for v := graph.NodeID(100); v < 105; v++ {
-					if top.Dec[top.Reader(v)] == overlay.Push {
+					if top.Dec[top.Reader(0, v)] == overlay.Push {
 						push++
 					} else {
 						pull++

@@ -50,10 +50,9 @@ func (p *plan) feedsPull(ref overlay.NodeRef) bool {
 }
 
 // readerTouch is one (overlay slot, data-graph node, query tag) triple on a
-// writer's notification list. gid is the decoded data-graph node (merged
-// overlays encode tag*stride+node in the reader's raw GID) and tag the
-// owning query's view, so subscription fan-out can route each touch to
-// exactly the subscribers of that query.
+// writer's notification list. tag is the owning query's view, so
+// subscription fan-out can route each touch to exactly the subscribers of
+// that query.
 type readerTouch struct {
 	ref overlay.NodeRef
 	gid graph.NodeID
@@ -114,7 +113,7 @@ func compilePlan(ov *overlay.Overlay) *plan {
 			if top.Kind[ref] == overlay.ReaderNode && !seen[ref] {
 				seen[ref] = true
 				touches = append(touches, readerTouch{
-					ref: ref, gid: top.ReaderGID(ref), tag: top.ReaderTag(ref)})
+					ref: ref, gid: top.GID[ref], tag: top.Tag[ref]})
 			}
 		}
 		p.pushReaders[w] = touches
@@ -125,23 +124,5 @@ func compilePlan(ov *overlay.Overlay) *plan {
 // writer returns the writer slot for data-graph node v, or NoNode.
 func (p *plan) writer(v graph.NodeID) overlay.NodeRef { return p.top.Writer(v) }
 
-// reader returns the reader slot for data-graph node v, or NoNode.
-func (p *plan) reader(v graph.NodeID) overlay.NodeRef { return p.top.Reader(v) }
-
-// readerTagged returns query tag's reader slot for data-graph node v, or
-// NoNode. On single-query plans (stride 0) only tag 0 resolves. v must be
-// inside the stride's id range: without the bounds check an out-of-range
-// node would alias into a SIBLING tag's encoded GID space and silently
-// resolve to another query's reader instead of reporting unknown.
-func (p *plan) readerTagged(tag int32, v graph.NodeID) overlay.NodeRef {
-	if p.top.Stride > 0 {
-		if v < 0 || v >= graph.NodeID(p.top.Stride) {
-			return overlay.NoNode
-		}
-		return p.reader(graph.NodeID(tag)*graph.NodeID(p.top.Stride) + v)
-	}
-	if tag != 0 {
-		return overlay.NoNode
-	}
-	return p.reader(v)
-}
+// reader returns query tag's reader slot for data-graph node v, or NoNode.
+func (p *plan) reader(tag int32, v graph.NodeID) overlay.NodeRef { return p.top.Reader(tag, v) }

@@ -39,7 +39,7 @@ func randomDupOverlay(t *testing.T, rng *rand.Rand, dec func() overlay.Decision)
 		srcs = append(srcs, p)
 	}
 	for v := graph.NodeID(100); v < 105; v++ {
-		feed(ov.AddReader(v), 1+rng.Intn(4))
+		feed(ov.AddReader(0, v), 1+rng.Intn(4))
 	}
 	return decideEach(t, ov, dec)
 }
@@ -69,7 +69,7 @@ func (tw *pullTwins) compare(t *testing.T, label string) {
 	t.Helper()
 	top := tw.kern.Topology()
 	for v := graph.NodeID(100); v < 105; v++ {
-		if top.Dec[top.Reader(v)] == overlay.Pull {
+		if top.Dec[top.Reader(0, v)] == overlay.Pull {
 			tw.pulled++
 		}
 		got, err1 := tw.kern.Read(v)
@@ -222,7 +222,7 @@ func testPullKernelUnderRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flips := []overlay.NodeRef{ov.Reader(100), ov.Reader(101), ov.Reader(102)}
+	flips := []overlay.NodeRef{ov.Reader(0, 100), ov.Reader(0, 101), ov.Reader(0, 102)}
 	var ts atomic.Int64
 	for trial := 0; trial < trials; trial++ {
 		var wg sync.WaitGroup

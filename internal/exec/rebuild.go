@@ -11,7 +11,7 @@ import (
 
 // Rebuild is the one way an engine's snapshot changes after New: ov — the
 // overlay already installed, repaired or re-decided in place, or a different
-// overlay for the same query (a recompile, a re-stride) — becomes what the
+// overlay for the same query (a recompile) — becomes what the
 // engine executes. Its decisions are already made.
 //
 // Prepared with traffic flowing: the plan is compiled, the snapshot laid out

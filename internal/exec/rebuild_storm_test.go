@@ -73,7 +73,7 @@ func TestRebuildUnderStorm(t *testing.T) {
 			// which may legally toggle pull<->push at any time (its inputs
 			// stay push, and nothing is downstream of a reader).
 			decide(t, ov, "push")
-			flip := ov.Reader(6)
+			flip := ov.Reader(0, 6)
 			if flip == overlay.NoNode {
 				t.Fatal("reader 6 not in overlay")
 			}

@@ -119,7 +119,7 @@ func TestRebuildMidStream(t *testing.T) {
 	// reader 100, push-annotated. Only this goroutine touches the overlay;
 	// the engine's hot paths run on flattened snapshots and never read it.
 	w := ov.AddWriter(99)
-	r := ov.AddReader(100)
+	r := ov.AddReader(0, 100)
 	if err := ov.AddEdge(w, r, false); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestRebuildPreservesWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := ov.AddWriter(50)
-	r := ov.AddReader(51)
+	r := ov.AddReader(0, 51)
 	if err := ov.AddEdge(w, r, false); err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +184,10 @@ func TestRebuildPreservesWindows(t *testing.T) {
 	if got := pushes[ov.Writer(2)]; got != 2 {
 		t.Fatalf("writer 2 shows %v pushes after the install, want its 2 writes", got)
 	}
-	if got := pushes[ov.Reader(0)]; got != 2 {
+	if got := pushes[ov.Reader(0, 0)]; got != 2 {
 		t.Fatalf("reader 0 shows %v pushes after the install, want 2 (the seed walk counts as none)", got)
 	}
-	if got := pulls[ov.Reader(0)]; got != 1 {
+	if got := pulls[ov.Reader(0, 0)]; got != 1 {
 		t.Fatalf("reader 0 shows %v pulls after the install, want its 1 read", got)
 	}
 	// Window contents for writer 2 survived: reader 0 (inputs {2,3,4,5})

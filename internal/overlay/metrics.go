@@ -42,7 +42,7 @@ func (o *Overlay) inputSet(ref NodeRef, memo map[NodeRef]map[graph.NodeID]int) m
 // Depths returns, for every live reader, the overlay depth: the length of
 // the longest path from one of its input writers to the reader (paper
 // §5.2, "Overlay Depth"). Readers with no inputs have depth 0.
-func (o *Overlay) Depths() map[graph.NodeID]int {
+func (o *Overlay) Depths() map[ReaderID]int {
 	order, err := o.TopoOrder()
 	if err != nil {
 		return nil
@@ -68,13 +68,9 @@ func (o *Overlay) Depths() map[graph.NodeID]int {
 		}
 		depth[ref] = d
 	}
-	out := make(map[graph.NodeID]int)
-	for gid, ref := range o.readerOf {
-		d := depth[ref]
-		if d < 0 {
-			d = 0
-		}
-		out[gid] = d
+	out := make(map[ReaderID]int)
+	for id, ref := range o.readerOf {
+		out[id] = max(depth[ref], 0)
 	}
 	return out
 }
@@ -114,13 +110,6 @@ type Stats struct {
 	SharingIndex float64
 	AvgDepth     float64
 	MaxDepth     int
-	// Queries is the number of distinct query tags among the readers (1
-	// for a single-query overlay with readers; see Overlay.TagOf), and
-	// QueryReaders counts the readers each tag owns. In a merged
-	// multi-query overlay these expose the per-query reader views that
-	// share the writers and partial aggregators counted above.
-	Queries      int
-	QueryReaders map[int32]int
 }
 
 // ComputeStats gathers Stats for the overlay.
@@ -130,14 +119,12 @@ func (o *Overlay) ComputeStats() Stats {
 		AGEdges:      o.agEdges,
 		SharingIndex: o.SharingIndex(),
 	}
-	s.QueryReaders = map[int32]int{}
-	o.ForEachNode(func(ref NodeRef, n *Node) {
+	o.ForEachNode(func(_ NodeRef, n *Node) {
 		switch n.Kind {
 		case WriterNode:
 			s.Writers++
 		case ReaderNode:
 			s.Readers++
-			s.QueryReaders[o.TagOf(ref)]++
 		case PartialNode:
 			s.Partials++
 		}
@@ -147,7 +134,6 @@ func (o *Overlay) ComputeStats() Stats {
 			}
 		}
 	})
-	s.Queries = len(s.QueryReaders)
 	avg, hist := o.DepthStats()
 	s.AvgDepth = avg
 	s.MaxDepth = len(hist) - 1

@@ -92,6 +92,18 @@ type Node struct {
 	Dec Decision
 	// dead marks removed nodes (slots are not reused; refs stay stable).
 	dead bool
+	// Tag is the query a reader answers for: in a merged multi-query
+	// overlay each member query owns its own reader of a data-graph node.
+	// Always 0 for writers, partials and single-query overlays. Last, so
+	// it fills the padding after Dec and dead.
+	Tag int32
+}
+
+// ReaderID identifies a reader: the query tag it answers for and its
+// data-graph node.
+type ReaderID struct {
+	Tag  int32
+	Node graph.NodeID
 }
 
 // Overlay is the aggregation overlay graph. It is not safe for concurrent
@@ -100,17 +112,12 @@ type Node struct {
 type Overlay struct {
 	nodes    []Node
 	writerOf map[graph.NodeID]NodeRef
-	readerOf map[graph.NodeID]NodeRef
+	readerOf map[ReaderID]NodeRef
 	numEdges int
 	agEdges  int // |E(AG)|, the sharing-index denominator
 	numDead  int
-	// readerStride, when positive, marks a merged multi-query overlay: a
-	// reader's GID encodes (query tag, data-graph node) as
-	// tag*readerStride + node, so several queries can each own a reader
-	// for the same data-graph node. Writers always carry real node ids
-	// (< readerStride). Zero means a single-query overlay whose reader
-	// GIDs are plain data-graph nodes (tag 0).
-	readerStride int32
+	// tags is one past the largest tag a reader was ever added under.
+	tags int32
 }
 
 // New returns an empty overlay. agEdges is |E(AG)| of the bipartite graph
@@ -118,26 +125,9 @@ type Overlay struct {
 func New(agEdges int) *Overlay {
 	return &Overlay{
 		writerOf: make(map[graph.NodeID]NodeRef),
-		readerOf: make(map[graph.NodeID]NodeRef),
+		readerOf: make(map[ReaderID]NodeRef),
 		agEdges:  agEdges,
 	}
-}
-
-// SetReaderStride declares the overlay a merged multi-query overlay with the
-// given reader-GID stride (see the Overlay field comment). stride must be a
-// positive power of two larger than every writer GID; call it once right
-// after construction, before the overlay is flattened or serialized.
-func (o *Overlay) SetReaderStride(stride int32) { o.readerStride = stride }
-
-// TagOf returns the query tag of a reader node: GID/stride for merged
-// overlays, 0 otherwise (writers and partials are shared by all queries and
-// always report 0).
-func (o *Overlay) TagOf(ref NodeRef) int32 {
-	n := &o.nodes[ref]
-	if n.Kind != ReaderNode || o.readerStride <= 0 {
-		return 0
-	}
-	return int32(n.GID) / o.readerStride
 }
 
 // AddWriter adds (or returns the existing) writer node for data-graph node v.
@@ -150,14 +140,21 @@ func (o *Overlay) AddWriter(v graph.NodeID) NodeRef {
 	return ref
 }
 
-// AddReader adds (or returns the existing) reader node for data-graph node v.
-func (o *Overlay) AddReader(v graph.NodeID) NodeRef {
-	if ref, ok := o.readerOf[v]; ok {
+// AddReader adds (or returns the existing) reader node of query tag for
+// data-graph node v. Single-query overlays use tag 0.
+func (o *Overlay) AddReader(tag int32, v graph.NodeID) NodeRef {
+	if ref, ok := o.readerOf[ReaderID{tag, v}]; ok {
 		return ref
 	}
-	ref := o.addNode(Node{Kind: ReaderNode, GID: v, Dec: Pull})
-	o.readerOf[v] = ref
+	ref := o.addNode(Node{Kind: ReaderNode, GID: v, Tag: tag, Dec: Pull})
+	o.registerReader(ref)
 	return ref
+}
+
+func (o *Overlay) registerReader(ref NodeRef) {
+	n := &o.nodes[ref]
+	o.readerOf[ReaderID{n.Tag, n.GID}] = ref
+	o.tags = max(o.tags, n.Tag+1)
 }
 
 // AddPartial adds a fresh partial aggregation node.
@@ -178,12 +175,24 @@ func (o *Overlay) Writer(v graph.NodeID) NodeRef {
 	return NoNode
 }
 
-// Reader returns the reader node for v, or NoNode.
-func (o *Overlay) Reader(v graph.NodeID) NodeRef {
-	if ref, ok := o.readerOf[v]; ok {
+// Reader returns query tag's reader node for v, or NoNode.
+func (o *Overlay) Reader(tag int32, v graph.NodeID) NodeRef {
+	if ref, ok := o.readerOf[ReaderID{tag, v}]; ok {
 		return ref
 	}
 	return NoNode
+}
+
+// ReadersOf returns the reader nodes of v, one for each query tag that has
+// one.
+func (o *Overlay) ReadersOf(v graph.NodeID) []NodeRef {
+	var refs []NodeRef
+	for tag := range o.tags {
+		if ref := o.Reader(tag, v); ref != NoNode {
+			refs = append(refs, ref)
+		}
+	}
+	return refs
 }
 
 // Node returns the node for ref. The pointer is valid until the overlay is
@@ -305,7 +314,7 @@ func (o *Overlay) RemoveNode(ref NodeRef) error {
 	case WriterNode:
 		delete(o.writerOf, n.GID)
 	case ReaderNode:
-		delete(o.readerOf, n.GID)
+		delete(o.readerOf, ReaderID{n.Tag, n.GID})
 	}
 	return nil
 }
@@ -411,13 +420,13 @@ func (o *Overlay) TopoOrder() ([]NodeRef, error) {
 // Clone returns a deep copy of the overlay.
 func (o *Overlay) Clone() *Overlay {
 	c := &Overlay{
-		nodes:        make([]Node, len(o.nodes)),
-		writerOf:     make(map[graph.NodeID]NodeRef, len(o.writerOf)),
-		readerOf:     make(map[graph.NodeID]NodeRef, len(o.readerOf)),
-		numEdges:     o.numEdges,
-		agEdges:      o.agEdges,
-		numDead:      o.numDead,
-		readerStride: o.readerStride,
+		nodes:    make([]Node, len(o.nodes)),
+		writerOf: make(map[graph.NodeID]NodeRef, len(o.writerOf)),
+		readerOf: make(map[ReaderID]NodeRef, len(o.readerOf)),
+		numEdges: o.numEdges,
+		agEdges:  o.agEdges,
+		numDead:  o.numDead,
+		tags:     o.tags,
 	}
 	for i, n := range o.nodes {
 		n.In = append([]HalfEdge(nil), n.In...)

@@ -29,8 +29,8 @@ func figure1dLikeOverlay(t *testing.T) (*Overlay, *bipartite.AG) {
 	for i := 0; i < 4; i++ {
 		mustEdge(t, o, w[i], pa1, false)
 	}
-	er := o.AddReader(4)
-	gr := o.AddReader(6)
+	er := o.AddReader(0, 4)
+	gr := o.AddReader(0, 6)
 	mustEdge(t, o, pa1, er, false)
 	mustEdge(t, o, pa1, gr, false)
 	mustEdge(t, o, w[4], gr, false)
@@ -67,8 +67,8 @@ func TestAddWriterIdempotent(t *testing.T) {
 	if a != b {
 		t.Fatalf("AddWriter not idempotent: %d vs %d", a, b)
 	}
-	r1 := o.AddReader(7)
-	r2 := o.AddReader(7)
+	r1 := o.AddReader(0, 7)
+	r2 := o.AddReader(0, 7)
 	if r1 != r2 {
 		t.Fatalf("AddReader not idempotent: %d vs %d", r1, r2)
 	}
@@ -80,7 +80,7 @@ func TestAddWriterIdempotent(t *testing.T) {
 func TestEdgeKindConstraints(t *testing.T) {
 	o := New(0)
 	w := o.AddWriter(0)
-	r := o.AddReader(1)
+	r := o.AddReader(0, 1)
 	p := o.AddPartial()
 	if err := o.AddEdge(r, p, false); err == nil {
 		t.Fatal("reader must not feed other nodes")
@@ -98,7 +98,7 @@ func TestRemoveEdgeAndReroute(t *testing.T) {
 	w := o.AddWriter(0)
 	p1 := o.AddPartial()
 	p2 := o.AddPartial()
-	r := o.AddReader(1)
+	r := o.AddReader(0, 1)
 	mustEdge(t, o, w, p1, false)
 	mustEdge(t, o, p1, r, false)
 	_ = p2
@@ -133,7 +133,7 @@ func TestNegativeEdgeMultiplicity(t *testing.T) {
 	mustEdge(t, o, wa, p, false)
 	mustEdge(t, o, wb, p, false)
 	mustEdge(t, o, wc, p, false)
-	r10, r11 := o.AddReader(10), o.AddReader(11)
+	r10, r11 := o.AddReader(0, 10), o.AddReader(0, 11)
 	mustEdge(t, o, p, r10, false)
 	mustEdge(t, o, p, r11, false)
 	mustEdge(t, o, wb, r11, true) // negative: cancel b's contribution
@@ -157,7 +157,7 @@ func TestValidateCatchesDuplicatePath(t *testing.T) {
 	o := New(ag.NumEdges())
 	w := o.AddWriter(0)
 	p := o.AddPartial()
-	r := o.AddReader(10)
+	r := o.AddReader(0, 10)
 	mustEdge(t, o, w, p, false)
 	mustEdge(t, o, p, r, false)
 	mustEdge(t, o, w, r, false) // second path: duplicate contribution
@@ -178,7 +178,7 @@ func TestValidateCatchesMissingAndForeignInputs(t *testing.T) {
 	w0 := o.AddWriter(0)
 	o.AddWriter(1)
 	w2 := o.AddWriter(2)
-	r := o.AddReader(10)
+	r := o.AddReader(0, 10)
 	mustEdge(t, o, w0, r, false)
 	if err := o.ValidateAgainst(ag, false); err == nil {
 		t.Fatal("missing input 1 should fail validation")
@@ -195,18 +195,18 @@ func TestValidateCatchesMissingAndForeignInputs(t *testing.T) {
 
 func TestRemoveNodeCascades(t *testing.T) {
 	o, _ := figure1dLikeOverlay(t)
-	gr := o.Reader(6)
+	gr := o.Reader(0, 6)
 	if err := o.RemoveNode(gr); err != nil {
 		t.Fatal(err)
 	}
-	if o.Reader(6) != NoNode {
+	if o.Reader(0, 6) != NoNode {
 		t.Fatal("reader registration should be cleared")
 	}
 	// pa1 still serves er; GC must not remove it.
 	if n := o.GCOrphans(); n != 0 {
 		t.Fatalf("GC removed %d nodes, want 0", n)
 	}
-	er := o.Reader(4)
+	er := o.Reader(0, 4)
 	if err := o.RemoveNode(er); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestTopoOrderAndCycleDetection(t *testing.T) {
 	w := o.AddWriter(0)
 	p1 := o.AddPartial()
 	p2 := o.AddPartial()
-	r := o.AddReader(1)
+	r := o.AddReader(0, 1)
 	mustEdge(t, o, w, p1, false)
 	mustEdge(t, o, p1, p2, false)
 	mustEdge(t, o, p2, r, false)
@@ -247,18 +247,18 @@ func TestDepths(t *testing.T) {
 	w := o.AddWriter(0)
 	p1 := o.AddPartial()
 	p2 := o.AddPartial()
-	rShallow := o.AddReader(1)
-	rDeep := o.AddReader(2)
+	rShallow := o.AddReader(0, 1)
+	rDeep := o.AddReader(0, 2)
 	mustEdge(t, o, w, rShallow, false)
 	mustEdge(t, o, w, p1, false)
 	mustEdge(t, o, p1, p2, false)
 	mustEdge(t, o, p2, rDeep, false)
 	d := o.Depths()
-	if d[1] != 1 {
-		t.Fatalf("depth(shallow) = %d, want 1", d[1])
+	if got := d[ReaderID{Node: 1}]; got != 1 {
+		t.Fatalf("depth(shallow) = %d, want 1", got)
 	}
-	if d[2] != 3 {
-		t.Fatalf("depth(deep) = %d, want 3", d[2])
+	if got := d[ReaderID{Node: 2}]; got != 3 {
+		t.Fatalf("depth(deep) = %d, want 3", got)
 	}
 	avg, hist := o.DepthStats()
 	if avg != 2 {
@@ -273,7 +273,7 @@ func TestCheckDecisions(t *testing.T) {
 	o := New(0)
 	w := o.AddWriter(0)
 	p := o.AddPartial()
-	r := o.AddReader(1)
+	r := o.AddReader(0, 1)
 	mustEdge(t, o, w, p, false)
 	mustEdge(t, o, p, r, false)
 	// Default: writers push, others pull — consistent.
@@ -299,14 +299,14 @@ func TestCheckDecisions(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	o, ag := figure1dLikeOverlay(t)
 	c := o.Clone()
-	gr := c.Reader(6)
+	gr := c.Reader(0, 6)
 	if err := c.RemoveNode(gr); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.ValidateAgainst(ag, false); err != nil {
 		t.Fatalf("mutating clone broke original: %v", err)
 	}
-	if o.Reader(6) == NoNode {
+	if o.Reader(0, 6) == NoNode {
 		t.Fatal("original lost its reader")
 	}
 }

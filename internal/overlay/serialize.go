@@ -17,10 +17,15 @@ import (
 
 const (
 	serialMagic = 0x45414752 // "EAGR"
-	// serialVersion 2 adds the merged-overlay reader stride after the AG
-	// edge count; version-1 files (single-query overlays, stride 0) still
-	// load.
-	serialVersion = 2
+	// serialVersion 3 stores each reader's query tag in its flags word.
+	// Version 2 stored a merged overlay's readers as tag*stride + node
+	// with the stride after the AG edge count; version 1 had no tags.
+	// Load reads all three.
+	serialVersion = 3
+	tagShift      = 8
+	// maxTag bounds the reader tags Load accepts, so a corrupt file
+	// cannot make Flatten allocate per-tag tables for billions of tags.
+	maxTag = 1<<16 - 1
 )
 
 // Save writes the overlay (structure plus dataflow decisions) to w.
@@ -30,11 +35,10 @@ func (o *Overlay) Save(w io.Writer) error {
 	writeU32(serialMagic)
 	writeU32(serialVersion)
 	writeU32(uint32(o.agEdges))
-	writeU32(uint32(o.readerStride))
 	writeU32(uint32(len(o.nodes)))
 	for i := range o.nodes {
 		n := &o.nodes[i]
-		flags := uint32(n.Kind)
+		flags := uint32(n.Kind) | uint32(n.Tag)<<tagShift
 		if n.Dec == Pull {
 			flags |= 1 << 4
 		}
@@ -74,7 +78,7 @@ func Load(r io.Reader) (*Overlay, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != 1 && version != serialVersion {
+	if version < 1 || version > serialVersion {
 		return nil, fmt.Errorf("overlay: load: unsupported version %d", version)
 	}
 	agEdges, err := readU32()
@@ -82,7 +86,7 @@ func Load(r io.Reader) (*Overlay, error) {
 		return nil, err
 	}
 	var stride uint32
-	if version >= 2 {
+	if version == 2 {
 		if stride, err = readU32(); err != nil {
 			return nil, err
 		}
@@ -99,7 +103,6 @@ func Load(r io.Reader) (*Overlay, error) {
 		return nil, fmt.Errorf("overlay: load: implausible node count %d", count)
 	}
 	o := New(int(agEdges))
-	o.readerStride = int32(stride)
 	o.nodes = make([]Node, count)
 	for i := range o.nodes {
 		flags, err := readU32()
@@ -128,6 +131,14 @@ func Load(r io.Reader) (*Overlay, error) {
 		}
 		n.dead = flags&(1<<5) != 0
 		n.GID = graph.NodeID(int32(gidRaw))
+		tag := flags >> tagShift
+		if n.Kind == ReaderNode && stride > 0 {
+			tag, n.GID = gidRaw/stride, graph.NodeID(gidRaw%stride)
+		}
+		if tag > maxTag || tag != 0 && n.Kind != ReaderNode {
+			return nil, fmt.Errorf("overlay: load node %d: bad tag %d on a %s", i, tag, n.Kind)
+		}
+		n.Tag = int32(tag)
 		n.In = make([]HalfEdge, deg)
 		for j := range n.In {
 			peer, err := readU32()
@@ -152,7 +163,7 @@ func Load(r io.Reader) (*Overlay, error) {
 		case WriterNode:
 			o.writerOf[n.GID] = NodeRef(i)
 		case ReaderNode:
-			o.readerOf[n.GID] = NodeRef(i)
+			o.registerReader(NodeRef(i))
 		}
 		for _, e := range n.In {
 			if !o.Alive(e.Peer) {

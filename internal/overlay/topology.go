@@ -24,8 +24,10 @@ type Topology struct {
 	Dec  []Decision
 	Dead []bool
 	// GID maps a slot back to its data-graph node (writers and readers);
-	// -1 for partial aggregation nodes.
+	// -1 for partial aggregation nodes. Tag is a reader slot's query tag
+	// (Node.Tag), 0 for every other slot.
 	GID []graph.NodeID
+	Tag []int32
 	// Out/OutOff is the downstream CSR: node r's out-edges are
 	// Out[OutOff[r]:OutOff[r+1]], each packed with PackRef.
 	OutOff []int32
@@ -35,16 +37,12 @@ type Topology struct {
 	In    []int32
 	// Writers lists live writer refs.
 	Writers []NodeRef
-	// WriterOf / ReaderOf map data-graph nodes to their overlay slots:
-	// dense arrays indexed by node id, NoNode where the node has no slot,
-	// sized to the largest id that has one (use Writer / Reader, which
-	// bounds-check). In a merged multi-query overlay (Stride > 0) ReaderOf
-	// is indexed by the encoded reader GID tag*Stride + node.
+	// WriterOf maps data-graph nodes to their writer slots: a dense array
+	// indexed by node id, NoNode where the node has no slot, sized to the
+	// largest id that has one (use Writer, which bounds-checks).
 	WriterOf []NodeRef
-	ReaderOf []NodeRef
-	// Stride is the merged-overlay reader-GID stride (0 for single-query
-	// overlays); see Overlay.SetReaderStride.
-	Stride int32
+	// readerOf holds one such array per query tag (use Reader).
+	readerOf [][]NodeRef
 	// TagReaders counts the live readers each query tag owns (single-query
 	// overlays have everything under tag 0), precomputed so per-view stats
 	// never walk the reader map.
@@ -54,8 +52,13 @@ type Topology struct {
 // Writer returns the writer slot of data-graph node v, or NoNode.
 func (t *Topology) Writer(v graph.NodeID) NodeRef { return slotOf(t.WriterOf, v) }
 
-// Reader returns the reader slot of (encoded) reader GID v, or NoNode.
-func (t *Topology) Reader(v graph.NodeID) NodeRef { return slotOf(t.ReaderOf, v) }
+// Reader returns query tag's reader slot of data-graph node v, or NoNode.
+func (t *Topology) Reader(tag int32, v graph.NodeID) NodeRef {
+	if uint32(tag) < uint32(len(t.readerOf)) {
+		return slotOf(t.readerOf[tag], v)
+	}
+	return NoNode
+}
 
 func slotOf(dense []NodeRef, v graph.NodeID) NodeRef {
 	if uint(v) < uint(len(dense)) {
@@ -70,10 +73,7 @@ func denseSlots(m map[graph.NodeID]NodeRef) []NodeRef {
 	for v := range m {
 		size = max(size, int(v)+1)
 	}
-	dense := make([]NodeRef, size)
-	for i := range dense {
-		dense[i] = NoNode
-	}
+	dense := noSlots(size)
 	for v, ref := range m {
 		if v >= 0 {
 			dense[v] = ref
@@ -82,20 +82,31 @@ func denseSlots(m map[graph.NodeID]NodeRef) []NodeRef {
 	return dense
 }
 
-// ReaderTag decodes the query tag of a reader slot (0 when Stride is 0).
-func (t *Topology) ReaderTag(ref NodeRef) int32 {
-	if t.Stride <= 0 {
-		return 0
+// readerSlots lays the reader map out as one dense node-indexed array per
+// query tag.
+func readerSlots(m map[ReaderID]NodeRef, tags int32) [][]NodeRef {
+	size := make([]int, tags)
+	for id := range m {
+		size[id.Tag] = max(size[id.Tag], int(id.Node)+1)
 	}
-	return int32(t.GID[ref]) / t.Stride
+	slots := make([][]NodeRef, tags)
+	for tag := range slots {
+		slots[tag] = noSlots(size[tag])
+	}
+	for id, ref := range m {
+		if id.Node >= 0 {
+			slots[id.Tag][id.Node] = ref
+		}
+	}
+	return slots
 }
 
-// ReaderGID decodes the data-graph node of a reader slot.
-func (t *Topology) ReaderGID(ref NodeRef) graph.NodeID {
-	if t.Stride <= 0 {
-		return t.GID[ref]
+func noSlots(n int) []NodeRef {
+	s := make([]NodeRef, n)
+	for i := range s {
+		s[i] = NoNode
 	}
-	return t.GID[ref] % graph.NodeID(t.Stride)
+	return s
 }
 
 // PackRef packs a node ref and an edge sign into one int32.
@@ -120,11 +131,11 @@ func (o *Overlay) Flatten() *Topology {
 		Dec:        make([]Decision, n),
 		Dead:       make([]bool, n),
 		GID:        make([]graph.NodeID, n),
+		Tag:        make([]int32, n),
 		OutOff:     make([]int32, n+1),
 		InOff:      make([]int32, n+1),
 		WriterOf:   denseSlots(o.writerOf),
-		ReaderOf:   denseSlots(o.readerOf),
-		Stride:     o.readerStride,
+		readerOf:   readerSlots(o.readerOf, o.tags),
 		TagReaders: make(map[int32]int),
 	}
 	outTotal, inTotal := 0, 0
@@ -134,6 +145,7 @@ func (o *Overlay) Flatten() *Topology {
 		t.Dec[i] = nd.Dec
 		t.Dead[i] = nd.dead
 		t.GID[i] = nd.GID
+		t.Tag[i] = nd.Tag
 		outTotal += len(nd.Out)
 		inTotal += len(nd.In)
 	}
@@ -153,7 +165,7 @@ func (o *Overlay) Flatten() *Topology {
 			t.Writers = append(t.Writers, NodeRef(i))
 		}
 		if !nd.dead && nd.Kind == ReaderNode {
-			t.TagReaders[t.ReaderTag(NodeRef(i))]++
+			t.TagReaders[nd.Tag]++
 		}
 	}
 	t.OutOff[n] = int32(len(t.Out))

@@ -20,7 +20,7 @@ func (o *Overlay) ValidateAgainst(ag *bipartite.AG, dupInsensitive bool) error {
 	}
 	memo := make(map[NodeRef]map[graph.NodeID]int)
 	for _, r := range ag.Readers {
-		ref := o.Reader(r.Node)
+		ref := o.Reader(r.Tag, r.Node)
 		if ref == NoNode {
 			return fmt.Errorf("overlay: reader %d missing", r.Node)
 		}
@@ -70,17 +70,6 @@ func (o *Overlay) checkStructure() error {
 		if n.Kind == ReaderNode && len(n.Out) != 0 {
 			return fmt.Errorf("overlay: reader %d has outputs", i)
 		}
-		// Merged-overlay reader tagging: writers carry real data-graph ids
-		// (below the stride); reader GIDs encode tag*stride + node.
-		if o.readerStride > 0 {
-			if n.Kind == WriterNode && n.GID >= graph.NodeID(o.readerStride) {
-				return fmt.Errorf("overlay: writer %d GID %d exceeds reader stride %d",
-					i, n.GID, o.readerStride)
-			}
-			if n.Kind == ReaderNode && n.GID < 0 {
-				return fmt.Errorf("overlay: reader %d has negative GID %d", i, n.GID)
-			}
-		}
 		for _, e := range n.In {
 			if !o.Alive(e.Peer) {
 				return fmt.Errorf("overlay: node %d has in-edge from dead node %d", i, e.Peer)
@@ -124,7 +113,11 @@ func (o *Overlay) CheckDecisions() error {
 func (o *Overlay) DebugString() string {
 	var buf []byte
 	o.ForEachNode(func(ref NodeRef, n *Node) {
-		buf = append(buf, fmt.Sprintf("%d %s(gid=%d) %s in=[", ref, n.Kind, n.GID, n.Dec)...)
+		buf = append(buf, fmt.Sprintf("%d %s(gid=%d", ref, n.Kind, n.GID)...)
+		if n.Tag != 0 {
+			buf = append(buf, fmt.Sprintf(" tag=%d", n.Tag)...)
+		}
+		buf = append(buf, fmt.Sprintf(") %s in=[", n.Dec)...)
 		ins := append([]HalfEdge(nil), n.In...)
 		sort.Slice(ins, func(a, b int) bool { return ins[a].Peer < ins[b].Peer })
 		for j, e := range ins {

@@ -51,9 +51,9 @@ func Shingles(inputs []graph.NodeID, m int) []uint64 {
 }
 
 // Order returns the indices of ag.Readers sorted lexicographically by their
-// m-shingle vectors (ties broken by reader node id for determinism). This is
-// both the VNM grouping order of the first iteration and the IOB insertion
-// order.
+// m-shingle vectors (ties broken by reader tag, then node id, for
+// determinism). This is both the VNM grouping order of the first iteration
+// and the IOB insertion order.
 func Order(ag *bipartite.AG, m int) []int {
 	if m <= 0 {
 		m = 2
@@ -66,7 +66,10 @@ func Order(ag *bipartite.AG, m int) []int {
 			Fold(row, w)
 		}
 	}
-	return orderRows(sh, m, func(a, b int) bool { return ag.Readers[a].Node < ag.Readers[b].Node })
+	return orderRows(sh, m, func(a, b int) bool {
+		ra, rb := &ag.Readers[a], &ag.Readers[b]
+		return ra.Tag < rb.Tag || ra.Tag == rb.Tag && ra.Node < rb.Node
+	})
 }
 
 // OrderRows returns the row indices of the n×m shingle matrix sh (row i is

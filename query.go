@@ -113,7 +113,7 @@ func (v *overlayView) stats() Stats {
 		Recompiles:     st.Recompiles,
 		Shared:         v.Shared(),
 		Family:         v.FamilySize(),
-		OwnReaders:     st.Overlay.QueryReaders[v.ViewTag()],
+		OwnReaders:     v.OwnReaders(),
 		Subscribers:    sys.Engine().Subscribers(),
 		PullMemoHits:   hits,
 		PullMemoMisses: misses,
