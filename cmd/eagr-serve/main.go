@@ -63,7 +63,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed for synthetic graphs")
 		grace    = flag.Duration("grace", 10*time.Second, "graceful shutdown timeout")
 		tsJump   = flag.Int64("ingest-max-ts-jump", 0, "reject /ingest events whose timestamp runs further than this ahead of the stream (0 = unbounded; guards the watermark against corrupt far-future timestamps)")
-		manualEx = flag.Bool("ingest-manual-expire", false, "do not expire time-based windows on the local ingest watermark; only POST /expire advances them (for shard servers behind eagr-router, which owns the fleet-wide minimum watermark)")
+		manualEx = flag.Bool("ingest-manual-expire", false, "do not expire time-based windows on the local ingest watermark; only POST /expire advances them (for shard servers behind eagr-router, which closes time on every shard at its stream time)")
 
 		autotune = flag.Bool("autotune", false, "run the self-driving adaptivity controller: background sampling of observed per-reader push/pull rates, frontier flips, and full re-plan cutovers (see /stats \"autotune\")")
 

@@ -618,7 +618,8 @@ func (s *Session) ApplyBatchNodes(events []Event) ([]NodeID, error) {
 // other mutation. Sessions ingesting through an Ingestor don't call this —
 // each acknowledged batch carries its own watermark advance; it is for
 // callers that own time themselves (IngestOptions.DisableAutoExpire: a
-// sharded fleet advances every shard to the fleet-wide minimum watermark).
+// sharded fleet's coordinator closes time on every shard at its own stream
+// time).
 //
 // On a durable session the advance is logged first, like the events it
 // would otherwise ride with: an advance the log refuses is not applied, and

@@ -439,9 +439,6 @@ func (e *Engine) buildState(pl *plan, prev *engineState, inherit func(i int) ove
 // safe to read concurrently with every engine operation).
 func (e *Engine) Topology() *overlay.Topology { return e.state.Load().plan.top }
 
-// Aggregate returns the engine's aggregate function.
-func (e *Engine) Aggregate() agg.Aggregate { return e.agg }
-
 // expiryRecorder is a window-facing PAO adapter: it captures the values a
 // window slide expires (so they can be propagated as removals) and forwards
 // Add/Remove to the writer's real PAO when one exists (mutex mode). Only

@@ -97,25 +97,16 @@ func (s *Subscription) close() {
 // NewLooseSubscription creates a Subscription bound to no Engine: the same
 // bounded drop-oldest delivery channel, but fed by an external producer
 // (internal/topo's structural engines) via Deliver and retired via Retire.
-// The optional node list is recorded for the producer to filter on (loose
-// subscriptions have no overlay reader slots to resolve against); consumers
-// see the identical Updates/Dropped surface either way, which is what lets
-// the session layer hand both kinds through one code path.
-func NewLooseSubscription(buffer int, nodes ...graph.NodeID) *Subscription {
+// The producer keeps its own node filter (loose subscriptions have no
+// overlay reader slots to resolve against); consumers see the identical
+// Updates/Dropped surface either way, which is what lets the session layer
+// hand both kinds through one code path.
+func NewLooseSubscription(buffer int) *Subscription {
 	if buffer < 1 {
 		buffer = 16
 	}
-	s := &Subscription{ch: make(chan Update, buffer)}
-	if len(nodes) > 0 {
-		s.nodes = append([]graph.NodeID(nil), nodes...)
-	}
-	return s
+	return &Subscription{ch: make(chan Update, buffer)}
 }
-
-// Nodes returns the node restriction the subscription was created with
-// (nil = unrestricted). Engine-owned subscriptions resolve this to reader
-// slots internally; loose producers filter on it themselves.
-func (s *Subscription) Nodes() []graph.NodeID { return s.nodes }
 
 // Deliver enqueues u from an external producer, with the same non-blocking
 // drop-oldest semantics as engine fan-out. Intended for loose

@@ -29,9 +29,6 @@ func New(n int) *Graph {
 	return &Graph{head: head}
 }
 
-// NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return len(g.head) }
-
 // AddEdge inserts a directed edge u → v with the given capacity.
 func (g *Graph) AddEdge(u, v int, capacity int64) {
 	g.edges = append(g.edges, edge{to: int32(v), cap: capacity, next: g.head[u]})

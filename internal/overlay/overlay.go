@@ -361,17 +361,6 @@ func (o *Overlay) Readers() []NodeRef {
 	return out
 }
 
-// Writers returns the refs of all live writer nodes.
-func (o *Overlay) Writers() []NodeRef {
-	var out []NodeRef
-	o.ForEachNode(func(ref NodeRef, n *Node) {
-		if n.Kind == WriterNode {
-			out = append(out, ref)
-		}
-	})
-	return out
-}
-
 // Partials returns the refs of all live partial aggregation nodes.
 func (o *Overlay) Partials() []NodeRef {
 	var out []NodeRef

@@ -36,9 +36,9 @@
 // eagr.DurabilityStats, eagr.Stats), so their json tags are the key names.
 //
 // POST /expire advances every query's time-based windows explicitly. It
-// exists for deployments where the watermark authority is elsewhere — a
-// router fronting several shard servers computes the fleet-wide minimum
-// watermark and broadcasts it — and pairs with WithManualExpiry, which
+// exists for deployments where the clock is elsewhere — a router fronting
+// several shard servers closes time on every shard at its own stream time
+// after each acknowledged ingest — and pairs with WithManualExpiry, which
 // stops the shared Ingestor from expiring on its own local watermark.
 //
 // POST /ingest is the streaming front door: the body is newline-delimited
@@ -170,9 +170,9 @@ func WithMaxTimestampJump(jump int64) Option {
 // time-based windows on its own low watermark; windows then advance only
 // through POST /expire (or the embedder calling Session.ExpireAll). Use it
 // when the server is one shard of a routed fleet: each shard sees only its
-// slice of the stream, so its local watermark may run ahead of shards that
-// are merely caught up on a slower substream — the router owns the
-// fleet-wide minimum and broadcasts it.
+// slice of the stream, so its local watermark is not the stream's time —
+// the router closes time on every shard at its own stream time after each
+// acknowledged ingest, so all shards share one horizon.
 func WithManualExpiry() Option {
 	return func(s *Server) { s.manualExpire = true }
 }

@@ -143,7 +143,7 @@ func (s *HTTPShard) Register(spec eagr.QuerySpec, opts ...eagr.Options) (Member,
 // than forwarded as received so the coordinator's stamp is explicit on the
 // wire: every shard sees the same ts for a fanned-out structural event,
 // whatever its local stream maximum says.
-func (s *HTTPShard) Apply(events []eagr.Event) (*int64, error) {
+func (s *HTTPShard) Apply(events []eagr.Event) error {
 	var body []byte
 	for _, ev := range events {
 		body = server.AppendIngestLine(body, ev)
@@ -153,7 +153,7 @@ func (s *HTTPShard) Apply(events []eagr.Event) (*int64, error) {
 	if err == nil && out.Error != "" {
 		err = &HTTPError{Code: http.StatusOK, msg: s.base + "/ingest: " + out.Error}
 	}
-	return out.Watermark, err
+	return err
 }
 
 func (s *HTTPShard) Mutate(ev eagr.Event) (graph.NodeID, error) {

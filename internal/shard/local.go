@@ -14,10 +14,11 @@ type Options struct {
 	Shards int
 	// Session is the compile configuration every shard opens with.
 	Session eagr.Options
-	// Ingest tunes the per-shard Ingestors. DisableAutoExpire is forced on
-	// (expiry is coordinator-driven); Clock stamps timestamp-less events at
-	// the coordinator, before routing, so every shard lives in one time
-	// domain (nil means wall clock, as for a plain Ingestor).
+	// Ingest tunes the per-shard Ingestors. DisableAutoExpire is forced on:
+	// the coordinator closes time on every shard at its stream time. Clock
+	// stamps timestamp-less events at the coordinator, before routing, so
+	// every shard lives in one time domain (nil means wall clock, as for a
+	// plain Ingestor).
 	Ingest eagr.IngestOptions
 }
 
@@ -79,13 +80,10 @@ func (s localShard) Register(spec eagr.QuerySpec, opts ...eagr.Options) (Member,
 // Apply sends the slice and waits for it. The flush runs even when a send
 // was refused (a timestamp-jump guard, a closed Ingestor): the events
 // accepted before it apply regardless, as on an HTTP shard.
-func (s localShard) Apply(events []eagr.Event) (*int64, error) {
+func (s localShard) Apply(events []eagr.Event) error {
 	_, err := s.ing.SendEvents(events)
 	_ = s.ing.Flush() // the skipped events; see Shard.Apply
-	if wm, ok := s.ing.Watermark(); ok {
-		return &wm, err
-	}
-	return nil, err
+	return err
 }
 
 func (s localShard) Mutate(ev eagr.Event) (graph.NodeID, error) {

@@ -20,13 +20,18 @@
 //
 // # Time
 //
-// Shards never expire windows on their own: each sees only a slice of the
-// content stream, so its watermark may run ahead of the slowest substream.
-// The coordinator stamps timestamp-less events before routing, so every
-// shard lives in one time domain; after every Apply it takes the minimum
-// over the watermarks of the shards that have one and broadcasts Expire at
-// that minimum, so every shard — and therefore every merged answer — trims
-// time windows at the same horizon.
+// A query's time window is defined over the one combined stream, so the
+// fleet has one clock: the coordinator's stream time, the largest timestamp
+// among the events it has routed (after stamping the timestamp-less ones,
+// so every shard lives in one time domain). After every acknowledged Apply
+// the coordinator closes time on every shard at that stream time, exactly
+// where a single process fed the same stream would close it.
+//
+// Shards never expire windows on their own. Each sees only a slice of the
+// stream, so a time it closed itself would be a different horizon from its
+// peers': topology views that recompute on every advance would tick at
+// different watermarks, and a shard that applied its slice of a half-failed
+// Apply would sit ahead of the shards that did not.
 //
 // # Reads
 //
@@ -91,13 +96,12 @@ type Shard interface {
 	// Register compiles the standing query on this shard.
 	Register(spec eagr.QuerySpec, opts ...eagr.Options) (Member, error)
 	// Apply hands over the shard's slice of one fan-out, in stream order,
-	// and returns once it has been applied, with the shard's watermark (nil
-	// until an event has applied). Events that cannot apply (an existing
-	// edge added, a dead node removed) are skipped, identically on every
-	// replica and on a never-sharded session; that is not a failure. Apply
-	// is attempted once: a second attempt after a lost acknowledgement
-	// would apply the events twice.
-	Apply(events []eagr.Event) (watermark *int64, err error)
+	// and returns once it has been applied. Events that cannot apply (an
+	// existing edge added, a dead node removed) are skipped, identically on
+	// every replica and on a never-sharded session; that is not a failure.
+	// Apply is attempted once: a second attempt after a lost
+	// acknowledgement would apply the events twice.
+	Apply(events []eagr.Event) error
 	// Mutate applies one structural event outside the stream and returns
 	// its verdict and, for a node-add, the allocated id. Attempted once.
 	Mutate(ev eagr.Event) (graph.NodeID, error)
@@ -139,8 +143,8 @@ func (d *Divergence) Error() string {
 func (d *Divergence) Is(target error) bool { return target == ErrDiverged }
 
 // Coordinator makes the fleet's decisions: content to its owner, structure
-// to everyone in one order, one time domain, expiry at the minimum
-// watermark, queries on all shards or none, partial aggregates merged once.
+// to everyone in one order, one clock that closes time on every shard,
+// queries on all shards or none, partial aggregates merged once.
 // All methods are safe for concurrent use.
 type Coordinator struct {
 	shards []Shard
@@ -149,9 +153,9 @@ type Coordinator struct {
 	// mu serializes fan-outs: structural events must interleave identically
 	// on every shard or the replicas (and their node-id allocators) drift.
 	// Two fan-outs never overlap; only the shards within one run in
-	// parallel. It also guards wms.
-	mu  sync.Mutex
-	wms []*int64 // each shard's last acknowledged watermark
+	// parallel. It also guards closed.
+	mu     sync.Mutex
+	closed int64 // the furthest time an Expire fan-out closed on every shard
 
 	streamTS atomic.Int64
 	diverged atomic.Pointer[Divergence]
@@ -166,13 +170,15 @@ type Coordinator struct {
 // events that carry no timestamp; nil stamps them with stream time (see
 // StreamTime), for streams whose time domain only their producers know.
 func NewCoordinator(shards []Shard, clock eagr.Clock) *Coordinator {
-	return &Coordinator{shards: shards, clock: clock, wms: make([]*int64, len(shards)), queries: map[int]*Query{}}
+	return &Coordinator{shards: shards, clock: clock, queries: map[int]*Query{}}
 }
 
-// StreamTime is the largest explicit timestamp among the events of Applys
-// that every shard involved acknowledged. A rejected or half-failed Apply
-// leaves it alone, so one bad far-future timestamp in a refused request
-// cannot pull every later timestamp-less event into the future.
+// StreamTime is the fleet's time: the largest timestamp, explicit or
+// stamped, among the events of Applys that every shard involved
+// acknowledged; zero, the unstamped sentinel, until one carried a
+// timestamp. A rejected or half-failed Apply leaves it alone, so one bad
+// far-future timestamp in a refused request cannot pull every later
+// timestamp-less event into the future.
 func (c *Coordinator) StreamTime() int64 { return c.streamTS.Load() }
 
 // Diverged returns the recorded Divergence, or nil while the replicas are
@@ -221,10 +227,11 @@ func (c *Coordinator) settle(op string, replicated bool, errs []error) error {
 
 // Apply routes one batch — content to its owner's shard, structural events
 // to every shard — under one hold of the routing lock, so the batch lands
-// as a contiguous run in every shard's order. It returns once every shard
-// has applied its slice and expired to the fleet watermark, which it
-// reports: the minimum over the shards that have one, nil while none has.
-// An error means some shard failed; the others may have applied theirs.
+// as a contiguous run in every shard's order. Once every shard has applied
+// its slice, the batch's timestamps fold into stream time and every shard
+// expires to it; Apply returns that watermark, nil while the fleet has no
+// time. An error means some shard failed; the others may have applied
+// theirs. A failed expiry is retried by the next Apply.
 func (c *Coordinator) Apply(events []eagr.Event) (*int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -234,14 +241,14 @@ func (c *Coordinator) Apply(events []eagr.Event) (*int64, error) {
 		// Stamp here, not on the shards: each sees a slice of the stream,
 		// so its own notion of "now" lags and replicas would disagree on
 		// the timestamp of a fanned-out structural event.
-		switch {
-		case ev.TS != 0:
-			now = max(now, ev.TS)
-		case c.clock != nil:
-			ev.TS = c.clock.Now()
-		default:
-			ev.TS = now
+		if ev.TS == 0 {
+			if c.clock != nil {
+				ev.TS = c.clock.Now()
+			} else {
+				ev.TS = now
+			}
 		}
+		now = max(now, ev.TS)
 		if !ev.IsStructural() {
 			i := Owner(ev.Node, len(parts))
 			parts[i] = append(parts[i], ev)
@@ -256,26 +263,19 @@ func (c *Coordinator) Apply(events []eagr.Event) (*int64, error) {
 		if len(parts[i]) == 0 {
 			return nil
 		}
-		wm, err := s.Apply(parts[i])
-		if wm != nil {
-			c.wms[i] = wm
-		}
-		return err
+		return s.Apply(parts[i])
 	})
 	if err := c.settle("apply", replicated, errs); err != nil {
 		return nil, err
 	}
 	c.streamTS.Store(now)
-	var min *int64
-	for _, wm := range c.wms {
-		if wm != nil && (min == nil || *wm < *min) {
-			min = wm
-		}
-	}
-	if min == nil {
+	if now == 0 {
 		return nil, nil
 	}
-	return min, c.expire(*min)
+	if now <= c.closed {
+		return &now, nil
+	}
+	return &now, c.expire(now)
 }
 
 // Mutate applies one structural event on every shard and returns their
@@ -307,8 +307,14 @@ func (c *Coordinator) Expire(ts int64) error {
 	return c.expire(ts)
 }
 
+// expire fans ts out and, once every shard has closed it, remembers it so
+// Apply skips advances that close nothing new. The caller holds c.mu.
 func (c *Coordinator) expire(ts int64) error {
-	return c.settle("expire", false, c.fanout(func(_ int, s Shard) error { return s.Expire(ts) }))
+	err := c.settle("expire", false, c.fanout(func(_ int, s Shard) error { return s.Expire(ts) }))
+	if err == nil {
+		c.closed = max(c.closed, ts)
+	}
+	return err
 }
 
 // Register registers the query on every shard, or on none: when a shard

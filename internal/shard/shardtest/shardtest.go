@@ -45,7 +45,8 @@ var Specs = []eagr.QuerySpec{
 type System interface {
 	// Register returns the registered query's read function.
 	Register(spec eagr.QuerySpec) (read func(eagr.NodeID) (eagr.Result, error), err error)
-	// Apply applies one batch and returns the fleet watermark, nil if none.
+	// Apply applies one batch and returns the fleet watermark, which Run
+	// requires to be the stream's own time.
 	Apply(events []eagr.Event) (watermark *int64, err error)
 }
 
@@ -78,9 +79,11 @@ func Churn(rng *rand.Rand, alive *[]eagr.NodeID, ts *int64) []eagr.Event {
 	return events
 }
 
-// Run feeds sys and a never-sharded Session over g the same batches and,
-// every sixth batch and after the last, requires every query to answer
-// alike at every node id ever allocated — values, and which reads fail.
+// Run feeds sys and a never-sharded Session over g the same batches. After
+// every batch the fleet watermark must be the generator's stream time, to
+// which the oracle then expires. Every sixth batch and after the last, every
+// query must answer alike at every node id ever allocated — values, and
+// which reads fail.
 // check, if not nil, runs at the same points with the oracle's state.
 func Run(t *testing.T, g *graph.Graph, sys System, specs []eagr.QuerySpec, seed int64, batches int, check func(oracle *eagr.Session, oqs []*eagr.Query)) {
 	t.Helper()
@@ -114,8 +117,15 @@ func Run(t *testing.T, g *graph.Graph, sys System, specs []eagr.QuerySpec, seed 
 		// missed removes); the shards skipped the same ones.
 		added, _ := oracle.ApplyBatchNodes(events)
 		alive = append(alive, added...)
-		if wm != nil {
-			oracle.ExpireAll(*wm)
+		// The oracle keeps its own clock: a window is defined over the one
+		// stream, so the fleet must close time exactly where it does.
+		if wm == nil {
+			t.Fatalf("batch %d: no fleet watermark, want stream time %d", batch, ts)
+		} else if *wm != ts {
+			t.Fatalf("batch %d: fleet watermark %d, want stream time %d", batch, *wm, ts)
+		}
+		if err := oracle.ExpireAll(ts); err != nil {
+			t.Fatal(err)
 		}
 		if batch%6 != 5 && batch != batches-1 {
 			continue

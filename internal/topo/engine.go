@@ -187,7 +187,7 @@ func (vw *View) Subscribe(buffer int, nodes ...graph.NodeID) (*exec.Subscription
 			filter[n] = struct{}{}
 		}
 	}
-	sub := exec.NewLooseSubscription(buffer, nodes...)
+	sub := exec.NewLooseSubscription(buffer)
 	vw.subs[sub] = filter
 	return sub, nil
 }
