@@ -132,9 +132,9 @@ type durableState struct {
 
 // queryRecord is the serialized form of a durable query registration: the
 // plain-value spec plus the serializable compile options. Queries whose
-// options cannot be serialized (custom Neighborhood functions, explicit
-// per-node frequencies) register normally but are not durable — they
-// silently don't survive recovery; Query.Durable reports which.
+// options cannot be serialized (custom Neighborhood functions) register
+// normally but are not durable — they silently don't survive recovery;
+// Query.Durable reports which.
 type queryRecord struct {
 	ID         int       `json:"id"`
 	Spec       QuerySpec `json:"spec"`
@@ -146,7 +146,7 @@ type queryRecord struct {
 // encodeQueryRecord serializes a registration; ok is false when the
 // options carry non-serializable state.
 func encodeQueryRecord(id int, spec QuerySpec, o Options) ([]byte, bool) {
-	if o.Neighborhood != nil || o.ReadFreq != nil || o.WriteFreq != nil {
+	if o.Neighborhood != nil {
 		return nil, false
 	}
 	blob, err := json.Marshal(queryRecord{
@@ -589,5 +589,5 @@ func (s *Session) DurabilityStats() DurabilityStats {
 
 // Durable reports whether this query survives recovery: registered on a
 // durable session with serializable options (no custom Neighborhood
-// functions or explicit per-node frequencies).
+// function).
 func (q *Query) Durable() bool { return q.durable }

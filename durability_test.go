@@ -869,6 +869,49 @@ func TestRecoveryRefusesUnknownQueryField(t *testing.T) {
 	}
 }
 
+// TestGreedyModeRefused: "greedy" is no decision mode, so registering it
+// fails like any unknown mode, and recovery refuses a logged registration
+// naming it instead of compiling that query under another procedure.
+func TestGreedyModeRefused(t *testing.T) {
+	sess, err := Open(ring(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Register(QuerySpec{Aggregate: "sum"}, Options{Mode: "greedy"}); !errors.Is(err, ErrIncompatibleQuery) {
+		t.Fatalf("Register greedy: err = %v, want ErrIncompatibleQuery", err)
+	}
+	dir := t.TempDir()
+	s, _, err := OpenDurable(ring(4), DurabilityOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	osfs, err := wal.NewOsFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.Open(osfs, wal.Options{Policy: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.AppendRegister(1, []byte(`{"id":1,"spec":{"Aggregate":"sum"},"mode":"greedy"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, _, err := OpenDurable(nil, DurabilityOptions{Dir: dir})
+	if err == nil {
+		s2.CloseDurability()
+		t.Fatal("recovered a greedy registration; want ErrIncompatibleQuery")
+	}
+	if !errors.Is(err, ErrIncompatibleQuery) {
+		t.Fatalf("recovery err = %v, want ErrIncompatibleQuery", err)
+	}
+}
+
 // TestFsyncPolicySpellings: each policy's String parses back to it, and a
 // policy outside the three is refused before the directory is touched.
 func TestFsyncPolicySpellings(t *testing.T) {

@@ -185,15 +185,11 @@ type Options struct {
 	// Algorithm: "vnm", "vnma", "vnmn", "vnmd", "iob", "baseline", or ""
 	// for automatic selection.
 	Algorithm string
-	// Mode: "dataflow" (optimal, default), "greedy", "all-push",
-	// "all-pull".
+	// Mode: "dataflow" (optimal, default), "all-push" or "all-pull";
+	// anything else is ErrIncompatibleQuery.
 	Mode string
 	// Iterations for overlay construction (default 10).
 	Iterations int
-	// ReadFreq/WriteFreq, when non-nil, give expected per-node read and
-	// write frequencies for the dataflow decisions. Queries with explicit
-	// frequencies never share compiled state.
-	ReadFreq, WriteFreq []float64
 	// Neighborhood overrides QuerySpec.Hops with a custom neighborhood
 	// function (e.g. a Filtered neighborhood).
 	Neighborhood Neighborhood
@@ -346,8 +342,8 @@ func (s *Session) Register(spec QuerySpec, opts ...Options) (*Query, error) {
 	}
 	blob, serializable := encodeQueryRecord(q.id, spec, o)
 	if !serializable {
-		// Non-serializable options (custom Neighborhood, explicit
-		// frequencies): the query runs but does not survive recovery.
+		// Non-serializable options (a custom Neighborhood): the query
+		// runs but does not survive recovery.
 		return q, nil
 	}
 	if _, err := d.log.AppendRegister(uint64(q.id), blob); err != nil {
@@ -426,13 +422,9 @@ const TopoScale = topo.Scale
 //
 // Spellings that compile identically map to one key (WindowTuples 0 ≡ 1,
 // Hops 0 ≡ 1, empty mode ≡ "dataflow", zero iterations ≡ the construct
-// default). Empty keys mean "never share": explicit per-node frequencies
-// opt out entirely, and neighborhoods without a stable identity opt out of
-// both levels.
+// default). Empty keys mean "never share": neighborhoods without a stable
+// identity opt out of both levels.
 func compatKey(spec QuerySpec, o Options) (full, family string) {
-	if o.ReadFreq != nil || o.WriteFreq != nil {
-		return "", ""
-	}
 	// Canonical neighborhood identity: Options.Neighborhood overrides
 	// spec.Hops exactly as Register does, so QuerySpec{Hops: 2} and
 	// Options{Neighborhood: KHop(2)} produce the same key.

@@ -289,13 +289,7 @@ func decayMap[K comparable](m map[K]float64, decay float64) {
 // maybeReoptimize runs the degradation check and, when the current plan's
 // cost under the observed workload exceeds DegradationRatio times a fresh
 // plan's, cuts over to the fresh plan via Reoptimize.
-// Dataflow-mode systems only: Reoptimize runs the optimal decision
-// procedure, which would silently change the semantics of greedy/all-push/
-// all-pull systems.
 func (c *Controller) maybeReoptimize(sys *core.System, st *sysState, now time.Time) {
-	if sys.DecisionMode() != core.ModeDataflow {
-		return
-	}
 	if c.cfg.Cooldown > 0 && !st.lastOpt.IsZero() && now.Sub(st.lastOpt) < c.cfg.Cooldown {
 		return
 	}

@@ -35,11 +35,14 @@ func pairGraph(t *testing.T, n int) (*core.MultiSystem, *core.System) {
 	m := core.NewMulti(g)
 	att, err := m.Attach("pair-sum",
 		core.Query{Aggregate: agg.Sum{}, Window: agg.NewTupleWindow(1)},
-		core.Options{Algorithm: core.Baseline, Workload: plan})
+		core.Options{Algorithm: core.Baseline})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys := att.System()
+	if err := sys.Reoptimize(plan); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < n; i++ {
 		if sys.Engine().Covered(graph.NodeID(i + n)) {
 			t.Fatalf("reader %d compiled to push under a write-heavy plan", i+n)
@@ -287,9 +290,13 @@ func TestAutotuneControllerStress(t *testing.T) {
 	g := workload.SocialGraph(400, 6, 1)
 	m := core.NewMulti(g)
 	plan := workload.ZipfWorkload(g.MaxID(), 1.0, 1e6, 1, 1)
-	if _, err := m.Attach("stress-sum",
+	att, err := m.Attach("stress-sum",
 		core.Query{Aggregate: agg.Sum{}, Window: agg.NewTupleWindow(1)},
-		core.Options{Algorithm: core.Baseline, Workload: plan}); err != nil {
+		core.Options{Algorithm: core.Baseline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := att.System().Reoptimize(plan); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -441,8 +448,11 @@ func neverUncoversBesideTwin(t *testing.T) {
 	}
 	// Compiled read-heavy, so the twin starts as covered as the continuous
 	// query and only the observed traffic can change that.
-	twinAtt, err := m.Attach("twin", q, core.Options{Workload: dataflow.Uniform(g.MaxID(), 100, 0.01)})
+	twinAtt, err := m.Attach("twin", q, core.Options{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twinAtt.System().Reoptimize(dataflow.Uniform(g.MaxID(), 100, 0.01)); err != nil {
 		t.Fatal(err)
 	}
 	covered := func(a *core.Attachment) int {

@@ -450,11 +450,14 @@ func AutotuneShiftFixture(tuned bool) (*core.System, []graph.Event, error) {
 	plan := workload.ZipfWorkload(g.MaxID(), 1.0, 1e6, 1, 1)
 	att, err := m.Attach("autotune-shift-sum",
 		core.Query{Aggregate: agg.Sum{}, Window: agg.NewTupleWindow(1)},
-		core.Options{Algorithm: core.Baseline, Workload: plan})
+		core.Options{Algorithm: core.Baseline})
 	if err != nil {
 		return nil, nil, err
 	}
 	sys := att.System()
+	if err := sys.Reoptimize(plan); err != nil {
+		return nil, nil, err
+	}
 	shifted := workload.ZipfWorkload(g.MaxID(), 1.0, 1e6, 1, 7)
 	events := workload.Events(shifted, 1<<16, 9)
 	var ctl *autotune.Controller

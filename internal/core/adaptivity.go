@@ -174,32 +174,20 @@ func (s *System) applyRebalanceLocked() (int, error) {
 	return flips, nil
 }
 
-// DecisionMode returns the effective decision mode the system compiled with
-// (Continuous queries report ModeAllPush, an empty requested mode
-// ModeDataflow).
-func (s *System) DecisionMode() Mode {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.opts.Mode
-}
-
 // EstimateCosts evaluates the §4.3 objective for workload wl under the
-// system's CURRENT decisions, and under a fresh dataflow plan computed for
-// that workload on a clone of the overlay (the live overlay and its
-// decisions are untouched). The ratio current/fresh is the degradation
+// system's CURRENT decisions, and under a fresh plan the system's own
+// decision procedure makes for that workload on a clone of the overlay (the
+// live overlay and its decisions are untouched; a fixed-mode system's fresh
+// plan is its current one). The ratio current/fresh is the degradation
 // signal the background controller uses to decide when a full Reoptimize
 // cutover pays for itself.
 func (s *System) EstimateCosts(wl *dataflow.Workload) (current, fresh float64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, err := dataflow.ComputeFreqs(s.ov, wl, s.windowSizeHint())
+	clone := s.ov.Clone()
+	f, err := s.decide(clone, wl)
 	if err != nil {
 		return 0, 0, err
 	}
-	current = dataflow.TotalCost(s.ov, f, s.cost)
-	clone := s.ov.Clone()
-	if _, err := dataflow.Decide(clone, f, s.cost); err != nil {
-		return 0, 0, err
-	}
-	return current, dataflow.TotalCost(clone, f, s.cost), nil
+	return dataflow.TotalCost(s.ov, f, s.cost), dataflow.TotalCost(clone, f, s.cost), nil
 }

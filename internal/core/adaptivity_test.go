@@ -235,3 +235,44 @@ func TestSampleReadsPerReader(t *testing.T) {
 		t.Fatalf("ReaderReads = %v, want %v", got, want)
 	}
 }
+
+// TestReoptimizeKeepsMode: Reoptimize re-decides with the system's own
+// procedure, so a read-heavy workload leaves every reader of an all-pull
+// system pull, as its reported mode says.
+func TestReoptimizeKeepsMode(t *testing.T) {
+	g := paperGraph()
+	s, err := Compile(g, Query{Aggregate: agg.Sum{}}, Options{Algorithm: Baseline, Mode: ModeAllPull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Reoptimize(dataflow.Uniform(g.MaxID(), 100, 0.01)); err != nil {
+		t.Fatal(err)
+	}
+	if m := s.Stats().Mode; m != ModeAllPull {
+		t.Fatalf("mode after Reoptimize = %s, want %s", m, ModeAllPull)
+	}
+	for ref := overlay.NodeRef(0); int(ref) < s.ov.Len(); ref++ {
+		if n := s.ov.Node(ref); s.ov.Alive(ref) && n.Kind == overlay.ReaderNode && n.Dec != overlay.Pull {
+			t.Fatalf("reader %d is %s after Reoptimize, want pull", n.GID, n.Dec)
+		}
+	}
+}
+
+// TestEstimateCostsFixedModeIsItsOwnPlan: the fresh plan EstimateCosts
+// prices is the one the system's own procedure would install, so an
+// all-push (Continuous) system costs the same under both and never looks
+// degraded, however write-heavy the workload.
+func TestEstimateCostsFixedModeIsItsOwnPlan(t *testing.T) {
+	g := paperGraph()
+	s, err := Compile(g, Query{Aggregate: agg.Sum{}, Continuous: true}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, fresh, err := s.EstimateCosts(dataflow.Uniform(g.MaxID(), 0.01, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur != fresh {
+		t.Fatalf("EstimateCosts = current %.2f, fresh %.2f; want equal", cur, fresh)
+	}
+}

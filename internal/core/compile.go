@@ -33,7 +33,7 @@ func compileSystem(m *MultiSystem, q Query, opts Options) (*System, error) {
 		opts.Mode = ModeDataflow
 	}
 	switch opts.Mode {
-	case ModeDataflow, ModeGreedy, ModeAllPush, ModeAllPull:
+	case ModeDataflow, ModeAllPush, ModeAllPull:
 	default:
 		return nil, fmt.Errorf("core: unknown mode %q: %w", opts.Mode, ErrIncompatible)
 	}
@@ -67,7 +67,7 @@ func compileSystem(m *MultiSystem, q Query, opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.decide(ov); err != nil {
+	if _, err := s.decide(ov, nil); err != nil {
 		return nil, err
 	}
 	if s.eng, err = exec.New(ov, s.q.Aggregate, s.q.Window); err != nil {
@@ -171,27 +171,30 @@ func (s *System) windowSizeHint() int {
 	return n
 }
 
-// decide annotates ov with dataflow decisions for the system's workload.
-func (s *System) decide(ov *overlay.Overlay) error {
-	f, err := dataflow.ComputeFreqs(ov, s.workloadOrUniform(), s.windowSizeHint())
+// decide annotates ov with the system's decision procedure for workload wl
+// (nil: a uniform 1:1 workload) and returns the frequencies it priced them
+// with. It is the one place decisions are made from a workload — compile,
+// recompile, Reoptimize and EstimateCosts all come here — so a fixed-mode
+// system keeps its mode whatever workload arrives.
+func (s *System) decide(ov *overlay.Overlay, wl *dataflow.Workload) (*dataflow.Freqs, error) {
+	if wl == nil {
+		wl = dataflow.Uniform(s.g.MaxID(), 1, 1)
+	}
+	f, err := dataflow.ComputeFreqs(ov, wl, s.windowSizeHint())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	switch s.opts.Mode {
 	case ModeAllPush:
 		dataflow.DecideAll(ov, overlay.Push)
 	case ModeAllPull:
 		dataflow.DecideAll(ov, overlay.Pull)
-	case ModeGreedy:
-		if err := dataflow.DecideGreedy(ov, f, s.cost); err != nil {
-			return err
-		}
 	default:
 		if _, err := dataflow.Decide(ov, f, s.cost); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return f, nil
 }
 
 // adopt makes ov — built at the graph's current version, decided, and
@@ -206,30 +209,21 @@ func (s *System) adopt(ov *overlay.Overlay) {
 	s.maint, _ = construct.NewMaintainer(ov)
 }
 
-// Reoptimize recomputes dataflow decisions from a new expected workload
-// (keeping the overlay structure) and installs them in the engine.
+// Reoptimize re-decides the overlay (keeping its structure) for a new
+// expected workload with the system's own decision procedure and installs
+// the decisions in the engine; a nil wl keeps the last one. Later
+// recompiles decide for the same workload.
 func (s *System) Reoptimize(wl *dataflow.Workload) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if wl != nil {
-		s.opts.Workload = wl
+		s.wl = wl
 	}
-	f, err := dataflow.ComputeFreqs(s.ov, s.workloadOrUniform(), s.windowSizeHint())
-	if err != nil {
-		return err
-	}
-	if _, err := dataflow.Decide(s.ov, f, s.cost); err != nil {
+	if _, err := s.decide(s.ov, s.wl); err != nil {
 		return err
 	}
 	s.adaptor = dataflow.NewAdaptor(s.ov, s.cost)
 	return s.eng.Rebuild(s.ov, s.q.Window, nil)
-}
-
-func (s *System) workloadOrUniform() *dataflow.Workload {
-	if s.opts.Workload != nil {
-		return s.opts.Workload
-	}
-	return dataflow.Uniform(s.g.MaxID(), 1, 1)
 }
 
 // recompileLocked rebuilds the overlay from scratch (used when incremental
@@ -248,7 +242,7 @@ func (s *System) recompileLocked(skip map[graph.NodeID]bool) error {
 	if err != nil {
 		return err
 	}
-	if err := s.decide(ov); err != nil {
+	if _, err := s.decide(ov, s.wl); err != nil {
 		return err
 	}
 	if err := s.eng.Rebuild(ov, s.q.Window, skip); err != nil {

@@ -44,8 +44,6 @@ type Mode string
 const (
 	// ModeDataflow uses the optimal max-flow-based decisions (§4.4).
 	ModeDataflow Mode = "dataflow"
-	// ModeGreedy uses the linear-time greedy alternative (§4.6).
-	ModeGreedy Mode = "greedy"
 	// ModeAllPush pre-computes every aggregate (the CEP-style baseline).
 	ModeAllPush Mode = "all-push"
 	// ModeAllPull computes everything on demand (the social-network-style
@@ -64,9 +62,6 @@ type Options struct {
 	Construct construct.Config
 	// Mode selects the decision procedure (default ModeDataflow).
 	Mode Mode
-	// Workload supplies expected read/write frequencies; nil assumes a
-	// uniform 1:1 workload.
-	Workload *dataflow.Workload
 }
 
 // Baseline is the Algorithm value for the direct writer→reader overlay.
@@ -99,6 +94,9 @@ type System struct {
 	g    *graph.Graph
 	q    Query
 	opts Options
+	// wl is the expected workload decisions are made for, set by
+	// Reoptimize; nil means a uniform 1:1 workload. Guarded by mu.
+	wl *dataflow.Workload
 
 	// views is the merge-family state, mutated only under mu (and read by
 	// mutators under mu); the read/subscribe hot paths never touch it —

@@ -109,7 +109,7 @@ func TestContinuousForcesPush(t *testing.T) {
 }
 
 func TestModes(t *testing.T) {
-	for _, mode := range []Mode{ModeDataflow, ModeGreedy, ModeAllPush, ModeAllPull} {
+	for _, mode := range []Mode{ModeDataflow, ModeAllPush, ModeAllPull} {
 		g := paperGraph()
 		s, err := Compile(g, Query{Aggregate: agg.Sum{}},
 			Options{Algorithm: construct.AlgVNMA, Mode: mode})
@@ -230,11 +230,12 @@ func TestRecompileFallbackForNegativeEdgeOverlays(t *testing.T) {
 
 func TestRebalanceAdaptsToObservedWorkload(t *testing.T) {
 	g := paperGraph()
-	// Compile with a write-heavy estimate so most nodes start pull.
-	wl := dataflow.Uniform(g.MaxID(), 0.01, 100)
-	s, err := Compile(g, Query{Aggregate: agg.Sum{}},
-		Options{Algorithm: Baseline, Workload: wl})
+	// Plan for a write-heavy estimate so most nodes start pull.
+	s, err := Compile(g, Query{Aggregate: agg.Sum{}}, Options{Algorithm: Baseline})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Reoptimize(dataflow.Uniform(g.MaxID(), 0.01, 100)); err != nil {
 		t.Fatal(err)
 	}
 	writeFigure1(t, s)

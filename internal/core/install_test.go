@@ -161,7 +161,7 @@ func TestFailedInstallSurfaces(t *testing.T) {
 			if got := s.Stats().Recompiles; got != 1 {
 				t.Fatalf("Recompiles = %d, want the one fallback", got)
 			}
-			if got := s.LiveViews(); got != 1 {
+			if got := s.Stats().Views; got != 1 {
 				t.Fatalf("%d live views after the fallback, want 1", got)
 			}
 			latest := map[graph.NodeID]int64{0: 4, 1: 7, 2: 9, 3: 3, 4: 1, 5: 6, 6: 5}

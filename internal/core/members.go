@@ -138,14 +138,6 @@ func (s *System) retireMember(tag int32) error {
 	return nil
 }
 
-// LiveViews reports the number of live member queries sharing this system's
-// overlay (1 for a plain single-query system).
-func (s *System) LiveViews() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.liveViewsLocked()
-}
-
 // liveViewsLocked counts the live member views; callers hold s.mu.
 func (s *System) liveViewsLocked() int {
 	live := 0

@@ -216,7 +216,7 @@ func TestMergedBasicLifecycle(t *testing.T) {
 		t.Fatal("retired view still readable")
 	}
 	h.compare("after retire")
-	if got := h.merged.LiveViews(); got != 2 {
+	if got := h.merged.Stats().Views; got != 2 {
 		t.Fatalf("live views = %d, want 2", got)
 	}
 }
@@ -461,7 +461,7 @@ func TestMultiMergeFamilies(t *testing.T) {
 	if err := m.Detach(a2); err != nil {
 		t.Fatal(err)
 	}
-	if got := a1.System().LiveViews(); got != 1 {
+	if got := a1.System().Stats().Views; got != 1 {
 		t.Fatalf("live views after member retire = %d, want 1", got)
 	}
 	// Detaching the last member tears the family down.

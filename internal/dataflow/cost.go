@@ -1,9 +1,8 @@
 // Package dataflow makes the push/pull pre-computation decisions for an
 // overlay graph (paper §4): it propagates push/pull frequencies, models
 // per-operation costs H(k)/L(k), solves the Difference-Maximizing Partition
-// problem optimally via pruning + s-t min-cut, offers the linear-time
-// greedy alternative, splits nodes for partial pre-computation, and adapts
-// decisions as observed workloads drift.
+// problem optimally via pruning + s-t min-cut, splits nodes for partial
+// pre-computation, and adapts decisions as observed workloads drift.
 package dataflow
 
 import (

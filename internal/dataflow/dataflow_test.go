@@ -296,46 +296,6 @@ func bruteForceOptimal(ov *overlay.Overlay, refs []overlay.NodeRef, f *Freqs, m 
 	return best
 }
 
-func TestGreedyProducesValidDecisions(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 40; trial++ {
-		ov, refs := randomOverlay(rng)
-		wl := NewWorkload(64)
-		for i := range wl.Read {
-			wl.Read[i] = float64(rng.Intn(20))
-			wl.Write[i] = float64(rng.Intn(20))
-		}
-		f, err := ComputeFreqs(ov, wl, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := ConstLinear{}
-		if err := DecideGreedy(ov, f, m); err != nil {
-			t.Fatal(err)
-		}
-		if err := ov.CheckDecisions(); err != nil {
-			t.Fatalf("trial %d: greedy invalid: %v\n%s", trial, err, ov.DebugString())
-		}
-		// Greedy is suboptimal but must not exceed the worse of the
-		// two trivial baselines.
-		cost := TotalCost(ov, f, m)
-		allPush, allPull := 0.0, 0.0
-		for _, ref := range refs {
-			allPush += f.PushCost(ref, m)
-			if ov.Node(ref).Kind == overlay.WriterNode {
-				allPull += f.PushCost(ref, m) // writers stay push
-			} else {
-				allPull += f.PullCost(ref, m)
-			}
-		}
-		worst := math.Max(allPush, allPull)
-		if cost > worst+1e-6 {
-			t.Fatalf("trial %d: greedy cost %.2f worse than both baselines %.2f",
-				trial, cost, worst)
-		}
-	}
-}
-
 func TestSplitNodesHoistsColdInputs(t *testing.T) {
 	// Figure 7: aggregator with four cold inputs and one hot input.
 	ov := overlay.New(5)

@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -122,8 +121,8 @@ func (s *Subscription) Retire() { s.close() }
 // notifyTable is the engine's immutable subscriber snapshot, derived from
 // Engine.subs and swapped copy-on-write under Engine.subMu. The write hot
 // path loads it with one atomic pointer read; it is nil whenever no
-// subscription exists, so unsubscribed engines pay a single predictable
-// branch per write.
+// subscription covers a reader (tableOf), so unsubscribed engines pay a
+// single predictable branch per write.
 type notifyTable struct {
 	// byTag lists, per query tag, the subscriptions covering every reader
 	// of that tag's view (the whole engine on single-query engines, where
@@ -194,7 +193,7 @@ func (e *Engine) SubscribeTagged(tag int32, buffer int, nodes ...graph.NodeID) (
 		sub.resolve(pl)
 	}
 	e.subs = append(e.subs, sub)
-	e.notify.Store(e.notify.Load().with(sub))
+	e.notify.Store(tableOf(e.subs))
 	return sub, nil
 }
 
@@ -211,29 +210,32 @@ func (s *Subscription) resolve(pl *plan) {
 	s.refs = slices.Compact(s.refs)
 }
 
-// with returns a copy of the table (nt may be nil) with sub added. The copy
-// shares the per-key lists it does not touch: a published table is
-// immutable, and the touched lists are re-allocated by the full slice
-// expression.
-func (nt *notifyTable) with(sub *Subscription) *notifyTable {
-	next := &notifyTable{byTag: map[int32][]*Subscription{}}
-	if nt != nil {
-		maps.Copy(next.byTag, nt.byTag)
-		next.byRef = nt.byRef
-	}
-	if sub.nodes == nil {
-		subs := next.byTag[sub.tag]
-		next.byTag[sub.tag] = append(subs[:len(subs):len(subs)], sub)
-	} else if len(sub.refs) > 0 {
-		byRef := make([][]*Subscription, max(len(next.byRef), int(sub.refs[len(sub.refs)-1])+1))
-		copy(byRef, next.byRef)
-		next.byRef = byRef
+// tableOf derives the subscriber table from subs, each resolved against the
+// plan the table will serve. It is the one derivation — Subscribe,
+// Unsubscribe and Rebuild all publish what it returns — and a fresh table
+// shares nothing with a published one. It returns nil when no subscription
+// covers a reader, so the write path skips fan-out entirely.
+func tableOf(subs []*Subscription) *notifyTable {
+	var nt *notifyTable
+	for _, sub := range subs {
+		if sub.nodes != nil && len(sub.refs) == 0 {
+			continue
+		}
+		if nt == nil {
+			nt = &notifyTable{byTag: map[int32][]*Subscription{}}
+		}
+		if sub.nodes == nil {
+			nt.byTag[sub.tag] = append(nt.byTag[sub.tag], sub)
+			continue
+		}
+		if n := int(sub.refs[len(sub.refs)-1]) + 1; n > len(nt.byRef) {
+			nt.byRef = append(nt.byRef, make([][]*Subscription, n-len(nt.byRef))...)
+		}
 		for _, ref := range sub.refs {
-			subs := next.byRef[ref]
-			next.byRef[ref] = append(subs[:len(subs):len(subs)], sub)
+			nt.byRef[ref] = append(nt.byRef[ref], sub)
 		}
 	}
-	return next
+	return nt
 }
 
 // Unsubscribe removes the subscription and closes its channel. Idempotent;
@@ -245,31 +247,7 @@ func (e *Engine) Unsubscribe(sub *Subscription) {
 	}
 	e.subMu.Lock()
 	e.subs = without(e.subs, sub)
-	prev := e.notify.Load()
-	if prev != nil {
-		next := &notifyTable{
-			byTag: map[int32][]*Subscription{},
-			byRef: make([][]*Subscription, len(prev.byRef)),
-		}
-		live := false
-		for tag, subs := range prev.byTag {
-			if kept := without(subs, sub); kept != nil {
-				next.byTag[tag] = kept
-				live = true
-			}
-		}
-		for ref, subs := range prev.byRef {
-			if subs != nil {
-				next.byRef[ref] = without(subs, sub)
-				live = live || next.byRef[ref] != nil
-			}
-		}
-		if live {
-			e.notify.Store(next)
-		} else {
-			e.notify.Store(nil)
-		}
-	}
+	e.notify.Store(tableOf(e.subs))
 	e.subMu.Unlock()
 	sub.close()
 }

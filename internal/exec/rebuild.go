@@ -77,11 +77,10 @@ func (e *Engine) Rebuild(ov *overlay.Overlay, window agg.Window, skip map[graph.
 	// gate closes; only its store has to wait for in-flight fan-outs.
 	e.subMu.Lock()
 	defer e.subMu.Unlock()
-	var nt *notifyTable
 	for _, sub := range e.subs {
 		sub.resolve(pl)
-		nt = nt.with(sub)
 	}
+	nt := tableOf(e.subs)
 
 	e.gate.Lock()
 	defer e.gate.Unlock()

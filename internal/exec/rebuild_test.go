@@ -155,3 +155,39 @@ func TestRebuildReattachesSubscriptionAfterReaderLoss(t *testing.T) {
 		t.Fatalf("%d subscribers after Unsubscribe, want 0", got)
 	}
 }
+
+// TestRebuildUnpublishesUncoveredTable: a Rebuild that takes away the only
+// reader a node-restricted subscription covers publishes no subscriber
+// table — the write path then skips fan-out, exactly as after Unsubscribe —
+// and the Rebuild that brings the reader back publishes one again.
+func TestRebuildUnpublishesUncoveredTable(t *testing.T) {
+	const v = graph.NodeID(9)
+	with := map[graph.NodeID][]graph.NodeID{8: {0, 1}, v: {1}}
+	without := map[graph.NodeID][]graph.NodeID{8: {0, 1}}
+	overlayOf := func(lists map[graph.NodeID][]graph.NodeID) *overlay.Overlay {
+		ov := construct.Baseline(bipartite.FromInputLists(lists))
+		dataflow.DecideAll(ov, overlay.Push)
+		return ov
+	}
+	e, err := New(overlayOf(with), agg.Sum{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := e.Subscribe(8, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Unsubscribe(sub)
+	if err := e.Rebuild(overlayOf(without), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if nt := e.notify.Load(); nt != nil {
+		t.Fatalf("table after the reader's loss = %+v, want nil", *nt)
+	}
+	if err := e.Rebuild(overlayOf(with), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if e.notify.Load() == nil {
+		t.Fatal("no table after the reader came back")
+	}
+}

@@ -191,6 +191,11 @@ func TestRegisterErrorsHTTP(t *testing.T) {
 		t.Fatalf("illegal algorithm status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+	resp = post(t, ts.URL+"/queries", map[string]any{"aggregate": "sum", "mode": "greedy"})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("greedy mode status = %d, want 422", resp.StatusCode)
+	}
+	resp.Body.Close()
 	// Resource-bound rejections: oversized windows/hops and negatives.
 	for _, body := range []map[string]any{
 		{"aggregate": "sum", "windowTuples": 1 << 24},

@@ -8,7 +8,6 @@ import (
 	"repro/internal/agg"
 	"repro/internal/construct"
 	"repro/internal/core"
-	"repro/internal/dataflow"
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/topo"
@@ -77,12 +76,6 @@ func (s *Session) newOverlayView(a agg.Aggregate, spec QuerySpec, o Options) (st
 		Algorithm: o.Algorithm,
 		Mode:      core.Mode(specOrDefault(o.Mode, string(core.ModeDataflow))),
 		Construct: construct.Config{Iterations: o.Iterations},
-	}
-	if o.ReadFreq != nil || o.WriteFreq != nil {
-		wl := dataflow.NewWorkload(s.g.MaxID())
-		copy(wl.Read, o.ReadFreq)
-		copy(wl.Write, o.WriteFreq)
-		co.Workload = wl
 	}
 	full, fam := compatKey(spec, o)
 	att, err := s.multi.AttachMerged(full, fam, q, co)

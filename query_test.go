@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dataflow"
 	"repro/internal/topo"
 )
 
@@ -28,17 +29,21 @@ type handleRow struct {
 	pullEgo NodeID
 }
 
-// pullRow is a dataflow row for aggregate spec: ego 0 is read far more often
-// than it is written, so it is pushed and subscribable, while ego 2 (fed by
-// node 1) is never read and stays pull.
+// pullRow is a dataflow row for aggregate spec, re-planned after
+// registration for a workload in which ego 0 is read far more often than it
+// is written, so it is pushed and subscribable, while ego 2 (fed by node 1)
+// is never read and stays pull.
 func pullRow(spec string) handleRow {
 	return handleRow{
 		name: spec + " dataflow",
 		register: func(t *testing.T, sess *Session) *Query {
-			return mustRegister(t, sess, QuerySpec{Aggregate: spec}, Options{
-				ReadFreq:  []float64{100, 0, 0, 0, 0, 0},
-				WriteFreq: []float64{1, 1, 1, 1, 1, 1},
-			})
+			q := mustRegister(t, sess, QuerySpec{Aggregate: spec})
+			wl := dataflow.Uniform(6, 0, 1)
+			wl.Read[0] = 100
+			if err := q.Internal().Reoptimize(wl); err != nil {
+				t.Fatal(err)
+			}
+			return q
 		},
 		poke:    pokeWrite,
 		wire:    true,

@@ -281,6 +281,43 @@ func TestQuerySubscribeThroughFacade(t *testing.T) {
 	}
 }
 
+// TestReoptimizeKeepsContinuousCovered: a re-plan re-decides with the
+// system's own procedure, so re-optimizing a Continuous query by hand keeps
+// every reader push and its subscriber hears the next write.
+func TestReoptimizeKeepsContinuousCovered(t *testing.T) {
+	g := NewGraph(3)
+	_ = g.AddEdge(1, 0)
+	_ = g.AddEdge(2, 0)
+	sess, err := Open(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := sess.Register(QuerySpec{Aggregate: "sum", Continuous: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, cancel, err := q.Subscribe(8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	if err := q.Internal().Reoptimize(nil); err != nil {
+		t.Fatal(err)
+	}
+	if !q.Covered(0) {
+		t.Fatal("Reoptimize uncovered reader 0 of a Continuous query")
+	}
+	if err := sess.Write(1, 4, 7); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ch); n != 1 {
+		t.Fatalf("%d updates after one write, want 1", n)
+	}
+	if u := <-ch; u.Node != 0 || u.Result.Scalar != 4 {
+		t.Fatalf("update = %+v, want node 0 sum 4", u)
+	}
+}
+
 // TestSubscriptionSurvivesRecompile pins the regression where a structural
 // change on a NON-maintainable overlay (full recompile, renumbered slots)
 // orphaned live subscriptions: the channel must keep delivering after the
