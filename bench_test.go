@@ -367,18 +367,18 @@ func BenchmarkOpDensityRead(b *testing.B) {
 	}
 }
 
-// BenchmarkOpEgoBetweennessRecompute measures one watermark tick of the
-// windowed ego-betweenness view: a structural event dirties the egos it
-// touched, then ExpireAll crosses the window and recomputes exactly those.
-func BenchmarkOpEgoBetweennessRecompute(b *testing.B) {
-	sess, _, tape := topoBenchSession(b, QuerySpec{Aggregate: "ego-betweenness", WindowTime: 1})
+// BenchmarkOpEgoBetweennessChurn measures one structural event through
+// ApplyBatch with a windowless ego-betweenness view standing and no
+// subscriber. Values are computed on read, so the event pays the mirror
+// update alone, like BenchmarkOpTriangleChurn.
+func BenchmarkOpEgoBetweennessChurn(b *testing.B) {
+	sess, _, tape := topoBenchSession(b, QuerySpec{Aggregate: "ego-betweenness"})
 	ev := make([]Event, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev[0] = tape[i%len(tape)]
 		_ = sess.ApplyBatch(ev)
-		sess.ExpireAll(int64(i + 2))
 	}
 }
 

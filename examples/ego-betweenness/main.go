@@ -3,12 +3,10 @@
 // non-adjacent pair of neighbors, the ego's share of the shortest paths
 // between them). Fixed point at eagr.TopoScale = 1.0.
 //
-// Two maintenance modes:
-//   - windowless: exact value computed on read, pushed on every structural
-//     change touching the ego;
-//   - windowed (QuerySpec.WindowTime > 0): recomputed for CHANGED egos on a
-//     watermark schedule — the temporal batch pattern for aggregates whose
-//     per-edge delta is not cheap. Reads serve the last scheduled snapshot.
+// It is computed over the ego's current network on every read, so reads
+// are always live, and a subscriber hears each change at the event's
+// timestamp. A WindowTime on the query is still accepted, for
+// registrations written before, but changes no value.
 //
 // Run with: go run ./examples/ego-betweenness
 package main
@@ -27,14 +25,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Windowless: always exact, push-on-churn.
 	live, err := sess.Register(eagr.QuerySpec{Aggregate: "ego-betweenness"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Windowed: recompute dirty egos when the watermark advances >= 100
-	// time units past the last tick.
-	sched, err := sess.Register(eagr.QuerySpec{Aggregate: "ego-betweenness", WindowTime: 100})
+	// A windowed registration reads the same values as the live one.
+	windowed, err := sess.Register(eagr.QuerySpec{Aggregate: "ego-betweenness", WindowTime: 100})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,34 +54,26 @@ func main() {
 		return float64(r.Scalar) / float64(eagr.TopoScale)
 	}
 	// Broker 0 sits between 4 of its 6 neighbor pairs (1-3, 1-4, 2-3, 2-4).
-	fmt.Printf("live EB: broker=%.2f circleA=%.2f circleB=%.2f\n",
-		eb(live, 0), eb(live, 1), eb(live, 3))
+	fmt.Printf("live EB: broker=%.2f circleA=%.2f circleB=%.2f (windowed broker=%.2f)\n",
+		eb(live, 0), eb(live, 1), eb(live, 3), eb(windowed, 0))
 
-	// The windowed view ticks off the expiry watermark: the first watermark
-	// arms the schedule and takes the initial snapshot.
-	sess.ExpireAll(100)
-	fmt.Printf("scheduled EB after first tick: broker=%.2f\n", eb(sched, 0))
-
-	// Bridge the circles directly: 1-3. The live view moves immediately;
-	// the scheduled view still serves its snapshot.
-	if err := sess.AddEdge(1, 3); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("after 1-3 bridge: live=%.2f scheduled(stale)=%.2f\n", eb(live, 0), eb(sched, 0))
-
-	// Not enough time has passed — no tick, still the old snapshot.
-	sess.ExpireAll(150)
-	fmt.Printf("watermark 150 (< window): scheduled=%.2f\n", eb(sched, 0))
-
-	// The next watermark past the window recomputes exactly the egos the
-	// churn dirtied and pushes the changed values to subscribers.
-	updates, cancel, err := sched.Subscribe(16, 0)
+	// Subscribe to the broker, then bridge the circles directly: 1-3. The
+	// subscriber hears the new value at the bridging event's timestamp.
+	updates, cancel, err := live.Subscribe(16, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer cancel()
-	sess.ExpireAll(220)
-	u := <-updates
-	fmt.Printf("watermark 220 ticks: scheduled broker EB -> %.2f (delivered ts=%d)\n",
-		float64(u.Result.Scalar)/float64(eagr.TopoScale), u.TS)
+	if err := sess.ApplyBatch([]eagr.Event{eagr.NewEdgeAdd(1, 3, 220)}); err != nil {
+		log.Fatal(err)
+	}
+	select {
+	case u := <-updates:
+		fmt.Printf("1-3 bridge at ts=%d: broker EB -> %.2f\n",
+			u.TS, float64(u.Result.Scalar)/float64(eagr.TopoScale))
+	default:
+		log.Fatal("no update for the broker after the bridge")
+	}
+	fmt.Printf("after 1-3 bridge: live=%.2f windowed=%.2f circleA=%.2f\n",
+		eb(live, 0), eb(windowed, 0), eb(live, 1))
 }

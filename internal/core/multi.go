@@ -124,11 +124,12 @@ func NewMulti(g *graph.Graph) *MultiSystem {
 // StructuralListener observes the shared graph's structure stream: it is
 // invoked once per SUCCESSFUL structural mutation (failed events — dup
 // edges, dead nodes — notify nobody), in event order, under the structural
-// mutation lock, plus once per watermark advance. This is the hook that
-// lets structure-consuming subsystems (topology-valued aggregates) ride the
-// same single graph-mutation path the overlay repair uses, without content
-// writes ever touching them. Callbacks must not re-enter the MultiSystem's
-// mutators and must not block: they run inside the ingestion path.
+// mutation lock, and never otherwise: neither content writes nor advances
+// of time reach it. This is the hook that lets structure-consuming
+// subsystems (topology-valued aggregates) ride the same single
+// graph-mutation path the overlay repair uses. Callbacks must not re-enter
+// the MultiSystem's mutators and must not block: they run inside the
+// ingestion path.
 type StructuralListener interface {
 	// EdgeAdded / EdgeRemoved report a directed edge u→w that was actually
 	// inserted into / deleted from the graph, with the event's timestamp.
@@ -139,11 +140,6 @@ type StructuralListener interface {
 	// needing the incident edges keep their own mirror).
 	NodeAdded(v graph.NodeID, ts int64)
 	NodeRemoved(v graph.NodeID, ts int64)
-	// WatermarkAdvanced reports time moving to ts (an Apply's advance), the
-	// clock for windowed-recompute consumers. Unlike the mutation callbacks it is
-	// NOT serialized under the structural lock; implementations synchronize
-	// themselves.
-	WatermarkAdvanced(ts int64)
 }
 
 // AttachStructuralListener installs the listener build returns. build runs
@@ -499,11 +495,10 @@ func (m *MultiSystem) Rebalance() (int, error) {
 // batch of content and structural events in stream order — the paper's
 // single interleaved data stream (§2.1: S_G plus the S_v) — and then closes
 // the time the batch closes, advancing every system's time-based windows to
-// advanceTo and ticking the structural listeners' watermark clock
-// (graph.NoAdvance closes no time; no events is a bare advance). It returns
-// the node ids the NodeAdd events allocated, in event order (deleted ids are
-// reused, so a caller that needs to address a streamed-in node cannot derive
-// its id from the graph size).
+// advanceTo (graph.NoAdvance closes no time; no events is a bare advance).
+// It returns the node ids the NodeAdd events allocated, in event order
+// (deleted ids are reused, so a caller that needs to address a streamed-in
+// node cannot derive its id from the graph size).
 //
 // Consecutive content writes form a run that goes through each engine's
 // serial, notification-coalescing Apply, and the advance rides the batch's
@@ -548,11 +543,6 @@ func (m *MultiSystem) Apply(events []graph.Event, advanceTo int64) ([]graph.Node
 			}
 		}
 		i = j
-	}
-	if advanceTo != graph.NoAdvance {
-		for _, l := range *m.listeners.Load() {
-			l.WatermarkAdvanced(advanceTo)
-		}
 	}
 	return added, errors.Join(errs...)
 }

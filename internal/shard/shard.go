@@ -29,9 +29,8 @@
 //
 // Shards never expire windows on their own. Each sees only a slice of the
 // stream, so a time it closed itself would be a different horizon from its
-// peers': topology views that recompute on every advance would tick at
-// different watermarks, and a shard that applied its slice of a half-failed
-// Apply would sit ahead of the shards that did not.
+// peers': a shard that applied its slice of a half-failed Apply would sit
+// ahead of the shards that did not.
 //
 // # Reads
 //

@@ -13,12 +13,11 @@ import (
 // implements the core structural-listener hook: the graph-mutation path
 // calls the *Added/*Removed methods after each successful structural
 // mutation (never on content writes, so content-only batches pay zero topo
-// cost), and an advance of time (a batch's or a standalone ExpireAll's)
-// calls WatermarkAdvanced — the clock that schedules recompute-class views.
+// cost). Time never reaches it: every value is a function of the current
+// structure alone.
 //
 // One Engine serves all topo queries of a session; views are deduped by
-// compile key (aggregate spec + window cadence) with refcounts, the same
-// sharing model the numeric overlays use.
+// spec with refcounts, the same sharing model the numeric overlays use.
 type Engine struct {
 	mu     sync.RWMutex
 	mirror *Mirror
@@ -39,32 +38,21 @@ func NewEngine(g *graph.Graph) *Engine {
 }
 
 // View is one refcounted topology query compiled into the engine: an
-// aggregate plus its window cadence, shared by every session query with the
-// same compile key. Incremental views read straight off the mirror;
-// recompute views additionally carry the per-ego value snapshot refreshed
-// on the watermark schedule.
+// aggregate shared by every session query that names it. Every view reads
+// straight off the mirror.
 type View struct {
-	eng    *Engine
-	key    string
-	spec   Spec
-	agg    Aggregate
-	window int64
-	refs   int
-
-	// Recompute-class state (agg.Incremental() == false, window > 0):
-	// vals holds the last scheduled computation per ego, dirty the egos
-	// whose ego network changed since, armed/lastTick the schedule.
-	vals     map[graph.NodeID]int64
-	dirty    map[graph.NodeID]struct{}
-	lastTick int64
-	armed    bool
-	ticks    int64
+	eng  *Engine
+	key  string
+	agg  Aggregate
+	refs int
 
 	subs map[*exec.Subscription]map[graph.NodeID]struct{} // filter; nil = all egos
 }
 
-// Acquire returns the view for (spec, window), creating it at refcount 1 or
-// bumping the existing view's refcount — compile-key sharing for topo.
+// Acquire returns the view for spec, creating it at refcount 1 or bumping
+// the existing view's refcount — compile-key sharing for topo. The window
+// is ignored: no value depends on it, so windowed and windowless queries of
+// one aggregate share a view.
 func (e *Engine) Acquire(spec Spec, window int64) (*View, error) {
 	a, err := New(spec)
 	if err != nil {
@@ -72,23 +60,17 @@ func (e *Engine) Acquire(spec Spec, window int64) (*View, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	key := spec.Key(window)
+	key := spec.Key(0)
 	if v, ok := e.views[key]; ok {
 		v.refs++
 		return v, nil
 	}
 	v := &View{
-		eng:    e,
-		key:    key,
-		spec:   spec,
-		agg:    a,
-		window: window,
-		refs:   1,
-		subs:   map[*exec.Subscription]map[graph.NodeID]struct{}{},
-	}
-	if !a.Incremental() && window > 0 {
-		v.vals = map[graph.NodeID]int64{}
-		v.dirty = map[graph.NodeID]struct{}{}
+		eng:  e,
+		key:  key,
+		agg:  a,
+		refs: 1,
+		subs: map[*exec.Subscription]map[graph.NodeID]struct{}{},
 	}
 	e.views[key] = v
 	return v, nil
@@ -121,16 +103,6 @@ func (v *View) Refs() int {
 	return v.refs
 }
 
-// Incremental reports the view's maintenance class.
-func (v *View) Incremental() bool { return v.agg.Incremental() }
-
-// Ticks reports completed scheduled recompute passes (0 for incremental).
-func (v *View) Ticks() int64 {
-	v.eng.mu.RLock()
-	defer v.eng.mu.RUnlock()
-	return v.ticks
-}
-
 // Subscribers reports the number of live subscriptions on the view.
 func (v *View) Subscribers() int {
 	v.eng.mu.RLock()
@@ -140,22 +112,11 @@ func (v *View) Subscribers() int {
 
 // Read returns the aggregate's current value for ego v. Unknown or dead
 // egos return exec.ErrUnknownNode, matching the numeric-query surface.
-//
-// Incremental views read the incrementally-maintained exact value.
-// Scheduled-recompute views read the last scheduled computation — the
-// windowed semantics — falling back to an on-the-fly computation for egos
-// never yet covered by a tick; windowless recompute views always compute on
-// the fly.
 func (vw *View) Read(v graph.NodeID) (agg.Result, error) {
 	vw.eng.mu.RLock()
 	defer vw.eng.mu.RUnlock()
 	if !vw.eng.mirror.Alive(v) {
 		return agg.Result{}, fmt.Errorf("topo: read node %d: %w", v, exec.ErrUnknownNode)
-	}
-	if vw.vals != nil {
-		if s, ok := vw.vals[v]; ok {
-			return agg.Result{Scalar: s, Valid: true}, nil
-		}
 	}
 	return vw.agg.Value(vw.eng.mirror, v), nil
 }
@@ -170,9 +131,9 @@ func (vw *View) Covered(v graph.NodeID) bool {
 // Subscribe attaches a bounded drop-oldest listener to the view (buffer < 1
 // defaults to 16). With no nodes it observes every ego; otherwise only the
 // listed egos, each of which must currently be alive (exec.ErrUnknownNode
-// otherwise). Incremental views deliver on every structural change that
-// moves an observed ego's value; recompute views deliver changed values at
-// each scheduled tick. Cancel with Unsubscribe; the mutation path never
+// otherwise). Each structural change delivers the refreshed value of every
+// observed ego whose ego network it changed, stamped with the event's ts —
+// changed value or not. Cancel with Unsubscribe; the mutation path never
 // blocks on a slow consumer.
 func (vw *View) Subscribe(buffer int, nodes ...graph.NodeID) (*exec.Subscription, error) {
 	vw.eng.mu.Lock()
@@ -237,51 +198,13 @@ func (e *Engine) NodeAdded(v graph.NodeID, ts int64) {
 }
 
 // NodeRemoved drops v and its incident edges; every former neighbor's ego
-// network changed, so they all fan out / go dirty. v itself is dead and
-// stops being readable or deliverable.
+// network changed, so they all fan out. v itself is dead and stops being
+// readable or deliverable.
 func (e *Engine) NodeRemoved(v graph.NodeID, ts int64) {
 	e.mu.Lock()
 	affected := e.mirror.NodeRemoved(v)
-	for _, vw := range e.views {
-		if vw.vals != nil {
-			delete(vw.vals, v)
-			delete(vw.dirty, v)
-		}
-	}
 	if len(affected) > 0 {
 		e.fanout(affected, ts)
-	}
-	e.mu.Unlock()
-}
-
-// WatermarkAdvanced is the recompute clock: every scheduled view whose
-// cadence has elapsed recomputes its dirty egos and delivers the changed
-// values. The schedule is a pure function of the watermark sequence (first
-// watermark always ticks), so replicas and recovery replays agree.
-func (e *Engine) WatermarkAdvanced(ts int64) {
-	e.mu.Lock()
-	for _, vw := range e.views {
-		if vw.vals == nil {
-			continue
-		}
-		if vw.armed && ts-vw.lastTick < vw.window {
-			continue
-		}
-		vw.armed = true
-		vw.lastTick = ts
-		vw.ticks++
-		for d := range vw.dirty {
-			if !e.mirror.Alive(d) {
-				delete(vw.vals, d)
-				continue
-			}
-			nv := vw.agg.Value(e.mirror, d).Scalar
-			if old, ok := vw.vals[d]; !ok || old != nv {
-				vw.vals[d] = nv
-				vw.deliver(d, agg.Result{Scalar: nv, Valid: true}, ts)
-			}
-		}
-		vw.dirty = map[graph.NodeID]struct{}{}
 	}
 	e.mu.Unlock()
 }
@@ -298,27 +221,16 @@ func (e *Engine) structuralChange(u, w graph.NodeID, common []graph.NodeID, ts i
 	e.fanout(e.scratch, ts)
 }
 
-// fanout routes the affected-ego set to every view: incremental views
-// deliver refreshed values immediately, windowless recompute views compute
-// and deliver on the spot, scheduled recompute views just mark dirty.
+// fanout delivers the refreshed value of every affected, observed ego to
+// each view's subscribers (callers hold e.mu). Values are computed from the
+// already-updated mirror, so a view with no subscribers has nothing to do.
 func (e *Engine) fanout(affected []graph.NodeID, ts int64) {
 	for _, vw := range e.views {
-		switch {
-		case vw.vals != nil: // scheduled recompute: defer to the tick
-			for _, a := range affected {
-				vw.dirty[a] = struct{}{}
-			}
-		case len(vw.subs) == 0:
-			// No subscribers and nothing to maintain: incremental values
-			// live in the shared mirror, already updated.
-		default:
-			for _, a := range affected {
-				if !e.mirror.Alive(a) {
-					continue
-				}
-				if !vw.observed(a) {
-					continue
-				}
+		if len(vw.subs) == 0 {
+			continue
+		}
+		for _, a := range affected {
+			if e.mirror.Alive(a) && vw.observed(a) {
 				vw.deliver(a, vw.agg.Value(e.mirror, a), ts)
 			}
 		}

@@ -5,12 +5,12 @@ import (
 )
 
 // Mirror is the engine's undirected view of the graph: per-node maps from
-// neighbor to directed-edge count, plus the incrementally-maintained
-// triangle count per ego. The main graph is directed and rejects duplicate
-// directed edges, so between any ordered pair at most one edge exists and
-// the per-pair count is 0, 1 (one direction), or 2 (both); an undirected
-// edge exists iff the count is positive. Self-loops are ignored — they add
-// nothing to an ego network.
+// neighbor to directed-edge count, plus the triangle count of every ego,
+// maintained exactly on every edge event. The main graph is directed and
+// rejects duplicate directed edges, so between any ordered pair at most one
+// edge exists and the per-pair count is 0, 1 (one direction), or 2 (both);
+// an undirected edge exists iff the count is positive. Self-loops are
+// ignored — they add nothing to an ego network.
 //
 // The Mirror is not internally synchronized: the Engine serializes writers
 // (structural listener callbacks already run under the core mutation lock)
@@ -19,9 +19,10 @@ type Mirror struct {
 	adj []map[graph.NodeID]uint8 // nil for never-seen/dead nodes
 	tri []int64                  // triangles through each ego
 
-	// common is scratch for the neighbors-of-both walk on edge deltas,
-	// reused across calls so steady-state churn allocates nothing.
-	common []graph.NodeID
+	// Scratch reused across calls so steady-state churn allocates nothing:
+	// common is C = N(x)∩N(y) of the pair being changed, gone NodeRemoved's
+	// former neighbors.
+	common, gone []graph.NodeID
 }
 
 // NewMirror returns an empty mirror sized for node IDs below cap.
@@ -86,62 +87,36 @@ func (m *Mirror) NodeAdded(v graph.NodeID) {
 	}
 }
 
-// NodeRemoved drops v and all its incident undirected edges, adjusting
-// triangle counts exactly as removing each edge one by one would. Returns
-// the set of other egos whose triangle count or degree changed (v's former
-// neighbors plus triangle third parties); the slice is scratch owned by the
-// mirror, valid until the next mutating call.
+// NodeRemoved drops v and all its incident undirected edges, one pair at a
+// time through the same update an edge removal takes, so the triangle
+// counts move exactly as removing each edge would. Returns v's former
+// neighbors, the other egos whose ego network changed; the slice is scratch
+// owned by the mirror, valid until the next mutating call.
 func (m *Mirror) NodeRemoved(v graph.NodeID) []graph.NodeID {
 	if int(v) >= len(m.adj) || m.adj[v] == nil {
 		return nil
 	}
-	m.common = m.common[:0]
-	affected := m.common
+	m.gone = m.gone[:0]
 	for u := range m.adj[v] {
-		// Each triangle v-u-x (x also a neighbor of v, u~x) dies with v.
-		// Decrement T[u] by |N(u)∩N(v)\{v}|: the loop visits the triangle
-		// from x's side too, so each corner loses exactly one per
-		// triangle. (N(v) is not mutated during the loop — only v's entry
-		// in each N(u) is deleted, and x==v is excluded below — so later
-		// iterations still see the full common sets.)
-		c := int64(0)
-		nu, nv := m.adj[u], m.adj[v]
-		if len(nu) < len(nv) {
-			for x := range nu {
-				if x != v && nv[x] > 0 {
-					c++
-				}
-			}
-		} else {
-			for x := range nv {
-				if x != u && nu[x] > 0 {
-					c++
-				}
-			}
-		}
-		m.tri[u] -= c
-		delete(m.adj[u], v)
-		affected = append(affected, u)
+		m.gone = append(m.gone, u)
 	}
-	m.tri[v] = 0
+	for _, u := range m.gone {
+		delete(m.adj[v], u)
+		delete(m.adj[u], v)
+		m.pairChanged(v, u, -1)
+	}
 	m.adj[v] = nil
-	m.common = affected[:0]
-	return affected
+	return m.gone
 }
 
 // EdgeDelta applies the appearance (add=true) or disappearance of directed
 // edge u→w to the undirected mirror. Most deltas don't change the
 // undirected structure (second direction of an existing pair, removal of
 // one of two directions): those return (nil, false). When the undirected
-// edge {u,w} actually appears or disappears, triangle counts update — for
-// every common neighbor x of u and w, the triangle u-w-x appears/vanishes,
-// so T[u] and T[w] move by |common| and each T[x] by 1 — and the returned
-// slice holds the common neighbors (the egos beyond u,w whose values
-// changed), with changed=true. The slice is mirror-owned scratch, valid
-// until the next mutating call.
-//
-// For removal the common-neighbor set is computed BEFORE deleting the pair
-// entry, so the counts removed are exactly the counts that were added.
+// edge {u,w} actually appears or disappears, pairChanged moves the
+// triangle counts and the returned slice holds the common neighbors of u
+// and w (the egos beyond u,w whose ego network changed), with changed=true.
+// The slice is mirror-owned scratch, valid until the next mutating call.
 func (m *Mirror) EdgeDelta(u, w graph.NodeID, add bool) (common []graph.NodeID, changed bool) {
 	if u == w {
 		return nil, false
@@ -154,101 +129,96 @@ func (m *Mirror) EdgeDelta(u, w graph.NodeID, add bool) (common []graph.NodeID, 
 	if m.adj[w] == nil {
 		m.adj[w] = make(map[graph.NodeID]uint8)
 	}
-	if add {
-		m.adj[u][w]++
-		m.adj[w][u]++
-		if m.adj[u][w] != 1 {
-			return nil, false // second direction: undirected edge already present
-		}
-	} else {
-		if m.adj[u][w] == 0 {
-			return nil, false // unknown edge (defensive; core pre-checks)
-		}
-		m.adj[u][w]--
-		m.adj[w][u]--
-		if m.adj[u][w] != 0 {
-			return nil, false // one direction remains: undirected edge survives
-		}
-		// Drop the zero-count entries: Degree is len(map), so a dead pair
+	n := m.adj[u][w]
+	switch {
+	case add && n == 0:
+		common = m.pairChanged(u, w, +1)
+		m.adj[u][w], m.adj[w][u] = 1, 1
+		return common, true
+	case !add && n == 1:
+		// Delete the entries outright: Degree is len(map), so a dead pair
 		// must not linger.
 		delete(m.adj[u], w)
 		delete(m.adj[w], u)
+		return m.pairChanged(u, w, -1), true
+	case add:
+		n++ // second direction: the undirected edge is already present
+	case n == 0:
+		return nil, false // unknown edge (defensive; core pre-checks)
+	default:
+		n-- // one direction remains: the undirected edge survives
 	}
-	// The undirected edge {u,w} just appeared or disappeared. Common
-	// neighbors are computed over the post-update adjacency minus the pair
-	// itself, which for both add and remove equals N(u)∩N(w)\{u,w} of the
-	// state WITHOUT the {u,w} edge — exactly the triangles affected.
-	m.common = m.common[:0]
-	nu, nw := m.adj[u], m.adj[w]
-	if len(nu) > len(nw) {
-		nu, nw = nw, nu
+	m.adj[u][w], m.adj[w][u] = n, n
+	return nil, false
+}
+
+// pairChanged is the one update rule for an undirected pair {x,y} appearing
+// (sign +1) or disappearing (sign −1). The caller calls it while the
+// adjacency holds the graph WITHOUT the pair — before inserting it, after
+// deleting it — so C = N(x)∩N(y) is the same on both sides and a removal
+// subtracts exactly what the addition added. The pair closes one triangle
+// through each ego of C, so T(x) and T(y) move by |C| and each T(v), v∈C,
+// by 1. Returns C in mirror-owned scratch.
+func (m *Mirror) pairChanged(x, y graph.NodeID, sign int64) []graph.NodeID {
+	m.common = m.meet(m.common[:0], x, y)
+	c := int64(len(m.common))
+	m.tri[x] += sign * c
+	m.tri[y] += sign * c
+	for _, v := range m.common {
+		m.tri[v] += sign
 	}
-	for x := range nu {
-		if x != u && x != w && nw[x] > 0 {
-			m.common = append(m.common, x)
+	return m.common
+}
+
+// meet appends N(a)∩N(b) to dst, walking the smaller set.
+func (m *Mirror) meet(dst []graph.NodeID, a, b graph.NodeID) []graph.NodeID {
+	na, nb := m.adj[a], m.adj[b]
+	if len(na) > len(nb) {
+		na, nb = nb, na
+	}
+	for z := range na {
+		if nb[z] > 0 {
+			dst = append(dst, z)
 		}
 	}
-	d := int64(1)
-	if !add {
-		d = -1
+	return dst
+}
+
+// hits counts the members of set adjacent to b.
+func (m *Mirror) hits(set []graph.NodeID, b graph.NodeID) int64 {
+	nb := m.adj[b]
+	var c int64
+	for _, z := range set {
+		if nb[z] > 0 {
+			c++
+		}
 	}
-	c := int64(len(m.common))
-	m.tri[u] += d * c
-	m.tri[w] += d * c
-	for _, x := range m.common {
-		m.tri[x] += d
-	}
-	return m.common, true
+	return c
 }
 
 // Bootstrap resets the mirror to exactly g's current topology: every alive
-// node tracked, every directed edge folded into undirected pair counts,
-// triangle counts recomputed. Used at query registration and durable
-// recovery — topo state is a pure function of the recovered graph.
+// node tracked, every directed edge folded in through EdgeDelta (so the
+// counts come from the same pair rule churn uses).
+// Used at query registration and durable recovery — topo state is a pure
+// function of the recovered graph.
 func (m *Mirror) Bootstrap(g *graph.Graph) {
 	n := g.MaxID()
 	m.adj = make([]map[graph.NodeID]uint8, n)
 	m.tri = make([]int64, n)
 	for v := graph.NodeID(0); int(v) < n; v++ {
-		if !g.Alive(v) {
-			continue
+		if g.Alive(v) {
+			m.adj[v] = make(map[graph.NodeID]uint8)
 		}
-		m.adj[v] = make(map[graph.NodeID]uint8)
 	}
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		if m.adj[v] == nil {
 			continue
 		}
 		for _, w := range g.Out(v) {
-			if w == v || m.adj[w] == nil {
-				continue
-			}
-			m.adj[v][w]++
-			m.adj[w][v]++
-		}
-	}
-	// Count triangles per ego: T(v) = ½·Σ_{u∈N(v)} |N(v)∩N(u)\{v,u}| —
-	// each triangle v-u-x contributes to the sum from both u's and x's
-	// side, hence the halving.
-	for v := range m.adj {
-		if m.adj[v] == nil {
-			continue
-		}
-		var t int64
-		nv := m.adj[graph.NodeID(v)]
-		for u := range nv {
-			nu := m.adj[u]
-			small, big := nv, nu
-			if len(big) < len(small) {
-				small, big = big, small
-			}
-			for x := range small {
-				if x != graph.NodeID(v) && x != u && big[x] > 0 && nv[x] > 0 && nu[x] > 0 {
-					t++
-				}
+			if m.adj[w] != nil {
+				m.EdgeDelta(v, w, true)
 			}
 		}
-		m.tri[v] = t / 2
 	}
 }
 
@@ -264,32 +234,26 @@ func (m *Mirror) egoBetweenness(v graph.NodeID) int64 {
 	if len(nv) < 2 {
 		return 0
 	}
-	// Materialize the neighbor list once; pairs iterate i<j over it.
-	nbrs := make([]graph.NodeID, 0, len(nv))
+	// Materialize the neighbor list once; pairs iterate i<j over it. Readers
+	// share the mirror under a read lock, so the scratch is local: on the
+	// stack up to 64 neighbors, which keeps a typical read allocation-free.
+	var nbuf, abuf [64]graph.NodeID
+	nbrs := nbuf[:0]
 	for u := range nv {
 		nbrs = append(nbrs, u)
 	}
 	var sum int64
+	av := abuf[:0]
 	for i := 0; i < len(nbrs); i++ {
 		a := nbrs[i]
 		na := m.adj[a]
+		av = m.meet(av[:0], a, v) // N(a)∩N(v): c of {a,b} is |av∩N(b)|
 		for j := i + 1; j < len(nbrs); j++ {
 			b := nbrs[j]
 			if na[b] > 0 {
 				continue // adjacent pair: geodesic skips v
 			}
-			c := int64(0)
-			nb := m.adj[b]
-			small, big := na, nb
-			if len(big) < len(small) {
-				small, big = big, small
-			}
-			for x := range small {
-				if x != v && big[x] > 0 && nv[x] > 0 {
-					c++
-				}
-			}
-			sum += Scale / (1 + c)
+			sum += Scale / (1 + m.hits(av, b))
 		}
 	}
 	return sum

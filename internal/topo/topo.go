@@ -10,20 +10,18 @@
 // are the (undirected views of the) graph edges among members. Self-loops
 // never count.
 //
-// Aggregates come in two maintenance classes (see Aggregate.Incremental):
+// Every value is exact at every read; nothing is scheduled. The Engine's
+// Mirror keeps the undirected adjacency and the triangle count of every ego
+// exactly on every edge delta: an undirected pair {x,y} appearing or leaving
+// moves the triangle count of x, y and every ego adjacent to both (the
+// classic streaming-triangle update), so density, triangles and wedges read
+// in O(1). Ego-betweenness is computed over the ego's current network at
+// each read and each delivery.
 //
-//   - Incremental (density, triangles, wedges): maintained exactly on every
-//     edge delta by the Engine's Mirror. An edge (u,w) arriving or leaving
-//     adjusts the triangle count of every ego adjacent to both endpoints,
-//     the classic streaming-triangle update, so reads are O(1).
-//   - Windowed recompute (ego-betweenness): recomputed over the current ego
-//     network, per ego, at a cadence scheduled off the ingestion watermark
-//     (QuerySpec.WindowTime), the TSBProxy-style temporal formulation.
-//
-// Either way a value is a pure function of the current topology (plus, for
-// recompute aggregates, the watermark schedule), which is what lets durable
-// sessions rebuild topo state from the recovered graph with no new WAL
-// record types.
+// A value is a pure function of the current topology, which is what lets
+// durable sessions rebuild topo state from the recovered graph with no new
+// WAL record types, and a recovered replica read exactly like one that
+// never crashed.
 package topo
 
 import (
@@ -45,15 +43,10 @@ const Scale = 1_000_000
 // Aggregate is one topology-valued aggregate: a pure function from an ego's
 // current undirected neighborhood structure (as held by a Mirror) to a
 // finalized result. Implementations must be stateless — per-query state
-// (recompute snapshots, subscriber sets) lives in the Engine's views.
+// (subscriber sets) lives in the Engine's views.
 type Aggregate interface {
 	// Name is the canonical spec spelling.
 	Name() string
-	// Incremental reports the maintenance class: true means the Mirror
-	// maintains the value exactly on every edge delta and Value is O(1)
-	// (or O(deg)); false means the value is recomputed per ego on the
-	// watermark schedule.
-	Incremental() bool
 	// Value computes the aggregate for ego v. The caller guarantees v is
 	// alive and holds the mirror read-locked.
 	Value(m *Mirror, v graph.NodeID) agg.Result
@@ -93,9 +86,9 @@ func Names() []string {
 	return out
 }
 
-// Spec is a parsed topology-aggregate spec: the canonical name. Window
-// cadence is NOT part of the spec — it arrives separately
-// (QuerySpec.WindowTime) and joins the compile key.
+// Spec is a parsed topology-aggregate spec: the canonical name. A window is
+// NOT part of the spec — it arrives separately (QuerySpec.WindowTime) and
+// joins only the persisted key.
 type Spec struct {
 	Name string
 }
@@ -103,10 +96,10 @@ type Spec struct {
 // String renders the canonical spelling; Parse(s.String()) round-trips.
 func (s Spec) String() string { return s.Name }
 
-// Key canonicalizes a spec plus its window cadence into the compile-sharing
-// key: queries with equal keys share one engine view (and its recompute
-// snapshots) outright. The "topo|" prefix keeps the key space disjoint from
-// the numeric-aggregate family keys.
+// Key canonicalizes a spec plus its window into the key a session persists
+// for the query. No value depends on the window, so the Engine shares one
+// view per Key(0). The "topo|" prefix keeps the key space disjoint from the
+// numeric-aggregate family keys.
 func (s Spec) Key(window int64) string {
 	return fmt.Sprintf("topo|%s|wt=%d", s.Name, window)
 }
@@ -160,8 +153,7 @@ func New(s Spec) (Aggregate, error) {
 // fewer than two neighbors have no pairs and report 0.
 type Density struct{}
 
-func (Density) Name() string      { return "density" }
-func (Density) Incremental() bool { return true }
+func (Density) Name() string { return "density" }
 
 func (Density) Value(m *Mirror, v graph.NodeID) agg.Result {
 	k := int64(m.Degree(v))
@@ -176,8 +168,7 @@ func (Density) Value(m *Mirror, v graph.NodeID) agg.Result {
 // themselves connected, maintained incrementally by the Mirror.
 type Triangles struct{}
 
-func (Triangles) Name() string      { return "triangles" }
-func (Triangles) Incremental() bool { return true }
+func (Triangles) Name() string { return "triangles" }
 
 func (Triangles) Value(m *Mirror, v graph.NodeID) agg.Result {
 	return agg.Result{Scalar: m.Triangles(v), Valid: true}
@@ -187,8 +178,7 @@ func (Triangles) Value(m *Mirror, v graph.NodeID) agg.Result {
 // k·(k−1)/2 for k = |N(v)|.
 type Wedges struct{}
 
-func (Wedges) Name() string      { return "wedges" }
-func (Wedges) Incremental() bool { return true }
+func (Wedges) Name() string { return "wedges" }
 
 func (Wedges) Value(m *Mirror, v graph.NodeID) agg.Result {
 	k := int64(m.Degree(v))
@@ -201,15 +191,11 @@ func (Wedges) Value(m *Mirror, v graph.NodeID) agg.Result {
 // and runs through a common neighbor, one of which is always v itself — so
 // v's share of the pair is 1/(1+c) for c common neighbors of a and b within
 // N(v). The result sums ⌊Scale/(1+c)⌋ over pairs: fixed-point millionths,
-// summed in integers so the value is independent of iteration order.
-//
-// It is the recompute class: values refresh per ego on the watermark
-// schedule (see Engine), the temporal formulation of the TSBProxy exemplar
-// — recompute-over-the-current-ego-network rather than incremental deltas.
+// summed in integers so the value is independent of iteration order. It is
+// computed on each call, over v's current ego network.
 type EgoBetweenness struct{}
 
-func (EgoBetweenness) Name() string      { return "ego-betweenness" }
-func (EgoBetweenness) Incremental() bool { return false }
+func (EgoBetweenness) Name() string { return "ego-betweenness" }
 
 func (EgoBetweenness) Value(m *Mirror, v graph.NodeID) agg.Result {
 	return agg.Result{Scalar: m.egoBetweenness(v), Valid: true}

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"errors"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -268,73 +269,14 @@ func TestEngineIncrementalDeliveryAndRead(t *testing.T) {
 	}
 }
 
-func TestEngineScheduledRecompute(t *testing.T) {
+// checkBetweennessDeliversAtEvent grows a star 0–{1,2} by a third leaf
+// under an ego-betweenness view with the given window and requires the
+// refreshed EB(0) = C(3,2)·Scale to arrive at the edge event's ts and to be
+// what Read serves — there is no schedule, whatever the window.
+func checkBetweennessDeliversAtEvent(t *testing.T, window int64) {
+	t.Helper()
 	e := newTestEngine(5, [][2]graph.NodeID{{1, 0}, {2, 0}})
-	vw, err := e.Acquire(Spec{Name: "ego-betweenness"}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := vw.Subscribe(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First watermark always ticks: egos 0,1,2 went dirty when the engine
-	// saw... nothing yet (edges predate the views? no — bootstrap included
-	// them), so nothing is dirty and nothing delivers.
-	e.WatermarkAdvanced(100)
-	if vw.Ticks() != 1 {
-		t.Fatalf("ticks = %d, want 1", vw.Ticks())
-	}
-	select {
-	case u := <-sub.Updates():
-		t.Fatalf("unexpected delivery %+v before any churn", u)
-	default:
-	}
-	// Star grows a third leaf: EB(0) goes from C(2,2)=1 to C(3,2)=3.
-	e.EdgeAdded(3, 0, 101)
-	// Mid-window reads still see the last scheduled value... which for ego
-	// 0 doesn't exist yet (never computed), so the read computes on the
-	// fly; after the tick the snapshot serves.
-	e.WatermarkAdvanced(105) // < lastTick+window: no tick
-	if vw.Ticks() != 1 {
-		t.Fatalf("early watermark ticked: %d", vw.Ticks())
-	}
-	e.WatermarkAdvanced(110) // tick: recompute dirty egos
-	if vw.Ticks() != 2 {
-		t.Fatalf("ticks = %d, want 2", vw.Ticks())
-	}
-	want := int64(3 * Scale)
-	seen := map[graph.NodeID]int64{}
-drain:
-	for {
-		select {
-		case u := <-sub.Updates():
-			seen[u.Node] = u.Result.Scalar
-			if u.TS != 110 {
-				t.Fatalf("tick delivery TS = %d, want 110", u.TS)
-			}
-		default:
-			break drain
-		}
-	}
-	if seen[0] != want {
-		t.Fatalf("tick delivered EB(0) = %d (all: %v), want %d", seen[0], seen, want)
-	}
-	if r, err := vw.Read(0); err != nil || r.Scalar != want {
-		t.Fatalf("Read(0) = %+v, %v; want %d", r, err, want)
-	}
-	// No churn between ticks → no recompute deliveries.
-	e.WatermarkAdvanced(200)
-	select {
-	case u := <-sub.Updates():
-		t.Fatalf("idle tick delivered %+v", u)
-	default:
-	}
-}
-
-func TestEngineWindowlessRecomputeDeliversOnChurn(t *testing.T) {
-	e := newTestEngine(4, [][2]graph.NodeID{{1, 0}, {2, 0}})
-	vw, err := e.Acquire(Spec{Name: "ego-betweenness"}, 0)
+	vw, err := e.Acquire(Spec{Name: "ego-betweenness"}, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,14 +284,133 @@ func TestEngineWindowlessRecomputeDeliversOnChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Star grows a third leaf: EB(0) goes from C(2,2)=1 to C(3,2)=3.
 	e.EdgeAdded(3, 0, 7)
 	select {
 	case u := <-sub.Updates():
-		if u.Node != 0 || u.Result.Scalar != 3*Scale {
-			t.Fatalf("update = %+v", u)
+		if u.Node != 0 || u.Result.Scalar != 3*Scale || u.TS != 7 {
+			t.Fatalf("update = %+v, want EB(0) = %d at ts 7", u, 3*Scale)
 		}
 	default:
-		t.Fatal("windowless recompute did not deliver on churn")
+		t.Fatal("no delivery at the edge event")
+	}
+	if r, err := vw.Read(0); err != nil || r.Scalar != 3*Scale {
+		t.Fatalf("Read(0) = %+v, %v; want %d", r, err, 3*Scale)
+	}
+}
+
+// TestEngineScheduledRecompute: a windowed ego-betweenness view waits for
+// no watermark tick — it delivers and reads the refreshed value at the edge
+// event — and reads what a windowless one does.
+func TestEngineScheduledRecompute(t *testing.T) {
+	checkBetweennessDeliversAtEvent(t, 10)
+	e := newTestEngine(4, [][2]graph.NodeID{{1, 0}, {2, 0}, {3, 0}})
+	windowed, err := e.Acquire(Spec{Name: "ego-betweenness"}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windowless, err := e.Acquire(Spec{Name: "ego-betweenness"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if windowed.Refs() != 2 {
+		t.Fatalf("refs = %d, want one view shared by both", windowed.Refs())
+	}
+	for v := graph.NodeID(0); v < 4; v++ {
+		a, aerr := windowed.Read(v)
+		b, berr := windowless.Read(v)
+		if aerr != nil || berr != nil || !a.Eq(b) || a.Scalar != e.mirror.egoBetweenness(v) {
+			t.Fatalf("EB(%d): windowed %+v/%v, windowless %+v/%v", v, a, aerr, b, berr)
+		}
+	}
+}
+
+// TestEngineWindowlessRecomputeDeliversOnChurn: a windowless ego-betweenness
+// view delivers the refreshed value at the edge event's ts.
+func TestEngineWindowlessRecomputeDeliversOnChurn(t *testing.T) {
+	checkBetweennessDeliversAtEvent(t, 0)
+}
+
+// TestBetweennessMatchesOracleUnderChurn drives the op mix of
+// TestMirrorMatchesOracleUnderChurn (edge add/remove, node removal, node-id
+// reuse) through the engine with ego-betweenness views standing: one from
+// the start, a second acquired midway, both released and one re-acquired
+// later. After every burst each view's Read of every alive ego must equal
+// the from-scratch reference.
+func TestBetweennessMatchesOracleUnderChurn(t *testing.T) {
+	const n = 24
+	spec := Spec{Name: "ego-betweenness"}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := graph.NewWithNodes(n)
+		e := NewEngine(g)
+		ref := newRefTopo(n)
+		first, err := e.Acquire(spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views := []*View{first}
+		alive := func() []graph.NodeID {
+			var out []graph.NodeID
+			for v := 0; v < g.MaxID(); v++ {
+				if g.Alive(graph.NodeID(v)) {
+					out = append(out, graph.NodeID(v))
+				}
+			}
+			return out
+		}
+		for step := 0; step < 400; step++ {
+			nodes := alive()
+			u, w := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
+			switch op := rng.Intn(100); {
+			case op < 55:
+				if g.AddEdge(u, w) == nil {
+					ref.addEdge(u, w)
+					e.EdgeAdded(u, w, int64(step))
+				}
+			case op < 85:
+				if g.RemoveEdge(u, w) == nil {
+					ref.removeEdge(u, w)
+					e.EdgeRemoved(u, w, int64(step))
+				}
+			case op < 93:
+				v := g.AddNode()
+				ref.alive[v] = true
+				e.NodeAdded(v, int64(step))
+			default:
+				if len(nodes) > 4 && g.RemoveNode(u) == nil {
+					ref.removeNode(u)
+					e.NodeRemoved(u, int64(step))
+				}
+			}
+			switch step {
+			case 150: // a second view while the first keeps the column
+				vw, err := e.Acquire(spec, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				views = append(views, vw)
+			case 250: // the last view goes and comes back
+				views[0].Release()
+				views[1].Release()
+				vw, err := e.Acquire(spec, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				views = []*View{vw}
+			}
+			if step%25 != 0 && step != 399 {
+				continue
+			}
+			for v := range ref.alive {
+				want := ref.egoBetweenness(v)
+				for i, vw := range views {
+					if r, err := vw.Read(v); err != nil || r.Scalar != want {
+						t.Fatalf("seed %d step %d view %d: EB(%d) = %+v/%v, want %d", seed, step, i, v, r, err, want)
+					}
+				}
+			}
+		}
 	}
 }
 

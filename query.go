@@ -122,35 +122,35 @@ func (v *overlayView) release() error { return v.Detach() }
 // structureView is a topology-valued query (internal/topo): an aggregate
 // over the STRUCTURE of each node's 1-hop undirected ego network, fed by the
 // graph's edge churn through the structural-listener hook instead of a
-// compiled content overlay. Queries with equal (aggregate, window)
-// configurations share one refcounted engine view — the topo form of
+// compiled content overlay. Queries naming the same aggregate share one
+// refcounted engine view, whatever their window — the topo form of
 // compile-key sharing. Subscriptions deliver through the same bounded
-// drop-oldest channel as overlay queries: incremental aggregates on every
-// edge-churn event that moves an observed ego's value, recompute aggregates
-// at each scheduled watermark tick.
+// drop-oldest channel as overlay queries: each structural event delivers
+// the refreshed value of every observed ego whose ego network it changed,
+// at the event's ts.
 type structureView struct {
 	*topo.View
 	sess *Session
+	alg  string // Stats.Algorithm
 }
 
 // newStructureView validates spec against the topology aggregate's contract
 // and acquires its shared engine view, creating the session's topo engine
-// when this is the first live topology query. QuerySpec.WindowTime selects
-// the recompute cadence for recompute-class aggregates (ego-betweenness);
-// incremental aggregates are always exact and take no window.
+// when this is the first live topology query. Every topology read is exact
+// over the current structure, which has no timestamps to expire, so no
+// aggregate takes a window — except that ego-betweenness still accepts a
+// WindowTime, which changes no value and only enters the persisted key, so
+// that registrations and durable logs from when it set a recompute cadence
+// still load.
 func (s *Session) newStructureView(ts topo.Spec, spec QuerySpec, o Options) (standingView, string, error) {
-	ta, err := topo.New(ts)
-	if err != nil {
-		return nil, "", fmt.Errorf("eagr: %w: %w", ErrIncompatibleQuery, err)
-	}
 	if spec.WindowTuples > 0 {
 		return nil, "", fmt.Errorf("eagr: %w: topology aggregate %q consumes edge churn, not content tuples — it takes no tuple window", ErrIncompatibleQuery, ts.Name)
 	}
 	if spec.Hops > 1 || o.Neighborhood != nil {
 		return nil, "", fmt.Errorf("eagr: %w: topology aggregate %q is defined on the 1-hop undirected ego network; custom neighborhoods and hop depths do not apply", ErrIncompatibleQuery, ts.Name)
 	}
-	if spec.WindowTime > 0 && ta.Incremental() {
-		return nil, "", fmt.Errorf("eagr: %w: topology aggregate %q is maintained incrementally (always exact); a recompute window only applies to scheduled aggregates like ego-betweenness", ErrIncompatibleQuery, ts.Name)
+	if spec.WindowTime > 0 && ts.Name != "ego-betweenness" {
+		return nil, "", fmt.Errorf("eagr: %w: topology aggregate %q is exact over the current structure; it takes no time window", ErrIncompatibleQuery, ts.Name)
 	}
 	// topoMu spans engine lookup + Acquire here and Release + idle check in
 	// release, so a registration can never acquire on an engine a concurrent
@@ -171,7 +171,11 @@ func (s *Session) newStructureView(ts topo.Spec, spec QuerySpec, o Options) (sta
 		s.dropIdleTopoEngine()
 		return nil, "", fmt.Errorf("eagr: %w: %w", ErrIncompatibleQuery, err)
 	}
-	return &structureView{View: vw, sess: s}, ts.Key(spec.WindowTime), nil
+	alg := "incremental" // the mirror keeps it exact on every edge event
+	if ts.Name == "ego-betweenness" {
+		alg = "on-read" // computed over the current ego network at each read
+	}
+	return &structureView{View: vw, sess: s, alg: alg}, ts.Key(spec.WindowTime), nil
 }
 
 // dropIdleTopoEngine detaches and forgets the topo engine once no view is
@@ -202,12 +206,8 @@ func (v *structureView) ReadWire(NodeID) (WirePAO, error) {
 }
 
 func (v *structureView) stats() Stats {
-	alg := "windowed-recompute"
-	if v.Incremental() {
-		alg = "incremental"
-	}
 	return Stats{
-		Algorithm:    alg,
+		Algorithm:    v.alg,
 		Mode:         "topo",
 		Maintainable: true,
 		Shared:       v.Refs(),

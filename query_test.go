@@ -138,10 +138,7 @@ var handleRows = []handleRow{
 		register: func(t *testing.T, sess *Session) *Query {
 			return mustRegister(t, sess, QuerySpec{Aggregate: "ego-betweenness", WindowTime: 10})
 		},
-		poke: func(t *testing.T, sess *Session, step int) {
-			pokeEdge(t, sess, step)
-			sess.ExpireAll(int64(step+1) * 100) // past the cadence: recompute + deliver
-		},
+		poke: pokeEdge,
 	},
 }
 

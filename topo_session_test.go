@@ -176,6 +176,11 @@ func TestTopoSessionOracleChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The window changes no value: it reads live like the others.
+		ebcWindowed, err := sess.Register(QuerySpec{Aggregate: "ego-betweenness", WindowTime: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
 		// A time-windowed numeric query keeps the content/expiry machinery
 		// engaged in the same stream.
 		counts, err := sess.Register(QuerySpec{Aggregate: "count", WindowTime: 50})
@@ -236,6 +241,9 @@ func TestTopoSessionOracleChurn(t *testing.T) {
 				}
 				if r, err := ebc.Read(v); err != nil || r.Scalar != bruteEgoBetweenness(g, v) {
 					t.Fatalf("seed %d burst %d: EB(%d) = %+v/%v, want %d", seed, burst, v, r, err, bruteEgoBetweenness(g, v))
+				}
+				if r, err := ebcWindowed.Read(v); err != nil || r.Scalar != bruteEgoBetweenness(g, v) {
+					t.Fatalf("seed %d burst %d: windowed EB(%d) = %+v/%v, want %d", seed, burst, v, r, err, bruteEgoBetweenness(g, v))
 				}
 			}
 		}
@@ -311,19 +319,23 @@ func TestTopoEgoBetweennessWindowedSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.ExpireAll(100) // arm the schedule
-	// Star gains a leaf: EB(0) = C(3,2) = 3 once recomputed.
+	// The window changes no value, so a windowless query shares the view.
+	live, err := sess.Register(QuerySpec{Aggregate: "ego-betweenness"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := ebc.Stats(); st.Algorithm != "on-read" || st.Shared != 2 {
+		t.Fatalf("stats = %+v", st)
+	}
+	// Star gains a leaf: EB(0) = C(3,2) = 3 at once, no advance of time.
 	if err := sess.AddEdge(3, 0); err != nil {
 		t.Fatal(err)
 	}
-	sess.ExpireAll(105) // inside the window: no recompute yet
-	if st := ebc.Stats(); st.Algorithm != "windowed-recompute" {
-		t.Fatalf("stats = %+v", st)
-	}
-	sess.ExpireAll(111) // past the cadence: recompute
-	r, err := ebc.Read(0)
-	if err != nil || r.Scalar != 3*topo.Scale {
-		t.Fatalf("EB(0) after tick = %+v/%v, want %d", r, err, 3*topo.Scale)
+	for _, q := range []*Query{ebc, live} {
+		r, err := q.Read(0)
+		if err != nil || r.Scalar != 3*topo.Scale {
+			t.Fatalf("EB(0) after AddEdge = %+v/%v, want %d", r, err, 3*topo.Scale)
+		}
 	}
 }
 
@@ -372,11 +384,11 @@ func TestTopoContentPathZeroAlloc(t *testing.T) {
 
 // TestTopoDurableRecovery: topology-valued aggregates survive crash
 // recovery with zero dedicated WAL records — topo state is a pure function
-// of the recovered graph plus the replayed expiry watermarks. A durable
-// session with all four topo aggregates (and a numeric query in the same
-// stream) takes mixed churn, checkpoints mid-stream, crashes, and the
-// recovered session must answer every query exactly like a never-crashed
-// oracle that applied the same batches and expires.
+// of the recovered graph. A durable session with all four topo aggregates
+// (and a numeric query in the same stream) takes mixed churn, checkpoints
+// mid-stream, crashes, and the recovered session must answer every query
+// exactly like a never-crashed oracle that applied the same batches and
+// expires.
 func TestTopoDurableRecovery(t *testing.T) {
 	const n = 16
 	for seed := int64(1); seed <= 3; seed++ {
@@ -429,8 +441,8 @@ func TestTopoDurableRecovery(t *testing.T) {
 				}
 			}
 		}
-		// Final tick after all churn so the windowed-recompute snapshot and
-		// the on-the-fly fallback agree on both sides of the crash.
+		// A final advance after all churn, so the numeric window closes at
+		// the same time on both sides of the crash.
 		s.ExpireAll(ts)
 		expires = append(expires, ts)
 		if err := s.SimulateCrash(); err != nil {
@@ -462,12 +474,25 @@ func TestTopoDurableRecovery(t *testing.T) {
 			}
 		}
 		oracle.ExpireAll(expires[len(expires)-1])
+
+		// The recovered windowed ego-betweenness view reads like the
+		// never-crashed one, and like the current structure, straight
+		// after OpenDurable: it waits for no advance of time.
+		g2 := s2.Graph()
+		ebc, ebcOracle := s2.Queries()[3], oracle.Queries()[3]
+		for v := NodeID(0); int(v) < g2.MaxID(); v++ {
+			got, gerr := ebc.Read(v)
+			want, werr := ebcOracle.Read(v)
+			if gerr != nil || werr != nil || !got.Eq(want) || got.Scalar != bruteEgoBetweenness(g2, v) {
+				t.Fatalf("seed %d: recovered windowed EB(%d) = %+v/%v, never-crashed %+v/%v, brute force %d",
+					seed, v, got, gerr, want, werr, bruteEgoBetweenness(g2, v))
+			}
+		}
 		assertSameResults(t, fmt.Sprintf("topo seed %d", seed), s2, oracle)
 
 		// Recovered topo queries keep maintaining: one more structural
 		// change must flow through to reads.
 		q := s2.Queries()[1] // triangles
-		g2 := s2.Graph()
 		var a, b NodeID = 0, 1
 		if err := s2.ApplyBatch([]Event{NewEdgeAdd(a, b, ts+1)}); err == nil {
 			if r, err := q.Read(a); err != nil || r.Scalar != bruteTriangles(g2, a) {
