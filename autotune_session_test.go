@@ -17,7 +17,7 @@ func TestSessionAutotuneLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.enableAutotune(autotune.Config{Interval: time.Millisecond, MinActivity: 1})
+	sess.enableAutotune(autotune.Config{Interval: time.Millisecond})
 	defer sess.StopAutotune()
 	if _, err := sess.Register(QuerySpec{Aggregate: "sum"}); err != nil {
 		t.Fatal(err)

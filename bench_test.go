@@ -275,9 +275,9 @@ func BenchmarkOpWriteBatchHotWriter(b *testing.B) {
 
 // benchAutotuneShift measures a mixed Zipf stream whose hot set has
 // drifted away from the workload the overlay was planned for. The tuned
-// variant lets the autotune controller adapt (frontier flips + re-plan
-// cutover) during warm-up; the off variant measures the stale plan. The
-// gap is the self-driving adaptivity win.
+// variant lets the autotune controller adapt (frontier flips) during
+// warm-up; the off variant measures the stale plan. The gap is the
+// self-driving adaptivity win.
 func benchAutotuneShift(b *testing.B, tuned bool) {
 	sys, events, err := benchfix.AutotuneShiftFixture(tuned)
 	if err != nil {

@@ -25,8 +25,8 @@
 // start replays nothing.
 //
 // With -autotune the session's adaptivity controller starts once the
-// session is open (after any recovery) with the library defaults: a 2s
-// sampling period, a 1.15 degradation ratio and a 30s re-plan cooldown.
+// session is open (after any recovery) with the library default 2s
+// sampling period.
 package main
 
 import (
@@ -65,7 +65,7 @@ func main() {
 		tsJump   = flag.Int64("ingest-max-ts-jump", 0, "reject /ingest events whose timestamp runs further than this ahead of the stream (0 = unbounded; guards the watermark against corrupt far-future timestamps)")
 		manualEx = flag.Bool("ingest-manual-expire", false, "do not expire time-based windows on the local ingest watermark; only POST /expire advances them (for shard servers behind eagr-router, which closes time on every shard at its stream time)")
 
-		autotune = flag.Bool("autotune", false, "run the self-driving adaptivity controller: background sampling of observed per-reader push/pull rates, frontier flips, and full re-plan cutovers (see /stats \"autotune\")")
+		autotune = flag.Bool("autotune", false, "run the self-driving adaptivity controller: background sampling of observed per-reader push/pull counts and the frontier flips they justify (see /stats \"autotune\")")
 
 		dataDir    = flag.String("data-dir", "", "durability directory: WAL + checkpoints (empty = in-memory only)")
 		fsyncMode  = flag.String("fsync", "per-batch", "WAL fsync policy with -data-dir: per-batch | interval | off")
@@ -166,7 +166,7 @@ func main() {
 		err := srv.Shutdown(shutdownCtx)
 		api.Close()
 		// Stop the adaptivity controller before the final checkpoint so no
-		// re-plan cutover races the durability close.
+		// frontier-flip install races the durability close.
 		sess.StopAutotune()
 		if *dataDir != "" {
 			// The final checkpoint covers the whole log: the next start

@@ -268,14 +268,13 @@ func Open(g *Graph, opts ...Options) (*Session, error) {
 }
 
 // EnableAutotune starts the session's background adaptivity controller: a
-// goroutine that samples the engines' live push/pull observations into a
-// decayed, per-reader workload estimate every 2s and re-optimizes running
-// overlays online — incremental frontier flips, and full re-plan cutovers
-// when the observed-workload cost of the current decisions exceeds 1.15× a
-// fresh plan's (at most one per overlay per 30s). Neither ever moves a
-// reader of an all-push (Continuous) query; reads never pause, writes wait
-// for the engine's install step only. A no-op if the controller is already
-// running; it runs until StopAutotune.
+// goroutine that drains the engines' live push/pull observations every 2s
+// and applies the §4.8 frontier flips whose filled observation window
+// contradicts the running decisions. It never moves a reader of a
+// fixed-mode (all-push or all-pull; every Continuous query is all-push)
+// overlay; reads never pause, writes wait for the engine's install step
+// only. A no-op if the controller is already running; it runs until
+// StopAutotune.
 func (s *Session) EnableAutotune() { s.enableAutotune(autotune.DefaultConfig()) }
 
 // enableAutotune is EnableAutotune with the controller's configuration

@@ -156,8 +156,8 @@ func TestConcurrentSendersMatchBruteModel(t *testing.T) {
 
 // TestConcurrentSendersRaceAutotuneAndSubscriptions is the CI stress
 // companion (run under -race): two senders share an Ingestor on a
-// content-heavy stream while the autotune controller ticks re-planning
-// cutovers and a subscription consumer drains continuous updates. The
+// content-heavy stream while the autotune controller ticks and a
+// subscription consumer drains continuous updates. The
 // test asserts liveness and a final cross-check against an undisturbed
 // sequential session; the race detector owns the memory-safety claim.
 func TestConcurrentSendersRaceAutotuneAndSubscriptions(t *testing.T) {
@@ -180,7 +180,7 @@ func TestConcurrentSendersRaceAutotuneAndSubscriptions(t *testing.T) {
 	}
 	sess, q := mk()
 	oracle, oq := mk()
-	sess.enableAutotune(autotune.Config{Interval: time.Millisecond, MinActivity: 1})
+	sess.enableAutotune(autotune.Config{Interval: time.Millisecond})
 	defer sess.StopAutotune()
 
 	ch, cancel, err := q.Subscribe(256, 0)

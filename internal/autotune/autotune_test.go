@@ -55,7 +55,7 @@ func pairGraph(t *testing.T, n int) (*core.MultiSystem, *core.System) {
 // scheme can answer incrementally: the single pull reader of a 0→1 pair
 // turns read-hot (256 reads, no writes), which contradicts the write-heavy
 // plan at a frontier node. One controller tick must apply the frontier
-// flip — the reader becomes push-covered — without a full reoptimize.
+// flip — the reader becomes push-covered.
 func TestAutotuneFlipsHotPullReader(t *testing.T) {
 	m, sys := pairGraph(t, 1)
 	for i := 0; i < 256; i++ {
@@ -63,7 +63,7 @@ func TestAutotuneFlipsHotPullReader(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ctl := New(m, Config{MinActivity: 1})
+	ctl := New(m, Config{})
 	ctl.TickNow()
 	st := ctl.Stats()
 	if st.Flips < 1 {
@@ -75,9 +75,6 @@ func TestAutotuneFlipsHotPullReader(t *testing.T) {
 	if !sys.Engine().Covered(1) {
 		t.Fatal("hot pull reader was not flipped to push")
 	}
-	if st.Reoptimizes != 0 {
-		t.Fatalf("incremental flip escalated to %d reoptimize(s)", st.Reoptimizes)
-	}
 	ast := sys.AdaptivityStats()
 	if ast.Rebalances < 1 || ast.LastFlips < 1 {
 		t.Fatalf("core adaptivity stats missed the rebalance: %+v", ast)
@@ -87,20 +84,26 @@ func TestAutotuneFlipsHotPullReader(t *testing.T) {
 	}
 }
 
-// TestAutotuneShiftTriggersExactlyOneReoptimize drives a shift spread so
-// thin (8 reads per reader, under the adaptor's 64-sample window) that no
-// frontier flip can answer it — only the cost-degradation signal fires.
-// The plan said write-heavy; the observed stream is read-heavy, so the
-// all-pull decisions cost ~8x a fresh plan and the controller must cut
-// over via Reoptimize exactly once: the cooldown and the now-correct plan
-// (hysteresis) both forbid a second cutover while the same shifted
-// workload keeps flowing.
-func TestAutotuneShiftTriggersExactlyOneReoptimize(t *testing.T) {
-	const pairs = 200
+// TestAutotuneThinShiftFlipsWhenWindowFills drives a shift spread thin: 200
+// write-heavy-planned pairs each see 1 write and 8 reads per tick, so a
+// reader's frontier window gains 9 observations a tick and needs 8 ticks to
+// reach the adaptor's 64 samples. The window closes only when a flip is
+// pending, so the counts accumulate across ticks: no flip fires before the
+// window fills, and every hot reader turns push on the tick it does.
+func TestAutotuneThinShiftFlipsWhenWindowFills(t *testing.T) {
+	const pairs, fillTick = 200, 8
 	m, sys := pairGraph(t, pairs)
-	ctl := New(m, Config{MinActivity: 1, DegradationRatio: 1.05, Cooldown: time.Hour})
-	ctl.now = func() time.Time { return time.Unix(1000, 0) }
-	round := func() {
+	ctl := New(m, Config{})
+	covered := func() int {
+		n := 0
+		for i := 0; i < pairs; i++ {
+			if sys.Engine().Covered(graph.NodeID(i + pairs)) {
+				n++
+			}
+		}
+		return n
+	}
+	for tick := 1; tick <= fillTick; tick++ {
 		for i := 0; i < pairs; i++ {
 			if err := sys.Engine().Write(graph.NodeID(i), 1, 1); err != nil {
 				t.Fatal(err)
@@ -111,33 +114,14 @@ func TestAutotuneShiftTriggersExactlyOneReoptimize(t *testing.T) {
 				}
 			}
 		}
-	}
-	round()
-	ctl.TickNow()
-	st := ctl.Stats()
-	if st.Reoptimizes != 1 {
-		t.Fatalf("Reoptimizes = %d after the shift, want exactly 1 (stats %+v)", st.Reoptimizes, st)
-	}
-	if st.Flips != 0 {
-		t.Fatalf("flips fired below the sample window: %+v", st)
-	}
-	if !strings.Contains(st.LastTrigger, "reoptimize") {
-		t.Fatalf("LastTrigger = %q, want a reoptimize trigger", st.LastTrigger)
-	}
-	if st.EstimatedCost <= st.PlanCost {
-		t.Fatalf("degradation check recorded no gap: cost %v <= plan %v", st.EstimatedCost, st.PlanCost)
-	}
-	if !sys.Engine().Covered(graph.NodeID(pairs)) {
-		t.Fatal("cutover did not re-plan the hot readers to push")
-	}
-	// Hysteresis: the same shifted workload keeps flowing, the controller
-	// keeps ticking, and the count must stay at one.
-	for j := 0; j < 5; j++ {
-		round()
 		ctl.TickNow()
-	}
-	if got := ctl.Stats().Reoptimizes; got != 1 {
-		t.Fatalf("Reoptimizes = %d after settling, want exactly 1", got)
+		st, got := ctl.Stats(), covered()
+		if tick < fillTick && (st.Flips != 0 || got != 0) {
+			t.Fatalf("tick %d: %d flips, %d readers covered before the window filled", tick, st.Flips, got)
+		}
+		if tick == fillTick && (st.Flips != pairs || got != pairs) {
+			t.Fatalf("tick %d: %d flips, %d of %d readers covered once the window filled", tick, st.Flips, got, pairs)
+		}
 	}
 }
 
@@ -193,7 +177,7 @@ func coveredWithInputs(att *core.Attachment, g *graph.Graph, hi int) int {
 // alone prices each view. With writes everywhere and only view A read, A's
 // readers go push while B's — at the same data-graph nodes — stay pull;
 // reading B instead brings its coverage back. No per-view rule is involved:
-// every change is a frontier flip or a re-plan.
+// every change is a frontier flip.
 func TestAutotuneColdViewPricedPerReader(t *testing.T) {
 	m, a, b := viewPair(t, false, core.ModeDataflow)
 	g := m.Graph()
@@ -201,7 +185,7 @@ func TestAutotuneColdViewPricedPerReader(t *testing.T) {
 	for v := 0; v < g.MaxID(); v++ {
 		writes = append(writes, graph.Event{Kind: graph.ContentWrite, Node: graph.NodeID(v), Value: int64(v), TS: 1})
 	}
-	ctl := New(m, Config{MinActivity: 1, Cooldown: -1})
+	ctl := New(m, Config{})
 	// phase writes every node and reads one view hot for three ticks, and
 	// returns how many decisions the controller changed meanwhile.
 	phase := func(read *core.Attachment, hi int) int64 {
@@ -216,7 +200,7 @@ func TestAutotuneColdViewPricedPerReader(t *testing.T) {
 			ctl.TickNow()
 		}
 		after := ctl.Stats()
-		return after.Flips + after.Reoptimizes - before.Flips - before.Reoptimizes
+		return after.Flips - before.Flips
 	}
 	a0 := coveredWithInputs(a, g, 100)
 	changed := phase(a, 100)
@@ -236,52 +220,8 @@ func TestAutotuneColdViewPricedPerReader(t *testing.T) {
 	}
 }
 
-// TestAutotuneReadsFollowReaderAcrossGrowth: the controller's read
-// estimate is keyed by reader (tag, node), so reads sampled on one member
-// view before the graph grows still price that view's reader after it —
-// not another view's reader at a node the grown graph now has.
-func TestAutotuneReadsFollowReaderAcrossGrowth(t *testing.T) {
-	const base, hot, reads = 500, graph.NodeID(5), 1000
-	m := core.NewMulti(workload.SocialGraph(base, 6, 1))
-	var views [2]*core.Attachment
-	for i := range views {
-		att, err := m.AttachMerged(fmt.Sprintf("view-q%d", i), "fam",
-			core.Query{Aggregate: agg.Sum{}}, core.Options{Algorithm: construct.AlgVNMA})
-		if err != nil {
-			t.Fatal(err)
-		}
-		views[i] = att
-	}
-	sys := views[1].System()
-	for range reads {
-		if _, err := views[1].Read(hot); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctl := New(m, Config{})
-	ctl.TickNow()
-	grow := make([]graph.Event, 600)
-	for i := range grow {
-		grow[i] = graph.Event{Kind: graph.NodeAdd}
-	}
-	if _, err := m.Apply(grow, graph.NoAdvance); err != nil {
-		t.Fatal(err)
-	}
-	ov := sys.Overlay()
-	f, err := dataflow.ComputeFreqs(ov, ctl.estimatedWorkload(ctl.stateFor(sys)), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Pull[ov.Reader(1, hot)]; got != reads {
-		t.Errorf("view 1 node %d priced at read rate %v, want %d", hot, got, reads)
-	}
-	if got := f.Pull[ov.Reader(0, 1029)]; got != 0 {
-		t.Errorf("view 0 node 1029 priced at read rate %v, want 0", got)
-	}
-}
-
 // TestAutotuneControllerStress races the background controller loop (1ms
-// interval: sampling, flips and reoptimize cutovers) against concurrent
+// interval: sampling and frontier flips) against concurrent
 // batched writes, reads, structural edge churn, and merged-family
 // attach/detach. The merged family compiles in dataflow mode, so the
 // controller changes its decisions while members come and go. Run under
@@ -316,8 +256,7 @@ func TestAutotuneControllerStress(t *testing.T) {
 		}
 	}
 
-	ctl := New(m, Config{Interval: time.Millisecond, MinActivity: 1,
-		DegradationRatio: 1.02, Cooldown: -1})
+	ctl := New(m, Config{Interval: time.Millisecond})
 	ctl.Start()
 	ctl.Start() // idempotent
 
@@ -474,7 +413,7 @@ func neverUncoversBesideTwin(t *testing.T) {
 	}
 	defer contAtt.Unsubscribe(sub)
 
-	ctl := New(m, Config{MinActivity: 1})
+	ctl := New(m, Config{})
 	writes := workload.Events(workload.ZipfWorkload(g.MaxID(), 1.0, 1e6, 1e9, 3), 1<<14, 5)
 	for round := 0; round < 6; round++ {
 		if _, err := m.Apply(writes, graph.NoAdvance); err != nil {
@@ -513,7 +452,7 @@ func neverUncoversMergedFamily(t *testing.T) {
 	m, a, b := viewPair(t, true, "")
 	g := m.Graph()
 	a0, b0 := coveredWithInputs(a, g, 100), coveredWithInputs(b, g, 150)
-	ctl := New(m, Config{MinActivity: 1})
+	ctl := New(m, Config{})
 	for tick := 0; tick < 3; tick++ {
 		readView(t, a, 100, 6)
 		ctl.TickNow()
@@ -554,7 +493,7 @@ func allPushInstallsOncePerStructuralBatch(t *testing.T) {
 	if g.HasEdge(u, w) {
 		t.Fatalf("fixture: edge %d->%d already present", u, w)
 	}
-	ctl := New(m, Config{MinActivity: 1})
+	ctl := New(m, Config{})
 	before := sys.AdaptivityStats().Installs
 	const batches = 20
 	for i := 0; i < batches; i++ {

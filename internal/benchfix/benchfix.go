@@ -441,9 +441,9 @@ func RunExpireSparse(b *testing.B, eng *exec.Engine) {
 // decisions are wrong for the traffic actually observed. With tuned=true
 // the warm-up interleaves manual controller ticks (TickNow on a
 // never-Started controller, keeping the fixture deterministic): frontier
-// flips and a re-plan cutover adapt the overlay to the shifted hot set
-// before measurement. With tuned=false the stale plan is measured as-is.
-// The ns/op gap between the two is the controller's win.
+// flips adapt the overlay to the shifted hot set before measurement. With
+// tuned=false the stale plan is measured as-is. The ns/op gap between the
+// two is the controller's win.
 func AutotuneShiftFixture(tuned bool) (*core.System, []graph.Event, error) {
 	g := workload.SocialGraph(2000, 8, 1)
 	m := core.NewMulti(g)
@@ -462,11 +462,7 @@ func AutotuneShiftFixture(tuned bool) (*core.System, []graph.Event, error) {
 	events := workload.Events(shifted, 1<<16, 9)
 	var ctl *autotune.Controller
 	if tuned {
-		ctl = autotune.New(m, autotune.Config{
-			MinActivity:      1,
-			DegradationRatio: 1.02,
-			Cooldown:         -1, // re-plan whenever the cost check demands it
-		})
+		ctl = autotune.New(m, autotune.Config{})
 	}
 	// Warm-up: 8 passes over an 8192-event prefix of the shifted stream,
 	// one controller tick per pass when tuned. The untuned fixture runs
@@ -509,9 +505,9 @@ func RunSystemMixed(b *testing.B, sys *core.System, events []graph.Event) {
 // the given size compiled to the baseline overlay with dataflow-optimal
 // decisions, pre-loaded with one pass of writes so an install seeds real
 // push state. The measured op — exec.Engine.Rebuild on the installed overlay
-// — is the whole snapshot transition the autotune controller's re-plan path
-// and every structural repair lean on; running it at three sizes charts its
-// latency against overlay size.
+// — is the whole snapshot transition the autotune controller's flips, a
+// Reoptimize and every structural repair lean on; running it at three sizes
+// charts its latency against overlay size.
 func RebuildEngine(nodes int) (*exec.Engine, *overlay.Overlay, error) {
 	g := workload.SocialGraph(nodes, 8, 1)
 	ag := bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes)

@@ -3,17 +3,14 @@ package core
 import (
 	"time"
 
-	"repro/internal/dataflow"
-	"repro/internal/graph"
 	"repro/internal/overlay"
 )
 
 // This file is the adaptivity surface a background controller (package
 // autotune) drives: draining the engine's live push/pull observations into
-// graph-level workload samples, applying pending frontier flips, and
-// costing the current decisions against a fresh plan for the observed
-// workload. Everything here is also usable on demand (Rebalance, the
-// /rebalance endpoint) — the controller merely calls it on a clock.
+// the §4.8 adaptor and applying the frontier flips pending there.
+// Everything here is also usable on demand (Rebalance, the /rebalance
+// endpoint) — the controller merely calls it on a clock.
 
 // AdaptivityStats is the externally visible adaptivity state of one system:
 // monotonic totals of the push/pull observations drained from the engine
@@ -53,67 +50,28 @@ func (s *System) AdaptivityStats() AdaptivityStats {
 	}
 }
 
-// Sample is one drained window of engine observations translated into
-// graph-level terms: per-writer-node write counts, per-reader read counts
-// (merged views at one node keep their own counts), and the adaptor's
-// current frontier-flip pressure.
-type Sample struct {
-	WriterWrites map[graph.NodeID]float64
-	ReaderReads  map[overlay.ReaderID]float64
-	// Pressure is the number of frontier nodes whose filled observation
-	// window contradicts their decision — what ApplyFlips would flip now.
-	Pressure int
-	// Activity is the total drained observation count (pushes + pulls,
-	// including interior overlay nodes).
-	Activity float64
-}
-
 // SampleObservations drains the engine's push/pull counters, feeds them to
 // the adaptive scheme (so a later ApplyFlips sees them), and returns the
-// window translated into graph terms for workload estimation. It shares the
-// cumulative telemetry with Rebalance; the two may be freely interleaved.
-func (s *System) SampleObservations() Sample {
+// adaptor's frontier-flip pressure: the number of frontier nodes whose
+// filled observation window contradicts their decision — what ApplyFlips
+// would flip now. It shares the cumulative telemetry with Rebalance; the
+// two may be freely interleaved.
+func (s *System) SampleObservations() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pushes, pulls := s.drainObservationsLocked()
-	smp := Sample{
-		WriterWrites: make(map[graph.NodeID]float64),
-		ReaderReads:  make(map[overlay.ReaderID]float64),
-	}
-	for ref, c := range pushes {
-		smp.Activity += c
-		if int(ref) >= s.ov.Len() || !s.ov.Alive(ref) {
-			continue
-		}
-		if n := s.ov.Node(ref); n.Kind == overlay.WriterNode {
-			smp.WriterWrites[n.GID] += c
-		}
-	}
-	for ref, c := range pulls {
-		smp.Activity += c
-		if int(ref) >= s.ov.Len() || !s.ov.Alive(ref) {
-			continue
-		}
-		// Every read bumps its reader's pull counter exactly once whether
-		// the reader is push- or pull-annotated (interior pulls land on
-		// partials/writers, skipped here), so reader pulls ARE read rates.
-		if n := s.ov.Node(ref); n.Kind == overlay.ReaderNode {
-			smp.ReaderReads[overlay.ReaderID{Tag: n.Tag, Node: n.GID}] += c
-		}
-	}
-	smp.Pressure = s.adaptor.Pressure()
-	return smp
+	s.drainObservationsLocked()
+	return s.adaptor.Pressure()
 }
 
 // drainObservationsLocked moves the engine's observation window into the
 // adaptor and the cumulative telemetry. Callers hold s.mu.
 //
-// A system compiled all-push keeps the telemetry and feeds the adaptor
-// nothing, which is what keeps the §4.8 scheme off it: an adaptor without
-// observations has no pressure and flips no node. All-push is every
-// Continuous query, whose subscribers are covered only while their readers
-// stay push, and the only way a frontier flip can move an all-push plan is
-// toward pull.
+// A fixed-mode system (all-push or all-pull) keeps the telemetry and feeds
+// the adaptor nothing, which is what keeps the §4.8 scheme off it: an
+// adaptor without observations has no pressure and flips no node. Its
+// decisions are its mode, which decide would restore on the next recompile
+// and Stats reports. All-push is every Continuous query, whose subscribers
+// are covered only while their readers stay push.
 func (s *System) drainObservationsLocked() (pushes, pulls map[overlay.NodeRef]float64) {
 	pushes, pulls = s.eng.Observations()
 	var p, l float64
@@ -125,7 +83,7 @@ func (s *System) drainObservationsLocked() (pushes, pulls map[overlay.NodeRef]fl
 	}
 	s.obsPush.Add(int64(p))
 	s.obsPull.Add(int64(l))
-	if s.opts.Mode != ModeAllPush {
+	if s.opts.Mode == ModeDataflow {
 		s.adaptor.ObserveBatch(pushes, pulls)
 	}
 	return pushes, pulls
@@ -172,22 +130,4 @@ func (s *System) applyRebalanceLocked() (int, error) {
 		}
 	}
 	return flips, nil
-}
-
-// EstimateCosts evaluates the §4.3 objective for workload wl under the
-// system's CURRENT decisions, and under a fresh plan the system's own
-// decision procedure makes for that workload on a clone of the overlay (the
-// live overlay and its decisions are untouched; a fixed-mode system's fresh
-// plan is its current one). The ratio current/fresh is the degradation
-// signal the background controller uses to decide when a full Reoptimize
-// cutover pays for itself.
-func (s *System) EstimateCosts(wl *dataflow.Workload) (current, fresh float64, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	clone := s.ov.Clone()
-	f, err := s.decide(clone, wl)
-	if err != nil {
-		return 0, 0, err
-	}
-	return dataflow.TotalCost(s.ov, f, s.cost), dataflow.TotalCost(clone, f, s.cost), nil
 }

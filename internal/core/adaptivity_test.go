@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"maps"
 	"slices"
 	"testing"
 
@@ -187,13 +186,7 @@ func neverRaisesObservedCost(t *testing.T, a agg.Aggregate) []int {
 	var all []int
 	for window := 0; window < 8; window++ {
 		replay(window)
-		smp := s.SampleObservations()
-		wl := dataflow.NewWorkload(s.g.MaxID())
-		for v, c := range smp.WriterWrites {
-			wl.Write[v] = c
-		}
-		wl.ReaderReads = smp.ReaderReads
-		f, err := dataflow.ComputeFreqs(s.ov, wl, s.windowSizeHint())
+		f, err := dataflow.ComputeFreqs(s.ov, drainWorkload(s), s.windowSizeHint())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,24 +209,28 @@ func neverRaisesObservedCost(t *testing.T, a agg.Aggregate) []int {
 	return all
 }
 
-// TestSampleReadsPerReader: reads are sampled per reader, so two views of
-// a merged family read at different rates at one node stay two entries
-// instead of folding onto the node.
-func TestSampleReadsPerReader(t *testing.T) {
-	s, atts := attachFamily(t, workload.SocialGraph(100, 6, 1), []MemberSpec{{}, {}}, Options{})
-	const v = graph.NodeID(7)
-	for tag, n := range []int{3, 5} {
-		for i := 0; i < n; i++ {
-			if _, err := atts[tag].Read(v); err != nil {
-				t.Fatal(err)
-			}
+// drainWorkload drains s's observation window into its adaptor, as a
+// controller tick does, and returns the window as a workload: writes per
+// writer node and reads per reader node. Every read bumps its reader's pull
+// counter exactly once whether the reader is push or pull (interior pulls
+// land on partials and writers, skipped here), so reader pulls are read
+// rates. s runs one view, so a reader's node names it.
+func drainWorkload(s *System) *dataflow.Workload {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	pushes, pulls := s.drainObservationsLocked()
+	wl := dataflow.NewWorkload(s.g.MaxID())
+	for ref, c := range pushes {
+		if n := s.ov.Node(ref); s.ov.Alive(ref) && n.Kind == overlay.WriterNode {
+			wl.Write[n.GID] += c
 		}
 	}
-	got := s.SampleObservations().ReaderReads
-	want := map[overlay.ReaderID]float64{{Tag: 0, Node: v}: 3, {Tag: 1, Node: v}: 5}
-	if !maps.Equal(got, want) {
-		t.Fatalf("ReaderReads = %v, want %v", got, want)
+	for ref, c := range pulls {
+		if n := s.ov.Node(ref); s.ov.Alive(ref) && n.Kind == overlay.ReaderNode {
+			wl.Read[n.GID] += c
+		}
 	}
+	return wl
 }
 
 // TestReoptimizeKeepsMode: Reoptimize re-decides with the system's own
@@ -258,21 +255,50 @@ func TestReoptimizeKeepsMode(t *testing.T) {
 	}
 }
 
-// TestEstimateCostsFixedModeIsItsOwnPlan: the fresh plan EstimateCosts
-// prices is the one the system's own procedure would install, so an
-// all-push (Continuous) system costs the same under both and never looks
-// degraded, however write-heavy the workload.
-func TestEstimateCostsFixedModeIsItsOwnPlan(t *testing.T) {
+// TestAllPullNeverFlips: a fixed-mode system's decisions are its mode, so
+// read-heavy traffic on an all-pull system moves no reader to push — not
+// by Rebalance and not by a controller tick (a drain, then ApplyFlips when
+// pressure is pending) — and Stats keeps reporting what runs.
+func TestAllPullNeverFlips(t *testing.T) {
 	g := paperGraph()
-	s, err := Compile(g, Query{Aggregate: agg.Sum{}, Continuous: true}, Options{})
+	s, err := Compile(g, Query{Aggregate: agg.Sum{}}, Options{Algorithm: Baseline, Mode: ModeAllPull})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, fresh, err := s.EstimateCosts(dataflow.Uniform(g.MaxID(), 0.01, 100))
-	if err != nil {
-		t.Fatal(err)
+	tick := func() (int, error) {
+		if s.SampleObservations() == 0 {
+			return 0, nil
+		}
+		return s.ApplyFlips()
 	}
-	if cur != fresh {
-		t.Fatalf("EstimateCosts = current %.2f, fresh %.2f; want equal", cur, fresh)
+	for _, pass := range []struct {
+		name string
+		run  func() (int, error)
+	}{{"controller tick", tick}, {"Rebalance", s.Rebalance}} {
+		for v := graph.NodeID(0); int(v) < g.MaxID(); v++ {
+			for i := 0; i < 500; i++ {
+				if _, err := s.Engine().Read(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		flips, err := pass.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flips != 0 {
+			t.Errorf("%s flipped %d nodes of an all-pull system", pass.name, flips)
+		}
+		for ref := overlay.NodeRef(0); int(ref) < s.ov.Len(); ref++ {
+			if n := s.ov.Node(ref); s.ov.Alive(ref) && n.Kind == overlay.ReaderNode && n.Dec != overlay.Pull {
+				t.Fatalf("after %s reader %d is %s, want pull", pass.name, n.GID, n.Dec)
+			}
+		}
+	}
+	if m := s.Stats().Mode; m != ModeAllPull {
+		t.Fatalf("mode = %s, want %s", m, ModeAllPull)
+	}
+	if ast := s.AdaptivityStats(); ast.PullObserved == 0 {
+		t.Fatalf("observations not drained into the telemetry: %+v", ast)
 	}
 }

@@ -174,8 +174,8 @@ func (s *System) windowSizeHint() int {
 // decide annotates ov with the system's decision procedure for workload wl
 // (nil: a uniform 1:1 workload) and returns the frequencies it priced them
 // with. It is the one place decisions are made from a workload — compile,
-// recompile, Reoptimize and EstimateCosts all come here — so a fixed-mode
-// system keeps its mode whatever workload arrives.
+// recompile and Reoptimize all come here — so a fixed-mode system keeps its
+// mode whatever workload arrives.
 func (s *System) decide(ov *overlay.Overlay, wl *dataflow.Workload) (*dataflow.Freqs, error) {
 	if wl == nil {
 		wl = dataflow.Uniform(s.g.MaxID(), 1, 1)

@@ -13,10 +13,6 @@ import (
 type Workload struct {
 	Read  []float64 // indexed by graph.NodeID
 	Write []float64
-	// ReaderReads, when non-nil, holds observed read rates by reader, so
-	// merged views at one node keep their own rates; a reader it holds is
-	// not looked up in Read.
-	ReaderReads map[overlay.ReaderID]float64
 }
 
 // NewWorkload allocates a zero workload for maxID nodes.
@@ -36,14 +32,6 @@ func Uniform(maxID int, read, write float64) *Workload {
 		w.Write[i] = write
 	}
 	return w
-}
-
-// readOf returns r(v) for reader id, tolerating out-of-range ids.
-func (w *Workload) readOf(id overlay.ReaderID) float64 {
-	if r, ok := w.ReaderReads[id]; ok {
-		return r
-	}
-	return rateOf(w.Read, id.Node)
 }
 
 // rateOf returns rates[v], or 0 for a node outside rates.
@@ -101,7 +89,7 @@ func ComputeFreqs(ov *overlay.Overlay, wl *Workload, windowSize int) (*Freqs, er
 		ref := order[i]
 		n := ov.Node(ref)
 		if n.Kind == overlay.ReaderNode {
-			f.Pull[ref] = wl.readOf(overlay.ReaderID{Tag: n.Tag, Node: n.GID})
+			f.Pull[ref] = rateOf(wl.Read, n.GID)
 			continue
 		}
 		sum := 0.0
