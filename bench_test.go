@@ -275,7 +275,7 @@ func BenchmarkOpWriteBatchHotWriter(b *testing.B) {
 
 // benchAutotuneShift measures a mixed Zipf stream whose hot set has
 // drifted away from the workload the overlay was planned for. The tuned
-// variant lets the autotune controller adapt (frontier flips) during
+// variant runs the autotune loop's Rebalance passes (frontier flips) during
 // warm-up; the off variant measures the stale plan. The gap is the
 // self-driving adaptivity win.
 func benchAutotuneShift(b *testing.B, tuned bool) {

@@ -24,9 +24,8 @@
 // it then writes a final checkpoint covering the whole log, so the next
 // start replays nothing.
 //
-// With -autotune the session's adaptivity controller starts once the
-// session is open (after any recovery) with the library default 2s
-// sampling period.
+// With -autotune the session's autotune loop starts once the session is
+// open (after any recovery): it runs the POST /rebalance pass every 2s.
 package main
 
 import (
@@ -65,7 +64,7 @@ func main() {
 		tsJump   = flag.Int64("ingest-max-ts-jump", 0, "reject /ingest events whose timestamp runs further than this ahead of the stream (0 = unbounded; guards the watermark against corrupt far-future timestamps)")
 		manualEx = flag.Bool("ingest-manual-expire", false, "do not expire time-based windows on the local ingest watermark; only POST /expire advances them (for shard servers behind eagr-router, which closes time on every shard at its stream time)")
 
-		autotune = flag.Bool("autotune", false, "run the self-driving adaptivity controller: background sampling of observed per-reader push/pull counts and the frontier flips they justify (see /stats \"autotune\")")
+		autotune = flag.Bool("autotune", false, "run the autotune loop: the POST /rebalance pass every 2s, applying the frontier flips the observed per-reader push/pull counts justify (see /stats \"autotune\" and \"adaptivity\")")
 
 		dataDir    = flag.String("data-dir", "", "durability directory: WAL + checkpoints (empty = in-memory only)")
 		fsyncMode  = flag.String("fsync", "per-batch", "WAL fsync policy with -data-dir: per-batch | interval | off")
@@ -165,7 +164,7 @@ func main() {
 		defer cancel()
 		err := srv.Shutdown(shutdownCtx)
 		api.Close()
-		// Stop the adaptivity controller before the final checkpoint so no
+		// Stop the autotune loop before the final checkpoint so no
 		// frontier-flip install races the durability close.
 		sess.StopAutotune()
 		if *dataDir != "" {

@@ -69,9 +69,9 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/agg"
-	"repro/internal/autotune"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/graph"
@@ -215,11 +215,11 @@ type Session struct {
 	// OpenDurable; the mutators check it with one nil test, so the
 	// durability-off hot paths stay allocation-free.
 	dur *durableState
-	// tuner is the self-driving adaptivity controller, nil until
-	// EnableAutotune. The write/read hot paths never touch it; it samples
-	// the engines' always-on observation counters from its own goroutine.
-	tuner   *autotune.Controller
-	tunerMu sync.Mutex
+	// tunerStop and tunerDone belong to the autotune loop (EnableAutotune),
+	// nil while it is off; tunerMu guards them. The write/read hot paths
+	// never touch the loop; it runs Rebalance from its own goroutine.
+	tunerMu              sync.Mutex
+	tunerStop, tunerDone chan struct{}
 
 	// maxTS and lastExpire are the session's stream time: the largest
 	// non-zero timestamp any applied batch carried and the furthest any
@@ -267,37 +267,52 @@ func Open(g *Graph, opts ...Options) (*Session, error) {
 	return s, nil
 }
 
-// EnableAutotune starts the session's background adaptivity controller: a
-// goroutine that drains the engines' live push/pull observations every 2s
-// and applies the §4.8 frontier flips whose filled observation window
-// contradicts the running decisions. It never moves a reader of a
-// fixed-mode (all-push or all-pull; every Continuous query is all-push)
-// overlay; reads never pause, writes wait for the engine's install step
-// only. A no-op if the controller is already running; it runs until
+// EnableAutotune starts the session's autotune loop: a goroutine that runs
+// Rebalance every 2s, so the §4.8 frontier flips whose filled observation
+// window contradicts the running decisions apply without a caller. It never
+// moves a reader of a fixed-mode (all-push or all-pull; every Continuous
+// query is all-push) overlay; reads never pause, writes wait for the
+// engine's install step only. A no-op while the loop runs; it runs until
 // StopAutotune.
-func (s *Session) EnableAutotune() { s.enableAutotune(autotune.DefaultConfig()) }
+func (s *Session) EnableAutotune() { s.enableAutotune(2 * time.Second) }
 
-// enableAutotune is EnableAutotune with the controller's configuration
-// spelled out; tests shorten its interval.
-func (s *Session) enableAutotune(cfg autotune.Config) {
+// enableAutotune is EnableAutotune with the loop's interval spelled out;
+// tests shorten it.
+func (s *Session) enableAutotune(every time.Duration) {
 	s.tunerMu.Lock()
 	defer s.tunerMu.Unlock()
-	if s.tuner == nil {
-		s.tuner = autotune.New(s.multi, cfg)
+	if s.tunerStop != nil {
+		return
 	}
-	s.tuner.Start()
+	stop, done := make(chan struct{}), make(chan struct{})
+	s.tunerStop, s.tunerDone = stop, done
+	go func() {
+		defer close(done)
+		t := time.NewTicker(every)
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.C:
+				_, _ = s.multi.Rebalance()
+			}
+		}
+	}()
 }
 
-// StopAutotune halts the background adaptivity controller and waits for any
-// in-flight pass to finish. A no-op when the controller never ran;
-// idempotent. Counters survive, so SessionStats keeps reporting what the
-// controller did, and EnableAutotune can restart it.
+// StopAutotune halts the autotune loop and waits for an in-flight pass to
+// finish. Idempotent, and a no-op when the loop never ran. The adaptivity
+// counters in SessionStats keep what the loop did, and EnableAutotune can
+// restart it.
 func (s *Session) StopAutotune() {
 	s.tunerMu.Lock()
-	t := s.tuner
+	stop, done := s.tunerStop, s.tunerDone
+	s.tunerStop, s.tunerDone = nil, nil
 	s.tunerMu.Unlock()
-	if t != nil {
-		t.Stop()
+	if stop != nil {
+		close(stop)
+		<-done
 	}
 }
 
@@ -731,24 +746,19 @@ type SessionStats struct {
 	// TopoViews is the number of live topology-valued views (internal/topo)
 	// the session's topo queries share; 0 when no topo query is registered.
 	TopoViews int `json:"topoViews"`
-	// Adaptivity is the session's live adaptivity state — observation
-	// totals and last-rebalance outcome — populated whether or not the
-	// autotune controller is running (POST /rebalance feeds it too).
+	// Adaptivity is the session's live adaptivity state — observation,
+	// rebalance and flip totals — fed by every Rebalance pass, whether
+	// POST /rebalance, Session.Rebalance or the autotune loop ran it.
 	Adaptivity AdaptivityStats `json:"adaptivity"`
-	// Autotune reports the self-driving adaptivity controller; zero with
-	// Enabled=false when it was never started, and then left out of JSON.
-	Autotune AutotuneStats `json:"autotune,omitzero"`
+	// Autotune reports whether the autotune loop runs (EnableAutotune); left
+	// out of JSON when it does not.
+	Autotune bool `json:"autotune,omitempty"`
 }
 
 // AdaptivityStats aggregates the adaptivity telemetry of every compiled
 // overlay in the session: Session.Stats sums the overlays' counters and
-// LastFlips, and reports the newest LastRebalanceNano and the longest
-// LastInstallHoldMicros.
+// reports the newest LastRebalanceNano and the longest LastInstallHoldMicros.
 type AdaptivityStats = core.AdaptivityStats
-
-// AutotuneStats is the public snapshot of the background adaptivity
-// controller's counters (see EnableAutotune).
-type AutotuneStats = autotune.Stats
 
 // Stats returns current session-wide statistics.
 func (s *Session) Stats() SessionStats {
@@ -769,15 +779,13 @@ func (s *Session) Stats() SessionStats {
 		st.Adaptivity.PushObserved += ad.PushObserved
 		st.Adaptivity.PullObserved += ad.PullObserved
 		st.Adaptivity.Rebalances += ad.Rebalances
-		st.Adaptivity.LastFlips += ad.LastFlips
+		st.Adaptivity.Flips += ad.Flips
 		st.Adaptivity.LastRebalanceNano = max(st.Adaptivity.LastRebalanceNano, ad.LastRebalanceNano)
 		st.Adaptivity.Installs += ad.Installs
 		st.Adaptivity.LastInstallHoldMicros = max(st.Adaptivity.LastInstallHoldMicros, ad.LastInstallHoldMicros)
 	}
 	s.tunerMu.Lock()
-	if t := s.tuner; t != nil {
-		st.Autotune = t.Stats()
-	}
+	st.Autotune = s.tunerStop != nil
 	s.tunerMu.Unlock()
 	s.topoMu.Lock()
 	if s.topoEng != nil {

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/autotune"
 )
 
 // TestConcurrentSendersMatchBruteModel is the combining apply stage's
@@ -156,7 +154,7 @@ func TestConcurrentSendersMatchBruteModel(t *testing.T) {
 
 // TestConcurrentSendersRaceAutotuneAndSubscriptions is the CI stress
 // companion (run under -race): two senders share an Ingestor on a
-// content-heavy stream while the autotune controller ticks and a
+// content-heavy stream while the autotune loop ticks and a
 // subscription consumer drains continuous updates. The
 // test asserts liveness and a final cross-check against an undisturbed
 // sequential session; the race detector owns the memory-safety claim.
@@ -180,7 +178,7 @@ func TestConcurrentSendersRaceAutotuneAndSubscriptions(t *testing.T) {
 	}
 	sess, q := mk()
 	oracle, oq := mk()
-	sess.enableAutotune(autotune.Config{Interval: time.Millisecond})
+	sess.enableAutotune(time.Millisecond)
 	defer sess.StopAutotune()
 
 	ch, cancel, err := q.Subscribe(256, 0)

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/agg"
-	"repro/internal/autotune"
 	"repro/internal/bipartite"
 	"repro/internal/construct"
 	"repro/internal/core"
@@ -439,11 +438,11 @@ func RunExpireSparse(b *testing.B, eng *exec.Engine) {
 // one hot set (seed 1), then warmed with a SHIFTED Zipf stream (seed 7)
 // whose hot writers and readers land elsewhere — so the compiled push/pull
 // decisions are wrong for the traffic actually observed. With tuned=true
-// the warm-up interleaves manual controller ticks (TickNow on a
-// never-Started controller, keeping the fixture deterministic): frontier
-// flips adapt the overlay to the shifted hot set before measurement. With
-// tuned=false the stale plan is measured as-is. The ns/op gap between the
-// two is the controller's win.
+// the warm-up interleaves Rebalance passes (what the autotune loop runs on
+// each tick, called synchronously to keep the fixture deterministic):
+// frontier flips adapt the overlay to the shifted hot set before
+// measurement. With tuned=false the stale plan is measured as-is. The ns/op
+// gap between the two is the autotune loop's win.
 func AutotuneShiftFixture(tuned bool) (*core.System, []graph.Event, error) {
 	g := workload.SocialGraph(2000, 8, 1)
 	m := core.NewMulti(g)
@@ -460,13 +459,9 @@ func AutotuneShiftFixture(tuned bool) (*core.System, []graph.Event, error) {
 	}
 	shifted := workload.ZipfWorkload(g.MaxID(), 1.0, 1e6, 1, 7)
 	events := workload.Events(shifted, 1<<16, 9)
-	var ctl *autotune.Controller
-	if tuned {
-		ctl = autotune.New(m, autotune.Config{})
-	}
 	// Warm-up: 8 passes over an 8192-event prefix of the shifted stream,
-	// one controller tick per pass when tuned. The untuned fixture runs
-	// the identical passes so window state matches.
+	// one Rebalance per pass when tuned. The untuned fixture runs the
+	// identical passes so window state matches.
 	for pass := 0; pass < 8; pass++ {
 		for _, ev := range events[:1<<13] {
 			if ev.Kind == graph.Read {
@@ -475,8 +470,10 @@ func AutotuneShiftFixture(tuned bool) (*core.System, []graph.Event, error) {
 				return nil, nil, err
 			}
 		}
-		if ctl != nil {
-			ctl.TickNow()
+		if tuned {
+			if _, err := m.Rebalance(); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
 	return sys, events, nil
@@ -505,9 +502,9 @@ func RunSystemMixed(b *testing.B, sys *core.System, events []graph.Event) {
 // the given size compiled to the baseline overlay with dataflow-optimal
 // decisions, pre-loaded with one pass of writes so an install seeds real
 // push state. The measured op — exec.Engine.Rebuild on the installed overlay
-// — is the whole snapshot transition the autotune controller's flips, a
-// Reoptimize and every structural repair lean on; running it at three sizes
-// charts its latency against overlay size.
+// — is the whole snapshot transition a Rebalance's flips, a Reoptimize and
+// every structural repair lean on; running it at three sizes charts its
+// latency against overlay size.
 func RebuildEngine(nodes int) (*exec.Engine, *overlay.Overlay, error) {
 	g := workload.SocialGraph(nodes, 8, 1)
 	ag := bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes)

@@ -191,7 +191,7 @@ func neverRaisesObservedCost(t *testing.T, a agg.Aggregate) []int {
 			t.Fatal(err)
 		}
 		before := dataflow.TotalCost(s.ov, f, s.cost)
-		flips, err := s.ApplyFlips()
+		flips, err := s.Rebalance()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,8 +209,9 @@ func neverRaisesObservedCost(t *testing.T, a agg.Aggregate) []int {
 	return all
 }
 
-// drainWorkload drains s's observation window into its adaptor, as a
-// controller tick does, and returns the window as a workload: writes per
+// drainWorkload drains s's observation window into its adaptor, as
+// Rebalance does first (the Rebalance that follows drains an empty one), and
+// returns the window as a workload: writes per
 // writer node and reads per reader node. Every read bumps its reader's pull
 // counter exactly once whether the reader is push or pull (interior pulls
 // land on partials and writers, skipped here), so reader pulls are read
@@ -257,24 +258,15 @@ func TestReoptimizeKeepsMode(t *testing.T) {
 
 // TestAllPullNeverFlips: a fixed-mode system's decisions are its mode, so
 // read-heavy traffic on an all-pull system moves no reader to push — not
-// by Rebalance and not by a controller tick (a drain, then ApplyFlips when
-// pressure is pending) — and Stats keeps reporting what runs.
+// on the first Rebalance and not on the next, when an unjudged window would
+// have carried over — and Stats keeps reporting what runs.
 func TestAllPullNeverFlips(t *testing.T) {
 	g := paperGraph()
 	s, err := Compile(g, Query{Aggregate: agg.Sum{}}, Options{Algorithm: Baseline, Mode: ModeAllPull})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tick := func() (int, error) {
-		if s.SampleObservations() == 0 {
-			return 0, nil
-		}
-		return s.ApplyFlips()
-	}
-	for _, pass := range []struct {
-		name string
-		run  func() (int, error)
-	}{{"controller tick", tick}, {"Rebalance", s.Rebalance}} {
+	for _, pass := range []string{"first Rebalance", "second Rebalance"} {
 		for v := graph.NodeID(0); int(v) < g.MaxID(); v++ {
 			for i := 0; i < 500; i++ {
 				if _, err := s.Engine().Read(v); err != nil {
@@ -282,16 +274,16 @@ func TestAllPullNeverFlips(t *testing.T) {
 				}
 			}
 		}
-		flips, err := pass.run()
+		flips, err := s.Rebalance()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if flips != 0 {
-			t.Errorf("%s flipped %d nodes of an all-pull system", pass.name, flips)
+			t.Errorf("%s flipped %d nodes of an all-pull system", pass, flips)
 		}
 		for ref := overlay.NodeRef(0); int(ref) < s.ov.Len(); ref++ {
 			if n := s.ov.Node(ref); s.ov.Alive(ref) && n.Kind == overlay.ReaderNode && n.Dec != overlay.Pull {
-				t.Fatalf("after %s reader %d is %s, want pull", pass.name, n.GID, n.Dec)
+				t.Fatalf("after %s reader %d is %s, want pull", pass, n.GID, n.Dec)
 			}
 		}
 	}

@@ -1,8 +1,7 @@
-package autotune
+package core_test
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -51,10 +50,56 @@ func pairGraph(t *testing.T, n int) (*core.MultiSystem, *core.System) {
 	return m, sys
 }
 
+// totalFlips sums the frontier flips every system of m has applied.
+func totalFlips(m *core.MultiSystem) int64 {
+	var n int64
+	for _, sys := range m.Systems() {
+		n += sys.AdaptivityStats().Flips
+	}
+	return n
+}
+
+// rebalance runs one adaptivity pass over every system of m — what each
+// tick of the autotune loop runs.
+func rebalance(t *testing.T, m *core.MultiSystem) {
+	t.Helper()
+	if _, err := m.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// thinDrift is one pass of a shift spread thin over pairGraph's pairs: each
+// writer writes once and each reader is read 8 times, so a reader's window
+// gains 9 observations a pass and fills the adaptor's 64 on the 8th.
+func thinDrift(t *testing.T, sys *core.System, pairs int) {
+	t.Helper()
+	for i := 0; i < pairs; i++ {
+		if err := sys.Engine().Write(graph.NodeID(i), 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 8; k++ {
+			if _, err := sys.Engine().Read(graph.NodeID(i + pairs)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// coveredReaders counts pairGraph's readers that are push-covered.
+func coveredReaders(sys *core.System, pairs int) int {
+	n := 0
+	for i := 0; i < pairs; i++ {
+		if sys.Engine().Covered(graph.NodeID(i + pairs)) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestAutotuneFlipsHotPullReader drives a workload shift the adaptive
 // scheme can answer incrementally: the single pull reader of a 0→1 pair
 // turns read-hot (256 reads, no writes), which contradicts the write-heavy
-// plan at a frontier node. One controller tick must apply the frontier
+// plan at a frontier node. One Rebalance pass must apply the frontier
 // flip — the reader becomes push-covered.
 func TestAutotuneFlipsHotPullReader(t *testing.T) {
 	m, sys := pairGraph(t, 1)
@@ -63,20 +108,12 @@ func TestAutotuneFlipsHotPullReader(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ctl := New(m, Config{})
-	ctl.TickNow()
-	st := ctl.Stats()
-	if st.Flips < 1 {
-		t.Fatalf("expected >=1 frontier flip, got stats %+v", st)
-	}
-	if !strings.Contains(st.LastTrigger, "rebalance") {
-		t.Fatalf("LastTrigger = %q, want a rebalance trigger", st.LastTrigger)
-	}
+	rebalance(t, m)
 	if !sys.Engine().Covered(1) {
 		t.Fatal("hot pull reader was not flipped to push")
 	}
 	ast := sys.AdaptivityStats()
-	if ast.Rebalances < 1 || ast.LastFlips < 1 {
+	if ast.Rebalances < 1 || ast.Flips < 1 {
 		t.Fatalf("core adaptivity stats missed the rebalance: %+v", ast)
 	}
 	if ast.PullObserved < 256 {
@@ -85,43 +122,78 @@ func TestAutotuneFlipsHotPullReader(t *testing.T) {
 }
 
 // TestAutotuneThinShiftFlipsWhenWindowFills drives a shift spread thin: 200
-// write-heavy-planned pairs each see 1 write and 8 reads per tick, so a
-// reader's frontier window gains 9 observations a tick and needs 8 ticks to
-// reach the adaptor's 64 samples. The window closes only when a flip is
-// pending, so the counts accumulate across ticks: no flip fires before the
-// window fills, and every hot reader turns push on the tick it does.
+// write-heavy-planned pairs each see 1 write and 8 reads per pass, so a
+// reader's frontier window needs 8 passes to reach the adaptor's 64 samples.
+// A pass that judges no node leaves the window open, so the counts carry
+// across passes: no flip fires before the window fills, and every hot
+// reader turns push on the pass it does.
 func TestAutotuneThinShiftFlipsWhenWindowFills(t *testing.T) {
-	const pairs, fillTick = 200, 8
+	const pairs, fillPass = 200, 8
 	m, sys := pairGraph(t, pairs)
-	ctl := New(m, Config{})
-	covered := func() int {
-		n := 0
-		for i := 0; i < pairs; i++ {
-			if sys.Engine().Covered(graph.NodeID(i + pairs)) {
-				n++
+	for pass := 1; pass <= fillPass; pass++ {
+		thinDrift(t, sys, pairs)
+		rebalance(t, m)
+		flips, got := totalFlips(m), coveredReaders(sys, pairs)
+		if pass < fillPass && (flips != 0 || got != 0) {
+			t.Fatalf("pass %d: %d flips, %d readers covered before the window filled", pass, flips, got)
+		}
+		if pass == fillPass && (flips != pairs || got != pairs) {
+			t.Fatalf("pass %d: %d flips, %d of %d readers covered once the window filled", pass, flips, got, pairs)
+		}
+	}
+}
+
+// TestManualRebalanceKeepsPartialWindows: a Rebalance called by hand in the
+// middle of the thin drift is the same pass the autotune loop runs, so it
+// judges nothing and the partial windows survive it — the loop's pass that
+// fills them still flips every hot reader.
+func TestManualRebalanceKeepsPartialWindows(t *testing.T) {
+	const pairs, fillPass = 200, 8
+	m, sys := pairGraph(t, pairs)
+	for pass := 1; pass <= fillPass; pass++ {
+		thinDrift(t, sys, pairs)
+		if pass == fillPass-1 {
+			if flips, err := sys.Rebalance(); err != nil || flips != 0 {
+				t.Fatalf("manual Rebalance at pass %d: %d flips, %v", pass, flips, err)
 			}
 		}
-		return n
+		rebalance(t, m)
 	}
-	for tick := 1; tick <= fillTick; tick++ {
-		for i := 0; i < pairs; i++ {
-			if err := sys.Engine().Write(graph.NodeID(i), 1, 1); err != nil {
+	if flips, got := totalFlips(m), coveredReaders(sys, pairs); flips != pairs || got != pairs {
+		t.Fatalf("pass %d: %d flips, %d of %d readers covered after a manual Rebalance at pass %d",
+			fillPass, flips, got, pairs, fillPass-1)
+	}
+}
+
+// TestRebalanceAnswersShiftAfterLongAgreement: a window closes on every pass
+// that judged a node, so however long the traffic agreed with the plan, a
+// shift is judged on its own counts. 200 passes of write-heavy traffic the
+// pull reader agrees with, then a read-only shift: the reader must be push
+// after the shift's first pass.
+func TestRebalanceAnswersShiftAfterLongAgreement(t *testing.T) {
+	m, sys := pairGraph(t, 1)
+	for pass := 0; pass < 200; pass++ {
+		for i := 0; i < 100; i++ {
+			if err := sys.Engine().Write(0, 1, 1); err != nil {
 				t.Fatal(err)
 			}
-			for k := 0; k < 8; k++ {
-				if _, err := sys.Engine().Read(graph.NodeID(i + pairs)); err != nil {
-					t.Fatal(err)
-				}
-			}
 		}
-		ctl.TickNow()
-		st, got := ctl.Stats(), covered()
-		if tick < fillTick && (st.Flips != 0 || got != 0) {
-			t.Fatalf("tick %d: %d flips, %d readers covered before the window filled", tick, st.Flips, got)
+		if _, err := sys.Engine().Read(1); err != nil {
+			t.Fatal(err)
 		}
-		if tick == fillTick && (st.Flips != pairs || got != pairs) {
-			t.Fatalf("tick %d: %d flips, %d of %d readers covered once the window filled", tick, st.Flips, got, pairs)
+		rebalance(t, m)
+	}
+	if flips := totalFlips(m); flips != 0 || sys.Engine().Covered(1) {
+		t.Fatalf("agreeing traffic flipped %d nodes (reader covered: %t)", flips, sys.Engine().Covered(1))
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := sys.Engine().Read(1); err != nil {
+			t.Fatal(err)
 		}
+	}
+	rebalance(t, m)
+	if !sys.Engine().Covered(1) {
+		t.Fatalf("the read-only shift was not answered on its first pass (%d flips)", totalFlips(m))
 	}
 }
 
@@ -185,11 +257,10 @@ func TestAutotuneColdViewPricedPerReader(t *testing.T) {
 	for v := 0; v < g.MaxID(); v++ {
 		writes = append(writes, graph.Event{Kind: graph.ContentWrite, Node: graph.NodeID(v), Value: int64(v), TS: 1})
 	}
-	ctl := New(m, Config{})
-	// phase writes every node and reads one view hot for three ticks, and
-	// returns how many decisions the controller changed meanwhile.
+	// phase writes every node and reads one view hot for three passes, and
+	// returns how many decisions the passes changed meanwhile.
 	phase := func(read *core.Attachment, hi int) int64 {
-		before := ctl.Stats()
+		before := totalFlips(m)
 		for round := 0; round < 3; round++ {
 			for k := 0; k < 4; k++ {
 				if _, err := m.Apply(writes, graph.NoAdvance); err != nil {
@@ -197,10 +268,9 @@ func TestAutotuneColdViewPricedPerReader(t *testing.T) {
 				}
 			}
 			readView(t, read, hi, 80)
-			ctl.TickNow()
+			rebalance(t, m)
 		}
-		after := ctl.Stats()
-		return after.Flips - before.Flips
+		return totalFlips(m) - before
 	}
 	a0 := coveredWithInputs(a, g, 100)
 	changed := phase(a, 100)
@@ -220,12 +290,11 @@ func TestAutotuneColdViewPricedPerReader(t *testing.T) {
 	}
 }
 
-// TestAutotuneControllerStress races the background controller loop (1ms
-// interval: sampling and frontier flips) against concurrent
-// batched writes, reads, structural edge churn, and merged-family
-// attach/detach. The merged family compiles in dataflow mode, so the
-// controller changes its decisions while members come and go. Run under
-// -race in CI.
+// TestAutotuneControllerStress races back-to-back Rebalance passes (the
+// autotune loop's work: draining observations and frontier flips) against
+// concurrent batched writes, reads, structural edge churn, and merged-family
+// attach/detach. The merged family compiles in dataflow mode, so the passes
+// change its decisions while members come and go. Run under -race in CI.
 func TestAutotuneControllerStress(t *testing.T) {
 	g := workload.SocialGraph(400, 6, 1)
 	m := core.NewMulti(g)
@@ -256,13 +325,24 @@ func TestAutotuneControllerStress(t *testing.T) {
 		}
 	}
 
-	ctl := New(m, Config{Interval: time.Millisecond})
-	ctl.Start()
-	ctl.Start() // idempotent
-
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(4)
+	var passes int
+	wg.Add(5)
+	go func() { // the autotune loop's passes, back to back
+		defer wg.Done()
+		for ; ; passes++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := m.Rebalance(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	go func() { // batched ingestion
 		defer wg.Done()
 		for i := 0; ; i += 512 {
@@ -316,7 +396,7 @@ func TestAutotuneControllerStress(t *testing.T) {
 			}
 		}
 	}()
-	go func() { // attach/retire merged members while the controller runs
+	go func() { // attach/retire merged members while the passes run
 		defer wg.Done()
 		for i := 0; ; i++ {
 			select {
@@ -342,20 +422,14 @@ func TestAutotuneControllerStress(t *testing.T) {
 	time.Sleep(250 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	ctl.Stop()
-	ctl.Stop() // idempotent
-	st := ctl.Stats()
-	if st.Enabled {
-		t.Fatal("controller still running after Stop")
-	}
-	if st.Ticks == 0 {
-		t.Fatal("background loop never ticked")
+	if passes == 0 {
+		t.Fatal("no Rebalance pass completed")
 	}
 }
 
 // TestAutotuneNeverUncoversContinuousQuery: a continuous query promises its
 // subscribers an update on every covering write, which holds only while its
-// readers stay push — so no controller signal may move a reader of an
+// readers stay push — so no Rebalance pass may move a reader of an
 // all-push system, whatever the traffic says and whether or not anyone is
 // subscribed yet.
 func TestAutotuneNeverUncoversContinuousQuery(t *testing.T) {
@@ -373,8 +447,8 @@ func TestAutotuneNeverUncoversContinuousQuery(t *testing.T) {
 
 // neverUncoversBesideTwin: under write-heavy traffic with hardly a read, the
 // weight of every reader says "pull" — and the twin compiled as an ordinary
-// dataflow query is duly demoted — but no number of Rebalance calls and
-// controller ticks may move a reader of the all-push system.
+// dataflow query is duly demoted — but no number of Rebalance passes may
+// move a reader of the all-push system.
 func neverUncoversBesideTwin(t *testing.T) {
 	g := workload.SocialGraph(300, 8, 7)
 	m := core.NewMulti(g)
@@ -413,7 +487,6 @@ func neverUncoversBesideTwin(t *testing.T) {
 	}
 	defer contAtt.Unsubscribe(sub)
 
-	ctl := New(m, Config{})
 	writes := workload.Events(workload.ZipfWorkload(g.MaxID(), 1.0, 1e6, 1e9, 3), 1<<14, 5)
 	for round := 0; round < 6; round++ {
 		if _, err := m.Apply(writes, graph.NoAdvance); err != nil {
@@ -423,12 +496,7 @@ func neverUncoversBesideTwin(t *testing.T) {
 			_, _ = contAtt.Read(v)
 			_, _ = twinAtt.Read(v)
 		}
-		if round%2 == 0 {
-			if _, err := m.Rebalance(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ctl.TickNow()
+		rebalance(t, m)
 		if got := covered(contAtt); got != all {
 			t.Fatalf("round %d: continuous query covers %d of %d readers", round, got, all)
 		}
@@ -436,7 +504,7 @@ func neverUncoversBesideTwin(t *testing.T) {
 	if got := covered(twinAtt); got > all/2 {
 		t.Fatalf("fixture: the dataflow twin still covers %d of %d readers — the traffic never asked for a demotion", got, all)
 	}
-	if ast := contAtt.System().AdaptivityStats(); ast.LastFlips != 0 || ast.PushObserved == 0 {
+	if ast := contAtt.System().AdaptivityStats(); ast.Flips != 0 || ast.PushObserved == 0 {
 		t.Fatalf("continuous system: %+v, want observations drained and no flip", ast)
 	}
 	if len(sub.Updates()) == 0 {
@@ -445,17 +513,16 @@ func neverUncoversBesideTwin(t *testing.T) {
 }
 
 // neverUncoversMergedFamily: two continuous queries merged into one family,
-// only view A read, nobody subscribed while the controller ticks. Coverage
+// only view A read, nobody subscribed while Rebalance passes run. Coverage
 // must not move, so a subscriber attached afterwards to view B sees every
 // write into its ego.
 func neverUncoversMergedFamily(t *testing.T) {
 	m, a, b := viewPair(t, true, "")
 	g := m.Graph()
 	a0, b0 := coveredWithInputs(a, g, 100), coveredWithInputs(b, g, 150)
-	ctl := New(m, Config{})
-	for tick := 0; tick < 3; tick++ {
+	for pass := 0; pass < 3; pass++ {
 		readView(t, a, 100, 6)
-		ctl.TickNow()
+		rebalance(t, m)
 	}
 	if a1, b1 := coveredWithInputs(a, g, 100), coveredWithInputs(b, g, 150); a1 != a0 || b1 != b0 {
 		t.Fatalf("covered readers moved with no subscriber: A %d -> %d, B %d -> %d", a0, a1, b0, b1)
@@ -483,9 +550,9 @@ func neverUncoversMergedFamily(t *testing.T) {
 }
 
 // allPushInstallsOncePerStructuralBatch: an all-push merged family with one
-// view read and an edge toggled before every tick. Each structural batch
-// installs the repaired overlay once; a controller that moved a reader of
-// the family would add installs of its own.
+// view read and an edge toggled before every Rebalance pass. Each
+// structural batch installs the repaired overlay once; a pass that moved a
+// reader of the family would add installs of its own.
 func allPushInstallsOncePerStructuralBatch(t *testing.T) {
 	m, a, _ := viewPair(t, false, core.ModeAllPush)
 	g, sys := m.Graph(), a.System()
@@ -493,7 +560,6 @@ func allPushInstallsOncePerStructuralBatch(t *testing.T) {
 	if g.HasEdge(u, w) {
 		t.Fatalf("fixture: edge %d->%d already present", u, w)
 	}
-	ctl := New(m, Config{})
 	before := sys.AdaptivityStats().Installs
 	const batches = 20
 	for i := 0; i < batches; i++ {
@@ -505,9 +571,9 @@ func allPushInstallsOncePerStructuralBatch(t *testing.T) {
 		if _, err := m.Apply([]graph.Event{{Kind: kind, Node: u, Peer: w}}, graph.NoAdvance); err != nil {
 			t.Fatal(err)
 		}
-		ctl.TickNow()
+		rebalance(t, m)
 	}
 	if got := sys.AdaptivityStats().Installs - before; got != batches {
-		t.Fatalf("%d engine installs for %d structural batches (stats %+v)", got, batches, ctl.Stats())
+		t.Fatalf("%d engine installs for %d structural batches (stats %+v)", got, batches, sys.AdaptivityStats())
 	}
 }

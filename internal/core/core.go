@@ -129,11 +129,12 @@ type System struct {
 	recompiles atomic.Int64
 
 	// Adaptivity telemetry: monotonic totals of drained push/pull
-	// observations and the outcome of the most recent rebalance. Atomics so
-	// stats readers never contend with the mutators holding mu.
+	// observations, rebalance passes and their flips, and the time of the
+	// most recent pass. Atomics so stats readers never contend with the
+	// mutators holding mu.
 	obsPush, obsPull  atomic.Int64
 	rebalances        atomic.Int64
-	lastFlips         atomic.Int64
+	flips             atomic.Int64
 	lastRebalanceNano atomic.Int64
 }
 

@@ -17,11 +17,12 @@ type Adaptor struct {
 	mu sync.Mutex
 	ov *overlay.Overlay
 	m  CostModel
-	// observed activity since the last Rebalance, per overlay node.
+	// observed activity since the last Rebalance that judged a node, per
+	// overlay node.
 	pushes []float64 // updates arriving at the node's inputs
 	pulls  []float64 // reads traversing the node
-	// MinSamples gates rebalancing: a node is reconsidered only when the
-	// window a Rebalance closes holds this much combined activity.
+	// MinSamples gates rebalancing: a node is judged only when its window
+	// holds this much combined activity.
 	MinSamples float64
 }
 
@@ -101,35 +102,39 @@ func (a *Adaptor) arrivals(ref overlay.NodeRef, n *overlay.Node) float64 {
 }
 
 // contradicted reports whether frontier node ref has a full observation
-// window whose weight w(v) = PULL_obs − PUSH_obs says its decision is the
-// wrong one, with the arrivals that weight was computed from.
-func (a *Adaptor) contradicted(ref overlay.NodeRef, n *overlay.Node) (bool, float64) {
+// window and whether its weight w(v) = PULL_obs − PUSH_obs says its
+// decision is the wrong one, with the arrivals that weight was computed
+// from.
+func (a *Adaptor) contradicted(ref overlay.NodeRef, n *overlay.Node) (flip, full bool, arrived float64) {
 	if !a.frontier(ref) {
-		return false, 0
+		return false, false, 0
 	}
-	arrived := a.arrivals(ref, n)
+	arrived = a.arrivals(ref, n)
 	if arrived+a.pulls[ref] < a.MinSamples {
-		return false, 0
+		return false, false, 0
 	}
 	deg := len(n.In)
 	w := a.pulls[ref]*a.m.PullCost(deg) - arrived*a.m.PushCost(deg)
-	return (n.Dec == overlay.Pull && w > 0) || (n.Dec == overlay.Push && w < 0), arrived
+	return (n.Dec == overlay.Pull && w > 0) || (n.Dec == overlay.Push && w < 0), true, arrived
 }
 
-// Rebalance closes the observation window: using the observed frequencies
-// as the estimates, it flips every frontier node whose window is full and
-// contradicts its decision, then clears the counters of every node — a pull
-// node's arrivals are read off its inputs, so all counters must cover the
-// same span. A flip hands what it observed to the neighbours it makes
-// frontier (its arrivals downstream, its reads upstream), so one that
-// follows later in the same pass is judged on complete counts. It returns
+// Rebalance judges every frontier node whose window holds MinSamples
+// observations, using the observed frequencies as the estimates, and flips
+// those the window contradicts. A flip hands what it observed to the
+// neighbours it makes frontier (its arrivals downstream, its reads upstream),
+// so one that follows later in the same pass is judged on complete counts.
+// When the pass judged a node, the window closes: every node's counters
+// restart — a pull node's arrivals are read off its inputs, so all counters
+// must cover the same span. When it judged none, the counts carry into the
+// next pass, so a thin drift is answered once its windows fill. It returns
 // the number of flips.
 func (a *Adaptor) Rebalance() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	flips := 0
+	flips, judged := 0, false
 	a.ov.ForEachNode(func(ref overlay.NodeRef, n *overlay.Node) {
-		flip, arrived := a.contradicted(ref, n)
+		flip, full, arrived := a.contradicted(ref, n)
+		judged = judged || full
 		if !flip {
 			return
 		}
@@ -144,25 +149,9 @@ func (a *Adaptor) Rebalance() int {
 			a.pulls[e.Peer] += a.pulls[ref]
 		}
 	})
-	clear(a.pushes)
-	clear(a.pulls)
+	if judged {
+		clear(a.pushes)
+		clear(a.pulls)
+	}
 	return flips
-}
-
-// Pressure counts the frontier nodes whose observed activity has filled the
-// monitoring window AND contradicts their current decision — the flips the
-// next Rebalance would start from. Counters are not consumed, so a
-// background controller can poll Pressure cheaply and only pay for a
-// Rebalance (and the engine install it forces) when there is something
-// to flip.
-func (a *Adaptor) Pressure() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	pending := 0
-	a.ov.ForEachNode(func(ref overlay.NodeRef, n *overlay.Node) {
-		if flip, _ := a.contradicted(ref, n); flip {
-			pending++
-		}
-	})
-	return pending
 }

@@ -52,7 +52,7 @@ func TestWireFieldsTagged(t *testing.T) {
 		keys(reflect.TypeOf(v), map[string]string{})
 	}
 	for _, v := range []any{
-		eagr.SessionStats{}, eagr.AdaptivityStats{}, eagr.AutotuneStats{}, eagr.IngestorStats{},
+		eagr.SessionStats{}, eagr.AdaptivityStats{}, eagr.IngestorStats{},
 		eagr.DurabilityStats{}, eagr.Recovery{}, eagr.Stats{},
 	} {
 		if !seen[reflect.TypeOf(v)] {
