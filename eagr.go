@@ -676,7 +676,8 @@ func mapNodeErr(err error) error {
 }
 
 // Rebalance applies the adaptive dataflow scheme (§4.8) to every query
-// using the activity observed since the last call, returning the total
+// using the activity observed since the last pass that flipped a decision
+// (a pass that flips nothing keeps its counts), returning the total
 // number of decision flips. Concurrent traffic keeps flowing: reads never
 // pause; writes wait only for the install step of an overlay whose
 // decisions flipped (Stats().Adaptivity.LastInstallHoldMicros).

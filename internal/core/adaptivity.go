@@ -78,9 +78,9 @@ func (s *System) drainObservationsLocked() (pushes, pulls map[overlay.NodeRef]fl
 // Rebalance feeds the engine's observed push/pull counts to the adaptive
 // scheme and applies any frontier decision flips (§4.8), installing the new
 // decisions in the engine when flips occurred. It returns the number of
-// flips. The adaptor's window closes only on a pass that judged a node (see
-// dataflow.Adaptor.Rebalance), so a drift too thin to fill a window in one
-// pass is answered once it has filled across passes.
+// flips. The adaptor's window closes only on a pass that flipped a node
+// (see dataflow.Adaptor.Rebalance), so a drift too thin to fill a window in
+// one pass is answered once it has filled across passes.
 //
 // Write and read traffic may keep flowing while Rebalance runs: reads
 // never pause; writes wait for the install step only (exec.Engine.Rebuild

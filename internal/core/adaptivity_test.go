@@ -258,8 +258,9 @@ func TestReoptimizeKeepsMode(t *testing.T) {
 
 // TestAllPullNeverFlips: a fixed-mode system's decisions are its mode, so
 // read-heavy traffic on an all-pull system moves no reader to push — not
-// on the first Rebalance and not on the next, when an unjudged window would
-// have carried over — and Stats keeps reporting what runs.
+// on the first Rebalance and not on the next, to which a window that
+// flipped nothing would have carried over — and Stats keeps reporting what
+// runs.
 func TestAllPullNeverFlips(t *testing.T) {
 	g := paperGraph()
 	s, err := Compile(g, Query{Aggregate: agg.Sum{}}, Options{Algorithm: Baseline, Mode: ModeAllPull})

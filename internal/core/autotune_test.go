@@ -68,12 +68,13 @@ func rebalance(t *testing.T, m *core.MultiSystem) {
 	}
 }
 
-// thinDrift is one pass of a shift spread thin over pairGraph's pairs: each
-// writer writes once and each reader is read 8 times, so a reader's window
-// gains 9 observations a pass and fills the adaptor's 64 on the 8th.
-func thinDrift(t *testing.T, sys *core.System, pairs int) {
+// thinDrift is one pass of a shift spread thin over pairGraph's pairs from
+// lo on: each writer writes once and each reader is read 8 times, so a
+// reader's window gains 9 observations a pass and fills the adaptor's 64 on
+// the 8th.
+func thinDrift(t *testing.T, sys *core.System, lo, pairs int) {
 	t.Helper()
-	for i := 0; i < pairs; i++ {
+	for i := lo; i < pairs; i++ {
 		if err := sys.Engine().Write(graph.NodeID(i), 1, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -124,14 +125,14 @@ func TestAutotuneFlipsHotPullReader(t *testing.T) {
 // TestAutotuneThinShiftFlipsWhenWindowFills drives a shift spread thin: 200
 // write-heavy-planned pairs each see 1 write and 8 reads per pass, so a
 // reader's frontier window needs 8 passes to reach the adaptor's 64 samples.
-// A pass that judges no node leaves the window open, so the counts carry
+// A pass that flips no node leaves the window open, so the counts carry
 // across passes: no flip fires before the window fills, and every hot
 // reader turns push on the pass it does.
 func TestAutotuneThinShiftFlipsWhenWindowFills(t *testing.T) {
 	const pairs, fillPass = 200, 8
 	m, sys := pairGraph(t, pairs)
 	for pass := 1; pass <= fillPass; pass++ {
-		thinDrift(t, sys, pairs)
+		thinDrift(t, sys, 0, pairs)
 		rebalance(t, m)
 		flips, got := totalFlips(m), coveredReaders(sys, pairs)
 		if pass < fillPass && (flips != 0 || got != 0) {
@@ -145,13 +146,13 @@ func TestAutotuneThinShiftFlipsWhenWindowFills(t *testing.T) {
 
 // TestManualRebalanceKeepsPartialWindows: a Rebalance called by hand in the
 // middle of the thin drift is the same pass the autotune loop runs, so it
-// judges nothing and the partial windows survive it — the loop's pass that
+// flips nothing and the partial windows survive it — the loop's pass that
 // fills them still flips every hot reader.
 func TestManualRebalanceKeepsPartialWindows(t *testing.T) {
 	const pairs, fillPass = 200, 8
 	m, sys := pairGraph(t, pairs)
 	for pass := 1; pass <= fillPass; pass++ {
-		thinDrift(t, sys, pairs)
+		thinDrift(t, sys, 0, pairs)
 		if pass == fillPass-1 {
 			if flips, err := sys.Rebalance(); err != nil || flips != 0 {
 				t.Fatalf("manual Rebalance at pass %d: %d flips, %v", pass, flips, err)
@@ -165,35 +166,36 @@ func TestManualRebalanceKeepsPartialWindows(t *testing.T) {
 	}
 }
 
-// TestRebalanceAnswersShiftAfterLongAgreement: a window closes on every pass
-// that judged a node, so however long the traffic agreed with the plan, a
-// shift is judged on its own counts. 200 passes of write-heavy traffic the
-// pull reader agrees with, then a read-only shift: the reader must be push
-// after the shift's first pass.
-func TestRebalanceAnswersShiftAfterLongAgreement(t *testing.T) {
-	m, sys := pairGraph(t, 1)
-	for pass := 0; pass < 200; pass++ {
+// TestRebalanceJudgesThinBesideHot: a window restarts only on a pass that
+// flipped, so a pair whose agreeing traffic fills its window every pass
+// does not keep the thin drift beside it from filling. Pair 0 sees 100
+// writes and 1 read a pass, which its pull reader agrees with; the other
+// 200 pairs see the thin drift, and every one of their readers must turn
+// push on the pass their windows fill.
+func TestRebalanceJudgesThinBesideHot(t *testing.T) {
+	const pairs, fillPass = 201, 8
+	m, sys := pairGraph(t, pairs)
+	for pass := 1; pass <= fillPass; pass++ {
 		for i := 0; i < 100; i++ {
 			if err := sys.Engine().Write(0, 1, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := sys.Engine().Read(1); err != nil {
+		if _, err := sys.Engine().Read(pairs); err != nil {
 			t.Fatal(err)
 		}
+		thinDrift(t, sys, 1, pairs)
 		rebalance(t, m)
-	}
-	if flips := totalFlips(m); flips != 0 || sys.Engine().Covered(1) {
-		t.Fatalf("agreeing traffic flipped %d nodes (reader covered: %t)", flips, sys.Engine().Covered(1))
-	}
-	for i := 0; i < 100; i++ {
-		if _, err := sys.Engine().Read(1); err != nil {
-			t.Fatal(err)
+		if flips := totalFlips(m); pass < fillPass && flips != 0 {
+			t.Fatalf("pass %d: %d flips before the thin windows filled", pass, flips)
 		}
 	}
-	rebalance(t, m)
-	if !sys.Engine().Covered(1) {
-		t.Fatalf("the read-only shift was not answered on its first pass (%d flips)", totalFlips(m))
+	if sys.Engine().Covered(graph.NodeID(pairs)) {
+		t.Fatal("the agreeing hot pair's pull reader flipped to push")
+	}
+	if flips, got := totalFlips(m), coveredReaders(sys, pairs); flips != pairs-1 || got != pairs-1 {
+		t.Fatalf("pass %d: %d flips, %d of %d thin readers covered beside a hot agreeing pair",
+			fillPass, flips, got, pairs-1)
 	}
 }
 

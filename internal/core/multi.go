@@ -478,17 +478,17 @@ func (m *MultiSystem) InjectGroupWindows(key string, events []graph.Event) error
 }
 
 // Rebalance runs the adaptive dataflow scheme (§4.8) on every group and
-// returns the total number of decision flips.
+// returns the total number of decision flips. A group whose pass fails does
+// not stop the others: every group is rebalanced and the errors are joined.
 func (m *MultiSystem) Rebalance() (int, error) {
 	total := 0
+	var errs []error
 	for _, sys := range *m.systems.Load() {
 		flips, err := sys.Rebalance()
-		if err != nil {
-			return total, err
-		}
+		errs = append(errs, err)
 		total += flips
 	}
-	return total, nil
+	return total, errors.Join(errs...)
 }
 
 // Apply is the one write path of every attached system: it ingests a mixed

@@ -17,7 +17,7 @@ type Adaptor struct {
 	mu sync.Mutex
 	ov *overlay.Overlay
 	m  CostModel
-	// observed activity since the last Rebalance that judged a node, per
+	// observed activity since the last Rebalance that flipped a node, per
 	// overlay node.
 	pushes []float64 // updates arriving at the node's inputs
 	pulls  []float64 // reads traversing the node
@@ -102,39 +102,38 @@ func (a *Adaptor) arrivals(ref overlay.NodeRef, n *overlay.Node) float64 {
 }
 
 // contradicted reports whether frontier node ref has a full observation
-// window and whether its weight w(v) = PULL_obs − PUSH_obs says its
-// decision is the wrong one, with the arrivals that weight was computed
-// from.
-func (a *Adaptor) contradicted(ref overlay.NodeRef, n *overlay.Node) (flip, full bool, arrived float64) {
+// window whose weight w(v) = PULL_obs − PUSH_obs says its decision is the
+// wrong one, with the arrivals that weight was computed from.
+func (a *Adaptor) contradicted(ref overlay.NodeRef, n *overlay.Node) (bool, float64) {
 	if !a.frontier(ref) {
-		return false, false, 0
+		return false, 0
 	}
-	arrived = a.arrivals(ref, n)
+	arrived := a.arrivals(ref, n)
 	if arrived+a.pulls[ref] < a.MinSamples {
-		return false, false, 0
+		return false, 0
 	}
 	deg := len(n.In)
 	w := a.pulls[ref]*a.m.PullCost(deg) - arrived*a.m.PushCost(deg)
-	return (n.Dec == overlay.Pull && w > 0) || (n.Dec == overlay.Push && w < 0), true, arrived
+	return (n.Dec == overlay.Pull && w > 0) || (n.Dec == overlay.Push && w < 0), arrived
 }
 
-// Rebalance judges every frontier node whose window holds MinSamples
-// observations, using the observed frequencies as the estimates, and flips
-// those the window contradicts. A flip hands what it observed to the
-// neighbours it makes frontier (its arrivals downstream, its reads upstream),
-// so one that follows later in the same pass is judged on complete counts.
-// When the pass judged a node, the window closes: every node's counters
-// restart — a pull node's arrivals are read off its inputs, so all counters
-// must cover the same span. When it judged none, the counts carry into the
-// next pass, so a thin drift is answered once its windows fill. It returns
-// the number of flips.
+// Rebalance flips every frontier node whose window holds MinSamples
+// observations and contradicts its decision, using the observed frequencies
+// as the estimates. A flip hands what it observed to the neighbours it makes
+// frontier (its arrivals downstream, its reads upstream), so one that
+// follows later in the same pass is judged on complete counts. The window
+// closes only on a pass that flipped: then every node's counters restart —
+// a pull node's arrivals are read off its inputs, so all counters must
+// cover the same span. A pass that flipped nothing carries every count into
+// the next pass, so a node whose traffic is too thin to fill a window in
+// one pass is judged once it has filled across passes. It returns the
+// number of flips.
 func (a *Adaptor) Rebalance() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	flips, judged := 0, false
+	flips := 0
 	a.ov.ForEachNode(func(ref overlay.NodeRef, n *overlay.Node) {
-		flip, full, arrived := a.contradicted(ref, n)
-		judged = judged || full
+		flip, arrived := a.contradicted(ref, n)
 		if !flip {
 			return
 		}
@@ -149,7 +148,7 @@ func (a *Adaptor) Rebalance() int {
 			a.pulls[e.Peer] += a.pulls[ref]
 		}
 	})
-	if judged {
+	if flips > 0 {
 		clear(a.pushes)
 		clear(a.pulls)
 	}
