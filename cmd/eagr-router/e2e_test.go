@@ -4,25 +4,27 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	eagr "repro"
-	"repro/internal/shard/shardtest"
+	"repro/internal/graph"
+	"repro/internal/simtest"
 	"repro/internal/workload"
 )
 
-// TestRouterE2E is the real-binary smoke of the sharding oracle: it builds
-// eagr-serve and eagr-router, runs a two-shard fleet over HTTP and drives
-// it with the same harness (shardtest.Run) as TestRouterMatchesOracle and
-// internal/shard's TestShardedMatchesOracle. Gated behind EAGR_E2E=1 — it
-// compiles binaries and binds ports.
+// TestRouterE2E is the real-binary smoke of the router's simulator cell: it
+// builds eagr-serve and eagr-router, runs a two-shard fleet over HTTP and
+// checks one seed's op list (TestSimulator's model, no shrinking) through
+// the router. Gated behind EAGR_E2E=1 — it compiles binaries and binds
+// ports.
 func TestRouterE2E(t *testing.T) {
 	if os.Getenv("EAGR_E2E") != "1" {
 		t.Skip("set EAGR_E2E=1 to run the two-shard router end-to-end test")
@@ -37,8 +39,8 @@ func TestRouterE2E(t *testing.T) {
 		}
 	}
 
-	// Both shards and the oracle share one graph seed. The shards also hold
-	// a flag-derived initial query ({sum, 3 tuples}).
+	// Both shards and the model share one graph seed. The shards also hold
+	// a flag-derived initial query ({sum, 3 tuples}) the router never sees.
 	const (
 		nodes, degree = 48, 4
 		graphSeed     = 7
@@ -70,21 +72,15 @@ func TestRouterE2E(t *testing.T) {
 	routerURL := "http://" + routerAddr
 	waitReady(t, routerURL)
 
-	// Runtime registrations through the router: the flag-derived query's
-	// spec again, a 2-hop member that merges into its overlay family,
-	// independent time- and tuple-window families — all exact under
-	// sharding — and two topology-valued queries, which the router answers
-	// from one replica instead of merging PAOs.
-	specs := []eagr.QuerySpec{
-		{Aggregate: "sum", WindowTuples: 3},
-		{Aggregate: "sum", WindowTuples: 3, Hops: 2},
-		{Aggregate: "count", WindowTime: 40},
-		{Aggregate: "max", WindowTuples: 4},
-		{Aggregate: "distinct", WindowTime: 50},
-		{Aggregate: "density"},
-		{Aggregate: "triangles"},
+	cell := simtest.Cell{Shards: 2, HTTP: true, Merged: true, TimeWindow: true, Algorithm: "iob"}
+	rt := &routerTarget{c: cell, url: routerURL, shards: shardURLs, fail: make([]atomic.Bool, 2), ids: map[int]int{}}
+	cfg := routerSim
+	cfg.Steps, cfg.Ops = 60, []simtest.Kind{simtest.Rebalance} // no fault reaches a real binary
+	cfg.Open = func(testing.TB, simtest.Cell, int, *graph.Graph) simtest.Target { return rt }
+	g := workload.SocialGraph(nodes, degree, graphSeed)
+	if err := cfg.Check(t, cell, 0, g, simtest.Generate(rand.New(rand.NewSource(11)), cfg, cell, g)); err != nil {
+		t.Fatal(err)
 	}
-	shardtest.Run(t, workload.SocialGraph(nodes, degree, graphSeed), httpSystem{t, routerURL}, specs, 11, 12, nil)
 }
 
 // freeAddr grabs an OS-assigned 127.0.0.1 port and releases it for the

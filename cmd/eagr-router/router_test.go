@@ -15,7 +15,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/server"
 	"repro/internal/shard/shardtest"
-	"repro/internal/workload"
 )
 
 // fleetGraph builds one instance of the fixture graph every shard (and the
@@ -78,66 +77,6 @@ func ingest(t *testing.T, url string, lines ...string) (int, map[string]any) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, decodeInto[map[string]any](t, resp)
-}
-
-// httpSystem is a router driven over its HTTP surface, as the oracle
-// harness sees it; the httptest fleet and the real binaries share it.
-type httpSystem struct {
-	t   *testing.T
-	url string
-}
-
-func (s httpSystem) Register(spec eagr.QuerySpec) (func(eagr.NodeID) (eagr.Result, error), error) {
-	resp := postJSON(s.t, s.url+"/queries", server.QuerySpecReq{Aggregate: spec.Aggregate,
-		WindowTuples: spec.WindowTuples, WindowTime: spec.WindowTime, Hops: spec.Hops})
-	if resp.StatusCode != http.StatusCreated {
-		resp.Body.Close()
-		return nil, fmt.Errorf("register: status %d", resp.StatusCode)
-	}
-	id := decodeInto[routerQuery](s.t, resp).ID
-	return func(v eagr.NodeID) (eagr.Result, error) {
-		resp, err := http.Get(fmt.Sprintf("%s/queries/%d/read?node=%d", s.url, id, v))
-		if err != nil {
-			s.t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			return eagr.Result{}, fmt.Errorf("read: status %d", resp.StatusCode)
-		}
-		return decodeInto[server.ReadResp](s.t, resp).Result(), nil
-	}, nil
-}
-
-func (s httpSystem) Apply(events []eagr.Event) (*int64, error) {
-	var body []byte
-	for _, ev := range events {
-		body = server.AppendIngestLine(body, ev)
-	}
-	resp, err := http.Post(s.url+"/ingest", "application/x-ndjson", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	status := resp.StatusCode
-	ack := decodeInto[server.IngestAck](s.t, resp)
-	if status != http.StatusOK || ack.Error != "" || ack.Accepted != len(events) {
-		return nil, fmt.Errorf("ingest: status %d, accepted %d of %d, error %q", status, ack.Accepted, len(events), ack.Error)
-	}
-	return ack.Watermark, nil
-}
-
-// TestRouterMatchesOracle runs internal/shard's oracle through the router's
-// own handlers: NDJSON in, JSON out, HTTP shards behind.
-func TestRouterMatchesOracle(t *testing.T) {
-	for _, shards := range []int{2, 3} {
-		for seed := int64(1); seed <= 2; seed++ {
-			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
-				t.Parallel()
-				g := func() *graph.Graph { return workload.SocialGraph(48, 4, seed) }
-				url, _ := routerOver(t, shardtest.HTTPShards(t, shards, g, eagr.Options{Iterations: 6}, nil))
-				shardtest.Run(t, g(), httpSystem{t, url}, shardtest.Specs, seed, 12, nil)
-			})
-		}
-	}
 }
 
 // TestRouterTopoRegisterAndRead: a topology-valued query registers across

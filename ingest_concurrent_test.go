@@ -16,8 +16,8 @@ import (
 // the apply token and applying the others' batches. Each sender owns a
 // disjoint set of nodes (content) and the edges leaving them (structural
 // toggles, which fence inside ApplyBatch), so per-sender order alone fixes
-// the outcome and every interleaving must read exactly what the sequential
-// bruteModel predicts over the accepted events. Close races the senders in
+// the outcome and every interleaving must read exactly what the simtest
+// model predicts over the accepted events. Close races the senders in
 // half the configurations: a sender stops at its first ErrIngestorClosed,
 // and everything accepted before it must still apply.
 func TestConcurrentSendersMatchBruteModel(t *testing.T) {
@@ -138,17 +138,7 @@ func TestConcurrentSendersMatchBruteModel(t *testing.T) {
 		if wm, ok := ing.Watermark(); total > 0 && (!ok || wm != int64(total)) {
 			t.Fatalf("%s: watermark %d (%v), want %d", label, wm, ok, total)
 		}
-		model := newBruteModel(doubleRing(nodes), all)
-		model.check(t, label, qs)
-		for v := NodeID(0); v < nodes; v++ {
-			var want int64
-			for _, u := range model.g.In(v) {
-				want += int64(len(model.vals[u]))
-			}
-			if got, err := wide.Read(v); err != nil || got.Scalar != want {
-				t.Fatalf("%s: wide time-window count at %d = %+v, %v; want %d", label, v, got, err, want)
-			}
-		}
+		modelCheck(t, label, doubleRing(nodes), nil, all, append(qs, wide))
 	}
 }
 
@@ -246,108 +236,6 @@ func TestConcurrentSendersRaceAutotuneAndSubscriptions(t *testing.T) {
 		}
 		if got.Valid != want.Valid || got.Scalar != want.Scalar {
 			t.Fatalf("node %d: ingested %+v, oracle %+v", v, got, want)
-		}
-	}
-}
-
-// TestIngestorOneUpdatePerReaderPerBatch pins the notification contract of
-// the single apply stage: however many of a reader's in-neighbors one
-// ingested batch writes — and whether or not the batch also advances the
-// watermark and expires what earlier batches wrote — a subscriber on that
-// reader gets exactly one Update for the batch, carrying the value a Read
-// after the acknowledgement returns and the latest timestamp that reached
-// the reader. (The node-partitioned pool this replaced coalesced per
-// partition, so a reader fed from two partitions got two; while the advance
-// was a second call behind the batch, a time-windowed reader got one Update
-// from the writes and another from the expiry.)
-func TestIngestorOneUpdatePerReaderPerBatch(t *testing.T) {
-	const nodes, hot = 32, 4
-	newGraph := func() *Graph {
-		g := NewGraph(nodes)
-		for u := hot; u < nodes; u++ {
-			for r := 0; r < hot; r++ {
-				_ = g.AddEdge(NodeID(u), NodeID(r)) // every hot ego hears every other node
-			}
-		}
-		return g
-	}
-	// Two writes per node per batch, one logical-clock tick each: a batch
-	// spans 56 ticks, so a 40-tick time window loses the whole previous
-	// batch and the head of this one at every batch's own advance.
-	specs := []QuerySpec{
-		{Aggregate: "sum", Continuous: true},
-		{Aggregate: "sum", Continuous: true, WindowTuples: 3},
-		{Aggregate: "sum", Continuous: true, WindowTime: 40},
-		{Aggregate: "max", Continuous: true, WindowTime: 40},
-	}
-	for _, durable := range []bool{false, true} {
-		for _, spec := range specs {
-			name := fmt.Sprintf("%s/tuples=%d/time=%d/durable=%v", spec.Aggregate, spec.WindowTuples, spec.WindowTime, durable)
-			t.Run(name, func(t *testing.T) {
-				var sess *Session
-				var err error
-				if durable {
-					sess, _, err = OpenDurable(newGraph(), DurabilityOptions{Dir: t.TempDir(), Fsync: FsyncOff})
-				} else {
-					sess, err = Open(newGraph())
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sess.SimulateCrash() // a no-op on the in-memory session
-				q, err := sess.Register(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				egos := []NodeID{0, 1, 2, 3}
-				ch, cancel, err := q.Subscribe(1024, egos...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer cancel()
-				ing, err := sess.Ingest(IngestOptions{FlushInterval: -1, Clock: LogicalClock()})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer ing.Close()
-				var batch []Event
-				for u := hot; u < nodes; u++ {
-					batch = append(batch, NewWrite(NodeID(u), int64(u), 0), NewWrite(NodeID(u), int64(2*u), 0))
-				}
-				for round := 0; round < 20; round++ {
-					if _, err := ing.SendEvents(batch); err != nil {
-						t.Fatal(err)
-					}
-					if err := ing.Flush(); err != nil {
-						t.Fatal(err)
-					}
-					// The batch's last event reaches every ego and carries the
-					// batch's largest timestamp, which is the watermark it
-					// closed.
-					wm, _ := ing.Watermark()
-					// Delivery is synchronous with the apply, so after Flush the
-					// batch's updates are all in the channel.
-					got := map[NodeID]int{}
-					for len(ch) > 0 {
-						u := <-ch
-						got[u.Node]++
-						if want, err := q.Read(u.Node); err != nil || !u.Result.Eq(want) {
-							t.Fatalf("round %d: ego %d update carries %v, a read after Flush returns %v (%v)", round, u.Node, u.Result, want, err)
-						}
-						if u.TS != wm {
-							t.Fatalf("round %d: ego %d update stamped %d, want %d", round, u.Node, u.TS, wm)
-						}
-					}
-					for _, r := range egos {
-						if got[r] != 1 {
-							t.Fatalf("round %d: ego %d got %d updates for one batch, want 1 (all: %v)", round, r, got[r], got)
-						}
-					}
-				}
-				if d := sess.Stats().DroppedUpdates; d != 0 {
-					t.Fatalf("%d updates dropped with a 1024-deep buffer", d)
-				}
-			})
 		}
 	}
 }

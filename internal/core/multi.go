@@ -480,7 +480,12 @@ func (m *MultiSystem) InjectGroupWindows(key string, events []graph.Event) error
 // Rebalance runs the adaptive dataflow scheme (§4.8) on every group and
 // returns the total number of decision flips. A group whose pass fails does
 // not stop the others: every group is rebalanced and the errors are joined.
+// It holds the MultiSystem mutex, as a structural run does: a pass must not
+// judge an overlay that a run's maintainer has grown but not yet installed
+// (its adaptor is rebuilt only at the run's end).
 func (m *MultiSystem) Rebalance() (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	total := 0
 	var errs []error
 	for _, sys := range *m.systems.Load() {

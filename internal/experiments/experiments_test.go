@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -128,4 +129,18 @@ func TestFig12Shape(t *testing.T) {
 // fmtSscan avoids importing fmt twice in tests.
 func fmtSscan(s string, v *float64) (int, error) {
 	return sscan(s, v)
+}
+
+// TestAdaptivityFlipsRepeat: each chunk is rebalanced on the previous
+// chunk's counts before its own traffic starts, so two runs flip alike.
+func TestAdaptivityFlipsRepeat(t *testing.T) {
+	flips := func() (col []string) {
+		for _, row := range adaptivity(Config{Quick: true})[0].Rows {
+			col = append(col, row[3])
+		}
+		return col
+	}
+	if a, b := flips(), flips(); !slices.Equal(a, b) {
+		t.Fatalf("flips column differs between two runs: %v, %v", a, b)
+	}
 }

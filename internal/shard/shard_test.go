@@ -2,14 +2,12 @@ package shard
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"strconv"
 	"testing"
 
 	eagr "repro"
 	"repro/internal/graph"
-	"repro/internal/shard/shardtest"
 	"repro/internal/workload"
 )
 
@@ -32,109 +30,6 @@ func TestOwnerIsStableAndBalanced(t *testing.T) {
 			if shards > 1 && (c < 10000/shards/2 || c > 10000*2/shards) {
 				t.Fatalf("shards=%d: shard %d owns %d of 10000 nodes", shards, s, c)
 			}
-		}
-	}
-}
-
-// coSystem is a Coordinator as the oracle harness drives it; Apply is the
-// Coordinator's own.
-type coSystem struct {
-	*Coordinator
-	qs []*Query
-}
-
-func (s *coSystem) Register(spec eagr.QuerySpec) (func(eagr.NodeID) (eagr.Result, error), error) {
-	q, err := s.Coordinator.Register(spec)
-	if err != nil {
-		return nil, err
-	}
-	s.qs = append(s.qs, q)
-	return q.Read, nil
-}
-
-// TestShardedMatchesOracle is the correctness spine of the scale-out layer:
-// 2- and 3-shard fleets fed random mixed batches (content, edge churn, node
-// churn, watermark-driven expiry) must answer every query at every node
-// exactly like a never-sharded single Session that saw the same stream. One
-// harness, one Coordinator, both kinds of Shard: Sessions in this process
-// and shard servers across HTTP.
-func TestShardedMatchesOracle(t *testing.T) {
-	for _, transport := range []string{"local", "http"} {
-		for _, shards := range []int{2, 3} {
-			for seed := int64(1); seed <= 5; seed++ {
-				t.Run(fmt.Sprintf("%s/shards=%d/seed=%d", transport, shards, seed), func(t *testing.T) {
-					t.Parallel()
-					runShardedOracle(t, transport, shards, seed)
-				})
-			}
-		}
-	}
-}
-
-func runShardedOracle(t *testing.T, transport string, shards int, seed int64) {
-	g := func() *graph.Graph { return workload.SocialGraph(48, 4, seed) }
-	opts := eagr.Options{Iterations: 6}
-	if transport == "http" {
-		members := make([]Shard, shards)
-		for i, srv := range shardtest.HTTPShards(t, shards, g, opts, nil) {
-			members[i] = NewHTTPShard(srv.URL)
-		}
-		shardtest.Run(t, g(), &coSystem{Coordinator: NewCoordinator(members, nil)}, shardtest.Specs, seed, 24, nil)
-		return
-	}
-	cluster, err := Open(g(), Options{Shards: shards, Session: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	sys := &coSystem{Coordinator: cluster.Coordinator}
-	var oracle *eagr.Session
-	shardtest.Run(t, g(), sys, shardtest.Specs, seed, 24, func(o *eagr.Session, oqs []*eagr.Query) {
-		oracle = o
-		// Topology-valued: every shard individually must hold the exact
-		// value, since structure (the only input) is fully replicated.
-		for qi, cq := range sys.qs {
-			for v := 0; cq.Topo() && v < o.Graph().MaxID(); v++ {
-				want, werr := oqs[qi].Read(eagr.NodeID(v))
-				for si := range shards {
-					got, gerr := cq.ShardQuery(si).Read(eagr.NodeID(v))
-					if (werr != nil) != (gerr != nil) || werr == nil && !want.Eq(got) {
-						t.Fatalf("query %+v, node %d, shard %d: oracle %+v (%v), shard %+v (%v)",
-							oqs[qi].Spec(), v, si, want, werr, got, gerr)
-					}
-				}
-			}
-		}
-	})
-	for i := range shards {
-		assertSameGraph(t, oracle.Graph(), cluster.Shard(i).Graph(), i)
-	}
-}
-
-// assertSameGraph checks full structural equality — the replicas (and the
-// oracle) must agree on alive ids and adjacency, or the free-list node-id
-// determinism the design depends on has broken.
-func assertSameGraph(t *testing.T, want, got *graph.Graph, shard int) {
-	t.Helper()
-	if want.MaxID() != got.MaxID() || want.NumNodes() != got.NumNodes() || want.NumEdges() != got.NumEdges() {
-		t.Fatalf("shard %d: graph shape (%d,%d,%d), oracle (%d,%d,%d)", shard,
-			got.MaxID(), got.NumNodes(), got.NumEdges(),
-			want.MaxID(), want.NumNodes(), want.NumEdges())
-	}
-	for v := 0; v < want.MaxID(); v++ {
-		id := graph.NodeID(v)
-		if want.Alive(id) != got.Alive(id) {
-			t.Fatalf("shard %d: node %d alive=%v, oracle %v", shard, v, got.Alive(id), want.Alive(id))
-		}
-		if !want.Alive(id) {
-			continue
-		}
-		wo := slices.Clone(want.Out(id))
-		go_ := slices.Clone(got.Out(id))
-		slices.Sort(wo)
-		slices.Sort(go_)
-		if !slices.Equal(wo, go_) {
-			t.Fatalf("shard %d: node %d out-edges %v, oracle %v", shard, v, go_, wo)
 		}
 	}
 }

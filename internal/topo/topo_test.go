@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/graph"
+	"repro/internal/simtest"
 )
 
 func TestParseCanonicalizesSpellings(t *testing.T) {
@@ -336,7 +337,7 @@ func TestEngineWindowlessRecomputeDeliversOnChurn(t *testing.T) {
 // reuse) through the engine with ego-betweenness views standing: one from
 // the start, a second acquired midway, both released and one re-acquired
 // later. After every burst each view's Read of every alive ego must equal
-// the from-scratch reference.
+// the simtest model's recompute.
 func TestBetweennessMatchesOracleUnderChurn(t *testing.T) {
 	const n = 24
 	spec := Spec{Name: "ego-betweenness"}
@@ -344,7 +345,6 @@ func TestBetweennessMatchesOracleUnderChurn(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := graph.NewWithNodes(n)
 		e := NewEngine(g)
-		ref := newRefTopo(n)
 		first, err := e.Acquire(spec, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -365,21 +365,17 @@ func TestBetweennessMatchesOracleUnderChurn(t *testing.T) {
 			switch op := rng.Intn(100); {
 			case op < 55:
 				if g.AddEdge(u, w) == nil {
-					ref.addEdge(u, w)
 					e.EdgeAdded(u, w, int64(step))
 				}
 			case op < 85:
 				if g.RemoveEdge(u, w) == nil {
-					ref.removeEdge(u, w)
 					e.EdgeRemoved(u, w, int64(step))
 				}
 			case op < 93:
 				v := g.AddNode()
-				ref.alive[v] = true
 				e.NodeAdded(v, int64(step))
 			default:
 				if len(nodes) > 4 && g.RemoveNode(u) == nil {
-					ref.removeNode(u)
 					e.NodeRemoved(u, int64(step))
 				}
 			}
@@ -402,8 +398,9 @@ func TestBetweennessMatchesOracleUnderChurn(t *testing.T) {
 			if step%25 != 0 && step != 399 {
 				continue
 			}
-			for v := range ref.alive {
-				want := ref.egoBetweenness(v)
+			ref := simtest.NewModel(g)
+			for _, v := range ref.Nodes() {
+				want := ref.Eval(simtest.Spec{Aggregate: "ego-betweenness"}, v).Scalar
 				for i, vw := range views {
 					if r, err := vw.Read(v); err != nil || r.Scalar != want {
 						t.Fatalf("seed %d step %d view %d: EB(%d) = %+v/%v, want %d", seed, step, i, v, r, err, want)

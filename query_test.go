@@ -398,11 +398,11 @@ func TestTopoEngineDroppedWithLastView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := bruteDensity(sess.Graph(), 0); before.Scalar != want {
+	if want := modelTopo(sess.Graph(), "density", 0); before.Scalar != want {
 		t.Fatalf("density(0) at retirement = %d, want %d", before.Scalar, want)
 	}
 	churn(3) // 3→0, 4→0, 5→0
-	if bruteDensity(sess.Graph(), 0) == before.Scalar {
+	if modelTopo(sess.Graph(), "density", 0) == before.Scalar {
 		t.Fatal("test churn must move density(0)")
 	}
 	if after, err := stale.Read(0); err != nil || after.Scalar != before.Scalar {
@@ -426,7 +426,7 @@ func TestTopoEngineDroppedWithLastView(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := bruteDensity(sess.Graph(), v); got.Scalar != want {
+		if want := modelTopo(sess.Graph(), "density", v); got.Scalar != want {
 			t.Fatalf("rebuilt engine: density(%d) = %d, want %d", v, got.Scalar, want)
 		}
 	}

@@ -64,7 +64,7 @@ func TestShapeCacheThroughSession(t *testing.T) {
 	if st := sess.Stats(); st.OverlaysMined != 1 || st.OverlaysCloned != 2 {
 		t.Fatalf("after content writes and a third registration: %+v", st)
 	}
-	newBruteModel(doubleRing(nodes), events).check(t, "first two queries", qs[:2])
+	modelCheck(t, "first two queries", doubleRing(nodes), nil, events, qs[:2])
 
 	// A failed structural event is no structural event.
 	if err := sess.AddEdge(1, 0); err == nil {
@@ -104,7 +104,7 @@ func TestShapeCacheDurableRecoveryMinesOnce(t *testing.T) {
 	if st := s2.Stats(); st.Queries != 2 || st.OverlaysMined != 1 || st.OverlaysCloned != 1 {
 		t.Fatalf("recovered session: %+v", st)
 	}
-	newBruteModel(doubleRing(nodes), events).check(t, "recovered", s2.Queries())
+	modelCheck(t, "recovered", doubleRing(nodes), nil, events, s2.Queries())
 }
 
 // TestShapeCacheRegisterConcurrentWithStructuralRuns races registrations
@@ -124,7 +124,7 @@ func TestShapeCacheRegisterConcurrentWithStructuralRuns(t *testing.T) {
 		if first := registerAll(t, sess, sameShapeSpecs[:1])[0]; first.Stats().Maintainable {
 			t.Fatal("fixture: the overlay is maintainable, structural runs would repair it and never recompile")
 		}
-		events := entryPointStream(seed, nodes)
+		events := mixedStream(seed, nodes)
 
 		var wg sync.WaitGroup
 		wg.Add(2)
@@ -156,18 +156,16 @@ func TestShapeCacheRegisterConcurrentWithStructuralRuns(t *testing.T) {
 		// A query registered mid-stream has seen only the writes after it.
 		// Three more values per live node overwrite every (≤ 3-tuple)
 		// window, after which history no longer matters.
-		model := newBruteModel(nearBicliqueRing(nodes), events)
 		var refresh []Event
-		for v := NodeID(0); int(v) < model.g.MaxID(); v++ {
-			for k := int64(0); model.g.Alive(v) && k < 3; k++ {
+		for v := NodeID(0); int(v) < sess.Graph().MaxID(); v++ {
+			for k := int64(0); sess.Graph().Alive(v) && k < 3; k++ {
 				refresh = append(refresh, NewWrite(v, int64(v)*7+k, int64(len(events))+k+2))
 			}
 		}
 		if err := sess.ApplyBatch(refresh); err != nil {
 			t.Fatal(err)
 		}
-		model = newBruteModel(nearBicliqueRing(nodes), append(events[:len(events):len(events)], refresh...))
-		model.check(t, fmt.Sprintf("seed %d", seed), sess.Queries())
+		modelCheck(t, fmt.Sprintf("seed %d", seed), nearBicliqueRing(nodes), events, refresh, sess.Queries())
 		st := sess.Stats()
 		if st.Queries < 2 || st.OverlaysCloned == 0 || st.OverlaysMined < 10 {
 			t.Fatalf("seed %d: the race never met the cache: %+v", seed, st)

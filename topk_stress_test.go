@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/simtest"
 )
 
 // TestContinuousTopKConcurrentMatchesBruteForce drives the materialized
@@ -15,7 +17,7 @@ import (
 // every window slide on a reader happens under that reader's node mutex;
 // run with -race this checks that nothing reaches a head outside it, and
 // after the writers quiesce the last update delivered for each ego and a
-// final read must both equal a brute-force recount of the windows.
+// final read must both equal the simtest model's recount of the windows.
 func TestContinuousTopKConcurrentMatchesBruteForce(t *testing.T) {
 	const (
 		nodes, k, window = 48, 3, 4
@@ -89,7 +91,7 @@ func TestContinuousTopKConcurrentMatchesBruteForce(t *testing.T) {
 
 	// Each writer goroutine owns the nodes congruent to it, so a node's
 	// write order — and with it the content of its window — is known.
-	windows := make([][]int64, nodes)
+	written := make([][]Event, writers)
 	var writing sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		writing.Add(1)
@@ -102,8 +104,8 @@ func TestContinuousTopKConcurrentMatchesBruteForce(t *testing.T) {
 					v := w + writers*rng.Intn(nodes/writers)
 					val := 1 + rng.Int63n(domain)
 					batch[i] = NewWrite(NodeID(v), val, int64(b*batchLen+i+1))
-					windows[v] = append(windows[v], val)
 				}
+				written[w] = append(written[w], batch...)
 				if err := sess.ApplyBatch(batch); err != nil {
 					t.Error(err)
 					return
@@ -120,34 +122,24 @@ func TestContinuousTopKConcurrentMatchesBruteForce(t *testing.T) {
 	cancel()
 	consumed.Wait()
 
+	m := simtest.NewModel(g)
+	m.Register(0, simtest.Spec{Aggregate: "topk(3)", WindowTuples: window, Continuous: true})
+	for _, evs := range written {
+		for _, ev := range evs {
+			_ = m.Apply(ev, nil)
+		}
+	}
 	for _, ego := range egos {
-		count := map[int64]int{}
-		for _, in := range g.In(ego) {
-			vals := windows[in]
-			for _, v := range vals[max(0, len(vals)-window):] {
-				count[v]++
-			}
-		}
-		want := make([]int64, 0, len(count))
-		for v := range count {
-			want = append(want, v)
-		}
-		slices.SortFunc(want, func(a, b int64) int {
-			if count[a] != count[b] {
-				return count[b] - count[a]
-			}
-			return int(a - b)
-		})
-		want = want[:min(k, len(want))]
+		want, _ := m.Read(0, ego)
 		got, err := q.Read(ego)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Valid || !slices.Equal(got.List, want) {
-			t.Errorf("ego %d: final read %v, brute force %v", ego, got, want)
+		if !simtest.Result(got).Eq(want) {
+			t.Errorf("ego %d: final read %v, model %v", ego, got, want)
 		}
-		if u, ok := last[ego]; !ok || !slices.Equal(u.List, want) {
-			t.Errorf("ego %d: last update %v (delivered=%v), brute force %v", ego, u, ok, want)
+		if u, ok := last[ego]; !ok || !simtest.Result(u).Eq(want) {
+			t.Errorf("ego %d: last update %v (delivered=%v), model %v", ego, u, ok, want)
 		}
 	}
 }
