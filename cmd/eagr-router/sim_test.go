@@ -28,6 +28,21 @@ func TestSimulator(t *testing.T) {
 	routerSim.Run(t)
 }
 
+// TestRouterMatchesOracle runs the simulator's merged IOB cell through the
+// router's own handlers over 2 and 3 HTTP shards, tuple windows on odd
+// seeds and time windows on even ones.
+func TestRouterMatchesOracle(t *testing.T) {
+	for _, shards := range []int{2, 3} {
+		for seed := int64(1); seed <= 2; seed++ {
+			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
+				t.Parallel()
+				routerSim.Seed(t, simtest.Cell{Shards: shards, HTTP: true, Merged: true,
+					TimeWindow: seed%2 == 0, Algorithm: "iob"}, seed)
+			})
+		}
+	}
+}
+
 var routerSim = simtest.Config{
 	Package: "./cmd/eagr-router/",
 	Unsupported: func(c simtest.Cell) string {

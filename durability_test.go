@@ -3,9 +3,12 @@ package eagr
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -60,6 +63,153 @@ func assertSameResults(t *testing.T, label string, got, want *Session) {
 				t.Fatalf("%s: query %d node %d: %+v, oracle %+v", label, gq[i].ID(), v, gr, wr)
 			}
 		}
+	}
+}
+
+// TestCrashRecoveryProperty is the crash-recovery property test: a random
+// mixed stream is fed into a durable session whose filesystem dies at a
+// random write; the session is recovered from disk and every standing
+// query's results must match the model of exactly the acknowledged
+// batches. fsync=per-batch, so acknowledged ⇒ durable.
+func TestCrashRecoveryProperty(t *testing.T) {
+	const nodes = 24
+	for seed := int64(1); seed <= 6; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			dir := t.TempDir()
+			osfs, err := wal.NewOsFS(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Crash somewhere in the first few hundred writes; ShortWrite on
+			// even seeds leaves a torn record for recovery to truncate.
+			ffs := wal.NewFaultFS(osfs, wal.FaultConfig{
+				CrashAtWrite: int64(20 + rng.Intn(300)),
+				ShortWrite:   seed%2 == 0,
+			})
+			edges := make([]Event, 0, nodes*3)
+			for i := 0; i < nodes*3; i++ {
+				if u, v := NodeID(rng.Intn(nodes)), NodeID(rng.Intn(nodes)); u != v {
+					edges = append(edges, NewEdgeAdd(u, v, 0))
+				}
+			}
+
+			s, rec, err := OpenDurable(NewGraph(nodes), DurabilityOptions{fs: ffs})
+			if err != nil {
+				t.Fatalf("OpenDurable: %v", err)
+			}
+			if rec.ReplayedBatches != 0 || rec.ReplayedEvents != 0 {
+				t.Fatalf("fresh dir recovery = %+v", rec)
+			}
+			registerAll(t, s, durTestSpecs)
+
+			// Random mixed stream: content writes with increasing timestamps,
+			// occasional structural churn, occasional mid-stream checkpoints.
+			// The seed edge set is just the first batch.
+			// Duplicate-edge errors are per-event skips: the batch is still
+			// logged and the oracle reproduces the same skips.
+			if err := s.ApplyBatch(edges); errors.Is(err, wal.ErrInjected) {
+				t.Fatalf("fault fired on the seed batch: %v", err)
+			}
+			acked := slices.Clone(edges)
+			ts := int64(0)
+			crashed := false
+			for b := 0; b < 400 && !crashed; b++ {
+				k := 1 + rng.Intn(6)
+				batch := make([]Event, 0, k)
+				for i := 0; i < k; i++ {
+					switch rng.Intn(10) {
+					case 0:
+						u, v := NodeID(rng.Intn(nodes)), NodeID(rng.Intn(nodes))
+						if u == v {
+							v = (v + 1) % nodes
+						}
+						batch = append(batch, NewEdgeAdd(u, v, 0))
+					case 1:
+						u, v := NodeID(rng.Intn(nodes)), NodeID(rng.Intn(nodes))
+						if u == v {
+							v = (v + 1) % nodes
+						}
+						batch = append(batch, NewEdgeRemove(u, v, 0))
+					default:
+						ts++
+						batch = append(batch, NewWrite(NodeID(rng.Intn(nodes)), int64(rng.Intn(100)), ts))
+					}
+				}
+				err := s.ApplyBatch(batch)
+				switch {
+				case errors.Is(err, wal.ErrInjected) || errors.Is(err, ErrDurabilityClosed):
+					crashed = true
+				default:
+					// Applied (possibly with per-event structural skips the
+					// oracle will reproduce): the batch is in the WAL.
+					acked = append(acked, batch...)
+				}
+				if !crashed && rng.Intn(25) == 0 {
+					_ = s.Checkpoint() // may die on the fault; recovery falls back
+				}
+			}
+			if !crashed {
+				t.Fatal("fault never fired; raise the stream length")
+			}
+			_ = s.SimulateCrash()
+
+			// Recover from the real directory with the real filesystem.
+			s2, rec2, err := OpenDurable(nil, DurabilityOptions{Dir: dir})
+			if err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+			defer s2.CloseDurability()
+			if rec2.ReplayedEvents == 0 {
+				t.Fatal("crash recovery replayed nothing")
+			}
+			if rec2.RecoveredQueries != len(durTestSpecs) {
+				t.Fatalf("recovered %d queries, want %d", rec2.RecoveredQueries, len(durTestSpecs))
+			}
+			// fsync=per-batch: every acknowledged event must be recovered.
+			if rec2.NextOrdinal < uint64(len(acked)) {
+				t.Fatalf("acknowledged %d events but recovered only %d", len(acked), rec2.NextOrdinal)
+			}
+			// The model of exactly the acknowledged events (stream order ==
+			// WAL order: single-threaded sender).
+			modelCheck(t, fmt.Sprintf("seed %d", seed), NewGraph(nodes), nil, acked, s2.Queries())
+		})
+	}
+}
+
+// TestDurableEntryPointsRecover is TestApplyBatchMatchesSequentialOracle's
+// durable twin: the same seeded stream through each public entry point of
+// a durable session must read as the model predicts — and must STILL read
+// so after SimulateCrash + OpenDurable. Replay goes through the same apply
+// function, so this is what proves the one durability fork logs exactly
+// what each view applies.
+func TestDurableEntryPointsRecover(t *testing.T) {
+	const nodes = 48
+	opts := Options{Algorithm: "iob"}
+	for _, ep := range entryPoints() {
+		t.Run(ep.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _, err := OpenDurable(doubleRing(nodes), DurabilityOptions{Dir: dir, Fsync: FsyncOff}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs := registerAll(t, s, entryPointSpecs)
+			events := mixedStream(5, nodes)
+			ep.drive(t, s, events)
+			modelCheck(t, "live", doubleRing(nodes), nil, events, qs)
+			_ = s.SimulateCrash()
+
+			s2, rec, err := OpenDurable(nil, DurabilityOptions{Dir: dir, Fsync: FsyncOff}, opts)
+			if err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+			defer s2.CloseDurability()
+			if rec.ReplayedEvents == 0 {
+				t.Fatal("recovery replayed nothing; the stream never reached the WAL")
+			}
+			modelCheck(t, "recovered", doubleRing(nodes), nil, events, s2.Queries())
+		})
 	}
 }
 
@@ -149,6 +299,201 @@ func TestDurableCleanRestartReplaysNothing(t *testing.T) {
 		t.Fatalf("crash restart replayed %d events, want the 10 written after the clean restart", rec.ReplayedEvents)
 	}
 	assertSameResults(t, "crash restart past a stale marker", s3, oracle)
+}
+
+// TestDurableExpireReplay pins that watermark-driven expiry is logged and
+// replayed exactly: windows emptied before the crash stay empty after
+// recovery even though the replayed content writes are old.
+func TestDurableExpireReplay(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := OpenDurable(NewGraph(4), DurabilityOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := s.Register(QuerySpec{Aggregate: "count", WindowTime: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write(0, 5, 100); err != nil {
+		t.Fatal(err)
+	}
+	// Expire far past the write: the window at node 1 empties. A recovery
+	// that recomputed expiry (instead of replaying it) would need to know
+	// this watermark; a recovery that ignored it would resurrect the write.
+	s.ExpireAll(500)
+	if r, _ := q.Read(1); r.Scalar != 0 {
+		t.Fatalf("pre-crash count = %d, want 0", r.Scalar)
+	}
+	_ = s.SimulateCrash() // no checkpoint since the expiry: replay must redo it
+
+	s2, rec, err := OpenDurable(nil, DurabilityOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.CloseDurability()
+	if rec.ReplayedBatches == 0 {
+		t.Fatal("crash recovery replayed nothing")
+	}
+	q2 := s2.Query(q.ID())
+	if q2 == nil {
+		t.Fatal("query not recovered")
+	}
+	if r, _ := q2.Read(1); r.Scalar != 0 {
+		t.Fatalf("recovered count = %d, want 0 (expiry must replay)", r.Scalar)
+	}
+}
+
+// TestDurableCheckpointWrappedWindows takes a checkpoint while time windows
+// are wrapped around the end of their circular buffers and recovers from it
+// alone (clean shutdown, zero replay): ExportWindows → replay must hand
+// back each window oldest-first wherever its head sits. Eight writers stop
+// at eight different points of a 50-wide slide, so their ring heads are
+// spread over the buffer — most of them past the point where the live
+// region wraps — and the recovered session must then keep sliding in step
+// with a never-restarted oracle.
+func TestDurableCheckpointWrappedWindows(t *testing.T) {
+	const writers = 8
+	specs := []QuerySpec{
+		{Aggregate: "sum", WindowTime: 50},
+		{Aggregate: "max", WindowTime: 50},
+	}
+	open := func(dir string) *Session {
+		var s *Session
+		var err error
+		if dir != "" {
+			s, _, err = OpenDurable(NewGraph(2*writers), DurabilityOptions{Dir: dir})
+		} else {
+			s, err = Open(NewGraph(2 * writers))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		registerAll(t, s, specs)
+		for u := 0; u < writers; u++ {
+			// One private reader per writer, so each window is read alone.
+			if err := s.AddEdge(NodeID(u), NodeID(writers+u)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	feed := func(s *Session, from, to int64) {
+		for ts := from; ts <= to; ts++ {
+			for u := int64(0); u < writers; u++ {
+				if ts <= 60+9*u || ts > 150 { // writer u pauses at its own point
+					if err := s.Write(NodeID(u), ts*7%101+u, ts); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	dir := t.TempDir()
+	s, oracle := open(dir), open("")
+	feed(s, 1, 130)
+	feed(oracle, 1, 130)
+	if err := s.CloseDurability(); err != nil { // final checkpoint
+		t.Fatal(err)
+	}
+	s2, rec, err := OpenDurable(nil, DurabilityOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.CloseDurability()
+	if rec.ReplayedBatches != 0 || rec.ReplayedEvents != 0 {
+		t.Fatalf("want recovery from the checkpoint image alone, got %+v", rec)
+	}
+	assertSameResults(t, "recovered from wrapped rings", s2, oracle)
+	feed(s2, 151, 230)
+	feed(oracle, 151, 230)
+	assertSameResults(t, "slid on after recovery", s2, oracle)
+}
+
+// TestDurableQueryLifecycle pins durable register/retire: a query closed
+// before the crash stays closed after recovery, and ids never collide.
+func TestDurableQueryLifecycle(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := OpenDurable(NewGraph(4), DurabilityOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q1, _ := s.Register(QuerySpec{Aggregate: "sum"})
+	q2, _ := s.Register(QuerySpec{Aggregate: "count"})
+	if err := q1.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	_ = s.SimulateCrash()
+
+	s2, rec, err := OpenDurable(nil, DurabilityOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.CloseDurability()
+	if rec.RecoveredQueries != 1 {
+		t.Fatalf("recovered %d queries, want 1", rec.RecoveredQueries)
+	}
+	if s2.Query(q1.ID()) != nil {
+		t.Fatal("retired query resurrected")
+	}
+	if s2.Query(q2.ID()) == nil {
+		t.Fatal("live query not recovered")
+	}
+	// New registrations must not reuse recovered ids.
+	q3, err := s2.Register(QuerySpec{Aggregate: "max"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q3.ID() <= q2.ID() {
+		t.Fatalf("new id %d collides with recovered id space (max %d)", q3.ID(), q2.ID())
+	}
+}
+
+// TestDurableNodeIDReuse pins that NodeAdd id recycling replays
+// identically: the checkpointed graph carries its free list.
+func TestDurableNodeIDReuse(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := OpenDurable(NewGraph(4), DurabilityOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerAll(t, s, durTestSpecs[:1])
+	if err := s.RemoveNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil { // free list crosses via the checkpoint
+		t.Fatal(err)
+	}
+	id, err := s.AddNode() // reuses id 1, logged as a NodeAdd event
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != 1 {
+		t.Fatalf("AddNode reused id %d, want 1", id)
+	}
+	if err := s.AddEdge(id, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write(id, 7, 1); err != nil {
+		t.Fatal(err)
+	}
+	_ = s.SimulateCrash()
+
+	s2, _, err := OpenDurable(nil, DurabilityOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.CloseDurability()
+	q := s2.Queries()[0]
+	r, err := q.Read(0)
+	if err != nil {
+		t.Fatalf("read after recovery: %v", err)
+	}
+	if r.Scalar != 7 {
+		t.Fatalf("sum at node 0 = %d, want 7 (write on the reused id)", r.Scalar)
+	}
 }
 
 // TestDurableIngestorResume pins the Ingestor integration: ingest with a

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"sync/atomic"
 	"testing"
@@ -18,18 +19,36 @@ import (
 // or none, merged and unmerged families, tuple and time windows, IOB and
 // VNM_N overlays, and a shard whose apply fails. Distinct~ is compared against a
 // never-sharded Session fed the same stream.
-func TestSimulator(t *testing.T) {
-	simtest.Config{
-		Package:     "./internal/shard/",
-		Unsupported: fleetUnsupported,
-		Ops:         []simtest.Kind{simtest.Rebalance, simtest.Reoptimize, simtest.ShardFault},
-		Open: func(t testing.TB, c simtest.Cell, _ int, g *graph.Graph) simtest.Target {
-			return openFleet(t, c, g)
-		},
-		Reference: shardtest.Reference,
-		Owner:     func(v graph.NodeID, shards int) int { return Owner(v, shards) },
-		Nodes:     16, Steps: 40, Seeds: 72, ShortSeeds: 12,
-	}.Run(t)
+func TestSimulator(t *testing.T) { fleetSim.Run(t) }
+
+var fleetSim = simtest.Config{
+	Package:     "./internal/shard/",
+	Unsupported: fleetUnsupported,
+	Ops:         []simtest.Kind{simtest.Rebalance, simtest.Reoptimize, simtest.ShardFault},
+	Open: func(t testing.TB, c simtest.Cell, _ int, g *graph.Graph) simtest.Target {
+		return openFleet(t, c, g)
+	},
+	Reference: shardtest.Reference,
+	Owner:     func(v graph.NodeID, shards int) int { return Owner(v, shards) },
+	Nodes:     16, Steps: 40, Seeds: 72, ShortSeeds: 12,
+}
+
+// TestShardedMatchesOracle is the correctness spine of the scale-out layer:
+// 2- and 3-shard fleets of both kinds of Shard, Sessions in this process and
+// shard servers across HTTP, run the simulator's merged IOB cell, tuple
+// windows on odd seeds and time windows on even ones.
+func TestShardedMatchesOracle(t *testing.T) {
+	for _, transport := range []string{"local", "http"} {
+		for _, shards := range []int{2, 3} {
+			for seed := int64(1); seed <= 5; seed++ {
+				t.Run(fmt.Sprintf("%s/shards=%d/seed=%d", transport, shards, seed), func(t *testing.T) {
+					t.Parallel()
+					fleetSim.Seed(t, simtest.Cell{Shards: shards, HTTP: transport == "http", Merged: true,
+						TimeWindow: seed%2 == 0, Algorithm: "iob"}, seed)
+				})
+			}
+		}
+	}
 }
 
 // fleetUnsupported is every cell a Coordinator cannot run, with the reason.

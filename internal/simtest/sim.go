@@ -147,9 +147,8 @@ type Config struct {
 }
 
 // Run is TestSimulator: one subtest per seed, each drawing a supported cell
-// (in turn, so Seeds ≥ supported cells runs every one) and an entry-point
-// variant, and checking its op list after every op. A failure shrinks the
-// op list and prints it with the line that replays the seed.
+// (in turn, so Seeds ≥ supported cells runs every one) and running it as
+// Seed does.
 func (cfg Config) Run(t *testing.T) {
 	var cells []Cell
 	for _, c := range Matrix() {
@@ -166,24 +165,31 @@ func (cfg Config) Run(t *testing.T) {
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			rng := rand.New(rand.NewSource(seed))
-			cell, variant := cells[int(seed-1)%len(cells)], rng.Intn(2)
-			g := RandomGraph(rng, cfg.Nodes)
-			ops := Generate(rng, cfg, cell, g)
-			t.Logf("cell %s, variant %d", cell, variant)
-			err := cfg.Check(t, cell, variant, g, ops)
-			if err == nil {
-				return
-			}
-			small := Shrink(ops, func(o []Op) bool { return cfg.Check(t, cell, variant, g, o) != nil }, 400)
-			var b strings.Builder
-			for i, op := range small {
-				fmt.Fprintf(&b, "\n  %3d %s", i, op)
-			}
-			t.Fatalf("%v\nshrunk to %d of %d ops (%v):%s\nreplay: go test -run 'TestSimulator/seed=%d$' %s",
-				err, len(small), len(ops), cfg.Check(t, cell, variant, g, small), b.String(), seed, cfg.Package)
+			cfg.Seed(t, cells[int(seed-1)%len(cells)], seed)
 		})
 	}
+}
+
+// Seed draws an entry-point variant, a graph and an op list from seed and
+// checks them on cell after every op. A failure shrinks the op list and
+// prints it with the line that replays the test.
+func (cfg Config) Seed(t *testing.T, cell Cell, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	variant := rng.Intn(2)
+	g := RandomGraph(rng, cfg.Nodes)
+	ops := Generate(rng, cfg, cell, g)
+	t.Logf("cell %s, variant %d", cell, variant)
+	err := cfg.Check(t, cell, variant, g, ops)
+	if err == nil {
+		return
+	}
+	small := Shrink(ops, func(o []Op) bool { return cfg.Check(t, cell, variant, g, o) != nil }, 400)
+	var b strings.Builder
+	for i, op := range small {
+		fmt.Fprintf(&b, "\n  %3d %s", i, op)
+	}
+	t.Fatalf("%v\nshrunk to %d of %d ops (%v):%s\nreplay: go test -run '^%s$' %s",
+		err, len(small), len(ops), cfg.Check(t, cell, variant, g, small), b.String(), t.Name(), cfg.Package)
 }
 
 // Shrink delta-debugs a failing op list within budget runs: it drops ever

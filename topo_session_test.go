@@ -2,6 +2,7 @@ package eagr
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -74,6 +75,101 @@ func TestTopoSpellingsShareOneView(t *testing.T) {
 	}
 	if st := sess.Stats(); st.TopoViews != 0 {
 		t.Fatalf("view leaked after last close: %+v", st)
+	}
+}
+
+// TestTopoSessionOracleChurn is the acceptance property test at the session
+// layer: 5 seeds of random mixed content/edge/node churn with expiry,
+// ingested through ApplyBatch alongside numeric queries, after which every
+// topology aggregate must match the model's recompute over the live graph. Run with -race in CI, it also races churn against subscriptions.
+func TestTopoSessionOracleChurn(t *testing.T) {
+	const n = 24
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sess, err := Open(NewGraph(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		density, err := sess.Register(QuerySpec{Aggregate: "density"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tri, err := sess.Register(QuerySpec{Aggregate: "triangles"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wedges, err := sess.Register(QuerySpec{Aggregate: "wedges"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ebc, err := sess.Register(QuerySpec{Aggregate: "ego-betweenness"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The window changes no value: it reads live like the others.
+		ebcWindowed, err := sess.Register(QuerySpec{Aggregate: "ego-betweenness", WindowTime: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A time-windowed numeric query keeps the content/expiry machinery
+		// engaged in the same stream.
+		counts, err := sess.Register(QuerySpec{Aggregate: "count", WindowTime: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A standing all-ego subscription races delivery against churn.
+		ch, cancel, err := tri.Subscribe(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cancel()
+		go func() {
+			for range ch {
+			}
+		}()
+
+		ts := int64(0)
+		for burst := 0; burst < 40; burst++ {
+			batch := make([]Event, 0, 16)
+			for i := 0; i < 12; i++ {
+				ts++
+				u := NodeID(rng.Intn(n))
+				w := NodeID(rng.Intn(n))
+				switch op := rng.Intn(100); {
+				case op < 33:
+					batch = append(batch, NewWrite(u, int64(rng.Intn(100)), ts))
+				case op < 64:
+					batch = append(batch, NewEdgeAdd(u, w, ts))
+				case op < 90:
+					batch = append(batch, NewEdgeRemove(u, w, ts))
+				case op < 95:
+					batch = append(batch, NewNodeAdd(ts))
+				default:
+					// May target an already-dead node; the batch skips it.
+					batch = append(batch, NewNodeRemove(u, ts))
+				}
+			}
+			// Errors are expected: duplicate edges, removals of absent
+			// edges — the batch still applies the rest.
+			_ = sess.ApplyBatch(batch)
+			if burst%7 == 3 {
+				sess.ExpireAll(ts - 25)
+			}
+			m := simtest.NewModel(sess.Graph())
+			for _, v := range m.Nodes() {
+				for _, q := range []*Query{density, tri, wedges, ebc, ebcWindowed} {
+					want := m.Eval(simtest.Spec{Aggregate: q.Spec().Aggregate}, v).Scalar
+					if r, err := q.Read(v); err != nil || r.Scalar != want {
+						t.Fatalf("seed %d burst %d: %+v at %d = %+v/%v, want %d", seed, burst, q.Spec(), v, r, err, want)
+					}
+				}
+			}
+		}
+		if sess.Graph().Alive(0) {
+			if _, err := counts.Read(0); err != nil {
+				t.Fatalf("seed %d: numeric query broke alongside topo: %v", seed, err)
+			}
+		}
 	}
 }
 
@@ -201,6 +297,129 @@ func TestTopoContentPathZeroAlloc(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("content-only ApplyBatch allocates %.1f allocs/op with a topo query registered, want 0", allocs)
+	}
+}
+
+// TestTopoDurableRecovery: topology-valued aggregates survive crash
+// recovery with zero dedicated WAL records — topo state is a pure function
+// of the recovered graph. A durable session with all four topo aggregates
+// (and a numeric query in the same stream) takes mixed churn, checkpoints
+// mid-stream, crashes, and the recovered session must answer every query
+// exactly like a never-crashed oracle that applied the same batches and
+// expires.
+func TestTopoDurableRecovery(t *testing.T) {
+	const n = 16
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dir := t.TempDir()
+		s, rec, err := OpenDurable(NewGraph(n), DurabilityOptions{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.ReplayedBatches != 0 {
+			t.Fatalf("fresh dir replayed %d batches", rec.ReplayedBatches)
+		}
+		specs := []QuerySpec{
+			{Aggregate: "density"},
+			{Aggregate: "triangles"},
+			{Aggregate: "wedges"},
+			{Aggregate: "ego-betweenness", WindowTime: 10},
+			{Aggregate: "sum", WindowTime: 40},
+		}
+		registerAll(t, s, specs)
+
+		var acked [][]Event
+		var expires []int64
+		ts := int64(0)
+		for burst := 0; burst < 30; burst++ {
+			batch := make([]Event, 0, 8)
+			for i := 0; i < 8; i++ {
+				ts++
+				u, w := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+				switch op := rng.Intn(10); {
+				case op < 4:
+					batch = append(batch, NewWrite(u, int64(rng.Intn(50)), ts))
+				case op < 8:
+					batch = append(batch, NewEdgeAdd(u, w, ts))
+				default:
+					batch = append(batch, NewEdgeRemove(u, w, ts))
+				}
+			}
+			// Per-event structural skips are fine; the batch is logged and
+			// replays with identical effect.
+			_ = s.ApplyBatch(batch)
+			acked = append(acked, batch)
+			if burst%6 == 5 {
+				s.ExpireAll(ts - 20)
+				expires = append(expires, ts-20)
+			}
+			if burst == 14 {
+				if err := s.Checkpoint(); err != nil {
+					t.Fatalf("mid-stream checkpoint: %v", err)
+				}
+			}
+		}
+		// A final advance after all churn, so the numeric window closes at
+		// the same time on both sides of the crash.
+		s.ExpireAll(ts)
+		expires = append(expires, ts)
+		if err := s.SimulateCrash(); err != nil {
+			t.Fatal(err)
+		}
+
+		s2, rec2, err := OpenDurable(nil, DurabilityOptions{Dir: dir})
+		if err != nil {
+			t.Fatalf("seed %d: recovery: %v", seed, err)
+		}
+		if rec2.ReplayedEvents == 0 {
+			t.Fatal("crash recovery replayed nothing; the tail after the mid-stream checkpoint is lost")
+		}
+		if rec2.RecoveredQueries != len(specs) {
+			t.Fatalf("recovered %d queries, want %d (topo specs must be durable)", rec2.RecoveredQueries, len(specs))
+		}
+
+		oracle, err := Open(NewGraph(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		registerAll(t, oracle, specs)
+		ei := 0
+		for bi, b := range acked {
+			_ = oracle.ApplyBatch(b)
+			if bi%6 == 5 && ei < len(expires)-1 {
+				oracle.ExpireAll(expires[ei])
+				ei++
+			}
+		}
+		oracle.ExpireAll(expires[len(expires)-1])
+
+		// The recovered windowed ego-betweenness view reads like the
+		// never-crashed one, and like the current structure, straight
+		// after OpenDurable: it waits for no advance of time.
+		g2 := s2.Graph()
+		ebc, ebcOracle := s2.Queries()[3], oracle.Queries()[3]
+		for v := NodeID(0); int(v) < g2.MaxID(); v++ {
+			got, gerr := ebc.Read(v)
+			want, werr := ebcOracle.Read(v)
+			if gerr != nil || werr != nil || !got.Eq(want) || got.Scalar != modelTopo(g2, "ego-betweenness", v) {
+				t.Fatalf("seed %d: recovered windowed EB(%d) = %+v/%v, never-crashed %+v/%v, model %d",
+					seed, v, got, gerr, want, werr, modelTopo(g2, "ego-betweenness", v))
+			}
+		}
+		assertSameResults(t, fmt.Sprintf("topo seed %d", seed), s2, oracle)
+
+		// Recovered topo queries keep maintaining: one more structural
+		// change must flow through to reads.
+		q := s2.Queries()[1] // triangles
+		var a, b NodeID = 0, 1
+		if err := s2.ApplyBatch([]Event{NewEdgeAdd(a, b, ts+1)}); err == nil {
+			if r, err := q.Read(a); err != nil || r.Scalar != modelTopo(g2, "triangles", a) {
+				t.Fatalf("seed %d: post-recovery maintenance broken: %+v/%v, want %d", seed, r, err, modelTopo(g2, "triangles", a))
+			}
+		}
+		if err := s2.CloseDurability(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
