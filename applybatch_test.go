@@ -65,14 +65,15 @@ func modelCheck(t *testing.T, label string, g *Graph, before, after []Event, qs 
 	for _, ev := range after {
 		_ = m.Apply(ev, nil)
 	}
-	for i, q := range qs {
-		for v := NodeID(0); v < m.MaxID(); v++ {
-			got, err := q.Read(v)
-			want, alive := m.Read(i, v)
-			if !alive && !errors.Is(err, ErrUnknownNode) || alive && (err != nil || !simtest.Result(got).Eq(want)) {
-				t.Fatalf("%s: %+v at node %d (alive %v): got %v, %v; model %v", label, q.Spec(), v, alive, got, err, want)
-			}
+	err := m.CheckReads(func(slot int, v NodeID) (simtest.Result, error) {
+		r, err := qs[slot].Read(v)
+		if errors.Is(err, ErrUnknownNode) {
+			err = simtest.ErrUnknownNode
 		}
+		return simtest.Result(r), err
+	}, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 

@@ -429,6 +429,54 @@ func TestAutotuneControllerStress(t *testing.T) {
 	}
 }
 
+// TestRebalanceDuringNodeAdds: a structural run's node adds grow a
+// maintained overlay in place, and only the run's end rebuilds the adaptor
+// over it, so a Rebalance pass in between would judge readers the adaptor
+// holds no counters for (an index out of range). Passes loop against runs
+// of node adds and removes. Run under -race in CI.
+func TestRebalanceDuringNodeAdds(t *testing.T) {
+	m := core.NewMulti(workload.SocialGraph(200, 6, 1))
+	att, err := m.Attach("adds-sum", core.Query{Aggregate: agg.Sum{}, Window: agg.NewTupleWindow(1)},
+		core.Options{Algorithm: construct.AlgIOB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := m.Rebalance(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var run []graph.Event
+	for round := 0; round < 200; round++ {
+		for range 8 {
+			run = append(run, graph.Event{Kind: graph.NodeAdd})
+		}
+		added, err := m.Apply(run, graph.NoAdvance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run = run[:0] // the next run removes half of these
+		for _, v := range added[:len(added)/2] {
+			run = append(run, graph.Event{Kind: graph.NodeRemove, Node: v})
+		}
+	}
+	close(stop)
+	<-done
+	if !att.System().Stats().Maintainable {
+		t.Fatal("the node adds were not maintained in place")
+	}
+}
+
 // TestAutotuneNeverUncoversContinuousQuery: a continuous query promises its
 // subscribers an update on every covering write, which holds only while its
 // readers stay push — so no Rebalance pass may move a reader of an

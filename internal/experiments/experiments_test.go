@@ -131,8 +131,9 @@ func fmtSscan(s string, v *float64) (int, error) {
 	return sscan(s, v)
 }
 
-// TestAdaptivityFlipsRepeat: each chunk is rebalanced on the previous
-// chunk's counts before its own traffic starts, so two runs flip alike.
+// TestAdaptivityFlipsRepeat: each chunk's flips are decided by a serial
+// twin on the previous chunk's counts, whatever the concurrent install on
+// the measured engine does, so two runs flip alike.
 func TestAdaptivityFlipsRepeat(t *testing.T) {
 	flips := func() (col []string) {
 		for _, row := range adaptivity(Config{Quick: true})[0].Rows {
