@@ -51,6 +51,13 @@ func NewMaintainer(ov *overlay.Overlay) (*Maintainer, error) {
 	}, nil
 }
 
+// Maintainable reports whether NewMaintainer accepts ov, without keeping
+// the indexes it builds to find out.
+func Maintainable(ov *overlay.Overlay) bool {
+	_, err := fromOverlay(ov)
+	return err == nil
+}
+
 // Overlay returns the maintained overlay.
 func (m *Maintainer) Overlay() *overlay.Overlay { return m.b.ov }
 

@@ -1,8 +1,10 @@
 package construct
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -144,6 +146,88 @@ func TestBuildDeterministic(t *testing.T) {
 			} else if sig != first {
 				t.Errorf("%s: run %d built %q, run 0 built %q", c.name, i, sig, first)
 				break
+			}
+		}
+	}
+}
+
+// TestThawRoundTrip: a Topology is the overlay at rest. On every benchmark
+// graph and algorithm — with a few decisions flipped to push, a few readers
+// removed (dead slots) and a second query tag added — Thaw then Flatten
+// gives the identical Topology, and the thawed overlay saves the original's
+// bytes, in the original's lineage. The same edits applied afterwards to the
+// thawed overlay and to a Clone of the original keep them byte-equal, so no
+// node's edge list aliases another's.
+func TestThawRoundTrip(t *testing.T) {
+	save := func(ov *overlay.Overlay) []byte {
+		var buf bytes.Buffer
+		if err := ov.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, bg := range benchGraphs {
+		g := bg.gen()
+		ag := bipartite.Build(g, graph.InNeighbors{}, nil)
+		for _, alg := range []string{AlgIOB, AlgVNM, AlgVNMA, AlgVNMN, AlgVNMD} {
+			name := bg.name + "/" + alg
+			res, err := Build(alg, ag, Config{})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			ov := res.Overlay
+			for ref := overlay.NodeRef(0); int(ref) < ov.Len(); ref += 3 {
+				if ov.Node(ref).Kind != overlay.WriterNode {
+					ov.Node(ref).Dec = overlay.Push
+				}
+			}
+			for v := graph.NodeID(0); v < 40; v += 7 {
+				if err := ov.RemoveNode(ov.Reader(0, v)); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			ov.GCOrphans()
+			for _, w := range g.In(3) {
+				if err := ov.AddEdge(ov.Writer(w), ov.AddReader(1, 3), false); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+
+			top := ov.Flatten()
+			th := overlay.Thaw(top)
+			if !reflect.DeepEqual(th.Flatten(), top) {
+				t.Fatalf("%s: Flatten(Thaw(t)) differs from t", name)
+			}
+			if !bytes.Equal(save(th), save(ov)) {
+				t.Fatalf("%s: the thawed overlay saves other bytes", name)
+			}
+			if th.Lineage() != ov.Lineage() || th.NumNodes() != ov.NumNodes() || th.NumEdges() != ov.NumEdges() {
+				t.Fatalf("%s: lineage/nodes/edges %d/%d/%d, want %d/%d/%d", name,
+					th.Lineage(), th.NumNodes(), th.NumEdges(), ov.Lineage(), ov.NumNodes(), ov.NumEdges())
+			}
+			if got, want := th.ComputeStats(), ov.ComputeStats(); got != want {
+				t.Fatalf("%s: stats %+v, want %+v", name, got, want)
+			}
+
+			twin := ov.Clone()
+			for _, o := range []*overlay.Overlay{twin, th} {
+				r := o.Reader(0, 2)
+				in := o.Node(r).In
+				if err := o.RemoveEdge(in[0].Peer, r); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := o.AddEdge(o.AddWriter(1000), r, false); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := o.AddEdge(o.Writer(1000), o.Reader(0, 4), false); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			if !bytes.Equal(save(th), save(twin)) {
+				t.Fatalf("%s: the same edits left the thawed overlay and a clone apart", name)
+			}
+			if !reflect.DeepEqual(overlay.Thaw(top).Flatten(), top) {
+				t.Fatalf("%s: editing a thawed overlay changed the topology it came from", name)
 			}
 		}
 	}

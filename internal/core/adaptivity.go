@@ -70,6 +70,7 @@ func (s *System) drainObservationsLocked() (pushes, pulls map[overlay.NodeRef]fl
 	s.obsPush.Add(int64(p))
 	s.obsPull.Add(int64(l))
 	if s.opts.Mode == ModeDataflow {
+		s.thawLocked()
 		s.adaptor.ObserveBatch(pushes, pulls)
 	}
 	return pushes, pulls
@@ -86,12 +87,16 @@ func (s *System) drainObservationsLocked() (pushes, pulls map[overlay.NodeRef]fl
 // never pause; writes wait for the install step only (exec.Engine.Rebuild
 // seeds push state from the windows under its gate — AdaptivityStats reports
 // how long). Rebalance serializes only with other structural operations
-// (mutations, Reoptimize).
+// (mutations, Reoptimize). A fixed-mode system has nothing to judge and
+// builds no adaptor for it.
 func (s *System) Rebalance() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.drainObservationsLocked()
-	flips := s.adaptor.Rebalance()
+	flips := 0
+	if s.opts.Mode == ModeDataflow {
+		flips = s.adaptor.Rebalance()
+	}
 	s.rebalances.Add(1)
 	s.flips.Add(int64(flips))
 	s.lastRebalanceNano.Store(time.Now().UnixNano())

@@ -249,8 +249,9 @@ func TestReoptimizeKeepsMode(t *testing.T) {
 	if m := s.Stats().Mode; m != ModeAllPull {
 		t.Fatalf("mode after Reoptimize = %s, want %s", m, ModeAllPull)
 	}
-	for ref := overlay.NodeRef(0); int(ref) < s.ov.Len(); ref++ {
-		if n := s.ov.Node(ref); s.ov.Alive(ref) && n.Kind == overlay.ReaderNode && n.Dec != overlay.Pull {
+	ov := s.Overlay()
+	for ref := overlay.NodeRef(0); int(ref) < ov.Len(); ref++ {
+		if n := ov.Node(ref); ov.Alive(ref) && n.Kind == overlay.ReaderNode && n.Dec != overlay.Pull {
 			t.Fatalf("reader %d is %s after Reoptimize, want pull", n.GID, n.Dec)
 		}
 	}
@@ -282,9 +283,10 @@ func TestAllPullNeverFlips(t *testing.T) {
 		if flips != 0 {
 			t.Errorf("%s flipped %d nodes of an all-pull system", pass, flips)
 		}
-		for ref := overlay.NodeRef(0); int(ref) < s.ov.Len(); ref++ {
-			if n := s.ov.Node(ref); s.ov.Alive(ref) && n.Kind == overlay.ReaderNode && n.Dec != overlay.Pull {
-				t.Fatalf("after %s reader %d is %s, want pull", pass, n.GID, n.Dec)
+		top := s.Engine().Topology()
+		for ref := overlay.NodeRef(0); int(ref) < top.N; ref++ {
+			if dec := top.Dec[ref]; !top.Dead[ref] && top.Kind[ref] == overlay.ReaderNode && dec != overlay.Pull {
+				t.Fatalf("after %s reader %d is %s, want pull", pass, top.GID[ref], dec)
 			}
 		}
 	}

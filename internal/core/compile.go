@@ -134,12 +134,12 @@ func (s *System) buildOverlay() (*overlay.Overlay, error) {
 // there is none and the caller must mine. The overlay is a function of the
 // shape and the graph alone, and decide overwrites every decision, so the
 // copy is what buildOverlay would have produced, bit for bit. Nothing is
-// retained for this: the sibling's live overlay is the cache entry, valid
-// until the graph moves (minedAt) or anything restructures it (pristine —
-// cleared by afterMaintenance; a system that took a member has no shape to
-// match). Callers hold the MultiSystem mutex — every path that
-// reaches buildOverlay does — so no two systems ever wait on each other's mu
-// here.
+// retained for this: the sibling's engine Topology is the cache entry, thawed
+// into the copy (the sibling builds no live overlay for it), valid until the
+// graph moves (minedAt) or anything restructures it (pristine — cleared by
+// afterMaintenance; a system that took a member has no shape to match).
+// Callers hold the MultiSystem mutex — every path that reaches buildOverlay
+// does — so no two systems ever wait on each other's mu here.
 func (s *System) cloneSibling() *overlay.Overlay {
 	if s.shape == (shape{}) || len(s.views) > 1 {
 		return nil
@@ -151,7 +151,7 @@ func (s *System) cloneSibling() *overlay.Overlay {
 		sib.mu.Lock()
 		var ov *overlay.Overlay
 		if sib.pristine && len(sib.views) == 1 && sib.minedAt == s.g.Version() {
-			ov = sib.ov.Clone()
+			ov = overlay.Thaw(sib.eng.Topology())
 		}
 		sib.mu.Unlock()
 		if ov != nil {
@@ -198,15 +198,37 @@ func (s *System) decide(ov *overlay.Overlay, wl *dataflow.Workload) (*dataflow.F
 }
 
 // adopt makes ov — built at the graph's current version, decided, and
-// already what the engine executes — the system's overlay.
+// already what the engine executes — the system's overlay. The engine's
+// Topology holds all of it, so the live overlay, maintainer and adaptor of
+// the overlay it replaces are dropped, and none is built for ov until an
+// operation needs it (thawLocked).
 func (s *System) adopt(ov *overlay.Overlay) {
-	s.ov = ov
 	s.minedAt, s.pristine = s.g.Version(), true
-	s.adaptor = dataflow.NewAdaptor(ov, s.cost)
+	s.ov, s.maint, s.adaptor = nil, nil, nil
 	// Incremental maintenance requires single-path, negative-edge-free
 	// overlays; when unavailable, structural updates fall back to
 	// recompilation.
-	s.maint, _ = construct.NewMaintainer(ov)
+	s.maintainable = construct.Maintainable(ov)
+}
+
+// thawLocked gives the system its live overlay, maintainer and adaptor when
+// they are not built yet: the overlay is a Thaw of the engine's Topology —
+// the installed overlay, slot for slot and in its lineage, so installing it
+// again inherits every cell by slot — and the other two are built over it.
+// Nothing has changed the installed overlay since adopt, so they are what
+// building them at adopt would have made. Callers hold s.mu.
+func (s *System) thawLocked() {
+	if s.ov != nil {
+		return
+	}
+	s.thaws++
+	s.ov = overlay.Thaw(s.eng.Topology())
+	s.adaptor = dataflow.NewAdaptor(s.ov, s.cost)
+	if s.maintainable {
+		var err error
+		s.maint, err = construct.NewMaintainer(s.ov)
+		s.maintainable = err == nil
+	}
 }
 
 // Reoptimize re-decides the overlay (keeping its structure) for a new
@@ -219,6 +241,7 @@ func (s *System) Reoptimize(wl *dataflow.Workload) error {
 	if wl != nil {
 		s.wl = wl
 	}
+	s.thawLocked()
 	if _, err := s.decide(s.ov, s.wl); err != nil {
 		return err
 	}

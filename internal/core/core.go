@@ -4,6 +4,12 @@
 // of §2.2.1), executes reads and writes against it, adapts the decisions as
 // the observed workload drifts (§4.8), and maintains the overlay under
 // structural changes to the data graph (§3.3).
+//
+// A compiled query keeps one copy of its overlay at rest: the engine's
+// immutable Topology. The mutable overlay, its incremental maintainer and
+// the adaptor over it exist only in a system that has churned, adapted,
+// re-optimized or changed members since its last compile; the first such
+// operation thaws them from the Topology and they stay from then on.
 package core
 
 import (
@@ -105,11 +111,11 @@ type System struct {
 	// once it has taken a member (more than one view, live or retired).
 	views []view
 
-	ov *overlay.Overlay
 	// multi is the MultiSystem hosting this system and shape what
-	// construction mines for it; both are fixed at compile. minedAt is the graph version ov was built at and pristine
-	// whether ov is still exactly what construction produced there: together
-	// they make the live overlay the shape's cache entry for same-shape
+	// construction mines for it; both are fixed at compile. minedAt is the
+	// graph version the installed overlay was built at and pristine whether
+	// it is still exactly what construction produced there: together they
+	// make the engine's Topology the shape's cache entry for same-shape
 	// siblings (cloneSibling). Both guarded by mu.
 	multi    *MultiSystem
 	shape    shape
@@ -118,11 +124,24 @@ type System struct {
 	// eng is the system's one engine, created by compileSystem and never
 	// replaced: every later overlay change — repair, decision flip or
 	// recompile — reaches it as an exec.Engine.Rebuild, so it is read without
-	// synchronization.
-	eng     *exec.Engine
-	adaptor *dataflow.Adaptor
-	maint   *construct.Maintainer
-	cost    dataflow.CostModel
+	// synchronization. Its Topology is the overlay at rest.
+	eng  *exec.Engine
+	cost dataflow.CostModel
+
+	// ov, maint and adaptor are the live overlay, its incremental
+	// maintainer (nil unless maintainable) and the §4.8 adaptor over it.
+	// Every compile and recompile installs its overlay and drops all three
+	// (adopt); the first operation that needs them builds them from the
+	// engine's Topology (thawLocked) and they stay from then on, so a
+	// session that neither churns nor adapts holds one copy of its
+	// overlay, the engine's. maintainable records whether the installed
+	// overlay admits a maintainer, known without keeping one. thaws counts
+	// the builds. All guarded by mu.
+	ov           *overlay.Overlay
+	maint        *construct.Maintainer
+	adaptor      *dataflow.Adaptor
+	maintainable bool
+	thaws        int
 
 	// recompiles counts overlay recompiles (recompileLocked): the slow path
 	// structural changes take when the overlay cannot be repaired in place.
@@ -164,8 +183,15 @@ func Compile(g *graph.Graph, q Query, opts Options) (*System, error) {
 // Engine exposes the underlying execution engine (for runners/benchmarks).
 func (s *System) Engine() *exec.Engine { return s.eng }
 
-// Overlay exposes the compiled overlay (for inspection).
-func (s *System) Overlay() *overlay.Overlay { return s.ov }
+// Overlay exposes the live overlay (for inspection), building it from the
+// engine's Topology if no operation has yet. The overlay is the system's:
+// it must not be used concurrently with the system's structural operations.
+func (s *System) Overlay() *overlay.Overlay {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.thawLocked()
+	return s.ov
+}
 
 // Stats summarizes the compiled system.
 type Stats struct {
@@ -185,15 +211,15 @@ type Stats struct {
 	Recompiles int64
 }
 
-// Stats returns the system's current summary. It serializes with
-// structural operations under the system mutex: ComputeStats walks the
-// live overlay, which repairs mutate.
+// Stats returns the system's current summary. The overlay figures are the
+// installed overlay's, computed from the engine's Topology, so they build
+// no live overlay; the rest is read under the system mutex.
 func (s *System) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Overlay:      s.ov.ComputeStats(),
-		Maintainable: s.maint != nil,
+		Overlay:      s.eng.Topology().ComputeStats(),
+		Maintainable: s.maintainable,
 		Algorithm:    s.opts.Algorithm,
 		Mode:         s.opts.Mode,
 		Views:        s.liveViewsLocked(),

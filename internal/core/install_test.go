@@ -146,12 +146,13 @@ func TestFailedInstallSurfaces(t *testing.T) {
 			if tc.setup != nil {
 				tc.setup(t, m)
 			}
-			wref := s.ov.Writer(7)
+			ov := s.Overlay()
+			wref := ov.Writer(7)
 			if wref == overlay.NoNode {
 				t.Fatal("fixture: node 7 has no writer slot")
 			}
-			s.ov.Node(wref).Dec = overlay.Pull
-			if err := s.ov.CheckDecisions(); err == nil {
+			ov.Node(wref).Dec = overlay.Pull
+			if err := ov.CheckDecisions(); err == nil {
 				t.Fatal("fixture: decisions still valid")
 			}
 

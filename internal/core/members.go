@@ -65,7 +65,7 @@ func (s *System) addMember(spec MemberSpec) (int32, error) {
 	tag := int32(len(s.views))
 	vw := view{nbr: nbr, pred: spec.Predicate, tag: tag, live: true}
 	s.views = append(s.views, vw)
-	if s.maint == nil {
+	if s.maintainerLocked() == nil {
 		if err := s.recompileLocked(nil); err != nil {
 			s.views[tag].live = false
 			return 0, fmt.Errorf("core: merged recompile: %w: %w", ErrIncompatibleMerge, err)
@@ -115,7 +115,7 @@ func (s *System) retireMember(tag int32) error {
 		return fmt.Errorf("core: cannot retire the last member: %w", ErrIncompatibleMerge)
 	}
 	s.views[tag].live = false
-	if s.maint == nil {
+	if s.maintainerLocked() == nil {
 		if err := s.recompileLocked(nil); err != nil {
 			return fmt.Errorf("core: retire recompile: %w: %w", ErrIncompatibleMerge, err)
 		}

@@ -548,7 +548,7 @@ func TestMergedFamilyGrowsWithoutRecompile(t *testing.T) {
 }
 
 // TestNodeAddsOnNonMaintainableMerged: on a merged system WITHOUT
-// incremental maintenance (maint == nil, e.g. negative-edge overlays), a
+// incremental maintenance (not maintainable, e.g. negative-edge overlays), a
 // node addition takes the recompile fallback, and the rebuilt views still
 // answer independently.
 func TestNodeAddsOnNonMaintainableMerged(t *testing.T) {
@@ -557,7 +557,7 @@ func TestNodeAddsOnNonMaintainableMerged(t *testing.T) {
 		{Neighborhood: graph.InNeighbors{}},
 		{Neighborhood: graph.KHopIn{K: 2}},
 	}, Options{Algorithm: construct.AlgVNMN})
-	sys.maint = nil
+	sys.maintainable = false
 	if _, err := sys.AddGraphNode(); err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func (s *System) batchEdgeTouched(b *repairBatch, u, v graph.NodeID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b.touched = true
-	if b.recompile || s.maint == nil {
+	if b.recompile || !s.maintainable {
 		b.recompile = true
 		return
 	}
@@ -117,7 +117,7 @@ func (s *System) batchNodeRemovalAffected(b *repairBatch, v graph.NodeID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b.touched = true
-	if b.recompile || s.maint == nil {
+	if b.recompile || !s.maintainable {
 		b.recompile = true
 		return
 	}
@@ -144,7 +144,7 @@ func (s *System) batchNodeAdded(b *repairBatch, v graph.NodeID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b.touched = true
-	if b.recompile || s.maint == nil {
+	if b.recompile || s.maintainerLocked() == nil {
 		b.recompile = true
 		return
 	}
@@ -177,7 +177,7 @@ func (s *System) batchNodeRemoved(b *repairBatch, v graph.NodeID) {
 		b.removed = make(map[graph.NodeID]bool)
 	}
 	b.removed[v] = true
-	if b.recompile || s.maint == nil {
+	if b.recompile || s.maintainerLocked() == nil {
 		b.recompile = true
 		return
 	}
@@ -203,7 +203,7 @@ func (s *System) applyRepairBatch(b *repairBatch) error {
 	// Any recompile below (forced by the batch, or the fallback when an
 	// incremental repair fails partway) carries window content over, minus
 	// the nodes this run removed.
-	if b.recompile {
+	if b.recompile || s.maintainerLocked() == nil {
 		// b.err carries any maintainer failure that forced this recompile;
 		// surface it even when the rebuild succeeds.
 		return errors.Join(b.err, s.recompileLocked(b.removed))
@@ -294,6 +294,18 @@ func (s *System) repairViewLocked(vw *view, affected []graph.NodeID) error {
 		}
 	}
 	return nil
+}
+
+// maintainerLocked returns the system's maintainer, building the live
+// overlay it maintains first if no operation has yet, or nil when the
+// installed overlay admits none and structural changes must recompile.
+// Callers hold s.mu.
+func (s *System) maintainerLocked() *construct.Maintainer {
+	if !s.maintainable {
+		return nil
+	}
+	s.thawLocked()
+	return s.maint
 }
 
 // afterMaintenance installs the overlay in the engine after it changed

@@ -7,6 +7,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/construct"
 	"repro/internal/graph"
+	"repro/internal/overlay"
 	"repro/internal/workload"
 )
 
@@ -27,10 +28,7 @@ func mustAgg(t *testing.T, name string) agg.Aggregate {
 func overlayBytes(t *testing.T, s *System) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	s.mu.Lock()
-	err := s.ov.Save(&buf)
-	s.mu.Unlock()
-	if err != nil {
+	if err := overlay.Thaw(s.Engine().Topology()).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -52,7 +52,11 @@
 // and every snapshot a reader can observe is internally consistent.
 //
 // The overlay itself must not be mutated concurrently with the call that
-// flattens it.
+// flattens it, and the engine keeps no reference to it: the plan's Topology
+// is all the engine holds of an overlay, and a caller that needs the mutable
+// overlay back thaws it from there (overlay.Thaw). Whether a Rebuild carries
+// cells over by slot or by writer id is the overlay's lineage, which
+// Flatten, Thaw and Clone carry.
 //
 // # One write body
 //
@@ -92,7 +96,6 @@ import (
 // may flow freely meanwhile; a Rebuild holds writes and expiries back for its
 // install step only, and reads never.
 type Engine struct {
-	ov     *overlay.Overlay // replaced by Rebuild, under rebuildMu
 	agg    agg.Aggregate
 	scalar agg.ScalarAggregate // non-nil enables the atomic fast path
 	sel    agg.SelectAggregate // non-nil: pull reads fold their inputs' bests
@@ -329,7 +332,7 @@ func New(ov *overlay.Overlay, a agg.Aggregate, window agg.Window) (*Engine, erro
 	if err := ov.CheckDecisions(); err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
 	}
-	e := &Engine{ov: ov, agg: a}
+	e := &Engine{agg: a}
 	if sa, ok := a.(agg.ScalarAggregate); ok {
 		e.scalar = sa
 	} else if sa, ok := a.(agg.SelectAggregate); ok {

@@ -312,3 +312,51 @@ func TestSlotIndexedSubscriptions(t *testing.T) {
 		t.Fatalf("closed subscription received %v", got)
 	}
 }
+
+// TestCancelledPathDoesNotNotify: reader 0 aggregates a shared partial over
+// writers 1, 2 and 3 minus a negative edge from 3, as VNM_N builds it when
+// N(0) = {1, 2}. A write on 3 reaches the reader twice with opposite signs
+// and leaves its value where it was, so it sends no Update — alone, or in a
+// batch beside a write the reader does hear, whose timestamp the cancelled
+// write must not take over.
+func TestCancelledPathDoesNotNotify(t *testing.T) {
+	ov := overlay.New(0)
+	w1, w2, w3 := ov.AddWriter(1), ov.AddWriter(2), ov.AddWriter(3)
+	p, r := ov.AddPartial(), ov.AddReader(0, 0)
+	for _, e := range []struct {
+		from, to overlay.NodeRef
+		neg      bool
+	}{{w1, p, false}, {w2, p, false}, {w3, p, false}, {p, r, false}, {w3, r, true}} {
+		if err := ov.AddEdge(e.from, e.to, e.neg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dataflow.DecideAll(ov, overlay.Push)
+	eng, err := New(ov, agg.Sum{}, agg.NewTupleWindow(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := eng.Subscribe(8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Unsubscribe(sub)
+
+	if err := eng.Write(3, 5, 10); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case u := <-sub.Updates():
+		t.Fatalf("a write outside N(0) sent %+v", u)
+	default:
+	}
+	eng.Apply([]graph.Event{{Node: 1, Value: 4, TS: 20}, {Node: 3, Value: 6, TS: 30}}, graph.NoAdvance)
+	if u := <-sub.Updates(); u.Node != 0 || u.Result.Scalar != 4 || u.TS != 20 {
+		t.Fatalf("update = %+v, want node 0 sum 4 ts 20", u)
+	}
+	select {
+	case u := <-sub.Updates():
+		t.Fatalf("a second update %+v for one batch", u)
+	default:
+	}
+}

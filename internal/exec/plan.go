@@ -30,11 +30,13 @@ type plan struct {
 	top *overlay.Topology
 	// closure[w] is writer w's packed push-region application list.
 	closure [][]int32
-	// pushReaders[w] lists, deduplicated, the push-annotated reader slots a
-	// write on w reaches — the readers whose standing-query results change
-	// when w's content stream advances. The subscription fan-out walks this
-	// list; it is empty for writers whose push region contains no reader, and
-	// nil for non-writer slots.
+	// pushReaders[w] lists, deduplicated, the push-annotated reader slots
+	// whose standing-query results change when w's content stream advances:
+	// those w's closure reaches with a non-zero net sign. A VNM_N negative
+	// edge can carry w's delta to a reader outside w's neighbourhood and
+	// cancel it there; that reader's value never moves, so it is not on the
+	// list. The subscription fan-out walks this list; it is empty for writers
+	// whose push region changes no reader, and nil for non-writer slots.
 	pushReaders [][]readerTouch
 	// readable marks the live push nodes a read loads directly: push readers,
 	// and push nodes with a pull consumer (a pull kernel's inputs). Under a
@@ -100,18 +102,28 @@ func compilePlan(ov *overlay.Overlay) *plan {
 		}
 		p.closure[w] = apps
 	}
-	// Second pass: derive each writer's deduplicated reader-touch list from
-	// its closure. Built after every closure so the touch slices do not
-	// interleave with the hot closure arrays in the heap (the propagation
-	// loop is cache-sensitive).
-	seen := map[overlay.NodeRef]bool{}
+	// Second pass: derive each writer's reader-touch list from its closure:
+	// sum the signed visits per reader, then keep, in first-visit order and
+	// once each, the readers whose sum is not zero. Built after every
+	// closure so the touch slices do not interleave with the hot closure
+	// arrays in the heap (the propagation loop is cache-sensitive).
+	net := map[overlay.NodeRef]int{}
 	for _, w := range top.Writers {
-		var touches []readerTouch
-		clear(seen)
+		clear(net)
 		for _, pe := range p.closure[w] {
-			ref, _ := overlay.UnpackRef(pe)
-			if top.Kind[ref] == overlay.ReaderNode && !seen[ref] {
-				seen[ref] = true
+			ref, neg := overlay.UnpackRef(pe)
+			switch {
+			case top.Kind[ref] != overlay.ReaderNode:
+			case neg:
+				net[ref]--
+			default:
+				net[ref]++
+			}
+		}
+		var touches []readerTouch
+		for _, pe := range p.closure[w] {
+			if ref, _ := overlay.UnpackRef(pe); net[ref] != 0 {
+				net[ref] = 0
 				touches = append(touches, readerTouch{
 					ref: ref, gid: top.GID[ref], tag: top.Tag[ref]})
 			}

@@ -10,20 +10,21 @@ import (
 )
 
 // Rebuild is the one way an engine's snapshot changes after New: ov — the
-// overlay already installed, repaired or re-decided in place, or a different
-// overlay for the same query (a recompile) — becomes what the
-// engine executes. Its decisions are already made.
+// overlay already installed (or a Thaw of its Topology), repaired or
+// re-decided in place, or a different overlay for the same query (a
+// recompile) — becomes what the engine executes. Its decisions are already
+// made.
 //
 // Prepared with traffic flowing: the plan is compiled, the snapshot laid out
 // and every live subscription re-resolved against the new plan (a node that
 // has no reader there drops out of its subscription's coverage until a later
 // Rebuild brings the reader back). Cells are inherited
 //
-//   - by slot when ov is the overlay already installed: the maintainer never
-//     reuses a slot — a removed node's slot is retired, a re-added id opens a
-//     new one — so slot i carries on as slot i with its mutex, observation
-//     counters, window and, in PAO mode, writer PAO, and skip is not
-//     consulted;
+//   - by slot when ov continues the lineage of the installed snapshot
+//     (overlay.Overlay.Lineage): no overlay mutation reuses a slot — a
+//     removed node's slot is retired, a re-added id opens a new one — so
+//     slot i carries on as slot i with its mutex, observation counters,
+//     window and, in PAO mode, writer PAO, and skip is not consulted;
 //   - by data-graph id otherwise, writers only: a writer of ov that the
 //     previous overlay also had keeps its mutex, observation counters, window
 //     and writer PAO at its new slot, except the ids in skip (nodes the caller
@@ -35,8 +36,8 @@ import (
 // the new plan never expands them, and its pull memo counts into the
 // engine's; push state — fresh cells no other snapshot references, pull memos
 // empty — is seeded from the windows, the expiry index is re-seeded
-// from their deadlines, and the subscriber table, overlay and snapshot are
-// published. Every write is therefore either inside a carried window or
+// from their deadlines, and the subscriber table and snapshot are
+// published. The engine keeps no reference to ov. Every write is therefore either inside a carried window or
 // applied to the new snapshot, and nothing slot-indexed straddles the change.
 // Reads are not held back: one that began on the previous snapshot finishes
 // on it, against value state the install never touches. ov must not be
@@ -62,7 +63,7 @@ func (e *Engine) Rebuild(ov *overlay.Overlay, window agg.Window, skip map[graph.
 		}
 		return overlay.NoNode
 	}
-	if ov != e.ov {
+	if top.Lineage() != old.plan.top.Lineage() {
 		inherit = func(i int) overlay.NodeRef {
 			if top.Dead[i] || top.Kind[i] != overlay.WriterNode || skip[top.GID[i]] {
 				return overlay.NoNode
@@ -106,7 +107,6 @@ func (e *Engine) Rebuild(ov *overlay.Overlay, window agg.Window, skip map[graph.
 		}
 	}
 	e.notify.Store(nt)
-	e.ov = ov
 	e.state.Store(st)
 	e.installs.Add(1)
 	e.lastHold.Store(int64(time.Since(held)))

@@ -42,43 +42,77 @@ func (o *Overlay) inputSet(ref NodeRef, memo map[NodeRef]map[graph.NodeID]int) m
 // Depths returns, for every live reader, the overlay depth: the length of
 // the longest path from one of its input writers to the reader (paper
 // §5.2, "Overlay Depth"). Readers with no inputs have depth 0.
-func (o *Overlay) Depths() map[ReaderID]int {
-	order, err := o.TopoOrder()
-	if err != nil {
-		return nil
-	}
-	depth := make([]int, len(o.nodes))
-	for i := range depth {
+func (o *Overlay) Depths() map[ReaderID]int { return o.Flatten().Depths() }
+
+// DepthStats summarizes reader depths (see Topology.DepthStats).
+func (o *Overlay) DepthStats() (avg float64, hist []int) { return o.Flatten().DepthStats() }
+
+// ComputeStats gathers Stats for the overlay.
+func (o *Overlay) ComputeStats() Stats { return o.Flatten().ComputeStats() }
+
+// Depths returns, for every live reader, the overlay depth (see
+// Overlay.Depths); nil when the topology has a cycle.
+func (t *Topology) Depths() map[ReaderID]int {
+	// Kahn's order: a node is taken once all its inputs were, so its depth
+	// is final when it is.
+	indeg := make([]int32, t.N)
+	depth := make([]int, t.N)
+	var queue []NodeRef
+	live := 0
+	for i := range t.N {
 		depth[i] = -1
-	}
-	for _, ref := range order {
-		n := &o.nodes[ref]
-		if n.Kind == WriterNode {
-			depth[ref] = 0
+		if t.Dead[i] {
 			continue
 		}
-		d := -1
-		for _, e := range n.In {
-			if pd := depth[e.Peer]; pd >= 0 && pd+1 > d {
-				d = pd + 1
+		live++
+		if indeg[i] = t.InOff[i+1] - t.InOff[i]; indeg[i] == 0 {
+			queue = append(queue, NodeRef(i))
+		}
+	}
+	for ordered := 0; ; ordered++ {
+		if len(queue) == 0 {
+			if ordered != live {
+				return nil
+			}
+			break
+		}
+		u := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		if t.Kind[u] == WriterNode {
+			depth[u] = 0
+		} else {
+			d := -1
+			for _, pe := range t.InEdges(u) {
+				peer, _ := UnpackRef(pe)
+				if pd := depth[peer]; pd >= 0 && pd+1 > d {
+					d = pd + 1
+				}
+			}
+			if d < 0 && len(t.InEdges(u)) == 0 {
+				d = 0
+			}
+			depth[u] = d
+		}
+		for _, pe := range t.OutEdges(u) {
+			peer, _ := UnpackRef(pe)
+			if indeg[peer]--; indeg[peer] == 0 {
+				queue = append(queue, peer)
 			}
 		}
-		if d < 0 && len(n.In) == 0 {
-			d = 0
-		}
-		depth[ref] = d
 	}
 	out := make(map[ReaderID]int)
-	for id, ref := range o.readerOf {
-		out[id] = max(depth[ref], 0)
+	for i := range t.N {
+		if !t.Dead[i] && t.Kind[i] == ReaderNode {
+			out[ReaderID{t.Tag[i], t.GID[i]}] = max(depth[i], 0)
+		}
 	}
 	return out
 }
 
 // DepthStats summarizes reader depths: average and a cumulative histogram
 // (hist[d] = number of readers with depth <= d), as plotted in Fig 11(a).
-func (o *Overlay) DepthStats() (avg float64, hist []int) {
-	ds := o.Depths()
+func (t *Topology) DepthStats() (avg float64, hist []int) {
+	ds := t.Depths()
 	if len(ds) == 0 {
 		return 0, nil
 	}
@@ -112,15 +146,18 @@ type Stats struct {
 	MaxDepth     int
 }
 
-// ComputeStats gathers Stats for the overlay.
-func (o *Overlay) ComputeStats() Stats {
+// ComputeStats gathers Stats for the overlay the topology was taken from.
+func (t *Topology) ComputeStats() Stats {
 	s := Stats{
-		Edges:        o.numEdges,
-		AGEdges:      o.agEdges,
-		SharingIndex: o.SharingIndex(),
+		Edges:        len(t.Out),
+		AGEdges:      t.agEdges,
+		SharingIndex: sharingIndex(len(t.Out), t.agEdges),
 	}
-	o.ForEachNode(func(_ NodeRef, n *Node) {
-		switch n.Kind {
+	for i := range t.N {
+		if t.Dead[i] {
+			continue
+		}
+		switch t.Kind[i] {
 		case WriterNode:
 			s.Writers++
 		case ReaderNode:
@@ -128,17 +165,14 @@ func (o *Overlay) ComputeStats() Stats {
 		case PartialNode:
 			s.Partials++
 		}
-		for _, e := range n.In {
-			if e.Negative {
+		for _, pe := range t.InEdges(NodeRef(i)) {
+			if _, neg := UnpackRef(pe); neg {
 				s.NegEdges++
 			}
 		}
-	})
-	avg, hist := o.DepthStats()
-	s.AvgDepth = avg
-	s.MaxDepth = len(hist) - 1
-	if s.MaxDepth < 0 {
-		s.MaxDepth = 0
 	}
+	avg, hist := t.DepthStats()
+	s.AvgDepth = avg
+	s.MaxDepth = max(len(hist)-1, 0)
 	return s
 }

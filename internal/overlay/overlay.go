@@ -10,11 +10,14 @@
 // changes must be serialized by the caller (core.System uses one structural
 // mutex). Execution never reads the live overlay: the engine operates on
 // immutable Topology snapshots taken with Flatten, which are safe to share
-// freely across goroutines.
+// freely across goroutines. A Topology loses nothing of the overlay, so it
+// is also how an overlay is kept at rest: Thaw gives the mutable overlay
+// back, slot for slot, when a structural operation needs it.
 package overlay
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/graph"
 )
@@ -118,17 +121,36 @@ type Overlay struct {
 	numDead  int
 	// tags is one past the largest tag a reader was ever added under.
 	tags int32
+	// lineage names the slot numbering (see Lineage).
+	lineage uint64
 }
 
-// New returns an empty overlay. agEdges is |E(AG)| of the bipartite graph
-// the overlay was compiled from; it is the denominator of SharingIndex.
+// lineages hands out lineage ids; 0 is never one.
+var lineages atomic.Uint64
+
+// New returns an empty overlay in a lineage of its own. agEdges is |E(AG)|
+// of the bipartite graph the overlay was compiled from; it is the
+// denominator of SharingIndex.
 func New(agEdges int) *Overlay {
 	return &Overlay{
 		writerOf: make(map[graph.NodeID]NodeRef),
 		readerOf: make(map[ReaderID]NodeRef),
 		agEdges:  agEdges,
+		lineage:  lineages.Add(1),
 	}
 }
+
+// Lineage identifies the overlay's slot numbering. Every overlay New (or
+// Load) returns starts a lineage; mutating it in place, Clone, Flatten and
+// Thaw carry it. No mutation reuses a slot — a removed node's slot is
+// retired and an added node opens a new one — so within one line of
+// descent slot i names the same node in every overlay and Topology of the
+// lineage that has it. That is what lets an engine carry its per-slot state
+// over to a new snapshot of the lineage it runs (exec.Engine.Rebuild).
+// Two copies of one lineage restructured independently number their new
+// slots independently: only one of them may be installed where the other
+// ran.
+func (o *Overlay) Lineage() uint64 { return o.lineage }
 
 // AddWriter adds (or returns the existing) writer node for data-graph node v.
 func (o *Overlay) AddWriter(v graph.NodeID) NodeRef {
@@ -230,11 +252,13 @@ func (o *Overlay) AddAGEdges(delta int) {
 }
 
 // SharingIndex returns 1 - |E(overlay)|/|E(AG)| (paper §3.1).
-func (o *Overlay) SharingIndex() float64 {
-	if o.agEdges == 0 {
+func (o *Overlay) SharingIndex() float64 { return sharingIndex(o.numEdges, o.agEdges) }
+
+func sharingIndex(edges, agEdges int) float64 {
+	if agEdges == 0 {
 		return 0
 	}
-	return 1 - float64(o.numEdges)/float64(o.agEdges)
+	return 1 - float64(edges)/float64(agEdges)
 }
 
 // AddEdge inserts the (positive or negative) edge from -> to.
@@ -406,7 +430,7 @@ func (o *Overlay) TopoOrder() ([]NodeRef, error) {
 	return order, nil
 }
 
-// Clone returns a deep copy of the overlay.
+// Clone returns a deep copy of the overlay, in its lineage.
 func (o *Overlay) Clone() *Overlay {
 	c := &Overlay{
 		nodes:    make([]Node, len(o.nodes)),
@@ -416,6 +440,7 @@ func (o *Overlay) Clone() *Overlay {
 		agEdges:  o.agEdges,
 		numDead:  o.numDead,
 		tags:     o.tags,
+		lineage:  o.lineage,
 	}
 	for i, n := range o.nodes {
 		n.In = append([]HalfEdge(nil), n.In...)

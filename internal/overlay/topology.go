@@ -12,6 +12,11 @@ import "repro/internal/graph"
 // Edges are packed as peer<<1 | sign, where sign is 1 for negative edges
 // (see PackRef / UnpackRef).
 //
+// A Topology holds everything the overlay it was taken from holds, so it is
+// also the overlay at rest: Thaw turns it back into a mutable Overlay with
+// the same slots, in the same lineage, for the structural operations that
+// need one.
+//
 // Concurrency contract: a Topology is deeply immutable after Flatten
 // returns — it shares no memory with the overlay it was taken from — so it
 // may be read from any number of goroutines without synchronization, and
@@ -47,7 +52,17 @@ type Topology struct {
 	// overlays have everything under tag 0), precomputed so per-view stats
 	// never walk the reader map.
 	TagReaders map[int32]int
+	// agEdges is the overlay's |E(AG)| and lineage its Lineage.
+	agEdges int
+	lineage uint64
 }
+
+// AGEdges returns |E(AG)| of the overlay the topology was taken from.
+func (t *Topology) AGEdges() int { return t.agEdges }
+
+// Lineage returns the lineage of the overlay the topology was taken from
+// (Overlay.Lineage).
+func (t *Topology) Lineage() uint64 { return t.lineage }
 
 // Writer returns the writer slot of data-graph node v, or NoNode.
 func (t *Topology) Writer(v graph.NodeID) NodeRef { return slotOf(t.WriterOf, v) }
@@ -137,6 +152,8 @@ func (o *Overlay) Flatten() *Topology {
 		WriterOf:   denseSlots(o.writerOf),
 		readerOf:   readerSlots(o.readerOf, o.tags),
 		TagReaders: make(map[int32]int),
+		agEdges:    o.agEdges,
+		lineage:    o.lineage,
 	}
 	outTotal, inTotal := 0, 0
 	for i := range o.nodes {
@@ -178,3 +195,54 @@ func (t *Topology) OutEdges(r NodeRef) []int32 { return t.Out[t.OutOff[r]:t.OutO
 
 // InEdges returns node r's packed in-edges.
 func (t *Topology) InEdges(r NodeRef) []int32 { return t.In[t.InOff[r]:t.InOff[r+1]] }
+
+// Thaw is the inverse of Flatten: it returns a mutable overlay with t's
+// slots, live and dead, its edges in their In and Out order, its decisions,
+// tags and |E(AG)|, in t's lineage — Flatten of the result is t again, and
+// Save writes the bytes the flattened overlay would have written. Each
+// direction's edges share one backing array, capped at every node's own
+// list, so a later change to one node's edges copies that list alone.
+func Thaw(t *Topology) *Overlay {
+	o := &Overlay{
+		nodes:    make([]Node, t.N),
+		writerOf: make(map[graph.NodeID]NodeRef, len(t.Writers)),
+		readerOf: make(map[ReaderID]NodeRef),
+		numEdges: len(t.Out),
+		agEdges:  t.agEdges,
+		tags:     int32(len(t.readerOf)),
+		lineage:  t.lineage,
+	}
+	in, out := halfEdges(t.In), halfEdges(t.Out)
+	for i := range o.nodes {
+		n := &o.nodes[i]
+		*n = Node{Kind: t.Kind[i], GID: t.GID[i], Dec: t.Dec[i], dead: t.Dead[i], Tag: t.Tag[i]}
+		if n.dead {
+			o.numDead++
+			continue
+		}
+		n.In = in[t.InOff[i]:t.InOff[i+1]:t.InOff[i+1]]
+		n.Out = out[t.OutOff[i]:t.OutOff[i+1]:t.OutOff[i+1]]
+	}
+	for v, ref := range t.WriterOf {
+		if ref != NoNode {
+			o.writerOf[graph.NodeID(v)] = ref
+		}
+	}
+	for tag, dense := range t.readerOf {
+		for v, ref := range dense {
+			if ref != NoNode {
+				o.readerOf[ReaderID{int32(tag), graph.NodeID(v)}] = ref
+			}
+		}
+	}
+	return o
+}
+
+// halfEdges unpacks a packed edge array.
+func halfEdges(packed []int32) []HalfEdge {
+	hs := make([]HalfEdge, len(packed))
+	for i, p := range packed {
+		hs[i].Peer, hs[i].Negative = UnpackRef(p)
+	}
+	return hs
+}

@@ -18,7 +18,8 @@ type Options struct {
 	// the coordinator closes time on every shard at its stream time. Clock
 	// stamps timestamp-less events at the coordinator, before routing, so
 	// every shard lives in one time domain (nil means wall clock, as for a
-	// plain Ingestor).
+	// plain Ingestor). StreamClock stamps them with the fleet's stream time
+	// (Coordinator.StreamTime), the stream's "now" at the coordinator.
 	Ingest eagr.IngestOptions
 }
 
@@ -65,7 +66,13 @@ func Open(g *graph.Graph, opts Options) (*Cluster, error) {
 		c.local = append(c.local, localShard{sess, ing})
 		shards[i] = c.local[i]
 	}
-	c.Coordinator = NewCoordinator(shards, io.Clock)
+	// StreamClock reads 0 outside an Ingestor; at the coordinator the
+	// stream's time is its own, which a nil clock stamps with.
+	clock := io.Clock
+	if clock == eagr.StreamClock() {
+		clock = nil
+	}
+	c.Coordinator = NewCoordinator(shards, clock)
 	return c, nil
 }
 

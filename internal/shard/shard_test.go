@@ -82,6 +82,57 @@ func TestClusterWatermarkIsStreamTime(t *testing.T) {
 	}
 }
 
+// TestStreamClockStampsReplicasAlike: on StreamClock the coordinator stamps
+// a timestamp-less structural event with the fleet's stream time before it
+// fans out, so every replica applies it at one timestamp — not each shard at
+// the largest timestamp its own slice of the stream carried. A topology
+// subscription on each shard reports the stamp the shard applied.
+func TestStreamClockStampsReplicasAlike(t *testing.T) {
+	g := workload.SocialGraph(32, 3, 1)
+	cluster, err := Open(g, Options{Shards: 2, Ingest: eagr.IngestOptions{Clock: eagr.StreamClock()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	u, w := eagr.NodeID(0), eagr.NodeID(1)
+	for g.HasEdge(u, w) || g.HasEdge(w, u) || u == w {
+		w++
+	}
+	updates := make([]<-chan eagr.Update, 2)
+	for i := range updates {
+		q, err := cluster.Shard(i).Register(eagr.QuerySpec{Aggregate: "density"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, cancel, err := q.Subscribe(64, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cancel()
+		updates[i] = ch
+	}
+	owned := ownedBy(2)
+	if _, err := cluster.Apply([]eagr.Event{eagr.NewWrite(owned[0], 1, 100)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.Apply([]eagr.Event{eagr.NewWrite(owned[1], 1, 40)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.Apply([]eagr.Event{eagr.NewEdgeAdd(u, w, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	for i, ch := range updates {
+		select {
+		case up := <-ch:
+			if up.TS != 100 {
+				t.Errorf("shard %d applied the edge at ts %d, want the fleet's stream time 100", i, up.TS)
+			}
+		default:
+			t.Fatalf("shard %d: no update for the added edge at node %d", i, u)
+		}
+	}
+}
+
 // windowedPair returns, on a 2-shard fleet over g, a writer shard 0 owns
 // with a reader whose ego network holds it, and a writer shard 1 owns that
 // is in neither's ego network.

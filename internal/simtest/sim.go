@@ -359,14 +359,12 @@ func (s *sim) batch(op Op) error {
 	}
 	content := !slices.ContainsFunc(op.Events, graph.Event.IsStructural)
 	written, keep := map[NodeID]int64{}, s.m.now // the latest write ts per writer
-	var writeTS []int64                          // every applied write's ts
 	var pids *[]NodeID
 	if ids != nil {
 		pids = &ids
 	}
 	for _, ev := range stamped {
 		if ev.Kind == graph.ContentWrite && s.m.Alive(ev.Node) {
-			writeTS = append(writeTS, ev.TS)
 			if ts, seen := written[ev.Node]; !seen || ev.TS > ts {
 				written[ev.Node] = ev.TS
 			}
@@ -384,7 +382,7 @@ func (s *sim) batch(op Op) error {
 		_, _ = s.ref.Apply(stamped, closeAt) // the same skips
 	}
 	if op.Kind == Batch && content {
-		if err := s.updates(written, writeTS, before, closeAt); err != nil {
+		if err := s.updates(written, before, closeAt); err != nil {
 			return err
 		}
 	}
@@ -411,8 +409,7 @@ func (s *sim) windowLens(closes bool) map[int]map[NodeID]int {
 // Update per covered reader the batch touched (a writer in its
 // neighborhood written to or expired) and none elsewhere, each carrying
 // the reader's current value and the latest timestamp that reached it.
-// writeTS holds the ts of every write the batch applied.
-func (s *sim) updates(written map[NodeID]int64, writeTS []int64, before map[int]map[NodeID]int, closeAt int64) error {
+func (s *sim) updates(written map[NodeID]int64, before map[int]map[NodeID]int, closeAt int64) error {
 	for slot := range s.subs {
 		sp, _ := s.m.Query(slot)
 		nodes, got, last := s.subs[slot], map[NodeID]int{}, map[NodeID]int64{}
@@ -447,17 +444,10 @@ func (s *sim) updates(written map[NodeID]int64, writeTS []int64, before map[int]
 			if heard && !sp.Topo() && covered && ts != math.MinInt64 {
 				want = 1
 			}
-			// VNM_N's negative edges can carry a write to a reader outside
-			// the writer's neighborhood and cancel it there: the reader
-			// hears it in its one Update, stamped with that write's ts when
-			// it is the latest to reach it, whether the batch touched the
-			// reader or not (CHANGES.md).
-			stray := s.cell.Algorithm == "vnmn" && heard && covered && !sp.Topo() && got[v] == 1 &&
-				last[v] > ts && slices.Contains(writeTS, last[v])
-			if got[v] != want && !stray {
+			if got[v] != want {
 				return fmt.Errorf("q%d %+v: %d updates at node %d, want %d", slot, sp, got[v], v, want)
 			}
-			if want == 1 && last[v] != ts && !stray {
+			if want == 1 && last[v] != ts {
 				return fmt.Errorf("q%d %+v: the update at node %d is stamped %d, want %d", slot, sp, v, last[v], ts)
 			}
 		}
