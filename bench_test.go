@@ -11,6 +11,8 @@ package eagr
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -567,31 +569,48 @@ func BenchmarkStructuralEdgeAdd(b *testing.B) {
 }
 
 // BenchmarkSessionSetup is what the repository benchmark reports as setup_s:
-// Open on a generated graph plus the workload's Registers (bench/w_feed.go,
-// bench/w_notify.go), minus the graph generation.
+// Open (OpenDurable for durable) on a generated graph plus the workload's
+// Registers (bench/w_feed.go, bench/w_notify.go, bench/w_durable.go), minus
+// the graph generation. Closing a durable session and removing its
+// directory are not timed.
 func BenchmarkSessionSetup(b *testing.B) {
 	for _, w := range []struct {
-		name  string
-		gen   func() *graph.Graph
-		specs []QuerySpec
+		name    string
+		gen     func() *graph.Graph
+		specs   []QuerySpec
+		durable bool // OpenDurable with FsyncInterval, as durable_ingest opens
 	}{
 		{"feed", func() *graph.Graph { return workload.WebGraph(600, 50, 12, 1) }, []QuerySpec{
 			{Aggregate: "sum", WindowTime: 20000},
 			{Aggregate: "max", WindowTuples: 4},
 			{Aggregate: "topk(10)", WindowTuples: 4},
-		}},
+		}, false},
 		{"notify", func() *graph.Graph { return workload.SocialGraph(1000, 10, 1) }, []QuerySpec{
 			{Aggregate: "sum", WindowTime: 20000, Continuous: true},
 			{Aggregate: "topk(10)", WindowTuples: 4, Continuous: true},
-		}},
+		}, false},
+		{"durable", func() *graph.Graph { return workload.SocialGraph(1000, 10, 1) }, []QuerySpec{
+			{Aggregate: "sum", WindowTime: 20000},
+			{Aggregate: "max", WindowTuples: 1},
+		}, true},
 	} {
 		b.Run(w.name, func(b *testing.B) {
 			b.ReportAllocs()
+			root := b.TempDir()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				g := w.gen()
+				dir := filepath.Join(root, strconv.Itoa(i))
 				b.StartTimer()
-				sess, err := Open(g, Options{})
+				var (
+					sess *Session
+					err  error
+				)
+				if w.durable {
+					sess, _, err = OpenDurable(g, DurabilityOptions{Dir: dir, Fsync: FsyncInterval}, Options{})
+				} else {
+					sess, err = Open(g, Options{})
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -599,6 +618,16 @@ func BenchmarkSessionSetup(b *testing.B) {
 					if _, err := sess.Register(spec); err != nil {
 						b.Fatal(err)
 					}
+				}
+				if w.durable {
+					b.StopTimer()
+					if err := sess.CloseDurability(); err != nil {
+						b.Fatal(err)
+					}
+					if err := os.RemoveAll(dir); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
 				}
 			}
 		})

@@ -417,8 +417,8 @@ func (s *Session) Checkpoint() error {
 // batch is mid-apply, so the graph, query set, window state and log
 // position form one consistent cut.
 func (s *Session) checkpointLocked(d *durableState) error {
-	var gbuf bytes.Buffer
-	if err := s.g.Save(&gbuf); err != nil {
+	gb, err := s.g.AppendBinary(nil)
+	if err != nil {
 		d.setCkptErr(err)
 		return err
 	}
@@ -427,7 +427,7 @@ func (s *Session) checkpointLocked(d *durableState) error {
 		NextOrd:   d.log.NextOrd(),
 		Watermark: s.lastExpire.Load(),
 		MaxTS:     s.maxTS.Load(),
-		Graph:     gbuf.Bytes(),
+		Graph:     gb,
 	}
 	s.mu.Lock()
 	c.NextQueryID = uint64(s.nextID)

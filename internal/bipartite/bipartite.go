@@ -7,7 +7,7 @@ package bipartite
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -61,7 +61,8 @@ type Member struct {
 // reader's tag through to the overlay.
 func BuildUnion(g *graph.Graph, members []Member) *AG {
 	ag := &AG{
-		WriterDegree: make(map[graph.NodeID]int),
+		AllNodes:     make([]graph.NodeID, 0, g.NumNodes()),
+		WriterDegree: make(map[graph.NodeID]int, g.NumNodes()), // writers are graph nodes
 		maxID:        g.MaxID(),
 	}
 	g.ForEachNode(func(v graph.NodeID) {
@@ -81,7 +82,7 @@ func BuildUnion(g *graph.Graph, members []Member) *AG {
 				return
 			}
 			inputs := nbr.Select(g, v)
-			sort.Slice(inputs, func(i, j int) bool { return inputs[i] < inputs[j] })
+			slices.Sort(inputs)
 			ag.Readers = append(ag.Readers, Reader{Node: v, Tag: m.Tag, Inputs: inputs})
 			for _, w := range inputs {
 				ag.WriterDegree[w]++
@@ -103,10 +104,10 @@ func FromInputLists(views ...map[graph.NodeID][]graph.NodeID) *AG {
 		for v := range lists {
 			nodes = append(nodes, v)
 		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+		slices.Sort(nodes)
 		for _, v := range nodes {
 			in := append([]graph.NodeID(nil), lists[v]...)
-			sort.Slice(in, func(i, j int) bool { return in[i] < in[j] })
+			slices.Sort(in)
 			ag.Readers = append(ag.Readers, Reader{Node: v, Tag: int32(tag), Inputs: in})
 			for _, w := range in {
 				ag.WriterDegree[w]++
@@ -130,7 +131,7 @@ func FromInputLists(views ...map[graph.NodeID][]graph.NodeID) *AG {
 			}
 		}
 	}
-	sort.Slice(ag.AllNodes, func(i, j int) bool { return ag.AllNodes[i] < ag.AllNodes[j] })
+	slices.Sort(ag.AllNodes)
 	return ag
 }
 
@@ -154,7 +155,7 @@ func (ag *AG) Writers() []graph.NodeID {
 	for w := range ag.WriterDegree {
 		ws = append(ws, w)
 	}
-	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
+	slices.Sort(ws)
 	return ws
 }
 

@@ -51,11 +51,72 @@ func NewMaintainer(ov *overlay.Overlay) (*Maintainer, error) {
 	}, nil
 }
 
-// Maintainable reports whether NewMaintainer accepts ov, without keeping
-// the indexes it builds to find out.
-func Maintainable(ov *overlay.Overlay) bool {
-	_, err := fromOverlay(ov)
-	return err == nil
+// Maintainable reports whether NewMaintainer accepts the overlay t was
+// taken from, without building the maintainer's indexes. That overlay must
+// have no negative edge, and every writer must reach every node downstream
+// of it along exactly one path: then a node's writer set is the disjoint
+// union of its inputs' sets, which is what the maintainer keeps.
+//
+// The answer costs two int32 arrays of one entry per slot. A negative edge
+// is found by a scan that allocates nothing. Then each live writer's
+// downstream closure is walked under a stamp of its own: a slot reached a
+// second time under one stamp is reached along two paths. Last, a Kahn
+// count over the CSR finds a cycle no writer reaches.
+func Maintainable(t *overlay.Topology) bool {
+	for i := range t.N {
+		if t.Dead[i] {
+			continue
+		}
+		for _, p := range t.InEdges(overlay.NodeRef(i)) {
+			if _, neg := overlay.UnpackRef(p); neg {
+				return false
+			}
+		}
+	}
+	// A slot is pushed once per stamp, and once in the Kahn count, so the
+	// stack never outgrows the slot count.
+	stamp, stack := make([]int32, t.N), make([]overlay.NodeRef, 0, t.N)
+	for k, w := range t.Writers {
+		mark := int32(k + 1)
+		stack = append(stack[:0], w)
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, p := range t.OutEdges(u) {
+				v, _ := overlay.UnpackRef(p)
+				if stamp[v] == mark {
+					return false
+				}
+				stamp[v] = mark
+				stack = append(stack, v)
+			}
+		}
+	}
+	// Kahn: stamp now counts each live slot's unresolved inputs.
+	live := 0
+	stack = stack[:0]
+	for i := range t.N {
+		if t.Dead[i] {
+			continue
+		}
+		live++
+		stamp[i] = t.InOff[i+1] - t.InOff[i]
+		if stamp[i] == 0 {
+			stack = append(stack, overlay.NodeRef(i))
+		}
+	}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		live--
+		for _, p := range t.OutEdges(u) {
+			v, _ := overlay.UnpackRef(p)
+			if stamp[v]--; stamp[v] == 0 {
+				stack = append(stack, v)
+			}
+		}
+	}
+	return live == 0
 }
 
 // Overlay returns the maintained overlay.

@@ -232,3 +232,77 @@ func TestThawRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// goldenSaveDigests are FNV-64a digests of overlay.Save's bytes for the
+// overlays of goldenSignatures, captured while assemble still grew every
+// edge list one AddEdge at a time. Never update these to make a kernel
+// change pass. Unlike a signature they see the order
+// of the edges within each node's list, which is the order a node's inputs
+// are folded in.
+var goldenSaveDigests = map[string]string{
+	"web/vnm":     "e3ccc9b68d43e9ff",
+	"web/vnma":    "4f9348048d998d77",
+	"web/vnmn":    "96d680f5acb926a9",
+	"web/vnmd":    "db35340e15c54107",
+	"social/vnm":  "dfb69df85af8dc2b",
+	"social/vnma": "9b529d5e0a14e683",
+	"social/vnmn": "dd59b6984c962a45",
+	"social/vnmd": "3e3ab99d2c8c4243",
+}
+
+// TestAssembledEdgeListsCapped: a freshly built overlay saves the bytes it
+// always did, and its edge lists, carved from shared arenas, are each capped
+// at their length — one more edge at every node, in and out, leaves it
+// byte-equal and Flatten-equal to a Clone given the same edges.
+func TestAssembledEdgeListsCapped(t *testing.T) {
+	save := func(ov *overlay.Overlay) []byte {
+		var buf bytes.Buffer
+		if err := ov.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, bg := range benchGraphs {
+		ag := bipartite.Build(bg.gen(), graph.InNeighbors{}, nil)
+		for _, alg := range []string{AlgVNM, AlgVNMA, AlgVNMN, AlgVNMD} {
+			name := bg.name + "/" + alg
+			res, err := Build(alg, ag, Config{})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			ov := res.Overlay
+			h := fnv.New64a()
+			h.Write(save(ov))
+			if got, want := fmt.Sprintf("%016x", h.Sum64()), goldenSaveDigests[name]; got != want {
+				t.Errorf("%s: Save digest %s, want %s", name, got, want)
+			}
+
+			twin := ov.Clone()
+			for _, o := range []*overlay.Overlay{ov, twin} {
+				n := o.Len()
+				w, r := o.AddWriter(1<<20), o.AddReader(0, 1<<20)
+				for ref := overlay.NodeRef(0); int(ref) < n; ref++ {
+					switch o.Node(ref).Kind {
+					case overlay.WriterNode:
+						err = o.AddEdge(ref, r, false)
+					case overlay.ReaderNode:
+						err = o.AddEdge(w, ref, false)
+					default:
+						if err = o.AddEdge(w, ref, true); err == nil {
+							err = o.AddEdge(ref, r, false)
+						}
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+				}
+			}
+			if !bytes.Equal(save(ov), save(twin)) {
+				t.Fatalf("%s: one edge more per node left the built overlay and its clone apart", name)
+			}
+			if !reflect.DeepEqual(ov.Flatten(), twin.Flatten()) {
+				t.Fatalf("%s: one edge more per node left the built overlay's topology and its clone's apart", name)
+			}
+		}
+	}
+}

@@ -38,10 +38,14 @@ func newIOBBuilder(agEdges int) *iobBuilder {
 var errNegativeEdges = errors.New("construct: incremental maintenance does not support negative edges")
 
 // fromOverlay builds indexes for an existing overlay, enabling incremental
-// maintenance (§3.3) on overlays produced by any construction algorithm.
-// Overlays with negative edges are not supported by the maintainer; the
-// in-edges are scanned for one before anything is allocated, so learning
-// that a VNM_N overlay has no maintainer costs a walk, not an index.
+// maintenance (§3.3) on overlays produced by any construction algorithm:
+// one writer set per node and the reverse index. NewMaintainer is its one
+// caller, reached when a system first thaws an overlay that Maintainable
+// accepted; whether an overlay has a maintainer is Maintainable's question,
+// which needs no index. Overlays with negative edges are not supported by
+// the maintainer; the in-edges are scanned for one before anything is
+// allocated, so learning that a VNM_N overlay has no maintainer costs a
+// walk, not an index.
 func fromOverlay(ov *overlay.Overlay) (*iobBuilder, error) {
 	for ref := overlay.NodeRef(0); int(ref) < ov.Len(); ref++ {
 		if !ov.Alive(ref) {

@@ -197,8 +197,19 @@ func (s *vnmState) runIteration(chunkSize int) int {
 func (s *vnmState) mineGroup(consumers []int) int {
 	applied := 0
 	for round := 0; round < s.cfg.MaxMinesPerGroup; round++ {
-		// The tree numbers its readers by position in the group.
+		// The tree numbers its readers by position in the group; it gets
+		// at most one node per item inserted.
 		s.tree.Reset(s.rank, len(consumers))
+		items := 0
+		for _, ci := range consumers {
+			if len(s.lists[ci]) >= 2 {
+				items += len(s.lists[ci])
+				if s.cfg.AllowReuse {
+					items += len(s.mined[ci])
+				}
+			}
+		}
+		s.tree.Grow(items)
 		for i, ci := range consumers {
 			if len(s.lists[ci]) < 2 {
 				continue
@@ -326,11 +337,25 @@ func (s *vnmState) nextChunkSize(cur int) int {
 	return cur
 }
 
-// assemble converts the final consumer lists into an overlay graph.
+// assemble converts the final consumer lists into an overlay graph: writers
+// in AG order, then one reader per original consumer and one partial per
+// virtual one, then each consumer's positive and negative in-edges in list
+// order. Every item is resolved to its slot once — a writer no AG node
+// names gets its slot where the edge loop first meets it — and every
+// node's edge lists are reserved at their final length before the edges
+// go in.
 func (s *vnmState) assemble() (*overlay.Overlay, error) {
 	ov := overlay.New(s.ag.NumEdges())
+	ov.Grow(len(s.ag.AllNodes), s.numReaders(), len(s.lists)-s.numReaders())
+	writerOf := make([]overlay.NodeRef, s.itemBase)
+	for i := range writerOf {
+		writerOf[i] = overlay.NoNode
+	}
 	for _, w := range s.ag.AllNodes {
-		ov.AddWriter(w)
+		ref := ov.AddWriter(w)
+		if w >= 0 && fptree.Item(w) < s.itemBase {
+			writerOf[w] = ref
+		}
 	}
 	// Create nodes: readers then partials for virtual consumers.
 	refs := make([]overlay.NodeRef, len(s.lists))
@@ -346,8 +371,32 @@ func (s *vnmState) assemble() (*overlay.Overlay, error) {
 		if s.isVirtualItem(it) {
 			return refs[s.consumerOfItem(it)]
 		}
-		return ov.AddWriter(graph.NodeID(it))
+		if writerOf[it] == overlay.NoNode {
+			writerOf[it] = ov.AddWriter(graph.NodeID(it))
+		}
+		return writerOf[it]
 	}
+	// Resolve the sources in edge order (creating any missing writer where
+	// the edge loop would have), then count both directions.
+	for ci := range s.lists {
+		for _, it := range s.lists[ci] {
+			nodeOfItem(it)
+		}
+		for _, it := range s.neg[ci] {
+			nodeOfItem(it)
+		}
+	}
+	in, out := make([]int32, ov.Len()), make([]int32, ov.Len())
+	for ci := range s.lists {
+		in[refs[ci]] = int32(len(s.lists[ci]) + len(s.neg[ci]))
+		for _, it := range s.lists[ci] {
+			out[nodeOfItem(it)]++
+		}
+		for _, it := range s.neg[ci] {
+			out[nodeOfItem(it)]++
+		}
+	}
+	ov.ReserveEdges(in, out)
 	for ci := range s.lists {
 		for _, it := range s.lists[ci] {
 			if err := ov.AddEdge(nodeOfItem(it), refs[ci], false); err != nil {

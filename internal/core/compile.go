@@ -73,7 +73,7 @@ func compileSystem(m *MultiSystem, q Query, opts Options) (*System, error) {
 	if s.eng, err = exec.New(ov, s.q.Aggregate, s.q.Window); err != nil {
 		return nil, err
 	}
-	s.adopt(ov)
+	s.adopt()
 	return s, nil
 }
 
@@ -197,18 +197,18 @@ func (s *System) decide(ov *overlay.Overlay, wl *dataflow.Workload) (*dataflow.F
 	return f, nil
 }
 
-// adopt makes ov — built at the graph's current version, decided, and
-// already what the engine executes — the system's overlay. The engine's
-// Topology holds all of it, so the live overlay, maintainer and adaptor of
-// the overlay it replaces are dropped, and none is built for ov until an
-// operation needs it (thawLocked).
-func (s *System) adopt(ov *overlay.Overlay) {
+// adopt makes the overlay the engine was just built or rebuilt on — built
+// at the graph's current version and decided — the system's overlay. The
+// engine's Topology holds all of it, so the live overlay, maintainer and
+// adaptor of the overlay it replaces are dropped, and none is built for the
+// new one until an operation needs it (thawLocked).
+func (s *System) adopt() {
 	s.minedAt, s.pristine = s.g.Version(), true
 	s.ov, s.maint, s.adaptor = nil, nil, nil
 	// Incremental maintenance requires single-path, negative-edge-free
 	// overlays; when unavailable, structural updates fall back to
 	// recompilation.
-	s.maintainable = construct.Maintainable(ov)
+	s.maintainable = construct.Maintainable(s.eng.Topology())
 }
 
 // thawLocked gives the system its live overlay, maintainer and adaptor when
@@ -271,7 +271,7 @@ func (s *System) recompileLocked(skip map[graph.NodeID]bool) error {
 	if err := s.eng.Rebuild(ov, s.q.Window, skip); err != nil {
 		return err
 	}
-	s.adopt(ov)
+	s.adopt()
 	s.recompiles.Add(1)
 	return nil
 }

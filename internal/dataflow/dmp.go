@@ -45,7 +45,7 @@ func Decide(ov *overlay.Overlay, f *Freqs, m CostModel) (PruneStats, error) {
 	alive := make([]bool, ov.Len())
 	indeg := make([]int, ov.Len())
 	outdeg := make([]int, ov.Len())
-	var refs []overlay.NodeRef
+	refs := make([]overlay.NodeRef, 0, ov.NumNodes())
 	ov.ForEachNode(func(ref overlay.NodeRef, n *overlay.Node) {
 		weight[ref] = f.Weight(ref, m)
 		// Writers are always annotated push (§2.2.1): clamping their
@@ -70,7 +70,9 @@ func Decide(ov *overlay.Overlay, f *Freqs, m CostModel) (PruneStats, error) {
 	// remaining inputs (assign push); P2 removes negative-weight nodes
 	// with no remaining outputs (assign pull). Zero-weight nodes are
 	// indifferent; treat them as prunable on either side.
-	queue := append([]overlay.NodeRef(nil), refs...)
+	// Each node enters once up front and once more per edge it is an end
+	// of, so the queue never outgrows this.
+	queue := append(make([]overlay.NodeRef, 0, len(refs)+2*ov.NumEdges()), refs...)
 	for len(queue) > 0 {
 		ref := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
@@ -103,7 +105,11 @@ func Decide(ov *overlay.Overlay, f *Freqs, m CostModel) (PruneStats, error) {
 	}
 
 	// Gather survivors and their connected components (undirected).
-	comp := make(map[overlay.NodeRef]int, len(refs))
+	// comp[ref] is the component of a gathered survivor, -1 before.
+	comp := make([]int32, ov.Len())
+	for i := range comp {
+		comp[i] = -1
+	}
 	var compMembers [][]overlay.NodeRef
 	for _, ref := range refs {
 		if !alive[ref] {
@@ -115,10 +121,10 @@ func Decide(ov *overlay.Overlay, f *Freqs, m CostModel) (PruneStats, error) {
 		} else {
 			st.GraphNodesAfter++
 		}
-		if _, seen := comp[ref]; seen {
+		if comp[ref] >= 0 {
 			continue
 		}
-		id := len(compMembers)
+		id := int32(len(compMembers))
 		var members []overlay.NodeRef
 		stack := []overlay.NodeRef{ref}
 		comp[ref] = id
@@ -128,7 +134,7 @@ func Decide(ov *overlay.Overlay, f *Freqs, m CostModel) (PruneStats, error) {
 			members = append(members, u)
 			for _, e := range ov.Node(u).In {
 				if alive[e.Peer] {
-					if _, seen := comp[e.Peer]; !seen {
+					if comp[e.Peer] < 0 {
 						comp[e.Peer] = id
 						stack = append(stack, e.Peer)
 					}
@@ -136,7 +142,7 @@ func Decide(ov *overlay.Overlay, f *Freqs, m CostModel) (PruneStats, error) {
 			}
 			for _, e := range ov.Node(u).Out {
 				if alive[e.Peer] {
-					if _, seen := comp[e.Peer]; !seen {
+					if comp[e.Peer] < 0 {
 						comp[e.Peer] = id
 						stack = append(stack, e.Peer)
 					}

@@ -164,6 +164,16 @@ func (t *Tree) Reset(rank []int32, readers int) {
 	t.anyNegMined = false
 }
 
+// Grow makes room in the node and set arenas for n more nodes. Inserting
+// readers whose lists hold n items in all creates at most n nodes, so a
+// caller that knows the lists of the group it is about to insert can size
+// the arenas once instead of letting them grow node by node. Call it after
+// Reset.
+func (t *Tree) Grow(n int) {
+	t.nodes = slices.Grow(t.nodes, n)
+	t.sets = slices.Grow(t.sets, n*numSets*t.words)
+}
+
 // growSets appends the (empty) support sets of the node just created.
 func (t *Tree) growSets() {
 	n := len(t.sets)

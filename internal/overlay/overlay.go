@@ -17,6 +17,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -276,6 +277,44 @@ func (o *Overlay) AddEdge(from, to NodeRef, negative bool) error {
 	o.nodes[to].In = append(o.nodes[to].In, HalfEdge{Peer: from, Negative: negative})
 	o.numEdges++
 	return nil
+}
+
+// Grow makes room for writers + readers + partials more nodes, so that
+// adding them grows neither the node table nor, on an overlay that has no
+// writer or reader yet, the registry of either.
+func (o *Overlay) Grow(writers, readers, partials int) {
+	o.nodes = slices.Grow(o.nodes, writers+readers+partials)
+	if len(o.writerOf) == 0 {
+		o.writerOf = make(map[graph.NodeID]NodeRef, writers)
+	}
+	if len(o.readerOf) == 0 {
+		o.readerOf = make(map[ReaderID]NodeRef, readers)
+	}
+}
+
+// ReserveEdges makes room for in[ref] in-edges and out[ref] out-edges at
+// every slot of an overlay that has no edges yet, so that AddEdge then fills
+// the lists without growing them. The lists are carved from one arena per
+// direction and each is capped at its room: a later AddEdge past it copies
+// that node's list alone. in and out have one entry per slot.
+func (o *Overlay) ReserveEdges(in, out []int32) {
+	if len(in) != len(o.nodes) || len(out) != len(o.nodes) || o.numEdges != 0 {
+		panic("overlay: ReserveEdges needs one count per slot of an overlay without edges")
+	}
+	var nIn, nOut int
+	for i := range in {
+		nIn += int(in[i])
+		nOut += int(out[i])
+	}
+	inArena, outArena := make([]HalfEdge, nIn), make([]HalfEdge, nOut)
+	nIn, nOut = 0, 0
+	for i := range o.nodes {
+		n := &o.nodes[i]
+		n.In = inArena[nIn : nIn : nIn+int(in[i])]
+		n.Out = outArena[nOut : nOut : nOut+int(out[i])]
+		nIn += int(in[i])
+		nOut += int(out[i])
+	}
 }
 
 // HasEdge reports whether from -> to exists (with any sign).

@@ -28,14 +28,20 @@ const (
 	maxTag = 1<<16 - 1
 )
 
-// Save writes the overlay (structure plus dataflow decisions) to w.
+// Save writes the overlay (structure plus dataflow decisions) to w: the
+// encoding is laid out in one buffer of its exact size and written with one
+// call.
 func (o *Overlay) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	writeU32 := func(v uint32) { _ = binary.Write(bw, binary.LittleEndian, v) }
-	writeU32(serialMagic)
-	writeU32(serialVersion)
-	writeU32(uint32(o.agEdges))
-	writeU32(uint32(len(o.nodes)))
+	size := 4 * 4
+	for i := range o.nodes {
+		size += 4 * (3 + len(o.nodes[i].In))
+	}
+	le := binary.LittleEndian
+	buf := make([]byte, 0, size)
+	buf = le.AppendUint32(buf, serialMagic)
+	buf = le.AppendUint32(buf, serialVersion)
+	buf = le.AppendUint32(buf, uint32(o.agEdges))
+	buf = le.AppendUint32(buf, uint32(len(o.nodes)))
 	for i := range o.nodes {
 		n := &o.nodes[i]
 		flags := uint32(n.Kind) | uint32(n.Tag)<<tagShift
@@ -45,27 +51,33 @@ func (o *Overlay) Save(w io.Writer) error {
 		if n.dead {
 			flags |= 1 << 5
 		}
-		writeU32(flags)
-		writeU32(uint32(int32(n.GID)))
-		writeU32(uint32(len(n.In)))
+		buf = le.AppendUint32(buf, flags)
+		buf = le.AppendUint32(buf, uint32(int32(n.GID)))
+		buf = le.AppendUint32(buf, uint32(len(n.In)))
 		for _, e := range n.In {
-			peer := uint32(e.Peer) << 1
-			if e.Negative {
-				peer |= 1
-			}
-			writeU32(peer)
+			buf = le.AppendUint32(buf, uint32(PackRef(e.Peer, e.Negative)))
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 // Load reads an overlay previously written by Save.
 func Load(r io.Reader) (*Overlay, error) {
 	br := bufio.NewReader(r)
+	// readU32 reads one little-endian word straight out of br's buffer. A
+	// short read is io.EOF when no byte of the word was there and
+	// io.ErrUnexpectedEOF when some were, as with binary.Read.
 	readU32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(br, binary.LittleEndian, &v)
-		return v, err
+		b, err := br.Peek(4)
+		if len(b) < 4 {
+			if len(b) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		_, _ = br.Discard(4)
+		return binary.LittleEndian.Uint32(b), nil
 	}
 	magic, err := readU32()
 	if err != nil {

@@ -8,6 +8,7 @@
 package shingle
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/bipartite"
@@ -79,21 +80,34 @@ func OrderRows(sh []uint64, m int) []int {
 }
 
 // orderRows sorts row indices by shingle vector, then by tie, which must be
-// a strict total order so that the result does not depend on the sort.
+// a strict total order so that the result does not depend on the sort. The
+// sort moves each row's first shingle with its index, so most comparisons
+// read nothing else; rows whose first shingles are equal compare the rest.
 func orderRows(sh []uint64, m int, tie func(a, b int) bool) []int {
-	idx := make([]int, len(sh)/m)
-	for i := range idx {
-		idx[i] = i
+	type key struct {
+		first uint64
+		row   int
 	}
-	slices.SortFunc(idx, func(a, b int) int {
-		if c := slices.Compare(sh[a*m:(a+1)*m], sh[b*m:(b+1)*m]); c != 0 {
+	keys := make([]key, len(sh)/m)
+	for i := range keys {
+		keys[i] = key{sh[i*m], i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.first != b.first {
+			return cmp.Compare(a.first, b.first)
+		}
+		if c := slices.Compare(sh[a.row*m+1:(a.row+1)*m], sh[b.row*m+1:(b.row+1)*m]); c != 0 {
 			return c
 		}
-		if tie(a, b) {
+		if tie(a.row, b.row) {
 			return -1
 		}
 		return 1
 	})
+	idx := make([]int, len(keys))
+	for i, k := range keys {
+		idx[i] = k.row
+	}
 	return idx
 }
 

@@ -69,41 +69,50 @@ type Checkpoint struct {
 
 func ckptName(seq uint64) string { return fmt.Sprintf("ckpt-%08d.ckpt", seq) }
 
-// encodeCheckpoint serializes c: the body followed by its CRC.
+// encodeCheckpoint serializes c: the body followed by its CRC, laid out in
+// one buffer of its exact size.
 func encodeCheckpoint(c *Checkpoint) []byte {
-	var buf bytes.Buffer
-	w32 := func(v uint32) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	w64 := func(v uint64) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	w32(ckptMagic)
-	w32(ckptVersion)
-	w64(c.LSN)
-	w64(c.NextOrd)
-	w64(uint64(c.Watermark))
-	w64(uint64(c.MaxTS))
-	w64(c.NextQueryID)
-	w32(uint32(len(c.Graph)))
-	buf.Write(c.Graph)
-	w32(uint32(len(c.Queries)))
+	size := 48 + 4 + len(c.Graph) + 4 + 4
 	for _, q := range c.Queries {
-		w32(uint32(len(q)))
-		buf.Write(q)
+		size += 4 + len(q)
 	}
-	w32(uint32(len(c.Windows)))
 	for _, gw := range c.Windows {
-		w32(uint32(len(gw.Key)))
-		buf.WriteString(gw.Key)
-		w32(uint32(len(gw.Windows)))
+		size += 4 + len(gw.Key) + 4
 		for _, ww := range gw.Windows {
-			w32(uint32(ww.Node))
-			w32(uint32(len(ww.Entries)))
+			size += 8 + 16*len(ww.Entries)
+		}
+	}
+	le := binary.LittleEndian
+	buf := make([]byte, 0, size+4)
+	buf = le.AppendUint32(buf, ckptMagic)
+	buf = le.AppendUint32(buf, ckptVersion)
+	buf = le.AppendUint64(buf, c.LSN)
+	buf = le.AppendUint64(buf, c.NextOrd)
+	buf = le.AppendUint64(buf, uint64(c.Watermark))
+	buf = le.AppendUint64(buf, uint64(c.MaxTS))
+	buf = le.AppendUint64(buf, c.NextQueryID)
+	buf = le.AppendUint32(buf, uint32(len(c.Graph)))
+	buf = append(buf, c.Graph...)
+	buf = le.AppendUint32(buf, uint32(len(c.Queries)))
+	for _, q := range c.Queries {
+		buf = le.AppendUint32(buf, uint32(len(q)))
+		buf = append(buf, q...)
+	}
+	buf = le.AppendUint32(buf, uint32(len(c.Windows)))
+	for _, gw := range c.Windows {
+		buf = le.AppendUint32(buf, uint32(len(gw.Key)))
+		buf = append(buf, gw.Key...)
+		buf = le.AppendUint32(buf, uint32(len(gw.Windows)))
+		for _, ww := range gw.Windows {
+			buf = le.AppendUint32(buf, uint32(ww.Node))
+			buf = le.AppendUint32(buf, uint32(len(ww.Entries)))
 			for _, e := range ww.Entries {
-				w64(uint64(e.V))
-				w64(uint64(e.TS))
+				buf = le.AppendUint64(buf, uint64(e.V))
+				buf = le.AppendUint64(buf, uint64(e.TS))
 			}
 		}
 	}
-	w32(crc32.Checksum(buf.Bytes(), crcTable))
-	return buf.Bytes()
+	return le.AppendUint32(buf, crc32.Checksum(buf, crcTable))
 }
 
 // WriteCheckpoint atomically persists c under sequence number seq.
@@ -213,28 +222,39 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(tail) {
 		return nil, fmt.Errorf("failed CRC")
 	}
-	br := bytes.NewReader(body)
+	// off is the read position in body; a read past its end sets rerr and
+	// every later read returns zero.
+	off := 0
 	var rerr error
-	u32 := func() uint32 {
-		var v uint32
-		if err := binary.Read(br, binary.LittleEndian, &v); err != nil && rerr == nil {
-			rerr = err
+	next := func(n int) []byte {
+		if rerr != nil {
+			return nil
 		}
-		return v
+		if len(body)-off < n {
+			rerr = io.ErrUnexpectedEOF
+			return nil
+		}
+		off += n
+		return body[off-n : off]
+	}
+	u32 := func() uint32 {
+		if b := next(4); b != nil {
+			return binary.LittleEndian.Uint32(b)
+		}
+		return 0
 	}
 	u64 := func() uint64 {
-		var v uint64
-		if err := binary.Read(br, binary.LittleEndian, &v); err != nil && rerr == nil {
-			rerr = err
+		if b := next(8); b != nil {
+			return binary.LittleEndian.Uint64(b)
 		}
-		return v
+		return 0
 	}
 	// count reads an element count and rejects one whose elements, at
 	// their minimum encoded size, cannot fit in the bytes that remain.
 	count := func(what string, minSize int64) uint32 {
 		n := u32()
-		if rerr == nil && int64(n)*minSize > int64(br.Len()) {
-			rerr = fmt.Errorf("%s count %d overruns the %d bytes left", what, n, br.Len())
+		if left := int64(len(body) - off); rerr == nil && int64(n)*minSize > left {
+			rerr = fmt.Errorf("%s count %d overruns the %d bytes left", what, n, left)
 		}
 		return n
 	}
@@ -243,11 +263,7 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 		if rerr != nil {
 			return nil
 		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			rerr = err
-		}
-		return b
+		return bytes.Clone(next(int(n)))
 	}
 	if u32() != ckptMagic {
 		return nil, fmt.Errorf("bad magic")
@@ -284,8 +300,8 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 		}
 		c.Windows = append(c.Windows, gw)
 	}
-	if rerr == nil && br.Len() != 0 {
-		rerr = fmt.Errorf("%d bytes after the last window group", br.Len())
+	if rerr == nil && off != len(body) {
+		rerr = fmt.Errorf("%d bytes after the last window group", len(body)-off)
 	}
 	if rerr != nil {
 		return nil, rerr
