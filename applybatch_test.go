@@ -2,11 +2,9 @@ package eagr
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/simtest"
 )
 
@@ -77,154 +75,46 @@ func modelCheck(t *testing.T, label string, g *Graph, before, after []Event, qs 
 	}
 }
 
-// applyByMutator applies one event through the session's single-event
-// mutators, ignoring the same per-event errors ApplyBatch skips over.
-func applyByMutator(s *Session, ev Event) {
-	switch ev.Kind {
-	case graph.ContentWrite:
-		_ = s.Write(ev.Node, ev.Value, ev.TS)
-	case graph.EdgeAdd:
-		_ = s.AddEdge(ev.Node, ev.Peer)
-	case graph.EdgeRemove:
-		_ = s.RemoveEdge(ev.Node, ev.Peer)
-	case graph.NodeAdd:
-		_, _ = s.AddNode()
-	case graph.NodeRemove:
-		_ = s.RemoveNode(ev.Node)
+// entryPointPins is one pin per public entry point: the single-event
+// mutators (variant 2), the batch spine (variant 0; the names of the
+// ApplyBatch chunkings the folded tests ran now pick a cell each, batch
+// sizes coming from the generator) and an Ingestor (variant 1).
+func entryPointPins(durable bool) []pin {
+	crash, ingestor := state(0), int64(34)
+	if durable {
+		crash, ingestor = recovered, 37
+	}
+	return []pin{
+		{"mutators", cell{Durable: durable}, 2, 1, addedNode | crash},
+		{"ApplyBatchNodes", cell{Durable: durable, Merged: true}, 0, 101, addedNode | crash},
+		{"ApplyBatch/chunk=1", cell{Durable: durable, Algorithm: "vnmn"}, 0, 3, structural | crash},
+		{"ApplyBatch/chunk=7", cell{Durable: durable, TimeWindow: true}, 0, 4, structural | crash},
+		{"ApplyBatch/chunk=64", cell{Durable: durable, Merged: true, TimeWindow: true}, 0, 5, structural | crash},
+		{"ApplyBatch/chunk=1073741824", cell{Durable: durable, Merged: true, Algorithm: "vnmn"}, 0, 6, structural | crash},
+		{"Ingestor", cell{Durable: durable, Merged: true}, 1, ingestor, heard | crash},
 	}
 }
 
-// applyChunked applies events through ApplyBatch, chunk events at a time.
-func applyChunked(s *Session, events []Event, chunk int) {
-	for off := 0; off < len(events); off += chunk {
-		_ = s.ApplyBatch(events[off:min(off+chunk, len(events))])
-	}
-}
+// TestApplyBatchMatchesSequentialOracle: every public entry point of an
+// in-memory session reads as the model of the same mixed stream.
+func TestApplyBatchMatchesSequentialOracle(t *testing.T) { runPins(t, entryPointPins(false)...) }
 
-// entryPoint is one public way of getting a stream into a session. Every
-// one of them is a view of Session.apply, so each must leave the session in
-// the state the model of the same stream predicts.
-type entryPoint struct {
-	name  string
-	drive func(t *testing.T, s *Session, events []Event)
-}
-
-func entryPoints() []entryPoint {
-	eps := []entryPoint{
-		{"mutators", func(_ *testing.T, s *Session, events []Event) {
-			for _, ev := range events {
-				applyByMutator(s, ev)
-			}
-		}},
-		{"ApplyBatchNodes", func(t *testing.T, s *Session, events []Event) {
-			for off := 0; off < len(events); off += 7 {
-				chunk := events[off:min(off+7, len(events))]
-				adds := 0
-				for _, ev := range chunk {
-					if ev.Kind == graph.NodeAdd {
-						adds++
-					}
-				}
-				if added, _ := s.ApplyBatchNodes(chunk); len(added) != adds {
-					t.Fatalf("ApplyBatchNodes returned %d ids for %d NodeAdd events", len(added), adds)
-				}
-			}
-		}},
-	}
-	for _, chunk := range []int{1, 7, 64, 1 << 30} {
-		eps = append(eps, entryPoint{fmt.Sprintf("ApplyBatch/chunk=%d", chunk), func(_ *testing.T, s *Session, events []Event) {
-			applyChunked(s, events, chunk)
-		}})
-	}
-	return append(eps, entryPoint{"Ingestor", func(t *testing.T, s *Session, events []Event) {
-		ing, err := s.Ingest(IngestOptions{BatchSize: 32, QueueDepth: 4, FlushInterval: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n, err := ing.SendEvents(events); err != nil || n != len(events) {
-			t.Fatalf("SendEvents = %d, %v", n, err)
-		}
-		_ = ing.Close() // surfaces the stream's deliberately-invalid events
-	}})
-}
-
-// TestApplyBatchMatchesSequentialOracle is the write spine's correctness
-// anchor: one seeded mixed content/structural stream driven through EVERY
-// public entry point — the single-event mutators, ApplyBatch in several
-// chunkings (structural runs coalesced into one repair per query),
-// ApplyBatchNodes, and an Ingestor — must leave every query reading exactly
-// what the model predicts over the final graph and content.
-func TestApplyBatchMatchesSequentialOracle(t *testing.T) {
-	const nodes = 48
-	for _, ep := range entryPoints() {
-		t.Run(ep.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 3; seed++ {
-				sess, err := Open(doubleRing(nodes), Options{Algorithm: "iob"})
-				if err != nil {
-					t.Fatal(err)
-				}
-				qs := registerAll(t, sess, entryPointSpecs)
-				events := mixedStream(seed, nodes)
-				ep.drive(t, sess, events)
-				modelCheck(t, fmt.Sprintf("seed %d", seed), doubleRing(nodes), nil, events, qs)
-			}
-		})
-	}
-}
-
-// TestApplyBatchMatchesOracleMultiHop exercises the coalesced repair under
-// 2-hop neighborhoods, where one edge event touches many readers and
-// several events in a run can overlap on the same readers.
+// TestApplyBatchMatchesOracleMultiHop: the coalesced repair under 2-hop
+// members of merged families.
 func TestApplyBatchMatchesOracleMultiHop(t *testing.T) {
-	sess, err := Open(doubleRing(32), Options{Algorithm: "iob"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := registerAll(t, sess, []QuerySpec{{Aggregate: "sum"}, {Aggregate: "sum", Hops: 2}})
-	events := mixedStream(7, 32)
-	applyChunked(sess, events, 32)
-	modelCheck(t, "2hop", doubleRing(32), nil, events, qs)
+	runPins(t, pin{"iob", cell{Merged: true}, 0, 1004, multiHop}, pin{"vnmn", cell{Merged: true, Algorithm: "vnmn"}, 1, 1002, multiHop})
 }
 
-// TestApplyBatchStructuralBursts forces long all-structural runs (the case
-// the coalescing targets) with interleaved verification points.
-func TestApplyBatchStructuralBursts(t *testing.T) {
-	const nodes = 40
-	rng := rand.New(rand.NewSource(11))
-	sess, err := Open(doubleRing(nodes), Options{Algorithm: "iob"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := registerAll(t, sess, []QuerySpec{{Aggregate: "sum", WindowTuples: 4}})
-	var all []Event
-	for round := int64(0); round < 10; round++ {
-		var events []Event
-		for i := int64(0); i < 60; i++ { // content prefix
-			events = append(events, NewWrite(NodeID(rng.Intn(nodes)), int64(rng.Intn(50)), round*1000+i))
-		}
-		for i := int64(60); i < 100; i++ { // structural burst
-			u, v := NodeID(rng.Intn(nodes)), NodeID(rng.Intn(nodes))
-			events = append(events, [...]Event{NewEdgeRemove(u, v, round*1000+i), NewNodeRemove(u, round*1000+i),
-				NewNodeAdd(round*1000 + i), NewEdgeAdd(u, v, round*1000+i)}[rng.Intn(4)])
-		}
-		_ = sess.ApplyBatch(events)
-		all = append(all, events...)
-		modelCheck(t, fmt.Sprintf("burst %d", round), doubleRing(nodes), nil, all, qs)
-	}
-}
+// TestApplyBatchStructuralBursts: batches whose structural runs coalesce
+// into one repair per query.
+func TestApplyBatchStructuralBursts(t *testing.T) { runPins(t, seeds(cell{}, 0, burst, 10, 11, 12)...) }
 
-// TestApplyBatchRecompilePath runs the model comparison on a
-// non-maintainable overlay (VNM_N with negative edges), where a structural
-// event falls back to a recompile, one event per batch.
+// TestApplyBatchRecompilePath: VNM_N overlays, which structural events
+// recompile, one event per batch and in batches.
 func TestApplyBatchRecompilePath(t *testing.T) {
-	sess, err := Open(doubleRing(24), Options{Algorithm: "vnmn"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := registerAll(t, sess, []QuerySpec{{Aggregate: "sum"}})
-	events := mixedStream(3, 24)[:300]
-	applyChunked(sess, events, 1)
-	modelCheck(t, "recompile", doubleRing(24), nil, events, qs)
+	runPins(t, pin{"mutators", cell{Algorithm: "vnmn"}, 2, 13, recompiled},
+		pin{"batches", cell{Autotune: true, TimeWindow: true, Algorithm: "vnmn"}, 0, 27, recompiled},
+		pin{"ingestor", cell{Algorithm: "vnmn"}, 1, 497, recompiled})
 }
 
 // TestApplyBatchNodesSurfacesIDs checks the batch API returns allocated

@@ -220,6 +220,10 @@ type Session struct {
 	// never touch the loop; it runs Rebalance from its own goroutine.
 	tunerMu              sync.Mutex
 	tunerStop, tunerDone chan struct{}
+	// witness is nil unless a test sets it before any traffic: then every
+	// batch an Ingestor applies (events) and every Rebalance pass (nil)
+	// runs inside it, so the test sees the order they took effect in.
+	witness func(events []Event, run func() error) error
 
 	// maxTS and lastExpire are the session's stream time: the largest
 	// non-zero timestamp any applied batch carried and the furthest any
@@ -295,7 +299,7 @@ func (s *Session) enableAutotune(every time.Duration) {
 			case <-stop:
 				return
 			case <-t.C:
-				_, _ = s.multi.Rebalance()
+				_, _ = s.Rebalance()
 			}
 		}
 	}()
@@ -681,7 +685,13 @@ func mapNodeErr(err error) error {
 // number of decision flips. Concurrent traffic keeps flowing: reads never
 // pause; writes wait only for the install step of an overlay whose
 // decisions flipped (Stats().Adaptivity.LastInstallHoldMicros).
-func (s *Session) Rebalance() (int, error) { return s.multi.Rebalance() }
+func (s *Session) Rebalance() (flips int, err error) {
+	if s.witness == nil {
+		return s.multi.Rebalance()
+	}
+	err = s.witness(nil, func() error { flips, err = s.multi.Rebalance(); return err })
+	return flips, err
+}
 
 // Graph returns the session's shared data graph. Mutate it only through
 // the Session's structural methods.

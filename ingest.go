@@ -397,7 +397,9 @@ func (ing *Ingestor) drain() {
 		ing.qmu.Unlock()
 		inApply = true
 		var err error
-		if len(job.events) > 0 {
+		if w, evs := ing.sess.witness, job.events; w != nil && len(evs) > 0 {
+			err = w(evs, func() error { return ing.apply(evs) })
+		} else if len(evs) > 0 {
 			err = ing.apply(job.events)
 		}
 		inApply = false
@@ -502,7 +504,7 @@ func (ing *Ingestor) tick() {
 // one Update per touched reader. A batch the log refused advances nothing,
 // while one that applied with per-event skips closes time like any other.
 // Only the token holder calls it (from drain), batch by batch in queue
-// order.
+// order, inside the session's witness hook when one is set.
 func (ing *Ingestor) apply(events []Event) error {
 	_, err := ing.sess.apply(events, graph.NoAdvance, !ing.opts.DisableAutoExpire)
 	ing.applied.Add(int64(len(events)))

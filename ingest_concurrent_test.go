@@ -249,8 +249,12 @@ func TestConcurrentSendersRaceAutotuneAndSubscriptions(t *testing.T) {
 // the reader. (The node-partitioned pool this replaced coalesced per
 // partition, so a reader fed from two partitions got two; while the advance
 // was a second call behind the batch, a time-windowed reader got one Update
-// from the writes and another from the expiry.)
+// from the writes and another from the expiry.) The senders/ subtests run
+// the simulator's concurrent senders over generated graphs and queries.
 func TestIngestorOneUpdatePerReaderPerBatch(t *testing.T) {
+	runPins(t, pin{"senders/tuples", cell{}, 1, 59, heard}, pin{"senders/durable", cell{Durable: true, Merged: true}, 1, 2, heard},
+		pin{"senders/time", cell{TimeWindow: true}, 1, 13, heardTime},
+		pin{"senders/durable time", cell{Durable: true, Merged: true, TimeWindow: true}, 1, 42, heardTime})
 	const nodes, hot = 32, 4
 	newGraph := func() *Graph {
 		g := NewGraph(nodes)

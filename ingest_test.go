@@ -13,143 +13,17 @@ import (
 	"repro/internal/workload"
 )
 
-// TestIngestorWatermarkMatchesManualExpire checks that watermark-driven
-// expiry produces exactly the state a caller hand-threading ExpireAll
-// would: same writes, same timestamps, one side through an Ingestor with
-// auto-expiry, the other through Write + a manual ExpireAll at the
-// watermark.
+// TestIngestorWatermarkMatchesManualExpire: an Ingestor's batches close
+// time at the watermark themselves, which the model closes at stream time
+// after every batch.
 func TestIngestorWatermarkMatchesManualExpire(t *testing.T) {
-	const nodes = 24
-	const disorder = 3
-	mk := func() (*Session, *Query) {
-		sess, err := Open(ring(nodes))
-		if err != nil {
-			t.Fatal(err)
-		}
-		q, err := sess.Register(QuerySpec{Aggregate: "sum", WindowTime: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sess, q
-	}
-	auto, autoQ := mk()
-	manual, manualQ := mk()
-
-	ing, err := auto.Ingest(IngestOptions{BatchSize: 8, FlushInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	maxTS := int64(0)
-	for i := 0; i < 400; i++ {
-		v := NodeID(rng.Intn(nodes))
-		val := int64(rng.Intn(50))
-		// Slightly out-of-order timestamps, never older than the window.
-		ts := int64(i+1) - int64(rng.Intn(disorder+1))
-		if ts < 1 {
-			ts = 1
-		}
-		if err := ing.SendEvent(NewWrite(v, val, ts)); err != nil {
-			t.Fatal(err)
-		}
-		if err := manual.Write(v, val, ts); err != nil {
-			t.Fatal(err)
-		}
-		if ts > maxTS {
-			maxTS = ts
-		}
-	}
-	if err := ing.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	wm, ok := ing.Watermark()
-	if !ok {
-		t.Fatal("watermark not advanced after flush")
-	}
-	if wm != maxTS {
-		t.Fatalf("watermark = %d, want maxTS = %d", wm, maxTS)
-	}
-	manual.ExpireAll(wm)
-	for v := 0; v < nodes; v++ {
-		got, err1 := autoQ.Read(NodeID(v))
-		want, err2 := manualQ.Read(NodeID(v))
-		if err1 != nil || err2 != nil {
-			t.Fatalf("node %d: %v / %v", v, err1, err2)
-		}
-		if got.Valid != want.Valid || got.Scalar != want.Scalar {
-			t.Fatalf("node %d: ingestor %+v, manual %+v", v, got, want)
-		}
-	}
-	if err := ing.Close(); err != nil {
-		t.Fatal(err)
-	}
+	runPins(t, pin{"unmerged", cell{TimeWindow: true}, 1, 27, heardTime}, pin{"merged", cell{Merged: true, TimeWindow: true}, 1, 28, heardTime})
 }
 
-// TestIngestorExpiryDrivesContinuousSubscription is the acceptance
-// criterion: a time-windowed Continuous query receives expiry-driven
-// subscription updates through an Ingestor with NO caller ExpireAll.
+// TestIngestorExpiryDrivesContinuousSubscription: with no ExpireAll, an
+// Ingestor's batches deliver the expiry Updates of time windows.
 func TestIngestorExpiryDrivesContinuousSubscription(t *testing.T) {
-	g := NewGraph(3)
-	_ = g.AddEdge(1, 0) // node 0 aggregates over writers 1 and 2
-	_ = g.AddEdge(2, 0)
-	sess, err := Open(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := sess.Register(QuerySpec{Aggregate: "count", WindowTime: 5, Continuous: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, cancel, err := q.Subscribe(64, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-
-	ing, err := sess.Ingest(IngestOptions{BatchSize: 1, FlushInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ing.SendEvent(NewWrite(1, 10, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ing.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// The write at ts=100 advances the watermark past 1's window, so the
-	// subscriber must observe the count drop back to 1 — writer 1's value
-	// expired with no ExpireAll anywhere in this test.
-	if err := ing.SendEvent(NewWrite(2, 20, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ing.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case u, open := <-ch:
-			if !open {
-				t.Fatal("subscription closed before expiry update")
-			}
-			if u.Node == 0 && u.Result.Valid && u.Result.Scalar == 1 && u.TS == 100 {
-				// Expiry-driven update observed (the write at ts=100 made
-				// the count 2; only the expiry brings it back to 1 at the
-				// watermark timestamp).
-				res, err := q.Read(0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Scalar != 1 {
-					t.Fatalf("post-expiry read = %+v, want count 1", res)
-				}
-				_ = ing.Close()
-				return
-			}
-		case <-deadline:
-			t.Fatal("no expiry-driven subscription update within deadline")
-		}
-	}
+	runPins(t, seeds(cell{TimeWindow: true}, 1, heardTime, 31, 55, 56)...)
 }
 
 // TestIngestorQueueBounded pins the bounded apply queue with a depth-1

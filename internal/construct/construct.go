@@ -57,24 +57,15 @@ type Config struct {
 	// ChunkSize is the reader group size for VNM (default 100; the
 	// initial size for VNM_A).
 	ChunkSize int
-	// Adaptive enables VNM_A's chunk-size schedule.
-	Adaptive bool
-	// AdaptKeep is the mass fraction of per-size benefit the next chunk
-	// size must retain (paper: 0.9; stable in [0.8, 1.0]).
-	AdaptKeep float64
 	// NegK1/NegK2 enable VNM_N: a reader may be inserted along up to
 	// NegK1 paths using at most NegK2 negative edges each. Requires a
 	// subtractable aggregate.
 	NegK1, NegK2 int
-	// OverlapPct is VNM_D's reader-group overlap percentage; AllowReuse
-	// permits re-serving previously mined edges. Requires a
+	// OverlapPct is VNM_D's reader-group overlap percentage. Requires a
 	// duplicate-insensitive aggregate.
 	OverlapPct int
-	AllowReuse bool
 	// Shingles is the number of min-hash shingles per reader (default 2).
 	Shingles int
-	// MaxMinesPerGroup bounds work within one reader group per iteration.
-	MaxMinesPerGroup int
 	// AscendingRank sorts FP-tree items by ascending frequency, the
 	// literal reading of §3.2.1's text. The default (descending) follows
 	// the paper's own Figure 3 example and the standard FP-tree
@@ -90,52 +81,38 @@ func (c Config) withDefaults() Config {
 	if c.ChunkSize <= 0 {
 		c.ChunkSize = 100
 	}
-	if c.AdaptKeep <= 0 || c.AdaptKeep > 1 {
-		c.AdaptKeep = 0.9
-	}
 	if c.Shingles <= 0 {
 		c.Shingles = 2
-	}
-	if c.MaxMinesPerGroup <= 0 {
-		c.MaxMinesPerGroup = 64
 	}
 	return c
 }
 
 // Build runs the named algorithm over AG and returns the constructed
 // overlay. The cfg's variant-specific fields are forced to match the named
-// algorithm (e.g. AlgVNM disables adaptation and negative edges).
+// algorithm (e.g. AlgVNM disables adaptation and negative edges): every
+// variant but VNM adapts its chunk size, and only VNM_D re-serves mined
+// edges.
 func Build(alg string, ag *bipartite.AG, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	switch alg {
-	case AlgVNM:
-		cfg.Adaptive = false
-		cfg.NegK1, cfg.NegK2 = 0, 0
-		cfg.OverlapPct, cfg.AllowReuse = 0, false
-		return buildVNM(ag, cfg)
-	case AlgVNMA:
-		cfg.Adaptive = true
-		cfg.NegK1, cfg.NegK2 = 0, 0
-		cfg.OverlapPct, cfg.AllowReuse = 0, false
-		return buildVNM(ag, cfg)
+	case AlgVNM, AlgVNMA:
+		cfg.NegK1, cfg.NegK2, cfg.OverlapPct = 0, 0, 0
+		return buildVNM(ag, cfg, alg == AlgVNMA, false)
 	case AlgVNMN:
-		cfg.Adaptive = true
 		if cfg.NegK1 <= 0 {
 			cfg.NegK1 = 2
 		}
 		if cfg.NegK2 <= 0 {
 			cfg.NegK2 = 5
 		}
-		cfg.OverlapPct, cfg.AllowReuse = 0, false
-		return buildVNM(ag, cfg)
+		cfg.OverlapPct = 0
+		return buildVNM(ag, cfg, true, false)
 	case AlgVNMD:
-		cfg.Adaptive = true
 		cfg.NegK1, cfg.NegK2 = 0, 0
 		if cfg.OverlapPct <= 0 {
 			cfg.OverlapPct = 20
 		}
-		cfg.AllowReuse = true
-		return buildVNM(ag, cfg)
+		return buildVNM(ag, cfg, true, true)
 	case AlgIOB:
 		return buildIOB(ag, cfg)
 	default:

@@ -24,18 +24,21 @@ import (
 // the install step only.
 type Maintainer struct {
 	b *iobBuilder
-	// DirectThreshold is the paper's "prespecified threshold": deltas at
-	// least this large are covered via partial aggregates, smaller ones
-	// become direct writer→reader edges.
-	DirectThreshold int
-	// MaxSplitNodes bounds how many upstream aggregators may be split to
-	// absorb a deletion before falling back to a full reader rebuild
-	// (paper: 5).
-	MaxSplitNodes int
 	// directCount tracks accumulated direct edges per reader; exceeding
-	// DirectThreshold triggers a rebuild.
+	// directThreshold triggers a rebuild.
 	directCount map[overlay.ReaderID]int
 }
+
+const (
+	// directThreshold is the paper's "prespecified threshold": deltas at
+	// least this large are covered via partial aggregates, smaller ones
+	// become direct writer→reader edges.
+	directThreshold = 4
+	// maxSplitNodes bounds how many upstream aggregators may be split to
+	// absorb a deletion before falling back to a full reader rebuild
+	// (paper: 5).
+	maxSplitNodes = 5
+)
 
 // NewMaintainer wraps an existing overlay for incremental maintenance.
 func NewMaintainer(ov *overlay.Overlay) (*Maintainer, error) {
@@ -43,12 +46,7 @@ func NewMaintainer(ov *overlay.Overlay) (*Maintainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Maintainer{
-		b:               b,
-		DirectThreshold: 4,
-		MaxSplitNodes:   5,
-		directCount:     make(map[overlay.ReaderID]int),
-	}, nil
+	return &Maintainer{b: b, directCount: make(map[overlay.ReaderID]int)}, nil
 }
 
 // Maintainable reports whether NewMaintainer accepts the overlay t was
@@ -147,7 +145,7 @@ func (m *Maintainer) AddReaderInputs(tag int32, r graph.NodeID, delta []graph.No
 	if len(added) == 0 {
 		return nil
 	}
-	if len(added) >= m.DirectThreshold {
+	if len(added) >= directThreshold {
 		return m.b.coverInputs(ref, added)
 	}
 	// Small delta: direct edges in id order, counting toward the rebuild
@@ -159,7 +157,7 @@ func (m *Maintainer) AddReaderInputs(tag int32, r graph.NodeID, delta []graph.No
 	}
 	id := overlay.ReaderID{Tag: tag, Node: r}
 	m.directCount[id] += len(added)
-	if m.directCount[id] > m.DirectThreshold {
+	if m.directCount[id] > directThreshold {
 		m.directCount[id] = 0
 		return m.rebuildReader(ref)
 	}
@@ -190,7 +188,7 @@ func (m *Maintainer) RemoveReaderInputs(tag int32, r graph.NodeID, delta []graph
 		return nil
 	}
 	// Pre-processing pass: count affected upstream aggregators.
-	if m.countAffectedUpstream(ref, d) > m.MaxSplitNodes {
+	if m.countAffectedUpstream(ref, d) > maxSplitNodes {
 		return m.rebuildReader(ref)
 	}
 	ins := append([]overlay.HalfEdge(nil), m.b.ov.Node(ref).In...)

@@ -21,6 +21,7 @@ import (
 type vnmState struct {
 	ag       *bipartite.AG
 	cfg      Config
+	reuse    bool        // VNM_D: re-serve previously mined edges
 	itemBase fptree.Item // first virtual item id: one past the largest writer id
 
 	lists [][]fptree.Item // consumer -> current positive input list
@@ -44,10 +45,11 @@ type vnmState struct {
 	epoch    uint32
 }
 
-func newVNMState(ag *bipartite.AG, cfg Config) *vnmState {
+func newVNMState(ag *bipartite.AG, cfg Config, reuse bool) *vnmState {
 	s := &vnmState{
 		ag:      ag,
 		cfg:     cfg,
+		reuse:   reuse,
 		lists:   make([][]fptree.Item, len(ag.Readers)),
 		neg:     make([][]fptree.Item, len(ag.Readers)),
 		mined:   make([][]fptree.Item, len(ag.Readers)),
@@ -192,11 +194,19 @@ func (s *vnmState) runIteration(chunkSize int) int {
 	return applied
 }
 
+// maxMinesPerGroup bounds the bicliques mined within one reader group per
+// iteration.
+const maxMinesPerGroup = 64
+
+// adaptKeep is the mass fraction of per-size benefit VNM_A's next chunk
+// size must retain (paper: 0.9; stable in [0.8, 1.0]).
+const adaptKeep = 0.9
+
 // mineGroup repeatedly builds an FP-tree over the group's consumers and
 // applies the best biclique until no positive-saving biclique remains.
 func (s *vnmState) mineGroup(consumers []int) int {
 	applied := 0
-	for round := 0; round < s.cfg.MaxMinesPerGroup; round++ {
+	for round := 0; round < maxMinesPerGroup; round++ {
 		// The tree numbers its readers by position in the group; it gets
 		// at most one node per item inserted.
 		s.tree.Reset(s.rank, len(consumers))
@@ -204,7 +214,7 @@ func (s *vnmState) mineGroup(consumers []int) int {
 		for _, ci := range consumers {
 			if len(s.lists[ci]) >= 2 {
 				items += len(s.lists[ci])
-				if s.cfg.AllowReuse {
+				if s.reuse {
 					items += len(s.mined[ci])
 				}
 			}
@@ -215,7 +225,7 @@ func (s *vnmState) mineGroup(consumers []int) int {
 				continue
 			}
 			var mined []fptree.Item
-			if s.cfg.AllowReuse {
+			if s.reuse {
 				mined = s.mined[ci]
 			}
 			s.tree.Insert(i, s.lists[ci], mined)
@@ -290,7 +300,7 @@ func (s *vnmState) applyBiclique(b fptree.Biclique) bool {
 		l := s.lists[sup.Reader][:0]
 		for _, it := range s.lists[sup.Reader] {
 			if s.onPath[it] == s.epoch {
-				if s.cfg.AllowReuse {
+				if s.reuse {
 					s.mined[sup.Reader] = append(s.mined[sup.Reader], it)
 				}
 				continue
@@ -306,7 +316,7 @@ func (s *vnmState) applyBiclique(b fptree.Biclique) bool {
 
 // nextChunkSize implements VNM_A's adaptation (§3.2.2): choose the smallest
 // chunk size c <= cur such that the bicliques with reader-set size <= c
-// carry at least AdaptKeep of the total benefit observed this iteration.
+// carry at least adaptKeep of the total benefit observed this iteration.
 func (s *vnmState) nextChunkSize(cur int) int {
 	if len(s.benefit) == 0 {
 		return cur
@@ -324,7 +334,7 @@ func (s *vnmState) nextChunkSize(cur int) int {
 	acc := 0
 	for _, sz := range sizes {
 		acc += s.benefit[sz]
-		if float64(acc) >= s.cfg.AdaptKeep*float64(total) {
+		if float64(acc) >= adaptKeep*float64(total) {
 			if sz < 2 {
 				sz = 2
 			}
@@ -415,9 +425,10 @@ func (s *vnmState) assemble() (*overlay.Overlay, error) {
 	return ov, nil
 }
 
-// buildVNM runs the configured VNM variant to completion.
-func buildVNM(ag *bipartite.AG, cfg Config) (*Result, error) {
-	s := newVNMState(ag, cfg)
+// buildVNM runs the configured VNM variant to completion; adaptive runs
+// VNM_A's chunk-size schedule, reuse lets VNM_D re-serve mined edges.
+func buildVNM(ag *bipartite.AG, cfg Config, adaptive, reuse bool) (*Result, error) {
+	s := newVNMState(ag, cfg, reuse)
 	chunk := cfg.ChunkSize
 	var times []time.Duration
 	for iter := 0; iter < cfg.Iterations; iter++ {
@@ -426,7 +437,7 @@ func buildVNM(ag *bipartite.AG, cfg Config) (*Result, error) {
 		applied := s.runIteration(chunk)
 		s.history = append(s.history, s.sharingIndex())
 		times = append(times, time.Since(start))
-		if cfg.Adaptive {
+		if adaptive {
 			chunk = s.nextChunkSize(chunk)
 		}
 		if applied == 0 {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -28,93 +27,6 @@ func nearBiclique(seed int64) *graph.Graph {
 		}
 	}
 	return g
-}
-
-// TestMaintenanceChurnManySeeds interleaves writes, reads, and structural
-// edge churn across many random seeds, checking every read against a model
-// oracle. It is the regression net for the incremental maintenance (§3.3)
-// + decision-repair + engine-install pipeline.
-func TestMaintenanceChurnManySeeds(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := graph.NewWithNodes(15)
-		type edge struct{ u, v graph.NodeID }
-		var edgeList []edge
-		edges := map[edge]bool{}
-		for i := 0; i < 30; i++ {
-			u, v := graph.NodeID(rng.Intn(15)), graph.NodeID(rng.Intn(15))
-			if u != v && !edges[edge{u, v}] {
-				_ = g.AddEdge(u, v)
-				edges[edge{u, v}] = true
-				edgeList = append(edgeList, edge{u, v})
-			}
-		}
-		s, err := Compile(g, Query{Aggregate: agg.Sum{}, Window: agg.NewTupleWindow(1)},
-			Options{Algorithm: construct.AlgIOB})
-		if err != nil {
-			t.Fatal(err)
-		}
-		latest := map[graph.NodeID]int64{}
-		for step := 0; step < 400; step++ {
-			switch rng.Intn(5) {
-			case 0:
-				u, v := graph.NodeID(rng.Intn(15)), graph.NodeID(rng.Intn(15))
-				if u != v && !edges[edge{u, v}] {
-					if err := s.AddGraphEdge(u, v); err != nil {
-						t.Fatalf("seed %d step %d: %v", seed, step, err)
-					}
-					edges[edge{u, v}] = true
-					edgeList = append(edgeList, edge{u, v})
-				}
-			case 1:
-				if len(edgeList) == 0 {
-					continue
-				}
-				i := rng.Intn(len(edgeList))
-				e := edgeList[i]
-				if err := s.RemoveGraphEdge(e.u, e.v); err != nil {
-					t.Fatalf("seed %d step %d: %v", seed, step, err)
-				}
-				delete(edges, e)
-				edgeList = append(edgeList[:i], edgeList[i+1:]...)
-			case 2:
-				v := graph.NodeID(rng.Intn(15))
-				x := int64(rng.Intn(100))
-				if err := s.Engine().Write(v, x, int64(step)); err != nil {
-					t.Fatalf("seed %d step %d: %v", seed, step, err)
-				}
-				latest[v] = x
-			default:
-				v := graph.NodeID(rng.Intn(15))
-				got, err := s.eng.Read(v)
-				if err != nil {
-					t.Fatalf("seed %d step %d: %v", seed, step, err)
-				}
-				var want int64
-				n := 0
-				var ins []graph.NodeID
-				for _, u := range g.In(v) {
-					if x, ok := latest[u]; ok {
-						want += x
-						n++
-						ins = append(ins, u)
-					}
-				}
-				sort.Slice(ins, func(a, b int) bool { return ins[a] < ins[b] })
-				if n == 0 {
-					if got.Valid {
-						t.Fatalf("seed %d step %d: read(%d)=%v want empty", seed, step, v, got)
-					}
-					continue
-				}
-				if got.Scalar != want {
-					fmt.Printf("seed %d step %d: read(%d)=%v want %d (inputs %v)\n", seed, step, v, got, want, ins)
-					fmt.Println(s.Overlay().DebugString())
-					t.Fatalf("mismatch")
-				}
-			}
-		}
-	}
 }
 
 // TestRecompileUnderConcurrentWriteBatch is the lost-write regression net

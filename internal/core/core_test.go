@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/agg"
@@ -273,83 +272,5 @@ func TestReoptimize(t *testing.T) {
 	got, _ := s.eng.Read(6)
 	if got.Scalar != 30 {
 		t.Fatalf("read(g) after reoptimize = %v, want 30", got)
-	}
-}
-
-// Randomized structural churn: interleave writes, reads, edge adds/removes;
-// verify against a model oracle.
-func TestStructuralChurnOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	g := graph.NewWithNodes(15)
-	type edge struct{ u, v graph.NodeID }
-	edges := map[edge]bool{}
-	for i := 0; i < 30; i++ {
-		u, v := graph.NodeID(rng.Intn(15)), graph.NodeID(rng.Intn(15))
-		if u != v && !edges[edge{u, v}] {
-			_ = g.AddEdge(u, v)
-			edges[edge{u, v}] = true
-		}
-	}
-	s, err := Compile(g, Query{Aggregate: agg.Sum{}, Window: agg.NewTupleWindow(1)},
-		Options{Algorithm: construct.AlgIOB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	latest := map[graph.NodeID]int64{}
-	for step := 0; step < 250; step++ {
-		switch rng.Intn(5) {
-		case 0: // structural add
-			u, v := graph.NodeID(rng.Intn(15)), graph.NodeID(rng.Intn(15))
-			if u != v && !edges[edge{u, v}] {
-				if err := s.AddGraphEdge(u, v); err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-				edges[edge{u, v}] = true
-			}
-		case 1: // structural remove (deterministic pick: lowest key)
-			var pick *edge
-			for e := range edges {
-				e := e
-				if pick == nil || e.u < pick.u || (e.u == pick.u && e.v < pick.v) {
-					pick = &e
-				}
-			}
-			if pick != nil {
-				if err := s.RemoveGraphEdge(pick.u, pick.v); err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-				delete(edges, *pick)
-			}
-		case 2: // write
-			v := graph.NodeID(rng.Intn(15))
-			x := int64(rng.Intn(100))
-			if err := s.Engine().Write(v, x, int64(step)); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			latest[v] = x
-		default: // read + verify
-			v := graph.NodeID(rng.Intn(15))
-			got, err := s.eng.Read(v)
-			if err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			var want int64
-			n := 0
-			for _, u := range g.In(v) {
-				if x, ok := latest[u]; ok {
-					want += x
-					n++
-				}
-			}
-			if n == 0 {
-				if got.Valid {
-					t.Fatalf("step %d: read(%d) = %v, want empty", step, v, got)
-				}
-				continue
-			}
-			if got.Scalar != want {
-				t.Fatalf("step %d: read(%d) = %v, want %d", step, v, got, want)
-			}
-		}
 	}
 }

@@ -21,10 +21,11 @@ type Adaptor struct {
 	// overlay node.
 	pushes []float64 // updates arriving at the node's inputs
 	pulls  []float64 // reads traversing the node
-	// MinSamples gates rebalancing: a node is judged only when its window
-	// holds this much combined activity.
-	MinSamples float64
 }
+
+// minSamples gates rebalancing: a node is judged only when its window holds
+// this much combined activity.
+const minSamples = 64
 
 // NewAdaptor wraps an overlay whose decisions were already made. It prices a
 // frontier node by the overlay's in-degree, which is what a frequency pass
@@ -33,11 +34,10 @@ type Adaptor struct {
 // under the adaptor; build a new one after restructuring it.
 func NewAdaptor(ov *overlay.Overlay, m CostModel) *Adaptor {
 	return &Adaptor{
-		ov:         ov,
-		m:          m,
-		pushes:     make([]float64, ov.Len()),
-		pulls:      make([]float64, ov.Len()),
-		MinSamples: 64,
+		ov:     ov,
+		m:      m,
+		pushes: make([]float64, ov.Len()),
+		pulls:  make([]float64, ov.Len()),
 	}
 }
 
@@ -109,7 +109,7 @@ func (a *Adaptor) contradicted(ref overlay.NodeRef, n *overlay.Node) (bool, floa
 		return false, 0
 	}
 	arrived := a.arrivals(ref, n)
-	if arrived+a.pulls[ref] < a.MinSamples {
+	if arrived+a.pulls[ref] < minSamples {
 		return false, 0
 	}
 	deg := len(n.In)
@@ -117,7 +117,7 @@ func (a *Adaptor) contradicted(ref overlay.NodeRef, n *overlay.Node) (bool, floa
 	return (n.Dec == overlay.Pull && w > 0) || (n.Dec == overlay.Push && w < 0), arrived
 }
 
-// Rebalance flips every frontier node whose window holds MinSamples
+// Rebalance flips every frontier node whose window holds minSamples
 // observations and contradicts its decision, using the observed frequencies
 // as the estimates. A flip hands what it observed to the neighbours it makes
 // frontier (its arrivals downstream, its reads upstream), so one that

@@ -22,56 +22,42 @@ type CostModel interface {
 }
 
 // ConstLinear is the canonical model for subtractable scalar aggregates
-// such as SUM and COUNT: H(k) ∝ 1, L(k) ∝ k.
-type ConstLinear struct {
-	// H and L scale the two costs; zero values default to 1.
-	H, L float64
-}
+// such as SUM and COUNT: H(k) = 1, L(k) = k.
+type ConstLinear struct{}
 
 // PushCost implements CostModel.
-func (c ConstLinear) PushCost(int) float64 { return orOne(c.H) }
+func (ConstLinear) PushCost(int) float64 { return 1 }
 
 // PullCost implements CostModel.
-func (c ConstLinear) PullCost(k int) float64 { return orOne(c.L) * float64(maxInt(k, 1)) }
+func (ConstLinear) PullCost(k int) float64 { return float64(max(k, 1)) }
 
 // LogLinear models priority-queue maintained aggregates such as MAX/MIN:
-// H(k) ∝ log2(k), L(k) ∝ k.
-type LogLinear struct {
-	H, L float64
-}
+// H(k) = 1 + log2(k), L(k) = k.
+type LogLinear struct{}
 
 // PushCost implements CostModel.
-func (c LogLinear) PushCost(k int) float64 {
-	return orOne(c.H) * (1 + math.Log2(float64(maxInt(k, 2))))
-}
+func (LogLinear) PushCost(k int) float64 { return 1 + math.Log2(float64(max(k, 2))) }
 
 // PullCost implements CostModel.
-func (c LogLinear) PullCost(k int) float64 { return orOne(c.L) * float64(maxInt(k, 1)) }
+func (LogLinear) PullCost(k int) float64 { return float64(max(k, 1)) }
+
+// perMerge is WeightedLinear's per-merge weight d.
+const perMerge = 4
 
 // WeightedLinear models holistic aggregates with heavy per-element merges
-// such as TOP-K frequency maps: H(k) ∝ d, L(k) ∝ d·k for a per-merge
-// weight d.
-type WeightedLinear struct {
-	PerMerge float64 // d, defaults to 4
-}
-
-func (c WeightedLinear) perMerge() float64 {
-	if c.PerMerge <= 0 {
-		return 4
-	}
-	return c.PerMerge
-}
+// such as TOP-K frequency maps: H(k) = d, L(k) = d·k for a per-merge
+// weight d of 4.
+type WeightedLinear struct{}
 
 // PushCost implements CostModel.
-func (c WeightedLinear) PushCost(int) float64 { return c.perMerge() }
+func (WeightedLinear) PushCost(int) float64 { return perMerge }
 
 // PullCost implements CostModel.
-func (c WeightedLinear) PullCost(k int) float64 {
-	return c.perMerge() * float64(maxInt(k, 1))
-}
+func (WeightedLinear) PullCost(k int) float64 { return perMerge * float64(max(k, 1)) }
 
-// Scaled wraps a model and scales the two costs independently; used to
-// explore the push:pull cost-ratio axis of Figure 13(c).
+// Scaled wraps a model and scales the two costs independently; it is the
+// one way to scale a model, used to explore the push:pull cost-ratio axis
+// of Figure 13(c).
 type Scaled struct {
 	Base       CostModel
 	PushFactor float64
@@ -102,11 +88,4 @@ func orOne(x float64) float64 {
 		return 1
 	}
 	return x
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

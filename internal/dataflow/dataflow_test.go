@@ -389,9 +389,9 @@ func TestAdaptorFlipsFrontier(t *testing.T) {
 		t.Fatalf("setup: p should start pull")
 	}
 	a := NewAdaptor(ov, m)
-	a.MinSamples = 10
-	// Workload shifts: p now sees many pulls and few pushes.
-	a.ObserveBatch(map[overlay.NodeRef]float64{p: 2}, map[overlay.NodeRef]float64{p: 50})
+	// Workload shifts: p now sees many pulls and few pushes, 72 samples in
+	// all, past the window's 64.
+	a.ObserveBatch(map[overlay.NodeRef]float64{p: 2}, map[overlay.NodeRef]float64{p: 70})
 	flips := a.Rebalance()
 	if flips != 1 {
 		t.Fatalf("flips = %d, want 1", flips)
@@ -416,10 +416,9 @@ func TestAdaptorRespectsMinSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := NewAdaptor(ov, m)
-	a.MinSamples = 1000
-	a.ObserveBatch(nil, map[overlay.NodeRef]float64{p: 50})
+	a.ObserveBatch(nil, map[overlay.NodeRef]float64{p: 50}) // below the window's 64 samples
 	if flips := a.Rebalance(); flips != 0 {
-		t.Fatalf("flips = %d below MinSamples, want 0", flips)
+		t.Fatalf("flips = %d below minSamples, want 0", flips)
 	}
 }
 
@@ -435,8 +434,7 @@ func TestAdaptorOnlyFlipsFrontierNodes(t *testing.T) {
 	_ = ov.AddEdge(p2, r, false)
 	DecideAll(ov, overlay.Pull)
 	a := NewAdaptor(ov, ConstLinear{})
-	a.MinSamples = 1
-	a.ObserveBatch(nil, map[overlay.NodeRef]float64{p2: 10})
+	a.ObserveBatch(nil, map[overlay.NodeRef]float64{p2: 100}) // a full window
 	if flips := a.Rebalance(); flips != 0 {
 		t.Fatalf("p2 flipped despite pull input p1: %d flips", flips)
 	}
@@ -454,9 +452,9 @@ func TestCostModels(t *testing.T) {
 	if got := ll.PushCost(8); math.Abs(got-4) > 1e-9 { // 1 + log2(8)
 		t.Fatalf("LogLinear push(8) = %v, want 4", got)
 	}
-	wlm := WeightedLinear{PerMerge: 2}
-	if wlm.PullCost(5) != 10 {
-		t.Fatalf("WeightedLinear pull(5) = %v, want 10", wlm.PullCost(5))
+	wlm := WeightedLinear{}
+	if wlm.PushCost(5) != 4 || wlm.PullCost(5) != 20 {
+		t.Fatalf("WeightedLinear push(5), pull(5) = %v, %v, want 4, 20", wlm.PushCost(5), wlm.PullCost(5))
 	}
 	sc := Scaled{Base: cl, PushFactor: 3, PullFactor: 2}
 	if sc.PushCost(1) != 3 || sc.PullCost(2) != 4 {

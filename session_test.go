@@ -321,8 +321,13 @@ func TestReoptimizeKeepsContinuousCovered(t *testing.T) {
 // TestSubscriptionSurvivesRecompile pins the regression where a structural
 // change on a NON-maintainable overlay (full recompile, renumbered slots)
 // orphaned live subscriptions: the channel must keep delivering after the
-// engine's Rebuild, and cancel must still detach.
+// engine's Rebuild, and cancel must still detach. The pinned subtests run
+// the simulator's VNM_N cells, checking every Update a recompile under a
+// live subscription delivers.
 func TestSubscriptionSurvivesRecompile(t *testing.T) {
+	runPins(t, pin{"batches", cell{Durable: true, Algorithm: "vnmn"}, 0, 370, recompiledSub},
+		pin{"ingestor", cell{Merged: true, Algorithm: "vnmn"}, 1, 85, recompiledSub},
+		pin{"durable ingestor", cell{Durable: true, Merged: true, Algorithm: "vnmn"}, 1, 51, recompiledSub})
 	// vnmn + sum on this graph usually yields negative edges -> no
 	// incremental maintainer -> AddEdge falls back to recompile. Overlay
 	// construction is randomized, so retry until the compile comes out
@@ -352,19 +357,10 @@ func TestSubscriptionSurvivesRecompile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cancel()
-	// Find a missing edge to add (triggers the recompile).
-	u, v := NodeID(-1), NodeID(-1)
-search:
-	for a := NodeID(0); a < 64; a++ {
-		for b := NodeID(0); b < 64; b++ {
-			if a != b && !g.HasEdge(a, b) {
-				u, v = a, b
-				break search
-			}
-		}
-	}
-	if u < 0 {
-		t.Fatal("no missing edge in fixture")
+	// Add a missing edge (triggers the recompile).
+	u, v := NodeID(0), NodeID(1)
+	for g.HasEdge(u, v) {
+		v++ // node 0 lacks an out-edge to some node of this fixture
 	}
 	if err := sess.AddEdge(u, v); err != nil {
 		t.Fatal(err)
@@ -376,18 +372,14 @@ search:
 	// On a vnmn overlay some closure readers receive the write along
 	// canceling +/- paths (net-zero result), so drain until a reader with
 	// a real contribution reports in.
-	deadline := time.After(5 * time.Second)
-	for {
+	for deadline, valid := time.After(5*time.Second), false; !valid; {
 		select {
 		case upd := <-ch:
-			if upd.Result.Valid {
-				goto delivered
-			}
+			valid = upd.Result.Valid
 		case <-deadline:
 			t.Fatal("subscription went silent after the recompile")
 		}
 	}
-delivered:
 	if q.Stats().Subscribers != 1 {
 		t.Fatalf("subscribers after recompile = %d, want 1", q.Stats().Subscribers)
 	}
@@ -542,73 +534,6 @@ func TestSessionConcurrentLifecycle(t *testing.T) {
 	}
 }
 
-// TestMergedFamilySubscriptionIsolation: two queries merged into one family
-// overlay must each observe only their own view's updates, and Covered must
-// reflect each view's push coverage.
-func TestMergedFamilySubscriptionIsolation(t *testing.T) {
-	sess, err := Open(ring(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q1, err := sess.Register(QuerySpec{Aggregate: "sum", Continuous: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2, err := sess.Register(QuerySpec{Aggregate: "sum", Continuous: true, Hops: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q1.Internal() != q2.Internal() {
-		t.Fatal("continuous 1-hop and 2-hop sums should merge into one family")
-	}
-	// Continuous queries compile all-push: every node of both views is
-	// covered, and an unknown node is not.
-	for v := NodeID(0); v < 8; v++ {
-		if !q1.Covered(v) || !q2.Covered(v) {
-			t.Fatalf("node %d must be covered on both merged views", v)
-		}
-	}
-	if q1.Covered(99) {
-		t.Fatal("unknown node must not be covered")
-	}
-	ch1, cancel1, err := q1.Subscribe(256, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel1()
-	ch2, cancel2, err := q2.Subscribe(256, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel2()
-	// On the ring, N1(3) = {2,4}; N2(3) = {1,2,4,5}. A write on 1 reaches
-	// only the 2-hop view of node 3.
-	if err := sess.Write(1, 10, 1); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case u := <-ch1:
-		t.Fatalf("1-hop subscription saw a 2-hop-only update: %+v", u)
-	default:
-	}
-	u := <-ch2
-	if u.Node != 3 || u.Result.Scalar != 10 {
-		t.Fatalf("2-hop update = %+v, want node 3 value 10", u)
-	}
-	// A write on 2 reaches both views.
-	if err := sess.Write(2, 5, 2); err != nil {
-		t.Fatal(err)
-	}
-	u1 := <-ch1
-	if u1.Node != 3 || u1.Result.Scalar != 5 {
-		t.Fatalf("1-hop update = %+v, want node 3 value 5", u1)
-	}
-	u2 := <-ch2
-	if u2.Node != 3 || u2.Result.Scalar != 15 {
-		t.Fatalf("2-hop update = %+v, want node 3 value 15", u2)
-	}
-}
-
 // TestMergedFamilySessionStats: session stats must surface merged sharing.
 func TestMergedFamilySessionStats(t *testing.T) {
 	sess, err := Open(ring(8))
@@ -636,4 +561,12 @@ func TestMergedFamilySessionStats(t *testing.T) {
 	if shared != 1 || family != 2 || own != 8 {
 		t.Fatalf("q1 sharing = %d/%d/%d, want 1/2/8", shared, family, own)
 	}
+}
+
+// TestMergedFamilySubscriptionIsolation: each query of a merged family
+// hears its own view's readers only.
+func TestMergedFamilySubscriptionIsolation(t *testing.T) {
+	runPins(t, pin{"batches", cell{Durable: true, Autotune: true, Merged: true}, 0, 232, taggedWhole},
+		pin{"ingestor", cell{Autotune: true, Merged: true}, 1, 391, taggedWhole},
+		pin{"plain", cell{Merged: true}, 0, 271, taggedWhole})
 }
