@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -568,32 +569,60 @@ func BenchmarkStructuralEdgeAdd(b *testing.B) {
 	}
 }
 
+// sessionShapes are the set-ups of the repository benchmark's three
+// workloads (bench/w_feed.go, bench/w_notify.go, bench/w_durable.go): the
+// graph, the Registers and whether the session is durable.
+var sessionShapes = []struct {
+	name    string
+	gen     func() *graph.Graph
+	specs   []QuerySpec
+	durable bool // OpenDurable with FsyncInterval, as durable_ingest opens
+}{
+	{"feed", func() *graph.Graph { return workload.WebGraph(600, 50, 12, 1) }, []QuerySpec{
+		{Aggregate: "sum", WindowTime: 20000},
+		{Aggregate: "max", WindowTuples: 4},
+		{Aggregate: "topk(10)", WindowTuples: 4},
+	}, false},
+	{"notify", func() *graph.Graph { return workload.SocialGraph(1000, 10, 1) }, []QuerySpec{
+		{Aggregate: "sum", WindowTime: 20000, Continuous: true},
+		{Aggregate: "topk(10)", WindowTuples: 4, Continuous: true},
+	}, false},
+	{"durable", func() *graph.Graph { return workload.SocialGraph(1000, 10, 1) }, []QuerySpec{
+		{Aggregate: "sum", WindowTime: 20000},
+		{Aggregate: "max", WindowTuples: 1},
+	}, true},
+}
+
+// openShape opens a session on g, durable in dir or in memory, and
+// registers specs.
+func openShape(b *testing.B, g *graph.Graph, specs []QuerySpec, durable bool, dir string) (*Session, []*Query) {
+	var (
+		sess *Session
+		err  error
+	)
+	if durable {
+		sess, _, err = OpenDurable(g, DurabilityOptions{Dir: dir, Fsync: FsyncInterval}, Options{})
+	} else {
+		sess, err = Open(g, Options{})
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := make([]*Query, len(specs))
+	for i, spec := range specs {
+		if qs[i], err = sess.Register(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return sess, qs
+}
+
 // BenchmarkSessionSetup is what the repository benchmark reports as setup_s:
 // Open (OpenDurable for durable) on a generated graph plus the workload's
-// Registers (bench/w_feed.go, bench/w_notify.go, bench/w_durable.go), minus
-// the graph generation. Closing a durable session and removing its
-// directory are not timed.
+// Registers, minus the graph generation. Closing a durable session and
+// removing its directory are not timed.
 func BenchmarkSessionSetup(b *testing.B) {
-	for _, w := range []struct {
-		name    string
-		gen     func() *graph.Graph
-		specs   []QuerySpec
-		durable bool // OpenDurable with FsyncInterval, as durable_ingest opens
-	}{
-		{"feed", func() *graph.Graph { return workload.WebGraph(600, 50, 12, 1) }, []QuerySpec{
-			{Aggregate: "sum", WindowTime: 20000},
-			{Aggregate: "max", WindowTuples: 4},
-			{Aggregate: "topk(10)", WindowTuples: 4},
-		}, false},
-		{"notify", func() *graph.Graph { return workload.SocialGraph(1000, 10, 1) }, []QuerySpec{
-			{Aggregate: "sum", WindowTime: 20000, Continuous: true},
-			{Aggregate: "topk(10)", WindowTuples: 4, Continuous: true},
-		}, false},
-		{"durable", func() *graph.Graph { return workload.SocialGraph(1000, 10, 1) }, []QuerySpec{
-			{Aggregate: "sum", WindowTime: 20000},
-			{Aggregate: "max", WindowTuples: 1},
-		}, true},
-	} {
+	for _, w := range sessionShapes {
 		b.Run(w.name, func(b *testing.B) {
 			b.ReportAllocs()
 			root := b.TempDir()
@@ -602,23 +631,7 @@ func BenchmarkSessionSetup(b *testing.B) {
 				g := w.gen()
 				dir := filepath.Join(root, strconv.Itoa(i))
 				b.StartTimer()
-				var (
-					sess *Session
-					err  error
-				)
-				if w.durable {
-					sess, _, err = OpenDurable(g, DurabilityOptions{Dir: dir, Fsync: FsyncInterval}, Options{})
-				} else {
-					sess, err = Open(g, Options{})
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, spec := range w.specs {
-					if _, err := sess.Register(spec); err != nil {
-						b.Fatal(err)
-					}
-				}
+				sess, _ := openShape(b, g, w.specs, w.durable, dir)
 				if w.durable {
 					b.StopTimer()
 					if err := sess.CloseDurability(); err != nil {
@@ -630,6 +643,101 @@ func BenchmarkSessionSetup(b *testing.B) {
 					b.StartTimer()
 				}
 			}
+		})
+	}
+}
+
+// liveHeapMB is the heap in use after two collections, in MiB, as the
+// repository benchmark reads live_heap_mb.
+func liveHeapMB() float64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc) / (1 << 20)
+}
+
+// BenchmarkSessionHeap reports, as live-MB, the heap a session of each
+// BenchmarkSessionSetup shape holds after traffic, over the heap measured
+// once its graph was generated: the session set up (notify subscribing 256
+// egos on each continuous query, with notify_open's 4096-update buffers),
+// then 64 batches of 256 Zipf-skewed writes (values 1..64) through one
+// Ingestor, each followed by 256 reads, then two GCs. It is live_heap_mb's
+// shape without bench/: the structures a session keeps per overlay slot
+// show here first.
+func BenchmarkSessionHeap(b *testing.B) {
+	for _, w := range sessionShapes {
+		b.Run(w.name, func(b *testing.B) {
+			root := b.TempDir()
+			var live float64
+			for i := 0; i < b.N; i++ {
+				g := w.gen()
+				n := g.NumNodes()
+				base := liveHeapMB()
+				sess, qs := openShape(b, g, w.specs, w.durable, filepath.Join(root, strconv.Itoa(i)))
+				var (
+					subs    []<-chan Update
+					cancels []func()
+				)
+				for _, q := range qs {
+					if q.Spec().Continuous {
+						egos := make([]NodeID, 256)
+						for v := range egos {
+							egos[v] = NodeID(v)
+						}
+						ch, cancel, err := q.Subscribe(4096, egos...)
+						if err != nil {
+							b.Fatal(err)
+						}
+						subs, cancels = append(subs, ch), append(cancels, cancel)
+					}
+				}
+				ing, err := sess.Ingest(IngestOptions{FlushInterval: -1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(1))
+				zipf := rand.NewZipf(rng, 1.1, 1, uint64(n-1))
+				batch := make([]Event, 256)
+				var res Result
+				for k, ts := 0, int64(1); k < 64; k++ {
+					for j := range batch {
+						batch[j] = NewWrite(NodeID(zipf.Uint64()), 1+rng.Int63n(64), ts)
+						ts++
+					}
+					if _, err := ing.SendEvents(batch); err != nil {
+						b.Fatal(err)
+					}
+					if err := ing.Flush(); err != nil {
+						b.Fatal(err)
+					}
+					for _, ch := range subs {
+						for len(ch) > 0 {
+							<-ch
+						}
+					}
+					for j := 0; j < 256; j++ {
+						if err := qs[j%len(qs)].ReadInto(NodeID(zipf.Uint64()), &res); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				live = liveHeapMB() - base
+				runtime.KeepAlive(g)
+				runtime.KeepAlive(sess)
+				for _, cancel := range cancels {
+					cancel()
+				}
+				if err := ing.Close(); err != nil {
+					b.Fatal(err)
+				}
+				if w.durable {
+					if err := sess.CloseDurability(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(live, "live-MB")
 		})
 	}
 }

@@ -215,10 +215,9 @@ func (s *Session) Ingest(opts IngestOptions) (*Ingestor, error) {
 		stopTick: make(chan struct{}),
 	}
 	ing.space.L = &ing.qmu
-	ing.bufPool.New = func() any {
-		s := make([]Event, 0, o.BatchSize)
-		return &s
-	}
+	// A pooled buffer starts empty and grows by append: its capacity comes
+	// from the batches it has held, never from BatchSize alone.
+	ing.bufPool.New = func() any { return new([]Event) }
 	ing.buf = ing.getBuf()
 	// The session's time domain seeds the Ingestor's: the MaxTimestampJump
 	// reference and StreamClock's stamp carry over from earlier Ingestors,

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/workload"
 )
@@ -393,6 +394,46 @@ func TestIngestorCloseFlushesTail(t *testing.T) {
 	if res, err := q.Read(0); err != nil || res.Scalar != 1 {
 		t.Fatalf("read after Close = %+v (%v), want count 1", res, err)
 	}
+}
+
+// TestIngestorBufferGrowsByUse: a pooled batch buffer's capacity comes from
+// the batches it held, not from BatchSize. With a BatchSize of 1<<20 and a
+// GC before each round, 100 Flushes of 10 events together allocate far less
+// than one BatchSize buffer; sized by BatchSize, the first hand-over alone
+// allocated one.
+func TestIngestorBufferGrowsByUse(t *testing.T) {
+	sess, err := Open(ring(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Register(QuerySpec{Aggregate: "count"}); err != nil {
+		t.Fatal(err)
+	}
+	ing, err := sess.Ingest(IngestOptions{BatchSize: 1 << 20, FlushInterval: -1, Clock: LogicalClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ing.Close()
+	var before, after runtime.MemStats
+	var total uint64
+	for round := 0; round < 100; round++ {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10; i++ {
+			if err := ing.Send(NodeID(i%8), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ing.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	if one := uint64(unsafe.Sizeof(Event{})) << 20; total > one/16 {
+		t.Fatalf("100 Flushes of 10 events allocated %d bytes; one BatchSize buffer is %d", total, one)
+	}
+	t.Logf("100 Flushes of 10 events allocated %d bytes", total)
 }
 
 // TestIngestorCountsEveryApplyError: an Ingestor nobody flushes keeps at

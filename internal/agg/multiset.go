@@ -2,7 +2,6 @@ package agg
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"math/rand/v2"
 	"slices"
@@ -35,8 +34,8 @@ type multiset struct {
 	pos   int
 	shift uint8 // 64 - log2(len(slots)): home slots come from the hash's top bits
 	// idle counts the consecutive clears that found the table far larger
-	// than its use needed, and need is the most entries those uses and the
-	// current one held or reserved room for (see clear).
+	// than its use needed, and need is the most entries those uses held
+	// (see clear).
 	idle uint8
 	need uint32
 }
@@ -181,22 +180,22 @@ func tableFor(n int) int {
 
 // reserve makes room for n entries without a further resize.
 func (m *multiset) reserve(n int) {
-	m.need = max(m.need, uint32(min(n, math.MaxUint32)))
 	if n > m.limit() {
 		m.resize(tableFor(n))
 	}
 }
 
 // merge adds sign (+1 or -1) times every count of o to m. Room for the
-// union is reserved first: o is scanned in hash order, which is m's order
-// too, and feeding a table that is still growing in its own hash order
+// larger operand is reserved first: o is scanned in hash order, which is m's
+// order too, and feeding a table that is still growing in its own hash order
 // piles each growth step's arrivals into the low end of the table —
-// quadratic probing in the size of o.
+// quadratic probing in the size of o. Reserving the sum instead would size a
+// pull's pooled arena by its inputs' sizes added up, not by their union.
 func (m *multiset) merge(o *multiset, sign int64) {
 	if o.n == 0 {
 		return
 	}
-	m.reserve(m.n + o.n)
+	m.reserve(max(m.n, o.n))
 	for _, s := range o.slots {
 		if s.c != 0 {
 			m.add(s.v, sign*s.c)

@@ -214,6 +214,31 @@ func TestPooledTableShrinks(t *testing.T) {
 	}
 }
 
+// TestPullArenaSizedByUnion: a pull merging 12 inputs that draw from one
+// 64-value domain leaves its pooled arena at the table for the union, not
+// for the inputs' sizes added up, and a clear keeps it there.
+func TestPullArenaSizedByUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	inputs := make([]PAO, 12)
+	for i := range inputs {
+		inputs[i] = TopK{K: 10}.NewPAO()
+		for range 48 {
+			inputs[i].AddValue(1 + rng.Int63n(64))
+		}
+	}
+	p := TopK{K: 10}.NewPAO().(*topkPAO)
+	for round := 0; round < 3; round++ {
+		p.Reset()
+		for _, in := range inputs {
+			p.Merge(in)
+		}
+		p.FinalizeOnce(nil)
+		if want := tableFor(p.freq.n); len(p.freq.slots) != want {
+			t.Fatalf("round %d: a union of %d values in %d slots, want %d", round, p.freq.n, len(p.freq.slots), want)
+		}
+	}
+}
+
 // probeLengths returns the longest and the mean displacement of m's entries
 // from their home slots.
 func probeLengths(m *multiset) (worst int, mean float64) {
@@ -251,6 +276,18 @@ func TestMultisetProbeLength(t *testing.T) {
 			}
 			if worst, mean := probeLengths(&m); worst > 512 || mean > 3 {
 				t.Errorf("seed %#x, step %d: worst displacement %d, mean %.2f", hashSeed, d, worst, mean)
+			}
+			// The same keys merged, in m's hash order, into an empty
+			// table: merge must reserve their room up front (one table,
+			// not one per growth step fed in hash order) and keep them
+			// as close to home.
+			var into multiset
+			allocs := testing.AllocsPerRun(1, func() {
+				into = multiset{}
+				into.merge(&m, 1)
+			})
+			if worst, mean := probeLengths(&into); allocs != 1 || into.n != m.n || worst > 512 || mean > 3 {
+				t.Errorf("seed %#x, step %d merged into an empty table: %.0f tables, %d of %d keys, worst displacement %d, mean %.2f", hashSeed, d, allocs, into.n, m.n, worst, mean)
 			}
 		}
 		var m multiset

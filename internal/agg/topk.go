@@ -56,9 +56,10 @@ type topkPAO struct {
 	freq  multiset
 	total int64
 	// head holds at most lim = 2k entries: k answer a finalize, the other k
-	// are slack for entries popped because their rank became unknown. It
-	// grows by append, so its array is sized by the positive entries it has
-	// held and never by k, which a query spec may set to anything. A head
+	// are slack for entries popped because their rank became unknown. Its
+	// array doubles as it fills, to at most lim, so it is sized by the
+	// positive entries it has held and never by k, which a query spec may
+	// set to anything. A head
 	// of freq.pos entries — every positive one — is exhaustive.
 	head  []valCount
 	lim   int
@@ -93,8 +94,12 @@ func rank(h []valCount, e valCount) int {
 }
 
 // insert places e in the sorted h, dropping h's last entry to make room
-// when h already holds lim entries.
+// when h already holds lim entries. A full array grows by doubling, to at
+// most lim entries.
 func insert(h []valCount, e valCount, lim int) []valCount {
+	if len(h) == cap(h) && len(h) < lim {
+		h = append(make([]valCount, 0, min(max(2*len(h), 4), lim)), h...)
+	}
 	if len(h) < lim {
 		h = append(h, e)
 	}

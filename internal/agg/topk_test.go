@@ -24,16 +24,21 @@ func naiveTopK(model map[int64]int64) []valCount {
 // runTopKOps interprets data as a program over one topk PAO, one distinct
 // PAO and a side PAO of each (the Merge/Unmerge operand), mirrors every
 // step on plain count maps, and checks the materialized state against the
-// maps: after every step an armed head must be a prefix of the naive order,
-// and at every finalize step (and at the end) both answers must equal the
-// naive ones. data[0] picks k in 1..5 and data[1] the value domain in
-// 1..40, so heads are sometimes exhaustive and sometimes at capacity; the
-// rest is (opcode, argument) pairs.
-func runTopKOps(t testing.TB, data []byte) {
+// maps: after every step the head's array must hold at most its limit of
+// 2k entries and an armed head must be a prefix of the naive order, and at
+// every finalize step (and at the end) both answers must equal the naive
+// ones. data[0] picks k in 1..5 (10 from 250 up) and data[1] the value
+// domain in 1..40, so heads are sometimes exhaustive and sometimes at
+// capacity; the rest is (opcode, argument) pairs. It returns the most
+// entries the head held.
+func runTopKOps(t testing.TB, data []byte) (maxHead int) {
 	if len(data) < 2 {
-		return
+		return 0
 	}
 	k := 1 + int(data[0])%5
+	if data[0] >= 250 {
+		k = 10
+	}
 	domain := 1 + int64(data[1])%40
 	tk := TopK{K: k}
 	p, side := tk.NewPAO().(*topkPAO), tk.NewPAO().(*topkPAO)
@@ -43,6 +48,10 @@ func runTopKOps(t testing.TB, data []byte) {
 	buf := make([]int64, 0, k)
 
 	checkHead := func(step int) {
+		if cap(p.head) > p.lim {
+			t.Fatalf("step %d: head array of %d entries, limit %d", step, cap(p.head), p.lim)
+		}
+		maxHead = max(maxHead, len(p.head))
 		if !p.armed {
 			return
 		}
@@ -137,18 +146,31 @@ func runTopKOps(t testing.TB, data []byte) {
 	}
 	finalize(len(ops) / 2)
 	checkHead(len(ops) / 2)
+	return maxHead
 }
 
 // TestTopKHeadDifferential runs seeded random programs through runTopKOps,
-// covering every k and a spread of domains from one value to forty.
+// covering every k from 1 to 5 and a spread of domains from one value to
+// forty, then k = 10 over forty values: its heads must grow past 16
+// entries, where doubling alone would give them 32 slots for a limit of 20.
 func TestTopKHeadDifferential(t *testing.T) {
 	domains := []byte{0, 1, 2, 4, 7, 12, 19, 39}
-	for seed := 0; seed < 400; seed++ {
+	program := func(seed int, k0, domain byte) []byte {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		data := make([]byte, 2+2*(100+rng.Intn(500)))
 		rng.Read(data)
-		data[0], data[1] = byte(seed%5), domains[(seed/5)%len(domains)]
-		runTopKOps(t, data)
+		data[0], data[1] = k0, domain
+		return data
+	}
+	for seed := 0; seed < 400; seed++ {
+		runTopKOps(t, program(seed, byte(seed%5), domains[(seed/5)%len(domains)]))
+	}
+	reached := 0
+	for seed := 400; seed < 440; seed++ {
+		reached = max(reached, runTopKOps(t, program(seed, 250, 39)))
+	}
+	if reached <= 16 {
+		t.Fatalf("k = 10: heads held at most %d entries, want more than 16", reached)
 	}
 }
 

@@ -60,7 +60,7 @@ func (e *Engine) Apply(events []graph.Event, advanceTo int64) {
 			continue
 		}
 		dSum, dCnt := e.applyAtWriter(st, wref, ev.Value, ev.TS, &acc.rec)
-		if len(st.plan.closure[wref]) == 0 {
+		if len(st.plan.closureOf(wref)) == 0 {
 			continue // nothing downstream (and so no reader to tell)
 		}
 		ent := acc.entry(wref)
@@ -213,7 +213,7 @@ type touchCollector struct {
 // only a few egos are watched.
 func (tc *touchCollector) collect(nt *notifyTable, st *engineState, wref overlay.NodeRef, ts int64) {
 	lastTag, tagWide := int32(-1), false
-	for _, t := range st.plan.pushReaders[wref] {
+	for _, t := range st.plan.pushReadersOf(wref) {
 		if t.tag != lastTag {
 			lastTag, tagWide = t.tag, len(nt.byTag[t.tag]) > 0
 		}

@@ -155,10 +155,10 @@ type Engine struct {
 // values while the next is seeded.
 type engineState struct {
 	plan    *plan
-	nodes   []*nodeState  // shared sync/observation cells, one per slot
-	scalars []*scalarCell // scalar-mode partial state; nil in PAO mode
-	paos    []agg.PAO     // PAO-mode partial state; nil entries in scalar mode
-	windows []agg.Window  // writer nodes only
+	nodes   []*nodeState // shared sync/observation cells, one per slot
+	scalars []scalarCell // scalar-mode partial state; nil in PAO mode
+	paos    []agg.PAO    // PAO-mode partial state; nil in scalar mode
+	windows []agg.Window // writer nodes only
 	// best holds, for a SelectAggregate, the published best of every push
 	// node a read loads (plan.readable); nil for other aggregates.
 	best []bestCell
@@ -200,9 +200,9 @@ type nodeState struct {
 // scalarCell is one overlay node's partial aggregate in scalar mode: the
 // running sum of contributions and their count. A torn read across the pair
 // is possible mid-write; that is the bounded staleness the queueing model
-// already admits. Every snapshot has its own cells, so seeding the next one
-// never exposes half-rebuilt values to readers of the current one. reads
-// counts the reads of the slot (countRead).
+// already admits. Every snapshot has its own cells, held by value in one
+// array, so seeding the next one never exposes half-rebuilt values to readers
+// of the current one. reads counts the reads of the slot (countRead).
 type scalarCell struct {
 	sum   atomic.Int64
 	cnt   atomic.Int64
@@ -382,11 +382,12 @@ func (e *Engine) buildState(pl *plan, prev *engineState, inherit func(i int) ove
 	st := &engineState{
 		plan:    pl,
 		nodes:   make([]*nodeState, n),
-		paos:    make([]agg.PAO, n),
 		windows: make([]agg.Window, n),
 	}
 	if e.scalar != nil {
-		st.scalars = make([]*scalarCell, n)
+		st.scalars = make([]scalarCell, n)
+	} else {
+		st.paos = make([]agg.PAO, n)
 	}
 	if e.sel != nil {
 		st.best = make([]bestCell, n)
@@ -401,9 +402,6 @@ func (e *Engine) buildState(pl *plan, prev *engineState, inherit func(i int) ove
 		} else {
 			st.nodes[i] = &nodeState{}
 		}
-		if e.scalar != nil {
-			st.scalars[i] = &scalarCell{}
-		}
 		if pl.top.Dead[i] {
 			continue
 		}
@@ -412,7 +410,10 @@ func (e *Engine) buildState(pl *plan, prev *engineState, inherit func(i int) ove
 			if from != overlay.NoNode {
 				// The writer's PAO is maintained together with its window
 				// under the writer's mutex and is already exact.
-				st.windows[i], st.paos[i] = prev.windows[from], prev.paos[from]
+				st.windows[i] = prev.windows[from]
+				if e.scalar == nil {
+					st.paos[i] = prev.paos[from]
+				}
 			}
 			if st.windows[i] == nil {
 				st.windows[i] = window.Clone()
@@ -538,7 +539,9 @@ type writerDelta struct {
 func (e *Engine) applyAtWriter(st *engineState, wref overlay.NodeRef, value, ts int64, rec *expiryRecorder) (dSum, dCnt int64) {
 	ns := st.nodes[wref]
 	ns.mu.Lock()
-	rec.target = st.paos[wref]
+	if st.paos != nil {
+		rec.target = st.paos[wref]
+	}
 	rec.removed = rec.removed[:0]
 	st.windows[wref].Add(rec, value, ts)
 	if !ns.inExpiryHeap {
@@ -557,7 +560,7 @@ func (e *Engine) applyAtWriter(st *engineState, wref overlay.NodeRef, value, ts 
 		for _, r := range rec.removed {
 			dSum -= r
 		}
-		cell := st.scalars[wref]
+		cell := &st.scalars[wref]
 		cell.sum.Add(dSum)
 		cell.cnt.Add(dCnt)
 	} else {
@@ -595,7 +598,7 @@ func (e *Engine) propagate(st *engineState, wref overlay.NodeRef, add, remove []
 	if len(add)+len(remove) == 0 {
 		return
 	}
-	for _, pe := range st.plan.closure[wref] {
+	for _, pe := range st.plan.closureOf(wref) {
 		ref, neg := overlay.UnpackRef(pe)
 		a, r := add, remove
 		if neg {
@@ -618,9 +621,9 @@ func (e *Engine) propagate(st *engineState, wref overlay.NodeRef, add, remove []
 // propagateScalar applies a (sum, count) delta along the compiled closure
 // with plain atomic adds — no locks, no allocation.
 func (e *Engine) propagateScalar(st *engineState, wref overlay.NodeRef, dSum, dCnt int64) {
-	for _, pe := range st.plan.closure[wref] {
+	for _, pe := range st.plan.closureOf(wref) {
 		ref, neg := overlay.UnpackRef(pe)
-		cell := st.scalars[ref]
+		cell := &st.scalars[ref]
 		if neg {
 			cell.sum.Add(-dSum)
 			cell.cnt.Add(-dCnt)
@@ -683,7 +686,7 @@ func (e *Engine) ReadTaggedWire(tag int32, v graph.NodeID) (agg.WirePAO, error) 
 	st.countRead(rref)
 	if st.plan.top.Dec[rref] == overlay.Push {
 		if e.scalar != nil {
-			cell := st.scalars[rref]
+			cell := &st.scalars[rref]
 			return agg.WirePAO{Sum: cell.sum.Load(), N: cell.cnt.Load()}, nil
 		}
 		ns := st.nodes[rref]
@@ -746,7 +749,7 @@ func (e *Engine) readOn(st *engineState, rref overlay.NodeRef, v graph.NodeID, b
 	top := st.plan.top
 	if top.Dec[rref] == overlay.Push {
 		if e.scalar != nil {
-			cell := st.scalars[rref]
+			cell := &st.scalars[rref]
 			return e.scalar.FinalizeScalar(cell.sum.Load(), cell.cnt.Load()), nil
 		}
 		return e.readPushPAO(st, rref, buf), nil
@@ -860,7 +863,7 @@ func (e *Engine) pullScalar(st *engineState, ref overlay.NodeRef) (sum, n int64)
 		src, neg := overlay.UnpackRef(pe)
 		var s, c int64
 		if top.Dec[src] == overlay.Push {
-			cell := st.scalars[src]
+			cell := &st.scalars[src]
 			s, c = cell.sum.Load(), cell.cnt.Load()
 		} else {
 			s, c = e.pullScalar(st, src)
@@ -957,7 +960,9 @@ func (e *Engine) computePull(st *engineState, ref overlay.NodeRef, rs *readScrat
 func (e *Engine) expireWriter(st *engineState, wref overlay.NodeRef, ts int64, fromHeap bool, rec *expiryRecorder, tc *touchCollector) {
 	ns := st.nodes[wref]
 	ns.mu.Lock()
-	rec.target = st.paos[wref]
+	if st.paos != nil {
+		rec.target = st.paos[wref]
+	}
 	rec.removed = rec.removed[:0]
 	st.windows[wref].Expire(rec, ts)
 	d := writerDelta{m: 1, ts: ts, rem: rec.removed}
@@ -966,7 +971,7 @@ func (e *Engine) expireWriter(st *engineState, wref overlay.NodeRef, ts int64, f
 			d.dSum -= r
 		}
 		d.dCnt = -int64(len(d.rem))
-		cell := st.scalars[wref]
+		cell := &st.scalars[wref]
 		cell.sum.Add(d.dSum)
 		cell.cnt.Add(d.dCnt)
 	} else if len(d.rem) > 0 {
@@ -1074,7 +1079,7 @@ func (st *engineState) fold() {
 	pl := st.plan
 	for _, w := range pl.top.Writers {
 		if m := st.nodes[w].walkObs.Swap(0); m != 0 {
-			for _, pe := range pl.closure[w] {
+			for _, pe := range pl.closureOf(w) {
 				ref, _ := overlay.UnpackRef(pe)
 				st.nodes[ref].pushObs.Add(m)
 			}

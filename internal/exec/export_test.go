@@ -98,7 +98,7 @@ func newVisitCount() *visitCount {
 
 // walk counts one walk of writer wref's closure standing for m writes.
 func (vc *visitCount) walk(st *engineState, wref overlay.NodeRef, m int64) {
-	for _, pe := range st.plan.closure[wref] {
+	for _, pe := range st.plan.closureOf(wref) {
 		ref, _ := overlay.UnpackRef(pe)
 		vc.push[ref] += float64(m)
 	}

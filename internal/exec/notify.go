@@ -127,19 +127,22 @@ type notifyTable struct {
 	// byTag lists, per query tag, the subscriptions covering every reader
 	// of that tag's view (the whole engine on single-query engines, where
 	// every reader carries tag 0); byRef those restricted to specific
-	// reader slots. byRef is indexed by overlay slot and as long as the
-	// highest subscribed slot requires (use at, which bounds-checks), so
+	// reader slots, slot r's at byRef[byRefOff[r]:byRefOff[r+1]] (CSR, in
+	// subscription order). byRefOff is indexed by overlay slot and as long as
+	// the highest subscribed slot requires (use at, which bounds-checks), so
 	// the fan-out skips a reader nobody listens to with one array test.
-	byTag map[int32][]*Subscription
-	byRef [][]*Subscription
+	byTag    map[int32][]*Subscription
+	byRefOff []int32
+	byRef    []*Subscription
 }
 
-// at returns the subscriptions restricted to reader slot ref.
+// at returns the subscriptions restricted to reader slot ref, nil when
+// there are none.
 func (nt *notifyTable) at(ref overlay.NodeRef) []*Subscription {
-	if uint(ref) < uint(len(nt.byRef)) {
-		return nt.byRef[ref]
+	if ref < 0 || int(ref) >= len(nt.byRefOff)-1 || nt.byRefOff[ref] == nt.byRefOff[ref+1] {
+		return nil
 	}
-	return nil
+	return nt.byRef[nt.byRefOff[ref]:nt.byRefOff[ref+1]]
 }
 
 // without returns subs minus sub (nil when nothing is left).
@@ -217,6 +220,7 @@ func (s *Subscription) resolve(pl *plan) {
 // covers a reader, so the write path skips fan-out entirely.
 func tableOf(subs []*Subscription) *notifyTable {
 	var nt *notifyTable
+	n := 0 // slots byRefOff covers
 	for _, sub := range subs {
 		if sub.nodes != nil && len(sub.refs) == 0 {
 			continue
@@ -226,13 +230,29 @@ func tableOf(subs []*Subscription) *notifyTable {
 		}
 		if sub.nodes == nil {
 			nt.byTag[sub.tag] = append(nt.byTag[sub.tag], sub)
-			continue
+		} else {
+			n = max(n, int(sub.refs[len(sub.refs)-1])+1)
 		}
-		if n := int(sub.refs[len(sub.refs)-1]) + 1; n > len(nt.byRef) {
-			nt.byRef = append(nt.byRef, make([][]*Subscription, n-len(nt.byRef))...)
-		}
+	}
+	if n == 0 {
+		return nt
+	}
+	// Count per slot, sum to each slot's end, then place back to front so
+	// every slot ends at its start and keeps the subscriptions' order.
+	nt.byRefOff = make([]int32, n+1)
+	for _, sub := range subs {
 		for _, ref := range sub.refs {
-			nt.byRef[ref] = append(nt.byRef[ref], sub)
+			nt.byRefOff[ref]++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		nt.byRefOff[i] += nt.byRefOff[i-1]
+	}
+	nt.byRef = make([]*Subscription, nt.byRefOff[n])
+	for _, sub := range slices.Backward(subs) {
+		for _, ref := range sub.refs {
+			nt.byRefOff[ref]--
+			nt.byRef[nt.byRefOff[ref]] = sub
 		}
 	}
 	return nt
@@ -283,7 +303,7 @@ func (e *Engine) deliverReader(nt *notifyTable, st *engineState, byTag []*Subscr
 	ns.mu.Lock()
 	var res agg.Result
 	if e.scalar != nil {
-		cell := st.scalars[ref]
+		cell := &st.scalars[ref]
 		res = e.scalar.FinalizeScalar(cell.sum.Load(), cell.cnt.Load())
 	} else {
 		res = finalizePAO(st.paos[ref], nil)

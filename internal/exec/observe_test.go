@@ -179,7 +179,7 @@ func TestObservationsMatchVisitCount(t *testing.T) {
 						}
 						for _, w := range st.plan.top.Writers {
 							seen := map[overlay.NodeRef]bool{}
-							for _, pe := range st.plan.closure[w] {
+							for _, pe := range st.plan.closureOf(w) {
 								ref, _ := overlay.UnpackRef(pe)
 								if seen[ref] {
 									dupPaths++

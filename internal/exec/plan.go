@@ -28,20 +28,35 @@ import (
 // to read it.
 type plan struct {
 	top *overlay.Topology
-	// closure[w] is writer w's packed push-region application list.
-	closure [][]int32
-	// pushReaders[w] lists, deduplicated, the push-annotated reader slots
-	// whose standing-query results change when w's content stream advances:
-	// those w's closure reaches with a non-zero net sign. A VNM_N negative
-	// edge can carry w's delta to a reader outside w's neighbourhood and
-	// cancel it there; that reader's value never moves, so it is not on the
-	// list. The subscription fan-out walks this list; it is empty for writers
-	// whose push region changes no reader, and nil for non-writer slots.
-	pushReaders [][]readerTouch
+	// closure[closureOff[w]:closureOff[w+1]] is writer w's packed
+	// push-region application list (closureOf): CSR like top.Out, one offset
+	// per slot and one exact-length array for every writer.
+	closureOff []int32
+	closure    []int32
+	// pushReaders[pushReadersOff[w]:pushReadersOff[w+1]] (pushReadersOf)
+	// lists, deduplicated, the push-annotated reader slots whose
+	// standing-query results change when w's content stream advances: those
+	// w's closure reaches with a non-zero net sign. A VNM_N negative edge can
+	// carry w's delta to a reader outside w's neighbourhood and cancel it
+	// there; that reader's value never moves, so it is not on the list. The
+	// subscription fan-out walks this list; it is empty for writers whose
+	// push region changes no reader, and for non-writer slots.
+	pushReadersOff []int32
+	pushReaders    []readerTouch
 	// readable marks the live push nodes a read loads directly: push readers,
 	// and push nodes with a pull consumer (a pull kernel's inputs). Under a
 	// SelectAggregate exactly these publish their best (engineState.best).
 	readable []bool
+}
+
+// closureOf returns writer w's packed push-region application list.
+func (p *plan) closureOf(w overlay.NodeRef) []int32 {
+	return p.closure[p.closureOff[w]:p.closureOff[w+1]]
+}
+
+// pushReadersOf returns writer w's reader-touch list.
+func (p *plan) pushReadersOf(w overlay.NodeRef) []readerTouch {
+	return p.pushReaders[p.pushReadersOff[w]:p.pushReadersOff[w+1]]
 }
 
 // feedsPull reports whether ref is a live push node with a pull consumer —
@@ -51,13 +66,12 @@ func (p *plan) feedsPull(ref overlay.NodeRef) bool {
 	return p.readable[ref] && p.top.Kind[ref] != overlay.ReaderNode
 }
 
-// readerTouch is one (overlay slot, data-graph node, query tag) triple on a
-// writer's notification list. tag is the owning query's view, so
-// subscription fan-out can route each touch to exactly the subscribers of
-// that query.
+// readerTouch is one (overlay slot, query tag) pair on a writer's
+// notification list. tag is the owning query's view, so subscription fan-out
+// can route each touch to exactly the subscribers of that query; the
+// delivery reads the slot's data-graph node from top.GID.
 type readerTouch struct {
 	ref overlay.NodeRef
-	gid graph.NodeID
 	tag int32
 }
 
@@ -65,10 +79,10 @@ type readerTouch struct {
 func compilePlan(ov *overlay.Overlay) *plan {
 	top := ov.Flatten()
 	p := &plan{
-		top:         top,
-		closure:     make([][]int32, top.N),
-		pushReaders: make([][]readerTouch, top.N),
-		readable:    make([]bool, top.N),
+		top:            top,
+		closureOff:     make([]int32, top.N+1),
+		pushReadersOff: make([]int32, top.N+1),
+		readable:       make([]bool, top.N),
 	}
 	for i := range top.N {
 		if top.Dead[i] || top.Dec[i] != overlay.Push {
@@ -81,11 +95,14 @@ func compilePlan(ov *overlay.Overlay) *plan {
 			}
 		}
 	}
-	// stack is reused across writers; entries are packed (ref, inverted).
-	var stack []int32
-	for _, w := range top.Writers {
-		var apps []int32
-		stack = append(stack[:0], overlay.PackRef(w, false))
+	// Closures are appended slot by slot into one scratch array, copied out
+	// at its exact length; stack is reused across writers, its entries
+	// packed (ref, inverted).
+	var apps, stack []int32
+	for i := range top.N {
+		if top.Kind[i] == overlay.WriterNode && !top.Dead[i] {
+			stack = append(stack[:0], overlay.PackRef(overlay.NodeRef(i), false))
+		}
 		for len(stack) > 0 {
 			cur := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
@@ -100,17 +117,17 @@ func compilePlan(ov *overlay.Overlay) *plan {
 				stack = append(stack, packed)
 			}
 		}
-		p.closure[w] = apps
+		p.closureOff[i+1] = int32(len(apps))
 	}
+	p.closure = append(make([]int32, 0, len(apps)), apps...)
 	// Second pass: derive each writer's reader-touch list from its closure:
 	// sum the signed visits per reader, then keep, in first-visit order and
-	// once each, the readers whose sum is not zero. Built after every
-	// closure so the touch slices do not interleave with the hot closure
-	// arrays in the heap (the propagation loop is cache-sensitive).
-	net := map[overlay.NodeRef]int{}
-	for _, w := range top.Writers {
-		clear(net)
-		for _, pe := range p.closure[w] {
+	// once each, the readers whose sum is not zero. The keeping loop zeroes
+	// every sum it finds, so net is all zero again for the next writer.
+	net := make([]int32, top.N)
+	var touches []readerTouch
+	for i := range top.N {
+		for _, pe := range p.closureOf(overlay.NodeRef(i)) {
 			ref, neg := overlay.UnpackRef(pe)
 			switch {
 			case top.Kind[ref] != overlay.ReaderNode:
@@ -120,16 +137,15 @@ func compilePlan(ov *overlay.Overlay) *plan {
 				net[ref]++
 			}
 		}
-		var touches []readerTouch
-		for _, pe := range p.closure[w] {
+		for _, pe := range p.closureOf(overlay.NodeRef(i)) {
 			if ref, _ := overlay.UnpackRef(pe); net[ref] != 0 {
 				net[ref] = 0
-				touches = append(touches, readerTouch{
-					ref: ref, gid: top.GID[ref], tag: top.Tag[ref]})
+				touches = append(touches, readerTouch{ref: ref, tag: top.Tag[ref]})
 			}
 		}
-		p.pushReaders[w] = touches
+		p.pushReadersOff[i+1] = int32(len(touches))
 	}
+	p.pushReaders = append(make([]readerTouch, 0, len(touches)), touches...)
 	return p
 }
 

@@ -126,7 +126,7 @@ func (e *Engine) seedFromWindow(st *engineState, wref overlay.NodeRef, vals []in
 		for _, v := range vals {
 			sum += v
 		}
-		cell := st.scalars[wref]
+		cell := &st.scalars[wref]
 		cell.sum.Store(sum)
 		cell.cnt.Store(int64(len(vals)))
 		if len(vals) > 0 {
