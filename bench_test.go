@@ -486,7 +486,7 @@ func BenchmarkOpIngestorThroughputParallel(b *testing.B) {
 
 // BenchmarkOpExpireSparse measures a watermark advance over 2000 live
 // time-window writers where only ~one writer expires per tick: the
-// heap-indexed ExpireAll costs O(expired), not O(writers).
+// indexed ExpireAll costs O(expired), not O(writers).
 func BenchmarkOpExpireSparse(b *testing.B) {
 	eng, err := benchfix.ExpiryEngine(1000)
 	if err != nil {

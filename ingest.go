@@ -155,12 +155,14 @@ type Ingestor struct {
 	opts  IngestOptions
 	clock Clock
 
-	// mu guards buf, maxSent and closed. It is held across a hand-over
-	// that waits for queue space, so batches enter the queue in send
-	// order, and never across an apply.
+	// mu guards buf, maxSent, closed and unsent. It is held across a
+	// hand-over that waits for queue space, so batches enter the queue in
+	// send order, and never across an apply.
 	mu     sync.Mutex
 	buf    []Event
 	closed bool
+	// unsent counts the events accepted since sent last moved (count).
+	unsent int64
 	// maxSent is the largest timestamp accepted so far (MinInt64 until
 	// the first event), the reference point for MaxTimestampJump.
 	maxSent int64
@@ -268,6 +270,7 @@ func (ing *Ingestor) Send(v NodeID, value int64) error {
 func (ing *Ingestor) SendEvent(ev Event) error {
 	ing.mu.Lock()
 	drain, err := ing.sendLocked(ev)
+	ing.count()
 	ing.mu.Unlock()
 	if drain {
 		ing.drain()
@@ -294,16 +297,19 @@ func (ing *Ingestor) SendEvents(evs []Event) (int, error) {
 			ing.mu.Lock()
 		}
 		if err != nil {
+			ing.count()
 			return i, err
 		}
 	}
+	ing.count()
 	return len(evs), nil
 }
 
 // sendLocked is the accept path shared by SendEvent and SendEvents:
 // stamping, the MaxTimestampJump guard, buffering and size-triggered
-// hand-overs, all under ing.mu. drain reports that a hand-over took the
-// apply token: the caller must release ing.mu and call ing.drain.
+// hand-overs, all under ing.mu; the caller counts them (count). drain
+// reports that a hand-over took the apply token: the caller must release
+// ing.mu and call ing.drain.
 func (ing *Ingestor) sendLocked(ev Event) (drain bool, err error) {
 	if ing.closed {
 		return false, ErrIngestorClosed
@@ -322,7 +328,7 @@ func (ing *Ingestor) sendLocked(ev Event) (drain bool, err error) {
 			ErrTimestampJump, ev.TS, uint64(ev.TS-ing.maxSent), ing.maxSent, jump)
 	}
 	ing.buf = append(ing.buf, ev)
-	ing.sent.Add(1)
+	ing.unsent++
 	if ev.TS > ing.maxSent {
 		// Advance only for ACCEPTED events: a rejected send must not move
 		// the MaxTimestampJump reference point.
@@ -334,8 +340,15 @@ func (ing *Ingestor) sendLocked(ev Event) (drain bool, err error) {
 		// (FlushInterval may be disabled).
 		drain = ing.handOver(nil, true)
 	}
-	ing.buffered.Store(int64(len(ing.buf)))
 	return drain, nil
+}
+
+// count publishes unsent and the buffer's length, under ing.mu: once per
+// send call, and before a hand-over lets the buffer apply.
+func (ing *Ingestor) count() {
+	ing.sent.Add(ing.unsent)
+	ing.unsent = 0
+	ing.buffered.Store(int64(len(ing.buf)))
 }
 
 // handOver queues the buffered events as one batch behind the apply stage
@@ -347,6 +360,7 @@ func (ing *Ingestor) sendLocked(ev Event) (drain bool, err error) {
 // token was free and is now the caller's: it must release ing.mu and call
 // ing.drain.
 func (ing *Ingestor) handOver(done chan error, wait bool) (drain bool) {
+	ing.count()
 	ing.qmu.Lock()
 	for ing.qlen == len(ing.queue) {
 		if !wait {
@@ -556,7 +570,8 @@ type IngestorStats struct {
 	// handed to the session (Applied == Sent means the stream is fully
 	// drained — events the session skipped individually, like a duplicate
 	// edge-add or a Read, still count, with their errors reported through
-	// Flush/Close); Batches the applied batches.
+	// Flush/Close); Batches the applied batches. Sent moves once per
+	// SendEvent or SendEvents call and before each batch it hands over.
 	Sent    int64 `json:"sent"`
 	Applied int64 `json:"applied"`
 	Batches int64 `json:"batches"`

@@ -347,8 +347,9 @@ func TestIngestorOneUpdatePerReaderPerBatch(t *testing.T) {
 }
 
 // TestSendEvents covers the slab entry point's contract: all-accepted
-// count on success, the index of the first rejected event on error, and
-// the closed-ingestor fast path.
+// count on success, the index of the first rejected event on error, stats
+// that count exactly what each call accepted and buffered, and the
+// closed-ingestor fast path.
 func TestSendEvents(t *testing.T) {
 	sess, err := Open(ring(8))
 	if err != nil {
@@ -377,8 +378,23 @@ func TestSendEvents(t *testing.T) {
 	}
 	// The two accepted events are buffered; the rejected one consumed
 	// nothing after it.
+	if st := ing.Stats(); st.Sent != 2 || st.Buffered != 2 || st.Rejected != 1 {
+		t.Fatalf("stats after a slab refused at 2 = %+v, want sent 2, buffered 2, rejected 1", st)
+	}
 	if n, err := ing.SendEvents(evs[3:]); n != 1 || err != nil {
 		t.Fatalf("resume SendEvents = %d, %v", n, err)
+	}
+	if err := ing.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// A slab of exactly BatchSize events hands its batch over with its
+	// last event and leaves nothing buffered.
+	full := []Event{NewWrite(0, 1, 8), NewWrite(1, 1, 9), NewWrite(2, 1, 10), NewWrite(3, 1, 11)}
+	if n, err := ing.SendEvents(full); n != len(full) || err != nil {
+		t.Fatalf("BatchSize SendEvents = %d, %v", n, err)
+	}
+	if st := ing.Stats(); st.Sent != 7 || st.Buffered != 0 || st.Applied != 7 {
+		t.Fatalf("stats after an exactly-BatchSize slab = %+v, want sent 7, buffered 0, applied 7", st)
 	}
 	if err := ing.Close(); err != nil {
 		t.Fatal(err)

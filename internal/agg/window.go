@@ -28,7 +28,7 @@ type Window interface {
 	// windows, empty windows) report false. The deadline is a lower bound
 	// that only changes when the oldest value changes — on expiry, or on
 	// an empty→non-empty transition — which is what lets callers index it
-	// lazily (internal/exec's expiry heap) instead of polling every writer.
+	// lazily (internal/exec's expiry index) instead of polling every writer.
 	NextExpiry() (int64, bool)
 	// Clone returns an empty window with the same parameters.
 	Clone() Window

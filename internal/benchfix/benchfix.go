@@ -398,7 +398,7 @@ func RunWrites(b *testing.B, eng *exec.Engine, writes []graph.Event) {
 // T, with every writer seeded once so all 2000 writers hold live window
 // state. RunExpireSparse then writes one node and advances the watermark by
 // one tick per op, so on average ONE writer expires per op — the
-// heap-indexed watermark advance pays O(expired), not O(writers).
+// indexed watermark advance pays O(expired), not O(writers).
 func ExpiryEngine(T int64) (*exec.Engine, error) {
 	g := workload.SocialGraph(2000, 8, 1)
 	ag := bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes)

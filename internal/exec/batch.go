@@ -16,22 +16,24 @@ import (
 // Pass 1 visits the events in batch order and does, per event and under the
 // writer's mutex, everything that happens at the writer (applyAtWriter:
 // window slide, expiry index, the writer's own cell or PAO), folding the
-// resulting delta into that writer's accumulator entry. Pass 2 visits each
-// DISTINCT writer once: values the batch both admitted to and evicted from
-// the writer's window cancel (nobody could have observed them downstream),
-// and the net delta walks the compiled closure once (pushRegion), counted as
-// the m logical writes it stands for. A hot writer's thirty writes cost one
-// closure walk, not thirty. Then the advance: the next-expiry index yields
-// ONLY the writers whose oldest in-window value has fallen due by advanceTo
-// — O(expired writers), a single heap peek when nothing expires — and each
-// expires and walks its closure like a write (expireWriter); tuple windows
-// are unaffected.
+// resulting delta into that writer's accumulator entry. Then the advance:
+// the next-expiry index yields ONLY the writers whose oldest in-window value
+// has fallen due by advanceTo — O(expired writers), one bucket test when
+// nothing expires — and each expires at the writer the same way and folds
+// what it removed into the same entry, as one more logical update
+// (expireWriter); tuple windows are unaffected. Pass 2 visits each DISTINCT
+// writer once: values the batch both admitted to and evicted from the
+// writer's window, by a write or by the advance, cancel (nobody could have
+// observed them downstream), and the net delta walks the compiled closure
+// once (pushRegion), counted as the m logical updates it stands for. A hot
+// writer's thirty writes and its expiry cost one closure walk, not
+// thirty-one.
 //
-// With live subscriptions every push reader the writes or the expiries
-// touched is collected along the way and finalized and delivered exactly
-// once at the end, stamped with the latest timestamp that reached it (the
-// advance's, for a reader an expiry touched): one Update per touched reader
-// per Apply, its value a read taken when Apply returns.
+// With live subscriptions every push reader pass 2 touches is collected
+// along the way and finalized and delivered exactly once at the end, stamped
+// with the latest timestamp that reached it (the advance's, for a reader an
+// expiry touched): one Update per touched reader per Apply, its value a read
+// taken when Apply returns.
 //
 // Between the passes a concurrent reader may see a writer's own cell ahead
 // of its push region by up to this batch; everything is exact when Apply
@@ -45,7 +47,6 @@ func (e *Engine) Apply(events []graph.Event, advanceTo int64) {
 	defer e.gate.RUnlock()
 	st := e.state.Load()
 	acc := e.getAccum(st.plan.top.N)
-	tc := e.getTouch(st.plan.top.N)
 	var n int64
 	for i := range events {
 		ev := &events[i]
@@ -63,33 +64,30 @@ func (e *Engine) Apply(events []graph.Event, advanceTo int64) {
 		if len(st.plan.closureOf(wref)) == 0 {
 			continue // nothing downstream (and so no reader to tell)
 		}
-		ent := acc.entry(wref)
-		if ent.m == 0 || ev.TS > ent.ts {
-			ent.ts = ev.TS
-		}
-		ent.m++
-		if e.scalar != nil {
-			ent.dSum += dSum
-			ent.dCnt += dCnt
-		} else {
+		if ent := acc.fold(wref, ev.TS, e.scalar != nil, dSum, dCnt); e.scalar == nil {
 			ent.add = append(ent.add, ev.Value)
-			ent.rem = append(ent.rem, acc.rec.removed...)
 		}
 	}
 	e.writes.Add(n)
+	if advanceTo != graph.NoAdvance && e.expiry.due(advanceTo) {
+		acc.due = e.expiry.popDue(advanceTo, acc.due[:0])
+		for _, wref := range acc.due {
+			e.expireWriter(st, wref, advanceTo, true, acc)
+		}
+	}
+	e.pushAccum(st, acc)
+}
+
+// pushAccum is pass 2 of an Apply: each writer with an entry in acc walks
+// its closure once with its net delta. Then every reader the walks touched
+// is notified once, and acc goes back to the pool.
+func (e *Engine) pushAccum(st *engineState, acc *writeAccum) {
+	tc := e.getTouch(st.plan.top.N)
 	for i := range acc.entries[:acc.n] {
 		ent := &acc.entries[i]
 		ent.add, ent.rem = cancelCommon(ent.add, ent.rem)
 		e.pushRegion(st, ent.wref, &ent.writerDelta, tc)
 		ent.writerDelta = writerDelta{add: ent.add[:0], rem: ent.rem[:0]}
-	}
-	if advanceTo != graph.NoAdvance && e.expiry.due(advanceTo) {
-		due := e.expiry.getScratch()
-		*due = e.expiry.popDue(advanceTo, *due)
-		for _, wref := range *due {
-			e.expireWriter(st, wref, advanceTo, true, &acc.rec, tc)
-		}
-		e.expiry.putScratch(due)
 	}
 	e.putAccum(acc)
 	e.flushTouches(st, tc)
@@ -137,13 +135,14 @@ func cancelCommon(add, rem []int64) ([]int64, []int64) {
 // overlay slots (a slot has an entry iff slots[slot].stamp == stamp; no
 // clearing between batches), so folding an event is an array test and the
 // steady state allocates nothing. rec is the batch's window-expiry
-// recorder.
+// recorder and due the writers its advance popped.
 type writeAccum struct {
 	stamp   uint32
 	slots   []accSlot
-	entries []accEntry // entries[:n] are this batch's, in first-write order
+	entries []accEntry // entries[:n] are this batch's, in first-update order
 	n       int
 	rec     expiryRecorder
+	due     []overlay.NodeRef
 }
 
 type accSlot struct {
@@ -158,10 +157,12 @@ type accEntry struct {
 	writerDelta
 }
 
-// entry returns writer slot wref's entry for this batch, claiming the next
-// free one (empty) on the writer's first write. The pointer is valid until
-// the next call.
-func (a *writeAccum) entry(wref overlay.NodeRef) *accEntry {
+// fold adds one logical update on writer wref at ts to its entry, claiming
+// the next free one on the writer's first update in the batch: a write or
+// an expiry, whose net effect is (dSum, dCnt) in scalar mode and the values
+// a.rec.removed evicted otherwise. A write's added value is the caller's to
+// append; the pointer is valid until the next call.
+func (a *writeAccum) fold(wref overlay.NodeRef, ts int64, scalar bool, dSum, dCnt int64) *accEntry {
 	s := &a.slots[wref]
 	if s.stamp != a.stamp {
 		if a.n == len(a.entries) {
@@ -171,7 +172,18 @@ func (a *writeAccum) entry(wref overlay.NodeRef) *accEntry {
 		a.entries[a.n].wref = wref
 		a.n++
 	}
-	return &a.entries[s.idx]
+	ent := &a.entries[s.idx]
+	if ent.m == 0 || ts > ent.ts {
+		ent.ts = ts
+	}
+	ent.m++
+	if scalar {
+		ent.dSum += dSum
+		ent.dCnt += dCnt
+	} else {
+		ent.rem = append(ent.rem, a.rec.removed...)
+	}
+	return ent
 }
 
 // getAccum returns a pooled accumulator for a batch against a snapshot of n

@@ -63,15 +63,16 @@
 // Everything that mutates a window goes through Apply(events, advanceTo)
 // (batch.go): a batch of content writes and the watermark the batch closes,
 // applied serially on the caller's goroutine in one gate section,
-// writer-major — every event slides its writer's window in batch order, each
-// DISTINCT writer's net delta walks its push closure once, then the writers
-// the advance made due expire the same way — and each touched reader is
-// notified once, at the end. A window expiry is one more update on a
-// writer's stream, pushed through the same region as a write (paper §2.1,
-// §2.2.2). Write (a batch of one that closes no time) is its one-line view;
-// a bare watermark advance is an Apply of no events. The engine itself never
-// spawns goroutines for writes: parallel ingest is the caller's business,
-// and every entry point is safe for concurrent callers.
+// writer-major — every event slides its writer's window in batch order, the
+// writers the advance made due expire at the writer, both folding into one
+// entry per writer, and each DISTINCT writer's net delta walks its push
+// closure once — and each touched reader is notified once, at the end. A
+// window expiry is one more update on a writer's stream, pushed through the
+// same region as a write (paper §2.1, §2.2.2). Write (a batch of one that
+// closes no time) is its one-line view; a bare watermark advance is an Apply
+// of no events. The engine itself never spawns goroutines for writes:
+// parallel ingest is the caller's business, and every entry point is safe
+// for concurrent callers.
 package exec
 
 import (
@@ -128,7 +129,7 @@ type Engine struct {
 	// writers whose time-window deadline the watermark has passed, so it is
 	// O(expired writers) instead of a full walk.
 	// Writers with no time-based deadline (tuple windows) never enter it.
-	expiry expiryHeap
+	expiry expiryIndex
 
 	writes atomic.Int64
 	reads  atomic.Int64
@@ -189,12 +190,12 @@ type nodeState struct {
 	pushObs atomic.Int64
 	walkObs atomic.Int64
 	pullObs atomic.Int64
-	// inExpiryHeap marks a writer slot registered in the engine's
+	// inExpiryIndex marks a writer slot registered in the engine's
 	// next-expiry index (expiry.go). Read and written only under mu, so
 	// registration can't be lost to a write racing the advance that popped
 	// the slot's entry. Rebuild re-derives it for every live writer
 	// while it re-seeds the index.
-	inExpiryHeap bool
+	inExpiryIndex bool
 }
 
 // scalarCell is one overlay node's partial aggregate in scalar mode: the
@@ -348,6 +349,7 @@ func New(ov *overlay.Overlay, a agg.Aggregate, window agg.Window) (*Engine, erro
 	e.readPool.New = func() any { return &readScratch{} }
 	e.accPool.New = func() any { return &writeAccum{} }
 	e.touchPool.New = func() any { return &touchCollector{} }
+	e.expiry.reset(pl.top.N)
 	e.state.Store(e.buildState(pl, nil, nil, window))
 	return e, nil
 }
@@ -544,14 +546,14 @@ func (e *Engine) applyAtWriter(st *engineState, wref overlay.NodeRef, value, ts 
 	}
 	rec.removed = rec.removed[:0]
 	st.windows[wref].Add(rec, value, ts)
-	if !ns.inExpiryHeap {
-		// First value of a time window (or the first since the heap popped
+	if !ns.inExpiryIndex {
+		// First value of a time window (or the first since the index popped
 		// this writer empty): index its deadline so an advance finds it
 		// without walking every writer. Tuple windows report no deadline
 		// and never register — the check is one interface call returning
 		// false on the count-window hot path.
 		if d, ok := st.windows[wref].NextExpiry(); ok {
-			ns.inExpiryHeap = true
+			ns.inExpiryIndex = true
 			e.expiry.push(d, wref)
 		}
 	}
@@ -947,46 +949,46 @@ func (e *Engine) computePull(st *engineState, ref overlay.NodeRef, rs *readScrat
 }
 
 // expireWriter advances one writer's window to ts: the per-writer body of
-// Apply's advance — the expiry twin of applyAtWriter, then the same
-// pushRegion tail a write takes, with the touched readers left in tc for
-// the caller's one flush. fromHeap marks a call that
-// consumed the writer's index entry (heap-driven path) and therefore owns
-// its re-registration: under the writer's mutex, after the expiry, the
-// window either reports a fresh deadline — pushed back with inExpiryHeap
-// kept true — or is deadline-free and the flag clears so the next write
-// re-registers. The full-walk reference the tests compare against
+// Apply's advance — the expiry twin of applyAtWriter, whose removals fold
+// into the writer's entry in acc as one more logical update for pass 2 to
+// push. fromIndex marks a call that consumed the writer's index entry and
+// therefore owns its re-registration: under the writer's mutex, after the
+// expiry, the window either reports a fresh deadline — pushed back with
+// inExpiryIndex kept true — or is deadline-free and the flag clears so the
+// next write re-registers. The full-walk reference the tests compare against
 // (export_test.go) leaves membership alone: any live entry is still in the
-// heap and must not be duplicated.
-func (e *Engine) expireWriter(st *engineState, wref overlay.NodeRef, ts int64, fromHeap bool, rec *expiryRecorder, tc *touchCollector) {
+// index and must not be duplicated.
+func (e *Engine) expireWriter(st *engineState, wref overlay.NodeRef, ts int64, fromIndex bool, acc *writeAccum) {
 	ns := st.nodes[wref]
+	rec := &acc.rec
 	ns.mu.Lock()
 	if st.paos != nil {
 		rec.target = st.paos[wref]
 	}
 	rec.removed = rec.removed[:0]
 	st.windows[wref].Expire(rec, ts)
-	d := writerDelta{m: 1, ts: ts, rem: rec.removed}
-	if len(d.rem) > 0 && e.scalar != nil {
-		for _, r := range d.rem {
-			d.dSum -= r
+	var dSum int64
+	dCnt := -int64(len(rec.removed))
+	if len(rec.removed) > 0 && e.scalar != nil {
+		for _, r := range rec.removed {
+			dSum -= r
 		}
-		d.dCnt = -int64(len(d.rem))
 		cell := &st.scalars[wref]
-		cell.sum.Add(d.dSum)
-		cell.cnt.Add(d.dCnt)
-	} else if len(d.rem) > 0 {
+		cell.sum.Add(dSum)
+		cell.cnt.Add(dCnt)
+	} else if len(rec.removed) > 0 {
 		st.publish(wref)
 	}
-	if fromHeap {
+	if fromIndex {
 		if dl, ok := st.windows[wref].NextExpiry(); ok {
 			e.expiry.push(dl, wref)
 		} else {
-			ns.inExpiryHeap = false
+			ns.inExpiryIndex = false
 		}
 	}
 	ns.mu.Unlock()
-	if len(d.rem) > 0 {
-		e.pushRegion(st, wref, &d, tc)
+	if len(rec.removed) > 0 && len(st.plan.closureOf(wref)) > 0 {
+		acc.fold(wref, ts, e.scalar != nil, dSum, dCnt)
 	}
 }
 

@@ -4,16 +4,18 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/agg"
 	"repro/internal/bipartite"
 	"repro/internal/construct"
 	"repro/internal/graph"
+	"repro/internal/overlay"
 )
 
 // expiryPairs builds two identical time-windowed engines over the paper
-// graph — one to drive through the heap-indexed advance, one through
+// graph — one to drive through the indexed advance, one through
 // the full-walk ExpireAllScan reference.
 func expiryPair(t *testing.T, T int64) (*Engine, *Engine) {
 	t.Helper()
@@ -281,7 +283,7 @@ func TestExpireHeapSaturatedWatermarks(t *testing.T) {
 // TestTupleWindowsNeverEnterExpiryHeap is the regression guard for the
 // index's zero-cost claim on tuple-windowed engines: count windows report
 // no deadline, so writers must never register and watermark advances stay
-// a single heap peek.
+// a single bucket test.
 func TestTupleWindowsNeverEnterExpiryHeap(t *testing.T) {
 	ov := construct.Baseline(paperAG())
 	decide(t, ov, "push")
@@ -333,4 +335,79 @@ func TestExpiryIndexRepopulatesAcrossRecompile(t *testing.T) {
 	heap.Apply(nil, 300)
 	scan.ExpireAllScan(300)
 	compareEngines(t, "re-register", heap, scan)
+}
+
+// tally is a test-only sum whose PAOs remember every value ever added to
+// them, so a test can tell which nodes a value reached.
+type tally struct{}
+
+func (tally) Name() string          { return "tally" }
+func (tally) Props() agg.Properties { return agg.Properties{Subtractable: true} }
+func (tally) NewPAO() agg.PAO       { return &tallyPAO{seen: map[int64]int{}} }
+
+type tallyPAO struct {
+	sum, n int64
+	seen   map[int64]int
+}
+
+func (p *tallyPAO) AddValue(v int64)    { p.sum, p.n = p.sum+v, p.n+1; p.seen[v]++ }
+func (p *tallyPAO) RemoveValue(v int64) { p.sum, p.n = p.sum-v, p.n-1 }
+func (p *tallyPAO) Merge(o agg.PAO)     { p.sum, p.n = p.sum+o.(*tallyPAO).sum, p.n+o.(*tallyPAO).n }
+func (p *tallyPAO) Unmerge(o agg.PAO)   { p.sum, p.n = p.sum-o.(*tallyPAO).sum, p.n-o.(*tallyPAO).n }
+func (p *tallyPAO) Reset()              { p.sum, p.n = 0, 0 }
+func (p *tallyPAO) Finalize() agg.Result {
+	return agg.Result{Scalar: p.sum, Valid: p.n > 0}
+}
+
+// TestAdvanceCancelsWhatItExpires writes, in one Apply, a value so late that
+// the batch's own advance expires it: the write and the expiry fold into one
+// entry, cancel there, and the value never reaches a node downstream of its
+// writer. The writer's window and cell still end where a write followed by
+// the full-walk reference leaves them.
+func TestAdvanceCancelsWhatItExpires(t *testing.T) {
+	const late = 777
+	mk := func() *Engine {
+		ov := construct.Baseline(paperAG())
+		decide(t, ov, "push")
+		e, err := New(ov, tally{}, agg.NewTimeWindow(10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	one, ref := mk(), mk()
+	for _, e := range []*Engine{one, ref} {
+		e.Write(1, 3, 2)
+		e.Write(0, 4, 95)
+	}
+	one.Apply([]graph.Event{
+		{Kind: graph.ContentWrite, Node: 1, Value: late, TS: 5},
+		{Kind: graph.ContentWrite, Node: 2, Value: 6, TS: 100},
+	}, 100)
+	ref.Write(1, late, 5)
+	ref.Write(2, 6, 100)
+	ref.ExpireAllScan(100)
+
+	st := one.state.Load()
+	w1 := st.plan.writer(1)
+	if got := st.paos[w1].(*tallyPAO).seen[late]; got != 1 {
+		t.Fatalf("writer 1's PAO saw %d late values, want 1", got)
+	}
+	for i, p := range st.paos {
+		if p != nil && st.plan.top.Kind[i] != overlay.WriterNode && p.(*tallyPAO).seen[late] != 0 {
+			t.Fatalf("slot %d (%v) saw the value its writer's advance expired in the same Apply", i, st.plan.top.Kind[i])
+		}
+	}
+	windows := func(e *Engine) map[graph.NodeID][]agg.WindowEntry {
+		out := map[graph.NodeID][]agg.WindowEntry{}
+		e.ExportWindows(func(v graph.NodeID, en []agg.WindowEntry) { out[v] = slices.Clone(en) })
+		return out
+	}
+	if got, want := windows(one), windows(ref); !reflect.DeepEqual(got, want) {
+		t.Fatalf("windows after one Apply %v, after a write and the scan %v", got, want)
+	}
+	if got, want := *st.paos[w1].(*tallyPAO), *ref.state.Load().paos[w1].(*tallyPAO); got.sum != want.sum || got.n != want.n {
+		t.Fatalf("writer 1's cell %+v, reference %+v", got, want)
+	}
+	compareEngines(t, "late write expired by its own advance", one, ref)
 }

@@ -7,23 +7,23 @@ import (
 )
 
 // ExpireAllScan is the reference O(writers) implementation of a bare
-// watermark advance (Apply(nil, ts)) the differential tests compare the indexed path against: a full walk over
-// every writer, bypassing the next-expiry index (heap membership is left
-// untouched — stale entries are re-checked harmlessly when popped). For any
-// ts it leaves identical windows, PAOs and scalar cells and delivers the same
-// one Update per touched reader (readers may come in a different order:
-// first touch in writer-slot order here, in deadline order there).
+// watermark advance (Apply(nil, ts)) the differential tests compare the
+// indexed path against: a full walk over every writer, bypassing the
+// next-expiry index (index membership is left untouched — stale entries are
+// re-checked harmlessly when popped), then Apply's pass 2. For any ts it
+// leaves identical windows, PAOs and scalar cells and delivers the same one
+// Update per touched reader (readers may come in a different order: first
+// touch in writer-slot order here, in the order the index pops writers
+// there).
 func (e *Engine) ExpireAllScan(ts int64) {
 	e.gate.RLock()
 	defer e.gate.RUnlock()
 	st := e.state.Load()
-	acc, tc := e.getAccum(st.plan.top.N), e.getTouch(st.plan.top.N)
+	acc := e.getAccum(st.plan.top.N)
 	for _, wref := range st.plan.top.Writers {
-		e.expireWriter(st, wref, ts, false, &acc.rec, tc)
+		e.expireWriter(st, wref, ts, false, acc)
 	}
-	e.putAccum(acc)
-	e.flushTouches(st, tc)
-	e.putTouch(tc)
+	e.pushAccum(st, acc)
 }
 
 // ReadArena is the reference pull evaluation the differential tests compare

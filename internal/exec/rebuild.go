@@ -86,7 +86,7 @@ func (e *Engine) Rebuild(ov *overlay.Overlay, window agg.Window, skip map[graph.
 	e.gate.Lock()
 	defer e.gate.Unlock()
 	held := time.Now()
-	e.expiry.reset()
+	e.expiry.reset(top.N)
 	old.fold()
 	hits, misses := old.memoCounts()
 	e.memoHits.Add(hits)
@@ -102,7 +102,7 @@ func (e *Engine) Rebuild(ov *overlay.Overlay, window agg.Window, skip map[graph.
 		}
 		e.seedFromWindow(st, wref, vals)
 		deadline, ok := win.NextExpiry()
-		if ns.inExpiryHeap = ok; ok {
+		if ns.inExpiryIndex = ok; ok {
 			e.expiry.push(deadline, wref)
 		}
 	}

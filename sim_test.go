@@ -190,7 +190,7 @@ func (st *sessionTarget) start() {
 		st.s.enableAutotune(time.Millisecond)
 	}
 	if st.variant == 1 {
-		st.ing, _ = st.s.Ingest(IngestOptions{BatchSize: 1 << 10, FlushInterval: -1, Clock: StreamClock()})
+		st.ing, _ = st.s.Ingest(IngestOptions{BatchSize: 1 << 20, FlushInterval: -1, Clock: StreamClock()})
 	}
 }
 
@@ -420,7 +420,7 @@ func (st *sessionTarget) Do(op simtest.Op) error {
 		if err := st.ing.Close(); err != nil {
 			return refused(err)
 		}
-		st.ing, _ = st.s.Ingest(IngestOptions{BatchSize: 1 << 10, FlushInterval: -1, Clock: StreamClock()})
+		st.ing, _ = st.s.Ingest(IngestOptions{BatchSize: 1 << 20, FlushInterval: -1, Clock: StreamClock()})
 	case simtest.Rebalance:
 		_, err := st.s.Rebalance()
 		return err
