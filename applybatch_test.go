@@ -80,18 +80,18 @@ func modelCheck(t *testing.T, label string, g *Graph, before, after []Event, qs 
 // ApplyBatch chunkings the folded tests ran now pick a cell each, batch
 // sizes coming from the generator) and an Ingestor (variant 1).
 func entryPointPins(durable bool) []pin {
-	crash, ingestor := state(0), int64(34)
+	crash, ingestor := simtest.State(0), int64(34)
 	if durable {
-		crash, ingestor = recovered, 37
+		crash, ingestor = simtest.Recovered, 38
 	}
 	return []pin{
-		{"mutators", cell{Durable: durable}, 2, 1, addedNode | crash},
-		{"ApplyBatchNodes", cell{Durable: durable, Merged: true}, 0, 101, addedNode | crash},
-		{"ApplyBatch/chunk=1", cell{Durable: durable, Algorithm: "vnmn"}, 0, 3, structural | crash},
-		{"ApplyBatch/chunk=7", cell{Durable: durable, TimeWindow: true}, 0, 4, structural | crash},
-		{"ApplyBatch/chunk=64", cell{Durable: durable, Merged: true, TimeWindow: true}, 0, 5, structural | crash},
-		{"ApplyBatch/chunk=1073741824", cell{Durable: durable, Merged: true, Algorithm: "vnmn"}, 0, 6, structural | crash},
-		{"Ingestor", cell{Durable: durable, Merged: true}, 1, ingestor, heard | crash},
+		{"mutators", cell{Durable: durable}, 2, 2, simtest.AddedNode | crash},
+		{"ApplyBatchNodes", cell{Durable: durable, Merged: true}, 0, 101, simtest.AddedNode | crash},
+		{"ApplyBatch/chunk=1", cell{Durable: durable, Algorithm: "vnmn"}, 0, 3, simtest.Structural | crash},
+		{"ApplyBatch/chunk=7", cell{Durable: durable, TimeWindow: true}, 0, 4, simtest.Structural | crash},
+		{"ApplyBatch/chunk=64", cell{Durable: durable, Merged: true, TimeWindow: true}, 0, 5, simtest.Structural | crash},
+		{"ApplyBatch/chunk=1073741824", cell{Durable: durable, Merged: true, Algorithm: "vnmn"}, 0, 6, simtest.Structural | crash},
+		{"Ingestor", cell{Durable: durable, Merged: true}, 1, ingestor, simtest.Heard | crash},
 	}
 }
 
@@ -102,19 +102,21 @@ func TestApplyBatchMatchesSequentialOracle(t *testing.T) { runPins(t, entryPoint
 // TestApplyBatchMatchesOracleMultiHop: the coalesced repair under 2-hop
 // members of merged families.
 func TestApplyBatchMatchesOracleMultiHop(t *testing.T) {
-	runPins(t, pin{"iob", cell{Merged: true}, 0, 1004, multiHop}, pin{"vnmn", cell{Merged: true, Algorithm: "vnmn"}, 1, 1002, multiHop})
+	runPins(t, pin{"iob", cell{Merged: true}, 0, 1001, simtest.MultiHop}, pin{"vnmn", cell{Merged: true, Algorithm: "vnmn"}, 1, 1002, simtest.MultiHop})
 }
 
 // TestApplyBatchStructuralBursts: batches whose structural runs coalesce
 // into one repair per query.
-func TestApplyBatchStructuralBursts(t *testing.T) { runPins(t, seeds(cell{}, 0, burst, 10, 11, 12)...) }
+func TestApplyBatchStructuralBursts(t *testing.T) {
+	runPins(t, seeds(cell{}, 0, simtest.Burst, 10, 11, 12)...)
+}
 
 // TestApplyBatchRecompilePath: VNM_N overlays, which structural events
 // recompile, one event per batch and in batches.
 func TestApplyBatchRecompilePath(t *testing.T) {
-	runPins(t, pin{"mutators", cell{Algorithm: "vnmn"}, 2, 13, recompiled},
-		pin{"batches", cell{Autotune: true, TimeWindow: true, Algorithm: "vnmn"}, 0, 27, recompiled},
-		pin{"ingestor", cell{Algorithm: "vnmn"}, 1, 497, recompiled})
+	runPins(t, pin{"mutators", cell{Algorithm: "vnmn"}, 2, 13, simtest.Recompiled},
+		pin{"batches", cell{Autotune: true, TimeWindow: true, Algorithm: "vnmn"}, 0, 27, simtest.Recompiled},
+		pin{"ingestor", cell{Algorithm: "vnmn"}, 1, 497, simtest.Recompiled})
 }
 
 // TestApplyBatchNodesSurfacesIDs checks the batch API returns allocated

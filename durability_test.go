@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/simtest"
 	"repro/internal/wal"
 )
 
@@ -67,10 +68,10 @@ func assertSameResults(t *testing.T, label string, got, want *Session) {
 // write, torn on odd N, refuses from then on and recovers to what it
 // acknowledged (the simulator's WALFault and Crash ops).
 func TestCrashRecoveryProperty(t *testing.T) {
-	runPins(t, pin{"seed=1", cell{Durable: true}, 0, 1, faulted}, pin{"seed=2", cell{Durable: true, TimeWindow: true}, 1, 2, faulted},
-		pin{"seed=3", cell{Durable: true, Merged: true}, 0, 3, faulted},
-		pin{"seed=4", cell{Durable: true, Merged: true, TimeWindow: true}, 1, 4, faulted},
-		pin{"seed=5", cell{Durable: true, Algorithm: "vnmn"}, 0, 5, faulted}, pin{"seed=6", cell{Durable: true, Autotune: true}, 1, 6, faulted})
+	runPins(t, pin{"seed=1", cell{Durable: true}, 0, 1, simtest.Faulted}, pin{"seed=2", cell{Durable: true, TimeWindow: true}, 1, 2, simtest.Faulted},
+		pin{"seed=3", cell{Durable: true, Merged: true}, 0, 3, simtest.Faulted},
+		pin{"seed=4", cell{Durable: true, Merged: true, TimeWindow: true}, 1, 4, simtest.Faulted},
+		pin{"seed=5", cell{Durable: true, Algorithm: "vnmn"}, 0, 5, simtest.Faulted}, pin{"seed=6", cell{Durable: true, Autotune: true, Algorithm: "vnmn"}, 1, 6, simtest.Faulted})
 }
 
 // TestDurableEntryPointsRecover: every entry point of a durable session
@@ -168,87 +169,27 @@ func TestDurableCleanRestartReplaysNothing(t *testing.T) {
 // TestDurableExpireReplay: recovery replays the logged advances, so windows
 // a close emptied stay empty.
 func TestDurableExpireReplay(t *testing.T) {
-	runPins(t, seeds(cell{Durable: true, TimeWindow: true}, 0, replayedClose, 15, 16, 17)...)
+	runPins(t, seeds(cell{Durable: true, TimeWindow: true}, 0, simtest.ReplayedClose, 15, 16, 17)...)
 }
 
-// TestDurableCheckpointWrappedWindows takes a checkpoint while time windows
-// are wrapped around the end of their circular buffers and recovers from it
-// alone (clean shutdown, zero replay): ExportWindows → replay must hand
-// back each window oldest-first wherever its head sits. Eight writers stop
-// at eight different points of a 50-wide slide, so their ring heads are
-// spread over the buffer — most of them past the point where the live
-// region wraps — and the recovered session must then keep sliding in step
-// with a never-restarted oracle. The seed= subtests run the simulator's
-// durable time-window cells over checkpoints of closed time.
+// TestDurableCheckpointWrappedWindows: a recovery loads a checkpoint taken
+// while a time window's ring wrapped past its end, so the export must hand
+// back each window oldest first wherever its head sits, and the recovered
+// windows must keep sliding in step with the model.
 func TestDurableCheckpointWrappedWindows(t *testing.T) {
-	runPins(t, seeds(cell{Durable: true, Merged: true, TimeWindow: true}, 1, checkpointedClose, 18, 20, 100)...)
-	const writers = 8
-	specs := []QuerySpec{
-		{Aggregate: "sum", WindowTime: 50},
-		{Aggregate: "max", WindowTime: 50},
-	}
-	open := func(dir string) *Session {
-		var s *Session
-		var err error
-		if dir != "" {
-			s, _, err = OpenDurable(NewGraph(2*writers), DurabilityOptions{Dir: dir})
-		} else {
-			s, err = Open(NewGraph(2 * writers))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		registerAll(t, s, specs)
-		for u := 0; u < writers; u++ {
-			// One private reader per writer, so each window is read alone.
-			if err := s.AddEdge(NodeID(u), NodeID(writers+u)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return s
-	}
-	feed := func(s *Session, from, to int64) {
-		for ts := from; ts <= to; ts++ {
-			for u := int64(0); u < writers; u++ {
-				if ts <= 60+9*u || ts > 150 { // writer u pauses at its own point
-					if err := s.Write(NodeID(u), ts*7%101+u, ts); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
-	}
-	dir := t.TempDir()
-	s, oracle := open(dir), open("")
-	feed(s, 1, 130)
-	feed(oracle, 1, 130)
-	if err := s.CloseDurability(); err != nil { // final checkpoint
-		t.Fatal(err)
-	}
-	s2, rec, err := OpenDurable(nil, DurabilityOptions{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.CloseDurability()
-	if rec.ReplayedBatches != 0 || rec.ReplayedEvents != 0 {
-		t.Fatalf("want recovery from the checkpoint image alone, got %+v", rec)
-	}
-	assertSameResults(t, "recovered from wrapped rings", s2, oracle)
-	feed(s2, 151, 230)
-	feed(oracle, 151, 230)
-	assertSameResults(t, "slid on after recovery", s2, oracle)
+	runPins(t, seeds(cell{Durable: true, Merged: true, TimeWindow: true}, 0, simtest.WrappedCheckpoint, 18, 20, 100)...)
 }
 
 // TestDurableQueryLifecycle: a retired query stays retired across a crash
 // and a live one recovers (sessionTarget.crash counts them).
 func TestDurableQueryLifecycle(t *testing.T) {
-	runPins(t, seeds(cell{Durable: true, Merged: true}, 0, retiredStays, 21, 22, 23)...)
+	runPins(t, seeds(cell{Durable: true, Merged: true, Algorithm: "vnmn"}, 0, simtest.RetiredStays, 21, 22, 23)...)
 }
 
 // TestDurableNodeIDReuse: NodeAdd reuses removed ids, across a checkpoint
 // and replay, as the model allocates them (variant 0 reports the ids).
 func TestDurableNodeIDReuse(t *testing.T) {
-	runPins(t, seeds(cell{Durable: true}, 0, reusedID|recovered, 24, 25, 26)...)
+	runPins(t, seeds(cell{Durable: true}, 0, simtest.ReusedID|simtest.Recovered, 24, 25, 26)...)
 }
 
 // TestDurableIngestorResume pins the Ingestor integration: ingest with a

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/simtest"
 )
 
 // TestConcurrentSendersMatchBruteModel is the combining apply stage's
@@ -252,9 +254,9 @@ func TestConcurrentSendersRaceAutotuneAndSubscriptions(t *testing.T) {
 // from the writes and another from the expiry.) The senders/ subtests run
 // the simulator's concurrent senders over generated graphs and queries.
 func TestIngestorOneUpdatePerReaderPerBatch(t *testing.T) {
-	runPins(t, pin{"senders/tuples", cell{}, 1, 59, heard}, pin{"senders/durable", cell{Durable: true, Merged: true}, 1, 2, heard},
-		pin{"senders/time", cell{TimeWindow: true}, 1, 13, heardTime},
-		pin{"senders/durable time", cell{Durable: true, Merged: true, TimeWindow: true}, 1, 42, heardTime})
+	runPins(t, pin{"senders/tuples", cell{}, 1, 59, simtest.Heard}, pin{"senders/durable", cell{Durable: true, Merged: true}, 1, 2, simtest.Heard},
+		pin{"senders/time", cell{TimeWindow: true}, 1, 13, simtest.HeardTime},
+		pin{"senders/durable time", cell{Durable: true, Merged: true, TimeWindow: true}, 1, 42, simtest.HeardTime})
 	const nodes, hot = 32, 4
 	newGraph := func() *Graph {
 		g := NewGraph(nodes)

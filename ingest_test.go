@@ -11,6 +11,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/simtest"
 	"repro/internal/workload"
 )
 
@@ -18,13 +19,13 @@ import (
 // time at the watermark themselves, which the model closes at stream time
 // after every batch.
 func TestIngestorWatermarkMatchesManualExpire(t *testing.T) {
-	runPins(t, pin{"unmerged", cell{TimeWindow: true}, 1, 27, heardTime}, pin{"merged", cell{Merged: true, TimeWindow: true}, 1, 28, heardTime})
+	runPins(t, pin{"unmerged", cell{TimeWindow: true}, 1, 27, simtest.HeardTime}, pin{"merged", cell{Merged: true, TimeWindow: true}, 1, 28, simtest.HeardTime})
 }
 
 // TestIngestorExpiryDrivesContinuousSubscription: with no ExpireAll, an
 // Ingestor's batches deliver the expiry Updates of time windows.
 func TestIngestorExpiryDrivesContinuousSubscription(t *testing.T) {
-	runPins(t, seeds(cell{TimeWindow: true}, 1, heardTime, 31, 55, 56)...)
+	runPins(t, seeds(cell{TimeWindow: true, Algorithm: "vnmn"}, 1, simtest.HeardTime, 31, 55, 56)...)
 }
 
 // TestIngestorQueueBounded pins the bounded apply queue with a depth-1

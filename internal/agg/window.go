@@ -187,6 +187,9 @@ func (w *TimeWindow) NextExpiry() (int64, bool) {
 // Len implements Window.
 func (w *TimeWindow) Len() int { return w.n }
 
+// Wrapped reports whether the live region runs past the end of the ring.
+func (w *TimeWindow) Wrapped() bool { return w.head+w.n > len(w.buf) }
+
 // Snapshot implements Window.
 func (w *TimeWindow) Snapshot(dst []WindowEntry) []WindowEntry {
 	for i := 0; i < w.n; i++ {

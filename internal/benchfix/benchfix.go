@@ -534,7 +534,7 @@ func RunRebuild(b *testing.B, eng *exec.Engine, ov *overlay.Overlay) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := eng.Rebuild(ov, nil, nil); err != nil {
+		if err := eng.Rebuild(ov, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -101,7 +101,7 @@ func (s *System) Rebalance() (int, error) {
 	s.flips.Add(int64(flips))
 	s.lastRebalanceNano.Store(time.Now().UnixNano())
 	if flips > 0 {
-		return flips, s.eng.Rebuild(s.ov, s.q.Window, nil)
+		return flips, s.eng.Rebuild(s.ov, nil)
 	}
 	return flips, nil
 }

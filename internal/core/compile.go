@@ -246,7 +246,7 @@ func (s *System) Reoptimize(wl *dataflow.Workload) error {
 		return err
 	}
 	s.adaptor = dataflow.NewAdaptor(s.ov, s.cost)
-	return s.eng.Rebuild(s.ov, s.q.Window, nil)
+	return s.eng.Rebuild(s.ov, nil)
 }
 
 // recompileLocked rebuilds the overlay from scratch (used when incremental
@@ -268,7 +268,7 @@ func (s *System) recompileLocked(skip map[graph.NodeID]bool) error {
 	if _, err := s.decide(ov, s.wl); err != nil {
 		return err
 	}
-	if err := s.eng.Rebuild(ov, s.q.Window, skip); err != nil {
+	if err := s.eng.Rebuild(ov, skip); err != nil {
 		return err
 	}
 	s.adopt()

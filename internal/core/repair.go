@@ -332,5 +332,5 @@ func (s *System) afterMaintenance() error {
 	// member insertion), so rebuild it or the next Rebalance would observe
 	// refs it has no slots for.
 	s.adaptor = dataflow.NewAdaptor(s.ov, s.cost)
-	return s.eng.Rebuild(s.ov, s.q.Window, nil)
+	return s.eng.Rebuild(s.ov, nil)
 }

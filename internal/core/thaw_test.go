@@ -84,7 +84,7 @@ func keepLive(t *testing.T, s *System) {
 		_, err = s.decide(ov, s.wl)
 	}
 	if err == nil {
-		err = s.eng.Rebuild(ov, s.q.Window, nil)
+		err = s.eng.Rebuild(ov, nil)
 	}
 	if err != nil {
 		t.Fatal(err)

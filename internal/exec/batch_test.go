@@ -350,7 +350,7 @@ func TestWriteBatchCoalescingUnderRebuild(t *testing.T) {
 						}
 					}
 					start.Store(true)
-					if err := e.Rebuild(ov, agg.NewTupleWindow(4), nil); err != nil {
+					if err := e.Rebuild(ov, nil); err != nil {
 						t.Fatal(err)
 					}
 					wg.Wait()

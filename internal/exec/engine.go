@@ -100,6 +100,7 @@ type Engine struct {
 	agg    agg.Aggregate
 	scalar agg.ScalarAggregate // non-nil enables the atomic fast path
 	sel    agg.SelectAggregate // non-nil: pull reads fold their inputs' bests
+	window agg.Window          // New's window, cloned for every fresh writer
 
 	// state is the current compiled-plan + per-node-state snapshot.
 	state atomic.Pointer[engineState]
@@ -333,7 +334,7 @@ func New(ov *overlay.Overlay, a agg.Aggregate, window agg.Window) (*Engine, erro
 	if err := ov.CheckDecisions(); err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
 	}
-	e := &Engine{agg: a}
+	e := &Engine{agg: a, window: window}
 	if sa, ok := a.(agg.ScalarAggregate); ok {
 		e.scalar = sa
 	} else if sa, ok := a.(agg.SelectAggregate); ok {
@@ -350,7 +351,7 @@ func New(ov *overlay.Overlay, a agg.Aggregate, window agg.Window) (*Engine, erro
 	e.accPool.New = func() any { return &writeAccum{} }
 	e.touchPool.New = func() any { return &touchCollector{} }
 	e.expiry.reset(pl.top.N)
-	e.state.Store(e.buildState(pl, nil, nil, window))
+	e.state.Store(e.buildState(pl, nil, nil))
 	return e, nil
 }
 
@@ -379,7 +380,7 @@ func (e *Engine) checkPlan(pl *plan) error {
 // caller to seed from the windows — and for a selection an empty best cell per
 // slot, which the seed publishes into. So are the pull memos: an empty cell
 // per pull reader, and versions from zero.
-func (e *Engine) buildState(pl *plan, prev *engineState, inherit func(i int) overlay.NodeRef, window agg.Window) *engineState {
+func (e *Engine) buildState(pl *plan, prev *engineState, inherit func(i int) overlay.NodeRef) *engineState {
 	n := pl.top.N
 	st := &engineState{
 		plan:    pl,
@@ -418,7 +419,7 @@ func (e *Engine) buildState(pl *plan, prev *engineState, inherit func(i int) ove
 				}
 			}
 			if st.windows[i] == nil {
-				st.windows[i] = window.Clone()
+				st.windows[i] = e.window.Clone()
 			}
 			if e.scalar == nil && st.paos[i] == nil {
 				st.paos[i] = e.agg.NewPAO()
@@ -992,11 +993,6 @@ func (e *Engine) expireWriter(st *engineState, wref overlay.NodeRef, ts int64, f
 	}
 }
 
-// ExpiryIndexSize reports the number of writers currently registered in the
-// next-expiry index (writers holding at least one value with a time-based
-// deadline). Exposed for tests and diagnostics.
-func (e *Engine) ExpiryIndexSize() int { return e.expiry.size() }
-
 // ExportWindows snapshots every live writer's in-window (value, timestamp)
 // entries, oldest first, calling visit once per writer with a non-empty
 // window. The entries slice is reused between calls — visit must copy what
@@ -1022,6 +1018,10 @@ func (e *Engine) ExportWindows(visit func(node graph.NodeID, entries []agg.Windo
 		}
 	}
 }
+
+// Windows is the window of every slot, nil but at writers; read-only, and
+// the caller keeps writes out while it looks.
+func (e *Engine) Windows() []agg.Window { return e.state.Load().windows }
 
 // Counts returns the number of writes and reads processed.
 func (e *Engine) Counts() (writes, reads int64) {

@@ -305,7 +305,7 @@ func TestRebuildAfterDecisionFlip(t *testing.T) {
 	}
 	// Flip everything to push (as an adaptive rebalance might) and install.
 	dataflow.DecideAll(ov, overlay.Push)
-	if err := e.Rebuild(ov, nil, nil); err != nil {
+	if err := e.Rebuild(ov, nil); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := e.Read(6)

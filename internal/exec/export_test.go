@@ -6,6 +6,11 @@ import (
 	"repro/internal/overlay"
 )
 
+// ExpiryIndexSize reports the number of writers currently registered in the
+// next-expiry index (writers holding at least one value with a time-based
+// deadline).
+func (e *Engine) ExpiryIndexSize() int { return e.expiry.size() }
+
 // ExpireAllScan is the reference O(writers) implementation of a bare
 // watermark advance (Apply(nil, ts)) the differential tests compare the
 // indexed path against: a full walk over every writer, bypassing the

@@ -251,7 +251,7 @@ func TestObservationsMatchVisitCount(t *testing.T) {
 								// before the install is expanded by the old plan.
 								old := e.state.Load()
 								decideEach(t, ov, randomDecisions(rng))
-								if err := e.Rebuild(ov, window(), nil); err != nil {
+								if err := e.Rebuild(ov, nil); err != nil {
 									t.Fatal(err)
 								}
 								vc.rebind(old, e.state.Load(), true)
@@ -264,7 +264,7 @@ func TestObservationsMatchVisitCount(t *testing.T) {
 									alg = "baseline"
 								}
 								ov = obsOverlay(t, rng, alg, ag)
-								if err := e.Rebuild(ov, window(), nil); err != nil {
+								if err := e.Rebuild(ov, nil); err != nil {
 									t.Fatal(err)
 								}
 								vc.rebind(old, e.state.Load(), false)

@@ -275,7 +275,7 @@ func testPullKernelUnderRebuild(t *testing.T) {
 			}
 		}
 		start.Store(true)
-		if err := e.Rebuild(ov, agg.NewTupleWindow(4), nil); err != nil {
+		if err := e.Rebuild(ov, nil); err != nil {
 			t.Fatal(err)
 		}
 		stop.Store(true)
@@ -313,7 +313,7 @@ func TestSelectRefusesNegativeEdges(t *testing.T) {
 			before = append(before, r)
 		}
 		st, installs := e.state.Load(), e.installs.Load()
-		if err := e.Rebuild(batchOverlay(t, "neg", allPush), nil, nil); err == nil {
+		if err := e.Rebuild(batchOverlay(t, "neg", allPush), nil); err == nil {
 			t.Fatalf("%s: Rebuild accepted an overlay with negative edges", a.Name())
 		}
 		if e.state.Load() != st || e.installs.Load() != installs || e.Topology().Lineage() != ov.Lineage() {

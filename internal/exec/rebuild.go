@@ -29,7 +29,7 @@ import (
 //     previous overlay also had keeps its mutex, observation counters, window
 //     and writer PAO at its new slot, except the ids in skip (nodes the caller
 //     deleted, possibly since reused), which start empty like any new writer,
-//     with a clone of window.
+//     with a clone of the window New was given.
 //
 // Installed under the exclusive gate, so no Apply is in flight: the previous
 // snapshot's walk and read counts are folded through its own plan (fold), so
@@ -42,10 +42,7 @@ import (
 // Reads are not held back: one that began on the previous snapshot finishes
 // on it, against value state the install never touches. ov must not be
 // mutated during the call. On error nothing changed.
-func (e *Engine) Rebuild(ov *overlay.Overlay, window agg.Window, skip map[graph.NodeID]bool) error {
-	if window == nil {
-		window = agg.NewTupleWindow(1)
-	}
+func (e *Engine) Rebuild(ov *overlay.Overlay, skip map[graph.NodeID]bool) error {
 	if err := ov.CheckDecisions(); err != nil {
 		return fmt.Errorf("exec: %w", err)
 	}
@@ -71,7 +68,7 @@ func (e *Engine) Rebuild(ov *overlay.Overlay, window agg.Window, skip map[graph.
 			return old.plan.writer(top.GID[i])
 		}
 	}
-	st := e.buildState(pl, old, inherit, window)
+	st := e.buildState(pl, old, inherit)
 	// Subscribe resolves against the snapshot it loads under subMu, held
 	// from here to the publish: it either ran before this point and is
 	// re-resolved here, or sees st. The table itself is built before the

@@ -127,7 +127,7 @@ func TestRebuildUnderStorm(t *testing.T) {
 				} else {
 					ov.Node(flip).Dec = overlay.Push
 				}
-				if err := e.Rebuild(ov, agg.NewTupleWindow(1), nil); err != nil {
+				if err := e.Rebuild(ov, nil); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -55,7 +55,7 @@ func TestRebuildCarriesCellsByGraphID(t *testing.T) {
 				t.Fatal(err)
 			}
 			dataflow.DecideAll(res.Overlay, overlay.Push)
-			if err := e.Rebuild(res.Overlay, agg.NewTimeWindow(100), map[graph.NodeID]bool{5: true}); err != nil {
+			if err := e.Rebuild(res.Overlay, map[graph.NodeID]bool{5: true}); err != nil {
 				t.Fatal(err)
 			}
 			delete(content, 5) // skipped: its window must not survive
@@ -111,6 +111,29 @@ func TestRebuildCarriesCellsByGraphID(t *testing.T) {
 	}
 }
 
+// TestRebuildKeepsEngineWindow: a writer that an install creates gets a
+// clone of the window the engine was built with, so on a time window its
+// values expire at the next advance past their deadline.
+func TestRebuildKeepsEngineWindow(t *testing.T) {
+	overlayOf := func(lists map[graph.NodeID][]graph.NodeID) *overlay.Overlay {
+		ov := construct.Baseline(bipartite.FromInputLists(lists))
+		dataflow.DecideAll(ov, overlay.Push)
+		return ov
+	}
+	e, err := New(overlayOf(map[graph.NodeID][]graph.NodeID{0: {1}}), agg.Sum{}, agg.NewTimeWindow(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Rebuild(overlayOf(map[graph.NodeID][]graph.NodeID{0: {1, 2}}), nil); err != nil {
+		t.Fatal(err)
+	}
+	e.Apply([]graph.Event{{Kind: graph.ContentWrite, Node: 2, Value: 5, TS: 1}}, graph.NoAdvance)
+	e.Apply(nil, 11)
+	if r, err := e.Read(0); err != nil || r.Valid {
+		t.Fatalf("read after the new writer's value expired = %+v, %v; want an empty window", r, err)
+	}
+}
+
 // TestRebuildReattachesSubscriptionAfterReaderLoss: a subscription restricted
 // to node v outlives a recompile in which v has no reader (its last in-edge
 // was removed) and delivers again once a later recompile brings the reader
@@ -134,7 +157,7 @@ func TestRebuildReattachesSubscriptionAfterReaderLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	for step, lists := range []map[graph.NodeID][]graph.NodeID{without, with} {
-		if err := e.Rebuild(overlayOf(lists), agg.NewTupleWindow(4), nil); err != nil {
+		if err := e.Rebuild(overlayOf(lists), nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := e.Subscribers(); got != 1 {
@@ -178,13 +201,13 @@ func TestRebuildUnpublishesUncoveredTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Unsubscribe(sub)
-	if err := e.Rebuild(overlayOf(without), nil, nil); err != nil {
+	if err := e.Rebuild(overlayOf(without), nil); err != nil {
 		t.Fatal(err)
 	}
 	if nt := e.notify.Load(); nt != nil {
 		t.Fatalf("table after the reader's loss = %+v, want nil", *nt)
 	}
-	if err := e.Rebuild(overlayOf(with), nil, nil); err != nil {
+	if err := e.Rebuild(overlayOf(with), nil); err != nil {
 		t.Fatal(err)
 	}
 	if e.notify.Load() == nil {

@@ -124,7 +124,7 @@ func TestRebuildMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	ov.Node(r).Dec = overlay.Push
-	if err := e.Rebuild(ov, nil, nil); err != nil {
+	if err := e.Rebuild(ov, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The new nodes are writable/readable right after the install.
@@ -177,7 +177,7 @@ func TestRebuildPreservesWindows(t *testing.T) {
 	if err := ov.AddEdge(w, r, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Rebuild(ov, agg.NewTimeWindow(100), nil); err != nil {
+	if err := e.Rebuild(ov, nil); err != nil {
 		t.Fatal(err)
 	}
 	pushes, pulls := e.Observations()

@@ -74,7 +74,7 @@ func adaptivity(cfg Config) []Table {
 			pushes, pulls := twin.Observations()
 			adaptor.ObserveBatch(pushes, pulls)
 			if flips = adaptor.Rebalance(); flips > 0 {
-				if err := twin.Rebuild(twinOv, nil, nil); err != nil {
+				if err := twin.Rebuild(twinOv, nil); err != nil {
 					panic(err)
 				}
 				next = twinOv.Clone()
@@ -92,7 +92,7 @@ func adaptivity(cfg Config) []Table {
 			adOps = playChunk(adaptive, slice)
 		}()
 		if next != nil {
-			if err := adaptive.Rebuild(next, nil, nil); err != nil {
+			if err := adaptive.Rebuild(next, nil); err != nil {
 				panic(err)
 			}
 			_, hold = adaptive.Installs()

@@ -186,7 +186,7 @@ func fig13a(cfg Config) []Table {
 				pushes, pulls := r.eng.Observations()
 				r.adaptor.ObserveBatch(pushes, pulls)
 				if flips := r.adaptor.Rebalance(); flips > 0 {
-					_ = r.eng.Rebuild(r.ov, nil, nil)
+					_ = r.eng.Rebuild(r.ov, nil)
 				}
 			}
 			row = append(row, f1(ms))

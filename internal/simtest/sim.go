@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -148,8 +147,9 @@ type Config struct {
 
 // Run is TestSimulator: one subtest per seed, each drawing a supported cell
 // (in turn, so Seeds ≥ supported cells runs every one) and running it as
-// Seed does.
-func (cfg Config) Run(t *testing.T) {
+// Seed does. It logs the sweep's reach table when every seed is done and
+// returns it, filled in by then, for the caller's Gate.
+func (cfg Config) Run(t *testing.T) *Reach {
 	var cells []Cell
 	for _, c := range Matrix() {
 		if why := cfg.Unsupported(c); why != "" {
@@ -162,35 +162,39 @@ func (cfg Config) Run(t *testing.T) {
 	if testing.Short() {
 		seeds = cfg.ShortSeeds
 	}
+	reach := &Reach{}
+	t.Cleanup(func() { t.Logf("reach:%s", reach) })
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			cfg.Seed(t, cells[int(seed-1)%len(cells)], seed)
+			reach.add(cfg.Seed(t, cells[int(seed-1)%len(cells)], seed))
 		})
 	}
+	return reach
 }
 
-// Seed draws an entry-point variant, a graph and an op list from seed and
-// checks them on cell after every op. A failure shrinks the op list and
-// prints it with the line that replays the test.
-func (cfg Config) Seed(t *testing.T, cell Cell, seed int64) { cfg.Variant(t, cell, -1, seed) }
+// Seed draws a swarm, a graph and an op list from seed and checks them on
+// cell after every op, and returns the states the run reached. A failure
+// shrinks the op list and prints it with the line that replays the test.
+func (cfg Config) Seed(t *testing.T, cell Cell, seed int64) State {
+	return cfg.Variant(t, cell, -1, seed)
+}
 
-// Variant is Seed with the entry-point variant pinned (-1: drawn). A
+// Variant is Seed with the entry-point variant pinned (-1: the swarm's). A
 // concurrent failure is shrunk by serial replay of its witnessed order
 // when that replay fails too, and printed whole otherwise.
-func (cfg Config) Variant(t *testing.T, cell Cell, variant int, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	if v := rng.Intn(2); variant < 0 {
-		variant = v
+func (cfg Config) Variant(t *testing.T, cell Cell, variant int, seed int64) State {
+	sw, g, ops := cfg.draw(cell, seed)
+	if variant < 0 {
+		variant = sw.variant
 	}
-	g := RandomGraph(rng, cfg.Nodes)
-	ops := Generate(rng, cfg, cell, g)
-	t.Logf("cell %s, variant %d", cell, variant)
-	trace, err := cfg.check(t, cell, variant, g, ops, seed)
+	t.Logf("cell %s, variant %d, swarm %+v", cell, variant, sw)
+	trace, reach, err := cfg.check(t, cell, variant, g, ops, seed)
 	if err == nil {
-		return
+		t.Logf("reached %v", reach)
+		return reach
 	}
-	serial := func(o []Op) error { _, err := cfg.check(t, cell, variant, g, o, 0); return err }
+	serial := func(o []Op) error { _, _, err := cfg.check(t, cell, variant, g, o, 0); return err }
 	if serial(trace) == nil {
 		t.Fatalf("%v\nthe witnessed order replays serially without failure; the whole history:%s\nreplay: go test -run '^%s$' %s",
 			err, listOps(trace), t.Name(), cfg.Package)
@@ -198,6 +202,7 @@ func (cfg Config) Variant(t *testing.T, cell Cell, variant int, seed int64) {
 	small := Shrink(trace, func(o []Op) bool { return serial(o) != nil }, 400)
 	t.Fatalf("%v\nshrunk to %d of %d ops of the witnessed order (%v):%s\nreplay: go test -run '^%s$' %s",
 		err, len(small), len(trace), serial(small), listOps(small), t.Name(), cfg.Package)
+	return 0
 }
 
 func listOps(ops []Op) string {
@@ -238,14 +243,15 @@ func ddmin[T any](xs []T, fails func([]T) bool) []T {
 // Check runs ops against a fresh target over g and a model, comparing them
 // after every op; the first divergence is the error.
 func (cfg Config) Check(t testing.TB, c Cell, variant int, g *graph.Graph, ops []Op) error {
-	_, err := cfg.check(t, c, variant, g, ops, 0)
+	_, _, err := cfg.check(t, c, variant, g, ops, 0)
 	return err
 }
 
 // check is Check, running each run of consecutive batches as one
 // concurrent round when seed is not 0 and the target drives an Ingestor.
-// It returns the witnessed order as a serial op list.
-func (cfg Config) check(t testing.TB, c Cell, variant int, g *graph.Graph, ops []Op, seed int64) (trace []Op, err error) {
+// It returns the witnessed order as a serial op list, and the states the
+// run reached.
+func (cfg Config) check(t testing.TB, c Cell, variant int, g *graph.Graph, ops []Op, seed int64) (trace []Op, reach State, err error) {
 	s := &sim{cfg: cfg, cell: c, tg: cfg.Open(t, c, variant, g.Clone()), m: NewModel(g), subs: map[int][]NodeID{}}
 	s.w = &witness{tg: s.tg}
 	wt, conc := s.tg.(Witnessed)
@@ -263,7 +269,10 @@ func (cfg Config) check(t testing.TB, c Cell, variant int, g *graph.Graph, ops [
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v", p)
 		}
-		trace = s.trace
+		trace, reach = s.trace, s.reach
+		if r, ok := s.tg.(Reacher); ok {
+			reach |= r.Reached()
+		}
 	}()
 	for i, j := 0, 1; i < len(ops); i, j = j, j+1 {
 		round := conc && ops[i].Kind == Batch
@@ -277,10 +286,10 @@ func (cfg Config) check(t testing.TB, c Cell, variant int, g *graph.Graph, ops [
 			err = s.step(ops[i])
 		}
 		if err != nil {
-			return nil, fmt.Errorf("cell %s, op %d (%s): %w", c, i, ops[i], err)
+			return nil, 0, fmt.Errorf("cell %s, op %d (%s): %w", c, i, ops[i], err)
 		}
 	}
-	return nil, nil
+	return nil, 0, nil
 }
 
 type sim struct {
@@ -290,7 +299,9 @@ type sim struct {
 	m       *Model
 	subs    map[int][]NodeID // the nodes each subscription covers; nil: every node
 	w       *witness
-	trace   []Op // the ops as they took effect
+	trace   []Op  // the ops as they took effect
+	reach   State // the states the run reached
+	retired bool  // a retire took effect
 }
 
 func (s *sim) step(op Op) error {
@@ -318,6 +329,7 @@ func (s *sim) step(op Op) error {
 		// recovery that follows resurrects the query.
 		if err = s.tg.Retire(op.Slot); !errors.Is(err, ErrRefused) {
 			s.m.Retire(op.Slot)
+			s.retired = true
 			if sp.Approx() && s.ref != nil {
 				_ = s.ref.Retire(op.Slot)
 			}
@@ -341,7 +353,9 @@ func (s *sim) step(op Op) error {
 		if op.Kind == Crash || op.Kind == WALFault {
 			clear(s.subs) // subscriptions die with the process
 		}
-		err = s.tg.Do(op)
+		if err = s.tg.Do(op); err == nil && (op.Kind == Crash || op.Kind == WALFault) {
+			s.recovered(op.Kind == Crash && op.N == 1, op.Kind == WALFault)
+		}
 	}
 	if errors.Is(err, ErrRefused) {
 		return s.recover()
@@ -358,7 +372,22 @@ func (s *sim) recover() error {
 	if err := s.tg.Do(Op{Kind: Crash}); err != nil {
 		return fmt.Errorf("recovery: %w", err)
 	}
+	s.recovered(false, false)
 	return s.check()
+}
+
+// recovered records a recovery: from a clean restart or a crash, onto a
+// faulted log or not.
+func (s *sim) recovered(clean, fault bool) {
+	if !clean {
+		s.reach |= Recovered
+	}
+	if fault {
+		s.reach |= Faulted
+	}
+	if s.retired {
+		s.reach |= RetiredStays
+	}
 }
 
 // stamp stamps a batch as the target's entry point does and returns the
@@ -439,6 +468,12 @@ func (s *sim) commit(op Op, stamped []graph.Event, closeAt int64, ids []NodeID, 
 		pids = &ids
 	}
 	for _, ev := range stamped {
+		if ev.Kind == graph.NodeAdd && pids != nil && len(*pids) > 0 {
+			s.reach |= AddedNode
+			if slices.Contains(s.m.free, (*pids)[0]) {
+				s.reach |= ReusedID
+			}
+		}
 		if ev.Kind == graph.ContentWrite && s.m.Alive(ev.Node) {
 			if ts, seen := written[ev.Node]; !seen || ev.TS > ts {
 				written[ev.Node] = ev.TS
@@ -451,6 +486,7 @@ func (s *sim) commit(op Op, stamped []graph.Event, closeAt int64, ids []NodeID, 
 	if op.Kind == ShardFault {
 		s.m.now = keep // a failed apply moves no fleet time
 	}
+	s.reachChurn(stamped)
 	before := s.windowLens(content && closeAt != graph.NoAdvance)
 	s.m.Close(closeAt)
 	if s.ref != nil {
@@ -466,6 +502,29 @@ func (s *sim) commit(op Op, stamped []graph.Event, closeAt int64, ids []NodeID, 
 		loose = lenient(p, pts)
 	}
 	return s.updates(written, before, closeAt, got, covered, loose)
+}
+
+// reachChurn records the states a batch's structural events reached.
+func (s *sim) reachChurn(stamped []graph.Event) {
+	n := 0
+	for _, ev := range stamped {
+		if ev.IsStructural() {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	if s.reach |= Structural; n > 1 {
+		s.reach |= Burst
+	}
+	for _, slot := range s.m.Slots() {
+		if sp, _ := s.m.Query(slot); sp.Topo() {
+			s.reach |= TopoChurn
+		} else if sp.Hops > 1 && s.m.families[sp.family()].members > 1 {
+			s.reach |= MultiHop
+		}
+	}
 }
 
 // windowLens records the window sizes of every subscribed time-window
@@ -495,7 +554,14 @@ func (s *sim) updates(written map[NodeID]int64, before map[int]map[NodeID]int, c
 	for slot := range s.subs {
 		sp, _ := s.m.Query(slot)
 		nodes, got, last := s.subs[slot], map[NodeID]int{}, map[NodeID]int64{}
-		for _, u := range updates(slot) {
+		heard := updates(slot)
+		if _, owns := s.tg.Entry(); len(heard) > 0 {
+			s.reach |= Heard
+			if owns && sp.WindowTime > 0 {
+				s.reach |= HeardTime
+			}
+		}
+		for _, u := range heard {
 			got[u.Node]++
 			last[u.Node] = u.TS
 			want, alive := s.m.Read(slot, u.Node)
@@ -544,7 +610,27 @@ func (s *sim) check() error {
 	if s.ref != nil {
 		ref = s.ref.Read
 	}
-	return s.m.CheckReads(s.tg.Read, ref)
+	if err := s.m.CheckReads(s.tg.Read, ref); err != nil {
+		return err
+	}
+	wt, ok := s.tg.(Windowed)
+	for _, slot := range s.m.Slots() {
+		if sp, _ := s.m.Query(slot); ok && !sp.Approx() {
+			for u, got := range wt.Windows(slot) {
+				if want := s.m.Window(u, sp); !slices.Equal(got, want) {
+					return fmt.Errorf("q%d %+v: node %d's window holds %v, the model's %v", slot, sp, u, got, want)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// Windowed is a Target that exports a query's writers' windows, oldest
+// first: a value out of place there reads the same until time slides past
+// it, but a checkpoint or a recovery carries it on.
+type Windowed interface {
+	Windows(slot int) map[NodeID][]int64
 }
 
 // CheckReads reads every live query at every node id ever allocated: a live

@@ -4,9 +4,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/workload"
+	"repro/internal/simtest"
 )
 
 func TestSessionSharesPartialAggregators(t *testing.T) {
@@ -318,80 +317,15 @@ func TestReoptimizeKeepsContinuousCovered(t *testing.T) {
 	}
 }
 
-// TestSubscriptionSurvivesRecompile pins the regression where a structural
-// change on a NON-maintainable overlay (full recompile, renumbered slots)
-// orphaned live subscriptions: the channel must keep delivering after the
-// engine's Rebuild, and cancel must still detach. The pinned subtests run
-// the simulator's VNM_N cells, checking every Update a recompile under a
-// live subscription delivers.
+// TestSubscriptionSurvivesRecompile: a structural change on a VNM_N
+// overlay recompiles it under a live subscription, whose channel must keep
+// delivering every Update through the rebuilt plan, and whose cancel must
+// still detach it (the simulator checks each engine's subscriber count at
+// every subscribe and cancel).
 func TestSubscriptionSurvivesRecompile(t *testing.T) {
-	runPins(t, pin{"batches", cell{Durable: true, Algorithm: "vnmn"}, 0, 370, recompiledSub},
-		pin{"ingestor", cell{Merged: true, Algorithm: "vnmn"}, 1, 85, recompiledSub},
-		pin{"durable ingestor", cell{Durable: true, Merged: true, Algorithm: "vnmn"}, 1, 51, recompiledSub})
-	// vnmn + sum on this graph usually yields negative edges -> no
-	// incremental maintainer -> AddEdge falls back to recompile. Overlay
-	// construction is randomized, so retry until the compile comes out
-	// non-maintainable (closing the query tears the group down, making
-	// the next Register recompile from scratch).
-	g := workload.SocialGraph(64, 8, 1)
-	sess, err := Open(g, Options{Algorithm: "vnmn", Iterations: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var q *Query
-	for attempt := 0; ; attempt++ {
-		q, err = sess.Register(QuerySpec{Aggregate: "sum", Continuous: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !q.Stats().Maintainable {
-			break
-		}
-		if attempt == 50 {
-			t.Skip("could not build a non-maintainable fixture in 50 attempts")
-		}
-		_ = q.Close()
-	}
-	ch, cancel, err := q.Subscribe(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-	// Add a missing edge (triggers the recompile).
-	u, v := NodeID(0), NodeID(1)
-	for g.HasEdge(u, v) {
-		v++ // node 0 lacks an out-edge to some node of this fixture
-	}
-	if err := sess.AddEdge(u, v); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Write(u, 5, 1); err != nil {
-		t.Fatal(err)
-	}
-	// The write must keep producing updates through the rebuilt plan.
-	// On a vnmn overlay some closure readers receive the write along
-	// canceling +/- paths (net-zero result), so drain until a reader with
-	// a real contribution reports in.
-	for deadline, valid := time.After(5*time.Second), false; !valid; {
-		select {
-		case upd := <-ch:
-			valid = upd.Result.Valid
-		case <-deadline:
-			t.Fatal("subscription went silent after the recompile")
-		}
-	}
-	if q.Stats().Subscribers != 1 {
-		t.Fatalf("subscribers after recompile = %d, want 1", q.Stats().Subscribers)
-	}
-	cancel()
-	if _, ok := <-ch; ok {
-		// Drain any buffered updates; the channel must eventually close.
-		for range ch {
-		}
-	}
-	if q.Stats().Subscribers != 0 {
-		t.Fatalf("subscribers after cancel = %d, want 0", q.Stats().Subscribers)
-	}
+	runPins(t, pin{"batches", cell{Durable: true, Algorithm: "vnmn"}, 0, 370, simtest.RecompiledSub},
+		pin{"ingestor", cell{Merged: true, Algorithm: "vnmn"}, 1, 85, simtest.RecompiledSub},
+		pin{"durable ingestor", cell{Durable: true, Merged: true, Algorithm: "vnmn"}, 1, 51, simtest.RecompiledSub})
 }
 
 func TestQueryIDsAndLookup(t *testing.T) {
@@ -566,7 +500,7 @@ func TestMergedFamilySessionStats(t *testing.T) {
 // TestMergedFamilySubscriptionIsolation: each query of a merged family
 // hears its own view's readers only.
 func TestMergedFamilySubscriptionIsolation(t *testing.T) {
-	runPins(t, pin{"batches", cell{Durable: true, Autotune: true, Merged: true}, 0, 232, taggedWhole},
-		pin{"ingestor", cell{Autotune: true, Merged: true}, 1, 391, taggedWhole},
-		pin{"plain", cell{Merged: true}, 0, 271, taggedWhole})
+	runPins(t, pin{"batches", cell{Durable: true, Autotune: true, Merged: true}, 0, 234, simtest.TaggedWhole},
+		pin{"ingestor", cell{Autotune: true, Merged: true}, 1, 391, simtest.TaggedWhole},
+		pin{"plain", cell{Merged: true}, 0, 271, simtest.TaggedWhole})
 }

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
-	"sync"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/graph"
+	"repro/internal/overlay"
 	"repro/internal/simtest"
 	"repro/internal/wal"
 )
@@ -18,12 +20,20 @@ import (
 // TestSimulator checks the Session against the brute-force model of
 // internal/simtest, one matrix cell per seed: in-memory and durable, with
 // and without the autotune loop, merged and unmerged families, tuple and
-// time windows, IOB and VNM_N overlays. Variant 0 drives the batch spine
-// directly; variant 1 an Ingestor, each run of batches from three
-// concurrent senders beside a reader and, with autotune, a Rebalance loop;
-// variant 2 (pinned only) the per-event mutators. Distinct~ is compared
-// against an in-memory Session fed the same stream.
-func TestSimulator(t *testing.T) { sessionSim.Run(t) }
+// time windows, IOB and VNM_N overlays. Each seed's swarm draws its entry
+// point: variant 0 drives the batch spine directly; variant 1 an Ingestor,
+// each run of batches from three concurrent senders beside a reader and,
+// with autotune, a Rebalance loop; variant 2 the per-event mutators.
+// Distinct~ is compared against an in-memory Session fed the same stream.
+// At full size every state must be reached by 3 of the 32 seeds.
+func TestSimulator(t *testing.T) {
+	reach := sessionSim.Run(t)
+	t.Cleanup(func() {
+		if err := reach.Gate(sessionSim.Seeds, 3); err != nil {
+			t.Errorf("the sweep no longer reaches the states known bugs need:\n%v", err)
+		}
+	})
+}
 
 var sessionSim = simtest.Config{
 	Package: ".",
@@ -53,80 +63,25 @@ type pin struct {
 	cell    simtest.Cell
 	variant int
 	seed    int64
-	reach   state
+	reach   simtest.State
 }
 
 type cell = simtest.Cell
-
-// state is a set of states a pinned run reached.
-type state uint32
-
-const (
-	structural        state = 1 << iota // a batch with a structural event applied
-	burst                               // a batch with two or more structural events applied
-	addedNode                           // a NodeAdd reported its id
-	reusedID                            // a NodeAdd reused an id removed before
-	multiHop                            // a structural batch applied beside a 2-hop member of a family
-	recompiled                          // a structural batch recompiled an overlay
-	recompiledSub                       // ... an overlay with a live subscription
-	heard                               // a subscription heard an Update
-	heardTime                           // a subscription on a time window heard an Ingestor batch
-	taggedWhole                         // a whole-query subscription on a non-zero tag of a family heard an Update
-	topoChurn                           // a structural batch applied beside a topology-valued query
-	recovered                           // a crash recovered
-	faulted                             // a log fault recovered
-	replayedClose                       // a recovery replayed a close past its checkpoint's
-	checkpointedClose                   // a recovery loaded a checkpoint of closed time
-	retiredStays                        // a recovery followed a retire
-)
-
-var stateNames = []string{"structural", "burst", "addedNode", "reusedID", "multiHop", "recompiled", "recompiledSub",
-	"heard", "heardTime", "taggedWhole", "topoChurn", "recovered", "faulted", "replayedClose", "checkpointedClose", "retiredStays"}
-
-func (s state) String() string {
-	var out []string
-	for i, name := range stateNames {
-		if s&(1<<i) != 0 {
-			out = append(out, name)
-		}
-	}
-	return strings.Join(out, "|")
-}
-
-// reached collects the states a run reaches, from the sender goroutines
-// too.
-type reached struct {
-	mu  sync.Mutex
-	got state
-}
-
-func (r *reached) add(s state) {
-	r.mu.Lock()
-	r.got |= s
-	r.mu.Unlock()
-}
 
 func runPins(t *testing.T, pins ...pin) {
 	for _, p := range pins {
 		p.cell.Shards, p.cell.Algorithm = 1, cmp.Or(p.cell.Algorithm, "iob")
 		t.Run(p.name, func(t *testing.T) {
 			t.Parallel()
-			cfg, seen := sessionSim, &reached{}
-			cfg.Open = func(t testing.TB, c simtest.Cell, variant int, g *Graph) simtest.Target {
-				st := openSessionTarget(t, c, variant, g).(*sessionTarget)
-				st.seen = seen
-				return st
-			}
-			cfg.Variant(t, p.cell, p.variant, p.seed)
-			if miss := p.reach &^ seen.got; miss != 0 {
-				t.Fatalf("the run never reached %v (reached %v): the seed no longer checks what the pin is for", miss, seen.got)
+			if got := sessionSim.Variant(t, p.cell, p.variant, p.seed); p.reach&^got != 0 {
+				t.Fatalf("the run never reached %v (reached %v): the seed no longer checks what the pin is for", p.reach&^got, got)
 			}
 		})
 	}
 }
 
 // seeds is one pin per seed, named seed=N.
-func seeds(c simtest.Cell, variant int, reach state, seeds ...int64) []pin {
+func seeds(c simtest.Cell, variant int, reach simtest.State, seeds ...int64) []pin {
 	var out []pin
 	for _, seed := range seeds {
 		out = append(out, pin{fmt.Sprintf("seed=%d", seed), c, variant, seed, reach})
@@ -142,24 +97,23 @@ type sessionTarget struct {
 	s       *Session
 	ing     *Ingestor
 	qs      map[int]*Query
-	specs   map[int]simtest.Spec
 	subs    map[int]sessionSub
 	hook    func(events []Event, run func() error) error
-	seen    *reached        // nil: nothing is recorded
-	removed map[NodeID]bool // the ids NodeRemove freed
-	retired bool
+	reached atomic.Uint32 // the simtest.States only the target sees
+	// ckptWrapped: the last checkpoint exported a wrapped time ring.
+	ckptWrapped bool
 }
 
 type sessionSub struct {
 	ch     <-chan Update
 	cancel func()
+	nodes  []NodeID
 	tagged bool // whole-query, on a non-zero tag of a family
 }
 
 // openSessionTarget opens the session; Witness starts its process.
 func openSessionTarget(t testing.TB, c simtest.Cell, variant int, g *Graph) simtest.Target {
-	st := &sessionTarget{cell: c, variant: variant, qs: map[int]*Query{}, specs: map[int]simtest.Spec{},
-		subs: map[int]sessionSub{}, removed: map[NodeID]bool{}}
+	st := &sessionTarget{cell: c, variant: variant, qs: map[int]*Query{}, subs: map[int]sessionSub{}}
 	var err error
 	if c.Durable {
 		st.dir = t.TempDir()
@@ -196,63 +150,72 @@ func (st *sessionTarget) start() {
 
 func (st *sessionTarget) Entry() (bool, bool) { return st.variant == 1, st.variant == 1 }
 
-// probe runs a batch and, on a pinned run, records what it reached. Batches
-// apply one at a time and the simulator waits for them, so st's maps hold
-// still meanwhile.
+func (st *sessionTarget) add(s simtest.State) { st.reached.Or(uint32(s)) }
+
+func (st *sessionTarget) Reached() simtest.State { return simtest.State(st.reached.Load()) }
+
+// probe runs a batch and records what it reached. Batches apply one at a
+// time and the simulator waits for them, so st's maps hold still
+// meanwhile.
 func (st *sessionTarget) probe(evs []Event, run func() error) error {
-	if st.seen == nil || evs == nil {
+	if evs == nil {
 		return run()
+	}
+	if st.cancels(evs) {
+		st.add(simtest.Cancelled)
 	}
 	recompiles := map[int]int64{}
 	for slot, q := range st.qs {
 		recompiles[slot] = q.Stats().Recompiles
 	}
 	err := run()
-	var got state
-	n := 0 // structural events
-	for _, ev := range evs {
-		if ev.IsStructural() {
-			n++
-		}
-	}
-	if n > 0 {
-		got |= structural
-	}
-	if n > 1 {
-		got |= burst
-	}
 	for slot, q := range st.qs {
-		qs, sp := q.Stats(), st.specs[slot]
-		if qs.Recompiles > recompiles[slot] {
-			got |= recompiled
+		if q.Stats().Recompiles > recompiles[slot] {
+			st.add(simtest.Recompiled)
 			if _, ok := st.subs[slot]; ok {
-				got |= recompiledSub
+				st.add(simtest.RecompiledSub)
 			}
 		}
-		if n > 0 && sp.Hops > 1 && qs.Family > 1 {
-			got |= multiHop
-		}
-		if n > 0 && sp.Topo() {
-			got |= topoChurn
-		}
 	}
-	st.seen.add(got)
 	return err
 }
 
-// ids records the NodeAdds of a batch the target reported ids for.
-func (st *sessionTarget) ids(evs []Event, ids []NodeID) {
-	for _, ev := range evs {
-		if ev.Kind == graph.NodeRemove {
-			st.removed[ev.Node] = true
-		} else if ev.Kind == graph.NodeAdd && len(ids) > 0 && st.seen != nil {
-			st.seen.add(addedNode)
-			if st.removed[ids[0]] {
-				st.seen.add(reusedID)
+// cancels reports whether evs write a writer whose push closure reaches a
+// covered reader of a subscription by signed paths that sum to zero: VNM_N
+// cancels the value there, so the reader must not hear the write.
+func (st *sessionTarget) cancels(evs []Event) bool {
+	for slot, sub := range st.subs {
+		ov, ok := st.qs[slot].view.(*overlayView)
+		if st.cell.Algorithm != "vnmn" || !ok {
+			continue
+		}
+		top := ov.System().Engine().Topology()
+		var walk func(r overlay.NodeRef, neg bool, net map[overlay.NodeRef]int)
+		walk = func(r overlay.NodeRef, neg bool, net map[overlay.NodeRef]int) {
+			for _, pe := range top.OutEdges(r) {
+				if dst, n := overlay.UnpackRef(pe); top.Dec[dst] == overlay.Push && !top.Dead[dst] {
+					if top.Kind[dst] == overlay.ReaderNode && neg != n {
+						net[dst]--
+					} else if top.Kind[dst] == overlay.ReaderNode {
+						net[dst]++
+					}
+					walk(dst, neg != n, net)
+				}
 			}
-			ids = ids[1:]
+		}
+		for _, ev := range evs {
+			if w := top.Writer(ev.Node); ev.Kind == graph.ContentWrite && w != overlay.NoNode {
+				net := map[overlay.NodeRef]int{}
+				walk(w, false, net)
+				for r, n := range net {
+					if v := top.GID[r]; n == 0 && top.Tag[r] == ov.ViewTag() && (sub.nodes == nil || slices.Contains(sub.nodes, v)) && ov.Covered(v) {
+						return true
+					}
+				}
+			}
 		}
 	}
+	return false
 }
 
 func (st *sessionTarget) Send(evs []Event) error {
@@ -294,17 +257,15 @@ func (st *sessionTarget) Apply(evs []Event, closeAt int64) (ids []NodeID, err er
 	if st.hook == nil { // the reference
 		return ids, run()
 	}
-	err = st.hook(append([]Event{}, evs...), run)
-	st.ids(evs, ids)
-	return ids, err
+	return ids, st.hook(append([]Event{}, evs...), run)
 }
 
 // mutate applies a batch one event at a time through the single-event
 // mutators, then closes its time.
 func (st *sessionTarget) mutate(evs []Event, closeAt int64) ([]NodeID, error) {
 	var ids []NodeID
+	st.add(simtest.Mutators)
 	err := st.probe(evs, func() (err error) { ids, err = st.mutateEach(evs, closeAt); return err })
-	st.ids(evs, ids)
 	return ids, err
 }
 
@@ -341,7 +302,7 @@ func (st *sessionTarget) Register(slot int, sp simtest.Spec) error {
 		WindowTime: sp.WindowTime, Hops: sp.Hops, Continuous: sp.Continuous},
 		Options{Algorithm: st.cell.Algorithm, Iterations: 5 + sp.Family})
 	if err == nil {
-		st.qs[slot], st.specs[slot] = q, sp
+		st.qs[slot] = q
 	}
 	return refused(err)
 }
@@ -351,7 +312,6 @@ func (st *sessionTarget) Retire(slot int) error {
 	err := refused(st.qs[slot].Close())
 	if !errors.Is(err, simtest.ErrRefused) {
 		delete(st.qs, slot) // a refused retire comes back at recovery
-		st.retired = true
 	}
 	return err
 }
@@ -377,7 +337,8 @@ func (st *sessionTarget) Subscribe(slot int, nodes []NodeID) error {
 		err = simtest.ErrUnknownNode
 	} else if err == nil {
 		ov, ok := st.qs[slot].view.(*overlayView)
-		st.subs[slot] = sessionSub{ch, cancel, ok && len(nodes) == 0 && ov.ViewTag() != 0 && ov.FamilySize() > 1}
+		st.subs[slot] = sessionSub{ch, cancel, nodes, ok && len(nodes) == 0 && ov.ViewTag() != 0 && ov.FamilySize() > 1}
+		err = st.subscribers()
 	}
 	return err
 }
@@ -385,6 +346,23 @@ func (st *sessionTarget) Subscribe(slot int, nodes []NodeID) error {
 func (st *sessionTarget) Unsubscribe(slot int) error {
 	st.subs[slot].cancel()
 	delete(st.subs, slot)
+	return st.subscribers()
+}
+
+// subscribers checks that each engine counts the subscriptions open on its
+// queries: one a recompile orphaned, or a cancel left attached, shows.
+func (st *sessionTarget) subscribers() error {
+	open := map[any]int{}
+	for slot := range st.subs {
+		if sys := st.qs[slot].Internal(); sys != nil {
+			open[sys.Engine()]++
+		}
+	}
+	for slot, q := range st.qs {
+		if sys := q.Internal(); sys != nil && q.Stats().Subscribers != open[sys.Engine()] {
+			return fmt.Errorf("query %d's engine counts %d subscribers, %d are open", slot, q.Stats().Subscribers, open[sys.Engine()])
+		}
+	}
 	return nil
 }
 
@@ -395,15 +373,8 @@ func (st *sessionTarget) Updates(slot int) []simtest.Update {
 		case u := <-sub.ch:
 			out = append(out, simtest.Update{Node: u.Node, Result: simtest.Result(u.Result), TS: u.TS})
 		default:
-			if st.seen != nil && len(out) > 0 {
-				got := heard
-				if st.specs[slot].WindowTime > 0 && st.variant == 1 {
-					got |= heardTime
-				}
-				if st.subs[slot].tagged {
-					got |= taggedWhole
-				}
-				st.seen.add(got)
+			if len(out) > 0 && sub.tagged {
+				st.add(simtest.TaggedWhole)
 			}
 			return out
 		}
@@ -433,7 +404,11 @@ func (st *sessionTarget) Do(op simtest.Op) error {
 			}
 		}
 	case simtest.Checkpoint:
-		return refused(st.s.Checkpoint())
+		wrapped := st.wrapped()
+		if err := st.s.Checkpoint(); err != nil {
+			return refused(err)
+		}
+		st.ckptWrapped = wrapped
 	case simtest.Crash:
 		return st.crash(0, op.N == 1)
 	case simtest.WALFault:
@@ -467,9 +442,7 @@ func (st *sessionTarget) crash(faultAt int, clean bool) error {
 		return err
 	}
 	st.s, st.subs = s, map[int]sessionSub{}
-	if st.seen != nil {
-		st.seen.add(st.recovery(rec, ckptWM, faultAt, clean))
-	}
+	st.recovery(rec, ckptWM, clean)
 	for slot, q := range st.qs {
 		if st.qs[slot] = s.Query(q.ID()); st.qs[slot] == nil {
 			return errors.New("a registered query did not recover")
@@ -482,26 +455,45 @@ func (st *sessionTarget) crash(faultAt int, clean bool) error {
 	return nil
 }
 
-// recovery is what a recovery reached: ckptWM is the watermark of the
-// last checkpoint before the crash.
-func (st *sessionTarget) recovery(rec *Recovery, ckptWM int64, faultAt int, clean bool) state {
-	var got state
-	if !clean {
-		got |= recovered
-	}
-	if faultAt > 0 {
-		got |= faulted
-	}
+// recovery records what a recovery reached: ckptWM is the watermark of
+// the last checkpoint before the crash.
+func (st *sessionTarget) recovery(rec *Recovery, ckptWM int64, clean bool) {
 	if !clean && rec.ReplayedBatches > 0 && rec.WatermarkValid && rec.Watermark > ckptWM {
-		got |= replayedClose
+		st.add(simtest.ReplayedClose)
 	}
 	if rec.CheckpointSeq > 0 && st.s.DurabilityStats().LastCheckpointWatermark != math.MinInt64 {
-		got |= checkpointedClose
+		st.add(simtest.CheckpointedClose)
 	}
-	if st.retired {
-		got |= retiredStays
+	if rec.CheckpointSeq > 0 && st.ckptWrapped {
+		st.add(simtest.WrappedCheckpoint)
 	}
-	return got
+}
+
+// wrapped reports whether a time window's ring wraps past its end, which
+// a checkpoint must export oldest first.
+func (st *sessionTarget) wrapped() (wrapped bool) {
+	for _, q := range st.qs {
+		if sys := q.Internal(); sys != nil {
+			for _, w := range sys.Engine().Windows() {
+				tw, ok := w.(*agg.TimeWindow)
+				wrapped = wrapped || ok && tw.Wrapped()
+			}
+		}
+	}
+	return wrapped
+}
+
+// Windows exports the windows of slot's writers, oldest first.
+func (st *sessionTarget) Windows(slot int) map[NodeID][]int64 {
+	out := map[NodeID][]int64{}
+	if sys := st.qs[slot].Internal(); sys != nil {
+		sys.Engine().ExportWindows(func(v NodeID, en []agg.WindowEntry) {
+			for _, e := range en {
+				out[v] = append(out[v], e.V)
+			}
+		})
+	}
+	return out
 }
 
 // stop ends the process: the autotune loop, the Ingestor and the log.
@@ -511,7 +503,9 @@ func (st *sessionTarget) stop(clean bool) {
 		_ = st.ing.Close()
 	}
 	if clean {
-		_ = st.s.CloseDurability()
+		if wrapped := st.wrapped(); st.s.CloseDurability() == nil { // a final checkpoint
+			st.ckptWrapped = wrapped
+		}
 	} else if st.s.Durable() {
 		_ = st.s.SimulateCrash()
 	}

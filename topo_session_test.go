@@ -310,13 +310,13 @@ func TestTopoSubscriptionChurnRace(t *testing.T) {
 // TestTopoSessionOracleChurn: topology-valued aggregates beside numeric
 // ones under content, edge and node churn.
 func TestTopoSessionOracleChurn(t *testing.T) {
-	runPins(t, pin{"batches", cell{}, 0, 44, topoChurn}, pin{"ingestor", cell{Merged: true}, 1, 45, topoChurn},
-		pin{"windowed", cell{TimeWindow: true}, 0, 46, topoChurn})
+	runPins(t, pin{"batches", cell{}, 0, 42, simtest.TopoChurn}, pin{"ingestor", cell{Merged: true}, 1, 45, simtest.TopoChurn},
+		pin{"windowed", cell{TimeWindow: true}, 0, 46, simtest.TopoChurn})
 }
 
 // TestTopoDurableRecovery: topology-valued aggregates recover with the
 // graph, through checkpoints and crashes.
 func TestTopoDurableRecovery(t *testing.T) {
-	runPins(t, pin{"batches", cell{Durable: true}, 0, 47, topoChurn | recovered},
-		pin{"ingestor", cell{Durable: true, TimeWindow: true}, 1, 48, topoChurn | recovered})
+	runPins(t, pin{"batches", cell{Durable: true}, 0, 51, simtest.TopoChurn | simtest.Recovered},
+		pin{"ingestor", cell{Durable: true, TimeWindow: true}, 1, 48, simtest.TopoChurn | simtest.Recovered})
 }
