@@ -338,18 +338,6 @@ func TestMaintainerRemoveAllInputs(t *testing.T) {
 	expectInputs(t, m.Overlay(), 1, nil)
 }
 
-func TestMaintainerAddNode(t *testing.T) {
-	ag := paperAG()
-	m := maintainerFor(t, ag)
-	// New node 7 writes to readers 0 and 1, reads from {2,3}.
-	if err := m.AddNode(7, []graph.NodeID{2, 3}, []graph.NodeID{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	expectInputs(t, m.Overlay(), 7, []graph.NodeID{2, 3})
-	expectInputs(t, m.Overlay(), 0, []graph.NodeID{2, 3, 4, 5, 7})
-	expectInputs(t, m.Overlay(), 1, []graph.NodeID{3, 4, 5, 7})
-}
-
 func TestMaintainerRemoveNode(t *testing.T) {
 	ag := paperAG()
 	m := maintainerFor(t, ag)

@@ -16,12 +16,14 @@ import (
 // (the output of VNM, VNM_A, or IOB); overlays with duplicate paths or
 // negative edges must be recompiled instead.
 //
-// The maintainer mutates the overlay structure, so a single caller (the
-// core.System, under its structural mutex) must drive it; it is not safe
-// for concurrent use. Engine traffic, however, never reads the live
-// overlay: after a repair the caller installs it with exec.Engine.Rebuild,
-// so reads never pause while structural repairs land and writes wait for
-// the install step only.
+// One caller drives it, in one order: core.System's maintained repair, the
+// step every structural run, member attach and member retire ends in, runs
+// RemoveNode for the removed ids, AddWriter for the added ones, then diffs
+// each affected reader against the final graph (AddReader, RemoveReader,
+// Add/RemoveReaderInputs). It is not safe for concurrent use. Engine
+// traffic never reads the live overlay: the caller installs it with
+// exec.Engine.Rebuild, so reads never pause while repairs land and writes
+// wait for the install step only.
 type Maintainer struct {
 	b *iobBuilder
 	// directCount tracks accumulated direct edges per reader; exceeding
@@ -264,27 +266,8 @@ func (m *Maintainer) rebuildReader(ref overlay.NodeRef) error {
 	return m.b.coverInputs(ref, cover)
 }
 
-// AddNode handles addition of a data-graph node to a single-query overlay
-// (§3.3): a writer node is created, its out-edges are handed to the affected
-// readers via AddReaderInputs, and a reader node with the given input list
-// is inserted through the IOB algorithm.
-func (m *Maintainer) AddNode(v graph.NodeID, inputs []graph.NodeID, consumers []graph.NodeID) error {
-	m.b.addWriter(v)
-	for _, c := range consumers {
-		if err := m.AddReaderInputs(0, c, []graph.NodeID{v}); err != nil {
-			return err
-		}
-	}
-	if m.b.ov.Reader(0, v) != overlay.NoNode {
-		return fmt.Errorf("construct: reader %d already exists", v)
-	}
-	return m.b.addReader(0, v, inputs)
-}
-
-// AddWriter registers a writer node for data-graph node v (idempotent). It
-// is the writer half of AddNode, split out so a merged multi-query overlay
-// can register the writer once and then add one tagged reader per member
-// query.
+// AddWriter registers a writer node for data-graph node v (idempotent): a
+// node added to the graph is written to before any reader takes it as input.
 func (m *Maintainer) AddWriter(v graph.NodeID) {
 	m.b.addWriter(v)
 }
@@ -292,10 +275,7 @@ func (m *Maintainer) AddWriter(v graph.NodeID) {
 // AddReader inserts query tag's reader of r, which must not already exist,
 // with the given input list through the IOB algorithm, covering the inputs
 // with existing partial aggregates where profitable. An empty input list
-// still creates the (empty-aggregate) reader, unlike AddReaderInputs. This
-// is the online family-extension primitive: attaching a query to an
-// existing merged overlay adds its readers one by one without recompiling
-// the shared structure.
+// still creates the (empty-aggregate) reader, unlike AddReaderInputs.
 func (m *Maintainer) AddReader(tag int32, r graph.NodeID, inputs []graph.NodeID) error {
 	if m.b.ov.Reader(tag, r) != overlay.NoNode {
 		return fmt.Errorf("construct: reader %d/%d already exists", tag, r)
@@ -311,8 +291,7 @@ func (m *Maintainer) AddReader(tag int32, r graph.NodeID, inputs []graph.NodeID)
 
 // RemoveReader removes query tag's reader of r and garbage-collects any
 // partial aggregates nobody else consumes, leaving the writer role of the
-// underlying data-graph node untouched. A missing reader is a no-op. This
-// is the online family-retirement primitive.
+// underlying data-graph node untouched. A missing reader is a no-op.
 func (m *Maintainer) RemoveReader(tag int32, r graph.NodeID) error {
 	rref := m.b.ov.Reader(tag, r)
 	if rref == overlay.NoNode {

@@ -67,7 +67,7 @@ func compileSystem(m *MultiSystem, q Query, opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := s.decide(ov, nil); err != nil {
+	if err := s.decide(ov, nil); err != nil {
 		return nil, err
 	}
 	if s.eng, err = exec.New(ov, s.q.Aggregate, s.q.Window); err != nil {
@@ -172,17 +172,16 @@ func (s *System) windowSizeHint() int {
 }
 
 // decide annotates ov with the system's decision procedure for workload wl
-// (nil: a uniform 1:1 workload) and returns the frequencies it priced them
-// with. It is the one place decisions are made from a workload — compile,
-// recompile and Reoptimize all come here — so a fixed-mode system keeps its
-// mode whatever workload arrives.
-func (s *System) decide(ov *overlay.Overlay, wl *dataflow.Workload) (*dataflow.Freqs, error) {
+// (nil: a uniform 1:1 workload). It is the one place decisions are made
+// from a workload — compile, recompile and Reoptimize all come here — so a
+// fixed-mode system keeps its mode whatever workload arrives.
+func (s *System) decide(ov *overlay.Overlay, wl *dataflow.Workload) error {
 	if wl == nil {
 		wl = dataflow.Uniform(s.g.MaxID(), 1, 1)
 	}
 	f, err := dataflow.ComputeFreqs(ov, wl, s.windowSizeHint())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	switch s.opts.Mode {
 	case ModeAllPush:
@@ -190,11 +189,9 @@ func (s *System) decide(ov *overlay.Overlay, wl *dataflow.Workload) (*dataflow.F
 	case ModeAllPull:
 		dataflow.DecideAll(ov, overlay.Pull)
 	default:
-		if _, err := dataflow.Decide(ov, f, s.cost); err != nil {
-			return nil, err
-		}
+		_, err = dataflow.Decide(ov, f, s.cost)
 	}
-	return f, nil
+	return err
 }
 
 // adopt makes the overlay the engine was just built or rebuilt on — built
@@ -242,7 +239,7 @@ func (s *System) Reoptimize(wl *dataflow.Workload) error {
 		s.wl = wl
 	}
 	s.thawLocked()
-	if _, err := s.decide(s.ov, s.wl); err != nil {
+	if err := s.decide(s.ov, s.wl); err != nil {
 		return err
 	}
 	s.adaptor = dataflow.NewAdaptor(s.ov, s.cost)
@@ -265,7 +262,7 @@ func (s *System) recompileLocked(skip map[graph.NodeID]bool) error {
 	if err != nil {
 		return err
 	}
-	if _, err := s.decide(ov, s.wl); err != nil {
+	if err := s.decide(ov, s.wl); err != nil {
 		return err
 	}
 	if err := s.eng.Rebuild(ov, skip); err != nil {

@@ -179,10 +179,11 @@ func TestStructuralNodeLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeFigure1(t, s)
-	v, err := s.AddGraphNode()
+	ids, err := applyOne(s.multi, graph.Event{Kind: graph.NodeAdd})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := ids[0]
 	// New node writes into a's neighborhood.
 	if err := s.AddGraphEdge(v, 0); err != nil {
 		t.Fatal(err)
@@ -195,7 +196,7 @@ func TestStructuralNodeLifecycle(t *testing.T) {
 		t.Fatalf("read(a) with new writer = %v, want 119", got)
 	}
 	// Remove the node again.
-	if err := s.RemoveGraphNode(v); err != nil {
+	if _, err := applyOne(s.multi, graph.Event{Kind: graph.NodeRemove, Node: v}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = s.eng.Read(0)

@@ -67,7 +67,7 @@ func TestSubscriptionFollowsReusedNodeID(t *testing.T) {
 				t.Fatalf("first write delivered %+v, want one update {node %d, 7}", us, fx.v)
 			}
 
-			if err := s.RemoveGraphNode(fx.v); err != nil {
+			if _, err := applyOne(s.multi, graph.Event{Kind: graph.NodeRemove, Node: fx.v}); err != nil {
 				t.Fatal(err)
 			}
 			// The node has no reader now: its subscription hears nothing.
@@ -78,12 +78,13 @@ func TestSubscriptionFollowsReusedNodeID(t *testing.T) {
 				t.Fatalf("subscription on removed node %d received %+v", fx.v, us)
 			}
 
-			v, err := s.AddGraphNode()
+			ids, err := applyOne(s.multi, graph.Event{Kind: graph.NodeAdd})
 			if err != nil {
 				t.Fatal(err)
 			}
+			v := ids[0]
 			if v != fx.v {
-				t.Fatalf("AddGraphNode returned %d, want the reused id %d", v, fx.v)
+				t.Fatalf("NodeAdd allocated %d, want the reused id %d", v, fx.v)
 			}
 			if err := s.AddGraphEdge(fx.w, v); err != nil {
 				t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/overlay"
 )
 
 // This file is merge-family membership: member views addressed by tag in
@@ -42,12 +41,14 @@ type view struct {
 }
 
 // addMember extends the merged overlay with one more member query ONLINE:
-// on a maintainable overlay the new member's readers are inserted one by
-// one through the incremental builder — covered by the existing shared
-// partial aggregates where profitable — while reads keep flowing and writes
-// wait for the engine's install step only. Overlays without incremental
-// maintenance recompile the union from scratch; window contents and live
-// subscriptions survive either way. Returns the new member's view tag.
+// on a maintainable overlay every live node is affected in the new view, so
+// the maintained repair inserts each of its readers whole — covered by the
+// existing shared partial aggregates where profitable — while reads keep
+// flowing and writes wait for the engine's install step only. Overlays
+// without incremental maintenance recompile the union from scratch; window
+// contents and live subscriptions survive either way. On failure the view is
+// rolled back and the remaining views recompiled. Returns the new member's
+// view tag.
 //
 // A single-query System converts to a merged one on its first addMember;
 // its existing readers are tag 0's, so conversion adds no work. The caller
@@ -63,48 +64,26 @@ func (s *System) addMember(spec MemberSpec) (int32, error) {
 		return 0, errMergeFull
 	}
 	tag := int32(len(s.views))
-	vw := view{nbr: nbr, pred: spec.Predicate, tag: tag, live: true}
-	s.views = append(s.views, vw)
+	s.views = append(s.views, view{nbr: nbr, pred: spec.Predicate, tag: tag, live: true})
+	var err error
 	if s.maintainerLocked() == nil {
-		if err := s.recompileLocked(nil); err != nil {
-			s.views[tag].live = false
-			return 0, fmt.Errorf("core: merged recompile: %w: %w", ErrIncompatibleMerge, err)
-		}
-		return tag, nil
+		err = s.recompileLocked(nil)
+	} else {
+		err = s.maintainLocked(s.everyNodeLocked(tag), nil, nil)
 	}
-	var insertErr error
-	s.g.ForEachNode(func(v graph.NodeID) {
-		if insertErr != nil {
-			return
-		}
-		if vw.pred != nil && !vw.pred(s.g, v) {
-			return
-		}
-		insertErr = s.maint.AddReader(tag, v, nbr.Select(s.g, v))
-	})
-	if insertErr == nil {
-		insertErr = s.afterMaintenance()
-	}
-	if insertErr != nil {
-		// Roll back by recompiling from the remaining live views: the
-		// half-inserted view is already marked dead, and the rebuild
-		// discards the partially-extended overlay wholesale (no point
-		// sweeping its readers out one by one first).
+	if err != nil {
 		s.views[tag].live = false
-		if err := s.recompileLocked(nil); err != nil {
-			return 0, fmt.Errorf("core: merge rollback recompile: %w: %w", ErrIncompatibleMerge, err)
-		}
-		return 0, fmt.Errorf("core: merge extension: %w: %w", ErrIncompatibleMerge, insertErr)
+		return 0, fmt.Errorf("core: merge extension: %w: %w", ErrIncompatibleMerge, errors.Join(err, s.recompileLocked(nil)))
 	}
 	return tag, nil
 }
 
-// retireMember removes member tag's reader view from the merged overlay —
-// online on maintainable overlays (its readers leave one by one and orphan
-// partials are garbage-collected), via recompile otherwise. The member's
-// tag is never reused. The last live member cannot be retired; tear the
-// System down instead. The caller holds the MultiSystem mutex
-// (MultiSystem.Detach does).
+// retireMember removes member tag's reader view from the merged overlay:
+// the view dies and every live node is affected in it, so the maintained
+// repair removes its readers (orphan partials are garbage-collected), or a
+// recompile rebuilds the remaining views when it cannot. The member's tag is
+// never reused. The last live member cannot be retired; tear the System down
+// instead. The caller holds the MultiSystem mutex (MultiSystem.Detach does).
 func (s *System) retireMember(tag int32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -115,27 +94,18 @@ func (s *System) retireMember(tag int32) error {
 		return fmt.Errorf("core: cannot retire the last member: %w", ErrIncompatibleMerge)
 	}
 	s.views[tag].live = false
-	if s.maintainerLocked() == nil {
-		if err := s.recompileLocked(nil); err != nil {
-			return fmt.Errorf("core: retire recompile: %w: %w", ErrIncompatibleMerge, err)
-		}
-		return nil
-	}
-	var nodes []graph.NodeID
-	s.ov.ForEachNode(func(_ overlay.NodeRef, n *overlay.Node) {
-		if n.Kind == overlay.ReaderNode && n.Tag == tag {
-			nodes = append(nodes, n.GID)
-		}
-	})
-	for _, v := range nodes {
-		if err := s.maint.RemoveReader(tag, v); err != nil {
-			return fmt.Errorf("core: retire member %d: %w: %w", tag, ErrIncompatibleMerge, err)
-		}
-	}
-	if err := s.afterMaintenance(); err != nil {
-		return fmt.Errorf("core: retire member %d: %w: %w", tag, ErrIncompatibleMerge, errors.Join(err, s.recompileLocked(nil)))
+	if err := s.repairLocked(s.everyNodeLocked(tag), nil, nil); err != nil {
+		return fmt.Errorf("core: retire member %d: %w: %w", tag, ErrIncompatibleMerge, err)
 	}
 	return nil
+}
+
+// everyNodeLocked is the affected set of a member attach or retire: every
+// live node, in view tag only. Callers hold s.mu.
+func (s *System) everyNodeLocked(tag int32) affected {
+	a := make(affected, len(s.views))
+	s.g.ForEachNode(func(v graph.NodeID) { a.mark(int(tag), v) })
+	return a
 }
 
 // liveViewsLocked counts the live member views; callers hold s.mu.

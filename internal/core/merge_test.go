@@ -125,9 +125,9 @@ func (h *mergeHarness) applyOne(s *System, op mergeOp) {
 	case 'r':
 		err = s.RemoveGraphEdge(op.u, op.v)
 	case 'n':
-		_, err = s.AddGraphNode()
+		_, err = applyOne(s.multi, graph.Event{Kind: graph.NodeAdd})
 	case 'd':
-		err = s.RemoveGraphNode(op.v)
+		_, err = applyOne(s.multi, graph.Event{Kind: graph.NodeRemove, Node: op.v})
 	}
 	if err != nil {
 		h.t.Fatalf("op %c(%d,%d): %v", op.kind, op.u, op.v, err)
@@ -558,7 +558,7 @@ func TestNodeAddsOnNonMaintainableMerged(t *testing.T) {
 		{Neighborhood: graph.KHopIn{K: 2}},
 	}, Options{Algorithm: construct.AlgVNMN})
 	sys.maintainable = false
-	if _, err := sys.AddGraphNode(); err != nil {
+	if _, err := applyOne(sys.multi, graph.Event{Kind: graph.NodeAdd}); err != nil {
 		t.Fatal(err)
 	}
 	if n := sys.Stats().Recompiles; n != 1 {

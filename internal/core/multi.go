@@ -480,9 +480,8 @@ func (m *MultiSystem) InjectGroupWindows(key string, events []graph.Event) error
 // Rebalance runs the adaptive dataflow scheme (§4.8) on every group and
 // returns the total number of decision flips. A group whose pass fails does
 // not stop the others: every group is rebalanced and the errors are joined.
-// It holds the MultiSystem mutex, as a structural run does: a pass must not
-// judge an overlay that a run's maintainer has grown but not yet installed
-// (its adaptor is rebuilt only at the run's end).
+// It holds the MultiSystem mutex, as structural runs and member changes do,
+// so a pass judges each system between them.
 func (m *MultiSystem) Rebalance() (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -553,25 +552,27 @@ func (m *MultiSystem) Apply(events []graph.Event, advanceTo int64) ([]graph.Node
 }
 
 // applyStructuralRun is the one structural protocol. Under the MultiSystem
-// mutex, the shared graph mutates event by event (collecting, at each
+// mutex, the shared graph mutates event by event (collecting, at each edge
 // event's correct moment, the readers it affects — pre-mutation for
-// removals, post for additions — and notifying listeners), and every
-// attached system's overlay is repaired exactly once at the end. It returns
-// the node ids NodeAdd events allocated, in event order, and the errors of
-// the events that could not apply and of the repairs. Correctness rests on
-// the repair being a diff against the FINAL graph: the affected union only
-// needs to cover every reader whose neighborhood the run changed, and the
-// event that last toggles a neighborhood path sees that path's state when
-// it collects.
+// removals, post for additions — and notifying listeners), and then every
+// attached system is handed the run's affected readers and its removed and
+// added ids once, for one repair. It returns the node ids NodeAdd events
+// allocated, in event order, and the errors of the events that could not
+// apply and of the repairs. Correctness rests on the repair being a diff
+// against the FINAL graph: the affected union only needs to cover every
+// reader whose neighborhood the run changed, and the event that last toggles
+// a neighborhood path sees that path's state when it collects.
 func (m *MultiSystem) applyStructuralRun(run []graph.Event) ([]graph.NodeID, []error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	g, systems, listeners := m.g, *m.systems.Load(), *m.listeners.Load()
-	batches := make([]*repairBatch, len(systems))
+	version := g.Version()
+	affs := make([]affected, len(systems))
 	for i, sys := range systems {
-		batches[i] = sys.beginRepairBatch()
+		affs[i] = sys.newAffected()
 	}
 	var added []graph.NodeID
+	var removed map[graph.NodeID]bool
 	var errs []error
 	for _, ev := range run {
 		switch ev.Kind {
@@ -581,7 +582,7 @@ func (m *MultiSystem) applyStructuralRun(run []graph.Event) ([]graph.NodeID, []e
 				continue
 			}
 			for i, sys := range systems {
-				sys.batchEdgeTouched(batches[i], ev.Node, ev.Peer)
+				sys.edgeTouched(affs[i], ev.Node, ev.Peer)
 			}
 			for _, l := range listeners {
 				l.EdgeAdded(ev.Node, ev.Peer, ev.TS)
@@ -594,7 +595,7 @@ func (m *MultiSystem) applyStructuralRun(run []graph.Event) ([]graph.NodeID, []e
 				continue
 			}
 			for i, sys := range systems {
-				sys.batchEdgeTouched(batches[i], ev.Node, ev.Peer)
+				sys.edgeTouched(affs[i], ev.Node, ev.Peer)
 			}
 			if err := g.RemoveEdge(ev.Node, ev.Peer); err != nil {
 				errs = append(errs, err)
@@ -606,9 +607,6 @@ func (m *MultiSystem) applyStructuralRun(run []graph.Event) ([]graph.NodeID, []e
 		case graph.NodeAdd:
 			v := g.AddNode()
 			added = append(added, v)
-			for i, sys := range systems {
-				sys.batchNodeAdded(batches[i], v)
-			}
 			for _, l := range listeners {
 				l.NodeAdded(v, ev.TS)
 			}
@@ -618,22 +616,29 @@ func (m *MultiSystem) applyStructuralRun(run []graph.Event) ([]graph.NodeID, []e
 				continue
 			}
 			for i, sys := range systems {
-				sys.batchNodeRemovalAffected(batches[i], ev.Node)
+				sys.nodeRemovalTouched(affs[i], ev.Node)
 			}
 			if err := g.RemoveNode(ev.Node); err != nil {
 				errs = append(errs, err)
 				continue
 			}
-			for i, sys := range systems {
-				sys.batchNodeRemoved(batches[i], ev.Node)
+			if removed == nil {
+				removed = make(map[graph.NodeID]bool)
 			}
+			removed[ev.Node] = true
 			for _, l := range listeners {
 				l.NodeRemoved(ev.Node, ev.TS)
 			}
 		}
 	}
+	if g.Version() == version {
+		return added, errs // no event applied: nothing to repair
+	}
 	for i, sys := range systems {
-		if err := sys.applyRepairBatch(batches[i]); err != nil {
+		sys.mu.Lock()
+		err := sys.repairLocked(affs[i], removed, added)
+		sys.mu.Unlock()
+		if err != nil {
 			errs = append(errs, err)
 		}
 	}

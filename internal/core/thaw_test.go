@@ -81,7 +81,7 @@ func keepLive(t *testing.T, s *System) {
 	defer s.mu.Unlock()
 	ov, err := s.buildOverlay()
 	if err == nil {
-		_, err = s.decide(ov, s.wl)
+		err = s.decide(ov, s.wl)
 	}
 	if err == nil {
 		err = s.eng.Rebuild(ov, nil)
