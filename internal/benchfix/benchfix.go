@@ -55,7 +55,7 @@ func microEngine(alg, mode string, a agg.Aggregate, window agg.Window) (*exec.En
 			return nil, nil, err
 		}
 	}
-	eng, err := exec.New(ov, a, window)
+	eng, err := exec.New(ov.Flatten(), a, window)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -136,7 +136,7 @@ func HubPullEngine() (*exec.Engine, error) {
 			}
 		}
 	}
-	eng, err := exec.New(ov, agg.TopK{K: 3}, agg.NewTupleWindow(4))
+	eng, err := exec.New(ov.Flatten(), agg.TopK{K: 3}, agg.NewTupleWindow(4))
 	if err != nil {
 		return nil, err
 	}
@@ -404,7 +404,7 @@ func ExpiryEngine(T int64) (*exec.Engine, error) {
 	ag := bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes)
 	ov := construct.Baseline(ag)
 	dataflow.DecideAll(ov, overlay.Push)
-	eng, err := exec.New(ov, agg.Sum{}, agg.NewTimeWindow(T))
+	eng, err := exec.New(ov.Flatten(), agg.Sum{}, agg.NewTimeWindow(T))
 	if err != nil {
 		return nil, err
 	}
@@ -517,7 +517,7 @@ func RebuildEngine(nodes int) (*exec.Engine, *overlay.Overlay, error) {
 	if _, err := dataflow.Decide(ov, f, dataflow.ModelFor(agg.Sum{})); err != nil {
 		return nil, nil, err
 	}
-	eng, err := exec.New(ov, agg.Sum{}, agg.NewTupleWindow(1))
+	eng, err := exec.New(ov.Flatten(), agg.Sum{}, agg.NewTupleWindow(1))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -534,7 +534,7 @@ func RunRebuild(b *testing.B, eng *exec.Engine, ov *overlay.Overlay) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := eng.Rebuild(ov, nil); err != nil {
+		if err := eng.Rebuild(ov.Flatten(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

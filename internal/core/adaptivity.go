@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"repro/internal/dataflow"
 	"repro/internal/overlay"
 )
 
@@ -49,59 +50,63 @@ func (s *System) AdaptivityStats() AdaptivityStats {
 	}
 }
 
-// drainObservationsLocked moves the engine's observation window into the
-// adaptor and the cumulative telemetry. Callers hold s.mu.
+// Rebalance drains the engine's observed push/pull counts into the adaptor
+// judging its installed Topology and, when the adaptor flipped frontier
+// decisions (§4.8), installs the Topology it returns, building no live
+// overlay; a system that holds one takes the flips into it, so the next
+// maintained repair starts from them. It returns the number of flips. The
+// adaptor's window closes only on a pass that flipped a node (see
+// dataflow.Adaptor.Rebalance), so a drift too thin to fill a window in one
+// pass is answered once it has filled across passes.
 //
-// A fixed-mode system (all-push or all-pull) keeps the telemetry and feeds
-// the adaptor nothing, which is what keeps the §4.8 scheme off it: an
-// adaptor without observations judges and flips no node. Its
-// decisions are its mode, which decide would restore on the next recompile
-// and Stats reports. All-push is every Continuous query, whose subscribers
-// are covered only while their readers stay push.
-func (s *System) drainObservationsLocked() (pushes, pulls map[overlay.NodeRef]float64) {
-	pushes, pulls = s.eng.Observations()
-	var p, l float64
-	for _, c := range pushes {
-		p += c
-	}
-	for _, c := range pulls {
-		l += c
-	}
-	s.obsPush.Add(int64(p))
-	s.obsPull.Add(int64(l))
-	if s.opts.Mode == ModeDataflow {
-		s.thawLocked()
-		s.adaptor.ObserveBatch(pushes, pulls)
-	}
-	return pushes, pulls
-}
-
-// Rebalance feeds the engine's observed push/pull counts to the adaptive
-// scheme and applies any frontier decision flips (§4.8), installing the new
-// decisions in the engine when flips occurred. It returns the number of
-// flips. The adaptor's window closes only on a pass that flipped a node
-// (see dataflow.Adaptor.Rebalance), so a drift too thin to fill a window in
-// one pass is answered once it has filled across passes.
+// A fixed-mode system keeps the telemetry and builds no adaptor: its
+// decisions are its mode, all-push for every Continuous query, whose
+// subscribers are covered only while their readers stay push.
 //
-// Write and read traffic may keep flowing while Rebalance runs: reads
-// never pause; writes wait for the install step only (exec.Engine.Rebuild
-// seeds push state from the windows under its gate — AdaptivityStats reports
-// how long). Rebalance serializes only with other structural operations
-// (mutations, Reoptimize). A fixed-mode system has nothing to judge and
-// builds no adaptor for it.
+// Reads never pause; writes wait for the install step only
+// (exec.Engine.Rebuild — AdaptivityStats reports how long). Rebalance
+// serializes only with other structural operations (mutations, Reoptimize).
 func (s *System) Rebalance() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.drainObservationsLocked()
-	flips := 0
-	if s.opts.Mode == ModeDataflow {
-		flips = s.adaptor.Rebalance()
+	pushes, pulls := s.eng.Observations()
+	var p, l float64
+	for i := range pushes {
+		p, l = p+pushes[i], l+pulls[i]
 	}
+	s.obsPush.Add(int64(p))
+	s.obsPull.Add(int64(l))
 	s.rebalances.Add(1)
-	s.flips.Add(int64(flips))
 	s.lastRebalanceNano.Store(time.Now().UnixNano())
-	if flips > 0 {
-		return flips, s.eng.Rebuild(s.ov, nil)
+	if s.opts.Mode != ModeDataflow {
+		return 0, nil
+	}
+	a := s.adaptorLocked()
+	a.ObserveBatch(pushes, pulls)
+	top, flips := a.Rebalance()
+	s.flips.Add(int64(flips))
+	if flips == 0 {
+		return 0, nil
+	}
+	s.adaptor = nil // spent
+	if err := s.eng.Rebuild(top, nil); err != nil {
+		return flips, err
+	}
+	if s.ov != nil {
+		for i, d := range top.Dec {
+			s.ov.Node(overlay.NodeRef(i)).Dec = d
+		}
 	}
 	return flips, nil
+}
+
+// adaptorLocked returns the adaptor judging the engine's installed
+// Topology, building it when the system has none or its adaptor judges an
+// earlier one: every install — a flip, a repair, a re-optimization, a
+// recompile — restarts the observation window. Callers hold s.mu.
+func (s *System) adaptorLocked() *dataflow.Adaptor {
+	if top := s.eng.Topology(); s.adaptor == nil || s.adapting != top {
+		s.adaptor, s.adapting = dataflow.NewAdaptor(top, s.cost), top
+	}
+	return s.adaptor
 }

@@ -158,6 +158,77 @@ func TestRepairDeterministic(t *testing.T) {
 	}
 }
 
+// TestFlipSurvivesRepair: Rebalance installs its flips on the engine's
+// Topology, and a system that holds a live overlay takes them into it, so
+// the next maintained repair starts from the flipped decisions. Every slot
+// live on both sides of that repair keeps its decision, or is promoted to
+// push by RepairDecisions, and every read still equals a brute-force sum.
+func TestFlipSurvivesRepair(t *testing.T) {
+	s, replay := repairedIOBFixture(t)
+	if live, _ := holdsLive(s); !live || s.maint == nil {
+		t.Fatal("fixture: the structural runs did not thaw a maintainer")
+	}
+	replay(0)
+	decided := s.eng.Topology()
+	flips, err := s.Rebalance()
+	if err != nil || flips == 0 {
+		t.Fatalf("fixture: Rebalance flipped %d nodes, %v", flips, err)
+	}
+	flipped := s.eng.Topology()
+	var evs []graph.Event
+	for i := range 30 {
+		u, v := graph.NodeID(53*i%600), graph.NodeID((17*i+301)%600)
+		kind := graph.EdgeAdd
+		if out := s.g.Out(u); i%3 == 2 && len(out) > 0 {
+			kind, v = graph.EdgeRemove, out[0]
+		}
+		if u != v {
+			evs = append(evs, graph.Event{Kind: kind, Node: u, Peer: v})
+		}
+	}
+	if _, err := s.multi.Apply(evs, graph.NoAdvance); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.recompiles.Load(); n != 0 {
+		t.Fatalf("the structural run recompiled %d times, want a repair in place", n)
+	}
+	repaired := s.eng.Topology()
+	kept := 0
+	for i := range flipped.N {
+		if flipped.Dead[i] || i >= repaired.N || repaired.Dead[i] {
+			continue
+		}
+		was, now := flipped.Dec[i], repaired.Dec[i]
+		if now != was && (now != overlay.Push || was != overlay.Pull) {
+			t.Fatalf("slot %d was %s after Rebalance and is %s after the repair", i, was, now)
+		}
+		if was != decided.Dec[i] {
+			kept++
+		}
+	}
+	t.Logf("%d flips, %d of them on slots live across the repair", flips, kept)
+	if kept == 0 {
+		t.Fatal("fixture: no flipped slot is live on both sides of the repair")
+	}
+	value := func(v graph.NodeID) int64 { return int64(v)%13 + 1 }
+	var writes []graph.Event
+	for _, v := range s.g.Nodes() {
+		writes = append(writes, graph.Event{Node: v, Value: value(v), TS: 1 << 40})
+	}
+	if _, err := s.multi.Apply(writes, graph.NoAdvance); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range s.g.Nodes() {
+		want := int64(0)
+		for _, u := range s.g.In(v) {
+			want += value(u)
+		}
+		if got, err := s.eng.Read(v); err != nil || got.Scalar != want {
+			t.Fatalf("read(%d) = %+v, %v; brute force %d", v, got, err, want)
+		}
+	}
+}
+
 // TestRebalanceNeverRaisesObservedCost: the frequencies a window observed —
 // writes per writer, reads per reader, propagated through the overlay — are
 // the §4.3 objective the window's flips are supposed to improve. Every
@@ -186,16 +257,17 @@ func neverRaisesObservedCost(t *testing.T, a agg.Aggregate) []int {
 	var all []int
 	for window := 0; window < 8; window++ {
 		replay(window)
-		f, err := dataflow.ComputeFreqs(s.ov, drainWorkload(s), s.windowSizeHint())
+		ov := overlay.Thaw(s.eng.Topology())
+		f, err := dataflow.ComputeFreqs(ov, drainWorkload(s), s.windowSizeHint())
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := dataflow.TotalCost(s.ov, f, s.cost)
+		before := dataflow.TotalCost(ov, f, s.cost)
 		flips, err := s.Rebalance()
 		if err != nil {
 			t.Fatal(err)
 		}
-		after := dataflow.TotalCost(s.ov, f, s.cost)
+		after := dataflow.TotalCost(overlay.Thaw(s.eng.Topology()), f, s.cost)
 		t.Logf("window %d: %d flips, observed cost %.0f -> %.0f", window, flips, before, after)
 		if after > before*(1+1e-9) {
 			t.Fatalf("window %d: %d flips raised the cost under the observed frequencies %.0f -> %.0f",
@@ -219,16 +291,17 @@ func neverRaisesObservedCost(t *testing.T, a agg.Aggregate) []int {
 func drainWorkload(s *System) *dataflow.Workload {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pushes, pulls := s.drainObservationsLocked()
+	pushes, pulls := s.eng.Observations()
+	s.adaptorLocked().ObserveBatch(pushes, pulls)
+	top := s.eng.Topology()
 	wl := dataflow.NewWorkload(s.g.MaxID())
-	for ref, c := range pushes {
-		if n := s.ov.Node(ref); s.ov.Alive(ref) && n.Kind == overlay.WriterNode {
-			wl.Write[n.GID] += c
-		}
-	}
-	for ref, c := range pulls {
-		if n := s.ov.Node(ref); s.ov.Alive(ref) && n.Kind == overlay.ReaderNode {
-			wl.Read[n.GID] += c
+	for ref := range top.N {
+		switch {
+		case top.Dead[ref]:
+		case top.Kind[ref] == overlay.WriterNode:
+			wl.Write[top.GID[ref]] += pushes[ref]
+		case top.Kind[ref] == overlay.ReaderNode:
+			wl.Read[top.GID[ref]] += pulls[ref]
 		}
 	}
 	return wl

@@ -70,7 +70,7 @@ func compileSystem(m *MultiSystem, q Query, opts Options) (*System, error) {
 	if err := s.decide(ov, nil); err != nil {
 		return nil, err
 	}
-	if s.eng, err = exec.New(ov, s.q.Aggregate, s.q.Window); err != nil {
+	if s.eng, err = exec.New(ov.Flatten(), s.q.Aggregate, s.q.Window); err != nil {
 		return nil, err
 	}
 	s.adopt()
@@ -198,29 +198,27 @@ func (s *System) decide(ov *overlay.Overlay, wl *dataflow.Workload) error {
 // at the graph's current version and decided — the system's overlay. The
 // engine's Topology holds all of it, so the live overlay, maintainer and
 // adaptor of the overlay it replaces are dropped, and none is built for the
-// new one until an operation needs it (thawLocked).
+// new one until an operation needs it (thawLocked, adaptorLocked).
 func (s *System) adopt() {
 	s.minedAt, s.pristine = s.g.Version(), true
-	s.ov, s.maint, s.adaptor = nil, nil, nil
+	s.ov, s.maint, s.adaptor, s.adapting = nil, nil, nil, nil
 	// Incremental maintenance requires single-path, negative-edge-free
 	// overlays; when unavailable, structural updates fall back to
 	// recompilation.
 	s.maintainable = construct.Maintainable(s.eng.Topology())
 }
 
-// thawLocked gives the system its live overlay, maintainer and adaptor when
-// they are not built yet: the overlay is a Thaw of the engine's Topology —
-// the installed overlay, slot for slot and in its lineage, so installing it
-// again inherits every cell by slot — and the other two are built over it.
-// Nothing has changed the installed overlay since adopt, so they are what
-// building them at adopt would have made. Callers hold s.mu.
+// thawLocked gives the system its live overlay and maintainer when they are
+// not built yet: the overlay is a Thaw of the engine's Topology — the
+// installed overlay, slot for slot and in its lineage, so installing it
+// again inherits every cell by slot — and the maintainer is built over it.
+// Callers hold s.mu.
 func (s *System) thawLocked() {
 	if s.ov != nil {
 		return
 	}
 	s.thaws++
 	s.ov = overlay.Thaw(s.eng.Topology())
-	s.adaptor = dataflow.NewAdaptor(s.ov, s.cost)
 	if s.maintainable {
 		var err error
 		s.maint, err = construct.NewMaintainer(s.ov)
@@ -242,8 +240,7 @@ func (s *System) Reoptimize(wl *dataflow.Workload) error {
 	if err := s.decide(s.ov, s.wl); err != nil {
 		return err
 	}
-	s.adaptor = dataflow.NewAdaptor(s.ov, s.cost)
-	return s.eng.Rebuild(s.ov, nil)
+	return s.eng.Rebuild(s.ov.Flatten(), nil)
 }
 
 // recompileLocked rebuilds the overlay from scratch (used when incremental
@@ -265,7 +262,7 @@ func (s *System) recompileLocked(skip map[graph.NodeID]bool) error {
 	if err := s.decide(ov, s.wl); err != nil {
 		return err
 	}
-	if err := s.eng.Rebuild(ov, skip); err != nil {
+	if err := s.eng.Rebuild(ov.Flatten(), skip); err != nil {
 		return err
 	}
 	s.adopt()

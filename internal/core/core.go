@@ -6,10 +6,11 @@
 // structural changes to the data graph (§3.3).
 //
 // A compiled query keeps one copy of its overlay at rest: the engine's
-// immutable Topology. The mutable overlay, its incremental maintainer and
-// the adaptor over it exist only in a system that has churned, adapted,
-// re-optimized or changed members since its last compile; the first such
-// operation thaws them from the Topology and they stay from then on.
+// immutable Topology, which the adaptor judges and replaces. The mutable
+// overlay and its incremental maintainer exist only in a system that has
+// churned, re-optimized or changed members since its last compile; the
+// first such operation thaws them from the Topology and they stay from then
+// on.
 package core
 
 import (
@@ -128,20 +129,21 @@ type System struct {
 	eng  *exec.Engine
 	cost dataflow.CostModel
 
-	// ov, maint and adaptor are the live overlay, its incremental
-	// maintainer (nil unless maintainable) and the §4.8 adaptor over it.
-	// Every compile and recompile installs its overlay and drops all three
-	// (adopt); the first operation that needs them builds them from the
-	// engine's Topology (thawLocked) and they stay from then on, so a
-	// session that neither churns nor adapts holds one copy of its
-	// overlay, the engine's. maintainable records whether the installed
-	// overlay admits a maintainer, known without keeping one. thaws counts
-	// the builds. All guarded by mu.
+	// ov and maint are the live overlay and its incremental maintainer (nil
+	// unless maintainable). Every compile and recompile installs its overlay
+	// and drops both (adopt); the first operation that needs them builds
+	// them from the engine's Topology (thawLocked) and they stay from then
+	// on, so a session that does not churn holds one copy of its overlay,
+	// the engine's. maintainable records whether the installed overlay
+	// admits a maintainer, known without keeping one. thaws counts the
+	// builds. adaptor is the §4.8 adaptor judging the Topology adapting
+	// (adaptorLocked). All guarded by mu.
 	ov           *overlay.Overlay
 	maint        *construct.Maintainer
-	adaptor      *dataflow.Adaptor
 	maintainable bool
 	thaws        int
+	adaptor      *dataflow.Adaptor
+	adapting     *overlay.Topology
 
 	// recompiles counts overlay recompiles (recompileLocked): the slow path
 	// structural changes take when the overlay cannot be repaired in place.

@@ -237,10 +237,5 @@ func (s *System) afterMaintenance() error {
 	} else if _, err := dataflow.RepairDecisions(s.ov); err != nil {
 		return err
 	}
-	// The adaptor's per-node arrays are sized for the overlay it was built
-	// from; maintenance may have added nodes (partial splits, merged-family
-	// member insertion), so rebuild it or the next Rebalance would observe
-	// refs it has no slots for.
-	s.adaptor = dataflow.NewAdaptor(s.ov, s.cost)
-	return s.eng.Rebuild(s.ov, nil)
+	return s.eng.Rebuild(s.ov.Flatten(), nil)
 }

@@ -8,23 +8,23 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/construct"
-	"repro/internal/dataflow"
 	"repro/internal/graph"
 	"repro/internal/simtest"
 )
 
-// holdsLive reports whether s holds a live overlay, maintainer or adaptor,
-// and how many times it has built them.
+// holdsLive reports whether s holds a live overlay or maintainer, and how
+// many times it has built them.
 func holdsLive(s *System) (live bool, thaws int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ov != nil || s.maint != nil || s.adaptor != nil, s.thaws
+	return s.ov != nil || s.maint != nil, s.thaws
 }
 
 // TestContentOnlyHoldsNoLiveOverlay: registering, writing, reading,
-// subscribing and asking for statistics leave every system with one copy of
-// its overlay, the engine's Topology — a same-shape sibling's overlay
-// included, which is thawed from the first system's Topology.
+// subscribing, asking for statistics and rebalancing leave every system
+// with one copy of its overlay, the engine's Topology — a same-shape
+// sibling's overlay included, which is thawed from the first system's
+// Topology, and the decisions a Rebalance flips, which it installs on it.
 func TestContentOnlyHoldsNoLiveOverlay(t *testing.T) {
 	g := shapeGraph()
 	m := NewMulti(g)
@@ -55,26 +55,31 @@ func TestContentOnlyHoldsNoLiveOverlay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, a := range atts {
-		for v := range graph.NodeID(g.MaxID()) {
-			if _, err := a.Read(v); err != nil {
-				t.Fatal(err)
+		for range 50 { // read-heavy: readers the 1:1 estimate left pull flip
+			for v := range graph.NodeID(g.MaxID()) {
+				if _, err := a.Read(v); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		_ = a.System().Stats()
 		_ = a.System().AdaptivityStats()
 		_ = a.OwnReaders()
 	}
+	if flips, err := m.Rebalance(); err != nil || flips == 0 {
+		t.Fatalf("fixture: Rebalance flipped %d nodes, %v", flips, err)
+	}
 	for i, sys := range m.Systems() {
 		if live, thaws := holdsLive(sys); live || thaws != 0 {
-			t.Errorf("system %d holds a live overlay, maintainer or adaptor (%d builds)", i, thaws)
+			t.Errorf("system %d holds a live overlay or maintainer (%d builds)", i, thaws)
 		}
 	}
 }
 
 // keepLive makes s, just compiled, hold what a system that is never frozen
 // holds: the overlay construction produced, installed in its engine, with a
-// maintainer and an adaptor built over it. Its first structural run and
-// first Rebalance therefore use that overlay, not a Thaw of a Topology.
+// maintainer built over it. Its first structural run therefore uses that
+// overlay, not a Thaw of a Topology, and its first Rebalance flips it too.
 func keepLive(t *testing.T, s *System) {
 	t.Helper()
 	s.mu.Lock()
@@ -84,12 +89,12 @@ func keepLive(t *testing.T, s *System) {
 		err = s.decide(ov, s.wl)
 	}
 	if err == nil {
-		err = s.eng.Rebuild(ov, nil)
+		err = s.eng.Rebuild(ov.Flatten(), nil)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ov, s.adaptor = ov, dataflow.NewAdaptor(ov, s.cost)
+	s.ov = ov
 	s.maint, _ = construct.NewMaintainer(ov)
 	if (s.maint != nil) != s.maintainable {
 		t.Fatalf("fixture: maintainer %t, maintainable %t", s.maint != nil, s.maintainable)

@@ -388,21 +388,32 @@ func TestAdaptorFlipsFrontier(t *testing.T) {
 	if ov.Node(p).Dec != overlay.Pull {
 		t.Fatalf("setup: p should start pull")
 	}
-	a := NewAdaptor(ov, m)
+	top := ov.Flatten()
+	a := NewAdaptor(top, m)
 	// Workload shifts: p now sees many pulls and few pushes, 72 samples in
 	// all, past the window's 64.
-	a.ObserveBatch(map[overlay.NodeRef]float64{p: 2}, map[overlay.NodeRef]float64{p: 70})
-	flips := a.Rebalance()
+	a.ObserveBatch(slotCounts(top, p, 2), slotCounts(top, p, 70))
+	next, flips := a.Rebalance()
 	if flips != 1 {
 		t.Fatalf("flips = %d, want 1", flips)
 	}
-	if ov.Node(p).Dec != overlay.Push {
-		t.Fatalf("p = %v after rebalance, want push", ov.Node(p).Dec)
+	if next.Dec[p] != overlay.Push || top.Dec[p] != overlay.Pull {
+		t.Fatalf("p = %v after rebalance (%v in the judged Topology), want push (pull)", next.Dec[p], top.Dec[p])
 	}
-	if err := ov.CheckDecisions(); err != nil {
+	if next.Lineage() != top.Lineage() || &next.In[0] != &top.In[0] {
+		t.Fatal("the flipped Topology left the judged one's lineage or edges")
+	}
+	if err := next.CheckDecisions(); err != nil {
 		t.Fatal(err)
 	}
 	_ = r
+}
+
+// slotCounts is a per-slot observation array for top with c at ref.
+func slotCounts(top *overlay.Topology, ref overlay.NodeRef, c float64) []float64 {
+	counts := make([]float64, top.N)
+	counts[ref] = c
+	return counts
 }
 
 func TestAdaptorRespectsMinSamples(t *testing.T) {
@@ -415,9 +426,10 @@ func TestAdaptorRespectsMinSamples(t *testing.T) {
 	if _, err := Decide(ov, f, m); err != nil {
 		t.Fatal(err)
 	}
-	a := NewAdaptor(ov, m)
-	a.ObserveBatch(nil, map[overlay.NodeRef]float64{p: 50}) // below the window's 64 samples
-	if flips := a.Rebalance(); flips != 0 {
+	top := ov.Flatten()
+	a := NewAdaptor(top, m)
+	a.ObserveBatch(nil, slotCounts(top, p, 50)) // below the window's 64 samples
+	if _, flips := a.Rebalance(); flips != 0 {
 		t.Fatalf("flips = %d below minSamples, want 0", flips)
 	}
 }
@@ -433,9 +445,10 @@ func TestAdaptorOnlyFlipsFrontierNodes(t *testing.T) {
 	_ = ov.AddEdge(p1, p2, false)
 	_ = ov.AddEdge(p2, r, false)
 	DecideAll(ov, overlay.Pull)
-	a := NewAdaptor(ov, ConstLinear{})
-	a.ObserveBatch(nil, map[overlay.NodeRef]float64{p2: 100}) // a full window
-	if flips := a.Rebalance(); flips != 0 {
+	top := ov.Flatten()
+	a := NewAdaptor(top, ConstLinear{})
+	a.ObserveBatch(nil, slotCounts(top, p2, 100)) // a full window
+	if _, flips := a.Rebalance(); flips != 0 {
 		t.Fatalf("p2 flipped despite pull input p1: %d flips", flips)
 	}
 }

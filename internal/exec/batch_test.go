@@ -184,7 +184,7 @@ func TestWriteBatchCoalescedMatchesPerEvent(t *testing.T) {
 					if _, sel := a.(agg.SelectAggregate); sel && shape == "neg" {
 						// A selection has no inverse: the engine refuses
 						// the overlay (TestSelectRefusesNegativeEdges).
-						if _, err := New(batchOverlay(t, shape, allPush), a, window()); err == nil {
+						if _, err := New(batchOverlay(t, shape, allPush).Flatten(), a, window()); err == nil {
 							t.Fatalf("New accepted %s over negative edges", spec)
 						}
 						return
@@ -206,11 +206,11 @@ func TestWriteBatchCoalescedMatchesPerEvent(t *testing.T) {
 						}
 						ovB := batchOverlay(t, shape, dec)
 						ovW := ovB.Clone()
-						batched, err := New(ovB, a, window())
+						batched, err := New(ovB.Flatten(), a, window())
 						if err != nil {
 							t.Fatal(err)
 						}
-						single, err := New(ovW, a, window())
+						single, err := New(ovW.Flatten(), a, window())
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -300,7 +300,7 @@ func TestWriteBatchCoalescingUnderRebuild(t *testing.T) {
 					t.Fatal(err)
 				}
 				ov := batchOverlay(t, shape, allPush)
-				e, err := New(ov, a, agg.NewTupleWindow(4))
+				e, err := New(ov.Flatten(), a, agg.NewTupleWindow(4))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -350,7 +350,7 @@ func TestWriteBatchCoalescingUnderRebuild(t *testing.T) {
 						}
 					}
 					start.Store(true)
-					if err := e.Rebuild(ov, nil); err != nil {
+					if err := e.Rebuild(ov.Flatten(), nil); err != nil {
 						t.Fatal(err)
 					}
 					wg.Wait()
@@ -417,7 +417,7 @@ func TestWriteBatchSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := New(batchOverlay(t, "dup", allPush), a, agg.NewTupleWindow(4))
+			e, err := New(batchOverlay(t, "dup", allPush).Flatten(), a, agg.NewTupleWindow(4))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,7 +25,7 @@ func starEngine(t *testing.T, n int) *Engine {
 	ag := bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes)
 	ov := construct.Baseline(ag)
 	dataflow.DecideAll(ov, overlay.Push)
-	eng, err := New(ov, agg.Sum{}, agg.NewTupleWindow(1))
+	eng, err := New(ov.Flatten(), agg.Sum{}, agg.NewTupleWindow(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestCovered(t *testing.T) {
 	ag := bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes)
 	ov := construct.Baseline(ag)
 	dataflow.DecideAll(ov, overlay.Pull)
-	pull, err := New(ov, agg.Sum{}, agg.NewTupleWindow(1))
+	pull, err := New(ov.Flatten(), agg.Sum{}, agg.NewTupleWindow(1))
 	if err != nil {
 		t.Fatal(err)
 	}

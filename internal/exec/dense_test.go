@@ -19,7 +19,7 @@ func TestPlanDenseLookup(t *testing.T) {
 	outside := []graph.NodeID{-1, math.MinInt32, 7, 1000, math.MaxInt32}
 
 	single := construct.Baseline(paperAG())
-	p := compilePlan(single)
+	p := compilePlan(single.Flatten())
 	for v := graph.NodeID(0); v < 7; v++ {
 		if got, want := p.writer(v), single.Writer(v); got != want {
 			t.Errorf("single: writer(%d) = %d, overlay says %d", v, got, want)
@@ -43,7 +43,7 @@ func TestPlanDenseLookup(t *testing.T) {
 		map[graph.NodeID][]graph.NodeID{0: {1, 2}, 1: {0, 2, 3}, 2: {4, 5}},
 		map[graph.NodeID][]graph.NodeID{0: {1, 5}, 3: {0, 1, 2}},
 	))
-	p = compilePlan(merged)
+	p = compilePlan(merged.Flatten())
 	for tag, nodes := range map[int32][]graph.NodeID{0: {0, 1, 2}, 1: {0, 3}} {
 		for _, v := range nodes {
 			want := merged.Reader(tag, v)
@@ -91,7 +91,7 @@ func TestHolisticSteadyStateAllocs(t *testing.T) {
 		for _, mode := range []string{"push", "pull"} {
 			ov := construct.Baseline(paperAG())
 			decide(t, ov, mode)
-			e, err := New(ov, a, agg.NewTupleWindow(3))
+			e, err := New(ov.Flatten(), a, agg.NewTupleWindow(3))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,9 +6,9 @@
 //
 // # Compiled plans
 //
-// At New (and again at every Rebuild), the engine flattens the overlay into
-// an immutable compiled plan: a CSR-style topology snapshot
-// (contiguous []int32 edge arrays with sign bits, see overlay.Topology)
+// At New (and again at every Rebuild), the engine compiles an overlay's
+// Topology — a CSR-style snapshot with contiguous []int32 edge arrays and
+// sign bits — into an immutable plan: the Topology
 // plus, for every writer, the precomputed push-region application list —
 // the exact multiset of (node, sign) visits a breadth-first propagation
 // from that writer would perform. The hot paths therefore never walk the
@@ -51,12 +51,10 @@
 // Reads are never gated: one that began on an older snapshot finishes on it,
 // and every snapshot a reader can observe is internally consistent.
 //
-// The overlay itself must not be mutated concurrently with the call that
-// flattens it, and the engine keeps no reference to it: the plan's Topology
-// is all the engine holds of an overlay, and a caller that needs the mutable
-// overlay back thaws it from there (overlay.Thaw). Whether a Rebuild carries
-// cells over by slot or by writer id is the overlay's lineage, which
-// Flatten, Thaw and Clone carry.
+// The plan's Topology is all the engine holds of an overlay, and a caller
+// that needs the mutable overlay back thaws it from there (overlay.Thaw).
+// Whether a Rebuild carries cells over by slot or by writer id is the
+// Topology's lineage, which Flatten, Thaw, Clone and WithDecisions carry.
 //
 // # One write body
 //
@@ -91,11 +89,9 @@ import (
 // ingest raw values at writer nodes and propagate deltas through the push
 // region; reads merge push-side PAOs and compute pull subtrees on demand.
 //
-// All public methods are safe for concurrent use, with one structural
-// caveat: the overlay handed to New or Rebuild must not be mutated
-// concurrently with the Rebuild call that flattens it. Apply and Read traffic
-// may flow freely meanwhile; a Rebuild holds writes and expiries back for its
-// install step only, and reads never.
+// All public methods are safe for concurrent use. Apply and Read traffic
+// may flow freely during a Rebuild, which holds writes and expiries back for
+// its install step only, and reads never.
 type Engine struct {
 	agg    agg.Aggregate
 	scalar agg.ScalarAggregate // non-nil enables the atomic fast path
@@ -324,14 +320,14 @@ func (st *engineState) memoCounts() (hits, misses int64) {
 	return hits, misses
 }
 
-// New compiles an engine for the overlay. window is cloned per writer; nil
-// means a most-recent-value window (c = 1, as in the paper's running
-// example).
-func New(ov *overlay.Overlay, a agg.Aggregate, window agg.Window) (*Engine, error) {
+// New compiles an engine for an overlay's Topology. window is cloned per
+// writer; nil means a most-recent-value window (c = 1, as in the paper's
+// running example).
+func New(top *overlay.Topology, a agg.Aggregate, window agg.Window) (*Engine, error) {
 	if window == nil {
 		window = agg.NewTupleWindow(1)
 	}
-	if err := ov.CheckDecisions(); err != nil {
+	if err := top.CheckDecisions(); err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
 	}
 	e := &Engine{agg: a, window: window}
@@ -343,7 +339,7 @@ func New(ov *overlay.Overlay, a agg.Aggregate, window agg.Window) (*Engine, erro
 		}
 		e.sel = sa
 	}
-	pl := compilePlan(ov)
+	pl := compilePlan(top)
 	if err := e.checkPlan(pl); err != nil {
 		return nil, err
 	}
@@ -1040,8 +1036,9 @@ func (e *Engine) PullMemoStats() (hits, misses int64) {
 }
 
 // Observations drains the per-node push/pull counters accumulated since the
-// last call, for feeding the adaptive scheme: per node, the writes and push
-// walks that reached it and the reads whose evaluation visited it. Safe for
+// last call, for feeding the adaptive scheme: per slot of the installed
+// Topology (Topology().N entries each), the writes and push walks that
+// reached it and the reads whose evaluation visited it. Safe for
 // concurrent use. The counts are expanded through the current plan under the
 // shared gate (fold), and a Rebuild folds the outgoing snapshot's under its
 // exclusive hold, so every walk and read is expanded by the plan it ran on —
@@ -1051,20 +1048,16 @@ func (e *Engine) PullMemoStats() (hits, misses int64) {
 // reader's cell by a recompile). Folded counts live in the cells a Rebuild
 // carries over, so no other observation is lost across an install on the
 // same overlay (a recompiled overlay's non-writer slots start from zero).
-func (e *Engine) Observations() (pushes, pulls map[overlay.NodeRef]float64) {
+func (e *Engine) Observations() (pushes, pulls []float64) {
 	e.gate.RLock()
 	defer e.gate.RUnlock()
 	st := e.state.Load()
 	st.fold()
-	pushes = make(map[overlay.NodeRef]float64)
-	pulls = make(map[overlay.NodeRef]float64)
+	pushes = make([]float64, len(st.nodes))
+	pulls = make([]float64, len(st.nodes))
 	for i, ns := range st.nodes {
-		if v := ns.pushObs.Swap(0); v != 0 {
-			pushes[overlay.NodeRef(i)] = float64(v)
-		}
-		if v := ns.pullObs.Swap(0); v != 0 {
-			pulls[overlay.NodeRef(i)] = float64(v)
-		}
+		pushes[i] = float64(ns.pushObs.Swap(0))
+		pulls[i] = float64(ns.pullObs.Swap(0))
 	}
 	return pushes, pulls
 }

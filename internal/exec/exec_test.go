@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -79,7 +80,7 @@ func TestPaperExampleSums(t *testing.T) {
 				ov = res.Overlay
 			}
 			decide(t, ov, mode)
-			e, err := New(ov, agg.Sum{}, agg.NewTupleWindow(1))
+			e, err := New(ov.Flatten(), agg.Sum{}, agg.NewTupleWindow(1))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", alg, mode, err)
 			}
@@ -182,7 +183,7 @@ func runOracleTrial(t *testing.T, rng *rand.Rand, ag *bipartite.AG, a agg.Aggreg
 	}
 	decide(t, ov, mode)
 	const window = 3
-	e, err := New(ov, a, agg.NewTupleWindow(window))
+	e, err := New(ov.Flatten(), a, agg.NewTupleWindow(window))
 	if err != nil {
 		t.Fatalf("%s/%s/%s: %v", a.Name(), alg, mode, err)
 	}
@@ -213,7 +214,7 @@ func TestTimeWindowExpiryPropagates(t *testing.T) {
 	ag := paperAG()
 	ov := construct.Baseline(ag)
 	decide(t, ov, "push")
-	e, err := New(ov, agg.Sum{}, agg.NewTimeWindow(10))
+	e, err := New(ov.Flatten(), agg.Sum{}, agg.NewTimeWindow(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestConcurrentWritesAndReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	decide(t, res.Overlay, "optimal")
-	e, err := New(res.Overlay, agg.Sum{}, agg.NewTupleWindow(1))
+	e, err := New(res.Overlay.Flatten(), agg.Sum{}, agg.NewTupleWindow(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestRebuildAfterDecisionFlip(t *testing.T) {
 	ag := paperAG()
 	ov := construct.Baseline(ag)
 	decide(t, ov, "pull")
-	e, err := New(ov, agg.Sum{}, agg.NewTupleWindow(1))
+	e, err := New(ov.Flatten(), agg.Sum{}, agg.NewTupleWindow(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestRebuildAfterDecisionFlip(t *testing.T) {
 	}
 	// Flip everything to push (as an adaptive rebalance might) and install.
 	dataflow.DecideAll(ov, overlay.Push)
-	if err := e.Rebuild(ov, nil); err != nil {
+	if err := e.Rebuild(ov.Flatten(), nil); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := e.Read(6)
@@ -326,21 +327,24 @@ func TestObservationsDrain(t *testing.T) {
 	ag := paperAG()
 	ov := construct.Baseline(ag)
 	decide(t, ov, "optimal")
-	e, err := New(ov, agg.Sum{}, nil)
+	e, err := New(ov.Flatten(), agg.Sum{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = e.Write(0, 1, 0)
 	_, _ = e.Read(4)
 	pushes, pulls := e.Observations()
-	if len(pushes) == 0 {
+	if len(pushes) != e.Topology().N || len(pulls) != e.Topology().N {
+		t.Fatalf("%d push and %d pull slots, want %d each", len(pushes), len(pulls), e.Topology().N)
+	}
+	if slices.Max(pushes) == 0 {
 		t.Fatal("no push observations")
 	}
-	if len(pulls) == 0 {
+	if slices.Max(pulls) == 0 {
 		t.Fatal("no pull observations")
 	}
 	pushes, pulls = e.Observations()
-	if len(pushes) != 0 || len(pulls) != 0 {
+	if slices.Max(pushes) != 0 || slices.Max(pulls) != 0 {
 		t.Fatal("observations not drained")
 	}
 }
@@ -349,7 +353,7 @@ func TestWriteUnknownNode(t *testing.T) {
 	ag := paperAG()
 	ov := construct.Baseline(ag)
 	decide(t, ov, "push")
-	e, err := New(ov, agg.Sum{}, nil)
+	e, err := New(ov.Flatten(), agg.Sum{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +387,7 @@ func TestNegativeEdgeExecution(t *testing.T) {
 	_ = ov.AddEdge(wb, r11, true)
 	for _, mode := range []string{"push", "pull"} {
 		decide(t, ov, mode)
-		e, err := New(ov, agg.Sum{}, agg.NewTupleWindow(1))
+		e, err := New(ov.Flatten(), agg.Sum{}, agg.NewTupleWindow(1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,7 @@ func expiryPair(t *testing.T, T int64) (*Engine, *Engine) {
 	mk := func() *Engine {
 		ov := construct.Baseline(paperAG())
 		decide(t, ov, "push")
-		e, err := New(ov, agg.Sum{}, agg.NewTimeWindow(T))
+		e, err := New(ov.Flatten(), agg.Sum{}, agg.NewTimeWindow(T))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestExpireAllOneUpdatePerReaderPerAdvance(t *testing.T) {
 			}
 			ov := construct.Baseline(bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes))
 			decide(t, ov, "push")
-			eng, err := New(ov, a, agg.NewTimeWindow(10))
+			eng, err := New(ov.Flatten(), a, agg.NewTimeWindow(10))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -287,7 +287,7 @@ func TestExpireHeapSaturatedWatermarks(t *testing.T) {
 func TestTupleWindowsNeverEnterExpiryHeap(t *testing.T) {
 	ov := construct.Baseline(paperAG())
 	decide(t, ov, "push")
-	e, err := New(ov, agg.Sum{}, agg.NewTupleWindow(3))
+	e, err := New(ov.Flatten(), agg.Sum{}, agg.NewTupleWindow(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestAdvanceCancelsWhatItExpires(t *testing.T) {
 	mk := func() *Engine {
 		ov := construct.Baseline(paperAG())
 		decide(t, ov, "push")
-		e, err := New(ov, tally{}, agg.NewTimeWindow(10))
+		e, err := New(ov.Flatten(), tally{}, agg.NewTimeWindow(10))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -201,9 +201,16 @@ func (vc *visitCount) rebind(old, next *engineState, sameOverlay bool) {
 	vc.push, vc.pull = carry(vc.push), carry(vc.pull)
 }
 
-// drain returns the counts since the last drain, like Observations.
-func (vc *visitCount) drain() (pushes, pulls map[overlay.NodeRef]float64) {
-	pushes, pulls = vc.push, vc.pull
+// drain returns the counts since the last drain like Observations, as
+// arrays of n slots.
+func (vc *visitCount) drain(n int) (pushes, pulls []float64) {
+	pushes, pulls = make([]float64, n), make([]float64, n)
+	for ref, c := range vc.push {
+		pushes[ref] = c
+	}
+	for ref, c := range vc.pull {
+		pulls[ref] = c
+	}
 	vc.push, vc.pull = map[overlay.NodeRef]float64{}, map[overlay.NodeRef]float64{}
 	return pushes, pulls
 }

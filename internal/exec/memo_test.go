@@ -145,7 +145,7 @@ func TestPullMemoMatchesRecompute(t *testing.T) {
 						return randomDupOverlay(t, rng, dec)
 					}
 					ov := shape()
-					e, err := New(ov, a, window())
+					e, err := New(ov.Flatten(), a, window())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -170,7 +170,7 @@ func TestPullMemoMatchesRecompute(t *testing.T) {
 
 					before, _ := e.PullMemoStats()
 					decideEach(t, ov, dec)
-					if err := e.Rebuild(ov, nil); err != nil {
+					if err := e.Rebuild(ov.Flatten(), nil); err != nil {
 						t.Fatal(err)
 					}
 					if h, _ := e.PullMemoStats(); h != before {
@@ -180,7 +180,7 @@ func TestPullMemoMatchesRecompute(t *testing.T) {
 					batch("batch after the in-place Rebuild")
 
 					ov = shape()
-					if err := e.Rebuild(ov, nil); err != nil {
+					if err := e.Rebuild(ov.Flatten(), nil); err != nil {
 						t.Fatal(err)
 					}
 					mc.compare(t, e, fmt.Sprintf("seed %d after a recompile", seed))
@@ -222,7 +222,7 @@ func TestPullMemoUnderConcurrentApply(t *testing.T) {
 		return ov
 	}
 	ov := build()
-	e, err := New(ov, a, agg.NewTupleWindow(4))
+	e, err := New(ov.Flatten(), a, agg.NewTupleWindow(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestPullMemoUnderConcurrentApply(t *testing.T) {
 			ov.Node(ov.Reader(0, 101)).Dec = overlay.Pull
 		}
 		start.Store(true)
-		if err := e.Rebuild(next, nil); err != nil {
+		if err := e.Rebuild(next.Flatten(), nil); err != nil {
 			t.Fatal(err)
 		}
 		ov = next

@@ -25,7 +25,7 @@ func notifyEngine(t *testing.T, a agg.Aggregate) *Engine {
 	ag := bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes)
 	ov := construct.Baseline(ag)
 	dataflow.DecideAll(ov, overlay.Push)
-	eng, err := New(ov, a, agg.NewTupleWindow(1))
+	eng, err := New(ov.Flatten(), a, agg.NewTupleWindow(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestExpiryNotifies(t *testing.T) {
 	ag := bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes)
 	ov := construct.Baseline(ag)
 	dataflow.DecideAll(ov, overlay.Push)
-	eng, err := New(ov, agg.Sum{}, agg.NewTimeWindow(10))
+	eng, err := New(ov.Flatten(), agg.Sum{}, agg.NewTimeWindow(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestCancelledPathDoesNotNotify(t *testing.T) {
 		}
 	}
 	dataflow.DecideAll(ov, overlay.Push)
-	eng, err := New(ov, agg.Sum{}, agg.NewTupleWindow(1))
+	eng, err := New(ov.Flatten(), agg.Sum{}, agg.NewTupleWindow(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,7 +167,7 @@ func TestObservationsMatchVisitCount(t *testing.T) {
 						rng := rand.New(rand.NewSource(seed))
 						ag := obsAG(rng, sh.merged)
 						ov := obsOverlay(t, rng, sh.alg, ag)
-						e, err := New(ov, a, window())
+						e, err := New(ov.Flatten(), a, window())
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -193,7 +193,7 @@ func TestObservationsMatchVisitCount(t *testing.T) {
 						compare := func(step int) {
 							t.Helper()
 							gotPush, gotPull := e.Observations()
-							wantPush, wantPull := vc.drain()
+							wantPush, wantPull := vc.drain(e.Topology().N)
 							if !reflect.DeepEqual(gotPush, wantPush) || !reflect.DeepEqual(gotPull, wantPull) {
 								t.Fatalf("seed %d step %d: observations diverged\ndrained pushes %v\nvisits  pushes %v\ndrained pulls  %v\nvisits  pulls  %v",
 									seed, step, gotPush, wantPush, gotPull, wantPull)
@@ -251,7 +251,7 @@ func TestObservationsMatchVisitCount(t *testing.T) {
 								// before the install is expanded by the old plan.
 								old := e.state.Load()
 								decideEach(t, ov, randomDecisions(rng))
-								if err := e.Rebuild(ov, nil); err != nil {
+								if err := e.Rebuild(ov.Flatten(), nil); err != nil {
 									t.Fatal(err)
 								}
 								vc.rebind(old, e.state.Load(), true)
@@ -264,7 +264,7 @@ func TestObservationsMatchVisitCount(t *testing.T) {
 									alg = "baseline"
 								}
 								ov = obsOverlay(t, rng, alg, ag)
-								if err := e.Rebuild(ov, nil); err != nil {
+								if err := e.Rebuild(ov.Flatten(), nil); err != nil {
 									t.Fatal(err)
 								}
 								vc.rebind(old, e.state.Load(), false)
@@ -313,7 +313,7 @@ func TestSelectCellNeverTorn(t *testing.T) {
 		} {
 			t.Run(a.Name()+"/"+wname, func(t *testing.T) {
 				ov := batchOverlay(t, "dup", dec())
-				e, err := New(ov, a, window())
+				e, err := New(ov.Flatten(), a, window())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -75,9 +75,8 @@ type readerTouch struct {
 	tag int32
 }
 
-// compilePlan flattens the overlay and precomputes per-writer push closures.
-func compilePlan(ov *overlay.Overlay) *plan {
-	top := ov.Flatten()
+// compilePlan precomputes top's per-writer push closures.
+func compilePlan(top *overlay.Topology) *plan {
 	p := &plan{
 		top:            top,
 		closureOff:     make([]int32, top.N+1),

@@ -110,7 +110,7 @@ func TestCompiledPlanCSR(t *testing.T) {
 
 	for _, s := range shapes {
 		t.Run(s.name, func(t *testing.T) {
-			p := compilePlan(s.ov)
+			p := compilePlan(s.ov.Flatten())
 			top := p.top
 			for name, fl := range map[string][2]int{
 				"closureOff":     {len(p.closureOff), cap(p.closureOff)},

@@ -157,10 +157,10 @@ func TestPullKernelMatchesArena(t *testing.T) {
 						ov = randomDupOverlay(t, rng, dec)
 					}
 					tw := &pullTwins{a: a}
-					if tw.kern, err = New(ov, a, window()); err != nil {
+					if tw.kern, err = New(ov.Flatten(), a, window()); err != nil {
 						t.Fatal(err)
 					}
-					if tw.ref, err = New(ov.Clone(), a, window()); err != nil {
+					if tw.ref, err = New(ov.Clone().Flatten(), a, window()); err != nil {
 						t.Fatal(err)
 					}
 					var ts int64
@@ -218,7 +218,7 @@ func testPullKernelUnderRebuild(t *testing.T) {
 	}
 	a := agg.Max{}
 	ov := batchOverlay(t, "dup", allPush)
-	e, err := New(ov, a, agg.NewTupleWindow(4))
+	e, err := New(ov.Flatten(), a, agg.NewTupleWindow(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func testPullKernelUnderRebuild(t *testing.T) {
 			}
 		}
 		start.Store(true)
-		if err := e.Rebuild(ov, nil); err != nil {
+		if err := e.Rebuild(ov.Flatten(), nil); err != nil {
 			t.Fatal(err)
 		}
 		stop.Store(true)
@@ -297,11 +297,11 @@ func testPullKernelUnderRebuild(t *testing.T) {
 // Rebuild changes nothing.
 func TestSelectRefusesNegativeEdges(t *testing.T) {
 	for _, a := range []agg.Aggregate{agg.Max{}, agg.Min{}} {
-		if _, err := New(batchOverlay(t, "neg", allPush), a, nil); err == nil {
+		if _, err := New(batchOverlay(t, "neg", allPush).Flatten(), a, nil); err == nil {
 			t.Fatalf("%s: New accepted an overlay with negative edges", a.Name())
 		}
 		ov := batchOverlay(t, "dup", allPush)
-		e, err := New(ov, a, agg.NewTupleWindow(4))
+		e, err := New(ov.Flatten(), a, agg.NewTupleWindow(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +313,7 @@ func TestSelectRefusesNegativeEdges(t *testing.T) {
 			before = append(before, r)
 		}
 		st, installs := e.state.Load(), e.installs.Load()
-		if err := e.Rebuild(batchOverlay(t, "neg", allPush), nil); err == nil {
+		if err := e.Rebuild(batchOverlay(t, "neg", allPush).Flatten(), nil); err == nil {
 			t.Fatalf("%s: Rebuild accepted an overlay with negative edges", a.Name())
 		}
 		if e.state.Load() != st || e.installs.Load() != installs || e.Topology().Lineage() != ov.Lineage() {
@@ -336,15 +336,15 @@ func TestPullSelectWireMergesExactly(t *testing.T) {
 	for _, a := range []agg.Aggregate{agg.Max{}, agg.Min{}} {
 		for seed := int64(1); seed <= 20; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			pushShard, err := New(batchOverlay(t, "dup", allPush), a, agg.NewTupleWindow(4))
+			pushShard, err := New(batchOverlay(t, "dup", allPush).Flatten(), a, agg.NewTupleWindow(4))
 			if err != nil {
 				t.Fatal(err)
 			}
-			pullShard, err := New(batchOverlay(t, "dup", allPull), a, agg.NewTupleWindow(4))
+			pullShard, err := New(batchOverlay(t, "dup", allPull).Flatten(), a, agg.NewTupleWindow(4))
 			if err != nil {
 				t.Fatal(err)
 			}
-			single, err := New(batchOverlay(t, "dup", allPush), a, agg.NewTupleWindow(4))
+			single, err := New(batchOverlay(t, "dup", allPush).Flatten(), a, agg.NewTupleWindow(4))
 			if err != nil {
 				t.Fatal(err)
 			}

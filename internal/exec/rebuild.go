@@ -9,23 +9,23 @@ import (
 	"repro/internal/overlay"
 )
 
-// Rebuild is the one way an engine's snapshot changes after New: ov — the
-// overlay already installed (or a Thaw of its Topology), repaired or
-// re-decided in place, or a different overlay for the same query (a
-// recompile) — becomes what the engine executes. Its decisions are already
-// made.
+// Rebuild is the one way an engine's snapshot changes after New: top — the
+// installed Topology with new decisions (WithDecisions), or the Flatten of
+// an overlay repaired or re-decided in place or of a different overlay for
+// the same query (a recompile) — becomes what the engine executes. Its
+// decisions are already made.
 //
 // Prepared with traffic flowing: the plan is compiled, the snapshot laid out
 // and every live subscription re-resolved against the new plan (a node that
 // has no reader there drops out of its subscription's coverage until a later
 // Rebuild brings the reader back). Cells are inherited
 //
-//   - by slot when ov continues the lineage of the installed snapshot
-//     (overlay.Overlay.Lineage): no overlay mutation reuses a slot — a
+//   - by slot when top continues the lineage of the installed snapshot
+//     (overlay.Topology.Lineage): no overlay mutation reuses a slot — a
 //     removed node's slot is retired, a re-added id opens a new one — so
 //     slot i carries on as slot i with its mutex, observation counters,
 //     window and, in PAO mode, writer PAO, and skip is not consulted;
-//   - by data-graph id otherwise, writers only: a writer of ov that the
+//   - by data-graph id otherwise, writers only: a writer of top that the
 //     previous overlay also had keeps its mutex, observation counters, window
 //     and writer PAO at its new slot, except the ids in skip (nodes the caller
 //     deleted, possibly since reused), which start empty like any new writer,
@@ -37,23 +37,22 @@ import (
 // engine's; push state — fresh cells no other snapshot references, pull memos
 // empty — is seeded from the windows, the expiry index is re-seeded
 // from their deadlines, and the subscriber table and snapshot are
-// published. The engine keeps no reference to ov. Every write is therefore either inside a carried window or
+// published. Every write is therefore either inside a carried window or
 // applied to the new snapshot, and nothing slot-indexed straddles the change.
 // Reads are not held back: one that began on the previous snapshot finishes
-// on it, against value state the install never touches. ov must not be
-// mutated during the call. On error nothing changed.
-func (e *Engine) Rebuild(ov *overlay.Overlay, skip map[graph.NodeID]bool) error {
-	if err := ov.CheckDecisions(); err != nil {
+// on it, against value state the install never touches. On error nothing
+// changed.
+func (e *Engine) Rebuild(top *overlay.Topology, skip map[graph.NodeID]bool) error {
+	if err := top.CheckDecisions(); err != nil {
 		return fmt.Errorf("exec: %w", err)
 	}
 	e.rebuildMu.Lock()
 	defer e.rebuildMu.Unlock()
 	old := e.state.Load()
-	pl := compilePlan(ov)
+	pl := compilePlan(top)
 	if err := e.checkPlan(pl); err != nil {
 		return err
 	}
-	top := pl.top
 	inherit := func(i int) overlay.NodeRef {
 		if i < len(old.nodes) {
 			return overlay.NodeRef(i)

@@ -77,7 +77,7 @@ func TestRebuildUnderStorm(t *testing.T) {
 			if flip == overlay.NoNode {
 				t.Fatal("reader 6 not in overlay")
 			}
-			e, err := New(ov, tc.a, agg.NewTupleWindow(1))
+			e, err := New(ov.Flatten(), tc.a, agg.NewTupleWindow(1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +127,7 @@ func TestRebuildUnderStorm(t *testing.T) {
 				} else {
 					ov.Node(flip).Dec = overlay.Push
 				}
-				if err := e.Rebuild(ov, nil); err != nil {
+				if err := e.Rebuild(ov.Flatten(), nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -158,7 +158,7 @@ func TestReadIntoReusesBuffer(t *testing.T) {
 	ag := paperAG()
 	ov := construct.Baseline(ag)
 	decide(t, ov, "pull")
-	e, err := New(ov, agg.TopK{K: 2}, agg.NewTupleWindow(2))
+	e, err := New(ov.Flatten(), agg.TopK{K: 2}, agg.NewTupleWindow(2))
 	if err != nil {
 		t.Fatal(err)
 	}

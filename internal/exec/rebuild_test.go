@@ -28,7 +28,7 @@ func TestRebuildCarriesCellsByGraphID(t *testing.T) {
 		t.Run(a.Name(), func(t *testing.T) {
 			ov := construct.Baseline(paperAG())
 			dataflow.DecideAll(ov, overlay.Push)
-			e, err := New(ov, a, agg.NewTimeWindow(100))
+			e, err := New(ov.Flatten(), a, agg.NewTimeWindow(100))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +55,7 @@ func TestRebuildCarriesCellsByGraphID(t *testing.T) {
 				t.Fatal(err)
 			}
 			dataflow.DecideAll(res.Overlay, overlay.Push)
-			if err := e.Rebuild(res.Overlay, map[graph.NodeID]bool{5: true}); err != nil {
+			if err := e.Rebuild(res.Overlay.Flatten(), map[graph.NodeID]bool{5: true}); err != nil {
 				t.Fatal(err)
 			}
 			delete(content, 5) // skipped: its window must not survive
@@ -115,16 +115,16 @@ func TestRebuildCarriesCellsByGraphID(t *testing.T) {
 // clone of the window the engine was built with, so on a time window its
 // values expire at the next advance past their deadline.
 func TestRebuildKeepsEngineWindow(t *testing.T) {
-	overlayOf := func(lists map[graph.NodeID][]graph.NodeID) *overlay.Overlay {
+	topologyOf := func(lists map[graph.NodeID][]graph.NodeID) *overlay.Topology {
 		ov := construct.Baseline(bipartite.FromInputLists(lists))
 		dataflow.DecideAll(ov, overlay.Push)
-		return ov
+		return ov.Flatten()
 	}
-	e, err := New(overlayOf(map[graph.NodeID][]graph.NodeID{0: {1}}), agg.Sum{}, agg.NewTimeWindow(10))
+	e, err := New(topologyOf(map[graph.NodeID][]graph.NodeID{0: {1}}), agg.Sum{}, agg.NewTimeWindow(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Rebuild(overlayOf(map[graph.NodeID][]graph.NodeID{0: {1, 2}}), nil); err != nil {
+	if err := e.Rebuild(topologyOf(map[graph.NodeID][]graph.NodeID{0: {1, 2}}), nil); err != nil {
 		t.Fatal(err)
 	}
 	e.Apply([]graph.Event{{Kind: graph.ContentWrite, Node: 2, Value: 5, TS: 1}}, graph.NoAdvance)
@@ -143,12 +143,12 @@ func TestRebuildReattachesSubscriptionAfterReaderLoss(t *testing.T) {
 	const v = graph.NodeID(9)
 	with := map[graph.NodeID][]graph.NodeID{8: {0, 1}, v: {1}}
 	without := map[graph.NodeID][]graph.NodeID{8: {0, 1}}
-	overlayOf := func(lists map[graph.NodeID][]graph.NodeID) *overlay.Overlay {
+	topologyOf := func(lists map[graph.NodeID][]graph.NodeID) *overlay.Topology {
 		ov := construct.Baseline(bipartite.FromInputLists(lists))
 		dataflow.DecideAll(ov, overlay.Push)
-		return ov
+		return ov.Flatten()
 	}
-	e, err := New(overlayOf(with), agg.Sum{}, agg.NewTupleWindow(4))
+	e, err := New(topologyOf(with), agg.Sum{}, agg.NewTupleWindow(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestRebuildReattachesSubscriptionAfterReaderLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	for step, lists := range []map[graph.NodeID][]graph.NodeID{without, with} {
-		if err := e.Rebuild(overlayOf(lists), nil); err != nil {
+		if err := e.Rebuild(topologyOf(lists), nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := e.Subscribers(); got != 1 {
@@ -187,12 +187,12 @@ func TestRebuildUnpublishesUncoveredTable(t *testing.T) {
 	const v = graph.NodeID(9)
 	with := map[graph.NodeID][]graph.NodeID{8: {0, 1}, v: {1}}
 	without := map[graph.NodeID][]graph.NodeID{8: {0, 1}}
-	overlayOf := func(lists map[graph.NodeID][]graph.NodeID) *overlay.Overlay {
+	topologyOf := func(lists map[graph.NodeID][]graph.NodeID) *overlay.Topology {
 		ov := construct.Baseline(bipartite.FromInputLists(lists))
 		dataflow.DecideAll(ov, overlay.Push)
-		return ov
+		return ov.Flatten()
 	}
-	e, err := New(overlayOf(with), agg.Sum{}, nil)
+	e, err := New(topologyOf(with), agg.Sum{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +201,13 @@ func TestRebuildUnpublishesUncoveredTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Unsubscribe(sub)
-	if err := e.Rebuild(overlayOf(without), nil); err != nil {
+	if err := e.Rebuild(topologyOf(without), nil); err != nil {
 		t.Fatal(err)
 	}
 	if nt := e.notify.Load(); nt != nil {
 		t.Fatalf("table after the reader's loss = %+v, want nil", *nt)
 	}
-	if err := e.Rebuild(overlayOf(with), nil); err != nil {
+	if err := e.Rebuild(topologyOf(with), nil); err != nil {
 		t.Fatal(err)
 	}
 	if e.notify.Load() == nil {

@@ -24,7 +24,7 @@ func TestConcurrentStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		decide(t, res.Overlay, "optimal")
-		e, err := New(res.Overlay, a, agg.NewTimeWindow(1<<30))
+		e, err := New(res.Overlay.Flatten(), a, agg.NewTimeWindow(1<<30))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestRebuildMidStream(t *testing.T) {
 	ag := paperAG()
 	ov := construct.Baseline(ag)
 	decide(t, ov, "push")
-	e, err := New(ov, agg.Sum{}, agg.NewTupleWindow(1))
+	e, err := New(ov.Flatten(), agg.Sum{}, agg.NewTupleWindow(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestRebuildMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	ov.Node(r).Dec = overlay.Push
-	if err := e.Rebuild(ov, nil); err != nil {
+	if err := e.Rebuild(ov.Flatten(), nil); err != nil {
 		t.Fatal(err)
 	}
 	// The new nodes are writable/readable right after the install.
@@ -163,7 +163,7 @@ func TestRebuildPreservesWindows(t *testing.T) {
 	ag := paperAG()
 	ov := construct.Baseline(ag)
 	decide(t, ov, "push")
-	e, err := New(ov, agg.Sum{}, agg.NewTimeWindow(100))
+	e, err := New(ov.Flatten(), agg.Sum{}, agg.NewTimeWindow(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRebuildPreservesWindows(t *testing.T) {
 	if err := ov.AddEdge(w, r, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Rebuild(ov, nil); err != nil {
+	if err := e.Rebuild(ov.Flatten(), nil); err != nil {
 		t.Fatal(err)
 	}
 	pushes, pulls := e.Observations()

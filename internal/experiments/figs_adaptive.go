@@ -44,18 +44,16 @@ func adaptivity(cfg Config) []Table {
 	tr := workload.SyntheticTrace(d.Graph.MaxID(), chunk*nChunks, 0.25, 0.1, 0.8, cfg.Seed, costOf)
 	a := agg.TopK{K: 3}
 	m := dataflow.ModelFor(a)
-	mk := func() (*exec.Engine, *overlay.Overlay) {
+	mk := func() *exec.Engine {
 		ov := decideApproach(base, "dataflow", tr.Before, m, 1)
-		e, err := exec.New(ov, a, agg.NewTupleWindow(1))
+		e, err := exec.New(ov.Flatten(), a, agg.NewTupleWindow(1))
 		if err != nil {
 			panic(err)
 		}
-		return e, ov
+		return e
 	}
-	static, _ := mk()
-	adaptive, _ := mk()
-	twin, twinOv := mk()
-	adaptor := dataflow.NewAdaptor(twinOv, m)
+	static, adaptive, twin := mk(), mk(), mk()
+	var adaptor *dataflow.Adaptor // the twin's, over its installed Topology
 	t := Table{
 		Title: fmt.Sprintf("Adaptivity: per-chunk throughput (ops/s) with a concurrent engine install each chunk; read popularity shifts at chunk %d — %s, TOP-K",
 			nChunks/2+1, d.Name),
@@ -69,19 +67,21 @@ func adaptivity(cfg Config) []Table {
 		slice := tr.Events[c*chunk : (c+1)*chunk]
 		stOps := playChunk(static, slice)
 		flips := 0
-		var next *overlay.Overlay
+		var next *overlay.Topology
 		if c > 0 {
-			pushes, pulls := twin.Observations()
-			adaptor.ObserveBatch(pushes, pulls)
-			if flips = adaptor.Rebalance(); flips > 0 {
-				if err := twin.Rebuild(twinOv, nil); err != nil {
+			if adaptor == nil {
+				adaptor = dataflow.NewAdaptor(twin.Topology(), m)
+			}
+			adaptor.ObserveBatch(twin.Observations())
+			if next, flips = adaptor.Rebalance(); flips > 0 {
+				if err := twin.Rebuild(next, nil); err != nil {
 					panic(err)
 				}
-				next = twinOv.Clone()
+				adaptor = nil
 			}
 		}
 		playChunk(twin, slice)
-		// The measured engine installs the twin's decisions while this
+		// The measured engine installs the twin's Topology while this
 		// chunk's traffic flows on another goroutine.
 		var hold time.Duration
 		var wg sync.WaitGroup
@@ -91,7 +91,7 @@ func adaptivity(cfg Config) []Table {
 			defer wg.Done()
 			adOps = playChunk(adaptive, slice)
 		}()
-		if next != nil {
+		if flips > 0 {
 			if err := adaptive.Rebuild(next, nil); err != nil {
 				panic(err)
 			}

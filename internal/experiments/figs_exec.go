@@ -68,7 +68,7 @@ func decideApproach(ov *overlay.Overlay, mode string, wl *dataflow.Workload, m d
 // one worker, otherwise split evenly between concurrent Apply and ReadInto
 // callers — and returns operations per second.
 func throughputOf(ov *overlay.Overlay, a agg.Aggregate, events []graph.Event, workers int) runStats {
-	eng, err := exec.New(ov, a, agg.NewTupleWindow(1))
+	eng, err := exec.New(ov.Flatten(), a, agg.NewTupleWindow(1))
 	if err != nil {
 		panic(err)
 	}
@@ -145,28 +145,22 @@ func fig13a(cfg Config) []Table {
 	}
 	type runner struct {
 		name    string
-		ov      *overlay.Overlay
 		eng     *exec.Engine
-		adaptor *dataflow.Adaptor
+		adaptor *dataflow.Adaptor // the adaptive runner's, over its installed Topology
 	}
-	mkEngine := func(ov *overlay.Overlay) *exec.Engine {
-		e, err := exec.New(ov, a, agg.NewTupleWindow(1))
+	mkEngine := func(approach string) *exec.Engine {
+		ov := decideApproach(base, approach, tr.Before, m, 1)
+		e, err := exec.New(ov.Flatten(), a, agg.NewTupleWindow(1))
 		if err != nil {
 			panic(err)
 		}
 		return e
 	}
 	runners := []*runner{
-		{name: "all-pull", ov: decideApproach(base, "pull", tr.Before, m, 1)},
-		{name: "all-push", ov: decideApproach(base, "push", tr.Before, m, 1)},
-		{name: "static", ov: decideApproach(base, "dataflow", tr.Before, m, 1)},
-		{name: "adaptive", ov: decideApproach(base, "dataflow", tr.Before, m, 1)},
-	}
-	for _, r := range runners {
-		r.eng = mkEngine(r.ov)
-		if r.name == "adaptive" {
-			r.adaptor = dataflow.NewAdaptor(r.ov, m)
-		}
+		{name: "all-pull", eng: mkEngine("pull")},
+		{name: "all-push", eng: mkEngine("push")},
+		{name: "static", eng: mkEngine("dataflow")},
+		{name: "adaptive", eng: mkEngine("dataflow")},
 	}
 	nChunks := len(tr.Events) / chunk
 	for c := 0; c < nChunks; c++ {
@@ -182,11 +176,14 @@ func fig13a(cfg Config) []Table {
 				}
 			}
 			ms := float64(time.Since(start).Microseconds()) / 1000
-			if r.adaptor != nil {
-				pushes, pulls := r.eng.Observations()
-				r.adaptor.ObserveBatch(pushes, pulls)
-				if flips := r.adaptor.Rebalance(); flips > 0 {
-					_ = r.eng.Rebuild(r.ov, nil)
+			if r.name == "adaptive" {
+				if r.adaptor == nil {
+					r.adaptor = dataflow.NewAdaptor(r.eng.Topology(), m)
+				}
+				r.adaptor.ObserveBatch(r.eng.Observations())
+				if top, flips := r.adaptor.Rebalance(); flips > 0 {
+					_ = r.eng.Rebuild(top, nil)
+					r.adaptor = nil
 				}
 			}
 			row = append(row, f1(ms))
@@ -231,7 +228,7 @@ func fig13c(cfg Config) []Table {
 			m = dataflow.Scaled{Base: m, PullFactor: c.pull}
 		}
 		ov := decideApproach(base, c.mode, wl, m, 1)
-		eng, err := exec.New(ov, a, agg.NewTupleWindow(1))
+		eng, err := exec.New(ov.Flatten(), a, agg.NewTupleWindow(1))
 		if err != nil {
 			panic(err)
 		}

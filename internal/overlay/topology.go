@@ -64,6 +64,15 @@ func (t *Topology) AGEdges() int { return t.agEdges }
 // (Overlay.Lineage).
 func (t *Topology) Lineage() uint64 { return t.lineage }
 
+// WithDecisions returns a Topology with t's slots, edges and lineage and the
+// decisions dec (indexed by NodeRef, len t.N). It shares every array of t
+// but Dec, and dec must not change afterwards.
+func (t *Topology) WithDecisions(dec []Decision) *Topology {
+	c := *t
+	c.Dec = dec
+	return &c
+}
+
 // Writer returns the writer slot of data-graph node v, or NoNode.
 func (t *Topology) Writer(v graph.NodeID) NodeRef { return slotOf(t.WriterOf, v) }
 

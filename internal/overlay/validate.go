@@ -87,21 +87,24 @@ func (o *Overlay) checkStructure() error {
 }
 
 // CheckDecisions verifies the dataflow-decision consistency constraint
+// (paper §2.2.1) on the overlay's Topology.
+func (o *Overlay) CheckDecisions() error { return o.Flatten().CheckDecisions() }
+
+// CheckDecisions verifies the dataflow-decision consistency constraint
 // (paper §2.2.1): all inputs of a push node are push (equivalently, all
 // nodes downstream of a pull node are pull), and writers are push.
-func (o *Overlay) CheckDecisions() error {
-	for i := range o.nodes {
-		n := &o.nodes[i]
-		if n.dead {
+func (t *Topology) CheckDecisions() error {
+	for i := range t.N {
+		if t.Dead[i] {
 			continue
 		}
-		if n.Kind == WriterNode && n.Dec != Push {
+		if t.Kind[i] == WriterNode && t.Dec[i] != Push {
 			return fmt.Errorf("overlay: writer %d not push", i)
 		}
-		if n.Dec == Push {
-			for _, e := range n.In {
-				if o.nodes[e.Peer].Dec != Push {
-					return fmt.Errorf("overlay: push node %d has pull input %d", i, e.Peer)
+		if t.Dec[i] == Push {
+			for _, pe := range t.InEdges(NodeRef(i)) {
+				if src, _ := UnpackRef(pe); t.Dec[src] != Push {
+					return fmt.Errorf("overlay: push node %d has pull input %d", i, src)
 				}
 			}
 		}
