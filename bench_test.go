@@ -535,14 +535,12 @@ func BenchmarkDataflowDecide(b *testing.B) {
 	wl := workload.ZipfWorkload(g.MaxID(), 1.0, 1e6, 1, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ov := res.Overlay.Clone()
-		f, err := dataflow.ComputeFreqs(ov, wl, 1)
+		top := res.Overlay.Flatten()
+		f, err := dataflow.Frequencies(top, wl, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := dataflow.Decide(ov, f, dataflow.ConstLinear{}); err != nil {
-			b.Fatal(err)
-		}
+		dataflow.Partition(top, f, dataflow.ConstLinear{})
 	}
 }
 

@@ -110,7 +110,8 @@ func main() {
 		fmt.Printf("construction took %.2fs\n", time.Since(start).Seconds())
 	}
 
-	st := ov.ComputeStats()
+	top := ov.Flatten()
+	st := top.ComputeStats()
 	fmt.Printf("overlay: %d writers, %d readers, %d partial aggregators\n",
 		st.Writers, st.Readers, st.Partials)
 	fmt.Printf("edges: %d (%d negative) vs %d in AG -> sharing index %.1f%%\n",
@@ -118,24 +119,22 @@ func main() {
 	fmt.Printf("depth: avg %.2f, max %d\n", st.AvgDepth, st.MaxDepth)
 
 	wl := workload.ZipfWorkload(g.MaxID(), 1.0, 1e6, *ratio, *seed)
-	f, err := dataflow.ComputeFreqs(ov, wl, 1)
+	f, err := dataflow.Frequencies(top, wl, 1)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	ps, err := dataflow.Decide(ov, f, dataflow.ConstLinear{})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	top, ps := dataflow.Partition(top, f, dataflow.ConstLinear{})
 	push, pull := 0, 0
-	ov.ForEachNode(func(_ overlay.NodeRef, nd *overlay.Node) {
-		if nd.Dec == overlay.Push {
+	for ref, dec := range top.Dec {
+		switch {
+		case top.Dead[ref]:
+		case dec == overlay.Push:
 			push++
-		} else {
+		default:
 			pull++
 		}
-	})
+	}
 	fmt.Printf("dataflow decisions (w:r %g): %d push, %d pull\n", *ratio, push, pull)
 	fmt.Printf("pruning: %d -> %d nodes (%.1f%%), %d components, largest %d\n",
 		ps.NodesBefore, ps.NodesAfter,
@@ -148,7 +147,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := ov.Save(f); err != nil {
+		if err := overlay.Thaw(top).Save(f); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -41,21 +41,20 @@ func microEngine(alg, mode string, a agg.Aggregate, window agg.Window) (*exec.En
 		ov = res.Overlay
 	}
 	wl := workload.ZipfWorkload(g.MaxID(), 1.0, 1e6, 1, 1)
+	top := ov.Flatten()
 	switch mode {
 	case "push":
-		dataflow.DecideAll(ov, overlay.Push)
+		top = dataflow.DecideAll(top, overlay.Push)
 	case "pull":
-		dataflow.DecideAll(ov, overlay.Pull)
+		top = dataflow.DecideAll(top, overlay.Pull)
 	default:
-		f, err := dataflow.ComputeFreqs(ov, wl, 1)
+		f, err := dataflow.Frequencies(top, wl, 1)
 		if err != nil {
 			return nil, nil, err
 		}
-		if _, err := dataflow.Decide(ov, f, dataflow.ModelFor(a)); err != nil {
-			return nil, nil, err
-		}
+		top, _ = dataflow.Partition(top, f, dataflow.ModelFor(a))
 	}
-	eng, err := exec.New(ov.Flatten(), a, window)
+	eng, err := exec.New(top, a, window)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -402,9 +401,8 @@ func RunWrites(b *testing.B, eng *exec.Engine, writes []graph.Event) {
 func ExpiryEngine(T int64) (*exec.Engine, error) {
 	g := workload.SocialGraph(2000, 8, 1)
 	ag := bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes)
-	ov := construct.Baseline(ag)
-	dataflow.DecideAll(ov, overlay.Push)
-	eng, err := exec.New(ov.Flatten(), agg.Sum{}, agg.NewTimeWindow(T))
+	top := dataflow.DecideAll(construct.Baseline(ag).Flatten(), overlay.Push)
+	eng, err := exec.New(top, agg.Sum{}, agg.NewTimeWindow(T))
 	if err != nil {
 		return nil, err
 	}
@@ -508,16 +506,14 @@ func RunSystemMixed(b *testing.B, sys *core.System, events []graph.Event) {
 func RebuildEngine(nodes int) (*exec.Engine, *overlay.Overlay, error) {
 	g := workload.SocialGraph(nodes, 8, 1)
 	ag := bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes)
-	ov := construct.Baseline(ag)
+	top := construct.Baseline(ag).Flatten()
 	wl := workload.ZipfWorkload(g.MaxID(), 1.0, 1e6, 1, 1)
-	f, err := dataflow.ComputeFreqs(ov, wl, 1)
+	f, err := dataflow.Frequencies(top, wl, 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := dataflow.Decide(ov, f, dataflow.ModelFor(agg.Sum{})); err != nil {
-		return nil, nil, err
-	}
-	eng, err := exec.New(ov.Flatten(), agg.Sum{}, agg.NewTupleWindow(1))
+	top, _ = dataflow.Partition(top, f, dataflow.ModelFor(agg.Sum{}))
+	eng, err := exec.New(top, agg.Sum{}, agg.NewTupleWindow(1))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -526,7 +522,7 @@ func RebuildEngine(nodes int) (*exec.Engine, *overlay.Overlay, error) {
 			return nil, nil, err
 		}
 	}
-	return eng, ov, nil
+	return eng, overlay.Thaw(top), nil
 }
 
 // RunRebuild measures repeated installs of ov, the overlay eng already runs.

@@ -139,7 +139,7 @@ func TestVNMNUsesNegativeEdges(t *testing.T) {
 	}
 	ag := bipartite.FromInputLists(lists)
 	res := buildAndValidate(t, AlgVNMN, ag, Config{Iterations: 10, NegK1: 2, NegK2: 3}, false)
-	st := res.Overlay.ComputeStats()
+	st := res.Overlay.Flatten().ComputeStats()
 	if st.NegEdges == 0 {
 		t.Fatal("VNMN produced no negative edges on a quasi-biclique workload")
 	}
@@ -470,7 +470,7 @@ func TestMaintainerRejectsNegativeEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Overlay.ComputeStats().NegEdges == 0 {
+	if res.Overlay.Flatten().ComputeStats().NegEdges == 0 {
 		t.Fatal("fixture: VNM_N mined no negative edge")
 	}
 	if allocs := testing.AllocsPerRun(10, func() {

@@ -57,11 +57,10 @@ func NewMaintainer(ov *overlay.Overlay) (*Maintainer, error) {
 // of it along exactly one path: then a node's writer set is the disjoint
 // union of its inputs' sets, which is what the maintainer keeps.
 //
-// The answer costs two int32 arrays of one entry per slot. A negative edge
-// is found by a scan that allocates nothing. Then each live writer's
-// downstream closure is walked under a stamp of its own: a slot reached a
-// second time under one stamp is reached along two paths. Last, a Kahn
-// count over the CSR finds a cycle no writer reaches.
+// A negative edge is found by a scan that allocates nothing. Then each live
+// writer's downstream closure is walked under a stamp of its own: a slot
+// reached a second time under one stamp is reached along two paths. Last,
+// Topology.TopoOrder finds a cycle no writer reaches.
 func Maintainable(t *overlay.Topology) bool {
 	for i := range t.N {
 		if t.Dead[i] {
@@ -73,8 +72,8 @@ func Maintainable(t *overlay.Topology) bool {
 			}
 		}
 	}
-	// A slot is pushed once per stamp, and once in the Kahn count, so the
-	// stack never outgrows the slot count.
+	// A slot is pushed once per stamp, so the stack never outgrows the slot
+	// count.
 	stamp, stack := make([]int32, t.N), make([]overlay.NodeRef, 0, t.N)
 	for k, w := range t.Writers {
 		mark := int32(k + 1)
@@ -92,31 +91,8 @@ func Maintainable(t *overlay.Topology) bool {
 			}
 		}
 	}
-	// Kahn: stamp now counts each live slot's unresolved inputs.
-	live := 0
-	stack = stack[:0]
-	for i := range t.N {
-		if t.Dead[i] {
-			continue
-		}
-		live++
-		stamp[i] = t.InOff[i+1] - t.InOff[i]
-		if stamp[i] == 0 {
-			stack = append(stack, overlay.NodeRef(i))
-		}
-	}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		live--
-		for _, p := range t.OutEdges(u) {
-			v, _ := overlay.UnpackRef(p)
-			if stamp[v]--; stamp[v] == 0 {
-				stack = append(stack, v)
-			}
-		}
-	}
-	return live == 0
+	_, err := t.TopoOrder()
+	return err == nil
 }
 
 // Overlay returns the maintained overlay.

@@ -156,8 +156,8 @@ func TestBuildDeterministic(t *testing.T) {
 // removed (dead slots) and a second query tag added — Thaw then Flatten
 // gives the identical Topology, and the thawed overlay saves the original's
 // bytes, in the original's lineage. The same edits applied afterwards to the
-// thawed overlay and to a Clone of the original keep them byte-equal, so no
-// node's edge list aliases another's.
+// thawed overlay and to a copy loaded from the original's bytes keep them
+// byte-equal, so no node's edge list aliases another's.
 func TestThawRoundTrip(t *testing.T) {
 	save := func(ov *overlay.Overlay) []byte {
 		var buf bytes.Buffer
@@ -205,11 +205,14 @@ func TestThawRoundTrip(t *testing.T) {
 				t.Fatalf("%s: lineage/nodes/edges %d/%d/%d, want %d/%d/%d", name,
 					th.Lineage(), th.NumNodes(), th.NumEdges(), ov.Lineage(), ov.NumNodes(), ov.NumEdges())
 			}
-			if got, want := th.ComputeStats(), ov.ComputeStats(); got != want {
+			if got, want := th.Flatten().ComputeStats(), top.ComputeStats(); got != want {
 				t.Fatalf("%s: stats %+v, want %+v", name, got, want)
 			}
 
-			twin := ov.Clone()
+			twin, err := overlay.Load(bytes.NewReader(save(ov)))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 			for _, o := range []*overlay.Overlay{twin, th} {
 				r := o.Reader(0, 2)
 				in := o.Node(r).In
@@ -224,7 +227,7 @@ func TestThawRoundTrip(t *testing.T) {
 				}
 			}
 			if !bytes.Equal(save(th), save(twin)) {
-				t.Fatalf("%s: the same edits left the thawed overlay and a clone apart", name)
+				t.Fatalf("%s: the same edits left the thawed overlay and a loaded copy apart", name)
 			}
 			if !reflect.DeepEqual(overlay.Thaw(top).Flatten(), top) {
 				t.Fatalf("%s: editing a thawed overlay changed the topology it came from", name)
@@ -253,7 +256,7 @@ var goldenSaveDigests = map[string]string{
 // TestAssembledEdgeListsCapped: a freshly built overlay saves the bytes it
 // always did, and its edge lists, carved from shared arenas, are each capped
 // at their length — one more edge at every node, in and out, leaves it
-// byte-equal and Flatten-equal to a Clone given the same edges.
+// byte-equal and Flatten-equal to a thawed copy given the same edges.
 func TestAssembledEdgeListsCapped(t *testing.T) {
 	save := func(ov *overlay.Overlay) []byte {
 		var buf bytes.Buffer
@@ -277,7 +280,7 @@ func TestAssembledEdgeListsCapped(t *testing.T) {
 				t.Errorf("%s: Save digest %s, want %s", name, got, want)
 			}
 
-			twin := ov.Clone()
+			twin := overlay.Thaw(ov.Flatten())
 			for _, o := range []*overlay.Overlay{ov, twin} {
 				n := o.Len()
 				w, r := o.AddWriter(1<<20), o.AddReader(0, 1<<20)
@@ -298,10 +301,10 @@ func TestAssembledEdgeListsCapped(t *testing.T) {
 				}
 			}
 			if !bytes.Equal(save(ov), save(twin)) {
-				t.Fatalf("%s: one edge more per node left the built overlay and its clone apart", name)
+				t.Fatalf("%s: one edge more per node left the built overlay and its thawed copy apart", name)
 			}
 			if !reflect.DeepEqual(ov.Flatten(), twin.Flatten()) {
-				t.Fatalf("%s: one edge more per node left the built overlay's topology and its clone's apart", name)
+				t.Fatalf("%s: one edge more per node left the built overlay's topology and its thawed copy's apart", name)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/dataflow"
-	"repro/internal/overlay"
 )
 
 // This file is the system's one adaptivity pass, Rebalance: it drains the
@@ -53,8 +52,8 @@ func (s *System) AdaptivityStats() AdaptivityStats {
 // Rebalance drains the engine's observed push/pull counts into the adaptor
 // judging its installed Topology and, when the adaptor flipped frontier
 // decisions (§4.8), installs the Topology it returns, building no live
-// overlay; a system that holds one takes the flips into it, so the next
-// maintained repair starts from them. It returns the number of flips. The
+// overlay; the next maintained repair starts from the installed decisions
+// (afterMaintenance). It returns the number of flips. The
 // adaptor's window closes only on a pass that flipped a node (see
 // dataflow.Adaptor.Rebalance), so a drift too thin to fill a window in one
 // pass is answered once it has filled across passes.
@@ -89,15 +88,7 @@ func (s *System) Rebalance() (int, error) {
 		return 0, nil
 	}
 	s.adaptor = nil // spent
-	if err := s.eng.Rebuild(top, nil); err != nil {
-		return flips, err
-	}
-	if s.ov != nil {
-		for i, d := range top.Dec {
-			s.ov.Node(overlay.NodeRef(i)).Dec = d
-		}
-	}
-	return flips, nil
+	return flips, s.eng.Rebuild(top, nil)
 }
 
 // adaptorLocked returns the adaptor judging the engine's installed

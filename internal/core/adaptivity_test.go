@@ -90,19 +90,26 @@ func rebalanceRounds(t *testing.T, s *System, replay func(int), rounds int) []in
 // The flip sequences are goldens: the §4.8 decisions on a compiled overlay
 // (VNM_N, the adaptor built at adopt) and on an incrementally repaired one
 // (IOB, the adaptor rebuilt by afterMaintenance) are pinned exactly, so a
-// change to how the adaptor is built cannot move a decision unnoticed.
+// change to how the adaptor is built cannot move a decision unnoticed. So
+// is the signature of the decisions installed before round 1, which compile
+// and the repairs made, so a change to how decisions are made cannot either.
 func TestRebalanceConverges(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		fixture func(*testing.T) (*System, func(int))
-		want    []int
+		name      string
+		fixture   func(*testing.T) (*System, func(int))
+		signature string
+		want      []int
 	}{
 		{"compiled", func(t *testing.T) (*System, func(int)) { return zipfFixture(t, agg.Sum{}, Options{}) },
-			[]int{62, 8, 3, 1, 5, 6}},
-		{"repaired", repairedIOBFixture, []int{113, 26, 14, 7, 11, 15}},
+			"1259 nodes 3718 edges 254 push non-writers aaf4fc7bb985124f", []int{62, 8, 3, 1, 5, 6}},
+		{"repaired", repairedIOBFixture,
+			"1742 nodes 3432 edges 460 push non-writers 0adc54f85697811b", []int{113, 26, 14, 7, 11, 15}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, replay := tc.fixture(t)
+			if sig := decisionSignature(s.eng.Topology()); sig != tc.signature {
+				t.Fatalf("installed decisions before round 1: %s, want %s", sig, tc.signature)
+			}
 			flips := rebalanceRounds(t, s, replay, 6)
 			t.Logf("flips per round: %v", flips)
 			for round := 3; round < len(flips); round++ {
@@ -118,22 +125,27 @@ func TestRebalanceConverges(t *testing.T) {
 	}
 }
 
-// decisionSignature condenses an overlay's structure and decisions into one
-// hash: every live node's kind, GID and decision in ref order, and its input
-// list in stored order — the order the engine folds inputs in.
-func decisionSignature(ov *overlay.Overlay) string {
+// decisionSignature condenses a Topology's structure and decisions into one
+// hash: every live slot's kind, GID and decision in slot order, and its
+// input list in stored order — the order the engine folds inputs in.
+func decisionSignature(top *overlay.Topology) string {
 	h := fnv.New64a()
-	push := 0
-	ov.ForEachNode(func(ref overlay.NodeRef, n *overlay.Node) {
-		fmt.Fprintf(h, "n%d:%d:%d:%d<", ref, n.Kind, n.GID, n.Dec)
-		for _, e := range n.In {
-			fmt.Fprintf(h, "%d:%t,", e.Peer, e.Negative)
+	nodes, push := 0, 0
+	for ref := range overlay.NodeRef(top.N) {
+		if top.Dead[ref] {
+			continue
 		}
-		if n.Kind != overlay.WriterNode && n.Dec == overlay.Push {
+		nodes++
+		fmt.Fprintf(h, "n%d:%d:%d:%d<", ref, top.Kind[ref], top.GID[ref], top.Dec[ref])
+		for _, pe := range top.InEdges(ref) {
+			peer, neg := overlay.UnpackRef(pe)
+			fmt.Fprintf(h, "%d:%t,", peer, neg)
+		}
+		if top.Kind[ref] != overlay.WriterNode && top.Dec[ref] == overlay.Push {
 			push++
 		}
-	})
-	return fmt.Sprintf("%d nodes %d edges %d push non-writers %016x", ov.NumNodes(), ov.NumEdges(), push, h.Sum64())
+	}
+	return fmt.Sprintf("%d nodes %d edges %d push non-writers %016x", nodes, len(top.In), push, h.Sum64())
 }
 
 // TestRepairDeterministic: equal structural streams must give equal
@@ -145,9 +157,9 @@ func TestRepairDeterministic(t *testing.T) {
 	var first string
 	for run := 0; run < 6; run++ {
 		s, replay := repairedIOBFixture(t)
-		repaired := decisionSignature(s.Overlay())
+		repaired := decisionSignature(s.eng.Topology())
 		flips := rebalanceRounds(t, s, replay, 6)
-		sig := fmt.Sprintf("repaired %s; flips %v; rebalanced %s", repaired, flips, decisionSignature(s.Overlay()))
+		sig := fmt.Sprintf("repaired %s; flips %v; rebalanced %s", repaired, flips, decisionSignature(s.eng.Topology()))
 		if run == 0 {
 			first = sig
 			continue
@@ -158,23 +170,49 @@ func TestRepairDeterministic(t *testing.T) {
 	}
 }
 
-// TestFlipSurvivesRepair: Rebalance installs its flips on the engine's
-// Topology, and a system that holds a live overlay takes them into it, so
-// the next maintained repair starts from the flipped decisions. Every slot
-// live on both sides of that repair keeps its decision, or is promoted to
-// push by RepairDecisions, and every read still equals a brute-force sum.
+// TestFlipSurvivesRepair: Rebalance and Reoptimize install their decisions
+// on the engine's Topology alone, and the next maintained repair starts from
+// them. Every slot live on both sides of that repair keeps its re-decided
+// decision, or is promoted to push by RepairDecisions, and every read still
+// equals a brute-force sum.
 func TestFlipSurvivesRepair(t *testing.T) {
-	s, replay := repairedIOBFixture(t)
-	if live, _ := holdsLive(s); !live || s.maint == nil {
-		t.Fatal("fixture: the structural runs did not thaw a maintainer")
+	for _, tc := range []struct {
+		name     string
+		redecide func(s *System, replay func(int)) error
+	}{
+		{"rebalance", func(s *System, replay func(int)) error {
+			replay(0)
+			_, err := s.Rebalance()
+			return err
+		}},
+		{"reoptimize", func(s *System, _ func(int)) error {
+			return s.Reoptimize(dataflow.Uniform(s.g.MaxID(), 4, 1))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, replay := repairedIOBFixture(t)
+			if live, _ := holdsLive(s); !live {
+				t.Fatal("fixture: the structural runs did not thaw a maintainer")
+			}
+			decided := s.eng.Topology()
+			if err := tc.redecide(s, replay); err != nil {
+				t.Fatal(err)
+			}
+			redecided := s.eng.Topology()
+			if slices.Equal(redecided.Dec, decided.Dec) {
+				t.Fatal("fixture: no decision changed")
+			}
+			structuralKeepsDecisions(t, s, decided, redecided)
+		})
 	}
-	replay(0)
-	decided := s.eng.Topology()
-	flips, err := s.Rebalance()
-	if err != nil || flips == 0 {
-		t.Fatalf("fixture: Rebalance flipped %d nodes, %v", flips, err)
-	}
-	flipped := s.eng.Topology()
+}
+
+// structuralKeepsDecisions runs a structural run of 30 edge additions and
+// removals on s, which must repair in place, and fails unless every slot
+// live on both sides keeps its decision in redecided or was promoted to
+// push, and every read equals a brute-force in-neighbour sum.
+func structuralKeepsDecisions(t *testing.T, s *System, decided, redecided *overlay.Topology) {
+	t.Helper()
 	var evs []graph.Event
 	for i := range 30 {
 		u, v := graph.NodeID(53*i%600), graph.NodeID((17*i+301)%600)
@@ -194,21 +232,21 @@ func TestFlipSurvivesRepair(t *testing.T) {
 	}
 	repaired := s.eng.Topology()
 	kept := 0
-	for i := range flipped.N {
-		if flipped.Dead[i] || i >= repaired.N || repaired.Dead[i] {
+	for i := range redecided.N {
+		if redecided.Dead[i] || i >= repaired.N || repaired.Dead[i] {
 			continue
 		}
-		was, now := flipped.Dec[i], repaired.Dec[i]
+		was, now := redecided.Dec[i], repaired.Dec[i]
 		if now != was && (now != overlay.Push || was != overlay.Pull) {
-			t.Fatalf("slot %d was %s after Rebalance and is %s after the repair", i, was, now)
+			t.Fatalf("slot %d was %s before the repair and is %s after it", i, was, now)
 		}
 		if was != decided.Dec[i] {
 			kept++
 		}
 	}
-	t.Logf("%d flips, %d of them on slots live across the repair", flips, kept)
+	t.Logf("%d re-decided slots live across the repair", kept)
 	if kept == 0 {
-		t.Fatal("fixture: no flipped slot is live on both sides of the repair")
+		t.Fatal("fixture: no re-decided slot is live on both sides of the repair")
 	}
 	value := func(v graph.NodeID) int64 { return int64(v)%13 + 1 }
 	var writes []graph.Event
@@ -257,17 +295,17 @@ func neverRaisesObservedCost(t *testing.T, a agg.Aggregate) []int {
 	var all []int
 	for window := 0; window < 8; window++ {
 		replay(window)
-		ov := overlay.Thaw(s.eng.Topology())
-		f, err := dataflow.ComputeFreqs(ov, drainWorkload(s), s.windowSizeHint())
+		top := s.eng.Topology()
+		f, err := dataflow.Frequencies(top, drainWorkload(s), s.windowSizeHint())
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := dataflow.TotalCost(ov, f, s.cost)
+		before := dataflow.TotalCost(top, f, s.cost)
 		flips, err := s.Rebalance()
 		if err != nil {
 			t.Fatal(err)
 		}
-		after := dataflow.TotalCost(overlay.Thaw(s.eng.Topology()), f, s.cost)
+		after := dataflow.TotalCost(s.eng.Topology(), f, s.cost)
 		t.Logf("window %d: %d flips, observed cost %.0f -> %.0f", window, flips, before, after)
 		if after > before*(1+1e-9) {
 			t.Fatalf("window %d: %d flips raised the cost under the observed frequencies %.0f -> %.0f",
@@ -322,10 +360,10 @@ func TestReoptimizeKeepsMode(t *testing.T) {
 	if m := s.Stats().Mode; m != ModeAllPull {
 		t.Fatalf("mode after Reoptimize = %s, want %s", m, ModeAllPull)
 	}
-	ov := s.Overlay()
-	for ref := overlay.NodeRef(0); int(ref) < ov.Len(); ref++ {
-		if n := ov.Node(ref); ov.Alive(ref) && n.Kind == overlay.ReaderNode && n.Dec != overlay.Pull {
-			t.Fatalf("reader %d is %s after Reoptimize, want pull", n.GID, n.Dec)
+	top := s.Engine().Topology()
+	for ref := range overlay.NodeRef(top.N) {
+		if !top.Dead[ref] && top.Kind[ref] == overlay.ReaderNode && top.Dec[ref] != overlay.Pull {
+			t.Fatalf("reader %d is %s after Reoptimize, want pull", top.GID[ref], top.Dec[ref])
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the compile path: legality, overlay construction (or a
-// same-shape sibling's clone), dataflow decisions, and the recompile that
+// same-shape sibling's Topology), dataflow decisions, and the recompile that
 // rebuilds all three when an overlay cannot be repaired in place.
 
 // compileSystem is the one compile path: it builds m's system for q, its
@@ -63,14 +63,14 @@ func compileSystem(m *MultiSystem, q Query, opts Options) (*System, error) {
 	if key, ok := graph.NeighborhoodKey(q.Neighborhood); ok && q.Predicate == nil {
 		s.shape = shape{nbr: key, alg: opts.Algorithm, cfg: opts.Construct}
 	}
-	ov, err := s.buildOverlay()
+	top, err := s.buildOverlay()
+	if err == nil {
+		top, err = s.decide(top, nil)
+	}
+	if err == nil {
+		s.eng, err = exec.New(top, s.q.Aggregate, s.q.Window)
+	}
 	if err != nil {
-		return nil, err
-	}
-	if err := s.decide(ov, nil); err != nil {
-		return nil, err
-	}
-	if s.eng, err = exec.New(ov.Flatten(), s.q.Aggregate, s.q.Window); err != nil {
 		return nil, err
 	}
 	s.adopt()
@@ -94,15 +94,26 @@ func checkLegality(alg string, props agg.Properties) error {
 	return nil
 }
 
-// buildOverlay constructs an overlay for the live views over the current
-// graph: the UNION bipartite graph of every live view, so on a merged system
+// buildOverlay returns the Topology of an overlay for the live views over
+// the current graph, undecided: a same-shape sibling's, or the flattened
+// overlay mine constructs.
+func (s *System) buildOverlay() (*overlay.Topology, error) {
+	if top := s.cloneSibling(); top != nil {
+		return top, nil
+	}
+	ov, err := s.mine()
+	if err != nil {
+		return nil, err
+	}
+	return ov.Flatten(), nil
+}
+
+// mine constructs an overlay for the live views over the current graph: the
+// UNION bipartite graph of every live view, so on a merged system
 // construction mines bicliques — and therefore places shared partial
 // aggregation nodes — across member queries wherever their neighborhoods
 // overlap. A single-query system's one view is its query.
-func (s *System) buildOverlay() (*overlay.Overlay, error) {
-	if ov := s.cloneSibling(); ov != nil {
-		return ov, nil
-	}
+func (s *System) mine() (*overlay.Overlay, error) {
 	s.multi.mined.Add(1)
 	members := make([]bipartite.Member, 0, len(s.views))
 	for i := range s.views {
@@ -116,31 +127,28 @@ func (s *System) buildOverlay() (*overlay.Overlay, error) {
 		})
 	}
 	ag := bipartite.BuildUnion(s.g, members)
-	var ov *overlay.Overlay
 	if s.opts.Algorithm == Baseline {
-		ov = construct.Baseline(ag)
-	} else {
-		res, err := construct.Build(s.opts.Algorithm, ag, s.opts.Construct)
-		if err != nil {
-			return nil, err
-		}
-		ov = res.Overlay
+		return construct.Baseline(ag), nil
 	}
-	return ov, nil
+	res, err := construct.Build(s.opts.Algorithm, ag, s.opts.Construct)
+	if err != nil {
+		return nil, err
+	}
+	return res.Overlay, nil
 }
 
-// cloneSibling returns a copy of the overlay a same-shape system of the same
-// MultiSystem mined at the graph's current structural version, or nil when
-// there is none and the caller must mine. The overlay is a function of the
-// shape and the graph alone, and decide overwrites every decision, so the
-// copy is what buildOverlay would have produced, bit for bit. Nothing is
-// retained for this: the sibling's engine Topology is the cache entry, thawed
-// into the copy (the sibling builds no live overlay for it), valid until the
-// graph moves (minedAt) or anything restructures it (pristine — cleared by
-// afterMaintenance; a system that took a member has no shape to match).
-// Callers hold the MultiSystem mutex — every path that reaches buildOverlay
-// does — so no two systems ever wait on each other's mu here.
-func (s *System) cloneSibling() *overlay.Overlay {
+// cloneSibling returns the engine Topology of a same-shape system of the
+// same MultiSystem mined at the graph's current structural version, or nil
+// when there is none and the caller must mine. The overlay is a function of
+// the shape and the graph alone, and decide overwrites every live decision,
+// so deciding the Topology gives what a mine would have, bit for bit.
+// Nothing is copied or retained for this: the two engines share every array
+// but the decisions, and the sibling's Topology is the cache entry, valid
+// until the graph moves (minedAt) or anything restructures it (pristine —
+// cleared by afterMaintenance; a system that took a member has no shape to
+// match). Callers hold the MultiSystem mutex — every path that reaches
+// buildOverlay does — so no two systems ever wait on each other's mu here.
+func (s *System) cloneSibling() *overlay.Topology {
 	if s.shape == (shape{}) || len(s.views) > 1 {
 		return nil
 	}
@@ -149,14 +157,14 @@ func (s *System) cloneSibling() *overlay.Overlay {
 			continue
 		}
 		sib.mu.Lock()
-		var ov *overlay.Overlay
+		var top *overlay.Topology
 		if sib.pristine && len(sib.views) == 1 && sib.minedAt == s.g.Version() {
-			ov = overlay.Thaw(sib.eng.Topology())
+			top = sib.eng.Topology()
 		}
 		sib.mu.Unlock()
-		if ov != nil {
+		if top != nil {
 			s.multi.cloned.Add(1)
-			return ov
+			return top
 		}
 	}
 	return nil
@@ -171,64 +179,46 @@ func (s *System) windowSizeHint() int {
 	return n
 }
 
-// decide annotates ov with the system's decision procedure for workload wl
-// (nil: a uniform 1:1 workload). It is the one place decisions are made
-// from a workload — compile, recompile and Reoptimize all come here — so a
-// fixed-mode system keeps its mode whatever workload arrives.
-func (s *System) decide(ov *overlay.Overlay, wl *dataflow.Workload) error {
+// decide returns top with the decisions of the system's decision procedure
+// for workload wl (nil: a uniform 1:1 workload). It is the one place
+// decisions are made from a workload — compile, recompile and Reoptimize
+// all come here — so a fixed-mode system keeps its mode whatever workload
+// arrives.
+func (s *System) decide(top *overlay.Topology, wl *dataflow.Workload) (*overlay.Topology, error) {
 	if wl == nil {
 		wl = dataflow.Uniform(s.g.MaxID(), 1, 1)
 	}
-	f, err := dataflow.ComputeFreqs(ov, wl, s.windowSizeHint())
+	f, err := dataflow.Frequencies(top, wl, s.windowSizeHint())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	switch s.opts.Mode {
 	case ModeAllPush:
-		dataflow.DecideAll(ov, overlay.Push)
+		return dataflow.DecideAll(top, overlay.Push), nil
 	case ModeAllPull:
-		dataflow.DecideAll(ov, overlay.Pull)
-	default:
-		_, err = dataflow.Decide(ov, f, s.cost)
+		return dataflow.DecideAll(top, overlay.Pull), nil
 	}
-	return err
+	top, _ = dataflow.Partition(top, f, s.cost)
+	return top, nil
 }
 
-// adopt makes the overlay the engine was just built or rebuilt on — built
-// at the graph's current version and decided — the system's overlay. The
-// engine's Topology holds all of it, so the live overlay, maintainer and
-// adaptor of the overlay it replaces are dropped, and none is built for the
-// new one until an operation needs it (thawLocked, adaptorLocked).
+// adopt makes the Topology the engine was just built or rebuilt on — built
+// at the graph's current version and decided — the system's overlay. It
+// holds all of it, so the maintainer and adaptor of the overlay it replaces
+// are dropped, and none is built for the new one until an operation needs
+// it (maintainerLocked, adaptorLocked).
 func (s *System) adopt() {
 	s.minedAt, s.pristine = s.g.Version(), true
-	s.ov, s.maint, s.adaptor, s.adapting = nil, nil, nil, nil
+	s.maint, s.adaptor, s.adapting = nil, nil, nil
 	// Incremental maintenance requires single-path, negative-edge-free
 	// overlays; when unavailable, structural updates fall back to
 	// recompilation.
 	s.maintainable = construct.Maintainable(s.eng.Topology())
 }
 
-// thawLocked gives the system its live overlay and maintainer when they are
-// not built yet: the overlay is a Thaw of the engine's Topology — the
-// installed overlay, slot for slot and in its lineage, so installing it
-// again inherits every cell by slot — and the maintainer is built over it.
-// Callers hold s.mu.
-func (s *System) thawLocked() {
-	if s.ov != nil {
-		return
-	}
-	s.thaws++
-	s.ov = overlay.Thaw(s.eng.Topology())
-	if s.maintainable {
-		var err error
-		s.maint, err = construct.NewMaintainer(s.ov)
-		s.maintainable = err == nil
-	}
-}
-
-// Reoptimize re-decides the overlay (keeping its structure) for a new
-// expected workload with the system's own decision procedure and installs
-// the decisions in the engine; a nil wl keeps the last one. Later
+// Reoptimize re-decides the installed Topology (keeping its structure) for
+// a new expected workload with the system's own decision procedure and
+// installs the decisions in the engine; a nil wl keeps the last one. Later
 // recompiles decide for the same workload.
 func (s *System) Reoptimize(wl *dataflow.Workload) error {
 	s.mu.Lock()
@@ -236,11 +226,11 @@ func (s *System) Reoptimize(wl *dataflow.Workload) error {
 	if wl != nil {
 		s.wl = wl
 	}
-	s.thawLocked()
-	if err := s.decide(s.ov, s.wl); err != nil {
+	top, err := s.decide(s.eng.Topology(), s.wl)
+	if err != nil {
 		return err
 	}
-	return s.eng.Rebuild(s.ov.Flatten(), nil)
+	return s.eng.Rebuild(top, nil)
 }
 
 // recompileLocked rebuilds the overlay from scratch (used when incremental
@@ -255,14 +245,14 @@ func (s *System) Reoptimize(wl *dataflow.Workload) error {
 // content-equivalent under structural churn. On error the system keeps its
 // previous overlay.
 func (s *System) recompileLocked(skip map[graph.NodeID]bool) error {
-	ov, err := s.buildOverlay()
+	top, err := s.buildOverlay()
+	if err == nil {
+		top, err = s.decide(top, s.wl)
+	}
+	if err == nil {
+		err = s.eng.Rebuild(top, skip)
+	}
 	if err != nil {
-		return err
-	}
-	if err := s.decide(ov, s.wl); err != nil {
-		return err
-	}
-	if err := s.eng.Rebuild(ov.Flatten(), skip); err != nil {
 		return err
 	}
 	s.adopt()

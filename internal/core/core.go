@@ -5,12 +5,12 @@
 // the observed workload drifts (§4.8), and maintains the overlay under
 // structural changes to the data graph (§3.3).
 //
-// A compiled query keeps one copy of its overlay at rest: the engine's
-// immutable Topology, which the adaptor judges and replaces. The mutable
-// overlay and its incremental maintainer exist only in a system that has
-// churned, re-optimized or changed members since its last compile; the
-// first such operation thaws them from the Topology and they stay from then
-// on.
+// A compiled query keeps its overlay and its decisions in one place: the
+// engine's immutable Topology, which compile, Reoptimize, the adaptor and
+// every repair decide on and replace. The one mutable overlay is inside the
+// incremental maintainer, which exists only in a system that has churned or
+// changed members since its last compile; the first such operation thaws it
+// from the Topology and it stays from then on.
 package core
 
 import (
@@ -123,22 +123,22 @@ type System struct {
 	minedAt  uint64
 	pristine bool
 	// eng is the system's one engine, created by compileSystem and never
-	// replaced: every later overlay change — repair, decision flip or
-	// recompile — reaches it as an exec.Engine.Rebuild, so it is read without
-	// synchronization. Its Topology is the overlay at rest.
+	// replaced: every later overlay change — repair, decision flip,
+	// re-optimization or recompile — reaches it as an exec.Engine.Rebuild,
+	// so it is read without synchronization. Its Topology is the overlay at
+	// rest and the one home of the system's decisions.
 	eng  *exec.Engine
 	cost dataflow.CostModel
 
-	// ov and maint are the live overlay and its incremental maintainer (nil
-	// unless maintainable). Every compile and recompile installs its overlay
-	// and drops both (adopt); the first operation that needs them builds
-	// them from the engine's Topology (thawLocked) and they stay from then
-	// on, so a session that does not churn holds one copy of its overlay,
-	// the engine's. maintainable records whether the installed overlay
-	// admits a maintainer, known without keeping one. thaws counts the
-	// builds. adaptor is the §4.8 adaptor judging the Topology adapting
+	// maint is the incremental maintainer, whose overlay is the system's
+	// only live one (nil unless maintainable). Every compile and recompile
+	// drops it (adopt); the first structural operation builds it over a
+	// Thaw of the engine's Topology (maintainerLocked) and it stays from
+	// then on, so a session that does not churn holds one copy of its
+	// overlay, the engine's. maintainable records whether the installed
+	// overlay admits a maintainer, known without keeping one. thaws counts
+	// the builds. adaptor is the §4.8 adaptor judging the Topology adapting
 	// (adaptorLocked). All guarded by mu.
-	ov           *overlay.Overlay
 	maint        *construct.Maintainer
 	maintainable bool
 	thaws        int
@@ -185,16 +185,6 @@ func Compile(g *graph.Graph, q Query, opts Options) (*System, error) {
 // Engine exposes the underlying execution engine (for runners/benchmarks).
 func (s *System) Engine() *exec.Engine { return s.eng }
 
-// Overlay exposes the live overlay (for inspection), building it from the
-// engine's Topology if no operation has yet. The overlay is the system's:
-// it must not be used concurrently with the system's structural operations.
-func (s *System) Overlay() *overlay.Overlay {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.thawLocked()
-	return s.ov
-}
-
 // Stats summarizes the compiled system.
 type Stats struct {
 	Overlay overlay.Stats
@@ -214,8 +204,7 @@ type Stats struct {
 }
 
 // Stats returns the system's current summary. The overlay figures are the
-// installed overlay's, computed from the engine's Topology, so they build
-// no live overlay; the rest is read under the system mutex.
+// engine's Topology's; the rest is read under the system mutex.
 func (s *System) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -108,10 +108,12 @@ func TestSubscriptionFollowsReusedNodeID(t *testing.T) {
 }
 
 // TestFailedInstallSurfaces: when the repaired overlay cannot be installed
-// (here: a writer nothing reads is left pull-annotated, which the decision
-// repair does not touch and the engine refuses), the structural operation
-// reports it and falls back to a recompile, so reads stay exact. The parent
-// of this test's commit swallowed the error and kept serving the old plan.
+// (here: the maintainer's overlay holds a pull-annotated writer slot the
+// installed Topology does not have, so the installed decisions do not cover
+// it, nothing reads it so the decision repair does not touch it, and the
+// engine refuses it), the structural operation reports it and falls back to
+// a recompile, so reads stay exact. The parent of this test's commit
+// swallowed the error and kept serving the old plan.
 func TestFailedInstallSurfaces(t *testing.T) {
 	out := Query{Aggregate: agg.Sum{}, Neighborhood: graph.OutNeighbors{}}
 	var member *Attachment
@@ -147,13 +149,14 @@ func TestFailedInstallSurfaces(t *testing.T) {
 			if tc.setup != nil {
 				tc.setup(t, m)
 			}
-			ov := s.Overlay()
-			wref := ov.Writer(7)
-			if wref == overlay.NoNode {
-				t.Fatal("fixture: node 7 has no writer slot")
+			s.mu.Lock()
+			ov := s.maintainerLocked().Overlay()
+			if err := ov.RemoveNode(ov.Writer(7)); err != nil {
+				t.Fatalf("fixture: node 7's writer slot: %v", err)
 			}
-			ov.Node(wref).Dec = overlay.Pull
-			if err := ov.CheckDecisions(); err == nil {
+			ov.Node(ov.AddWriter(7)).Dec = overlay.Pull
+			s.mu.Unlock()
+			if err := ov.Flatten().CheckDecisions(); err == nil {
 				t.Fatal("fixture: decisions still valid")
 			}
 

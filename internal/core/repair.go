@@ -177,7 +177,8 @@ func (s *System) repairReaderLocked(vw *view, r graph.NodeID) error {
 		return s.maint.RemoveReader(vw.tag, r)
 	}
 	want := vw.nbr.Select(s.g, r)
-	ref := s.ov.Reader(vw.tag, r)
+	ov := s.maint.Overlay()
+	ref := ov.Reader(vw.tag, r)
 	if ref == overlay.NoNode {
 		// Empty-input readers included: compile keeps those queryable too.
 		return s.maint.AddReader(vw.tag, r, want)
@@ -186,7 +187,7 @@ func (s *System) repairReaderLocked(vw *view, r graph.NodeID) error {
 	for _, w := range want {
 		wantSet[w] = true
 	}
-	have := s.ov.InputSet(ref)
+	have := ov.InputSet(ref)
 	var adds, dels []graph.NodeID
 	for w := range wantSet {
 		if have[w] == 0 {
@@ -206,36 +207,48 @@ func (s *System) repairReaderLocked(vw *view, r graph.NodeID) error {
 	return s.maint.AddReaderInputs(vw.tag, r, adds)
 }
 
-// maintainerLocked returns the system's maintainer, building the live
-// overlay it maintains first if no operation has yet, or nil when the
-// installed overlay admits none and structural changes must recompile.
-// Callers hold s.mu.
+// maintainerLocked returns the system's maintainer, building it over a Thaw
+// of the engine's Topology if no operation has yet, or nil when the
+// installed overlay admits none and structural changes must recompile. The
+// maintainer's overlay is the system's only live overlay. Callers hold s.mu.
 func (s *System) maintainerLocked() *construct.Maintainer {
 	if !s.maintainable {
 		return nil
 	}
-	s.thawLocked()
+	if s.maint == nil {
+		s.thaws++
+		var err error
+		s.maint, err = construct.NewMaintainer(overlay.Thaw(s.eng.Topology()))
+		s.maintainable = err == nil
+	}
 	return s.maint
 }
 
-// afterMaintenance installs the overlay in the engine after it changed
-// shape. An error means the engine is still on its previous plan and the
-// caller must fall back to a recompile. Either branch first sorts the
-// overlay, which is the check that maintenance left it acyclic.
-// Restructuring may have inserted pull-annotated partials beneath push
-// nodes; the repair pass restores the decision invariant before state is
-// rebuilt. All-push systems (notably continuous queries, whose Subscribe
+// afterMaintenance installs the maintainer's overlay in the engine after it
+// changed shape. An error means the engine is still on its previous plan and
+// the caller must fall back to a recompile. The installed Topology holds the
+// system's decisions, so they are copied over the slots it has: slots are
+// never reused, and the new ones keep the maintainer's defaults. Either
+// branch then sorts the overlay, which is the check that maintenance left it
+// acyclic. Restructuring may have inserted pull-annotated partials beneath
+// push nodes; the repair pass restores the decision invariant before state
+// is rebuilt. All-push systems (notably continuous queries, whose Subscribe
 // coverage must stay complete) re-force every node to push, since
 // maintenance creates new readers pull-annotated.
 func (s *System) afterMaintenance() error {
 	s.pristine = false
+	top := s.maint.Overlay().Flatten()
+	copy(top.Dec, s.eng.Topology().Dec)
+	var err error
 	if s.opts.Mode == ModeAllPush {
-		if _, err := s.ov.TopoOrder(); err != nil {
-			return err
+		if _, err = top.TopoOrder(); err == nil {
+			top = dataflow.DecideAll(top, overlay.Push)
 		}
-		dataflow.DecideAll(s.ov, overlay.Push)
-	} else if _, err := dataflow.RepairDecisions(s.ov); err != nil {
+	} else {
+		top, err = dataflow.RepairDecisions(top)
+	}
+	if err != nil {
 		return err
 	}
-	return s.eng.Rebuild(s.ov.Flatten(), nil)
+	return s.eng.Rebuild(top, nil)
 }

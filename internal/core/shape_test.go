@@ -66,8 +66,10 @@ func attach(t *testing.T, m *MultiSystem, key string, q Query, opts Options) *At
 }
 
 // TestShapeCacheSecondRegisterClones: sum and topk(10) are one VNM_N shape;
-// the second registration mines nothing and still gets the mined overlay bit
-// for bit (under its own cost model's decisions). max is another shape.
+// the second registration mines nothing, copies nothing — its engine's
+// Topology shares the first one's edge arrays and holds decisions of its
+// own — and still gets the mined overlay bit for bit (under its own cost
+// model's decisions). max is another shape.
 func TestShapeCacheSecondRegisterClones(t *testing.T) {
 	m := NewMulti(shapeGraph())
 	sum := Query{Aggregate: agg.Sum{}}
@@ -81,6 +83,13 @@ func TestShapeCacheSecondRegisterClones(t *testing.T) {
 	}
 	if a2.System().Stats().Overlay.NegEdges == 0 {
 		t.Fatal("fixture mines no negative edge: the comparison below would prove little")
+	}
+	donor, clone := a1.System().Engine().Topology(), a2.System().Engine().Topology()
+	if &clone.In[0] != &donor.In[0] || &clone.Out[0] != &donor.Out[0] {
+		t.Fatal("the clone's Topology copied the donor's edge arrays instead of sharing them")
+	}
+	if &clone.Dec[0] == &donor.Dec[0] {
+		t.Fatal("the clone's Topology shares the donor's decisions")
 	}
 	assertFreshMine(t, m, a1, sum, Options{}, "donor")
 	assertFreshMine(t, m, a2, topk, Options{}, "clone")

@@ -8,23 +8,26 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/construct"
+	"repro/internal/dataflow"
 	"repro/internal/graph"
+	"repro/internal/overlay"
 	"repro/internal/simtest"
 )
 
-// holdsLive reports whether s holds a live overlay or maintainer, and how
-// many times it has built them.
+// holdsLive reports whether s holds a maintainer — the one live overlay a
+// system has — and how many times it has built one.
 func holdsLive(s *System) (live bool, thaws int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ov != nil || s.maint != nil, s.thaws
+	return s.maint != nil, s.thaws
 }
 
 // TestContentOnlyHoldsNoLiveOverlay: registering, writing, reading,
-// subscribing, asking for statistics and rebalancing leave every system
-// with one copy of its overlay, the engine's Topology — a same-shape
-// sibling's overlay included, which is thawed from the first system's
-// Topology, and the decisions a Rebalance flips, which it installs on it.
+// subscribing, asking for statistics, rebalancing and re-optimizing leave
+// every system with one copy of its overlay, the engine's Topology — a
+// same-shape sibling's included, which shares the first system's arrays,
+// and the decisions a Rebalance flips or a Reoptimize makes, which they
+// install on it.
 func TestContentOnlyHoldsNoLiveOverlay(t *testing.T) {
 	g := shapeGraph()
 	m := NewMulti(g)
@@ -69,6 +72,11 @@ func TestContentOnlyHoldsNoLiveOverlay(t *testing.T) {
 	if flips, err := m.Rebalance(); err != nil || flips == 0 {
 		t.Fatalf("fixture: Rebalance flipped %d nodes, %v", flips, err)
 	}
+	for _, a := range atts {
+		if err := a.System().Reoptimize(dataflow.Uniform(g.MaxID(), 100, 0.01)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i, sys := range m.Systems() {
 		if live, thaws := holdsLive(sys); live || thaws != 0 {
 			t.Errorf("system %d holds a live overlay or maintainer (%d builds)", i, thaws)
@@ -77,24 +85,24 @@ func TestContentOnlyHoldsNoLiveOverlay(t *testing.T) {
 }
 
 // keepLive makes s, just compiled, hold what a system that is never frozen
-// holds: the overlay construction produced, installed in its engine, with a
-// maintainer built over it. Its first structural run therefore uses that
-// overlay, not a Thaw of a Topology, and its first Rebalance flips it too.
+// holds: the overlay construction produced, its decided Topology installed
+// in the engine, with a maintainer built over it. Its first structural run
+// therefore repairs that overlay, not a Thaw of a Topology.
 func keepLive(t *testing.T, s *System) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ov, err := s.buildOverlay()
+	ov, err := s.mine()
+	var top *overlay.Topology
 	if err == nil {
-		err = s.decide(ov, s.wl)
+		top, err = s.decide(ov.Flatten(), s.wl)
 	}
 	if err == nil {
-		err = s.eng.Rebuild(ov.Flatten(), nil)
+		err = s.eng.Rebuild(top, nil)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ov = ov
 	s.maint, _ = construct.NewMaintainer(ov)
 	if (s.maint != nil) != s.maintainable {
 		t.Fatalf("fixture: maintainer %t, maintainable %t", s.maint != nil, s.maintainable)
@@ -102,9 +110,9 @@ func keepLive(t *testing.T, s *System) {
 }
 
 // TestThawedMatchesNeverFrozen: a frozen system's first structural run and
-// first Rebalance — in either order — leave the overlay (structure, edge
-// order and decisions), the flips and every read exactly as they are on a
-// system that held its live overlay from compile on.
+// first Rebalance — in either order — leave the installed overlay
+// (structure, edge order and decisions), the flips and every read exactly
+// as they are on a system that held its live overlay from compile on.
 func TestThawedMatchesNeverFrozen(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -178,20 +186,11 @@ func TestThawedMatchesNeverFrozen(t *testing.T) {
 	}
 }
 
-// sameSystems fails unless a and b hold byte-identical live overlays — a
-// recompile drops them, so a system that has none is thawed for the
-// comparison — and answer every read alike.
+// sameSystems fails unless a and b have byte-identical installed overlays
+// and answer every read alike.
 func sameSystems(t *testing.T, a, b *System, label string) {
 	t.Helper()
-	var bytesOf [2][]byte
-	for i, s := range []*System{a, b} {
-		var buf bytes.Buffer
-		if err := s.Overlay().Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		bytesOf[i] = buf.Bytes()
-	}
-	if !bytes.Equal(bytesOf[0], bytesOf[1]) {
+	if !bytes.Equal(overlayBytes(t, a), overlayBytes(t, b)) {
 		t.Fatalf("%s: the overlays differ", label)
 	}
 	for _, v := range a.g.Nodes() {
@@ -204,9 +203,9 @@ func sameSystems(t *testing.T, a, b *System, label string) {
 }
 
 // TestFirstThawRace: a frozen system's first Rebalance, structural run,
-// merged-member attach and Stats race. Between them they build exactly one
-// live overlay, mine nothing, and every read afterwards is the simtest
-// model's.
+// merged-member attach, Stats and Reoptimize race. Between them they build
+// exactly one live overlay, mine nothing, and every read afterwards is the
+// simtest model's.
 func TestFirstThawRace(t *testing.T) {
 	rounds := 40
 	if testing.Short() {
@@ -267,6 +266,11 @@ func TestFirstThawRace(t *testing.T) {
 				}
 			},
 			func() { _ = s.Stats() },
+			func() {
+				if err := s.Reoptimize(nil); err != nil {
+					t.Error(err)
+				}
+			},
 		} {
 			wg.Add(1)
 			go func() {

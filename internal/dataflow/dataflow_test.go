@@ -64,7 +64,7 @@ func TestComputeFreqsFanInFanOut(t *testing.T) {
 	wl := NewWorkload(4)
 	wl.Write[0], wl.Write[1] = 5, 7
 	wl.Read[2], wl.Read[3] = 2, 9
-	f, err := ComputeFreqs(ov, wl, 3)
+	f, err := Frequencies(ov.Flatten(), wl, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +87,13 @@ func TestDecideWriteHeavyGoesPull(t *testing.T) {
 	wl := NewWorkload(2)
 	wl.Write[0] = 100
 	wl.Read[1] = 1
-	f, _ := ComputeFreqs(ov, wl, 1)
-	if _, err := Decide(ov, f, ConstLinear{}); err != nil {
-		t.Fatal(err)
+	top := ov.Flatten()
+	f, _ := Frequencies(top, wl, 1)
+	top, _ = Partition(top, f, ConstLinear{})
+	if top.Dec[p] != overlay.Pull || top.Dec[r] != overlay.Pull {
+		t.Fatalf("write-heavy: p=%v r=%v, want pull/pull", top.Dec[p], top.Dec[r])
 	}
-	if ov.Node(p).Dec != overlay.Pull || ov.Node(r).Dec != overlay.Pull {
-		t.Fatalf("write-heavy: p=%v r=%v, want pull/pull", ov.Node(p).Dec, ov.Node(r).Dec)
-	}
-	if err := ov.CheckDecisions(); err != nil {
+	if err := top.CheckDecisions(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -111,7 +110,7 @@ func TestDecideReadHeavyGoesPush(t *testing.T) {
 	if ov.Node(p).Dec != overlay.Push || ov.Node(r).Dec != overlay.Push {
 		t.Fatalf("read-heavy: p=%v r=%v, want push/push", ov.Node(p).Dec, ov.Node(r).Dec)
 	}
-	if err := ov.CheckDecisions(); err != nil {
+	if err := ov.Flatten().CheckDecisions(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -147,17 +146,18 @@ func TestDecideResolvesConflict(t *testing.T) {
 	// → prefers push. i3: PUSH = 10, PULL = 2·1 = 2 → prefers pull. A
 	// pull i3 forces pull s: total 2 + 120 = 122. All push: 10 + 69 =
 	// 79. Optimal: push both.
-	f, err := ComputeFreqs(ov, wl, 1)
+	top := ov.Flatten()
+	f, err := Frequencies(top, wl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Decide(ov, f, ConstLinear{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ov.Node(i3).Dec != overlay.Push || ov.Node(s).Dec != overlay.Push {
+	decided, st := Partition(top, f, ConstLinear{})
+	if decided.Dec[i3] != overlay.Push || decided.Dec[s] != overlay.Push {
 		t.Fatalf("conflict resolved wrong: i3=%v s=%v, want push/push",
-			ov.Node(i3).Dec, ov.Node(s).Dec)
+			decided.Dec[i3], decided.Dec[s])
+	}
+	if top.Dec[i3] != overlay.Pull || top.Dec[s] != overlay.Pull {
+		t.Fatal("Partition changed the decisions of the Topology it was given")
 	}
 	if st.NodesBefore == 0 || st.NodesAfter > st.NodesBefore {
 		t.Fatalf("prune stats inconsistent: %+v", st)
@@ -175,19 +175,18 @@ func TestDecideOptimalVsBruteForce(t *testing.T) {
 			wl.Read[i] = float64(rng.Intn(20))
 			wl.Write[i] = float64(rng.Intn(20))
 		}
-		f, err := ComputeFreqs(ov, wl, 1)
+		top := ov.Flatten()
+		f, err := Frequencies(top, wl, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m := ConstLinear{}
-		if _, err := Decide(ov, f, m); err != nil {
-			t.Fatal(err)
-		}
-		if err := ov.CheckDecisions(); err != nil {
+		top, _ = Partition(top, f, m)
+		if err := top.CheckDecisions(); err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, ov.DebugString())
 		}
-		got := TotalCost(ov, f, m)
-		want := bruteForceOptimal(ov, refs, f, m)
+		got := TotalCost(top, f, m)
+		want := bruteForceOptimal(top, refs, f, m)
 		if got > want+1e-6 {
 			t.Fatalf("trial %d: Decide cost %.3f > optimal %.3f\n%s",
 				trial, got, want, ov.DebugString())
@@ -256,7 +255,7 @@ func randomOverlay(rng *rand.Rand) (*overlay.Overlay, []overlay.NodeRef) {
 }
 
 // bruteForceOptimal enumerates all consistent decision assignments.
-func bruteForceOptimal(ov *overlay.Overlay, refs []overlay.NodeRef, f *Freqs, m CostModel) float64 {
+func bruteForceOptimal(top *overlay.Topology, refs []overlay.NodeRef, f *Freqs, m CostModel) float64 {
 	n := len(refs)
 	best := math.Inf(1)
 	for mask := 0; mask < 1<<n; mask++ {
@@ -270,13 +269,13 @@ func bruteForceOptimal(ov *overlay.Overlay, refs []overlay.NodeRef, f *Freqs, m 
 		cost := 0.0
 		for _, ref := range refs {
 			// Writers are always push (§2.2.1).
-			if ov.Node(ref).Kind == overlay.WriterNode && !pushSet[ref] {
+			if top.Kind[ref] == overlay.WriterNode && !pushSet[ref] {
 				valid = false
 				break
 			}
 			if pushSet[ref] {
-				for _, e := range ov.Node(ref).In {
-					if !pushSet[e.Peer] {
+				for _, pe := range top.InEdges(ref) {
+					if peer, _ := overlay.UnpackRef(pe); !pushSet[peer] {
 						valid = false
 						break
 					}
@@ -322,7 +321,7 @@ func TestSplitNodesHoistsColdInputs(t *testing.T) {
 	if err := ov.AddEdge(i1, r, false); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ComputeFreqs(ov, wl, 1)
+	f, err := Frequencies(ov.Flatten(), wl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +364,7 @@ func TestSplitNodesNoSplitWhenUniform(t *testing.T) {
 	if err := ov.AddEdge(p, r, false); err != nil {
 		t.Fatal(err)
 	}
-	f, _ := ComputeFreqs(ov, wl, 1)
+	f, _ := Frequencies(ov.Flatten(), wl, 1)
 	splits, err := SplitNodes(ov, f, ConstLinear{})
 	if err != nil {
 		t.Fatal(err)
@@ -380,15 +379,13 @@ func TestAdaptorFlipsFrontier(t *testing.T) {
 	wl := NewWorkload(2)
 	wl.Write[0] = 100
 	wl.Read[1] = 1
-	f, _ := ComputeFreqs(ov, wl, 1)
+	top := ov.Flatten()
+	f, _ := Frequencies(top, wl, 1)
 	m := ConstLinear{}
-	if _, err := Decide(ov, f, m); err != nil {
-		t.Fatal(err)
-	}
-	if ov.Node(p).Dec != overlay.Pull {
+	top, _ = Partition(top, f, m)
+	if top.Dec[p] != overlay.Pull {
 		t.Fatalf("setup: p should start pull")
 	}
-	top := ov.Flatten()
 	a := NewAdaptor(top, m)
 	// Workload shifts: p now sees many pulls and few pushes, 72 samples in
 	// all, past the window's 64.
@@ -421,12 +418,10 @@ func TestAdaptorRespectsMinSamples(t *testing.T) {
 	wl := NewWorkload(2)
 	wl.Write[0] = 100
 	wl.Read[1] = 1
-	f, _ := ComputeFreqs(ov, wl, 1)
-	m := ConstLinear{}
-	if _, err := Decide(ov, f, m); err != nil {
-		t.Fatal(err)
-	}
 	top := ov.Flatten()
+	f, _ := Frequencies(top, wl, 1)
+	m := ConstLinear{}
+	top, _ = Partition(top, f, m)
 	a := NewAdaptor(top, m)
 	a.ObserveBatch(nil, slotCounts(top, p, 50)) // below the window's 64 samples
 	if _, flips := a.Rebalance(); flips != 0 {
@@ -444,8 +439,7 @@ func TestAdaptorOnlyFlipsFrontierNodes(t *testing.T) {
 	_ = ov.AddEdge(w, p1, false)
 	_ = ov.AddEdge(p1, p2, false)
 	_ = ov.AddEdge(p2, r, false)
-	DecideAll(ov, overlay.Pull)
-	top := ov.Flatten()
+	top := DecideAll(ov.Flatten(), overlay.Pull)
 	a := NewAdaptor(top, ConstLinear{})
 	a.ObserveBatch(nil, slotCounts(top, p2, 100)) // a full window
 	if _, flips := a.Rebalance(); flips != 0 {
@@ -489,21 +483,21 @@ func TestModelFor(t *testing.T) {
 
 func TestDecideAllBaselines(t *testing.T) {
 	ov, w, p, r := chainOverlay(t)
-	DecideAll(ov, overlay.Pull)
-	if ov.Node(w).Dec != overlay.Push {
+	top := DecideAll(ov.Flatten(), overlay.Pull)
+	if top.Dec[w] != overlay.Push {
 		t.Fatal("writer must stay push in all-pull")
 	}
-	if ov.Node(p).Dec != overlay.Pull || ov.Node(r).Dec != overlay.Pull {
+	if top.Dec[p] != overlay.Pull || top.Dec[r] != overlay.Pull {
 		t.Fatal("all-pull not applied")
 	}
-	if err := ov.CheckDecisions(); err != nil {
+	if err := top.CheckDecisions(); err != nil {
 		t.Fatal(err)
 	}
-	DecideAll(ov, overlay.Push)
-	if ov.Node(p).Dec != overlay.Push || ov.Node(r).Dec != overlay.Push {
+	top = DecideAll(top, overlay.Push)
+	if top.Dec[p] != overlay.Push || top.Dec[r] != overlay.Push {
 		t.Fatal("all-push not applied")
 	}
-	if err := ov.CheckDecisions(); err != nil {
+	if err := top.CheckDecisions(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -522,18 +516,16 @@ func TestPruneStatsComponents(t *testing.T) {
 		wl.Write[c*10] = 10
 		wl.Read[c*10+1] = 10
 	}
-	f, _ := ComputeFreqs(ov, wl, 1)
-	st, err := Decide(ov, f, ConstLinear{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := ov.Flatten()
+	f, _ := Frequencies(top, wl, 1)
+	top, st := Partition(top, f, ConstLinear{})
 	if st.NodesAfter != st.GraphNodesAfter+st.VirtualNodesAfter {
 		t.Fatalf("stats don't add up: %+v", st)
 	}
 	if st.LargestComponent > st.NodesAfter {
 		t.Fatalf("largest component %d > survivors %d", st.LargestComponent, st.NodesAfter)
 	}
-	if err := ov.CheckDecisions(); err != nil {
+	if err := top.CheckDecisions(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,6 +3,7 @@ package dataflow
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/maxflow"
 	"repro/internal/overlay"
@@ -33,38 +34,43 @@ type PruneStats struct {
 	LargestComponent int
 }
 
-// Decide makes optimal push/pull decisions for every overlay node (§4.4):
-// node weights w(v) = PULL(v) − PUSH(v) are computed from the propagated
-// frequencies, the P1/P2 pruning rules run to fixpoint, and each remaining
-// connected component is solved exactly with an s-t min-cut. The overlay's
-// Dec fields are set in place.
-func Decide(ov *overlay.Overlay, f *Freqs, m CostModel) (PruneStats, error) {
+// Partition makes optimal push/pull decisions for every live slot of the
+// topology (§4.4): node weights w(v) = PULL(v) − PUSH(v) are computed from
+// the propagated frequencies, the P1/P2 pruning rules run to fixpoint, and
+// each remaining connected component is solved exactly with an s-t min-cut.
+// It returns top with the decisions (Topology.WithDecisions); a dead slot
+// keeps the decision it had.
+func Partition(top *overlay.Topology, f *Freqs, m CostModel) (*overlay.Topology, PruneStats) {
 	var st PruneStats
 
-	weight := make([]float64, ov.Len())
-	alive := make([]bool, ov.Len())
-	indeg := make([]int, ov.Len())
-	outdeg := make([]int, ov.Len())
-	refs := make([]overlay.NodeRef, 0, ov.NumNodes())
-	ov.ForEachNode(func(ref overlay.NodeRef, n *overlay.Node) {
+	dec := slices.Clone(top.Dec)
+	weight := make([]float64, top.N)
+	alive := make([]bool, top.N)
+	indeg := make([]int, top.N)
+	outdeg := make([]int, top.N)
+	refs := make([]overlay.NodeRef, 0, top.N)
+	for ref := range overlay.NodeRef(top.N) {
+		if top.Dead[ref] {
+			continue
+		}
 		weight[ref] = f.Weight(ref, m)
 		// Writers are always annotated push (§2.2.1): clamping their
 		// weight to zero guarantees rule P1 prunes every writer into X
 		// before the min-cut runs, without constraining anyone else.
-		if n.Kind == overlay.WriterNode && weight[ref] < 0 {
+		if top.Kind[ref] == overlay.WriterNode && weight[ref] < 0 {
 			weight[ref] = 0
 		}
 		alive[ref] = true
-		indeg[ref] = len(n.In)
-		outdeg[ref] = len(n.Out)
+		indeg[ref] = len(top.InEdges(ref))
+		outdeg[ref] = len(top.OutEdges(ref))
 		refs = append(refs, ref)
 		st.NodesBefore++
-		if n.Kind == overlay.PartialNode {
+		if top.Kind[ref] == overlay.PartialNode {
 			st.VirtualNodesBefore++
 		} else {
 			st.GraphNodesBefore++
 		}
-	})
+	}
 
 	// P1/P2 pruning to fixpoint: P1 removes positive-weight nodes with no
 	// remaining inputs (assign push); P2 removes negative-weight nodes
@@ -72,41 +78,39 @@ func Decide(ov *overlay.Overlay, f *Freqs, m CostModel) (PruneStats, error) {
 	// indifferent; treat them as prunable on either side.
 	// Each node enters once up front and once more per edge it is an end
 	// of, so the queue never outgrows this.
-	queue := append(make([]overlay.NodeRef, 0, len(refs)+2*ov.NumEdges()), refs...)
+	queue := append(make([]overlay.NodeRef, 0, len(refs)+2*len(top.Out)), refs...)
 	for len(queue) > 0 {
 		ref := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		if !alive[ref] {
 			continue
 		}
-		var dec overlay.Decision
 		switch {
 		case weight[ref] >= 0 && indeg[ref] == 0:
-			dec = overlay.Push
+			dec[ref] = overlay.Push
 		case weight[ref] <= 0 && outdeg[ref] == 0:
-			dec = overlay.Pull
+			dec[ref] = overlay.Pull
 		default:
 			continue
 		}
-		ov.Node(ref).Dec = dec
 		alive[ref] = false
-		for _, e := range ov.Node(ref).Out {
-			if alive[e.Peer] {
-				indeg[e.Peer]--
-				queue = append(queue, e.Peer)
+		for _, pe := range top.OutEdges(ref) {
+			if peer, _ := overlay.UnpackRef(pe); alive[peer] {
+				indeg[peer]--
+				queue = append(queue, peer)
 			}
 		}
-		for _, e := range ov.Node(ref).In {
-			if alive[e.Peer] {
-				outdeg[e.Peer]--
-				queue = append(queue, e.Peer)
+		for _, pe := range top.InEdges(ref) {
+			if peer, _ := overlay.UnpackRef(pe); alive[peer] {
+				outdeg[peer]--
+				queue = append(queue, peer)
 			}
 		}
 	}
 
 	// Gather survivors and their connected components (undirected).
 	// comp[ref] is the component of a gathered survivor, -1 before.
-	comp := make([]int32, ov.Len())
+	comp := make([]int32, top.N)
 	for i := range comp {
 		comp[i] = -1
 	}
@@ -116,7 +120,7 @@ func Decide(ov *overlay.Overlay, f *Freqs, m CostModel) (PruneStats, error) {
 			continue
 		}
 		st.NodesAfter++
-		if ov.Node(ref).Kind == overlay.PartialNode {
+		if top.Kind[ref] == overlay.PartialNode {
 			st.VirtualNodesAfter++
 		} else {
 			st.GraphNodesAfter++
@@ -132,19 +136,11 @@ func Decide(ov *overlay.Overlay, f *Freqs, m CostModel) (PruneStats, error) {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			members = append(members, u)
-			for _, e := range ov.Node(u).In {
-				if alive[e.Peer] {
-					if comp[e.Peer] < 0 {
-						comp[e.Peer] = id
-						stack = append(stack, e.Peer)
-					}
-				}
-			}
-			for _, e := range ov.Node(u).Out {
-				if alive[e.Peer] {
-					if comp[e.Peer] < 0 {
-						comp[e.Peer] = id
-						stack = append(stack, e.Peer)
+			for _, edges := range [2][]int32{top.InEdges(u), top.OutEdges(u)} {
+				for _, pe := range edges {
+					if peer, _ := overlay.UnpackRef(pe); alive[peer] && comp[peer] < 0 {
+						comp[peer] = id
+						stack = append(stack, peer)
 					}
 				}
 			}
@@ -160,15 +156,25 @@ func Decide(ov *overlay.Overlay, f *Freqs, m CostModel) (PruneStats, error) {
 
 	// Solve each component with the min-cut construction of §4.4.
 	for _, members := range compMembers {
-		solveComponent(ov, members, weight)
+		solveComponent(top, members, weight, dec)
+	}
+	return top.WithDecisions(dec), st
+}
+
+// Decide is Partition on ov's Topology, for callers that hold a pointer
+// overlay: the decisions are set on ov.
+func Decide(ov *overlay.Overlay, f *Freqs, m CostModel) (PruneStats, error) {
+	top, st := Partition(ov.Flatten(), f, m)
+	for ref, d := range top.Dec {
+		ov.Node(overlay.NodeRef(ref)).Dec = d
 	}
 	return st, nil
 }
 
 // solveComponent runs the augmented-graph min-cut on one pruned component
-// and assigns decisions: nodes reachable from s in the residual graph form
-// Y (pull), the rest form X (push).
-func solveComponent(ov *overlay.Overlay, members []overlay.NodeRef, weight []float64) {
+// and assigns its decisions in dec: nodes reachable from s in the residual
+// graph form Y (pull), the rest form X (push).
+func solveComponent(top *overlay.Topology, members []overlay.NodeRef, weight []float64, dec []overlay.Decision) {
 	idx := make(map[overlay.NodeRef]int, len(members))
 	for i, ref := range members {
 		idx[ref] = i
@@ -184,8 +190,9 @@ func solveComponent(ov *overlay.Overlay, members []overlay.NodeRef, weight []flo
 		case w > 0:
 			g.AddEdge(i, t, scaleWeight(w))
 		}
-		for _, e := range ov.Node(ref).Out {
-			if j, ok := idx[e.Peer]; ok {
+		for _, pe := range top.OutEdges(ref) {
+			peer, _ := overlay.UnpackRef(pe)
+			if j, ok := idx[peer]; ok {
 				g.AddEdge(i, j, maxflow.Inf)
 			}
 		}
@@ -194,9 +201,9 @@ func solveComponent(ov *overlay.Overlay, members []overlay.NodeRef, weight []flo
 	reach := g.ResidualReachable(s)
 	for i, ref := range members {
 		if reach[i] {
-			ov.Node(ref).Dec = overlay.Pull
+			dec[ref] = overlay.Pull
 		} else {
-			ov.Node(ref).Dec = overlay.Push
+			dec[ref] = overlay.Push
 		}
 	}
 }
@@ -213,39 +220,39 @@ func scaleWeight(w float64) int64 {
 // overlay was restructured (incremental maintenance or node splitting may
 // introduce fresh pull-annotated partial nodes beneath existing push
 // nodes). It extends the push region upward: every input of a push node
-// becomes push, transitively. Returns the number of nodes flipped, or the
-// error of an overlay with a cycle, whose decisions it leaves untouched.
-func RepairDecisions(ov *overlay.Overlay) (int, error) {
-	order, err := ov.TopoOrder()
+// becomes push, transitively. It returns top with the repaired decisions,
+// or the error of a topology with a cycle.
+func RepairDecisions(top *overlay.Topology) (*overlay.Topology, error) {
+	order, err := top.TopoOrder()
 	if err != nil {
-		return 0, fmt.Errorf("dataflow: %w", err)
+		return nil, fmt.Errorf("dataflow: %w", err)
 	}
-	flips := 0
+	dec := slices.Clone(top.Dec)
 	for i := len(order) - 1; i >= 0; i-- {
-		n := ov.Node(order[i])
-		if n.Dec != overlay.Push {
+		if dec[order[i]] != overlay.Push {
 			continue
 		}
-		for _, e := range n.In {
-			in := ov.Node(e.Peer)
-			if in.Dec != overlay.Push {
-				in.Dec = overlay.Push
-				flips++
-			}
+		for _, pe := range top.InEdges(order[i]) {
+			peer, _ := overlay.UnpackRef(pe)
+			dec[peer] = overlay.Push
 		}
 	}
-	return flips, nil
+	return top.WithDecisions(dec), nil
 }
 
-// DecideAll assigns the same decision to every node — the all-push and
-// all-pull baselines of §5 (writers stay push in the all-pull baseline, as
-// raw values must always be recorded).
-func DecideAll(ov *overlay.Overlay, dec overlay.Decision) {
-	ov.ForEachNode(func(_ overlay.NodeRef, n *overlay.Node) {
-		if n.Kind == overlay.WriterNode {
-			n.Dec = overlay.Push
-			return
+// DecideAll returns top with the same decision on every live slot — the
+// all-push and all-pull baselines of §5 (writers stay push in the all-pull
+// baseline, as raw values must always be recorded).
+func DecideAll(top *overlay.Topology, d overlay.Decision) *overlay.Topology {
+	dec := slices.Clone(top.Dec)
+	for ref := range dec {
+		switch {
+		case top.Dead[ref]:
+		case top.Kind[ref] == overlay.WriterNode:
+			dec[ref] = overlay.Push
+		default:
+			dec[ref] = d
 		}
-		n.Dec = dec
-	})
+	}
+	return top.WithDecisions(dec)
 }

@@ -51,13 +51,13 @@ type Freqs struct {
 	Deg  []int
 }
 
-// ComputeFreqs propagates frequencies through the overlay: push frequencies
-// flow downstream from writers (f_h(u) = Σ f_h of inputs), pull frequencies
-// flow upstream from readers (f_l(u) = Σ f_l of consumers). windowSize is
-// the average number of in-window values per writer, which determines the
-// writer-node cost H(windowSize)/L(windowSize) (§4.2).
-func ComputeFreqs(ov *overlay.Overlay, wl *Workload, windowSize int) (*Freqs, error) {
-	order, err := ov.TopoOrder()
+// Frequencies propagates frequencies through the topology: push
+// frequencies flow downstream from writers (f_h(u) = Σ f_h of inputs), pull
+// frequencies flow upstream from readers (f_l(u) = Σ f_l of consumers).
+// windowSize is the average number of in-window values per writer, which
+// determines the writer-node cost H(windowSize)/L(windowSize) (§4.2).
+func Frequencies(top *overlay.Topology, wl *Workload, windowSize int) (*Freqs, error) {
+	order, err := top.TopoOrder()
 	if err != nil {
 		return nil, fmt.Errorf("dataflow: %w", err)
 	}
@@ -65,40 +65,46 @@ func ComputeFreqs(ov *overlay.Overlay, wl *Workload, windowSize int) (*Freqs, er
 		windowSize = 1
 	}
 	f := &Freqs{
-		Push: make([]float64, ov.Len()),
-		Pull: make([]float64, ov.Len()),
-		Deg:  make([]int, ov.Len()),
+		Push: make([]float64, top.N),
+		Pull: make([]float64, top.N),
+		Deg:  make([]int, top.N),
 	}
 	// Downstream pass: push frequencies.
 	for _, ref := range order {
-		n := ov.Node(ref)
-		if n.Kind == overlay.WriterNode {
-			f.Push[ref] = rateOf(wl.Write, n.GID)
+		if top.Kind[ref] == overlay.WriterNode {
+			f.Push[ref] = rateOf(wl.Write, top.GID[ref])
 			f.Deg[ref] = windowSize
 			continue
 		}
-		f.Deg[ref] = len(n.In)
-		sum := 0.0
-		for _, e := range n.In {
-			sum += f.Push[e.Peer]
-		}
-		f.Push[ref] = sum
+		f.Deg[ref] = len(top.InEdges(ref))
+		f.Push[ref] = sumOver(f.Push, top.InEdges(ref))
 	}
 	// Upstream pass: pull frequencies.
 	for i := len(order) - 1; i >= 0; i-- {
 		ref := order[i]
-		n := ov.Node(ref)
-		if n.Kind == overlay.ReaderNode {
-			f.Pull[ref] = rateOf(wl.Read, n.GID)
+		if top.Kind[ref] == overlay.ReaderNode {
+			f.Pull[ref] = rateOf(wl.Read, top.GID[ref])
 			continue
 		}
-		sum := 0.0
-		for _, e := range n.Out {
-			sum += f.Pull[e.Peer]
-		}
-		f.Pull[ref] = sum
+		f.Pull[ref] = sumOver(f.Pull, top.OutEdges(ref))
 	}
 	return f, nil
+}
+
+// sumOver sums x over the peers of packed edges, in edge order.
+func sumOver(x []float64, edges []int32) float64 {
+	sum := 0.0
+	for _, pe := range edges {
+		peer, _ := overlay.UnpackRef(pe)
+		sum += x[peer]
+	}
+	return sum
+}
+
+// ComputeFreqs is Frequencies on ov's Topology, for callers that hold a
+// pointer overlay.
+func ComputeFreqs(ov *overlay.Overlay, wl *Workload, windowSize int) (*Freqs, error) {
+	return Frequencies(ov.Flatten(), wl, windowSize)
 }
 
 // PushCost returns PUSH(v) = f_h(v) · H(deg(v)).
@@ -117,16 +123,18 @@ func (f *Freqs) Weight(ref overlay.NodeRef, m CostModel) float64 {
 	return f.PullCost(ref, m) - f.PushCost(ref, m)
 }
 
-// TotalCost evaluates the §4.3 objective for the overlay's current
-// decisions: Σ_{v∈X} PUSH(v) + Σ_{v∈Y} PULL(v).
-func TotalCost(ov *overlay.Overlay, f *Freqs, m CostModel) float64 {
+// TotalCost evaluates the §4.3 objective for the topology's decisions:
+// Σ_{v∈X} PUSH(v) + Σ_{v∈Y} PULL(v).
+func TotalCost(top *overlay.Topology, f *Freqs, m CostModel) float64 {
 	total := 0.0
-	ov.ForEachNode(func(ref overlay.NodeRef, n *overlay.Node) {
-		if n.Dec == overlay.Push {
+	for ref := range overlay.NodeRef(top.N) {
+		switch {
+		case top.Dead[ref]:
+		case top.Dec[ref] == overlay.Push:
 			total += f.PushCost(ref, m)
-		} else {
+		default:
 			total += f.PullCost(ref, m)
 		}
-	})
+	}
 	return total
 }

@@ -205,12 +205,11 @@ func TestWriteBatchCoalescedMatchesPerEvent(t *testing.T) {
 							}
 						}
 						ovB := batchOverlay(t, shape, dec)
-						ovW := ovB.Clone()
 						batched, err := New(ovB.Flatten(), a, window())
 						if err != nil {
 							t.Fatal(err)
 						}
-						single, err := New(ovW.Flatten(), a, window())
+						single, err := New(ovB.Flatten(), a, window())
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -24,8 +24,7 @@ func starEngine(t *testing.T, n int) *Engine {
 	}
 	ag := bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes)
 	ov := construct.Baseline(ag)
-	dataflow.DecideAll(ov, overlay.Push)
-	eng, err := New(ov.Flatten(), agg.Sum{}, agg.NewTupleWindow(1))
+	eng, err := New(dataflow.DecideAll(ov.Flatten(), overlay.Push), agg.Sum{}, agg.NewTupleWindow(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +154,7 @@ func TestCovered(t *testing.T) {
 	_ = g.AddEdge(1, 0)
 	ag := bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes)
 	ov := construct.Baseline(ag)
-	dataflow.DecideAll(ov, overlay.Pull)
-	pull, err := New(ov.Flatten(), agg.Sum{}, agg.NewTupleWindow(1))
+	pull, err := New(dataflow.DecideAll(ov.Flatten(), overlay.Pull), agg.Sum{}, agg.NewTupleWindow(1))
 	if err != nil {
 		t.Fatal(err)
 	}

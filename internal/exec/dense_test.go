@@ -90,8 +90,7 @@ func TestHolisticSteadyStateAllocs(t *testing.T) {
 	for _, a := range []agg.Aggregate{agg.Sum{}, agg.Max{}, agg.Min{}, agg.TopK{K: 3}, agg.Distinct{}} {
 		for _, mode := range []string{"push", "pull"} {
 			ov := construct.Baseline(paperAG())
-			decide(t, ov, mode)
-			e, err := New(ov.Flatten(), a, agg.NewTupleWindow(3))
+			e, err := New(decide(t, ov, mode), a, agg.NewTupleWindow(3))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -46,23 +46,22 @@ func figure1Writes(t *testing.T, e *Engine) {
 	}
 }
 
-func decide(t *testing.T, ov *overlay.Overlay, mode string) {
+// decide returns ov's Topology with mode's decisions.
+func decide(t *testing.T, ov *overlay.Overlay, mode string) *overlay.Topology {
 	t.Helper()
+	top := ov.Flatten()
 	switch mode {
 	case "push":
-		dataflow.DecideAll(ov, overlay.Push)
+		return dataflow.DecideAll(top, overlay.Push)
 	case "pull":
-		dataflow.DecideAll(ov, overlay.Pull)
-	case "optimal":
-		wl := dataflow.Uniform(64, 1, 1)
-		f, err := dataflow.ComputeFreqs(ov, wl, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dataflow.Decide(ov, f, dataflow.ConstLinear{}); err != nil {
-			t.Fatal(err)
-		}
+		return dataflow.DecideAll(top, overlay.Pull)
 	}
+	f, err := dataflow.Frequencies(top, dataflow.Uniform(64, 1, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, _ = dataflow.Partition(top, f, dataflow.ConstLinear{})
+	return top
 }
 
 func TestPaperExampleSums(t *testing.T) {
@@ -79,8 +78,7 @@ func TestPaperExampleSums(t *testing.T) {
 				}
 				ov = res.Overlay
 			}
-			decide(t, ov, mode)
-			e, err := New(ov.Flatten(), agg.Sum{}, agg.NewTupleWindow(1))
+			e, err := New(decide(t, ov, mode), agg.Sum{}, agg.NewTupleWindow(1))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", alg, mode, err)
 			}
@@ -181,9 +179,8 @@ func runOracleTrial(t *testing.T, rng *rand.Rand, ag *bipartite.AG, a agg.Aggreg
 		}
 		ov = res.Overlay
 	}
-	decide(t, ov, mode)
 	const window = 3
-	e, err := New(ov.Flatten(), a, agg.NewTupleWindow(window))
+	e, err := New(decide(t, ov, mode), a, agg.NewTupleWindow(window))
 	if err != nil {
 		t.Fatalf("%s/%s/%s: %v", a.Name(), alg, mode, err)
 	}
@@ -213,8 +210,7 @@ func runOracleTrial(t *testing.T, rng *rand.Rand, ag *bipartite.AG, a agg.Aggreg
 func TestTimeWindowExpiryPropagates(t *testing.T) {
 	ag := paperAG()
 	ov := construct.Baseline(ag)
-	decide(t, ov, "push")
-	e, err := New(ov.Flatten(), agg.Sum{}, agg.NewTimeWindow(10))
+	e, err := New(decide(t, ov, "push"), agg.Sum{}, agg.NewTimeWindow(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +238,7 @@ func TestConcurrentWritesAndReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decide(t, res.Overlay, "optimal")
-	e, err := New(res.Overlay.Flatten(), agg.Sum{}, agg.NewTupleWindow(1))
+	e, err := New(decide(t, res.Overlay, "optimal"), agg.Sum{}, agg.NewTupleWindow(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,8 +285,7 @@ func TestConcurrentWritesAndReads(t *testing.T) {
 func TestRebuildAfterDecisionFlip(t *testing.T) {
 	ag := paperAG()
 	ov := construct.Baseline(ag)
-	decide(t, ov, "pull")
-	e, err := New(ov.Flatten(), agg.Sum{}, agg.NewTupleWindow(1))
+	e, err := New(decide(t, ov, "pull"), agg.Sum{}, agg.NewTupleWindow(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,8 +299,7 @@ func TestRebuildAfterDecisionFlip(t *testing.T) {
 		t.Fatalf("pre-flip read = %v, want 15", before)
 	}
 	// Flip everything to push (as an adaptive rebalance might) and install.
-	dataflow.DecideAll(ov, overlay.Push)
-	if err := e.Rebuild(ov.Flatten(), nil); err != nil {
+	if err := e.Rebuild(dataflow.DecideAll(ov.Flatten(), overlay.Push), nil); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := e.Read(6)
@@ -326,8 +319,7 @@ func TestRebuildAfterDecisionFlip(t *testing.T) {
 func TestObservationsDrain(t *testing.T) {
 	ag := paperAG()
 	ov := construct.Baseline(ag)
-	decide(t, ov, "optimal")
-	e, err := New(ov.Flatten(), agg.Sum{}, nil)
+	e, err := New(decide(t, ov, "optimal"), agg.Sum{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,8 +344,7 @@ func TestObservationsDrain(t *testing.T) {
 func TestWriteUnknownNode(t *testing.T) {
 	ag := paperAG()
 	ov := construct.Baseline(ag)
-	decide(t, ov, "push")
-	e, err := New(ov.Flatten(), agg.Sum{}, nil)
+	e, err := New(decide(t, ov, "push"), agg.Sum{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,8 +377,7 @@ func TestNegativeEdgeExecution(t *testing.T) {
 	_ = ov.AddEdge(p, r11, false)
 	_ = ov.AddEdge(wb, r11, true)
 	for _, mode := range []string{"push", "pull"} {
-		decide(t, ov, mode)
-		e, err := New(ov.Flatten(), agg.Sum{}, agg.NewTupleWindow(1))
+		e, err := New(decide(t, ov, mode), agg.Sum{}, agg.NewTupleWindow(1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,8 +21,7 @@ func expiryPair(t *testing.T, T int64) (*Engine, *Engine) {
 	t.Helper()
 	mk := func() *Engine {
 		ov := construct.Baseline(paperAG())
-		decide(t, ov, "push")
-		e, err := New(ov.Flatten(), agg.Sum{}, agg.NewTimeWindow(T))
+		e, err := New(decide(t, ov, "push"), agg.Sum{}, agg.NewTimeWindow(T))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,8 +155,7 @@ func TestExpireAllOneUpdatePerReaderPerAdvance(t *testing.T) {
 				}
 			}
 			ov := construct.Baseline(bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes))
-			decide(t, ov, "push")
-			eng, err := New(ov.Flatten(), a, agg.NewTimeWindow(10))
+			eng, err := New(decide(t, ov, "push"), a, agg.NewTimeWindow(10))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,8 +284,7 @@ func TestExpireHeapSaturatedWatermarks(t *testing.T) {
 // a single bucket test.
 func TestTupleWindowsNeverEnterExpiryHeap(t *testing.T) {
 	ov := construct.Baseline(paperAG())
-	decide(t, ov, "push")
-	e, err := New(ov.Flatten(), agg.Sum{}, agg.NewTupleWindow(3))
+	e, err := New(decide(t, ov, "push"), agg.Sum{}, agg.NewTupleWindow(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,8 +365,7 @@ func TestAdvanceCancelsWhatItExpires(t *testing.T) {
 	const late = 777
 	mk := func() *Engine {
 		ov := construct.Baseline(paperAG())
-		decide(t, ov, "push")
-		e, err := New(ov.Flatten(), tally{}, agg.NewTimeWindow(10))
+		e, err := New(decide(t, ov, "push"), tally{}, agg.NewTimeWindow(10))
 		if err != nil {
 			t.Fatal(err)
 		}

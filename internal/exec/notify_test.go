@@ -24,8 +24,7 @@ func notifyEngine(t *testing.T, a agg.Aggregate) *Engine {
 	}
 	ag := bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes)
 	ov := construct.Baseline(ag)
-	dataflow.DecideAll(ov, overlay.Push)
-	eng, err := New(ov.Flatten(), a, agg.NewTupleWindow(1))
+	eng, err := New(dataflow.DecideAll(ov.Flatten(), overlay.Push), a, agg.NewTupleWindow(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +161,7 @@ func TestExpiryNotifies(t *testing.T) {
 	_ = g.AddEdge(1, 0)
 	ag := bipartite.Build(g, graph.InNeighbors{}, graph.AllNodes)
 	ov := construct.Baseline(ag)
-	dataflow.DecideAll(ov, overlay.Push)
-	eng, err := New(ov.Flatten(), agg.Sum{}, agg.NewTimeWindow(10))
+	eng, err := New(dataflow.DecideAll(ov.Flatten(), overlay.Push), agg.Sum{}, agg.NewTimeWindow(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,8 +329,7 @@ func TestCancelledPathDoesNotNotify(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dataflow.DecideAll(ov, overlay.Push)
-	eng, err := New(ov.Flatten(), agg.Sum{}, agg.NewTupleWindow(1))
+	eng, err := New(dataflow.DecideAll(ov.Flatten(), overlay.Push), agg.Sum{}, agg.NewTupleWindow(1))
 	if err != nil {
 		t.Fatal(err)
 	}

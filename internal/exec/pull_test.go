@@ -160,7 +160,7 @@ func TestPullKernelMatchesArena(t *testing.T) {
 					if tw.kern, err = New(ov.Flatten(), a, window()); err != nil {
 						t.Fatal(err)
 					}
-					if tw.ref, err = New(ov.Clone().Flatten(), a, window()); err != nil {
+					if tw.ref, err = New(ov.Flatten(), a, window()); err != nil {
 						t.Fatal(err)
 					}
 					var ts int64

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -72,12 +73,12 @@ func TestRebuildUnderStorm(t *testing.T) {
 			// All-push start; the flip target is reader 6's overlay node,
 			// which may legally toggle pull<->push at any time (its inputs
 			// stay push, and nothing is downstream of a reader).
-			decide(t, ov, "push")
-			flip := ov.Reader(0, 6)
+			top := decide(t, ov, "push")
+			flip := top.Reader(0, 6)
 			if flip == overlay.NoNode {
 				t.Fatal("reader 6 not in overlay")
 			}
-			e, err := New(ov.Flatten(), tc.a, agg.NewTupleWindow(1))
+			e, err := New(top, tc.a, agg.NewTupleWindow(1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,12 +123,11 @@ func TestRebuildUnderStorm(t *testing.T) {
 			// storm has fully drained, so every install overlaps live
 			// traffic.
 			for i := 0; i < 4 || !done.Load(); i++ {
+				dec := slices.Clone(top.Dec)
 				if i%2 == 0 {
-					ov.Node(flip).Dec = overlay.Pull
-				} else {
-					ov.Node(flip).Dec = overlay.Push
+					dec[flip] = overlay.Pull
 				}
-				if err := e.Rebuild(ov.Flatten(), nil); err != nil {
+				if err := e.Rebuild(top.WithDecisions(dec), nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -157,8 +157,7 @@ func TestRebuildUnderStorm(t *testing.T) {
 func TestReadIntoReusesBuffer(t *testing.T) {
 	ag := paperAG()
 	ov := construct.Baseline(ag)
-	decide(t, ov, "pull")
-	e, err := New(ov.Flatten(), agg.TopK{K: 2}, agg.NewTupleWindow(2))
+	e, err := New(decide(t, ov, "pull"), agg.TopK{K: 2}, agg.NewTupleWindow(2))
 	if err != nil {
 		t.Fatal(err)
 	}

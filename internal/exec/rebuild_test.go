@@ -27,8 +27,7 @@ func TestRebuildCarriesCellsByGraphID(t *testing.T) {
 	for _, a := range []agg.Aggregate{agg.Sum{}, agg.Max{}} {
 		t.Run(a.Name(), func(t *testing.T) {
 			ov := construct.Baseline(paperAG())
-			dataflow.DecideAll(ov, overlay.Push)
-			e, err := New(ov.Flatten(), a, agg.NewTimeWindow(100))
+			e, err := New(dataflow.DecideAll(ov.Flatten(), overlay.Push), a, agg.NewTimeWindow(100))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,8 +53,7 @@ func TestRebuildCarriesCellsByGraphID(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dataflow.DecideAll(res.Overlay, overlay.Push)
-			if err := e.Rebuild(res.Overlay.Flatten(), map[graph.NodeID]bool{5: true}); err != nil {
+			if err := e.Rebuild(dataflow.DecideAll(res.Overlay.Flatten(), overlay.Push), map[graph.NodeID]bool{5: true}); err != nil {
 				t.Fatal(err)
 			}
 			delete(content, 5) // skipped: its window must not survive
@@ -117,8 +115,7 @@ func TestRebuildCarriesCellsByGraphID(t *testing.T) {
 func TestRebuildKeepsEngineWindow(t *testing.T) {
 	topologyOf := func(lists map[graph.NodeID][]graph.NodeID) *overlay.Topology {
 		ov := construct.Baseline(bipartite.FromInputLists(lists))
-		dataflow.DecideAll(ov, overlay.Push)
-		return ov.Flatten()
+		return dataflow.DecideAll(ov.Flatten(), overlay.Push)
 	}
 	e, err := New(topologyOf(map[graph.NodeID][]graph.NodeID{0: {1}}), agg.Sum{}, agg.NewTimeWindow(10))
 	if err != nil {
@@ -145,8 +142,7 @@ func TestRebuildReattachesSubscriptionAfterReaderLoss(t *testing.T) {
 	without := map[graph.NodeID][]graph.NodeID{8: {0, 1}}
 	topologyOf := func(lists map[graph.NodeID][]graph.NodeID) *overlay.Topology {
 		ov := construct.Baseline(bipartite.FromInputLists(lists))
-		dataflow.DecideAll(ov, overlay.Push)
-		return ov.Flatten()
+		return dataflow.DecideAll(ov.Flatten(), overlay.Push)
 	}
 	e, err := New(topologyOf(with), agg.Sum{}, agg.NewTupleWindow(4))
 	if err != nil {
@@ -189,8 +185,7 @@ func TestRebuildUnpublishesUncoveredTable(t *testing.T) {
 	without := map[graph.NodeID][]graph.NodeID{8: {0, 1}}
 	topologyOf := func(lists map[graph.NodeID][]graph.NodeID) *overlay.Topology {
 		ov := construct.Baseline(bipartite.FromInputLists(lists))
-		dataflow.DecideAll(ov, overlay.Push)
-		return ov.Flatten()
+		return dataflow.DecideAll(ov.Flatten(), overlay.Push)
 	}
 	e, err := New(topologyOf(with), agg.Sum{}, nil)
 	if err != nil {

@@ -23,8 +23,7 @@ func TestConcurrentStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		decide(t, res.Overlay, "optimal")
-		e, err := New(res.Overlay.Flatten(), a, agg.NewTimeWindow(1<<30))
+		e, err := New(decide(t, res.Overlay, "optimal"), a, agg.NewTimeWindow(1<<30))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,8 +92,7 @@ func TestConcurrentStress(t *testing.T) {
 func TestRebuildMidStream(t *testing.T) {
 	ag := paperAG()
 	ov := construct.Baseline(ag)
-	decide(t, ov, "push")
-	e, err := New(ov.Flatten(), agg.Sum{}, agg.NewTupleWindow(1))
+	e, err := New(decide(t, ov, "push"), agg.Sum{}, agg.NewTupleWindow(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +160,7 @@ func TestRebuildMidStream(t *testing.T) {
 func TestRebuildPreservesWindows(t *testing.T) {
 	ag := paperAG()
 	ov := construct.Baseline(ag)
-	decide(t, ov, "push")
-	e, err := New(ov.Flatten(), agg.Sum{}, agg.NewTimeWindow(100))
+	e, err := New(decide(t, ov, "push"), agg.Sum{}, agg.NewTimeWindow(100))
 	if err != nil {
 		t.Fatal(err)
 	}

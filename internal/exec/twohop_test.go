@@ -33,8 +33,7 @@ func TestTwoHopEngineMatchesOracle(t *testing.T) {
 			}
 			ov = res.Overlay
 		}
-		decide(t, ov, "optimal")
-		e, err := New(ov.Flatten(), agg.Sum{}, agg.NewTupleWindow(1))
+		e, err := New(decide(t, ov, "optimal"), agg.Sum{}, agg.NewTupleWindow(1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,8 +45,7 @@ func adaptivity(cfg Config) []Table {
 	a := agg.TopK{K: 3}
 	m := dataflow.ModelFor(a)
 	mk := func() *exec.Engine {
-		ov := decideApproach(base, "dataflow", tr.Before, m, 1)
-		e, err := exec.New(ov.Flatten(), a, agg.NewTupleWindow(1))
+		e, err := exec.New(decideApproach(base, "dataflow", tr.Before, m, 1), a, agg.NewTupleWindow(1))
 		if err != nil {
 			panic(err)
 		}

@@ -25,16 +25,16 @@ func execGraph(cfg Config) workload.Dataset {
 		Graph: workload.SocialGraph(4000*cfg.Scale, 10, cfg.Seed+1)}
 }
 
-// overlayFor builds (alg, ag) or the baseline overlay.
-func overlayFor(alg string, ag *bipartite.AG, iters int) *overlay.Overlay {
+// overlayFor builds (alg, ag) or the baseline overlay and flattens it.
+func overlayFor(alg string, ag *bipartite.AG, iters int) *overlay.Topology {
 	if alg == "baseline" {
-		return construct.Baseline(ag)
+		return construct.Baseline(ag).Flatten()
 	}
 	res, err := construct.Build(alg, ag, construct.Config{Iterations: iters})
 	if err != nil {
 		panic(err)
 	}
-	return res.Overlay
+	return res.Overlay.Flatten()
 }
 
 // approach bundles an overlay source with a decision mode.
@@ -44,31 +44,27 @@ type approach struct {
 	mode string // "push", "pull", "dataflow"
 }
 
-// decideApproach applies the approach's decisions on a clone of the overlay.
-func decideApproach(ov *overlay.Overlay, mode string, wl *dataflow.Workload, m dataflow.CostModel, window int) *overlay.Overlay {
-	c := ov.Clone()
+// decideApproach returns top with the approach's decisions.
+func decideApproach(top *overlay.Topology, mode string, wl *dataflow.Workload, m dataflow.CostModel, window int) *overlay.Topology {
 	switch mode {
 	case "push":
-		dataflow.DecideAll(c, overlay.Push)
+		return dataflow.DecideAll(top, overlay.Push)
 	case "pull":
-		dataflow.DecideAll(c, overlay.Pull)
-	default:
-		f, err := dataflow.ComputeFreqs(c, wl, window)
-		if err != nil {
-			panic(err)
-		}
-		if _, err := dataflow.Decide(c, f, m); err != nil {
-			panic(err)
-		}
+		return dataflow.DecideAll(top, overlay.Pull)
 	}
-	return c
+	f, err := dataflow.Frequencies(top, wl, window)
+	if err != nil {
+		panic(err)
+	}
+	top, _ = dataflow.Partition(top, f, m)
+	return top
 }
 
 // throughputOf runs the event stream against a fresh engine — serially for
 // one worker, otherwise split evenly between concurrent Apply and ReadInto
 // callers — and returns operations per second.
-func throughputOf(ov *overlay.Overlay, a agg.Aggregate, events []graph.Event, workers int) runStats {
-	eng, err := exec.New(ov.Flatten(), a, agg.NewTupleWindow(1))
+func throughputOf(top *overlay.Topology, a agg.Aggregate, events []graph.Event, workers int) runStats {
+	eng, err := exec.New(top, a, agg.NewTupleWindow(1))
 	if err != nil {
 		panic(err)
 	}
@@ -149,8 +145,7 @@ func fig13a(cfg Config) []Table {
 		adaptor *dataflow.Adaptor // the adaptive runner's, over its installed Topology
 	}
 	mkEngine := func(approach string) *exec.Engine {
-		ov := decideApproach(base, approach, tr.Before, m, 1)
-		e, err := exec.New(ov.Flatten(), a, agg.NewTupleWindow(1))
+		e, err := exec.New(decideApproach(base, approach, tr.Before, m, 1), a, agg.NewTupleWindow(1))
 		if err != nil {
 			panic(err)
 		}
@@ -227,8 +222,7 @@ func fig13c(cfg Config) []Table {
 		if c.pull > 0 {
 			m = dataflow.Scaled{Base: m, PullFactor: c.pull}
 		}
-		ov := decideApproach(base, c.mode, wl, m, 1)
-		eng, err := exec.New(ov.Flatten(), a, agg.NewTupleWindow(1))
+		eng, err := exec.New(decideApproach(base, c.mode, wl, m, 1), a, agg.NewTupleWindow(1))
 		if err != nil {
 			panic(err)
 		}
@@ -262,12 +256,12 @@ func fig13d(cfg Config) []Table {
 	for _, threads := range []int{1, 2, 4, 8, 16, 24, 32, 48} {
 		row := []string{i0(threads)}
 		for _, mode := range []string{"dataflow", "push", "pull"} {
-			var ov *overlay.Overlay
+			var ov *overlay.Topology
 			switch mode {
 			case "dataflow":
 				ov = decideApproach(base, mode, wl, m, 1)
 			default:
-				ov = decideApproach(construct.Baseline(ag), mode, wl, m, 1)
+				ov = decideApproach(construct.Baseline(ag).Flatten(), mode, wl, m, 1)
 			}
 			st := throughputOf(ov, a, events, threads)
 			row = append(row, f0(st.Throughput))
@@ -298,7 +292,7 @@ func fig14a(cfg Config) []Table {
 			approaches = append(approaches, approach{alg, alg, "dataflow"})
 		}
 		// Build each overlay once; decisions are re-made per ratio.
-		built := map[string]*overlay.Overlay{}
+		built := map[string]*overlay.Topology{}
 		for _, ap := range approaches {
 			if _, ok := built[ap.alg]; !ok {
 				built[ap.alg] = overlayFor(ap.alg, ag, cfg.Iterations)
@@ -350,22 +344,15 @@ func fig14b(cfg Config) []Table {
 			plain := decideApproach(base, "dataflow", wl, m, 1)
 			stPlain := throughputOf(plain, a, events, 4)
 
-			split := base.Clone()
-			f, err := dataflow.ComputeFreqs(split, wl, 1)
+			split := overlay.Thaw(base)
+			f, err := dataflow.Frequencies(base, wl, 1)
 			if err != nil {
 				panic(err)
 			}
 			if _, err := dataflow.SplitNodes(split, f, m); err != nil {
 				panic(err)
 			}
-			f, err = dataflow.ComputeFreqs(split, wl, 1)
-			if err != nil {
-				panic(err)
-			}
-			if _, err := dataflow.Decide(split, f, m); err != nil {
-				panic(err)
-			}
-			stSplit := throughputOf(split, a, events, 4)
+			stSplit := throughputOf(decideApproach(split.Flatten(), "dataflow", wl, m, 1), a, events, 4)
 			row = append(row, f2(stSplit.Throughput/stPlain.Throughput))
 		}
 		t.Rows = append(t.Rows, row)
@@ -394,11 +381,11 @@ func fig14c(cfg Config) []Table {
 		m := dataflow.ModelFor(a)
 		row := []string{a.Name()}
 		for _, mode := range []string{"push", "dataflow", "pull"} {
-			var ov *overlay.Overlay
+			var ov *overlay.Topology
 			if mode == "dataflow" {
 				ov = decideApproach(base, mode, wl, m, 1)
 			} else {
-				ov = decideApproach(construct.Baseline(ag2), mode, wl, m, 1)
+				ov = decideApproach(construct.Baseline(ag2).Flatten(), mode, wl, m, 1)
 			}
 			st := throughputOf(ov, a, events, 4)
 			row = append(row, f0(st.Throughput))
@@ -434,7 +421,7 @@ func headline(cfg Config) []Table {
 	}
 	t.Rows = append(t.Rows, []string{
 		i0(g.NumNodes()), i0(g.NumEdges()),
-		f2(ovd.SharingIndex() * 100),
+		f2(ovd.ComputeStats().SharingIndex * 100),
 		f2(buildTime.Seconds()),
 		f0(st.Throughput),
 	})

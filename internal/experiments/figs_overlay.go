@@ -271,15 +271,12 @@ func pruneFor(ag *bipartite.AG, maxID int, iters int, ratio float64, seed int64)
 	if err != nil {
 		panic(err)
 	}
-	wl := workload.ZipfWorkload(maxID, 1.0, 1e6, ratio, seed)
-	f, err := dataflow.ComputeFreqs(res.Overlay, wl, 1)
+	top := res.Overlay.Flatten()
+	f, err := dataflow.Frequencies(top, workload.ZipfWorkload(maxID, 1.0, 1e6, ratio, seed), 1)
 	if err != nil {
 		panic(err)
 	}
-	st, err := dataflow.Decide(res.Overlay, f, dataflow.ConstLinear{})
-	if err != nil {
-		panic(err)
-	}
+	_, st := dataflow.Partition(top, f, dataflow.ConstLinear{})
 	return st
 }
 

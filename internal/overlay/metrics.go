@@ -39,71 +39,29 @@ func (o *Overlay) inputSet(ref NodeRef, memo map[NodeRef]map[graph.NodeID]int) m
 	return m
 }
 
-// Depths returns, for every live reader, the overlay depth: the length of
-// the longest path from one of its input writers to the reader (paper
-// §5.2, "Overlay Depth"). Readers with no inputs have depth 0.
-func (o *Overlay) Depths() map[ReaderID]int { return o.Flatten().Depths() }
-
 // DepthStats summarizes reader depths (see Topology.DepthStats).
 func (o *Overlay) DepthStats() (avg float64, hist []int) { return o.Flatten().DepthStats() }
 
-// ComputeStats gathers Stats for the overlay.
-func (o *Overlay) ComputeStats() Stats { return o.Flatten().ComputeStats() }
-
-// Depths returns, for every live reader, the overlay depth (see
-// Overlay.Depths); nil when the topology has a cycle.
+// Depths returns, for every live reader, the overlay depth: the length of
+// the longest path from one of its input writers to the reader (paper
+// §5.2, "Overlay Depth"). Readers with no inputs have depth 0. It is nil
+// when the topology has a cycle.
 func (t *Topology) Depths() map[ReaderID]int {
-	// Kahn's order: a node is taken once all its inputs were, so its depth
-	// is final when it is.
-	indeg := make([]int32, t.N)
+	order, err := t.TopoOrder()
+	if err != nil {
+		return nil
+	}
+	// A slot is ordered after all its inputs, so its depth is final when
+	// its turn comes.
 	depth := make([]int, t.N)
-	var queue []NodeRef
-	live := 0
-	for i := range t.N {
-		depth[i] = -1
-		if t.Dead[i] {
-			continue
-		}
-		live++
-		if indeg[i] = t.InOff[i+1] - t.InOff[i]; indeg[i] == 0 {
-			queue = append(queue, NodeRef(i))
-		}
-	}
-	for ordered := 0; ; ordered++ {
-		if len(queue) == 0 {
-			if ordered != live {
-				return nil
-			}
-			break
-		}
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if t.Kind[u] == WriterNode {
-			depth[u] = 0
-		} else {
-			d := -1
-			for _, pe := range t.InEdges(u) {
-				peer, _ := UnpackRef(pe)
-				if pd := depth[peer]; pd >= 0 && pd+1 > d {
-					d = pd + 1
-				}
-			}
-			if d < 0 && len(t.InEdges(u)) == 0 {
-				d = 0
-			}
-			depth[u] = d
-		}
-		for _, pe := range t.OutEdges(u) {
-			peer, _ := UnpackRef(pe)
-			if indeg[peer]--; indeg[peer] == 0 {
-				queue = append(queue, peer)
-			}
-		}
-	}
 	out := make(map[ReaderID]int)
-	for i := range t.N {
-		if !t.Dead[i] && t.Kind[i] == ReaderNode {
-			out[ReaderID{t.Tag[i], t.GID[i]}] = max(depth[i], 0)
+	for _, u := range order {
+		for _, pe := range t.InEdges(u) {
+			peer, _ := UnpackRef(pe)
+			depth[u] = max(depth[u], depth[peer]+1)
+		}
+		if t.Kind[u] == ReaderNode {
+			out[ReaderID{t.Tag[u], t.GID[u]}] = depth[u]
 		}
 	}
 	return out

@@ -142,8 +142,8 @@ func New(agEdges int) *Overlay {
 }
 
 // Lineage identifies the overlay's slot numbering. Every overlay New (or
-// Load) returns starts a lineage; mutating it in place, Clone, Flatten and
-// Thaw carry it. No mutation reuses a slot — a removed node's slot is
+// Load) returns starts a lineage; mutating it in place, Flatten and Thaw
+// carry it. No mutation reuses a slot — a removed node's slot is
 // retired and an added node opens a new one — so within one line of
 // descent slot i names the same node in every overlay and Topology of the
 // lineage that has it. That is what lets an engine carry its per-slot state
@@ -467,32 +467,6 @@ func (o *Overlay) TopoOrder() ([]NodeRef, error) {
 		return nil, fmt.Errorf("overlay: cycle detected (%d of %d ordered)", len(order), live)
 	}
 	return order, nil
-}
-
-// Clone returns a deep copy of the overlay, in its lineage.
-func (o *Overlay) Clone() *Overlay {
-	c := &Overlay{
-		nodes:    make([]Node, len(o.nodes)),
-		writerOf: make(map[graph.NodeID]NodeRef, len(o.writerOf)),
-		readerOf: make(map[ReaderID]NodeRef, len(o.readerOf)),
-		numEdges: o.numEdges,
-		agEdges:  o.agEdges,
-		numDead:  o.numDead,
-		tags:     o.tags,
-		lineage:  o.lineage,
-	}
-	for i, n := range o.nodes {
-		n.In = append([]HalfEdge(nil), n.In...)
-		n.Out = append([]HalfEdge(nil), n.Out...)
-		c.nodes[i] = n
-	}
-	for k, v := range o.writerOf {
-		c.writerOf[k] = v
-	}
-	for k, v := range o.readerOf {
-		c.readerOf[k] = v
-	}
-	return c
 }
 
 func removeHalf(s *[]HalfEdge, peer NodeRef) bool {

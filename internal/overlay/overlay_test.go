@@ -144,7 +144,7 @@ func TestNegativeEdgeMultiplicity(t *testing.T) {
 	if in[1] != 0 || in[0] != 1 || in[2] != 1 {
 		t.Fatalf("InputSet(r11) = %v", in)
 	}
-	st := o.ComputeStats()
+	st := o.Flatten().ComputeStats()
 	if st.NegEdges != 1 {
 		t.Fatalf("NegEdges = %d, want 1", st.NegEdges)
 	}
@@ -225,20 +225,28 @@ func TestTopoOrderAndCycleDetection(t *testing.T) {
 	mustEdge(t, o, w, p1, false)
 	mustEdge(t, o, p1, p2, false)
 	mustEdge(t, o, p2, r, false)
-	order, err := o.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
+	sorts := map[string]func() ([]NodeRef, error){
+		"overlay":  o.TopoOrder,
+		"topology": func() ([]NodeRef, error) { return o.Flatten().TopoOrder() },
 	}
-	pos := map[NodeRef]int{}
-	for i, ref := range order {
-		pos[ref] = i
-	}
-	if !(pos[w] < pos[p1] && pos[p1] < pos[p2] && pos[p2] < pos[r]) {
-		t.Fatalf("topo order wrong: %v", order)
+	for name, sort := range sorts {
+		order, err := sort()
+		if err != nil {
+			t.Fatal(name, err)
+		}
+		pos := map[NodeRef]int{}
+		for i, ref := range order {
+			pos[ref] = i
+		}
+		if !(pos[w] < pos[p1] && pos[p1] < pos[p2] && pos[p2] < pos[r]) {
+			t.Fatalf("%s: topo order wrong: %v", name, order)
+		}
 	}
 	mustEdge(t, o, p2, p1, false) // cycle p1 -> p2 -> p1
-	if _, err := o.TopoOrder(); err == nil {
-		t.Fatal("cycle not detected")
+	for name, sort := range sorts {
+		if _, err := sort(); err == nil {
+			t.Fatalf("%s: cycle not detected", name)
+		}
 	}
 }
 
@@ -253,7 +261,7 @@ func TestDepths(t *testing.T) {
 	mustEdge(t, o, w, p1, false)
 	mustEdge(t, o, p1, p2, false)
 	mustEdge(t, o, p2, rDeep, false)
-	d := o.Depths()
+	d := o.Flatten().Depths()
 	if got := d[ReaderID{Node: 1}]; got != 1 {
 		t.Fatalf("depth(shallow) = %d, want 1", got)
 	}
@@ -277,28 +285,28 @@ func TestCheckDecisions(t *testing.T) {
 	mustEdge(t, o, w, p, false)
 	mustEdge(t, o, p, r, false)
 	// Default: writers push, others pull — consistent.
-	if err := o.CheckDecisions(); err != nil {
+	if err := o.Flatten().CheckDecisions(); err != nil {
 		t.Fatal(err)
 	}
 	// Reader push with pull input — inconsistent.
 	o.Node(r).Dec = Push
-	if err := o.CheckDecisions(); err == nil {
+	if err := o.Flatten().CheckDecisions(); err == nil {
 		t.Fatal("push reader over pull partial should fail")
 	}
 	o.Node(p).Dec = Push
-	if err := o.CheckDecisions(); err != nil {
+	if err := o.Flatten().CheckDecisions(); err != nil {
 		t.Fatal(err)
 	}
 	// Writer marked pull — invalid.
 	o.Node(w).Dec = Pull
-	if err := o.CheckDecisions(); err == nil {
+	if err := o.Flatten().CheckDecisions(); err == nil {
 		t.Fatal("pull writer should fail")
 	}
 }
 
 func TestCloneIndependence(t *testing.T) {
 	o, ag := figure1dLikeOverlay(t)
-	c := o.Clone()
+	c := Thaw(o.Flatten())
 	gr := c.Reader(0, 6)
 	if err := c.RemoveNode(gr); err != nil {
 		t.Fatal(err)
@@ -313,7 +321,7 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	o, _ := figure1dLikeOverlay(t)
-	s := o.ComputeStats()
+	s := o.Flatten().ComputeStats()
 	if s.Writers != 6 || s.Readers != 2 || s.Partials != 1 {
 		t.Fatalf("stats = %+v", s)
 	}

@@ -63,7 +63,7 @@ func TestSaveLoadNegativeEdgesAndDeadNodes(t *testing.T) {
 	if !l.Alive(p) || l.Alive(dead) {
 		t.Fatal("aliveness not preserved")
 	}
-	st := l.ComputeStats()
+	st := l.Flatten().ComputeStats()
 	if st.NegEdges != 1 {
 		t.Fatalf("negative edges = %d, want 1", st.NegEdges)
 	}

@@ -1,6 +1,10 @@
 package overlay
 
-import "repro/internal/graph"
+import (
+	"fmt"
+
+	"repro/internal/graph"
+)
 
 // Topology is an immutable, flattened CSR-style snapshot of the overlay:
 // node kinds, dataflow decisions, and both edge directions packed into
@@ -204,6 +208,41 @@ func (t *Topology) OutEdges(r NodeRef) []int32 { return t.Out[t.OutOff[r]:t.OutO
 
 // InEdges returns node r's packed in-edges.
 func (t *Topology) InEdges(r NodeRef) []int32 { return t.In[t.InOff[r]:t.InOff[r+1]] }
+
+// TopoOrder returns the live slots in a topological order (writers first),
+// or an error if the topology has a cycle. It is Kahn's sort: the slots
+// without inputs are queued in slot order, the last one queued is taken
+// first, and taking a slot queues the consumers it frees in out-edge order.
+func (t *Topology) TopoOrder() ([]NodeRef, error) {
+	indeg := make([]int32, t.N)
+	var queue []NodeRef
+	live := 0
+	for i := range t.N {
+		if t.Dead[i] {
+			continue
+		}
+		live++
+		if indeg[i] = t.InOff[i+1] - t.InOff[i]; indeg[i] == 0 {
+			queue = append(queue, NodeRef(i))
+		}
+	}
+	order := make([]NodeRef, 0, live)
+	for len(queue) > 0 {
+		u := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		order = append(order, u)
+		for _, pe := range t.OutEdges(u) {
+			peer, _ := UnpackRef(pe)
+			if indeg[peer]--; indeg[peer] == 0 {
+				queue = append(queue, peer)
+			}
+		}
+	}
+	if len(order) != live {
+		return nil, fmt.Errorf("overlay: cycle detected (%d of %d ordered)", len(order), live)
+	}
+	return order, nil
+}
 
 // Thaw is the inverse of Flatten: it returns a mutable overlay with t's
 // slots, live and dead, its edges in their In and Out order, its decisions,

@@ -87,10 +87,6 @@ func (o *Overlay) checkStructure() error {
 }
 
 // CheckDecisions verifies the dataflow-decision consistency constraint
-// (paper §2.2.1) on the overlay's Topology.
-func (o *Overlay) CheckDecisions() error { return o.Flatten().CheckDecisions() }
-
-// CheckDecisions verifies the dataflow-decision consistency constraint
 // (paper §2.2.1): all inputs of a push node are push (equivalently, all
 // nodes downstream of a pull node are pull), and writers are push.
 func (t *Topology) CheckDecisions() error {
